@@ -97,16 +97,21 @@ impl FiPolicy {
     /// [`FinalizedSketch`] are exact), without re-evaluating `k · |domain|` hash pairs per
     /// scan. The online service holds one index per plus attribute and routes every seal
     /// and merged-span discovery through here.
+    ///
+    /// # Errors
+    /// [`Error::IncompatibleSketches`] if `index` was built for another hash family or
+    /// sketch shape than `sketch`.
     pub fn discover_indexed(
         &self,
         sketch: &FinalizedSketch,
         samples: usize,
         index: &DomainIndex,
-    ) -> (Vec<u64>, f64) {
+    ) -> Result<(Vec<u64>, f64)> {
+        sketch.check_index(index)?;
         if samples == 0 {
-            return (Vec::new(), self.threshold);
+            return Ok((Vec::new(), self.threshold));
         }
-        if self.adaptive {
+        Ok(if self.adaptive {
             let theta = bounds::adaptive_phase1_threshold(
                 sketch.params(),
                 sketch.epsilon(),
@@ -114,15 +119,15 @@ impl FiPolicy {
                 sketch.f2_estimate(),
             );
             (
-                sketch.frequent_items_median_indexed(index, theta, samples as f64),
+                sketch.frequent_items_median_indexed(index, theta, samples as f64)?,
                 theta,
             )
         } else {
             (
-                sketch.frequent_items_indexed(index, self.threshold, samples as f64),
+                sketch.frequent_items_indexed(index, self.threshold, samples as f64)?,
                 self.threshold,
             )
-        }
+        })
     }
 }
 
@@ -290,28 +295,18 @@ impl PlusStateBuilder {
 
     /// [`PlusStateBuilder::finalize_view`] with discovery routed through a pre-hashed
     /// [`DomainIndex`] over the same candidate domain — bit-identical state, faster scan.
+    ///
+    /// # Errors
+    /// As [`FinalizedPlusState::new_indexed`].
     pub fn finalize_view_indexed(
         &self,
         policy: FiPolicy,
         index: &DomainIndex,
-    ) -> FinalizedPlusState {
+    ) -> Result<FinalizedPlusState> {
         FinalizedPlusState::new_indexed(
             self.phase1.finalize_view(),
             self.low.finalize_view(),
             self.high.finalize_view(),
-            policy,
-            index,
-        )
-    }
-
-    /// [`PlusStateBuilder::finalize`] (consuming — no counter clone) with discovery routed
-    /// through a pre-hashed [`DomainIndex`] — bit-identical state, faster scan.
-    pub fn finalize_indexed(self, policy: FiPolicy, index: &DomainIndex) -> FinalizedPlusState {
-        let PlusStateBuilder { phase1, low, high } = self;
-        FinalizedPlusState::new_indexed(
-            phase1.finalize(),
-            low.finalize(),
-            high.finalize(),
             policy,
             index,
         )
@@ -353,16 +348,26 @@ impl FinalizedPlusState {
 
     /// [`FinalizedPlusState::new`] with discovery routed through a pre-hashed
     /// [`DomainIndex`] ([`FiPolicy::discover_indexed`]) — the same state, bit for bit.
+    ///
+    /// # Errors
+    /// [`Error::IncompatibleSketches`] if `index` was built for another hash family or
+    /// shape than the phase-1 sketch.
     pub fn new_indexed(
         phase1: FinalizedSketch,
         low: FinalizedSketch,
         high: FinalizedSketch,
         policy: FiPolicy,
         index: &DomainIndex,
-    ) -> Self {
+    ) -> Result<Self> {
         let (frequent_items, threshold) =
-            policy.discover_indexed(&phase1, phase1.reports() as usize, index);
-        Self::with_discovery(phase1, low, high, frequent_items, threshold)
+            policy.discover_indexed(&phase1, phase1.reports() as usize, index)?;
+        Ok(Self::with_discovery(
+            phase1,
+            low,
+            high,
+            frequent_items,
+            threshold,
+        ))
     }
 
     /// Assemble a finalized state from lane sketches and an **already-run** discovery
@@ -509,6 +514,44 @@ mod tests {
             phase1: p1.perturb_all(&values[..n / 5], &mut rng),
             low: low.perturb_all(&values[n / 5..n / 5 + 2 * n / 5], &mut rng),
             high: high.perturb_all(&values[n / 5 + 2 * n / 5..], &mut rng),
+        }
+    }
+
+    #[test]
+    fn mismatched_domain_index_is_a_typed_error_not_a_panic() {
+        let mut builder = PlusStateBuilder::new(params(), eps(), 9);
+        builder.absorb_batch(&batch_for(3, 200)).unwrap();
+        let domain: Arc<Vec<u64>> = Arc::new((0..50).collect());
+        let policy = FiPolicy {
+            threshold: 0.01,
+            adaptive: true,
+        };
+        let phase1 = builder.lane_builders().0.finalize_view();
+        // The matching index works; one built for another seed or shape is rejected by
+        // every indexed scan and by the discovery and assembly paths that route through it.
+        let good = DomainIndex::new(phase1.hashes(), Arc::clone(&domain));
+        assert!(builder.finalize_view_indexed(policy, &good).is_ok());
+        for (seed, columns) in [(10u64, 128usize), (9, 64)] {
+            let hashes = ldpjs_common::hash::RowHashes::from_seed(seed, 8, columns);
+            let index = DomainIndex::new(&hashes, Arc::clone(&domain));
+            let incompatible = |r: Result<()>| matches!(r, Err(Error::IncompatibleSketches(_)));
+            assert!(incompatible(phase1.frequencies_indexed(&index).map(drop)));
+            assert!(incompatible(
+                phase1.frequent_items_indexed(&index, 0.01, 40.0).map(drop)
+            ));
+            assert!(incompatible(
+                phase1
+                    .frequent_items_median_indexed(&index, 0.01, 40.0)
+                    .map(drop)
+            ));
+            for samples in [0, 40] {
+                assert!(incompatible(
+                    policy.discover_indexed(&phase1, samples, &index).map(drop)
+                ));
+            }
+            assert!(incompatible(
+                builder.finalize_view_indexed(policy, &index).map(drop)
+            ));
         }
     }
 

@@ -822,12 +822,18 @@ impl FinalizedSketch {
             .collect()
     }
 
-    /// Panic unless `index` was built for this sketch's hash family and dimensions.
-    fn check_index(&self, index: &DomainIndex) {
-        assert!(
-            index.seed == self.hashes.seed()
-                && index.rows == self.params.rows()
-                && index.columns == self.params.columns(),
+    /// Reject an `index` built for another hash family or sketch shape.
+    ///
+    /// # Errors
+    /// [`Error::IncompatibleSketches`] on a seed or dimension mismatch.
+    pub(crate) fn check_index(&self, index: &DomainIndex) -> Result<()> {
+        if index.seed == self.hashes.seed()
+            && index.rows == self.params.rows()
+            && index.columns == self.params.columns()
+        {
+            return Ok(());
+        }
+        Err(Error::IncompatibleSketches(format!(
             "domain index (seed {}, {}x{}) does not match sketch (seed {}, {}x{})",
             index.seed,
             index.rows,
@@ -835,7 +841,7 @@ impl FinalizedSketch {
             self.hashes.seed(),
             self.params.rows(),
             self.params.columns(),
-        );
+        )))
     }
 
     /// [`FinalizedSketch::frequencies`] over a pre-hashed [`DomainIndex`]: same estimates,
@@ -843,15 +849,16 @@ impl FinalizedSketch {
     /// and sign hashes are looked up instead of re-evaluated and the restored matrix is
     /// walked row-major so each 8 KiB row stays cache-resident across the whole domain.
     ///
-    /// # Panics
-    /// Panics if `index` was built for a different hash family or sketch shape.
-    pub fn frequencies_indexed(&self, index: &DomainIndex) -> Vec<f64> {
-        self.check_index(index);
+    /// # Errors
+    /// [`Error::IncompatibleSketches`] if `index` was built for a different hash family or
+    /// sketch shape.
+    pub fn frequencies_indexed(&self, index: &DomainIndex) -> Result<Vec<f64>> {
+        self.check_index(index)?;
         let k = self.params.rows();
         let n = index.domain.len();
         let mut acc = vec![0.0f64; n];
         if k == 0 {
-            return acc;
+            return Ok(acc);
         }
         for j in 0..k {
             let offs = &index.offsets[j * n..(j + 1) * n];
@@ -865,23 +872,29 @@ impl FinalizedSketch {
         for a in acc.iter_mut() {
             *a /= inv;
         }
-        acc
+        Ok(acc)
     }
 
     /// [`FinalizedSketch::frequent_items`] over a pre-hashed [`DomainIndex`] — identical
     /// item set, computed from [`FinalizedSketch::frequencies_indexed`].
     ///
-    /// # Panics
-    /// Panics if `index` was built for a different hash family or sketch shape.
-    pub fn frequent_items_indexed(&self, index: &DomainIndex, theta: f64, total: f64) -> Vec<u64> {
+    /// # Errors
+    /// [`Error::IncompatibleSketches`] if `index` was built for a different hash family or
+    /// sketch shape.
+    pub fn frequent_items_indexed(
+        &self,
+        index: &DomainIndex,
+        theta: f64,
+        total: f64,
+    ) -> Result<Vec<u64>> {
         let threshold = theta * total;
-        index
+        Ok(index
             .domain
             .iter()
-            .zip(self.frequencies_indexed(index))
+            .zip(self.frequencies_indexed(index)?)
             .filter(|&(_, f)| f > threshold)
             .map(|(&d, _)| d)
-            .collect()
+            .collect())
     }
 
     /// [`FinalizedSketch::frequent_items_median`] over a pre-hashed [`DomainIndex`]:
@@ -902,18 +915,19 @@ impl FinalizedSketch {
     /// ambiguous branch *is* the exact comparison, so the result is bit-identical to the
     /// unindexed scan.
     ///
-    /// # Panics
-    /// Panics if `index` was built for a different hash family or sketch shape.
+    /// # Errors
+    /// [`Error::IncompatibleSketches`] if `index` was built for a different hash family or
+    /// sketch shape.
     pub fn frequent_items_median_indexed(
         &self,
         index: &DomainIndex,
         theta: f64,
         total: f64,
-    ) -> Vec<u64> {
-        self.check_index(index);
+    ) -> Result<Vec<u64>> {
+        self.check_index(index)?;
         let k = self.params.rows();
         if k == 0 {
-            return Vec::new();
+            return Ok(Vec::new());
         }
         let threshold = theta * total;
         let n = index.domain.len();
@@ -952,7 +966,7 @@ impl FinalizedSketch {
             }
         }
         let half = k / 2;
-        index
+        Ok(index
             .domain
             .iter()
             .zip(above)
@@ -967,7 +981,7 @@ impl FinalizedSketch {
                 }
             })
             .map(|(&d, _)| d)
-            .collect()
+            .collect())
     }
 }
 
@@ -1220,7 +1234,7 @@ mod tests {
             let index = DomainIndex::new(sketch.hashes(), Arc::clone(&domain));
 
             let plain = sketch.frequencies(&domain);
-            let indexed = sketch.frequencies_indexed(&index);
+            let indexed = sketch.frequencies_indexed(&index).unwrap();
             assert_eq!(plain.len(), indexed.len());
             for (a, b) in plain.iter().zip(indexed.iter()) {
                 assert_eq!(a.to_bits(), b.to_bits());
@@ -1232,12 +1246,14 @@ mod tests {
             for theta in [-1.0, 0.0, 1e-5, 1e-4, 1e-3, 5e-3, 0.05, 0.5] {
                 assert_eq!(
                     sketch.frequent_items(&domain, theta, total),
-                    sketch.frequent_items_indexed(&index, theta, total),
+                    sketch.frequent_items_indexed(&index, theta, total).unwrap(),
                     "mean scan diverged at theta {theta}"
                 );
                 assert_eq!(
                     sketch.frequent_items_median(&domain, theta, total),
-                    sketch.frequent_items_median_indexed(&index, theta, total),
+                    sketch
+                        .frequent_items_median_indexed(&index, theta, total)
+                        .unwrap(),
                     "median scan diverged at theta {theta}"
                 );
             }
@@ -1255,7 +1271,9 @@ mod tests {
         for threshold in [-1.0, 0.0, 1.0] {
             assert_eq!(
                 sketch.frequent_items_median(&domain, threshold, 1.0),
-                sketch.frequent_items_median_indexed(&index, threshold, 1.0),
+                sketch
+                    .frequent_items_median_indexed(&index, threshold, 1.0)
+                    .unwrap(),
                 "threshold {threshold}"
             );
         }

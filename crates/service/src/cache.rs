@@ -15,13 +15,10 @@
 //! eviction evicted exactly those hot entries first; the regression is pinned in this
 //! module's tests via [`CacheStats`].)
 
-use ldpjs_core::multiway::FinalizedEdgeSketch;
-use ldpjs_core::FinalizedSketch;
 use ldpjs_metrics::telemetry::Counter;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
 
-use crate::service::Explain;
+use crate::service::{Explain, SpanView};
 
 /// A query answer as stored in (and served from) the cache.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,7 +34,8 @@ pub(crate) struct CachedAnswer {
     pub explain: Explain,
 }
 
-/// The estimator mode a cached query was served under, for the per-mode stat breakdowns.
+/// An estimator mode: the mode an attribute runs in, and the mode a cached query was served
+/// under (for the per-mode stat breakdowns).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum QueryMode {
     Plain,
@@ -47,16 +45,18 @@ pub(crate) enum QueryMode {
 
 impl QueryMode {
     fn index(self) -> usize {
-        match self {
-            QueryMode::Plain => 0,
-            QueryMode::Plus => 1,
-            QueryMode::Edge => 2,
-        }
+        self as usize
+    }
+
+    /// The mode's exporter-facing name.
+    pub(crate) fn name(self) -> &'static str {
+        ["plain", "plus", "edge"][self.index()]
     }
 }
 
-/// Telemetry handles the owning service wires into the cache, so every hit/miss/eviction/
-/// invalidation lands in the exporter the moment it happens. Indexed like [`QueryMode`].
+/// Telemetry handles the owning service wires into the cache: every hit/miss/eviction/
+/// invalidation lands in the exporter the moment it happens, and [`CacheStats`] is read
+/// back from the same counters. Indexed like [`QueryMode`].
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CacheInstruments {
     pub hits: [Counter; 3],
@@ -105,20 +105,12 @@ impl QueryKey {
     /// Build a plain join key normalized under operand order (the row product is commutative
     /// down to the bit level, so both orders share one entry).
     pub(crate) fn join(a: usize, span_a: (u64, u64), b: usize, span_b: (u64, u64)) -> Self {
-        if a <= b {
-            QueryKey::Join {
-                a,
-                b,
-                span_a,
-                span_b,
-            }
-        } else {
-            QueryKey::Join {
-                a: b,
-                b: a,
-                span_a: span_b,
-                span_b: span_a,
-            }
+        let ((a, span_a), (b, span_b)) = ordered((a, span_a), (b, span_b));
+        QueryKey::Join {
+            a,
+            b,
+            span_a,
+            span_b,
         }
     }
 
@@ -126,20 +118,12 @@ impl QueryKey {
     /// symmetric in its two states down to the reported diagnostics' orientation — the
     /// *estimate* both orders serve is bit-identical, so they share one entry).
     pub(crate) fn plus_join(a: usize, span_a: (u64, u64), b: usize, span_b: (u64, u64)) -> Self {
-        if a <= b {
-            QueryKey::PlusJoin {
-                a,
-                b,
-                span_a,
-                span_b,
-            }
-        } else {
-            QueryKey::PlusJoin {
-                a: b,
-                b: a,
-                span_a: span_b,
-                span_b: span_a,
-            }
+        let ((a, span_a), (b, span_b)) = ordered((a, span_a), (b, span_b));
+        QueryKey::PlusJoin {
+            a,
+            b,
+            span_a,
+            span_b,
         }
     }
 
@@ -149,6 +133,15 @@ impl QueryKey {
             QueryKey::Frequency { attr: f, .. } => f == attr,
             QueryKey::Chain3 { v1, e, v3, .. } => v1 == attr || e == attr || v3 == attr,
         }
+    }
+}
+
+/// Two `(attribute, span)` operands, lower attribute index first.
+fn ordered<T>(a: (usize, T), b: (usize, T)) -> ((usize, T), (usize, T)) {
+    if a.0 <= b.0 {
+        (a, b)
+    } else {
+        (b, a)
     }
 }
 
@@ -166,9 +159,8 @@ pub struct ModeCacheStats {
 ///
 /// Every counter here is **cumulative over the service lifetime**: neither rotation-driven
 /// invalidation nor an explicit `clear_cache` resets any of them (only the point-in-time
-/// sizes `entries`/`views` drop). That symmetry is pinned by a regression test — an earlier
-/// draft of the clear path zeroed the breakdowns but not the totals, which made the
-/// per-mode lanes disagree with `hits`/`misses` after a clear.
+/// sizes `entries`/`views` drop): they are read back from the exported telemetry counters,
+/// which never reset.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Queries answered from the cache.
@@ -221,41 +213,22 @@ pub(crate) struct QueryCache {
     order: VecDeque<(QueryKey, u64)>,
     /// Monotonic recency clock.
     clock: u64,
-    views: BTreeMap<(usize, u64, u64), Arc<FinalizedSketch>>,
-    edge_views: BTreeMap<(usize, u64, u64), Arc<FinalizedEdgeSketch>>,
-    hits: u64,
-    misses: u64,
-    invalidations: u64,
-    evictions: u64,
-    mode_hits: [u64; 3],
-    mode_misses: [u64; 3],
-    instruments: Option<CacheInstruments>,
+    /// Merged multi-window plain and edge views by `(attribute, first_epoch, last_epoch)`.
+    views: BTreeMap<(usize, u64, u64), SpanView>,
+    instruments: CacheInstruments,
 }
 
 impl QueryCache {
-    /// An empty cache bounded to `capacity` result entries.
-    pub(crate) fn with_capacity(capacity: usize) -> Self {
+    /// An empty cache bounded to `capacity` result entries, counting into `instruments`.
+    pub(crate) fn new(capacity: usize, instruments: CacheInstruments) -> Self {
         QueryCache {
             capacity,
             results: BTreeMap::new(),
             order: VecDeque::new(),
             clock: 0,
             views: BTreeMap::new(),
-            edge_views: BTreeMap::new(),
-            hits: 0,
-            misses: 0,
-            invalidations: 0,
-            evictions: 0,
-            mode_hits: [0; 3],
-            mode_misses: [0; 3],
-            instruments: None,
+            instruments,
         }
-    }
-
-    /// Wire telemetry handles in (or detach them with `None`). Counting is additive from
-    /// this point on; the internal `u64` tallies are authoritative for [`CacheStats`].
-    pub(crate) fn set_instruments(&mut self, instruments: Option<CacheInstruments>) {
-        self.instruments = instruments;
     }
 
     /// Look a result up, counting the hit or miss under `mode`. A hit **promotes** the entry
@@ -263,11 +236,7 @@ impl QueryCache {
     pub(crate) fn lookup(&mut self, key: &QueryKey, mode: QueryMode) -> Option<CachedAnswer> {
         match self.results.get_mut(key) {
             Some(entry) => {
-                self.hits += 1;
-                self.mode_hits[mode.index()] += 1;
-                if let Some(ins) = &self.instruments {
-                    ins.hits[mode.index()].inc();
-                }
+                self.instruments.hits[mode.index()].inc();
                 self.clock += 1;
                 entry.stamp = self.clock;
                 let answer = entry.answer;
@@ -276,11 +245,7 @@ impl QueryCache {
                 Some(answer)
             }
             None => {
-                self.misses += 1;
-                self.mode_misses[mode.index()] += 1;
-                if let Some(ins) = &self.instruments {
-                    ins.misses[mode.index()].inc();
-                }
+                self.instruments.misses[mode.index()].inc();
                 None
             }
         }
@@ -306,10 +271,7 @@ impl QueryCache {
             // key was promoted, re-inserted, or invalidated since) pop without counting.
             if self.results.get(&old).is_some_and(|e| e.stamp == stamp) {
                 self.results.remove(&old);
-                self.evictions += 1;
-                if let Some(ins) = &self.instruments {
-                    ins.evictions.inc();
-                }
+                self.instruments.evictions.inc();
             }
         }
         self.prune_order();
@@ -325,39 +287,21 @@ impl QueryCache {
         }
     }
 
-    /// A memoized merged plain view for `(attr, first_epoch, last_epoch)`, if present.
-    pub(crate) fn view(&self, key: (usize, u64, u64)) -> Option<Arc<FinalizedSketch>> {
-        self.views.get(&key).map(Arc::clone)
+    /// A memoized merged view for `(attr, first_epoch, last_epoch)`, if present.
+    pub(crate) fn view(&self, key: (usize, u64, u64)) -> Option<SpanView> {
+        self.views.get(&key).cloned()
     }
 
-    /// Memoize a merged multi-window plain view.
-    pub(crate) fn insert_view(&mut self, key: (usize, u64, u64), view: Arc<FinalizedSketch>) {
+    /// Memoize a merged multi-window view.
+    pub(crate) fn insert_view(&mut self, key: (usize, u64, u64), view: SpanView) {
         self.views.insert(key, view);
-    }
-
-    /// A memoized merged edge view for `(attr, first_epoch, last_epoch)`, if present.
-    pub(crate) fn edge_view(&self, key: (usize, u64, u64)) -> Option<Arc<FinalizedEdgeSketch>> {
-        self.edge_views.get(&key).map(Arc::clone)
-    }
-
-    /// Memoize a merged multi-window edge view.
-    pub(crate) fn insert_edge_view(
-        &mut self,
-        key: (usize, u64, u64),
-        view: Arc<FinalizedEdgeSketch>,
-    ) {
-        self.edge_views.insert(key, view);
     }
 
     /// Rotation hook: drop every result and merged view touching `attr`.
     pub(crate) fn invalidate_attribute(&mut self, attr: usize) {
         self.results.retain(|key, _| !key.touches(attr));
         self.views.retain(|&(a, _, _), _| a != attr);
-        self.edge_views.retain(|&(a, _, _), _| a != attr);
-        self.invalidations += 1;
-        if let Some(ins) = &self.instruments {
-            ins.invalidations.inc();
-        }
+        self.instruments.invalidations.inc();
     }
 
     /// Drop everything (the explicit `clear_cache` entry point; also counted as an
@@ -368,29 +312,26 @@ impl QueryCache {
         self.results.clear();
         self.order.clear();
         self.views.clear();
-        self.edge_views.clear();
-        self.invalidations += 1;
-        if let Some(ins) = &self.instruments {
-            ins.invalidations.inc();
-        }
+        self.instruments.invalidations.inc();
     }
 
-    /// Current counters.
+    /// Current counters, read back from the telemetry handles.
     pub(crate) fn stats(&self) -> CacheStats {
-        let mode = |i: usize| ModeCacheStats {
-            hits: self.mode_hits[i],
-            misses: self.mode_misses[i],
-        };
+        let ins = &self.instruments;
+        let [plain, plus, edge] = [0, 1, 2].map(|i| ModeCacheStats {
+            hits: ins.hits[i].get(),
+            misses: ins.misses[i].get(),
+        });
         CacheStats {
-            hits: self.hits,
-            misses: self.misses,
+            hits: plain.hits + plus.hits + edge.hits,
+            misses: plain.misses + plus.misses + edge.misses,
             entries: self.results.len(),
-            views: self.views.len() + self.edge_views.len(),
-            invalidations: self.invalidations,
-            evictions: self.evictions,
-            plain: mode(QueryMode::Plain.index()),
-            plus: mode(QueryMode::Plus.index()),
-            edge: mode(QueryMode::Edge.index()),
+            views: self.views.len(),
+            invalidations: ins.invalidations.get(),
+            evictions: ins.evictions.get(),
+            plain,
+            plus,
+            edge,
         }
     }
 }
@@ -436,7 +377,7 @@ mod tests {
 
     #[test]
     fn capacity_bound_evicts_oldest_results_first() {
-        let mut cache = QueryCache::with_capacity(3);
+        let mut cache = QueryCache::new(3, CacheInstruments::default());
         let key = |v: u64| QueryKey::Frequency {
             attr: 0,
             value: v,
@@ -467,7 +408,7 @@ mod tests {
         // must survive a frequency scan that churns `capacity` one-shot entries past it.
         // Under the old insertion-order eviction the hot entry — inserted first — was
         // evicted first despite being hit on every refresh.
-        let mut cache = QueryCache::with_capacity(8);
+        let mut cache = QueryCache::new(8, CacheInstruments::default());
         let hot = QueryKey::join(0, (0, 15), 1, (0, 15));
         let ans = ans(42.0, 32, 1_000);
         cache.insert(hot, ans);
@@ -501,7 +442,7 @@ mod tests {
 
     #[test]
     fn lookup_counts_hits_and_misses_and_invalidation_is_selective() {
-        let mut cache = QueryCache::with_capacity(64);
+        let mut cache = QueryCache::new(64, CacheInstruments::default());
         let key_a = QueryKey::join(0, (0, 1), 1, (0, 1));
         let key_b = QueryKey::Frequency {
             attr: 2,
@@ -536,9 +477,8 @@ mod tests {
     fn cumulative_counters_survive_clear() {
         // The clear/stats symmetry regression: `clear` drops stored answers and views but
         // must not reset any cumulative counter — totals AND per-mode breakdowns.
-        let mut cache = QueryCache::with_capacity(2);
         let ins = CacheInstruments::default();
-        cache.set_instruments(Some(ins.clone()));
+        let mut cache = QueryCache::new(2, ins.clone());
         let key = |v: u64| QueryKey::Frequency {
             attr: 0,
             value: v,

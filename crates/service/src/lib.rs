@@ -4,10 +4,10 @@
 //! LDPJoinSketch protocol (collect every report, aggregate, estimate once) into a
 //! long-running system under continuous report traffic.
 //!
-//! * [`service::SketchService`] registers join attributes and accepts continuous
-//!   [`ClientReport`](ldpjs_core::ClientReport) batches (from the plain client *or* the FAP
-//!   client — both emit the same report type), feeding one parallel
-//!   [`ShardedAggregator`](ldpjs_core::ShardedAggregator) per attribute.
+//! * [`service::SketchService`] registers join attributes and accepts continuous report
+//!   batches through one ingest entry point taking any [`service::Reports`] form (plain
+//!   reports, packed batches, plus batches, edge reports), feeding one live engine (for
+//!   plain attributes a parallel [`ShardedAggregator`](ldpjs_core::ShardedAggregator)).
 //! * An **epoch rotator** seals the live engine every `epoch_reports` reports (or on an
 //!   explicit [`service::SketchService::rotate`]) into an immutable
 //!   [`window::WindowSnapshot`] kept in a bounded ring of recent windows. A snapshot holds
@@ -53,6 +53,6 @@ pub mod window;
 pub use cache::{CacheStats, ModeCacheStats};
 pub use service::{
     AttributeId, Explain, ExplainKernel, IngestSummary, PlusAttributeConfig, QueryClock,
-    QueryResult, ServiceConfig, SketchService, SpanSource,
+    QueryResult, Reports, ServiceConfig, SketchService, SpanSource,
 };
 pub use window::{WindowRange, WindowSnapshot};

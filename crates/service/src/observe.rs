@@ -176,7 +176,7 @@ impl ServiceInstruments {
 }
 
 /// Register the query-cache series (per-mode hits/misses plus the eviction and
-/// invalidation totals) and bundle the handles for `QueryCache::set_instruments`.
+/// invalidation totals) and bundle the handles for `QueryCache::new`.
 pub(crate) fn register_cache_instruments(telemetry: &Telemetry) -> CacheInstruments {
     let det = Stability::Deterministic;
     let per_mode = |base: &str| {

@@ -45,10 +45,10 @@ pub struct ServiceConfig {
     pub epoch_reports: u64,
     /// Wall-clock epoch trigger: seal the live engine once the epoch has been open for this
     /// long, alongside the report-count trigger (whichever fires first rotates; rotation
-    /// resets both). The clock is *injected* — ingestion stamps the epoch's opening via
-    /// [`SketchService::ingest_at`]-style entry points, and quiet attributes are swept by
-    /// [`SketchService::rotate_if_elapsed`] — so tests (and deterministic replays) control
-    /// time explicitly. `None` disables the time trigger.
+    /// resets both). The clock is *injected*: [`SketchService::ingest_at`] stamps the
+    /// epoch's opening and checks the trigger inline, and [`SketchService::rotate_if_elapsed`]
+    /// / [`SketchService::rotate_elapsed`] sweep quiet attributes, so tests and deterministic
+    /// replays control time explicitly. `None` disables the time trigger.
     pub epoch_duration: Option<Duration>,
     /// How many sealed windows the per-attribute ring retains; older windows are evicted.
     pub retained_windows: usize,
@@ -184,6 +184,68 @@ pub struct IngestSummary {
     pub rotations: u64,
 }
 
+/// The reports of one ingest call, in any of the forms the estimator modes absorb.
+///
+/// [`SketchService::ingest`] and [`SketchService::ingest_at`] take `impl Into<Reports>`, so
+/// callers pass a report slice, a `Vec`, or a batch reference directly.
+#[derive(Debug, Clone, Copy)]
+pub enum Reports<'a> {
+    /// Perturbed plain client reports, one per user (plain attributes).
+    Plain(&'a [ClientReport]),
+    /// A born-packed, sign-split plain report batch (plain attributes).
+    Packed(&'a ReportBatch),
+    /// One labeled three-lane LDPJoinSketch+ batch (plus attributes).
+    Plus(&'a PlusReportBatch),
+    /// Perturbed edge reports (edge attributes).
+    Edge(&'a [EdgeReport]),
+}
+
+impl Reports<'_> {
+    /// Reports carried (all lanes, for plus batches).
+    fn len(&self) -> usize {
+        match self {
+            Reports::Plain(r) => r.len(),
+            Reports::Packed(b) => b.len(),
+            Reports::Plus(b) => b.len(),
+            Reports::Edge(r) => r.len(),
+        }
+    }
+
+    fn ingestion(&self) -> &'static str {
+        match self {
+            Reports::Plain(_) => "plain report ingestion",
+            Reports::Packed(_) => "packed report-batch ingestion",
+            Reports::Plus(_) => "plus report-batch ingestion",
+            Reports::Edge(_) => "edge report ingestion",
+        }
+    }
+}
+
+/// `From<&T> for Reports` for every report container, so `ingest(attr, &reports)` accepts
+/// slices, `Vec`s and batches directly.
+macro_rules! reports_from {
+    ($($variant:ident: $($ty:ty),+;)+) => {$($(
+        impl<'a> From<&'a $ty> for Reports<'a> {
+            fn from(reports: &'a $ty) -> Self {
+                Reports::$variant(reports)
+            }
+        }
+    )+)+};
+}
+
+reports_from! {
+    Plain: [ClientReport], Vec<ClientReport>;
+    Packed: ReportBatch;
+    Plus: PlusReportBatch;
+    Edge: [EdgeReport], Vec<EdgeReport>;
+}
+
+impl<'a, const N: usize> From<&'a [ClientReport; N]> for Reports<'a> {
+    fn from(reports: &'a [ClientReport; N]) -> Self {
+        Reports::Plain(reports)
+    }
+}
+
 /// One answered query.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryResult {
@@ -300,11 +362,11 @@ enum AttributeKind {
 }
 
 impl AttributeKind {
-    fn mode_name(&self) -> &'static str {
+    fn mode(&self) -> QueryMode {
         match self {
-            AttributeKind::Plain { .. } => "plain",
-            AttributeKind::Plus { .. } => "plus",
-            AttributeKind::Edge { .. } => "edge",
+            AttributeKind::Plain { .. } => QueryMode::Plain,
+            AttributeKind::Plus { .. } => QueryMode::Plus,
+            AttributeKind::Edge { .. } => QueryMode::Edge,
         }
     }
 }
@@ -461,8 +523,7 @@ impl SpanLedger {
     /// Prefix entries currently held (always aligned with the window ring's length).
     fn depth(&self) -> usize {
         match self {
-            SpanLedger::Plain { prefix, .. } => prefix.len(),
-            SpanLedger::Plus { prefix, .. } => prefix.len(),
+            SpanLedger::Plain { prefix, .. } | SpanLedger::Plus { prefix, .. } => prefix.len(),
             SpanLedger::Edge { prefix, .. } => prefix.len(),
         }
     }
@@ -471,12 +532,7 @@ impl SpanLedger {
     /// prefix *is* the cumulative sum up to and including that window.
     fn evict(&mut self) {
         match self {
-            SpanLedger::Plain { origin, prefix, .. } => {
-                // lint:allow(panic-freedom) — invariant: evict only runs when the window
-                // ring overflows, and push kept one ledger entry per ring window.
-                *origin = prefix.pop_front().expect("ledger aligned with windows");
-            }
-            SpanLedger::Plus { origin, prefix, .. } => {
+            SpanLedger::Plain { origin, prefix, .. } | SpanLedger::Plus { origin, prefix, .. } => {
                 // lint:allow(panic-freedom) — invariant: evict only runs when the window
                 // ring overflows, and push kept one ledger entry per ring window.
                 *origin = prefix.pop_front().expect("ledger aligned with windows");
@@ -489,44 +545,39 @@ impl SpanLedger {
         }
     }
 
-    /// Finalize the merged plain view of the suffix span `start..len`: one fused spectrum
-    /// subtraction + de-bias multiply per element, no FWHT.
-    fn plain_span(&self, start: usize) -> FinalizedSketch {
-        let SpanLedger::Plain {
-            params,
-            eps,
-            hashes,
-            origin,
-            prefix,
-        } = self
-        else {
-            unreachable!("mode checked by the query layer");
-        };
-        // lint:allow(panic-freedom) — invariant: span resolution rejects empty rings, so
-        // a resolved span implies at least one ledger prefix entry.
-        let last = prefix.back().expect("span resolution rejects empty rings");
-        let base = if start == 0 {
-            origin
-        } else {
-            &prefix[start - 1]
-        };
-        FinalizedSketch::from_spectrum_diff(
-            *params,
-            *eps,
-            Arc::clone(hashes),
-            last.reports[0] - base.reports[0],
-            &last.lanes[0],
-            &base.lanes[0],
-        )
-    }
-
-    /// The materialized merged plus state of the suffix span `start..len` (rebuilt at every
-    /// rotation) — a cold plus span query is this `Arc` clone.
-    fn plus_span(&self, start: usize) -> Arc<FinalizedPlusState> {
-        let SpanLedger::Plus { spans, .. } = self else {
-            unreachable!("mode checked by the query layer");
-        };
-        Arc::clone(&spans[start])
+    /// The merged view of the suffix span `start..len`. Plain spans are one fused spectrum
+    /// subtraction + de-bias multiply per element, no FWHT; plus spans are the `Arc` clone
+    /// materialized at the last rotation; edge spans difference two counter prefixes.
+    fn span(&self, start: usize) -> SpanView {
+        match self {
+            SpanLedger::Plain {
+                params,
+                eps,
+                hashes,
+                origin,
+                prefix,
+            } => {
+                let (last, base) = span_ends(origin, prefix, start);
+                SpanView::Plain(Arc::new(FinalizedSketch::from_spectrum_diff(
+                    *params,
+                    *eps,
+                    Arc::clone(hashes),
+                    last.reports[0] - base.reports[0],
+                    &last.lanes[0],
+                    &base.lanes[0],
+                )))
+            }
+            SpanLedger::Plus { spans, .. } => SpanView::Plus(Arc::clone(&spans[start])),
+            SpanLedger::Edge { origin, prefix } => {
+                let (last, base) = span_ends(origin, prefix, start);
+                let merged = last
+                    .difference(base)
+                    // lint:allow(panic-freedom) — invariant: each prefix entry is the previous
+                    // entry plus one window, so `last` always dominates `base` counter-wise.
+                    .expect("every ledger prefix is a superset of its predecessors");
+                SpanView::Edge(Arc::new(merged.finalize()))
+            }
+        }
     }
 
     /// Rebuild the materialized per-start merged plus states after a rotation: every suffix
@@ -552,17 +603,9 @@ impl SpanLedger {
         else {
             unreachable!("mode checked by the rotation hook");
         };
-        let len = prefix.len();
-        // lint:allow(panic-freedom) — invariant: the rotation hook calls refresh right
-        // after push, so the prefix is never empty here.
-        let last = prefix.back().expect("refresh runs right after a push");
         spans.clear();
-        for start in 0..len - 1 {
-            let base = if start == 0 {
-                &*origin
-            } else {
-                &prefix[start - 1]
-            };
+        for start in 0..prefix.len() - 1 {
+            let (last, base) = span_ends(origin, prefix, start);
             let mk = |l: usize| {
                 FinalizedSketch::from_spectrum_diff(
                     *params,
@@ -574,31 +617,37 @@ impl SpanLedger {
                 )
             };
             let (phase1, low, high) = (mk(0), mk(1), mk(2));
-            spans.push(Arc::new(FinalizedPlusState::new_indexed(
-                phase1, low, high, policy, index,
-            )));
+            let state = FinalizedPlusState::new_indexed(phase1, low, high, policy, index)
+                // lint:allow(panic-freedom) — invariant: registration built `index` from the
+                // attribute's own phase-1 seed and the service's (k, m).
+                .expect("the attribute's domain index matches its phase-1 hash family");
+            spans.push(Arc::new(state));
         }
         spans.push(newest);
     }
+}
 
-    /// Assemble the merged edge builder of the suffix span `start..len`.
-    fn edge_span(&self, start: usize) -> EdgeSketchBuilder {
-        let SpanLedger::Edge { origin, prefix } = self else {
-            unreachable!("mode checked by the query layer");
-        };
-        // lint:allow(panic-freedom) — invariant: span resolution rejects empty rings, so
-        // a resolved span implies at least one ledger prefix entry.
-        let last = prefix.back().expect("span resolution rejects empty rings");
-        let base = if start == 0 {
-            origin
-        } else {
-            &prefix[start - 1]
-        };
-        last.difference(base)
-            // lint:allow(panic-freedom) — invariant: each prefix entry is the previous
-            // entry plus one window, so `last` always dominates `base` counter-wise.
-            .expect("every ledger prefix is a superset of its predecessors")
-    }
+/// The newest prefix entry and the entry just before the suffix span `start..len` (the
+/// origin for the full ring): the span is their difference.
+fn span_ends<'a, T>(origin: &'a T, prefix: &'a VecDeque<T>, start: usize) -> (&'a T, &'a T) {
+    // lint:allow(panic-freedom) — invariant: span resolution rejects empty rings and
+    // rotation pushes before it refreshes, so the prefix is never empty here.
+    let last = prefix.back().expect("spans cover at least one window");
+    let base = if start == 0 {
+        origin
+    } else {
+        &prefix[start - 1]
+    };
+    (last, base)
+}
+
+/// The merged estimation view of one span, shaped by the attribute's mode. Cheap to clone
+/// (an `Arc`); the query cache memoizes multi-window plain and edge views in this form.
+#[derive(Debug, Clone)]
+pub(crate) enum SpanView {
+    Plain(Arc<FinalizedSketch>),
+    Plus(Arc<FinalizedPlusState>),
+    Edge(Arc<FinalizedEdgeSketch>),
 }
 
 /// One registered join attribute: its mode, the live engine, the bounded ring of sealed
@@ -620,10 +669,19 @@ struct Attribute {
     instruments: AttributeInstruments,
 }
 
+impl Attribute {
+    fn plus_config(&self) -> &PlusAttributeConfig {
+        match &self.kind {
+            AttributeKind::Plus { config, .. } => config,
+            _ => unreachable!("operand modes are checked first"),
+        }
+    }
+}
+
 /// An injected clock for per-query stage timings: the service never reads the wall clock
 /// on the query path itself (the workspace determinism/telemetry-clock lints forbid it in
 /// library code) — timings only flow when a clock is installed through
-/// [`SketchService::set_query_clock`], mirroring the epoch rotator's `*_at` entry points.
+/// [`SketchService::set_query_clock`], mirroring the epoch rotator's injected `now`.
 #[derive(Clone)]
 pub struct QueryClock(Arc<dyn Fn() -> Instant + Send + Sync>);
 
@@ -709,8 +767,10 @@ impl SketchService {
         config.validate()?;
         let telemetry = Telemetry::new();
         let instruments = ServiceInstruments::register(&telemetry);
-        let mut cache = QueryCache::with_capacity(config.cache_capacity);
-        cache.set_instruments(Some(register_cache_instruments(&telemetry)));
+        let cache = QueryCache::new(
+            config.cache_capacity,
+            register_cache_instruments(&telemetry),
+        );
         Ok(SketchService {
             config,
             attributes: Vec::new(),
@@ -737,18 +797,14 @@ impl SketchService {
     /// # Errors
     /// [`Error::InvalidWorkload`] if `name` is already registered.
     pub fn register_attribute(&mut self, name: &str, seed: u64) -> Result<AttributeId> {
-        let hashes = Arc::new(RowHashes::from_seed(
-            seed,
-            self.config.params.rows(),
-            self.config.params.columns(),
-        ));
+        let (k, m) = (self.config.params.rows(), self.config.params.columns());
+        let hashes = Arc::new(RowHashes::from_seed(seed, k, m));
         let live = LiveEngine::Plain(fresh_plain_engine(&self.config, &hashes));
-        let counters = self.config.params.rows() * self.config.params.columns();
         let ledger = SpanLedger::Plain {
             params: self.config.params,
             eps: self.config.eps,
             hashes: Arc::clone(&hashes),
-            origin: SpectrumEntry::zero(1, counters),
+            origin: SpectrumEntry::zero(1, self.config.params.counters()),
             prefix: VecDeque::new(),
         };
         self.register(name, AttributeKind::Plain { hashes }, live, ledger)
@@ -774,24 +830,21 @@ impl SketchService {
             Arc::clone(low.hashes()),
             Arc::clone(high.hashes()),
         ];
+        // Hash the public candidate domain through the phase-1 family once, at
+        // registration; every discovery scan of this attribute reuses the index.
+        let index = Arc::new(DomainIndex::new(
+            &lane_hashes[0],
+            Arc::clone(&config.domain),
+        ));
         let live = LiveEngine::Plus(builder);
-        let counters = self.config.params.rows() * self.config.params.columns();
         let ledger = SpanLedger::Plus {
             params: self.config.params,
             eps: self.config.eps,
             lane_hashes,
-            origin: SpectrumEntry::zero(3, counters),
+            origin: SpectrumEntry::zero(3, self.config.params.counters()),
             prefix: VecDeque::new(),
             spans: Vec::new(),
         };
-        // Hash the public candidate domain through the phase-1 family once, at
-        // registration; every discovery scan of this attribute reuses the index.
-        let phase1_hashes = RowHashes::from_seed(
-            seed,
-            self.config.params.rows(),
-            self.config.params.columns(),
-        );
-        let index = Arc::new(DomainIndex::new(&phase1_hashes, Arc::clone(&config.domain)));
         self.register(
             name,
             AttributeKind::Plus {
@@ -817,27 +870,12 @@ impl SketchService {
         seed_a: u64,
         seed_b: u64,
     ) -> Result<AttributeId> {
-        let attr_a = JoinAttribute::from_seed(
-            seed_a,
-            self.config.params.rows(),
-            self.config.params.columns(),
-        );
-        let attr_b = JoinAttribute::from_seed(
-            seed_b,
-            self.config.params.rows(),
-            self.config.params.columns(),
-        );
-        let live = LiveEngine::Edge(
-            EdgeSketchBuilder::new(attr_a.clone(), attr_b.clone(), self.config.eps)
-                // lint:allow(panic-freedom) — invariant: both attributes were just derived
-                // from the service's single (k, m), so the replica counts match.
-                .expect("attributes derived at equal (k, m) always share the replica count"),
-        );
+        let (k, m) = (self.config.params.rows(), self.config.params.columns());
+        let attr_a = JoinAttribute::from_seed(seed_a, k, m);
+        let attr_b = JoinAttribute::from_seed(seed_b, k, m);
+        let live = LiveEngine::Edge(empty_edge_builder(&attr_a, &attr_b, self.config.eps));
         let ledger = SpanLedger::Edge {
-            origin: EdgeSketchBuilder::new(attr_a.clone(), attr_b.clone(), self.config.eps)
-                // lint:allow(panic-freedom) — invariant: both attributes were just derived
-                // from the service's single (k, m), so the replica counts match.
-                .expect("attributes derived at equal (k, m) always share the replica count"),
+            origin: empty_edge_builder(&attr_a, &attr_b, self.config.eps),
             prefix: VecDeque::new(),
         };
         self.register(name, AttributeKind::Edge { attr_a, attr_b }, live, ledger)
@@ -855,12 +893,9 @@ impl SketchService {
                 "attribute '{name}' is already registered"
             )));
         }
-        let shards = match &live {
-            LiveEngine::Plain(_) => Some(self.config.shards),
-            _ => None,
-        };
+        let shards = matches!(live, LiveEngine::Plain(_)).then_some(self.config.shards);
         let instruments =
-            AttributeInstruments::register(&self.telemetry, name, kind.mode_name(), shards);
+            AttributeInstruments::register(&self.telemetry, name, kind.mode().name(), shards);
         if let LiveEngine::Plain(engine) = &mut live {
             engine.set_instruments(instruments.agg.clone());
         }
@@ -889,12 +924,12 @@ impl SketchService {
 
     /// The attribute's registered name.
     pub fn attribute_name(&self, attr: AttributeId) -> Result<&str> {
-        Ok(&self.attr(attr)?.name)
+        Ok(&find(&self.attributes, attr)?.name)
     }
 
     /// The attribute's estimator mode name (`"plain"`, `"plus"` or `"edge"`).
     pub fn attribute_mode(&self, attr: AttributeId) -> Result<&'static str> {
-        Ok(self.attr(attr)?.kind.mode_name())
+        Ok(find(&self.attributes, attr)?.kind.mode().name())
     }
 
     /// A client-side encoder sharing a **plain** attribute's public hash family (for
@@ -906,14 +941,14 @@ impl SketchService {
     /// [`LdpJoinSketchPlus::stream_plus_reports`](ldpjs_core::LdpJoinSketchPlus::stream_plus_reports)
     /// and [`SketchService::edge_client`] respectively.
     pub fn client(&self, attr: AttributeId) -> Result<LdpJoinSketchClient> {
-        let a = self.attr(attr)?;
+        let a = find(&self.attributes, attr)?;
         match &a.kind {
             AttributeKind::Plain { hashes } => Ok(LdpJoinSketchClient::with_hashes(
                 self.config.params,
                 self.config.eps,
                 Arc::clone(hashes),
             )),
-            other => Err(mode_mismatch(&a.name, other.mode_name(), "a plain client")),
+            _ => Err(mode_mismatch(a, "a plain client")),
         }
     }
 
@@ -922,7 +957,7 @@ impl SketchService {
     /// # Errors
     /// [`Error::ModeMismatch`] for plain or plus attributes.
     pub fn edge_client(&self, attr: AttributeId) -> Result<LdpEdgeSketchClient> {
-        let a = self.attr(attr)?;
+        let a = find(&self.attributes, attr)?;
         match &a.kind {
             AttributeKind::Edge { attr_a, attr_b } => {
                 Ok(
@@ -932,205 +967,83 @@ impl SketchService {
                         .expect("registered edge attributes share the replica count"),
                 )
             }
-            other => Err(mode_mismatch(&a.name, other.mode_name(), "an edge client")),
+            _ => Err(mode_mismatch(a, "an edge client")),
         }
     }
 
-    /// Absorb a batch of perturbed plain client reports, auto-rotating if an epoch trigger
-    /// fires (clock stamped `Instant::now()`; see [`SketchService::ingest_at`]).
+    /// Absorb one batch of reports, auto-rotating if an epoch trigger fires (clock stamped
+    /// `Instant::now()`; see [`SketchService::ingest_at`]).
     ///
     /// # Errors
-    /// [`Error::UnknownAttribute`] for a bad handle; [`Error::ModeMismatch`] if the
-    /// attribute is not plain; [`Error::ReportOutOfRange`] if a report does not fit the
-    /// sketch (the batch is rejected atomically).
-    pub fn ingest(&mut self, attr: AttributeId, reports: &[ClientReport]) -> Result<IngestSummary> {
+    /// As [`SketchService::ingest_at`].
+    pub fn ingest<'r>(
+        &mut self,
+        attr: AttributeId,
+        reports: impl Into<Reports<'r>>,
+    ) -> Result<IngestSummary> {
         // lint:allow(determinism) — wall-clock convenience wrapper by design; replayable
         // callers (and all tests) inject the clock through `ingest_at`.
         self.ingest_at(attr, reports, Instant::now())
     }
 
-    /// [`SketchService::ingest`] with an explicit clock reading — the injected-clock entry
-    /// point the wall-clock epoch trigger measures from.
-    pub fn ingest_at(
-        &mut self,
-        attr: AttributeId,
-        reports: &[ClientReport],
-        now: Instant,
-    ) -> Result<IngestSummary> {
-        let idx = attr.index();
-        let a = self
-            .attributes
-            .get_mut(idx)
-            .ok_or_else(|| unknown_attribute(idx))?;
-        match &mut a.live {
-            LiveEngine::Plain(engine) => {
-                if let Err(err) = engine.ingest(reports) {
-                    a.instruments.rejected_reports.add(reports.len() as u64);
-                    a.instruments.rollbacks.inc();
-                    return Err(err);
-                }
-            }
-            _ => {
-                return Err(mode_mismatch(
-                    &a.name,
-                    a.kind.mode_name(),
-                    "plain report ingestion",
-                ))
-            }
-        }
-        a.instruments.reports.add(reports.len() as u64);
-        a.instruments.batches.inc();
-        Ok(self.after_ingest(idx, reports.len() as u64, now))
-    }
-
-    /// Absorb an already-packed sign-split report batch into a plain attribute — the
-    /// zero-copy ingest entry point for clients emitting packed SoA batches
-    /// ([`LdpJoinSketchClient::perturb_batch`]-style pipelines), auto-rotating if an epoch
-    /// trigger fires. Bit-identical to [`SketchService::ingest`] over the same reports.
+    /// The one ingest entry point: absorb one batch of reports into the attribute's live
+    /// engine with an explicit clock reading (the injected clock the wall-clock epoch
+    /// trigger measures from), then fire whichever epoch trigger is due.
+    ///
+    /// The report form must match the attribute's mode: plain attributes take
+    /// [`Reports::Plain`] or [`Reports::Packed`] (bit-identical to each other over the same
+    /// reports), plus attributes [`Reports::Plus`], edge attributes [`Reports::Edge`].
     ///
     /// # Errors
-    /// [`Error::UnknownAttribute`] for a bad handle; [`Error::ModeMismatch`] if the
-    /// attribute is not plain; [`Error::IncompatibleSketches`] if the batch shape does not
-    /// match the service's sketch (the batch is rejected atomically).
+    /// [`Error::UnknownAttribute`] for a bad handle; [`Error::ModeMismatch`] if the report
+    /// form does not match the attribute's mode; [`Error::ReportOutOfRange`] or
+    /// [`Error::IncompatibleSketches`] if a report or the batch shape does not fit the
+    /// sketch. A rejected batch is rolled back atomically.
+    pub fn ingest_at<'r>(
+        &mut self,
+        attr: AttributeId,
+        reports: impl Into<Reports<'r>>,
+        now: Instant,
+    ) -> Result<IngestSummary> {
+        let reports = reports.into();
+        let idx = attr.index();
+        let a = find_mut(&mut self.attributes, attr)?;
+        let absorbed = match (&mut a.live, reports) {
+            (LiveEngine::Plain(engine), Reports::Plain(r)) => engine.ingest(r),
+            (LiveEngine::Plain(engine), Reports::Packed(batch)) => engine.ingest_batch(batch),
+            (LiveEngine::Plus(builder), Reports::Plus(batch)) => builder.absorb_batch(batch),
+            (LiveEngine::Edge(builder), Reports::Edge(r)) => builder.absorb_all(r),
+            _ => return Err(mode_mismatch(a, reports.ingestion())),
+        };
+        let n = reports.len() as u64;
+        if let Err(err) = absorbed {
+            a.instruments.rejected_reports.add(n);
+            a.instruments.rollbacks.inc();
+            return Err(err);
+        }
+        a.instruments.reports.add(n);
+        a.instruments.batches.inc();
+        Ok(self.after_ingest(idx, n, now))
+    }
+
+    /// [`SketchService::ingest`] of a packed plain batch. Kept only because the
+    /// `pipeline-bench` harness calls it by name.
     pub fn ingest_batch(
         &mut self,
         attr: AttributeId,
         batch: &ReportBatch,
     ) -> Result<IngestSummary> {
-        // lint:allow(determinism) — wall-clock convenience wrapper by design; replayable
-        // callers (and all tests) inject the clock through `ingest_batch_at`.
-        self.ingest_batch_at(attr, batch, Instant::now())
+        self.ingest(attr, batch)
     }
 
-    /// [`SketchService::ingest_batch`] with an explicit clock reading.
-    pub fn ingest_batch_at(
-        &mut self,
-        attr: AttributeId,
-        batch: &ReportBatch,
-        now: Instant,
-    ) -> Result<IngestSummary> {
-        let idx = attr.index();
-        let a = self
-            .attributes
-            .get_mut(idx)
-            .ok_or_else(|| unknown_attribute(idx))?;
-        match &mut a.live {
-            LiveEngine::Plain(engine) => {
-                if let Err(err) = engine.ingest_batch(batch) {
-                    a.instruments.rejected_reports.add(batch.len() as u64);
-                    a.instruments.rollbacks.inc();
-                    return Err(err);
-                }
-            }
-            _ => {
-                return Err(mode_mismatch(
-                    &a.name,
-                    a.kind.mode_name(),
-                    "packed report-batch ingestion",
-                ))
-            }
-        }
-        a.instruments.reports.add(batch.len() as u64);
-        a.instruments.batches.inc();
-        Ok(self.after_ingest(idx, batch.len() as u64, now))
-    }
-
-    /// Absorb one labeled LDPJoinSketch+ report batch (three lanes) into a plus attribute,
-    /// auto-rotating if an epoch trigger fires.
-    ///
-    /// # Errors
-    /// [`Error::UnknownAttribute`], [`Error::ModeMismatch`] if the attribute is not plus,
-    /// [`Error::ReportOutOfRange`] (the batch is rejected atomically across all lanes).
+    /// [`SketchService::ingest`] of a plus batch. Kept only because the `pipeline-bench`
+    /// harness calls it by name.
     pub fn ingest_plus(
         &mut self,
         attr: AttributeId,
         batch: &PlusReportBatch,
     ) -> Result<IngestSummary> {
-        // lint:allow(determinism) — wall-clock convenience wrapper by design; replayable
-        // callers (and all tests) inject the clock through `ingest_plus_at`.
-        self.ingest_plus_at(attr, batch, Instant::now())
-    }
-
-    /// [`SketchService::ingest_plus`] with an explicit clock reading.
-    pub fn ingest_plus_at(
-        &mut self,
-        attr: AttributeId,
-        batch: &PlusReportBatch,
-        now: Instant,
-    ) -> Result<IngestSummary> {
-        let idx = attr.index();
-        let a = self
-            .attributes
-            .get_mut(idx)
-            .ok_or_else(|| unknown_attribute(idx))?;
-        match &mut a.live {
-            LiveEngine::Plus(builder) => {
-                if let Err(err) = builder.absorb_batch(batch) {
-                    a.instruments.rejected_reports.add(batch.len() as u64);
-                    a.instruments.rollbacks.inc();
-                    return Err(err);
-                }
-            }
-            _ => {
-                return Err(mode_mismatch(
-                    &a.name,
-                    a.kind.mode_name(),
-                    "plus report-batch ingestion",
-                ))
-            }
-        }
-        a.instruments.reports.add(batch.len() as u64);
-        a.instruments.batches.inc();
-        Ok(self.after_ingest(idx, batch.len() as u64, now))
-    }
-
-    /// Absorb a batch of perturbed edge reports into an edge attribute, auto-rotating if an
-    /// epoch trigger fires.
-    ///
-    /// # Errors
-    /// [`Error::UnknownAttribute`], [`Error::ModeMismatch`] if the attribute is not an edge
-    /// attribute, [`Error::ReportOutOfRange`] (the batch is rejected atomically).
-    pub fn ingest_edge(
-        &mut self,
-        attr: AttributeId,
-        reports: &[EdgeReport],
-    ) -> Result<IngestSummary> {
-        // lint:allow(determinism) — wall-clock convenience wrapper by design; replayable
-        // callers (and all tests) inject the clock through `ingest_edge_at`.
-        self.ingest_edge_at(attr, reports, Instant::now())
-    }
-
-    /// [`SketchService::ingest_edge`] with an explicit clock reading.
-    pub fn ingest_edge_at(
-        &mut self,
-        attr: AttributeId,
-        reports: &[EdgeReport],
-        now: Instant,
-    ) -> Result<IngestSummary> {
-        let idx = attr.index();
-        let a = self
-            .attributes
-            .get_mut(idx)
-            .ok_or_else(|| unknown_attribute(idx))?;
-        match &mut a.live {
-            LiveEngine::Edge(builder) => {
-                if let Err(err) = builder.absorb_all(reports) {
-                    a.instruments.rejected_reports.add(reports.len() as u64);
-                    a.instruments.rollbacks.inc();
-                    return Err(err);
-                }
-            }
-            _ => {
-                return Err(mode_mismatch(
-                    &a.name,
-                    a.kind.mode_name(),
-                    "edge report ingestion",
-                ))
-            }
-        }
-        a.instruments.reports.add(reports.len() as u64);
-        a.instruments.batches.inc();
-        Ok(self.after_ingest(idx, reports.len() as u64, now))
+        self.ingest(attr, batch)
     }
 
     /// Shared post-ingest bookkeeping: stamp the epoch's opening, then fire whichever epoch
@@ -1144,13 +1057,8 @@ impl SketchService {
         }
         let live = a.live.reports();
         a.instruments.live_reports.set(live);
-        let count_due = live >= config.epoch_reports;
-        let time_due = config.epoch_duration.is_some_and(|d| {
-            a.epoch_opened_at
-                .is_some_and(|opened| now.duration_since(opened) >= d)
-        });
         let mut rotations = 0;
-        if live > 0 && (count_due || time_due) {
+        if live >= config.epoch_reports || epoch_due(a, &config, now) {
             rotate_attribute(&config, &mut self.cache, idx, a);
             rotations = 1;
         }
@@ -1168,10 +1076,7 @@ impl SketchService {
     pub fn rotate(&mut self, attr: AttributeId) -> Result<Option<u64>> {
         let config = self.config;
         let idx = attr.index();
-        let a = self
-            .attributes
-            .get_mut(idx)
-            .ok_or_else(|| unknown_attribute(idx))?;
+        let a = find_mut(&mut self.attributes, attr)?;
         Ok(rotate_attribute(&config, &mut self.cache, idx, a))
     }
 
@@ -1186,17 +1091,8 @@ impl SketchService {
     pub fn rotate_if_elapsed(&mut self, attr: AttributeId, now: Instant) -> Result<Option<u64>> {
         let config = self.config;
         let idx = attr.index();
-        let a = self
-            .attributes
-            .get_mut(idx)
-            .ok_or_else(|| unknown_attribute(idx))?;
-        let Some(duration) = config.epoch_duration else {
-            return Ok(None);
-        };
-        let due = a.live.reports() > 0
-            && a.epoch_opened_at
-                .is_some_and(|opened| now.duration_since(opened) >= duration);
-        if !due {
+        let a = find_mut(&mut self.attributes, attr)?;
+        if !epoch_due(a, &config, now) {
             return Ok(None);
         }
         Ok(rotate_attribute(&config, &mut self.cache, idx, a))
@@ -1214,15 +1110,9 @@ impl SketchService {
     /// empty vec) when no epoch duration is configured.
     pub fn rotate_elapsed(&mut self, now: Instant) -> Vec<(AttributeId, u64)> {
         let config = self.config;
-        let Some(duration) = config.epoch_duration else {
-            return Vec::new();
-        };
         let mut rotated = Vec::new();
         for (idx, a) in self.attributes.iter_mut().enumerate() {
-            let due = a.live.reports() > 0
-                && a.epoch_opened_at
-                    .is_some_and(|opened| now.duration_since(opened) >= duration);
-            if !due {
+            if !epoch_due(a, &config, now) {
                 continue;
             }
             if let Some(epoch) = rotate_attribute(&config, &mut self.cache, idx, a) {
@@ -1234,33 +1124,33 @@ impl SketchService {
 
     /// Number of sealed windows the ring currently retains for `attr`.
     pub fn window_count(&self, attr: AttributeId) -> Result<usize> {
-        Ok(self.attr(attr)?.windows.len())
+        Ok(find(&self.attributes, attr)?.windows.len())
     }
 
     /// Reports currently sitting in the attribute's live (unsealed) engine.
     pub fn live_reports(&self, attr: AttributeId) -> Result<u64> {
-        Ok(self.attr(attr)?.live.reports())
+        Ok(find(&self.attributes, attr)?.live.reports())
     }
 
     /// Windows evicted from the ring so far (sealed but no longer queryable).
     pub fn evicted_windows(&self, attr: AttributeId) -> Result<u64> {
-        Ok(self.attr(attr)?.evicted)
+        Ok(find(&self.attributes, attr)?.evicted)
     }
 
     /// Lifetime reports ingested for `attr` (live + sealed + evicted).
     pub fn total_reports(&self, attr: AttributeId) -> Result<u64> {
-        Ok(self.attr(attr)?.total_reports)
+        Ok(find(&self.attributes, attr)?.total_reports)
     }
 
     /// The sealed windows of `attr`, oldest first (epoch ids, report counts and per-window
     /// views — the raw material for custom dashboards).
     pub fn windows(&self, attr: AttributeId) -> Result<impl Iterator<Item = &WindowSnapshot>> {
-        Ok(self.attr(attr)?.windows.iter())
+        Ok(find(&self.attributes, attr)?.windows.iter())
     }
 
     /// The merged plain estimation view covering `range`: a single window's view is
-    /// borrowed, a multi-window range re-aggregates the sealed exact counters and restores
-    /// once (then memoizes the merged view per epoch span).
+    /// borrowed, a multi-window range is assembled from the span ledger once (then
+    /// memoized per epoch span).
     ///
     /// The returned sketch is **bit-identical** to finalizing one builder that absorbed
     /// every report of the covered windows — the window-merge guarantee.
@@ -1272,14 +1162,10 @@ impl SketchService {
         attr: AttributeId,
         range: WindowRange,
     ) -> Result<Arc<FinalizedSketch>> {
-        let idx = attr.index();
-        let a = self
-            .attributes
-            .get(idx)
-            .ok_or_else(|| unknown_attribute(idx))?;
-        require_plain(a)?;
-        let meta = resolve_span(a, range)?;
-        Ok(plain_span_view(&mut self.cache, idx, a, &meta))
+        match self.merged(attr, range, QueryMode::Plain, "a merged plain view")? {
+            SpanView::Plain(view) => Ok(view),
+            _ => unreachable!("mode checked by `merged`"),
+        }
     }
 
     /// The merged LDPJoinSketch+ estimation state covering `range`, assembled by the span
@@ -1295,20 +1181,22 @@ impl SketchService {
         attr: AttributeId,
         range: WindowRange,
     ) -> Result<Arc<FinalizedPlusState>> {
-        let idx = attr.index();
-        let a = self
-            .attributes
-            .get(idx)
-            .ok_or_else(|| unknown_attribute(idx))?;
-        let AttributeKind::Plus { .. } = &a.kind else {
-            return Err(mode_mismatch(
-                &a.name,
-                a.kind.mode_name(),
-                "a merged plus state",
-            ));
-        };
-        let meta = resolve_span(a, range)?;
-        Ok(plus_span_view(a, &meta))
+        match self.merged(attr, range, QueryMode::Plus, "a merged plus state")? {
+            SpanView::Plus(view) => Ok(view),
+            _ => unreachable!("mode checked by `merged`"),
+        }
+    }
+
+    /// The merged view of `attr` over `range`, which must run in `mode`.
+    fn merged(
+        &mut self,
+        attr: AttributeId,
+        range: WindowRange,
+        mode: QueryMode,
+        what: &str,
+    ) -> Result<SpanView> {
+        let a = operand(&self.attributes, attr, &[mode], what)?;
+        Ok(span_view(&mut self.cache, a, &resolve_span(a, attr, range)?).0)
     }
 
     /// Plain join-size estimate between two attributes over `range` (resolved per attribute
@@ -1326,58 +1214,34 @@ impl SketchService {
         b: AttributeId,
         range: WindowRange,
     ) -> Result<QueryResult> {
-        let started = self.clock_now();
-        let (ia, ib) = (a.index(), b.index());
-        let attr_a = self
-            .attributes
-            .get(ia)
-            .ok_or_else(|| unknown_attribute(ia))?;
-        let attr_b = self
-            .attributes
-            .get(ib)
-            .ok_or_else(|| unknown_attribute(ib))?;
-        require_plain(attr_a)?;
-        require_plain(attr_b)?;
-        let meta_a = resolve_span(attr_a, range)?;
-        let meta_b = resolve_span(attr_b, range)?;
-        let key = QueryKey::join(ia, meta_a.epochs, ib, meta_b.epochs);
-        if let Some(ans) = self.cache.lookup(&key, QueryMode::Plain) {
-            self.finish_query(K_JOIN, started, None);
-            return Ok(served(ans, true));
-        }
-        let span_source = plain_span_source(&self.cache, ia, &meta_a).max(plain_span_source(
-            &self.cache,
-            ib,
-            &meta_b,
-        ));
-        let va = plain_span_view(&mut self.cache, ia, attr_a, &meta_a);
-        let vb = plain_span_view(&mut self.cache, ib, attr_b, &meta_b);
-        let assembled = self.clock_now();
-        let value = PlainKernel.join_size(&va, &vb)?;
-        let (f1a, f1b) = (meta_a.reports as f64, meta_b.reports as f64);
-        let ans = CachedAnswer {
-            value,
-            windows: meta_a.windows + meta_b.windows,
-            reports: meta_a.reports + meta_b.reports,
-            explain: Explain {
-                kernel: ExplainKernel::Plain,
-                span_source,
-                cached: false,
-                windows: meta_a.windows + meta_b.windows,
-                frequent_items: 0,
-                predicted_variance: bounds::group_variance_bound(
-                    self.config.params,
-                    self.config.eps,
-                    f1a,
-                    f1b,
-                    1.0,
-                ),
-                predicted_error: bounds::error_bound(self.config.params, self.config.eps, f1a, f1b),
-            },
-        };
-        self.cache.insert(key, ans);
-        self.finish_query(K_JOIN, started, assembled);
-        Ok(served(ans, false))
+        let config = self.config;
+        self.query(K_JOIN, |attrs| {
+            let what = "a plain query operand";
+            let (attr_a, attr_b) = (
+                operand(attrs, a, &[QueryMode::Plain], what)?,
+                operand(attrs, b, &[QueryMode::Plain], what)?,
+            );
+            let [sa, sb] = [
+                resolve_span(attr_a, a, range)?,
+                resolve_span(attr_b, b, range)?,
+            ];
+            Ok(Plan {
+                key: QueryKey::join(sa.attr, sa.epochs, sb.attr, sb.epochs),
+                mode: QueryMode::Plain,
+                spans: [sa, sb],
+                kernel: move |views: &[SpanView; 2]| {
+                    let [SpanView::Plain(va), SpanView::Plain(vb)] = views else {
+                        unreachable!("operand modes are checked before assembly");
+                    };
+                    Ok(Estimate {
+                        value: PlainKernel.join_size(va, vb)?,
+                        kernel: ExplainKernel::Plain,
+                        frequent_items: 0,
+                        bound: pairwise_bound(&config, sa.reports, sb.reports),
+                    })
+                },
+            })
+        })
     }
 
     /// LDPJoinSketch+ join-size estimate between two plus attributes over `range`: merged
@@ -1399,80 +1263,51 @@ impl SketchService {
         b: AttributeId,
         range: WindowRange,
     ) -> Result<QueryResult> {
-        let started = self.clock_now();
-        let (ia, ib) = (a.index(), b.index());
-        let attr_a = self
-            .attributes
-            .get(ia)
-            .ok_or_else(|| unknown_attribute(ia))?;
-        let attr_b = self
-            .attributes
-            .get(ib)
-            .ok_or_else(|| unknown_attribute(ib))?;
-        let AttributeKind::Plus { config: cfg_a, .. } = &attr_a.kind else {
-            return Err(mode_mismatch(
-                &attr_a.name,
-                attr_a.kind.mode_name(),
-                "a plus join-size query",
-            ));
-        };
-        let AttributeKind::Plus { config: cfg_b, .. } = &attr_b.kind else {
-            return Err(mode_mismatch(
-                &attr_b.name,
-                attr_b.kind.mode_name(),
-                "a plus join-size query",
-            ));
-        };
-        // The answer is computed with ONE kernel and cached under an operand-order-
-        // normalized key, so partners must agree on every estimator knob — otherwise
-        // `plus_join_size(a, b)` and `plus_join_size(b, a)` would alias one cache entry
-        // while selecting different kernels.
-        if cfg_a.kernel() != cfg_b.kernel() || cfg_a.policy() != cfg_b.policy() {
-            return Err(Error::ModeMismatch(format!(
-                "plus join partners '{}' and '{}' disagree on estimator knobs \
-                 (threshold/adaptive/paper-literal/variance-weighted must match)",
-                attr_a.name, attr_b.name
-            )));
-        }
-        let meta_a = resolve_span(attr_a, range)?;
-        let meta_b = resolve_span(attr_b, range)?;
-        let key = QueryKey::plus_join(ia, meta_a.epochs, ib, meta_b.epochs);
-        if let Some(ans) = self.cache.lookup(&key, QueryMode::Plus) {
-            self.finish_query(K_PLUS_JOIN, started, None);
-            return Ok(served(ans, true));
-        }
-        let span_source = plus_span_source(&meta_a).max(plus_span_source(&meta_b));
-        let sa = plus_span_view(attr_a, &meta_a);
-        let sb = plus_span_view(attr_b, &meta_b);
-        let assembled = self.clock_now();
-        let estimate = cfg_a.kernel().join_est(&sa, &sb)?;
-        // Theorems 4/5 bound the plain estimator at the spans' F1s; for the plus kernel
-        // they serve as the conservative envelope (its non-target separation only removes
-        // error terms), which is exactly what a cost-based planner wants to rank spans by.
-        let (f1a, f1b) = (meta_a.reports as f64, meta_b.reports as f64);
-        let ans = CachedAnswer {
-            value: estimate.join_size,
-            windows: meta_a.windows + meta_b.windows,
-            reports: meta_a.reports + meta_b.reports,
-            explain: Explain {
-                kernel: ExplainKernel::Plus,
-                span_source,
-                cached: false,
-                windows: meta_a.windows + meta_b.windows,
-                frequent_items: sa.frequent_items().len() + sb.frequent_items().len(),
-                predicted_variance: bounds::group_variance_bound(
-                    self.config.params,
-                    self.config.eps,
-                    f1a,
-                    f1b,
-                    1.0,
-                ),
-                predicted_error: bounds::error_bound(self.config.params, self.config.eps, f1a, f1b),
-            },
-        };
-        self.cache.insert(key, ans);
-        self.finish_query(K_PLUS_JOIN, started, assembled);
-        Ok(served(ans, false))
+        let config = self.config;
+        self.query(K_PLUS_JOIN, |attrs| {
+            let what = "a plus join-size query";
+            let (attr_a, attr_b) = (
+                operand(attrs, a, &[QueryMode::Plus], what)?,
+                operand(attrs, b, &[QueryMode::Plus], what)?,
+            );
+            // The answer is computed with ONE kernel and cached under an operand-order-
+            // normalized key, so partners must agree on every estimator knob — otherwise
+            // `plus_join_size(a, b)` and `plus_join_size(b, a)` would alias one cache entry
+            // while selecting different kernels.
+            let (cfg_a, cfg_b) = (attr_a.plus_config(), attr_b.plus_config());
+            if cfg_a.kernel() != cfg_b.kernel() || cfg_a.policy() != cfg_b.policy() {
+                return Err(Error::ModeMismatch(format!(
+                    "plus join partners '{}' and '{}' disagree on estimator knobs \
+                     (threshold/adaptive/paper-literal/variance-weighted must match)",
+                    attr_a.name, attr_b.name
+                )));
+            }
+            let plus = cfg_a.kernel();
+            let [sa, sb] = [
+                resolve_span(attr_a, a, range)?,
+                resolve_span(attr_b, b, range)?,
+            ];
+            Ok(Plan {
+                key: QueryKey::plus_join(sa.attr, sa.epochs, sb.attr, sb.epochs),
+                mode: QueryMode::Plus,
+                spans: [sa, sb],
+                kernel: move |views: &[SpanView; 2]| {
+                    let [SpanView::Plus(va), SpanView::Plus(vb)] = views else {
+                        unreachable!("operand modes are checked before assembly");
+                    };
+                    Ok(Estimate {
+                        value: plus.join_est(va, vb)?.join_size,
+                        kernel: ExplainKernel::Plus,
+                        frequent_items: va.frequent_items().len() + vb.frequent_items().len(),
+                        // Theorems 4/5 bound the plain estimator at the spans' F1s; for the
+                        // plus kernel they serve as the conservative envelope (its
+                        // non-target separation only removes error terms), which is exactly
+                        // what a cost-based planner wants to rank spans by.
+                        bound: pairwise_bound(&config, sa.reports, sb.reports),
+                    })
+                },
+            })
+        })
     }
 
     /// Frequency estimate of `value` in `attr` over `range`, served from the cache when
@@ -1488,82 +1323,53 @@ impl SketchService {
         value: u64,
         range: WindowRange,
     ) -> Result<QueryResult> {
-        let started = self.clock_now();
-        let idx = attr.index();
-        let a = self
-            .attributes
-            .get(idx)
-            .ok_or_else(|| unknown_attribute(idx))?;
-        if matches!(a.kind, AttributeKind::Edge { .. }) {
-            return Err(mode_mismatch(
-                &a.name,
-                a.kind.mode_name(),
-                "a frequency query",
-            ));
-        }
-        let meta = resolve_span(a, range)?;
-        let mode = match &a.kind {
-            AttributeKind::Plus { .. } => QueryMode::Plus,
-            _ => QueryMode::Plain,
-        };
-        let key = QueryKey::Frequency {
-            attr: idx,
-            value,
-            span: meta.epochs,
-        };
-        if let Some(ans) = self.cache.lookup(&key, mode) {
-            self.finish_query(K_FREQUENCY, started, None);
-            return Ok(served(ans, true));
-        }
-        let f1 = meta.reports as f64;
-        let (estimate, assembled, kernel, span_source, frequent_items, f2) = match &a.kind {
-            AttributeKind::Plain { .. } => {
-                let span_source = plain_span_source(&self.cache, idx, &meta);
-                let v = plain_span_view(&mut self.cache, idx, a, &meta);
-                let assembled = self.clock_now();
-                // The span's own self-join estimate is its F2 — the quantity Theorem 7's
-                // variance is stated in — clamped from below by F1 (F2 ≥ F1 always holds
-                // for integer counts; the noisy estimate can dip under it).
-                let f2 = PlainKernel.join_size(&v, &v).unwrap_or(f1).max(f1);
-                let est = PlainKernel.frequency(&v, value);
-                (est, assembled, ExplainKernel::Plain, span_source, 0, f2)
-            }
-            AttributeKind::Plus { config, .. } => {
-                let span_source = plus_span_source(&meta);
-                let s = plus_span_view(a, &meta);
-                let assembled = self.clock_now();
-                let est = config.kernel().frequency(&s, value);
-                // The merged phase-1 lane is not a full-stream sketch, so no cheap F2
-                // estimate exists here; F1 is its distinct-values floor.
-                (
-                    est,
-                    assembled,
-                    ExplainKernel::Plus,
-                    span_source,
-                    s.frequent_items().len(),
-                    f1,
-                )
-            }
-            AttributeKind::Edge { .. } => unreachable!("rejected above"),
-        };
-        let variance = bounds::frequency_variance(self.config.params, self.config.eps, f1, f2);
-        let ans = CachedAnswer {
-            value: estimate,
-            windows: meta.windows,
-            reports: meta.reports,
-            explain: Explain {
-                kernel,
-                span_source,
-                cached: false,
-                windows: meta.windows,
-                frequent_items,
-                predicted_variance: variance,
-                predicted_error: variance.max(0.0).sqrt(),
-            },
-        };
-        self.cache.insert(key, ans);
-        self.finish_query(K_FREQUENCY, started, assembled);
-        Ok(served(ans, false))
+        let config = self.config;
+        self.query(K_FREQUENCY, |attrs| {
+            let modes = [QueryMode::Plain, QueryMode::Plus];
+            let a = operand(attrs, attr, &modes, "a frequency query")?;
+            let plus = (a.kind.mode() == QueryMode::Plus).then(|| a.plus_config().kernel());
+            let span = resolve_span(a, attr, range)?;
+            Ok(Plan {
+                key: QueryKey::Frequency {
+                    attr: span.attr,
+                    value,
+                    span: span.epochs,
+                },
+                mode: a.kind.mode(),
+                spans: [span],
+                kernel: move |[view]: &[SpanView; 1]| {
+                    let f1 = span.reports as f64;
+                    let (estimate, kernel, frequent_items, f2) = match (view, plus) {
+                        // The span's own self-join estimate is its F2 — the quantity Theorem
+                        // 7's variance is stated in — clamped from below by F1 (F2 ≥ F1
+                        // always holds for integer counts; the noisy estimate can dip under
+                        // it).
+                        (SpanView::Plain(v), _) => (
+                            PlainKernel.frequency(v, value),
+                            ExplainKernel::Plain,
+                            0,
+                            PlainKernel.join_size(v, v).unwrap_or(f1).max(f1),
+                        ),
+                        // The merged phase-1 lane is not a full-stream sketch, so no cheap F2
+                        // estimate exists here; F1 is its distinct-values floor.
+                        (SpanView::Plus(s), Some(plus)) => (
+                            plus.frequency(s, value),
+                            ExplainKernel::Plus,
+                            s.frequent_items().len(),
+                            f1,
+                        ),
+                        _ => unreachable!("operand modes are checked before assembly"),
+                    };
+                    let variance = bounds::frequency_variance(config.params, config.eps, f1, f2);
+                    Ok(Estimate {
+                        value: estimate,
+                        kernel,
+                        frequent_items,
+                        bound: (variance, variance.max(0.0).sqrt()),
+                    })
+                },
+            })
+        })
     }
 
     /// 3-way chain-join estimate `|T1(A) ⋈ T2(A,B) ⋈ T3(B)|` over `range`: `v1` and `v3`
@@ -1581,80 +1387,100 @@ impl SketchService {
         v3: AttributeId,
         range: WindowRange,
     ) -> Result<QueryResult> {
+        let config = self.config;
+        self.query(K_CHAIN3, |attrs| {
+            let vertex = "a plain query operand";
+            let (attr_1, attr_3) = (
+                operand(attrs, v1, &[QueryMode::Plain], vertex)?,
+                operand(attrs, v3, &[QueryMode::Plain], vertex)?,
+            );
+            let what = "the edge operand of a chain query";
+            let attr_e = operand(attrs, edge, &[QueryMode::Edge], what)?;
+            let [s1, se, s3] = [
+                resolve_span(attr_1, v1, range)?,
+                resolve_span(attr_e, edge, range)?,
+                resolve_span(attr_3, v3, range)?,
+            ];
+            Ok(Plan {
+                key: QueryKey::Chain3 {
+                    v1: s1.attr,
+                    e: se.attr,
+                    v3: s3.attr,
+                    span_v1: s1.epochs,
+                    span_e: se.epochs,
+                    span_v3: s3.epochs,
+                },
+                mode: QueryMode::Edge,
+                spans: [s1, se, s3],
+                kernel: move |views: &[SpanView; 3]| {
+                    let [SpanView::Plain(w1), SpanView::Edge(we), SpanView::Plain(w3)] = views
+                    else {
+                        unreachable!("operand modes are checked before assembly");
+                    };
+                    Ok(Estimate {
+                        value: ChainKernel.chain_3(w1, we, w3)?,
+                        kernel: ExplainKernel::Chain,
+                        frequent_items: 0,
+                        // No closed-form 3-way bound exists in the paper; as the planner-
+                        // seeding heuristic, report the Theorem 5 radius of the heavier
+                        // pairwise join (edge vs. the larger vertex span) — a true composed
+                        // chain bound is ROADMAP item 5 territory.
+                        bound: pairwise_bound(&config, se.reports, s1.reports.max(s3.reports)),
+                    })
+                },
+            })
+        })
+    }
+
+    /// The query pipeline every kind runs: read the clock, let the kind's operand step
+    /// check modes, resolve spans and build the cache key, then either serve the cached
+    /// answer or assemble the span views, run the kind's kernel, record the provenance and
+    /// memoize the answer.
+    fn query<const N: usize, K>(
+        &mut self,
+        kind: usize,
+        operands: impl FnOnce(&[Attribute]) -> Result<Plan<N, K>>,
+    ) -> Result<QueryResult>
+    where
+        K: FnOnce(&[SpanView; N]) -> Result<Estimate>,
+    {
         let started = self.clock_now();
-        let (i1, ie, i3) = (v1.index(), edge.index(), v3.index());
-        let attr_1 = self
-            .attributes
-            .get(i1)
-            .ok_or_else(|| unknown_attribute(i1))?;
-        let attr_e = self
-            .attributes
-            .get(ie)
-            .ok_or_else(|| unknown_attribute(ie))?;
-        let attr_3 = self
-            .attributes
-            .get(i3)
-            .ok_or_else(|| unknown_attribute(i3))?;
-        require_plain(attr_1)?;
-        require_plain(attr_3)?;
-        if !matches!(attr_e.kind, AttributeKind::Edge { .. }) {
-            return Err(mode_mismatch(
-                &attr_e.name,
-                attr_e.kind.mode_name(),
-                "the edge operand of a chain query",
-            ));
-        }
-        let meta_1 = resolve_span(attr_1, range)?;
-        let meta_e = resolve_span(attr_e, range)?;
-        let meta_3 = resolve_span(attr_3, range)?;
-        let key = QueryKey::Chain3 {
-            v1: i1,
-            e: ie,
-            v3: i3,
-            span_v1: meta_1.epochs,
-            span_e: meta_e.epochs,
-            span_v3: meta_3.epochs,
+        let plan = operands(&self.attributes)?;
+        let hit = self.cache.lookup(&plan.key, plan.mode);
+        let (ans, assembled) = match hit {
+            Some(ans) => (ans, None),
+            None => {
+                let (cache, attrs) = (&mut self.cache, &self.attributes);
+                let mut span_source = SpanSource::SingleWindow;
+                let views = plan.spans.each_ref().map(|span| {
+                    let (view, source) = span_view(cache, &attrs[span.attr], span);
+                    span_source = span_source.max(source);
+                    view
+                });
+                let assembled = self.clock_now();
+                let estimate = (plan.kernel)(&views)?;
+                let windows = plan.spans.iter().map(|s| s.windows).sum();
+                let ans = CachedAnswer {
+                    value: estimate.value,
+                    windows,
+                    reports: plan.spans.iter().map(|s| s.reports).sum(),
+                    explain: Explain {
+                        kernel: estimate.kernel,
+                        span_source,
+                        cached: false,
+                        windows,
+                        frequent_items: estimate.frequent_items,
+                        predicted_variance: estimate.bound.0,
+                        predicted_error: estimate.bound.1,
+                    },
+                };
+                self.cache.insert(plan.key, ans);
+                (ans, assembled)
+            }
         };
-        if let Some(ans) = self.cache.lookup(&key, QueryMode::Edge) {
-            self.finish_query(K_CHAIN3, started, None);
-            return Ok(served(ans, true));
-        }
-        let span_source = plain_span_source(&self.cache, i1, &meta_1)
-            .max(edge_span_source(&self.cache, ie, &meta_e))
-            .max(plain_span_source(&self.cache, i3, &meta_3));
-        let s1 = plain_span_view(&mut self.cache, i1, attr_1, &meta_1);
-        let se = edge_span_view(&mut self.cache, ie, attr_e, &meta_e);
-        let s3 = plain_span_view(&mut self.cache, i3, attr_3, &meta_3);
-        let assembled = self.clock_now();
-        let value = ChainKernel.chain_3(&s1, &se, &s3)?;
-        // No closed-form 3-way bound exists in the paper; as the planner-seeding heuristic,
-        // report the Theorem 5 radius of the heavier pairwise join (edge vs. the larger
-        // vertex span) — a true composed chain bound is ROADMAP item 5 territory.
-        let f1e = meta_e.reports as f64;
-        let f1v = meta_1.reports.max(meta_3.reports) as f64;
-        let ans = CachedAnswer {
-            value,
-            windows: meta_1.windows + meta_e.windows + meta_3.windows,
-            reports: meta_1.reports + meta_e.reports + meta_3.reports,
-            explain: Explain {
-                kernel: ExplainKernel::Chain,
-                span_source,
-                cached: false,
-                windows: meta_1.windows + meta_e.windows + meta_3.windows,
-                frequent_items: 0,
-                predicted_variance: bounds::group_variance_bound(
-                    self.config.params,
-                    self.config.eps,
-                    f1e,
-                    f1v,
-                    1.0,
-                ),
-                predicted_error: bounds::error_bound(self.config.params, self.config.eps, f1e, f1v),
-            },
-        };
-        self.cache.insert(key, ans);
-        self.finish_query(K_CHAIN3, started, assembled);
-        Ok(served(ans, false))
+        // Cache hits record only the `total` stage (`assembled` is `None`).
+        self.finish_query(kind, started, assembled);
+        Ok(served(ans, hit.is_some()))
     }
 
     /// Cache behaviour counters.
@@ -1756,37 +1582,77 @@ impl SketchService {
         }
         self.instruments.total_ns[kind].record(saturating_ns(end.duration_since(t0)));
     }
-
-    fn attr(&self, attr: AttributeId) -> Result<&Attribute> {
-        self.attributes
-            .get(attr.index())
-            .ok_or_else(|| unknown_attribute(attr.index()))
-    }
 }
 
 fn saturating_ns(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
-fn unknown_attribute(index: usize) -> Error {
-    Error::UnknownAttribute(format!("no attribute registered with index {index}"))
+fn find(attrs: &[Attribute], id: AttributeId) -> Result<&Attribute> {
+    attrs.get(id.index()).ok_or_else(|| unknown_attribute(id))
 }
 
-fn mode_mismatch(name: &str, mode: &str, wanted: &str) -> Error {
+fn find_mut(attrs: &mut [Attribute], id: AttributeId) -> Result<&mut Attribute> {
+    attrs
+        .get_mut(id.index())
+        .ok_or_else(|| unknown_attribute(id))
+}
+
+fn unknown_attribute(id: AttributeId) -> Error {
+    Error::UnknownAttribute(format!("no attribute registered with index {}", id.index()))
+}
+
+fn mode_mismatch(attr: &Attribute, wanted: &str) -> Error {
     Error::ModeMismatch(format!(
-        "attribute '{name}' runs in {mode} mode and cannot serve {wanted}"
+        "attribute '{}' runs in {} mode and cannot serve {wanted}",
+        attr.name,
+        attr.kind.mode().name()
     ))
 }
 
-fn require_plain(attr: &Attribute) -> Result<()> {
-    match attr.kind {
-        AttributeKind::Plain { .. } => Ok(()),
-        _ => Err(mode_mismatch(
-            &attr.name,
-            attr.kind.mode_name(),
-            "a plain query operand",
-        )),
+/// Look up a query operand and check that it runs in one of `modes`.
+fn operand<'a>(
+    attrs: &'a [Attribute],
+    id: AttributeId,
+    modes: &[QueryMode],
+    what: &str,
+) -> Result<&'a Attribute> {
+    let a = find(attrs, id)?;
+    if !modes.contains(&a.kind.mode()) {
+        return Err(mode_mismatch(a, what));
     }
+    Ok(a)
+}
+
+/// Whether the wall-clock epoch trigger is due for `attr` at `now`: a duration is
+/// configured, the live engine holds reports, and its epoch has been open that long.
+fn epoch_due(attr: &Attribute, config: &ServiceConfig, now: Instant) -> bool {
+    attr.live.reports() > 0
+        && config.epoch_duration.is_some_and(|d| {
+            attr.epoch_opened_at
+                .is_some_and(|opened| now.duration_since(opened) >= d)
+        })
+}
+
+/// Theorems 4/5 evaluated at two spans' exact report counts (their F1s):
+/// `(predicted variance, predicted error radius)` of a pairwise join.
+fn pairwise_bound(config: &ServiceConfig, f1a: u64, f1b: u64) -> (f64, f64) {
+    let (f1a, f1b) = (f1a as f64, f1b as f64);
+    (
+        bounds::group_variance_bound(config.params, config.eps, f1a, f1b, 1.0),
+        bounds::error_bound(config.params, config.eps, f1a, f1b),
+    )
+}
+
+fn empty_edge_builder(
+    attr_a: &JoinAttribute,
+    attr_b: &JoinAttribute,
+    eps: Epsilon,
+) -> EdgeSketchBuilder {
+    EdgeSketchBuilder::new(attr_a.clone(), attr_b.clone(), eps)
+        // lint:allow(panic-freedom) — invariant: registration derives both attributes from
+        // the service's single (k, m), so the replica counts match.
+        .expect("attributes derived at equal (k, m) always share the replica count")
 }
 
 fn fresh_plain_engine(config: &ServiceConfig, hashes: &Arc<RowHashes>) -> ShardedAggregator {
@@ -1829,11 +1695,7 @@ fn rotate_attribute(
             WindowSnapshot::seal_plus(epoch, sealed, plus.policy(), index)
         }
         (AttributeKind::Edge { attr_a, attr_b }, LiveEngine::Edge(builder)) => {
-            let fresh = EdgeSketchBuilder::new(attr_a.clone(), attr_b.clone(), config.eps)
-                // lint:allow(panic-freedom) — invariant: registration derived both
-                // attributes from the service's single (k, m), so replica counts match.
-                .expect("registered edge attributes share the replica count");
-            let sealed = std::mem::replace(builder, fresh);
+            let sealed = std::mem::replace(builder, empty_edge_builder(attr_a, attr_b, config.eps));
             WindowSnapshot::seal_edge(epoch, sealed)
         }
         _ => unreachable!("attribute kind and live engine are constructed together"),
@@ -1848,6 +1710,7 @@ fn rotate_attribute(
     // lanes to a clone of the last cumulative builder, eviction folds the oldest prefix
     // into the origin.
     attr.ledger.push(&window);
+    let view = window.view();
     attr.windows.push_back(window);
     if attr.windows.len() > config.retained_windows {
         attr.windows.pop_front();
@@ -1864,19 +1727,10 @@ fn rotate_attribute(
     // Plus attributes additionally re-materialize every suffix span's merged state (and
     // its reconciled frequent-item set) here, at rotation, so cold span queries are Arc
     // clones instead of per-query assembly + domain scans.
-    if let AttributeKind::Plus {
-        config: plus,
-        index,
-        ..
-    } = &attr.kind
+    if let (AttributeKind::Plus { config, index, .. }, SpanView::Plus(newest)) = (&attr.kind, view)
     {
-        // lint:allow(panic-freedom) — invariant: a window was pushed onto the ring a few
-        // lines above, so `back()` is always populated here.
-        let newest = match attr.windows.back().expect("window pushed above").state() {
-            SealedWindow::Plus { view, .. } => Arc::clone(view),
-            _ => unreachable!("attribute kind and windows are constructed together"),
-        };
-        attr.ledger.refresh_plus_spans(plus.policy(), index, newest);
+        attr.ledger
+            .refresh_plus_spans(config.policy(), index, newest);
     }
     attr.epoch_opened_at = None;
     cache.invalidate_attribute(idx);
@@ -1884,130 +1738,65 @@ fn rotate_attribute(
 }
 
 /// Metadata of a resolved window span.
+#[derive(Debug, Clone, Copy)]
 struct SpanMeta {
+    /// The attribute's registry index.
+    attr: usize,
     start: usize,
     windows: usize,
     reports: u64,
     epochs: (u64, u64),
 }
 
-fn resolve_span(attr: &Attribute, range: WindowRange) -> Result<SpanMeta> {
+fn resolve_span(attr: &Attribute, id: AttributeId, range: WindowRange) -> Result<SpanMeta> {
     let len = attr.windows.len();
     let start = range.resolve(len, &attr.name)?;
-    let covered = attr.windows.range(start..);
-    let reports = covered.clone().map(|w| w.reports()).sum();
     Ok(SpanMeta {
+        attr: id.index(),
         start,
         windows: len - start,
-        reports,
+        reports: attr.windows.range(start..).map(|w| w.reports()).sum(),
         epochs: (attr.windows[start].epoch(), attr.windows[len - 1].epoch()),
     })
 }
 
-/// The (possibly memoized) merged plain estimation view of an already-resolved span.
-///
-/// # Panics
-/// Debug-asserts that every covered window is plain (the caller checked the mode).
-fn plain_span_view(
-    cache: &mut QueryCache,
-    idx: usize,
-    attr: &Attribute,
-    meta: &SpanMeta,
-) -> Arc<FinalizedSketch> {
-    let window_view = |w: &WindowSnapshot| match w.state() {
-        SealedWindow::Plain { view, .. } => Arc::clone(view),
-        _ => unreachable!("mode checked by the query layer"),
-    };
-    if meta.windows == 1 {
-        // Single-window queries borrow the snapshot's precomputed view.
-        window_view(&attr.windows[meta.start])
-    } else if let Some(v) = cache.view((idx, meta.epochs.0, meta.epochs.1)) {
-        v
-    } else {
-        // Assemble the span's restored sketch straight from the spectrum ledger — one
-        // exact prefix subtraction in the Hadamard domain plus one de-bias multiply per
-        // element, no counter merge and no FWHT: bit-identical to merging every covered
-        // window from scratch (and therefore to one-shot aggregation of the covered
-        // reports).
-        let view = Arc::new(attr.ledger.plain_span(meta.start));
-        cache.insert_view((idx, meta.epochs.0, meta.epochs.1), Arc::clone(&view));
-        view
-    }
+/// A query kind's operand step, resolved: the cache key and mode, the operands' spans, and
+/// the kernel step that runs on their assembled views when the cache misses.
+struct Plan<const N: usize, K> {
+    key: QueryKey,
+    mode: QueryMode,
+    spans: [SpanMeta; N],
+    kernel: K,
 }
 
-/// The merged plus estimation state of an already-resolved span, straight from the
-/// materialized span ledger (single-window spans borrow the snapshot's sealed view).
-fn plus_span_view(attr: &Attribute, meta: &SpanMeta) -> Arc<FinalizedPlusState> {
-    if meta.windows == 1 {
-        match attr.windows[meta.start].state() {
-            SealedWindow::Plus { view, .. } => Arc::clone(view),
-            _ => unreachable!("mode checked by the query layer"),
-        }
-    } else {
-        // Materialized in the span ledger at rotation (spectra assembled, frequent items
-        // re-discovered through the attribute's pre-hashed domain index — bit-identical
-        // to the from-scratch window merge and unindexed scan); a cold query just clones
-        // the Arc, so no memoization layer is needed.
-        attr.ledger.plus_span(meta.start)
-    }
+/// What a query kind's kernel step computed: the estimate and its kind-specific provenance.
+struct Estimate {
+    value: f64,
+    kernel: ExplainKernel,
+    frequent_items: usize,
+    /// `(predicted variance, predicted error radius)`.
+    bound: (f64, f64),
 }
 
-/// The (possibly memoized) merged edge estimation view of an already-resolved span.
-fn edge_span_view(
-    cache: &mut QueryCache,
-    idx: usize,
-    attr: &Attribute,
-    meta: &SpanMeta,
-) -> Arc<FinalizedEdgeSketch> {
+/// The merged view of an already-resolved span, and how it was obtained. Single-window
+/// spans borrow the sealed snapshot's view; multi-window plus spans were materialized at
+/// rotation; multi-window plain and edge spans are memoized in the cache after their first
+/// assembly from the span ledger (bit-identical to merging every covered window from
+/// scratch, and therefore to one-shot aggregation of the covered reports).
+fn span_view(cache: &mut QueryCache, attr: &Attribute, meta: &SpanMeta) -> (SpanView, SpanSource) {
     if meta.windows == 1 {
-        match attr.windows[meta.start].state() {
-            SealedWindow::Edge { view, .. } => Arc::clone(view),
-            _ => unreachable!("mode checked by the query layer"),
-        }
-    } else if let Some(v) = cache.edge_view((idx, meta.epochs.0, meta.epochs.1)) {
-        v
-    } else {
-        let view = Arc::new(attr.ledger.edge_span(meta.start).finalize());
-        cache.insert_edge_view((idx, meta.epochs.0, meta.epochs.1), Arc::clone(&view));
-        view
+        return (attr.windows[meta.start].view(), SpanSource::SingleWindow);
     }
-}
-
-/// The assembly path `plain_span_view` will take for this span, observed *before* the view
-/// is built (so a cold assembly is not misreported as memoized).
-fn plain_span_source(cache: &QueryCache, idx: usize, meta: &SpanMeta) -> SpanSource {
-    if meta.windows == 1 {
-        SpanSource::SingleWindow
-    } else if cache.view((idx, meta.epochs.0, meta.epochs.1)).is_some() {
-        SpanSource::MemoizedView
-    } else {
-        SpanSource::LedgerAssembled
+    if matches!(attr.kind, AttributeKind::Plus { .. }) {
+        return (attr.ledger.span(meta.start), SpanSource::MemoizedView);
     }
-}
-
-/// Plus spans are materialized by the ledger at rotation, so every multi-window plus span
-/// is served memoized (a cold query is an `Arc` clone).
-fn plus_span_source(meta: &SpanMeta) -> SpanSource {
-    if meta.windows == 1 {
-        SpanSource::SingleWindow
-    } else {
-        SpanSource::MemoizedView
+    let key = (meta.attr, meta.epochs.0, meta.epochs.1);
+    if let Some(view) = cache.view(key) {
+        return (view, SpanSource::MemoizedView);
     }
-}
-
-/// The assembly path `edge_span_view` will take for this span (same contract as
-/// [`plain_span_source`]).
-fn edge_span_source(cache: &QueryCache, idx: usize, meta: &SpanMeta) -> SpanSource {
-    if meta.windows == 1 {
-        SpanSource::SingleWindow
-    } else if cache
-        .edge_view((idx, meta.epochs.0, meta.epochs.1))
-        .is_some()
-    {
-        SpanSource::MemoizedView
-    } else {
-        SpanSource::LedgerAssembled
-    }
+    let view = attr.ledger.span(meta.start);
+    cache.insert_view(key, view.clone());
+    (view, SpanSource::LedgerAssembled)
 }
 
 fn served(ans: CachedAnswer, cached: bool) -> QueryResult {
@@ -2227,7 +2016,7 @@ mod tests {
             Err(Error::ModeMismatch(_))
         ));
         assert!(matches!(
-            service.ingest_edge(plain, &[]),
+            service.ingest(plain, Reports::Edge(&[])),
             Err(Error::ModeMismatch(_))
         ));
         // Clients are mode-checked.
@@ -2523,6 +2312,61 @@ mod tests {
     }
 
     #[test]
+    fn swapped_operands_compute_bit_identical_answers() {
+        // `QueryKey::join` and `QueryKey::plus_join` normalize operand order, so `(b, a)`
+        // is served from the `(a, b)` entry. That is only sound if a cold `(b, a)` query
+        // computes the very same bits.
+        let params = SketchParams::new(8, 64).unwrap();
+        let eps = Epsilon::new(4.0).unwrap();
+        let mut cfg = ServiceConfig::new(params, eps);
+        cfg.epoch_reports = u64::MAX;
+        let mut service = SketchService::new(cfg).unwrap();
+        let a = service.register_attribute("a", 7).unwrap();
+        let b = service.register_attribute("b", 7).unwrap();
+        for (attr, seed) in [(a, 1u64), (b, 2)] {
+            for batch_seed in 0..2u64 {
+                let reports = reports_for(&service, attr, 500, seed * 10 + batch_seed);
+                service.ingest(attr, &reports).unwrap();
+                service.rotate(attr).unwrap();
+            }
+        }
+        let w = StreamingJoinWorkload::generate(
+            "symmetry",
+            &ZipfGenerator::new(1.6, 300),
+            3_000,
+            256,
+            8,
+        )
+        .unwrap();
+        let mut plus_cfg = PlusConfig::new(params, eps);
+        plus_cfg.sampling_rate = 0.1;
+        plus_cfg.seed = 5;
+        let est = LdpJoinSketchPlus::new(plus_cfg).unwrap();
+        let attr_cfg = PlusAttributeConfig::from_plus_config(&plus_cfg, w.domain());
+        let pa = service
+            .register_plus_attribute("pa", plus_cfg.seed, attr_cfg.clone())
+            .unwrap();
+        let pb = service
+            .register_plus_attribute("pb", plus_cfg.seed, attr_cfg)
+            .unwrap();
+        drive_plus_pair(&mut service, pa, pb, &est, &w, 13, 4);
+
+        for range in [WindowRange::Latest, WindowRange::All] {
+            let ab = service.join_size(a, b, range).unwrap();
+            let pab = service.plus_join_size(pa, pb, range).unwrap();
+            service.clear_cache();
+            let ba = service.join_size(b, a, range).unwrap();
+            let pba = service.plus_join_size(pb, pa, range).unwrap();
+            assert!(!ba.cached && !pba.cached);
+            assert_eq!(ba.value.to_bits(), ab.value.to_bits(), "{range:?}");
+            assert_eq!(pba.value.to_bits(), pab.value.to_bits(), "{range:?}");
+            assert_eq!(ba, ab);
+            assert_eq!(pba, pab);
+            service.clear_cache();
+        }
+    }
+
+    #[test]
     fn join_partners_must_share_the_hash_seed() {
         let mut service = manual_service(6, 64, 4);
         let a = service.register_attribute("a", 1).unwrap();
@@ -2784,7 +2628,7 @@ mod tests {
         let edge_client = service.edge_client(edge).unwrap();
         for part in t2v.chunks(t2v.len() / 3 + 1) {
             service
-                .ingest_edge(edge, &edge_client.perturb_all(part, &mut rng))
+                .ingest(edge, &edge_client.perturb_all(part, &mut rng))
                 .unwrap();
             service.rotate(edge).unwrap();
         }
@@ -2808,7 +2652,7 @@ mod tests {
         assert!(warm.cached);
         assert_eq!(warm.value.to_bits(), cold.value.to_bits());
         service
-            .ingest_edge(edge, &edge_client.perturb_all(&t2v[..100], &mut rng))
+            .ingest(edge, &edge_client.perturb_all(&t2v[..100], &mut rng))
             .unwrap();
         service.rotate(edge).unwrap();
         assert!(
@@ -3143,6 +2987,106 @@ mod tests {
         assert!(warm.explain.predicted_variance > 0.0);
         let single = service.frequency(a, 3, WindowRange::Latest).unwrap();
         assert_eq!(single.explain.span_source, SpanSource::SingleWindow);
+
+        // Every query kind follows the same pipeline: a plus pair, an edge attribute and a
+        // second plain vertex sharing its hash seeds join the two plain attributes above.
+        let (params, eps) = (cfg.params, cfg.eps);
+        let w = StreamingJoinWorkload::generate(
+            "provenance",
+            &ZipfGenerator::new(1.8, 200),
+            2_000,
+            256,
+            3,
+        )
+        .unwrap();
+        let mut plus_cfg = PlusConfig::new(params, eps);
+        plus_cfg.sampling_rate = 0.1;
+        plus_cfg.seed = 11;
+        let est = LdpJoinSketchPlus::new(plus_cfg).unwrap();
+        let attr_cfg = PlusAttributeConfig::from_plus_config(&plus_cfg, w.domain());
+        let pa = service
+            .register_plus_attribute("p.a", plus_cfg.seed, attr_cfg.clone())
+            .unwrap();
+        let pb = service
+            .register_plus_attribute("p.b", plus_cfg.seed, attr_cfg)
+            .unwrap();
+        drive_plus_pair(&mut service, pa, pb, &est, &w, 21, 4);
+        let e = service.register_edge_attribute("t.e", 7, 9).unwrap();
+        let c = service.register_attribute("t.c", 9).unwrap();
+        let edge_client = service.edge_client(e).unwrap();
+        let tuples: Vec<(u64, u64)> = (0..300).map(|i| (i % 23, i % 17)).collect();
+        for _ in 0..2 {
+            let reports = edge_client.perturb_all(&tuples, &mut rng);
+            service.ingest(e, &reports).unwrap();
+            service.rotate(e).unwrap();
+        }
+        let client = service.client(c).unwrap();
+        service
+            .ingest(c, &client.perturb_all(&values, &mut rng))
+            .unwrap();
+        service.rotate(c).unwrap();
+
+        // Under an injected clock a miss records total, assemble and kernel; a hit records
+        // only total, and replays the cold answer with only the cache outcome rewritten.
+        let base = Instant::now();
+        let ticks = Arc::new(AtomicU64::new(0));
+        let t = Arc::clone(&ticks);
+        service.set_query_clock(Some(QueryClock::new(move || {
+            base + Duration::from_micros(3 * t.fetch_add(1, Ordering::Relaxed))
+        })));
+        type Run = fn(&mut SketchService, [AttributeId; 6]) -> Result<QueryResult>;
+        let kinds: [(&str, Run); 5] = [
+            ("join", |s, [a, b, ..]| s.join_size(a, b, WindowRange::All)),
+            ("plus_join", |s, [_, _, pa, pb, ..]| {
+                s.plus_join_size(pa, pb, WindowRange::All)
+            }),
+            ("frequency", |s, [a, ..]| {
+                s.frequency(a, 3, WindowRange::All)
+            }),
+            ("frequency", |s, [_, _, pa, ..]| {
+                s.frequency(pa, 0, WindowRange::All)
+            }),
+            ("chain3", |s, [a, .., e, c]| {
+                s.chain_join_3(a, e, c, WindowRange::All)
+            }),
+        ];
+        let ids = [a, b, pa, pb, e, c];
+        for (kind, run) in kinds {
+            let stage = |service: &SketchService, stage: &str| {
+                service
+                    .telemetry()
+                    .histogram(
+                        &format!("ldpjs_query_ns{{kind=\"{kind}\",stage=\"{stage}\"}}"),
+                        TStability::Environment,
+                        &[],
+                    )
+                    .count()
+            };
+            let counts = |service: &SketchService| {
+                (
+                    counter_value(service, &format!("ldpjs_queries_total{{kind=\"{kind}\"}}")),
+                    stage(service, "total"),
+                    stage(service, "assemble"),
+                    stage(service, "kernel"),
+                )
+            };
+            service.clear_cache();
+            let (q0, t0, a0, k0) = counts(&service);
+            let cold = run(&mut service, ids).unwrap();
+            assert!(!cold.cached && !cold.explain.cached, "{kind}");
+            assert_eq!(counts(&service), (q0 + 1, t0 + 1, a0 + 1, k0 + 1), "{kind}");
+            let hit = run(&mut service, ids).unwrap();
+            let expected = QueryResult {
+                cached: true,
+                explain: Explain {
+                    cached: true,
+                    ..cold.explain
+                },
+                ..cold
+            };
+            assert_eq!(hit, expected, "{kind}");
+            assert_eq!(counts(&service), (q0 + 2, t0 + 2, a0 + 1, k0 + 1), "{kind}");
+        }
     }
 
     #[test]

@@ -8,6 +8,8 @@ use ldpjs_core::{
 };
 use std::sync::Arc;
 
+use crate::service::SpanView;
+
 /// Which sealed epoch windows a query covers. Ranges always resolve to a contiguous
 /// *suffix* of the retained ring — the most recent windows — because that is what a
 /// sliding-window dashboard asks for.
@@ -102,7 +104,12 @@ impl WindowSnapshot {
         policy: FiPolicy,
         index: &DomainIndex,
     ) -> Self {
-        let view = Arc::new(sealed.finalize_view_indexed(policy, index));
+        let view = sealed
+            .finalize_view_indexed(policy, index)
+            // lint:allow(panic-freedom) — invariant: registration built `index` from the
+            // attribute's own phase-1 seed and the service's (k, m).
+            .expect("the attribute's domain index matches its phase-1 hash family");
+        let view = Arc::new(view);
         WindowSnapshot {
             epoch,
             reports: sealed.reports(),
@@ -136,6 +143,15 @@ impl WindowSnapshot {
     #[inline]
     pub(crate) fn state(&self) -> &SealedWindow {
         &self.state
+    }
+
+    /// The finalized estimation view, whatever the mode.
+    pub(crate) fn view(&self) -> SpanView {
+        match &self.state {
+            SealedWindow::Plain { view, .. } => SpanView::Plain(Arc::clone(view)),
+            SealedWindow::Plus { view, .. } => SpanView::Plus(Arc::clone(view)),
+            SealedWindow::Edge { view, .. } => SpanView::Edge(Arc::clone(view)),
+        }
     }
 
     /// The sealed plain accumulation-stage builder, if this is a plain window.
