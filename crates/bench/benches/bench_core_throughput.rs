@@ -1,7 +1,7 @@
 //! Microbenchmarks of the core LDPJoinSketch primitives: client-side encoding/perturbation
-//! (sequential and parallel fan-out), server-side report absorption (sequential and via the
-//! sharded ingestion engine), the one-shot Hadamard finalization, and the zero-copy join-size
-//! and frequency estimators.
+//! into packed report batches (sequential and parallel fan-out), server-side batch absorption
+//! (one builder and the sharded ingestion engine), the one-shot Hadamard finalization, and
+//! the zero-copy join-size and frequency estimators.
 //!
 //! These are the building blocks every figure-level experiment is composed of; tracking their
 //! throughput separately makes regressions attributable.
@@ -14,6 +14,7 @@
 //! compiling and the JSON schema exercised).
 
 use criterion::{BatchSize, Bencher, Criterion};
+use ldpjs_common::ReportBatch;
 use ldpjs_core::aggregator::{AggregatorInstruments, ShardedAggregator};
 use ldpjs_core::client::LdpJoinSketchClient;
 use ldpjs_core::protocol::{
@@ -106,38 +107,11 @@ fn bench_client_perturb(c: &mut Criterion, rec: &mut Recorder) {
         },
     );
 
-    // Sequential vs parallel fan-out over the same value slice. The parallel path is
-    // thread-count-invariant, so the comparison is apples-to-apples.
+    // Packed perturbation, sequential and fanned out over worker threads. The parallel
+    // path is thread-count-invariant, so the lanes compare like for like.
     let n = if smoke() { 20_000 } else { 200_000 };
     let gen = ZipfGenerator::new(1.3, 100_000);
     let values = gen.sample_many(n, &mut rng);
-    rec.bench(
-        c,
-        &format!("core/client_perturb_all_{n}_sequential"),
-        "client_perturb_all_sequential",
-        n,
-        params(),
-        |b| {
-            b.iter(|| {
-                let mut r = StdRng::seed_from_u64(2);
-                black_box(client.perturb_all(black_box(&values), &mut r))
-            })
-        },
-    );
-    for threads in [2usize, 4, 8] {
-        rec.bench(
-            c,
-            &format!("core/client_perturb_all_{n}_parallel_{threads}threads"),
-            "client_perturb_all_parallel",
-            n,
-            params(),
-            |b| b.iter(|| black_box(client.perturb_all_parallel(black_box(&values), 2, threads))),
-        );
-    }
-
-    // Batched SIMD-lane perturbation straight into the packed sign-split wire shape (the
-    // producer side of the zero-copy ingest pipeline) — same pinned RNG stream as the
-    // sequential lane, so the outputs are bit-identical reports in a 6x smaller shape.
     rec.bench(
         c,
         &format!("core/client_perturb_batch_{n}_packed"),
@@ -151,6 +125,24 @@ fn bench_client_perturb(c: &mut Criterion, rec: &mut Recorder) {
             })
         },
     );
+    let mut batch = ReportBatch::new(params().rows(), params().columns()).unwrap();
+    for threads in [2usize, 4, 8] {
+        rec.bench(
+            c,
+            &format!("core/client_perturb_batch_parallel_{n}_{threads}threads"),
+            "client_perturb_batch_parallel",
+            n,
+            params(),
+            |b| {
+                b.iter(|| {
+                    client
+                        .perturb_batch_parallel_into(black_box(&values), 2, threads, &mut batch)
+                        .unwrap();
+                    black_box(batch.len())
+                })
+            },
+        );
+    }
 }
 
 fn bench_server_ingest(c: &mut Criterion, rec: &mut Recorder) {
@@ -158,7 +150,9 @@ fn bench_server_ingest(c: &mut Criterion, rec: &mut Recorder) {
     let mut rng = StdRng::seed_from_u64(2);
     let gen = ZipfGenerator::new(1.3, 100_000);
     let n_small = 10_000;
-    let small = client.perturb_all(&gen.sample_many(n_small, &mut rng), &mut rng);
+    let small = client
+        .perturb_batch(&gen.sample_many(n_small, &mut rng), &mut rng)
+        .unwrap();
     rec.bench(
         c,
         "core/server_absorb_10k_reports",
@@ -169,7 +163,7 @@ fn bench_server_ingest(c: &mut Criterion, rec: &mut Recorder) {
             b.iter_batched(
                 || SketchBuilder::new(params(), eps(), 7),
                 |mut builder| {
-                    builder.absorb_all(black_box(&small)).unwrap();
+                    builder.absorb_batch(black_box(&small)).unwrap();
                     black_box(builder)
                 },
                 BatchSize::SmallInput,
@@ -177,36 +171,13 @@ fn bench_server_ingest(c: &mut Criterion, rec: &mut Recorder) {
         },
     );
 
-    // The sharded ingestion engine on a heavier batch, across shard counts (shards = 1 is
-    // the sequential reference plus the engine's fixed overhead).
     let n_big = if smoke() { 20_000 } else { 400_000 };
     let big_values = gen.sample_many(n_big, &mut rng);
-    let big = client.perturb_all_parallel(&big_values, 5, 8);
-    for shards in [1usize, 2, 4, 8] {
-        rec.bench(
-            c,
-            &format!("core/sharded_ingest_{n_big}_reports_{shards}shards"),
-            "sharded_ingest",
-            n_big,
-            params(),
-            |b| {
-                b.iter_batched(
-                    || ShardedAggregator::new(params(), eps(), 7, shards).unwrap(),
-                    |mut engine| {
-                        engine.ingest(black_box(&big)).unwrap();
-                        black_box(engine)
-                    },
-                    BatchSize::SmallInput,
-                )
-            },
-        );
-    }
 
-    // The packed SoA ingest lane: the same reports born packed at the client
+    // The sharded ingestion engine on a heavier batch: reports born packed at the client
     // (`perturb_batch`), absorbed through the sign-split histogram scatter + SIMD drain
-    // kernels. This is the consumer side of the zero-copy pipeline and the lane the
-    // release perf gate (`tests/perf_smoke.rs`) holds at >= 4x the frozen scalar
-    // reference.
+    // kernels. This is the lane the release perf gate (`tests/perf_smoke.rs`) holds at
+    // >= 4x the frozen scalar reference.
     let packed = client.perturb_batch(&big_values, &mut rng).unwrap();
     for shards in [1usize, 4] {
         rec.bench(
@@ -219,7 +190,7 @@ fn bench_server_ingest(c: &mut Criterion, rec: &mut Recorder) {
                 b.iter_batched(
                     || ShardedAggregator::new(params(), eps(), 7, shards).unwrap(),
                     |mut engine| {
-                        engine.ingest_batch(black_box(&packed)).unwrap();
+                        engine.ingest(black_box(&packed)).unwrap();
                         black_box(engine)
                     },
                     BatchSize::SmallInput,
@@ -245,7 +216,6 @@ fn bench_server_ingest(c: &mut Criterion, rec: &mut Recorder) {
             .collect(),
         parallel_batches: telemetry.counter("bench_parallel_batches", Stability::Environment),
         inline_batches: telemetry.counter("bench_inline_batches", Stability::Environment),
-        rollbacks: telemetry.counter("bench_rollbacks", Stability::Environment),
     };
     for (label, instruments) in [
         ("uninstrumented", None),
@@ -266,7 +236,7 @@ fn bench_server_ingest(c: &mut Criterion, rec: &mut Recorder) {
                         engine
                     },
                     |mut engine| {
-                        engine.ingest_batch(black_box(&packed)).unwrap();
+                        engine.ingest(black_box(&packed)).unwrap();
                         black_box(engine)
                     },
                     BatchSize::SmallInput,
@@ -287,9 +257,11 @@ fn bench_finalize_restore(c: &mut Criterion, rec: &mut Recorder) {
         let mut rng = StdRng::seed_from_u64(3);
         let gen = ZipfGenerator::new(1.3, 50_000);
         let n = if smoke() { 2_000 } else { 20_000 };
-        let reports = client.perturb_all(&gen.sample_many(n, &mut rng), &mut rng);
+        let batch = client
+            .perturb_batch(&gen.sample_many(n, &mut rng), &mut rng)
+            .unwrap();
         let mut builder = SketchBuilder::new(p, eps(), 3);
-        builder.absorb_all(&reports).unwrap();
+        builder.absorb_batch(&batch).unwrap();
         rec.bench(
             c,
             &format!("core/finalize_restore/{m}"),
@@ -430,33 +402,17 @@ fn bench_service(c: &mut Criterion, rec: &mut Recorder) {
     for attr in [a, b] {
         let client = service.client(attr).unwrap();
         for _ in 0..windows {
-            let reports = client.perturb_all(&gen.sample_many(n_window, &mut rng), &mut rng);
-            service.ingest(attr, &reports).unwrap();
+            let batch = client
+                .perturb_batch(&gen.sample_many(n_window, &mut rng), &mut rng)
+                .unwrap();
+            service.ingest(attr, &batch).unwrap();
             service.rotate(attr).unwrap();
         }
     }
 
-    let ingest_values = gen.sample_many(8_192, &mut rng);
-    let batch = service
-        .client(a)
-        .unwrap()
-        .perturb_all(&ingest_values, &mut rng);
-    rec.bench(
-        c,
-        "service/ingest_throughput_8192_report_batch",
-        "service_ingest_throughput",
-        8_192,
-        params(),
-        |bn| {
-            bn.iter(|| {
-                service.ingest(a, black_box(&batch)).unwrap();
-                black_box(service.live_reports(a).unwrap())
-            })
-        },
-    );
-
-    // The same epoch payload carried in the packed sign-split shape end to end:
+    // One epoch payload carried in the packed sign-split shape end to end:
     // `perturb_batch` at the client, `SketchService::ingest_batch` into the live engine.
+    let ingest_values = gen.sample_many(8_192, &mut rng);
     let packed = service
         .client(a)
         .unwrap()
@@ -543,7 +499,7 @@ fn bench_service_plus(c: &mut Criterion, rec: &mut Recorder) {
     // Drive the full labeled stream in, sealing `windows` epochs per attribute, and keep
     // one emitted batch around as the ingest-throughput payload.
     let batches_per_window = n.div_ceil(chunk).div_ceil(windows);
-    let mut payload = PlusReportBatch::default();
+    let mut payload = PlusReportBatch::new(p).unwrap();
     for (attr, table, role) in [
         (a, &w.table_a, PlusTableRole::A),
         (b, &w.table_b, PlusTableRole::B),

@@ -2,12 +2,12 @@
 //!
 //! The LDPJoinSketch ingest hot path moves exactly one piece of information per client
 //! report into the server's counters: *which* flat counter `j·m + l` the report targets and
-//! *which way* (`y ∈ {−1, +1}`) it pushes. The array-of-structs `ClientReport` wire shape
-//! (24 bytes in memory) makes the server-side scatter memory-bandwidth-bound long before it
-//! is compute-bound; a [`ReportBatch`] packs the same information into 4 bytes per report —
-//! two `u32` index arrays, one per sign — so a 400k-report batch streams 1.6 MB instead of
-//! 9.6 MB and the scatter kernel has **no sign math left at all**: each lane is a pure
-//! `counters[idx] ± 1` histogram.
+//! *which way* (`y ∈ {−1, +1}`) it pushes. A [`ReportBatch`] carries exactly that in 4 bytes
+//! per report — two `u32` index arrays, one per sign — where the array-of-structs
+//! `ClientReport` shape takes 24, so a 400k-report batch streams 1.6 MB instead of 9.6 MB
+//! and the scatter kernel has **no sign math left at all**: each lane is a pure
+//! `counters[idx] ± 1` histogram. Clients emit batches directly (`perturb_batch`), and a
+//! batch is the only form in which more than one report reaches a sketch builder.
 //!
 //! # Why the accumulation order may be changed freely
 //!

@@ -2,10 +2,10 @@
 //!
 //! LDPJoinSketch is linear in its reports ([`SketchBuilder::merge`]), so an aggregator under
 //! heavy report traffic can shard: [`ShardedAggregator`] owns `N` [`SketchBuilder`] shards,
-//! splits every incoming batch into contiguous chunks, and absorbs the chunks on scoped
-//! worker threads (`std::thread::scope` — no report ever leaves the caller's borrow). The
-//! per-report range check is hoisted out of the hot loop: one validation pass over the whole
-//! batch up front, then branch-free accumulation on the workers.
+//! splits every incoming packed [`ReportBatch`] into contiguous per-lane chunks, and
+//! scatters the chunks on scoped worker threads (`std::thread::scope` — no report ever
+//! leaves the caller's borrow). Index validity is a construction invariant of the batch, so
+//! the only check is one shape check up front; a rejected batch touches no shard.
 //!
 //! **Determinism guarantee:** the shards' counters are exact integer report sums (every
 //! report contributes `±1` to exactly one counter), so counter-wise merging is associative
@@ -42,9 +42,6 @@ pub struct AggregatorInstruments {
     pub parallel_batches: Counter,
     /// Batches absorbed inline on the caller thread (single shard or single CPU).
     pub inline_batches: Counter,
-    /// Rejected multi-shard batches whose already-applied chunks were subtracted back out
-    /// (the cross-shard rollback cold path).
-    pub rollbacks: Counter,
 }
 
 impl AggregatorInstruments {
@@ -69,10 +66,10 @@ impl AggregatorInstruments {
 /// let eps = Epsilon::new(4.0).unwrap();
 /// let client = LdpJoinSketchClient::new(params, eps, 7);
 /// let mut rng = StdRng::seed_from_u64(1);
-/// let reports = client.perturb_all(&[1, 2, 3, 4, 5, 6, 7, 8], &mut rng);
+/// let batch = client.perturb_batch(&[1, 2, 3, 4, 5, 6, 7, 8], &mut rng).unwrap();
 ///
 /// let mut agg = ShardedAggregator::new(params, eps, 7, 4).unwrap();
-/// agg.ingest(&reports).unwrap();
+/// agg.ingest(&batch).unwrap();
 /// let sketch = agg.finalize();
 /// assert_eq!(sketch.reports(), 8);
 /// ```
@@ -169,78 +166,6 @@ impl ShardedAggregator {
         self.shards.iter().map(|s| s.reports()).sum()
     }
 
-    /// Absorb a batch of array-of-structs reports, fanned out across the shards.
-    ///
-    /// Each shard runs one fused validate-and-apply sweep over its contiguous chunk (the
-    /// [`SketchBuilder::absorb_all`] body) — one pass over the report memory instead of
-    /// the separate validate-then-accumulate sweeps the engine used before. If any chunk
-    /// is rejected, shards that already applied theirs subtract them back out on the cold
-    /// path, so a rejected batch leaves the engine untouched. The result is bit-for-bit
-    /// the one a single sequential [`SketchBuilder::absorb_all`] would have produced.
-    ///
-    /// # Errors
-    /// Returns [`Error::ReportOutOfRange`] for the first report that does not fit the sketch.
-    pub fn ingest(&mut self, reports: &[ClientReport]) -> Result<()> {
-        if reports.is_empty() {
-            return Ok(());
-        }
-        if !self.parallel {
-            // Single lane anyway: one fused sweep on the caller thread, no spawn/join tax.
-            self.shards[0].absorb_all(reports)?;
-            if let Some(inst) = &self.instruments {
-                inst.inline_batches.inc();
-                inst.observe_shards(&self.shards);
-            }
-            return Ok(());
-        }
-        let chunk_len = reports.len().div_ceil(self.shards.len());
-        let chunks: Vec<&[ClientReport]> = reports.chunks(chunk_len).collect();
-        let results: Vec<Result<()>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter_mut()
-                .zip(chunks.iter())
-                .map(|(shard, chunk)| scope.spawn(move || shard.absorb_all(chunk)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(result) => result,
-                    // Propagate a worker panic verbatim instead of minting a new one.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        });
-        if results.iter().all(Result::is_ok) {
-            if let Some(inst) = &self.instruments {
-                inst.parallel_batches.inc();
-                inst.observe_shards(&self.shards);
-            }
-            return Ok(());
-        }
-        // Cold path: some chunk was rejected. Chunks are contiguous and in order, so the
-        // error from the first failing shard names the first offending report; shards
-        // that succeeded roll their (validated, applied) chunks back out.
-        let mut first_err = None;
-        for ((shard, chunk), result) in self.shards.iter_mut().zip(chunks).zip(results) {
-            match result {
-                Ok(()) => shard.unabsorb_validated(chunk),
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-        }
-        if let Some(inst) = &self.instruments {
-            inst.rollbacks.inc();
-            inst.observe_shards(&self.shards);
-        }
-        // lint:allow(panic-freedom) — invariant: this branch is only reached when
-        // `results` contained at least one `Err`, which the loop above captured.
-        Err(first_err.expect("at least one shard failed"))
-    }
-
     /// The frozen pre-batching reference path: one validation sweep over the whole batch,
     /// then contiguous AoS chunks replayed per shard with scalar `f64` adds on scoped
     /// worker threads. Kept verbatim as the bit-identity reference and the baseline the
@@ -262,18 +187,18 @@ impl ShardedAggregator {
         Ok(())
     }
 
-    /// Absorb an already-packed sign-split report batch in parallel.
+    /// Absorb a packed sign-split report batch, fanned out across the shards.
     ///
-    /// This is the zero-copy ingest entry point for pipelines carrying reports in packed SoA
-    /// form end to end: each scoped worker thread scatters its contiguous shard of the batch
-    /// through the interleaved histogram kernel into its own counters, reusing a per-shard
-    /// scratch buffer so steady-state ingestion allocates nothing. Index validity is a
-    /// construction invariant of [`ReportBatch`], so the only check here is the shape check.
+    /// Each scoped worker thread scatters its contiguous shard of the batch through the
+    /// interleaved histogram kernel into its own counters, reusing a per-shard scratch
+    /// buffer so steady-state ingestion allocates nothing. Index validity is a construction
+    /// invariant of [`ReportBatch`], so the only check here is the shape check. The result
+    /// is bit-for-bit the one a single [`SketchBuilder::absorb_batch`] would produce.
     ///
     /// # Errors
     /// Returns [`Error::IncompatibleSketches`] if the batch shape does not match the sketch;
     /// the engine is untouched in that case.
-    pub fn ingest_batch(&mut self, batch: &ReportBatch) -> Result<()> {
+    pub fn ingest(&mut self, batch: &ReportBatch) -> Result<()> {
         let (k, m) = (self.params().rows(), self.params().columns());
         if batch.rows() != k || batch.columns() != m {
             return Err(Error::IncompatibleSketches(format!(
@@ -309,20 +234,6 @@ impl ShardedAggregator {
         });
         if let Some(inst) = &self.instruments {
             inst.parallel_batches.inc();
-            inst.observe_shards(&self.shards);
-        }
-        Ok(())
-    }
-
-    /// Absorb a batch of reports sequentially into the first shard (useful for trailing
-    /// drips of reports that are not worth a thread fan-out).
-    ///
-    /// # Errors
-    /// Returns [`Error::ReportOutOfRange`] for the first report that does not fit the sketch.
-    pub fn ingest_sequential(&mut self, reports: &[ClientReport]) -> Result<()> {
-        self.shards[0].absorb_all(reports)?;
-        if let Some(inst) = &self.instruments {
-            inst.inline_batches.inc();
             inst.observe_shards(&self.shards);
         }
         Ok(())
@@ -375,11 +286,39 @@ mod tests {
         Epsilon::new(v).unwrap()
     }
 
-    fn reports_for(n: usize, p: SketchParams, e: Epsilon, seed: u64) -> Vec<ClientReport> {
+    fn client_and_values(
+        n: usize,
+        p: SketchParams,
+        e: Epsilon,
+        seed: u64,
+    ) -> (LdpJoinSketchClient, Vec<u64>, StdRng) {
         let client = LdpJoinSketchClient::new(p, e, seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD);
         let values: Vec<u64> = (0..n).map(|_| rng.gen_range(0u64..500)).collect();
-        client.perturb_all(&values, &mut rng)
+        (client, values, rng)
+    }
+
+    fn batch_for(n: usize, p: SketchParams, e: Epsilon, seed: u64) -> ReportBatch {
+        let (client, values, mut rng) = client_and_values(n, p, e, seed);
+        client.perturb_batch(&values, &mut rng).unwrap()
+    }
+
+    /// The same stream as [`batch_for`], one report per value.
+    fn reports_for(n: usize, p: SketchParams, e: Epsilon, seed: u64) -> Vec<ClientReport> {
+        let (client, values, mut rng) = client_and_values(n, p, e, seed);
+        values
+            .iter()
+            .map(|&v| client.perturb(v, &mut rng))
+            .collect()
+    }
+
+    /// Pack reports into a batch of the given shape, in order.
+    fn pack(reports: &[ClientReport], rows: usize, cols: usize) -> ReportBatch {
+        let mut batch = ReportBatch::new(rows, cols).unwrap();
+        for r in reports {
+            batch.push(r.row, r.col, r.y < 0.0).unwrap();
+        }
+        batch
     }
 
     #[test]
@@ -391,20 +330,20 @@ mod tests {
     fn sharded_ingestion_is_bit_for_bit_identical_to_sequential() {
         // Property-style sweep: for every shard count and (odd and awkward) report count,
         // the parallel sharded path must produce restored counters bit-for-bit identical to
-        // a single builder absorbing the same reports in order. This is the determinism
-        // guarantee the engine's exact-integer counter representation provides.
+        // a single builder absorbing the same batch. This is the determinism guarantee the
+        // engine's exact-integer counter representation provides.
         let p = params(8, 128);
         let e = eps(3.0);
         for &shards in &[1usize, 2, 4, 7] {
             for &n in &[1usize, 3, 129, 1001, 4097] {
-                let reports = reports_for(n, p, e, 77 + shards as u64);
+                let batch = batch_for(n, p, e, 77 + shards as u64);
                 let mut engine = ShardedAggregator::new(p, e, 77, shards).unwrap();
-                engine.ingest(&reports).unwrap();
+                engine.ingest(&batch).unwrap();
                 assert_eq!(engine.reports(), n as u64);
                 let sharded = engine.finalize();
 
                 let mut single = SketchBuilder::new(p, e, 77);
-                single.absorb_all(&reports).unwrap();
+                single.absorb_batch(&batch).unwrap();
                 let sequential = single.finalize();
 
                 assert_eq!(sharded.reports(), sequential.reports());
@@ -419,22 +358,28 @@ mod tests {
 
     #[test]
     fn repeated_batches_accumulate_like_one_stream() {
-        // Multiple ingest calls (mixed parallel and sequential) must equal one sequential
-        // absorption of the concatenated stream.
+        // Multiple ingest calls (odd sizes, one of them tiny) must equal one absorption of
+        // the concatenated stream.
         let p = params(6, 64);
         let e = eps(2.0);
-        let all = reports_for(5_003, p, e, 9);
-        let (first, rest) = all.split_at(1_234);
+        let (client, values, mut rng) = client_and_values(5_003, p, e, 9);
+        let (first, rest) = values.split_at(1_234);
         let (second, third) = rest.split_at(7);
+        let batches: Vec<ReportBatch> = [first, second, third]
+            .iter()
+            .map(|part| client.perturb_batch(part, &mut rng).unwrap())
+            .collect();
 
         let mut engine = ShardedAggregator::new(p, e, 5, 4).unwrap();
-        engine.ingest(first).unwrap();
-        engine.ingest_sequential(second).unwrap();
-        engine.ingest(third).unwrap();
-        assert_eq!(engine.reports(), all.len() as u64);
+        let mut all = ReportBatch::new(6, 64).unwrap();
+        for batch in &batches {
+            engine.ingest(batch).unwrap();
+            all.append(batch).unwrap();
+        }
+        assert_eq!(engine.reports(), values.len() as u64);
 
         let mut single = SketchBuilder::new(p, e, 5);
-        single.absorb_all(&all).unwrap();
+        single.absorb_batch(&all).unwrap();
         assert_eq!(
             engine.finalize().restored_counters(),
             single.finalize().restored_counters()
@@ -447,19 +392,20 @@ mod tests {
         // produces, and that builder must remain mergeable (the window-merge path).
         let p = params(8, 128);
         let e = eps(3.0);
-        let reports = reports_for(2_501, p, e, 13);
-        let (first, second) = reports.split_at(1_200);
+        let first = batch_for(1_200, p, e, 13);
+        let second = batch_for(1_301, p, e, 14);
 
         let mut engine_a = ShardedAggregator::new(p, e, 13, 4).unwrap();
-        engine_a.ingest(first).unwrap();
+        engine_a.ingest(&first).unwrap();
         let mut sealed_a = engine_a.into_builder();
         let mut engine_b = ShardedAggregator::new(p, e, 13, 3).unwrap();
-        engine_b.ingest(second).unwrap();
+        engine_b.ingest(&second).unwrap();
         let sealed_b = engine_b.into_builder();
         sealed_a.merge(&sealed_b).unwrap();
 
         let mut single = SketchBuilder::new(p, e, 13);
-        single.absorb_all(&reports).unwrap();
+        single.absorb_batch(&first).unwrap();
+        single.absorb_batch(&second).unwrap();
         assert_eq!(sealed_a.reports(), single.reports());
         assert_eq!(
             sealed_a.finalize().restored_counters(),
@@ -472,14 +418,16 @@ mod tests {
         let p = params(4, 64);
         let e = eps(2.0);
         let mut engine = ShardedAggregator::new(p, e, 1, 2).unwrap();
-        let mut reports = reports_for(100, p, e, 3);
-        reports[57].col = 64;
-        assert!(engine.ingest(&reports).is_err());
+        let wrong = pack(&reports_for(100, p, e, 3), 4, 128);
+        assert!(matches!(
+            engine.ingest(&wrong),
+            Err(Error::IncompatibleSketches(_))
+        ));
         assert_eq!(engine.reports(), 0, "rejected batch must not be absorbed");
     }
 
     #[test]
-    fn instruments_count_batches_and_rollbacks_without_changing_results() {
+    fn instruments_count_batches_without_changing_results() {
         use ldpjs_metrics::telemetry::{Stability, Telemetry};
         let p = params(6, 64);
         let e = eps(2.0);
@@ -497,12 +445,11 @@ mod tests {
             parallel_batches: telemetry
                 .counter("agg_parallel_batches_total", Stability::Environment),
             inline_batches: telemetry.counter("agg_inline_batches_total", Stability::Environment),
-            rollbacks: telemetry.counter("agg_rollbacks_total", Stability::Environment),
         };
-        let reports = reports_for(500, p, e, 21);
+        let batch = batch_for(500, p, e, 21);
         let mut engine = ShardedAggregator::new(p, e, 21, shards).unwrap();
         engine.set_instruments(Some(inst.clone()));
-        engine.ingest(&reports).unwrap();
+        engine.ingest(&batch).unwrap();
         assert_eq!(
             inst.parallel_batches.get() + inst.inline_batches.get(),
             1,
@@ -514,24 +461,21 @@ mod tests {
             "shard residency gauges must sum to the batch"
         );
 
-        // A rejected batch counts a rollback on the multi-shard path (or a plain
-        // rejection inline) and leaves both counters and engine untouched.
-        let mut bad = reports_for(100, p, e, 22);
-        bad[50].col = p.columns() + 1;
-        assert!(engine.ingest(&bad).is_err());
+        // A rejected batch counts on neither path and leaves the gauges and the engine
+        // untouched.
+        let wrong = pack(&reports_for(100, p, e, 22), 6, 128);
+        assert!(engine.ingest(&wrong).is_err());
         assert_eq!(engine.reports(), 500);
-        if engine.is_parallel() {
-            assert_eq!(inst.rollbacks.get(), 1);
-        }
+        assert_eq!(inst.parallel_batches.get() + inst.inline_batches.get(), 1);
         let resident: u64 = inst.shard_reports.iter().map(Gauge::get).sum();
         assert_eq!(
             resident, 500,
-            "rollback must restore shard residency gauges"
+            "a rejected batch must not move residency gauges"
         );
 
         // The uninstrumented engine produces bit-identical results.
         let mut plain = ShardedAggregator::new(p, e, 21, shards).unwrap();
-        plain.ingest(&reports).unwrap();
+        plain.ingest(&batch).unwrap();
         assert_eq!(
             engine.finalize().restored_counters(),
             plain.finalize().restored_counters()
@@ -542,7 +486,7 @@ mod tests {
     fn empty_batch_is_a_noop() {
         let p = params(4, 64);
         let mut engine = ShardedAggregator::new(p, eps(2.0), 1, 4).unwrap();
-        engine.ingest(&[]).unwrap();
+        engine.ingest(&ReportBatch::new(4, 64).unwrap()).unwrap();
         assert_eq!(engine.reports(), 0);
     }
 
@@ -550,12 +494,12 @@ mod tests {
     fn more_shards_than_reports_is_fine() {
         let p = params(4, 64);
         let e = eps(2.0);
-        let reports = reports_for(3, p, e, 11);
+        let batch = batch_for(3, p, e, 11);
         let mut engine = ShardedAggregator::new(p, e, 11, 7).unwrap();
-        engine.ingest(&reports).unwrap();
+        engine.ingest(&batch).unwrap();
         assert_eq!(engine.reports(), 3);
         let mut single = SketchBuilder::new(p, e, 11);
-        single.absorb_all(&reports).unwrap();
+        single.absorb_batch(&batch).unwrap();
         assert_eq!(
             engine.finalize().restored_counters(),
             single.finalize().restored_counters()
@@ -565,11 +509,11 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// Tentpole property: the batched bucket-wise ingest (packed `ReportBatch`,
-        /// sharded fan-out, SIMD drain) is bit-identical to absorbing the same reports
-        /// one `absorb()` call at a time — across batch sizes, shard counts, and report
-        /// orders. Order invariance is real, not approximate: counters are exact integer
-        /// sums in f64, so ±1 additions commute bitwise.
+        /// Core property: the packed ingest (`ReportBatch`, single-builder scatter and
+        /// sharded fan-out, SIMD drain) is bit-identical to absorbing the same reports one
+        /// `absorb()` call at a time — across batch sizes, shard counts, and report orders.
+        /// Order invariance is real, not approximate: counters are exact integer sums in
+        /// f64, so ±1 additions commute bitwise.
         #[test]
         fn prop_batched_ingest_is_bit_identical_to_report_by_report(
             n in 1usize..2500,
@@ -581,34 +525,36 @@ mod tests {
             let e = eps(3.0);
             let mut reports = reports_for(n, p, e, seed);
 
-            // Reference: one report at a time through the frozen scalar path.
+            // Reference: one report at a time through the scalar path.
             let mut reference = SketchBuilder::new(p, e, 77);
             for &r in &reports {
                 reference.absorb(r).unwrap();
             }
             let reference = reference.finalize();
 
-            // Batched single-builder path.
+            // The same reports, shuffled, packed into one batch.
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
+            use rand::seq::SliceRandom;
+            reports.shuffle(&mut rng);
+            let batch = pack(&reports, 6, 128);
+
             let mut batched = SketchBuilder::new(p, e, 77);
-            batched.absorb_all(&reports).unwrap();
+            batched.absorb_batch(&batch).unwrap();
             let batched = batched.finalize();
             prop_assert_eq!(batched.restored_counters(), reference.restored_counters());
             prop_assert_eq!(batched.reports(), reference.reports());
 
-            // Sharded batched path, on a shuffled order of the same reports.
-            let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
-            use rand::seq::SliceRandom;
-            reports.shuffle(&mut rng);
             let mut engine = ShardedAggregator::new(p, e, 77, shards).unwrap();
-            engine.ingest(&reports).unwrap();
+            engine.ingest(&batch).unwrap();
             let sharded = engine.finalize();
             prop_assert_eq!(sharded.restored_counters(), reference.restored_counters());
             prop_assert_eq!(sharded.reports(), reference.reports());
         }
 
-        /// A batch containing one out-of-range report must be rejected atomically by both
-        /// the batched builder path and the sharded engine: no counter moves, no report
-        /// counted, and the builder keeps absorbing cleanly afterwards.
+        /// A batch shaped for another sketch — here one whose report at `bad_at` lies
+        /// outside this sketch's columns — must be rejected atomically by both the builder
+        /// and the sharded engine: no counter moves, no report counted, and the builder
+        /// keeps absorbing cleanly afterwards.
         #[test]
         fn prop_rejected_batch_rolls_back_completely(
             n in 2usize..600,
@@ -619,28 +565,29 @@ mod tests {
             let shards = [1usize, 2, 4, 7][shard_pick];
             let p = params(4, 64);
             let e = eps(2.0);
-            let prefix = reports_for(37, p, e, seed ^ 1);
+            let prefix = batch_for(37, p, e, seed ^ 1);
             let mut reports = reports_for(n, p, e, seed);
             let bad_at = (bad_pos % reports.len() as u64) as usize;
-            reports[bad_at].col = p.columns() + bad_at;
+            reports[bad_at].col = p.columns() + bad_at % p.columns();
+            let wrong = pack(&reports, p.rows(), 2 * p.columns());
 
             let mut builder = SketchBuilder::new(p, e, 9);
-            builder.absorb_all(&prefix).unwrap();
+            builder.absorb_batch(&prefix).unwrap();
             let rejected = matches!(
-                builder.absorb_all(&reports),
-                Err(Error::ReportOutOfRange { .. })
+                builder.absorb_batch(&wrong),
+                Err(Error::IncompatibleSketches(_))
             );
             prop_assert!(rejected);
             prop_assert_eq!(builder.reports(), prefix.len() as u64);
 
             let mut engine = ShardedAggregator::new(p, e, 9, shards).unwrap();
             engine.ingest(&prefix).unwrap();
-            prop_assert!(engine.ingest(&reports).is_err());
+            prop_assert!(engine.ingest(&wrong).is_err());
             prop_assert_eq!(engine.reports(), prefix.len() as u64);
 
             // Both must match a clean absorption of just the prefix, bitwise.
             let mut clean = SketchBuilder::new(p, e, 9);
-            clean.absorb_all(&prefix).unwrap();
+            clean.absorb_batch(&prefix).unwrap();
             let clean = clean.finalize();
             let builder_final = builder.finalize();
             let engine_final = engine.finalize();

@@ -12,6 +12,12 @@
 //! The only difference from Apple-HCMS's client is step 2: HCMS encodes `v[h_j(d)] = 1`,
 //! LDPJoinSketch encodes the fast-AGMS sign `ξ_j(d)` so that sketch *products* estimate join
 //! sizes (Theorem 1 proves the output distribution still satisfies ε-LDP).
+//!
+//! [`ClientReport`] is the single-user protocol unit (the 5-byte wire format and the Fig. 7
+//! communication accounting). Simulating many users yields a packed sign-split
+//! [`ReportBatch`] instead — [`LdpJoinSketchClient::perturb_batch`] and its `_into` and
+//! parallel forms — which is the only form in which more than one report moves from a
+//! client to a builder: a report only says which counter moves and which way.
 
 use ldpjs_common::batch::ReportBatch;
 use ldpjs_common::error::{Error, Result};
@@ -41,94 +47,6 @@ pub(crate) fn chunk_stream_seed(base_seed: u64, chunk_index: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// Fan a value slice out over `threads` scoped workers, perturbing each fixed-size chunk
-/// with its own deterministic RNG stream. Shared by [`LdpJoinSketchClient::perturb_all_parallel`]
-/// and [`crate::fap::FapClient::perturb_all_parallel`].
-///
-/// `fill` perturbs one whole chunk at a time into its output slot (same length as the
-/// chunk), so clients can run their batched two-phase kernels per chunk instead of paying a
-/// dynamic per-value call.
-pub(crate) fn perturb_chunks_parallel<F>(
-    values: &[u64],
-    base_seed: u64,
-    threads: usize,
-    fill: F,
-) -> Vec<ClientReport>
-where
-    F: Fn(&[u64], &mut StdRng, &mut [ClientReport]) + Sync,
-{
-    let mut reports = Vec::new();
-    perturb_chunks_parallel_into(values, base_seed, threads, &mut reports, fill);
-    reports
-}
-
-/// [`perturb_chunks_parallel`] into a caller-owned, reusable report buffer (cleared and
-/// resized to `values.len()`), so chunked streaming drivers stop allocating a fresh report
-/// vector per stream chunk.
-pub(crate) fn perturb_chunks_parallel_into<F>(
-    values: &[u64],
-    base_seed: u64,
-    threads: usize,
-    reports: &mut Vec<ClientReport>,
-    fill: F,
-) where
-    F: Fn(&[u64], &mut StdRng, &mut [ClientReport]) + Sync,
-{
-    reports.clear();
-    reports.resize(
-        values.len(),
-        ClientReport {
-            y: 0.0,
-            row: 0,
-            col: 0,
-        },
-    );
-    // Requesting more workers than the machine has cores only adds scheduling overhead
-    // (the chunk→stream mapping below makes the output identical either way), so clamp to
-    // the actual parallelism, and to the number of chunks there are to hand out.
-    let available = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let chunks = values.len().div_ceil(PARALLEL_PERTURB_CHUNK).max(1);
-    let threads = threads.clamp(1, available).min(chunks);
-    if threads == 1 {
-        // Single effective worker: run inline, skipping thread spawn entirely. Chunk c's
-        // RNG stream still depends only on (base_seed, c), so this path is bit-identical
-        // to the fan-out below at any requested thread count.
-        for (c, (vals, out)) in values
-            .chunks(PARALLEL_PERTURB_CHUNK)
-            .zip(reports.chunks_mut(PARALLEL_PERTURB_CHUNK))
-            .enumerate()
-        {
-            let mut rng = StdRng::seed_from_u64(chunk_stream_seed(base_seed, c as u64));
-            fill(vals, &mut rng, out);
-        }
-        return;
-    }
-    // Round-robin the fixed-size chunks over the workers: chunk c's RNG stream depends only
-    // on (base_seed, c), so the thread count never changes the output.
-    type ChunkTask<'a> = (u64, &'a [u64], &'a mut [ClientReport]);
-    let mut worker_tasks: Vec<Vec<ChunkTask<'_>>> = (0..threads).map(|_| Vec::new()).collect();
-    for (c, (vals, out)) in values
-        .chunks(PARALLEL_PERTURB_CHUNK)
-        .zip(reports.chunks_mut(PARALLEL_PERTURB_CHUNK))
-        .enumerate()
-    {
-        worker_tasks[c % threads].push((c as u64, vals, out));
-    }
-    let fill = &fill;
-    std::thread::scope(|scope| {
-        for tasks in worker_tasks {
-            scope.spawn(move || {
-                for (c, vals, out) in tasks {
-                    let mut rng = StdRng::seed_from_u64(chunk_stream_seed(base_seed, c));
-                    fill(vals, &mut rng, out);
-                }
-            });
-        }
-    });
 }
 
 /// One perturbed client report `(y, j, l)`.
@@ -255,99 +173,19 @@ impl LdpJoinSketchClient {
         ClientReport { y, row, col }
     }
 
-    /// Perturb a whole slice of values (one simulated client per element).
+    /// Perturb a whole slice of values (one simulated client per element) into a packed
+    /// sign-split [`ReportBatch`], the form every builder and the sharded engine absorb.
     ///
-    /// Runs the batched two-phase pipeline of [`LdpJoinSketchClient::perturb_all_into`];
-    /// the reports are bit-identical to calling [`LdpJoinSketchClient::perturb`] per value
-    /// with the same RNG.
-    pub fn perturb_all<R: RngCore + ?Sized>(
-        &self,
-        values: &[u64],
-        rng: &mut R,
-    ) -> Vec<ClientReport> {
-        let mut out = Vec::new();
-        self.perturb_all_into(values, rng, &mut out);
-        out
-    }
-
-    /// Perturb a whole slice of values into a caller-owned, reusable report buffer.
-    ///
-    /// `out` is cleared and refilled; chunked streaming drivers reuse one buffer across
-    /// chunks instead of allocating a fresh `Vec<ClientReport>` per chunk.
-    ///
-    /// The pipeline is split in two phases so the hot math runs in a branch-light batched
-    /// lane without perturbing the RNG stream:
-    ///
-    /// 1. **Scalar RNG phase** — for each value, draw `(j, l, flip)` in exactly the order
-    ///    the scalar [`LdpJoinSketchClient::perturb`] draws them, parking the randomized-
-    ///    response sign in the report's `y` slot. The RNG therefore consumes the identical
-    ///    stream, keeping every pinned-seed experiment bit-for-bit reproducible.
-    /// 2. **Batched hash phase** — one RNG-free pass computing, per lane, the fused
-    ///    bucket/sign hash (a single Mersenne reduction via
-    ///    [`ldpjs_common::hash::HashPair::bucket_and_sign_neg`]), the Hadamard entry as a
-    ///    popcount parity, and the final sign as an XOR on the `f64` sign bit — exact,
-    ///    because multiplying by `±1.0` is precisely a sign-bit flip.
-    pub fn perturb_all_into<R: RngCore + ?Sized>(
-        &self,
-        values: &[u64],
-        rng: &mut R,
-        out: &mut Vec<ClientReport>,
-    ) {
-        out.clear();
-        out.resize(
-            values.len(),
-            ClientReport {
-                y: 0.0,
-                row: 0,
-                col: 0,
-            },
-        );
-        self.fill_reports(values, rng, out);
-    }
-
-    /// The two-phase batched kernel behind [`LdpJoinSketchClient::perturb_all_into`] and the
-    /// parallel fan-out: fill `out` (same length as `values`) with perturbed reports.
-    pub(crate) fn fill_reports<R: RngCore + ?Sized>(
-        &self,
-        values: &[u64],
-        rng: &mut R,
-        out: &mut [ClientReport],
-    ) {
-        debug_assert_eq!(values.len(), out.len());
-        let k = self.params.rows();
-        let m = self.params.columns();
-        let flip_p = self.eps.flip_probability();
-        // Phase 1: every RNG draw, in the scalar path's per-value order (row, column, flip).
-        for slot in out.iter_mut() {
-            let row = rng.gen_range(0..k);
-            let col = rng.gen_range(0..m);
-            let flip = rng.gen_bool(flip_p);
-            *slot = ClientReport {
-                y: if flip { -1.0 } else { 1.0 },
-                row,
-                col,
-            };
-        }
-        // Phase 2: RNG-free batched hash/sign/Hadamard lane. `y` currently holds the
-        // randomized-response sign B; the true coefficient is B·ξ_j(d)·H_m[h_j(d), l], and
-        // both extra factors are ±1, so applying them is an XOR on the sign bit — exact.
-        for (slot, &v) in out.iter_mut().zip(values) {
-            let (bucket, neg_sign) = self.hashes.pair(slot.row).bucket_and_sign_neg(v);
-            let neg_hadamard = u64::from((bucket & slot.col).count_ones()) & 1;
-            slot.y = f64::from_bits(slot.y.to_bits() ^ ((neg_sign ^ neg_hadamard) << 63));
-        }
-    }
-
-    /// Perturb a whole slice of values directly into a packed sign-split [`ReportBatch`],
-    /// the zero-copy form the batched server ingest path consumes.
-    ///
-    /// The produced batch carries exactly the reports [`LdpJoinSketchClient::perturb_all`]
-    /// would emit for the same `(values, rng)` — same RNG consumption, same `(j, l)` pairs,
-    /// same signs — just without materialising per-report structs.
+    /// For each value the RNG draws `(j, l, flip)` in exactly the order
+    /// [`LdpJoinSketchClient::perturb`] draws them, so the batch carries the same reports —
+    /// same `(j, l)` pairs, same signs — and leaves the RNG in the same state as calling
+    /// `perturb` once per value. The hash/sign/Hadamard math is RNG-free: one fused
+    /// bucket/sign hash ([`ldpjs_common::hash::HashPair::bucket_and_sign_neg`]) and the
+    /// Hadamard entry as a popcount parity, combined as XORed sign bits.
     ///
     /// # Errors
     /// Returns [`Error::InvalidSketchParameter`] if the sketch's counter space cannot be
-    /// packed into 32-bit flat indices (outside the supported parameter range in practice).
+    /// packed into 32-bit flat indices (never for a valid [`SketchParams`]).
     pub fn perturb_batch<R: RngCore + ?Sized>(
         &self,
         values: &[u64],
@@ -366,23 +204,16 @@ impl LdpJoinSketchClient {
     ///
     /// # Errors
     /// Returns [`Error::IncompatibleSketches`] if `batch` was built for a different sketch
-    /// shape.
+    /// shape; the batch is unchanged in that case.
     pub fn perturb_batch_into<R: RngCore + ?Sized>(
         &self,
         values: &[u64],
         rng: &mut R,
         batch: &mut ReportBatch,
     ) -> Result<()> {
-        let k = self.params.rows();
-        let m = self.params.columns();
-        if batch.rows() != k || batch.columns() != m {
-            return Err(Error::IncompatibleSketches(format!(
-                "report batch is {}x{} but the client's sketch is {k}x{m}",
-                batch.rows(),
-                batch.columns(),
-            )));
-        }
+        self.check_batch(batch)?;
         batch.clear();
+        let (k, m) = (self.params.rows(), self.params.columns());
         let flip_p = self.eps.flip_probability();
         for &v in values {
             let row = rng.gen_range(0..k);
@@ -396,37 +227,83 @@ impl LdpJoinSketchClient {
         Ok(())
     }
 
-    /// Perturb a whole slice of values on `threads` scoped worker threads.
+    /// [`LdpJoinSketchClient::perturb_batch_into`] fanned out over `threads` scoped worker
+    /// threads.
     ///
     /// The slice is cut into fixed [`PARALLEL_PERTURB_CHUNK`]-value chunks, each perturbed
-    /// with its own `StdRng` stream derived from `base_seed` and the chunk index (and run
-    /// through the batched two-phase kernel). The output therefore depends only on
-    /// `(values, base_seed)`: any thread count — including 1 — produces the identical
-    /// report vector, so parallel simulation stays reproducible.
-    pub fn perturb_all_parallel(
+    /// with its own `StdRng` stream derived from `base_seed` and the chunk index, and the
+    /// per-chunk batches are appended to `batch` in chunk order. The output therefore
+    /// depends only on `(values, base_seed)`: every thread count — including 1 — fills
+    /// `batch` with the identical lanes, so parallel simulation stays reproducible.
+    ///
+    /// # Errors
+    /// Returns [`Error::IncompatibleSketches`] if `batch` was built for a different sketch
+    /// shape; the batch is unchanged in that case.
+    pub fn perturb_batch_parallel_into(
         &self,
         values: &[u64],
         base_seed: u64,
         threads: usize,
-    ) -> Vec<ClientReport> {
-        perturb_chunks_parallel(values, base_seed, threads, |vals, rng, out| {
-            self.fill_reports(vals, rng, out);
-        })
+        batch: &mut ReportBatch,
+    ) -> Result<()> {
+        let rng = |c: usize| StdRng::seed_from_u64(chunk_stream_seed(base_seed, c as u64));
+        let chunks: Vec<&[u64]> = values.chunks(PARALLEL_PERTURB_CHUNK).collect();
+        if chunks.len() <= 1 {
+            // One RNG stream: perturb straight into the caller's batch.
+            return self.perturb_batch_into(values, &mut rng(0), batch);
+        }
+        self.check_batch(batch)?;
+        let (k, m) = (self.params.rows(), self.params.columns());
+        let mut parts = chunks
+            .iter()
+            .map(|c| ReportBatch::with_capacity(k, m, c.len()))
+            .collect::<Result<Vec<_>>>()?;
+        // More workers than cores only adds scheduling overhead (chunk c's stream depends
+        // only on (base_seed, c), so the output is the same either way), so clamp to the
+        // machine's parallelism and to the number of chunks.
+        let available = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let threads = threads.clamp(1, available).min(chunks.len());
+        type ChunkTask<'a> = (usize, &'a [u64], &'a mut ReportBatch);
+        let mut worker_tasks: Vec<Vec<ChunkTask<'_>>> = (0..threads).map(|_| Vec::new()).collect();
+        for (c, (vals, part)) in chunks.iter().zip(parts.iter_mut()).enumerate() {
+            worker_tasks[c % threads].push((c, vals, part));
+        }
+        let run = |tasks: Vec<ChunkTask<'_>>| {
+            tasks
+                .into_iter()
+                .try_for_each(|(c, vals, part)| self.perturb_batch_into(vals, &mut rng(c), part))
+        };
+        if threads == 1 {
+            // A single effective worker runs inline, skipping the thread spawn.
+            worker_tasks.into_iter().try_for_each(run)?;
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = worker_tasks
+                    .into_iter()
+                    .map(|tasks| scope.spawn(|| run(tasks)))
+                    .collect();
+                handles.into_iter().try_for_each(|h| match h.join() {
+                    Ok(result) => result,
+                    // Propagate a worker panic verbatim instead of minting a new one.
+                    Err(payload) => std::panic::resume_unwind(payload),
+                })
+            })?;
+        }
+        batch.clear();
+        parts.iter().try_for_each(|part| batch.append(part))
     }
 
-    /// [`LdpJoinSketchClient::perturb_all_parallel`] into a caller-owned, reusable report
-    /// buffer (cleared and refilled) — the allocation-free form the chunked streaming
-    /// drivers run per stream chunk.
-    pub fn perturb_all_parallel_into(
-        &self,
-        values: &[u64],
-        base_seed: u64,
-        threads: usize,
-        out: &mut Vec<ClientReport>,
-    ) {
-        perturb_chunks_parallel_into(values, base_seed, threads, out, |vals, rng, slot| {
-            self.fill_reports(vals, rng, slot);
-        });
+    /// Reject a caller-supplied batch shaped for another sketch.
+    pub(crate) fn check_batch(&self, batch: &ReportBatch) -> Result<()> {
+        let (k, m) = (self.params.rows(), self.params.columns());
+        if batch.rows() != k || batch.columns() != m {
+            return Err(Error::IncompatibleSketches(format!(
+                "report batch is {}x{} but the client's sketch is {k}x{m}",
+                batch.rows(),
+                batch.columns(),
+            )));
+        }
+        Ok(())
     }
 
     /// Communication cost of one report in bits: the perturbed bit plus the `(j, l)` indices.
@@ -527,11 +404,11 @@ mod tests {
     }
 
     #[test]
-    fn perturb_all_matches_length_and_bits() {
+    fn perturb_batch_matches_length_and_bits() {
         let c = client(18, 1024, 4.0, 0);
         let mut rng = StdRng::seed_from_u64(9);
-        let reports = c.perturb_all(&[1, 2, 3, 4, 5], &mut rng);
-        assert_eq!(reports.len(), 5);
+        let batch = c.perturb_batch(&[1, 2, 3, 4, 5], &mut rng).unwrap();
+        assert_eq!(batch.len(), 5);
         // 1 + ceil(log2 18) + log2 1024 = 1 + 5 + 10.
         assert_eq!(c.report_bits(), 16);
     }
@@ -569,83 +446,118 @@ mod tests {
         .to_wire();
     }
 
+    /// The scalar reference stream, packed: every `perturb` result pushed into its lane.
+    fn pack(c: &LdpJoinSketchClient, values: &[u64], rng: &mut StdRng) -> ReportBatch {
+        let p = c.params();
+        let mut batch = ReportBatch::new(p.rows(), p.columns()).unwrap();
+        for &v in values {
+            let r = c.perturb(v, rng);
+            batch.push(r.row, r.col, r.y < 0.0).unwrap();
+        }
+        batch
+    }
+
     #[test]
     fn parallel_perturbation_is_thread_count_invariant() {
-        // The fan-out seeds one RNG per fixed-size chunk, so the reports depend only on
-        // (values, base_seed) — never on how many workers ran the chunks.
+        // The fan-out seeds one RNG per fixed-size chunk and appends the chunk batches in
+        // chunk order, so the batch depends only on (values, base_seed) — never on how many
+        // workers ran the chunks — and its counters equal per-value `perturb` + `absorb`
+        // over the same per-chunk RNG streams.
+        use crate::server::SketchBuilder;
         let c = client(8, 256, 4.0, 5);
-        let n = 2 * super::PARALLEL_PERTURB_CHUNK + 137;
-        let values: Vec<u64> = (0..n as u64).map(|v| v % 999).collect();
-        let one = c.perturb_all_parallel(&values, 42, 1);
-        assert_eq!(one.len(), n);
-        for threads in [2usize, 3, 8] {
-            assert_eq!(
-                one,
-                c.perturb_all_parallel(&values, 42, threads),
-                "thread count {threads} changed the report stream"
-            );
+        let p = c.params();
+        let chunk = super::PARALLEL_PERTURB_CHUNK;
+        for n in [0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5] {
+            let values: Vec<u64> = (0..n as u64).map(|v| v % 999).collect();
+            let mut one = ReportBatch::new(p.rows(), p.columns()).unwrap();
+            c.perturb_batch_parallel_into(&values, 42, 1, &mut one)
+                .unwrap();
+            assert_eq!(one.len(), n);
+            for threads in [2usize, 3, 8] {
+                let mut other = ReportBatch::new(p.rows(), p.columns()).unwrap();
+                c.perturb_batch_parallel_into(&values, 42, threads, &mut other)
+                    .unwrap();
+                assert_eq!(
+                    one, other,
+                    "n={n}: thread count {threads} changed the batch"
+                );
+            }
+            let mut reference = SketchBuilder::with_hashes(p, c.epsilon(), Arc::clone(c.hashes()));
+            let mut in_chunk_order = ReportBatch::new(p.rows(), p.columns()).unwrap();
+            for (i, vals) in values.chunks(chunk).enumerate() {
+                let seed = chunk_stream_seed(42, i as u64);
+                let mut rng = StdRng::seed_from_u64(seed);
+                for &v in vals {
+                    reference.absorb(c.perturb(v, &mut rng)).unwrap();
+                }
+                let part = pack(&c, vals, &mut StdRng::seed_from_u64(seed));
+                in_chunk_order.append(&part).unwrap();
+            }
+            assert_eq!(one, in_chunk_order, "n={n}: chunk batches out of order");
+            let mut packed = SketchBuilder::with_hashes(p, c.epsilon(), Arc::clone(c.hashes()));
+            packed.absorb_batch(&one).unwrap();
+            assert_eq!(packed.reports(), reference.reports());
+            assert_eq!(packed.spectrum(), reference.spectrum(), "n={n}");
         }
         // A different base seed must give a different stream.
-        assert_ne!(one, c.perturb_all_parallel(&values, 43, 4));
-        // Reports still have valid shape.
-        for r in &one {
-            assert!(r.y == 1.0 || r.y == -1.0);
-            assert!(r.row < 8 && r.col < 256);
-        }
+        let values: Vec<u64> = (0..2 * chunk as u64 + 137).map(|v| v % 999).collect();
+        let mut a = ReportBatch::new(p.rows(), p.columns()).unwrap();
+        let mut b = a.clone();
+        c.perturb_batch_parallel_into(&values, 42, 4, &mut a)
+            .unwrap();
+        c.perturb_batch_parallel_into(&values, 43, 4, &mut b)
+            .unwrap();
+        assert_ne!(a, b);
     }
 
     #[test]
     fn batched_perturb_is_bit_identical_to_scalar_reference() {
-        // The two-phase batched kernel must consume the RNG stream exactly like the scalar
-        // per-value path and produce bit-identical reports.
+        // The packed kernel must consume the RNG stream exactly like the scalar per-value
+        // path and carry bit-identical reports.
         for (k, m, eps_v) in [(18, 1024, 4.0), (4, 8, 0.5), (7, 128, 2.0)] {
             let c = client(k, m, eps_v, 21);
             let values: Vec<u64> = (0..3_000u64)
                 .map(|v| v.wrapping_mul(0x9E37) % 977)
                 .collect();
             let mut scalar_rng = StdRng::seed_from_u64(314);
-            let scalar: Vec<ClientReport> = values
-                .iter()
-                .map(|&v| c.perturb(v, &mut scalar_rng as &mut dyn rand::RngCore))
-                .collect();
+            let scalar = pack(&c, &values, &mut scalar_rng);
             let mut batched_rng = StdRng::seed_from_u64(314);
-            let batched = c.perturb_all(&values, &mut batched_rng);
-            assert_eq!(scalar.len(), batched.len());
-            for (i, (s, b)) in scalar.iter().zip(&batched).enumerate() {
-                assert_eq!(s.row, b.row, "row diverged at {i} (k={k} m={m})");
-                assert_eq!(s.col, b.col, "col diverged at {i} (k={k} m={m})");
-                assert_eq!(
-                    s.y.to_bits(),
-                    b.y.to_bits(),
-                    "y diverged at {i} (k={k} m={m}): {} vs {}",
-                    s.y,
-                    b.y
-                );
-            }
+            let batched = c.perturb_batch(&values, &mut batched_rng).unwrap();
+            assert_eq!(scalar, batched, "k={k} m={m}");
+            assert_eq!(
+                scalar_rng.next_u64(),
+                batched_rng.next_u64(),
+                "RNG state diverged"
+            );
         }
     }
 
     #[test]
-    fn perturb_all_into_reuses_the_buffer() {
+    fn perturb_batch_into_reuses_the_buffer() {
         let c = client(8, 256, 4.0, 9);
         let values: Vec<u64> = (0..500u64).collect();
         let mut rng = StdRng::seed_from_u64(1);
-        let expected = c.perturb_all(&values, &mut StdRng::seed_from_u64(1));
-        let mut buf = Vec::new();
-        c.perturb_all_into(&values, &mut rng, &mut buf);
+        let expected = c
+            .perturb_batch(&values, &mut StdRng::seed_from_u64(1))
+            .unwrap();
+        let mut buf = ReportBatch::new(8, 256).unwrap();
+        c.perturb_batch_into(&values, &mut rng, &mut buf).unwrap();
         assert_eq!(buf, expected);
-        // Refill with a shorter slice: buffer shrinks to the new length, no stale tail.
-        c.perturb_all_into(&values[..10], &mut rng, &mut buf);
+        // Refill with a shorter slice: the batch holds only the new reports.
+        c.perturb_batch_into(&values[..10], &mut rng, &mut buf)
+            .unwrap();
         assert_eq!(buf.len(), 10);
     }
 
     #[test]
     fn packed_perturb_matches_the_report_stream() {
-        // perturb_batch must emit, in packed form, exactly the reports perturb_all produces
-        // for the same RNG stream: same flat indices, same signs, in order within each lane.
+        // perturb_batch must carry, in packed form, exactly the reports per-value perturb
+        // produces for the same RNG stream: flat indices row·m + col, split by sign, in
+        // stream order within each lane.
         let c = client(6, 64, 3.0, 17);
         let values: Vec<u64> = (0..2_000u64).map(|v| v % 333).collect();
-        let reports = c.perturb_all(&values, &mut StdRng::seed_from_u64(5));
+        let mut rng = StdRng::seed_from_u64(5);
+        let reports: Vec<ClientReport> = values.iter().map(|&v| c.perturb(v, &mut rng)).collect();
         let batch = c
             .perturb_batch(&values, &mut StdRng::seed_from_u64(5))
             .unwrap();
@@ -667,11 +579,17 @@ mod tests {
     #[test]
     fn perturb_batch_into_rejects_mismatched_shapes() {
         let c = client(6, 64, 3.0, 17);
-        let mut wrong = ldpjs_common::ReportBatch::new(6, 128).unwrap();
+        let mut wrong = ReportBatch::new(6, 128).unwrap();
         let err = c
             .perturb_batch_into(&[1, 2, 3], &mut StdRng::seed_from_u64(0), &mut wrong)
             .unwrap_err();
-        assert!(matches!(err, ldpjs_common::Error::IncompatibleSketches(_)));
+        assert!(matches!(err, Error::IncompatibleSketches(_)));
+        let values = vec![1u64; 3 * PARALLEL_PERTURB_CHUNK];
+        let err = c
+            .perturb_batch_parallel_into(&values, 0, 2, &mut wrong)
+            .unwrap_err();
+        assert!(matches!(err, Error::IncompatibleSketches(_)));
+        assert!(wrong.is_empty());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! cannot distinguish a target report from a non-target one (Theorem 6: FAP satisfies ε-LDP).
 
 use ldpjs_common::batch::ReportBatch;
-use ldpjs_common::error::{Error, Result};
+use ldpjs_common::error::Result;
 use ldpjs_common::hadamard::hadamard_entry_f64;
 use ldpjs_common::privacy::Epsilon;
 use ldpjs_common::rr::sample_sign_bit;
@@ -124,99 +124,16 @@ impl FapClient {
         }
     }
 
-    /// Perturb a whole group of values.
-    ///
-    /// Runs the batched two-phase pipeline of [`FapClient::perturb_all_into`]; the reports
-    /// are bit-identical to calling [`FapClient::perturb`] per value with the same RNG.
-    pub fn perturb_all<R: RngCore + ?Sized>(
-        &self,
-        values: &[u64],
-        rng: &mut R,
-    ) -> Vec<ClientReport> {
-        let mut out = Vec::new();
-        self.perturb_all_into(values, rng, &mut out);
-        out
-    }
-
-    /// Perturb a whole group of values into a caller-owned, reusable report buffer
-    /// (cleared and refilled), mirroring
-    /// [`LdpJoinSketchClient::perturb_all_into`](crate::client::LdpJoinSketchClient::perturb_all_into).
-    pub fn perturb_all_into<R: RngCore + ?Sized>(
-        &self,
-        values: &[u64],
-        rng: &mut R,
-        out: &mut Vec<ClientReport>,
-    ) {
-        out.clear();
-        out.resize(
-            values.len(),
-            ClientReport {
-                y: 0.0,
-                row: 0,
-                col: 0,
-            },
-        );
-        self.fill_reports(values, rng, out);
-    }
-
-    /// The two-phase batched kernel behind [`FapClient::perturb_all_into`] and the parallel
-    /// fan-out. Phase 1 draws every random quantity in the scalar per-value order (so pinned
-    /// RNG streams are untouched) and *finishes* the non-target reports — their Hadamard
-    /// parity `popcount(r & l)` needs no value hashing. Phase 2 is the RNG-free batched
-    /// hash/sign/Hadamard lane over the target reports, identical to the plain client's.
-    pub(crate) fn fill_reports<R: RngCore + ?Sized>(
-        &self,
-        values: &[u64],
-        rng: &mut R,
-        out: &mut [ClientReport],
-    ) {
-        debug_assert_eq!(values.len(), out.len());
-        let params = self.inner.params();
-        let (k, m) = (params.rows(), params.columns());
-        let flip_p = self.inner.epsilon().flip_probability();
-        for (slot, &v) in out.iter_mut().zip(values) {
-            if self.is_non_target(v) {
-                // Algorithm 4 lines 2–8: the scalar branch draws (j, l, r, flip) in this
-                // order; y = flip·H_m[r, l], an XOR of two sign parities.
-                let row = rng.gen_range(0..k);
-                let col = rng.gen_range(0..m);
-                let r = rng.gen_range(0..m);
-                let flip = rng.gen_bool(flip_p);
-                let neg = u64::from(flip) ^ (u64::from((r & col).count_ones()) & 1);
-                *slot = ClientReport {
-                    y: if neg == 1 { -1.0 } else { 1.0 },
-                    row,
-                    col,
-                };
-            } else {
-                let row = rng.gen_range(0..k);
-                let col = rng.gen_range(0..m);
-                let flip = rng.gen_bool(flip_p);
-                *slot = ClientReport {
-                    y: if flip { -1.0 } else { 1.0 },
-                    row,
-                    col,
-                };
-            }
-        }
-        // Phase 2: fused bucket/sign hash + Hadamard parity over the target lanes only.
-        for (slot, &v) in out.iter_mut().zip(values) {
-            if self.is_non_target(v) {
-                continue;
-            }
-            let (bucket, neg_sign) = self.inner.hashes().pair(slot.row).bucket_and_sign_neg(v);
-            let neg_hadamard = u64::from((bucket & slot.col).count_ones()) & 1;
-            slot.y = f64::from_bits(slot.y.to_bits() ^ ((neg_sign ^ neg_hadamard) << 63));
-        }
-    }
-
-    /// Perturb a whole group of values directly into a packed sign-split [`ReportBatch`],
-    /// carrying exactly the reports [`FapClient::perturb_all`] would emit for the same
-    /// `(values, rng)`.
+    /// Perturb a whole group of values into a packed sign-split [`ReportBatch`], carrying
+    /// exactly the reports [`FapClient::perturb`] would emit per value for the same RNG
+    /// stream and leaving the RNG in the same state: each value draws `(j, l, flip)` (target)
+    /// or `(j, l, r, flip)` (non-target) in the scalar order, and only the target branch
+    /// hashes the value.
     ///
     /// # Errors
-    /// Returns [`Error::InvalidSketchParameter`] if the sketch's counter space cannot be
-    /// packed into 32-bit flat indices.
+    /// Returns [`Error::InvalidSketchParameter`](ldpjs_common::Error::InvalidSketchParameter)
+    /// if the sketch's counter space cannot be packed into 32-bit flat indices (never for a
+    /// valid [`SketchParams`]).
     pub fn perturb_batch<R: RngCore + ?Sized>(
         &self,
         values: &[u64],
@@ -232,24 +149,18 @@ impl FapClient {
     /// refilled).
     ///
     /// # Errors
-    /// Returns [`Error::IncompatibleSketches`] if `batch` was built for a different sketch
-    /// shape.
+    /// Returns [`Error::IncompatibleSketches`](ldpjs_common::Error::IncompatibleSketches) if
+    /// `batch` was built for a different sketch shape; the batch is unchanged in that case.
     pub fn perturb_batch_into<R: RngCore + ?Sized>(
         &self,
         values: &[u64],
         rng: &mut R,
         batch: &mut ReportBatch,
     ) -> Result<()> {
+        self.inner.check_batch(batch)?;
+        batch.clear();
         let params = self.inner.params();
         let (k, m) = (params.rows(), params.columns());
-        if batch.rows() != k || batch.columns() != m {
-            return Err(Error::IncompatibleSketches(format!(
-                "report batch is {}x{} but the client's sketch is {k}x{m}",
-                batch.rows(),
-                batch.columns(),
-            )));
-        }
-        batch.clear();
         let flip_p = self.inner.epsilon().flip_probability();
         for &v in values {
             let row = rng.gen_range(0..k);
@@ -267,42 +178,6 @@ impl FapClient {
             batch.push(row, col, negative)?;
         }
         Ok(())
-    }
-
-    /// Perturb a whole group of values on `threads` scoped worker threads, with the same
-    /// deterministic per-chunk RNG streams as
-    /// [`LdpJoinSketchClient::perturb_all_parallel`](crate::client::LdpJoinSketchClient::perturb_all_parallel):
-    /// the output depends only on `(values, base_seed)`, never on the thread count.
-    pub fn perturb_all_parallel(
-        &self,
-        values: &[u64],
-        base_seed: u64,
-        threads: usize,
-    ) -> Vec<ClientReport> {
-        crate::client::perturb_chunks_parallel(values, base_seed, threads, |vals, rng, out| {
-            self.fill_reports(vals, rng, out);
-        })
-    }
-
-    /// [`FapClient::perturb_all_parallel`] into a caller-owned, reusable report buffer
-    /// (cleared and refilled), mirroring
-    /// [`LdpJoinSketchClient::perturb_all_parallel_into`](crate::client::LdpJoinSketchClient::perturb_all_parallel_into).
-    pub fn perturb_all_parallel_into(
-        &self,
-        values: &[u64],
-        base_seed: u64,
-        threads: usize,
-        out: &mut Vec<ClientReport>,
-    ) {
-        crate::client::perturb_chunks_parallel_into(
-            values,
-            base_seed,
-            threads,
-            out,
-            |vals, rng, slot| {
-                self.fill_reports(vals, rng, slot);
-            },
-        );
     }
 
     /// The non-target branch (Algorithm 4, lines 2–8): encode `v[r] = 1` at a random position
@@ -375,9 +250,9 @@ mod tests {
         );
         let n = 50_000usize;
         let mut rng = StdRng::seed_from_u64(5);
-        let reports = client.perturb_all(&vec![7u64; n], &mut rng);
+        let batch = client.perturb_batch(&vec![7u64; n], &mut rng).unwrap();
         let mut builder = SketchBuilder::new(params, eps, 23);
-        builder.absorb_all(&reports).unwrap();
+        builder.absorb_batch(&batch).unwrap();
         let est = builder.finalize().frequency(7);
         assert!(
             (est - n as f64).abs() < 0.1 * n as f64,
@@ -398,9 +273,9 @@ mod tests {
         let n = 80_000usize;
         let mut rng = StdRng::seed_from_u64(6);
         // Everybody holds value 7, but 7 is not frequent so it is a non-target.
-        let reports = client.perturb_all(&vec![7u64; n], &mut rng);
+        let batch = client.perturb_batch(&vec![7u64; n], &mut rng).unwrap();
         let mut builder = SketchBuilder::new(params, eps, 31);
-        builder.absorb_all(&reports).unwrap();
+        builder.absorb_batch(&batch).unwrap();
         let est = builder.finalize().frequency(7);
         // If the value leaked, the estimate would be ≈ n = 80000. It must instead be on the
         // order of the collision mass n/m ≈ 312 (plus noise).
@@ -421,9 +296,9 @@ mod tests {
         let client = FapClient::new(inner, FapMode::HighFrequency, Arc::new(HashSet::new()));
         let n = 120_000usize;
         let mut rng = StdRng::seed_from_u64(7);
-        let reports = client.perturb_all(&vec![3u64; n], &mut rng);
+        let batch = client.perturb_batch(&vec![3u64; n], &mut rng).unwrap();
         let mut builder = SketchBuilder::new(params, eps, 41);
-        builder.absorb_all(&reports).unwrap();
+        builder.absorb_batch(&batch).unwrap();
         let sketch = builder.finalize();
         let restored = sketch.restored_counters();
         let expected = n as f64 / 128.0;
@@ -436,9 +311,8 @@ mod tests {
 
     #[test]
     fn batched_fap_perturb_is_bit_identical_to_scalar_reference() {
-        // Mixed target/non-target stream: the batched two-phase kernel must consume the RNG
-        // exactly like the scalar per-value path and produce bit-identical reports, and the
-        // packed form must carry the same stream.
+        // Mixed target/non-target stream: the packed kernel must consume the RNG exactly
+        // like the scalar per-value path and carry the same report stream.
         for mode in [FapMode::HighFrequency, FapMode::LowFrequency] {
             let client = setup(mode, &[1, 2, 3, 50, 51], 2.0);
             let values: Vec<u64> = (0..4_000u64).map(|v| v % 100).collect();
@@ -447,15 +321,9 @@ mod tests {
                 .iter()
                 .map(|&v| client.perturb(v, &mut scalar_rng as &mut dyn rand::RngCore))
                 .collect();
-            let batched = client.perturb_all(&values, &mut StdRng::seed_from_u64(99));
-            assert_eq!(scalar.len(), batched.len());
-            for (i, (s, b)) in scalar.iter().zip(&batched).enumerate() {
-                assert_eq!((s.row, s.col), (b.row, b.col), "indices diverged at {i}");
-                assert_eq!(s.y.to_bits(), b.y.to_bits(), "y diverged at {i} ({mode:?})");
-            }
-            let batch = client
-                .perturb_batch(&values, &mut StdRng::seed_from_u64(99))
-                .unwrap();
+            let mut batched_rng = StdRng::seed_from_u64(99);
+            let batch = client.perturb_batch(&values, &mut batched_rng).unwrap();
+            assert_eq!(scalar_rng.next_u64(), batched_rng.next_u64(), "{mode:?}");
             assert_eq!(batch.len(), scalar.len());
             let m = client.params().columns();
             let mut plus = Vec::new();

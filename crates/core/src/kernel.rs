@@ -492,7 +492,7 @@ fn weight_from(rescaled_estimate: f64, sigma_sq: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::client::LdpJoinSketchClient;
-    use crate::plus_state::{FiPolicy, PlusStateBuilder};
+    use crate::plus_state::{FiPolicy, PlusReportBatch, PlusStateBuilder};
     use crate::server::SketchBuilder;
     use ldpjs_common::Epsilon;
     use ldpjs_sketch::SketchParams;
@@ -504,9 +504,9 @@ mod tests {
         let e = Epsilon::new(4.0).unwrap();
         let client = LdpJoinSketchClient::new(p, e, 3);
         let mut rng = StdRng::seed_from_u64(seed);
-        let reports = client.perturb_all(values, &mut rng);
+        let batch = client.perturb_batch(values, &mut rng).unwrap();
         let mut b = SketchBuilder::new(p, e, 3);
-        b.absorb_all(&reports).unwrap();
+        b.absorb_batch(&batch).unwrap();
         b.finalize()
     }
 
@@ -582,13 +582,11 @@ mod tests {
         let client = LdpJoinSketchClient::new(p, e, 9);
         let mut rng = StdRng::seed_from_u64(3);
         let mut builder = PlusStateBuilder::new(p, e, 9);
-        builder
-            .absorb_batch(&crate::plus_state::PlusReportBatch {
-                phase1: client.perturb_all(&[1, 2, 3, 4, 5, 6, 7, 8], &mut rng),
-                low: Vec::new(),
-                high: Vec::new(),
-            })
+        let mut batch = PlusReportBatch::new(p).unwrap();
+        client
+            .perturb_batch_into(&[1, 2, 3, 4, 5, 6, 7, 8], &mut rng, &mut batch.phase1)
             .unwrap();
+        builder.absorb_batch(&batch).unwrap();
         let lopsided = builder.finalize(policy, &domain);
         let err = kernel.join_est(&lopsided, &lopsided).unwrap_err();
         assert!(matches!(err, Error::InvalidWorkload(_)), "got {err}");
@@ -604,13 +602,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let sample = vec![7u64; 10_000];
         let mut builder = PlusStateBuilder::new(p, e, 9);
-        builder
-            .absorb_batch(&crate::plus_state::PlusReportBatch {
-                phase1: client.perturb_all(&sample, &mut rng),
-                low: Vec::new(),
-                high: Vec::new(),
-            })
+        let mut batch = PlusReportBatch::new(p).unwrap();
+        client
+            .perturb_batch_into(&sample, &mut rng, &mut batch.phase1)
             .unwrap();
+        builder.absorb_batch(&batch).unwrap();
         let domain: Vec<u64> = (0..10).collect();
         let state = builder.finalize(
             FiPolicy {

@@ -3,8 +3,8 @@
 //! The paper's primary contribution: **LDPJoinSketch** and **LDPJoinSketch+**, sketch-based
 //! join size estimation under local differential privacy.
 //!
-//! * [`client`] — Algorithm 1, the client-side encode-and-perturb pipeline, including the
-//!   deterministic parallel perturbation fan-out.
+//! * [`client`] — Algorithm 1, the client-side encode-and-perturb pipeline into packed report
+//!   batches, including the deterministic parallel perturbation fan-out.
 //! * [`server`] — Algorithm 2 (`PriSk`): the two-stage sketch lifecycle — a mutable
 //!   [`SketchBuilder`] accumulation stage and an immutable [`FinalizedSketch`] view whose
 //!   restored counters are computed once and borrowed by the Eq. 5 join-size estimator and

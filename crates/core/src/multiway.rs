@@ -24,6 +24,8 @@ use ldpjs_common::rr::sample_sign_bit;
 use ldpjs_sketch::compass::JoinAttribute;
 use rand::{Rng, RngCore};
 
+use crate::server::check_report_sign;
+
 /// One perturbed report for a two-attribute table.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EdgeReport {
@@ -85,63 +87,6 @@ impl LdpEdgeSketchClient {
         }
     }
 
-    /// Perturb a whole table of tuples.
-    ///
-    /// Runs the batched two-phase pipeline of [`LdpEdgeSketchClient::perturb_all_into`];
-    /// the reports are bit-identical to calling [`LdpEdgeSketchClient::perturb`] per tuple
-    /// with the same RNG.
-    pub fn perturb_all<R: RngCore + ?Sized>(
-        &self,
-        tuples: &[(u64, u64)],
-        rng: &mut R,
-    ) -> Vec<EdgeReport> {
-        let mut out = Vec::new();
-        self.perturb_all_into(tuples, rng, &mut out);
-        out
-    }
-
-    /// Perturb a whole table of tuples into a caller-owned, reusable report buffer
-    /// (cleared and refilled). Two phases, like the one-dimensional client: all RNG draws
-    /// first in the scalar per-tuple order `(j, l_1, l_2, flip)`, then one RNG-free batched
-    /// lane applying the four sign parities (`ξ_A`, `ξ_B` and the two Hadamard entries) as
-    /// XORs on the `f64` sign bit.
-    pub fn perturb_all_into<R: RngCore + ?Sized>(
-        &self,
-        tuples: &[(u64, u64)],
-        rng: &mut R,
-        out: &mut Vec<EdgeReport>,
-    ) {
-        out.clear();
-        out.resize(
-            tuples.len(),
-            EdgeReport {
-                y: 0.0,
-                replica: 0,
-                col_a: 0,
-                col_b: 0,
-            },
-        );
-        let k = self.attr_a.replicas();
-        let (ma, mb) = (self.attr_a.buckets(), self.attr_b.buckets());
-        let flip_p = self.eps.flip_probability();
-        for slot in out.iter_mut() {
-            let replica = rng.gen_range(0..k);
-            let col_a = rng.gen_range(0..ma);
-            let col_b = rng.gen_range(0..mb);
-            let flip = rng.gen_bool(flip_p);
-            *slot = EdgeReport {
-                y: if flip { -1.0 } else { 1.0 },
-                replica,
-                col_a,
-                col_b,
-            };
-        }
-        for (slot, &(a, b)) in out.iter_mut().zip(tuples) {
-            let neg = self.encoded_neg(slot.replica, slot.col_a, slot.col_b, a, b);
-            slot.y = f64::from_bits(slot.y.to_bits() ^ (neg << 63));
-        }
-    }
-
     /// The sign parity (1 = negative) of the *unperturbed* encoded coefficient
     /// `H_{m_A}[h_A(a), l_1]·ξ_A(a)·ξ_B(b)·H_{m_B}[l_2, h_B(b)]` — four ±1 factors, each an
     /// XOR-able bit: two fused bucket/sign hashes and two Hadamard popcount parities.
@@ -154,10 +99,11 @@ impl LdpEdgeSketchClient {
         neg_a ^ neg_b ^ neg_had_a ^ neg_had_b
     }
 
-    /// Perturb a whole table of tuples directly into a packed sign-split [`ReportBatch`]
-    /// (rows = replicas, columns = `m_A·m_B` flattened coordinates), the zero-copy form
-    /// [`EdgeSketchBuilder::absorb_batch`] consumes. Carries exactly the reports
-    /// [`LdpEdgeSketchClient::perturb_all`] would emit for the same `(tuples, rng)`.
+    /// Perturb a whole table of tuples into a packed sign-split [`ReportBatch`] (rows =
+    /// replicas, columns = `m_A·m_B` flattened coordinates), the form
+    /// [`EdgeSketchBuilder::absorb_batch`] consumes. Each tuple draws `(j, l_1, l_2, flip)`
+    /// in the order [`LdpEdgeSketchClient::perturb`] does, so the batch carries exactly the
+    /// reports `perturb` would emit per tuple for the same RNG stream.
     ///
     /// # Errors
     /// Returns [`Error::InvalidSketchParameter`] if the sketch's counter space cannot be
@@ -269,8 +215,10 @@ impl EdgeSketchBuilder {
     /// at finalization).
     ///
     /// # Errors
-    /// Returns [`Error::ReportOutOfRange`] if the report indices do not fit the sketch.
+    /// Returns [`Error::ReportOutOfRange`] if the report indices do not fit the sketch and
+    /// [`Error::InvalidWorkload`] if `y` is not `±1`; the builder is untouched on error.
     pub fn absorb(&mut self, report: EdgeReport) -> Result<()> {
+        check_report_sign(report.y)?;
         let k = self.attr_a.replicas();
         let (ma, mb) = (self.attr_a.buckets(), self.attr_b.buckets());
         if report.replica >= k || report.col_a >= ma || report.col_b >= mb {
@@ -284,41 +232,6 @@ impl EdgeSketchBuilder {
         let idx = (report.replica * ma + report.col_a) * mb + report.col_b;
         self.raw[idx] += report.y;
         self.reports += 1;
-        Ok(())
-    }
-
-    /// Absorb a batch of array-of-structs reports: one fused validate-and-apply pass with
-    /// prefix rollback on the cold error path, so a rejected batch leaves the builder
-    /// untouched.
-    ///
-    /// As with [`SketchBuilder::absorb_all`](crate::server::SketchBuilder::absorb_all),
-    /// converting the 32-byte AoS wire shape to the packed SoA form costs a full extra
-    /// sweep that the batched kernel cannot win back; the packed path pays only when the
-    /// reports are born packed via [`LdpEdgeSketchClient::perturb_batch`] and absorbed
-    /// through [`EdgeSketchBuilder::absorb_batch`].
-    ///
-    /// # Errors
-    /// Returns [`Error::ReportOutOfRange`] for the first offending report, if any; the
-    /// builder is untouched on error.
-    pub fn absorb_all(&mut self, reports: &[EdgeReport]) -> Result<()> {
-        let k = self.attr_a.replicas();
-        let (ma, mb) = (self.attr_a.buckets(), self.attr_b.buckets());
-        for (i, r) in reports.iter().enumerate() {
-            if r.replica >= k || r.col_a >= ma || r.col_b >= mb {
-                for applied in &reports[..i] {
-                    self.raw[(applied.replica * ma + applied.col_a) * mb + applied.col_b] -=
-                        applied.y;
-                }
-                return Err(Error::ReportOutOfRange {
-                    row: r.replica,
-                    col: r.col_a * mb + r.col_b,
-                    rows: k,
-                    cols: ma * mb,
-                });
-            }
-            self.raw[(r.replica * ma + r.col_a) * mb + r.col_b] += r.y;
-        }
-        self.reports += reports.len() as u64;
         Ok(())
     }
 
@@ -592,9 +505,9 @@ pub fn build_vertex_sketch(
     let params = SketchParams::new(attr.replicas(), attr.buckets())?;
     let hashes = Arc::new(attr.hashes().clone());
     let client = LdpJoinSketchClient::with_hashes(params, eps, Arc::clone(&hashes));
-    let reports = client.perturb_all(values, rng);
+    let batch = client.perturb_batch(values, rng)?;
     let mut builder = SketchBuilder::with_hashes(params, eps, hashes);
-    builder.absorb_all(&reports)?;
+    builder.absorb_batch(&batch)?;
     Ok(builder.finalize())
 }
 
@@ -607,13 +520,9 @@ pub fn build_edge_sketch(
     rng: &mut dyn RngCore,
 ) -> Result<FinalizedEdgeSketch> {
     let client = LdpEdgeSketchClient::new(attr_a.clone(), attr_b.clone(), eps)?;
+    let batch = client.perturb_batch(tuples, rng)?;
     let mut builder = EdgeSketchBuilder::new(attr_a.clone(), attr_b.clone(), eps)?;
-    match client.perturb_batch(tuples, rng) {
-        // Packed end-to-end pipeline; bit-identical to the materialized report path.
-        Ok(batch) => builder.absorb_batch(&batch)?,
-        // Counter space not u32-packable: materialize reports and replay.
-        Err(_) => builder.absorb_all(&client.perturb_all(tuples, rng))?,
-    }
+    builder.absorb_batch(&batch)?;
     Ok(builder.finalize())
 }
 
@@ -638,12 +547,11 @@ pub fn build_edge_sketch_chunked(
     use rand::SeedableRng;
 
     let client = LdpEdgeSketchClient::new(attr_a.clone(), attr_b.clone(), eps)?;
+    // One packed batch and one scatter scratch, reused across every chunk: steady-state
+    // streaming ingestion allocates nothing.
+    let mut batch = ReportBatch::new(attr_a.replicas(), attr_a.buckets() * attr_b.buckets())?;
     let mut builder = EdgeSketchBuilder::new(attr_a.clone(), attr_b.clone(), eps)?;
-    // One packed batch + one scatter scratch + (on the fallback path) one report buffer,
-    // reused across every chunk: steady-state streaming ingestion allocates nothing.
-    let mut batch = ReportBatch::new(attr_a.replicas(), attr_a.buckets() * attr_b.buckets()).ok();
     let mut scratch = Vec::new();
-    let mut reports = Vec::new();
     // Pass-local chunk ordinal, like the one-dimensional runners: `chunk_len()` is only an
     // upper bound, so deriving the ordinal from the start index could collide seeds (and
     // replay a noise stream) on streams emitting non-full mid-stream chunks.
@@ -655,16 +563,9 @@ pub fn build_edge_sketch_chunked(
         }
         let mut rng = StdRng::seed_from_u64(chunk_stream_seed(rng_seed, ordinal));
         ordinal += 1;
-        let result = match batch.as_mut() {
-            Some(batch) => client
-                .perturb_batch_into(chunk, &mut rng, batch)
-                .and_then(|()| builder.absorb_batch_with(batch, &mut scratch)),
-            // Counter space not u32-packable: materialize reports into the reused buffer.
-            None => {
-                client.perturb_all_into(chunk, &mut rng, &mut reports);
-                builder.absorb_all(&reports)
-            }
-        };
+        let result = client
+            .perturb_batch_into(chunk, &mut rng, &mut batch)
+            .and_then(|()| builder.absorb_batch_with(&batch, &mut scratch));
         if let Err(e) = result {
             err = Some(e);
         }

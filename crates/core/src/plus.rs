@@ -52,6 +52,7 @@
 //! [`LdpJoinSketchPlus::estimate_chunked`] runs the same protocol in two bounded-memory
 //! passes over a replayable [`ChunkedValues`] stream.
 
+use ldpjs_common::batch::ReportBatch;
 use ldpjs_common::error::{Error, Result};
 use ldpjs_common::privacy::Epsilon;
 use ldpjs_common::stream::ChunkedValues;
@@ -355,8 +356,8 @@ impl LdpJoinSketchPlus {
                 false,
                 &mut |batch| {
                     low_builder
-                        .absorb_all(&batch.low)
-                        .and_then(|()| high_builder.absorb_all(&batch.high))
+                        .absorb_batch(&batch.low)
+                        .and_then(|()| high_builder.absorb_batch(&batch.high))
                 },
             )?;
             Ok((low_builder.finalize(), high_builder.finalize()))
@@ -445,7 +446,7 @@ impl LdpJoinSketchPlus {
         let fi_set: Arc<HashSet<u64>> = Arc::new(frequent_items.iter().copied().collect());
         let (fap_low, fap_high, _, _) = self.fap_clients(&fi_set);
         let (p1_tag, p2_tag) = (role.phase1_tag(), role.phase2_tag());
-        let mut batch = PlusReportBatch::default();
+        let mut batch = PlusReportBatch::new(cfg.params)?;
         let mut sampled: Vec<u64> = Vec::new();
         // Per-pass chunk ordinals (not `start / chunk_len`): the ChunkedValues contract
         // allows non-full mid-stream chunks, whose start indices would collide and replay
@@ -456,31 +457,36 @@ impl LdpJoinSketchPlus {
             if err.is_some() {
                 return;
             }
-            batch.phase1.clear();
-            batch.low.clear();
-            batch.high.clear();
-            if include_phase1 {
-                sampled.clear();
-                for (offset, &v) in chunk.iter().enumerate() {
-                    if route.route(start + offset as u64) == UserRole::Sample {
-                        sampled.push(v);
-                    }
-                }
-                let mut rng = StdRng::seed_from_u64(chunk_stream_seed(rng_seed ^ p1_tag, ordinal));
-                // Batched two-phase kernel into the reused lane buffer — bit-identical to
-                // perturbing the sampled values one by one.
-                client_p1.perturb_all_into(&sampled, &mut rng, &mut batch.phase1);
-            }
-            let mut rng = StdRng::seed_from_u64(chunk_stream_seed(rng_seed ^ p2_tag, ordinal));
+            let rng_for =
+                |tag: u64| StdRng::seed_from_u64(chunk_stream_seed(rng_seed ^ tag, ordinal));
+            let (mut p1_rng, mut rng) = (rng_for(p1_tag), rng_for(p2_tag));
             ordinal += 1;
-            for (offset, &v) in chunk.iter().enumerate() {
-                match route.route(start + offset as u64) {
-                    UserRole::Sample => {}
-                    UserRole::LowGroup => batch.low.push(fap_low.perturb(v, &mut rng)),
-                    UserRole::HighGroup => batch.high.push(fap_high.perturb(v, &mut rng)),
+            let mut fill = || -> Result<()> {
+                if include_phase1 {
+                    sampled.clear();
+                    for (offset, &v) in chunk.iter().enumerate() {
+                        if route.route(start + offset as u64) == UserRole::Sample {
+                            sampled.push(v);
+                        }
+                    }
+                    client_p1.perturb_batch_into(&sampled, &mut p1_rng, &mut batch.phase1)?;
                 }
-            }
-            if let Err(e) = sink(&batch) {
+                batch.low.clear();
+                batch.high.clear();
+                // Phase 2 keeps one RNG stream over the interleaved users of both groups,
+                // so each user is perturbed on its own and pushed into its group's lane.
+                for (offset, &v) in chunk.iter().enumerate() {
+                    let (client, lane) = match route.route(start + offset as u64) {
+                        UserRole::Sample => continue,
+                        UserRole::LowGroup => (&fap_low, &mut batch.low),
+                        UserRole::HighGroup => (&fap_high, &mut batch.high),
+                    };
+                    let r = client.perturb(v, &mut rng);
+                    lane.push(r.row, r.col, r.y < 0.0)?;
+                }
+                sink(&batch)
+            };
+            if let Err(e) = fill() {
                 err = Some(e);
             }
         });
@@ -504,7 +510,7 @@ impl LdpJoinSketchPlus {
         let tag = role.phase1_tag();
         let mut builder = SketchBuilder::new(cfg.params, cfg.eps, cfg.seed);
         let mut sampled = Vec::new();
-        let mut reports = Vec::new();
+        let mut batch = ReportBatch::new(cfg.params.rows(), cfg.params.columns())?;
         let (mut n_sample, mut n_low, mut n_high) = (0usize, 0usize, 0usize);
         // Seed each chunk's RNG from a per-pass ordinal, not from the start index: the
         // ChunkedValues contract allows non-full chunks, whose start indices would collide
@@ -528,10 +534,10 @@ impl LdpJoinSketchPlus {
             }
             let mut rng = StdRng::seed_from_u64(chunk_stream_seed(rng_seed ^ tag, ordinal));
             ordinal += 1;
-            // Batched two-phase kernel into the reused buffer — bit-identical to perturbing
-            // the sampled values one by one.
-            client_p1.perturb_all_into(&sampled, &mut rng, &mut reports);
-            if let Err(e) = builder.absorb_all(&reports) {
+            let absorbed = client_p1
+                .perturb_batch_into(&sampled, &mut rng, &mut batch)
+                .and_then(|()| builder.absorb_batch(&batch));
+            if let Err(e) = absorbed {
                 err = Some(e);
             }
         });
@@ -726,12 +732,7 @@ fn build_sketch(
     rng: &mut dyn RngCore,
 ) -> Result<FinalizedSketch> {
     let mut builder = SketchBuilder::new(params, eps, seed);
-    match client.perturb_batch(values, rng) {
-        // Packed end-to-end pipeline; bit-identical to the materialized report path.
-        Ok(batch) => builder.absorb_batch(&batch)?,
-        // Counter space not u32-packable: materialize reports and replay.
-        Err(_) => builder.absorb_all(&client.perturb_all(values, rng))?,
-    }
+    builder.absorb_batch(&client.perturb_batch(values, rng)?)?;
     Ok(builder.finalize())
 }
 
@@ -744,10 +745,7 @@ fn build_fap_sketch(
     rng: &mut dyn RngCore,
 ) -> Result<FinalizedSketch> {
     let mut builder = SketchBuilder::new(params, eps, seed);
-    match client.perturb_batch(values, rng) {
-        Ok(batch) => builder.absorb_batch(&batch)?,
-        Err(_) => builder.absorb_all(&client.perturb_all(values, rng))?,
-    }
+    builder.absorb_batch(&client.perturb_batch(values, rng)?)?;
     Ok(builder.finalize())
 }
 
@@ -897,8 +895,11 @@ mod tests {
         // Cross-check against actually-serialized reports: every report of a phase carries
         // that phase's per-report bit count, so the phase total equals the summed sizes.
         let mut rng2 = StdRng::seed_from_u64(99);
-        let sample_reports = client_p1.perturb_all(&a[..r.phase1_users.0], &mut rng2);
-        let summed: u64 = sample_reports.iter().map(|_| client_p1.report_bits()).sum();
+        let summed: u64 = a[..r.phase1_users.0]
+            .iter()
+            .map(|&v| client_p1.perturb(v, &mut rng2))
+            .map(|_| client_p1.report_bits())
+            .sum();
         assert_eq!(summed, client_p1.report_bits() * r.phase1_users.0 as u64);
         // Total bits = bits for every user of both tables, exactly once each.
         assert_eq!(

@@ -19,12 +19,12 @@
 //! [`ldp_join_plus_estimate_chunked`](crate::protocol::ldp_join_plus_estimate_chunked) run
 //! over the concatenated stream.
 
+use ldpjs_common::batch::ReportBatch;
 use ldpjs_common::error::{Error, Result};
 use ldpjs_common::privacy::Epsilon;
 use ldpjs_sketch::SketchParams;
 
 use crate::bounds;
-use crate::client::ClientReport;
 use crate::plus::PlusConfig;
 use crate::server::{DomainIndex, FinalizedSketch, SketchBuilder};
 
@@ -131,21 +131,36 @@ impl FiPolicy {
     }
 }
 
-/// One ingestion batch of plus-protocol reports, labeled by lane. The streaming client
-/// simulation ([`LdpJoinSketchPlus::stream_plus_reports`](crate::plus::LdpJoinSketchPlus::stream_plus_reports))
+/// One ingestion batch of plus-protocol reports: one packed [`ReportBatch`] per lane. The
+/// streaming client simulation
+/// ([`LdpJoinSketchPlus::stream_plus_reports`](crate::plus::LdpJoinSketchPlus::stream_plus_reports))
 /// emits one batch per stream chunk; the online service absorbs each batch into the live
 /// [`PlusStateBuilder`] of the addressed attribute.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct PlusReportBatch {
     /// Phase-1 sample reports (plain LDPJoinSketch encoding).
-    pub phase1: Vec<ClientReport>,
+    pub phase1: ReportBatch,
     /// Phase-2 low-frequency group reports (FAP, `mode == L`).
-    pub low: Vec<ClientReport>,
+    pub low: ReportBatch,
     /// Phase-2 high-frequency group reports (FAP, `mode == H`).
-    pub high: Vec<ClientReport>,
+    pub high: ReportBatch,
 }
 
 impl PlusReportBatch {
+    /// Three empty lanes shaped for a `(k, m)` sketch.
+    ///
+    /// # Errors
+    /// [`Error::InvalidSketchParameter`] if the counter space does not fit packed `u32`
+    /// indices (never for a valid [`SketchParams`]).
+    pub fn new(params: SketchParams) -> Result<Self> {
+        let lane = ReportBatch::new(params.rows(), params.columns())?;
+        Ok(PlusReportBatch {
+            phase1: lane.clone(),
+            low: lane.clone(),
+            high: lane,
+        })
+    }
+
     /// Total reports across the three lanes.
     pub fn len(&self) -> usize {
         self.phase1.len() + self.low.len() + self.high.len()
@@ -219,23 +234,23 @@ impl PlusStateBuilder {
         (&self.phase1, &self.low, &self.high)
     }
 
-    /// Absorb one labeled batch atomically: every lane is validated against its sketch
-    /// before any counter moves, so a rejected batch leaves all three lanes untouched.
-    ///
-    /// The lanes arrive as array-of-structs report vectors, where a fused replay is the
-    /// fastest honest path (see [`SketchBuilder::absorb_all`] for the measurement); the
-    /// cross-lane atomicity requirement forces the validate sweep ahead of the first
-    /// counter move here.
+    /// Absorb one labeled batch atomically: all three lane shapes are checked before any
+    /// counter moves, so a rejected batch leaves every lane untouched.
     ///
     /// # Errors
-    /// [`Error::ReportOutOfRange`] for the first report that does not fit the sketch.
+    /// [`Error::IncompatibleSketches`] if a lane is shaped for another sketch.
     pub fn absorb_batch(&mut self, batch: &PlusReportBatch) -> Result<()> {
-        self.phase1.validate_batch(&batch.phase1)?;
-        self.low.validate_batch(&batch.low)?;
-        self.high.validate_batch(&batch.high)?;
-        self.phase1.accumulate_validated(&batch.phase1);
-        self.low.accumulate_validated(&batch.low);
-        self.high.accumulate_validated(&batch.high);
+        let lanes = [
+            (&mut self.phase1, &batch.phase1),
+            (&mut self.low, &batch.low),
+            (&mut self.high, &batch.high),
+        ];
+        for (builder, reports) in &lanes {
+            builder.check_batch_shape(reports)?;
+        }
+        for (builder, reports) in lanes {
+            builder.absorb_batch(reports)?;
+        }
         Ok(())
     }
 
@@ -511,9 +526,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let values: Vec<u64> = (0..n as u64).map(|v| v % 50).collect();
         PlusReportBatch {
-            phase1: p1.perturb_all(&values[..n / 5], &mut rng),
-            low: low.perturb_all(&values[n / 5..n / 5 + 2 * n / 5], &mut rng),
-            high: high.perturb_all(&values[n / 5 + 2 * n / 5..], &mut rng),
+            phase1: p1.perturb_batch(&values[..n / 5], &mut rng).unwrap(),
+            low: low
+                .perturb_batch(&values[n / 5..n / 5 + 2 * n / 5], &mut rng)
+                .unwrap(),
+            high: high
+                .perturb_batch(&values[n / 5 + 2 * n / 5..], &mut rng)
+                .unwrap(),
         }
     }
 
@@ -560,7 +579,7 @@ mod tests {
         let batch = batch_for(1, 100);
         assert_eq!(batch.len(), 100);
         assert!(!batch.is_empty());
-        assert!(PlusReportBatch::default().is_empty());
+        assert!(PlusReportBatch::new(params()).unwrap().is_empty());
         let mut builder = PlusStateBuilder::new(params(), eps(), 9);
         builder.absorb_batch(&batch).unwrap();
         assert_eq!(builder.reports(), 100);
@@ -570,18 +589,20 @@ mod tests {
     #[test]
     fn rejected_batch_leaves_every_lane_untouched() {
         let mut builder = PlusStateBuilder::new(params(), eps(), 9);
-        let mut batch = batch_for(2, 50);
-        // Poison the *last* lane: absorption must be atomic across lanes, not per lane.
-        batch.high.push(ClientReport {
-            y: 1.0,
-            row: 99,
-            col: 0,
-        });
-        assert!(matches!(
-            builder.absorb_batch(&batch),
-            Err(Error::ReportOutOfRange { .. })
-        ));
-        assert_eq!(builder.reports(), 0);
+        // `ReportBatch::push` rejects an out-of-range report, so the bad lane is one shaped
+        // for another sketch. Poisoning each lane in turn — the *last* one included — checks
+        // that absorption is atomic across lanes, not per lane.
+        let mut wrong = ReportBatch::new(8, 256).unwrap();
+        wrong.push(7, 200, false).unwrap();
+        for lane in 0..3 {
+            let mut batch = batch_for(2, 50);
+            *[&mut batch.phase1, &mut batch.low, &mut batch.high][lane] = wrong.clone();
+            assert!(matches!(
+                builder.absorb_batch(&batch),
+                Err(Error::IncompatibleSketches(_))
+            ));
+            assert_eq!(builder.reports(), 0, "lane {lane}");
+        }
         let domain: Vec<u64> = (0..50).collect();
         let state = builder.finalize(
             FiPolicy {

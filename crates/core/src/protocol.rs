@@ -5,6 +5,7 @@
 //! These helpers bundle that up so call sites stay readable; the individual pieces remain
 //! available for callers that need finer control (e.g. streaming report ingestion).
 
+use ldpjs_common::batch::ReportBatch;
 use ldpjs_common::error::Result;
 use ldpjs_common::privacy::Epsilon;
 use ldpjs_common::stream::ChunkedValues;
@@ -12,7 +13,7 @@ use ldpjs_sketch::SketchParams;
 use rand::RngCore;
 
 use crate::aggregator::ShardedAggregator;
-use crate::client::{chunk_stream_seed, ClientReport, LdpJoinSketchClient};
+use crate::client::{chunk_stream_seed, LdpJoinSketchClient};
 use crate::plus::{LdpJoinSketchPlus, PlusConfig, PlusEstimate};
 use crate::server::{FinalizedSketch, SketchBuilder};
 use std::sync::Arc;
@@ -27,16 +28,16 @@ pub fn build_private_sketch(
     rng: &mut dyn RngCore,
 ) -> Result<FinalizedSketch> {
     let client = LdpJoinSketchClient::new(params, eps, seed);
-    let reports = client.perturb_all(values, rng);
+    let batch = client.perturb_batch(values, rng)?;
     let mut builder = SketchBuilder::new(params, eps, seed);
-    builder.absorb_all(&reports)?;
+    builder.absorb_batch(&batch)?;
     Ok(builder.finalize())
 }
 
 /// Build a [`FinalizedSketch`] with the parallel pipeline: client simulation fans out over
 /// `shards` worker threads with deterministic per-chunk RNG streams (see
-/// [`LdpJoinSketchClient::perturb_all_parallel`]), and the reports are absorbed by a
-/// [`ShardedAggregator`] with `shards` shards.
+/// [`LdpJoinSketchClient::perturb_batch_parallel_into`]), and the packed batch is absorbed
+/// by a [`ShardedAggregator`] with `shards` shards.
 ///
 /// The result depends only on `(values, params, eps, seed, rng_seed)` — never on `shards`
 /// or the machine's thread scheduling: the report stream is chunk-seeded, and sharded
@@ -50,10 +51,11 @@ pub fn build_private_sketch_parallel(
     shards: usize,
 ) -> Result<FinalizedSketch> {
     let client = LdpJoinSketchClient::new(params, eps, seed);
-    let reports = client.perturb_all_parallel(values, rng_seed, shards);
+    let mut batch = ReportBatch::with_capacity(params.rows(), params.columns(), values.len())?;
+    client.perturb_batch_parallel_into(values, rng_seed, shards, &mut batch)?;
     let mut engine =
         ShardedAggregator::with_hashes(params, eps, Arc::clone(client.hashes()), shards)?;
-    engine.ingest(&reports)?;
+    engine.ingest(&batch)?;
     Ok(engine.finalize())
 }
 
@@ -89,17 +91,18 @@ pub fn ldp_join_estimate_parallel(
     sketch_a.join_size(&sketch_b)
 }
 
-/// Replay a bounded-memory value stream as the protocol's perturbed report batches, feeding
+/// Replay a bounded-memory value stream as the protocol's packed report batches, feeding
 /// each batch to `sink`.
 ///
 /// This is the canonical client-simulation pass of the chunked pipeline, exposed so that
 /// *any* report consumer — [`build_private_sketch_chunked`], the online `SketchService`'s
 /// continuous ingestion, a soak driver — sees the exact same report stream for the same
 /// `(client, rng_seed)`: each chunk is perturbed with its own deterministic RNG stream
-/// (seeded from `rng_seed` and the chunk ordinal, like
-/// [`LdpJoinSketchClient::perturb_all_parallel`]), so the stream is thread-count-invariant
-/// and bit-reproducible. A consumer absorbing these batches into exact-counter builders is
-/// therefore bit-identical to the one-shot runners, no matter how it windows the batches.
+/// (seeded from `rng_seed` and the chunk ordinal, and fanned out over `threads` by
+/// [`LdpJoinSketchClient::perturb_batch_parallel_into`]), so the stream is
+/// thread-count-invariant and bit-reproducible. A consumer absorbing these batches into
+/// exact-counter builders is therefore bit-identical to the one-shot runners, no matter how
+/// it windows the batches.
 ///
 /// # Errors
 /// Stops at and returns the first error `sink` reports.
@@ -108,7 +111,7 @@ pub fn stream_reports_chunked(
     client: &LdpJoinSketchClient,
     rng_seed: u64,
     threads: usize,
-    sink: &mut dyn FnMut(&[ClientReport]) -> Result<()>,
+    sink: &mut dyn FnMut(&ReportBatch) -> Result<()>,
 ) -> Result<()> {
     // Pass-local chunk ordinal (not `start / chunk_len`): `chunk_len()` is only an *upper
     // bound* on chunk length, so a custom stream emitting non-full mid-stream chunks would
@@ -116,21 +119,19 @@ pub fn stream_reports_chunked(
     // ordinal equals `start / chunk_len`, so existing pinned seeds are unchanged.
     let mut ordinal = 0u64;
     let mut err = None;
-    // One report buffer reused across every chunk: steady-state streaming perturbs without
-    // allocating a fresh report vector per chunk.
-    let mut reports = Vec::new();
+    // One packed batch reused across every chunk of the stream.
+    let params = client.params();
+    let mut batch = ReportBatch::new(params.rows(), params.columns())?;
     values.for_each_chunk(&mut |_start, chunk| {
         if err.is_some() {
             return;
         }
-        client.perturb_all_parallel_into(
-            chunk,
-            chunk_stream_seed(rng_seed, ordinal),
-            threads,
-            &mut reports,
-        );
+        let seed = chunk_stream_seed(rng_seed, ordinal);
         ordinal += 1;
-        if let Err(e) = sink(&reports) {
+        let streamed = client
+            .perturb_batch_parallel_into(chunk, seed, threads, &mut batch)
+            .and_then(|()| sink(&batch));
+        if let Err(e) = streamed {
             err = Some(e);
         }
     });
@@ -158,8 +159,8 @@ pub fn build_private_sketch_chunked(
     let client = LdpJoinSketchClient::new(params, eps, seed);
     let mut engine =
         ShardedAggregator::with_hashes(params, eps, Arc::clone(client.hashes()), shards)?;
-    stream_reports_chunked(values, &client, rng_seed, shards, &mut |reports| {
-        engine.ingest(reports)
+    stream_reports_chunked(values, &client, rng_seed, shards, &mut |batch| {
+        engine.ingest(batch)
     })?;
     Ok(engine.finalize())
 }
@@ -321,9 +322,9 @@ mod tests {
         let client = LdpJoinSketchClient::new(params, eps, 5);
         let mut consumer = SketchBuilder::new(params, eps, 5);
         let mut batches = 0usize;
-        stream_reports_chunked(&src, &client, 61, 2, &mut |reports| {
+        stream_reports_chunked(&src, &client, 61, 2, &mut |batch| {
             batches += 1;
-            consumer.absorb_all(reports)
+            consumer.absorb_batch(batch)
         })
         .unwrap();
         assert_eq!(batches, values.len().div_ceil(4_096));

@@ -4,12 +4,14 @@
 //! The sketch lifecycle is an explicit two-stage, type-level design:
 //!
 //! * [`SketchBuilder`] is the **mutable accumulation stage**. It absorbs client reports
-//!   (`raw[j, l] += y`), merges with other builders (shards), and stays in the Hadamard
-//!   domain. Because every report contributes exactly `±1` to one counter, the accumulated
-//!   counters are *exact integers* in `f64` — so sharded absorption merged counter-wise is
-//!   bit-for-bit identical to sequential absorption, regardless of how the reports were
-//!   partitioned (integer addition in `f64` is associative as long as counts stay below
-//!   `2^53`, far beyond any realistic report volume).
+//!   (`raw[j, l] += y`) — many at a time as a packed [`ReportBatch`], the only
+//!   multi-report form, or one [`ClientReport`] at a time — merges with other builders
+//!   (shards), and stays in the Hadamard domain. Because every report contributes exactly
+//!   `±1` to one counter, the accumulated counters are *exact integers* in `f64` — so
+//!   sharded absorption merged counter-wise is bit-for-bit identical to sequential
+//!   absorption, regardless of how the reports were partitioned (integer addition in `f64`
+//!   is associative as long as counts stay below `2^53`, far beyond any realistic report
+//!   volume).
 //! * [`FinalizedSketch`] is the **immutable estimation stage**. [`SketchBuilder::finalize`]
 //!   applies the de-bias scale `k·c_ε` (the factor `k` undoes the uniform row sampling,
 //!   `c_ε = (e^ε+1)/(e^ε−1)` undoes the randomized response) and pushes each row back
@@ -74,19 +76,6 @@ impl SketchBuilder {
         }
     }
 
-    /// Build a finalized sketch directly from a batch of client reports (`PriSk` in
-    /// Algorithm 2).
-    pub fn from_reports(
-        params: SketchParams,
-        eps: Epsilon,
-        seed: u64,
-        reports: &[ClientReport],
-    ) -> Result<FinalizedSketch> {
-        let mut builder = Self::new(params, eps, seed);
-        builder.absorb_all(reports)?;
-        Ok(builder.finalize())
-    }
-
     /// Sketch parameters `(k, m)`.
     #[inline]
     pub fn params(&self) -> SketchParams {
@@ -111,11 +100,14 @@ impl SketchBuilder {
         self.reports
     }
 
-    /// Absorb one client report (Algorithm 2, line 4).
+    /// Absorb one client report (Algorithm 2, line 4) — the per-report reference the
+    /// packed [`SketchBuilder::absorb_batch`] is tested against.
     ///
     /// # Errors
-    /// Returns [`Error::ReportOutOfRange`] if the report's indices do not fit this sketch.
+    /// Returns [`Error::ReportOutOfRange`] if the report's indices do not fit this sketch and
+    /// [`Error::InvalidWorkload`] if `y` is not `±1`; the builder is untouched on error.
     pub fn absorb(&mut self, report: ClientReport) -> Result<()> {
+        check_report_sign(report.y)?;
         let (k, m) = (self.params.rows(), self.params.columns());
         if report.row >= k || report.col >= m {
             return Err(Error::ReportOutOfRange {
@@ -130,49 +122,13 @@ impl SketchBuilder {
         Ok(())
     }
 
-    /// Absorb a batch of array-of-structs reports: a single fused validate-and-apply pass,
-    /// with the already-applied prefix rolled back on the cold error path so a rejected
-    /// batch leaves the builder untouched.
+    /// Absorb a packed sign-split report batch — the multi-report ingest form.
     ///
-    /// This *is* the fastest honest path for `&[ClientReport]` input: the 24-byte AoS wire
-    /// shape makes any batched re-bucketing pay a full extra conversion sweep first, and
-    /// measurement (400k reports, k = 18, m = 1024) shows that sweep costs as much as the
-    /// fused replay itself — converting AoS to the packed SoA form never pays. The batched
-    /// histogram kernels win only when reports are *born* packed: clients emit
-    /// [`ReportBatch`]es via `perturb_batch` and servers ingest them zero-copy through
-    /// [`SketchBuilder::absorb_batch`]. Either path is bit-identical to the other (the
-    /// property tests pin this against [`SketchBuilder::absorb`]).
-    ///
-    /// # Errors
-    /// Returns [`Error::ReportOutOfRange`] for the first offending report, if any; the
-    /// builder is untouched on error.
-    pub fn absorb_all(&mut self, reports: &[ClientReport]) -> Result<()> {
-        let (k, m) = (self.params.rows(), self.params.columns());
-        for (i, r) in reports.iter().enumerate() {
-            if r.row >= k || r.col >= m {
-                // Cold path: undo the applied prefix so the rejected batch is a no-op.
-                for applied in &reports[..i] {
-                    self.raw[applied.row * m + applied.col] -= applied.y;
-                }
-                return Err(Error::ReportOutOfRange {
-                    row: r.row,
-                    col: r.col,
-                    rows: k,
-                    cols: m,
-                });
-            }
-            self.raw[r.row * m + r.col] += r.y;
-        }
-        self.reports += reports.len() as u64;
-        Ok(())
-    }
-
-    /// Absorb an already-packed sign-split report batch.
-    ///
-    /// This is the zero-copy ingest entry point for pipelines that carry reports in the
-    /// packed SoA form end to end (batched client perturbation, the sharded aggregation
-    /// engine, the online service). Index validity is a construction invariant of
-    /// [`ReportBatch`], so no per-report validation happens here — only a shape check.
+    /// Clients emit [`ReportBatch`]es directly (`perturb_batch`), so reports stay packed
+    /// from client to counters. Index validity is a construction invariant of
+    /// [`ReportBatch`], so no per-report validation happens here — only a shape check. The
+    /// counters are bit-identical to absorbing the same reports one by one with
+    /// [`SketchBuilder::absorb`], in any order.
     ///
     /// # Errors
     /// Returns [`Error::IncompatibleSketches`] if the batch shape does not match this
@@ -180,18 +136,6 @@ impl SketchBuilder {
     pub fn absorb_batch(&mut self, batch: &ReportBatch) -> Result<()> {
         self.check_batch_shape(batch)?;
         batch.accumulate_into(&mut self.raw);
-        self.reports += batch.len() as u64;
-        Ok(())
-    }
-
-    /// [`SketchBuilder::absorb_batch`] with a caller-owned scratch buffer, the repeated-
-    /// ingest form used by the online service's epoch loop.
-    ///
-    /// # Errors
-    /// Returns [`Error::IncompatibleSketches`] on a shape mismatch.
-    pub fn absorb_batch_with(&mut self, batch: &ReportBatch, scratch: &mut Vec<i32>) -> Result<()> {
-        self.check_batch_shape(batch)?;
-        batch.accumulate_into_with(&mut self.raw, scratch);
         self.reports += batch.len() as u64;
         Ok(())
     }
@@ -210,7 +154,7 @@ impl SketchBuilder {
     }
 
     /// Shape compatibility check for packed-batch ingestion.
-    fn check_batch_shape(&self, batch: &ReportBatch) -> Result<()> {
+    pub(crate) fn check_batch_shape(&self, batch: &ReportBatch) -> Result<()> {
         if batch.rows() != self.params.rows() || batch.columns() != self.params.columns() {
             return Err(Error::IncompatibleSketches(format!(
                 "report batch is {}x{} but the sketch is {}x{}",
@@ -221,17 +165,6 @@ impl SketchBuilder {
             )));
         }
         Ok(())
-    }
-
-    /// Subtract a slice of previously-absorbed, known-valid reports (the sharded engine's
-    /// cold-path rollback when another shard rejects its chunk). Exact-integer counters
-    /// make the subtraction a perfect inverse, bit for bit.
-    pub(crate) fn unabsorb_validated(&mut self, reports: &[ClientReport]) {
-        let m = self.params.columns();
-        for r in reports {
-            self.raw[r.row * m + r.col] -= r.y;
-        }
-        self.reports -= reports.len() as u64;
     }
 
     /// Check every report of a batch against this sketch's dimensions.
@@ -1114,6 +1047,17 @@ pub(crate) fn check_compatible(
     Ok(())
 }
 
+/// Reject a report value other than `±1`: every counter must stay an exact integer report
+/// sum, which a caller-built `NaN`, `0.5` or `1e300` would silently break.
+pub(crate) fn check_report_sign(y: f64) -> Result<()> {
+    if y != 1.0 && y != -1.0 {
+        return Err(Error::InvalidWorkload(format!(
+            "report value y = {y} is not ±1"
+        )));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1151,9 +1095,9 @@ mod tests {
     ) -> FinalizedSketch {
         let client = LdpJoinSketchClient::new(p, e, seed);
         let mut rng = StdRng::seed_from_u64(rng_seed);
-        let reports = client.perturb_all(values, &mut rng);
+        let batch = client.perturb_batch(values, &mut rng).unwrap();
         let mut builder = SketchBuilder::new(p, e, seed);
-        builder.absorb_all(&reports).unwrap();
+        builder.absorb_batch(&batch).unwrap();
         builder.finalize()
     }
 
@@ -1175,7 +1119,6 @@ mod tests {
             col: 64,
         };
         assert!(builder.absorb(bad).is_err());
-        assert!(builder.absorb_all(&[bad]).is_err());
         let good = ClientReport {
             y: -1.0,
             row: 3,
@@ -1188,20 +1131,53 @@ mod tests {
     #[test]
     fn rejected_batch_leaves_builder_untouched() {
         let mut builder = SketchBuilder::new(params(4, 64), eps(1.0), 0);
-        let good = ClientReport {
-            y: 1.0,
-            row: 1,
-            col: 2,
-        };
-        let bad = ClientReport {
-            y: 1.0,
-            row: 9,
-            col: 2,
-        };
-        assert!(builder.absorb_all(&[good, bad]).is_err());
+        // `ReportBatch::push` rejects an out-of-range report, so the bad batch is one
+        // shaped for another sketch.
+        let mut wrong = ReportBatch::new(4, 128).unwrap();
+        wrong.push(1, 2, false).unwrap();
+        wrong.push(3, 100, true).unwrap();
+        assert!(matches!(
+            builder.absorb_batch(&wrong),
+            Err(Error::IncompatibleSketches(_))
+        ));
         assert_eq!(builder.reports(), 0);
         let restored = builder.finalize();
         assert!(restored.restored_counters().iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn rejects_report_values_other_than_unit_signs() {
+        use crate::multiway::{EdgeReport, EdgeSketchBuilder};
+        use ldpjs_sketch::compass::JoinAttribute;
+        let mut builder = SketchBuilder::new(params(4, 64), eps(1.0), 0);
+        builder
+            .absorb(ClientReport {
+                y: -1.0,
+                row: 1,
+                col: 2,
+            })
+            .unwrap();
+        let before = builder.spectrum();
+        let attr = JoinAttribute::from_seed(1, 4, 16);
+        let mut edge = EdgeSketchBuilder::new(attr.clone(), attr, eps(1.0)).unwrap();
+        for y in [f64::NAN, 0.0, 2.0, 1e300] {
+            let err = builder.absorb(ClientReport { y, row: 1, col: 2 });
+            assert!(matches!(err, Err(Error::InvalidWorkload(_))), "y = {y}");
+            let report = EdgeReport {
+                y,
+                replica: 1,
+                col_a: 2,
+                col_b: 3,
+            };
+            assert!(matches!(
+                edge.absorb(report),
+                Err(Error::InvalidWorkload(_))
+            ));
+        }
+        assert_eq!(builder.reports(), 1);
+        assert_eq!(builder.spectrum(), before);
+        assert_eq!(edge.reports(), 0);
+        assert!(edge.finalize().replica(1).iter().all(|&v| v == 0.0));
     }
 
     #[test]
@@ -1289,11 +1265,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(99);
         let mut builder_first = SketchBuilder::new(p, e, 7);
         builder_first
-            .absorb_all(&client.perturb_all(&first, &mut rng))
+            .absorb_batch(&client.perturb_batch(&first, &mut rng).unwrap())
             .unwrap();
-        let suffix_reports = client.perturb_all(&second, &mut rng);
+        let suffix = client.perturb_batch(&second, &mut rng).unwrap();
         let mut builder_suffix = SketchBuilder::new(p, e, 7);
-        builder_suffix.absorb_all(&suffix_reports).unwrap();
+        builder_suffix.absorb_batch(&suffix).unwrap();
         let mut cumulative = builder_first.clone();
         cumulative.merge(&builder_suffix).unwrap();
 
@@ -1323,7 +1299,8 @@ mod tests {
         let mut windows = Vec::new();
         for i in 0..4u64 {
             let mut b = SketchBuilder::new(p, e, 7);
-            b.absorb_all(&client.perturb_all(&skewed_stream(8_000, 500, 50 + i), &mut rng))
+            let values = skewed_stream(8_000, 500, 50 + i);
+            b.absorb_batch(&client.perturb_batch(&values, &mut rng).unwrap())
                 .unwrap();
             windows.push(b);
         }
@@ -1382,7 +1359,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let mut loaded = SketchBuilder::new(p, e, 3);
         loaded
-            .absorb_all(&client.perturb_all(&[1, 2, 3], &mut rng))
+            .absorb_batch(&client.perturb_batch(&[1, 2, 3], &mut rng).unwrap())
             .unwrap();
         // A builder with more reports than `self` cannot be a prefix.
         assert!(empty.difference(&loaded).is_err());
@@ -1706,17 +1683,19 @@ mod tests {
         let client = LdpJoinSketchClient::new(p, e, 77);
         let mut rng = StdRng::seed_from_u64(5);
         let values = skewed_stream(5_000, 200, 8);
-        let reports = client.perturb_all(&values, &mut rng);
-        let (first, second) = reports.split_at(reports.len() / 2);
+        let (first, second) = values.split_at(values.len() / 2);
+        let first = client.perturb_batch(first, &mut rng).unwrap();
+        let second = client.perturb_batch(second, &mut rng).unwrap();
 
         let mut shard_a = SketchBuilder::new(p, e, 77);
-        shard_a.absorb_all(first).unwrap();
+        shard_a.absorb_batch(&first).unwrap();
         let mut shard_b = SketchBuilder::new(p, e, 77);
-        shard_b.absorb_all(second).unwrap();
+        shard_b.absorb_batch(&second).unwrap();
         shard_a.merge(&shard_b).unwrap();
 
         let mut single = SketchBuilder::new(p, e, 77);
-        single.absorb_all(&reports).unwrap();
+        single.absorb_batch(&first).unwrap();
+        single.absorb_batch(&second).unwrap();
 
         assert_eq!(shard_a.reports(), single.reports());
         assert_eq!(
@@ -1733,11 +1712,12 @@ mod tests {
         let e = eps(3.0);
         let client = LdpJoinSketchClient::new(p, e, 21);
         let mut rng = StdRng::seed_from_u64(6);
-        let reports = client.perturb_all(&skewed_stream(3_000, 150, 12), &mut rng);
-        let (first, second) = reports.split_at(1_700);
+        let values = skewed_stream(3_000, 150, 12);
+        let first = client.perturb_batch(&values[..1_700], &mut rng).unwrap();
+        let second = client.perturb_batch(&values[1_700..], &mut rng).unwrap();
 
         let mut builder = SketchBuilder::new(p, e, 21);
-        builder.absorb_all(first).unwrap();
+        builder.absorb_batch(&first).unwrap();
         let view = builder.finalize_view();
         assert_eq!(view.reports(), 1_700);
         assert_eq!(
@@ -1746,9 +1726,10 @@ mod tests {
         );
 
         // The builder keeps accumulating; a later view covers the full stream.
-        builder.absorb_all(second).unwrap();
+        builder.absorb_batch(&second).unwrap();
         let mut single = SketchBuilder::new(p, e, 21);
-        single.absorb_all(&reports).unwrap();
+        single.absorb_batch(&first).unwrap();
+        single.absorb_batch(&second).unwrap();
         assert_eq!(
             builder.finalize_view().restored_counters(),
             single.finalize().restored_counters()
@@ -1773,16 +1754,24 @@ mod tests {
     }
 
     #[test]
-    fn from_reports_equals_incremental_absorption() {
+    fn absorb_batch_equals_incremental_absorption() {
         let p = params(6, 64);
         let e = eps(2.0);
         let client = LdpJoinSketchClient::new(p, e, 3);
+        let values = [1, 2, 3, 4, 5, 6, 7, 8];
+        let mut packed = SketchBuilder::new(p, e, 3);
+        packed
+            .absorb_batch(
+                &client
+                    .perturb_batch(&values, &mut StdRng::seed_from_u64(4))
+                    .unwrap(),
+            )
+            .unwrap();
+        let batch = packed.finalize();
         let mut rng = StdRng::seed_from_u64(4);
-        let reports = client.perturb_all(&[1, 2, 3, 4, 5, 6, 7, 8], &mut rng);
-        let batch = SketchBuilder::from_reports(p, e, 3, &reports).unwrap();
         let mut incremental = SketchBuilder::new(p, e, 3);
-        for &r in &reports {
-            incremental.absorb(r).unwrap();
+        for &v in &values {
+            incremental.absorb(client.perturb(v, &mut rng)).unwrap();
         }
         let incremental = incremental.finalize();
         assert_eq!(batch.restored_counters(), incremental.restored_counters());

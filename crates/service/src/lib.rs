@@ -39,8 +39,9 @@
 //! whichever fires first.
 //!
 //! The crate is deliberately transport-free: report delivery, authentication and wire
-//! decoding happen upstream ([`ClientReport::from_wire`](ldpjs_core::ClientReport)); this
-//! layer owns windowing, retention, merging and query serving.
+//! decoding happen upstream ([`ClientReport::from_wire`](ldpjs_core::ClientReport), then
+//! [`ReportBatch::push`](ldpjs_common::ReportBatch::push) into the packed batches every
+//! ingest takes); this layer owns windowing, retention, merging and query serving.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -87,8 +87,8 @@ pub(crate) struct AttributeInstruments {
     pub ledger_depth: Gauge,
     /// Reports sitting in the live (unsealed) engine.
     pub live_reports: Gauge,
-    /// Engine-level handles (plain attributes only: shard residency, parallel-vs-inline
-    /// path, cross-shard rollback events) — all [`Stability::Environment`].
+    /// Engine-level handles (plain attributes only: shard residency and parallel-vs-inline
+    /// path) — all [`Stability::Environment`].
     pub agg: Option<AggregatorInstruments>,
 }
 
@@ -122,7 +122,6 @@ impl AttributeInstruments {
                 .counter(&labeled("ldpjs_ingest_parallel_batches_total", &a), env),
             inline_batches: telemetry
                 .counter(&labeled("ldpjs_ingest_inline_batches_total", &a), env),
-            rollbacks: telemetry.counter(&labeled("ldpjs_shard_rollback_events_total", &a), env),
         });
         AttributeInstruments {
             reports: counter("ldpjs_ingest_reports_total"),

@@ -13,11 +13,9 @@ use ldpjs_common::error::{Error, Result};
 use ldpjs_common::hash::RowHashes;
 use ldpjs_common::privacy::Epsilon;
 use ldpjs_common::{kernel_dispatch_snapshot, KernelDispatchSnapshot};
-use ldpjs_core::multiway::{
-    EdgeReport, EdgeSketchBuilder, FinalizedEdgeSketch, LdpEdgeSketchClient,
-};
+use ldpjs_core::multiway::{EdgeSketchBuilder, FinalizedEdgeSketch, LdpEdgeSketchClient};
 use ldpjs_core::{
-    bounds, ChainKernel, ClientReport, DomainIndex, FiPolicy, FinalizedPlusState, FinalizedSketch,
+    bounds, ChainKernel, DomainIndex, FiPolicy, FinalizedPlusState, FinalizedSketch,
     LdpJoinSketchClient, PlainKernel, PlusConfig, PlusKernel, PlusReportBatch, PlusStateBuilder,
     ShardedAggregator,
 };
@@ -184,65 +182,45 @@ pub struct IngestSummary {
     pub rotations: u64,
 }
 
-/// The reports of one ingest call, in any of the forms the estimator modes absorb.
+/// The reports of one ingest call, in the packed form the attribute's mode absorbs.
 ///
 /// [`SketchService::ingest`] and [`SketchService::ingest_at`] take `impl Into<Reports>`, so
-/// callers pass a report slice, a `Vec`, or a batch reference directly.
+/// callers pass a batch reference directly.
 #[derive(Debug, Clone, Copy)]
 pub enum Reports<'a> {
-    /// Perturbed plain client reports, one per user (plain attributes).
-    Plain(&'a [ClientReport]),
-    /// A born-packed, sign-split plain report batch (plain attributes).
+    /// A packed, sign-split report batch: plain attributes take one shaped `k × m`, edge
+    /// attributes one shaped `k × (m_A·m_B)`.
     Packed(&'a ReportBatch),
     /// One labeled three-lane LDPJoinSketch+ batch (plus attributes).
     Plus(&'a PlusReportBatch),
-    /// Perturbed edge reports (edge attributes).
-    Edge(&'a [EdgeReport]),
 }
 
 impl Reports<'_> {
     /// Reports carried (all lanes, for plus batches).
     fn len(&self) -> usize {
         match self {
-            Reports::Plain(r) => r.len(),
             Reports::Packed(b) => b.len(),
             Reports::Plus(b) => b.len(),
-            Reports::Edge(r) => r.len(),
         }
     }
 
     fn ingestion(&self) -> &'static str {
         match self {
-            Reports::Plain(_) => "plain report ingestion",
             Reports::Packed(_) => "packed report-batch ingestion",
             Reports::Plus(_) => "plus report-batch ingestion",
-            Reports::Edge(_) => "edge report ingestion",
         }
     }
 }
 
-/// `From<&T> for Reports` for every report container, so `ingest(attr, &reports)` accepts
-/// slices, `Vec`s and batches directly.
-macro_rules! reports_from {
-    ($($variant:ident: $($ty:ty),+;)+) => {$($(
-        impl<'a> From<&'a $ty> for Reports<'a> {
-            fn from(reports: &'a $ty) -> Self {
-                Reports::$variant(reports)
-            }
-        }
-    )+)+};
+impl<'a> From<&'a ReportBatch> for Reports<'a> {
+    fn from(batch: &'a ReportBatch) -> Self {
+        Reports::Packed(batch)
+    }
 }
 
-reports_from! {
-    Plain: [ClientReport], Vec<ClientReport>;
-    Packed: ReportBatch;
-    Plus: PlusReportBatch;
-    Edge: [EdgeReport], Vec<EdgeReport>;
-}
-
-impl<'a, const N: usize> From<&'a [ClientReport; N]> for Reports<'a> {
-    fn from(reports: &'a [ClientReport; N]) -> Self {
-        Reports::Plain(reports)
+impl<'a> From<&'a PlusReportBatch> for Reports<'a> {
+    fn from(batch: &'a PlusReportBatch) -> Self {
+        Reports::Plus(batch)
     }
 }
 
@@ -732,9 +710,9 @@ impl std::fmt::Debug for QueryClock {
 /// let mut rng = StdRng::seed_from_u64(1);
 /// let client = service.client(orders).unwrap();
 /// let values: Vec<u64> = (0..2_000).map(|i| i % 50).collect();
-/// service.ingest(orders, &client.perturb_all(&values, &mut rng)).unwrap();
+/// service.ingest(orders, &client.perturb_batch(&values, &mut rng).unwrap()).unwrap();
 /// let client = service.client(clicks).unwrap();
-/// service.ingest(clicks, &client.perturb_all(&values, &mut rng)).unwrap();
+/// service.ingest(clicks, &client.perturb_batch(&values, &mut rng).unwrap()).unwrap();
 /// service.rotate(orders).unwrap();
 /// service.rotate(clicks).unwrap();
 ///
@@ -990,15 +968,14 @@ impl SketchService {
     /// engine with an explicit clock reading (the injected clock the wall-clock epoch
     /// trigger measures from), then fire whichever epoch trigger is due.
     ///
-    /// The report form must match the attribute's mode: plain attributes take
-    /// [`Reports::Plain`] or [`Reports::Packed`] (bit-identical to each other over the same
-    /// reports), plus attributes [`Reports::Plus`], edge attributes [`Reports::Edge`].
+    /// The report form must match the attribute's mode: plain and edge attributes take
+    /// [`Reports::Packed`], plus attributes [`Reports::Plus`].
     ///
     /// # Errors
     /// [`Error::UnknownAttribute`] for a bad handle; [`Error::ModeMismatch`] if the report
-    /// form does not match the attribute's mode; [`Error::ReportOutOfRange`] or
-    /// [`Error::IncompatibleSketches`] if a report or the batch shape does not fit the
-    /// sketch. A rejected batch is rolled back atomically.
+    /// form does not match the attribute's mode; [`Error::IncompatibleSketches`] if the
+    /// batch (or a plus lane) is shaped for another sketch. A rejected batch leaves the live
+    /// engine untouched.
     pub fn ingest_at<'r>(
         &mut self,
         attr: AttributeId,
@@ -1009,10 +986,9 @@ impl SketchService {
         let idx = attr.index();
         let a = find_mut(&mut self.attributes, attr)?;
         let absorbed = match (&mut a.live, reports) {
-            (LiveEngine::Plain(engine), Reports::Plain(r)) => engine.ingest(r),
-            (LiveEngine::Plain(engine), Reports::Packed(batch)) => engine.ingest_batch(batch),
+            (LiveEngine::Plain(engine), Reports::Packed(batch)) => engine.ingest(batch),
+            (LiveEngine::Edge(builder), Reports::Packed(batch)) => builder.absorb_batch(batch),
             (LiveEngine::Plus(builder), Reports::Plus(batch)) => builder.absorb_batch(batch),
-            (LiveEngine::Edge(builder), Reports::Edge(r)) => builder.absorb_all(r),
             _ => return Err(mode_mismatch(a, reports.ingestion())),
         };
         let n = reports.len() as u64;
@@ -1834,41 +1810,57 @@ mod tests {
         SketchService::new(cfg).unwrap()
     }
 
-    fn reports_for(
+    /// Packed batches of the given sizes, cut in order from one perturbed Zipf stream.
+    fn batches_for(
         service: &SketchService,
         attr: AttributeId,
-        n: usize,
         seed: u64,
-    ) -> Vec<ClientReport> {
+        sizes: &[usize],
+    ) -> Vec<ReportBatch> {
         let gen = ZipfGenerator::new(1.5, 500);
         let mut rng = StdRng::seed_from_u64(seed);
-        let values = gen.sample_many(n, &mut rng);
-        service.client(attr).unwrap().perturb_all(&values, &mut rng)
+        let values = gen.sample_many(sizes.iter().sum(), &mut rng);
+        let client = service.client(attr).unwrap();
+        let mut start = 0;
+        sizes
+            .iter()
+            .map(|&n| {
+                start += n;
+                client
+                    .perturb_batch(&values[start - n..start], &mut rng)
+                    .unwrap()
+            })
+            .collect()
+    }
+
+    fn reports_for(service: &SketchService, attr: AttributeId, n: usize, seed: u64) -> ReportBatch {
+        batches_for(service, attr, seed, &[n]).remove(0)
     }
 
     #[test]
     fn packed_batch_ingestion_matches_report_ingestion_bitwise() {
-        // The zero-copy packed entry point must land on exactly the sketch the AoS report
-        // entry point produces for the same underlying values, and count reports the same.
+        // The packed ingest door must land on exactly the sketch per-report absorption of
+        // the same users produces, and count reports the same.
         let gen = ZipfGenerator::new(1.5, 500);
-        let mut service_a = manual_service(6, 64, 4);
         let mut service_b = manual_service(6, 64, 4);
-        let a = service_a.register_attribute("x", 7).unwrap();
         let b = service_b.register_attribute("x", 7).unwrap();
+        let client = service_b.client(b).unwrap();
+        let cfg = *service_b.config();
+        let mut reference = SketchBuilder::new(cfg.params, cfg.eps, 7);
         for round in 0..3u64 {
             let mut rng = StdRng::seed_from_u64(40 + round);
             let values = gen.sample_many(2_000, &mut rng);
-            let client = service_a.client(a).unwrap();
-            let reports = client.perturb_all(&values, &mut StdRng::seed_from_u64(round));
+            let mut rng = StdRng::seed_from_u64(round);
+            for &v in &values {
+                reference.absorb(client.perturb(v, &mut rng)).unwrap();
+            }
             let batch = client
                 .perturb_batch(&values, &mut StdRng::seed_from_u64(round))
                 .unwrap();
-            service_a.ingest(a, &reports).unwrap();
             service_b.ingest_batch(b, &batch).unwrap();
         }
-        service_a.rotate(a).unwrap();
         service_b.rotate(b).unwrap();
-        let via_reports = service_a.merged_view(a, WindowRange::All).unwrap();
+        let via_reports = reference.finalize();
         let via_batches = service_b.merged_view(b, WindowRange::All).unwrap();
         assert_eq!(via_reports.reports(), via_batches.reports());
         assert_eq!(
@@ -1986,7 +1978,7 @@ mod tests {
         // Unknown handles are rejected everywhere.
         let bogus = AttributeId(99);
         assert!(matches!(
-            service.ingest(bogus, &[]),
+            service.ingest(bogus, &ReportBatch::new(4, 64).unwrap()),
             Err(Error::UnknownAttribute(_))
         ));
         assert!(matches!(
@@ -2006,18 +1998,32 @@ mod tests {
         assert_eq!(service.attribute_mode(plus).unwrap(), "plus");
         assert_eq!(service.attribute_mode(edge).unwrap(), "edge");
 
-        // Ingestion is mode-checked.
+        // Ingestion is mode-checked: a plus batch only fits plus attributes and a packed
+        // batch only plain and edge ones, where a batch of the other shape is refused.
+        let plain_batch = ReportBatch::new(6, 64).unwrap();
+        let plus_batch = PlusReportBatch::new(service.config().params).unwrap();
         assert!(matches!(
-            service.ingest(plus, &[]),
+            service.ingest(plus, &plain_batch),
             Err(Error::ModeMismatch(_))
         ));
+        for attr in [plain, edge] {
+            assert!(matches!(
+                service.ingest_plus(attr, &plus_batch),
+                Err(Error::ModeMismatch(_))
+            ));
+        }
         assert!(matches!(
-            service.ingest_plus(plain, &PlusReportBatch::default()),
-            Err(Error::ModeMismatch(_))
+            service.ingest(edge, &plain_batch),
+            Err(Error::IncompatibleSketches(_))
         ));
+        let edge_batch = service
+            .edge_client(edge)
+            .unwrap()
+            .perturb_batch(&[(1, 2)], &mut StdRng::seed_from_u64(0))
+            .unwrap();
         assert!(matches!(
-            service.ingest(plain, Reports::Edge(&[])),
-            Err(Error::ModeMismatch(_))
+            service.ingest(plain, &edge_batch),
+            Err(Error::IncompatibleSketches(_))
         ));
         // Clients are mode-checked.
         assert!(matches!(service.client(plus), Err(Error::ModeMismatch(_))));
@@ -2079,10 +2085,10 @@ mod tests {
         cfg.epoch_reports = 1_000;
         let mut service = SketchService::new(cfg).unwrap();
         let attr = service.register_attribute("a", 3).unwrap();
-        let reports = reports_for(&service, attr, 2_500, 9);
+        let batches = batches_for(&service, attr, 9, &[400, 400, 400, 400, 400, 400, 100]);
         // Batches of 400: rotations complete at cumulative 1200 and 2400 reports.
         let mut rotations = 0;
-        for batch in reports.chunks(400) {
+        for batch in &batches {
             rotations += service.ingest(attr, batch).unwrap().rotations;
         }
         assert_eq!(rotations, 2);
@@ -2111,11 +2117,11 @@ mod tests {
         cfg.epoch_duration = Some(Duration::from_secs(10));
         let mut service = SketchService::new(cfg).unwrap();
         let attr = service.register_attribute("a", 3).unwrap();
-        let reports = reports_for(&service, attr, 2_600, 9);
+        let batches = batches_for(&service, attr, 9, &[400, 400, 400, 400, 100, 100]);
         let t0 = Instant::now();
 
         // Round 1: the COUNT trigger wins — 3×400 reports land within 2s of wall clock.
-        for (i, batch) in reports[..1_200].chunks(400).enumerate() {
+        for (i, batch) in batches[..3].iter().enumerate() {
             let summary = service
                 .ingest_at(attr, batch, t0 + Duration::from_secs(i as u64))
                 .unwrap();
@@ -2128,7 +2134,7 @@ mod tests {
         // at t+14s (11s after the epoch opened) seals them despite the count being far
         // below threshold. The count trigger's clock restarted with the rotation.
         service
-            .ingest_at(attr, &reports[1_200..1_600], t0 + Duration::from_secs(3))
+            .ingest_at(attr, &batches[3], t0 + Duration::from_secs(3))
             .unwrap();
         assert_eq!(
             service
@@ -2153,10 +2159,10 @@ mod tests {
         // Round 3: the time trigger also fires inline on a slow ingest — a batch arriving
         // 20s after the epoch opened seals it without reaching the count threshold.
         service
-            .ingest_at(attr, &reports[1_600..1_700], t0 + Duration::from_secs(20))
+            .ingest_at(attr, &batches[4], t0 + Duration::from_secs(20))
             .unwrap();
         let summary = service
-            .ingest_at(attr, &reports[1_700..1_800], t0 + Duration::from_secs(31))
+            .ingest_at(attr, &batches[5], t0 + Duration::from_secs(31))
             .unwrap();
         assert_eq!(summary.rotations, 1, "inline time trigger");
         assert_eq!(service.window_count(attr).unwrap(), 3);
@@ -2171,7 +2177,7 @@ mod tests {
         // With no epoch_duration configured the sweep is a no-op.
         let mut quiet = manual_service(6, 64, 4);
         let q = quiet.register_attribute("q", 1).unwrap();
-        quiet.ingest(q, &reports[..100]).unwrap();
+        quiet.ingest(q, &batches[4]).unwrap();
         assert_eq!(
             quiet
                 .rotate_if_elapsed(q, Instant::now() + Duration::from_secs(3_600))
@@ -2184,8 +2190,8 @@ mod tests {
     fn ring_retention_evicts_oldest_windows() {
         let mut service = manual_service(4, 64, 3);
         let attr = service.register_attribute("a", 5).unwrap();
-        let reports = reports_for(&service, attr, 500, 11);
-        for (i, batch) in reports.chunks(100).enumerate() {
+        let batches = batches_for(&service, attr, 11, &[100; 5]);
+        for (i, batch) in batches.iter().enumerate() {
             service.ingest(attr, batch).unwrap();
             assert_eq!(service.rotate(attr).unwrap(), Some(i as u64));
         }
@@ -2201,8 +2207,8 @@ mod tests {
     fn window_merge_is_bit_identical_to_single_pass_aggregation() {
         let mut service = manual_service(8, 128, 8);
         let attr = service.register_attribute("a", 21).unwrap();
-        let reports = reports_for(&service, attr, 5_003, 13);
-        for batch in reports.chunks(1_301) {
+        let batches = batches_for(&service, attr, 13, &[1_301, 1_301, 1_301, 1_100]);
+        for batch in &batches {
             service.ingest(attr, batch).unwrap();
             service.rotate(attr).unwrap();
         }
@@ -2214,7 +2220,9 @@ mod tests {
             Epsilon::new(4.0).unwrap(),
             21,
         );
-        single.absorb_all(&reports).unwrap();
+        for batch in &batches {
+            single.absorb_batch(batch).unwrap();
+        }
         let reference = single.finalize();
         assert_eq!(merged.reports(), reference.reports());
         assert_eq!(merged.restored_counters(), reference.restored_counters());
@@ -2402,7 +2410,7 @@ mod tests {
             let client = service.client(attr).unwrap();
             for chunk in values.chunks(8_192) {
                 service
-                    .ingest(attr, &client.perturb_all(chunk, &mut rng))
+                    .ingest(attr, &client.perturb_batch(chunk, &mut rng).unwrap())
                     .unwrap();
             }
             service.rotate(attr).unwrap();
@@ -2620,7 +2628,7 @@ mod tests {
             let client = service.client(attr).unwrap();
             for half in values.chunks(values.len() / 2 + 1) {
                 service
-                    .ingest(attr, &client.perturb_all(half, &mut rng))
+                    .ingest(attr, &client.perturb_batch(half, &mut rng).unwrap())
                     .unwrap();
                 service.rotate(attr).unwrap();
             }
@@ -2628,7 +2636,7 @@ mod tests {
         let edge_client = service.edge_client(edge).unwrap();
         for part in t2v.chunks(t2v.len() / 3 + 1) {
             service
-                .ingest(edge, &edge_client.perturb_all(part, &mut rng))
+                .ingest(edge, &edge_client.perturb_batch(part, &mut rng).unwrap())
                 .unwrap();
             service.rotate(edge).unwrap();
         }
@@ -2652,7 +2660,10 @@ mod tests {
         assert!(warm.cached);
         assert_eq!(warm.value.to_bits(), cold.value.to_bits());
         service
-            .ingest(edge, &edge_client.perturb_all(&t2v[..100], &mut rng))
+            .ingest(
+                edge,
+                &edge_client.perturb_batch(&t2v[..100], &mut rng).unwrap(),
+            )
             .unwrap();
         service.rotate(edge).unwrap();
         assert!(
@@ -2665,7 +2676,10 @@ mod tests {
         let stranger = service.register_attribute("t4.c", 999).unwrap();
         let client = service.client(stranger).unwrap();
         service
-            .ingest(stranger, &client.perturb_all(&t1v[..100], &mut rng))
+            .ingest(
+                stranger,
+                &client.perturb_batch(&t1v[..100], &mut rng).unwrap(),
+            )
             .unwrap();
         service.rotate(stranger).unwrap();
         assert!(matches!(
@@ -2694,18 +2708,22 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let values = gen.sample_many(n, &mut rng);
             let client = LdpJoinSketchClient::new(params, eps, 77);
-            let reports = client.perturb_all(&values, &mut rng);
+            // The windows perturb consecutive parts of the same stream from this RNG state.
+            let window_rng = rng.clone();
+            let batch = client.perturb_batch(&values, &mut rng).unwrap();
 
             let mut single = SketchBuilder::new(params, eps, 77);
-            single.absorb_all(&reports).unwrap();
+            single.absorb_batch(&batch).unwrap();
             let reference = single.finalize();
 
             for windows in [1usize, 2, 4, 7] {
                 let mut service = manual_service(6, 64, 8);
                 let attr = service.register_attribute("a", 77).unwrap();
                 let per = n.div_ceil(windows);
-                for part in reports.chunks(per) {
-                    service.ingest(attr, part).unwrap();
+                let mut rng = window_rng.clone();
+                for part in values.chunks(per) {
+                    let part = client.perturb_batch(part, &mut rng).unwrap();
+                    service.ingest(attr, &part).unwrap();
                     service.rotate(attr).unwrap();
                 }
                 let merged = service.merged_view(attr, WindowRange::All).unwrap();
@@ -2902,7 +2920,7 @@ mod tests {
         let client = service.client(id).unwrap();
         let mut rng = StdRng::seed_from_u64(11);
         let values: Vec<u64> = (0..100).collect();
-        let good = client.perturb_all(&values, &mut rng);
+        let good = client.perturb_batch(&values, &mut rng).unwrap();
         service.ingest(id, &good).unwrap();
         let name = |base: &str| format!("{base}{{attr=\"t.a\",mode=\"plain\"}}");
         assert_eq!(
@@ -2914,10 +2932,12 @@ mod tests {
             1
         );
 
-        // One report of the batch is unabsorbable; the whole batch must reject atomically
-        // and land only in the rejection/rollback series.
-        let mut bad = good.clone();
-        bad[50].row = 999;
+        // A batch shaped for another sketch is unabsorbable; the whole batch must reject
+        // atomically and land only in the rejection/rollback series.
+        let wider = SketchParams::new(6, 128).unwrap();
+        let bad = LdpJoinSketchClient::new(wider, service.config().eps, 7)
+            .perturb_batch(&values, &mut rng)
+            .unwrap();
         assert!(service.ingest(id, &bad).is_err());
         assert_eq!(
             counter_value(&service, &name("ldpjs_ingest_rollbacks_total")),
@@ -2950,7 +2970,7 @@ mod tests {
         for id in [a, b] {
             let client = service.client(id).unwrap();
             for _ in 0..2 {
-                let reports = client.perturb_all(&values, &mut rng);
+                let reports = client.perturb_batch(&values, &mut rng).unwrap();
                 service.ingest(id, &reports).unwrap();
                 service.rotate(id).unwrap();
             }
@@ -3016,13 +3036,13 @@ mod tests {
         let edge_client = service.edge_client(e).unwrap();
         let tuples: Vec<(u64, u64)> = (0..300).map(|i| (i % 23, i % 17)).collect();
         for _ in 0..2 {
-            let reports = edge_client.perturb_all(&tuples, &mut rng);
+            let reports = edge_client.perturb_batch(&tuples, &mut rng).unwrap();
             service.ingest(e, &reports).unwrap();
             service.rotate(e).unwrap();
         }
         let client = service.client(c).unwrap();
         service
-            .ingest(c, &client.perturb_all(&values, &mut rng))
+            .ingest(c, &client.perturb_batch(&values, &mut rng).unwrap())
             .unwrap();
         service.rotate(c).unwrap();
 
@@ -3098,7 +3118,7 @@ mod tests {
         let values: Vec<u64> = (0..200).collect();
         for id in [a, b] {
             let client = service.client(id).unwrap();
-            let reports = client.perturb_all(&values, &mut rng);
+            let reports = client.perturb_batch(&values, &mut rng).unwrap();
             service.ingest(id, &reports).unwrap();
             service.rotate(id).unwrap();
         }
@@ -3135,7 +3155,7 @@ mod tests {
         let values: Vec<u64> = (0..200).collect();
         for id in [a, b] {
             let client = service.client(id).unwrap();
-            let reports = client.perturb_all(&values, &mut rng);
+            let reports = client.perturb_batch(&values, &mut rng).unwrap();
             service.ingest(id, &reports).unwrap();
             service.rotate(id).unwrap();
         }
@@ -3190,9 +3210,9 @@ mod tests {
                 let values: Vec<u64> = (0..2_000).map(|i| i % 37).collect();
                 for id in [a, b] {
                     let client = service.client(id).unwrap();
-                    let reports = client.perturb_all(&values, &mut rng);
-                    for chunk in reports.chunks(250) {
-                        service.ingest(id, chunk).unwrap();
+                    for chunk in values.chunks(250) {
+                        let batch = client.perturb_batch(chunk, &mut rng).unwrap();
+                        service.ingest(id, &batch).unwrap();
                     }
                 }
                 for _ in 0..3 {

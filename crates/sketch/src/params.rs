@@ -21,8 +21,8 @@ impl SketchParams {
     /// Create sketch parameters with `k` rows and `m` columns.
     ///
     /// # Errors
-    /// Returns [`Error::InvalidSketchParameter`] when `k == 0`, `m == 0`, or `m` is not a
-    /// power of two.
+    /// Returns [`Error::InvalidSketchParameter`] when `k == 0`, `m == 0`, `m` is not a
+    /// power of two, or `k·m` exceeds `u32::MAX`.
     pub fn new(k: usize, m: usize) -> Result<Self> {
         if k == 0 {
             return Err(Error::InvalidSketchParameter(
@@ -32,6 +32,13 @@ impl SketchParams {
         if m == 0 || !m.is_power_of_two() {
             return Err(Error::InvalidSketchParameter(format!(
                 "m (columns) must be a positive power of two for the Hadamard mechanism, got {m}"
+            )));
+        }
+        // Packed report batches address counters by `u32` flat index, so the counter space
+        // must fit one; bounding it here also keeps `counters()` from overflowing.
+        if k.checked_mul(m).is_none_or(|c| u32::try_from(c).is_err()) {
+            return Err(Error::InvalidSketchParameter(format!(
+                "sketch shape {k}x{m} exceeds the u32 counter space of packed report batches"
             )));
         }
         Ok(SketchParams { k, m })
@@ -111,6 +118,13 @@ mod tests {
         assert!(SketchParams::new(0, 1024).is_err());
         assert!(SketchParams::new(18, 0).is_err());
         assert!(SketchParams::new(18, 1000).is_err());
+        // Shapes whose k·m overflows usize or the u32 packed index space.
+        for (k, m) in [(usize::MAX, 2), (1 << 20, 1 << 13)] {
+            assert!(matches!(
+                SketchParams::new(k, m),
+                Err(Error::InvalidSketchParameter(_))
+            ));
+        }
     }
 
     #[test]

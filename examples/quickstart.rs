@@ -3,6 +3,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+use ldp_join_sketch::common::ReportBatch;
 use ldp_join_sketch::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -74,20 +75,23 @@ fn main() {
     );
 
     // 5. At production scale the aggregator ingests reports in parallel: the client
-    //    simulation fans out over worker threads with deterministic per-chunk RNG streams,
-    //    and a ShardedAggregator absorbs the stream across shards. The merged result is
-    //    bit-for-bit identical to sequential absorption, so parallelism never costs
-    //    reproducibility.
+    //    simulation fans out over worker threads with deterministic per-chunk RNG streams
+    //    into one packed report batch, and a ShardedAggregator absorbs it across shards.
+    //    The merged result is bit-for-bit identical to one builder absorbing the batch,
+    //    so parallelism never costs reproducibility.
     let client = LdpJoinSketchClient::new(params, eps, hash_seed);
-    let reports = client.perturb_all_parallel(&workload.table_a, 7, 4);
+    let mut reports = ReportBatch::new(params.rows(), params.columns()).expect("valid sketch");
+    client
+        .perturb_batch_parallel_into(&workload.table_a, 7, 4, &mut reports)
+        .expect("batch shaped for the client's sketch");
     let mut engine = ShardedAggregator::new(params, eps, hash_seed, 4).expect("valid shard count");
-    engine.ingest(&reports).expect("reports fit the sketch");
+    engine.ingest(&reports).expect("batch fits the sketch");
     let sharded = engine.finalize();
 
     let mut sequential = SketchBuilder::new(params, eps, hash_seed);
     sequential
-        .absorb_all(&reports)
-        .expect("reports fit the sketch");
+        .absorb_batch(&reports)
+        .expect("batch fits the sketch");
     let sequential = sequential.finalize();
     assert_eq!(sharded.restored_counters(), sequential.restored_counters());
     println!(

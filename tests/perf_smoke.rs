@@ -59,8 +59,10 @@ fn plain_service() -> (SketchService, AttributeId, AttributeId) {
     for attr in [a, b] {
         let client = service.client(attr).unwrap();
         for _ in 0..WINDOWS {
-            let reports = client.perturb_all(&gen.sample_many(N_WINDOW, &mut rng), &mut rng);
-            service.ingest(attr, &reports).unwrap();
+            let batch = client
+                .perturb_batch(&gen.sample_many(N_WINDOW, &mut rng), &mut rng)
+                .unwrap();
+            service.ingest(attr, &batch).unwrap();
             service.rotate(attr).unwrap();
         }
     }
@@ -133,8 +135,8 @@ fn batched_sharded_ingest_is_at_least_4x_scalar_absorb() {
     }
 
     // Pinned 400k-report workload on the same smoke shape as the query gate. The packed
-    // batch is what the batched client hands over natively (`perturb_batch`), so the two
-    // measured sides see the same reports in the two wire shapes the engine accepts.
+    // batch is what the client hands over natively (`perturb_batch`); the frozen baseline
+    // takes one `ClientReport` per user, drawn here with per-value `perturb`.
     let n = 400_000usize;
     let p = pinned_params();
     let e = pinned_eps();
@@ -142,7 +144,10 @@ fn batched_sharded_ingest_is_at_least_4x_scalar_absorb() {
     let gen = ZipfGenerator::new(2.0, 4_096);
     let mut rng = rand::rngs::StdRng::seed_from_u64(32);
     let values = gen.sample_many(n, &mut rng);
-    let reports = client.perturb_all(&values, &mut rng);
+    let reports: Vec<ClientReport> = values
+        .iter()
+        .map(|&v| client.perturb(v, &mut rng))
+        .collect();
     let batch = client.perturb_batch(&values, &mut rng).unwrap();
 
     // Frozen scalar baseline: the engine's pre-batching ingest implementation (one
@@ -159,7 +164,7 @@ fn batched_sharded_ingest_is_at_least_4x_scalar_absorb() {
     // histogram scatter and the SIMD drain kernels.
     let mut engine = ShardedAggregator::new(p, e, 31, 4).unwrap();
     let batched_ns = median_ns(|| {
-        engine.ingest_batch(&batch).unwrap();
+        engine.ingest(&batch).unwrap();
         std::hint::black_box(engine.reports());
     });
 
@@ -211,19 +216,18 @@ fn telemetry_overhead_on_packed_ingest_is_at_most_3_percent() {
             .collect(),
         parallel_batches: telemetry.counter("smoke_parallel_batches", Stability::Environment),
         inline_batches: telemetry.counter("smoke_inline_batches", Stability::Environment),
-        rollbacks: telemetry.counter("smoke_rollbacks", Stability::Environment),
     };
 
     let mut bare = ShardedAggregator::new(p, e, 31, shards).unwrap();
     let bare_ns = median_ns(|| {
-        bare.ingest_batch(&batch).unwrap();
+        bare.ingest(&batch).unwrap();
         std::hint::black_box(bare.reports());
     });
 
     let mut wired = ShardedAggregator::new(p, e, 31, shards).unwrap();
     wired.set_instruments(Some(instruments));
     let wired_ns = median_ns(|| {
-        wired.ingest_batch(&batch).unwrap();
+        wired.ingest(&batch).unwrap();
         std::hint::black_box(wired.reports());
     });
 
