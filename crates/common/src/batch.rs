@@ -179,28 +179,9 @@ impl ReportBatch {
         Ok(())
     }
 
-    /// Reports in shard `shard` of a contiguous `shards`-way split (both sign lanes are
-    /// split independently into `ceil(len/shards)`-sized chunks, mirroring the sharded
-    /// aggregation engine's chunking of report slices).
-    pub fn shard_len(&self, shard: usize, shards: usize) -> usize {
-        shard_chunk(&self.lanes[0], shard, shards).len()
-            + shard_chunk(&self.lanes[1], shard, shards).len()
-    }
-
-    /// Accumulate every report into `counters` (`counters[idx] += ±1.0`, net-delta form).
-    ///
-    /// Allocates a transient scratch for large batches; prefer
-    /// [`ReportBatch::accumulate_into_with`] with a reused scratch on repeated calls.
-    ///
-    /// # Panics
-    /// Panics if `counters.len() != rows·cols`.
-    pub fn accumulate_into(&self, counters: &mut [f64]) {
-        let mut scratch = Vec::new();
-        self.accumulate_into_with(counters, &mut scratch);
-    }
-
-    /// [`ReportBatch::accumulate_into`] with a caller-owned scratch buffer (resized and
-    /// zeroed as needed, left zeroed afterwards so it can be handed straight back in).
+    /// Accumulate every report into `counters` (`counters[idx] += ±1.0`, net-delta form)
+    /// through a caller-owned scratch buffer (resized and zeroed as needed, left zeroed
+    /// afterwards so it can be handed straight back in).
     ///
     /// # Panics
     /// Panics if `counters.len() != rows·cols`.
@@ -210,68 +191,32 @@ impl ReportBatch {
             self.rows * self.cols,
             "counter array does not match the batch shape"
         );
-        accumulate(&self.lanes[0], &self.lanes[1], counters, scratch);
-    }
-
-    /// Accumulate only shard `shard` of a `shards`-way split (see
-    /// [`ReportBatch::shard_len`]) — the parallel fan-out hook of the sharded aggregator.
-    ///
-    /// # Panics
-    /// Panics if `counters.len() != rows·cols`.
-    pub fn accumulate_shard_into_with(
-        &self,
-        shard: usize,
-        shards: usize,
-        counters: &mut [f64],
-        scratch: &mut Vec<i32>,
-    ) {
-        assert_eq!(
-            counters.len(),
-            self.rows * self.cols,
-            "counter array does not match the batch shape"
-        );
-        accumulate(
-            shard_chunk(&self.lanes[0], shard, shards),
-            shard_chunk(&self.lanes[1], shard, shards),
-            counters,
-            scratch,
-        );
-    }
-}
-
-/// Contiguous chunk `shard` of a `shards`-way split of `lane` (empty when out of range).
-fn shard_chunk(lane: &[u32], shard: usize, shards: usize) -> &[u32] {
-    let chunk = lane.len().div_ceil(shards.max(1)).max(1);
-    let start = (shard * chunk).min(lane.len());
-    let end = ((shard + 1) * chunk).min(lane.len());
-    &lane[start..end]
-}
-
-/// The shared accumulate body: small batches scatter `±1.0` straight into the counters,
-/// large ones take the i32-scratch histogram + vectorized drain. Bit-identical either way
-/// (see the module docs).
-fn accumulate(plus: &[u32], minus: &[u32], counters: &mut [f64], scratch: &mut Vec<i32>) {
-    let n = plus.len() + minus.len();
-    if n == 0 {
-        return;
-    }
-    if n < counters.len() / SCRATCH_CUTOFF_DIVISOR {
-        for &idx in plus {
-            counters[idx as usize] += 1.0;
+        // Small batches scatter `±1.0` straight into the counters, large ones take the
+        // i32-scratch histogram + vectorized drain. Bit-identical either way (see the
+        // module docs).
+        let [plus, minus] = &self.lanes;
+        let n = plus.len() + minus.len();
+        if n == 0 {
+            return;
         }
-        for &idx in minus {
-            counters[idx as usize] -= 1.0;
+        if n < counters.len() / SCRATCH_CUTOFF_DIVISOR {
+            for &idx in plus {
+                counters[idx as usize] += 1.0;
+            }
+            for &idx in minus {
+                counters[idx as usize] -= 1.0;
+            }
+            return;
         }
-        return;
+        if scratch.len() != counters.len() {
+            scratch.clear();
+            scratch.resize(counters.len(), 0);
+        }
+        debug_assert_eq!(scratch.len(), counters.len());
+        scatter_lane(scratch, plus, 1);
+        scatter_lane(scratch, minus, -1);
+        drain_dispatch(counters, scratch);
     }
-    if scratch.len() != counters.len() {
-        scratch.clear();
-        scratch.resize(counters.len(), 0);
-    }
-    debug_assert_eq!(scratch.len(), counters.len());
-    scatter_lane(scratch, plus, 1);
-    scatter_lane(scratch, minus, -1);
-    drain_dispatch(counters, scratch);
 }
 
 /// Histogram one sign lane into the scratch, four interleaved streams to break
@@ -485,7 +430,7 @@ mod tests {
             }
             assert_eq!(batch.len(), n);
             let mut counters = vec![0.0; rows * cols];
-            batch.accumulate_into(&mut counters);
+            batch.accumulate_into_with(&mut counters, &mut Vec::new());
             let reference = reference_counters(&reports, rows, cols);
             for (i, (a, b)) in counters.iter().zip(reference.iter()).enumerate() {
                 assert_eq!(
@@ -493,30 +438,6 @@ mod tests {
                     b.to_bits(),
                     "counter {i} at shape {rows}x{cols}"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_accumulation_covers_every_report_exactly_once() {
-        let (rows, cols, n) = (7, 32, 5000);
-        let reports = pseudo_reports(n, rows, cols, 42);
-        let mut batch = ReportBatch::new(rows, cols).unwrap();
-        for &(r, c, neg) in &reports {
-            batch.push(r, c, neg).unwrap();
-        }
-        let reference = reference_counters(&reports, rows, cols);
-        for shards in [1usize, 2, 4, 7, 13] {
-            let mut counters = vec![0.0; rows * cols];
-            let mut scratch = Vec::new();
-            let mut total = 0;
-            for shard in 0..shards {
-                total += batch.shard_len(shard, shards);
-                batch.accumulate_shard_into_with(shard, shards, &mut counters, &mut scratch);
-            }
-            assert_eq!(total, n, "{shards} shards");
-            for (a, b) in counters.iter().zip(reference.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{shards} shards");
             }
         }
     }

@@ -1,25 +1,29 @@
-//! The parallel sharded ingestion engine.
+//! The sharded ingestion engine.
 //!
-//! LDPJoinSketch is linear in its reports ([`SketchBuilder::merge`]), so an aggregator under
-//! heavy report traffic can shard: [`ShardedAggregator`] owns `N` [`SketchBuilder`] shards,
-//! splits every incoming packed [`ReportBatch`] into contiguous per-lane chunks, and
-//! scatters the chunks on scoped worker threads (`std::thread::scope` — no report ever
-//! leaves the caller's borrow). Index validity is a construction invariant of the batch, so
-//! the only check is one shape check up front; a rejected batch touches no shard.
+//! LDPJoinSketch is linear in its reports ([`SketchBuilder::merge`]), so an aggregator's
+//! state can be held in `N` [`SketchBuilder`] shards and merged exactly at the end.
+//! [`ShardedAggregator::ingest`] absorbs every packed [`ReportBatch`] into shard 0 on the
+//! caller thread, through one reusable `i32` scatter scratch: the server side of Alg. 2
+//! adds `±1` to one counter per report, so an 8,192-report batch is about 13 µs of scatter
+//! and drain, while spawning and joining one scoped thread per shard cost about 45 µs per
+//! batch and never won at any batch size on a 2-vCPU x86-64 host. Index validity is a
+//! construction invariant of the batch, so the only check is one shape check up front; a
+//! rejected batch touches no shard. Only the frozen [`ShardedAggregator::ingest_reference`]
+//! path still splits its AoS reports over the `N` shards on scoped worker threads.
 //!
 //! **Determinism guarantee:** the shards' counters are exact integer report sums (every
 //! report contributes `±1` to exactly one counter), so counter-wise merging is associative
 //! with no floating-point rounding. [`ShardedAggregator::finalize`] therefore produces
 //! restored counters **bit-for-bit identical** to a single [`SketchBuilder`] absorbing the
-//! same reports sequentially — for any shard count, any batch sizes, and any thread
-//! interleaving. `crate::aggregator::tests` enforces this across shard counts and odd batch
+//! same reports sequentially — for any shard count, any batch sizes, and any mix of the two
+//! ingest paths. `crate::aggregator::tests` enforces this across shard counts and odd batch
 //! sizes.
 
 use ldpjs_common::batch::ReportBatch;
 use ldpjs_common::error::{Error, Result};
 use ldpjs_common::hash::RowHashes;
 use ldpjs_common::privacy::Epsilon;
-use ldpjs_metrics::telemetry::{Counter, Gauge};
+use ldpjs_metrics::telemetry::Counter;
 use ldpjs_sketch::SketchParams;
 use std::sync::Arc;
 
@@ -28,32 +32,20 @@ use crate::server::{FinalizedSketch, SketchBuilder};
 
 /// Telemetry handles an owner (typically the online service) attaches to a live engine.
 ///
-/// Every handle is a pre-registered shared cell, so the hot path records with a couple of
-/// relaxed atomic ops and no lock. All of these are *environment* metrics by nature — how
-/// work splits across shards and whether the fan-out path runs at all depend on the
-/// machine, not the workload seed — so owners should register them with
-/// `Stability::Environment`.
+/// Every handle is a pre-registered shared cell, so the hot path records with one relaxed
+/// atomic op and no lock. Owners should register them with `Stability::Environment`: they
+/// describe the ingest path, not the report stream.
 #[derive(Debug, Clone, Default)]
 pub struct AggregatorInstruments {
-    /// Cumulative reports resident in each shard, updated after every successful ingest.
-    /// Indexed by shard; extra shards beyond the vector's length go uncounted.
-    pub shard_reports: Vec<Gauge>,
-    /// Batches absorbed via the scoped-thread fan-out path.
+    /// Batches absorbed via a scoped-thread fan-out. [`ShardedAggregator::ingest`] absorbs
+    /// every batch on the caller thread, so this counter never moves; it is kept so that
+    /// readers of the series (the service exports it) keep working and read 0.
     pub parallel_batches: Counter,
-    /// Batches absorbed inline on the caller thread (single shard or single CPU).
+    /// Batches absorbed inline on the caller thread: every accepted one.
     pub inline_batches: Counter,
 }
 
-impl AggregatorInstruments {
-    /// Refresh the per-shard residency gauges from the engine's shards.
-    fn observe_shards(&self, shards: &[SketchBuilder]) {
-        for (gauge, shard) in self.shard_reports.iter().zip(shards) {
-            gauge.set(shard.reports());
-        }
-    }
-}
-
-/// A parallel, sharded report-ingestion engine producing a [`FinalizedSketch`].
+/// A sharded report-ingestion engine producing a [`FinalizedSketch`].
 ///
 /// ```
 /// use ldpjs_core::aggregator::ShardedAggregator;
@@ -76,15 +68,9 @@ impl AggregatorInstruments {
 #[derive(Debug)]
 pub struct ShardedAggregator {
     shards: Vec<SketchBuilder>,
-    /// One reusable scatter scratch per shard, so repeated batched ingests on a long-lived
+    /// The reusable scatter scratch of packed ingest, so repeated batches on a long-lived
     /// engine allocate nothing in steady state.
-    scratches: Vec<Vec<i32>>,
-    /// Whether spawning worker threads can actually overlap work, cached at construction
-    /// (`std::thread::available_parallelism` reads cgroup state — not a hot-path call).
-    /// On a single-CPU host the scoped fan-out only adds spawn/join latency, so the
-    /// engine runs its shards on the caller thread instead; the result is bit-identical
-    /// either way because shard counters are merged by exact integer addition.
-    parallel: bool,
+    scratch: Vec<i32>,
     /// Attached telemetry handles; `None` (the default) keeps every ingest path free of
     /// even the relaxed-atomic accounting, which is what the `telemetry_overhead` bench
     /// lane measures the instrumented path against.
@@ -93,6 +79,8 @@ pub struct ShardedAggregator {
 
 impl ShardedAggregator {
     /// Create an engine with `num_shards` shards sharing a hash family derived from `seed`.
+    /// The shard count only splits [`ShardedAggregator::ingest_reference`]; packed batches
+    /// all land in shard 0.
     ///
     /// # Errors
     /// Returns [`Error::InvalidWorkload`] if `num_shards` is zero.
@@ -119,28 +107,17 @@ impl ShardedAggregator {
         let shards: Vec<SketchBuilder> = (0..num_shards)
             .map(|_| SketchBuilder::with_hashes(params, eps, Arc::clone(&hashes)))
             .collect();
-        let scratches = vec![Vec::new(); num_shards];
-        let parallel =
-            num_shards > 1 && std::thread::available_parallelism().is_ok_and(|p| p.get() > 1);
         Ok(ShardedAggregator {
             shards,
-            scratches,
-            parallel,
+            scratch: Vec::new(),
             instruments: None,
         })
     }
 
     /// Attach (or with `None`, detach) telemetry handles. Uninstrumented engines pay
-    /// nothing; instrumented ones pay a few relaxed atomic ops per ingest call.
+    /// nothing; instrumented ones pay one relaxed atomic op per ingest call.
     pub fn set_instruments(&mut self, instruments: Option<AggregatorInstruments>) {
         self.instruments = instruments;
-    }
-
-    /// Whether this engine absorbs multi-shard batches on worker threads (`true`) or
-    /// inline on the caller thread (`false`: single shard, or a single-CPU host).
-    #[inline]
-    pub fn is_parallel(&self) -> bool {
-        self.parallel
     }
 
     /// Number of shards.
@@ -187,65 +164,33 @@ impl ShardedAggregator {
         Ok(())
     }
 
-    /// Absorb a packed sign-split report batch, fanned out across the shards.
+    /// Absorb a packed sign-split report batch on the caller thread.
     ///
-    /// Each scoped worker thread scatters its contiguous shard of the batch through the
-    /// interleaved histogram kernel into its own counters, reusing a per-shard scratch
-    /// buffer so steady-state ingestion allocates nothing. Index validity is a construction
-    /// invariant of [`ReportBatch`], so the only check here is the shape check. The result
-    /// is bit-for-bit the one a single [`SketchBuilder::absorb_batch`] would produce.
+    /// The batch is scattered through the interleaved histogram kernel into shard 0,
+    /// reusing the engine's scratch so steady-state ingestion allocates nothing. Index
+    /// validity is a construction invariant of [`ReportBatch`], so the only check here is
+    /// the shape check. The result is bit-for-bit the one a single
+    /// [`SketchBuilder::absorb_batch`] would produce.
     ///
     /// # Errors
     /// Returns [`Error::IncompatibleSketches`] if the batch shape does not match the sketch;
     /// the engine is untouched in that case.
     pub fn ingest(&mut self, batch: &ReportBatch) -> Result<()> {
-        let (k, m) = (self.params().rows(), self.params().columns());
-        if batch.rows() != k || batch.columns() != m {
-            return Err(Error::IncompatibleSketches(format!(
-                "report batch is {}x{} but the engine's sketch is {k}x{m}",
-                batch.rows(),
-                batch.columns(),
-            )));
-        }
-        if batch.is_empty() {
-            return Ok(());
-        }
-        let shards = self.shards.len();
-        if !self.parallel {
-            // One CPU: run the shard kernels back to back on the caller thread — same
-            // counters (exact-integer merge), none of the spawn/join latency.
-            let (shard, scratch) = (&mut self.shards[0], &mut self.scratches[0]);
-            shard.accumulate_batch_shard(batch, 0, 1, scratch);
-            if let Some(inst) = &self.instruments {
-                inst.inline_batches.inc();
-                inst.observe_shards(&self.shards);
-            }
-            return Ok(());
-        }
-        std::thread::scope(|scope| {
-            for (i, (shard, scratch)) in self
-                .shards
-                .iter_mut()
-                .zip(self.scratches.iter_mut())
-                .enumerate()
-            {
-                scope.spawn(move || shard.accumulate_batch_shard(batch, i, shards, scratch));
-            }
-        });
+        self.shards[0].absorb_batch_with(batch, &mut self.scratch)?;
         if let Some(inst) = &self.instruments {
-            inst.parallel_batches.inc();
-            inst.observe_shards(&self.shards);
+            inst.inline_batches.inc();
         }
         Ok(())
     }
 
     /// Seal the engine into a single merged [`SketchBuilder`] via the public
-    /// [`SketchBuilder::merge`]: counter-wise exact integer addition over the shards, so the
-    /// result is bit-for-bit the builder a sequential absorption would have produced.
+    /// [`SketchBuilder::merge`]: counter-wise exact integer addition over the shards that
+    /// absorbed reports, so the result is bit-for-bit the builder a sequential absorption
+    /// would have produced. Empty shards are skipped: their counters are all `+0.0`, which
+    /// leaves every counter unchanged (none can be `−0.0`), and reading them would only
+    /// fault in pages packed ingest never wrote.
     ///
-    /// This is the epoch-rotation hook of the online sketch service: a sealed window keeps
-    /// the merged builder (still mergeable with other windows, still exact) instead of — or
-    /// alongside — the finalized estimation view.
+    /// This is the epoch-rotation hook of the online sketch service.
     pub fn into_builder(self) -> SketchBuilder {
         let mut shards = self.shards.into_iter();
         let mut merged = shards
@@ -253,7 +198,7 @@ impl ShardedAggregator {
             // lint:allow(panic-freedom) — invariant: `with_hashes` rejects zero shards,
             // so the engine always holds at least one.
             .expect("engine always holds at least one shard");
-        for shard in shards {
+        for shard in shards.filter(|s| s.reports() > 0) {
             merged
                 .merge(&shard)
                 // lint:allow(panic-freedom) — invariant: every shard is cloned from one
@@ -329,7 +274,7 @@ mod tests {
     #[test]
     fn sharded_ingestion_is_bit_for_bit_identical_to_sequential() {
         // Property-style sweep: for every shard count and (odd and awkward) report count,
-        // the parallel sharded path must produce restored counters bit-for-bit identical to
+        // the sharded engine must produce restored counters bit-for-bit identical to
         // a single builder absorbing the same batch. This is the determinism guarantee the
         // engine's exact-integer counter representation provides.
         let p = params(8, 128);
@@ -427,59 +372,81 @@ mod tests {
     }
 
     #[test]
+    fn reference_and_packed_ingest_merge_every_shard() {
+        // `ingest_reference` spreads its AoS chunks over every shard; packed `ingest` then
+        // adds a second stream to shard 0. Sealing must merge all of them: an
+        // `into_builder` that kept only shard 0 would lose the reference chunks.
+        let p = params(8, 128);
+        let e = eps(3.0);
+        for &shards in &[2usize, 4, 7] {
+            let reports = reports_for(1_003, p, e, 40 + shards as u64);
+            let batch = batch_for(777, p, e, 50 + shards as u64);
+            let mut engine = ShardedAggregator::new(p, e, 77, shards).unwrap();
+            engine.ingest_reference(&reports).unwrap();
+            engine.ingest(&batch).unwrap();
+            assert_eq!(engine.reports(), 1_003 + 777);
+
+            let mut single = SketchBuilder::new(p, e, 77);
+            for &r in &reports {
+                single.absorb(r).unwrap();
+            }
+            single.absorb_batch(&batch).unwrap();
+            let sealed = engine.into_builder();
+            assert_eq!(sealed.reports(), single.reports(), "shards={shards}");
+            let restored = sealed.finalize();
+            let expected = single.finalize();
+            let bits = |c: &[f64]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(restored.restored_counters()),
+                bits(expected.restored_counters()),
+                "shards={shards}: sealing dropped or altered a shard"
+            );
+        }
+    }
+
+    #[test]
     fn instruments_count_batches_without_changing_results() {
         use ldpjs_metrics::telemetry::{Stability, Telemetry};
         let p = params(6, 64);
         let e = eps(2.0);
-        let telemetry = Telemetry::new();
-        let shards = 3usize;
-        let inst = AggregatorInstruments {
-            shard_reports: (0..shards)
-                .map(|i| {
-                    telemetry.gauge(
-                        &format!("agg_shard_reports{{shard=\"{i}\"}}"),
-                        Stability::Environment,
-                    )
-                })
-                .collect(),
-            parallel_batches: telemetry
-                .counter("agg_parallel_batches_total", Stability::Environment),
-            inline_batches: telemetry.counter("agg_inline_batches_total", Stability::Environment),
-        };
-        let batch = batch_for(500, p, e, 21);
-        let mut engine = ShardedAggregator::new(p, e, 21, shards).unwrap();
-        engine.set_instruments(Some(inst.clone()));
-        engine.ingest(&batch).unwrap();
-        assert_eq!(
-            inst.parallel_batches.get() + inst.inline_batches.get(),
-            1,
-            "one batch lands on exactly one path"
-        );
-        let resident: u64 = inst.shard_reports.iter().map(Gauge::get).sum();
-        assert_eq!(
-            resident, 500,
-            "shard residency gauges must sum to the batch"
-        );
+        for &shards in &[1usize, 2, 4, 7] {
+            let telemetry = Telemetry::new();
+            let inst = AggregatorInstruments {
+                parallel_batches: telemetry
+                    .counter("agg_parallel_batches_total", Stability::Environment),
+                inline_batches: telemetry
+                    .counter("agg_inline_batches_total", Stability::Environment),
+            };
+            let batches = [batch_for(500, p, e, 21), batch_for(3, p, e, 23)];
+            let mut engine = ShardedAggregator::new(p, e, 21, shards).unwrap();
+            engine.set_instruments(Some(inst.clone()));
+            for (i, batch) in batches.iter().enumerate() {
+                engine.ingest(batch).unwrap();
+                assert_eq!(
+                    inst.inline_batches.get(),
+                    i as u64 + 1,
+                    "shards={shards}: every accepted batch counts once inline"
+                );
+                assert_eq!(inst.parallel_batches.get(), 0, "shards={shards}");
+            }
 
-        // A rejected batch counts on neither path and leaves the gauges and the engine
-        // untouched.
-        let wrong = pack(&reports_for(100, p, e, 22), 6, 128);
-        assert!(engine.ingest(&wrong).is_err());
-        assert_eq!(engine.reports(), 500);
-        assert_eq!(inst.parallel_batches.get() + inst.inline_batches.get(), 1);
-        let resident: u64 = inst.shard_reports.iter().map(Gauge::get).sum();
-        assert_eq!(
-            resident, 500,
-            "a rejected batch must not move residency gauges"
-        );
+            // A rejected batch counts on neither path and leaves the engine untouched.
+            let wrong = pack(&reports_for(100, p, e, 22), 6, 128);
+            assert!(engine.ingest(&wrong).is_err());
+            assert_eq!(engine.reports(), 503);
+            assert_eq!(inst.inline_batches.get(), 2, "shards={shards}");
+            assert_eq!(inst.parallel_batches.get(), 0, "shards={shards}");
 
-        // The uninstrumented engine produces bit-identical results.
-        let mut plain = ShardedAggregator::new(p, e, 21, shards).unwrap();
-        plain.ingest(&batch).unwrap();
-        assert_eq!(
-            engine.finalize().restored_counters(),
-            plain.finalize().restored_counters()
-        );
+            // The uninstrumented engine produces bit-identical results.
+            let mut plain = ShardedAggregator::new(p, e, 21, shards).unwrap();
+            for batch in &batches {
+                plain.ingest(batch).unwrap();
+            }
+            assert_eq!(
+                engine.finalize().restored_counters(),
+                plain.finalize().restored_counters()
+            );
+        }
     }
 
     #[test]
@@ -510,7 +477,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         /// Core property: the packed ingest (`ReportBatch`, single-builder scatter and
-        /// sharded fan-out, SIMD drain) is bit-identical to absorbing the same reports one
+        /// the sharded engine, SIMD drain) is bit-identical to absorbing the same reports one
         /// `absorb()` call at a time — across batch sizes, shard counts, and report orders.
         /// Order invariance is real, not approximate: counters are exact integer sums in
         /// f64, so ±1 additions commute bitwise.

@@ -9,8 +9,9 @@
 //!   [`SketchBuilder`] accumulation stage and an immutable [`FinalizedSketch`] view whose
 //!   restored counters are computed once and borrowed by the Eq. 5 join-size estimator and
 //!   the Theorem 7 frequency estimator.
-//! * [`aggregator`] — the parallel sharded ingestion engine ([`ShardedAggregator`]), whose
-//!   merged result is bit-for-bit identical to sequential absorption.
+//! * [`aggregator`] — the sharded ingestion engine ([`ShardedAggregator`]): packed batches
+//!   absorbed on the caller thread, a merged result bit-for-bit identical to sequential
+//!   absorption.
 //! * [`fap`] — Algorithm 4, the Frequency-Aware Perturbation mechanism.
 //! * [`plus`] — Algorithm 3 + 5, the two-phase LDPJoinSketch+ protocol (frequent-item
 //!   discovery, high/low-frequency separation, non-target mass removal).

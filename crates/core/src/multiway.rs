@@ -333,67 +333,41 @@ impl EdgeSketchBuilder {
             attr_a,
             attr_b,
             eps,
-            raw,
+            mut raw,
             reports,
         } = self;
-        restore_edge(attr_a, attr_b, eps, raw, reports)
-    }
-
-    /// Restore a *snapshot* of the edge sketch without consuming the builder: the exact raw
-    /// counters are cloned and pushed through the identical de-bias + 2-D Hadamard pipeline
-    /// as [`EdgeSketchBuilder::finalize`], so the two entry points can never diverge
-    /// bit-wise. This is the epoch-sealing hook of the online service's edge attributes.
-    pub fn finalize_view(&self) -> FinalizedEdgeSketch {
-        restore_edge(
-            self.attr_a.clone(),
-            self.attr_b.clone(),
-            self.eps,
-            self.raw.clone(),
-            self.reports,
-        )
-    }
-}
-
-/// The single de-bias + two-dimensional Hadamard restore pipeline shared by
-/// [`EdgeSketchBuilder::finalize`] and [`EdgeSketchBuilder::finalize_view`].
-fn restore_edge(
-    attr_a: JoinAttribute,
-    attr_b: JoinAttribute,
-    eps: Epsilon,
-    mut raw: Vec<f64>,
-    reports: u64,
-) -> FinalizedEdgeSketch {
-    let k = attr_a.replicas();
-    let (ma, mb) = (attr_a.buckets(), attr_b.buckets());
-    // The de-bias scale is folded into the first (second-dimension) transform pass: each
-    // element is multiplied exactly once before any butterfly addition touches it, which is
-    // bit-identical to the former separate scale sweep.
-    let scale = k as f64 * eps.c_eps();
-    let per = ma * mb;
-    let mut column = vec![0.0; ma];
-    for j in 0..k {
-        let replica = &mut raw[j * per..(j + 1) * per];
-        // Transform along the second dimension (rows of the matrix).
-        for row in 0..ma {
-            fwht_scaled_in_place(&mut replica[row * mb..(row + 1) * mb], scale);
-        }
-        // Transform along the first dimension (columns of the matrix).
-        for col in 0..mb {
+        let k = attr_a.replicas();
+        let (ma, mb) = (attr_a.buckets(), attr_b.buckets());
+        // The de-bias scale is folded into the first (second-dimension) transform pass:
+        // each element is multiplied exactly once before any butterfly addition touches
+        // it, which is bit-identical to the former separate scale sweep.
+        let scale = k as f64 * eps.c_eps();
+        let per = ma * mb;
+        let mut column = vec![0.0; ma];
+        for j in 0..k {
+            let replica = &mut raw[j * per..(j + 1) * per];
+            // Transform along the second dimension (rows of the matrix).
             for row in 0..ma {
-                column[row] = replica[row * mb + col];
+                fwht_scaled_in_place(&mut replica[row * mb..(row + 1) * mb], scale);
             }
-            fwht_in_place(&mut column);
-            for row in 0..ma {
-                replica[row * mb + col] = column[row];
+            // Transform along the first dimension (columns of the matrix).
+            for col in 0..mb {
+                for row in 0..ma {
+                    column[row] = replica[row * mb + col];
+                }
+                fwht_in_place(&mut column);
+                for row in 0..ma {
+                    replica[row * mb + col] = column[row];
+                }
             }
         }
-    }
-    FinalizedEdgeSketch {
-        attr_a,
-        attr_b,
-        eps,
-        restored: raw,
-        reports,
+        FinalizedEdgeSketch {
+            attr_a,
+            attr_b,
+            eps,
+            restored: raw,
+            reports,
+        }
     }
 }
 

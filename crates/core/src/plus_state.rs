@@ -295,9 +295,9 @@ impl PlusStateBuilder {
         )
     }
 
-    /// Restore a *snapshot* of the state without consuming the builder (the epoch-sealing
-    /// hook of the online service's plus path), sharing the exact restore pipeline with
-    /// [`PlusStateBuilder::finalize`] so the two entry points cannot diverge bit-wise.
+    /// Restore a *snapshot* of the state without consuming the builder, sharing the exact
+    /// restore pipeline with [`PlusStateBuilder::finalize`] so the two entry points cannot
+    /// diverge bit-wise.
     pub fn finalize_view(&self, policy: FiPolicy, domain: &[u64]) -> FinalizedPlusState {
         FinalizedPlusState::new(
             self.phase1.finalize_view(),
@@ -305,25 +305,6 @@ impl PlusStateBuilder {
             self.high.finalize_view(),
             policy,
             domain,
-        )
-    }
-
-    /// [`PlusStateBuilder::finalize_view`] with discovery routed through a pre-hashed
-    /// [`DomainIndex`] over the same candidate domain — bit-identical state, faster scan.
-    ///
-    /// # Errors
-    /// As [`FinalizedPlusState::new_indexed`].
-    pub fn finalize_view_indexed(
-        &self,
-        policy: FiPolicy,
-        index: &DomainIndex,
-    ) -> Result<FinalizedPlusState> {
-        FinalizedPlusState::new_indexed(
-            self.phase1.finalize_view(),
-            self.low.finalize_view(),
-            self.high.finalize_view(),
-            policy,
-            index,
         )
     }
 }
@@ -545,11 +526,21 @@ mod tests {
             threshold: 0.01,
             adaptive: true,
         };
-        let phase1 = builder.lane_builders().0.finalize_view();
+        let (p1, low, high) = builder.lane_builders();
+        let assemble = |index: &DomainIndex| {
+            FinalizedPlusState::new_indexed(
+                p1.finalize_view(),
+                low.finalize_view(),
+                high.finalize_view(),
+                policy,
+                index,
+            )
+        };
+        let phase1 = p1.finalize_view();
         // The matching index works; one built for another seed or shape is rejected by
         // every indexed scan and by the discovery and assembly paths that route through it.
         let good = DomainIndex::new(phase1.hashes(), Arc::clone(&domain));
-        assert!(builder.finalize_view_indexed(policy, &good).is_ok());
+        assert!(assemble(&good).is_ok());
         for (seed, columns) in [(10u64, 128usize), (9, 64)] {
             let hashes = ldpjs_common::hash::RowHashes::from_seed(seed, 8, columns);
             let index = DomainIndex::new(&hashes, Arc::clone(&domain));
@@ -568,9 +559,7 @@ mod tests {
                     policy.discover_indexed(&phase1, samples, &index).map(drop)
                 ));
             }
-            assert!(incompatible(
-                builder.finalize_view_indexed(policy, &index).map(drop)
-            ));
+            assert!(incompatible(assemble(&index).map(drop)));
         }
     }
 

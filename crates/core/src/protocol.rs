@@ -36,12 +36,12 @@ pub fn build_private_sketch(
 
 /// Build a [`FinalizedSketch`] with the parallel pipeline: client simulation fans out over
 /// `shards` worker threads with deterministic per-chunk RNG streams (see
-/// [`LdpJoinSketchClient::perturb_batch_parallel_into`]), and the packed batch is absorbed
-/// by a [`ShardedAggregator`] with `shards` shards.
+/// [`LdpJoinSketchClient::perturb_batch_parallel_into`]), and a [`ShardedAggregator`]
+/// absorbs the packed batch on the caller thread.
 ///
 /// The result depends only on `(values, params, eps, seed, rng_seed)` — never on `shards`
-/// or the machine's thread scheduling: the report stream is chunk-seeded, and sharded
-/// absorption is bit-for-bit identical to sequential absorption.
+/// or the machine's thread scheduling: the report stream is chunk-seeded, and the
+/// aggregator's absorption is bit-for-bit identical to sequential absorption.
 pub fn build_private_sketch_parallel(
     values: &[u64],
     params: SketchParams,
@@ -74,8 +74,9 @@ pub fn ldp_join_estimate(
     sketch_a.join_size(&sketch_b)
 }
 
-/// Run the full LDPJoinSketch protocol on the parallel pipeline (sharded client fan-out and
-/// sharded ingestion on both sides; deterministic for fixed seeds, independent of `shards`).
+/// Run the full LDPJoinSketch protocol on the parallel pipeline (client perturbation fanned
+/// out over `shards` threads, then packed ingestion, on both sides; deterministic for fixed
+/// seeds, independent of `shards`).
 pub fn ldp_join_estimate_parallel(
     table_a: &[u64],
     table_b: &[u64],

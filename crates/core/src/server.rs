@@ -23,7 +23,7 @@
 //! * `median_j Σ_x M_A[j,x]·M_B[j,x]` estimates the join size (Theorem 3),
 //! * `mean_j M[j,h_j(d)]·ξ_j(d)` is an unbiased frequency estimate (Theorem 7).
 //!
-//! For parallel ingestion over many shards see [`crate::aggregator::ShardedAggregator`].
+//! For sharded ingestion see [`crate::aggregator::ShardedAggregator`].
 
 use ldpjs_common::batch::ReportBatch;
 use ldpjs_common::error::{Error, Result};
@@ -134,23 +134,20 @@ impl SketchBuilder {
     /// Returns [`Error::IncompatibleSketches`] if the batch shape does not match this
     /// sketch; the builder is untouched in that case.
     pub fn absorb_batch(&mut self, batch: &ReportBatch) -> Result<()> {
-        self.check_batch_shape(batch)?;
-        batch.accumulate_into(&mut self.raw);
-        self.reports += batch.len() as u64;
-        Ok(())
+        self.absorb_batch_with(batch, &mut Vec::new())
     }
 
-    /// Accumulate one shard of a packed batch (the sharded aggregator's per-worker body;
-    /// shape is validated once by the engine before fan-out).
-    pub(crate) fn accumulate_batch_shard(
+    /// [`SketchBuilder::absorb_batch`] through the caller's reusable scatter scratch (the
+    /// sharded aggregator's ingest body, which allocates nothing per batch in steady state).
+    pub(crate) fn absorb_batch_with(
         &mut self,
         batch: &ReportBatch,
-        shard: usize,
-        shards: usize,
         scratch: &mut Vec<i32>,
-    ) {
-        batch.accumulate_shard_into_with(shard, shards, &mut self.raw, scratch);
-        self.reports += batch.shard_len(shard, shards) as u64;
+    ) -> Result<()> {
+        self.check_batch_shape(batch)?;
+        batch.accumulate_into_with(&mut self.raw, scratch);
+        self.reports += batch.len() as u64;
+        Ok(())
     }
 
     /// Shape compatibility check for packed-batch ingestion.
@@ -399,9 +396,10 @@ pub struct FinalizedSketch {
 }
 
 impl FinalizedSketch {
-    /// Rebuild the estimation view from a precomputed **unscaled** spectrum (e.g. an exact
-    /// spectrum difference assembled by the online service's span ledger): applies the same
-    /// single de-bias multiply per counter as the builder restore, so the result is
+    /// Rebuild the estimation view from a precomputed **unscaled** spectrum (the online
+    /// service seals each window's view this way from the [`SketchBuilder::spectrum`] its
+    /// span ledger keeps): applies the same single de-bias multiply per counter as the
+    /// builder restore, which scales after the last butterfly, so the result is
     /// **bit-identical** to finalizing a builder holding the same exact counters — without
     /// running any Hadamard transform.
     ///
@@ -1291,59 +1289,71 @@ mod tests {
         // The span-ledger law end to end: unscaled spectra are exact integers, so
         // prefix-summed spectra subtract exactly and `from_spectrum` of the difference is
         // bit-identical to finalizing the merged suffix builder — with no FWHT at
-        // assembly time.
-        let p = params(8, 128);
+        // assembly time. The seal law rides along: `from_spectrum` of one window's
+        // spectrum equals restoring that window. m = 16 runs the portable FWHT tier,
+        // 128 and 1024 the widest one the host dispatches.
         let e = eps(2.0);
-        let client = LdpJoinSketchClient::new(p, e, 7);
-        let mut rng = StdRng::seed_from_u64(77);
-        let mut windows = Vec::new();
-        for i in 0..4u64 {
-            let mut b = SketchBuilder::new(p, e, 7);
-            let values = skewed_stream(8_000, 500, 50 + i);
-            b.absorb_batch(&client.perturb_batch(&values, &mut rng).unwrap())
-                .unwrap();
-            windows.push(b);
-        }
-        // Cumulative spectra, exactly as the service ledger maintains them.
-        let mut prefixes: Vec<(Vec<f64>, u64)> = Vec::new();
-        for w in &windows {
-            let (mut spec, mut reports) = (w.spectrum(), w.reports());
-            if let Some((last, r)) = prefixes.last() {
-                for (s, l) in spec.iter_mut().zip(last) {
-                    *s += l;
-                }
-                reports += r;
+        for m in [16usize, 128, 1024] {
+            let p = params(8, m);
+            let client = LdpJoinSketchClient::new(p, e, 7);
+            let mut rng = StdRng::seed_from_u64(77);
+            let mut windows = Vec::new();
+            for i in 0..4u64 {
+                let mut b = SketchBuilder::new(p, e, 7);
+                let values = skewed_stream(8_000, 500, 50 + i);
+                b.absorb_batch(&client.perturb_batch(&values, &mut rng).unwrap())
+                    .unwrap();
+                windows.push(b);
             }
-            prefixes.push((spec, reports));
-        }
-        for start in 0..windows.len() {
-            let (last, last_reports) = prefixes.last().unwrap();
-            let spec: Vec<f64> = if start == 0 {
-                last.clone()
-            } else {
-                let (base, _) = &prefixes[start - 1];
-                last.iter().zip(base).map(|(a, b)| a - b).collect()
+            let bits = |s: &FinalizedSketch| {
+                s.restored_counters()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>()
             };
-            let reports = last_reports - if start == 0 { 0 } else { prefixes[start - 1].1 };
-            let assembled = FinalizedSketch::from_spectrum(
-                p,
-                e,
-                Arc::clone(windows[0].hashes()),
-                reports,
-                spec,
-            );
-            let mut merged = windows[start].clone();
-            for w in &windows[start + 1..] {
-                merged.merge(w).unwrap();
+            // Cumulative spectra, exactly as the service ledger maintains them.
+            let mut prefixes: Vec<(Vec<f64>, u64)> = Vec::new();
+            for w in &windows {
+                let (mut spec, mut reports) = (w.spectrum(), w.reports());
+                let sealed = FinalizedSketch::from_spectrum(
+                    p,
+                    e,
+                    Arc::clone(w.hashes()),
+                    reports,
+                    spec.clone(),
+                );
+                assert_eq!(bits(&sealed), bits(&w.finalize_view()), "m={m}: seal");
+                if let Some((last, r)) = prefixes.last() {
+                    for (s, l) in spec.iter_mut().zip(last) {
+                        *s += l;
+                    }
+                    reports += r;
+                }
+                prefixes.push((spec, reports));
             }
-            let reference = merged.finalize();
-            assert_eq!(assembled.reports(), reference.reports());
-            for (a, b) in assembled
-                .restored_counters()
-                .iter()
-                .zip(reference.restored_counters())
-            {
-                assert_eq!(a.to_bits(), b.to_bits(), "start {start}");
+            for start in 0..windows.len() {
+                let (last, last_reports) = prefixes.last().unwrap();
+                let spec: Vec<f64> = if start == 0 {
+                    last.clone()
+                } else {
+                    let (base, _) = &prefixes[start - 1];
+                    last.iter().zip(base).map(|(a, b)| a - b).collect()
+                };
+                let reports = last_reports - if start == 0 { 0 } else { prefixes[start - 1].1 };
+                let assembled = FinalizedSketch::from_spectrum(
+                    p,
+                    e,
+                    Arc::clone(windows[0].hashes()),
+                    reports,
+                    spec,
+                );
+                let mut merged = windows[start].clone();
+                for w in &windows[start + 1..] {
+                    merged.merge(w).unwrap();
+                }
+                let reference = merged.finalize();
+                assert_eq!(assembled.reports(), reference.reports());
+                assert_eq!(bits(&assembled), bits(&reference), "m={m} start={start}");
             }
         }
     }

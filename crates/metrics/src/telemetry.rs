@@ -12,7 +12,7 @@
 //!    in one stable order. Each metric further declares a [`Stability`] class:
 //!    [`Stability::Deterministic`] metrics must be byte-identical across pinned-seed runs
 //!    (report counts, rotations, cache hits), while [`Stability::Environment`] metrics may
-//!    legitimately vary with the machine (timings, SIMD tier counts, per-shard splits).
+//!    legitimately vary with the machine (timings, SIMD tier counts, ingest path counts).
 //!    [`Telemetry::deterministic_snapshot`] filters to the first class, which is what the
 //!    byte-stability tests pin.
 //! 2. **Allocation-light hot path.** Handles ([`Counter`], [`Gauge`], [`Histogram`]) are

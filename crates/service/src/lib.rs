@@ -5,17 +5,18 @@
 //! long-running system under continuous report traffic.
 //!
 //! * [`service::SketchService`] registers join attributes and accepts continuous report
-//!   batches through one ingest entry point taking any [`service::Reports`] form (plain
-//!   reports, packed batches, plus batches, edge reports), feeding one live engine (for
-//!   plain attributes a parallel [`ShardedAggregator`](ldpjs_core::ShardedAggregator)).
+//!   batches through one ingest entry point taking any [`service::Reports`] form (packed
+//!   batches, plus batches), feeding one live engine (for plain attributes a
+//!   [`ShardedAggregator`](ldpjs_core::ShardedAggregator) absorbing on the caller thread).
 //! * An **epoch rotator** seals the live engine every `epoch_reports` reports (or on an
 //!   explicit [`service::SketchService::rotate`]) into an immutable
 //!   [`window::WindowSnapshot`] kept in a bounded ring of recent windows. A snapshot holds
-//!   both the sealed [`SketchBuilder`](ldpjs_core::SketchBuilder) — exact integer counters,
-//!   mergeable at zero rounding error — and its finalized estimation view.
-//! * **Window merge** re-aggregates the sealed raw counters before a single Hadamard
-//!   restore, so a k-window merged sketch is **bit-identical** to one-shot aggregation of
-//!   the same reports (property-tested across window splits).
+//!   the window's finalized estimation view; the window's exact integer counters go into
+//!   the attribute's span ledger as unscaled Hadamard spectra, built by the same
+//!   transforms as the view.
+//! * **Window merge** subtracts two ledger prefixes of exact spectra and applies the
+//!   de-bias scale once, so a k-window merged sketch is **bit-identical** to one-shot
+//!   aggregation of the same reports (property-tested across window splits).
 //! * The **query layer** answers join-size and frequency queries over any
 //!   [`window::WindowRange`] (`Latest`, `LastK`, `All`) with a memoized
 //!   per-(attribute-pair, window-range) cache invalidated on rotation, so a repeated
@@ -26,7 +27,7 @@
 //!
 //! * **Plain** — LDPJoinSketch ingestion and Eq. 5 join-size / Theorem 7 frequency queries.
 //! * **Plus** — LDPJoinSketch+: windows seal the three report lanes (phase-1 sample,
-//!   phase-2 low/high FAP groups) as a [`PlusStateBuilder`](ldpjs_core::PlusStateBuilder);
+//!   phase-2 low/high FAP groups) of a [`PlusStateBuilder`](ldpjs_core::PlusStateBuilder);
 //!   merged spans re-aggregate each lane exactly and **re-discover the frequent items on
 //!   the merged phase-1 sketch** (cross-window FI reconciliation), so a full-span plus
 //!   estimate is bit-identical to the one-shot

@@ -10,9 +10,9 @@
 //!   hit/miss/eviction counters, per-kind query counters. These are byte-stable across
 //!   pinned-seed runs *and* across shard counts, which is what the cross-shard snapshot
 //!   property test pins.
-//! * **Environment** — shaped by the machine: per-shard residency, parallel-vs-inline
-//!   ingest path counts, SIMD kernel dispatch tiers, and every stage-timing histogram.
-//!   They are exported but filtered from deterministic snapshots.
+//! * **Environment** — shaped by the machine: parallel-vs-inline ingest path counts, SIMD
+//!   kernel dispatch tiers, and every stage-timing histogram. They are exported but
+//!   filtered from deterministic snapshots.
 //!
 //! Timings never read the wall clock here: the service records them only through its
 //! injected query clock (see `SketchService::set_query_clock`), the same pattern the epoch
@@ -87,37 +87,21 @@ pub(crate) struct AttributeInstruments {
     pub ledger_depth: Gauge,
     /// Reports sitting in the live (unsealed) engine.
     pub live_reports: Gauge,
-    /// Engine-level handles (plain attributes only: shard residency and parallel-vs-inline
-    /// path) — all [`Stability::Environment`].
+    /// Engine-level handles (plain attributes only: the parallel-vs-inline ingest path) —
+    /// all [`Stability::Environment`].
     pub agg: Option<AggregatorInstruments>,
 }
 
 impl AttributeInstruments {
     /// Register the attribute's full series under `{attr="name",mode="…"}` labels.
-    /// `shards` is `Some` for plain attributes, which also get the engine-level bundle.
-    pub fn register(
-        telemetry: &Telemetry,
-        name: &str,
-        mode: &'static str,
-        shards: Option<usize>,
-    ) -> Self {
+    /// Plain attributes (`engine`) also get the engine-level bundle.
+    pub fn register(telemetry: &Telemetry, name: &str, mode: &'static str, engine: bool) -> Self {
         let det = Stability::Deterministic;
         let env = Stability::Environment;
         let am = [("attr", name), ("mode", mode)];
         let a = [("attr", name)];
         let counter = |base: &str| telemetry.counter(&labeled(base, &am), det);
-        let agg = shards.map(|shards| AggregatorInstruments {
-            shard_reports: (0..shards)
-                .map(|s| {
-                    telemetry.gauge(
-                        &labeled(
-                            "ldpjs_shard_reports",
-                            &[("attr", name), ("shard", &s.to_string())],
-                        ),
-                        env,
-                    )
-                })
-                .collect(),
+        let agg = engine.then(|| AggregatorInstruments {
             parallel_batches: telemetry
                 .counter(&labeled("ldpjs_ingest_parallel_batches_total", &a), env),
             inline_batches: telemetry

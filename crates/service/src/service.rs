@@ -7,7 +7,7 @@ use crate::observe::{
     labeled, register_cache_instruments, AttributeInstruments, ServiceInstruments, K_CHAIN3,
     K_FREQUENCY, K_JOIN, K_PLUS_JOIN,
 };
-use crate::window::{SealedWindow, WindowRange, WindowSnapshot};
+use crate::window::{WindowRange, WindowSnapshot};
 use ldpjs_common::batch::ReportBatch;
 use ldpjs_common::error::{Error, Result};
 use ldpjs_common::hash::RowHashes;
@@ -17,7 +17,7 @@ use ldpjs_core::multiway::{EdgeSketchBuilder, FinalizedEdgeSketch, LdpEdgeSketch
 use ldpjs_core::{
     bounds, ChainKernel, DomainIndex, FiPolicy, FinalizedPlusState, FinalizedSketch,
     LdpJoinSketchClient, PlainKernel, PlusConfig, PlusKernel, PlusReportBatch, PlusStateBuilder,
-    ShardedAggregator,
+    ShardedAggregator, SketchBuilder,
 };
 use ldpjs_metrics::telemetry::{Snapshot, Stability, Telemetry};
 use ldpjs_sketch::compass::JoinAttribute;
@@ -35,7 +35,9 @@ pub struct ServiceConfig {
     pub params: SketchParams,
     /// Privacy budget every client perturbs with.
     pub eps: Epsilon,
-    /// Shards of each plain attribute's live ingestion engine.
+    /// Shards of each plain attribute's live ingestion engine. Packed batches are absorbed on
+    /// the caller thread whatever the count; it only splits the engine's frozen
+    /// `ingest_reference` path (see [`ShardedAggregator::new`]).
     pub shards: usize,
     /// Seal the live engine into a window once it holds at least this many reports.
     /// Rotation happens at batch granularity: the batch that crosses the threshold
@@ -391,25 +393,22 @@ impl SpectrumEntry {
         }
     }
 
-    /// `self + window` as a new entry, consuming the window's freshly computed spectra
-    /// (exact integer additions lane- and element-wise).
-    fn plus_window(&self, mut window_lanes: Vec<Vec<f64>>, window_reports: &[u64]) -> Self {
+    /// `self + window` as a new entry (exact integer additions lane- and element-wise).
+    fn plus_window(&self, window_lanes: &[Vec<f64>], window_reports: &[u64]) -> Self {
         debug_assert_eq!(window_lanes.len(), self.lanes.len());
-        for (lane, acc) in window_lanes.iter_mut().zip(&self.lanes) {
-            for (v, &a) in lane.iter_mut().zip(acc) {
-                *v += a;
-            }
-        }
+        let lanes = self
+            .lanes
+            .iter()
+            .zip(window_lanes)
+            .map(|(acc, lane)| lane.iter().zip(acc).map(|(&v, &a)| v + a).collect())
+            .collect();
         let reports = self
             .reports
             .iter()
             .zip(window_reports)
             .map(|(&a, &w)| a + w)
             .collect();
-        SpectrumEntry {
-            lanes: window_lanes,
-            reports,
-        }
+        SpectrumEntry { lanes, reports }
     }
 }
 
@@ -466,36 +465,46 @@ enum SpanLedger {
 }
 
 impl SpanLedger {
-    /// Fold a freshly sealed window's counters into the ledger (the rotation hook). The
-    /// per-lane FWHTs charged here are the only transforms the ledger ever runs — queries
-    /// reuse them for every span that covers this window.
-    fn push(&mut self, window: &WindowSnapshot) {
-        match (self, window.state()) {
-            (SpanLedger::Plain { origin, prefix, .. }, SealedWindow::Plain { sealed, .. }) => {
-                let last = prefix.back().unwrap_or(origin);
-                let next = last.plus_window(vec![sealed.spectrum()], &[sealed.reports()]);
-                prefix.push_back(next);
-            }
-            (SpanLedger::Plus { origin, prefix, .. }, SealedWindow::Plus { sealed, .. }) => {
-                let (phase1, low, high) = sealed.lane_builders();
-                let (rp, rl, rh) = sealed.lane_reports();
-                let last = prefix.back().unwrap_or(origin);
-                let next = last.plus_window(
-                    vec![phase1.spectrum(), low.spectrum(), high.spectrum()],
-                    &[rp, rl, rh],
-                );
-                prefix.push_back(next);
-            }
-            (SpanLedger::Edge { origin, prefix }, SealedWindow::Edge { sealed, .. }) => {
-                let mut next = prefix.back().unwrap_or(origin).clone();
-                next.merge(sealed)
-                    // lint:allow(panic-freedom) — invariant: every window of one attribute
-                    // is built from the same registration, so attributes and ε always match.
-                    .expect("windows of one attribute share attributes and ε");
-                prefix.push_back(next);
-            }
-            _ => unreachable!("attribute kind and ledger are constructed together"),
-        }
+    /// Fold a freshly sealed window's exact-counter lanes into the ledger (the rotation
+    /// hook) and return each lane's finalized view. Each lane is transformed once: its
+    /// unscaled spectrum is added to the last prefix, then scaled into the view by
+    /// [`FinalizedSketch::from_spectrum`] — bit-identical to restoring the lane, because
+    /// the restore applies the de-bias scale after the last butterfly. These per-lane FWHTs
+    /// are the only transforms the ledger ever runs; queries reuse them for every span
+    /// that covers this window.
+    fn push_lanes<const N: usize>(&mut self, lanes: [&SketchBuilder; N]) -> [FinalizedSketch; N] {
+        let (SpanLedger::Plain { origin, prefix, .. } | SpanLedger::Plus { origin, prefix, .. }) =
+            self
+        else {
+            unreachable!("attribute kind and ledger are constructed together");
+        };
+        let mut spectra = lanes.map(SketchBuilder::spectrum);
+        let last = prefix.back().unwrap_or(origin);
+        let next = last.plus_window(&spectra, &lanes.map(SketchBuilder::reports));
+        prefix.push_back(next);
+        std::array::from_fn(|l| {
+            let lane = lanes[l];
+            FinalizedSketch::from_spectrum(
+                lane.params(),
+                lane.epsilon(),
+                Arc::clone(lane.hashes()),
+                lane.reports(),
+                std::mem::take(&mut spectra[l]),
+            )
+        })
+    }
+
+    /// Fold a freshly sealed edge window's counters into the ledger (the rotation hook).
+    fn push_edge(&mut self, sealed: &EdgeSketchBuilder) {
+        let SpanLedger::Edge { origin, prefix } = self else {
+            unreachable!("attribute kind and ledger are constructed together");
+        };
+        let mut next = prefix.back().unwrap_or(origin).clone();
+        next.merge(sealed)
+            // lint:allow(panic-freedom) — invariant: every window of one attribute
+            // is built from the same registration, so attributes and ε always match.
+            .expect("windows of one attribute share attributes and ε");
+        prefix.push_back(next);
     }
 
     /// Prefix entries currently held (always aligned with the window ring's length).
@@ -871,9 +880,9 @@ impl SketchService {
                 "attribute '{name}' is already registered"
             )));
         }
-        let shards = matches!(live, LiveEngine::Plain(_)).then_some(self.config.shards);
+        let engine = matches!(live, LiveEngine::Plain(_));
         let instruments =
-            AttributeInstruments::register(&self.telemetry, name, kind.mode().name(), shards);
+            AttributeInstruments::register(&self.telemetry, name, kind.mode().name(), engine);
         if let LiveEngine::Plain(engine) = &mut live {
             engine.set_instruments(instruments.agg.clone());
         }
@@ -1651,10 +1660,15 @@ fn rotate_attribute(
         return None;
     }
     let epoch = attr.next_epoch;
-    let window = match (&attr.kind, &mut attr.live) {
+    // Keep the prefix-sum ledger aligned with the ring: sealing adds the new window's
+    // lanes to the last cumulative entry (and hands back the window's view, built from the
+    // same transforms), eviction folds the oldest prefix into the origin.
+    let (reports, view) = match (&attr.kind, &mut attr.live) {
         (AttributeKind::Plain { hashes }, LiveEngine::Plain(engine)) => {
             let engine = std::mem::replace(engine, fresh_plain_engine(config, hashes));
-            WindowSnapshot::seal_plain(epoch, engine.into_builder())
+            let sealed = engine.into_builder();
+            let [view] = attr.ledger.push_lanes([&sealed]);
+            (sealed.reports(), SpanView::Plain(Arc::new(view)))
         }
         (
             AttributeKind::Plus {
@@ -1668,26 +1682,32 @@ fn rotate_attribute(
                 builder,
                 PlusStateBuilder::new(config.params, config.eps, *seed),
             );
-            WindowSnapshot::seal_plus(epoch, sealed, plus.policy(), index)
+            let (phase1, low, high) = sealed.lane_builders();
+            let [phase1, low, high] = attr.ledger.push_lanes([phase1, low, high]);
+            let view = FinalizedPlusState::new_indexed(phase1, low, high, plus.policy(), index)
+                // lint:allow(panic-freedom) — invariant: registration built `index` from the
+                // attribute's own phase-1 seed and the service's (k, m).
+                .expect("the attribute's domain index matches its phase-1 hash family");
+            (sealed.reports(), SpanView::Plus(Arc::new(view)))
         }
         (AttributeKind::Edge { attr_a, attr_b }, LiveEngine::Edge(builder)) => {
             let sealed = std::mem::replace(builder, empty_edge_builder(attr_a, attr_b, config.eps));
-            WindowSnapshot::seal_edge(epoch, sealed)
+            attr.ledger.push_edge(&sealed);
+            (
+                sealed.reports(),
+                SpanView::Edge(Arc::new(sealed.finalize())),
+            )
         }
         _ => unreachable!("attribute kind and live engine are constructed together"),
     };
     attr.next_epoch += 1;
     // A fresh plain engine replaced the sealed one above: re-attach the attribute's
-    // engine-level telemetry handles so the shard/path series keep accumulating.
+    // engine-level telemetry handles so the path series keep accumulating.
     if let LiveEngine::Plain(engine) = &mut attr.live {
         engine.set_instruments(attr.instruments.agg.clone());
     }
-    // Keep the prefix-sum ledger aligned with the ring: sealing adds the new window's
-    // lanes to a clone of the last cumulative builder, eviction folds the oldest prefix
-    // into the origin.
-    attr.ledger.push(&window);
-    let view = window.view();
-    attr.windows.push_back(window);
+    attr.windows
+        .push_back(WindowSnapshot::new(epoch, reports, view.clone()));
     if attr.windows.len() > config.retained_windows {
         attr.windows.pop_front();
         attr.ledger.evict();
@@ -2796,7 +2816,7 @@ mod tests {
         /// sequences, every span the service assembles by prefix-sum subtraction (what
         /// `merged_plus_state` serves) is **bit-identical** — all three restored lanes,
         /// the rediscovered frequent-item set, and the screening threshold — to merging
-        /// the retained windows' sealed lanes from scratch. The 3-window ring forces
+        /// the retained windows' report batches from scratch. The 3-window ring forces
         /// evictions, so full-span queries exercise the ledger origin that has absorbed
         /// evicted history.
         #[test]
@@ -2831,9 +2851,13 @@ mod tests {
                 .register_plus_attribute("a", plus_cfg.seed, attr_cfg)
                 .unwrap();
 
-            // Random rotation cadence: 1–4 ingested batches per sealed window.
+            // Random rotation cadence: 1–4 ingested batches per sealed window. The
+            // reference absorbs the same batches into one builder per window.
             let mut cadence = StdRng::seed_from_u64(case_seed ^ 0x5EED);
             let mut left = 0usize;
+            let fresh = || PlusStateBuilder::new(params, eps, plus_cfg.seed);
+            let mut windows = Vec::new();
+            let mut current = fresh();
             est.stream_plus_reports(
                 &w.table_a,
                 PlusTableRole::A,
@@ -2845,9 +2869,11 @@ mod tests {
                         left = cadence.gen_range(1usize..5);
                     }
                     service.ingest_plus(a, batch)?;
+                    current.absorb_batch(batch)?;
                     left -= 1;
                     if left == 0 {
                         service.rotate(a)?;
+                        windows.push(std::mem::replace(&mut current, fresh()));
                     }
                     Ok(())
                 },
@@ -2855,14 +2881,15 @@ mod tests {
             .unwrap();
             if service.live_reports(a).unwrap() > 0 {
                 service.rotate(a).unwrap();
+                windows.push(current);
             }
 
-            let sealed: Vec<PlusStateBuilder> = service
-                .windows(a)
-                .unwrap()
-                .map(|snap| snap.plus_builder().unwrap().clone())
-                .collect();
+            // The retained ring is the suffix the 3-window retention kept.
+            let sealed = &windows[windows.len() - service.window_count(a).unwrap()..];
             prop_assert!(!sealed.is_empty());
+            let retained: Vec<u64> = service.windows(a).unwrap().map(|s| s.reports()).collect();
+            let expected: Vec<u64> = sealed.iter().map(|b| b.reports()).collect();
+            prop_assert_eq!(retained, expected);
             let policy = FiPolicy::from_config(&plus_cfg);
             for start in 0..sealed.len() {
                 let range = if start == 0 {

@@ -1,11 +1,9 @@
-//! Epoch windows: immutable sealed snapshots of the live per-mode sketch state and the
-//! ranges queries address them by.
+//! Epoch windows: the immutable finalized views the rotator seals from the live per-mode
+//! sketch state, and the ranges queries address them by.
 
 use ldpjs_common::error::{Error, Result};
-use ldpjs_core::multiway::{EdgeSketchBuilder, FinalizedEdgeSketch};
-use ldpjs_core::{
-    DomainIndex, FiPolicy, FinalizedPlusState, FinalizedSketch, PlusStateBuilder, SketchBuilder,
-};
+use ldpjs_core::multiway::FinalizedEdgeSketch;
+use ldpjs_core::{FinalizedPlusState, FinalizedSketch};
 use std::sync::Arc;
 
 use crate::service::SpanView;
@@ -48,82 +46,26 @@ impl WindowRange {
     }
 }
 
-/// The per-mode sealed contents of one epoch window.
+/// One sealed epoch window: the finalized estimation view of its reports, computed once at
+/// seal time from the same per-lane transforms the span ledger keeps.
 ///
-/// Every variant keeps **two** representations of the same reports: the sealed accumulation
-/// builder (raw exact-integer counter sums, still mergeable with other windows at zero
-/// rounding error) and the finalized estimation view computed once at seal time. Single-
-/// window queries borrow the view; multi-window queries re-aggregate the sealed builders and
-/// restore once, which is what makes merged-window estimates bit-identical to one-shot
-/// aggregation.
-#[derive(Debug, Clone)]
-pub(crate) enum SealedWindow {
-    /// A plain LDPJoinSketch window.
-    Plain {
-        sealed: SketchBuilder,
-        view: Arc<FinalizedSketch>,
-    },
-    /// An LDPJoinSketch+ window: the three sealed report lanes plus the finalized state
-    /// (whose frequent items were discovered on *this window's* phase-1 sketch — merged
-    /// spans re-discover on the merged sketch instead).
-    Plus {
-        sealed: PlusStateBuilder,
-        view: Arc<FinalizedPlusState>,
-    },
-    /// A two-attribute edge-sketch window for chain queries.
-    Edge {
-        sealed: EdgeSketchBuilder,
-        view: Arc<FinalizedEdgeSketch>,
-    },
-}
-
-/// One sealed epoch window.
+/// A window keeps only its view. Its exact counters live on in the attribute's prefix-sum
+/// span ledger, which assembles every multi-window span; that is what makes merged-window
+/// estimates bit-identical to one-shot aggregation. Single-window queries borrow the view.
 #[derive(Debug, Clone)]
 pub struct WindowSnapshot {
     epoch: u64,
     reports: u64,
-    state: SealedWindow,
+    view: SpanView,
 }
 
 impl WindowSnapshot {
-    /// Seal a plain builder into a window snapshot, computing the finalized view once.
-    pub(crate) fn seal_plain(epoch: u64, sealed: SketchBuilder) -> Self {
-        let view = Arc::new(sealed.finalize_view());
+    /// A sealed window of `reports` reports with its finalized `view`.
+    pub(crate) fn new(epoch: u64, reports: u64, view: SpanView) -> Self {
         WindowSnapshot {
             epoch,
-            reports: sealed.reports(),
-            state: SealedWindow::Plain { sealed, view },
-        }
-    }
-
-    /// Seal a plus-state builder, discovering this window's frequent items under `policy`
-    /// through the attribute's pre-hashed domain `index`.
-    pub(crate) fn seal_plus(
-        epoch: u64,
-        sealed: PlusStateBuilder,
-        policy: FiPolicy,
-        index: &DomainIndex,
-    ) -> Self {
-        let view = sealed
-            .finalize_view_indexed(policy, index)
-            // lint:allow(panic-freedom) — invariant: registration built `index` from the
-            // attribute's own phase-1 seed and the service's (k, m).
-            .expect("the attribute's domain index matches its phase-1 hash family");
-        let view = Arc::new(view);
-        WindowSnapshot {
-            epoch,
-            reports: sealed.reports(),
-            state: SealedWindow::Plus { sealed, view },
-        }
-    }
-
-    /// Seal an edge-sketch builder.
-    pub(crate) fn seal_edge(epoch: u64, sealed: EdgeSketchBuilder) -> Self {
-        let view = Arc::new(sealed.finalize_view());
-        WindowSnapshot {
-            epoch,
-            reports: sealed.reports(),
-            state: SealedWindow::Edge { sealed, view },
+            reports,
+            view,
         }
     }
 
@@ -139,45 +81,16 @@ impl WindowSnapshot {
         self.reports
     }
 
-    /// The per-mode sealed state.
-    #[inline]
-    pub(crate) fn state(&self) -> &SealedWindow {
-        &self.state
-    }
-
     /// The finalized estimation view, whatever the mode.
     pub(crate) fn view(&self) -> SpanView {
-        match &self.state {
-            SealedWindow::Plain { view, .. } => SpanView::Plain(Arc::clone(view)),
-            SealedWindow::Plus { view, .. } => SpanView::Plus(Arc::clone(view)),
-            SealedWindow::Edge { view, .. } => SpanView::Edge(Arc::clone(view)),
-        }
-    }
-
-    /// The sealed plain accumulation-stage builder, if this is a plain window.
-    #[inline]
-    pub fn plain_builder(&self) -> Option<&SketchBuilder> {
-        match &self.state {
-            SealedWindow::Plain { sealed, .. } => Some(sealed),
-            _ => None,
-        }
+        self.view.clone()
     }
 
     /// The finalized plain estimation view, if this is a plain window.
     #[inline]
     pub fn plain_view(&self) -> Option<&Arc<FinalizedSketch>> {
-        match &self.state {
-            SealedWindow::Plain { view, .. } => Some(view),
-            _ => None,
-        }
-    }
-
-    /// The sealed plus accumulation-stage builder (three exact-counter lanes), if this is a
-    /// plus window.
-    #[inline]
-    pub fn plus_builder(&self) -> Option<&PlusStateBuilder> {
-        match &self.state {
-            SealedWindow::Plus { sealed, .. } => Some(sealed),
+        match &self.view {
+            SpanView::Plain(view) => Some(view),
             _ => None,
         }
     }
@@ -185,17 +98,8 @@ impl WindowSnapshot {
     /// The finalized plus estimation state, if this is a plus window.
     #[inline]
     pub fn plus_view(&self) -> Option<&Arc<FinalizedPlusState>> {
-        match &self.state {
-            SealedWindow::Plus { view, .. } => Some(view),
-            _ => None,
-        }
-    }
-
-    /// The sealed edge accumulation-stage builder, if this is an edge window.
-    #[inline]
-    pub fn edge_builder(&self) -> Option<&EdgeSketchBuilder> {
-        match &self.state {
-            SealedWindow::Edge { sealed, .. } => Some(sealed),
+        match &self.view {
+            SpanView::Plus(view) => Some(view),
             _ => None,
         }
     }
@@ -203,8 +107,8 @@ impl WindowSnapshot {
     /// The finalized edge estimation view, if this is an edge window.
     #[inline]
     pub fn edge_view(&self) -> Option<&Arc<FinalizedEdgeSketch>> {
-        match &self.state {
-            SealedWindow::Edge { view, .. } => Some(view),
+        match &self.view {
+            SpanView::Edge(view) => Some(view),
             _ => None,
         }
     }
@@ -238,27 +142,23 @@ mod tests {
     #[test]
     fn mode_specific_accessors_gate_on_the_sealed_variant() {
         use ldpjs_common::Epsilon;
+        use ldpjs_core::{FiPolicy, PlusStateBuilder, SketchBuilder};
         use ldpjs_sketch::SketchParams;
         let params = SketchParams::new(4, 64).unwrap();
         let eps = Epsilon::new(2.0).unwrap();
-        let plain = WindowSnapshot::seal_plain(0, SketchBuilder::new(params, eps, 1));
-        assert!(plain.plain_builder().is_some() && plain.plain_view().is_some());
+        let view = Arc::new(SketchBuilder::new(params, eps, 1).finalize());
+        let plain = WindowSnapshot::new(0, 0, SpanView::Plain(view));
+        assert!(plain.plain_view().is_some());
         assert!(plain.plus_view().is_none() && plain.edge_view().is_none());
 
-        let domain: Arc<Vec<u64>> = Arc::new((0..8).collect());
-        let hashes = ldpjs_common::hash::RowHashes::from_seed(1, 4, 64);
-        let index = DomainIndex::new(&hashes, domain);
-        let plus = WindowSnapshot::seal_plus(
-            1,
-            PlusStateBuilder::new(params, eps, 1),
-            FiPolicy {
-                threshold: 0.01,
-                adaptive: false,
-            },
-            &index,
-        );
+        let policy = FiPolicy {
+            threshold: 0.01,
+            adaptive: false,
+        };
+        let state = PlusStateBuilder::new(params, eps, 1).finalize(policy, &[0, 1, 2]);
+        let plus = WindowSnapshot::new(1, 0, SpanView::Plus(Arc::new(state)));
         assert!(plus.plus_view().is_some());
-        assert!(plus.plain_builder().is_none() && plus.edge_view().is_none());
-        assert_eq!(plus.reports(), 0);
+        assert!(plus.plain_view().is_none() && plus.edge_view().is_none());
+        assert_eq!((plus.epoch(), plus.reports()), (1, 0));
     }
 }

@@ -152,7 +152,7 @@ fn telemetry_demo() {
     assert!(cold.explain.predicted_error > 0.0);
 
     // The full exposition: ingest/rotation/cache/query counters plus the environment tier
-    // (shard residency, parallel-vs-inline path, SIMD kernel dispatch).
+    // (parallel-vs-inline ingest path, SIMD kernel dispatch).
     let text = service.metrics_text();
     let json = service.metrics_json();
     println!("\nmetrics exposition ({} lines):", text.lines().count());

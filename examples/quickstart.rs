@@ -74,11 +74,11 @@ fn main() {
         relative_error(truth, plus.join_size)
     );
 
-    // 5. At production scale the aggregator ingests reports in parallel: the client
-    //    simulation fans out over worker threads with deterministic per-chunk RNG streams
-    //    into one packed report batch, and a ShardedAggregator absorbs it across shards.
-    //    The merged result is bit-for-bit identical to one builder absorbing the batch,
-    //    so parallelism never costs reproducibility.
+    // 5. At production scale the client simulation fans out over worker threads with
+    //    deterministic per-chunk RNG streams into one packed report batch, and a
+    //    ShardedAggregator absorbs it on the caller thread. The sealed result is
+    //    bit-for-bit identical to one builder absorbing the batch, so parallelism never
+    //    costs reproducibility.
     let client = LdpJoinSketchClient::new(params, eps, hash_seed);
     let mut reports = ReportBatch::new(params.rows(), params.columns()).expect("valid sketch");
     client
@@ -95,8 +95,8 @@ fn main() {
     let sequential = sequential.finalize();
     assert_eq!(sharded.restored_counters(), sequential.restored_counters());
     println!(
-        "sharded ingestion: {} reports over 4 shards, restored counters bit-for-bit equal \
-         to sequential absorption",
+        "aggregator ingestion: {} reports, restored counters bit-for-bit equal to \
+         sequential absorption",
         sharded.reports()
     );
 }
