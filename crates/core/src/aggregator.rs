@@ -1,15 +1,26 @@
-//! The sharded ingestion engine.
+//! The sharded ingestion engine of the one-shot protocol runners.
 //!
 //! LDPJoinSketch is linear in its reports ([`SketchBuilder::merge`]), so an aggregator's
 //! state can be held in `N` [`SketchBuilder`] shards and merged exactly at the end.
 //! [`ShardedAggregator::ingest`] absorbs every packed [`ReportBatch`] into shard 0 on the
-//! caller thread, through one reusable `i32` scatter scratch: the server side of Alg. 2
-//! adds `±1` to one counter per report, so an 8,192-report batch is about 13 µs of scatter
-//! and drain, while spawning and joining one scoped thread per shard cost about 45 µs per
-//! batch and never won at any batch size on a 2-vCPU x86-64 host. Index validity is a
-//! construction invariant of the batch, so the only check is one shape check up front; a
-//! rejected batch touches no shard. Only the frozen [`ShardedAggregator::ingest_reference`]
-//! path still splits its AoS reports over the `N` shards on scoped worker threads.
+//! caller thread, through that shard's own reusable `i32` scatter scratch: the server side
+//! of Alg. 2 adds `±1` to one counter per report, so an 8,192-report batch is about 13 µs
+//! of scatter and drain, while spawning and joining one scoped thread per shard cost about
+//! 45 µs per batch and never won at any batch size on a 2-vCPU x86-64 host. Index validity
+//! is a construction invariant of the batch, so the only check is one shape check up front;
+//! a rejected batch touches no shard. Only the frozen
+//! [`ShardedAggregator::ingest_reference`] path still splits its AoS reports over the `N`
+//! shards on scoped worker threads.
+//!
+//! Users: the protocol runners ([`build_private_sketch_parallel`] and
+//! [`build_private_sketch_chunked`], whose zero-shard error is public behaviour), the
+//! release perf gates and core benches (which time `ingest` against `ingest_reference`,
+//! bare and with [`AggregatorInstruments`] attached), the pipeline benchmark's offline
+//! workload, and the quickstart example. The online service does not use it: a plain
+//! attribute's live engine is one [`SketchBuilder`].
+//!
+//! [`build_private_sketch_parallel`]: crate::protocol::build_private_sketch_parallel
+//! [`build_private_sketch_chunked`]: crate::protocol::build_private_sketch_chunked
 //!
 //! **Determinism guarantee:** the shards' counters are exact integer report sums (every
 //! report contributes `±1` to exactly one counter), so counter-wise merging is associative
@@ -30,7 +41,7 @@ use std::sync::Arc;
 use crate::client::ClientReport;
 use crate::server::{FinalizedSketch, SketchBuilder};
 
-/// Telemetry handles an owner (typically the online service) attaches to a live engine.
+/// Telemetry handles an owner attaches to a live engine.
 ///
 /// Every handle is a pre-registered shared cell, so the hot path records with one relaxed
 /// atomic op and no lock. Owners should register them with `Stability::Environment`: they
@@ -39,7 +50,7 @@ use crate::server::{FinalizedSketch, SketchBuilder};
 pub struct AggregatorInstruments {
     /// Batches absorbed via a scoped-thread fan-out. [`ShardedAggregator::ingest`] absorbs
     /// every batch on the caller thread, so this counter never moves; it is kept so that
-    /// readers of the series (the service exports it) keep working and read 0.
+    /// existing readers of the field keep working and read 0.
     pub parallel_batches: Counter,
     /// Batches absorbed inline on the caller thread: every accepted one.
     pub inline_batches: Counter,
@@ -68,9 +79,6 @@ pub struct AggregatorInstruments {
 #[derive(Debug)]
 pub struct ShardedAggregator {
     shards: Vec<SketchBuilder>,
-    /// The reusable scatter scratch of packed ingest, so repeated batches on a long-lived
-    /// engine allocate nothing in steady state.
-    scratch: Vec<i32>,
     /// Attached telemetry handles; `None` (the default) keeps every ingest path free of
     /// even the relaxed-atomic accounting, which is what the `telemetry_overhead` bench
     /// lane measures the instrumented path against.
@@ -109,7 +117,6 @@ impl ShardedAggregator {
             .collect();
         Ok(ShardedAggregator {
             shards,
-            scratch: Vec::new(),
             instruments: None,
         })
     }
@@ -167,7 +174,7 @@ impl ShardedAggregator {
     /// Absorb a packed sign-split report batch on the caller thread.
     ///
     /// The batch is scattered through the interleaved histogram kernel into shard 0,
-    /// reusing the engine's scratch so steady-state ingestion allocates nothing. Index
+    /// reusing that shard's scratch so steady-state ingestion allocates nothing. Index
     /// validity is a construction invariant of [`ReportBatch`], so the only check here is
     /// the shape check. The result is bit-for-bit the one a single
     /// [`SketchBuilder::absorb_batch`] would produce.
@@ -176,7 +183,7 @@ impl ShardedAggregator {
     /// Returns [`Error::IncompatibleSketches`] if the batch shape does not match the sketch;
     /// the engine is untouched in that case.
     pub fn ingest(&mut self, batch: &ReportBatch) -> Result<()> {
-        self.shards[0].absorb_batch_with(batch, &mut self.scratch)?;
+        self.shards[0].absorb_batch(batch)?;
         if let Some(inst) = &self.instruments {
             inst.inline_batches.inc();
         }
@@ -189,8 +196,6 @@ impl ShardedAggregator {
     /// would have produced. Empty shards are skipped: their counters are all `+0.0`, which
     /// leaves every counter unchanged (none can be `−0.0`), and reading them would only
     /// fault in pages packed ingest never wrote.
-    ///
-    /// This is the epoch-rotation hook of the online sketch service.
     pub fn into_builder(self) -> SketchBuilder {
         let mut shards = self.shards.into_iter();
         let mut merged = shards

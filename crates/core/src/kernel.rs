@@ -18,10 +18,6 @@
 //!   union of the two states' sets — for windowed state this is the *cross-window
 //!   reconciled* set discovered on the merged phase-1 sketches.
 //! * [`ChainKernel`] — the Section VI per-replica contraction for 3-way and 4-way chains.
-//!
-//! [`JoinKernel`] packages the three behind one enum-dispatched `estimate` entry point whose
-//! input shape is checked at run time: dispatching a kernel on the wrong input is a
-//! [`Error::ModeMismatch`], never a silently wrong answer.
 
 use ldpjs_common::error::{Error, Result};
 use ldpjs_common::stats::median;
@@ -361,72 +357,6 @@ impl ChainKernel {
     }
 }
 
-/// One join query's borrowed input, shaped by the estimator family it addresses.
-#[derive(Debug, Clone, Copy)]
-pub enum QueryInput<'a> {
-    /// Two plain finalized sketches.
-    Plain(&'a FinalizedSketch, &'a FinalizedSketch),
-    /// Two finalized LDPJoinSketch+ states.
-    Plus(&'a FinalizedPlusState, &'a FinalizedPlusState),
-    /// A 3-way chain: vertex, edge, vertex.
-    Chain3(
-        &'a FinalizedSketch,
-        &'a FinalizedEdgeSketch,
-        &'a FinalizedSketch,
-    ),
-}
-
-impl QueryInput<'_> {
-    fn shape(&self) -> &'static str {
-        match self {
-            QueryInput::Plain(..) => "plain",
-            QueryInput::Plus(..) => "plus",
-            QueryInput::Chain3(..) => "chain-3",
-        }
-    }
-}
-
-/// Enum dispatch over the three kernels: one `estimate` entry point whose input shape is
-/// checked against the kernel at run time. Dispatching a kernel on the wrong input shape is
-/// an [`Error::ModeMismatch`] — never a silently wrong estimate.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum JoinKernel {
-    /// The plain Eq. 5 estimator.
-    Plain(PlainKernel),
-    /// The LDPJoinSketch+ `JoinEst`.
-    Plus(PlusKernel),
-    /// The multi-way chain contraction.
-    Chain(ChainKernel),
-}
-
-impl JoinKernel {
-    fn kind(&self) -> &'static str {
-        match self {
-            JoinKernel::Plain(_) => "plain",
-            JoinKernel::Plus(_) => "plus",
-            JoinKernel::Chain(_) => "chain-3",
-        }
-    }
-
-    /// Run the kernel on a matching input, returning the join-size estimate.
-    ///
-    /// # Errors
-    /// [`Error::ModeMismatch`] if the input shape does not match the kernel; otherwise
-    /// whatever the dispatched kernel reports.
-    pub fn estimate(&self, input: QueryInput<'_>) -> Result<f64> {
-        match (self, input) {
-            (JoinKernel::Plain(k), QueryInput::Plain(a, b)) => k.join_size(a, b),
-            (JoinKernel::Plus(k), QueryInput::Plus(a, b)) => k.join_est(a, b).map(|e| e.join_size),
-            (JoinKernel::Chain(k), QueryInput::Chain3(t1, t2, t3)) => k.chain_3(t1, t2, t3),
-            (kernel, input) => Err(Error::ModeMismatch(format!(
-                "a {} kernel cannot serve a {} query input",
-                kernel.kind(),
-                input.shape()
-            ))),
-        }
-    }
-}
-
 /// The inverse-variance weight of one rescaled partial estimate against the zero prior:
 /// `w = Ĵ²/(Ĵ² + σ̂²)`, with `σ̂²` estimated from the spread of the `k` per-row products
 /// (each row is an independent estimator of the same partial; the median combiner's variance
@@ -519,38 +449,6 @@ mod tests {
         let via_sketch = a.join_size(&b).unwrap();
         assert_eq!(via_kernel.to_bits(), via_sketch.to_bits());
         assert_eq!(PlainKernel.frequency(&a, 7), a.frequency(7));
-    }
-
-    #[test]
-    fn join_kernel_rejects_mismatched_input_shapes() {
-        let values: Vec<u64> = (0..500).collect();
-        let a = plain_sketch(1, &values);
-        let b = plain_sketch(2, &values);
-        let plain = JoinKernel::Plain(PlainKernel);
-        assert!(plain.estimate(QueryInput::Plain(&a, &b)).is_ok());
-
-        let policy = FiPolicy {
-            threshold: 0.01,
-            adaptive: false,
-        };
-        let domain: Vec<u64> = (0..10).collect();
-        let p = SketchParams::new(8, 128).unwrap();
-        let e = Epsilon::new(4.0).unwrap();
-        let sa = PlusStateBuilder::new(p, e, 9).finalize(policy, &domain);
-        let sb = PlusStateBuilder::new(p, e, 9).finalize(policy, &domain);
-        assert!(matches!(
-            plain.estimate(QueryInput::Plus(&sa, &sb)),
-            Err(Error::ModeMismatch(_))
-        ));
-        let plus = JoinKernel::Plus(PlusKernel {
-            adaptive: true,
-            paper_literal_subtraction: false,
-            variance_weighted_recombination: false,
-        });
-        assert!(matches!(
-            plus.estimate(QueryInput::Plain(&a, &b)),
-            Err(Error::ModeMismatch(_))
-        ));
     }
 
     #[test]

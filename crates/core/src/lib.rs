@@ -17,9 +17,8 @@
 //!   discovery, high/low-frequency separation, non-target mass removal).
 //! * [`multiway`] — Section VI, the COMPASS-style extension to multi-way chain joins.
 //! * [`kernel`] — the unified query-engine kernels ([`PlainKernel`], [`PlusKernel`],
-//!   [`ChainKernel`] behind the [`JoinKernel`] dispatch): the single implementation of every
-//!   estimator, shared by the offline runners, the experiment harness and the online
-//!   service.
+//!   [`ChainKernel`]): the single implementation of every estimator, shared by the offline
+//!   runners, the experiment harness and the online service.
 //! * [`plus_state`] — the sealed/finalized two-stage lifecycle of LDPJoinSketch+'s
 //!   per-attribute state (three mergeable report lanes + query-time FI discovery).
 //! * [`bounds`] — the analytical error bound of Theorem 5.
@@ -47,7 +46,7 @@ pub mod server;
 pub use aggregator::{AggregatorInstruments, ShardedAggregator};
 pub use client::{ClientReport, LdpJoinSketchClient};
 pub use fap::{FapClient, FapMode};
-pub use kernel::{ChainKernel, JoinKernel, PlainKernel, PlusKernel, QueryInput};
+pub use kernel::{ChainKernel, PlainKernel, PlusKernel};
 pub use plus::{LdpJoinSketchPlus, PlusConfig, PlusDiscovery, PlusEstimate, PlusTableRole};
 pub use plus_state::{FiPolicy, FinalizedPlusState, PlusReportBatch, PlusStateBuilder};
 pub use protocol::{

@@ -170,6 +170,9 @@ pub struct EdgeSketchBuilder {
     /// `k × m_A × m_B` accumulated report sums (Hadamard domain).
     raw: Vec<f64>,
     reports: u64,
+    /// The reusable `i32` scatter scratch of [`EdgeSketchBuilder::absorb_batch`] (see
+    /// [`SketchBuilder`](crate::server::SketchBuilder)'s).
+    scratch: Vec<i32>,
 }
 
 impl EdgeSketchBuilder {
@@ -190,6 +193,7 @@ impl EdgeSketchBuilder {
             eps,
             raw: vec![0.0; len],
             reports: 0,
+            scratch: Vec::new(),
         })
     }
 
@@ -237,22 +241,14 @@ impl EdgeSketchBuilder {
 
     /// Absorb an already-packed sign-split report batch (rows = replicas, columns =
     /// `m_A·m_B` flattened coordinates) — the zero-copy companion of
-    /// [`LdpEdgeSketchClient::perturb_batch`].
+    /// [`LdpEdgeSketchClient::perturb_batch`]. Large batches scatter through the builder's
+    /// own reusable `i32` scratch, so chunked drivers that ingest many batches back to back
+    /// allocate nothing per batch.
     ///
     /// # Errors
     /// Returns [`Error::IncompatibleSketches`] on a shape mismatch; the builder is untouched
     /// in that case.
     pub fn absorb_batch(&mut self, batch: &ReportBatch) -> Result<()> {
-        let mut scratch = Vec::new();
-        self.absorb_batch_with(batch, &mut scratch)
-    }
-
-    /// [`EdgeSketchBuilder::absorb_batch`] with a caller-owned scratch buffer, for chunked
-    /// drivers that ingest many batches back to back.
-    ///
-    /// # Errors
-    /// Returns [`Error::IncompatibleSketches`] on a shape mismatch.
-    pub fn absorb_batch_with(&mut self, batch: &ReportBatch, scratch: &mut Vec<i32>) -> Result<()> {
         let k = self.attr_a.replicas();
         let per = self.attr_a.buckets() * self.attr_b.buckets();
         if batch.rows() != k || batch.columns() != per {
@@ -262,7 +258,7 @@ impl EdgeSketchBuilder {
                 batch.columns(),
             )));
         }
-        batch.accumulate_into_with(&mut self.raw, scratch);
+        batch.accumulate_into_with(&mut self.raw, &mut self.scratch);
         self.reports += batch.len() as u64;
         Ok(())
     }
@@ -322,6 +318,7 @@ impl EdgeSketchBuilder {
                 .map(|(a, b)| a - b)
                 .collect(),
             reports: self.reports - earlier.reports,
+            scratch: Vec::new(),
         })
     }
 
@@ -335,12 +332,14 @@ impl EdgeSketchBuilder {
             eps,
             mut raw,
             reports,
+            ..
         } = self;
         let k = attr_a.replicas();
         let (ma, mb) = (attr_a.buckets(), attr_b.buckets());
-        // The de-bias scale is folded into the first (second-dimension) transform pass:
-        // each element is multiplied exactly once before any butterfly addition touches
-        // it, which is bit-identical to the former separate scale sweep.
+        // The de-bias scale is folded into the first (second-dimension) transform pass,
+        // which multiplies each element once after that row's last butterfly addition. The
+        // scale therefore lands after the second-dimension transform and before the
+        // first-dimension one.
         let scale = k as f64 * eps.c_eps();
         let per = ma * mb;
         let mut column = vec![0.0; ma];
@@ -521,11 +520,10 @@ pub fn build_edge_sketch_chunked(
     use rand::SeedableRng;
 
     let client = LdpEdgeSketchClient::new(attr_a.clone(), attr_b.clone(), eps)?;
-    // One packed batch and one scatter scratch, reused across every chunk: steady-state
-    // streaming ingestion allocates nothing.
+    // One packed batch (and the builder's own scatter scratch), reused across every chunk:
+    // steady-state streaming ingestion allocates nothing.
     let mut batch = ReportBatch::new(attr_a.replicas(), attr_a.buckets() * attr_b.buckets())?;
     let mut builder = EdgeSketchBuilder::new(attr_a.clone(), attr_b.clone(), eps)?;
-    let mut scratch = Vec::new();
     // Pass-local chunk ordinal, like the one-dimensional runners: `chunk_len()` is only an
     // upper bound, so deriving the ordinal from the start index could collide seeds (and
     // replay a noise stream) on streams emitting non-full mid-stream chunks.
@@ -539,7 +537,7 @@ pub fn build_edge_sketch_chunked(
         ordinal += 1;
         let result = client
             .perturb_batch_into(chunk, &mut rng, &mut batch)
-            .and_then(|()| builder.absorb_batch_with(&batch, &mut scratch));
+            .and_then(|()| builder.absorb_batch(&batch));
         if let Err(e) = result {
             err = Some(e);
         }
@@ -705,20 +703,42 @@ mod tests {
 
     #[test]
     fn chunked_edge_build_is_replay_deterministic_and_counts_reports() {
+        use crate::client::chunk_stream_seed;
         use ldpjs_common::stream::TupleSliceChunks;
         let attr_a = JoinAttribute::from_seed(5, 6, 64);
         let attr_b = JoinAttribute::from_seed(6, 6, 64);
-        let tuples = skewed_pairs(10_003, 300, 300, 31);
-        let src = TupleSliceChunks::new(&tuples, 1_024);
-        let first = build_edge_sketch_chunked(&src, &attr_a, &attr_b, eps(4.0), 9).unwrap();
-        let second = build_edge_sketch_chunked(&src, &attr_a, &attr_b, eps(4.0), 9).unwrap();
-        assert_eq!(first.reports(), tuples.len() as u64);
-        for j in 0..6 {
-            assert_eq!(first.replica(j), second.replica(j), "replica {j} diverged");
+        let tuples = skewed_pairs(20_003, 300, 300, 31);
+        // The scratch cutoff is 6·64·64/4 = 6,144 reports: 1,024-tuple chunks stay under it,
+        // while 8,192-tuple chunks take the builder's scratch twice before a short tail.
+        for chunk_len in [1_024, 8_192] {
+            let src = TupleSliceChunks::new(&tuples, chunk_len);
+            let first = build_edge_sketch_chunked(&src, &attr_a, &attr_b, eps(4.0), 9).unwrap();
+            let second = build_edge_sketch_chunked(&src, &attr_a, &attr_b, eps(4.0), 9).unwrap();
+            assert_eq!(first.reports(), tuples.len() as u64);
+            // Per-report absorption of the same per-chunk RNG streams is the reference.
+            let client =
+                LdpEdgeSketchClient::new(attr_a.clone(), attr_b.clone(), eps(4.0)).unwrap();
+            let mut reference =
+                EdgeSketchBuilder::new(attr_a.clone(), attr_b.clone(), eps(4.0)).unwrap();
+            for (ordinal, chunk) in tuples.chunks(chunk_len).enumerate() {
+                let mut rng = StdRng::seed_from_u64(chunk_stream_seed(9, ordinal as u64));
+                for &(a, b) in chunk {
+                    reference.absorb(client.perturb(a, b, &mut rng)).unwrap();
+                }
+            }
+            let reference = reference.finalize();
+            for j in 0..6 {
+                assert_eq!(first.replica(j), second.replica(j), "replica {j} diverged");
+                assert_eq!(
+                    first.replica(j),
+                    reference.replica(j),
+                    "replica {j} ≠ reference"
+                );
+            }
+            // A different RNG seed must give a different sketch.
+            let other = build_edge_sketch_chunked(&src, &attr_a, &attr_b, eps(4.0), 10).unwrap();
+            assert_ne!(first.replica(0), other.replica(0));
         }
-        // A different RNG seed must give a different sketch.
-        let other = build_edge_sketch_chunked(&src, &attr_a, &attr_b, eps(4.0), 10).unwrap();
-        assert_ne!(first.replica(0), other.replica(0));
     }
 
     /// Pinned-seed regression for the streaming multi-way path: the 3-way chain estimate

@@ -51,6 +51,10 @@ pub struct SketchBuilder {
     raw: Vec<f64>,
     /// Number of absorbed reports.
     reports: u64,
+    /// The `i32` scatter scratch of [`SketchBuilder::absorb_batch`], reused across batches
+    /// (empty until the first batch large enough to need it, all zeros between calls), so
+    /// a long-lived builder allocates nothing per batch.
+    scratch: Vec<i32>,
 }
 
 impl SketchBuilder {
@@ -73,6 +77,7 @@ impl SketchBuilder {
             hashes,
             raw: vec![0.0; params.counters()],
             reports: 0,
+            scratch: Vec::new(),
         }
     }
 
@@ -128,24 +133,16 @@ impl SketchBuilder {
     /// from client to counters. Index validity is a construction invariant of
     /// [`ReportBatch`], so no per-report validation happens here — only a shape check. The
     /// counters are bit-identical to absorbing the same reports one by one with
-    /// [`SketchBuilder::absorb`], in any order.
+    /// [`SketchBuilder::absorb`], in any order. Batches large enough to take the scratch
+    /// path scatter through the builder's own reusable `i32` scratch, so repeated batches
+    /// allocate nothing in steady state.
     ///
     /// # Errors
     /// Returns [`Error::IncompatibleSketches`] if the batch shape does not match this
     /// sketch; the builder is untouched in that case.
     pub fn absorb_batch(&mut self, batch: &ReportBatch) -> Result<()> {
-        self.absorb_batch_with(batch, &mut Vec::new())
-    }
-
-    /// [`SketchBuilder::absorb_batch`] through the caller's reusable scatter scratch (the
-    /// sharded aggregator's ingest body, which allocates nothing per batch in steady state).
-    pub(crate) fn absorb_batch_with(
-        &mut self,
-        batch: &ReportBatch,
-        scratch: &mut Vec<i32>,
-    ) -> Result<()> {
         self.check_batch_shape(batch)?;
-        batch.accumulate_into_with(&mut self.raw, scratch);
+        batch.accumulate_into_with(&mut self.raw, &mut self.scratch);
         self.reports += batch.len() as u64;
         Ok(())
     }
@@ -251,6 +248,7 @@ impl SketchBuilder {
             hashes: Arc::clone(&self.hashes),
             raw,
             reports: self.reports - earlier.reports,
+            scratch: Vec::new(),
         })
     }
 
@@ -264,6 +262,7 @@ impl SketchBuilder {
             hashes,
             raw,
             reports,
+            ..
         } = self;
         restore(params, eps, hashes, raw, reports)
     }
@@ -1765,26 +1764,40 @@ mod tests {
 
     #[test]
     fn absorb_batch_equals_incremental_absorption() {
+        // 6·64 = 384 counters put the scratch cutoff at 96 reports: the four batches
+        // alternate between the direct path and the builder's reused scratch.
         let p = params(6, 64);
         let e = eps(2.0);
         let client = LdpJoinSketchClient::new(p, e, 3);
-        let values = [1, 2, 3, 4, 5, 6, 7, 8];
         let mut packed = SketchBuilder::new(p, e, 3);
-        packed
-            .absorb_batch(
-                &client
-                    .perturb_batch(&values, &mut StdRng::seed_from_u64(4))
-                    .unwrap(),
-            )
-            .unwrap();
-        let batch = packed.finalize();
-        let mut rng = StdRng::seed_from_u64(4);
         let mut incremental = SketchBuilder::new(p, e, 3);
-        for &v in &values {
-            incremental.absorb(client.perturb(v, &mut rng)).unwrap();
+        for (seed, n) in [(4u64, 8u64), (5, 500), (6, 95), (7, 97)] {
+            let values: Vec<u64> = (0..n).map(|v| v % 50).collect();
+            let batch = client
+                .perturb_batch(&values, &mut StdRng::seed_from_u64(seed))
+                .unwrap();
+            packed.absorb_batch(&batch).unwrap();
+            let mut rng = StdRng::seed_from_u64(seed);
+            for &v in &values {
+                incremental.absorb(client.perturb(v, &mut rng)).unwrap();
+            }
         }
+        let bits = |s: &FinalizedSketch| -> Vec<u64> {
+            s.restored_counters().iter().map(|v| v.to_bits()).collect()
+        };
         let incremental = incremental.finalize();
-        assert_eq!(batch.restored_counters(), incremental.restored_counters());
-        assert_eq!(batch.reports(), incremental.reports());
+        assert_eq!(packed.reports(), 700);
+        // A clone, and a fresh builder merged with the packed one, restore the same bits.
+        let mut merged = SketchBuilder::new(p, e, 3);
+        merged.merge(&packed).unwrap();
+        for (what, builder) in [
+            ("clone", packed.clone()),
+            ("merge", merged),
+            ("packed", packed),
+        ] {
+            let sketch = builder.finalize();
+            assert_eq!(bits(&sketch), bits(&incremental), "{what}");
+            assert_eq!(sketch.reports(), incremental.reports(), "{what}");
+        }
     }
 }

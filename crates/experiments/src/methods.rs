@@ -6,17 +6,16 @@
 //! quantities the paper's figures plot.
 //!
 //! The paper's own estimators go through the **shared query-engine kernels** of
-//! [`ldpjs_core::kernel`]: the plain online step dispatches
-//! [`JoinKernel::Plain`](ldpjs_core::JoinKernel) on the two finalized sketch views, and
-//! LDPJoinSketch+ runs [`PlusKernel`](ldpjs_core::PlusKernel)'s `JoinEst` inside
-//! [`LdpJoinSketchPlus`] — the identical code paths the online `SketchService` serves, so
-//! offline figures and online answers can never drift apart.
+//! [`ldpjs_core::kernel`]: the plain online step runs [`PlainKernel`] on the two finalized
+//! sketch views, and LDPJoinSketch+ runs [`PlusKernel`](ldpjs_core::PlusKernel)'s
+//! `JoinEst` inside [`LdpJoinSketchPlus`] — the identical code paths the online
+//! `SketchService` serves, so offline figures and online answers can never drift apart.
 
 use ldpjs_common::error::Result;
 use ldpjs_common::privacy::Epsilon;
 use ldpjs_core::plus::{LdpJoinSketchPlus, PlusConfig};
 use ldpjs_core::protocol::{build_private_sketch_parallel, report_bits};
-use ldpjs_core::{JoinKernel, PlainKernel, QueryInput, SketchParams};
+use ldpjs_core::{PlainKernel, SketchParams};
 use ldpjs_data::JoinWorkload;
 use ldpjs_ldp::{estimate_join_from_oracles, FlhOracle, FrequencyOracle, HcmsOracle, KrrOracle};
 use ldpjs_sketch::FastAgmsSketch;
@@ -187,9 +186,8 @@ pub fn estimate_join(
                                                          // lint:allow(determinism) — figure-table wall-clock timing of the method
                                                          // run itself; the reported estimates depend only on the seeded RNG.
             let start = Instant::now();
-            // The online step is the shared plain kernel — dispatched through the same
-            // `JoinKernel` front-end the unified query engine uses everywhere.
-            let estimate = JoinKernel::Plain(PlainKernel).estimate(QueryInput::Plain(&sa, &sb))?;
+            // The online step is the shared plain kernel the service's join queries run.
+            let estimate = PlainKernel.join_size(&sa, &sb)?;
             let online = start.elapsed().as_secs_f64(); // lint:allow(telemetry-clock) — figure timing.
             let bits =
                 report_bits(params) * (workload.table_a.len() + workload.table_b.len()) as u64;

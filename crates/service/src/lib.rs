@@ -6,8 +6,10 @@
 //!
 //! * [`service::SketchService`] registers join attributes and accepts continuous report
 //!   batches through one ingest entry point taking any [`service::Reports`] form (packed
-//!   batches, plus batches), feeding one live engine (for plain attributes a
-//!   [`ShardedAggregator`](ldpjs_core::ShardedAggregator) absorbing on the caller thread).
+//!   batches, plus batches). Each attribute holds one per-mode state: its static config,
+//!   its live engine — an exact-counter builder (one
+//!   [`SketchBuilder`](ldpjs_core::SketchBuilder) lane for plain, three for plus, one 2-D
+//!   lane for edge) absorbing on the caller thread — and its span ledger.
 //! * An **epoch rotator** seals the live engine every `epoch_reports` reports (or on an
 //!   explicit [`service::SketchService::rotate`]) into an immutable
 //!   [`window::WindowSnapshot`] kept in a bounded ring of recent windows. A snapshot holds

@@ -8,18 +8,16 @@
 //! * **Deterministic** — fully determined by the report stream and the service
 //!   configuration: ingest/rotation/eviction counters, ring and ledger depths, cache
 //!   hit/miss/eviction counters, per-kind query counters. These are byte-stable across
-//!   pinned-seed runs *and* across shard counts, which is what the cross-shard snapshot
-//!   property test pins.
-//! * **Environment** — shaped by the machine: parallel-vs-inline ingest path counts, SIMD
-//!   kernel dispatch tiers, and every stage-timing histogram. They are exported but
-//!   filtered from deterministic snapshots.
+//!   pinned-seed runs, which is what the deterministic snapshot property test pins.
+//! * **Environment** — shaped by the machine: which SIMD kernel tiers the process has run,
+//!   and every stage-timing histogram. They are exported but filtered from deterministic
+//!   snapshots.
 //!
 //! Timings never read the wall clock here: the service records them only through its
 //! injected query clock (see `SketchService::set_query_clock`), the same pattern the epoch
 //! rotator already uses, so the workspace `determinism`/`telemetry-clock` lints stay clean.
 
 use crate::cache::CacheInstruments;
-use ldpjs_core::AggregatorInstruments;
 use ldpjs_metrics::telemetry::{Counter, Gauge, Histogram, Stability, Telemetry};
 
 /// Indexes into the per-kind arrays of [`ServiceInstruments`].
@@ -64,9 +62,9 @@ pub(crate) fn labeled(base: &str, labels: &[(&str, &str)]) -> String {
     out
 }
 
-/// Telemetry handles of one registered attribute. Registered once at attribute
-/// registration; the engine-attached aggregator bundle is re-attached to every fresh
-/// engine the rotator creates, so the series survive rotation.
+/// Telemetry handles of one registered attribute, registered once at attribute
+/// registration and owned by the attribute, so the series survive rotation. Every handle
+/// is [`Stability::Deterministic`].
 #[derive(Debug, Clone)]
 pub(crate) struct AttributeInstruments {
     /// Reports absorbed into the live engine (all ingest entry points).
@@ -87,26 +85,15 @@ pub(crate) struct AttributeInstruments {
     pub ledger_depth: Gauge,
     /// Reports sitting in the live (unsealed) engine.
     pub live_reports: Gauge,
-    /// Engine-level handles (plain attributes only: the parallel-vs-inline ingest path) —
-    /// all [`Stability::Environment`].
-    pub agg: Option<AggregatorInstruments>,
 }
 
 impl AttributeInstruments {
     /// Register the attribute's full series under `{attr="name",mode="…"}` labels.
-    /// Plain attributes (`engine`) also get the engine-level bundle.
-    pub fn register(telemetry: &Telemetry, name: &str, mode: &'static str, engine: bool) -> Self {
+    pub fn register(telemetry: &Telemetry, name: &str, mode: &'static str) -> Self {
         let det = Stability::Deterministic;
-        let env = Stability::Environment;
         let am = [("attr", name), ("mode", mode)];
         let a = [("attr", name)];
         let counter = |base: &str| telemetry.counter(&labeled(base, &am), det);
-        let agg = engine.then(|| AggregatorInstruments {
-            parallel_batches: telemetry
-                .counter(&labeled("ldpjs_ingest_parallel_batches_total", &a), env),
-            inline_batches: telemetry
-                .counter(&labeled("ldpjs_ingest_inline_batches_total", &a), env),
-        });
         AttributeInstruments {
             reports: counter("ldpjs_ingest_reports_total"),
             batches: counter("ldpjs_ingest_batches_total"),
@@ -117,7 +104,6 @@ impl AttributeInstruments {
             windows: telemetry.gauge(&labeled("ldpjs_windows_retained", &a), det),
             ledger_depth: telemetry.gauge(&labeled("ldpjs_ledger_depth", &a), det),
             live_reports: telemetry.gauge(&labeled("ldpjs_live_reports", &a), det),
-            agg,
         }
     }
 }

@@ -10,14 +10,13 @@ use crate::observe::{
 use crate::window::{WindowRange, WindowSnapshot};
 use ldpjs_common::batch::ReportBatch;
 use ldpjs_common::error::{Error, Result};
-use ldpjs_common::hash::RowHashes;
+use ldpjs_common::kernel_dispatch_snapshot;
 use ldpjs_common::privacy::Epsilon;
-use ldpjs_common::{kernel_dispatch_snapshot, KernelDispatchSnapshot};
 use ldpjs_core::multiway::{EdgeSketchBuilder, FinalizedEdgeSketch, LdpEdgeSketchClient};
 use ldpjs_core::{
     bounds, ChainKernel, DomainIndex, FiPolicy, FinalizedPlusState, FinalizedSketch,
     LdpJoinSketchClient, PlainKernel, PlusConfig, PlusKernel, PlusReportBatch, PlusStateBuilder,
-    ShardedAggregator, SketchBuilder,
+    SketchBuilder,
 };
 use ldpjs_metrics::telemetry::{Snapshot, Stability, Telemetry};
 use ldpjs_sketch::compass::JoinAttribute;
@@ -35,9 +34,9 @@ pub struct ServiceConfig {
     pub params: SketchParams,
     /// Privacy budget every client perturbs with.
     pub eps: Epsilon,
-    /// Shards of each plain attribute's live ingestion engine. Packed batches are absorbed on
-    /// the caller thread whatever the count; it only splits the engine's frozen
-    /// `ingest_reference` path (see [`ShardedAggregator::new`]).
+    /// Ingestion shard count. The service no longer reads it: a plain attribute's live
+    /// engine is one `SketchBuilder`. It is still validated (zero is rejected) so existing
+    /// configurations keep their meaning.
     pub shards: usize,
     /// Seal the live engine into a window once it holds at least this many reports.
     /// Rotation happens at batch granularity: the batch that crosses the threshold
@@ -59,8 +58,9 @@ pub struct ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// A configuration with serving defaults: 2 shards, 64Ki-report epochs, no time
-    /// trigger, 16 retained windows, 4096 cached results.
+    /// A configuration with serving defaults: 64Ki-report epochs, no time trigger, 16
+    /// retained windows, 4096 cached results (and `shards = 2`, which the service does not
+    /// read).
     pub fn new(params: SketchParams, eps: Epsilon) -> Self {
         ServiceConfig {
             params,
@@ -320,55 +320,6 @@ pub struct Explain {
     pub predicted_error: f64,
 }
 
-/// The estimator mode a registered attribute runs in (with its mode-specific static state).
-#[derive(Debug, Clone)]
-enum AttributeKind {
-    /// Plain LDPJoinSketch ingestion and queries.
-    Plain { hashes: Arc<RowHashes> },
-    /// LDPJoinSketch+ three-lane ingestion, FI reconciliation and `JoinEst` queries.
-    Plus {
-        seed: u64,
-        config: PlusAttributeConfig,
-        /// Pre-hashed scan index over `config.domain` for the phase-1 hash family: every
-        /// seal-time and merged-span frequent-item discovery routes through it instead of
-        /// re-hashing `k · |domain|` candidates per scan (bit-identical results).
-        index: Arc<DomainIndex>,
-    },
-    /// Two-attribute edge-sketch ingestion for multi-way chain queries.
-    Edge {
-        attr_a: JoinAttribute,
-        attr_b: JoinAttribute,
-    },
-}
-
-impl AttributeKind {
-    fn mode(&self) -> QueryMode {
-        match self {
-            AttributeKind::Plain { .. } => QueryMode::Plain,
-            AttributeKind::Plus { .. } => QueryMode::Plus,
-            AttributeKind::Edge { .. } => QueryMode::Edge,
-        }
-    }
-}
-
-/// The live (unsealed) accumulation engine of one attribute, shaped by its mode.
-#[derive(Debug)]
-enum LiveEngine {
-    Plain(ShardedAggregator),
-    Plus(PlusStateBuilder),
-    Edge(EdgeSketchBuilder),
-}
-
-impl LiveEngine {
-    fn reports(&self) -> u64 {
-        match self {
-            LiveEngine::Plain(engine) => engine.reports(),
-            LiveEngine::Plus(builder) => builder.reports(),
-            LiveEngine::Edge(builder) => builder.reports(),
-        }
-    }
-}
-
 /// Cumulative per-lane state of the span ledger: the **unscaled Hadamard spectra** of one or
 /// more exact-counter lanes (one for plain, three for plus), plus the lanes' report counts.
 ///
@@ -427,44 +378,53 @@ impl SpectrumEntry {
 /// de-bias multiply per element ([`FinalizedSketch::from_spectrum_diff`]) — no counter
 /// merge and no FWHT on the query path at all. Because the spectra are exact integers and
 /// the transform is linear, the result is bit-identical to merging every covered window's
-/// builders from scratch and finalizing — property-tested in this module.
-///
-/// The plus ledger goes one step further: every suffix span changes on every rotation (each
-/// gains the new window), so rotation also **materializes** the merged
-/// [`FinalizedPlusState`] of every span start from the spectra — including the span's
-/// frequent-item re-discovery, the expensive domain scan. A cold plus span query is then an
-/// `Arc` clone; the per-span assembly and FI maintenance run once per rotation instead of
-/// once per cold query. (Memory: `retained_windows` states of three `k·m` lanes each per
-/// plus attribute.) Edge windows are 2-D and queried rarely, so their ledger stays in the
-/// counter domain.
+/// builders from scratch and finalizing — property-tested in this module. Edge windows are
+/// 2-D and queried rarely, so their ledger stays in the counter domain.
 #[derive(Debug)]
-enum SpanLedger {
-    Plain {
-        params: SketchParams,
-        eps: Epsilon,
-        hashes: Arc<RowHashes>,
-        origin: SpectrumEntry,
-        prefix: VecDeque<SpectrumEntry>,
-    },
-    Plus {
-        params: SketchParams,
-        eps: Epsilon,
-        /// The `(phase1, low, high)` lane hash families, captured at registration.
-        lane_hashes: [Arc<RowHashes>; 3],
-        origin: SpectrumEntry,
-        prefix: VecDeque<SpectrumEntry>,
-        /// `spans[start]` = the materialized merged state over the suffix `start..len`,
-        /// rebuilt at every rotation (`spans[len−1]` shares the newest window's sealed
-        /// view).
-        spans: Vec<Arc<FinalizedPlusState>>,
-    },
-    Edge {
-        origin: EdgeSketchBuilder,
-        prefix: VecDeque<EdgeSketchBuilder>,
-    },
+struct Ledger<T> {
+    origin: T,
+    prefix: VecDeque<T>,
 }
 
-impl SpanLedger {
+impl<T> Ledger<T> {
+    fn new(origin: T) -> Self {
+        Ledger {
+            origin,
+            prefix: VecDeque::new(),
+        }
+    }
+
+    /// The cumulative entry through the newest window (the origin before the first seal).
+    fn last(&self) -> &T {
+        self.prefix.back().unwrap_or(&self.origin)
+    }
+
+    /// Prefix entries currently held (always aligned with the window ring's length).
+    fn depth(&self) -> usize {
+        self.prefix.len()
+    }
+
+    /// Absorb the evicted oldest window into the origin (the eviction hook): the popped
+    /// prefix *is* the cumulative sum up to and including that window.
+    fn evict(&mut self) {
+        let oldest = self.prefix.pop_front();
+        // lint:allow(panic-freedom) — invariant: evict only runs when the window ring
+        // is full, and every seal pushed one ledger entry per ring window.
+        self.origin = oldest.expect("ledger aligned with windows");
+    }
+
+    /// The newest entry and the entry just before the suffix span `start..len` (the origin
+    /// for the full ring): the span is their difference.
+    fn span_ends(&self, start: usize) -> (&T, &T) {
+        let base = match start {
+            0 => &self.origin,
+            _ => &self.prefix[start - 1],
+        };
+        (self.last(), base)
+    }
+}
+
+impl Ledger<SpectrumEntry> {
     /// Fold a freshly sealed window's exact-counter lanes into the ledger (the rotation
     /// hook) and return each lane's finalized view. Each lane is transformed once: its
     /// unscaled spectrum is added to the last prefix, then scaled into the view by
@@ -473,15 +433,11 @@ impl SpanLedger {
     /// are the only transforms the ledger ever runs; queries reuse them for every span
     /// that covers this window.
     fn push_lanes<const N: usize>(&mut self, lanes: [&SketchBuilder; N]) -> [FinalizedSketch; N] {
-        let (SpanLedger::Plain { origin, prefix, .. } | SpanLedger::Plus { origin, prefix, .. }) =
-            self
-        else {
-            unreachable!("attribute kind and ledger are constructed together");
-        };
         let mut spectra = lanes.map(SketchBuilder::spectrum);
-        let last = prefix.back().unwrap_or(origin);
-        let next = last.plus_window(&spectra, &lanes.map(SketchBuilder::reports));
-        prefix.push_back(next);
+        let next = self
+            .last()
+            .plus_window(&spectra, &lanes.map(SketchBuilder::reports));
+        self.prefix.push_back(next);
         std::array::from_fn(|l| {
             let lane = lanes[l];
             FinalizedSketch::from_spectrum(
@@ -494,41 +450,157 @@ impl SpanLedger {
         })
     }
 
-    /// Fold a freshly sealed edge window's counters into the ledger (the rotation hook).
-    fn push_edge(&mut self, sealed: &EdgeSketchBuilder) {
-        let SpanLedger::Edge { origin, prefix } = self else {
-            unreachable!("attribute kind and ledger are constructed together");
-        };
-        let mut next = prefix.back().unwrap_or(origin).clone();
-        next.merge(sealed)
-            // lint:allow(panic-freedom) — invariant: every window of one attribute
-            // is built from the same registration, so attributes and ε always match.
-            .expect("windows of one attribute share attributes and ε");
-        prefix.push_back(next);
+    /// Lane `l` of the suffix span `start..len` as a finalized view: one fused spectrum
+    /// subtraction + de-bias multiply per element, no FWHT. `shape` is any builder of that
+    /// lane (the live one), supplying its parameters and hash family.
+    fn span_lane(&self, start: usize, l: usize, shape: &SketchBuilder) -> FinalizedSketch {
+        let (last, base) = self.span_ends(start);
+        FinalizedSketch::from_spectrum_diff(
+            shape.params(),
+            shape.epsilon(),
+            Arc::clone(shape.hashes()),
+            last.reports[l] - base.reports[l],
+            &last.lanes[l],
+            &base.lanes[l],
+        )
     }
+}
 
-    /// Prefix entries currently held (always aligned with the window ring's length).
-    fn depth(&self) -> usize {
+/// One attribute's estimator mode with everything that mode owns: its static config, the
+/// live (unsealed) builder and the prefix-sum span ledger. The live engine of every mode is
+/// an exact-counter builder, because the server side of Alg. 2 is a linear sum of ±1
+/// reports: one lane for LDPJoinSketch, three for LDPJoinSketch+ (Alg. 3), one 2-D lane for
+/// chain edges (Sec. VI). A mode's state can only be built whole, so a live engine can
+/// never meet another mode's ledger.
+#[derive(Debug)]
+enum ModeState {
+    /// Plain LDPJoinSketch ingestion and queries. The live builder carries the public hash
+    /// family.
+    Plain {
+        live: SketchBuilder,
+        ledger: Ledger<SpectrumEntry>,
+    },
+    /// LDPJoinSketch+ three-lane ingestion, FI reconciliation and `JoinEst` queries.
+    Plus {
+        seed: u64,
+        config: PlusAttributeConfig,
+        /// Pre-hashed scan index over `config.domain` for the phase-1 hash family: every
+        /// seal-time and merged-span frequent-item discovery routes through it instead of
+        /// re-hashing `k · |domain|` candidates per scan (bit-identical results).
+        index: Arc<DomainIndex>,
+        live: PlusStateBuilder,
+        ledger: Ledger<SpectrumEntry>,
+        /// `spans[start]` = the materialized merged state over the suffix `start..len`,
+        /// rebuilt at every rotation (`spans[len−1]` shares the newest window's sealed
+        /// view). Every suffix span gains the new window on every rotation, so rotation
+        /// assembles each one from the spectra — including the span's frequent-item
+        /// re-discovery, the expensive domain scan — and a cold plus span query is an
+        /// `Arc` clone. (Memory: `retained_windows` states of three `k·m` lanes each.)
+        spans: Vec<Arc<FinalizedPlusState>>,
+    },
+    /// Two-attribute edge-sketch ingestion for multi-way chain queries. The live builder
+    /// carries both join attributes' hash families.
+    Edge {
+        live: EdgeSketchBuilder,
+        ledger: Ledger<EdgeSketchBuilder>,
+    },
+}
+
+impl ModeState {
+    fn mode(&self) -> QueryMode {
         match self {
-            SpanLedger::Plain { prefix, .. } | SpanLedger::Plus { prefix, .. } => prefix.len(),
-            SpanLedger::Edge { prefix, .. } => prefix.len(),
+            ModeState::Plain { .. } => QueryMode::Plain,
+            ModeState::Plus { .. } => QueryMode::Plus,
+            ModeState::Edge { .. } => QueryMode::Edge,
         }
     }
 
-    /// Absorb the evicted oldest window into the origin (the eviction hook): the popped
-    /// prefix *is* the cumulative sum up to and including that window.
-    fn evict(&mut self) {
+    /// Reports sitting in the live builder.
+    fn live_reports(&self) -> u64 {
         match self {
-            SpanLedger::Plain { origin, prefix, .. } | SpanLedger::Plus { origin, prefix, .. } => {
-                // lint:allow(panic-freedom) — invariant: evict only runs when the window
-                // ring overflows, and push kept one ledger entry per ring window.
-                *origin = prefix.pop_front().expect("ledger aligned with windows");
+            ModeState::Plain { live, .. } => live.reports(),
+            ModeState::Plus { live, .. } => live.reports(),
+            ModeState::Edge { live, .. } => live.reports(),
+        }
+    }
+
+    /// Seal the live builder into a window (a fresh builder continues ingesting), fold its
+    /// lanes into the ledger, evict the ledger's oldest window if `evict`, and return the
+    /// window's report count and finalized view. Each lane is transformed once (see
+    /// [`Ledger::push_lanes`]); plus attributes then re-materialize every suffix span.
+    fn seal(&mut self, eps: Epsilon, evict: bool) -> (u64, SpanView) {
+        match self {
+            ModeState::Plain { live, ledger } => {
+                let fresh = SketchBuilder::with_hashes(
+                    live.params(),
+                    live.epsilon(),
+                    Arc::clone(live.hashes()),
+                );
+                let sealed = std::mem::replace(live, fresh);
+                let [view] = ledger.push_lanes([&sealed]);
+                if evict {
+                    ledger.evict();
+                }
+                (sealed.reports(), SpanView::Plain(Arc::new(view)))
             }
-            SpanLedger::Edge { origin, prefix } => {
-                // lint:allow(panic-freedom) — invariant: evict only runs when the window
-                // ring overflows, and push kept one ledger entry per ring window.
-                *origin = prefix.pop_front().expect("ledger aligned with windows");
+            ModeState::Plus {
+                seed,
+                config,
+                index,
+                live,
+                ledger,
+                spans,
+            } => {
+                let fresh = PlusStateBuilder::new(live.params(), live.epsilon(), *seed);
+                let sealed = std::mem::replace(live, fresh);
+                let (phase1, low, high) = sealed.lane_builders();
+                let [phase1, low, high] = ledger.push_lanes([phase1, low, high]);
+                let policy = config.policy();
+                let newest = Arc::new(plus_state(phase1, low, high, policy, index));
+                if evict {
+                    ledger.evict();
+                }
+                // Every suffix span gained the new window (and eviction shifted the
+                // starts): assemble each from the spectrum prefixes — three fused
+                // subtract+scale passes and one indexed FI re-discovery per span,
+                // bit-identical to merging the covered windows from scratch. The newest
+                // window's view, discovery already run, is the one-window span.
+                let (phase1, low, high) = live.lane_builders();
+                spans.clear();
+                for start in 0..ledger.depth() - 1 {
+                    let lane = |l, shape| ledger.span_lane(start, l, shape);
+                    let state =
+                        plus_state(lane(0, phase1), lane(1, low), lane(2, high), policy, index);
+                    spans.push(Arc::new(state));
+                }
+                spans.push(Arc::clone(&newest));
+                (sealed.reports(), SpanView::Plus(newest))
             }
+            ModeState::Edge { live, ledger } => {
+                let fresh = empty_edge_builder(live.attribute_a(), live.attribute_b(), eps);
+                let sealed = std::mem::replace(live, fresh);
+                let mut next = ledger.last().clone();
+                next.merge(&sealed)
+                    // lint:allow(panic-freedom) — invariant: every window of one attribute
+                    // is built from the same registration, so attributes and ε always match.
+                    .expect("windows of one attribute share attributes and ε");
+                ledger.prefix.push_back(next);
+                if evict {
+                    ledger.evict();
+                }
+                (
+                    sealed.reports(),
+                    SpanView::Edge(Arc::new(sealed.finalize())),
+                )
+            }
+        }
+    }
+
+    /// Prefix entries the ledger currently holds.
+    fn ledger_depth(&self) -> usize {
+        match self {
+            ModeState::Plain { ledger, .. } | ModeState::Plus { ledger, .. } => ledger.depth(),
+            ModeState::Edge { ledger, .. } => ledger.depth(),
         }
     }
 
@@ -537,26 +609,12 @@ impl SpanLedger {
     /// materialized at the last rotation; edge spans difference two counter prefixes.
     fn span(&self, start: usize) -> SpanView {
         match self {
-            SpanLedger::Plain {
-                params,
-                eps,
-                hashes,
-                origin,
-                prefix,
-            } => {
-                let (last, base) = span_ends(origin, prefix, start);
-                SpanView::Plain(Arc::new(FinalizedSketch::from_spectrum_diff(
-                    *params,
-                    *eps,
-                    Arc::clone(hashes),
-                    last.reports[0] - base.reports[0],
-                    &last.lanes[0],
-                    &base.lanes[0],
-                )))
+            ModeState::Plain { live, ledger } => {
+                SpanView::Plain(Arc::new(ledger.span_lane(start, 0, live)))
             }
-            SpanLedger::Plus { spans, .. } => SpanView::Plus(Arc::clone(&spans[start])),
-            SpanLedger::Edge { origin, prefix } => {
-                let (last, base) = span_ends(origin, prefix, start);
+            ModeState::Plus { spans, .. } => SpanView::Plus(Arc::clone(&spans[start])),
+            ModeState::Edge { ledger, .. } => {
+                let (last, base) = ledger.span_ends(start);
                 let merged = last
                     .difference(base)
                     // lint:allow(panic-freedom) — invariant: each prefix entry is the previous
@@ -566,66 +624,21 @@ impl SpanLedger {
             }
         }
     }
-
-    /// Rebuild the materialized per-start merged plus states after a rotation: every suffix
-    /// span gained the new window (and eviction shifted the starts), so each is assembled
-    /// fresh from the spectrum prefixes — three fused subtract+scale passes and one indexed
-    /// FI re-discovery per span, bit-identical to merging the covered windows from scratch.
-    /// `newest` (the just-sealed window's view, discovery already run at sealing) is shared
-    /// as the one-window span.
-    fn refresh_plus_spans(
-        &mut self,
-        policy: FiPolicy,
-        index: &DomainIndex,
-        newest: Arc<FinalizedPlusState>,
-    ) {
-        let SpanLedger::Plus {
-            params,
-            eps,
-            lane_hashes,
-            origin,
-            prefix,
-            spans,
-        } = self
-        else {
-            unreachable!("mode checked by the rotation hook");
-        };
-        spans.clear();
-        for start in 0..prefix.len() - 1 {
-            let (last, base) = span_ends(origin, prefix, start);
-            let mk = |l: usize| {
-                FinalizedSketch::from_spectrum_diff(
-                    *params,
-                    *eps,
-                    Arc::clone(&lane_hashes[l]),
-                    last.reports[l] - base.reports[l],
-                    &last.lanes[l],
-                    &base.lanes[l],
-                )
-            };
-            let (phase1, low, high) = (mk(0), mk(1), mk(2));
-            let state = FinalizedPlusState::new_indexed(phase1, low, high, policy, index)
-                // lint:allow(panic-freedom) — invariant: registration built `index` from the
-                // attribute's own phase-1 seed and the service's (k, m).
-                .expect("the attribute's domain index matches its phase-1 hash family");
-            spans.push(Arc::new(state));
-        }
-        spans.push(newest);
-    }
 }
 
-/// The newest prefix entry and the entry just before the suffix span `start..len` (the
-/// origin for the full ring): the span is their difference.
-fn span_ends<'a, T>(origin: &'a T, prefix: &'a VecDeque<T>, start: usize) -> (&'a T, &'a T) {
-    // lint:allow(panic-freedom) — invariant: span resolution rejects empty rings and
-    // rotation pushes before it refreshes, so the prefix is never empty here.
-    let last = prefix.back().expect("spans cover at least one window");
-    let base = if start == 0 {
-        origin
-    } else {
-        &prefix[start - 1]
-    };
-    (last, base)
+/// A plus attribute's finalized state from its three lane views, with frequent items
+/// discovered through the attribute's domain index.
+fn plus_state(
+    phase1: FinalizedSketch,
+    low: FinalizedSketch,
+    high: FinalizedSketch,
+    policy: FiPolicy,
+    index: &DomainIndex,
+) -> FinalizedPlusState {
+    FinalizedPlusState::new_indexed(phase1, low, high, policy, index)
+        // lint:allow(panic-freedom) — invariant: registration built `index` from the
+        // attribute's own phase-1 seed and the service's (k, m).
+        .expect("the attribute's domain index matches its phase-1 hash family")
 }
 
 /// The merged estimation view of one span, shaped by the attribute's mode. Cheap to clone
@@ -637,15 +650,13 @@ pub(crate) enum SpanView {
     Edge(Arc<FinalizedEdgeSketch>),
 }
 
-/// One registered join attribute: its mode, the live engine, the bounded ring of sealed
-/// epoch windows, and the prefix-sum span ledger kept aligned with that ring.
+/// One registered join attribute: its mode state (config, live builder, span ledger) and
+/// the bounded ring of sealed epoch windows the ledger stays aligned with.
 #[derive(Debug)]
 struct Attribute {
     name: String,
-    kind: AttributeKind,
-    live: LiveEngine,
+    mode: ModeState,
     windows: VecDeque<WindowSnapshot>,
-    ledger: SpanLedger,
     next_epoch: u64,
     evicted: u64,
     total_reports: u64,
@@ -654,15 +665,6 @@ struct Attribute {
     epoch_opened_at: Option<Instant>,
     /// The attribute's registered telemetry handles (see [`crate::observe`]).
     instruments: AttributeInstruments,
-}
-
-impl Attribute {
-    fn plus_config(&self) -> &PlusAttributeConfig {
-        match &self.kind {
-            AttributeKind::Plus { config, .. } => config,
-            _ => unreachable!("operand modes are checked first"),
-        }
-    }
 }
 
 /// An injected clock for per-query stage timings: the service never reads the wall clock
@@ -738,10 +740,6 @@ pub struct SketchService {
     telemetry: Telemetry,
     instruments: ServiceInstruments,
     query_clock: Option<QueryClock>,
-    /// The process-wide SIMD dispatch counters at construction: exported dispatch counts
-    /// are the delta against this, so each service reports its own kernel activity even
-    /// when several services (or tests) share the process.
-    dispatch_baseline: KernelDispatchSnapshot,
 }
 
 impl SketchService {
@@ -749,7 +747,7 @@ impl SketchService {
     ///
     /// # Errors
     /// [`Error::InvalidWorkload`] if the configuration is degenerate (zero shards, epoch
-    /// size, duration, or retention).
+    /// size, duration, retention or cache capacity).
     pub fn new(config: ServiceConfig) -> Result<Self> {
         config.validate()?;
         let telemetry = Telemetry::new();
@@ -765,7 +763,6 @@ impl SketchService {
             telemetry,
             instruments,
             query_clock: None,
-            dispatch_baseline: kernel_dispatch_snapshot(),
         })
     }
 
@@ -784,17 +781,12 @@ impl SketchService {
     /// # Errors
     /// [`Error::InvalidWorkload`] if `name` is already registered.
     pub fn register_attribute(&mut self, name: &str, seed: u64) -> Result<AttributeId> {
-        let (k, m) = (self.config.params.rows(), self.config.params.columns());
-        let hashes = Arc::new(RowHashes::from_seed(seed, k, m));
-        let live = LiveEngine::Plain(fresh_plain_engine(&self.config, &hashes));
-        let ledger = SpanLedger::Plain {
-            params: self.config.params,
-            eps: self.config.eps,
-            hashes: Arc::clone(&hashes),
-            origin: SpectrumEntry::zero(1, self.config.params.counters()),
-            prefix: VecDeque::new(),
+        let (params, eps) = (self.config.params, self.config.eps);
+        let mode = ModeState::Plain {
+            live: SketchBuilder::new(params, eps, seed),
+            ledger: Ledger::new(SpectrumEntry::zero(1, params.counters())),
         };
-        self.register(name, AttributeKind::Plain { hashes }, live, ledger)
+        self.register(name, mode)
     }
 
     /// Register an **LDPJoinSketch+** attribute: three-lane ingestion
@@ -810,38 +802,23 @@ impl SketchService {
         seed: u64,
         config: PlusAttributeConfig,
     ) -> Result<AttributeId> {
-        let builder = PlusStateBuilder::new(self.config.params, self.config.eps, seed);
-        let (phase1, low, high) = builder.lane_builders();
-        let lane_hashes = [
-            Arc::clone(phase1.hashes()),
-            Arc::clone(low.hashes()),
-            Arc::clone(high.hashes()),
-        ];
+        let (params, eps) = (self.config.params, self.config.eps);
+        let live = PlusStateBuilder::new(params, eps, seed);
         // Hash the public candidate domain through the phase-1 family once, at
         // registration; every discovery scan of this attribute reuses the index.
         let index = Arc::new(DomainIndex::new(
-            &lane_hashes[0],
+            live.lane_builders().0.hashes(),
             Arc::clone(&config.domain),
         ));
-        let live = LiveEngine::Plus(builder);
-        let ledger = SpanLedger::Plus {
-            params: self.config.params,
-            eps: self.config.eps,
-            lane_hashes,
-            origin: SpectrumEntry::zero(3, self.config.params.counters()),
-            prefix: VecDeque::new(),
+        let mode = ModeState::Plus {
+            seed,
+            config,
+            index,
+            live,
+            ledger: Ledger::new(SpectrumEntry::zero(3, params.counters())),
             spans: Vec::new(),
         };
-        self.register(
-            name,
-            AttributeKind::Plus {
-                seed,
-                config,
-                index,
-            },
-            live,
-            ledger,
-        )
+        self.register(name, mode)
     }
 
     /// Register an **edge** attribute — a two-attribute table summarised by a 2-D edge
@@ -860,38 +837,22 @@ impl SketchService {
         let (k, m) = (self.config.params.rows(), self.config.params.columns());
         let attr_a = JoinAttribute::from_seed(seed_a, k, m);
         let attr_b = JoinAttribute::from_seed(seed_b, k, m);
-        let live = LiveEngine::Edge(empty_edge_builder(&attr_a, &attr_b, self.config.eps));
-        let ledger = SpanLedger::Edge {
-            origin: empty_edge_builder(&attr_a, &attr_b, self.config.eps),
-            prefix: VecDeque::new(),
-        };
-        self.register(name, AttributeKind::Edge { attr_a, attr_b }, live, ledger)
+        let live = empty_edge_builder(&attr_a, &attr_b, self.config.eps);
+        let ledger = Ledger::new(live.clone());
+        self.register(name, ModeState::Edge { live, ledger })
     }
 
-    fn register(
-        &mut self,
-        name: &str,
-        kind: AttributeKind,
-        mut live: LiveEngine,
-        ledger: SpanLedger,
-    ) -> Result<AttributeId> {
+    fn register(&mut self, name: &str, mode: ModeState) -> Result<AttributeId> {
         if self.attributes.iter().any(|a| a.name == name) {
             return Err(Error::InvalidWorkload(format!(
                 "attribute '{name}' is already registered"
             )));
         }
-        let engine = matches!(live, LiveEngine::Plain(_));
-        let instruments =
-            AttributeInstruments::register(&self.telemetry, name, kind.mode().name(), engine);
-        if let LiveEngine::Plain(engine) = &mut live {
-            engine.set_instruments(instruments.agg.clone());
-        }
+        let instruments = AttributeInstruments::register(&self.telemetry, name, mode.mode().name());
         self.attributes.push(Attribute {
             name: name.to_string(),
-            kind,
-            live,
+            mode,
             windows: VecDeque::with_capacity(self.config.retained_windows),
-            ledger,
             next_epoch: 0,
             evicted: 0,
             total_reports: 0,
@@ -916,7 +877,7 @@ impl SketchService {
 
     /// The attribute's estimator mode name (`"plain"`, `"plus"` or `"edge"`).
     pub fn attribute_mode(&self, attr: AttributeId) -> Result<&'static str> {
-        Ok(find(&self.attributes, attr)?.kind.mode().name())
+        Ok(find(&self.attributes, attr)?.mode.mode().name())
     }
 
     /// A client-side encoder sharing a **plain** attribute's public hash family (for
@@ -929,11 +890,11 @@ impl SketchService {
     /// and [`SketchService::edge_client`] respectively.
     pub fn client(&self, attr: AttributeId) -> Result<LdpJoinSketchClient> {
         let a = find(&self.attributes, attr)?;
-        match &a.kind {
-            AttributeKind::Plain { hashes } => Ok(LdpJoinSketchClient::with_hashes(
+        match &a.mode {
+            ModeState::Plain { live, .. } => Ok(LdpJoinSketchClient::with_hashes(
                 self.config.params,
                 self.config.eps,
-                Arc::clone(hashes),
+                Arc::clone(live.hashes()),
             )),
             _ => Err(mode_mismatch(a, "a plain client")),
         }
@@ -945,8 +906,9 @@ impl SketchService {
     /// [`Error::ModeMismatch`] for plain or plus attributes.
     pub fn edge_client(&self, attr: AttributeId) -> Result<LdpEdgeSketchClient> {
         let a = find(&self.attributes, attr)?;
-        match &a.kind {
-            AttributeKind::Edge { attr_a, attr_b } => {
+        match &a.mode {
+            ModeState::Edge { live, .. } => {
+                let (attr_a, attr_b) = (live.attribute_a(), live.attribute_b());
                 Ok(
                     LdpEdgeSketchClient::new(attr_a.clone(), attr_b.clone(), self.config.eps)
                         // lint:allow(panic-freedom) — invariant: registration derived both
@@ -994,10 +956,10 @@ impl SketchService {
         let reports = reports.into();
         let idx = attr.index();
         let a = find_mut(&mut self.attributes, attr)?;
-        let absorbed = match (&mut a.live, reports) {
-            (LiveEngine::Plain(engine), Reports::Packed(batch)) => engine.ingest(batch),
-            (LiveEngine::Edge(builder), Reports::Packed(batch)) => builder.absorb_batch(batch),
-            (LiveEngine::Plus(builder), Reports::Plus(batch)) => builder.absorb_batch(batch),
+        let absorbed = match (&mut a.mode, reports) {
+            (ModeState::Plain { live, .. }, Reports::Packed(batch)) => live.absorb_batch(batch),
+            (ModeState::Edge { live, .. }, Reports::Packed(batch)) => live.absorb_batch(batch),
+            (ModeState::Plus { live, .. }, Reports::Plus(batch)) => live.absorb_batch(batch),
             _ => return Err(mode_mismatch(a, reports.ingestion())),
         };
         let n = reports.len() as u64;
@@ -1040,7 +1002,7 @@ impl SketchService {
         if absorbed > 0 && a.epoch_opened_at.is_none() {
             a.epoch_opened_at = Some(now);
         }
-        let live = a.live.reports();
+        let live = a.mode.live_reports();
         a.instruments.live_reports.set(live);
         let mut rotations = 0;
         if live >= config.epoch_reports || epoch_due(a, &config, now) {
@@ -1114,7 +1076,7 @@ impl SketchService {
 
     /// Reports currently sitting in the attribute's live (unsealed) engine.
     pub fn live_reports(&self, attr: AttributeId) -> Result<u64> {
-        Ok(find(&self.attributes, attr)?.live.reports())
+        Ok(find(&self.attributes, attr)?.mode.live_reports())
     }
 
     /// Windows evicted from the ring so far (sealed but no longer queryable).
@@ -1149,6 +1111,8 @@ impl SketchService {
     ) -> Result<Arc<FinalizedSketch>> {
         match self.merged(attr, range, QueryMode::Plain, "a merged plain view")? {
             SpanView::Plain(view) => Ok(view),
+            // lint:allow(panic-freedom) — invariant: `merged` checked the plain mode, and a
+            // plain attribute's spans are plain views.
             _ => unreachable!("mode checked by `merged`"),
         }
     }
@@ -1168,6 +1132,8 @@ impl SketchService {
     ) -> Result<Arc<FinalizedPlusState>> {
         match self.merged(attr, range, QueryMode::Plus, "a merged plus state")? {
             SpanView::Plus(view) => Ok(view),
+            // lint:allow(panic-freedom) — invariant: `merged` checked the plus mode, and a
+            // plus attribute's spans are plus states.
             _ => unreachable!("mode checked by `merged`"),
         }
     }
@@ -1180,7 +1146,7 @@ impl SketchService {
         mode: QueryMode,
         what: &str,
     ) -> Result<SpanView> {
-        let a = operand(&self.attributes, attr, &[mode], what)?;
+        let a = operand(&self.attributes, attr, mode, what)?;
         Ok(span_view(&mut self.cache, a, &resolve_span(a, attr, range)?).0)
     }
 
@@ -1203,8 +1169,8 @@ impl SketchService {
         self.query(K_JOIN, |attrs| {
             let what = "a plain query operand";
             let (attr_a, attr_b) = (
-                operand(attrs, a, &[QueryMode::Plain], what)?,
-                operand(attrs, b, &[QueryMode::Plain], what)?,
+                operand(attrs, a, QueryMode::Plain, what)?,
+                operand(attrs, b, QueryMode::Plain, what)?,
             );
             let [sa, sb] = [
                 resolve_span(attr_a, a, range)?,
@@ -1216,6 +1182,8 @@ impl SketchService {
                 spans: [sa, sb],
                 kernel: move |views: &[SpanView; 2]| {
                     let [SpanView::Plain(va), SpanView::Plain(vb)] = views else {
+                        // lint:allow(panic-freedom) — invariant: both operands passed the
+                        // plain mode check, and a plain attribute's spans are plain views.
                         unreachable!("operand modes are checked before assembly");
                     };
                     Ok(Estimate {
@@ -1251,15 +1219,12 @@ impl SketchService {
         let config = self.config;
         self.query(K_PLUS_JOIN, |attrs| {
             let what = "a plus join-size query";
-            let (attr_a, attr_b) = (
-                operand(attrs, a, &[QueryMode::Plus], what)?,
-                operand(attrs, b, &[QueryMode::Plus], what)?,
-            );
+            let ((attr_a, cfg_a), (attr_b, cfg_b)) =
+                (plus_operand(attrs, a, what)?, plus_operand(attrs, b, what)?);
             // The answer is computed with ONE kernel and cached under an operand-order-
             // normalized key, so partners must agree on every estimator knob — otherwise
             // `plus_join_size(a, b)` and `plus_join_size(b, a)` would alias one cache entry
             // while selecting different kernels.
-            let (cfg_a, cfg_b) = (attr_a.plus_config(), attr_b.plus_config());
             if cfg_a.kernel() != cfg_b.kernel() || cfg_a.policy() != cfg_b.policy() {
                 return Err(Error::ModeMismatch(format!(
                     "plus join partners '{}' and '{}' disagree on estimator knobs \
@@ -1278,6 +1243,8 @@ impl SketchService {
                 spans: [sa, sb],
                 kernel: move |views: &[SpanView; 2]| {
                     let [SpanView::Plus(va), SpanView::Plus(vb)] = views else {
+                        // lint:allow(panic-freedom) — invariant: both operands passed the
+                        // plus mode check, and a plus attribute's spans are plus states.
                         unreachable!("operand modes are checked before assembly");
                     };
                     Ok(Estimate {
@@ -1310,9 +1277,12 @@ impl SketchService {
     ) -> Result<QueryResult> {
         let config = self.config;
         self.query(K_FREQUENCY, |attrs| {
-            let modes = [QueryMode::Plain, QueryMode::Plus];
-            let a = operand(attrs, attr, &modes, "a frequency query")?;
-            let plus = (a.kind.mode() == QueryMode::Plus).then(|| a.plus_config().kernel());
+            let a = find(attrs, attr)?;
+            let plus = match &a.mode {
+                ModeState::Plain { .. } => None,
+                ModeState::Plus { config, .. } => Some(config.kernel()),
+                ModeState::Edge { .. } => return Err(mode_mismatch(a, "a frequency query")),
+            };
             let span = resolve_span(a, attr, range)?;
             Ok(Plan {
                 key: QueryKey::Frequency {
@@ -1320,7 +1290,7 @@ impl SketchService {
                     value,
                     span: span.epochs,
                 },
-                mode: a.kind.mode(),
+                mode: a.mode.mode(),
                 spans: [span],
                 kernel: move |[view]: &[SpanView; 1]| {
                     let f1 = span.reports as f64;
@@ -1343,6 +1313,8 @@ impl SketchService {
                             s.frequent_items().len(),
                             f1,
                         ),
+                        // lint:allow(panic-freedom) — invariant: a plain attribute's spans
+                        // are plain views, and only a plus attribute sets `plus`.
                         _ => unreachable!("operand modes are checked before assembly"),
                     };
                     let variance = bounds::frequency_variance(config.params, config.eps, f1, f2);
@@ -1376,11 +1348,11 @@ impl SketchService {
         self.query(K_CHAIN3, |attrs| {
             let vertex = "a plain query operand";
             let (attr_1, attr_3) = (
-                operand(attrs, v1, &[QueryMode::Plain], vertex)?,
-                operand(attrs, v3, &[QueryMode::Plain], vertex)?,
+                operand(attrs, v1, QueryMode::Plain, vertex)?,
+                operand(attrs, v3, QueryMode::Plain, vertex)?,
             );
             let what = "the edge operand of a chain query";
-            let attr_e = operand(attrs, edge, &[QueryMode::Edge], what)?;
+            let attr_e = operand(attrs, edge, QueryMode::Edge, what)?;
             let [s1, se, s3] = [
                 resolve_span(attr_1, v1, range)?,
                 resolve_span(attr_e, edge, range)?,
@@ -1400,6 +1372,9 @@ impl SketchService {
                 kernel: move |views: &[SpanView; 3]| {
                     let [SpanView::Plain(w1), SpanView::Edge(we), SpanView::Plain(w3)] = views
                     else {
+                        // lint:allow(panic-freedom) — invariant: the operands passed the
+                        // (plain, edge, plain) mode checks, and each mode's spans are views
+                        // of that mode.
                         unreachable!("operand modes are checked before assembly");
                     };
                     Ok(Estimate {
@@ -1493,17 +1468,17 @@ impl SketchService {
     }
 
     /// Full point-in-time telemetry snapshot: refreshes the pull-style gauges (cache sizes,
-    /// SIMD kernel dispatch deltas against this service's construction baseline), then
-    /// materializes every registered metric.
+    /// the SIMD kernel tiers this process has run), then materializes every registered
+    /// metric.
     pub fn telemetry_snapshot(&self) -> Snapshot {
         self.refresh_pull_gauges();
         self.telemetry.snapshot()
     }
 
     /// The deterministic slice of [`SketchService::telemetry_snapshot`]: only metrics that
-    /// are byte-stable across pinned-seed runs *and* shard counts (timings, shard splits
-    /// and SIMD tiers are filtered out). Two runs over the same report stream produce
-    /// byte-identical text/JSON renderings of this snapshot.
+    /// are byte-stable across pinned-seed runs (timings and SIMD tiers are filtered out).
+    /// Two runs over the same report stream produce byte-identical text/JSON renderings of
+    /// this snapshot.
     pub fn deterministic_telemetry_snapshot(&self) -> Snapshot {
         self.refresh_pull_gauges();
         self.telemetry.deterministic_snapshot()
@@ -1521,8 +1496,10 @@ impl SketchService {
     }
 
     /// Refresh the gauges that are *read* at export time instead of written on the hot
-    /// path: cache store sizes, and the SIMD kernel dispatch counters attributed to this
-    /// service (process-wide totals minus the construction-time baseline).
+    /// path: cache store sizes, and `ldpjs_kernel_tier{kernel,tier} 1` for every SIMD
+    /// kernel tier that has run in this process. The dispatch counters are process-wide
+    /// (several services and callers share them), so the service exports which tiers ran,
+    /// a fact about the process, and counts none of them as its own.
     fn refresh_pull_gauges(&self) {
         let det = Stability::Deterministic;
         let stats = self.cache.stats();
@@ -1532,18 +1509,17 @@ impl SketchService {
         self.telemetry
             .gauge("ldpjs_cache_views", det)
             .set(stats.views as u64);
-        let delta = kernel_dispatch_snapshot().delta_since(&self.dispatch_baseline);
-        for (series, calls) in delta.series() {
+        for (series, calls) in kernel_dispatch_snapshot().series() {
+            if calls == 0 {
+                continue;
+            }
             let (kernel, tier) = series.split_once('_').unwrap_or((series, "unknown"));
             self.telemetry
                 .gauge(
-                    &labeled(
-                        "ldpjs_kernel_dispatch_total",
-                        &[("kernel", kernel), ("tier", tier)],
-                    ),
+                    &labeled("ldpjs_kernel_tier", &[("kernel", kernel), ("tier", tier)]),
                     Stability::Environment,
                 )
-                .set(calls);
+                .set(1);
         }
     }
 
@@ -1591,28 +1567,41 @@ fn mode_mismatch(attr: &Attribute, wanted: &str) -> Error {
     Error::ModeMismatch(format!(
         "attribute '{}' runs in {} mode and cannot serve {wanted}",
         attr.name,
-        attr.kind.mode().name()
+        attr.mode.mode().name()
     ))
 }
 
-/// Look up a query operand and check that it runs in one of `modes`.
+/// Look up a query operand and check that it runs in `mode`.
 fn operand<'a>(
     attrs: &'a [Attribute],
     id: AttributeId,
-    modes: &[QueryMode],
+    mode: QueryMode,
     what: &str,
 ) -> Result<&'a Attribute> {
     let a = find(attrs, id)?;
-    if !modes.contains(&a.kind.mode()) {
+    if a.mode.mode() != mode {
         return Err(mode_mismatch(a, what));
     }
     Ok(a)
 }
 
+/// Look up a plus query operand: the attribute and its estimator config.
+fn plus_operand<'a>(
+    attrs: &'a [Attribute],
+    id: AttributeId,
+    what: &str,
+) -> Result<(&'a Attribute, &'a PlusAttributeConfig)> {
+    let a = find(attrs, id)?;
+    match &a.mode {
+        ModeState::Plus { config, .. } => Ok((a, config)),
+        _ => Err(mode_mismatch(a, what)),
+    }
+}
+
 /// Whether the wall-clock epoch trigger is due for `attr` at `now`: a duration is
 /// configured, the live engine holds reports, and its epoch has been open that long.
 fn epoch_due(attr: &Attribute, config: &ServiceConfig, now: Instant) -> bool {
-    attr.live.reports() > 0
+    attr.mode.live_reports() > 0
         && config.epoch_duration.is_some_and(|d| {
             attr.epoch_opened_at
                 .is_some_and(|opened| now.duration_since(opened) >= d)
@@ -1640,13 +1629,6 @@ fn empty_edge_builder(
         .expect("attributes derived at equal (k, m) always share the replica count")
 }
 
-fn fresh_plain_engine(config: &ServiceConfig, hashes: &Arc<RowHashes>) -> ShardedAggregator {
-    ShardedAggregator::with_hashes(config.params, config.eps, Arc::clone(hashes), config.shards)
-        // lint:allow(panic-freedom) — invariant: `ServiceConfig` validated a non-zero
-        // shard count at service construction, the only way this is reached.
-        .expect("shard count validated at service construction")
-}
-
 /// Seal `attr`'s live engine into a window, evict past the retention bound, and invalidate
 /// the attribute's cache entries. Returns the new window's epoch id, or `None` if the live
 /// engine was empty.
@@ -1656,78 +1638,29 @@ fn rotate_attribute(
     idx: usize,
     attr: &mut Attribute,
 ) -> Option<u64> {
-    if attr.live.reports() == 0 {
+    if attr.mode.live_reports() == 0 {
         return None;
     }
     let epoch = attr.next_epoch;
+    attr.next_epoch += 1;
     // Keep the prefix-sum ledger aligned with the ring: sealing adds the new window's
     // lanes to the last cumulative entry (and hands back the window's view, built from the
     // same transforms), eviction folds the oldest prefix into the origin.
-    let (reports, view) = match (&attr.kind, &mut attr.live) {
-        (AttributeKind::Plain { hashes }, LiveEngine::Plain(engine)) => {
-            let engine = std::mem::replace(engine, fresh_plain_engine(config, hashes));
-            let sealed = engine.into_builder();
-            let [view] = attr.ledger.push_lanes([&sealed]);
-            (sealed.reports(), SpanView::Plain(Arc::new(view)))
-        }
-        (
-            AttributeKind::Plus {
-                seed,
-                config: plus,
-                index,
-            },
-            LiveEngine::Plus(builder),
-        ) => {
-            let sealed = std::mem::replace(
-                builder,
-                PlusStateBuilder::new(config.params, config.eps, *seed),
-            );
-            let (phase1, low, high) = sealed.lane_builders();
-            let [phase1, low, high] = attr.ledger.push_lanes([phase1, low, high]);
-            let view = FinalizedPlusState::new_indexed(phase1, low, high, plus.policy(), index)
-                // lint:allow(panic-freedom) — invariant: registration built `index` from the
-                // attribute's own phase-1 seed and the service's (k, m).
-                .expect("the attribute's domain index matches its phase-1 hash family");
-            (sealed.reports(), SpanView::Plus(Arc::new(view)))
-        }
-        (AttributeKind::Edge { attr_a, attr_b }, LiveEngine::Edge(builder)) => {
-            let sealed = std::mem::replace(builder, empty_edge_builder(attr_a, attr_b, config.eps));
-            attr.ledger.push_edge(&sealed);
-            (
-                sealed.reports(),
-                SpanView::Edge(Arc::new(sealed.finalize())),
-            )
-        }
-        _ => unreachable!("attribute kind and live engine are constructed together"),
-    };
-    attr.next_epoch += 1;
-    // A fresh plain engine replaced the sealed one above: re-attach the attribute's
-    // engine-level telemetry handles so the path series keep accumulating.
-    if let LiveEngine::Plain(engine) = &mut attr.live {
-        engine.set_instruments(attr.instruments.agg.clone());
-    }
-    attr.windows
-        .push_back(WindowSnapshot::new(epoch, reports, view.clone()));
-    if attr.windows.len() > config.retained_windows {
+    let evict = attr.windows.len() >= config.retained_windows;
+    let (reports, view) = attr.mode.seal(config.eps, evict);
+    if evict {
         attr.windows.pop_front();
-        attr.ledger.evict();
         attr.evicted += 1;
         attr.instruments.evictions.inc();
     }
+    attr.windows
+        .push_back(WindowSnapshot::new(epoch, reports, view));
     attr.instruments.rotations.inc();
     attr.instruments.windows.set(attr.windows.len() as u64);
     attr.instruments
         .ledger_depth
-        .set(attr.ledger.depth() as u64);
+        .set(attr.mode.ledger_depth() as u64);
     attr.instruments.live_reports.set(0);
-    // Plus attributes additionally re-materialize every suffix span's merged state (and
-    // its reconciled frequent-item set) here, at rotation, so cold span queries are Arc
-    // clones instead of per-query assembly + domain scans.
-    if let (AttributeKind::Plus { config, index, .. }, SpanView::Plus(newest)) = (&attr.kind, view)
-    {
-        attr.ledger
-            .refresh_plus_spans(config.policy(), index, newest);
-    }
     attr.epoch_opened_at = None;
     cache.invalidate_attribute(idx);
     Some(epoch)
@@ -1783,14 +1716,14 @@ fn span_view(cache: &mut QueryCache, attr: &Attribute, meta: &SpanMeta) -> (Span
     if meta.windows == 1 {
         return (attr.windows[meta.start].view(), SpanSource::SingleWindow);
     }
-    if matches!(attr.kind, AttributeKind::Plus { .. }) {
-        return (attr.ledger.span(meta.start), SpanSource::MemoizedView);
+    if matches!(attr.mode, ModeState::Plus { .. }) {
+        return (attr.mode.span(meta.start), SpanSource::MemoizedView);
     }
     let key = (meta.attr, meta.epochs.0, meta.epochs.1);
     if let Some(view) = cache.view(key) {
         return (view, SpanSource::MemoizedView);
     }
-    let view = attr.ledger.span(meta.start);
+    let view = attr.mode.span(meta.start);
     cache.insert_view(key, view.clone());
     (view, SpanSource::LedgerAssembled)
 }
@@ -2929,7 +2862,7 @@ mod tests {
     // ---------------------------------------------------------------------------------
 
     use crate::cache::ModeCacheStats;
-    use ldpjs_metrics::telemetry::Stability as TStability;
+    use ldpjs_metrics::telemetry::{Stability as TStability, Value};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// Read one deterministic counter back through the registry's idempotent registration.
@@ -3174,6 +3107,44 @@ mod tests {
     }
 
     #[test]
+    fn kernel_tier_series_are_unmoved_by_other_services() {
+        // The SIMD dispatch counters are process-wide, so a service exports only which
+        // (kernel, tier) pairs have run: another service's seals cannot move its series.
+        let tiers = |service: &SketchService| {
+            let mut snapshot = service.telemetry_snapshot();
+            snapshot
+                .metrics
+                .retain(|name, _| name.starts_with("ldpjs_kernel_tier"));
+            snapshot.metrics
+        };
+        // 6·64/4 = 96: a 200-report batch drains through the scratch, and the seal runs
+        // the FWHT.
+        let mut a = manual_service(6, 64, 4);
+        let id = a.register_attribute("t.a", 7).unwrap();
+        a.ingest(id, &reports_for(&a, id, 200, 1)).unwrap();
+        a.rotate(id).unwrap();
+        let before = tiers(&a);
+        for kernel in ["fwht", "drain"] {
+            let label = format!("kernel=\"{kernel}\"");
+            assert!(
+                before.keys().any(|n| n.contains(&label)),
+                "{kernel}: {before:?}"
+            );
+        }
+        let mut b = manual_service(6, 64, 4);
+        let id = b.register_attribute("t.b", 7).unwrap();
+        for seed in 0..5 {
+            b.ingest(id, &reports_for(&b, id, 200, seed)).unwrap();
+            b.rotate(id).unwrap();
+        }
+        let after = tiers(&a);
+        for (name, sample) in &before {
+            assert_eq!(sample.value, Value::Gauge(1), "{name}");
+            assert_eq!(after.get(name), Some(sample), "{name}");
+        }
+    }
+
+    #[test]
     fn injected_query_clock_records_stage_timings() {
         let mut service = manual_service(6, 64, 4);
         let a = service.register_attribute("t.a", 7).unwrap();
@@ -3221,8 +3192,8 @@ mod tests {
 
         /// The observability determinism contract: the deterministic snapshot — and both of
         /// its renderings — is byte-identical across repeated pinned-seed runs AND across
-        /// shard counts, because everything machine-shaped (shard residency, ingest path,
-        /// SIMD tier, timings) is classified `Environment` and filtered out.
+        /// shard counts, because everything machine-shaped (SIMD tiers, timings) is
+        /// classified `Environment` and filtered out.
         #[test]
         fn prop_deterministic_snapshot_stable_across_shards(seed in 0u64..1_000) {
             let run = |shards: usize| -> (String, String) {

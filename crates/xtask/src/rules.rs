@@ -17,8 +17,16 @@ pub const SIMD_FILES: &[&str] = &[
     "crates/common/src/batch.rs",
 ];
 
-/// Crates whose library code must be panic-free (`unwrap`/`expect`/`panic!`).
+/// Crates whose library code must be panic-free (`unwrap`/`expect`/[`PANIC_MACROS`]).
 const PANIC_CRATES: &[&str] = &["core", "service", "common"];
+
+/// The panicking macros the panic-freedom rule flags, with their diagnostic names.
+const PANIC_MACROS: [(&str, &str); 4] = [
+    ("panic", "`panic!`"),
+    ("unreachable", "`unreachable!`"),
+    ("todo", "`todo!`"),
+    ("unimplemented", "`unimplemented!`"),
+];
 
 /// Crates whose library code must not iterate `HashMap`/`HashSet` (keyed lookup is fine).
 const MAP_CRATES: &[&str] = &["core", "service", "sketch", "ldp"];
@@ -397,8 +405,9 @@ fn c_len(s: &str, p: usize) -> usize {
     s[p..].chars().next().map_or(1, |c| c.len_utf8())
 }
 
-/// **panic-freedom** — no `unwrap()`/`expect()`/`panic!` in non-test library code of the
-/// estimator and service crates (documented `assert!` preconditions stay allowed).
+/// **panic-freedom** — no `unwrap()`/`expect()` or `panic!`/`unreachable!`/`todo!`/
+/// `unimplemented!` in non-test library code of the estimator and service crates
+/// (documented `assert!` preconditions stay allowed).
 fn panic_freedom(class: &FileClass, model: &FileModel, out: &mut Vec<Diagnostic>) {
     if class.kind != TargetKind::Lib || !PANIC_CRATES.contains(&class.crate_name.as_str()) {
         return;
@@ -422,10 +431,11 @@ fn panic_freedom(class: &FileClass, model: &FileModel, out: &mut Vec<Diagnostic>
             Some("`.unwrap()`")
         } else if method_call("expect") {
             Some("`.expect()`")
-        } else if ident_followed_by(code, "panic", '!') {
-            Some("`panic!`")
         } else {
-            None
+            PANIC_MACROS
+                .into_iter()
+                .find(|(name, _)| ident_followed_by(code, name, '!'))
+                .map(|(_, what)| what)
         };
         if let Some(what) = offender {
             out.push(class.diag(

@@ -152,14 +152,14 @@ fn telemetry_demo() {
     assert!(cold.explain.predicted_error > 0.0);
 
     // The full exposition: ingest/rotation/cache/query counters plus the environment tier
-    // (parallel-vs-inline ingest path, SIMD kernel dispatch).
+    // (which SIMD kernel tiers this process has run, stage timings).
     let text = service.metrics_text();
     let json = service.metrics_json();
     println!("\nmetrics exposition ({} lines):", text.lines().count());
     for line in text.lines().filter(|l| {
         l.starts_with("ldpjs_queries_total")
             || l.starts_with("ldpjs_cache_hits_total")
-            || l.starts_with("ldpjs_kernel_dispatch_total")
+            || l.starts_with("ldpjs_kernel_tier")
             || l.starts_with("ldpjs_ingest_reports_total")
     }) {
         println!("  {line}");

@@ -60,10 +60,9 @@ pub mod prelude {
     };
     pub use ldpjs_core::{
         AggregatorInstruments, ChainKernel, ClientReport, FapClient, FapMode, FiPolicy,
-        FinalizedPlusState, FinalizedSketch, JoinKernel, LdpJoinSketchClient, LdpJoinSketchPlus,
-        PlainKernel, PlusConfig, PlusDiscovery, PlusEstimate, PlusKernel, PlusReportBatch,
-        PlusStateBuilder, PlusTableRole, QueryInput, ShardedAggregator, SketchBuilder,
-        SketchParams,
+        FinalizedPlusState, FinalizedSketch, LdpJoinSketchClient, LdpJoinSketchPlus, PlainKernel,
+        PlusConfig, PlusDiscovery, PlusEstimate, PlusKernel, PlusReportBatch, PlusStateBuilder,
+        PlusTableRole, ShardedAggregator, SketchBuilder, SketchParams,
     };
     pub use ldpjs_data::{
         ChainWorkload, JoinWorkload, PaperDataset, StreamingJoinWorkload, StreamingTable,
