@@ -22,7 +22,8 @@ use ldpjs_core::protocol::{
 };
 use ldpjs_core::server::SketchBuilder;
 use ldpjs_core::{
-    Epsilon, LdpJoinSketchPlus, PlusConfig, PlusReportBatch, PlusTableRole, SketchParams,
+    Candidates, Epsilon, LdpJoinSketchPlus, PlusConfig, PlusReportBatch, PlusTableRole,
+    SketchParams,
 };
 use ldpjs_data::{StreamingJoinWorkload, ValueGenerator, ZipfGenerator};
 use ldpjs_metrics::telemetry::{Stability, Telemetry};
@@ -302,6 +303,9 @@ fn bench_estimation(c: &mut Criterion, rec: &mut Recorder) {
             })
         },
     );
+    // The one scan entry from its two candidate sources. The slice lane indexes its 10k
+    // candidates itself, in two blocks, on every call; the indexed lane reuses a
+    // `DomainIndex` hashed once, so it times the gather alone.
     let candidates: Vec<u64> = (0..10_000).collect();
     rec.bench(
         c,
@@ -309,18 +313,30 @@ fn bench_estimation(c: &mut Criterion, rec: &mut Recorder) {
         "frequencies",
         n,
         params(),
-        |b| b.iter(|| black_box(sa.frequencies(black_box(&candidates)))),
+        |b| {
+            b.iter(|| {
+                black_box(
+                    sa.frequencies(Candidates::Slice(black_box(&candidates)))
+                        .unwrap(),
+                )
+            })
+        },
     );
-    // The indexed lane: candidate buckets/signs hashed once into a `DomainIndex`, scans
-    // gather counters by precomputed offset instead of re-hashing 10k × k candidates.
     let index = ldpjs_core::DomainIndex::new(sa.hashes(), std::sync::Arc::new(candidates.clone()));
     rec.bench(
         c,
         "core/frequency_scan_10k_candidates_indexed",
-        "frequencies_indexed",
+        "frequencies",
         n,
         params(),
-        |b| b.iter(|| black_box(sa.frequencies_indexed(black_box(&index)))),
+        |b| {
+            b.iter(|| {
+                black_box(
+                    sa.frequencies(Candidates::Index(black_box(&index)))
+                        .unwrap(),
+                )
+            })
+        },
     );
 }
 

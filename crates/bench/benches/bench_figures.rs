@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ldpjs_common::stats::median;
 use ldpjs_core::multiway::{build_edge_sketch, build_vertex_sketch, ldp_chain_join_3};
-use ldpjs_core::{Epsilon, SketchParams};
+use ldpjs_core::{Candidates, Epsilon, SketchParams};
 use ldpjs_data::PaperDataset;
 use ldpjs_experiments::{estimate_join, Method, PlusKnobs};
 use ldpjs_sketch::compass::JoinAttribute;
@@ -284,7 +284,13 @@ fn bench_fig14_frequency(c: &mut Criterion) {
         .copied()
         .collect();
     c.bench_function("fig14_frequency/scan_distinct_values", |b| {
-        b.iter(|| black_box(sketch.frequencies(black_box(&distinct))))
+        b.iter(|| {
+            black_box(
+                sketch
+                    .frequencies(Candidates::Slice(black_box(&distinct)))
+                    .unwrap(),
+            )
+        })
     });
 }
 

@@ -68,8 +68,9 @@ impl ClientReport {
     /// one sign byte followed by the row and column as little-endian `u16`s.
     ///
     /// # Panics
-    /// Panics if `row` or `col` does not fit in 16 bits (sketches that large are outside the
-    /// supported parameter range — the Hadamard order is capped well below 2¹⁶ in practice).
+    /// Panics if `row` or `col` does not fit in 16 bits. Reports from valid clients always
+    /// fit: [`SketchParams`] caps `k` at 65,535 rows and `m` at 65,536 columns, so only a
+    /// hand-built report can trip this.
     pub fn to_wire(&self) -> [u8; Self::WIRE_SIZE] {
         assert!(
             self.row <= u16::MAX as usize,
@@ -415,12 +416,16 @@ mod tests {
 
     #[test]
     fn wire_format_roundtrips() {
-        let c = client(18, 1024, 4.0, 3);
-        let mut rng = StdRng::seed_from_u64(12);
-        for v in 0..200u64 {
-            let report = c.perturb(v, &mut rng);
-            let decoded = ClientReport::from_wire(report.to_wire());
-            assert_eq!(report, decoded);
+        // m = 2^16 is the widest sketch `SketchParams` accepts; its column indices fill the
+        // whole u16 field of the wire format.
+        for (k, m) in [(18, 1024), (1, SketchParams::MAX_COLUMNS)] {
+            let c = client(k, m, 4.0, 3);
+            let mut rng = StdRng::seed_from_u64(12);
+            for v in 0..200u64 {
+                let report = c.perturb(v, &mut rng);
+                let decoded = ClientReport::from_wire(report.to_wire());
+                assert_eq!(report, decoded);
+            }
         }
         // The wire format is exactly five bytes, matching the documented size.
         assert_eq!(

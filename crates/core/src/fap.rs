@@ -159,25 +159,43 @@ impl FapClient {
     ) -> Result<()> {
         self.inner.check_batch(batch)?;
         batch.clear();
-        let params = self.inner.params();
-        let (k, m) = (params.rows(), params.columns());
         let flip_p = self.inner.epsilon().flip_probability();
         for &v in values {
-            let row = rng.gen_range(0..k);
-            let col = rng.gen_range(0..m);
-            let negative = if self.is_non_target(v) {
-                let r = rng.gen_range(0..m);
-                let flip = rng.gen_bool(flip_p);
-                (u64::from(flip) ^ (u64::from((r & col).count_ones()) & 1)) == 1
-            } else {
-                let flip = rng.gen_bool(flip_p);
-                let (bucket, neg_sign) = self.inner.hashes().pair(row).bucket_and_sign_neg(v);
-                let neg_hadamard = u64::from((bucket & col).count_ones()) & 1;
-                (u64::from(flip) ^ neg_sign ^ neg_hadamard) == 1
-            };
+            let (row, col, negative) = self.perturb_packed(v, rng, flip_p);
             batch.push(row, col, negative)?;
         }
         Ok(())
+    }
+
+    /// One value's report as `(row, col, negative)`: the per-value body of
+    /// [`FapClient::perturb_batch_into`]. It draws `(j, l, flip)` (target) or
+    /// `(j, l, r, flip)` (non-target) in the order [`FapClient::perturb`] does, so it yields
+    /// the report `perturb` would for the same RNG state. The hash and Hadamard math is
+    /// RNG-free: one fused bucket/sign hash, the Hadamard entry as a popcount parity, and
+    /// the sign as XORed bits. `flip_p` is the budget's flip probability, computed once by
+    /// the caller.
+    #[inline]
+    pub(crate) fn perturb_packed<R: RngCore + ?Sized>(
+        &self,
+        value: u64,
+        rng: &mut R,
+        flip_p: f64,
+    ) -> (usize, usize, bool) {
+        let params = self.inner.params();
+        let (k, m) = (params.rows(), params.columns());
+        let row = rng.gen_range(0..k);
+        let col = rng.gen_range(0..m);
+        let negative = if self.is_non_target(value) {
+            let r = rng.gen_range(0..m);
+            let flip = rng.gen_bool(flip_p);
+            (u64::from(flip) ^ (u64::from((r & col).count_ones()) & 1)) == 1
+        } else {
+            let flip = rng.gen_bool(flip_p);
+            let (bucket, neg_sign) = self.inner.hashes().pair(row).bucket_and_sign_neg(value);
+            let neg_hadamard = u64::from((bucket & col).count_ones()) & 1;
+            (u64::from(flip) ^ neg_sign ^ neg_hadamard) == 1
+        };
+        (row, col, negative)
     }
 
     /// The non-target branch (Algorithm 4, lines 2–8): encode `v[r] = 1` at a random position

@@ -67,8 +67,7 @@ use crate::client::{chunk_stream_seed, LdpJoinSketchClient};
 use crate::fap::{FapClient, FapMode};
 use crate::kernel::PlusKernel;
 use crate::plus_state::{lane_seeds, FiPolicy, FinalizedPlusState, PlusReportBatch};
-use crate::server::FinalizedSketch;
-use crate::server::SketchBuilder;
+use crate::server::{for_each_block, Candidates, FinalizedSketch, SketchBuilder};
 
 /// Configuration of the LDPJoinSketch+ protocol.
 #[derive(Debug, Clone, Copy)]
@@ -446,6 +445,7 @@ impl LdpJoinSketchPlus {
         let fi_set: Arc<HashSet<u64>> = Arc::new(frequent_items.iter().copied().collect());
         let (fap_low, fap_high, _, _) = self.fap_clients(&fi_set);
         let (p1_tag, p2_tag) = (role.phase1_tag(), role.phase2_tag());
+        let flip_p = cfg.eps.flip_probability();
         let mut batch = PlusReportBatch::new(cfg.params)?;
         let mut sampled: Vec<u64> = Vec::new();
         // Per-pass chunk ordinals (not `start / chunk_len`): the ChunkedValues contract
@@ -473,16 +473,17 @@ impl LdpJoinSketchPlus {
                 }
                 batch.low.clear();
                 batch.high.clear();
-                // Phase 2 keeps one RNG stream over the interleaved users of both groups,
-                // so each user is perturbed on its own and pushed into its group's lane.
+                // Phase 2 keeps one RNG stream over the interleaved users of both groups:
+                // users draw from it in stream order, each through its group client's
+                // per-value batch body, and land in that group's lane.
                 for (offset, &v) in chunk.iter().enumerate() {
                     let (client, lane) = match route.route(start + offset as u64) {
                         UserRole::Sample => continue,
                         UserRole::LowGroup => (&fap_low, &mut batch.low),
                         UserRole::HighGroup => (&fap_high, &mut batch.high),
                     };
-                    let r = client.perturb(v, &mut rng);
-                    lane.push(r.row, r.col, r.y < 0.0)?;
+                    let (row, col, negative) = client.perturb_packed(v, &mut rng, flip_p);
+                    lane.push(row, col, negative)?;
                 }
                 sink(&batch)
             };
@@ -552,11 +553,14 @@ impl LdpJoinSketchPlus {
         })
     }
 
-    /// Phase-1 frequent-item discovery: per-table [`FiPolicy::discover`] scans (fixed-θ
+    /// Phase-1 frequent-item discovery: per-table [`FiPolicy`] screens (fixed-θ
     /// mean-estimator in the classic mode, adaptive-θ median-estimator in the
-    /// confidence-driven mode) unioned across the pair — the same single implementation the
-    /// finalized plus states run, so the broadcast set and the query-time reconciled set
-    /// cannot drift.
+    /// confidence-driven mode) unioned across the pair — the same screens the finalized plus
+    /// states run, so the broadcast set and the query-time reconciled set cannot drift.
+    ///
+    /// Both phase-1 sketches hash with the family of the config seed, so the domain is
+    /// indexed once, block by block, and each block is screened on both sketches. Each
+    /// table's θ is computed once, before the first block.
     fn discover_pair(
         &self,
         sketch_a: &FinalizedSketch,
@@ -565,9 +569,15 @@ impl LdpJoinSketchPlus {
         sample_b: usize,
         domain: &[u64],
     ) -> PairDiscovery {
+        debug_assert_eq!(sketch_a.hashes(), sketch_b.hashes());
         let policy = FiPolicy::from_config(&self.config);
-        let (fi_a, theta_a) = policy.discover(sketch_a, sample_a, domain);
-        let (fi_b, theta_b) = policy.discover(sketch_b, sample_b, domain);
+        let theta_a = policy.theta(sketch_a, sample_a);
+        let theta_b = policy.theta(sketch_b, sample_b);
+        let (mut fi_a, mut fi_b) = (Vec::new(), Vec::new());
+        for_each_block(sketch_a.hashes(), Candidates::Slice(domain), |block| {
+            policy.screen(sketch_a, theta_a, sample_a, block, &mut fi_a);
+            policy.screen(sketch_b, theta_b, sample_b, block, &mut fi_b);
+        });
         let mut union: Vec<u64> = fi_a.iter().chain(fi_b.iter()).copied().collect();
         union.sort_unstable();
         union.dedup();
@@ -1054,6 +1064,45 @@ mod tests {
             1,
         );
         assert!(matches!(r, Err(Error::InvalidWorkload(_))));
+    }
+
+    #[test]
+    fn paired_discovery_equals_one_discovery_per_table() {
+        // `discover_pair` indexes each block once and screens it on both tables; that
+        // must equal one `FiPolicy::discover` per table, over a domain of three blocks
+        // whose frequent items the spread puts in different blocks.
+        let domain_len = 2 * crate::server::SCAN_BLOCK as u64 + 5;
+        let spread =
+            |t: Vec<u64>| -> Vec<u64> { t.iter().map(|&v| v * 7_919 % domain_len).collect() };
+        let a = spread(skewed(30_000, domain_len, 91));
+        let b = spread(skewed(30_000, domain_len, 92));
+        let domain: Vec<u64> = (0..domain_len).collect();
+        for adaptive in [false, true] {
+            let mut cfg = config(4.0);
+            cfg.adaptive = adaptive;
+            let est = LdpJoinSketchPlus::new(cfg).unwrap();
+            let client = LdpJoinSketchClient::new(cfg.params, cfg.eps, cfg.seed);
+            let mut rng = StdRng::seed_from_u64(93);
+            let sa = build_sketch(&client, &a, cfg.params, cfg.eps, cfg.seed, &mut rng).unwrap();
+            let sb = build_sketch(&client, &b, cfg.params, cfg.eps, cfg.seed, &mut rng).unwrap();
+            let pair = est.discover_pair(&sa, &sb, a.len(), b.len(), &domain);
+            let policy = FiPolicy::from_config(&cfg);
+            let source = Candidates::Slice(&domain);
+            let (fi_a, theta_a) = policy.discover(&sa, a.len(), source).unwrap();
+            let (fi_b, theta_b) = policy.discover(&sb, b.len(), source).unwrap();
+            assert_eq!((&pair.fi_a, pair.theta_a), (&fi_a, theta_a));
+            assert_eq!((&pair.fi_b, pair.theta_b), (&fi_b, theta_b));
+            let mut union: Vec<u64> = fi_a.into_iter().chain(fi_b).collect();
+            union.sort_unstable();
+            union.dedup();
+            assert_eq!(pair.union, union);
+            assert!(
+                pair.union
+                    .iter()
+                    .any(|&d| d >= crate::server::SCAN_BLOCK as u64),
+                "some frequent item lies past the first block"
+            );
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ use ldpjs_sketch::SketchParams;
 
 use crate::bounds;
 use crate::plus::PlusConfig;
-use crate::server::{DomainIndex, FinalizedSketch, SketchBuilder};
+use crate::server::{for_each_block, Candidates, DomainIndex, FinalizedSketch, SketchBuilder};
 
 /// Derive the phase-2 lane hash seeds from the protocol seed. The low and high FAP sketches
 /// use distinct public hash families so their collisions decorrelate; both sides of a join
@@ -43,6 +43,12 @@ pub(crate) fn lane_seeds(protocol_seed: u64) -> (u64, u64) {
 /// mode, or the adaptive-θ median-estimator scan of the confidence-driven mode. This is the
 /// single implementation behind the one-shot runners *and* the finalization of windowed plus
 /// state, so offline and online FI sets cannot drift.
+///
+/// A discovery computes its θ once per sketch, then screens the candidates with the
+/// sketch's scan: [`FinalizedSketch::frequent_items`] in the classic mode,
+/// [`FinalizedSketch::frequent_items_median`] in the adaptive one. The candidates come from
+/// a prebuilt [`DomainIndex`] (the online service) or from a slice indexed block by block
+/// (the runners); see [`Candidates`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FiPolicy {
     /// Fixed frequent-item threshold θ (ignored when `adaptive` is set).
@@ -62,72 +68,74 @@ impl FiPolicy {
     }
 
     /// Discover one table's frequent items on its finalized phase-1 sketch. Returns the
-    /// items and the threshold θ actually applied. An empty sample yields an empty set (a
-    /// window that sealed before any sample user arrived claims no frequent items).
+    /// items, in candidate order, and the threshold θ actually applied. An empty sample
+    /// yields an empty set (a window that sealed before any sample user arrived claims no
+    /// frequent items).
+    ///
+    /// # Errors
+    /// [`Error::IncompatibleSketches`] if `candidates` is a [`DomainIndex`] built for
+    /// another hash family or sketch shape than `sketch`.
     pub fn discover(
         &self,
         sketch: &FinalizedSketch,
         samples: usize,
-        domain: &[u64],
-    ) -> (Vec<u64>, f64) {
-        if samples == 0 {
-            return (Vec::new(), self.threshold);
-        }
-        if self.adaptive {
-            let theta = bounds::adaptive_phase1_threshold(
-                sketch.params(),
-                sketch.epsilon(),
-                samples as f64,
-                sketch.f2_estimate(),
-            );
-            (
-                sketch.frequent_items_median(domain, theta, samples as f64),
-                theta,
-            )
-        } else {
-            (
-                sketch.frequent_items(domain, self.threshold, samples as f64),
-                self.threshold,
-            )
-        }
+        candidates: Candidates<'_>,
+    ) -> Result<(Vec<u64>, f64)> {
+        sketch.check_candidates(candidates)?;
+        Ok(self.discover_checked(sketch, samples, candidates))
     }
 
-    /// [`FiPolicy::discover`] over a pre-hashed [`DomainIndex`] covering the same candidate
-    /// domain — the same `(items, θ)`, bit for bit (the indexed scans on
-    /// [`FinalizedSketch`] are exact), without re-evaluating `k · |domain|` hash pairs per
-    /// scan. The online service holds one index per plus attribute and routes every seal
-    /// and merged-span discovery through here.
-    ///
-    /// # Errors
-    /// [`Error::IncompatibleSketches`] if `index` was built for another hash family or
-    /// sketch shape than `sketch`.
-    pub fn discover_indexed(
+    /// [`FiPolicy::discover`] over candidates already checked against `sketch`.
+    fn discover_checked(
         &self,
         sketch: &FinalizedSketch,
         samples: usize,
-        index: &DomainIndex,
-    ) -> Result<(Vec<u64>, f64)> {
-        sketch.check_index(index)?;
-        if samples == 0 {
-            return Ok((Vec::new(), self.threshold));
-        }
-        Ok(if self.adaptive {
-            let theta = bounds::adaptive_phase1_threshold(
+        candidates: Candidates<'_>,
+    ) -> (Vec<u64>, f64) {
+        let theta = self.theta(sketch, samples);
+        let mut items = Vec::new();
+        for_each_block(sketch.hashes(), candidates, |block| {
+            self.screen(sketch, theta, samples, block, &mut items)
+        });
+        (items, theta)
+    }
+
+    /// The θ this policy applies to a sketch of `samples` sample users: the fixed θ, or in
+    /// the adaptive mode the noise-floor θ of the sketch's own `F2` estimate. Computed once
+    /// per sketch, never per block.
+    pub(crate) fn theta(&self, sketch: &FinalizedSketch, samples: usize) -> f64 {
+        if self.adaptive && samples > 0 {
+            bounds::adaptive_phase1_threshold(
                 sketch.params(),
                 sketch.epsilon(),
                 samples as f64,
                 sketch.f2_estimate(),
-            );
-            (
-                sketch.frequent_items_median_indexed(index, theta, samples as f64)?,
-                theta,
             )
         } else {
-            (
-                sketch.frequent_items_indexed(index, self.threshold, samples as f64)?,
-                self.threshold,
-            )
-        })
+            self.threshold
+        }
+    }
+
+    /// Append the candidates of one indexed block whose estimate on `sketch` exceeds
+    /// `θ·samples`: the mean screen in the classic mode, the median screen in the adaptive
+    /// one. An empty sample screens nothing in.
+    pub(crate) fn screen(
+        &self,
+        sketch: &FinalizedSketch,
+        theta: f64,
+        samples: usize,
+        block: &DomainIndex,
+        out: &mut Vec<u64>,
+    ) {
+        if samples == 0 {
+            return;
+        }
+        let threshold = theta * samples as f64;
+        if self.adaptive {
+            sketch.median_screen(block, threshold, out);
+        } else {
+            sketch.mean_screen(block, threshold, out);
+        }
     }
 }
 
@@ -286,12 +294,12 @@ impl PlusStateBuilder {
     /// and returning the immutable estimation view.
     pub fn finalize(self, policy: FiPolicy, domain: &[u64]) -> FinalizedPlusState {
         let PlusStateBuilder { phase1, low, high } = self;
-        FinalizedPlusState::new(
+        FinalizedPlusState::discovered(
             phase1.finalize(),
             low.finalize(),
             high.finalize(),
             policy,
-            domain,
+            Candidates::Slice(domain),
         )
     }
 
@@ -299,12 +307,12 @@ impl PlusStateBuilder {
     /// restore pipeline with [`PlusStateBuilder::finalize`] so the two entry points cannot
     /// diverge bit-wise.
     pub fn finalize_view(&self, policy: FiPolicy, domain: &[u64]) -> FinalizedPlusState {
-        FinalizedPlusState::new(
+        FinalizedPlusState::discovered(
             self.phase1.finalize_view(),
             self.low.finalize_view(),
             self.high.finalize_view(),
             policy,
-            domain,
+            Candidates::Slice(domain),
         )
     }
 }
@@ -327,43 +335,36 @@ pub struct FinalizedPlusState {
 
 impl FinalizedPlusState {
     /// Assemble a finalized state from already-finalized lane sketches, running frequent-item
-    /// discovery under `policy` over the public candidate `domain`. This is the single
-    /// assembly point shared by the one-shot runners (materialized and chunked) and the
-    /// online service's window merges.
+    /// discovery under `policy` over the public `candidates`. This is the single assembly
+    /// point shared by the builder finalizations and the online service's window merges,
+    /// which pass the attribute's prebuilt [`DomainIndex`].
+    ///
+    /// # Errors
+    /// [`Error::IncompatibleSketches`] if `candidates` is an index built for another hash
+    /// family or shape than the phase-1 sketch.
     pub fn new(
         phase1: FinalizedSketch,
         low: FinalizedSketch,
         high: FinalizedSketch,
         policy: FiPolicy,
-        domain: &[u64],
-    ) -> Self {
-        let (frequent_items, threshold) =
-            policy.discover(&phase1, phase1.reports() as usize, domain);
-        Self::with_discovery(phase1, low, high, frequent_items, threshold)
+        candidates: Candidates<'_>,
+    ) -> Result<Self> {
+        phase1.check_candidates(candidates)?;
+        Ok(Self::discovered(phase1, low, high, policy, candidates))
     }
 
-    /// [`FinalizedPlusState::new`] with discovery routed through a pre-hashed
-    /// [`DomainIndex`] ([`FiPolicy::discover_indexed`]) — the same state, bit for bit.
-    ///
-    /// # Errors
-    /// [`Error::IncompatibleSketches`] if `index` was built for another hash family or
-    /// shape than the phase-1 sketch.
-    pub fn new_indexed(
+    /// [`FinalizedPlusState::new`] over candidates already checked against `phase1` (a
+    /// slice always fits).
+    fn discovered(
         phase1: FinalizedSketch,
         low: FinalizedSketch,
         high: FinalizedSketch,
         policy: FiPolicy,
-        index: &DomainIndex,
-    ) -> Result<Self> {
+        candidates: Candidates<'_>,
+    ) -> Self {
         let (frequent_items, threshold) =
-            policy.discover_indexed(&phase1, phase1.reports() as usize, index)?;
-        Ok(Self::with_discovery(
-            phase1,
-            low,
-            high,
-            frequent_items,
-            threshold,
-        ))
+            policy.discover_checked(&phase1, phase1.reports() as usize, candidates);
+        Self::with_discovery(phase1, low, high, frequent_items, threshold)
     }
 
     /// Assemble a finalized state from lane sketches and an **already-run** discovery
@@ -477,6 +478,7 @@ mod tests {
     use super::*;
     use crate::client::LdpJoinSketchClient;
     use crate::fap::{FapClient, FapMode};
+    use crate::server::SCAN_BLOCK;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::collections::HashSet;
@@ -528,38 +530,105 @@ mod tests {
         };
         let (p1, low, high) = builder.lane_builders();
         let assemble = |index: &DomainIndex| {
-            FinalizedPlusState::new_indexed(
+            FinalizedPlusState::new(
                 p1.finalize_view(),
                 low.finalize_view(),
                 high.finalize_view(),
                 policy,
-                index,
+                Candidates::Index(index),
             )
         };
         let phase1 = p1.finalize_view();
         // The matching index works; one built for another seed or shape is rejected by
-        // every indexed scan and by the discovery and assembly paths that route through it.
+        // every scan and by the discovery and assembly paths that route through it.
         let good = DomainIndex::new(phase1.hashes(), Arc::clone(&domain));
         assert!(assemble(&good).is_ok());
         for (seed, columns) in [(10u64, 128usize), (9, 64)] {
             let hashes = ldpjs_common::hash::RowHashes::from_seed(seed, 8, columns);
             let index = DomainIndex::new(&hashes, Arc::clone(&domain));
             let incompatible = |r: Result<()>| matches!(r, Err(Error::IncompatibleSketches(_)));
-            assert!(incompatible(phase1.frequencies_indexed(&index).map(drop)));
+            let source = Candidates::Index(&index);
+            assert!(incompatible(phase1.frequencies(source).map(drop)));
             assert!(incompatible(
-                phase1.frequent_items_indexed(&index, 0.01, 40.0).map(drop)
+                phase1.frequent_items(source, 0.01, 40.0).map(drop)
             ));
             assert!(incompatible(
-                phase1
-                    .frequent_items_median_indexed(&index, 0.01, 40.0)
-                    .map(drop)
+                phase1.frequent_items_median(source, 0.01, 40.0).map(drop)
             ));
             for samples in [0, 40] {
                 assert!(incompatible(
-                    policy.discover_indexed(&phase1, samples, &index).map(drop)
+                    policy.discover(&phase1, samples, source).map(drop)
                 ));
             }
             assert!(incompatible(assemble(&index).map(drop)));
+        }
+    }
+
+    #[test]
+    fn discovery_matches_the_per_candidate_reference_from_both_sources() {
+        // Both modes and both candidate sources, over domains that end just before, at and
+        // after block boundaries and one with repeated candidates. The reference filters
+        // each candidate by its single-value estimate at the θ the discovery reports.
+        let b = SCAN_BLOCK as u64;
+        let client = LdpJoinSketchClient::new(params(), eps(), 9);
+        let values: Vec<u64> = (0..30_000u64)
+            .map(|i| match i % 10 {
+                0..=2 => 1_234,
+                3 => 9_000,
+                4 => 16_386,
+                _ => i % 3_000,
+            })
+            .collect();
+        let mut builder = SketchBuilder::new(params(), eps(), 9);
+        let mut rng = StdRng::seed_from_u64(4);
+        builder
+            .absorb_batch(&client.perturb_batch(&values, &mut rng).unwrap())
+            .unwrap();
+        let sketch = builder.finalize();
+        let samples = values.len();
+        let mut domains: Vec<Vec<u64>> = [0, 1, b - 1, b, b + 1, 2 * b + 5]
+            .into_iter()
+            .map(|len| (0..len).collect())
+            .collect();
+        domains.push((0..2 * b + 5).map(|i| i * 7 % 16_001).collect());
+        for adaptive in [false, true] {
+            let policy = FiPolicy {
+                threshold: 0.02,
+                adaptive,
+            };
+            let theta = if adaptive {
+                bounds::adaptive_phase1_threshold(
+                    sketch.params(),
+                    sketch.epsilon(),
+                    samples as f64,
+                    sketch.f2_estimate(),
+                )
+            } else {
+                policy.threshold
+            };
+            let estimate = |d: u64| {
+                if adaptive {
+                    sketch.frequency_median(d)
+                } else {
+                    sketch.frequency(d)
+                }
+            };
+            for domain in &domains {
+                let reference: Vec<u64> = domain
+                    .iter()
+                    .copied()
+                    .filter(|&d| estimate(d) > theta * samples as f64)
+                    .collect();
+                let index = DomainIndex::new(sketch.hashes(), Arc::new(domain.clone()));
+                for source in [Candidates::Slice(domain), Candidates::Index(&index)] {
+                    let what = format!("adaptive {adaptive}, {} candidates", domain.len());
+                    let (items, applied) = policy.discover(&sketch, samples, source).unwrap();
+                    assert_eq!(applied.to_bits(), theta.to_bits(), "{what}");
+                    assert_eq!(items, reference, "{what}");
+                    let (none, _) = policy.discover(&sketch, 0, source).unwrap();
+                    assert!(none.is_empty(), "{what}: an empty sample finds nothing");
+                }
+            }
         }
     }
 

@@ -649,29 +649,16 @@ impl FinalizedSketch {
 
     /// Frequency estimate `f̃(d) = mean_j M[j, h_j(d)]·ξ_j(d)` (Theorem 7).
     ///
-    /// [`FinalizedSketch::frequencies`] delegates to the same per-value estimator, so the two
-    /// entry points cannot drift.
+    /// The single-value reference of the scan [`FinalizedSketch::frequencies`], which adds
+    /// the same per-row terms in the same row order and so returns the same bits.
     pub fn frequency(&self, value: u64) -> f64 {
-        self.frequency_at(value)
-    }
-
-    /// Frequency estimates for a whole candidate domain (one borrowed pass over the restored
-    /// matrix per candidate; prefer this over repeated [`FinalizedSketch::frequency`] calls
-    /// for large scans).
-    pub fn frequencies(&self, candidates: &[u64]) -> Vec<f64> {
-        candidates.iter().map(|&d| self.frequency_at(d)).collect()
-    }
-
-    /// The single shared implementation of the Theorem 7 estimator.
-    #[inline]
-    fn frequency_at(&self, d: u64) -> f64 {
         let (k, m) = (self.params.rows(), self.params.columns());
         if k == 0 {
             return 0.0;
         }
         let mut acc = 0.0;
         for (j, pair) in self.hashes.iter().enumerate() {
-            acc += self.restored[j * m + pair.bucket_of(d)] * pair.sign_of(d) as f64;
+            acc += self.restored[j * m + pair.bucket_of(value)] * pair.sign_of(value) as f64;
         }
         acc / k as f64
     }
@@ -727,36 +714,91 @@ impl FinalizedSketch {
         self.reports as f64 * self.params.rows() as f64 * c * c
     }
 
-    /// The frequent-item set `FI = {d ∈ domain : f̃(d) > θ·total}` used by phase 1 of
+    /// Frequency estimates ([`FinalizedSketch::frequency`]) of every candidate, in
+    /// candidate order and bit-identical to the single-value calls.
+    ///
+    /// The scan gathers each candidate's counters through an index of its bucket offsets
+    /// and sign bits, walking the restored matrix row by row so each row stays
+    /// cache-resident across the candidates. Flipping an `f64`'s sign bit is exactly a
+    /// multiplication by `−1.0`, and the per-candidate additions run in row order, as in
+    /// the single-value estimate.
+    ///
+    /// # Errors
+    /// [`Error::IncompatibleSketches`] if a prebuilt [`DomainIndex`] was built for another
+    /// hash family or sketch shape.
+    pub fn frequencies(&self, candidates: Candidates<'_>) -> Result<Vec<f64>> {
+        let mut out = Vec::new();
+        self.scan(candidates, |block| self.frequencies_block(block, &mut out))?;
+        Ok(out)
+    }
+
+    /// The frequent-item set `FI = {d ∈ candidates : f̃(d) > θ·total}` used by phase 1 of
     /// LDPJoinSketch+ (`total` is the number of users the sketch claims to summarise, after
-    /// any scaling the caller applies for sampling).
-    pub fn frequent_items(&self, domain: &[u64], theta: f64, total: f64) -> Vec<u64> {
+    /// any scaling the caller applies for sampling), in candidate order.
+    ///
+    /// # Errors
+    /// [`Error::IncompatibleSketches`] if a prebuilt [`DomainIndex`] was built for another
+    /// hash family or sketch shape.
+    pub fn frequent_items(
+        &self,
+        candidates: Candidates<'_>,
+        theta: f64,
+        total: f64,
+    ) -> Result<Vec<u64>> {
         let threshold = theta * total;
-        domain
-            .iter()
-            .copied()
-            .filter(|&d| self.frequency_at(d) > threshold)
-            .collect()
+        let mut out = Vec::new();
+        self.scan(candidates, |block| {
+            self.mean_screen(block, threshold, &mut out)
+        })?;
+        Ok(out)
     }
 
-    /// Frequent-item discovery with the collision-robust median estimator
-    /// ([`FinalizedSketch::frequency_median`]) — the detector used by LDPJoinSketch+'s
-    /// adaptive mode, where a stable, non-flooded `FI` is what keeps the phase-2
-    /// high-frequency sketch sparse.
-    pub fn frequent_items_median(&self, domain: &[u64], theta: f64, total: f64) -> Vec<u64> {
+    /// Frequent-item discovery with the collision-robust median estimator: the candidates
+    /// whose [`FinalizedSketch::frequency_median`] exceeds `θ·total`, in candidate order.
+    /// This is the detector of LDPJoinSketch+'s adaptive mode, where a stable, non-flooded
+    /// `FI` keeps the phase-2 high-frequency sketch sparse.
+    ///
+    /// The scan is an exact order-statistic count screen. For each candidate it counts how
+    /// many of the `k` per-row estimates strictly exceed the threshold `T`. With `c` such
+    /// rows and the median defined on the ascending order statistics `v[·]`:
+    ///
+    /// * odd `k` — `median = v[k/2] > T  ⇔  c ≥ k/2 + 1`: always decisive;
+    /// * even `k`, `c ≥ k/2 + 1` — both middle statistics exceed `T`, and the rounded mean
+    ///   of two values `> T` is `> T`, so the candidate is in;
+    /// * even `k`, `c ≤ k/2 − 1` — both middle statistics are `≤ T`, so it is out;
+    /// * even `k`, `c = k/2` — the middle statistics straddle `T`; only here does the scan
+    ///   fall back to the exact [`FinalizedSketch::frequency_median`] call.
+    ///
+    /// Every decisive branch agrees with the exact median comparison and the ambiguous
+    /// branch *is* that comparison, so the set equals filtering the candidates by
+    /// `frequency_median(d) > θ·total`.
+    ///
+    /// # Errors
+    /// [`Error::IncompatibleSketches`] if a prebuilt [`DomainIndex`] was built for another
+    /// hash family or sketch shape.
+    pub fn frequent_items_median(
+        &self,
+        candidates: Candidates<'_>,
+        theta: f64,
+        total: f64,
+    ) -> Result<Vec<u64>> {
         let threshold = theta * total;
-        domain
-            .iter()
-            .copied()
-            .filter(|&d| self.frequency_median(d) > threshold)
-            .collect()
+        let mut out = Vec::new();
+        self.scan(candidates, |block| {
+            self.median_screen(block, threshold, &mut out)
+        })?;
+        Ok(out)
     }
 
-    /// Reject an `index` built for another hash family or sketch shape.
+    /// Reject a prebuilt index made for another hash family or sketch shape; a slice is
+    /// indexed with this sketch's own family, so it always fits.
     ///
     /// # Errors
     /// [`Error::IncompatibleSketches`] on a seed or dimension mismatch.
-    pub(crate) fn check_index(&self, index: &DomainIndex) -> Result<()> {
+    pub(crate) fn check_candidates(&self, candidates: Candidates<'_>) -> Result<()> {
+        let Candidates::Index(index) = candidates else {
+            return Ok(());
+        };
         if index.seed == self.hashes.seed()
             && index.rows == self.params.rows()
             && index.columns == self.params.columns()
@@ -774,25 +816,23 @@ impl FinalizedSketch {
         )))
     }
 
-    /// [`FinalizedSketch::frequencies`] over a pre-hashed [`DomainIndex`]: same estimates,
-    /// bit for bit (the per-candidate additions run in the same row order), but the bucket
-    /// and sign hashes are looked up instead of re-evaluated and the restored matrix is
-    /// walked row-major so each 8 KiB row stays cache-resident across the whole domain.
-    ///
-    /// # Errors
-    /// [`Error::IncompatibleSketches`] if `index` was built for a different hash family or
-    /// sketch shape.
-    pub fn frequencies_indexed(&self, index: &DomainIndex) -> Result<Vec<f64>> {
-        self.check_index(index)?;
-        let k = self.params.rows();
-        let n = index.domain.len();
-        let mut acc = vec![0.0f64; n];
-        if k == 0 {
-            return Ok(acc);
-        }
+    /// Check `candidates` against this sketch, then visit their indexed blocks.
+    fn scan(&self, candidates: Candidates<'_>, visit: impl FnMut(&DomainIndex)) -> Result<()> {
+        self.check_candidates(candidates)?;
+        for_each_block(&self.hashes, candidates, visit);
+        Ok(())
+    }
+
+    /// The scan body of [`FinalizedSketch::frequencies`]: append one block's estimates.
+    fn frequencies_block(&self, block: &DomainIndex, out: &mut Vec<f64>) {
+        let (k, n) = (self.params.rows(), block.domain.len());
+        let words = block.words_per_row;
+        let start = out.len();
+        out.resize(start + n, 0.0);
+        let acc = &mut out[start..];
         for j in 0..k {
-            let offs = &index.offsets[j * n..(j + 1) * n];
-            let negs = &index.neg[j * index.words_per_row..(j + 1) * index.words_per_row];
+            let offs = &block.offsets[j * n..(j + 1) * n];
+            let negs = &block.neg[j * words..(j + 1) * words];
             for (i, (&off, a)) in offs.iter().zip(acc.iter_mut()).enumerate() {
                 let flip = ((negs[i >> 6] >> (i & 63)) & 1) << 63;
                 *a += f64::from_bits(self.restored[off as usize].to_bits() ^ flip);
@@ -802,66 +842,28 @@ impl FinalizedSketch {
         for a in acc.iter_mut() {
             *a /= inv;
         }
-        Ok(acc)
     }
 
-    /// [`FinalizedSketch::frequent_items`] over a pre-hashed [`DomainIndex`] — identical
-    /// item set, computed from [`FinalizedSketch::frequencies_indexed`].
-    ///
-    /// # Errors
-    /// [`Error::IncompatibleSketches`] if `index` was built for a different hash family or
-    /// sketch shape.
-    pub fn frequent_items_indexed(
-        &self,
-        index: &DomainIndex,
-        theta: f64,
-        total: f64,
-    ) -> Result<Vec<u64>> {
-        let threshold = theta * total;
-        Ok(index
-            .domain
-            .iter()
-            .zip(self.frequencies_indexed(index)?)
-            .filter(|&(_, f)| f > threshold)
-            .map(|(&d, _)| d)
-            .collect())
+    /// The scan body of [`FinalizedSketch::frequent_items`]: append the block's candidates
+    /// whose mean estimate exceeds `threshold`.
+    pub(crate) fn mean_screen(&self, block: &DomainIndex, threshold: f64, out: &mut Vec<u64>) {
+        let mut estimates = Vec::with_capacity(block.domain.len());
+        self.frequencies_block(block, &mut estimates);
+        out.extend(
+            block
+                .domain
+                .iter()
+                .zip(estimates)
+                .filter(|&(_, f)| f > threshold)
+                .map(|(&d, _)| d),
+        );
     }
 
-    /// [`FinalizedSketch::frequent_items_median`] over a pre-hashed [`DomainIndex`]:
-    /// the same frequent-item set, decided by an exact order-statistic count screen.
-    ///
-    /// For each candidate we count, row-major over the packed sign planes, how many of the
-    /// `k` per-row estimates strictly exceed the threshold. With `c` such rows and the
-    /// median defined on the ascending order statistics `v[·]`:
-    ///
-    /// * odd `k` — `median = v[k/2] > T  ⇔  c ≥ k/2 + 1`: always decisive;
-    /// * even `k`, `c ≥ k/2 + 1` — both middle statistics exceed `T`, and the rounded mean
-    ///   of two values `> T` is `> T`, so the candidate is in;
-    /// * even `k`, `c ≤ k/2 − 1` — both middle statistics are `≤ T`, so it is out;
-    /// * even `k`, `c = k/2` — the middle statistics straddle `T`; only here does the scan
-    ///   fall back to the exact [`FinalizedSketch::frequency_median`] call.
-    ///
-    /// Every decisive branch provably agrees with the exact median comparison and the
-    /// ambiguous branch *is* the exact comparison, so the result is bit-identical to the
-    /// unindexed scan.
-    ///
-    /// # Errors
-    /// [`Error::IncompatibleSketches`] if `index` was built for a different hash family or
-    /// sketch shape.
-    pub fn frequent_items_median_indexed(
-        &self,
-        index: &DomainIndex,
-        theta: f64,
-        total: f64,
-    ) -> Result<Vec<u64>> {
-        self.check_index(index)?;
-        let k = self.params.rows();
-        if k == 0 {
-            return Ok(Vec::new());
-        }
-        let threshold = theta * total;
-        let n = index.domain.len();
-        let m = self.params.columns();
+    /// The scan body of [`FinalizedSketch::frequent_items_median`]: append the block's
+    /// candidates whose median estimate exceeds `threshold`.
+    pub(crate) fn median_screen(&self, block: &DomainIndex, threshold: f64, out: &mut Vec<u64>) {
+        let (k, m) = (self.params.rows(), self.params.columns());
+        let n = block.domain.len();
         // Inverted screen: instead of gathering one restored counter per (row, candidate)
         // pair, scan each restored row once and touch candidates only through the buckets
         // that actually clear the threshold. A positive-sign candidate in bucket `b`
@@ -869,6 +871,9 @@ impl FinalizedSketch {
         // negation). Counters rarely clear `T`, so the inner candidate walks are sparse
         // and the hot loop is a branch-light sweep over `m` contiguous values per row —
         // the same exact per-candidate counts as the gather form, far fewer cache misses.
+        //
+        // A count never exceeds k, and `SketchParams` caps k at `u16::MAX`, so `u16`
+        // counters cannot wrap.
         let mut above = vec![0u16; n];
         // With the threshold inside the noise floor a third of the buckets can clear it, so
         // data-dependent branches mispredict constantly; both loops below are branchless —
@@ -877,8 +882,8 @@ impl FinalizedSketch {
         let mut hot = vec![0u32; m];
         for j in 0..k {
             let row = &self.restored[j * m..(j + 1) * m];
-            let starts = &index.inv_start[j * (m + 1)..(j + 1) * (m + 1)];
-            let row_items = &index.inv_items[j * n..(j + 1) * n];
+            let starts = &block.inv_start[j * (m + 1)..(j + 1) * (m + 1)];
+            let row_items = &block.inv_items[j * n..(j + 1) * n];
             let mut cnt = 0usize;
             for (b, &v) in row.iter().enumerate() {
                 let pos_hit = v > threshold;
@@ -896,38 +901,77 @@ impl FinalizedSketch {
             }
         }
         let half = k / 2;
-        Ok(index
-            .domain
-            .iter()
-            .zip(above)
-            .filter(|&(&d, c)| {
-                let c = c as usize;
-                if c > half {
-                    true
-                } else if k % 2 == 1 || c < half {
-                    false
-                } else {
-                    self.frequency_median(d) > threshold
-                }
-            })
-            .map(|(&d, _)| d)
-            .collect())
+        out.extend(
+            block
+                .domain
+                .iter()
+                .zip(above)
+                .filter(|&(&d, c)| {
+                    let c = c as usize;
+                    if c > half {
+                        true
+                    } else if k % 2 == 1 || c < half {
+                        false
+                    } else {
+                        self.frequency_median(d) > threshold
+                    }
+                })
+                .map(|(&d, _)| d),
+        );
+    }
+}
+
+/// Candidates per block when a scan indexes a candidate slice itself. One block's index
+/// takes about `8·k·B + 4·k·(m+1)` bytes (≈1.3 MB at k = 18, m = 1024), whatever the
+/// slice's length.
+pub(crate) const SCAN_BLOCK: usize = 8_192;
+
+/// Where a frequency scan takes its candidates from.
+///
+/// Both sources run the same scan bodies and give the same bits, in candidate order.
+#[derive(Debug, Clone, Copy)]
+pub enum Candidates<'a> {
+    /// A prebuilt index, hashed once for many scans (the online service builds one per
+    /// plus attribute at registration). It must match the scanned sketch's hash family and
+    /// shape.
+    Index(&'a DomainIndex),
+    /// A plain candidate slice. The scan indexes it in blocks of 8,192 candidates, one
+    /// block at a time, so its memory does not grow with the slice.
+    Slice(&'a [u64]),
+}
+
+/// Visit `candidates` as indexed blocks under `hashes`: a prebuilt index as one block, a
+/// slice as [`SCAN_BLOCK`]-candidate blocks, each indexed once, so every visitor of a block
+/// shares its index. The caller has checked a prebuilt index against `hashes`.
+pub(crate) fn for_each_block(
+    hashes: &RowHashes,
+    candidates: Candidates<'_>,
+    mut visit: impl FnMut(&DomainIndex),
+) {
+    match candidates {
+        Candidates::Index(index) => visit(index),
+        Candidates::Slice(domain) => {
+            for block in domain.chunks(SCAN_BLOCK) {
+                visit(&DomainIndex::new(hashes, Arc::new(block.to_vec())));
+            }
+        }
     }
 }
 
 /// Pre-hashed scan index over a fixed public candidate domain.
 ///
-/// Frequent-item discovery evaluates `k` bucket and sign hashes per candidate per scan; for
-/// the online service's public domain those hashes never change between queries. A
-/// `DomainIndex` evaluates them once, storing for every `(row, candidate)` pair the
-/// flattened offset into the restored `k × m` matrix (`u32`) and the sign packed into `u64`
-/// bit planes (one bit per candidate, one plane strip per row). The indexed scans on
-/// [`FinalizedSketch`] then run gather + sign-flip + compare/accumulate passes that are
-/// bit-identical to the hash-per-call scans: multiplying an f64 by `±1.0` is exactly a
-/// sign-bit XOR.
+/// A frequency scan needs `k` bucket and sign hashes per candidate, and for a fixed domain
+/// they never change. A `DomainIndex` evaluates them once, storing for every
+/// `(row, candidate)` pair the flattened offset into the restored `k × m` matrix (`u32`),
+/// the sign packed into `u64` bit planes, and per row an inverted bucket → candidate list.
+/// Scanning a [`Candidates::Slice`] builds one per block, so the two sources give the same
+/// bits.
 ///
-/// Build one per `(hash seed, domain)` pair and reuse it across every snapshot and merged
-/// span of that attribute.
+/// Build one when many scans share one hash family and domain — the online service keeps
+/// one per plus attribute and reuses it across every sealed window and merged span — and
+/// pass it as [`Candidates::Index`]. It takes about `8·k·n + 4·k·(m+1)` bytes for `n`
+/// candidates; a one-off scan is better served by the slice source, whose memory is
+/// bounded by one block.
 #[derive(Debug, Clone)]
 pub struct DomainIndex {
     domain: Arc<Vec<u64>>,
@@ -951,7 +995,8 @@ impl DomainIndex {
     /// Hash every candidate in `domain` through all `k` rows of `hashes` once.
     ///
     /// # Panics
-    /// Panics if the flattened `k·m` counter space does not fit in `u32` offsets.
+    /// Panics if the flattened `k·m` counter space does not fit in `u32` offsets, or if the
+    /// domain holds more than `2^31 − 1` candidates.
     pub fn new(hashes: &RowHashes, domain: Arc<Vec<u64>>) -> Self {
         let (k, m) = (hashes.rows(), hashes.columns());
         assert!(
@@ -966,32 +1011,34 @@ impl DomainIndex {
         let words_per_row = n.div_ceil(64).max(1);
         let mut offsets = vec![0u32; k * n];
         let mut neg = vec![0u64; k * words_per_row];
+        let mut inv_start = vec![0u32; k * (m + 1)];
+        let mut inv_items = vec![0u32; k * n];
+        let mut cursor = vec![0u32; m];
         for (j, pair) in hashes.iter().enumerate() {
             let offs = &mut offsets[j * n..(j + 1) * n];
             let negs = &mut neg[j * words_per_row..(j + 1) * words_per_row];
-            for (i, (&d, off)) in domain.iter().zip(offs.iter_mut()).enumerate() {
-                *off = (j * m + pair.bucket_of(d)) as u32;
-                if pair.sign_of(d) < 0 {
-                    negs[i >> 6] |= 1u64 << (i & 63);
-                }
-            }
-        }
-        // Invert each row into bucket → candidate CSR lists by counting sort, so threshold
-        // screens can sweep restored rows and only touch the candidates of exceeding
-        // buckets.
-        let mut inv_start = vec![0u32; k * (m + 1)];
-        let mut inv_items = vec![0u32; k * n];
-        for j in 0..k {
-            let offs = &offsets[j * n..(j + 1) * n];
-            let negs = &neg[j * words_per_row..(j + 1) * words_per_row];
             let starts = &mut inv_start[j * (m + 1)..(j + 1) * (m + 1)];
-            for &off in offs {
-                starts[off as usize - j * m + 1] += 1;
+            // One fused bucket/sign hash per candidate. Random signs would mispredict a
+            // branch half the time, so each sign bit is OR-ed into a register word that is
+            // stored once per 64 candidates.
+            for ((cands, offs), word) in domain.chunks(64).zip(offs.chunks_mut(64)).zip(&mut *negs)
+            {
+                let mut bits = 0u64;
+                for (i, (&d, off)) in cands.iter().zip(offs).enumerate() {
+                    let (bucket, neg) = pair.bucket_and_sign_neg(d);
+                    *off = (j * m + bucket) as u32;
+                    starts[bucket + 1] += 1;
+                    bits |= neg << i;
+                }
+                *word = bits;
             }
+            // Invert the row into bucket → candidate lists by counting sort, so threshold
+            // screens sweep the restored row and touch only the candidates of exceeding
+            // buckets.
             for b in 0..m {
                 starts[b + 1] += starts[b];
             }
-            let mut cursor: Vec<u32> = starts[..m].to_vec();
+            cursor.copy_from_slice(&starts[..m]);
             let items = &mut inv_items[j * n..(j + 1) * n];
             for (i, &off) in offs.iter().enumerate() {
                 let b = off as usize - j * m;
@@ -1194,42 +1241,70 @@ mod tests {
         assert_eq!(a.frequency(3), 0.0);
     }
 
+    /// Candidate domains of the lengths where block handling can go wrong — empty, one
+    /// candidate, and just before, at and after one and two block boundaries — plus one
+    /// whose candidates repeat within and across blocks. The multiplicative map spreads
+    /// the heavy values of `skewed_stream` over every block.
+    fn boundary_domains() -> Vec<Vec<u64>> {
+        let b = SCAN_BLOCK as u64;
+        let mut domains: Vec<Vec<u64>> = [0, 1, b - 1, b, b + 1, 2 * b + 5]
+            .into_iter()
+            .map(|len| (0..len).map(|i| i * 7_919 % 20_011).collect())
+            .collect();
+        domains.push((0..2 * b + 5).map(|i| i % 300).collect());
+        domains
+    }
+
+    /// Check every scan on `sketch`, from both candidate sources, against per-candidate
+    /// single-value estimates: bit-identical frequencies, and FI sets equal to filtering
+    /// the candidates in order, duplicates included.
+    fn assert_scans_match_single_values(sketch: &FinalizedSketch, total: f64, thetas: &[f64]) {
+        for domain in boundary_domains() {
+            let len = domain.len();
+            let mean: Vec<f64> = domain.iter().map(|&d| sketch.frequency(d)).collect();
+            let med: Vec<f64> = domain.iter().map(|&d| sketch.frequency_median(d)).collect();
+            let index = DomainIndex::new(sketch.hashes(), Arc::new(domain.clone()));
+            for source in [Candidates::Slice(&domain), Candidates::Index(&index)] {
+                let scanned = sketch.frequencies(source).unwrap();
+                let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&scanned), bits(&mean), "frequencies, {len} candidates");
+                for &theta in thetas {
+                    let threshold = theta * total;
+                    let filter = |est: &[f64]| -> Vec<u64> {
+                        domain
+                            .iter()
+                            .zip(est)
+                            .filter(|&(_, &f)| f > threshold)
+                            .map(|(&d, _)| d)
+                            .collect()
+                    };
+                    assert_eq!(
+                        sketch.frequent_items(source, theta, total).unwrap(),
+                        filter(&mean),
+                        "mean screen, {len} candidates, theta {theta}"
+                    );
+                    assert_eq!(
+                        sketch.frequent_items_median(source, theta, total).unwrap(),
+                        filter(&med),
+                        "median screen, {len} candidates, theta {theta}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn indexed_scans_are_bit_identical_to_hashed_scans() {
-        // Both parities of k matter: the median count-screen's decisive rule differs for
-        // odd and even row counts.
+        // The scans, from a prebuilt index or a slice indexed block by block, against the
+        // hash-per-call single-value estimators. Both parities of k matter: the median
+        // count screen's decisive rule differs for odd and even row counts.
         for (k, seed) in [(18usize, 2u64), (11, 3)] {
-            let p = params(k, 256);
-            let e = eps(3.0);
             let values = skewed_stream(40_000, 2_000, seed);
-            let sketch = build_sketch(&values, p, e, 91 + seed, seed);
-            let domain: Arc<Vec<u64>> = Arc::new((0..2_000).collect());
-            let index = DomainIndex::new(sketch.hashes(), Arc::clone(&domain));
-
-            let plain = sketch.frequencies(&domain);
-            let indexed = sketch.frequencies_indexed(&index).unwrap();
-            assert_eq!(plain.len(), indexed.len());
-            for (a, b) in plain.iter().zip(indexed.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-
-            let total = values.len() as f64;
+            let sketch = build_sketch(&values, params(k, 256), eps(3.0), 91 + seed, seed);
             // Sweep thresholds from "everything in" to "nothing in" so the count screen
             // crosses every decisive and ambiguous branch.
-            for theta in [-1.0, 0.0, 1e-5, 1e-4, 1e-3, 5e-3, 0.05, 0.5] {
-                assert_eq!(
-                    sketch.frequent_items(&domain, theta, total),
-                    sketch.frequent_items_indexed(&index, theta, total).unwrap(),
-                    "mean scan diverged at theta {theta}"
-                );
-                assert_eq!(
-                    sketch.frequent_items_median(&domain, theta, total),
-                    sketch
-                        .frequent_items_median_indexed(&index, theta, total)
-                        .unwrap(),
-                    "median scan diverged at theta {theta}"
-                );
-            }
+            let thetas = [-1.0, 0.0, 1e-5, 1e-4, 1e-3, 5e-3, 0.05, 0.5];
+            assert_scans_match_single_values(&sketch, values.len() as f64, &thetas);
         }
     }
 
@@ -1239,15 +1314,37 @@ mod tests {
         // counters, so no per-row estimate strictly exceeds a negative threshold's half
         // split — pick thresholds at and around zero to pin the straddle behaviour.
         let sketch = SketchBuilder::new(params(4, 64), eps(2.0), 12).finalize();
-        let domain: Arc<Vec<u64>> = Arc::new((0..64).collect());
-        let index = DomainIndex::new(sketch.hashes(), Arc::clone(&domain));
-        for threshold in [-1.0, 0.0, 1.0] {
+        assert_scans_match_single_values(&sketch, 1.0, &[-1.0, 0.0, 1.0]);
+    }
+
+    #[test]
+    fn median_screen_counts_every_row_at_the_row_cap() {
+        // At the largest k `SketchParams` accepts, a candidate above the threshold in every
+        // row takes its `u16` row count to the maximum without wrapping. The unscaled
+        // spectrum puts +ξ_j(0) at bucket h_j(0) of every row, so each row's estimate of
+        // value 0 is the de-bias scale k·c_ε.
+        let p = params(SketchParams::MAX_ROWS, 2);
+        let hashes = Arc::new(RowHashes::from_seed(5, p.rows(), p.columns()));
+        let mut spectrum = vec![0.0; p.counters()];
+        for (j, pair) in hashes.iter().enumerate() {
+            spectrum[j * 2 + pair.bucket_of(0)] = pair.sign_of(0) as f64;
+        }
+        let sketch = FinalizedSketch::from_spectrum(p, eps(10.0), hashes, 1, spectrum);
+        let domain: Vec<u64> = (0..6).collect();
+        let index = DomainIndex::new(sketch.hashes(), Arc::new(domain.clone()));
+        let threshold = 0.5 * sketch.frequency_median(0);
+        let reference: Vec<u64> = domain
+            .iter()
+            .copied()
+            .filter(|&d| sketch.frequency_median(d) > threshold)
+            .collect();
+        assert_eq!(reference.first(), Some(&0));
+        for source in [Candidates::Slice(&domain), Candidates::Index(&index)] {
             assert_eq!(
-                sketch.frequent_items_median(&domain, threshold, 1.0),
                 sketch
-                    .frequent_items_median_indexed(&index, threshold, 1.0)
+                    .frequent_items_median(source, threshold, 1.0)
                     .unwrap(),
-                "threshold {threshold}"
+                reference
             );
         }
     }
@@ -1497,7 +1594,9 @@ mod tests {
             .collect();
         let sketch = build_sketch(&values, p, e, 13, 6);
         let domain: Vec<u64> = (0..5010).collect();
-        let fi = sketch.frequent_items(&domain, 0.05, n as f64);
+        let fi = sketch
+            .frequent_items(Candidates::Slice(&domain), 0.05, n as f64)
+            .unwrap();
         assert!(
             fi.contains(&1),
             "FI should contain the 30% value, got {fi:?}"
@@ -1520,10 +1619,10 @@ mod tests {
         let values = skewed_stream(30_000, 500, 9);
         let sketch = build_sketch(&values, p, e, 21, 7);
         let candidates: Vec<u64> = (0..50).collect();
-        let batch = sketch.frequencies(&candidates);
+        let batch = sketch.frequencies(Candidates::Slice(&candidates)).unwrap();
         for (i, &d) in candidates.iter().enumerate() {
-            // Both entry points share one implementation, so equality is exact.
-            assert_eq!(batch[i], sketch.frequency(d));
+            // Both entry points add the same terms in the same order, so equality is exact.
+            assert_eq!(batch[i].to_bits(), sketch.frequency(d).to_bits());
         }
     }
 

@@ -8,7 +8,7 @@
 
 use ldpjs_common::stats::frequency_table;
 use ldpjs_core::protocol::build_private_sketch;
-use ldpjs_core::{Epsilon, SketchParams};
+use ldpjs_core::{Candidates, Epsilon, SketchParams};
 use ldpjs_data::PaperDataset;
 use ldpjs_experiments::ExpArgs;
 use ldpjs_ldp::{FlhOracle, FrequencyOracle, HcmsOracle, KrrOracle};
@@ -61,7 +61,10 @@ fn main() {
 
             let sketch = build_private_sketch(values, params, eps, args.seed, &mut rng)
                 .expect("sketch construction");
-            let mse_ldp = mean_squared_error(&truth, &sketch.frequencies(&distinct));
+            let estimates = sketch
+                .frequencies(Candidates::Slice(&distinct))
+                .expect("a candidate slice fits every sketch");
+            let mse_ldp = mean_squared_error(&truth, &estimates);
 
             table.add_row(vec![
                 format!("{eps_val}"),

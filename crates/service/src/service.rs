@@ -14,7 +14,7 @@ use ldpjs_common::kernel_dispatch_snapshot;
 use ldpjs_common::privacy::Epsilon;
 use ldpjs_core::multiway::{EdgeSketchBuilder, FinalizedEdgeSketch, LdpEdgeSketchClient};
 use ldpjs_core::{
-    bounds, ChainKernel, DomainIndex, FiPolicy, FinalizedPlusState, FinalizedSketch,
+    bounds, Candidates, ChainKernel, DomainIndex, FiPolicy, FinalizedPlusState, FinalizedSketch,
     LdpJoinSketchClient, PlainKernel, PlusConfig, PlusKernel, PlusReportBatch, PlusStateBuilder,
     SketchBuilder,
 };
@@ -635,7 +635,7 @@ fn plus_state(
     policy: FiPolicy,
     index: &DomainIndex,
 ) -> FinalizedPlusState {
-    FinalizedPlusState::new_indexed(phase1, low, high, policy, index)
+    FinalizedPlusState::new(phase1, low, high, policy, Candidates::Index(index))
         // lint:allow(panic-freedom) — invariant: registration built `index` from the
         // attribute's own phase-1 seed and the service's (k, m).
         .expect("the attribute's domain index matches its phase-1 hash family")

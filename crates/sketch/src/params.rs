@@ -18,20 +18,38 @@ impl SketchParams {
     /// The paper's default `(k, m) = (18, 1024)`.
     pub const DEFAULT: SketchParams = SketchParams { k: 18, m: 1024 };
 
+    /// Largest row count `k`: a row index fits the `u16` field of the client wire format,
+    /// and a count of rows fits the `u16` counters of the median frequent-item screen.
+    pub const MAX_ROWS: usize = u16::MAX as usize;
+
+    /// Largest column count `m`: a column index fits the `u16` field of the client wire
+    /// format.
+    pub const MAX_COLUMNS: usize = 1 << 16;
+
     /// Create sketch parameters with `k` rows and `m` columns.
     ///
     /// # Errors
-    /// Returns [`Error::InvalidSketchParameter`] when `k == 0`, `m == 0`, `m` is not a
-    /// power of two, or `k·m` exceeds `u32::MAX`.
+    /// Returns [`Error::InvalidSketchParameter`] when
+    /// * `k == 0` or `k > 65,535` ([`SketchParams::MAX_ROWS`]),
+    /// * `m == 0`, `m` is not a power of two, or `m > 65,536`
+    ///   ([`SketchParams::MAX_COLUMNS`]),
+    /// * or `k·m` exceeds `u32::MAX`.
     pub fn new(k: usize, m: usize) -> Result<Self> {
-        if k == 0 {
-            return Err(Error::InvalidSketchParameter(
-                "k (rows) must be at least 1".into(),
-            ));
+        if k == 0 || k > Self::MAX_ROWS {
+            return Err(Error::InvalidSketchParameter(format!(
+                "k (rows) must lie in 1..={}, got {k}",
+                Self::MAX_ROWS
+            )));
         }
         if m == 0 || !m.is_power_of_two() {
             return Err(Error::InvalidSketchParameter(format!(
                 "m (columns) must be a positive power of two for the Hadamard mechanism, got {m}"
+            )));
+        }
+        if m > Self::MAX_COLUMNS {
+            return Err(Error::InvalidSketchParameter(format!(
+                "m (columns) must be at most {}, got {m}",
+                Self::MAX_COLUMNS
             )));
         }
         // Packed report batches address counters by `u32` flat index, so the counter space
@@ -103,6 +121,11 @@ mod tests {
         assert_eq!(p.counters(), 18 * 1024);
         assert_eq!(p.space_bytes(), 18 * 1024 * 8);
         assert_eq!(p.to_string(), "(k=18, m=1024)");
+        // The largest k and m the caps allow.
+        for (k, m) in [(65_535, 2), (1, 1 << 16)] {
+            let p = SketchParams::new(k, m).unwrap();
+            assert_eq!((p.rows(), p.columns()), (k, m));
+        }
     }
 
     #[test]
@@ -118,8 +141,14 @@ mod tests {
         assert!(SketchParams::new(0, 1024).is_err());
         assert!(SketchParams::new(18, 0).is_err());
         assert!(SketchParams::new(18, 1000).is_err());
-        // Shapes whose k·m overflows usize or the u32 packed index space.
-        for (k, m) in [(usize::MAX, 2), (1 << 20, 1 << 13)] {
+        // Shapes whose k·m overflows usize or the u32 packed index space, and shapes whose
+        // k or m is past its 16-bit cap although k·m fits.
+        for (k, m) in [
+            (usize::MAX, 2),
+            (1 << 20, 1 << 13),
+            (65_536, 2),
+            (1, 1 << 17),
+        ] {
             assert!(matches!(
                 SketchParams::new(k, m),
                 Err(Error::InvalidSketchParameter(_))

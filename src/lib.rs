@@ -59,7 +59,7 @@ pub mod prelude {
         ldp_join_plus_estimate, ldp_join_plus_estimate_chunked, stream_reports_chunked,
     };
     pub use ldpjs_core::{
-        AggregatorInstruments, ChainKernel, ClientReport, FapClient, FapMode, FiPolicy,
+        AggregatorInstruments, Candidates, ChainKernel, ClientReport, FapClient, FapMode, FiPolicy,
         FinalizedPlusState, FinalizedSketch, LdpJoinSketchClient, LdpJoinSketchPlus, PlainKernel,
         PlusConfig, PlusDiscovery, PlusEstimate, PlusKernel, PlusReportBatch, PlusStateBuilder,
         PlusTableRole, ShardedAggregator, SketchBuilder, SketchParams,

@@ -70,8 +70,8 @@ fn ldp_sketch_frequency_estimation_matches_hcms_error_scale() {
     let mut proto_rng = StdRng::seed_from_u64(4);
 
     let sketch = build_private_sketch(&values, params, eps, 5, &mut proto_rng).unwrap();
-    let mse_sketch =
-        ldp_join_sketch::metrics::mean_squared_error(&exact, &sketch.frequencies(&distinct));
+    let estimates = sketch.frequencies(Candidates::Slice(&distinct)).unwrap();
+    let mse_sketch = ldp_join_sketch::metrics::mean_squared_error(&exact, &estimates);
 
     let mut hcms = HcmsOracle::new(params, eps, 6);
     hcms.collect(&values, &mut proto_rng);

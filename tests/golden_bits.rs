@@ -90,6 +90,36 @@ fn chunked_plus_estimate_is_pinned() {
 }
 
 #[test]
+fn adaptive_chunked_plus_estimate_over_three_scan_blocks_is_pinned() {
+    // 20,000 candidates span three 8,192-candidate scan blocks, the last one partial. The
+    // values are spread over the domain by a bijection, so the frequent items the median
+    // screen finds sit in different blocks.
+    let spread =
+        |t: Vec<u64>| -> Vec<u64> { t.iter().map(|&v| (v * 7_919 + 104) % 20_000).collect() };
+    let a = spread(zipf_table(1.5, 20_000, 40_000, 21));
+    let b = spread(zipf_table(1.5, 20_000, 40_000, 22));
+    let domain: Vec<u64> = (0..20_000).collect();
+    let mut config = PlusConfig::new(params(), eps());
+    config.sampling_rate = 0.2;
+    config.seed = 23;
+    config.adaptive = true;
+    let est = ldp_join_plus_estimate_chunked(
+        &SliceChunks::new(&a, 20_000),
+        &SliceChunks::new(&b, 20_000),
+        &domain,
+        config,
+        24,
+    )
+    .unwrap();
+    assert_bits(
+        "adaptive ldp_join_plus_estimate_chunked",
+        est.join_size,
+        0x41b0_a622_cd80_ca9d,
+    );
+    assert_eq!(est.frequent_items.len(), 8, "frequent-item count");
+}
+
+#[test]
 fn chain_3_estimate_over_vertex_and_chunked_edge_sketches_is_pinned() {
     let attr_a = JoinAttribute::from_seed(17, 8, 32);
     let attr_b = JoinAttribute::from_seed(18, 8, 32);
