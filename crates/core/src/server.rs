@@ -271,11 +271,11 @@ impl SketchBuilder {
     /// counters are cloned and pushed through the identical de-bias + Hadamard pipeline as
     /// [`SketchBuilder::finalize`], so the two entry points can never diverge bit-wise.
     ///
-    /// This is the epoch-sealing hook of the online sketch service: a sealed window keeps
-    /// its builder (exact integer counters, mergeable with other windows at zero rounding
-    /// error) *and* an estimation view, and a k-window merge re-aggregates the raw counters
-    /// before a single restore — which is why merged-window estimates are bit-identical to
-    /// one-shot aggregation of the same reports.
+    /// Use it to estimate from a builder that keeps absorbing, or to compare a merged
+    /// builder against a reference: merging exact integer counters and restoring once is
+    /// bit-identical to one-shot aggregation of the same reports. (The online service
+    /// seals windows through [`SketchBuilder::spectrum`] and
+    /// [`FinalizedSketch::from_spectrum`] instead, so each lane is transformed once.)
     pub fn finalize_view(&self) -> FinalizedSketch {
         restore(
             self.params,
@@ -876,27 +876,27 @@ impl FinalizedSketch {
         // counters cannot wrap.
         let mut above = vec![0u16; n];
         // With the threshold inside the noise floor a third of the buckets can clear it, so
-        // data-dependent branches mispredict constantly; both loops below are branchless —
-        // the sweep compacts exceeding buckets with an unconditional store + predicated
-        // cursor bump, and the walk turns the sign test into a two-element table load.
-        let mut hot = vec![0u32; m];
+        // data-dependent branches mispredict constantly; the sweep is branchless — it emits
+        // both of a bucket's sign slots with unconditional stores and predicated cursor
+        // bumps. Each slot lists only candidates of its sign, so the walk touches only
+        // candidates that exceed. A negative threshold clears both slots of a bucket.
+        let mut hot = vec![0u32; 2 * m];
         for j in 0..k {
             let row = &self.restored[j * m..(j + 1) * m];
-            let starts = &block.inv_start[j * (m + 1)..(j + 1) * (m + 1)];
+            let starts = &block.inv_start[j * (2 * m + 1)..(j + 1) * (2 * m + 1)];
             let row_items = &block.inv_items[j * n..(j + 1) * n];
             let mut cnt = 0usize;
             for (b, &v) in row.iter().enumerate() {
-                let pos_hit = v > threshold;
-                let neg_hit = -v > threshold;
-                hot[cnt] = ((b as u32) << 2) | ((neg_hit as u32) << 1) | pos_hit as u32;
-                cnt += (pos_hit | neg_hit) as usize;
+                let slot = 2 * b as u32;
+                hot[cnt] = slot;
+                cnt += (v > threshold) as usize;
+                hot[cnt] = slot + 1;
+                cnt += (-v > threshold) as usize;
             }
-            for &e in &hot[..cnt] {
-                let b = (e >> 2) as usize;
-                // hits[s] = does a candidate with sign bit `s` in this bucket exceed?
-                let hits = [(e & 1) as u16, ((e >> 1) & 1) as u16];
-                for &item in &row_items[starts[b] as usize..starts[b + 1] as usize] {
-                    above[(item >> 1) as usize] += hits[(item & 1) as usize];
+            for &slot in &hot[..cnt] {
+                let slot = slot as usize;
+                for &item in &row_items[starts[slot] as usize..starts[slot + 1] as usize] {
+                    above[item as usize] += 1;
                 }
             }
         }
@@ -922,7 +922,7 @@ impl FinalizedSketch {
 }
 
 /// Candidates per block when a scan indexes a candidate slice itself. One block's index
-/// takes about `8·k·B + 4·k·(m+1)` bytes (≈1.3 MB at k = 18, m = 1024), whatever the
+/// takes about `8·k·B + 4·k·(2m+1)` bytes (≈1.3 MB at k = 18, m = 1024), whatever the
 /// slice's length.
 pub(crate) const SCAN_BLOCK: usize = 8_192;
 
@@ -963,13 +963,14 @@ pub(crate) fn for_each_block(
 /// A frequency scan needs `k` bucket and sign hashes per candidate, and for a fixed domain
 /// they never change. A `DomainIndex` evaluates them once, storing for every
 /// `(row, candidate)` pair the flattened offset into the restored `k × m` matrix (`u32`),
-/// the sign packed into `u64` bit planes, and per row an inverted bucket → candidate list.
+/// the sign packed into `u64` bit planes, and per row an inverted (bucket, sign) → candidate
+/// list.
 /// Scanning a [`Candidates::Slice`] builds one per block, so the two sources give the same
 /// bits.
 ///
 /// Build one when many scans share one hash family and domain — the online service keeps
 /// one per plus attribute and reuses it across every sealed window and merged span — and
-/// pass it as [`Candidates::Index`]. It takes about `8·k·n + 4·k·(m+1)` bytes for `n`
+/// pass it as [`Candidates::Index`]. It takes about `8·k·n + 4·k·(2m+1)` bytes for `n`
 /// candidates; a one-off scan is better served by the slice source, whose memory is
 /// bounded by one block.
 #[derive(Debug, Clone)]
@@ -984,10 +985,12 @@ pub struct DomainIndex {
     /// `ξ_j(domain[i]) = −1`.
     neg: Vec<u64>,
     words_per_row: usize,
-    /// Inverted CSR, per row: `inv_start[j·(m+1) + b]..inv_start[j·(m+1) + b + 1]` bounds
-    /// the candidates row `j` hashes into bucket `b`.
+    /// Inverted CSR split by sign, per row: slot `s = 2b + neg_bit`, and
+    /// `inv_start[j·(2m+1) + s]..inv_start[j·(2m+1) + s + 1]` bounds the candidates row `j`
+    /// hashes into bucket `b` with sign bit `neg_bit` (slot `2b` positive, `2b + 1`
+    /// negative).
     inv_start: Vec<u32>,
-    /// CSR payload, `candidate_index << 1 | neg_bit`, counting-sorted by `(row, bucket)`.
+    /// CSR payload, the plain candidate index, counting-sorted by `(row, slot)`.
     inv_items: Vec<u32>,
 }
 
@@ -1011,13 +1014,14 @@ impl DomainIndex {
         let words_per_row = n.div_ceil(64).max(1);
         let mut offsets = vec![0u32; k * n];
         let mut neg = vec![0u64; k * words_per_row];
-        let mut inv_start = vec![0u32; k * (m + 1)];
+        let slots = 2 * m;
+        let mut inv_start = vec![0u32; k * (slots + 1)];
         let mut inv_items = vec![0u32; k * n];
-        let mut cursor = vec![0u32; m];
+        let mut cursor = vec![0u32; slots];
         for (j, pair) in hashes.iter().enumerate() {
             let offs = &mut offsets[j * n..(j + 1) * n];
             let negs = &mut neg[j * words_per_row..(j + 1) * words_per_row];
-            let starts = &mut inv_start[j * (m + 1)..(j + 1) * (m + 1)];
+            let starts = &mut inv_start[j * (slots + 1)..(j + 1) * (slots + 1)];
             // One fused bucket/sign hash per candidate. Random signs would mispredict a
             // branch half the time, so each sign bit is OR-ed into a register word that is
             // stored once per 64 candidates.
@@ -1027,24 +1031,24 @@ impl DomainIndex {
                 for (i, (&d, off)) in cands.iter().zip(offs).enumerate() {
                     let (bucket, neg) = pair.bucket_and_sign_neg(d);
                     *off = (j * m + bucket) as u32;
-                    starts[bucket + 1] += 1;
+                    starts[2 * bucket + neg as usize + 1] += 1;
                     bits |= neg << i;
                 }
                 *word = bits;
             }
-            // Invert the row into bucket → candidate lists by counting sort, so threshold
-            // screens sweep the restored row and touch only the candidates of exceeding
-            // buckets.
-            for b in 0..m {
-                starts[b + 1] += starts[b];
+            // Invert the row into (bucket, sign) slot → candidate lists by counting sort, so
+            // threshold screens sweep the restored row and touch only the candidates whose
+            // signed counter exceeds.
+            for s in 0..slots {
+                starts[s + 1] += starts[s];
             }
-            cursor.copy_from_slice(&starts[..m]);
+            cursor.copy_from_slice(&starts[..slots]);
             let items = &mut inv_items[j * n..(j + 1) * n];
             for (i, &off) in offs.iter().enumerate() {
-                let b = off as usize - j * m;
                 let neg_bit = (negs[i >> 6] >> (i & 63)) & 1;
-                items[cursor[b] as usize] = ((i as u32) << 1) | neg_bit as u32;
-                cursor[b] += 1;
+                let slot = 2 * (off as usize - j * m) + neg_bit as usize;
+                items[cursor[slot] as usize] = i as u32;
+                cursor[slot] += 1;
             }
         }
         DomainIndex {

@@ -1,6 +1,6 @@
 //! The memoized query cache: answers keyed by **(query kind, attribute set, epoch span)**,
-//! merged estimation views (one store per estimator mode) keyed by (attribute, epoch-span),
-//! all invalidated when a participating attribute rotates.
+//! merged estimation views (one typed store per memoized estimator mode) keyed by
+//! (attribute, epoch-span), all invalidated when a participating attribute rotates.
 //!
 //! Epoch spans — `(first_epoch, last_epoch)` over per-attribute, never-reused epoch ids —
 //! identify immutable sealed data, so a cached answer can never go stale; invalidation on
@@ -15,10 +15,14 @@
 //! eviction evicted exactly those hot entries first; the regression is pinned in this
 //! module's tests via [`CacheStats`].)
 
+use ldpjs_core::multiway::FinalizedEdgeSketch;
+use ldpjs_core::FinalizedSketch;
 use ldpjs_metrics::telemetry::Counter;
+use std::collections::btree_map::Entry as MapEntry;
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
-use crate::service::{Explain, SpanView};
+use crate::service::{Explain, SpanSource};
 
 /// A query answer as stored in (and served from) the cache.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -213,9 +217,31 @@ pub(crate) struct QueryCache {
     order: VecDeque<(QueryKey, u64)>,
     /// Monotonic recency clock.
     clock: u64,
-    /// Merged multi-window plain and edge views by `(attribute, first_epoch, last_epoch)`.
-    views: BTreeMap<(usize, u64, u64), SpanView>,
+    /// Merged multi-window plain views.
+    pub(crate) plain_views: ViewMemo<FinalizedSketch>,
+    /// Merged multi-window edge views.
+    pub(crate) edge_views: ViewMemo<FinalizedEdgeSketch>,
     instruments: CacheInstruments,
+}
+
+/// One estimator mode's memoized merged multi-window views by `(attribute, first_epoch,
+/// last_epoch)`. Plus spans need no memo: rotation materializes every one of them.
+pub(crate) type ViewMemo<V> = BTreeMap<(usize, u64, u64), Arc<V>>;
+
+/// The view `memo` holds under `key` ([`SpanSource::MemoizedView`]), or the one `assemble`
+/// builds, memoized for later queries ([`SpanSource::LedgerAssembled`]).
+pub(crate) fn memoized<V>(
+    memo: &mut ViewMemo<V>,
+    key: (usize, u64, u64),
+    assemble: impl FnOnce() -> V,
+) -> (Arc<V>, SpanSource) {
+    match memo.entry(key) {
+        MapEntry::Occupied(entry) => (Arc::clone(entry.get()), SpanSource::MemoizedView),
+        MapEntry::Vacant(entry) => (
+            Arc::clone(entry.insert(Arc::new(assemble()))),
+            SpanSource::LedgerAssembled,
+        ),
+    }
 }
 
 impl QueryCache {
@@ -226,7 +252,8 @@ impl QueryCache {
             results: BTreeMap::new(),
             order: VecDeque::new(),
             clock: 0,
-            views: BTreeMap::new(),
+            plain_views: BTreeMap::new(),
+            edge_views: BTreeMap::new(),
             instruments,
         }
     }
@@ -287,20 +314,11 @@ impl QueryCache {
         }
     }
 
-    /// A memoized merged view for `(attr, first_epoch, last_epoch)`, if present.
-    pub(crate) fn view(&self, key: (usize, u64, u64)) -> Option<SpanView> {
-        self.views.get(&key).cloned()
-    }
-
-    /// Memoize a merged multi-window view.
-    pub(crate) fn insert_view(&mut self, key: (usize, u64, u64), view: SpanView) {
-        self.views.insert(key, view);
-    }
-
     /// Rotation hook: drop every result and merged view touching `attr`.
     pub(crate) fn invalidate_attribute(&mut self, attr: usize) {
         self.results.retain(|key, _| !key.touches(attr));
-        self.views.retain(|&(a, _, _), _| a != attr);
+        self.plain_views.retain(|&(a, _, _), _| a != attr);
+        self.edge_views.retain(|&(a, _, _), _| a != attr);
         self.instruments.invalidations.inc();
     }
 
@@ -311,7 +329,8 @@ impl QueryCache {
         // breakdowns — survives, so monitoring sees one uninterrupted series across clears.
         self.results.clear();
         self.order.clear();
-        self.views.clear();
+        self.plain_views.clear();
+        self.edge_views.clear();
         self.instruments.invalidations.inc();
     }
 
@@ -326,7 +345,7 @@ impl QueryCache {
             hits: plain.hits + plus.hits + edge.hits,
             misses: plain.misses + plus.misses + edge.misses,
             entries: self.results.len(),
-            views: self.views.len(),
+            views: self.plain_views.len() + self.edge_views.len(),
             invalidations: ins.invalidations.get(),
             evictions: ins.evictions.get(),
             plain,

@@ -11,11 +11,11 @@
 //!   [`SketchBuilder`](ldpjs_core::SketchBuilder) lane for plain, three for plus, one 2-D
 //!   lane for edge) absorbing on the caller thread — and its span ledger.
 //! * An **epoch rotator** seals the live engine every `epoch_reports` reports (or on an
-//!   explicit [`service::SketchService::rotate`]) into an immutable
-//!   [`window::WindowSnapshot`] kept in a bounded ring of recent windows. A snapshot holds
-//!   the window's finalized estimation view; the window's exact integer counters go into
-//!   the attribute's span ledger as unscaled Hadamard spectra, built by the same
-//!   transforms as the view.
+//!   explicit [`service::SketchService::rotate`]) into the attribute's span ledger, which
+//!   is also its bounded ring of recent windows: each entry pairs a window's metadata (a
+//!   [`window::WindowSnapshot`]: epoch id and report count) with the window's exact
+//!   integer counters, folded in as unscaled Hadamard spectra. The attribute keeps one
+//!   finalized estimation view, the newest window's, built by the same transforms.
 //! * **Window merge** subtracts two ledger prefixes of exact spectra and applies the
 //!   de-bias scale once, so a k-window merged sketch is **bit-identical** to one-shot
 //!   aggregation of the same reports (property-tested across window splits).

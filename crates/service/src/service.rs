@@ -2,12 +2,12 @@
 //! (plain, LDPJoinSketch+, edge), the epoch rotator with report-count *and* wall-clock
 //! triggers, and the cached window-range query layer driving the shared estimator kernels.
 
-use crate::cache::{CachedAnswer, QueryCache, QueryKey, QueryMode};
+use crate::cache::{memoized, CachedAnswer, QueryCache, QueryKey, QueryMode};
 use crate::observe::{
     labeled, register_cache_instruments, AttributeInstruments, ServiceInstruments, K_CHAIN3,
     K_FREQUENCY, K_JOIN, K_PLUS_JOIN,
 };
-use crate::window::{WindowRange, WindowSnapshot};
+use crate::window::{no_windows, WindowRange, WindowSnapshot};
 use ldpjs_common::batch::ReportBatch;
 use ldpjs_common::error::{Error, Result};
 use ldpjs_common::kernel_dispatch_snapshot;
@@ -363,13 +363,14 @@ impl SpectrumEntry {
     }
 }
 
-/// The incremental merged-span state of one attribute: cumulative (prefix-sum) entries
-/// aligned window-for-window with the retained ring, plus the cumulative sum of everything
-/// already evicted.
+/// The incremental merged-span state of one attribute, which *is* its ring of retained
+/// windows: one cumulative (prefix-sum) entry per retained window, oldest first, each
+/// paired with its window's metadata, plus the cumulative sum of everything already
+/// evicted.
 ///
-/// Maintained at rotation only — sealing a window *adds* its lanes to the last prefix,
-/// evicting the oldest window *moves* its prefix into the origin — so a merged span over
-/// the suffix `start..len` is assembled per query as the single exact subtraction
+/// Maintained at rotation only — [`Ledger::seal`] *adds* the new window's lanes to the last
+/// prefix, and evicting the oldest window *moves* its prefix into the origin — so a merged
+/// span over the suffix `start..len` is assembled per query as the single exact subtraction
 /// `prefix[len−1] − prefix[start−1]` (or `− origin` for the full ring) instead of cloning
 /// and counter-wise merging every covered window.
 ///
@@ -383,34 +384,45 @@ impl SpectrumEntry {
 #[derive(Debug)]
 struct Ledger<T> {
     origin: T,
-    prefix: VecDeque<T>,
+    entries: VecDeque<(WindowSnapshot, T)>,
 }
 
 impl<T> Ledger<T> {
     fn new(origin: T) -> Self {
         Ledger {
             origin,
-            prefix: VecDeque::new(),
+            entries: VecDeque::new(),
         }
     }
 
     /// The cumulative entry through the newest window (the origin before the first seal).
     fn last(&self) -> &T {
-        self.prefix.back().unwrap_or(&self.origin)
+        self.entries.back().map_or(&self.origin, |(_, entry)| entry)
     }
 
-    /// Prefix entries currently held (always aligned with the window ring's length).
+    /// Windows retained.
     fn depth(&self) -> usize {
-        self.prefix.len()
+        self.entries.len()
     }
 
-    /// Absorb the evicted oldest window into the origin (the eviction hook): the popped
-    /// prefix *is* the cumulative sum up to and including that window.
-    fn evict(&mut self) {
-        let oldest = self.prefix.pop_front();
-        // lint:allow(panic-freedom) — invariant: evict only runs when the window ring
-        // is full, and every seal pushed one ledger entry per ring window.
-        self.origin = oldest.expect("ledger aligned with windows");
+    /// The metadata of retained window `i`, oldest first.
+    fn window(&self, i: usize) -> &WindowSnapshot {
+        &self.entries[i].0
+    }
+
+    /// Append a sealed window with its cumulative `entry`, then fold the oldest window into
+    /// the origin if more than `retained` remain: the popped prefix *is* the cumulative sum
+    /// up to and including that window. Returns whether a window was evicted.
+    fn seal(&mut self, window: WindowSnapshot, entry: T, retained: usize) -> bool {
+        self.entries.push_back((window, entry));
+        if self.entries.len() <= retained {
+            return false;
+        }
+        let Some((_, oldest)) = self.entries.pop_front() else {
+            return false;
+        };
+        self.origin = oldest;
+        true
     }
 
     /// The newest entry and the entry just before the suffix span `start..len` (the origin
@@ -418,27 +430,32 @@ impl<T> Ledger<T> {
     fn span_ends(&self, start: usize) -> (&T, &T) {
         let base = match start {
             0 => &self.origin,
-            _ => &self.prefix[start - 1],
+            _ => &self.entries[start - 1].1,
         };
         (self.last(), base)
     }
 }
 
 impl Ledger<SpectrumEntry> {
-    /// Fold a freshly sealed window's exact-counter lanes into the ledger (the rotation
-    /// hook) and return each lane's finalized view. Each lane is transformed once: its
-    /// unscaled spectrum is added to the last prefix, then scaled into the view by
-    /// [`FinalizedSketch::from_spectrum`] — bit-identical to restoring the lane, because
-    /// the restore applies the de-bias scale after the last butterfly. These per-lane FWHTs
-    /// are the only transforms the ledger ever runs; queries reuse them for every span
-    /// that covers this window.
-    fn push_lanes<const N: usize>(&mut self, lanes: [&SketchBuilder; N]) -> [FinalizedSketch; N] {
+    /// Seal window `epoch` from its exact-counter lanes (the rotation hook), keeping at most
+    /// `retained` windows, and return each lane's finalized view and whether a window was
+    /// evicted. Each lane is transformed once: its unscaled spectrum is added to the last
+    /// prefix, then scaled into the view by [`FinalizedSketch::from_spectrum`] —
+    /// bit-identical to restoring the lane, because the restore applies the de-bias scale
+    /// after the last butterfly. These per-lane FWHTs are the only transforms the ledger
+    /// ever runs; queries reuse them for every span that covers this window.
+    fn seal_lanes<const N: usize>(
+        &mut self,
+        epoch: u64,
+        lanes: [&SketchBuilder; N],
+        retained: usize,
+    ) -> ([FinalizedSketch; N], bool) {
         let mut spectra = lanes.map(SketchBuilder::spectrum);
-        let next = self
-            .last()
-            .plus_window(&spectra, &lanes.map(SketchBuilder::reports));
-        self.prefix.push_back(next);
-        std::array::from_fn(|l| {
+        let reports = lanes.map(SketchBuilder::reports);
+        let next = self.last().plus_window(&spectra, &reports);
+        let window = WindowSnapshot::new(epoch, reports.iter().sum());
+        let evicted = self.seal(window, next, retained);
+        let views = std::array::from_fn(|l| {
             let lane = lanes[l];
             FinalizedSketch::from_spectrum(
                 lane.params(),
@@ -447,7 +464,8 @@ impl Ledger<SpectrumEntry> {
                 lane.reports(),
                 std::mem::take(&mut spectra[l]),
             )
-        })
+        });
+        (views, evicted)
     }
 
     /// Lane `l` of the suffix span `start..len` as a finalized view: one fused spectrum
@@ -466,163 +484,77 @@ impl Ledger<SpectrumEntry> {
     }
 }
 
-/// One attribute's estimator mode with everything that mode owns: its static config, the
-/// live (unsealed) builder and the prefix-sum span ledger. The live engine of every mode is
-/// an exact-counter builder, because the server side of Alg. 2 is a linear sum of ±1
-/// reports: one lane for LDPJoinSketch, three for LDPJoinSketch+ (Alg. 3), one 2-D lane for
-/// chain edges (Sec. VI). A mode's state can only be built whole, so a live engine can
-/// never meet another mode's ledger.
+/// A plain LDPJoinSketch attribute's state. The live builder carries the public hash
+/// family.
 #[derive(Debug)]
-enum ModeState {
-    /// Plain LDPJoinSketch ingestion and queries. The live builder carries the public hash
-    /// family.
-    Plain {
-        live: SketchBuilder,
-        ledger: Ledger<SpectrumEntry>,
-    },
-    /// LDPJoinSketch+ three-lane ingestion, FI reconciliation and `JoinEst` queries.
-    Plus {
-        seed: u64,
-        config: PlusAttributeConfig,
-        /// Pre-hashed scan index over `config.domain` for the phase-1 hash family: every
-        /// seal-time and merged-span frequent-item discovery routes through it instead of
-        /// re-hashing `k · |domain|` candidates per scan (bit-identical results).
-        index: Arc<DomainIndex>,
-        live: PlusStateBuilder,
-        ledger: Ledger<SpectrumEntry>,
-        /// `spans[start]` = the materialized merged state over the suffix `start..len`,
-        /// rebuilt at every rotation (`spans[len−1]` shares the newest window's sealed
-        /// view). Every suffix span gains the new window on every rotation, so rotation
-        /// assembles each one from the spectra — including the span's frequent-item
-        /// re-discovery, the expensive domain scan — and a cold plus span query is an
-        /// `Arc` clone. (Memory: `retained_windows` states of three `k·m` lanes each.)
-        spans: Vec<Arc<FinalizedPlusState>>,
-    },
-    /// Two-attribute edge-sketch ingestion for multi-way chain queries. The live builder
-    /// carries both join attributes' hash families.
-    Edge {
-        live: EdgeSketchBuilder,
-        ledger: Ledger<EdgeSketchBuilder>,
-    },
+struct PlainState {
+    live: SketchBuilder,
+    ledger: Ledger<SpectrumEntry>,
+    /// The newest window's finalized view, the only per-window view kept (`None` before the
+    /// first seal). Older windows live on only as ledger prefixes.
+    newest: Option<Arc<FinalizedSketch>>,
 }
 
-impl ModeState {
-    fn mode(&self) -> QueryMode {
-        match self {
-            ModeState::Plain { .. } => QueryMode::Plain,
-            ModeState::Plus { .. } => QueryMode::Plus,
-            ModeState::Edge { .. } => QueryMode::Edge,
-        }
+impl PlainState {
+    /// Seal the live builder into window `epoch` (a fresh builder continues ingesting);
+    /// returns whether a window was evicted.
+    fn seal(&mut self, epoch: u64, retained: usize) -> bool {
+        let live = &self.live;
+        let fresh =
+            SketchBuilder::with_hashes(live.params(), live.epsilon(), Arc::clone(live.hashes()));
+        let sealed = std::mem::replace(&mut self.live, fresh);
+        let ([view], evicted) = self.ledger.seal_lanes(epoch, [&sealed], retained);
+        self.newest = Some(Arc::new(view));
+        evicted
     }
+}
 
-    /// Reports sitting in the live builder.
-    fn live_reports(&self) -> u64 {
-        match self {
-            ModeState::Plain { live, .. } => live.reports(),
-            ModeState::Plus { live, .. } => live.reports(),
-            ModeState::Edge { live, .. } => live.reports(),
-        }
-    }
+/// An LDPJoinSketch+ attribute's state: three-lane ingestion, FI reconciliation and
+/// `JoinEst` queries.
+#[derive(Debug)]
+struct PlusState {
+    seed: u64,
+    config: PlusAttributeConfig,
+    /// Pre-hashed scan index over `config.domain` for the phase-1 hash family: every
+    /// seal-time and merged-span frequent-item discovery routes through it instead of
+    /// re-hashing `k · |domain|` candidates per scan (bit-identical results).
+    index: Arc<DomainIndex>,
+    live: PlusStateBuilder,
+    ledger: Ledger<SpectrumEntry>,
+    /// `spans[start]` = the materialized merged state over the suffix `start..len`,
+    /// rebuilt at every rotation; `spans.last()` is the newest window's view, the only
+    /// per-window view kept. Every suffix span gains the new window on every rotation, so
+    /// rotation assembles each one from the spectra — including the span's frequent-item
+    /// re-discovery, the expensive domain scan — and a cold plus span query is an `Arc`
+    /// clone. (Memory: `retained_windows` states of three `k·m` lanes each.)
+    spans: Vec<Arc<FinalizedPlusState>>,
+}
 
-    /// Seal the live builder into a window (a fresh builder continues ingesting), fold its
-    /// lanes into the ledger, evict the ledger's oldest window if `evict`, and return the
-    /// window's report count and finalized view. Each lane is transformed once (see
-    /// [`Ledger::push_lanes`]); plus attributes then re-materialize every suffix span.
-    fn seal(&mut self, eps: Epsilon, evict: bool) -> (u64, SpanView) {
-        match self {
-            ModeState::Plain { live, ledger } => {
-                let fresh = SketchBuilder::with_hashes(
-                    live.params(),
-                    live.epsilon(),
-                    Arc::clone(live.hashes()),
-                );
-                let sealed = std::mem::replace(live, fresh);
-                let [view] = ledger.push_lanes([&sealed]);
-                if evict {
-                    ledger.evict();
-                }
-                (sealed.reports(), SpanView::Plain(Arc::new(view)))
-            }
-            ModeState::Plus {
-                seed,
-                config,
-                index,
-                live,
-                ledger,
-                spans,
-            } => {
-                let fresh = PlusStateBuilder::new(live.params(), live.epsilon(), *seed);
-                let sealed = std::mem::replace(live, fresh);
-                let (phase1, low, high) = sealed.lane_builders();
-                let [phase1, low, high] = ledger.push_lanes([phase1, low, high]);
-                let policy = config.policy();
-                let newest = Arc::new(plus_state(phase1, low, high, policy, index));
-                if evict {
-                    ledger.evict();
-                }
-                // Every suffix span gained the new window (and eviction shifted the
-                // starts): assemble each from the spectrum prefixes — three fused
-                // subtract+scale passes and one indexed FI re-discovery per span,
-                // bit-identical to merging the covered windows from scratch. The newest
-                // window's view, discovery already run, is the one-window span.
-                let (phase1, low, high) = live.lane_builders();
-                spans.clear();
-                for start in 0..ledger.depth() - 1 {
-                    let lane = |l, shape| ledger.span_lane(start, l, shape);
-                    let state =
-                        plus_state(lane(0, phase1), lane(1, low), lane(2, high), policy, index);
-                    spans.push(Arc::new(state));
-                }
-                spans.push(Arc::clone(&newest));
-                (sealed.reports(), SpanView::Plus(newest))
-            }
-            ModeState::Edge { live, ledger } => {
-                let fresh = empty_edge_builder(live.attribute_a(), live.attribute_b(), eps);
-                let sealed = std::mem::replace(live, fresh);
-                let mut next = ledger.last().clone();
-                next.merge(&sealed)
-                    // lint:allow(panic-freedom) — invariant: every window of one attribute
-                    // is built from the same registration, so attributes and ε always match.
-                    .expect("windows of one attribute share attributes and ε");
-                ledger.prefix.push_back(next);
-                if evict {
-                    ledger.evict();
-                }
-                (
-                    sealed.reports(),
-                    SpanView::Edge(Arc::new(sealed.finalize())),
-                )
-            }
+impl PlusState {
+    /// Seal the live builder's three lanes into window `epoch` and re-materialize every
+    /// suffix span; returns whether a window was evicted.
+    fn seal(&mut self, epoch: u64, retained: usize) -> bool {
+        let fresh = PlusStateBuilder::new(self.live.params(), self.live.epsilon(), self.seed);
+        let sealed = std::mem::replace(&mut self.live, fresh);
+        let (phase1, low, high) = sealed.lane_builders();
+        let ([phase1, low, high], evicted) =
+            self.ledger.seal_lanes(epoch, [phase1, low, high], retained);
+        let (policy, index) = (self.config.policy(), &*self.index);
+        let newest = plus_state(phase1, low, high, policy, index);
+        // Every suffix span gained the new window (and eviction shifted the starts):
+        // assemble each from the spectrum prefixes — three fused subtract+scale passes and
+        // one indexed FI re-discovery per span, bit-identical to merging the covered
+        // windows from scratch. The newest window's view, discovery already run, is the
+        // one-window span.
+        let (phase1, low, high) = self.live.lane_builders();
+        self.spans.clear();
+        for start in 0..self.ledger.depth() - 1 {
+            let lane = |l, shape| self.ledger.span_lane(start, l, shape);
+            let state = plus_state(lane(0, phase1), lane(1, low), lane(2, high), policy, index);
+            self.spans.push(Arc::new(state));
         }
-    }
-
-    /// Prefix entries the ledger currently holds.
-    fn ledger_depth(&self) -> usize {
-        match self {
-            ModeState::Plain { ledger, .. } | ModeState::Plus { ledger, .. } => ledger.depth(),
-            ModeState::Edge { ledger, .. } => ledger.depth(),
-        }
-    }
-
-    /// The merged view of the suffix span `start..len`. Plain spans are one fused spectrum
-    /// subtraction + de-bias multiply per element, no FWHT; plus spans are the `Arc` clone
-    /// materialized at the last rotation; edge spans difference two counter prefixes.
-    fn span(&self, start: usize) -> SpanView {
-        match self {
-            ModeState::Plain { live, ledger } => {
-                SpanView::Plain(Arc::new(ledger.span_lane(start, 0, live)))
-            }
-            ModeState::Plus { spans, .. } => SpanView::Plus(Arc::clone(&spans[start])),
-            ModeState::Edge { ledger, .. } => {
-                let (last, base) = ledger.span_ends(start);
-                let merged = last
-                    .difference(base)
-                    // lint:allow(panic-freedom) — invariant: each prefix entry is the previous
-                    // entry plus one window, so `last` always dominates `base` counter-wise.
-                    .expect("every ledger prefix is a superset of its predecessors");
-                SpanView::Edge(Arc::new(merged.finalize()))
-            }
-        }
+        self.spans.push(Arc::new(newest));
+        evicted
     }
 }
 
@@ -641,24 +573,187 @@ fn plus_state(
         .expect("the attribute's domain index matches its phase-1 hash family")
 }
 
-/// The merged estimation view of one span, shaped by the attribute's mode. Cheap to clone
-/// (an `Arc`); the query cache memoizes multi-window plain and edge views in this form.
-#[derive(Debug, Clone)]
-pub(crate) enum SpanView {
-    Plain(Arc<FinalizedSketch>),
-    Plus(Arc<FinalizedPlusState>),
-    Edge(Arc<FinalizedEdgeSketch>),
+/// A two-attribute edge attribute's state, for multi-way chain queries. The live builder
+/// carries both join attributes' hash families.
+#[derive(Debug)]
+struct EdgeState {
+    live: EdgeSketchBuilder,
+    ledger: Ledger<EdgeSketchBuilder>,
+    /// The newest window's finalized view, the only per-window view kept (`None` before the
+    /// first seal).
+    newest: Option<Arc<FinalizedEdgeSketch>>,
 }
 
-/// One registered join attribute: its mode state (config, live builder, span ledger) and
-/// the bounded ring of sealed epoch windows the ledger stays aligned with.
+impl EdgeState {
+    /// Seal the live builder into window `epoch`; returns whether a window was evicted.
+    fn seal(&mut self, epoch: u64, eps: Epsilon, retained: usize) -> bool {
+        let fresh = empty_edge_builder(self.live.attribute_a(), self.live.attribute_b(), eps);
+        let sealed = std::mem::replace(&mut self.live, fresh);
+        let mut next = self.ledger.last().clone();
+        next.merge(&sealed)
+            // lint:allow(panic-freedom) — invariant: every window of one attribute
+            // is built from the same registration, so attributes and ε always match.
+            .expect("windows of one attribute share attributes and ε");
+        let window = WindowSnapshot::new(epoch, sealed.reports());
+        let evicted = self.ledger.seal(window, next, retained);
+        self.newest = Some(Arc::new(sealed.finalize()));
+        evicted
+    }
+}
+
+/// One attribute's estimator mode with everything that mode owns: its static config, the
+/// live (unsealed) builder, the span ledger (which is also the ring of retained windows)
+/// and the newest window's finalized view. The live engine of every mode is an
+/// exact-counter builder, because the server side of Alg. 2 is a linear sum of ±1 reports:
+/// one lane for LDPJoinSketch, three for LDPJoinSketch+ (Alg. 3), one 2-D lane for chain
+/// edges (Sec. VI). A mode's state can only be built whole, so a live engine can never meet
+/// another mode's ledger.
+#[derive(Debug)]
+enum ModeState {
+    Plain(PlainState),
+    Plus(PlusState),
+    Edge(EdgeState),
+}
+
+impl ModeState {
+    fn mode(&self) -> QueryMode {
+        match self {
+            ModeState::Plain(_) => QueryMode::Plain,
+            ModeState::Plus(_) => QueryMode::Plus,
+            ModeState::Edge(_) => QueryMode::Edge,
+        }
+    }
+
+    /// Reports sitting in the live builder.
+    fn live_reports(&self) -> u64 {
+        match self {
+            ModeState::Plain(s) => s.live.reports(),
+            ModeState::Plus(s) => s.live.reports(),
+            ModeState::Edge(s) => s.live.reports(),
+        }
+    }
+
+    /// Windows retained (the ledger's depth).
+    fn depth(&self) -> usize {
+        match self {
+            ModeState::Plain(s) => s.ledger.depth(),
+            ModeState::Plus(s) => s.ledger.depth(),
+            ModeState::Edge(s) => s.ledger.depth(),
+        }
+    }
+
+    /// The metadata of retained window `i`, oldest first.
+    fn window(&self, i: usize) -> &WindowSnapshot {
+        match self {
+            ModeState::Plain(s) => s.ledger.window(i),
+            ModeState::Plus(s) => s.ledger.window(i),
+            ModeState::Edge(s) => s.ledger.window(i),
+        }
+    }
+}
+
+/// One estimator mode's state as a query operand: how to find it in an attribute's
+/// [`ModeState`], and how its spans turn into that mode's finalized view.
+trait ModeView {
+    /// The finalized view a span of this mode assembles into.
+    type View;
+
+    /// This mode's state, if `mode` runs in it.
+    fn of(mode: &ModeState) -> Option<&Self>;
+
+    /// The newest window's view, which a single-window span borrows (`None` before the
+    /// first seal).
+    fn newest(&self) -> Option<&Arc<Self::View>>;
+
+    /// The merged view of a multi-window suffix `span`, and how it was obtained.
+    fn merged(&self, cache: &mut QueryCache, span: &SpanMeta) -> (Arc<Self::View>, SpanSource);
+}
+
+impl ModeView for PlainState {
+    type View = FinalizedSketch;
+
+    fn of(mode: &ModeState) -> Option<&Self> {
+        match mode {
+            ModeState::Plain(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    fn newest(&self) -> Option<&Arc<FinalizedSketch>> {
+        self.newest.as_ref()
+    }
+
+    fn merged(
+        &self,
+        cache: &mut QueryCache,
+        span: &SpanMeta,
+    ) -> (Arc<FinalizedSketch>, SpanSource) {
+        let assemble = || self.ledger.span_lane(span.start, 0, &self.live);
+        memoized(&mut cache.plain_views, span.view_key(), assemble)
+    }
+}
+
+impl ModeView for PlusState {
+    type View = FinalizedPlusState;
+
+    fn of(mode: &ModeState) -> Option<&Self> {
+        match mode {
+            ModeState::Plus(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    fn newest(&self) -> Option<&Arc<FinalizedPlusState>> {
+        self.spans.last()
+    }
+
+    /// Every suffix span was materialized at the last rotation.
+    fn merged(&self, _: &mut QueryCache, span: &SpanMeta) -> (Arc<FinalizedPlusState>, SpanSource) {
+        (
+            Arc::clone(&self.spans[span.start]),
+            SpanSource::MemoizedView,
+        )
+    }
+}
+
+impl ModeView for EdgeState {
+    type View = FinalizedEdgeSketch;
+
+    fn of(mode: &ModeState) -> Option<&Self> {
+        match mode {
+            ModeState::Edge(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    fn newest(&self) -> Option<&Arc<FinalizedEdgeSketch>> {
+        self.newest.as_ref()
+    }
+
+    fn merged(
+        &self,
+        cache: &mut QueryCache,
+        span: &SpanMeta,
+    ) -> (Arc<FinalizedEdgeSketch>, SpanSource) {
+        memoized(&mut cache.edge_views, span.view_key(), || {
+            let (last, base) = self.ledger.span_ends(span.start);
+            last.difference(base)
+                // lint:allow(panic-freedom) — invariant: each prefix entry is the previous
+                // entry plus one window, so `last` always dominates `base` counter-wise.
+                .expect("every ledger prefix is a superset of its predecessors")
+                .finalize()
+        })
+    }
+}
+
+/// One registered join attribute: its mode state (config, live builder, span ledger with
+/// the retained windows' metadata, newest view) and its lifetime bookkeeping.
 #[derive(Debug)]
 struct Attribute {
     name: String,
     mode: ModeState,
-    windows: VecDeque<WindowSnapshot>,
+    /// The next window's epoch id: also the count of windows sealed so far.
     next_epoch: u64,
-    evicted: u64,
     total_reports: u64,
     /// When the current epoch's first report arrived (the injected-clock stamp the time
     /// trigger measures from). `None` while the live engine is empty.
@@ -782,10 +877,11 @@ impl SketchService {
     /// [`Error::InvalidWorkload`] if `name` is already registered.
     pub fn register_attribute(&mut self, name: &str, seed: u64) -> Result<AttributeId> {
         let (params, eps) = (self.config.params, self.config.eps);
-        let mode = ModeState::Plain {
+        let mode = ModeState::Plain(PlainState {
             live: SketchBuilder::new(params, eps, seed),
             ledger: Ledger::new(SpectrumEntry::zero(1, params.counters())),
-        };
+            newest: None,
+        });
         self.register(name, mode)
     }
 
@@ -810,14 +906,14 @@ impl SketchService {
             live.lane_builders().0.hashes(),
             Arc::clone(&config.domain),
         ));
-        let mode = ModeState::Plus {
+        let mode = ModeState::Plus(PlusState {
             seed,
             config,
             index,
             live,
             ledger: Ledger::new(SpectrumEntry::zero(3, params.counters())),
             spans: Vec::new(),
-        };
+        });
         self.register(name, mode)
     }
 
@@ -839,7 +935,12 @@ impl SketchService {
         let attr_b = JoinAttribute::from_seed(seed_b, k, m);
         let live = empty_edge_builder(&attr_a, &attr_b, self.config.eps);
         let ledger = Ledger::new(live.clone());
-        self.register(name, ModeState::Edge { live, ledger })
+        let mode = ModeState::Edge(EdgeState {
+            live,
+            ledger,
+            newest: None,
+        });
+        self.register(name, mode)
     }
 
     fn register(&mut self, name: &str, mode: ModeState) -> Result<AttributeId> {
@@ -852,9 +953,7 @@ impl SketchService {
         self.attributes.push(Attribute {
             name: name.to_string(),
             mode,
-            windows: VecDeque::with_capacity(self.config.retained_windows),
             next_epoch: 0,
-            evicted: 0,
             total_reports: 0,
             epoch_opened_at: None,
             instruments,
@@ -891,10 +990,10 @@ impl SketchService {
     pub fn client(&self, attr: AttributeId) -> Result<LdpJoinSketchClient> {
         let a = find(&self.attributes, attr)?;
         match &a.mode {
-            ModeState::Plain { live, .. } => Ok(LdpJoinSketchClient::with_hashes(
+            ModeState::Plain(s) => Ok(LdpJoinSketchClient::with_hashes(
                 self.config.params,
                 self.config.eps,
-                Arc::clone(live.hashes()),
+                Arc::clone(s.live.hashes()),
             )),
             _ => Err(mode_mismatch(a, "a plain client")),
         }
@@ -907,8 +1006,8 @@ impl SketchService {
     pub fn edge_client(&self, attr: AttributeId) -> Result<LdpEdgeSketchClient> {
         let a = find(&self.attributes, attr)?;
         match &a.mode {
-            ModeState::Edge { live, .. } => {
-                let (attr_a, attr_b) = (live.attribute_a(), live.attribute_b());
+            ModeState::Edge(s) => {
+                let (attr_a, attr_b) = (s.live.attribute_a(), s.live.attribute_b());
                 Ok(
                     LdpEdgeSketchClient::new(attr_a.clone(), attr_b.clone(), self.config.eps)
                         // lint:allow(panic-freedom) — invariant: registration derived both
@@ -957,9 +1056,9 @@ impl SketchService {
         let idx = attr.index();
         let a = find_mut(&mut self.attributes, attr)?;
         let absorbed = match (&mut a.mode, reports) {
-            (ModeState::Plain { live, .. }, Reports::Packed(batch)) => live.absorb_batch(batch),
-            (ModeState::Edge { live, .. }, Reports::Packed(batch)) => live.absorb_batch(batch),
-            (ModeState::Plus { live, .. }, Reports::Plus(batch)) => live.absorb_batch(batch),
+            (ModeState::Plain(s), Reports::Packed(batch)) => s.live.absorb_batch(batch),
+            (ModeState::Edge(s), Reports::Packed(batch)) => s.live.absorb_batch(batch),
+            (ModeState::Plus(s), Reports::Plus(batch)) => s.live.absorb_batch(batch),
             _ => return Err(mode_mismatch(a, reports.ingestion())),
         };
         let n = reports.len() as u64;
@@ -1071,7 +1170,7 @@ impl SketchService {
 
     /// Number of sealed windows the ring currently retains for `attr`.
     pub fn window_count(&self, attr: AttributeId) -> Result<usize> {
-        Ok(find(&self.attributes, attr)?.windows.len())
+        Ok(find(&self.attributes, attr)?.mode.depth())
     }
 
     /// Reports currently sitting in the attribute's live (unsealed) engine.
@@ -1081,7 +1180,8 @@ impl SketchService {
 
     /// Windows evicted from the ring so far (sealed but no longer queryable).
     pub fn evicted_windows(&self, attr: AttributeId) -> Result<u64> {
-        Ok(find(&self.attributes, attr)?.evicted)
+        let a = find(&self.attributes, attr)?;
+        Ok(a.next_epoch - a.mode.depth() as u64)
     }
 
     /// Lifetime reports ingested for `attr` (live + sealed + evicted).
@@ -1089,10 +1189,12 @@ impl SketchService {
         Ok(find(&self.attributes, attr)?.total_reports)
     }
 
-    /// The sealed windows of `attr`, oldest first (epoch ids, report counts and per-window
-    /// views — the raw material for custom dashboards).
+    /// The retained sealed windows of `attr`, oldest first: each window's epoch id and
+    /// report count. Windows keep no views of their own; query a range through
+    /// [`SketchService::merged_view`] and its siblings.
     pub fn windows(&self, attr: AttributeId) -> Result<impl Iterator<Item = &WindowSnapshot>> {
-        Ok(find(&self.attributes, attr)?.windows.iter())
+        let mode = &find(&self.attributes, attr)?.mode;
+        Ok((0..mode.depth()).map(move |i| mode.window(i)))
     }
 
     /// The merged plain estimation view covering `range`: a single window's view is
@@ -1109,12 +1211,7 @@ impl SketchService {
         attr: AttributeId,
         range: WindowRange,
     ) -> Result<Arc<FinalizedSketch>> {
-        match self.merged(attr, range, QueryMode::Plain, "a merged plain view")? {
-            SpanView::Plain(view) => Ok(view),
-            // lint:allow(panic-freedom) — invariant: `merged` checked the plain mode, and a
-            // plain attribute's spans are plain views.
-            _ => unreachable!("mode checked by `merged`"),
-        }
+        self.merged::<PlainState>(attr, range, "a merged plain view")
     }
 
     /// The merged LDPJoinSketch+ estimation state covering `range`, assembled by the span
@@ -1130,24 +1227,19 @@ impl SketchService {
         attr: AttributeId,
         range: WindowRange,
     ) -> Result<Arc<FinalizedPlusState>> {
-        match self.merged(attr, range, QueryMode::Plus, "a merged plus state")? {
-            SpanView::Plus(view) => Ok(view),
-            // lint:allow(panic-freedom) — invariant: `merged` checked the plus mode, and a
-            // plus attribute's spans are plus states.
-            _ => unreachable!("mode checked by `merged`"),
-        }
+        self.merged::<PlusState>(attr, range, "a merged plus state")
     }
 
-    /// The merged view of `attr` over `range`, which must run in `mode`.
-    fn merged(
+    /// The merged view of `attr` over `range`, which must run in mode `S`.
+    fn merged<S: ModeView>(
         &mut self,
         attr: AttributeId,
         range: WindowRange,
-        mode: QueryMode,
         what: &str,
-    ) -> Result<SpanView> {
-        let a = operand(&self.attributes, attr, mode, what)?;
-        Ok(span_view(&mut self.cache, a, &resolve_span(a, attr, range)?).0)
+    ) -> Result<Arc<S::View>> {
+        let a = operand::<S>(&self.attributes, attr, what)?;
+        let span = resolve_span(a.0, attr, range)?;
+        Assembly::new(&mut self.cache).view(a, &span)
     }
 
     /// Plain join-size estimate between two attributes over `range` (resolved per attribute
@@ -1168,26 +1260,24 @@ impl SketchService {
         let config = self.config;
         self.query(K_JOIN, |attrs| {
             let what = "a plain query operand";
-            let (attr_a, attr_b) = (
-                operand(attrs, a, QueryMode::Plain, what)?,
-                operand(attrs, b, QueryMode::Plain, what)?,
+            let (op_a, op_b) = (
+                operand::<PlainState>(attrs, a, what)?,
+                operand::<PlainState>(attrs, b, what)?,
             );
             let [sa, sb] = [
-                resolve_span(attr_a, a, range)?,
-                resolve_span(attr_b, b, range)?,
+                resolve_span(op_a.0, a, range)?,
+                resolve_span(op_b.0, b, range)?,
             ];
             Ok(Plan {
                 key: QueryKey::join(sa.attr, sa.epochs, sb.attr, sb.epochs),
                 mode: QueryMode::Plain,
                 spans: [sa, sb],
-                kernel: move |views: &[SpanView; 2]| {
-                    let [SpanView::Plain(va), SpanView::Plain(vb)] = views else {
-                        // lint:allow(panic-freedom) — invariant: both operands passed the
-                        // plain mode check, and a plain attribute's spans are plain views.
-                        unreachable!("operand modes are checked before assembly");
-                    };
+                assemble: move |asm: &mut Assembly<'_>| {
+                    Ok([asm.view(op_a, &sa)?, asm.view(op_b, &sb)?])
+                },
+                kernel: move |[va, vb]: [Arc<FinalizedSketch>; 2]| {
                     Ok(Estimate {
-                        value: PlainKernel.join_size(va, vb)?,
+                        value: PlainKernel.join_size(&va, &vb)?,
                         kernel: ExplainKernel::Plain,
                         frequent_items: 0,
                         bound: pairwise_bound(&config, sa.reports, sb.reports),
@@ -1219,8 +1309,11 @@ impl SketchService {
         let config = self.config;
         self.query(K_PLUS_JOIN, |attrs| {
             let what = "a plus join-size query";
-            let ((attr_a, cfg_a), (attr_b, cfg_b)) =
-                (plus_operand(attrs, a, what)?, plus_operand(attrs, b, what)?);
+            let (op_a, op_b) = (
+                operand::<PlusState>(attrs, a, what)?,
+                operand::<PlusState>(attrs, b, what)?,
+            );
+            let (cfg_a, cfg_b) = (&op_a.1.config, &op_b.1.config);
             // The answer is computed with ONE kernel and cached under an operand-order-
             // normalized key, so partners must agree on every estimator knob — otherwise
             // `plus_join_size(a, b)` and `plus_join_size(b, a)` would alias one cache entry
@@ -1229,26 +1322,24 @@ impl SketchService {
                 return Err(Error::ModeMismatch(format!(
                     "plus join partners '{}' and '{}' disagree on estimator knobs \
                      (threshold/adaptive/paper-literal/variance-weighted must match)",
-                    attr_a.name, attr_b.name
+                    op_a.0.name, op_b.0.name
                 )));
             }
             let plus = cfg_a.kernel();
             let [sa, sb] = [
-                resolve_span(attr_a, a, range)?,
-                resolve_span(attr_b, b, range)?,
+                resolve_span(op_a.0, a, range)?,
+                resolve_span(op_b.0, b, range)?,
             ];
             Ok(Plan {
                 key: QueryKey::plus_join(sa.attr, sa.epochs, sb.attr, sb.epochs),
                 mode: QueryMode::Plus,
                 spans: [sa, sb],
-                kernel: move |views: &[SpanView; 2]| {
-                    let [SpanView::Plus(va), SpanView::Plus(vb)] = views else {
-                        // lint:allow(panic-freedom) — invariant: both operands passed the
-                        // plus mode check, and a plus attribute's spans are plus states.
-                        unreachable!("operand modes are checked before assembly");
-                    };
+                assemble: move |asm: &mut Assembly<'_>| {
+                    Ok([asm.view(op_a, &sa)?, asm.view(op_b, &sb)?])
+                },
+                kernel: move |[va, vb]: [Arc<FinalizedPlusState>; 2]| {
                     Ok(Estimate {
-                        value: plus.join_est(va, vb)?.join_size,
+                        value: plus.join_est(&va, &vb)?.join_size,
                         kernel: ExplainKernel::Plus,
                         frequent_items: va.frequent_items().len() + vb.frequent_items().len(),
                         // Theorems 4/5 bound the plain estimator at the spans' F1s; for the
@@ -1278,10 +1369,10 @@ impl SketchService {
         let config = self.config;
         self.query(K_FREQUENCY, |attrs| {
             let a = find(attrs, attr)?;
-            let plus = match &a.mode {
-                ModeState::Plain { .. } => None,
-                ModeState::Plus { config, .. } => Some(config.kernel()),
-                ModeState::Edge { .. } => return Err(mode_mismatch(a, "a frequency query")),
+            let state = match &a.mode {
+                ModeState::Plain(s) => PlainOrPlus::Plain(s),
+                ModeState::Plus(s) => PlainOrPlus::Plus(s),
+                ModeState::Edge(_) => return Err(mode_mismatch(a, "a frequency query")),
             };
             let span = resolve_span(a, attr, range)?;
             Ok(Plan {
@@ -1292,30 +1383,38 @@ impl SketchService {
                 },
                 mode: a.mode.mode(),
                 spans: [span],
-                kernel: move |[view]: &[SpanView; 1]| {
+                assemble: move |asm: &mut Assembly<'_>| {
+                    Ok(match state {
+                        PlainOrPlus::Plain(s) => PlainOrPlus::Plain(asm.view((a, s), &span)?),
+                        PlainOrPlus::Plus(s) => {
+                            PlainOrPlus::Plus((asm.view((a, s), &span)?, s.config.kernel()))
+                        }
+                    })
+                },
+                kernel: move |view: PlainOrPlus<
+                    Arc<FinalizedSketch>,
+                    (Arc<FinalizedPlusState>, PlusKernel),
+                >| {
                     let f1 = span.reports as f64;
-                    let (estimate, kernel, frequent_items, f2) = match (view, plus) {
+                    let (estimate, kernel, frequent_items, f2) = match view {
                         // The span's own self-join estimate is its F2 — the quantity Theorem
                         // 7's variance is stated in — clamped from below by F1 (F2 ≥ F1
                         // always holds for integer counts; the noisy estimate can dip under
                         // it).
-                        (SpanView::Plain(v), _) => (
-                            PlainKernel.frequency(v, value),
+                        PlainOrPlus::Plain(v) => (
+                            PlainKernel.frequency(&v, value),
                             ExplainKernel::Plain,
                             0,
-                            PlainKernel.join_size(v, v).unwrap_or(f1).max(f1),
+                            PlainKernel.join_size(&v, &v).unwrap_or(f1).max(f1),
                         ),
                         // The merged phase-1 lane is not a full-stream sketch, so no cheap F2
                         // estimate exists here; F1 is its distinct-values floor.
-                        (SpanView::Plus(s), Some(plus)) => (
-                            plus.frequency(s, value),
+                        PlainOrPlus::Plus((s, plus)) => (
+                            plus.frequency(&s, value),
                             ExplainKernel::Plus,
                             s.frequent_items().len(),
                             f1,
                         ),
-                        // lint:allow(panic-freedom) — invariant: a plain attribute's spans
-                        // are plain views, and only a plus attribute sets `plus`.
-                        _ => unreachable!("operand modes are checked before assembly"),
                     };
                     let variance = bounds::frequency_variance(config.params, config.eps, f1, f2);
                     Ok(Estimate {
@@ -1347,16 +1446,16 @@ impl SketchService {
         let config = self.config;
         self.query(K_CHAIN3, |attrs| {
             let vertex = "a plain query operand";
-            let (attr_1, attr_3) = (
-                operand(attrs, v1, QueryMode::Plain, vertex)?,
-                operand(attrs, v3, QueryMode::Plain, vertex)?,
+            let (op_1, op_3) = (
+                operand::<PlainState>(attrs, v1, vertex)?,
+                operand::<PlainState>(attrs, v3, vertex)?,
             );
             let what = "the edge operand of a chain query";
-            let attr_e = operand(attrs, edge, QueryMode::Edge, what)?;
+            let op_e = operand::<EdgeState>(attrs, edge, what)?;
             let [s1, se, s3] = [
-                resolve_span(attr_1, v1, range)?,
-                resolve_span(attr_e, edge, range)?,
-                resolve_span(attr_3, v3, range)?,
+                resolve_span(op_1.0, v1, range)?,
+                resolve_span(op_e.0, edge, range)?,
+                resolve_span(op_3.0, v3, range)?,
             ];
             Ok(Plan {
                 key: QueryKey::Chain3 {
@@ -1369,16 +1468,20 @@ impl SketchService {
                 },
                 mode: QueryMode::Edge,
                 spans: [s1, se, s3],
-                kernel: move |views: &[SpanView; 3]| {
-                    let [SpanView::Plain(w1), SpanView::Edge(we), SpanView::Plain(w3)] = views
-                    else {
-                        // lint:allow(panic-freedom) — invariant: the operands passed the
-                        // (plain, edge, plain) mode checks, and each mode's spans are views
-                        // of that mode.
-                        unreachable!("operand modes are checked before assembly");
-                    };
+                assemble: move |asm: &mut Assembly<'_>| {
+                    Ok((
+                        asm.view(op_1, &s1)?,
+                        asm.view(op_e, &se)?,
+                        asm.view(op_3, &s3)?,
+                    ))
+                },
+                kernel: move |(w1, we, w3): (
+                    Arc<FinalizedSketch>,
+                    Arc<FinalizedEdgeSketch>,
+                    Arc<FinalizedSketch>,
+                )| {
                     Ok(Estimate {
-                        value: ChainKernel.chain_3(w1, we, w3)?,
+                        value: ChainKernel.chain_3(&w1, &we, &w3)?,
                         kernel: ExplainKernel::Chain,
                         frequent_items: 0,
                         // No closed-form 3-way bound exists in the paper; as the planner-
@@ -1394,31 +1497,36 @@ impl SketchService {
 
     /// The query pipeline every kind runs: read the clock, let the kind's operand step
     /// check modes, resolve spans and build the cache key, then either serve the cached
-    /// answer or assemble the span views, run the kind's kernel, record the provenance and
-    /// memoize the answer.
-    fn query<const N: usize, K>(
-        &mut self,
+    /// answer or assemble the operands' typed span views, read the clock again, run the
+    /// kind's kernel, record the provenance and memoize the answer.
+    fn query<'s, const N: usize, V, A, K>(
+        &'s mut self,
         kind: usize,
-        operands: impl FnOnce(&[Attribute]) -> Result<Plan<N, K>>,
+        operands: impl FnOnce(&'s [Attribute]) -> Result<Plan<N, A, K>>,
     ) -> Result<QueryResult>
     where
-        K: FnOnce(&[SpanView; N]) -> Result<Estimate>,
+        A: FnOnce(&mut Assembly<'_>) -> Result<V>,
+        K: FnOnce(V) -> Result<Estimate>,
     {
-        let started = self.clock_now();
-        let plan = operands(&self.attributes)?;
-        let hit = self.cache.lookup(&plan.key, plan.mode);
+        let SketchService {
+            attributes,
+            cache,
+            instruments,
+            query_clock,
+            ..
+        } = self;
+        let clock = query_clock.as_ref();
+        let started = clock.map(QueryClock::now);
+        let plan = operands(attributes)?;
+        let hit = cache.lookup(&plan.key, plan.mode);
         let (ans, assembled) = match hit {
             Some(ans) => (ans, None),
             None => {
-                let (cache, attrs) = (&mut self.cache, &self.attributes);
-                let mut span_source = SpanSource::SingleWindow;
-                let views = plan.spans.each_ref().map(|span| {
-                    let (view, source) = span_view(cache, &attrs[span.attr], span);
-                    span_source = span_source.max(source);
-                    view
-                });
-                let assembled = self.clock_now();
-                let estimate = (plan.kernel)(&views)?;
+                let mut assembly = Assembly::new(cache);
+                let views = (plan.assemble)(&mut assembly)?;
+                let span_source = assembly.source;
+                let assembled = clock.map(QueryClock::now);
+                let estimate = (plan.kernel)(views)?;
                 let windows = plan.spans.iter().map(|s| s.windows).sum();
                 let ans = CachedAnswer {
                     value: estimate.value,
@@ -1434,12 +1542,12 @@ impl SketchService {
                         predicted_error: estimate.bound.1,
                     },
                 };
-                self.cache.insert(plan.key, ans);
+                cache.insert(plan.key, ans);
                 (ans, assembled)
             }
         };
         // Cache hits record only the `total` stage (`assembled` is `None`).
-        self.finish_query(kind, started, assembled);
+        finish_query(instruments, clock, kind, started, assembled);
         Ok(served(ans, hit.is_some()))
     }
 
@@ -1522,27 +1630,28 @@ impl SketchService {
                 .set(1);
         }
     }
+}
 
-    /// The injected clock's reading, if one is installed.
-    fn clock_now(&self) -> Option<Instant> {
-        self.query_clock.as_ref().map(QueryClock::now)
+/// Count an answered query and, when the injected clock is installed, record its stage
+/// timings (`assemble` = span resolution + view assembly, `kernel` = estimator run; cache
+/// hits record only `total`).
+fn finish_query(
+    instruments: &ServiceInstruments,
+    clock: Option<&QueryClock>,
+    kind: usize,
+    started: Option<Instant>,
+    assembled: Option<Instant>,
+) {
+    instruments.queries[kind].inc();
+    let (Some(t0), Some(clock)) = (started, clock) else {
+        return;
+    };
+    let end = clock.now();
+    if let Some(t1) = assembled {
+        instruments.assemble_ns[kind].record(saturating_ns(t1.duration_since(t0)));
+        instruments.kernel_ns[kind].record(saturating_ns(end.duration_since(t1)));
     }
-
-    /// Count an answered query and, when the injected clock is installed, record its stage
-    /// timings (`assemble` = span resolution + view assembly, `kernel` = estimator run;
-    /// cache hits record only `total`).
-    fn finish_query(&self, kind: usize, started: Option<Instant>, assembled: Option<Instant>) {
-        self.instruments.queries[kind].inc();
-        let (Some(t0), Some(clock)) = (started, self.query_clock.as_ref()) else {
-            return;
-        };
-        let end = clock.now();
-        if let Some(t1) = assembled {
-            self.instruments.assemble_ns[kind].record(saturating_ns(t1.duration_since(t0)));
-            self.instruments.kernel_ns[kind].record(saturating_ns(end.duration_since(t1)));
-        }
-        self.instruments.total_ns[kind].record(saturating_ns(end.duration_since(t0)));
-    }
+    instruments.total_ns[kind].record(saturating_ns(end.duration_since(t0)));
 }
 
 fn saturating_ns(d: Duration) -> u64 {
@@ -1571,31 +1680,18 @@ fn mode_mismatch(attr: &Attribute, wanted: &str) -> Error {
     ))
 }
 
-/// Look up a query operand and check that it runs in `mode`.
-fn operand<'a>(
-    attrs: &'a [Attribute],
-    id: AttributeId,
-    mode: QueryMode,
-    what: &str,
-) -> Result<&'a Attribute> {
-    let a = find(attrs, id)?;
-    if a.mode.mode() != mode {
-        return Err(mode_mismatch(a, what));
-    }
-    Ok(a)
-}
+/// A query operand whose mode was checked: the attribute and its typed mode state.
+type Operand<'a, S> = (&'a Attribute, &'a S);
 
-/// Look up a plus query operand: the attribute and its estimator config.
-fn plus_operand<'a>(
+/// Look up a query operand and check that it runs in mode `S`.
+fn operand<'a, S: ModeView>(
     attrs: &'a [Attribute],
     id: AttributeId,
     what: &str,
-) -> Result<(&'a Attribute, &'a PlusAttributeConfig)> {
+) -> Result<Operand<'a, S>> {
     let a = find(attrs, id)?;
-    match &a.mode {
-        ModeState::Plus { config, .. } => Ok((a, config)),
-        _ => Err(mode_mismatch(a, what)),
-    }
+    let state = S::of(&a.mode).ok_or_else(|| mode_mismatch(a, what))?;
+    Ok((a, state))
 }
 
 /// Whether the wall-clock epoch trigger is due for `attr` at `now`: a duration is
@@ -1643,23 +1739,23 @@ fn rotate_attribute(
     }
     let epoch = attr.next_epoch;
     attr.next_epoch += 1;
-    // Keep the prefix-sum ledger aligned with the ring: sealing adds the new window's
-    // lanes to the last cumulative entry (and hands back the window's view, built from the
-    // same transforms), eviction folds the oldest prefix into the origin.
-    let evict = attr.windows.len() >= config.retained_windows;
-    let (reports, view) = attr.mode.seal(config.eps, evict);
-    if evict {
-        attr.windows.pop_front();
-        attr.evicted += 1;
+    // Sealing adds the new window's lanes to the ledger's last cumulative entry, and
+    // eviction folds the oldest entry into the origin: the ledger is the window ring. Each
+    // lane is transformed once (see [`Ledger::seal_lanes`]); plus attributes then
+    // re-materialize every suffix span.
+    let retained = config.retained_windows;
+    let evicted = match &mut attr.mode {
+        ModeState::Plain(s) => s.seal(epoch, retained),
+        ModeState::Plus(s) => s.seal(epoch, retained),
+        ModeState::Edge(s) => s.seal(epoch, config.eps, retained),
+    };
+    if evicted {
         attr.instruments.evictions.inc();
     }
-    attr.windows
-        .push_back(WindowSnapshot::new(epoch, reports, view));
     attr.instruments.rotations.inc();
-    attr.instruments.windows.set(attr.windows.len() as u64);
-    attr.instruments
-        .ledger_depth
-        .set(attr.mode.ledger_depth() as u64);
+    let depth = attr.mode.depth() as u64;
+    attr.instruments.windows.set(depth);
+    attr.instruments.ledger_depth.set(depth);
     attr.instruments.live_reports.set(0);
     attr.epoch_opened_at = None;
     cache.invalidate_attribute(idx);
@@ -1677,25 +1773,83 @@ struct SpanMeta {
     epochs: (u64, u64),
 }
 
+impl SpanMeta {
+    /// The span's key in the cache's view memo.
+    fn view_key(&self) -> (usize, u64, u64) {
+        (self.attr, self.epochs.0, self.epochs.1)
+    }
+}
+
 fn resolve_span(attr: &Attribute, id: AttributeId, range: WindowRange) -> Result<SpanMeta> {
-    let len = attr.windows.len();
+    let mode = &attr.mode;
+    let len = mode.depth();
     let start = range.resolve(len, &attr.name)?;
     Ok(SpanMeta {
         attr: id.index(),
         start,
         windows: len - start,
-        reports: attr.windows.range(start..).map(|w| w.reports()).sum(),
-        epochs: (attr.windows[start].epoch(), attr.windows[len - 1].epoch()),
+        reports: (start..len).map(|i| mode.window(i).reports()).sum(),
+        epochs: (mode.window(start).epoch(), mode.window(len - 1).epoch()),
     })
 }
 
 /// A query kind's operand step, resolved: the cache key and mode, the operands' spans, and
-/// the kernel step that runs on their assembled views when the cache misses.
-struct Plan<const N: usize, K> {
+/// the two steps that run when the cache misses — assembling the operands' typed span
+/// views, then the kind's kernel over them.
+struct Plan<const N: usize, A, K> {
     key: QueryKey,
     mode: QueryMode,
     spans: [SpanMeta; N],
+    assemble: A,
     kernel: K,
+}
+
+/// The assembly step of one query: the operands' span views, and the most expensive way
+/// any of them was obtained.
+struct Assembly<'c> {
+    cache: &'c mut QueryCache,
+    source: SpanSource,
+}
+
+impl<'c> Assembly<'c> {
+    fn new(cache: &'c mut QueryCache) -> Self {
+        Assembly {
+            cache,
+            source: SpanSource::SingleWindow,
+        }
+    }
+
+    /// The merged view of `operand` over its resolved `span`. Single-window spans are the
+    /// newest window's kept view; multi-window plus spans were materialized at rotation;
+    /// multi-window plain and edge spans are memoized in the cache after their first
+    /// assembly from the span ledger (bit-identical to merging every covered window from
+    /// scratch, and therefore to one-shot aggregation of the covered reports).
+    ///
+    /// # Errors
+    /// [`Error::WindowUnavailable`] before the first seal (span resolution rejects that
+    /// case first).
+    fn view<S: ModeView>(
+        &mut self,
+        (attr, state): Operand<'_, S>,
+        span: &SpanMeta,
+    ) -> Result<Arc<S::View>> {
+        let (view, source) = match span.windows {
+            1 => {
+                let newest = state.newest().ok_or_else(|| no_windows(&attr.name))?;
+                (Arc::clone(newest), SpanSource::SingleWindow)
+            }
+            _ => state.merged(self.cache, span),
+        };
+        self.source = self.source.max(source);
+        Ok(view)
+    }
+}
+
+/// A frequency operand, which runs in plain or plus mode: first its checked state, then
+/// its assembled view.
+enum PlainOrPlus<P, Q> {
+    Plain(P),
+    Plus(Q),
 }
 
 /// What a query kind's kernel step computed: the estimate and its kind-specific provenance.
@@ -1705,27 +1859,6 @@ struct Estimate {
     frequent_items: usize,
     /// `(predicted variance, predicted error radius)`.
     bound: (f64, f64),
-}
-
-/// The merged view of an already-resolved span, and how it was obtained. Single-window
-/// spans borrow the sealed snapshot's view; multi-window plus spans were materialized at
-/// rotation; multi-window plain and edge spans are memoized in the cache after their first
-/// assembly from the span ledger (bit-identical to merging every covered window from
-/// scratch, and therefore to one-shot aggregation of the covered reports).
-fn span_view(cache: &mut QueryCache, attr: &Attribute, meta: &SpanMeta) -> (SpanView, SpanSource) {
-    if meta.windows == 1 {
-        return (attr.windows[meta.start].view(), SpanSource::SingleWindow);
-    }
-    if matches!(attr.mode, ModeState::Plus { .. }) {
-        return (attr.mode.span(meta.start), SpanSource::MemoizedView);
-    }
-    let key = (meta.attr, meta.epochs.0, meta.epochs.1);
-    if let Some(view) = cache.view(key) {
-        return (view, SpanSource::MemoizedView);
-    }
-    let view = attr.mode.span(meta.start);
-    cache.insert_view(key, view.clone());
-    (view, SpanSource::LedgerAssembled)
 }
 
 fn served(ans: CachedAnswer, cached: bool) -> QueryResult {
@@ -2150,10 +2283,56 @@ mod tests {
         }
         assert_eq!(service.window_count(attr).unwrap(), 3);
         assert_eq!(service.evicted_windows(attr).unwrap(), 2);
-        // The retained suffix is epochs {2, 3, 4}; lifetime accounting is unaffected.
-        let epochs: Vec<u64> = service.windows(attr).unwrap().map(|w| w.epoch()).collect();
-        assert_eq!(epochs, vec![2, 3, 4]);
+        // The retained suffix is epochs {2, 3, 4}, each with its own report count; lifetime
+        // accounting is unaffected.
+        let retained: Vec<(u64, u64)> = service
+            .windows(attr)
+            .unwrap()
+            .map(|w| (w.epoch(), w.reports()))
+            .collect();
+        assert_eq!(retained, vec![(2, 100), (3, 100), (4, 100)]);
         assert_eq!(service.total_reports(attr).unwrap(), 500);
+    }
+
+    #[test]
+    fn retired_window_views_are_released() {
+        // An attribute keeps one finalized view, the newest window's: once a newer window
+        // seals, a view taken from the older one is held by its caller alone.
+        let mut service = manual_service(6, 64, 4);
+        let plain = service.register_attribute("plain", 7).unwrap();
+        let plus = service
+            .register_plus_attribute("plus", 7, PlusAttributeConfig::new((0..64).collect()))
+            .unwrap();
+        let edge = service.register_edge_attribute("edge", 7, 9).unwrap();
+        let cfg = *service.config();
+        let client = LdpJoinSketchClient::new(cfg.params, cfg.eps, 7);
+        let edge_client = service.edge_client(edge).unwrap();
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut seal_all = |service: &mut SketchService| {
+            let packed = client.perturb_batch(&[1, 2, 3, 4], &mut rng).unwrap();
+            let mut plus_batch = PlusReportBatch::new(cfg.params).unwrap();
+            plus_batch.phase1 = packed.clone();
+            let tuples = edge_client.perturb_batch(&[(1, 2), (3, 4)], &mut rng);
+            service.ingest(plain, &packed).unwrap();
+            service.ingest(plus, &plus_batch).unwrap();
+            service.ingest(edge, &tuples.unwrap()).unwrap();
+            for attr in [plain, plus, edge] {
+                service.rotate(attr).unwrap();
+            }
+        };
+        seal_all(&mut service);
+        let plain_view = service.merged_view(plain, WindowRange::Latest).unwrap();
+        let plus_view = service
+            .merged_plus_state(plus, WindowRange::Latest)
+            .unwrap();
+        let edge_state = EdgeState::of(&service.attributes[edge.index()].mode).unwrap();
+        let edge_view = Arc::clone(edge_state.newest().unwrap());
+        assert_eq!(Arc::strong_count(&plain_view), 2, "the newest view is kept");
+        seal_all(&mut service);
+        assert_eq!(Arc::strong_count(&plain_view), 1);
+        assert_eq!(Arc::strong_count(&plus_view), 1);
+        assert_eq!(Arc::strong_count(&edge_view), 1);
+        assert_eq!(service.window_count(plus).unwrap(), 2);
     }
 
     #[test]

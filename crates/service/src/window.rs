@@ -1,12 +1,7 @@
-//! Epoch windows: the immutable finalized views the rotator seals from the live per-mode
+//! Epoch windows: the metadata of each window the rotator seals from the live per-mode
 //! sketch state, and the ranges queries address them by.
 
 use ldpjs_common::error::{Error, Result};
-use ldpjs_core::multiway::FinalizedEdgeSketch;
-use ldpjs_core::{FinalizedPlusState, FinalizedSketch};
-use std::sync::Arc;
-
-use crate::service::SpanView;
 
 /// Which sealed epoch windows a query covers. Ranges always resolve to a contiguous
 /// *suffix* of the retained ring — the most recent windows — because that is what a
@@ -31,9 +26,7 @@ impl WindowRange {
     /// `LastK(0)`.
     pub fn resolve(self, len: usize, attribute: &str) -> Result<usize> {
         if len == 0 {
-            return Err(Error::WindowUnavailable(format!(
-                "attribute '{attribute}' has no sealed windows yet (ingest and rotate first)"
-            )));
+            return Err(no_windows(attribute));
         }
         match self {
             WindowRange::Latest => Ok(len - 1),
@@ -46,27 +39,30 @@ impl WindowRange {
     }
 }
 
-/// One sealed epoch window: the finalized estimation view of its reports, computed once at
-/// seal time from the same per-lane transforms the span ledger keeps.
+/// The [`Error::WindowUnavailable`] of an attribute with no sealed window yet.
+pub(crate) fn no_windows(attribute: &str) -> Error {
+    Error::WindowUnavailable(format!(
+        "attribute '{attribute}' has no sealed windows yet (ingest and rotate first)"
+    ))
+}
+
+/// One sealed epoch window's metadata: its epoch id and report count.
 ///
-/// A window keeps only its view. Its exact counters live on in the attribute's prefix-sum
-/// span ledger, which assembles every multi-window span; that is what makes merged-window
-/// estimates bit-identical to one-shot aggregation. Single-window queries borrow the view.
+/// A window keeps no view and no counters of its own. Its exact counters live on in the
+/// attribute's prefix-sum span ledger, whose entries carry this metadata and which
+/// assembles every multi-window span; that is what makes merged-window estimates
+/// bit-identical to one-shot aggregation. The attribute keeps one finalized view, the
+/// newest window's, which single-window queries borrow.
 #[derive(Debug, Clone)]
 pub struct WindowSnapshot {
     epoch: u64,
     reports: u64,
-    view: SpanView,
 }
 
 impl WindowSnapshot {
-    /// A sealed window of `reports` reports with its finalized `view`.
-    pub(crate) fn new(epoch: u64, reports: u64, view: SpanView) -> Self {
-        WindowSnapshot {
-            epoch,
-            reports,
-            view,
-        }
+    /// A sealed window of `reports` reports.
+    pub(crate) fn new(epoch: u64, reports: u64) -> Self {
+        WindowSnapshot { epoch, reports }
     }
 
     /// The window's epoch id (per-attribute, strictly increasing, never reused).
@@ -79,38 +75,6 @@ impl WindowSnapshot {
     #[inline]
     pub fn reports(&self) -> u64 {
         self.reports
-    }
-
-    /// The finalized estimation view, whatever the mode.
-    pub(crate) fn view(&self) -> SpanView {
-        self.view.clone()
-    }
-
-    /// The finalized plain estimation view, if this is a plain window.
-    #[inline]
-    pub fn plain_view(&self) -> Option<&Arc<FinalizedSketch>> {
-        match &self.view {
-            SpanView::Plain(view) => Some(view),
-            _ => None,
-        }
-    }
-
-    /// The finalized plus estimation state, if this is a plus window.
-    #[inline]
-    pub fn plus_view(&self) -> Option<&Arc<FinalizedPlusState>> {
-        match &self.view {
-            SpanView::Plus(view) => Some(view),
-            _ => None,
-        }
-    }
-
-    /// The finalized edge estimation view, if this is an edge window.
-    #[inline]
-    pub fn edge_view(&self) -> Option<&Arc<FinalizedEdgeSketch>> {
-        match &self.view {
-            SpanView::Edge(view) => Some(view),
-            _ => None,
-        }
     }
 }
 
@@ -137,28 +101,5 @@ mod tests {
             WindowRange::LastK(0).resolve(3, "a"),
             Err(Error::InvalidWorkload(_))
         ));
-    }
-
-    #[test]
-    fn mode_specific_accessors_gate_on_the_sealed_variant() {
-        use ldpjs_common::Epsilon;
-        use ldpjs_core::{FiPolicy, PlusStateBuilder, SketchBuilder};
-        use ldpjs_sketch::SketchParams;
-        let params = SketchParams::new(4, 64).unwrap();
-        let eps = Epsilon::new(2.0).unwrap();
-        let view = Arc::new(SketchBuilder::new(params, eps, 1).finalize());
-        let plain = WindowSnapshot::new(0, 0, SpanView::Plain(view));
-        assert!(plain.plain_view().is_some());
-        assert!(plain.plus_view().is_none() && plain.edge_view().is_none());
-
-        let policy = FiPolicy {
-            threshold: 0.01,
-            adaptive: false,
-        };
-        let state = PlusStateBuilder::new(params, eps, 1).finalize(policy, &[0, 1, 2]);
-        let plus = WindowSnapshot::new(1, 0, SpanView::Plus(Arc::new(state)));
-        assert!(plus.plus_view().is_some());
-        assert!(plus.plain_view().is_none() && plus.edge_view().is_none());
-        assert_eq!((plus.epoch(), plus.reports()), (1, 0));
     }
 }

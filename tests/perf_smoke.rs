@@ -29,21 +29,41 @@ fn pinned_eps() -> Epsilon {
     Epsilon::new(4.0).unwrap()
 }
 
-/// Median wall time of `f` over enough repetitions to smooth scheduler noise.
-fn median_ns(mut f: impl FnMut()) -> u128 {
-    // Warm up caches, branch predictors, and the allocator before measuring.
+/// Median wall times of two arms, sampled alternately so host drift lands on both arms
+/// alike instead of in their ratio. Each arm is warmed up first (caches, branch predictors,
+/// the allocator); then every round times one sample of each arm, swapping which arm goes
+/// first every round. Prints each arm's median and quartiles.
+fn paired_median_ns(label: &str, mut a: impl FnMut(), mut b: impl FnMut()) -> (u128, u128) {
+    const SAMPLES: usize = 15;
     for _ in 0..3 {
-        f();
+        a();
     }
-    let mut samples: Vec<u128> = (0..15)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_nanos()
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2]
+    for _ in 0..3 {
+        b();
+    }
+    let time = |f: &mut dyn FnMut()| {
+        let t = Instant::now();
+        f();
+        t.elapsed().as_nanos()
+    };
+    let (mut sa, mut sb) = (Vec::with_capacity(SAMPLES), Vec::with_capacity(SAMPLES));
+    for round in 0..SAMPLES {
+        if round % 2 == 0 {
+            sa.push(time(&mut a));
+            sb.push(time(&mut b));
+        } else {
+            sb.push(time(&mut b));
+            sa.push(time(&mut a));
+        }
+    }
+    let quartiles = |name: &str, samples: &mut [u128]| {
+        samples.sort_unstable();
+        let n = samples.len();
+        let (q1, median, q3) = (samples[n / 4], samples[n / 2], samples[3 * n / 4]);
+        eprintln!("{label}: {name} median {median} ns (quartiles {q1}..{q3} ns, {n} samples)");
+        median
+    };
+    (quartiles("A", &mut sa), quartiles("B", &mut sb))
 }
 
 /// A plain two-attribute service with `WINDOWS` sealed epochs per attribute.
@@ -155,18 +175,20 @@ fn batched_sharded_ingest_is_at_least_4x_scalar_absorb() {
     // verbatim as `ingest_reference`. Reusing one engine across reps is fine —
     // absorbing into non-zero counters costs the same as into zeros.
     let mut reference = ShardedAggregator::new(p, e, 31, 4).unwrap();
-    let scalar_ns = median_ns(|| {
-        reference.ingest_reference(&reports).unwrap();
-        std::hint::black_box(reference.reports());
-    });
-
     // Batched sharded ingest: sign-split packed lanes through the interleaved
     // histogram scatter and the SIMD drain kernels.
     let mut engine = ShardedAggregator::new(p, e, 31, 4).unwrap();
-    let batched_ns = median_ns(|| {
-        engine.ingest(&batch).unwrap();
-        std::hint::black_box(engine.reports());
-    });
+    let (scalar_ns, batched_ns) = paired_median_ns(
+        "ingest 400k reports (A = scalar reference, B = batched sharded)",
+        || {
+            reference.ingest_reference(&reports).unwrap();
+            std::hint::black_box(reference.reports());
+        },
+        || {
+            engine.ingest(&batch).unwrap();
+            std::hint::black_box(engine.reports());
+        },
+    );
 
     let speedup = scalar_ns as f64 / batched_ns as f64;
     eprintln!(
@@ -210,17 +232,19 @@ fn telemetry_overhead_on_packed_ingest_is_at_most_3_percent() {
     };
 
     let mut bare = ShardedAggregator::new(p, e, 31, shards).unwrap();
-    let bare_ns = median_ns(|| {
-        bare.ingest(&batch).unwrap();
-        std::hint::black_box(bare.reports());
-    });
-
     let mut wired = ShardedAggregator::new(p, e, 31, shards).unwrap();
     wired.set_instruments(Some(instruments));
-    let wired_ns = median_ns(|| {
-        wired.ingest(&batch).unwrap();
-        std::hint::black_box(wired.reports());
-    });
+    let (bare_ns, wired_ns) = paired_median_ns(
+        "packed ingest 400k reports (A = bare, B = instrumented)",
+        || {
+            bare.ingest(&batch).unwrap();
+            std::hint::black_box(bare.reports());
+        },
+        || {
+            wired.ingest(&batch).unwrap();
+            std::hint::black_box(wired.reports());
+        },
+    );
 
     let overhead = wired_ns as f64 / bare_ns as f64 - 1.0;
     eprintln!(
@@ -245,16 +269,18 @@ fn cold_plus_join_is_at_most_4x_cold_plain_join() {
     }
 
     let (mut plain, pa, pb) = plain_service();
-    let plain_ns = median_ns(|| {
-        plain.clear_cache();
-        std::hint::black_box(plain.join_size(pa, pb, WindowRange::All).unwrap());
-    });
-
     let (mut plus, xa, xb) = plus_service();
-    let plus_ns = median_ns(|| {
-        plus.clear_cache();
-        std::hint::black_box(plus.plus_join_size(xa, xb, WindowRange::All).unwrap());
-    });
+    let (plain_ns, plus_ns) = paired_median_ns(
+        "cold all-windows join (A = plain, B = plus)",
+        || {
+            plain.clear_cache();
+            std::hint::black_box(plain.join_size(pa, pb, WindowRange::All).unwrap());
+        },
+        || {
+            plus.clear_cache();
+            std::hint::black_box(plus.plus_join_size(xa, xb, WindowRange::All).unwrap());
+        },
+    );
 
     let ratio = plus_ns as f64 / plain_ns as f64;
     eprintln!(
