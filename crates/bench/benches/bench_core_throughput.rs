@@ -469,10 +469,11 @@ fn bench_service(c: &mut Criterion, rec: &mut Recorder) {
 }
 
 /// The windowed LDPJoinSketch+ serving path: labeled three-lane batch ingestion, and the
-/// cold/cached cost of a plus join-size query — cold pays the per-lane window merge, three
-/// restores, cross-window FI re-discovery over the public domain, and the `JoinEst` kernel;
-/// the repeat is a hash lookup. Tracked as `service_plus_ingest_throughput` and
-/// `service_plus_query_{cold,cached}` in BENCH_core.json.
+/// cold/cached cost of a plus all-windows join-size query. The whole-ring state, with its
+/// cross-window FI re-discovery, is rebuilt at rotation, so cold is an `Arc` clone of that
+/// state plus the `JoinEst` kernel; the repeat is a hash lookup. Tracked as
+/// `service_plus_ingest_throughput` and `service_plus_query_{cold,cached}` in
+/// BENCH_core.json.
 fn bench_service_plus(c: &mut Criterion, rec: &mut Recorder) {
     let windows = 8usize;
     let n_window = if smoke() { 4_000 } else { 32_000 };

@@ -1,12 +1,16 @@
 //! The memoized query cache: answers keyed by **(query kind, attribute set, epoch span)**,
-//! merged estimation views (one typed store per memoized estimator mode) keyed by
-//! (attribute, epoch-span), all invalidated when a participating attribute rotates.
+//! merged estimation views (one typed store per estimator mode) keyed by
+//! (attribute, epoch-span), all invalidated when a participating attribute rotates, and the
+//! window ranges queries read on each attribute since its last rotation.
 //!
 //! Epoch spans — `(first_epoch, last_epoch)` over per-attribute, never-reused epoch ids —
 //! identify immutable sealed data, so a cached answer can never go stale; invalidation on
 //! rotation exists to (1) bound the cache to answers the *current* ring can still derive
 //! and (2) keep `Latest`/`LastK` queries, which re-resolve to new spans after every
-//! rotation, from accumulating dead entries.
+//! rotation, from accumulating dead entries. Rotation then **re-warms**: it re-resolves
+//! every range read on the attribute during the epoch that just closed against the new
+//! ring and memoizes the merged views those spans need, so a dashboard's steady ranges find
+//! their views assembled before their first query of the new epoch.
 //!
 //! Result entries are bounded by a capacity with **least-recently-used** eviction: a lookup
 //! hit promotes its entry to most-recently-used before the oldest entry is evicted, so a hot
@@ -16,13 +20,14 @@
 //! module's tests via [`CacheStats`].)
 
 use ldpjs_core::multiway::FinalizedEdgeSketch;
-use ldpjs_core::FinalizedSketch;
+use ldpjs_core::{FinalizedPlusState, FinalizedSketch};
 use ldpjs_metrics::telemetry::Counter;
 use std::collections::btree_map::Entry as MapEntry;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 use crate::service::{Explain, SpanSource};
+use crate::window::WindowRange;
 
 /// A query answer as stored in (and served from) the cache.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -173,7 +178,10 @@ pub struct CacheStats {
     pub misses: u64,
     /// Result entries currently held.
     pub entries: usize,
-    /// Merged multi-window estimation views currently held (all estimator modes).
+    /// Merged multi-window estimation views currently memoized (all estimator modes): the
+    /// spans queries assembled since their attribute's last rotation, and the spans that
+    /// rotation re-warmed for the ranges read in the epoch it closed. A plus attribute's
+    /// whole-ring state is kept by the attribute, not memoized, so it is not counted.
     pub views: usize,
     /// Invalidation events (one per rotation of any attribute, plus explicit clears).
     pub invalidations: u64,
@@ -196,17 +204,24 @@ struct Entry {
     stamp: u64,
 }
 
-/// The service-wide memoization layer.
+/// The service-wide memoization layer: results, merged views, and the ranges read since
+/// each attribute's last rotation, which [`QueryCache::invalidate_attribute`] hands to the
+/// rotation that re-warms them.
 ///
 /// Result entries are bounded by `capacity` with least-recently-used eviction (hits promote;
 /// see the module docs): frequency queries are keyed by arbitrary caller-supplied values, so
 /// without a bound a domain scan against a quiet attribute (rotation being the only
 /// invalidation trigger) would grow the always-on service's memory without limit. Merged
 /// views need no bound of their own — ranges resolve to ring suffixes, so an attribute can
-/// only ever have `retained_windows` distinct spans alive between rotations.
+/// only ever have `retained_windows` distinct spans alive between rotations — and nor do
+/// the recorded ranges, which [`QueryCache::record_read`] folds into at most
+/// `retained_windows + 1` per attribute.
 #[derive(Debug)]
 pub(crate) struct QueryCache {
     capacity: usize,
+    /// The ring capacity (`retained_windows`): every `LastK(k)` with `k` at least this
+    /// resolves like `All` on every ring an attribute can hold.
+    ring: usize,
     /// Ordered maps, not hash maps: `invalidate_attribute` and `prune_order` *iterate*
     /// these stores, and `BTreeMap` makes the visit order (hence eviction/invalidation
     /// bookkeeping and any future iteration) deterministic run to run.
@@ -219,13 +234,21 @@ pub(crate) struct QueryCache {
     clock: u64,
     /// Merged multi-window plain views.
     pub(crate) plain_views: ViewMemo<FinalizedSketch>,
+    /// Merged multi-window plus states, except each attribute's whole ring (the attribute
+    /// keeps that one).
+    pub(crate) plus_views: ViewMemo<FinalizedPlusState>,
     /// Merged multi-window edge views.
     pub(crate) edge_views: ViewMemo<FinalizedEdgeSketch>,
+    /// `(attribute, range)` for every range a query read since the attribute's last
+    /// rotation, which the next rotation re-warms. Ordered, like the stores above, so the
+    /// re-warm order is deterministic.
+    read: BTreeSet<(usize, WindowRange)>,
     instruments: CacheInstruments,
 }
 
 /// One estimator mode's memoized merged multi-window views by `(attribute, first_epoch,
-/// last_epoch)`. Plus spans need no memo: rotation materializes every one of them.
+/// last_epoch)`: filled by a query's first assembly of a span, or by rotation re-warming the
+/// ranges read in the epoch it closed.
 pub(crate) type ViewMemo<V> = BTreeMap<(usize, u64, u64), Arc<V>>;
 
 /// The view `memo` holds under `key` ([`SpanSource::MemoizedView`]), or the one `assemble`
@@ -245,17 +268,31 @@ pub(crate) fn memoized<V>(
 }
 
 impl QueryCache {
-    /// An empty cache bounded to `capacity` result entries, counting into `instruments`.
-    pub(crate) fn new(capacity: usize, instruments: CacheInstruments) -> Self {
+    /// An empty cache bounded to `capacity` result entries, for rings of at most `ring`
+    /// windows, counting into `instruments`.
+    pub(crate) fn new(capacity: usize, ring: usize, instruments: CacheInstruments) -> Self {
         QueryCache {
             capacity,
+            ring,
             results: BTreeMap::new(),
             order: VecDeque::new(),
             clock: 0,
             plain_views: BTreeMap::new(),
+            plus_views: BTreeMap::new(),
             edge_views: BTreeMap::new(),
+            read: BTreeSet::new(),
             instruments,
         }
+    }
+
+    /// Record that a query read `attr` over `range`. Every `LastK(k)` with `k` at least the
+    /// ring capacity is recorded as `All`, which it resolves like on every ring.
+    pub(crate) fn record_read(&mut self, attr: usize, range: WindowRange) {
+        let range = match range {
+            WindowRange::LastK(k) if k >= self.ring => WindowRange::All,
+            _ => range,
+        };
+        self.read.insert((attr, range));
     }
 
     /// Look a result up, counting the hit or miss under `mode`. A hit **promotes** the entry
@@ -314,23 +351,36 @@ impl QueryCache {
         }
     }
 
-    /// Rotation hook: drop every result and merged view touching `attr`.
-    pub(crate) fn invalidate_attribute(&mut self, attr: usize) {
+    /// Rotation hook: drop every result and merged view touching `attr`, and return the
+    /// ranges queries read on `attr` since its last rotation (forgetting them), for the
+    /// caller to re-warm against the new ring.
+    pub(crate) fn invalidate_attribute(&mut self, attr: usize) -> Vec<WindowRange> {
         self.results.retain(|key, _| !key.touches(attr));
         self.plain_views.retain(|&(a, _, _), _| a != attr);
+        self.plus_views.retain(|&(a, _, _), _| a != attr);
         self.edge_views.retain(|&(a, _, _), _| a != attr);
+        let mut read = Vec::new();
+        self.read.retain(|&(a, range)| {
+            if a == attr {
+                read.push(range);
+            }
+            a != attr
+        });
         self.instruments.invalidations.inc();
+        read
     }
 
-    /// Drop everything (the explicit `clear_cache` entry point; also counted as an
-    /// invalidation).
+    /// Drop everything, the recorded ranges included (the explicit `clear_cache` entry
+    /// point; also counted as an invalidation).
     pub(crate) fn clear(&mut self) {
         // Drop the stores only: every cumulative counter — the totals *and* the per-mode
         // breakdowns — survives, so monitoring sees one uninterrupted series across clears.
         self.results.clear();
         self.order.clear();
         self.plain_views.clear();
+        self.plus_views.clear();
         self.edge_views.clear();
+        self.read.clear();
         self.instruments.invalidations.inc();
     }
 
@@ -345,7 +395,7 @@ impl QueryCache {
             hits: plain.hits + plus.hits + edge.hits,
             misses: plain.misses + plus.misses + edge.misses,
             entries: self.results.len(),
-            views: self.plain_views.len() + self.edge_views.len(),
+            views: self.plain_views.len() + self.plus_views.len() + self.edge_views.len(),
             invalidations: ins.invalidations.get(),
             evictions: ins.evictions.get(),
             plain,
@@ -396,7 +446,7 @@ mod tests {
 
     #[test]
     fn capacity_bound_evicts_oldest_results_first() {
-        let mut cache = QueryCache::new(3, CacheInstruments::default());
+        let mut cache = QueryCache::new(3, 16, CacheInstruments::default());
         let key = |v: u64| QueryKey::Frequency {
             attr: 0,
             value: v,
@@ -427,7 +477,7 @@ mod tests {
         // must survive a frequency scan that churns `capacity` one-shot entries past it.
         // Under the old insertion-order eviction the hot entry — inserted first — was
         // evicted first despite being hit on every refresh.
-        let mut cache = QueryCache::new(8, CacheInstruments::default());
+        let mut cache = QueryCache::new(8, 16, CacheInstruments::default());
         let hot = QueryKey::join(0, (0, 15), 1, (0, 15));
         let ans = ans(42.0, 32, 1_000);
         cache.insert(hot, ans);
@@ -461,7 +511,7 @@ mod tests {
 
     #[test]
     fn lookup_counts_hits_and_misses_and_invalidation_is_selective() {
-        let mut cache = QueryCache::new(64, CacheInstruments::default());
+        let mut cache = QueryCache::new(64, 16, CacheInstruments::default());
         let key_a = QueryKey::join(0, (0, 1), 1, (0, 1));
         let key_b = QueryKey::Frequency {
             attr: 2,
@@ -490,6 +540,23 @@ mod tests {
         cache.clear();
         assert_eq!(cache.stats().entries, 0);
         assert_eq!(cache.stats().invalidations, 2);
+
+        // Invalidation hands back, and forgets, the ranges read on that attribute only. A
+        // `LastK` at least the ring long (16 here) is recorded as the `All` it resolves like.
+        for (attr, range) in [
+            (0, WindowRange::LastK(2)),
+            (0, WindowRange::LastK(16)),
+            (0, WindowRange::All),
+            (2, WindowRange::Latest),
+        ] {
+            cache.record_read(attr, range);
+        }
+        let read = cache.invalidate_attribute(0);
+        assert_eq!(read, [WindowRange::LastK(2), WindowRange::All]);
+        assert!(cache.invalidate_attribute(0).is_empty());
+        // `clear` forgets every recorded range.
+        cache.clear();
+        assert!(cache.invalidate_attribute(2).is_empty());
     }
 
     #[test]
@@ -497,7 +564,7 @@ mod tests {
         // The clear/stats symmetry regression: `clear` drops stored answers and views but
         // must not reset any cumulative counter — totals AND per-mode breakdowns.
         let ins = CacheInstruments::default();
-        let mut cache = QueryCache::new(2, ins.clone());
+        let mut cache = QueryCache::new(2, 16, ins.clone());
         let key = |v: u64| QueryKey::Frequency {
             attr: 0,
             value: v,

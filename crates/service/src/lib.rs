@@ -14,8 +14,9 @@
 //!   explicit [`service::SketchService::rotate`]) into the attribute's span ledger, which
 //!   is also its bounded ring of recent windows: each entry pairs a window's metadata (a
 //!   [`window::WindowSnapshot`]: epoch id and report count) with the window's exact
-//!   integer counters, folded in as unscaled Hadamard spectra. The attribute keeps one
-//!   finalized estimation view, the newest window's, built by the same transforms.
+//!   integer counters, folded in as unscaled Hadamard spectra. The attribute keeps the
+//!   newest window's finalized estimation view, built by the same transforms (a plus
+//!   attribute also keeps its whole ring's merged state).
 //! * **Window merge** subtracts two ledger prefixes of exact spectra and applies the
 //!   de-bias scale once, so a k-window merged sketch is **bit-identical** to one-shot
 //!   aggregation of the same reports (property-tested across window splits).
@@ -23,6 +24,9 @@
 //!   [`window::WindowRange`] (`Latest`, `LastK`, `All`) with a memoized
 //!   per-(attribute-pair, window-range) cache invalidated on rotation, so a repeated
 //!   dashboard-style query costs a hash lookup instead of an `O(k·m)` row product.
+//!   Merged multi-window views are memoized per attribute span, and rotation re-warms the
+//!   spans of the ranges queries read in the epoch it closed, so a range read every epoch
+//!   never assembles its views on the query path.
 //!
 //! Attributes register in one of **three estimator modes**, all served by the shared
 //! query-engine kernels of `ldpjs_core::kernel`:

@@ -2,7 +2,7 @@
 //! (plain, LDPJoinSketch+, edge), the epoch rotator with report-count *and* wall-clock
 //! triggers, and the cached window-range query layer driving the shared estimator kernels.
 
-use crate::cache::{memoized, CachedAnswer, QueryCache, QueryKey, QueryMode};
+use crate::cache::{memoized, CachedAnswer, QueryCache, QueryKey, QueryMode, ViewMemo};
 use crate::observe::{
     labeled, register_cache_instruments, AttributeInstruments, ServiceInstruments, K_CHAIN3,
     K_FREQUENCY, K_JOIN, K_PLUS_JOIN,
@@ -273,8 +273,10 @@ pub enum SpanSource {
     /// borrowed outright.
     #[default]
     SingleWindow,
-    /// At least one multi-window operand was served from an already-materialized merged
-    /// view (the per-span memo store, or the plus ledger's rotation-time materialization).
+    /// At least one multi-window operand was served from an already-assembled merged view:
+    /// one memoized by an earlier query of the span, one re-warmed by the last rotation
+    /// because a query read its range in the epoch before, or a plus attribute's
+    /// whole-ring state, which every rotation rebuilds.
     MemoizedView,
     /// At least one operand's merged view was assembled cold from the span ledger's
     /// spectrum prefixes on this query.
@@ -511,6 +513,10 @@ impl PlainState {
 
 /// An LDPJoinSketch+ attribute's state: three-lane ingestion, FI reconciliation and
 /// `JoinEst` queries.
+///
+/// The attribute keeps two finalized states, the newest window's and the whole ring's
+/// (memory: two states of three `k·m` lanes each). Every other multi-window suffix span is
+/// assembled on first use and memoized in the query cache, like plain and edge spans.
 #[derive(Debug)]
 struct PlusState {
     seed: u64,
@@ -521,39 +527,27 @@ struct PlusState {
     index: Arc<DomainIndex>,
     live: PlusStateBuilder,
     ledger: Ledger<SpectrumEntry>,
-    /// `spans[start]` = the materialized merged state over the suffix `start..len`,
-    /// rebuilt at every rotation; `spans.last()` is the newest window's view, the only
-    /// per-window view kept. Every suffix span gains the new window on every rotation, so
-    /// rotation assembles each one from the spectra — including the span's frequent-item
-    /// re-discovery, the expensive domain scan — and a cold plus span query is an `Arc`
-    /// clone. (Memory: `retained_windows` states of three `k·m` lanes each.)
-    spans: Vec<Arc<FinalizedPlusState>>,
+    /// The newest window's finalized state, the only per-window view kept (`None` before
+    /// the first seal).
+    newest: Option<Arc<FinalizedPlusState>>,
+    /// The merged state over the whole ring, rebuilt at every seal once the ring holds two
+    /// windows (`None` before), so a cold plus `All` join is an `Arc` clone and never pays
+    /// the domain-wide discovery on the query path.
+    whole: Option<Arc<FinalizedPlusState>>,
 }
 
 impl PlusState {
-    /// Seal the live builder's three lanes into window `epoch` and re-materialize every
-    /// suffix span; returns whether a window was evicted.
+    /// Seal the live builder's three lanes into window `epoch` and rebuild the whole-ring
+    /// state; returns whether a window was evicted.
     fn seal(&mut self, epoch: u64, retained: usize) -> bool {
         let fresh = PlusStateBuilder::new(self.live.params(), self.live.epsilon(), self.seed);
         let sealed = std::mem::replace(&mut self.live, fresh);
         let (phase1, low, high) = sealed.lane_builders();
         let ([phase1, low, high], evicted) =
             self.ledger.seal_lanes(epoch, [phase1, low, high], retained);
-        let (policy, index) = (self.config.policy(), &*self.index);
-        let newest = plus_state(phase1, low, high, policy, index);
-        // Every suffix span gained the new window (and eviction shifted the starts):
-        // assemble each from the spectrum prefixes — three fused subtract+scale passes and
-        // one indexed FI re-discovery per span, bit-identical to merging the covered
-        // windows from scratch. The newest window's view, discovery already run, is the
-        // one-window span.
-        let (phase1, low, high) = self.live.lane_builders();
-        self.spans.clear();
-        for start in 0..self.ledger.depth() - 1 {
-            let lane = |l, shape| self.ledger.span_lane(start, l, shape);
-            let state = plus_state(lane(0, phase1), lane(1, low), lane(2, high), policy, index);
-            self.spans.push(Arc::new(state));
-        }
-        self.spans.push(Arc::new(newest));
+        let newest = plus_state(phase1, low, high, self.config.policy(), &self.index);
+        self.newest = Some(Arc::new(newest));
+        self.whole = (self.ledger.depth() > 1).then(|| Arc::new(self.assemble(0)));
         evicted
     }
 }
@@ -653,7 +647,8 @@ impl ModeState {
 }
 
 /// One estimator mode's state as a query operand: how to find it in an attribute's
-/// [`ModeState`], and how its spans turn into that mode's finalized view.
+/// [`ModeState`], how its spans turn into that mode's finalized view, and where the query
+/// cache memoizes those views.
 trait ModeView {
     /// The finalized view a span of this mode assembles into.
     type View;
@@ -665,8 +660,20 @@ trait ModeView {
     /// first seal).
     fn newest(&self) -> Option<&Arc<Self::View>>;
 
-    /// The merged view of a multi-window suffix `span`, and how it was obtained.
-    fn merged(&self, cache: &mut QueryCache, span: &SpanMeta) -> (Arc<Self::View>, SpanSource);
+    /// This mode's memo of merged multi-window views in the query cache.
+    fn memo(cache: &mut QueryCache) -> &mut ViewMemo<Self::View>;
+
+    /// The merged view of the suffix span `start..len`, assembled from the span ledger:
+    /// bit-identical to merging every covered window from scratch.
+    fn assemble(&self, start: usize) -> Self::View;
+
+    /// The merged view of a multi-window suffix `span`, and how it was obtained: from the
+    /// memo, or assembled now and memoized for later queries.
+    fn merged(&self, cache: &mut QueryCache, span: &SpanMeta) -> (Arc<Self::View>, SpanSource) {
+        memoized(Self::memo(cache), span.view_key(), || {
+            self.assemble(span.start)
+        })
+    }
 }
 
 impl ModeView for PlainState {
@@ -683,13 +690,12 @@ impl ModeView for PlainState {
         self.newest.as_ref()
     }
 
-    fn merged(
-        &self,
-        cache: &mut QueryCache,
-        span: &SpanMeta,
-    ) -> (Arc<FinalizedSketch>, SpanSource) {
-        let assemble = || self.ledger.span_lane(span.start, 0, &self.live);
-        memoized(&mut cache.plain_views, span.view_key(), assemble)
+    fn memo(cache: &mut QueryCache) -> &mut ViewMemo<FinalizedSketch> {
+        &mut cache.plain_views
+    }
+
+    fn assemble(&self, start: usize) -> FinalizedSketch {
+        self.ledger.span_lane(start, 0, &self.live)
     }
 }
 
@@ -704,15 +710,34 @@ impl ModeView for PlusState {
     }
 
     fn newest(&self) -> Option<&Arc<FinalizedPlusState>> {
-        self.spans.last()
+        self.newest.as_ref()
     }
 
-    /// Every suffix span was materialized at the last rotation.
-    fn merged(&self, _: &mut QueryCache, span: &SpanMeta) -> (Arc<FinalizedPlusState>, SpanSource) {
-        (
-            Arc::clone(&self.spans[span.start]),
-            SpanSource::MemoizedView,
-        )
+    fn memo(cache: &mut QueryCache) -> &mut ViewMemo<FinalizedPlusState> {
+        &mut cache.plus_views
+    }
+
+    /// Three fused subtract+scale passes and one indexed FI re-discovery on the merged
+    /// phase-1 lane, a scan of the whole candidate domain.
+    fn assemble(&self, start: usize) -> FinalizedPlusState {
+        let (phase1, low, high) = self.live.lane_builders();
+        let lane = |l, shape| self.ledger.span_lane(start, l, shape);
+        let (policy, index) = (self.config.policy(), &*self.index);
+        plus_state(lane(0, phase1), lane(1, low), lane(2, high), policy, index)
+    }
+
+    /// The whole ring is the kept state; every other span goes through the memo.
+    fn merged(
+        &self,
+        cache: &mut QueryCache,
+        span: &SpanMeta,
+    ) -> (Arc<FinalizedPlusState>, SpanSource) {
+        match &self.whole {
+            Some(whole) if span.start == 0 => (Arc::clone(whole), SpanSource::MemoizedView),
+            _ => memoized(Self::memo(cache), span.view_key(), || {
+                self.assemble(span.start)
+            }),
+        }
     }
 }
 
@@ -730,19 +755,17 @@ impl ModeView for EdgeState {
         self.newest.as_ref()
     }
 
-    fn merged(
-        &self,
-        cache: &mut QueryCache,
-        span: &SpanMeta,
-    ) -> (Arc<FinalizedEdgeSketch>, SpanSource) {
-        memoized(&mut cache.edge_views, span.view_key(), || {
-            let (last, base) = self.ledger.span_ends(span.start);
-            last.difference(base)
-                // lint:allow(panic-freedom) — invariant: each prefix entry is the previous
-                // entry plus one window, so `last` always dominates `base` counter-wise.
-                .expect("every ledger prefix is a superset of its predecessors")
-                .finalize()
-        })
+    fn memo(cache: &mut QueryCache) -> &mut ViewMemo<FinalizedEdgeSketch> {
+        &mut cache.edge_views
+    }
+
+    fn assemble(&self, start: usize) -> FinalizedEdgeSketch {
+        let (last, base) = self.ledger.span_ends(start);
+        last.difference(base)
+            // lint:allow(panic-freedom) — invariant: each prefix entry is the previous
+            // entry plus one window, so `last` always dominates `base` counter-wise.
+            .expect("every ledger prefix is a superset of its predecessors")
+            .finalize()
     }
 }
 
@@ -849,6 +872,7 @@ impl SketchService {
         let instruments = ServiceInstruments::register(&telemetry);
         let cache = QueryCache::new(
             config.cache_capacity,
+            config.retained_windows,
             register_cache_instruments(&telemetry),
         );
         Ok(SketchService {
@@ -912,7 +936,8 @@ impl SketchService {
             index,
             live,
             ledger: Ledger::new(SpectrumEntry::zero(3, params.counters())),
-            spans: Vec::new(),
+            newest: None,
+            whole: None,
         });
         self.register(name, mode)
     }
@@ -1199,7 +1224,7 @@ impl SketchService {
 
     /// The merged plain estimation view covering `range`: a single window's view is
     /// borrowed, a multi-window range is assembled from the span ledger once (then
-    /// memoized per epoch span).
+    /// memoized per epoch span, and re-warmed by the attribute's next rotation).
     ///
     /// The returned sketch is **bit-identical** to finalizing one builder that absorbed
     /// every report of the covered windows — the window-merge guarantee.
@@ -1215,10 +1240,14 @@ impl SketchService {
     }
 
     /// The merged LDPJoinSketch+ estimation state covering `range`, assembled by the span
-    /// ledger with **cross-window FI reconciliation** — the frequent items were
-    /// re-discovered on the *merged* phase-1 sketch under the attribute's policy at
-    /// rotation (and the kernel's high partial re-masks the merged phase-2 sketches with
-    /// that set).
+    /// ledger with **cross-window FI reconciliation** — the frequent items are
+    /// re-discovered on the *merged* phase-1 sketch under the attribute's policy (and the
+    /// kernel's high partial re-masks the merged phase-2 sketches with that set).
+    ///
+    /// `Latest` and `All` are states the attribute keeps, rebuilt at every rotation. Any
+    /// other multi-window range is assembled on first use, then memoized per epoch span
+    /// and re-warmed by the attribute's next rotation, so a range read every epoch never
+    /// pays the assembly on the query path.
     ///
     /// # Errors
     /// [`Error::ModeMismatch`] if `attr` is not a plus attribute.
@@ -1556,8 +1585,10 @@ impl SketchService {
         self.cache.stats()
     }
 
-    /// Drop every memoized answer and merged view (counted as an invalidation). Cumulative
-    /// cache counters — totals and per-mode breakdowns alike — survive the clear.
+    /// Drop every memoized answer and merged view, and forget the ranges read since the
+    /// last rotations, so the next rotations re-warm nothing (counted as an invalidation).
+    /// Cumulative cache counters — totals and per-mode breakdowns alike — survive the
+    /// clear.
     pub fn clear_cache(&mut self) {
         self.cache.clear();
     }
@@ -1725,9 +1756,10 @@ fn empty_edge_builder(
         .expect("attributes derived at equal (k, m) always share the replica count")
 }
 
-/// Seal `attr`'s live engine into a window, evict past the retention bound, and invalidate
-/// the attribute's cache entries. Returns the new window's epoch id, or `None` if the live
-/// engine was empty.
+/// Seal `attr`'s live engine into a window, evict past the retention bound, invalidate the
+/// attribute's cache entries, and re-warm the spans of the ranges queries read on it since
+/// its previous rotation. Returns the new window's epoch id, or `None` if the live engine
+/// was empty.
 fn rotate_attribute(
     config: &ServiceConfig,
     cache: &mut QueryCache,
@@ -1741,8 +1773,7 @@ fn rotate_attribute(
     attr.next_epoch += 1;
     // Sealing adds the new window's lanes to the ledger's last cumulative entry, and
     // eviction folds the oldest entry into the origin: the ledger is the window ring. Each
-    // lane is transformed once (see [`Ledger::seal_lanes`]); plus attributes then
-    // re-materialize every suffix span.
+    // lane is transformed once (see [`Ledger::seal_lanes`]).
     let retained = config.retained_windows;
     let evicted = match &mut attr.mode {
         ModeState::Plain(s) => s.seal(epoch, retained),
@@ -1758,7 +1789,22 @@ fn rotate_attribute(
     attr.instruments.ledger_depth.set(depth);
     attr.instruments.live_reports.set(0);
     attr.epoch_opened_at = None;
-    cache.invalidate_attribute(idx);
+    // Every span of the old ring is gone. Re-resolve each range read in the closing epoch
+    // against the new ring and memoize its span through the query path itself, so the
+    // re-warmed view is exactly what a query would assemble. Re-warming records no read:
+    // a range no query reads during the next epoch drops out at the rotation after it.
+    for range in cache.invalidate_attribute(idx) {
+        let Ok(span) = resolve_span(attr, AttributeId(idx), range) else {
+            continue;
+        };
+        if span.windows > 1 {
+            match &attr.mode {
+                ModeState::Plain(s) => drop(s.merged(cache, &span)),
+                ModeState::Plus(s) => drop(s.merged(cache, &span)),
+                ModeState::Edge(s) => drop(s.merged(cache, &span)),
+            }
+        }
+    }
     Some(epoch)
 }
 
@@ -1767,6 +1813,8 @@ fn rotate_attribute(
 struct SpanMeta {
     /// The attribute's registry index.
     attr: usize,
+    /// The range the span resolved from.
+    range: WindowRange,
     start: usize,
     windows: usize,
     reports: u64,
@@ -1786,6 +1834,7 @@ fn resolve_span(attr: &Attribute, id: AttributeId, range: WindowRange) -> Result
     let start = range.resolve(len, &attr.name)?;
     Ok(SpanMeta {
         attr: id.index(),
+        range,
         start,
         windows: len - start,
         reports: (start..len).map(|i| mode.window(i).reports()).sum(),
@@ -1819,11 +1868,12 @@ impl<'c> Assembly<'c> {
         }
     }
 
-    /// The merged view of `operand` over its resolved `span`. Single-window spans are the
-    /// newest window's kept view; multi-window plus spans were materialized at rotation;
-    /// multi-window plain and edge spans are memoized in the cache after their first
-    /// assembly from the span ledger (bit-identical to merging every covered window from
-    /// scratch, and therefore to one-shot aggregation of the covered reports).
+    /// The merged view of `operand` over its resolved `span`, recording the span's range
+    /// as read so the attribute's next rotation re-warms it. Single-window spans are the
+    /// newest window's kept view, and a plus attribute's whole ring is its kept state.
+    /// Every other multi-window span is memoized in the cache after its first assembly
+    /// from the span ledger (bit-identical to merging every covered window from scratch,
+    /// and therefore to one-shot aggregation of the covered reports).
     ///
     /// # Errors
     /// [`Error::WindowUnavailable`] before the first seal (span resolution rejects that
@@ -1833,6 +1883,7 @@ impl<'c> Assembly<'c> {
         (attr, state): Operand<'_, S>,
         span: &SpanMeta,
     ) -> Result<Arc<S::View>> {
+        self.cache.record_read(span.attr, span.range);
         let (view, source) = match span.windows {
             1 => {
                 let newest = state.newest().ok_or_else(|| no_windows(&attr.name))?;
@@ -2333,6 +2384,16 @@ mod tests {
         assert_eq!(Arc::strong_count(&plus_view), 1);
         assert_eq!(Arc::strong_count(&edge_view), 1);
         assert_eq!(service.window_count(plus).unwrap(), 2);
+        // The whole-ring plus state is rebuilt at every seal, and re-warming `All` (read
+        // here) serves the new one: the old one is left to its caller.
+        let plus_all = service.merged_plus_state(plus, WindowRange::All).unwrap();
+        assert_eq!(
+            Arc::strong_count(&plus_all),
+            2,
+            "the whole-ring state is kept"
+        );
+        seal_all(&mut service);
+        assert_eq!(Arc::strong_count(&plus_all), 1);
     }
 
     #[test]
@@ -2429,26 +2490,61 @@ mod tests {
         let stats = service.cache_stats();
         assert_eq!(stats.hits, 3);
         assert_eq!(stats.misses, 2);
-        assert!(stats.entries >= 2 && stats.views >= 1);
+        assert_eq!(
+            (stats.entries, stats.views),
+            (2, 2),
+            "a's and b's `All` views"
+        );
 
-        // Rotating an *unrelated* attribute keeps the entries warm …
+        // Rotating an *unrelated* attribute keeps the entries warm; c read nothing, so its
+        // rotation re-warms nothing …
         service
             .ingest(c, &reports_for(&service, c, 100, 99))
             .unwrap();
         service.rotate(c).unwrap();
+        assert_eq!(service.cache_stats().views, 2);
         assert!(service.join_size(a, b, WindowRange::All).unwrap().cached);
-        // … but rotating a participant invalidates them.
+        // (On a's 2-window ring `LastK(2)` is the `All` span, so this read is a memo hit.)
+        let f_last2 = service.frequency(a, 1, WindowRange::LastK(2)).unwrap();
+        assert_eq!(f_last2.explain.span_source, SpanSource::MemoizedView);
+        // … but rotating a participant invalidates them. The rotation re-warms the ranges
+        // read in the closing epoch: a's `All` and `LastK(2)`, distinct spans on its new
+        // 3-window ring, beside b's untouched `All` view.
         service
             .ingest(a, &reports_for(&service, a, 100, 98))
             .unwrap();
         service.rotate(a).unwrap();
+        assert_eq!(service.cache_stats().views, 3);
         let recomputed = service.join_size(a, b, WindowRange::All).unwrap();
         assert!(!recomputed.cached);
+        assert_eq!(recomputed.explain.span_source, SpanSource::MemoizedView);
         assert_ne!(recomputed.reports, cold.reports);
-        // clear_cache drops everything.
+        let last2 = service.frequency(a, 1, WindowRange::LastK(2)).unwrap();
+        assert!(!last2.cached);
+        assert_eq!(last2.explain.span_source, SpanSource::MemoizedView);
+        // clear_cache drops everything, and a recomputation assembles the very bits the
+        // re-warmed views gave.
         service.clear_cache();
         assert_eq!(service.cache_stats().entries, 0);
-        assert!(!service.join_size(a, b, WindowRange::All).unwrap().cached);
+        let fresh = service.join_size(a, b, WindowRange::All).unwrap();
+        assert!(!fresh.cached);
+        assert_eq!(fresh.explain.span_source, SpanSource::LedgerAssembled);
+        assert_eq!(fresh.value.to_bits(), recomputed.value.to_bits());
+        let fresh_last2 = service.frequency(a, 1, WindowRange::LastK(2)).unwrap();
+        assert_eq!(fresh_last2.explain.span_source, SpanSource::LedgerAssembled);
+        assert_eq!(fresh_last2.value.to_bits(), last2.value.to_bits());
+        // clear_cache also forgets the ranges read: a rotation closing an epoch in which no
+        // query read a range re-warms nothing.
+        service.clear_cache();
+        service
+            .ingest(a, &reports_for(&service, a, 100, 97))
+            .unwrap();
+        service.rotate(a).unwrap();
+        assert_eq!(service.cache_stats().views, 0);
+        let cold_all = service.join_size(a, b, WindowRange::All).unwrap();
+        assert_eq!(cold_all.explain.span_source, SpanSource::LedgerAssembled);
+        let cold_last2 = service.frequency(a, 1, WindowRange::LastK(2)).unwrap();
+        assert_eq!(cold_last2.explain.span_source, SpanSource::LedgerAssembled);
     }
 
     #[test]
@@ -2671,10 +2767,16 @@ mod tests {
 
         let windows = service.window_count(a).unwrap();
         assert!(windows >= 3, "expected a multi-window ring, got {windows}");
-        // Join-size over every range resolves and answers sanely.
-        for range in [WindowRange::Latest, WindowRange::LastK(2), WindowRange::All] {
+        // Join-size over every range resolves and answers sanely. `Latest` and `All` are
+        // states the attributes keep; a first read of any other span assembles it.
+        for (range, source) in [
+            (WindowRange::Latest, SpanSource::SingleWindow),
+            (WindowRange::LastK(2), SpanSource::LedgerAssembled),
+            (WindowRange::All, SpanSource::MemoizedView),
+        ] {
             let q = service.plus_join_size(a, b, range).unwrap();
             assert!(!q.cached);
+            assert_eq!(q.explain.span_source, source, "{range:?}");
             assert!(q.value.is_finite());
             let again = service.plus_join_size(a, b, range).unwrap();
             assert!(again.cached, "repeat of {range:?} must hit the cache");
@@ -2712,16 +2814,24 @@ mod tests {
             f.value
         );
 
-        // Rotation invalidates plus entries like plain ones.
-        let more = StreamingJoinWorkload::generate("plus-svc2", &generator, 8 * chunk, chunk, 902)
+        // Rotation invalidates plus entries like plain ones. One more window per attribute:
+        // each rotation re-warms the `LastK(2)` span read in the epoch it closed.
+        let more = StreamingJoinWorkload::generate("plus-svc2", &generator, 4 * chunk, chunk, 902)
             .unwrap();
         drive_plus_pair(&mut service, a, b, &est, &more, 56, 4);
-        assert!(
-            !service
-                .plus_join_size(a, b, WindowRange::All)
-                .unwrap()
-                .cached
-        );
+        assert_eq!(service.window_count(a).unwrap(), windows + 1);
+        let last2 = service.plus_join_size(a, b, WindowRange::LastK(2)).unwrap();
+        assert!(!last2.cached);
+        assert_eq!(last2.explain.span_source, SpanSource::MemoizedView);
+        let all = service.plus_join_size(a, b, WindowRange::All).unwrap();
+        assert!(!all.cached);
+        // The whole ring is a kept state, so even a cleared cache serves it without an
+        // assembly.
+        service.clear_cache();
+        let cleared = service.plus_join_size(a, b, WindowRange::All).unwrap();
+        assert!(!cleared.cached);
+        assert_eq!(cleared.explain.span_source, SpanSource::MemoizedView);
+        assert_eq!(cleared.value.to_bits(), all.value.to_bits());
     }
 
     #[test]
@@ -2986,6 +3096,9 @@ mod tests {
                     if left == 0 {
                         service.rotate(a)?;
                         windows.push(std::mem::replace(&mut current, fresh()));
+                        // A read every epoch: each rotation re-warms this range, so the
+                        // final comparisons below cover a re-warmed state.
+                        service.merged_plus_state(a, WindowRange::LastK(2))?;
                     }
                     Ok(())
                 },

@@ -6,7 +6,7 @@ use ldpjs_common::error::{Error, Result};
 /// Which sealed epoch windows a query covers. Ranges always resolve to a contiguous
 /// *suffix* of the retained ring — the most recent windows — because that is what a
 /// sliding-window dashboard asks for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum WindowRange {
     /// The most recently sealed window only.
     Latest,

@@ -14,7 +14,9 @@
 //! 3. **The same holds for the LDPJoinSketch+ path** (`service_plus_soak_*`): windowed
 //!    three-lane ingestion with cross-window FI reconciliation answers a full-span plus
 //!    join-size query **bit-identical** to `ldp_join_plus_estimate_chunked` over the
-//!    concatenated stream, and `Latest`/`LastK` spans stay servable online citizens.
+//!    concatenated stream, and `Latest`/`LastK` spans stay servable online citizens: a
+//!    `LastK` range read after every rotation is served from the span its rotation
+//!    re-warmed, bit-identical to a cold assembly.
 
 use ldp_join_sketch::prelude::*;
 use ldp_join_sketch::service::WindowRange;
@@ -162,13 +164,30 @@ fn service_plus_soak_1m_reports_is_bit_identical_to_one_shot_chunked_plus() {
         (orders, &w.table_a, PlusTableRole::A),
         (clicks, &w.table_b, PlusTableRole::B),
     ] {
+        let mut rotations = 0;
         est.stream_plus_reports(
             table,
             role,
             &discovery.frequent_items,
             rng_seed,
             true,
-            &mut |batch| service.ingest_plus(attr, batch).map(|_| ()),
+            &mut |batch| {
+                let rotated = service.ingest_plus(attr, batch)?.rotations;
+                rotations += rotated;
+                if rotated == 0 || rotations < 2 {
+                    return Ok(());
+                }
+                // Right after each rotation from the second on, `LastK(4)` spans several
+                // windows: the whole ring (a kept state) through the fourth, then a suffix
+                // the rotation re-warmed because this read recorded it in the epoch before.
+                // The re-warmed state must give the bits a cold assembly gives.
+                let warm = service.frequency(attr, 0, WindowRange::LastK(4))?;
+                assert_eq!(warm.explain.span_source, SpanSource::MemoizedView);
+                service.clear_cache();
+                let cold = service.frequency(attr, 0, WindowRange::LastK(4))?;
+                assert_eq!(cold.value.to_bits(), warm.value.to_bits());
+                Ok(())
+            },
         )
         .unwrap();
         // Seal the sub-threshold tail into the final window.

@@ -1,16 +1,21 @@
-//! Release-mode performance smoke gate for the online service's cold-query path.
+//! Release-mode performance smoke gates for the online service's cold-query path and for
+//! packed ingest.
 //!
-//! The incremental merged-span ledger plus the bit-sliced restore kernels are what keep a
-//! cold LDPJoinSketch+ all-windows join answerable at interactive latency: without them a
-//! cold plus query re-merges three exact-counter lanes, restores three sketches, and
+//! A cold LDPJoinSketch+ all-windows join stays at interactive latency because each plus
+//! attribute keeps its whole-ring merged state, rebuilt at rotation from the span ledger:
+//! without it a cold plus query re-merges three lanes, restores three sketches, and
 //! re-scans the full public domain for frequent items — a measured 16× cliff over the
-//! plain path. This test pins the repaired ratio: on the bench harness's pinned smoke
-//! config (k = 18, m = 1024, 8 windows × 4k reports per window, Zipf(2.0) over a 4096
-//! domain), a cold plus all-windows join must cost **at most 4×** a cold plain
-//! all-windows join.
+//! plain path (10.3× when the state is assembled from the span ledger on the query path
+//! instead of at rotation). The query gate
+//! pins the ratio: on the bench harness's pinned smoke config (k = 18, m = 1024, 8 windows
+//! × 4k reports per window, Zipf(2.0) over a 4096 domain), a cold plus all-windows join
+//! must cost **at most 4×** a cold plain all-windows join. Other plus ranges are assembled
+//! on first use and re-warmed at rotation, so they are not what this gate times.
 //!
-//! The gate only means something with optimizations on, so under a debug build it prints
-//! a skip notice and exits; CI runs it with `cargo test --release --test perf_smoke`.
+//! The gates only mean something with optimizations on, so under a debug build each prints
+//! a skip notice and exits. Each times two alternating arms, so CI runs them one at a time,
+//! `cargo test --release --test perf_smoke -- --test-threads=1`, lest one gate's arms time
+//! another gate's load.
 
 use ldp_join_sketch::prelude::*;
 use ldp_join_sketch::service::WindowRange;
