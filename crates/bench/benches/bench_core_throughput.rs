@@ -1,7 +1,7 @@
 //! Microbenchmarks of the core LDPJoinSketch primitives: client-side encoding/perturbation
 //! into packed report batches (sequential and parallel fan-out), server-side batch absorption
-//! (one builder and the sharded ingestion engine), the one-shot Hadamard finalization, and
-//! the zero-copy join-size and frequency estimators.
+//! into one builder, the one-shot Hadamard finalization, and the zero-copy join-size and
+//! frequency estimators.
 //!
 //! These are the building blocks every figure-level experiment is composed of; tracking their
 //! throughput separately makes regressions attributable.
@@ -15,7 +15,6 @@
 
 use criterion::{BatchSize, Bencher, Criterion};
 use ldpjs_common::ReportBatch;
-use ldpjs_core::aggregator::{AggregatorInstruments, ShardedAggregator};
 use ldpjs_core::client::LdpJoinSketchClient;
 use ldpjs_core::protocol::{
     build_private_sketch, ldp_join_estimate_chunked, ldp_join_plus_estimate_chunked,
@@ -26,7 +25,6 @@ use ldpjs_core::{
     SketchParams,
 };
 use ldpjs_data::{StreamingJoinWorkload, ValueGenerator, ZipfGenerator};
-use ldpjs_metrics::telemetry::{Stability, Telemetry};
 use ldpjs_service::{PlusAttributeConfig, ServiceConfig, SketchService, WindowRange};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -171,73 +169,6 @@ fn bench_server_ingest(c: &mut Criterion, rec: &mut Recorder) {
             )
         },
     );
-
-    let n_big = if smoke() { 20_000 } else { 400_000 };
-    let big_values = gen.sample_many(n_big, &mut rng);
-
-    // The sharded ingestion engine on a heavier batch: reports born packed at the client
-    // (`perturb_batch`), absorbed on the caller thread through the sign-split histogram
-    // scatter + SIMD drain kernels. This is the lane the release perf gate
-    // (`tests/perf_smoke.rs`) holds at >= 4x the frozen scalar reference. Both shard
-    // counts run the same absorb, so the 4-shard lane should read like the 1-shard one.
-    let packed = client.perturb_batch(&big_values, &mut rng).unwrap();
-    for shards in [1usize, 4] {
-        rec.bench(
-            c,
-            &format!("core/sharded_ingest_batched_{n_big}_reports_{shards}shards"),
-            "sharded_ingest_batched",
-            n_big,
-            params(),
-            |b| {
-                b.iter_batched(
-                    || ShardedAggregator::new(params(), eps(), 7, shards).unwrap(),
-                    |mut engine| {
-                        engine.ingest(black_box(&packed)).unwrap();
-                        black_box(engine)
-                    },
-                    BatchSize::SmallInput,
-                )
-            },
-        );
-    }
-
-    // The telemetry-overhead pair: the exact same packed ingest with and without an
-    // attached `AggregatorInstruments` bundle (a shared-atomic counter bump per batch on
-    // the hot path). The CI perf gate (`tests/perf_smoke.rs`) holds the instrumented lane
-    // within 3% of the uninstrumented one.
-    let shards = 4usize;
-    let telemetry = Telemetry::new();
-    let instruments = AggregatorInstruments {
-        parallel_batches: telemetry.counter("bench_parallel_batches", Stability::Environment),
-        inline_batches: telemetry.counter("bench_inline_batches", Stability::Environment),
-    };
-    for (label, instruments) in [
-        ("uninstrumented", None),
-        ("instrumented", Some(instruments)),
-    ] {
-        rec.bench(
-            c,
-            &format!("core/telemetry_overhead_ingest_batched_{n_big}_reports_{label}"),
-            "telemetry_overhead",
-            n_big,
-            params(),
-            |b| {
-                b.iter_batched(
-                    || {
-                        let mut engine =
-                            ShardedAggregator::new(params(), eps(), 7, shards).unwrap();
-                        engine.set_instruments(instruments.clone());
-                        engine
-                    },
-                    |mut engine| {
-                        engine.ingest(black_box(&packed)).unwrap();
-                        black_box(engine)
-                    },
-                    BatchSize::SmallInput,
-                )
-            },
-        );
-    }
 }
 
 fn bench_finalize_restore(c: &mut Criterion, rec: &mut Recorder) {

@@ -175,7 +175,7 @@ impl LdpJoinSketchClient {
     }
 
     /// Perturb a whole slice of values (one simulated client per element) into a packed
-    /// sign-split [`ReportBatch`], the form every builder and the sharded engine absorb.
+    /// sign-split [`ReportBatch`], the form every builder absorbs.
     ///
     /// For each value the RNG draws `(j, l, flip)` in exactly the order
     /// [`LdpJoinSketchClient::perturb`] draws them, so the batch carries the same reports —

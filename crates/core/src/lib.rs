@@ -6,12 +6,11 @@
 //! * [`client`] — Algorithm 1, the client-side encode-and-perturb pipeline into packed report
 //!   batches, including the deterministic parallel perturbation fan-out.
 //! * [`server`] — Algorithm 2 (`PriSk`): the two-stage sketch lifecycle — a mutable
-//!   [`SketchBuilder`] accumulation stage and an immutable [`FinalizedSketch`] view whose
-//!   restored counters are computed once and borrowed by the Eq. 5 join-size estimator and
-//!   the Theorem 7 frequency estimator.
-//! * [`aggregator`] — the sharded ingestion engine ([`ShardedAggregator`]): packed batches
-//!   absorbed on the caller thread, a merged result bit-for-bit identical to sequential
-//!   absorption.
+//!   [`SketchBuilder`] accumulation stage, the one ingest engine of every library path, and
+//!   an immutable [`FinalizedSketch`] view whose restored counters are computed once and
+//!   borrowed by the Eq. 5 join-size estimator and the Theorem 7 frequency estimator.
+//! * [`aggregator`] — a one-builder shim the pipeline benchmark harness still calls; no
+//!   library path uses it.
 //! * [`fap`] — Algorithm 4, the Frequency-Aware Perturbation mechanism.
 //! * [`plus`] — Algorithm 3 + 5, the two-phase LDPJoinSketch+ protocol (frequent-item
 //!   discovery, high/low-frequency separation, non-target mass removal).

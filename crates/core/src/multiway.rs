@@ -285,9 +285,9 @@ impl EdgeSketchBuilder {
     }
 
     /// Exact counter-wise subtraction: returns a builder holding `self − earlier` (the
-    /// edge-lane primitive of the online service's prefix-sum span ledger; see
-    /// [`SketchBuilder::difference`](crate::SketchBuilder::difference) for the exactness
-    /// argument).
+    /// edge-lane primitive of the online service's prefix-sum span ledger). Every counter is
+    /// an exact integer report sum, so subtracting a prefix of this builder's history leaves
+    /// exactly the suffix's counters, bit-identical to merging the suffix windows.
     ///
     /// # Errors
     /// [`Error::IncompatibleSketches`] if attributes or ε differ, or if `earlier` is not a

@@ -274,22 +274,6 @@ impl PlusStateBuilder {
         Ok(())
     }
 
-    /// Exact lane-wise subtraction: returns a builder holding `self − earlier` in every
-    /// lane (the plus-path primitive of the online service's prefix-sum span ledger; see
-    /// [`SketchBuilder::difference`] for why the result is bit-identical to merging the
-    /// suffix windows from scratch).
-    ///
-    /// # Errors
-    /// [`Error::IncompatibleSketches`] if any lane's parameters, hash seed or ε differ, or
-    /// if `earlier` is not a prefix (more reports than `self` in some lane).
-    pub fn difference(&self, earlier: &Self) -> Result<PlusStateBuilder> {
-        Ok(PlusStateBuilder {
-            phase1: self.phase1.difference(&earlier.phase1)?,
-            low: self.low.difference(&earlier.low)?,
-            high: self.high.difference(&earlier.high)?,
-        })
-    }
-
     /// Restore the three lanes and run frequent-item discovery once, consuming the builder
     /// and returning the immutable estimation view.
     pub fn finalize(self, policy: FiPolicy, domain: &[u64]) -> FinalizedPlusState {

@@ -6,13 +6,12 @@
 //! available for callers that need finer control (e.g. streaming report ingestion).
 
 use ldpjs_common::batch::ReportBatch;
-use ldpjs_common::error::Result;
+use ldpjs_common::error::{Error, Result};
 use ldpjs_common::privacy::Epsilon;
 use ldpjs_common::stream::ChunkedValues;
 use ldpjs_sketch::SketchParams;
 use rand::RngCore;
 
-use crate::aggregator::ShardedAggregator;
 use crate::client::{chunk_stream_seed, LdpJoinSketchClient};
 use crate::plus::{LdpJoinSketchPlus, PlusConfig, PlusEstimate};
 use crate::server::{FinalizedSketch, SketchBuilder};
@@ -35,28 +34,41 @@ pub fn build_private_sketch(
 }
 
 /// Build a [`FinalizedSketch`] with the parallel pipeline: client simulation fans out over
-/// `shards` worker threads with deterministic per-chunk RNG streams (see
-/// [`LdpJoinSketchClient::perturb_batch_parallel_into`]), and a [`ShardedAggregator`]
+/// `threads` worker threads with deterministic per-chunk RNG streams (see
+/// [`LdpJoinSketchClient::perturb_batch_parallel_into`]), and one [`SketchBuilder`]
 /// absorbs the packed batch on the caller thread.
 ///
-/// The result depends only on `(values, params, eps, seed, rng_seed)` — never on `shards`
-/// or the machine's thread scheduling: the report stream is chunk-seeded, and the
-/// aggregator's absorption is bit-for-bit identical to sequential absorption.
+/// The result depends only on `(values, params, eps, seed, rng_seed)` — never on `threads`
+/// or the machine's thread scheduling, because the report stream is chunk-seeded.
+///
+/// # Errors
+/// Returns [`Error::InvalidWorkload`] if `threads` is zero.
 pub fn build_private_sketch_parallel(
     values: &[u64],
     params: SketchParams,
     eps: Epsilon,
     seed: u64,
     rng_seed: u64,
-    shards: usize,
+    threads: usize,
 ) -> Result<FinalizedSketch> {
+    check_threads(threads)?;
     let client = LdpJoinSketchClient::new(params, eps, seed);
     let mut batch = ReportBatch::with_capacity(params.rows(), params.columns(), values.len())?;
-    client.perturb_batch_parallel_into(values, rng_seed, shards, &mut batch)?;
-    let mut engine =
-        ShardedAggregator::with_hashes(params, eps, Arc::clone(client.hashes()), shards)?;
-    engine.ingest(&batch)?;
-    Ok(engine.finalize())
+    client.perturb_batch_parallel_into(values, rng_seed, threads, &mut batch)?;
+    let mut builder = SketchBuilder::with_hashes(params, eps, Arc::clone(client.hashes()));
+    builder.absorb_batch(&batch)?;
+    Ok(builder.finalize())
+}
+
+/// The runners' thread-count check. [`LdpJoinSketchClient::perturb_batch_parallel_into`]
+/// clamps 0 to 1, but a zero count has always been an error of the runners.
+fn check_threads(threads: usize) -> Result<()> {
+    if threads == 0 {
+        return Err(Error::InvalidWorkload(
+            "the protocol runners need at least one perturbation thread".into(),
+        ));
+    }
+    Ok(())
 }
 
 /// Run the full LDPJoinSketch protocol: perturb both attributes' values (with a shared public
@@ -75,8 +87,11 @@ pub fn ldp_join_estimate(
 }
 
 /// Run the full LDPJoinSketch protocol on the parallel pipeline (client perturbation fanned
-/// out over `shards` threads, then packed ingestion, on both sides; deterministic for fixed
-/// seeds, independent of `shards`).
+/// out over `threads` threads, then packed ingestion, on both sides; deterministic for fixed
+/// seeds, independent of `threads`).
+///
+/// # Errors
+/// Returns [`Error::InvalidWorkload`] if `threads` is zero.
 pub fn ldp_join_estimate_parallel(
     table_a: &[u64],
     table_b: &[u64],
@@ -84,11 +99,11 @@ pub fn ldp_join_estimate_parallel(
     eps: Epsilon,
     seed: u64,
     rng_seed: u64,
-    shards: usize,
+    threads: usize,
 ) -> Result<f64> {
-    let sketch_a = build_private_sketch_parallel(table_a, params, eps, seed, rng_seed, shards)?;
+    let sketch_a = build_private_sketch_parallel(table_a, params, eps, seed, rng_seed, threads)?;
     let sketch_b =
-        build_private_sketch_parallel(table_b, params, eps, seed, rng_seed ^ 0xB, shards)?;
+        build_private_sketch_parallel(table_b, params, eps, seed, rng_seed ^ 0xB, threads)?;
     sketch_a.join_size(&sketch_b)
 }
 
@@ -145,30 +160,37 @@ pub fn stream_reports_chunked(
 /// Build a [`FinalizedSketch`] from a replayable bounded-memory value stream — the large-n
 /// ingestion path.
 ///
-/// One pass over the stream via [`stream_reports_chunked`], absorbed into a
-/// [`ShardedAggregator`], so peak resident value memory is the stream's `chunk_len()`, not
-/// `n`. For a fixed stream (values + chunk length) the result depends only on
-/// `(params, eps, seed, rng_seed)` — never on `shards` or thread scheduling.
+/// One pass over the stream via [`stream_reports_chunked`], each chunk perturbed over
+/// `threads` threads and absorbed into one [`SketchBuilder`], so peak resident value memory
+/// is the stream's `chunk_len()`, not `n`. For a fixed stream (values + chunk length) the
+/// result depends only on `(params, eps, seed, rng_seed)` — never on `threads` or thread
+/// scheduling.
+///
+/// # Errors
+/// Returns [`Error::InvalidWorkload`] if `threads` is zero.
 pub fn build_private_sketch_chunked(
     values: &dyn ChunkedValues,
     params: SketchParams,
     eps: Epsilon,
     seed: u64,
     rng_seed: u64,
-    shards: usize,
+    threads: usize,
 ) -> Result<FinalizedSketch> {
+    check_threads(threads)?;
     let client = LdpJoinSketchClient::new(params, eps, seed);
-    let mut engine =
-        ShardedAggregator::with_hashes(params, eps, Arc::clone(client.hashes()), shards)?;
-    stream_reports_chunked(values, &client, rng_seed, shards, &mut |batch| {
-        engine.ingest(batch)
+    let mut builder = SketchBuilder::with_hashes(params, eps, Arc::clone(client.hashes()));
+    stream_reports_chunked(values, &client, rng_seed, threads, &mut |batch| {
+        builder.absorb_batch(batch)
     })?;
-    Ok(engine.finalize())
+    Ok(builder.finalize())
 }
 
 /// Run the full LDPJoinSketch protocol over two bounded-memory value streams (the plain
 /// baseline of the large-n regime): both sketches are built with
 /// [`build_private_sketch_chunked`] and combined by the Eq. 5 estimator.
+///
+/// # Errors
+/// Returns [`Error::InvalidWorkload`] if `threads` is zero.
 pub fn ldp_join_estimate_chunked(
     table_a: &dyn ChunkedValues,
     table_b: &dyn ChunkedValues,
@@ -176,11 +198,11 @@ pub fn ldp_join_estimate_chunked(
     eps: Epsilon,
     seed: u64,
     rng_seed: u64,
-    shards: usize,
+    threads: usize,
 ) -> Result<f64> {
-    let sketch_a = build_private_sketch_chunked(table_a, params, eps, seed, rng_seed, shards)?;
+    let sketch_a = build_private_sketch_chunked(table_a, params, eps, seed, rng_seed, threads)?;
     let sketch_b =
-        build_private_sketch_chunked(table_b, params, eps, seed, rng_seed ^ 0xB, shards)?;
+        build_private_sketch_chunked(table_b, params, eps, seed, rng_seed ^ 0xB, threads)?;
     sketch_a.join_size(&sketch_b)
 }
 
@@ -299,7 +321,7 @@ mod tests {
         let est_4 = ldp_join_estimate_chunked(&src_a, &src_b, params, eps, 9, 33, 4).unwrap();
         assert_eq!(
             est_1, est_4,
-            "shard count must not change the chunked estimate"
+            "the thread count must not change the chunked estimate"
         );
         let re = (est_1 - truth).abs() / truth;
         assert!(re < 0.3, "relative error {re} (est {est_1}, truth {truth})");
@@ -367,11 +389,33 @@ mod tests {
         let est_1 = ldp_join_estimate_parallel(&a, &b, params, eps, 9, 77, 1).unwrap();
         let est_4 = ldp_join_estimate_parallel(&a, &b, params, eps, 9, 77, 4).unwrap();
         let est_7 = ldp_join_estimate_parallel(&a, &b, params, eps, 9, 77, 7).unwrap();
-        // Shard count must not change the answer at all (deterministic chunk streams plus
-        // exact sharded absorption).
+        // The thread count must not change the answer at all (deterministic chunk
+        // streams into one exact-counter builder).
         assert_eq!(est_1, est_4);
         assert_eq!(est_1, est_7);
         let re = (est_4 - truth).abs() / truth;
         assert!(re < 0.3, "relative error {re} (est {est_4}, truth {truth})");
+    }
+
+    #[test]
+    fn runners_reject_zero_threads() {
+        use ldpjs_common::stream::SliceChunks;
+        let values = skewed(1_000, 100, 31);
+        let src = SliceChunks::new(&values, 256);
+        let params = SketchParams::new(4, 64).unwrap();
+        let eps = Epsilon::new(2.0).unwrap();
+        let invalid = |r: Result<()>| matches!(r, Err(Error::InvalidWorkload(_)));
+        assert!(invalid(
+            build_private_sketch_parallel(&values, params, eps, 1, 2, 0).map(drop)
+        ));
+        assert!(invalid(
+            build_private_sketch_chunked(&src, params, eps, 1, 2, 0).map(drop)
+        ));
+        assert!(invalid(
+            ldp_join_estimate_parallel(&values, &values, params, eps, 1, 2, 0).map(drop)
+        ));
+        assert!(invalid(
+            ldp_join_estimate_chunked(&src, &src, params, eps, 1, 2, 0).map(drop)
+        ));
     }
 }

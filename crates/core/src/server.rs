@@ -3,15 +3,15 @@
 //!
 //! The sketch lifecycle is an explicit two-stage, type-level design:
 //!
-//! * [`SketchBuilder`] is the **mutable accumulation stage**. It absorbs client reports
-//!   (`raw[j, l] += y`) — many at a time as a packed [`ReportBatch`], the only
-//!   multi-report form, or one [`ClientReport`] at a time — merges with other builders
-//!   (shards), and stays in the Hadamard domain. Because every report contributes exactly
-//!   `±1` to one counter, the accumulated counters are *exact integers* in `f64` — so
-//!   sharded absorption merged counter-wise is bit-for-bit identical to sequential
-//!   absorption, regardless of how the reports were partitioned (integer addition in `f64`
-//!   is associative as long as counts stay below `2^53`, far beyond any realistic report
-//!   volume).
+//! * [`SketchBuilder`] is the **mutable accumulation stage** and the one ingest engine of
+//!   every library path. It absorbs client reports (`raw[j, l] += y`) — many at a time as
+//!   a packed [`ReportBatch`], the only multi-report form, or one [`ClientReport`] at a
+//!   time — merges with other builders (windows), and stays in the Hadamard domain.
+//!   Because every report contributes exactly `±1` to one counter, the accumulated
+//!   counters are *exact integers* in `f64` — so builders merged counter-wise are
+//!   bit-for-bit identical to one builder absorbing every report, regardless of how the
+//!   reports were partitioned (integer addition in `f64` is associative as long as counts
+//!   stay below `2^53`, far beyond any realistic report volume).
 //! * [`FinalizedSketch`] is the **immutable estimation stage**. [`SketchBuilder::finalize`]
 //!   applies the de-bias scale `k·c_ε` (the factor `k` undoes the uniform row sampling,
 //!   `c_ε = (e^ε+1)/(e^ε−1)` undoes the randomized response) and pushes each row back
@@ -22,8 +22,6 @@
 //! The restored sketch behaves like a noisy fast-AGMS sketch of the users' values:
 //! * `median_j Σ_x M_A[j,x]·M_B[j,x]` estimates the join size (Theorem 3),
 //! * `mean_j M[j,h_j(d)]·ξ_j(d)` is an unbiased frequency estimate (Theorem 7).
-//!
-//! For sharded ingestion see [`crate::aggregator::ShardedAggregator`].
 
 use ldpjs_common::batch::ReportBatch;
 use ldpjs_common::error::{Error, Result};
@@ -47,7 +45,7 @@ pub struct SketchBuilder {
     eps: Epsilon,
     hashes: Arc<RowHashes>,
     /// Accumulated report sums, still in the Hadamard domain (row-major `k × m`). Each entry
-    /// is an exact integer (a sum of `±1` contributions), which makes shard merges exact.
+    /// is an exact integer (a sum of `±1` contributions), which makes merges exact.
     raw: Vec<f64>,
     /// Number of absorbed reports.
     reports: u64,
@@ -161,37 +159,13 @@ impl SketchBuilder {
         Ok(())
     }
 
-    /// Check every report of a batch against this sketch's dimensions.
-    pub(crate) fn validate_batch(&self, reports: &[ClientReport]) -> Result<()> {
-        let (k, m) = (self.params.rows(), self.params.columns());
-        if let Some(bad) = reports.iter().find(|r| r.row >= k || r.col >= m) {
-            return Err(Error::ReportOutOfRange {
-                row: bad.row,
-                col: bad.col,
-                rows: k,
-                cols: m,
-            });
-        }
-        Ok(())
-    }
-
-    /// Accumulate a batch that has already been validated (the sharded ingestion engine
-    /// validates the whole batch once before fanning chunks out to worker threads).
-    pub(crate) fn accumulate_validated(&mut self, reports: &[ClientReport]) {
-        let m = self.params.columns();
-        for r in reports {
-            self.raw[r.row * m + r.col] += r.y;
-        }
-        self.reports += reports.len() as u64;
-    }
-
     /// Merge another partial builder into this one.
     ///
-    /// LDPJoinSketch is linear in its reports, so an aggregator can be sharded: each shard
-    /// absorbs a subset of the client reports and the shards are merged counter-wise before
-    /// finalization. Because the counters are exact integer report sums, the merged result is
-    /// bit-for-bit identical to absorbing every report into a single builder. Both builders
-    /// must share `(k, m)`, the hash seed, and the privacy budget.
+    /// LDPJoinSketch is linear in its reports, so builders that each absorbed a subset of
+    /// the client reports (one window each, say) merge counter-wise before finalization.
+    /// Because the counters are exact integer report sums, the merged result is bit-for-bit
+    /// identical to absorbing every report into a single builder. Both builders must share
+    /// `(k, m)`, the hash seed, and the privacy budget.
     ///
     /// # Errors
     /// Returns [`Error::IncompatibleSketches`] if parameters, hash seed or ε differ.
@@ -208,48 +182,6 @@ impl SketchBuilder {
         }
         self.reports += other.reports;
         Ok(())
-    }
-
-    /// Exact counter-wise subtraction: returns a builder holding `self − earlier`.
-    ///
-    /// This is the inverse of [`SketchBuilder::merge`] for the prefix-sum span ledgers of
-    /// the online service: because every counter is an exact integer report sum (each
-    /// report contributes `±1`), subtracting a *prefix* of this builder's accumulation
-    /// history yields exactly the integer counters of the remaining suffix — bit-identical
-    /// to merging the suffix windows from scratch, by the same exact-integer argument that
-    /// makes `merge` order-insensitive.
-    ///
-    /// # Errors
-    /// Returns [`Error::IncompatibleSketches`] if parameters, hash seed or ε differ, or if
-    /// `earlier` claims more reports than `self` (i.e. it cannot be a prefix).
-    pub fn difference(&self, earlier: &Self) -> Result<SketchBuilder> {
-        check_compatible(self.params, &self.hashes, earlier.params, &earlier.hashes)?;
-        if (self.eps.value() - earlier.eps.value()).abs() > f64::EPSILON {
-            return Err(Error::IncompatibleSketches(format!(
-                "cannot subtract sketches built with different privacy budgets: {} vs {}",
-                self.eps, earlier.eps
-            )));
-        }
-        if earlier.reports > self.reports {
-            return Err(Error::IncompatibleSketches(format!(
-                "subtrahend holds {} reports but the minuend only {} — not a prefix",
-                earlier.reports, self.reports
-            )));
-        }
-        let raw = self
-            .raw
-            .iter()
-            .zip(earlier.raw.iter())
-            .map(|(a, b)| a - b)
-            .collect();
-        Ok(SketchBuilder {
-            params: self.params,
-            eps: self.eps,
-            hashes: Arc::clone(&self.hashes),
-            raw,
-            reports: self.reports - earlier.reports,
-            scratch: Vec::new(),
-        })
     }
 
     /// Restore the sketch from the Hadamard domain (Algorithm 2, line 6): apply the de-bias
@@ -1111,6 +1043,7 @@ mod tests {
     use super::*;
     use crate::client::LdpJoinSketchClient;
     use ldpjs_common::stats::{exact_join_size, frequency_table};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1354,37 +1287,6 @@ mod tests {
     }
 
     #[test]
-    fn difference_recovers_the_suffix_bitwise() {
-        let p = params(8, 128);
-        let e = eps(2.0);
-        let first = skewed_stream(20_000, 1_000, 40);
-        let second = skewed_stream(30_000, 1_000, 41);
-        let client = LdpJoinSketchClient::new(p, e, 7);
-        let mut rng = StdRng::seed_from_u64(99);
-        let mut builder_first = SketchBuilder::new(p, e, 7);
-        builder_first
-            .absorb_batch(&client.perturb_batch(&first, &mut rng).unwrap())
-            .unwrap();
-        let suffix = client.perturb_batch(&second, &mut rng).unwrap();
-        let mut builder_suffix = SketchBuilder::new(p, e, 7);
-        builder_suffix.absorb_batch(&suffix).unwrap();
-        let mut cumulative = builder_first.clone();
-        cumulative.merge(&builder_suffix).unwrap();
-
-        let recovered = cumulative.difference(&builder_first).unwrap();
-        assert_eq!(recovered.reports(), builder_suffix.reports());
-        let direct = builder_suffix.finalize();
-        let via_difference = recovered.finalize();
-        for (a, b) in direct
-            .restored_counters()
-            .iter()
-            .zip(via_difference.restored_counters())
-        {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
     fn spectrum_prefix_sums_restore_bit_identically() {
         // The span-ledger law end to end: unscaled spectra are exact integers, so
         // prefix-summed spectra subtract exactly and `from_spectrum` of the difference is
@@ -1456,24 +1358,6 @@ mod tests {
                 assert_eq!(bits(&assembled), bits(&reference), "m={m} start={start}");
             }
         }
-    }
-
-    #[test]
-    fn difference_rejects_non_prefix_and_incompatible() {
-        let p = params(4, 64);
-        let e = eps(2.0);
-        let empty = SketchBuilder::new(p, e, 3);
-        let other_seed = SketchBuilder::new(p, e, 4);
-        assert!(empty.difference(&other_seed).is_err());
-        let client = LdpJoinSketchClient::new(p, e, 3);
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut loaded = SketchBuilder::new(p, e, 3);
-        loaded
-            .absorb_batch(&client.perturb_batch(&[1, 2, 3], &mut rng).unwrap())
-            .unwrap();
-        // A builder with more reports than `self` cannot be a prefix.
-        assert!(empty.difference(&loaded).is_err());
-        assert!(loaded.difference(&empty).is_ok());
     }
 
     #[test]
@@ -1787,9 +1671,8 @@ mod tests {
 
     #[test]
     fn merged_shards_equal_single_aggregator() {
-        // Sharded aggregation: two shards each absorb half the reports; merging them must be
-        // bit-for-bit identical to one aggregator absorbing everything. (The exhaustive
-        // shard-count × report-count sweep lives in `crate::aggregator`.)
+        // Two builders each absorb half the reports; merging them must be bit-for-bit
+        // identical to one builder absorbing everything.
         let p = params(8, 128);
         let e = eps(3.0);
         let client = LdpJoinSketchClient::new(p, e, 77);
@@ -1901,6 +1784,111 @@ mod tests {
             let sketch = builder.finalize();
             assert_eq!(bits(&sketch), bits(&incremental), "{what}");
             assert_eq!(sketch.reports(), incremental.reports(), "{what}");
+        }
+    }
+
+    /// `n` values drawn from one stream, perturbed one report at a time.
+    fn reports_for(n: usize, p: SketchParams, e: Epsilon, seed: u64) -> Vec<ClientReport> {
+        let client = LdpJoinSketchClient::new(p, e, seed);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD);
+        let values: Vec<u64> = (0..n).map(|_| rng.gen_range(0u64..500)).collect();
+        values
+            .iter()
+            .map(|&v| client.perturb(v, &mut rng))
+            .collect()
+    }
+
+    /// Pack reports into a batch of the given shape, in order.
+    fn pack(reports: &[ClientReport], rows: usize, cols: usize) -> ReportBatch {
+        let mut batch = ReportBatch::new(rows, cols).unwrap();
+        for r in reports {
+            batch.push(r.row, r.col, r.y < 0.0).unwrap();
+        }
+        batch
+    }
+
+    #[test]
+    fn empty_batch_is_a_noop() {
+        let p = params(4, 64);
+        let e = eps(2.0);
+        let prefix = pack(&reports_for(40, p, e, 3), 4, 64);
+        let mut builder = SketchBuilder::new(p, e, 3);
+        builder.absorb_batch(&prefix).unwrap();
+        let before = builder.finalize_view();
+        builder
+            .absorb_batch(&ReportBatch::new(4, 64).unwrap())
+            .unwrap();
+        assert_eq!(builder.reports(), 40);
+        let after = builder.finalize();
+        let bits = |s: &FinalizedSketch| -> Vec<u64> {
+            s.restored_counters().iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(bits(&after), bits(&before));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Packed ingest (`ReportBatch` scatter and SIMD drain) is bit-identical to absorbing
+        /// the same reports one `absorb()` call at a time, across batch sizes and report
+        /// orders. Order invariance is real, not approximate: counters are exact integer
+        /// sums in f64, so ±1 additions commute bitwise.
+        #[test]
+        fn prop_batched_ingest_is_bit_identical_to_report_by_report(
+            n in 1usize..2500,
+            seed in any::<u64>(),
+        ) {
+            use rand::seq::SliceRandom;
+            let p = params(6, 128);
+            let e = eps(3.0);
+            let mut reports = reports_for(n, p, e, seed);
+
+            // Reference: one report at a time through the scalar path.
+            let mut reference = SketchBuilder::new(p, e, 77);
+            for &r in &reports {
+                reference.absorb(r).unwrap();
+            }
+            let reference = reference.finalize();
+
+            // The same reports, shuffled, packed into one batch.
+            reports.shuffle(&mut StdRng::seed_from_u64(seed ^ 0x5EED));
+            let mut batched = SketchBuilder::new(p, e, 77);
+            batched.absorb_batch(&pack(&reports, 6, 128)).unwrap();
+            let batched = batched.finalize();
+            prop_assert_eq!(batched.restored_counters(), reference.restored_counters());
+            prop_assert_eq!(batched.reports(), reference.reports());
+        }
+
+        /// A batch shaped for another sketch — here one whose report at `bad_at` lies
+        /// outside this sketch's columns — is rejected atomically: no counter moves, no
+        /// report is counted, and the builder equals a clean absorption of the prefix.
+        #[test]
+        fn prop_rejected_batch_rolls_back_completely(
+            n in 2usize..600,
+            bad_pos in any::<u64>(),
+            seed in any::<u64>(),
+        ) {
+            let p = params(4, 64);
+            let e = eps(2.0);
+            let prefix = pack(&reports_for(37, p, e, seed ^ 1), 4, 64);
+            let mut reports = reports_for(n, p, e, seed);
+            let bad_at = (bad_pos % reports.len() as u64) as usize;
+            reports[bad_at].col = p.columns() + bad_at % p.columns();
+            let wrong = pack(&reports, p.rows(), 2 * p.columns());
+
+            let mut builder = SketchBuilder::new(p, e, 9);
+            builder.absorb_batch(&prefix).unwrap();
+            let rejected = matches!(
+                builder.absorb_batch(&wrong),
+                Err(Error::IncompatibleSketches(_))
+            );
+            prop_assert!(rejected);
+            prop_assert_eq!(builder.reports(), prefix.len() as u64);
+
+            let mut clean = SketchBuilder::new(p, e, 9);
+            clean.absorb_batch(&prefix).unwrap();
+            let (builder, clean) = (builder.finalize(), clean.finalize());
+            prop_assert_eq!(builder.restored_counters(), clean.restored_counters());
         }
     }
 }

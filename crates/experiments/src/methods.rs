@@ -157,12 +157,12 @@ pub fn estimate_join(
             })
         }
         Method::LdpJoinSketch => {
-            // The harness runs the sharded pipeline with one shard: the estimate is
-            // invariant to the shard count (chunk-seeded client streams, exact sharded
-            // absorption), and pinning a single worker keeps the offline timings
+            // The harness runs the parallel pipeline with one perturbation thread: the
+            // estimate is invariant to the thread count (chunk-seeded client streams into one
+            // exact-counter builder), and pinning a single worker keeps the offline timings
             // apples-to-apples with the single-threaded competitor implementations across
-            // machines. Multi-shard scaling is measured in bench_core_throughput instead.
-            let shards = 1;
+            // machines. Multi-thread scaling is measured in bench_core_throughput instead.
+            let threads = 1;
             // lint:allow(determinism) — figure-table wall-clock timing of the method
             // run itself; the reported estimates depend only on the seeded RNG.
             let start = Instant::now();
@@ -172,7 +172,7 @@ pub fn estimate_join(
                 eps,
                 seed,
                 seed ^ 0xA11CE,
-                shards,
+                threads,
             )?;
             let sb = build_private_sketch_parallel(
                 &workload.table_b,
@@ -180,7 +180,7 @@ pub fn estimate_join(
                 eps,
                 seed,
                 seed ^ 0xB0B,
-                shards,
+                threads,
             )?;
             let offline = start.elapsed().as_secs_f64(); // lint:allow(telemetry-clock) — figure timing.
                                                          // lint:allow(determinism) — figure-table wall-clock timing of the method

@@ -2935,8 +2935,8 @@ mod tests {
 
         /// The window-merge satellite guarantee: splitting any report multiset across
         /// {1, 2, 4, 7} windows, rotating after each split, and merging the snapshots is
-        /// bit-identical to single-pass aggregation of the same reports — the same
-        /// exactness the sharded engine pins, lifted to the window layer.
+        /// bit-identical to single-pass aggregation of the same reports — the exactness
+        /// of `SketchBuilder::merge`, lifted to the window layer.
         #[test]
         fn prop_window_split_is_bit_identical_to_single_pass(
             n in 1usize..800,

@@ -75,28 +75,26 @@ fn main() {
     );
 
     // 5. At production scale the client simulation fans out over worker threads with
-    //    deterministic per-chunk RNG streams into one packed report batch, and a
-    //    ShardedAggregator absorbs it on the caller thread. The sealed result is
-    //    bit-for-bit identical to one builder absorbing the batch, so parallelism never
-    //    costs reproducibility.
+    //    deterministic per-chunk RNG streams into one packed report batch, and one
+    //    SketchBuilder absorbs it on the caller thread. The batch depends only on the seeds,
+    //    never on the thread count, so parallelism never costs reproducibility.
     let client = LdpJoinSketchClient::new(params, eps, hash_seed);
-    let mut reports = ReportBatch::new(params.rows(), params.columns()).expect("valid sketch");
-    client
-        .perturb_batch_parallel_into(&workload.table_a, 7, 4, &mut reports)
-        .expect("batch shaped for the client's sketch");
-    let mut engine = ShardedAggregator::new(params, eps, hash_seed, 4).expect("valid shard count");
-    engine.ingest(&reports).expect("batch fits the sketch");
-    let sharded = engine.finalize();
-
-    let mut sequential = SketchBuilder::new(params, eps, hash_seed);
-    sequential
-        .absorb_batch(&reports)
-        .expect("batch fits the sketch");
-    let sequential = sequential.finalize();
-    assert_eq!(sharded.restored_counters(), sequential.restored_counters());
+    let build = |threads: usize| {
+        let mut reports = ReportBatch::new(params.rows(), params.columns()).expect("valid sketch");
+        client
+            .perturb_batch_parallel_into(&workload.table_a, 7, threads, &mut reports)
+            .expect("batch shaped for the client's sketch");
+        let mut builder = SketchBuilder::new(params, eps, hash_seed);
+        builder
+            .absorb_batch(&reports)
+            .expect("batch fits the sketch");
+        builder.finalize()
+    };
+    let (one, four) = (build(1), build(4));
+    assert_eq!(one.restored_counters(), four.restored_counters());
     println!(
-        "aggregator ingestion: {} reports, restored counters bit-for-bit equal to \
-         sequential absorption",
-        sharded.reports()
+        "parallel perturbation: {} reports, restored counters bit-for-bit equal with 1 and \
+         4 threads",
+        four.reports()
     );
 }

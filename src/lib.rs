@@ -59,10 +59,10 @@ pub mod prelude {
         ldp_join_plus_estimate, ldp_join_plus_estimate_chunked, stream_reports_chunked,
     };
     pub use ldpjs_core::{
-        AggregatorInstruments, Candidates, ChainKernel, ClientReport, FapClient, FapMode, FiPolicy,
-        FinalizedPlusState, FinalizedSketch, LdpJoinSketchClient, LdpJoinSketchPlus, PlainKernel,
-        PlusConfig, PlusDiscovery, PlusEstimate, PlusKernel, PlusReportBatch, PlusStateBuilder,
-        PlusTableRole, ShardedAggregator, SketchBuilder, SketchParams,
+        Candidates, ChainKernel, ClientReport, FapClient, FapMode, FiPolicy, FinalizedPlusState,
+        FinalizedSketch, LdpJoinSketchClient, LdpJoinSketchPlus, PlainKernel, PlusConfig,
+        PlusDiscovery, PlusEstimate, PlusKernel, PlusReportBatch, PlusStateBuilder, PlusTableRole,
+        SketchBuilder, SketchParams,
     };
     pub use ldpjs_data::{
         ChainWorkload, JoinWorkload, PaperDataset, StreamingJoinWorkload, StreamingTable,
