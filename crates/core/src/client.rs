@@ -49,6 +49,30 @@ pub(crate) fn chunk_stream_seed(base_seed: u64, chunk_index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Drive one pass of a chunked stream: `for_each_chunk` is the source's own
+/// `for_each_chunk` (value and tuple streams alike), and `body` gets each chunk's start
+/// index, its values and its pass-local ordinal, the `chunk_index` of [`chunk_stream_seed`]
+/// for that chunk's RNG streams. The first error `body` returns skips the remaining chunks
+/// and is returned.
+///
+/// The ordinal counts this pass's chunks instead of dividing `start` by `chunk_len()`:
+/// `chunk_len()` is only an upper bound, so a stream emitting non-full mid-stream chunks
+/// would otherwise collide ordinals and replay a noise stream. For full-chunk streams the
+/// two agree.
+pub(crate) fn try_for_each_chunk<T>(
+    for_each_chunk: impl FnOnce(&mut dyn FnMut(u64, &[T])),
+    mut body: impl FnMut(u64, &[T], u64) -> Result<()>,
+) -> Result<()> {
+    let (mut ordinal, mut result) = (0, Ok(()));
+    for_each_chunk(&mut |start, chunk| {
+        if result.is_ok() {
+            result = body(start, chunk, ordinal);
+            ordinal += 1;
+        }
+    });
+    result
+}
+
 /// One perturbed client report `(y, j, l)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClientReport {
@@ -309,9 +333,7 @@ impl LdpJoinSketchClient {
 
     /// Communication cost of one report in bits: the perturbed bit plus the `(j, l)` indices.
     pub fn report_bits(&self) -> u64 {
-        let k_bits = (self.params.rows().max(2) as f64).log2().ceil() as u64;
-        let m_bits = (self.params.columns().max(2) as f64).log2().ceil() as u64;
-        1 + k_bits + m_bits
+        crate::protocol::report_bits(self.params)
     }
 }
 

@@ -4,7 +4,7 @@
 //! finalized views ([`FinalizedSketch`], [`FinalizedPlusState`], [`FinalizedEdgeSketch`]).
 //!
 //! The offline protocol runners (`ldp_join_estimate*`,
-//! [`LdpJoinSketchPlus`](crate::plus::LdpJoinSketchPlus)'s `estimate`/`estimate_chunked`,
+//! [`LdpJoinSketchPlus::estimate_chunked`](crate::plus::LdpJoinSketchPlus::estimate_chunked),
 //! `ldp_chain_join_*`), the experiment harness's method
 //! registry, and the online `SketchService` query layer are all thin drivers over these
 //! kernels, so an estimator fix or optimisation lands everywhere at once and the offline and

@@ -50,7 +50,7 @@ pub use plus::{LdpJoinSketchPlus, PlusConfig, PlusDiscovery, PlusEstimate, PlusT
 pub use plus_state::{FiPolicy, FinalizedPlusState, PlusReportBatch, PlusStateBuilder};
 pub use protocol::{
     ldp_join_estimate, ldp_join_estimate_chunked, ldp_join_estimate_parallel,
-    ldp_join_plus_estimate, ldp_join_plus_estimate_chunked, stream_reports_chunked,
+    ldp_join_plus_estimate_chunked, stream_reports_chunked,
 };
 pub use server::{Candidates, DomainIndex, FinalizedSketch, SketchBuilder};
 

@@ -515,7 +515,7 @@ pub fn build_edge_sketch_chunked(
     eps: Epsilon,
     rng_seed: u64,
 ) -> Result<FinalizedEdgeSketch> {
-    use crate::client::chunk_stream_seed;
+    use crate::client::{chunk_stream_seed, try_for_each_chunk};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -524,28 +524,15 @@ pub fn build_edge_sketch_chunked(
     // steady-state streaming ingestion allocates nothing.
     let mut batch = ReportBatch::new(attr_a.replicas(), attr_a.buckets() * attr_b.buckets())?;
     let mut builder = EdgeSketchBuilder::new(attr_a.clone(), attr_b.clone(), eps)?;
-    // Pass-local chunk ordinal, like the one-dimensional runners: `chunk_len()` is only an
-    // upper bound, so deriving the ordinal from the start index could collide seeds (and
-    // replay a noise stream) on streams emitting non-full mid-stream chunks.
-    let mut ordinal = 0u64;
-    let mut err = None;
-    tuples.for_each_chunk(&mut |_start, chunk| {
-        if err.is_some() {
-            return;
-        }
-        let mut rng = StdRng::seed_from_u64(chunk_stream_seed(rng_seed, ordinal));
-        ordinal += 1;
-        let result = client
-            .perturb_batch_into(chunk, &mut rng, &mut batch)
-            .and_then(|()| builder.absorb_batch(&batch));
-        if let Err(e) = result {
-            err = Some(e);
-        }
-    });
-    match err {
-        Some(e) => Err(e),
-        None => Ok(builder.finalize()),
-    }
+    try_for_each_chunk(
+        |feed| tuples.for_each_chunk(feed),
+        |_, chunk, ordinal| {
+            let mut rng = StdRng::seed_from_u64(chunk_stream_seed(rng_seed, ordinal));
+            client.perturb_batch_into(chunk, &mut rng, &mut batch)?;
+            builder.absorb_batch(&batch)
+        },
+    )?;
+    Ok(builder.finalize())
 }
 
 #[cfg(test)]

@@ -48,9 +48,14 @@
 //!   a signal-bearing partial.
 //!
 //! This is the mode under which LDPJoinSketch+ beats the plain sketch on ≥1M-user tables
-//! (the default-on regression in `tests/end_to_end.rs`); the streaming entry point
-//! [`LdpJoinSketchPlus::estimate_chunked`] runs the same protocol in two bounded-memory
-//! passes over a replayable [`ChunkedValues`] stream.
+//! (the default-on regression in `tests/end_to_end.rs`).
+//!
+//! ### One runner
+//!
+//! [`LdpJoinSketchPlus::estimate_chunked`] is the protocol's only runner: two bounded-memory
+//! passes over each table's replayable [`ChunkedValues`] stream, with every user routed to
+//! the phase-1 sample or a phase-2 group by a hash of its index. A materialized table runs
+//! through [`SliceChunks`](ldpjs_common::stream::SliceChunks).
 
 use ldpjs_common::batch::ReportBatch;
 use ldpjs_common::error::{Error, Result};
@@ -58,12 +63,11 @@ use ldpjs_common::privacy::Epsilon;
 use ldpjs_common::stream::ChunkedValues;
 use ldpjs_sketch::SketchParams;
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{RngCore, SeedableRng};
+use rand::SeedableRng;
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use crate::client::{chunk_stream_seed, LdpJoinSketchClient};
+use crate::client::{chunk_stream_seed, try_for_each_chunk, LdpJoinSketchClient};
 use crate::fap::{FapClient, FapMode};
 use crate::kernel::PlusKernel;
 use crate::plus_state::{lane_seeds, FiPolicy, FinalizedPlusState, PlusReportBatch};
@@ -84,7 +88,7 @@ pub struct PlusConfig {
     /// derived per table from the detection noise floor.
     pub threshold: f64,
     /// Seed for the public hash families (phase 1, low sketch and high sketch derive distinct
-    /// families from it) and for the user routing of the streaming path.
+    /// families from it) and for the user routing.
     pub seed: u64,
     /// Reproduce Algorithm 5 exactly as printed (subtract the full-table high-frequency mass
     /// instead of the group-scaled mass). See the module documentation. Only meaningful in
@@ -245,68 +249,10 @@ impl LdpJoinSketchPlus {
         &self.config
     }
 
-    /// Run the full two-phase protocol over the private values of the two join attributes.
+    /// Run the full two-phase protocol over two replayable bounded-memory value streams.
     ///
     /// `domain` is the public candidate domain scanned for frequent items in phase 1 (join
     /// attribute domains are public metadata; only the *values held by users* are private).
-    ///
-    /// # Errors
-    /// Returns an error if either table is too small to populate the phase-1 sample and both
-    /// phase-2 groups with at least two users each.
-    pub fn estimate(
-        &self,
-        table_a: &[u64],
-        table_b: &[u64],
-        domain: &[u64],
-        rng: &mut dyn RngCore,
-    ) -> Result<PlusEstimate> {
-        let cfg = &self.config;
-        let params = cfg.params;
-
-        // --- Phase 1: sample users and find frequent items -------------------------------
-        let (sample_a, rest_a) = split_sample(table_a, cfg.sampling_rate, rng)?;
-        let (sample_b, rest_b) = split_sample(table_b, cfg.sampling_rate, rng)?;
-        let client_p1 = LdpJoinSketchClient::new(params, cfg.eps, cfg.seed);
-        let sketch_a = build_sketch(&client_p1, &sample_a, params, cfg.eps, cfg.seed, rng)?;
-        let sketch_b = build_sketch(&client_p1, &sample_b, params, cfg.eps, cfg.seed, rng)?;
-
-        let discovery =
-            self.discover_pair(&sketch_a, &sketch_b, sample_a.len(), sample_b.len(), domain);
-        let fi_set: Arc<HashSet<u64>> = Arc::new(discovery.union.iter().copied().collect());
-
-        // --- Phase 2: two groups per attribute, FAP-encoded sketches ---------------------
-        let (a1, a2) = split_half(&rest_a, rng);
-        let (b1, b2) = split_half(&rest_b, rng);
-        debug_assert!(a1.len() >= 2 && a2.len() >= 2 && b1.len() >= 2 && b2.len() >= 2);
-
-        let (fap_low, fap_high, low_seed, high_seed) = self.fap_clients(&fi_set);
-        let m_la = build_fap_sketch(&fap_low, &a1, params, cfg.eps, low_seed, rng)?;
-        let m_lb = build_fap_sketch(&fap_low, &b1, params, cfg.eps, low_seed, rng)?;
-        let m_ha = build_fap_sketch(&fap_high, &a2, params, cfg.eps, high_seed, rng)?;
-        let m_hb = build_fap_sketch(&fap_high, &b2, params, cfg.eps, high_seed, rng)?;
-
-        // Assemble the per-table finalized states from the discovery already run above
-        // (no second domain scan) and run the shared kernel; its union of the per-table
-        // sets is exactly the `fi_set` the FAP clients encoded against.
-        let state_a = FinalizedPlusState::with_discovery(
-            sketch_a,
-            m_la,
-            m_ha,
-            discovery.fi_a,
-            discovery.theta_a,
-        );
-        let state_b = FinalizedPlusState::with_discovery(
-            sketch_b,
-            m_lb,
-            m_hb,
-            discovery.fi_b,
-            discovery.theta_b,
-        );
-        PlusKernel::from_config(cfg).join_est(&state_a, &state_b)
-    }
-
-    /// Run the protocol over two replayable bounded-memory value streams — the large-n
-    /// entry point.
     ///
     /// Each table is consumed in exactly two forward passes (one per phase) of
     /// `chunk_len()`-bounded chunks; nothing of size `n` is ever materialized. Users are
@@ -316,9 +262,10 @@ impl LdpJoinSketchPlus {
     /// the report pipeline or thread scheduling.
     ///
     /// # Errors
-    /// Returns [`Error::InvalidWorkload`] if a stream is so small that a phase-2 group ends
-    /// up with fewer than two users (the rescale `(n/|A_g|)·(n/|B_g|)` of a singleton group
-    /// is degenerate).
+    /// Returns [`Error::InvalidWorkload`] if the routing leaves a phase-2 group with fewer
+    /// than two users (the rescale `(n/|A_g|)·(n/|B_g|)` of a singleton group is degenerate)
+    /// or a table's phase-1 sample empty (nothing to discover frequent items from). Small
+    /// tables at a high sampling rate hit both.
     pub fn estimate_chunked(
         &self,
         table_a: &dyn ChunkedValues,
@@ -327,16 +274,7 @@ impl LdpJoinSketchPlus {
         rng_seed: u64,
     ) -> Result<PlusEstimate> {
         let cfg = &self.config;
-
-        // --- Pass 1: absorb the routed phase-1 sample, count the groups ------------------
-        let p1_a = self.phase1_chunked(table_a, PlusTableRole::A, rng_seed)?;
-        let p1_b = self.phase1_chunked(table_b, PlusTableRole::B, rng_seed)?;
-        validate_phase1(&p1_a, &p1_b)?;
-        let sketch_a = p1_a.builder.finalize();
-        let sketch_b = p1_b.builder.finalize();
-
-        let discovery =
-            self.discover_pair(&sketch_a, &sketch_b, p1_a.n_sample, p1_b.n_sample, domain);
+        let (p1_a, p1_b, discovery) = self.pass1(table_a, table_b, domain, rng_seed)?;
 
         // --- Pass 2: replay, FAP-encode the two groups of each table. The emission is the
         // shared streaming driver (`stream_plus_reports`), so the online service absorbing
@@ -366,14 +304,14 @@ impl LdpJoinSketchPlus {
 
         // States assembled from the discovery already run above — no second domain scan.
         let state_a = FinalizedPlusState::with_discovery(
-            sketch_a,
+            p1_a.sketch,
             m_la,
             m_ha,
             discovery.fi_a,
             discovery.theta_a,
         );
         let state_b = FinalizedPlusState::with_discovery(
-            sketch_b,
+            p1_b.sketch,
             m_lb,
             m_hb,
             discovery.fi_b,
@@ -392,8 +330,8 @@ impl LdpJoinSketchPlus {
     /// reproduces the one-shot protocol exactly.
     ///
     /// # Errors
-    /// [`Error::InvalidWorkload`] if a stream is too small to populate the sample and two
-    /// phase-2 groups of at least two users each.
+    /// [`Error::InvalidWorkload`] in the cases [`LdpJoinSketchPlus::estimate_chunked`]
+    /// rejects.
     pub fn discover_frequent_items_chunked(
         &self,
         table_a: &dyn ChunkedValues,
@@ -401,13 +339,7 @@ impl LdpJoinSketchPlus {
         domain: &[u64],
         rng_seed: u64,
     ) -> Result<PlusDiscovery> {
-        let p1_a = self.phase1_chunked(table_a, PlusTableRole::A, rng_seed)?;
-        let p1_b = self.phase1_chunked(table_b, PlusTableRole::B, rng_seed)?;
-        validate_phase1(&p1_a, &p1_b)?;
-        let sketch_a = p1_a.builder.finalize();
-        let sketch_b = p1_b.builder.finalize();
-        let discovery =
-            self.discover_pair(&sketch_a, &sketch_b, p1_a.n_sample, p1_b.n_sample, domain);
+        let (p1_a, p1_b, discovery) = self.pass1(table_a, table_b, domain, rng_seed)?;
         Ok(PlusDiscovery {
             frequent_items: discovery.union,
             thresholds: (discovery.theta_a, discovery.theta_b),
@@ -442,26 +374,16 @@ impl LdpJoinSketchPlus {
         let cfg = &self.config;
         let route = UserRouter::new(cfg.seed, role.router_tag(), cfg.sampling_rate);
         let client_p1 = LdpJoinSketchClient::new(cfg.params, cfg.eps, cfg.seed);
-        let fi_set: Arc<HashSet<u64>> = Arc::new(frequent_items.iter().copied().collect());
-        let (fap_low, fap_high, _, _) = self.fap_clients(&fi_set);
+        let (fap_low, fap_high) = self.fap_clients(frequent_items);
         let (p1_tag, p2_tag) = (role.phase1_tag(), role.phase2_tag());
         let flip_p = cfg.eps.flip_probability();
         let mut batch = PlusReportBatch::new(cfg.params)?;
         let mut sampled: Vec<u64> = Vec::new();
-        // Per-pass chunk ordinals (not `start / chunk_len`): the ChunkedValues contract
-        // allows non-full mid-stream chunks, whose start indices would collide and replay
-        // a noise stream.
-        let mut ordinal = 0u64;
-        let mut err = None;
-        table.for_each_chunk(&mut |start, chunk| {
-            if err.is_some() {
-                return;
-            }
-            let rng_for =
-                |tag: u64| StdRng::seed_from_u64(chunk_stream_seed(rng_seed ^ tag, ordinal));
-            let (mut p1_rng, mut rng) = (rng_for(p1_tag), rng_for(p2_tag));
-            ordinal += 1;
-            let mut fill = || -> Result<()> {
+        try_for_each_chunk(
+            |feed| table.for_each_chunk(feed),
+            |start, chunk, ordinal| {
+                let rng_for =
+                    |tag: u64| StdRng::seed_from_u64(chunk_stream_seed(rng_seed ^ tag, ordinal));
                 if include_phase1 {
                     sampled.clear();
                     for (offset, &v) in chunk.iter().enumerate() {
@@ -469,13 +391,18 @@ impl LdpJoinSketchPlus {
                             sampled.push(v);
                         }
                     }
-                    client_p1.perturb_batch_into(&sampled, &mut p1_rng, &mut batch.phase1)?;
+                    client_p1.perturb_batch_into(
+                        &sampled,
+                        &mut rng_for(p1_tag),
+                        &mut batch.phase1,
+                    )?;
                 }
                 batch.low.clear();
                 batch.high.clear();
                 // Phase 2 keeps one RNG stream over the interleaved users of both groups:
                 // users draw from it in stream order, each through its group client's
                 // per-value batch body, and land in that group's lane.
+                let mut rng = rng_for(p2_tag);
                 for (offset, &v) in chunk.iter().enumerate() {
                     let (client, lane) = match route.route(start + offset as u64) {
                         UserRole::Sample => continue,
@@ -486,19 +413,34 @@ impl LdpJoinSketchPlus {
                     lane.push(row, col, negative)?;
                 }
                 sink(&batch)
-            };
-            if let Err(e) = fill() {
-                err = Some(e);
-            }
-        });
-        match err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+            },
+        )
     }
 
-    /// One table's phase-1 pass (the routed sample sketch plus exact role counts), shared by
-    /// [`LdpJoinSketchPlus::estimate_chunked`] and the standalone discovery entry point.
+    /// Pass 1 over both tables, shared by [`LdpJoinSketchPlus::estimate_chunked`] and
+    /// [`LdpJoinSketchPlus::discover_frequent_items_chunked`]: each table's routed phase-1
+    /// pass, the degenerate-routing check and the pair's frequent-item discovery.
+    fn pass1(
+        &self,
+        table_a: &dyn ChunkedValues,
+        table_b: &dyn ChunkedValues,
+        domain: &[u64],
+        rng_seed: u64,
+    ) -> Result<(Phase1Pass, Phase1Pass, PairDiscovery)> {
+        let p1_a = self.phase1_chunked(table_a, PlusTableRole::A, rng_seed)?;
+        let p1_b = self.phase1_chunked(table_b, PlusTableRole::B, rng_seed)?;
+        validate_phase1(&p1_a, &p1_b)?;
+        let discovery = self.discover_pair(
+            &p1_a.sketch,
+            &p1_b.sketch,
+            p1_a.n_sample,
+            p1_b.n_sample,
+            domain,
+        );
+        Ok((p1_a, p1_b, discovery))
+    }
+
+    /// One table's phase-1 pass: the routed sample sketch plus exact role counts.
     fn phase1_chunked(
         &self,
         stream: &dyn ChunkedValues,
@@ -513,40 +455,27 @@ impl LdpJoinSketchPlus {
         let mut sampled = Vec::new();
         let mut batch = ReportBatch::new(cfg.params.rows(), cfg.params.columns())?;
         let (mut n_sample, mut n_low, mut n_high) = (0usize, 0usize, 0usize);
-        // Seed each chunk's RNG from a per-pass ordinal, not from the start index: the
-        // ChunkedValues contract allows non-full chunks, whose start indices would collide
-        // when divided by chunk_len and replay identical noise.
-        let mut ordinal = 0u64;
-        let mut err = None;
-        stream.for_each_chunk(&mut |start, chunk| {
-            if err.is_some() {
-                return;
-            }
-            sampled.clear();
-            for (offset, &v) in chunk.iter().enumerate() {
-                match route.route(start + offset as u64) {
-                    UserRole::Sample => {
-                        sampled.push(v);
-                        n_sample += 1;
+        try_for_each_chunk(
+            |feed| stream.for_each_chunk(feed),
+            |start, chunk, ordinal| {
+                sampled.clear();
+                for (offset, &v) in chunk.iter().enumerate() {
+                    match route.route(start + offset as u64) {
+                        UserRole::Sample => {
+                            sampled.push(v);
+                            n_sample += 1;
+                        }
+                        UserRole::LowGroup => n_low += 1,
+                        UserRole::HighGroup => n_high += 1,
                     }
-                    UserRole::LowGroup => n_low += 1,
-                    UserRole::HighGroup => n_high += 1,
                 }
-            }
-            let mut rng = StdRng::seed_from_u64(chunk_stream_seed(rng_seed ^ tag, ordinal));
-            ordinal += 1;
-            let absorbed = client_p1
-                .perturb_batch_into(&sampled, &mut rng, &mut batch)
-                .and_then(|()| builder.absorb_batch(&batch));
-            if let Err(e) = absorbed {
-                err = Some(e);
-            }
-        });
-        if let Some(e) = err {
-            return Err(e);
-        }
+                let mut rng = StdRng::seed_from_u64(chunk_stream_seed(rng_seed ^ tag, ordinal));
+                client_p1.perturb_batch_into(&sampled, &mut rng, &mut batch)?;
+                builder.absorb_batch(&batch)
+            },
+        )?;
         Ok(Phase1Pass {
-            builder,
+            sketch: builder.finalize(),
             n_sample,
             n_low,
             n_high,
@@ -590,15 +519,16 @@ impl LdpJoinSketchPlus {
         }
     }
 
-    /// The two FAP clients of phase 2, with their derived hash seeds.
-    fn fap_clients(&self, fi_set: &Arc<HashSet<u64>>) -> (FapClient, FapClient, u64, u64) {
+    /// The two FAP clients of phase 2, encoding against `frequent_items`.
+    fn fap_clients(&self, frequent_items: &[u64]) -> (FapClient, FapClient) {
         let cfg = &self.config;
+        let fi_set: Arc<HashSet<u64>> = Arc::new(frequent_items.iter().copied().collect());
         let (low_seed, high_seed) = lane_seeds(cfg.seed);
         let client_low = LdpJoinSketchClient::new(cfg.params, cfg.eps, low_seed);
         let client_high = LdpJoinSketchClient::new(cfg.params, cfg.eps, high_seed);
-        let fap_low = FapClient::new(client_low, FapMode::LowFrequency, Arc::clone(fi_set));
-        let fap_high = FapClient::new(client_high, FapMode::HighFrequency, Arc::clone(fi_set));
-        (fap_low, fap_high, low_seed, high_seed)
+        let fap_low = FapClient::new(client_low, FapMode::LowFrequency, Arc::clone(&fi_set));
+        let fap_high = FapClient::new(client_high, FapMode::HighFrequency, fi_set);
+        (fap_low, fap_high)
     }
 }
 
@@ -613,10 +543,10 @@ struct PairDiscovery {
     union: Vec<u64>,
 }
 
-/// One table's phase-1 pass over a chunked stream: the sample sketch builder plus the exact
-/// role counts (the routing is deterministic, so pass 2 sees the identical partition).
+/// One table's phase-1 pass over a chunked stream: the sample sketch plus the exact role
+/// counts (the routing is deterministic, so pass 2 sees the identical partition).
 struct Phase1Pass {
-    builder: SketchBuilder,
+    sketch: FinalizedSketch,
     n_sample: usize,
     n_low: usize,
     n_high: usize,
@@ -658,9 +588,8 @@ enum UserRole {
     HighGroup,
 }
 
-/// Deterministic user → role routing for the streaming path: a SplitMix64 hash of the
-/// user's global index, so the two protocol passes (and any chunking) agree on every
-/// user's role.
+/// Deterministic user → role routing: a SplitMix64 hash of the user's global index, so the
+/// two protocol passes (and any chunking) agree on every user's role.
 struct UserRouter {
     seed: u64,
     rate: f64,
@@ -687,9 +616,9 @@ impl UserRouter {
         }
         // Group by *index parity* (seed decides which parity is which group), not by an
         // independent coin: a balanced deterministic split has the hypergeometric
-        // composition variance of the materialized shuffle split — per heavy value a
-        // `(1−f/n)` factor below the binomial variance of independent per-user coins —
-        // and that composition noise is the dominant error of the rescaled high partial.
+        // composition variance of a shuffle split — per heavy value a `(1−f/n)` factor
+        // below the binomial variance of independent per-user coins — and that
+        // composition noise is the dominant error of the rescaled high partial.
         if (user_index ^ self.seed) & 1 == 0 {
             UserRole::LowGroup
         } else {
@@ -698,75 +627,15 @@ impl UserRouter {
     }
 }
 
-/// Split a table into a phase-1 sample of (approximately) `rate·n` users and the remainder.
-/// The split is a random partition, mirroring the random user sampling of the protocol.
-///
-/// The cut is clamped so the remainder can always form two phase-2 groups of **at least two
-/// users each**: a singleton group makes the `(n/|A_g|)·(n/|B_g|)` rescale of its partial
-/// estimate explode, so high sampling rates are re-cut down to `n − 4` and tables smaller
-/// than 5 users are rejected outright.
-///
-/// # Errors
-/// Returns [`Error::InvalidWorkload`] if the table cannot yield a non-empty sample plus two
-/// non-singleton groups (fewer than 5 users).
-fn split_sample(table: &[u64], rate: f64, rng: &mut dyn RngCore) -> Result<(Vec<u64>, Vec<u64>)> {
-    let n = table.len();
-    if n < 5 {
-        return Err(Error::InvalidWorkload(format!(
-            "LDPJoinSketch+ needs at least 5 users per attribute (1 phase-1 sample + two \
-             phase-2 groups of ≥2), got {n}"
-        )));
-    }
-    let mut shuffled: Vec<u64> = table.to_vec();
-    shuffled.shuffle(rng);
-    let cut = ((n as f64 * rate).round() as usize).clamp(1, n - 4);
-    let rest = shuffled.split_off(cut);
-    Ok((shuffled, rest))
-}
-
-/// Split the remaining users into two halves (groups `X1` and `X2` of phase 2).
-fn split_half(rest: &[u64], rng: &mut dyn RngCore) -> (Vec<u64>, Vec<u64>) {
-    let mut shuffled: Vec<u64> = rest.to_vec();
-    shuffled.shuffle(rng);
-    let cut = shuffled.len() / 2;
-    let second = shuffled.split_off(cut);
-    (shuffled, second)
-}
-
-fn build_sketch(
-    client: &LdpJoinSketchClient,
-    values: &[u64],
-    params: SketchParams,
-    eps: Epsilon,
-    seed: u64,
-    rng: &mut dyn RngCore,
-) -> Result<FinalizedSketch> {
-    let mut builder = SketchBuilder::new(params, eps, seed);
-    builder.absorb_batch(&client.perturb_batch(values, rng)?)?;
-    Ok(builder.finalize())
-}
-
-fn build_fap_sketch(
-    client: &FapClient,
-    values: &[u64],
-    params: SketchParams,
-    eps: Epsilon,
-    seed: u64,
-    rng: &mut dyn RngCore,
-) -> Result<FinalizedSketch> {
-    let mut builder = SketchBuilder::new(params, eps, seed);
-    builder.absorb_batch(&client.perturb_batch(values, rng)?)?;
-    Ok(builder.finalize())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::build_private_sketch;
     use ldpjs_common::stats::exact_join_size;
     use ldpjs_common::stream::SliceChunks;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use rand::{Rng, RngCore, SeedableRng};
 
     fn skewed(n: usize, domain: u64, seed: u64) -> Vec<u64> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -788,6 +657,19 @@ mod tests {
         c
     }
 
+    /// Run the protocol over two materialized tables in 8,192-value chunks, seeded from
+    /// `rng`.
+    fn run(
+        est: &LdpJoinSketchPlus,
+        a: &[u64],
+        b: &[u64],
+        domain: &[u64],
+        rng: &mut StdRng,
+    ) -> Result<PlusEstimate> {
+        let (a, b) = (SliceChunks::new(a, 8_192), SliceChunks::new(b, 8_192));
+        est.estimate_chunked(&a, &b, domain, rng.next_u64())
+    }
+
     #[test]
     fn rejects_invalid_configuration() {
         let mut c = config(4.0);
@@ -803,52 +685,6 @@ mod tests {
     }
 
     #[test]
-    fn rejects_tiny_tables() {
-        let est = LdpJoinSketchPlus::new(config(4.0)).unwrap();
-        let mut rng = StdRng::seed_from_u64(0);
-        let domain: Vec<u64> = (0..10).collect();
-        assert!(est
-            .estimate(&[1, 2], &[1, 2, 3, 4, 5], &domain, &mut rng)
-            .is_err());
-        assert!(est
-            .estimate(&[1, 2, 3, 4], &[1, 2, 3, 4, 5], &domain, &mut rng)
-            .is_err());
-    }
-
-    #[test]
-    fn high_sampling_rate_never_leaves_singleton_groups() {
-        // Satellite regression: at rate = 0.99 the naive cut `round(0.99·n)` leaves ≤ 2
-        // post-sample users, which `split_half` would turn into singleton (or empty)
-        // phase-2 groups whose rescale explodes. The re-cut must keep every group at ≥ 2
-        // users for n ≥ 5, and n = 4 must be rejected with InvalidWorkload.
-        let mut cfg = config(4.0);
-        cfg.sampling_rate = 0.99;
-        let est = LdpJoinSketchPlus::new(cfg).unwrap();
-        let domain: Vec<u64> = (0..10).collect();
-        for len in 4usize..=8 {
-            let table: Vec<u64> = (0..len as u64).collect();
-            let other: Vec<u64> = (0..8u64).collect();
-            let mut rng = StdRng::seed_from_u64(42 + len as u64);
-            let result = est.estimate(&table, &other, &domain, &mut rng);
-            if len < 5 {
-                assert!(
-                    matches!(result, Err(Error::InvalidWorkload(_))),
-                    "len {len} must be rejected with InvalidWorkload"
-                );
-            } else {
-                let r = result.unwrap_or_else(|e| panic!("len {len} failed: {e}"));
-                let (a1, a2, b1, b2) = r.group_sizes;
-                assert!(
-                    a1 >= 2 && a2 >= 2 && b1 >= 2 && b2 >= 2,
-                    "len {len} produced a degenerate group: {:?}",
-                    r.group_sizes
-                );
-                assert_eq!(r.phase1_users.0 + a1 + a2, len, "partition of table A");
-            }
-        }
-    }
-
-    #[test]
     fn estimate_tracks_truth_on_skewed_data() {
         let a = skewed(120_000, 20_000, 1);
         let b = skewed(120_000, 20_000, 2);
@@ -856,7 +692,7 @@ mod tests {
         let est = LdpJoinSketchPlus::new(config(4.0)).unwrap();
         let mut rng = StdRng::seed_from_u64(3);
         let domain: Vec<u64> = (0..20_000).collect();
-        let result = est.estimate(&a, &b, &domain, &mut rng).unwrap();
+        let result = run(&est, &a, &b, &domain, &mut rng).unwrap();
         let re = (result.join_size - truth).abs() / truth;
         assert!(
             re < 0.35,
@@ -888,13 +724,11 @@ mod tests {
         let cfg = config(4.0);
         let est = LdpJoinSketchPlus::new(cfg).unwrap();
         let mut rng = StdRng::seed_from_u64(53);
-        let r = est.estimate(&a, &b, &domain, &mut rng).unwrap();
+        let r = run(&est, &a, &b, &domain, &mut rng).unwrap();
 
         // Reconstruct the per-phase encodings from the same clients the protocol uses.
         let client_p1 = LdpJoinSketchClient::new(cfg.params, cfg.eps, cfg.seed);
-        let fi_set: Arc<HashSet<u64>> = Arc::new(r.frequent_items.iter().copied().collect());
-        let est_wrap = LdpJoinSketchPlus::new(cfg).unwrap();
-        let (fap_low, fap_high, _, _) = est_wrap.fap_clients(&fi_set);
+        let (fap_low, fap_high) = est.fap_clients(&r.frequent_items);
         let (a1, a2, b1, b2) = r.group_sizes;
         let expect_p1 = client_p1.report_bits() * (r.phase1_users.0 + r.phase1_users.1) as u64;
         let expect_p2 =
@@ -928,7 +762,7 @@ mod tests {
         let est = LdpJoinSketchPlus::new(config(4.0)).unwrap();
         let mut rng = StdRng::seed_from_u64(9);
         let domain: Vec<u64> = (0..5_000).collect();
-        let result = est.estimate(&a, &b, &domain, &mut rng).unwrap();
+        let result = run(&est, &a, &b, &domain, &mut rng).unwrap();
         assert!(
             result.frequent_items.contains(&0),
             "FI {:?} should contain the heaviest value 0",
@@ -943,7 +777,7 @@ mod tests {
         let est = LdpJoinSketchPlus::new(config(6.0)).unwrap();
         let mut rng = StdRng::seed_from_u64(13);
         let domain: Vec<u64> = (0..2_000).collect();
-        let r = est.estimate(&a, &b, &domain, &mut rng).unwrap();
+        let r = run(&est, &a, &b, &domain, &mut rng).unwrap();
         let (a1, a2, b1, b2) = r.group_sizes;
         let scale_low = (a.len() * b.len()) as f64 / (a1 * b1) as f64;
         let scale_high = (a.len() * b.len()) as f64 / (a2 * b2) as f64;
@@ -961,7 +795,7 @@ mod tests {
         cfg.adaptive = true;
         let est = LdpJoinSketchPlus::new(cfg).unwrap();
         let mut rng = StdRng::seed_from_u64(63);
-        let r = est.estimate(&a, &b, &domain, &mut rng).unwrap();
+        let r = run(&est, &a, &b, &domain, &mut rng).unwrap();
         let re = (r.join_size - truth).abs() / truth;
         assert!(re < 0.3, "adaptive relative error {re}");
         // The adaptive thresholds come from the noise-floor bound, not the config.
@@ -1064,6 +898,52 @@ mod tests {
             1,
         );
         assert!(matches!(r, Err(Error::InvalidWorkload(_))));
+
+        // Routing may leave a phase-2 group below two users or a phase-1 sample empty;
+        // that is InvalidWorkload. Anything accepted is a finite estimate over an exact
+        // partition whose groups hold at least two users each. Returns whether it was.
+        let accepts = |cfg: PlusConfig, table: &[u64], other: &[u64], rng_seed: u64| {
+            let (ta, tb) = (
+                SliceChunks::new(table, 8_192),
+                SliceChunks::new(other, 8_192),
+            );
+            let est = LdpJoinSketchPlus::new(cfg).unwrap();
+            let r = match est.estimate_chunked(&ta, &tb, &domain, rng_seed) {
+                Err(Error::InvalidWorkload(_)) => return false,
+                result => result.unwrap_or_else(|e| panic!("len {}: {e}", table.len())),
+            };
+            let (a1, a2, b1, b2) = r.group_sizes;
+            assert!(
+                a1 >= 2 && a2 >= 2 && b1 >= 2 && b2 >= 2,
+                "len {} produced a degenerate group: {:?}",
+                table.len(),
+                r.group_sizes
+            );
+            assert_eq!(r.phase1_users.0 + a1 + a2, table.len(), "partition of A");
+            assert_eq!(r.phase1_users.1 + b1 + b2, other.len(), "partition of B");
+            assert!(r.join_size.is_finite(), "len {}", table.len());
+            true
+        };
+        // Below 5 users (a sample of one plus two groups of two) every table is rejected.
+        let mut rng = StdRng::seed_from_u64(0);
+        for table in [&[1u64, 2][..], &[1, 2, 3, 4]] {
+            assert!(!accepts(
+                config(4.0),
+                table,
+                &[1, 2, 3, 4, 5],
+                rng.next_u64()
+            ));
+        }
+        // r = 0.99 leaves almost no phase-2 users.
+        let mut high_rate = config(4.0);
+        high_rate.sampling_rate = 0.99;
+        let other: Vec<u64> = (0..8).collect();
+        for len in 4u64..=8 {
+            let table: Vec<u64> = (0..len).collect();
+            let rng_seed = StdRng::seed_from_u64(42 + len).next_u64();
+            let accepted = accepts(high_rate, &table, &other, rng_seed);
+            assert!(!accepted || len >= 5, "len {len} must be rejected");
+        }
     }
 
     #[test]
@@ -1081,10 +961,10 @@ mod tests {
             let mut cfg = config(4.0);
             cfg.adaptive = adaptive;
             let est = LdpJoinSketchPlus::new(cfg).unwrap();
-            let client = LdpJoinSketchClient::new(cfg.params, cfg.eps, cfg.seed);
             let mut rng = StdRng::seed_from_u64(93);
-            let sa = build_sketch(&client, &a, cfg.params, cfg.eps, cfg.seed, &mut rng).unwrap();
-            let sb = build_sketch(&client, &b, cfg.params, cfg.eps, cfg.seed, &mut rng).unwrap();
+            let (params, eps, seed) = (cfg.params, cfg.eps, cfg.seed);
+            let sa = build_private_sketch(&a, params, eps, seed, &mut rng).unwrap();
+            let sb = build_private_sketch(&b, params, eps, seed, &mut rng).unwrap();
             let pair = est.discover_pair(&sa, &sb, a.len(), b.len(), &domain);
             let policy = FiPolicy::from_config(&cfg);
             let source = Candidates::Slice(&domain);
@@ -1126,14 +1006,10 @@ mod tests {
         for i in 0..4u64 {
             let mut rng1 = StdRng::seed_from_u64(40 + i);
             let mut rng2 = StdRng::seed_from_u64(40 + i);
-            let plain = LdpJoinSketchPlus::new(cfg)
-                .unwrap()
-                .estimate(&a, &b, &domain, &mut rng1)
-                .unwrap();
-            let weighted = LdpJoinSketchPlus::new(cfg_weighted)
-                .unwrap()
-                .estimate(&a, &b, &domain, &mut rng2)
-                .unwrap();
+            let plain = LdpJoinSketchPlus::new(cfg).unwrap();
+            let plain = run(&plain, &a, &b, &domain, &mut rng1).unwrap();
+            let weighted = LdpJoinSketchPlus::new(cfg_weighted).unwrap();
+            let weighted = run(&weighted, &a, &b, &domain, &mut rng2).unwrap();
             assert_eq!(plain.recombination_weights, (1.0, 1.0));
             let (w_low, w_high) = weighted.recombination_weights;
             assert!((0.0..=1.0).contains(&w_low) && (0.0..=1.0).contains(&w_high));
@@ -1168,8 +1044,8 @@ mod tests {
         let literal = LdpJoinSketchPlus::new(cfg2).unwrap();
         let mut rng1 = StdRng::seed_from_u64(5);
         let mut rng2 = StdRng::seed_from_u64(5);
-        let e1 = scaled.estimate(&a, &b, &domain, &mut rng1).unwrap();
-        let e2 = literal.estimate(&a, &b, &domain, &mut rng2).unwrap();
+        let e1 = run(&scaled, &a, &b, &domain, &mut rng1).unwrap();
+        let e2 = run(&literal, &a, &b, &domain, &mut rng2).unwrap();
         // Same randomness, different subtraction rule -> different (but finite) answers.
         assert!(e1.join_size.is_finite() && e2.join_size.is_finite());
         assert_ne!(e1.join_size, e2.join_size);
@@ -1185,45 +1061,6 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
-
-        /// Satellite proptest: `split_sample` is an exact multiset partition — every user
-        /// lands in exactly one side, with the claimed sizes (cut clamped into [1, n−4]).
-        #[test]
-        fn prop_split_sample_is_an_exact_partition(
-            n in 5usize..400,
-            rate in 0.01f64..0.99,
-            seed in any::<u64>(),
-        ) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let table: Vec<u64> = (0..n as u64).map(|v| v * 3 % 97).collect();
-            let (sample, rest) = split_sample(&table, rate, &mut rng).unwrap();
-            prop_assert!(!sample.is_empty());
-            prop_assert!(rest.len() >= 4, "rest {} too small for two groups", rest.len());
-            prop_assert_eq!(sample.len() + rest.len(), n);
-            let expected_cut = ((n as f64 * rate).round() as usize).clamp(1, n - 4);
-            prop_assert_eq!(sample.len(), expected_cut);
-            let mut merged: Vec<u64> = sample.into_iter().chain(rest).collect();
-            merged.sort_unstable();
-            let mut original = table.clone();
-            original.sort_unstable();
-            prop_assert_eq!(merged, original);
-        }
-
-        /// Satellite proptest: `split_half` partitions its input into halves of sizes
-        /// ⌊n/2⌋ and ⌈n/2⌉ with the multiset preserved.
-        #[test]
-        fn prop_split_half_is_an_exact_partition(n in 0usize..300, seed in any::<u64>()) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let rest: Vec<u64> = (0..n as u64).map(|v| v.wrapping_mul(7) % 51).collect();
-            let (g1, g2) = split_half(&rest, &mut rng);
-            prop_assert_eq!(g1.len(), n / 2);
-            prop_assert_eq!(g2.len(), n - n / 2);
-            let mut merged: Vec<u64> = g1.into_iter().chain(g2).collect();
-            merged.sort_unstable();
-            let mut original = rest.clone();
-            original.sort_unstable();
-            prop_assert_eq!(merged, original);
-        }
 
         /// The streaming router is a deterministic function of (seed, index) with the
         /// configured sample rate, and both passes see the same role for every user.

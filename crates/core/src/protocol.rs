@@ -12,7 +12,7 @@ use ldpjs_common::stream::ChunkedValues;
 use ldpjs_sketch::SketchParams;
 use rand::RngCore;
 
-use crate::client::{chunk_stream_seed, LdpJoinSketchClient};
+use crate::client::{chunk_stream_seed, try_for_each_chunk, LdpJoinSketchClient};
 use crate::plus::{LdpJoinSketchPlus, PlusConfig, PlusEstimate};
 use crate::server::{FinalizedSketch, SketchBuilder};
 use std::sync::Arc;
@@ -129,32 +129,17 @@ pub fn stream_reports_chunked(
     threads: usize,
     sink: &mut dyn FnMut(&ReportBatch) -> Result<()>,
 ) -> Result<()> {
-    // Pass-local chunk ordinal (not `start / chunk_len`): `chunk_len()` is only an *upper
-    // bound* on chunk length, so a custom stream emitting non-full mid-stream chunks would
-    // otherwise collide ordinals and replay a noise stream. For full-chunk streams the
-    // ordinal equals `start / chunk_len`, so existing pinned seeds are unchanged.
-    let mut ordinal = 0u64;
-    let mut err = None;
     // One packed batch reused across every chunk of the stream.
     let params = client.params();
     let mut batch = ReportBatch::new(params.rows(), params.columns())?;
-    values.for_each_chunk(&mut |_start, chunk| {
-        if err.is_some() {
-            return;
-        }
-        let seed = chunk_stream_seed(rng_seed, ordinal);
-        ordinal += 1;
-        let streamed = client
-            .perturb_batch_parallel_into(chunk, seed, threads, &mut batch)
-            .and_then(|()| sink(&batch));
-        if let Err(e) = streamed {
-            err = Some(e);
-        }
-    });
-    match err {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
+    try_for_each_chunk(
+        |feed| values.for_each_chunk(feed),
+        |_, chunk, ordinal| {
+            let seed = chunk_stream_seed(rng_seed, ordinal);
+            client.perturb_batch_parallel_into(chunk, seed, threads, &mut batch)?;
+            sink(&batch)
+        },
+    )
 }
 
 /// Build a [`FinalizedSketch`] from a replayable bounded-memory value stream — the large-n
@@ -208,7 +193,9 @@ pub fn ldp_join_estimate_chunked(
 
 /// Run the full LDPJoinSketch+ protocol over two bounded-memory value streams: two replayed
 /// passes per table (phase 1 and phase 2), peak value memory bounded by the chunk length.
-/// See [`LdpJoinSketchPlus::estimate_chunked`].
+/// This is the one LDPJoinSketch+ runner; a materialized table runs through
+/// [`SliceChunks`](ldpjs_common::stream::SliceChunks). See
+/// [`LdpJoinSketchPlus::estimate_chunked`].
 pub fn ldp_join_plus_estimate_chunked(
     table_a: &dyn ChunkedValues,
     table_b: &dyn ChunkedValues,
@@ -217,17 +204,6 @@ pub fn ldp_join_plus_estimate_chunked(
     rng_seed: u64,
 ) -> Result<PlusEstimate> {
     LdpJoinSketchPlus::new(config)?.estimate_chunked(table_a, table_b, domain, rng_seed)
-}
-
-/// Run the full LDPJoinSketch+ protocol with an explicit configuration and candidate domain.
-pub fn ldp_join_plus_estimate(
-    table_a: &[u64],
-    table_b: &[u64],
-    domain: &[u64],
-    config: PlusConfig,
-    rng: &mut dyn RngCore,
-) -> Result<PlusEstimate> {
-    LdpJoinSketchPlus::new(config)?.estimate(table_a, table_b, domain, rng)
 }
 
 /// Per-user communication cost of the LDPJoinSketch client in bits (1 perturbed bit plus the
@@ -269,27 +245,6 @@ mod tests {
     }
 
     #[test]
-    fn plus_wrapper_matches_direct_use() {
-        let a = skewed(50_000, 2_000, 5);
-        let b = skewed(50_000, 2_000, 6);
-        let domain: Vec<u64> = (0..2_000).collect();
-        let params = SketchParams::new(10, 256).unwrap();
-        let eps = Epsilon::new(4.0).unwrap();
-        let mut cfg = PlusConfig::new(params, eps);
-        cfg.sampling_rate = 0.2;
-        cfg.threshold = 0.01;
-        let mut rng1 = StdRng::seed_from_u64(7);
-        let mut rng2 = StdRng::seed_from_u64(7);
-        let via_wrapper = ldp_join_plus_estimate(&a, &b, &domain, cfg, &mut rng1).unwrap();
-        let direct = LdpJoinSketchPlus::new(cfg)
-            .unwrap()
-            .estimate(&a, &b, &domain, &mut rng2)
-            .unwrap();
-        assert_eq!(via_wrapper.join_size, direct.join_size);
-        assert_eq!(via_wrapper.frequent_items, direct.frequent_items);
-    }
-
-    #[test]
     fn report_bits_matches_parameters() {
         assert_eq!(
             report_bits(SketchParams::new(18, 1024).unwrap()),
@@ -308,7 +263,7 @@ mod tests {
     }
 
     #[test]
-    fn chunked_pipeline_tracks_truth_and_is_shard_count_invariant() {
+    fn chunked_pipeline_tracks_truth_and_is_thread_count_invariant() {
         use ldpjs_common::stream::SliceChunks;
         let a = skewed(80_000, 5_000, 21);
         let b = skewed(80_000, 5_000, 22);
@@ -380,7 +335,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_pipeline_is_shard_count_invariant_and_tracks_truth() {
+    fn parallel_pipeline_is_thread_count_invariant_and_tracks_truth() {
         let a = skewed(60_000, 5_000, 11);
         let b = skewed(60_000, 5_000, 12);
         let truth = exact_join_size(&a, &b) as f64;

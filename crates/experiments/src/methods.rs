@@ -8,11 +8,14 @@
 //! The paper's own estimators go through the **shared query-engine kernels** of
 //! [`ldpjs_core::kernel`]: the plain online step runs [`PlainKernel`] on the two finalized
 //! sketch views, and LDPJoinSketch+ runs [`PlusKernel`](ldpjs_core::PlusKernel)'s
-//! `JoinEst` inside [`LdpJoinSketchPlus`] — the identical code paths the online
-//! `SketchService` serves, so offline figures and online answers can never drift apart.
+//! `JoinEst` inside [`LdpJoinSketchPlus::estimate_chunked`], the protocol's one runner,
+//! over 8,192-value [`SliceChunks`] views of the tables — the identical code paths the
+//! online `SketchService` serves, so offline figures and online answers can never drift
+//! apart.
 
 use ldpjs_common::error::Result;
 use ldpjs_common::privacy::Epsilon;
+use ldpjs_common::stream::SliceChunks;
 use ldpjs_core::plus::{LdpJoinSketchPlus, PlusConfig};
 use ldpjs_core::protocol::{build_private_sketch_parallel, report_bits};
 use ldpjs_core::{PlainKernel, SketchParams};
@@ -20,7 +23,7 @@ use ldpjs_data::JoinWorkload;
 use ldpjs_ldp::{estimate_join_from_oracles, FlhOracle, FrequencyOracle, HcmsOracle, KrrOracle};
 use ldpjs_sketch::FastAgmsSketch;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use std::time::Instant;
 
 /// The methods compared throughout the evaluation (Section VII-A "Competitors").
@@ -209,11 +212,11 @@ pub fn estimate_join(
             // lint:allow(determinism) — figure-table wall-clock timing of the method
             // run itself; the reported estimates depend only on the seeded RNG.
             let start = Instant::now();
-            let result = LdpJoinSketchPlus::new(config)?.estimate(
-                &workload.table_a,
-                &workload.table_b,
+            let result = LdpJoinSketchPlus::new(config)?.estimate_chunked(
+                &SliceChunks::new(&workload.table_a, 8_192),
+                &SliceChunks::new(&workload.table_b, 8_192),
                 &domain,
-                &mut rng,
+                rng.next_u64(),
             )?;
             let offline = start.elapsed().as_secs_f64(); // lint:allow(telemetry-clock) — figure timing.
             Ok(MethodOutcome {

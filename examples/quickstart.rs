@@ -6,7 +6,7 @@
 use ldp_join_sketch::common::ReportBatch;
 use ldp_join_sketch::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 fn main() {
     // 1. Two organisations each hold one table. The join attribute (say, a diagnosis code) is
@@ -56,12 +56,14 @@ fn main() {
     let mut config = PlusConfig::new(params, eps);
     config.sampling_rate = 0.15;
     config.threshold = 0.01;
-    let plus = ldp_join_plus_estimate(
-        &workload.table_a,
-        &workload.table_b,
+    //    The protocol streams each table twice (phase 1, then phase 2) in bounded chunks;
+    //    `SliceChunks` serves an in-memory table as such a stream.
+    let plus = ldp_join_plus_estimate_chunked(
+        &SliceChunks::new(&workload.table_a, 8_192),
+        &SliceChunks::new(&workload.table_b, 8_192),
         &workload.domain(),
         config,
-        &mut protocol_rng,
+        protocol_rng.next_u64(),
     )
     .expect("LDPJoinSketch+ run");
     println!(

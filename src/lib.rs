@@ -56,7 +56,7 @@ pub mod prelude {
     pub use ldpjs_core::protocol::{
         build_private_sketch, build_private_sketch_chunked, build_private_sketch_parallel,
         ldp_join_estimate, ldp_join_estimate_chunked, ldp_join_estimate_parallel,
-        ldp_join_plus_estimate, ldp_join_plus_estimate_chunked, stream_reports_chunked,
+        ldp_join_plus_estimate_chunked, stream_reports_chunked,
     };
     pub use ldpjs_core::{
         Candidates, ChainKernel, ClientReport, FapClient, FapMode, FiPolicy, FinalizedPlusState,

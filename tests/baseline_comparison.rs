@@ -10,7 +10,7 @@
 
 use ldp_join_sketch::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 #[test]
 fn table2_registry_produces_all_six_datasets() {
@@ -119,8 +119,12 @@ fn plus_estimate_diagnostics_are_internally_consistent() {
     cfg.sampling_rate = 0.1;
     cfg.threshold = 0.01;
     let mut rng = StdRng::seed_from_u64(10);
+    let (ta, tb) = (
+        SliceChunks::new(&w.table_a, 8_192),
+        SliceChunks::new(&w.table_b, 8_192),
+    );
     let result =
-        ldp_join_plus_estimate(&w.table_a, &w.table_b, &w.domain(), cfg, &mut rng).unwrap();
+        ldp_join_plus_estimate_chunked(&ta, &tb, &w.domain(), cfg, rng.next_u64()).unwrap();
 
     let (a1, a2, b1, b2) = result.group_sizes;
     assert_eq!(result.phase1_users.0 + a1 + a2, w.table_a.len());

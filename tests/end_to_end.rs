@@ -11,7 +11,7 @@
 use ldp_join_sketch::core::bounds;
 use ldp_join_sketch::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 fn workload(alpha: f64, domain: u64, rows: usize, seed: u64) -> JoinWorkload {
     let generator = ZipfGenerator::new(alpha, domain);
@@ -67,9 +67,10 @@ fn plus_stays_near_parity_with_plain_sketch_on_very_skewed_data() {
     // sample), otherwise FI floods with false positives; θ = 0.05 at (k, m) = (12, 128) keeps
     // FI to the true heavy hitters of a Zipf(1.8) table.
     //
-    // Tolerances were set from a 10-seed sweep (workload seed 4, round seeds 10..19): plus
-    // relative error ∈ [0.0001, 0.013], wins 5/10 rounds, and every 3-round window has at
-    // least one win with an error-sum ratio ≤ 2.0.
+    // A 10-seed sweep (workload seed 4, round seeds 10..19) reads plus relative error
+    // ∈ [0.0020, 0.0100] and 2/10 wins; every 3-round window has an error-sum ratio ≤ 2.6,
+    // but three of the eight windows have no win. The pinned rounds 10..12 read 0.0053,
+    // 0.0029 and 0.0100: one win, error-sum ratio 1.61 against the bound of 3.
     let w = workload(1.8, 10_000, 400_000, 4);
     let params = SketchParams::new(12, 128).unwrap();
     let eps = Epsilon::new(4.0).unwrap();
@@ -78,6 +79,10 @@ fn plus_stays_near_parity_with_plain_sketch_on_very_skewed_data() {
     cfg.sampling_rate = 0.2;
     cfg.threshold = 0.05;
     let domain = w.domain();
+    let (ta, tb) = (
+        SliceChunks::new(&w.table_a, 8_192),
+        SliceChunks::new(&w.table_b, 8_192),
+    );
 
     let mut err_plain_sum = 0.0;
     let mut err_plus_sum = 0.0;
@@ -88,7 +93,7 @@ fn plus_stays_near_parity_with_plain_sketch_on_very_skewed_data() {
         let plain =
             ldp_join_estimate(&w.table_a, &w.table_b, params, eps, 70 + i, &mut rng).unwrap();
         cfg.seed = 700 + i;
-        let plus = ldp_join_plus_estimate(&w.table_a, &w.table_b, &domain, cfg, &mut rng).unwrap();
+        let plus = ldp_join_plus_estimate_chunked(&ta, &tb, &domain, cfg, rng.next_u64()).unwrap();
         let err_plain = (plain - truth).abs();
         let err_plus = (plus.join_size - truth).abs();
         let re_plus = err_plus / truth;

@@ -8,7 +8,7 @@
 //!
 //! The shapes are chosen to reach paths the 8,192-value chunks of the benchmark never do:
 //! 20,000-value stream chunks fan out over three 8,192-value client RNG streams each, and
-//! three shards split every batch unevenly.
+//! three perturbation threads take unequal shares of every batch's RNG streams.
 
 use ldp_join_sketch::core::multiway::{
     build_edge_sketch_chunked, build_vertex_sketch, ldp_chain_join_3,
@@ -42,7 +42,7 @@ fn assert_bits(what: &str, value: f64, expected: u64) {
 }
 
 #[test]
-fn chunked_plain_estimate_with_20k_chunks_and_3_shards_is_pinned() {
+fn chunked_plain_estimate_with_20k_chunks_and_3_threads_is_pinned() {
     let a = zipf_table(1.3, 5_000, 50_000, 1);
     let b = zipf_table(1.3, 5_000, 50_000, 2);
     let est = ldp_join_estimate_chunked(
@@ -59,7 +59,7 @@ fn chunked_plain_estimate_with_20k_chunks_and_3_shards_is_pinned() {
 }
 
 #[test]
-fn parallel_plain_estimate_with_3_shards_is_pinned() {
+fn parallel_plain_estimate_with_3_threads_is_pinned() {
     let a = zipf_table(1.3, 5_000, 50_000, 3);
     let b = zipf_table(1.3, 5_000, 50_000, 4);
     let est = ldp_join_estimate_parallel(&a, &b, params(), eps(), 13, 14, 3).unwrap();

@@ -165,7 +165,7 @@ fn plus_service() -> (SketchService, AttributeId, AttributeId) {
 }
 
 #[test]
-fn batched_sharded_ingest_is_at_least_4x_scalar_absorb() {
+fn batched_ingest_is_at_least_4x_scalar_absorb() {
     if cfg!(debug_assertions) {
         eprintln!("perf smoke gate skipped: meaningful only under --release");
         return;
