@@ -141,6 +141,14 @@ impl ReportBatch {
         self.lanes[1].clear();
     }
 
+    /// Release each lane's spare capacity, so a batch that is kept holds only its reports.
+    /// The allocating `perturb_batch` forms call this: a lane reserved for half the reports
+    /// grows to about twice that when the signs split unevenly.
+    pub fn shrink_to_fit(&mut self) {
+        self.lanes[0].shrink_to_fit();
+        self.lanes[1].shrink_to_fit();
+    }
+
     /// Append one report.
     ///
     /// # Errors
@@ -458,6 +466,24 @@ mod tests {
         batch.accumulate_into_with(&mut counters, &mut scratch);
         for (a, b) in counters.iter().zip(first.iter()) {
             assert_eq!(a.to_bits(), (b * 2.0).to_bits());
+        }
+    }
+
+    #[test]
+    fn shrink_to_fit_sizes_each_lane_to_its_reports() {
+        // Three quarters of the reports are negative, so the minus lane outgrows the half
+        // of the batch `with_capacity` reserved for it.
+        let n = 8_192;
+        let mut batch = ReportBatch::with_capacity(18, 1024, n).unwrap();
+        for i in 0..n {
+            batch.push(i % 18, i % 1024, i % 4 != 0).unwrap();
+        }
+        assert!(batch.lanes[1].capacity() > batch.lanes[1].len());
+        let before = batch.clone();
+        batch.shrink_to_fit();
+        assert_eq!(batch, before);
+        for lane in &batch.lanes {
+            assert_eq!(lane.capacity(), lane.len());
         }
     }
 

@@ -1,11 +1,12 @@
 //! Process-wide SIMD kernel dispatch accounting.
 //!
-//! The FWHT restore ([`crate::hadamard`]) and histogram drain ([`crate::batch`]) kernels
-//! pick the widest vector ISA the CPU offers at runtime. Which tier actually ran is
-//! invisible from the outside — all tiers are bit-identical by contract — yet it is
-//! exactly what an operator needs when a deployment's restore throughput regresses on new
-//! hardware. This module keeps one process-wide relaxed atomic per `(kernel, tier)` pair;
-//! the dispatchers bump them and [`kernel_dispatch_snapshot`] reads them.
+//! The FWHT restore ([`crate::hadamard`]), histogram drain ([`crate::batch`]) and
+//! frequent-item count screen ([`crate::screen`]) kernels pick the widest vector ISA the
+//! CPU offers at runtime. Which tier actually ran is invisible from the outside — all
+//! tiers are bit-identical by contract — yet it is exactly what an operator needs when a
+//! deployment's restore throughput regresses on new hardware. This module keeps one
+//! process-wide relaxed atomic per `(kernel, tier)` pair; the dispatchers bump them and
+//! [`kernel_dispatch_snapshot`] reads them.
 //!
 //! The counters are *environment* telemetry: their split across tiers is a property of
 //! the machine, never of the workload seed, so the service exports them outside its
@@ -21,6 +22,9 @@ pub(crate) static FWHT_PORTABLE: AtomicU64 = AtomicU64::new(0);
 pub(crate) static DRAIN_AVX512: AtomicU64 = AtomicU64::new(0);
 pub(crate) static DRAIN_AVX2: AtomicU64 = AtomicU64::new(0);
 pub(crate) static DRAIN_PORTABLE: AtomicU64 = AtomicU64::new(0);
+pub(crate) static SCREEN_AVX512: AtomicU64 = AtomicU64::new(0);
+pub(crate) static SCREEN_AVX2: AtomicU64 = AtomicU64::new(0);
+pub(crate) static SCREEN_PORTABLE: AtomicU64 = AtomicU64::new(0);
 
 #[inline]
 pub(crate) fn bump(cell: &AtomicU64) {
@@ -42,6 +46,12 @@ pub struct KernelDispatchSnapshot {
     pub drain_avx2: u64,
     /// Histogram drains executed by the portable scalar loop.
     pub drain_portable: u64,
+    /// Count screens executed by the AVX-512 kernel.
+    pub screen_avx512: u64,
+    /// Count screens executed by the AVX2 kernel.
+    pub screen_avx2: u64,
+    /// Count screens executed by the portable scalar loop.
+    pub screen_portable: u64,
 }
 
 impl KernelDispatchSnapshot {
@@ -55,11 +65,16 @@ impl KernelDispatchSnapshot {
             drain_avx512: self.drain_avx512.saturating_sub(baseline.drain_avx512),
             drain_avx2: self.drain_avx2.saturating_sub(baseline.drain_avx2),
             drain_portable: self.drain_portable.saturating_sub(baseline.drain_portable),
+            screen_avx512: self.screen_avx512.saturating_sub(baseline.screen_avx512),
+            screen_avx2: self.screen_avx2.saturating_sub(baseline.screen_avx2),
+            screen_portable: self
+                .screen_portable
+                .saturating_sub(baseline.screen_portable),
         }
     }
 
     /// `(series suffix, count)` pairs in a fixed order, for exporters.
-    pub fn series(&self) -> [(&'static str, u64); 6] {
+    pub fn series(&self) -> [(&'static str, u64); 9] {
         [
             ("fwht_avx512", self.fwht_avx512),
             ("fwht_avx2", self.fwht_avx2),
@@ -67,6 +82,9 @@ impl KernelDispatchSnapshot {
             ("drain_avx512", self.drain_avx512),
             ("drain_avx2", self.drain_avx2),
             ("drain_portable", self.drain_portable),
+            ("screen_avx512", self.screen_avx512),
+            ("screen_avx2", self.screen_avx2),
+            ("screen_portable", self.screen_portable),
         ]
     }
 }
@@ -80,6 +98,9 @@ pub fn kernel_dispatch_snapshot() -> KernelDispatchSnapshot {
         drain_avx512: DRAIN_AVX512.load(Ordering::Relaxed),
         drain_avx2: DRAIN_AVX2.load(Ordering::Relaxed),
         drain_portable: DRAIN_PORTABLE.load(Ordering::Relaxed),
+        screen_avx512: SCREEN_AVX512.load(Ordering::Relaxed),
+        screen_avx2: SCREEN_AVX2.load(Ordering::Relaxed),
+        screen_portable: SCREEN_PORTABLE.load(Ordering::Relaxed),
     }
 }
 
@@ -96,6 +117,18 @@ mod tests {
         let fwht_total = delta.fwht_avx512 + delta.fwht_avx2 + delta.fwht_portable;
         // Parallel tests may add more, but at least this call must have landed once.
         assert!(fwht_total >= 1, "no FWHT tier counted: {delta:?}");
+    }
+
+    #[test]
+    fn screen_dispatch_is_counted_on_exactly_one_tier() {
+        let before = kernel_dispatch_snapshot();
+        let mut counts = [0u16; 3];
+        crate::screen::count_above(&[1.0; 8], 4, 0.0, &[0; 6], &[0; 2], &mut counts);
+        assert_eq!(counts, [2; 3]);
+        let delta = kernel_dispatch_snapshot().delta_since(&before);
+        // Parallel tests may add more, but at least this call must have landed once.
+        let screen_total = delta.screen_avx512 + delta.screen_avx2 + delta.screen_portable;
+        assert!(screen_total >= 1, "no screen tier counted: {delta:?}");
     }
 
     #[test]

@@ -9,6 +9,8 @@
 //!   transform used by the Hadamard mechanism on both the client and the server side.
 //! * [`batch`] — sign-split packed report batches ([`batch::ReportBatch`]) and the
 //!   histogram scatter/drain kernels behind the batched server-side ingest path.
+//! * [`screen`] — the frequent-item count screen ([`screen::count_above`]), a SIMD
+//!   per-candidate count of the sketch rows that clear a threshold.
 //! * [`rr`] — the binary randomized-response primitive and the de-bias constant
 //!   `c_ε = (e^ε + 1)/(e^ε − 1)`.
 //! * [`privacy`] — the validated privacy-budget type [`privacy::Epsilon`].
@@ -23,8 +25,8 @@
 
 #![warn(missing_docs)]
 // The only crate in the workspace allowed to contain `unsafe` (the SIMD kernels in
-// `hadamard` and `batch`); every block is opted in with `#[allow(unsafe_code)]` plus a
-// `// SAFETY:` contract, and `ldpjs-xtask lint` machine-checks both.
+// `hadamard`, `batch` and `screen`); every block is opted in with `#[allow(unsafe_code)]`
+// plus a `// SAFETY:` contract, and `ldpjs-xtask lint` machine-checks both.
 #![deny(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
@@ -35,6 +37,7 @@ pub mod hadamard;
 pub mod hash;
 pub mod privacy;
 pub mod rr;
+pub mod screen;
 pub mod stats;
 pub mod stream;
 

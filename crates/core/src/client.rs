@@ -206,7 +206,8 @@ impl LdpJoinSketchClient {
     /// same `(j, l)` pairs, same signs — and leaves the RNG in the same state as calling
     /// `perturb` once per value. The hash/sign/Hadamard math is RNG-free: one fused
     /// bucket/sign hash ([`ldpjs_common::hash::HashPair::bucket_and_sign_neg`]) and the
-    /// Hadamard entry as a popcount parity, combined as XORed sign bits.
+    /// Hadamard entry as a popcount parity, combined as XORed sign bits. The returned
+    /// batch's lanes are sized to their reports ([`ReportBatch::shrink_to_fit`]).
     ///
     /// # Errors
     /// Returns [`Error::InvalidSketchParameter`] if the sketch's counter space cannot be
@@ -219,6 +220,7 @@ impl LdpJoinSketchClient {
         let mut batch =
             ReportBatch::with_capacity(self.params.rows(), self.params.columns(), values.len())?;
         self.perturb_batch_into(values, rng, &mut batch)?;
+        batch.shrink_to_fit();
         Ok(batch)
     }
 

@@ -128,7 +128,7 @@ impl FapClient {
     /// exactly the reports [`FapClient::perturb`] would emit per value for the same RNG
     /// stream and leaving the RNG in the same state: each value draws `(j, l, flip)` (target)
     /// or `(j, l, r, flip)` (non-target) in the scalar order, and only the target branch
-    /// hashes the value.
+    /// hashes the value. The returned batch's lanes are sized to their reports.
     ///
     /// # Errors
     /// Returns [`Error::InvalidSketchParameter`](ldpjs_common::Error::InvalidSketchParameter)
@@ -142,6 +142,7 @@ impl FapClient {
         let params = self.inner.params();
         let mut batch = ReportBatch::with_capacity(params.rows(), params.columns(), values.len())?;
         self.perturb_batch_into(values, rng, &mut batch)?;
+        batch.shrink_to_fit();
         Ok(batch)
     }
 

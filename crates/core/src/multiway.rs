@@ -103,7 +103,8 @@ impl LdpEdgeSketchClient {
     /// replicas, columns = `m_A·m_B` flattened coordinates), the form
     /// [`EdgeSketchBuilder::absorb_batch`] consumes. Each tuple draws `(j, l_1, l_2, flip)`
     /// in the order [`LdpEdgeSketchClient::perturb`] does, so the batch carries exactly the
-    /// reports `perturb` would emit per tuple for the same RNG stream.
+    /// reports `perturb` would emit per tuple for the same RNG stream. The returned batch's
+    /// lanes are sized to their reports.
     ///
     /// # Errors
     /// Returns [`Error::InvalidSketchParameter`] if the sketch's counter space cannot be
@@ -119,6 +120,7 @@ impl LdpEdgeSketchClient {
             tuples.len(),
         )?;
         self.perturb_batch_into(tuples, rng, &mut batch)?;
+        batch.shrink_to_fit();
         Ok(batch)
     }
 

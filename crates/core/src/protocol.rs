@@ -120,6 +120,11 @@ pub fn ldp_join_estimate_parallel(
 /// exact-counter builders is therefore bit-identical to the one-shot runners, no matter how
 /// it windows the batches.
 ///
+/// `threads` takes effect only for chunks longer than
+/// [`PARALLEL_PERTURB_CHUNK`](crate::client::PARALLEL_PERTURB_CHUNK) (8,192) values: the
+/// fan-out splits each chunk into 8,192-value RNG streams, at most one worker per stream,
+/// so a stream of 8,192-value chunks perturbs every chunk on the calling thread.
+///
 /// # Errors
 /// Stops at and returns the first error `sink` reports.
 pub fn stream_reports_chunked(
@@ -149,7 +154,8 @@ pub fn stream_reports_chunked(
 /// `threads` threads and absorbed into one [`SketchBuilder`], so peak resident value memory
 /// is the stream's `chunk_len()`, not `n`. For a fixed stream (values + chunk length) the
 /// result depends only on `(params, eps, seed, rng_seed)` — never on `threads` or thread
-/// scheduling.
+/// scheduling. As in [`stream_reports_chunked`], `threads` takes effect only for chunks
+/// longer than 8,192 values.
 ///
 /// # Errors
 /// Returns [`Error::InvalidWorkload`] if `threads` is zero.
@@ -172,7 +178,8 @@ pub fn build_private_sketch_chunked(
 
 /// Run the full LDPJoinSketch protocol over two bounded-memory value streams (the plain
 /// baseline of the large-n regime): both sketches are built with
-/// [`build_private_sketch_chunked`] and combined by the Eq. 5 estimator.
+/// [`build_private_sketch_chunked`] and combined by the Eq. 5 estimator. `threads` takes
+/// effect only for chunks longer than 8,192 values (see [`stream_reports_chunked`]).
 ///
 /// # Errors
 /// Returns [`Error::InvalidWorkload`] if `threads` is zero.

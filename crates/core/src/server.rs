@@ -28,6 +28,7 @@ use ldpjs_common::error::{Error, Result};
 use ldpjs_common::hadamard::{fwht_in_place, fwht_scaled_in_place};
 use ldpjs_common::hash::RowHashes;
 use ldpjs_common::privacy::Epsilon;
+use ldpjs_common::screen;
 use ldpjs_common::stats::median;
 use ldpjs_sketch::SketchParams;
 use std::sync::Arc;
@@ -649,8 +650,8 @@ impl FinalizedSketch {
     /// Frequency estimates ([`FinalizedSketch::frequency`]) of every candidate, in
     /// candidate order and bit-identical to the single-value calls.
     ///
-    /// The scan gathers each candidate's counters through an index of its bucket offsets
-    /// and sign bits, walking the restored matrix row by row so each row stays
+    /// The scan gathers each candidate's counters through an index of its buckets and
+    /// sign bits, walking the restored matrix row by row so each row stays
     /// cache-resident across the candidates. Flipping an `f64`'s sign bit is exactly a
     /// multiplication by `−1.0`, and the per-candidate additions run in row order, as in
     /// the single-value estimate.
@@ -691,15 +692,18 @@ impl FinalizedSketch {
     /// `FI` keeps the phase-2 high-frequency sketch sparse.
     ///
     /// The scan is an exact order-statistic count screen. For each candidate it counts how
-    /// many of the `k` per-row estimates strictly exceed the threshold `T`. With `c` such
-    /// rows and the median defined on the ascending order statistics `v[·]`:
+    /// many of the `k` per-row estimates strictly exceed the threshold `T`
+    /// ([`ldpjs_common::screen::count_above`]). With `c` such rows and the median defined
+    /// on the ascending order statistics `v[·]`:
     ///
     /// * odd `k` — `median = v[k/2] > T  ⇔  c ≥ k/2 + 1`: always decisive;
     /// * even `k`, `c ≥ k/2 + 1` — both middle statistics exceed `T`, and the rounded mean
     ///   of two values `> T` is `> T`, so the candidate is in;
     /// * even `k`, `c ≤ k/2 − 1` — both middle statistics are `≤ T`, so it is out;
-    /// * even `k`, `c = k/2` — the middle statistics straddle `T`; only here does the scan
-    ///   fall back to the exact [`FinalizedSketch::frequency_median`] call.
+    /// * even `k`, `c = k/2` — the middle statistics straddle `T`: `v[k/2]` is the smallest
+    ///   estimate above `T` and `v[k/2 − 1]` the largest one at or below it, and the scan
+    ///   compares their mean `(v[k/2 − 1] + v[k/2]) / 2` with `T`, as
+    ///   [`FinalizedSketch::frequency_median`] computes it.
     ///
     /// Every decisive branch agrees with the exact median comparison and the ambiguous
     /// branch *is* that comparison, so the set equals filtering the candidates by
@@ -757,17 +761,22 @@ impl FinalizedSketch {
 
     /// The scan body of [`FinalizedSketch::frequencies`]: append one block's estimates.
     fn frequencies_block(&self, block: &DomainIndex, out: &mut Vec<f64>) {
-        let (k, n) = (self.params.rows(), block.domain.len());
-        let words = block.words_per_row;
+        let (k, m, n) = (
+            self.params.rows(),
+            self.params.columns(),
+            block.domain.len(),
+        );
+        let words = n.div_ceil(64);
         let start = out.len();
         out.resize(start + n, 0.0);
         let acc = &mut out[start..];
         for j in 0..k {
-            let offs = &block.offsets[j * n..(j + 1) * n];
+            let row = &self.restored[j * m..(j + 1) * m];
+            let buckets = &block.buckets[j * n..(j + 1) * n];
             let negs = &block.neg[j * words..(j + 1) * words];
-            for (i, (&off, a)) in offs.iter().zip(acc.iter_mut()).enumerate() {
+            for (i, (&b, a)) in buckets.iter().zip(acc.iter_mut()).enumerate() {
                 let flip = ((negs[i >> 6] >> (i & 63)) & 1) << 63;
-                *a += f64::from_bits(self.restored[off as usize].to_bits() ^ flip);
+                *a += f64::from_bits(row[usize::from(b)].to_bits() ^ flip);
             }
         }
         let inv = k as f64;
@@ -795,67 +804,59 @@ impl FinalizedSketch {
     /// candidates whose median estimate exceeds `threshold`.
     pub(crate) fn median_screen(&self, block: &DomainIndex, threshold: f64, out: &mut Vec<u64>) {
         let (k, m) = (self.params.rows(), self.params.columns());
-        let n = block.domain.len();
-        // Inverted screen: instead of gathering one restored counter per (row, candidate)
-        // pair, scan each restored row once and touch candidates only through the buckets
-        // that actually clear the threshold. A positive-sign candidate in bucket `b`
-        // exceeds iff `v > T`; a negative-sign one iff `-v > T` (the sign flip is an exact
-        // negation). Counters rarely clear `T`, so the inner candidate walks are sparse
-        // and the hot loop is a branch-light sweep over `m` contiguous values per row —
-        // the same exact per-candidate counts as the gather form, far fewer cache misses.
-        //
-        // A count never exceeds k, and `SketchParams` caps k at `u16::MAX`, so `u16`
-        // counters cannot wrap.
-        let mut above = vec![0u16; n];
-        // With the threshold inside the noise floor a third of the buckets can clear it, so
-        // data-dependent branches mispredict constantly; the sweep is branchless — it emits
-        // both of a bucket's sign slots with unconditional stores and predicated cursor
-        // bumps. Each slot lists only candidates of its sign, so the walk touches only
-        // candidates that exceed. A negative threshold clears both slots of a bucket.
-        let mut hot = vec![0u32; 2 * m];
-        for j in 0..k {
-            let row = &self.restored[j * m..(j + 1) * m];
-            let starts = &block.inv_start[j * (2 * m + 1)..(j + 1) * (2 * m + 1)];
-            let row_items = &block.inv_items[j * n..(j + 1) * n];
-            let mut cnt = 0usize;
-            for (b, &v) in row.iter().enumerate() {
-                let slot = 2 * b as u32;
-                hot[cnt] = slot;
-                cnt += (v > threshold) as usize;
-                hot[cnt] = slot + 1;
-                cnt += (-v > threshold) as usize;
+        // Dense count screen: each restored row is thresholded once into its hot planes,
+        // and every candidate adds the bit its (sign, bucket) selects to its row count, an
+        // exact per-candidate count of the rows whose signed counter exceeds `T`.
+        let mut above = vec![0u16; block.domain.len()];
+        screen::count_above(
+            &self.restored,
+            m,
+            threshold,
+            &block.buckets,
+            &block.neg,
+            &mut above,
+        );
+        // A candidate is in when `c > k/2`, or for even k when `c = k/2` and the straddle
+        // check passes, so a count below `⌈k/2⌉` is out; chunks of 64 such counts are
+        // skipped whole.
+        let half = k / 2;
+        let least = k - half;
+        for (base, chunk) in (0..).step_by(64).zip(above.chunks(64)) {
+            if usize::from(chunk.iter().copied().max().unwrap_or(0)) < least {
+                continue;
             }
-            for &slot in &hot[..cnt] {
-                let slot = slot as usize;
-                for &item in &row_items[starts[slot] as usize..starts[slot + 1] as usize] {
-                    above[item as usize] += 1;
+            for (i, &c) in (base..).zip(chunk) {
+                let c = usize::from(c);
+                if c > half
+                    || (k % 2 == 0 && c == half && self.straddle_exceeds(block, i, threshold))
+                {
+                    out.push(block.domain[i]);
                 }
             }
         }
-        let half = k / 2;
-        out.extend(
-            block
-                .domain
-                .iter()
-                .zip(above)
-                .filter(|&(&d, c)| {
-                    let c = c as usize;
-                    if c > half {
-                        true
-                    } else if k % 2 == 1 || c < half {
-                        false
-                    } else {
-                        self.frequency_median(d) > threshold
-                    }
-                })
-                .map(|(&d, _)| d),
-        );
+    }
+
+    /// The even-k median comparison `frequency_median(d_i) > T` for a candidate with
+    /// exactly `k/2` per-row estimates above `T`. Those estimates are the top half of the
+    /// sorted order, so the two middle order statistics are the smallest estimate above
+    /// `T` and the largest one at or below it, and their mean is the median's value
+    /// without a sort. The estimates come from the block's planes, not from re-hashing.
+    fn straddle_exceeds(&self, block: &DomainIndex, i: usize, threshold: f64) -> bool {
+        let (mut lo, mut hi) = (f64::NEG_INFINITY, f64::INFINITY);
+        for j in 0..self.params.rows() {
+            let v = block.signed_counter(&self.restored, j, i);
+            if v > threshold {
+                hi = hi.min(v);
+            } else {
+                lo = lo.max(v);
+            }
+        }
+        (lo + hi) / 2.0 > threshold
     }
 }
 
 /// Candidates per block when a scan indexes a candidate slice itself. One block's index
-/// takes about `8·k·B + 4·k·(2m+1)` bytes (≈1.3 MB at k = 18, m = 1024), whatever the
-/// slice's length.
+/// takes `2·k·B + 8·k·⌈B/64⌉` bytes (≈0.31 MB at k = 18), whatever the slice's length.
 pub(crate) const SCAN_BLOCK: usize = 8_192;
 
 /// Where a frequency scan takes its candidates from.
@@ -894,15 +895,14 @@ pub(crate) fn for_each_block(
 ///
 /// A frequency scan needs `k` bucket and sign hashes per candidate, and for a fixed domain
 /// they never change. A `DomainIndex` evaluates them once, storing for every
-/// `(row, candidate)` pair the flattened offset into the restored `k × m` matrix (`u32`),
-/// the sign packed into `u64` bit planes, and per row an inverted (bucket, sign) → candidate
-/// list.
+/// `(row, candidate)` pair the bucket (a `u16` plane) and the sign (packed into `u64` bit
+/// planes), the layout [`screen::count_above`] reads.
 /// Scanning a [`Candidates::Slice`] builds one per block, so the two sources give the same
 /// bits.
 ///
 /// Build one when many scans share one hash family and domain — the online service keeps
 /// one per plus attribute and reuses it across every sealed window and merged span — and
-/// pass it as [`Candidates::Index`]. It takes about `8·k·n + 4·k·(2m+1)` bytes for `n`
+/// pass it as [`Candidates::Index`]. It takes `2·k·n + 8·k·⌈n/64⌉` bytes for `n`
 /// candidates; a one-off scan is better served by the slice source, whose memory is
 /// bounded by one block.
 #[derive(Debug, Clone)]
@@ -911,76 +911,43 @@ pub struct DomainIndex {
     seed: u64,
     rows: usize,
     columns: usize,
-    /// `offsets[j·n + i]` = flattened index `j·m + h_j(domain[i])`, row-major.
-    offsets: Vec<u32>,
-    /// Sign bit planes: bit `i mod 64` of word `j·words_per_row + i/64` is set iff
+    /// `buckets[j·n + i] = h_j(domain[i])`, row-major.
+    buckets: Vec<u16>,
+    /// Sign bit planes: bit `i mod 64` of word `j·⌈n/64⌉ + i/64` is set iff
     /// `ξ_j(domain[i]) = −1`.
     neg: Vec<u64>,
-    words_per_row: usize,
-    /// Inverted CSR split by sign, per row: slot `s = 2b + neg_bit`, and
-    /// `inv_start[j·(2m+1) + s]..inv_start[j·(2m+1) + s + 1]` bounds the candidates row `j`
-    /// hashes into bucket `b` with sign bit `neg_bit` (slot `2b` positive, `2b + 1`
-    /// negative).
-    inv_start: Vec<u32>,
-    /// CSR payload, the plain candidate index, counting-sorted by `(row, slot)`.
-    inv_items: Vec<u32>,
 }
 
 impl DomainIndex {
     /// Hash every candidate in `domain` through all `k` rows of `hashes` once.
     ///
     /// # Panics
-    /// Panics if the flattened `k·m` counter space does not fit in `u32` offsets, or if the
-    /// domain holds more than `2^31 − 1` candidates.
+    /// Panics if the hash family has more than 65,536 columns, so that a bucket does not
+    /// fit the `u16` plane.
     pub fn new(hashes: &RowHashes, domain: Arc<Vec<u64>>) -> Self {
         let (k, m) = (hashes.rows(), hashes.columns());
         assert!(
-            k.checked_mul(m).is_some_and(|t| t <= u32::MAX as usize),
-            "sketch too large for a u32-offset domain index: {k} x {m}"
+            m <= 1 << 16,
+            "sketch too wide for a u16 bucket plane: {m} columns"
         );
         let n = domain.len();
-        assert!(
-            n <= (u32::MAX >> 1) as usize,
-            "domain too large for the inverted index payload: {n} candidates"
-        );
-        let words_per_row = n.div_ceil(64).max(1);
-        let mut offsets = vec![0u32; k * n];
-        let mut neg = vec![0u64; k * words_per_row];
-        let slots = 2 * m;
-        let mut inv_start = vec![0u32; k * (slots + 1)];
-        let mut inv_items = vec![0u32; k * n];
-        let mut cursor = vec![0u32; slots];
+        let words = n.div_ceil(64);
+        let mut buckets = vec![0u16; k * n];
+        let mut neg = vec![0u64; k * words];
         for (j, pair) in hashes.iter().enumerate() {
-            let offs = &mut offsets[j * n..(j + 1) * n];
-            let negs = &mut neg[j * words_per_row..(j + 1) * words_per_row];
-            let starts = &mut inv_start[j * (slots + 1)..(j + 1) * (slots + 1)];
+            let row = &mut buckets[j * n..(j + 1) * n];
+            let negs = &mut neg[j * words..(j + 1) * words];
             // One fused bucket/sign hash per candidate. Random signs would mispredict a
             // branch half the time, so each sign bit is OR-ed into a register word that is
             // stored once per 64 candidates.
-            for ((cands, offs), word) in domain.chunks(64).zip(offs.chunks_mut(64)).zip(&mut *negs)
-            {
+            for ((cands, row), word) in domain.chunks(64).zip(row.chunks_mut(64)).zip(negs) {
                 let mut bits = 0u64;
-                for (i, (&d, off)) in cands.iter().zip(offs).enumerate() {
+                for (i, (&d, b)) in cands.iter().zip(row).enumerate() {
                     let (bucket, neg) = pair.bucket_and_sign_neg(d);
-                    *off = (j * m + bucket) as u32;
-                    starts[2 * bucket + neg as usize + 1] += 1;
+                    *b = bucket as u16;
                     bits |= neg << i;
                 }
                 *word = bits;
-            }
-            // Invert the row into (bucket, sign) slot → candidate lists by counting sort, so
-            // threshold screens sweep the restored row and touch only the candidates whose
-            // signed counter exceeds.
-            for s in 0..slots {
-                starts[s + 1] += starts[s];
-            }
-            cursor.copy_from_slice(&starts[..slots]);
-            let items = &mut inv_items[j * n..(j + 1) * n];
-            for (i, &off) in offs.iter().enumerate() {
-                let neg_bit = (negs[i >> 6] >> (i & 63)) & 1;
-                let slot = 2 * (off as usize - j * m) + neg_bit as usize;
-                items[cursor[slot] as usize] = i as u32;
-                cursor[slot] += 1;
             }
         }
         DomainIndex {
@@ -988,12 +955,19 @@ impl DomainIndex {
             seed: hashes.seed(),
             rows: k,
             columns: m,
-            offsets,
+            buckets,
             neg,
-            words_per_row,
-            inv_start,
-            inv_items,
         }
+    }
+
+    /// Row `j`'s signed counter of candidate `i` in the restored `table`:
+    /// `ξ_j(d_i)·table[j·m + h_j(d_i)]`, the sign applied as an exact sign-bit flip.
+    #[inline]
+    fn signed_counter(&self, table: &[f64], j: usize, i: usize) -> f64 {
+        let n = self.domain.len();
+        let v = table[j * self.columns + usize::from(self.buckets[j * n + i])];
+        let flip = ((self.neg[j * n.div_ceil(64) + i / 64] >> (i % 64)) & 1) << 63;
+        f64::from_bits(v.to_bits() ^ flip)
     }
 
     /// The candidate domain the index was built over.
@@ -1234,10 +1208,13 @@ mod tests {
     fn indexed_scans_are_bit_identical_to_hashed_scans() {
         // The scans, from a prebuilt index or a slice indexed block by block, against the
         // hash-per-call single-value estimators. Both parities of k matter: the median
-        // count screen's decisive rule differs for odd and even row counts.
-        for (k, seed) in [(18usize, 2u64), (11, 3)] {
+        // count screen's decisive rule differs for odd and even row counts. Both sides of
+        // the count screen's width split run: on an AVX-512 host, the in-register tier up
+        // to m = 1024 (the benchmark shape) and the gather tier above.
+        let shapes = [(18usize, 256usize), (11, 256), (18, 1024), (11, 2048)];
+        for (seed, (k, m)) in (2u64..).zip(shapes) {
             let values = skewed_stream(40_000, 2_000, seed);
-            let sketch = build_sketch(&values, params(k, 256), eps(3.0), 91 + seed, seed);
+            let sketch = build_sketch(&values, params(k, m), eps(3.0), 91 + seed, seed);
             // Sweep thresholds from "everything in" to "nothing in" so the count screen
             // crosses every decisive and ambiguous branch.
             let thetas = [-1.0, 0.0, 1e-5, 1e-4, 1e-3, 5e-3, 0.05, 0.5];
