@@ -10,8 +10,8 @@
 //! The server, on the other hand, must undo the transform on whole sketch rows
 //! (`M ← M · H_mᵀ`, Algorithm 2 line 6). For that we provide an in-place
 //! **fast Walsh–Hadamard transform** ([`fwht_in_place`]) which runs in `O(m log m)` per row
-//! instead of the naive `O(m²)` matrix multiply (kept as [`hadamard_multiply_naive`] for
-//! tests and the ablation bench).
+//! instead of the naive `O(m²)` matrix multiply (kept in [`hadamard_multiply_naive`] as
+//! the tests' reference).
 //!
 //! All routines require `m` to be a power of two, matching the recursive definition of `H_m`.
 
@@ -823,7 +823,7 @@ fn fwht_radix2_reference(data: &mut [f64]) {
 
 /// Naive `O(m²)` multiplication `out[c] = Σ_r data[r]·H_m[r, c]`.
 ///
-/// Exists only as the reference implementation for tests and the FWHT ablation benchmark.
+/// Exists only as the reference implementation for tests.
 pub fn hadamard_multiply_naive(data: &[f64]) -> Vec<f64> {
     let m = data.len();
     assert!(
@@ -839,19 +839,6 @@ pub fn hadamard_multiply_naive(data: &[f64]) -> Vec<f64> {
         *o = acc;
     }
     out
-}
-
-/// Applies the inverse Hadamard transform in place: `data ← data · H_m / m`.
-///
-/// Because `H_m · H_m = m · I`, the inverse is the forward transform followed by a division
-/// by `m`. Provided for symmetry; the server-side sketch restore uses the un-normalised
-/// [`fwht_in_place`] because the paper's de-bias constants already account for scaling.
-pub fn fwht_inverse_in_place(data: &mut [f64]) {
-    let m = data.len() as f64;
-    fwht_in_place(data);
-    for v in data.iter_mut() {
-        *v /= m;
-    }
 }
 
 #[cfg(test)]
@@ -929,13 +916,14 @@ mod tests {
 
     #[test]
     fn fwht_is_involution_up_to_scale() {
+        // H_m · H_m = m · I: transforming twice and dividing by m gives the input back.
         let m = 64;
         let original: Vec<f64> = (0..m).map(|i| (i as f64).sin()).collect();
         let mut v = original.clone();
         fwht_in_place(&mut v);
-        fwht_inverse_in_place(&mut v);
+        fwht_in_place(&mut v);
         for (a, b) in v.iter().zip(original.iter()) {
-            assert_close(*a, *b);
+            assert_close(*a / m as f64, *b);
         }
     }
 

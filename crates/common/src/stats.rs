@@ -17,7 +17,12 @@ pub fn median(values: &[f64]) -> Option<f64> {
     }
     let mut v = values.to_vec();
     let n = v.len();
-    let cmp = |a: &f64, b: &f64| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Less);
+    // A total order: numbers compare as usual, NaN sits above every number and equal to
+    // other NaNs, so the answer does not depend on where the NaNs are.
+    let cmp = |a: &f64, b: &f64| {
+        a.partial_cmp(b)
+            .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
+    };
     if n % 2 == 1 {
         let (_, mid, _) = v.select_nth_unstable_by(n / 2, cmp);
         Some(*mid)
@@ -131,6 +136,47 @@ mod tests {
         assert_eq!(median(&[1.0, 1.0, 1.0, 1.0, 1e18]), Some(1.0));
     }
 
+    /// Bit-identical, or both NaN (arithmetic need not keep a NaN's payload).
+    fn same(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    /// Every ordering of `values`.
+    fn permutations(values: &[f64]) -> Vec<Vec<f64>> {
+        if values.len() <= 1 {
+            return vec![values.to_vec()];
+        }
+        let mut out = Vec::new();
+        for i in 0..values.len() {
+            let mut rest = values.to_vec();
+            let first = rest.remove(i);
+            for mut tail in permutations(&rest) {
+                tail.insert(0, first);
+                out.push(tail);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn median_treats_nan_as_largest_in_every_order() {
+        let nan = f64::NAN;
+        // Sorted with NaN last: [1, 2, NaN] → 2; [1, 2, 3, NaN] → 2.5; [1, 2, 3, NaN, NaN]
+        // → 3; [1, NaN, NaN] → NaN.
+        let cases = [
+            (vec![nan, 1.0, 2.0], 2.0),
+            (vec![3.0, nan, 1.0, 2.0], 2.5),
+            (vec![nan, 3.0, nan, 1.0, 2.0], 3.0),
+            (vec![nan, nan, 1.0], nan),
+        ];
+        for (values, expected) in cases {
+            for order in permutations(&values) {
+                let got = median(&order).unwrap();
+                assert!(same(got, expected), "{order:?}: {got}");
+            }
+        }
+    }
+
     #[test]
     fn mean_and_variance() {
         assert_eq!(mean(&[1.0, 2.0, 3.0]), Some(2.0));
@@ -223,6 +269,19 @@ mod tests {
             let n = v.len();
             let expected = if n % 2 == 1 { v[n / 2] } else { (v[n / 2 - 1] + v[n / 2]) / 2.0 };
             prop_assert!((med - expected).abs() < 1e-9);
+        }
+
+        #[test]
+        fn prop_median_orders_nan_above_every_number(raw in proptest::collection::vec(-4.0f64..4.0, 1..60)) {
+            // About a quarter of the values become NaN; the median is the order statistic
+            // of the numbers sorted ascending with every NaN after them.
+            let v: Vec<f64> = raw.iter().map(|&x| if x < -2.0 { f64::NAN } else { x }).collect();
+            let mut sorted: Vec<f64> = v.iter().copied().filter(|x| !x.is_nan()).collect();
+            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            sorted.resize(v.len(), f64::NAN);
+            let n = v.len();
+            let expected = if n % 2 == 1 { sorted[n / 2] } else { (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0 };
+            prop_assert!(same(median(&v).unwrap(), expected));
         }
 
         #[test]

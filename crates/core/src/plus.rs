@@ -18,8 +18,7 @@
 //! high-frequency mass. The mass actually present in group `A1` is `HighFreq_A·|A1|/|A|`
 //! (Theorem 8 counts the non-target values *in the group the sketch summarises*), so this
 //! implementation scales by the group fraction. Set
-//! [`PlusConfig::paper_literal_subtraction`] to `true` to reproduce the unscaled variant; the
-//! ablation bench compares both.
+//! [`PlusConfig::paper_literal_subtraction`] to `true` to reproduce the unscaled variant.
 //!
 //! ### The confidence-driven large-n mode ([`PlusConfig::adaptive`])
 //!
@@ -84,8 +83,9 @@ pub struct PlusConfig {
     /// Phase-1 sampling rate `r ∈ (0, 1)`.
     pub sampling_rate: f64,
     /// Frequent-item threshold `θ ∈ (0, 1)`: a value is frequent if its estimated share of the
-    /// table exceeds `θ`. Ignored when [`PlusConfig::adaptive`] is set — the threshold is then
-    /// derived per table from the detection noise floor.
+    /// table exceeds `θ`. Discovery ignores it when [`PlusConfig::adaptive`] is set — the
+    /// threshold is then derived per table from the detection noise floor — but
+    /// [`FiPolicy::validate`] checks it in either mode.
     pub threshold: f64,
     /// Seed for the public hash families (phase 1, low sketch and high sketch derive distinct
     /// families from it) and for the user routing.
@@ -134,13 +134,7 @@ impl PlusConfig {
                 self.sampling_rate
             )));
         }
-        if !(self.threshold > 0.0 && self.threshold < 1.0) {
-            return Err(Error::InvalidWorkload(format!(
-                "frequent-item threshold must lie in (0, 1), got {}",
-                self.threshold
-            )));
-        }
-        Ok(())
+        FiPolicy::from_config(self).validate()
     }
 }
 

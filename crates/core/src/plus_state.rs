@@ -67,6 +67,23 @@ impl FiPolicy {
         }
     }
 
+    /// Check the fixed threshold in either mode. [`PlusConfig`] validation and the
+    /// service's plus registration both call this, so the offline runner and the service
+    /// accept the same thresholds.
+    ///
+    /// # Errors
+    /// [`Error::InvalidWorkload`] unless θ lies in (0, 1); NaN is rejected too.
+    pub fn validate(&self) -> Result<()> {
+        if self.threshold > 0.0 && self.threshold < 1.0 {
+            Ok(())
+        } else {
+            Err(Error::InvalidWorkload(format!(
+                "frequent-item threshold must lie in (0, 1), got {}",
+                self.threshold
+            )))
+        }
+    }
+
     /// Discover one table's frequent items on its finalized phase-1 sketch. Returns the
     /// items, in candidate order, and the threshold θ actually applied. An empty sample
     /// yields an empty set (a window that sealed before any sample user arrived claims no

@@ -14,7 +14,7 @@ pub struct ExpArgs {
     pub seed: u64,
     /// Privacy budget used by figures that fix ε (overridable per binary).
     pub eps: f64,
-    /// Quick mode: used by the bench harness and CI to shrink sweeps further.
+    /// Quick mode: shrinks sweeps further, for CI and smoke runs.
     pub quick: bool,
     /// Optional free-form sweep selector (e.g. `--sweep m` / `--sweep k` for Fig. 9).
     pub sweep: Option<String>,

@@ -164,7 +164,7 @@ pub fn estimate_join(
             // estimate is invariant to the thread count (chunk-seeded client streams into one
             // exact-counter builder), and pinning a single worker keeps the offline timings
             // apples-to-apples with the single-threaded competitor implementations across
-            // machines. Multi-thread scaling is measured in bench_core_throughput instead.
+            // machines.
             let threads = 1;
             // lint:allow(determinism) — figure-table wall-clock timing of the method
             // run itself; the reported estimates depend only on the seeded RNG.

@@ -6,7 +6,7 @@
 //! ([`Stability`](ldpjs_metrics::telemetry::Stability)):
 //!
 //! * **Deterministic** — fully determined by the report stream and the service
-//!   configuration: ingest/rotation/eviction counters, ring and ledger depths, cache
+//!   configuration: ingest/rotation/eviction counters, ring depth, cache
 //!   hit/miss/eviction counters, per-kind query counters. These are byte-stable across
 //!   pinned-seed runs, which is what the deterministic snapshot property test pins.
 //! * **Environment** — shaped by the machine: which SIMD kernel tiers the process has run,
@@ -81,8 +81,6 @@ pub(crate) struct AttributeInstruments {
     pub evictions: Counter,
     /// Sealed windows currently retained in the ring.
     pub windows: Gauge,
-    /// Prefix entries currently held by the span ledger (aligned with the ring).
-    pub ledger_depth: Gauge,
     /// Reports sitting in the live (unsealed) engine.
     pub live_reports: Gauge,
 }
@@ -102,7 +100,6 @@ impl AttributeInstruments {
             rotations: counter("ldpjs_rotations_total"),
             evictions: counter("ldpjs_window_evictions_total"),
             windows: telemetry.gauge(&labeled("ldpjs_windows_retained", &a), det),
-            ledger_depth: telemetry.gauge(&labeled("ldpjs_ledger_depth", &a), det),
             live_reports: telemetry.gauge(&labeled("ldpjs_live_reports", &a), det),
         }
     }

@@ -108,7 +108,8 @@ impl ServiceConfig {
 /// discovery time.
 #[derive(Debug, Clone)]
 pub struct PlusAttributeConfig {
-    /// Fixed frequent-item threshold θ (ignored when `adaptive` is set).
+    /// Fixed frequent-item threshold θ ∈ (0, 1). Registration checks it in either mode;
+    /// discovery ignores it when `adaptive` is set.
     pub threshold: f64,
     /// Run the confidence-driven estimator (adaptive θ, median FI discovery, shift-free
     /// JoinEst, bound-capped recombination).
@@ -915,13 +916,16 @@ impl SketchService {
     /// reconciliation. Join partners must share `seed` *and* estimator knobs.
     ///
     /// # Errors
-    /// [`Error::InvalidWorkload`] if `name` is already registered.
+    /// [`Error::InvalidWorkload`] if `config.threshold` does not lie in (0, 1), the rule
+    /// [`LdpJoinSketchPlus::new`](ldpjs_core::plus::LdpJoinSketchPlus::new) applies, or if
+    /// `name` is already registered. A rejected call registers nothing.
     pub fn register_plus_attribute(
         &mut self,
         name: &str,
         seed: u64,
         config: PlusAttributeConfig,
     ) -> Result<AttributeId> {
+        config.policy().validate()?;
         let (params, eps) = (self.config.params, self.config.eps);
         let live = PlusStateBuilder::new(params, eps, seed);
         // Hash the public candidate domain through the phase-1 family once, at
@@ -1784,9 +1788,7 @@ fn rotate_attribute(
         attr.instruments.evictions.inc();
     }
     attr.instruments.rotations.inc();
-    let depth = attr.mode.depth() as u64;
-    attr.instruments.windows.set(depth);
-    attr.instruments.ledger_depth.set(depth);
+    attr.instruments.windows.set(attr.mode.depth() as u64);
     attr.instruments.live_reports.set(0);
     attr.epoch_opened_at = None;
     // Every span of the old ring is gone. Re-resolve each range read in the closing epoch
@@ -2125,6 +2127,39 @@ mod tests {
     }
 
     #[test]
+    fn plus_registration_rejects_the_thresholds_the_offline_runner_rejects() {
+        // θ must lie in (0, 1) in either mode, as `LdpJoinSketchPlus::new` requires; a
+        // rejected registration leaves no attribute behind.
+        let mut service = manual_service(4, 64, 4);
+        let (params, eps) = (service.config().params, service.config().eps);
+        for adaptive in [false, true] {
+            for threshold in [f64::NAN, 0.0, 1.0, -0.1] {
+                let mut cfg = PlusAttributeConfig::new((0..10).collect());
+                cfg.threshold = threshold;
+                cfg.adaptive = adaptive;
+                assert!(
+                    matches!(
+                        service.register_plus_attribute("p", 7, cfg),
+                        Err(Error::InvalidWorkload(_))
+                    ),
+                    "θ = {threshold}, adaptive = {adaptive}"
+                );
+                assert_eq!(service.attribute_id("p"), None);
+                let mut offline = PlusConfig::new(params, eps);
+                offline.threshold = threshold;
+                offline.adaptive = adaptive;
+                assert!(LdpJoinSketchPlus::new(offline).is_err());
+            }
+            let mut cfg = PlusAttributeConfig::new((0..10).collect());
+            cfg.threshold = 0.01;
+            cfg.adaptive = adaptive;
+            let name = format!("p.{adaptive}");
+            let id = service.register_plus_attribute(&name, 7, cfg).unwrap();
+            assert_eq!(service.attribute_id(&name), Some(id));
+        }
+    }
+
+    #[test]
     fn mode_mismatch_is_a_first_class_error_everywhere() {
         let mut service = manual_service(6, 64, 4);
         let plain = service.register_attribute("plain", 1).unwrap();
@@ -2334,6 +2369,26 @@ mod tests {
         }
         assert_eq!(service.window_count(attr).unwrap(), 3);
         assert_eq!(service.evicted_windows(attr).unwrap(), 2);
+        // The ring-depth gauge and the eviction counter agree with the accessors above.
+        let telemetry = service.telemetry();
+        assert_eq!(
+            telemetry
+                .gauge(
+                    "ldpjs_windows_retained{attr=\"a\"}",
+                    Stability::Deterministic
+                )
+                .get(),
+            3
+        );
+        assert_eq!(
+            telemetry
+                .counter(
+                    "ldpjs_window_evictions_total{attr=\"a\",mode=\"plain\"}",
+                    Stability::Deterministic
+                )
+                .get(),
+            2
+        );
         // The retained suffix is epochs {2, 3, 4}, each with its own report count; lifetime
         // accounting is unaffected.
         let retained: Vec<(u64, u64)> = service

@@ -133,7 +133,7 @@ impl AgmsSketch {
         median(&squares).unwrap_or(0.0)
     }
 
-    /// Raw counter values (used by tests and the bench harness).
+    /// Raw counter values (used by tests).
     pub fn counters(&self) -> &[f64] {
         &self.counters
     }

@@ -86,7 +86,7 @@ impl CountMeanSketch {
         (m / (m - 1.0)) * (mean - self.total as f64 / m)
     }
 
-    /// Raw counters (row-major), for tests and benches.
+    /// Raw counters (row-major), for tests.
     pub fn counters(&self) -> &[f64] {
         &self.counters
     }

@@ -176,7 +176,7 @@ impl FastAgmsSketch {
         median(&estimates).unwrap_or(0.0)
     }
 
-    /// Raw counters, row-major (used by benches and tests).
+    /// Raw counters, row-major (used by tests).
     pub fn counters(&self) -> &[f64] {
         &self.counters
     }

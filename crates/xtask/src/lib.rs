@@ -165,7 +165,7 @@ pub fn lint_sources(sources: &[(String, String)]) -> Vec<Diagnostic> {
 /// Collect every lintable `.rs` source under `root` in a deterministic order.
 ///
 /// Skipped subtrees: `target/` (build output), `.git/`, `vendor/` (third-party API shims
-/// — `rand`/`proptest`/`criterion` follow upstream idiom, not this repo's rules), and
+/// — `rand`/`proptest` follow upstream idiom, not this repo's rules), and
 /// `fixtures/` (the lint engine's own known-bad test inputs).
 pub fn workspace_sources(root: &Path) -> std::io::Result<Vec<(String, String)>> {
     let mut rels = Vec::new();

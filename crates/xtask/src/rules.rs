@@ -33,7 +33,7 @@ const PANIC_MACROS: [(&str, &str); 4] = [
 const MAP_CRATES: &[&str] = &["core", "service", "sketch", "ldp"];
 
 /// Crates allowed to read wall clocks (`Instant::now` / `SystemTime`).
-const TIME_EXEMPT_CRATES: &[&str] = &["bench", "xtask"];
+const TIME_EXEMPT_CRATES: &[&str] = &["xtask"];
 
 /// Entropy-seeded RNG constructors: all randomness must flow from explicit seeds.
 const RNG_BANNED: &[&str] = &["thread_rng", "from_entropy", "OsRng", "getrandom"];
@@ -232,7 +232,7 @@ fn arch_path(code: &str) -> bool {
     })
 }
 
-/// **determinism** — no wall clocks outside bench/xtask, no `HashMap`/`HashSet`
+/// **determinism** — no wall clocks outside xtask, no `HashMap`/`HashSet`
 /// iteration in estimator/service library code, no entropy-seeded RNGs anywhere.
 fn determinism(class: &FileClass, model: &FileModel, out: &mut Vec<Diagnostic>) {
     if class.kind != TargetKind::Lib {
@@ -260,8 +260,8 @@ fn determinism(class: &FileClass, model: &FileModel, out: &mut Vec<Diagnostic>) 
                 out.push(class.diag(
                     Rule::Determinism,
                     i + 1,
-                    "wall-clock read (`Instant::now`/`SystemTime`) outside bench/xtask \
-                     crates — inject the clock instead",
+                    "wall-clock read (`Instant::now`/`SystemTime`) outside the xtask crate \
+                     — inject the clock instead",
                 ));
             }
         }

@@ -7,7 +7,7 @@
 //! re-scans the full public domain for frequent items — a measured 16× cliff over the
 //! plain path (10.3× when the state is assembled from the span ledger on the query path
 //! instead of at rotation). The query gate
-//! pins the ratio: on the bench harness's pinned smoke config (k = 18, m = 1024, 8 windows
+//! pins the ratio: on a pinned config (k = 18, m = 1024, 8 windows
 //! × 4k reports per window, Zipf(2.0) over a 4096 domain), a cold plus all-windows join
 //! must cost **at most 4×** a cold plain all-windows join. Other plus ranges are assembled
 //! on first use and re-warmed at rotation, so they are not what this gate times.
