@@ -30,6 +30,8 @@ pub enum Error {
         /// Number of columns of the receiving sketch.
         cols: usize,
     },
+    /// A client report's wire encoding is malformed (e.g. a sign byte other than 0 or 1).
+    MalformedReport(String),
     /// An estimator was asked to run with an empty input where at least one element is required.
     EmptyInput(String),
     /// A sketch-service call referenced a join attribute that was never registered.
@@ -63,6 +65,7 @@ impl fmt::Display for Error {
                 f,
                 "client report targets counter ({row}, {col}) but the sketch is {rows}x{cols}"
             ),
+            Error::MalformedReport(msg) => write!(f, "malformed client report: {msg}"),
             Error::EmptyInput(msg) => write!(f, "empty input: {msg}"),
             Error::UnknownAttribute(msg) => write!(f, "unknown join attribute: {msg}"),
             Error::WindowUnavailable(msg) => write!(f, "window unavailable: {msg}"),

@@ -10,8 +10,7 @@
 //! The server, on the other hand, must undo the transform on whole sketch rows
 //! (`M ← M · H_mᵀ`, Algorithm 2 line 6). For that we provide an in-place
 //! **fast Walsh–Hadamard transform** ([`fwht_in_place`]) which runs in `O(m log m)` per row
-//! instead of the naive `O(m²)` matrix multiply (kept in [`hadamard_multiply_naive`] as
-//! the tests' reference).
+//! instead of the naive `O(m²)` matrix multiply (kept in the tests as their reference).
 //!
 //! All routines require `m` to be a power of two, matching the recursive definition of `H_m`.
 
@@ -821,10 +820,10 @@ fn fwht_radix2_reference(data: &mut [f64]) {
     }
 }
 
-/// Naive `O(m²)` multiplication `out[c] = Σ_r data[r]·H_m[r, c]`.
-///
-/// Exists only as the reference implementation for tests.
-pub fn hadamard_multiply_naive(data: &[f64]) -> Vec<f64> {
+/// Naive `O(m²)` multiplication `out[c] = Σ_r data[r]·H_m[r, c]`, the matrix-product
+/// reference for the transforms (tests only).
+#[cfg(test)]
+fn hadamard_multiply_naive(data: &[f64]) -> Vec<f64> {
     let m = data.len();
     assert!(
         is_valid_order(m),

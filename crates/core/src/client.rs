@@ -117,14 +117,28 @@ impl ClientReport {
         ]
     }
 
-    /// Decode a report from its wire encoding. The caller (the server) still validates the
-    /// indices against its sketch dimensions when absorbing the report.
-    pub fn from_wire(bytes: [u8; Self::WIRE_SIZE]) -> Self {
-        ClientReport {
-            y: if bytes[0] != 0 { 1.0 } else { -1.0 },
+    /// Decode a report from its wire encoding: sign byte 1 is `y = +1`, 0 is `y = −1`. The
+    /// caller (the server) still validates the indices against its sketch dimensions when
+    /// absorbing the report.
+    ///
+    /// # Errors
+    /// Returns [`Error::MalformedReport`] for any other sign byte, so a corrupt or hostile
+    /// report is refused instead of being absorbed as a positive one.
+    pub fn from_wire(bytes: [u8; Self::WIRE_SIZE]) -> Result<Self> {
+        let y = match bytes[0] {
+            0 => -1.0,
+            1 => 1.0,
+            other => {
+                return Err(Error::MalformedReport(format!(
+                    "sign byte {other:#04x} is neither 0 nor 1"
+                )))
+            }
+        };
+        Ok(ClientReport {
+            y,
             row: u16::from_le_bytes([bytes[1], bytes[2]]) as usize,
             col: u16::from_le_bytes([bytes[3], bytes[4]]) as usize,
-        }
+        })
     }
 }
 
@@ -447,7 +461,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(12);
             for v in 0..200u64 {
                 let report = c.perturb(v, &mut rng);
-                let decoded = ClientReport::from_wire(report.to_wire());
+                let decoded = ClientReport::from_wire(report.to_wire()).unwrap();
                 assert_eq!(report, decoded);
             }
         }
@@ -462,6 +476,21 @@ mod tests {
             .len(),
             ClientReport::WIRE_SIZE
         );
+    }
+
+    #[test]
+    fn wire_format_rejects_malformed_sign_bytes() {
+        for sign in [2u8, 0xFF] {
+            let err = ClientReport::from_wire([sign, 3, 0, 7, 0]).unwrap_err();
+            assert!(
+                matches!(err, Error::MalformedReport(_)),
+                "byte {sign}: {err}"
+            );
+        }
+        // The two valid sign bytes still decode, to −1 and +1.
+        let decode = |sign: u8| ClientReport::from_wire([sign, 3, 0, 7, 0]).unwrap();
+        assert_eq!((decode(0).y, decode(1).y), (-1.0, 1.0));
+        assert_eq!((decode(1).row, decode(1).col), (3, 7));
     }
 
     #[test]

@@ -51,19 +51,14 @@ impl PlainKernel {
 /// The LDPJoinSketch+ estimator — Algorithm 5's `JoinEst` plus the confidence-driven
 /// large-n extensions — over two finalized per-attribute plus states.
 ///
-/// The kernel owns only estimator *knobs*; all data (sketches, group sizes, frequent items,
-/// thresholds) is borrowed from the states, which is what lets the one-shot runners and the
-/// online service's merged windows share it verbatim.
+/// The kernel owns only the estimator *mode*; all data (sketches, group sizes, frequent
+/// items, thresholds) is borrowed from the states, which is what lets the one-shot runners
+/// and the online service's merged windows share it verbatim.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlusKernel {
     /// Run the confidence-driven JoinEst (shift-free centered low partial, collision-masked
     /// high partial, bound-capped weights) instead of the classic mass-subtraction form.
     pub adaptive: bool,
-    /// Classic mode only: subtract the full-table high-frequency mass exactly as printed in
-    /// Algorithm 5 instead of the group-scaled mass.
-    pub paper_literal_subtraction: bool,
-    /// Classic mode only: combine the rescaled partials by inverse-variance weight.
-    pub variance_weighted_recombination: bool,
 }
 
 impl PlusKernel {
@@ -71,8 +66,6 @@ impl PlusKernel {
     pub fn from_config(config: &PlusConfig) -> Self {
         PlusKernel {
             adaptive: config.adaptive,
-            paper_literal_subtraction: config.paper_literal_subtraction,
-            variance_weighted_recombination: config.variance_weighted_recombination,
         }
     }
 
@@ -170,7 +163,8 @@ impl PlusKernel {
             (low_est, high_est, (w_low, w_high))
         } else {
             // Classic Algorithm 5: estimate the frequent-item masses from phase 1 and
-            // subtract the expected uniform non-target contribution per counter.
+            // subtract the expected uniform non-target contribution per counter, scaled to
+            // the share of the table each group holds (see the `plus` module docs).
             let scale_a = n_a as f64 / sample_a.max(1) as f64;
             let scale_b = n_b as f64 / sample_b.max(1) as f64;
             let high_freq_a: f64 = fi
@@ -183,13 +177,8 @@ impl PlusKernel {
                 .map(|&d| sketch_p1_b.frequency(d) * scale_b)
                 .sum::<f64>()
                 .clamp(0.0, n_b as f64);
-            let group_fraction = |group_len: usize, table_len: usize| {
-                if self.paper_literal_subtraction {
-                    1.0
-                } else {
-                    group_len as f64 / table_len as f64
-                }
-            };
+            let group_fraction =
+                |group_len: usize, table_len: usize| group_len as f64 / table_len as f64;
             // mode == L: the non-targets are the high-frequency values.
             let nt_la = high_freq_a * group_fraction(a1, n_a);
             let nt_lb = high_freq_b * group_fraction(b1, n_b);
@@ -202,15 +191,7 @@ impl PlusKernel {
             let high_products = m_ha.row_products_shifted(m_hb, nt_ha / m, nt_hb / m)?;
             let high_est = median(&high_products)
                 .ok_or_else(|| Error::EmptyInput("sketch has no rows".into()))?;
-            let weights = if self.variance_weighted_recombination {
-                (
-                    shrinkage_weight(scale_low * low_est, scale_low, &low_products),
-                    shrinkage_weight(scale_high * high_est, scale_high, &high_products),
-                )
-            } else {
-                (1.0, 1.0)
-            };
-            (low_est, high_est, weights)
+            (low_est, high_est, (1.0, 1.0))
         };
 
         let join_size = recombination_weights.0 * scale_low * low_est
@@ -358,9 +339,12 @@ impl ChainKernel {
 }
 
 /// The inverse-variance weight of one rescaled partial estimate against the zero prior:
-/// `w = Ĵ²/(Ĵ² + σ̂²)`, with `σ̂²` estimated from the spread of the `k` per-row products
-/// (each row is an independent estimator of the same partial; the median combiner's variance
-/// is proportional to the per-row variance divided by `k`).
+/// `w = Ĵ²/(Ĵ² + σ̂²)`. `σ̂²` is estimated from the spread of the `k` per-row products (each
+/// row is an independent estimator of the same partial; the median combiner's variance is
+/// proportional to the per-row variance divided by `k`) and capped by the group-aware
+/// Theorem 4 variance bound, so an inflated spread (a few outlier rows) can never zero out
+/// a partial whose analytical confidence radius says it carries signal. A non-finite or
+/// negative bound caps nothing.
 ///
 /// Pinned edge behavior (each unit-tested):
 /// * identical row products (`σ̂² = 0`) → full weight `1` — a noiseless partial is never
@@ -368,21 +352,6 @@ impl ChainKernel {
 /// * a negative estimate weighs by its magnitude (`Ĵ²`), exactly like a positive one;
 /// * any non-finite intermediate (overflowing spread, NaN products) → full weight `1` — a
 ///   broken variance estimate must never silently zero out a real partial.
-pub(crate) fn shrinkage_weight(rescaled_estimate: f64, scale: f64, row_products: &[f64]) -> f64 {
-    let k = row_products.len();
-    if k < 2 {
-        return 1.0;
-    }
-    let mean = row_products.iter().sum::<f64>() / k as f64;
-    let row_var = row_products.iter().map(|p| (p - mean).powi(2)).sum::<f64>() / (k as f64 - 1.0);
-    let sigma_sq = scale * scale * row_var / k as f64;
-    weight_from(rescaled_estimate, sigma_sq)
-}
-
-/// The adaptive mode's generalization of [`shrinkage_weight`]: the empirical per-row spread
-/// is capped by the group-aware Theorem 4 variance bound, so an inflated spread (a few
-/// outlier rows) can never zero out a partial whose analytical confidence radius says it
-/// carries signal.
 pub(crate) fn confidence_weight(
     rescaled_estimate: f64,
     scale: f64,
@@ -399,12 +368,8 @@ pub(crate) fn confidence_weight(
     if analytic_variance_bound.is_finite() && analytic_variance_bound >= 0.0 {
         sigma_sq = sigma_sq.min(analytic_variance_bound);
     }
-    weight_from(rescaled_estimate, sigma_sq)
-}
-
-/// `w = Ĵ²/(Ĵ² + σ̂²)` with the pinned edges: `σ̂² = 0` (or a non-finite intermediate) gives
-/// full weight, so a partial is only ever *deliberately* damped by measured noise.
-fn weight_from(rescaled_estimate: f64, sigma_sq: f64) -> f64 {
+    // `σ̂² = 0` (or a non-finite intermediate) gives full weight, so a partial is only ever
+    // *deliberately* damped by measured noise.
     let signal_sq = rescaled_estimate * rescaled_estimate;
     let denom = signal_sq + sigma_sq;
     if !denom.is_finite() || denom == 0.0 || !signal_sq.is_finite() {
@@ -464,11 +429,7 @@ mod tests {
             adaptive: true,
         };
         let domain: Vec<u64> = (0..32).collect();
-        let kernel = PlusKernel {
-            adaptive: true,
-            paper_literal_subtraction: false,
-            variance_weighted_recombination: false,
-        };
+        let kernel = PlusKernel { adaptive: true };
         // Entirely empty states: no sample at all.
         let empty_a = PlusStateBuilder::new(p, e, 9).finalize(policy, &domain);
         let empty_b = PlusStateBuilder::new(p, e, 9).finalize(policy, &domain);
@@ -513,11 +474,7 @@ mod tests {
             },
             &domain,
         );
-        let kernel = PlusKernel {
-            adaptive: false,
-            paper_literal_subtraction: false,
-            variance_weighted_recombination: false,
-        };
+        let kernel = PlusKernel { adaptive: false };
         let est = kernel.frequency(&state, 7);
         // total == samples here, so the scale is 1 and the estimate tracks the sample count.
         assert!(
@@ -536,20 +493,24 @@ mod tests {
     }
 
     #[test]
-    fn shrinkage_weight_edge_cases_are_pinned() {
+    fn confidence_weight_edge_cases_are_pinned() {
+        // An infinite bound caps nothing: `uncapped_weight` weighs by the measured spread alone.
+        let uncapped_weight = |estimate: f64, scale: f64, products: &[f64]| {
+            confidence_weight(estimate, scale, products, f64::INFINITY)
+        };
         // σ̂² = 0 (all row products identical): full weight, the partial is trusted.
         let identical = vec![5.0e6; 12];
-        assert_eq!(shrinkage_weight(1.0e7, 3.0, &identical), 1.0);
+        assert_eq!(uncapped_weight(1.0e7, 3.0, &identical), 1.0);
         assert_eq!(confidence_weight(1.0e7, 3.0, &identical, 1.0e3), 1.0);
         // Zero estimate with zero spread: still full weight (0·1 = 0 either way, but the
         // weight must not be NaN from 0/0).
-        assert_eq!(shrinkage_weight(0.0, 3.0, &identical), 1.0);
+        assert_eq!(uncapped_weight(0.0, 3.0, &identical), 1.0);
         let zeros = vec![0.0; 8];
-        assert_eq!(shrinkage_weight(0.0, 3.0, &zeros), 1.0);
+        assert_eq!(uncapped_weight(0.0, 3.0, &zeros), 1.0);
         // A negative estimate weighs by magnitude, identically to its positive mirror.
         let spread: Vec<f64> = (0..12).map(|i| 1.0e6 + (i as f64) * 2.0e5).collect();
-        let w_neg = shrinkage_weight(-2.0e6, 4.0, &spread);
-        let w_pos = shrinkage_weight(2.0e6, 4.0, &spread);
+        let w_neg = uncapped_weight(-2.0e6, 4.0, &spread);
+        let w_pos = uncapped_weight(2.0e6, 4.0, &spread);
         assert!((w_neg - w_pos).abs() < 1e-15);
         assert!(
             (0.0..=1.0).contains(&w_neg) && w_neg > 0.0,
@@ -558,20 +519,20 @@ mod tests {
         // Non-finite inputs can never produce a zero/NaN weight that silently kills a
         // partial: the weight falls back to 1.
         let with_nan = vec![1.0, f64::NAN, 2.0, 3.0];
-        let w = shrinkage_weight(1.0e6, 2.0, &with_nan);
+        let w = uncapped_weight(1.0e6, 2.0, &with_nan);
         assert_eq!(w, 1.0);
         let overflow = vec![f64::MAX, -f64::MAX, f64::MAX, -f64::MAX];
-        let w = shrinkage_weight(1.0e6, f64::MAX, &overflow);
+        let w = uncapped_weight(1.0e6, f64::MAX, &overflow);
         assert_eq!(w, 1.0);
         // Tiny estimate against huge measured noise is damped toward zero, but stays finite
         // and positive (the legitimate shrinkage direction still works).
-        let w = shrinkage_weight(10.0, 100.0, &spread);
+        let w = uncapped_weight(10.0, 100.0, &spread);
         assert!(w > 0.0 && w < 1e-6, "noise-dominated weight {w}");
         // The analytic cap keeps an outlier-inflated spread from zeroing a real partial.
         let outlier: Vec<f64> = (0..12)
             .map(|i| if i == 0 { 1.0e12 } else { 1.0e6 })
             .collect();
-        let uncapped = shrinkage_weight(5.0e6, 4.0, &outlier);
+        let uncapped = uncapped_weight(5.0e6, 4.0, &outlier);
         let capped = confidence_weight(5.0e6, 4.0, &outlier, 1.0e10);
         assert!(
             capped > uncapped,

@@ -17,8 +17,7 @@
 //! Algorithm 5 as printed subtracts `HighFreq_A/m`, where `HighFreq_A` is the *full-table*
 //! high-frequency mass. The mass actually present in group `A1` is `HighFreq_A·|A1|/|A|`
 //! (Theorem 8 counts the non-target values *in the group the sketch summarises*), so this
-//! implementation scales by the group fraction. Set
-//! [`PlusConfig::paper_literal_subtraction`] to `true` to reproduce the unscaled variant.
+//! implementation scales by the group fraction.
 //!
 //! ### The confidence-driven large-n mode ([`PlusConfig::adaptive`])
 //!
@@ -90,22 +89,6 @@ pub struct PlusConfig {
     /// Seed for the public hash families (phase 1, low sketch and high sketch derive distinct
     /// families from it) and for the user routing.
     pub seed: u64,
-    /// Reproduce Algorithm 5 exactly as printed (subtract the full-table high-frequency mass
-    /// instead of the group-scaled mass). See the module documentation. Only meaningful in
-    /// the non-adaptive mode — the adaptive JoinEst never subtracts an estimated mass.
-    pub paper_literal_subtraction: bool,
-    /// Combine the two rescaled phase-2 partial estimates by inverse-variance weight instead
-    /// of a plain sum.
-    ///
-    /// Each rescaled partial `Ĵ_g = scale_g·Est_g` is unbiased for its join component `J_g`
-    /// but carries a variance amplified by `scale_g ≈ (n/|A_g|)·(n/|B_g|)`. With this knob on,
-    /// the per-row product spread of each phase-2 sketch pair is used to estimate that
-    /// variance `σ̂_g²`, and each partial enters the sum with the inverse-variance-optimal
-    /// weight against the zero prior, `w_g = Ĵ_g²/(Ĵ_g² + σ̂_g²)` — a noise-dominated partial
-    /// (σ̂_g ≫ Ĵ_g) is damped toward zero instead of injecting its amplified noise at full
-    /// weight. The adaptive mode always applies the (bound-capped) generalization of this
-    /// weighting; this flag enables the empirical-only variant in the classic mode.
-    pub variance_weighted_recombination: bool,
     /// Enable the confidence-driven large-n mode (adaptive θ, median frequent-item
     /// discovery, shift-free JoinEst, bound-capped recombination). See the module docs.
     pub adaptive: bool,
@@ -121,8 +104,6 @@ impl PlusConfig {
             sampling_rate: 0.1,
             threshold: 0.001,
             seed: 0xC0FFEE,
-            paper_literal_subtraction: false,
-            variance_weighted_recombination: false,
             adaptive: false,
         }
     }
@@ -154,8 +135,8 @@ pub struct PlusEstimate {
     /// Sizes of the phase-2 groups `(|A1|, |A2|, |B1|, |B2|)`.
     pub group_sizes: (usize, usize, usize, usize),
     /// The recombination weights `(w_low, w_high)` applied to the rescaled partial
-    /// estimates; `(1, 1)` unless the confidence-weighted recombination shrank a noisy
-    /// partial.
+    /// estimates: always `(1, 1)` in the classic mode; in the adaptive mode, below 1 where
+    /// the confidence-weighted recombination shrank a noisy partial.
     pub recombination_weights: (f64, f64),
     /// The frequent-item thresholds `(θ_A, θ_B)` actually applied — the configured
     /// [`PlusConfig::threshold`] in the classic mode, the per-table adaptive thresholds in
@@ -777,6 +758,8 @@ mod tests {
         let scale_high = (a.len() * b.len()) as f64 / (a2 * b2) as f64;
         let recomposed = scale_low * r.low_estimate + scale_high * r.high_estimate;
         assert!((recomposed - r.join_size).abs() < 1e-6 * r.join_size.abs().max(1.0));
+        // The classic mode sums the rescaled partials with unit weights.
+        assert_eq!(r.recombination_weights, (1.0, 1.0));
     }
 
     #[test]
@@ -977,80 +960,6 @@ mod tests {
                 "some frequent item lies past the first block"
             );
         }
-    }
-
-    #[test]
-    fn variance_weighted_recombination_damps_a_noise_dominated_partial() {
-        // A high threshold on a moderately skewed table leaves the frequent-item set empty,
-        // so the phase-2 "high" sketch targets nothing: its rescaled partial is pure
-        // amplified noise around zero. The plain sum injects that noise at full weight; the
-        // inverse-variance weighting must shrink it and give a smaller (or equal) error on
-        // average over several rounds.
-        let a = skewed(60_000, 2_000, 31);
-        let b = skewed(60_000, 2_000, 32);
-        let domain: Vec<u64> = (0..2_000).collect();
-        let truth = exact_join_size(&a, &b) as f64;
-        let mut cfg = config(4.0);
-        cfg.threshold = 0.5; // nothing clears 50% of the table -> FI stays empty
-        let mut cfg_weighted = cfg;
-        cfg_weighted.variance_weighted_recombination = true;
-
-        let mut err_plain = 0.0;
-        let mut err_weighted = 0.0;
-        for i in 0..4u64 {
-            let mut rng1 = StdRng::seed_from_u64(40 + i);
-            let mut rng2 = StdRng::seed_from_u64(40 + i);
-            let plain = LdpJoinSketchPlus::new(cfg).unwrap();
-            let plain = run(&plain, &a, &b, &domain, &mut rng1).unwrap();
-            let weighted = LdpJoinSketchPlus::new(cfg_weighted).unwrap();
-            let weighted = run(&weighted, &a, &b, &domain, &mut rng2).unwrap();
-            assert_eq!(plain.recombination_weights, (1.0, 1.0));
-            let (w_low, w_high) = weighted.recombination_weights;
-            assert!((0.0..=1.0).contains(&w_low) && (0.0..=1.0).contains(&w_high));
-            assert!(
-                w_high < 0.9,
-                "the no-target high partial should be recognised as noise, weight {w_high}"
-            );
-            assert!(
-                w_low > w_high,
-                "the signal-bearing low partial must outweigh the noise partial"
-            );
-            err_plain += (plain.join_size - truth).abs();
-            err_weighted += (weighted.join_size - truth).abs();
-        }
-        assert!(
-            err_weighted <= err_plain,
-            "variance weighting should not lose to the plain sum when one partial is pure \
-             noise: weighted {err_weighted} vs plain {err_plain}"
-        );
-    }
-
-    #[test]
-    fn paper_literal_subtraction_gives_a_different_answer() {
-        let a = skewed(60_000, 2_000, 21);
-        let b = skewed(60_000, 2_000, 22);
-        let domain: Vec<u64> = (0..2_000).collect();
-        let mut cfg = config(4.0);
-        cfg.paper_literal_subtraction = false;
-        let scaled = LdpJoinSketchPlus::new(cfg).unwrap();
-        let mut cfg2 = config(4.0);
-        cfg2.paper_literal_subtraction = true;
-        let literal = LdpJoinSketchPlus::new(cfg2).unwrap();
-        let mut rng1 = StdRng::seed_from_u64(5);
-        let mut rng2 = StdRng::seed_from_u64(5);
-        let e1 = run(&scaled, &a, &b, &domain, &mut rng1).unwrap();
-        let e2 = run(&literal, &a, &b, &domain, &mut rng2).unwrap();
-        // Same randomness, different subtraction rule -> different (but finite) answers.
-        assert!(e1.join_size.is_finite() && e2.join_size.is_finite());
-        assert_ne!(e1.join_size, e2.join_size);
-        // The group-scaled variant should be at least as accurate on this workload.
-        let truth = exact_join_size(&a, &b) as f64;
-        assert!(
-            (e1.join_size - truth).abs() <= (e2.join_size - truth).abs() * 1.5,
-            "group-scaled error {} vs literal error {}",
-            (e1.join_size - truth).abs(),
-            (e2.join_size - truth).abs()
-        );
     }
 
     proptest! {

@@ -31,8 +31,6 @@ fn main() {
         let knobs = PlusKnobs {
             sampling_rate: r,
             threshold: 0.001,
-            paper_literal_subtraction: false,
-            variance_weighted_recombination: false,
         };
         let summary = run_trials(
             Method::LdpJoinSketchPlus,

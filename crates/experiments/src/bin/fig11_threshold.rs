@@ -32,8 +32,6 @@ fn main() {
         let knobs = PlusKnobs {
             sampling_rate: 0.1,
             threshold: theta,
-            paper_literal_subtraction: false,
-            variance_weighted_recombination: false,
         };
         let summary = run_trials(
             Method::LdpJoinSketchPlus,

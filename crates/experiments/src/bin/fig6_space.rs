@@ -17,8 +17,6 @@ fn main() {
     let knobs = PlusKnobs {
         sampling_rate: 0.1,
         threshold: 0.001,
-        paper_literal_subtraction: false,
-        variance_weighted_recombination: false,
     };
     let workload = PaperDataset::Zipf { alpha: 2.0 }.generate_join(args.scale, args.seed);
 

@@ -20,8 +20,6 @@ fn main() {
     let knobs = PlusKnobs {
         sampling_rate: 0.1,
         threshold: 0.001,
-        paper_literal_subtraction: false,
-        variance_weighted_recombination: false,
     };
     let sweep = args.sweep.clone().unwrap_or_else(|| "m".to_string());
 

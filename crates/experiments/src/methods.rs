@@ -104,11 +104,6 @@ pub struct PlusKnobs {
     pub sampling_rate: f64,
     /// Frequent-item threshold `θ`.
     pub threshold: f64,
-    /// Use the paper-literal non-target subtraction (ablation switch).
-    pub paper_literal_subtraction: bool,
-    /// Combine the phase-2 partial estimates by inverse-variance weight (ablation switch,
-    /// see [`PlusConfig::variance_weighted_recombination`]).
-    pub variance_weighted_recombination: bool,
 }
 
 impl Default for PlusKnobs {
@@ -119,8 +114,6 @@ impl Default for PlusKnobs {
         PlusKnobs {
             sampling_rate: 0.1,
             threshold: 0.01,
-            paper_literal_subtraction: false,
-            variance_weighted_recombination: false,
         }
     }
 }
@@ -206,8 +199,6 @@ pub fn estimate_join(
             config.sampling_rate = knobs.sampling_rate;
             config.threshold = knobs.threshold;
             config.seed = seed;
-            config.paper_literal_subtraction = knobs.paper_literal_subtraction;
-            config.variance_weighted_recombination = knobs.variance_weighted_recombination;
             let domain = workload.domain();
             // lint:allow(determinism) — figure-table wall-clock timing of the method
             // run itself; the reported estimates depend only on the seeded RNG.

@@ -104,8 +104,8 @@ impl ServiceConfig {
 }
 
 /// Per-attribute configuration of the LDPJoinSketch+ estimator mode: the frequent-item
-/// discovery policy, the `JoinEst` kernel knobs, and the public candidate domain scanned at
-/// discovery time.
+/// discovery policy, which also selects the `JoinEst` kernel mode, and the public candidate
+/// domain scanned at discovery time.
 #[derive(Debug, Clone)]
 pub struct PlusAttributeConfig {
     /// Fixed frequent-item threshold θ ∈ (0, 1). Registration checks it in either mode;
@@ -114,10 +114,6 @@ pub struct PlusAttributeConfig {
     /// Run the confidence-driven estimator (adaptive θ, median FI discovery, shift-free
     /// JoinEst, bound-capped recombination).
     pub adaptive: bool,
-    /// Classic mode only: reproduce Algorithm 5's unscaled non-target subtraction.
-    pub paper_literal_subtraction: bool,
-    /// Classic mode only: inverse-variance weighting of the rescaled partials.
-    pub variance_weighted_recombination: bool,
     /// The public candidate domain frequent-item discovery scans (join-attribute domains
     /// are public metadata; only the values *held by users* are private).
     pub domain: Arc<Vec<u64>>,
@@ -129,8 +125,6 @@ impl PlusAttributeConfig {
         PlusAttributeConfig {
             threshold: 0.01,
             adaptive: true,
-            paper_literal_subtraction: false,
-            variance_weighted_recombination: false,
             domain: Arc::new(domain),
         }
     }
@@ -141,8 +135,6 @@ impl PlusAttributeConfig {
         PlusAttributeConfig {
             threshold: config.threshold,
             adaptive: config.adaptive,
-            paper_literal_subtraction: config.paper_literal_subtraction,
-            variance_weighted_recombination: config.variance_weighted_recombination,
             domain: Arc::new(domain),
         }
     }
@@ -157,8 +149,6 @@ impl PlusAttributeConfig {
     fn kernel(&self) -> PlusKernel {
         PlusKernel {
             adaptive: self.adaptive,
-            paper_literal_subtraction: self.paper_literal_subtraction,
-            variance_weighted_recombination: self.variance_weighted_recombination,
         }
     }
 }
@@ -1350,11 +1340,12 @@ impl SketchService {
             // The answer is computed with ONE kernel and cached under an operand-order-
             // normalized key, so partners must agree on every estimator knob — otherwise
             // `plus_join_size(a, b)` and `plus_join_size(b, a)` would alias one cache entry
-            // while selecting different kernels.
-            if cfg_a.kernel() != cfg_b.kernel() || cfg_a.policy() != cfg_b.policy() {
+            // while selecting different kernels. The policy holds every knob: the kernel's
+            // one mode, `adaptive`, is part of it.
+            if cfg_a.policy() != cfg_b.policy() {
                 return Err(Error::ModeMismatch(format!(
                     "plus join partners '{}' and '{}' disagree on estimator knobs \
-                     (threshold/adaptive/paper-literal/variance-weighted must match)",
+                     (threshold/adaptive must match)",
                     op_a.0.name, op_b.0.name
                 )));
             }

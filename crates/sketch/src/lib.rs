@@ -2,30 +2,21 @@
 //!
 //! Non-private sketch substrates used by the paper:
 //!
-//! * [`agms`] — the original AGMS (tug-of-war) sketch of Alon, Gibbons, Matias and Szegedy.
 //! * [`fast_agms`] — the Fast-AGMS sketch of Cormode and Garofalakis; the non-private
 //!   baseline **FAGMS** in every figure and the structure LDPJoinSketch privatises.
-//! * [`count_min`] / [`count_mean`] — Count-Min and Count-Mean sketches; the latter is the
-//!   structure behind Apple's HCMS baseline.
 //! * [`compass`] — COMPASS-style multi-dimensional Fast-AGMS sketches for multi-way chain
 //!   joins (the non-private baseline of Fig. 15).
 //!
-//! All sketches share the seeded hash families from [`ldpjs_common::hash`] so a private and a
+//! Both share the seeded hash families from [`ldpjs_common::hash`] so a private and a
 //! non-private sketch built from the same seed are directly comparable.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod agms;
 pub mod compass;
-pub mod count_mean;
-pub mod count_min;
 pub mod fast_agms;
 pub mod params;
 
-pub use agms::AgmsSketch;
 pub use compass::{CompassEdgeSketch, CompassVertexSketch};
-pub use count_mean::CountMeanSketch;
-pub use count_min::CountMinSketch;
 pub use fast_agms::FastAgmsSketch;
 pub use params::SketchParams;
