@@ -7,7 +7,7 @@
 //! with `k = 4·log(1/δ)`.
 //!
 //! These quantities are useful for choosing `(k, m)` given table sizes and for sanity-checking
-//! measured errors in the experiments (EXPERIMENTS.md reports both).
+//! measured errors in the experiments.
 
 use ldpjs_common::privacy::Epsilon;
 use ldpjs_sketch::SketchParams;

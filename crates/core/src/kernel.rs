@@ -424,10 +424,7 @@ mod tests {
         // refuse instead of returning (and letting the service cache) a poisoned answer.
         let p = SketchParams::new(8, 128).unwrap();
         let e = Epsilon::new(4.0).unwrap();
-        let policy = FiPolicy {
-            threshold: 0.01,
-            adaptive: true,
-        };
+        let policy = FiPolicy::new(0.01, true).unwrap();
         let domain: Vec<u64> = (0..32).collect();
         let kernel = PlusKernel { adaptive: true };
         // Entirely empty states: no sample at all.
@@ -467,13 +464,7 @@ mod tests {
             .unwrap();
         builder.absorb_batch(&batch).unwrap();
         let domain: Vec<u64> = (0..10).collect();
-        let state = builder.finalize(
-            FiPolicy {
-                threshold: 0.5,
-                adaptive: false,
-            },
-            &domain,
-        );
+        let state = builder.finalize(FiPolicy::new(0.5, false).unwrap(), &domain);
         let kernel = PlusKernel { adaptive: false };
         let est = kernel.frequency(&state, 7);
         // total == samples here, so the scale is 1 and the estimate tracks the sample count.
@@ -482,13 +473,8 @@ mod tests {
             "scaled frequency {est} far from 10000"
         );
         // An empty state estimates zero.
-        let empty = PlusStateBuilder::new(p, e, 9).finalize(
-            FiPolicy {
-                threshold: 0.5,
-                adaptive: false,
-            },
-            &domain,
-        );
+        let empty =
+            PlusStateBuilder::new(p, e, 9).finalize(FiPolicy::new(0.5, false).unwrap(), &domain);
         assert_eq!(kernel.frequency(&empty, 7), 0.0);
     }
 

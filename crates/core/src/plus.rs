@@ -84,7 +84,7 @@ pub struct PlusConfig {
     /// Frequent-item threshold `θ ∈ (0, 1)`: a value is frequent if its estimated share of the
     /// table exceeds `θ`. Discovery ignores it when [`PlusConfig::adaptive`] is set — the
     /// threshold is then derived per table from the detection noise floor — but
-    /// [`FiPolicy::validate`] checks it in either mode.
+    /// [`LdpJoinSketchPlus::new`] checks it in either mode, by the rule of [`FiPolicy::new`].
     pub threshold: f64,
     /// Seed for the public hash families (phase 1, low sketch and high sketch derive distinct
     /// families from it) and for the user routing.

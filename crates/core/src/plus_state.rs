@@ -49,17 +49,38 @@ pub(crate) fn lane_seeds(protocol_seed: u64) -> (u64, u64) {
 /// [`FinalizedSketch::frequent_items_median`] in the adaptive one. The candidates come from
 /// a prebuilt [`DomainIndex`] (the online service) or from a slice indexed block by block
 /// (the runners); see [`Candidates`].
+///
+/// [`FiPolicy::new`] checks θ; [`FiPolicy::discover`] and [`FinalizedPlusState::new`]
+/// re-check it, because [`FiPolicy::from_config`] copies an unchecked [`PlusConfig`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FiPolicy {
     /// Fixed frequent-item threshold θ (ignored when `adaptive` is set).
-    pub threshold: f64,
+    threshold: f64,
     /// Derive θ per table from the detection noise floor and use the collision-robust
     /// median frequency estimator.
-    pub adaptive: bool,
+    adaptive: bool,
 }
 
 impl FiPolicy {
-    /// The discovery policy a [`PlusConfig`] implies.
+    /// A discovery policy with the fixed threshold θ = `threshold`, or with the adaptive θ
+    /// and the median screen when `adaptive` is set.
+    ///
+    /// # Errors
+    /// [`Error::InvalidWorkload`] unless θ lies in (0, 1), in either mode; NaN is rejected
+    /// too. [`LdpJoinSketchPlus::new`](crate::plus::LdpJoinSketchPlus::new) applies the same
+    /// rule to [`PlusConfig::threshold`].
+    pub fn new(threshold: f64, adaptive: bool) -> Result<Self> {
+        let policy = FiPolicy {
+            threshold,
+            adaptive,
+        };
+        policy.validate()?;
+        Ok(policy)
+    }
+
+    /// The discovery policy a [`PlusConfig`] implies, unchecked: the config's fields are
+    /// public, so only [`LdpJoinSketchPlus::new`](crate::plus::LdpJoinSketchPlus::new)
+    /// vouches for its θ.
     pub fn from_config(config: &PlusConfig) -> Self {
         FiPolicy {
             threshold: config.threshold,
@@ -67,13 +88,14 @@ impl FiPolicy {
         }
     }
 
-    /// Check the fixed threshold in either mode. [`PlusConfig`] validation and the
-    /// service's plus registration both call this, so the offline runner and the service
-    /// accept the same thresholds.
-    ///
-    /// # Errors
-    /// [`Error::InvalidWorkload`] unless θ lies in (0, 1); NaN is rejected too.
-    pub fn validate(&self) -> Result<()> {
+    /// Whether θ is adaptive and the screen is the median one.
+    #[inline]
+    pub fn adaptive(&self) -> bool {
+        self.adaptive
+    }
+
+    /// Check the fixed threshold in either mode.
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.threshold > 0.0 && self.threshold < 1.0 {
             Ok(())
         } else {
@@ -90,6 +112,7 @@ impl FiPolicy {
     /// frequent items).
     ///
     /// # Errors
+    /// [`Error::InvalidWorkload`] if θ lies outside (0, 1);
     /// [`Error::IncompatibleSketches`] if `candidates` is a [`DomainIndex`] built for
     /// another hash family or sketch shape than `sketch`.
     pub fn discover(
@@ -98,11 +121,13 @@ impl FiPolicy {
         samples: usize,
         candidates: Candidates<'_>,
     ) -> Result<(Vec<u64>, f64)> {
+        self.validate()?;
         sketch.check_candidates(candidates)?;
         Ok(self.discover_checked(sketch, samples, candidates))
     }
 
-    /// [`FiPolicy::discover`] over candidates already checked against `sketch`.
+    /// [`FiPolicy::discover`] with the policy and the candidates already checked against
+    /// `sketch`.
     fn discover_checked(
         &self,
         sketch: &FinalizedSketch,
@@ -292,7 +317,9 @@ impl PlusStateBuilder {
     }
 
     /// Restore the three lanes and run frequent-item discovery once, consuming the builder
-    /// and returning the immutable estimation view.
+    /// and returning the immutable estimation view. Unlike [`FinalizedPlusState::new`], it
+    /// does not re-check `policy`: a policy [`FiPolicy::from_config`] copied from an
+    /// unchecked [`PlusConfig`] screens with whatever θ that config holds.
     pub fn finalize(self, policy: FiPolicy, domain: &[u64]) -> FinalizedPlusState {
         let PlusStateBuilder { phase1, low, high } = self;
         FinalizedPlusState::discovered(
@@ -341,6 +368,7 @@ impl FinalizedPlusState {
     /// which pass the attribute's prebuilt [`DomainIndex`].
     ///
     /// # Errors
+    /// [`Error::InvalidWorkload`] if the policy's θ lies outside (0, 1);
     /// [`Error::IncompatibleSketches`] if `candidates` is an index built for another hash
     /// family or shape than the phase-1 sketch.
     pub fn new(
@@ -350,12 +378,13 @@ impl FinalizedPlusState {
         policy: FiPolicy,
         candidates: Candidates<'_>,
     ) -> Result<Self> {
+        policy.validate()?;
         phase1.check_candidates(candidates)?;
         Ok(Self::discovered(phase1, low, high, policy, candidates))
     }
 
-    /// [`FinalizedPlusState::new`] over candidates already checked against `phase1` (a
-    /// slice always fits).
+    /// [`FinalizedPlusState::new`] without its checks: the candidates fit `phase1` (a slice
+    /// always does) and the caller vouches for the policy.
     fn discovered(
         phase1: FinalizedSketch,
         low: FinalizedSketch,
@@ -525,10 +554,7 @@ mod tests {
         let mut builder = PlusStateBuilder::new(params(), eps(), 9);
         builder.absorb_batch(&batch_for(3, 200)).unwrap();
         let domain: Arc<Vec<u64>> = Arc::new((0..50).collect());
-        let policy = FiPolicy {
-            threshold: 0.01,
-            adaptive: true,
-        };
+        let policy = FiPolicy::new(0.01, true).unwrap();
         let (p1, low, high) = builder.lane_builders();
         let assemble = |index: &DomainIndex| {
             FinalizedPlusState::new(
@@ -566,6 +592,42 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_thresholds_are_typed_errors_where_a_policy_is_built_or_run() {
+        // θ must lie in (0, 1) in either mode. `from_config` copies an unchecked config, so
+        // discovery and state assembly re-check the policy they are handed.
+        let mut builder = PlusStateBuilder::new(params(), eps(), 9);
+        builder.absorb_batch(&batch_for(3, 200)).unwrap();
+        let (p1, low, high) = builder.lane_builders();
+        let domain: Vec<u64> = (0..50).collect();
+        let source = Candidates::Slice(&domain);
+        let invalid = |r: Result<()>| matches!(r, Err(Error::InvalidWorkload(_)));
+        for adaptive in [false, true] {
+            for threshold in [f64::NAN, 0.0, 1.0, -0.1] {
+                let what = format!("θ = {threshold}, adaptive = {adaptive}");
+                assert!(
+                    invalid(FiPolicy::new(threshold, adaptive).map(drop)),
+                    "{what}"
+                );
+                let mut config = PlusConfig::new(params(), eps());
+                config.threshold = threshold;
+                config.adaptive = adaptive;
+                let policy = FiPolicy::from_config(&config);
+                let phase1 = p1.finalize_view();
+                for samples in [0, 40] {
+                    let found = policy.discover(&phase1, samples, source).map(drop);
+                    assert!(invalid(found), "{what}, {samples} samples");
+                }
+                let (low, high) = (low.finalize_view(), high.finalize_view());
+                let state = FinalizedPlusState::new(phase1, low, high, policy, source);
+                assert!(invalid(state.map(drop)), "{what}");
+            }
+            let policy = FiPolicy::new(0.01, adaptive).unwrap();
+            assert_eq!(policy.adaptive(), adaptive);
+            assert!(policy.discover(&p1.finalize_view(), 40, source).is_ok());
+        }
+    }
+
+    #[test]
     fn discovery_matches_the_per_candidate_reference_from_both_sources() {
         // Both modes and both candidate sources, over domains that end just before, at and
         // after block boundaries and one with repeated candidates. The reference filters
@@ -593,10 +655,7 @@ mod tests {
             .collect();
         domains.push((0..2 * b + 5).map(|i| i * 7 % 16_001).collect());
         for adaptive in [false, true] {
-            let policy = FiPolicy {
-                threshold: 0.02,
-                adaptive,
-            };
+            let policy = FiPolicy::new(0.02, adaptive).unwrap();
             let theta = if adaptive {
                 bounds::adaptive_phase1_threshold(
                     sketch.params(),
@@ -663,23 +722,14 @@ mod tests {
             assert_eq!(builder.reports(), 0, "lane {lane}");
         }
         let domain: Vec<u64> = (0..50).collect();
-        let state = builder.finalize(
-            FiPolicy {
-                threshold: 0.01,
-                adaptive: false,
-            },
-            &domain,
-        );
+        let state = builder.finalize(FiPolicy::new(0.01, false).unwrap(), &domain);
         assert!(state.phase1().restored_counters().iter().all(|&v| v == 0.0));
         assert!(state.frequent_items().is_empty(), "empty sample -> no FI");
     }
 
     #[test]
     fn window_merge_is_bit_identical_to_single_builder_per_lane() {
-        let policy = FiPolicy {
-            threshold: 0.02,
-            adaptive: false,
-        };
+        let policy = FiPolicy::new(0.02, false).unwrap();
         let domain: Vec<u64> = (0..50).collect();
         let batches: Vec<PlusReportBatch> =
             (0..7).map(|i| batch_for(10 + i, 90 + i as usize)).collect();
@@ -728,10 +778,7 @@ mod tests {
     fn finalize_and_finalize_view_agree_bitwise() {
         let mut builder = PlusStateBuilder::new(params(), eps(), 9);
         builder.absorb_batch(&batch_for(3, 120)).unwrap();
-        let policy = FiPolicy {
-            threshold: 0.01,
-            adaptive: true,
-        };
+        let policy = FiPolicy::new(0.01, true).unwrap();
         let domain: Vec<u64> = (0..50).collect();
         let view = builder.finalize_view(policy, &domain);
         let consumed = builder.finalize(policy, &domain);
@@ -748,10 +795,7 @@ mod tests {
         let mut a = PlusStateBuilder::new(params(), eps(), 9);
         let b = PlusStateBuilder::new(params(), eps(), 10);
         assert!(a.merge(&b).is_err());
-        let policy = FiPolicy {
-            threshold: 0.01,
-            adaptive: false,
-        };
+        let policy = FiPolicy::new(0.01, false).unwrap();
         let domain: Vec<u64> = (0..10).collect();
         let fa = PlusStateBuilder::new(params(), eps(), 9).finalize(policy, &domain);
         let fb = PlusStateBuilder::new(params(), eps(), 10).finalize(policy, &domain);

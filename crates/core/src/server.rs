@@ -568,18 +568,6 @@ impl FinalizedSketch {
         crate::kernel::PlainKernel.join_size(self, other)
     }
 
-    /// Join-size estimate after subtracting a uniform per-counter shift from each sketch
-    /// (Algorithm 5: `M ← M − {NT/m}` then `Est = M_A·M_B`).
-    pub fn join_size_shifted(
-        &self,
-        other: &Self,
-        shift_self: f64,
-        shift_other: f64,
-    ) -> Result<f64> {
-        let products = self.row_products_shifted(other, shift_self, shift_other)?;
-        median(&products).ok_or_else(|| Error::EmptyInput("sketch has no rows".into()))
-    }
-
     /// Frequency estimate `f̃(d) = mean_j M[j, h_j(d)]·ξ_j(d)` (Theorem 7).
     ///
     /// The single-value reference of the scan [`FinalizedSketch::frequencies`], which adds
@@ -1419,28 +1407,30 @@ mod tests {
     #[test]
     fn shifted_join_removes_uniform_mass() {
         // Build a sketch, then check that shifting by c is equivalent to subtracting c from
-        // every restored counter (sanity for the Algorithm 5 implementation).
+        // every restored counter, row by row (sanity for classic `JoinEst`'s Algorithm 5
+        // subtraction, which runs through `row_products_shifted`).
         let p = params(6, 128);
         let e = eps(6.0);
         let a = skewed_stream(20_000, 100, 1);
         let b = skewed_stream(20_000, 100, 2);
         let sa = build_sketch(&a, p, e, 5, 3);
         let sb = build_sketch(&b, p, e, 5, 4);
-        let shifted = sa.join_size_shifted(&sb, 2.5, 1.5).unwrap();
+        let shifted = sa.row_products_shifted(&sb, 2.5, 1.5).unwrap();
         // Manual computation from the borrowed restored matrices.
         let (k, m) = (p.rows(), p.columns());
         let ma = sa.restored_counters();
         let mb = sb.restored_counters();
-        let mut products = Vec::new();
-        for j in 0..k {
-            let mut acc = 0.0;
+        assert_eq!(shifted.len(), k);
+        for (j, &row) in shifted.iter().enumerate() {
+            let mut expected = 0.0;
             for x in 0..m {
-                acc += (ma[j * m + x] - 2.5) * (mb[j * m + x] - 1.5);
+                expected += (ma[j * m + x] - 2.5) * (mb[j * m + x] - 1.5);
             }
-            products.push(acc);
+            assert!(
+                (row - expected).abs() < 1e-6,
+                "row {j}: {row} vs {expected}"
+            );
         }
-        let expected = ldpjs_common::stats::median(&products).unwrap();
-        assert!((shifted - expected).abs() < 1e-6);
     }
 
     #[test]

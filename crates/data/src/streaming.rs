@@ -291,12 +291,6 @@ impl<G: ValueGenerator + Clone> StreamingJoinWorkload<G> {
         self.hist_a.get(value as usize).copied().unwrap_or(0)
     }
 
-    /// Exact count of `value` in table B.
-    #[inline]
-    pub fn count_b(&self, value: u64) -> u64 {
-        self.hist_b.get(value as usize).copied().unwrap_or(0)
-    }
-
     /// `F2` of table A (self-join size), from the histogram.
     pub fn f2_a(&self) -> u128 {
         self.hist_a.iter().map(|&c| c as u128 * c as u128).sum()

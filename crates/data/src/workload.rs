@@ -4,7 +4,7 @@
 //! 256 GB machine. The estimators' *relative* behaviour (which method wins, how errors move
 //! with ε, m, k, α) is preserved at much smaller row counts, so every experiment binary takes
 //! a `--scale` factor applied to the paper's row counts, defaulting to a laptop-friendly
-//! value. EXPERIMENTS.md reports the scale each figure was regenerated at.
+//! value.
 
 use crate::gaussian::GaussianGenerator;
 use crate::realworld::{RealWorldGenerator, RealWorldKind};

@@ -8,9 +8,8 @@
 
 use ldpjs_core::{Epsilon, SketchParams};
 use ldpjs_data::PaperDataset;
-use ldpjs_experiments::{record_summary, run_trials, ExpArgs, Method, PlusKnobs};
+use ldpjs_experiments::{run_trials, ExpArgs, Method, PlusKnobs};
 use ldpjs_metrics::report::{csv_line, Table};
-use ldpjs_metrics::telemetry::Telemetry;
 
 fn main() {
     let args = ExpArgs::parse();
@@ -38,9 +37,6 @@ fn main() {
     );
     for dataset in datasets {
         let workload = dataset.generate_join(args.scale, args.seed);
-        // Per-dataset registry: communication accounting flows through the same telemetry
-        // counters the online service exports, and the figure reads them back from there.
-        let telemetry = Telemetry::new();
         let mut row = vec![workload.name.clone()];
         for &method in &methods {
             let summary = run_trials(
@@ -52,7 +48,6 @@ fn main() {
                 args.seed,
                 1,
             );
-            record_summary(&telemetry, &summary);
             row.push(summary.communication_bits.to_string());
             println!(
                 "{}",
@@ -67,15 +62,6 @@ fn main() {
             );
         }
         table.add_row(row);
-        println!("telemetry ({}):", workload.name);
-        for line in telemetry
-            .deterministic_snapshot()
-            .to_text()
-            .lines()
-            .filter(|l| l.starts_with("ldpjs_exp_communication_bits"))
-        {
-            println!("  {line}");
-        }
     }
     println!("\n{}", table.render());
     println!("(LDPJoinSketch and Apple-HCMS should be the cheapest; k-RR the most expensive per user on large domains.)");

@@ -7,14 +7,15 @@
 //!   shared by all binaries, so every figure can be regenerated at paper scale or at a
 //!   laptop-friendly default.
 //! * [`methods`] — the competitor registry: FAGMS (non-private), k-RR, Apple-HCMS, FLH,
-//!   LDPJoinSketch and LDPJoinSketch+, each exposed through one `estimate_join` entry point
-//!   (plus timed variants for Fig. 13).
-//! * [`runner`] — trial loops (optionally parallel across trials via crossbeam scoped
-//!   threads) that feed [`ldpjs_metrics::TrialErrors`].
+//!   LDPJoinSketch and LDPJoinSketch+, each run through one `estimate_join` entry point,
+//!   which also times the offline and online phases (Fig. 13).
+//! * [`runner`] — trial loops (parallel across trials on `std::thread::scope` threads) that
+//!   feed [`ldpjs_metrics::TrialErrors`].
 //!
 //! Every binary prints a human-readable table mirroring the paper figure plus `csv,`-prefixed
-//! lines for downstream plotting; EXPERIMENTS.md records the measured shapes next to the
-//! paper's.
+//! lines for downstream plotting. Each binary's module docs state the paper's setting and
+//! the shape the figure should show; the README's *Experiment binaries* section shows how to
+//! run them.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -25,4 +26,4 @@ pub mod runner;
 
 pub use config::ExpArgs;
 pub use methods::{estimate_join, Method, MethodOutcome, PlusKnobs};
-pub use runner::{record_summary, run_trials, MethodSummary};
+pub use runner::{run_trials, MethodSummary};

@@ -8,7 +8,6 @@
 use ldpjs_common::privacy::Epsilon;
 use ldpjs_core::SketchParams;
 use ldpjs_data::JoinWorkload;
-use ldpjs_metrics::telemetry::{Stability, Telemetry};
 use ldpjs_metrics::TrialErrors;
 
 use crate::methods::{estimate_join, Method, MethodOutcome, PlusKnobs};
@@ -96,51 +95,6 @@ pub fn run_trials(
     }
 }
 
-/// Record an aggregated summary into a telemetry registry under `{method="…"}` labels, so
-/// experiment binaries account protocol costs through the same registry the online service
-/// exports instead of carrying ad-hoc bits arithmetic to their print statements.
-///
-/// Trial counts and communication bits are exact protocol facts and register as
-/// [`Stability::Deterministic`]; the wall-clock figure timings register as
-/// [`Stability::Environment`] so they never pollute a deterministic snapshot.
-pub fn record_summary(telemetry: &Telemetry, summary: &MethodSummary) {
-    let method = summary.method.name();
-    let name = |base: &str| format!("{base}{{method=\"{method}\"}}");
-    telemetry
-        .counter(&name("ldpjs_exp_trials_total"), Stability::Deterministic)
-        .add(summary.trials as u64);
-    telemetry
-        .gauge(
-            &name("ldpjs_exp_communication_bits"),
-            Stability::Deterministic,
-        )
-        .set(summary.communication_bits);
-    let seconds_to_ns = |s: f64| (s * 1e9).max(0.0) as u64;
-    // Nanosecond buckets: powers of 32 from 1µs up — coarse, these are figure-scale times.
-    let buckets = [
-        1_000,
-        32_000,
-        1_024_000,
-        32_768_000,
-        1_048_576_000,
-        33_554_432_000,
-    ];
-    telemetry
-        .histogram(
-            &name("ldpjs_exp_offline_ns"),
-            Stability::Environment,
-            &buckets,
-        )
-        .record(seconds_to_ns(summary.mean_offline_seconds));
-    telemetry
-        .histogram(
-            &name("ldpjs_exp_online_ns"),
-            Stability::Environment,
-            &buckets,
-        )
-        .record(seconds_to_ns(summary.mean_online_seconds));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,46 +136,6 @@ mod tests {
         assert_eq!(three.trials, 3);
         assert!(three.mean_relative_error.is_finite());
         assert_eq!(one.communication_bits, three.communication_bits);
-    }
-
-    #[test]
-    fn record_summary_accounts_through_the_registry() {
-        let w = workload();
-        let params = SketchParams::new(6, 128).unwrap();
-        let eps = Epsilon::new(4.0).unwrap();
-        let summary = run_trials(
-            Method::LdpJoinSketch,
-            &w,
-            params,
-            eps,
-            PlusKnobs::default(),
-            1,
-            2,
-        );
-        let telemetry = Telemetry::new();
-        record_summary(&telemetry, &summary);
-        record_summary(&telemetry, &summary);
-        let bits = telemetry
-            .gauge(
-                "ldpjs_exp_communication_bits{method=\"LDPJoinSketch\"}",
-                Stability::Deterministic,
-            )
-            .get();
-        assert_eq!(bits, summary.communication_bits);
-        let trials = telemetry
-            .counter(
-                "ldpjs_exp_trials_total{method=\"LDPJoinSketch\"}",
-                Stability::Deterministic,
-            )
-            .get();
-        assert_eq!(trials, 4);
-        // The figure timings land in the environment tier only.
-        let det = telemetry.deterministic_snapshot().to_text();
-        assert!(!det.contains("ldpjs_exp_offline_ns"));
-        assert!(telemetry
-            .snapshot()
-            .to_text()
-            .contains("ldpjs_exp_offline_ns"));
     }
 
     #[test]

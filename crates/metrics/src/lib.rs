@@ -20,6 +20,4 @@ pub mod telemetry;
 
 pub use error::{absolute_error, mean_squared_error, relative_error, TrialErrors};
 pub use report::{csv_line, Table};
-pub use telemetry::{
-    parse_text_exposition, Counter, Gauge, Histogram, Sample, Snapshot, Stability, Telemetry, Value,
-};
+pub use telemetry::{Counter, Gauge, Histogram, Sample, Snapshot, Stability, Telemetry, Value};

@@ -21,8 +21,9 @@
 //! 3. **No wall clocks.** The registry never reads time. Durations are recorded by
 //!    callers as integer nanoseconds obtained from *injected* `Instant`s (see the
 //!    `telemetry-clock` xtask lint), keeping library code replayable.
-//! 4. **Dependency-free.** Both exporters — Prometheus-style text exposition and a JSON
-//!    snapshot — and their parsers are hand-rolled over `core`/`std` only.
+//! 4. **Export-only and dependency-free.** Both exporters — Prometheus-style text
+//!    exposition and a JSON snapshot — are hand-rolled over `core`/`std` only. Nothing in
+//!    the workspace reads an export back; unit tests pin both exporters' exact bytes.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -47,14 +48,6 @@ impl Stability {
         match self {
             Stability::Deterministic => "deterministic",
             Stability::Environment => "environment",
-        }
-    }
-
-    fn from_str(s: &str) -> Option<Self> {
-        match s {
-            "deterministic" => Some(Stability::Deterministic),
-            "environment" => Some(Stability::Environment),
-            _ => None,
         }
     }
 }
@@ -218,26 +211,23 @@ impl Telemetry {
                 clean.push(b);
             }
         }
+        // One bucket cell per bound plus the overflow cell, for the registered histogram and
+        // for a detached one alike.
+        let fresh = || {
+            Histogram(Arc::new(HistogramCore {
+                bounds: clean.clone(),
+                buckets: (0..=clean.len()).map(|_| AtomicU64::new(0)).collect(),
+                sum: AtomicU64::new(0),
+                count: AtomicU64::new(0),
+            }))
+        };
         self.with_map(|map| {
-            match map.entry(name.to_string()).or_insert_with(|| {
-                let buckets = (0..=clean.len()).map(|_| AtomicU64::new(0)).collect();
-                (
-                    stability,
-                    Instrument::Histogram(Histogram(Arc::new(HistogramCore {
-                        bounds: clean.clone(),
-                        buckets,
-                        sum: AtomicU64::new(0),
-                        count: AtomicU64::new(0),
-                    }))),
-                )
-            }) {
+            match map
+                .entry(name.to_string())
+                .or_insert_with(|| (stability, Instrument::Histogram(fresh())))
+            {
                 (_, Instrument::Histogram(h)) => h.clone(),
-                _ => Histogram(Arc::new(HistogramCore {
-                    bounds: clean,
-                    buckets: vec![AtomicU64::new(0)],
-                    sum: AtomicU64::new(0),
-                    count: AtomicU64::new(0),
-                })),
+                _ => fresh(),
             }
         })
     }
@@ -320,9 +310,8 @@ pub enum Value {
 
 /// An immutable, ordered capture of a [`Telemetry`] registry.
 ///
-/// Snapshots are mergeable (multi-shard / multi-service roll-ups) and renderable as
-/// Prometheus-style text or JSON; both renderings are byte-deterministic functions of the
-/// snapshot contents.
+/// Snapshots render as Prometheus-style text or JSON; both renderings are
+/// byte-deterministic functions of the snapshot contents.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Snapshot {
     /// Full metric name (labels included) → captured sample, in lexicographic order.
@@ -339,47 +328,6 @@ impl Snapshot {
                 .filter(|(_, s)| s.stability == Stability::Deterministic)
                 .map(|(k, v)| (k.clone(), v.clone()))
                 .collect(),
-        }
-    }
-
-    /// Merge `other` into `self`: counters and histogram cells add, gauges take the
-    /// maximum. A histogram whose bucket bounds disagree with the existing entry is
-    /// skipped (the two series are not summable), never panicked on.
-    pub fn merge(&mut self, other: &Snapshot) {
-        for (name, sample) in &other.metrics {
-            match self.metrics.get_mut(name) {
-                None => {
-                    self.metrics.insert(name.clone(), sample.clone());
-                }
-                Some(mine) => match (&mut mine.value, &sample.value) {
-                    (Value::Counter(a), Value::Counter(b)) => *a += *b,
-                    (Value::Gauge(a), Value::Gauge(b)) => *a = (*a).max(*b),
-                    (
-                        Value::Histogram {
-                            bounds: ba,
-                            buckets: ka,
-                            overflow: oa,
-                            sum: sa,
-                            count: ca,
-                        },
-                        Value::Histogram {
-                            bounds: bb,
-                            buckets: kb,
-                            overflow: ob,
-                            sum: sb,
-                            count: cb,
-                        },
-                    ) if ba == bb => {
-                        for (a, b) in ka.iter_mut().zip(kb) {
-                            *a += *b;
-                        }
-                        *oa += *ob;
-                        *sa += *sb;
-                        *ca += *cb;
-                    }
-                    _ => {}
-                },
-            }
         }
     }
 
@@ -437,10 +385,10 @@ impl Snapshot {
         out
     }
 
-    /// Render the snapshot as a single-document JSON object.
-    ///
-    /// The format is the fixed shape [`Snapshot::from_json`] parses; together they
-    /// round-trip exactly (`from_json(to_json(s)) == Ok(s)`).
+    /// Render the snapshot as a single-document JSON object: `{"metrics":[…]}`, one object
+    /// per metric in name order with its `name`, `stability` and `kind`, then `value` (a
+    /// counter or gauge) or `bounds`, `buckets`, `overflow`, `sum` and `count` (a
+    /// histogram). Output is byte-deterministic: same snapshot, same bytes.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"metrics\":[");
         for (i, (name, sample)) in self.metrics.iter().enumerate() {
@@ -479,28 +427,6 @@ impl Snapshot {
         }
         out.push_str("]}");
         out
-    }
-
-    /// Parse a document produced by [`Snapshot::to_json`] back into a snapshot.
-    pub fn from_json(text: &str) -> Result<Snapshot, String> {
-        let mut p = JsonCursor::new(text);
-        p.expect('{')?;
-        p.expect_key("metrics")?;
-        p.expect('[')?;
-        let mut metrics = BTreeMap::new();
-        if !p.peek_is(']') {
-            loop {
-                let (name, sample) = parse_metric(&mut p)?;
-                metrics.insert(name, sample);
-                if !p.consume_if(',') {
-                    break;
-                }
-            }
-        }
-        p.expect(']')?;
-        p.expect('}')?;
-        p.end()?;
-        Ok(Snapshot { metrics })
     }
 }
 
@@ -558,224 +484,6 @@ fn json_u64_array(xs: &[u64]) -> String {
     out
 }
 
-/// Minimal cursor over the fixed JSON shape [`Snapshot::to_json`] emits.
-struct JsonCursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonCursor<'a> {
-    fn new(text: &'a str) -> Self {
-        JsonCursor {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek_is(&mut self, c: char) -> bool {
-        self.skip_ws();
-        self.bytes.get(self.pos) == Some(&(c as u8))
-    }
-
-    fn consume_if(&mut self, c: char) -> bool {
-        if self.peek_is(c) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, c: char) -> Result<(), String> {
-        if self.consume_if(c) {
-            Ok(())
-        } else {
-            Err(format!("expected '{c}' at byte {}", self.pos))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect('"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    self.pos += 1;
-                }
-                Some(&b) => {
-                    // Metric names are ASCII by construction; pass other bytes through.
-                    out.push(b as char);
-                    self.pos += 1;
-                }
-            }
-        }
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(u8::is_ascii_digit) {
-            self.pos += 1;
-        }
-        if start == self.pos {
-            return Err(format!("expected number at byte {start}"));
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn u64_array(&mut self) -> Result<Vec<u64>, String> {
-        self.expect('[')?;
-        let mut out = Vec::new();
-        if !self.peek_is(']') {
-            loop {
-                out.push(self.u64()?);
-                if !self.consume_if(',') {
-                    break;
-                }
-            }
-        }
-        self.expect(']')?;
-        Ok(out)
-    }
-
-    /// Expect `"key":` exactly.
-    fn expect_key(&mut self, key: &str) -> Result<(), String> {
-        let got = self.string()?;
-        if got != key {
-            return Err(format!("expected key {key:?}, got {got:?}"));
-        }
-        self.expect(':')
-    }
-
-    fn end(&mut self) -> Result<(), String> {
-        self.skip_ws();
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(format!("trailing bytes at {}", self.pos))
-        }
-    }
-}
-
-fn parse_metric(p: &mut JsonCursor<'_>) -> Result<(String, Sample), String> {
-    p.expect('{')?;
-    p.expect_key("name")?;
-    let name = p.string()?;
-    p.expect(',')?;
-    p.expect_key("stability")?;
-    let stability_raw = p.string()?;
-    let stability = Stability::from_str(&stability_raw)
-        .ok_or_else(|| format!("unknown stability {stability_raw:?}"))?;
-    p.expect(',')?;
-    p.expect_key("kind")?;
-    let kind = p.string()?;
-    let value = match kind.as_str() {
-        "counter" => {
-            p.expect(',')?;
-            p.expect_key("value")?;
-            Value::Counter(p.u64()?)
-        }
-        "gauge" => {
-            p.expect(',')?;
-            p.expect_key("value")?;
-            Value::Gauge(p.u64()?)
-        }
-        "histogram" => {
-            p.expect(',')?;
-            p.expect_key("bounds")?;
-            let bounds = p.u64_array()?;
-            p.expect(',')?;
-            p.expect_key("buckets")?;
-            let buckets = p.u64_array()?;
-            p.expect(',')?;
-            p.expect_key("overflow")?;
-            let overflow = p.u64()?;
-            p.expect(',')?;
-            p.expect_key("sum")?;
-            let sum = p.u64()?;
-            p.expect(',')?;
-            p.expect_key("count")?;
-            let count = p.u64()?;
-            if bounds.len() != buckets.len() {
-                return Err(format!(
-                    "histogram {name:?}: {} bounds vs {} buckets",
-                    bounds.len(),
-                    buckets.len()
-                ));
-            }
-            Value::Histogram {
-                bounds,
-                buckets,
-                overflow,
-                sum,
-                count,
-            }
-        }
-        other => return Err(format!("unknown metric kind {other:?}")),
-    };
-    p.expect('}')?;
-    Ok((name, Sample { stability, value }))
-}
-
-/// Parse a Prometheus-style text exposition into `(series name, value)` samples.
-///
-/// Accepts exactly what [`Snapshot::to_text`] emits: `# `-prefixed comment lines and
-/// `name[{labels}] value` sample lines. Returns an error on any malformed line, which is
-/// what the CI example-run check asserts against.
-pub fn parse_text_exposition(text: &str) -> Result<Vec<(String, u64)>, String> {
-    let mut out = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim_end();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        // Labels may contain spaces in principle; the value is the suffix after the last
-        // space *outside* braces — with our emitters, simply the last space.
-        let Some(split) = line.rfind(' ') else {
-            return Err(format!("line {}: no value separator", lineno + 1));
-        };
-        let (name, value) = (&line[..split], &line[split + 1..]);
-        if name.is_empty() {
-            return Err(format!("line {}: empty series name", lineno + 1));
-        }
-        let open = name.matches('{').count();
-        let close = name.matches('}').count();
-        if open != close || open > 1 {
-            return Err(format!("line {}: unbalanced label braces", lineno + 1));
-        }
-        let value: u64 = value
-            .parse()
-            .map_err(|_| format!("line {}: bad sample value {value:?}", lineno + 1))?;
-        out.push((name.to_string(), value));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -819,9 +527,15 @@ mod tests {
         a.inc();
         b.inc();
         assert_eq!(a.get(), 2);
-        // A gauge under a counter's name must not corrupt the counter.
+        // A gauge or a histogram under a counter's name must not corrupt the counter, and
+        // the detached histogram takes a value in every bucket without panicking.
         let g = t.gauge("x", Stability::Deterministic);
         g.set(99);
+        let h = t.histogram("x", Stability::Deterministic, &[10, 100]);
+        for v in [5, 50, 500] {
+            h.record(v);
+        }
+        assert_eq!(h.count(), 3);
         assert_eq!(
             t.snapshot().metrics["x"].value,
             Value::Counter(2),
@@ -841,35 +555,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_counters_and_histograms_maxes_gauges() {
-        let make = |c: u64, g: u64| {
-            let t = Telemetry::new();
-            t.counter("c", Stability::Deterministic).add(c);
-            t.gauge("g", Stability::Deterministic).set(g);
-            let h = t.histogram("h", Stability::Deterministic, &[10]);
-            h.record(1);
-            h.record(100);
-            t.snapshot()
-        };
-        let mut a = make(5, 2);
-        let b = make(7, 9);
-        a.merge(&b);
-        assert_eq!(a.metrics["c"].value, Value::Counter(12));
-        assert_eq!(a.metrics["g"].value, Value::Gauge(9));
-        assert_eq!(
-            a.metrics["h"].value,
-            Value::Histogram {
-                bounds: vec![10],
-                buckets: vec![2],
-                overflow: 2,
-                sum: 202,
-                count: 4,
-            }
-        );
-    }
-
-    #[test]
-    fn text_exposition_is_stable_and_parses() {
+    fn text_exposition_renders_exact_bytes() {
         let t = Telemetry::new();
         t.counter("z_total{attr=\"b\"}", Stability::Deterministic)
             .add(2);
@@ -877,45 +563,74 @@ mod tests {
             .add(1);
         t.gauge("depth", Stability::Deterministic).set(4);
         let h = t.histogram("lat_ns{kind=\"join\"}", Stability::Environment, &[100, 200]);
-        h.record(150);
-        let text = t.snapshot().to_text();
-        let again = t.snapshot().to_text();
-        assert_eq!(text, again, "exposition must be deterministic");
-        // BTreeMap order: depth, lat_ns, z_total{a}, z_total{b}.
-        assert!(
-            text.find("z_total{attr=\"a\"} 1").unwrap()
-                < text.find("z_total{attr=\"b\"} 2").unwrap()
-        );
-        assert!(text.contains("# TYPE z_total counter"));
-        assert!(text.contains("lat_ns_bucket{kind=\"join\",le=\"200\"} 1"));
-        assert!(text.contains("lat_ns_bucket{kind=\"join\",le=\"+Inf\"} 1"));
-        assert!(text.contains("lat_ns_sum{kind=\"join\"} 150"));
-        let samples = parse_text_exposition(&text).expect("exposition parses");
+        for v in [150, 50, 900] {
+            h.record(v);
+        }
+        let plain = t.histogram("size", Stability::Deterministic, &[10]);
+        plain.record(3);
+        // Name order; one `# TYPE` line per family; cumulative buckets with the series'
+        // labels merged before `le`; bare `_sum`/`_count` for an unlabeled histogram.
+        let expected = "\
+# TYPE depth gauge
+depth 4
+# TYPE lat_ns histogram
+lat_ns_bucket{kind=\"join\",le=\"100\"} 1
+lat_ns_bucket{kind=\"join\",le=\"200\"} 2
+lat_ns_bucket{kind=\"join\",le=\"+Inf\"} 3
+lat_ns_sum{kind=\"join\"} 1100
+lat_ns_count{kind=\"join\"} 3
+# TYPE size histogram
+size_bucket{le=\"10\"} 1
+size_bucket{le=\"+Inf\"} 1
+size_sum 3
+size_count 1
+# TYPE z_total counter
+z_total{attr=\"a\"} 1
+z_total{attr=\"b\"} 2
+";
+        assert_eq!(t.snapshot().to_text(), expected);
         assert_eq!(
-            samples
-                .iter()
-                .find(|(n, _)| n == "z_total{attr=\"b\"}")
-                .map(|(_, v)| *v),
-            Some(2)
+            t.snapshot().to_text(),
+            expected,
+            "a second render is identical"
         );
-        assert!(parse_text_exposition("garbage with no value x").is_err());
     }
 
     #[test]
-    fn json_round_trips_exactly() {
+    fn json_export_renders_exact_bytes() {
         let t = Telemetry::new();
         t.counter("a_total{attr=\"x\"}", Stability::Deterministic)
             .add(3);
+        // An escaped label value as the service renders it: `\"`, `\\` and `\n` in the
+        // name each gain one more level of escaping inside the JSON string.
+        t.counter(
+            "e_total{attr=\"q\\\"b\\\\c\\nd\"}",
+            Stability::Deterministic,
+        )
+        .inc();
         t.gauge("g", Stability::Environment).set(8);
         let h = t.histogram("h_ns", Stability::Environment, &[1, 10, 100]);
-        h.record(0);
-        h.record(12);
-        h.record(100_000);
-        let snap = t.snapshot();
-        let json = snap.to_json();
-        let back = Snapshot::from_json(&json).expect("round-trip parse");
-        assert_eq!(back, snap);
-        assert_eq!(back.to_json(), json);
-        assert!(Snapshot::from_json("{\"metrics\":[}").is_err());
+        for v in [0, 12, 100_000] {
+            h.record(v);
+        }
+        let k = t.histogram("k_ns{kind=\"join\"}", Stability::Deterministic, &[5]);
+        k.record(5);
+        let expected = concat!(
+            r#"{"metrics":[{"name":"a_total{attr=\"x\"}","stability":"deterministic","#,
+            r#""kind":"counter","value":3},"#,
+            r#"{"name":"e_total{attr=\"q\\\"b\\\\c\\nd\"}","stability":"deterministic","#,
+            r#""kind":"counter","value":1},"#,
+            r#"{"name":"g","stability":"environment","kind":"gauge","value":8},"#,
+            r#"{"name":"h_ns","stability":"environment","kind":"histogram","#,
+            r#""bounds":[1,10,100],"buckets":[1,0,1],"overflow":1,"sum":100012,"count":3},"#,
+            r#"{"name":"k_ns{kind=\"join\"}","stability":"deterministic","kind":"histogram","#,
+            r#""bounds":[5],"buckets":[1],"overflow":0,"sum":5,"count":1}]}"#
+        );
+        assert_eq!(t.snapshot().to_json(), expected);
+        assert_eq!(
+            t.snapshot().to_json(),
+            expected,
+            "a second render is identical"
+        );
     }
 }

@@ -44,7 +44,9 @@ const NS_BUCKETS: [u64; 11] = [
 ];
 
 /// `base{k1="v1",k2="v2"}` — the exporter's label grammar, built without a formatter to
-/// keep registration allocation-light.
+/// keep registration allocation-light. Values are escaped as the Prometheus text format
+/// requires (`\` → `\\`, `"` → `\"`, line feed → `\n`), so a caller-chosen attribute name
+/// can neither close its label early nor split a series across lines.
 pub(crate) fn labeled(base: &str, labels: &[(&str, &str)]) -> String {
     let mut out = String::with_capacity(base.len() + 24);
     out.push_str(base);
@@ -55,7 +57,14 @@ pub(crate) fn labeled(base: &str, labels: &[(&str, &str)]) -> String {
         }
         out.push_str(k);
         out.push_str("=\"");
-        out.push_str(v);
+        for c in v.chars() {
+            match c {
+                '\\' => out.push_str("\\\\"),
+                '"' => out.push_str("\\\""),
+                '\n' => out.push_str("\\n"),
+                c => out.push(c),
+            }
+        }
         out.push('"');
     }
     out.push('}');

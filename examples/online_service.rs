@@ -99,7 +99,7 @@ fn plain_service_demo() {
 
 /// The telemetry layer end to end: a pinned-seed service run twice, the Prometheus-style
 /// and JSON expositions, per-query provenance (kernel, span source, predicted Theorem 4/5
-/// error), and the determinism contract checked byte for byte.
+/// error), and the determinism contract on the deterministic slice, checked byte for byte.
 fn telemetry_demo() {
     println!("\n=== telemetry: deterministic exposition + query provenance ===");
 
@@ -155,7 +155,11 @@ fn telemetry_demo() {
     // (which SIMD kernel tiers this process has run, stage timings).
     let text = service.metrics_text();
     let json = service.metrics_json();
-    println!("\nmetrics exposition ({} lines):", text.lines().count());
+    println!(
+        "\nmetrics exposition ({} text lines, {} JSON bytes):",
+        text.lines().count(),
+        json.len()
+    );
     for line in text.lines().filter(|l| {
         l.starts_with("ldpjs_queries_total")
             || l.starts_with("ldpjs_cache_hits_total")
@@ -165,18 +169,7 @@ fn telemetry_demo() {
         println!("  {line}");
     }
 
-    // CI contract 1: every sample line of the text exposition parses.
-    let parsed = parse_text_exposition(&text).expect("text exposition must parse");
-    let samples = text
-        .lines()
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .count();
-    assert_eq!(parsed.len(), samples, "every sample line must parse");
-    // CI contract 2: the JSON exposition round-trips losslessly.
-    let round = Snapshot::from_json(&json).expect("json exposition must parse");
-    assert_eq!(round.to_json(), json, "json exposition must round-trip");
-
-    // CI contract 3: the deterministic slice is byte-identical across pinned-seed runs.
+    // CI contract: the deterministic slice is byte-identical across pinned-seed runs.
     let det_a = service.deterministic_telemetry_snapshot().to_text();
     let (service_b, _, _) = run();
     let det_b = service_b.deterministic_telemetry_snapshot().to_text();

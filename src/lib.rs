@@ -71,7 +71,7 @@ pub mod prelude {
     pub use ldpjs_ldp::{
         estimate_join_from_oracles, FlhOracle, FrequencyOracle, HcmsOracle, KrrOracle,
     };
-    pub use ldpjs_metrics::telemetry::{parse_text_exposition, Snapshot, Stability, Telemetry};
+    pub use ldpjs_metrics::telemetry::{Snapshot, Stability, Telemetry};
     pub use ldpjs_metrics::{absolute_error, relative_error, TrialErrors};
     pub use ldpjs_service::{
         AttributeId, CacheStats, Explain, ExplainKernel, IngestSummary, ModeCacheStats,

@@ -1,6 +1,7 @@
 //! Integration-level privacy checks: empirical ε-LDP ratios of the full client pipelines and
 //! indistinguishability of the FAP branches, measured over the public report alphabet, and
-//! exact-law tests of Algorithm 1's batch body (`alg1_exact_law`).
+//! exact-law tests of the batch bodies of Algorithm 1 (`alg1_exact_law`) and of FAP, both
+//! branches (`fap_exact_law`).
 //!
 //! Every RNG is a seeded `StdRng`, so the suite is fully deterministic. Statistical
 //! tolerances were audited with a 10-seed sweep per assertion; the empirical/theoretical
@@ -74,6 +75,103 @@ fn ldpjoinsketch_client_satisfies_epsilon_ldp_empirically() {
     );
 }
 
+/// Settings and statistics shared by the exact-law tests (`alg1_exact_law`,
+/// `fap_exact_law`): 400k copies of one value per ε on a `(k, m) = (4, 16)` sketch, each
+/// check at a false-alarm rate of 1e-6 per ε.
+mod law {
+    use super::*;
+    use ldp_join_sketch::common::hadamard::hadamard_entry;
+    use ldp_join_sketch::common::ReportBatch;
+
+    pub const TRIALS: usize = 400_000;
+    pub const EPSILONS: [f64; 4] = [0.5, 1.0, 2.0, 4.0];
+    pub const VALUE: u64 = 10;
+    /// `k × m = 64` cells for the `(j, l)` law.
+    pub const K: usize = 4;
+    pub const M: usize = 16;
+    /// Two-sided standard-normal quantile at a false-alarm rate of 1e-6.
+    pub const Z_CRITICAL: f64 = 4.89;
+    /// Upper 1e-6 quantile of χ² with `K·M − 1 = 63` degrees of freedom (from the
+    /// regularized incomplete gamma function).
+    pub const CHI2_CRITICAL: f64 = 131.37;
+
+    /// The plain client all exact-law tests perturb through (directly, or as FAP's inner
+    /// client), with hash seed 3.
+    pub fn client(eps: f64) -> LdpJoinSketchClient {
+        let params = SketchParams::new(K, M).unwrap();
+        LdpJoinSketchClient::new(params, Epsilon::new(eps).unwrap(), 3)
+    }
+
+    /// An empty `K × M` batch.
+    pub fn batch() -> ReportBatch {
+        ReportBatch::new(K, M).unwrap()
+    }
+
+    /// Per-cell tallies of a batch, indexed `j·m + l`: every report, and the negative ones.
+    pub struct Cells {
+        pub reports: Vec<usize>,
+        pub negative: Vec<usize>,
+    }
+
+    impl Cells {
+        pub fn of(batch: &ReportBatch) -> Cells {
+            let mut cells = Cells {
+                reports: vec![0; K * M],
+                negative: vec![0; K * M],
+            };
+            for &cell in batch.plus_indices() {
+                cells.reports[cell as usize] += 1;
+            }
+            for &cell in batch.minus_indices() {
+                cells.reports[cell as usize] += 1;
+                cells.negative[cell as usize] += 1;
+            }
+            assert_eq!(cells.reports.iter().sum::<usize>(), TRIALS);
+            cells
+        }
+
+        /// Reports in the cells `keep` selects whose sign equals `signs[cell]`, and the
+        /// reports in those cells.
+        pub fn agreeing(&self, signs: &[i64], keep: impl Fn(usize) -> bool) -> (usize, usize) {
+            (0..K * M)
+                .filter(|&cell| keep(cell))
+                .fold((0, 0), |(agree, n), cell| {
+                    let negative = self.negative[cell];
+                    let positive = self.reports[cell] - negative;
+                    let hits = if signs[cell] > 0 { positive } else { negative };
+                    (agree + hits, n + self.reports[cell])
+                })
+        }
+
+        /// Pearson's χ² of the report counts against the uniform law on `[k]×[m]`.
+        pub fn chi2_uniform(&self) -> f64 {
+            let expected = TRIALS as f64 / (K * M) as f64;
+            self.reports
+                .iter()
+                .map(|&c| (c as f64 - expected).powi(2) / expected)
+                .sum()
+        }
+    }
+
+    /// Per cell `(j, l)`, the Hadamard entry `H_m[h_j(VALUE), l]`, times `ξ_j(VALUE)` when
+    /// `with_sign` is set.
+    pub fn coefficients(client: &LdpJoinSketchClient, with_sign: bool) -> Vec<i64> {
+        (0..K * M)
+            .map(|cell| {
+                let pair = client.hashes().pair(cell / M);
+                let sign = if with_sign { pair.sign_of(VALUE) } else { 1 };
+                hadamard_entry(M, pair.bucket_of(VALUE), cell % M) * sign
+            })
+            .collect()
+    }
+
+    /// The binomial z statistic of `hits` in `n` trials at success probability `p`.
+    pub fn z(hits: usize, n: usize, p: f64) -> f64 {
+        let n = n as f64;
+        (hits as f64 - n * p) / (n * p * (1.0 - p)).sqrt()
+    }
+}
+
 mod alg1_exact_law {
     //! Algorithm 1's output law is known in closed form from the public hash family: the
     //! pair `(j, l)` is uniform on `[k]×[m]`, and the reported sign `y` agrees with the
@@ -87,62 +185,32 @@ mod alg1_exact_law {
     //! the row from a hash of the value on 5% of reports would give a noncentrality of
     //! ≈3,000 against a critical value of 131.4.
 
+    use super::law::*;
     use super::*;
-    use ldp_join_sketch::common::hadamard::hadamard_entry;
-    use ldp_join_sketch::common::ReportBatch;
 
-    const TRIALS: usize = 400_000;
-    const EPSILONS: [f64; 4] = [0.5, 1.0, 2.0, 4.0];
-    const VALUE: u64 = 10;
-    /// `k × m = 64` cells for the `(j, l)` law.
-    const K: usize = 4;
-    const M: usize = 16;
-    /// Two-sided standard-normal quantile at a false-alarm rate of 1e-6.
-    const Z_CRITICAL: f64 = 4.89;
-    /// Upper 1e-6 quantile of χ² with `K·M − 1 = 63` degrees of freedom (from the
-    /// regularized incomplete gamma function).
-    const CHI2_CRITICAL: f64 = 131.37;
-
-    /// Perturb `TRIALS` copies of `VALUE` at `eps` through `perturb_batch_into` and return
-    /// the number of reports whose sign agrees with the true coefficient, and the report
-    /// count of every `(j, l)` cell, indexed `j·m + l`.
-    fn tally(eps: f64) -> (usize, Vec<usize>) {
-        let params = SketchParams::new(K, M).unwrap();
-        let client = LdpJoinSketchClient::new(params, Epsilon::new(eps).unwrap(), 3);
-        let mut batch = ReportBatch::new(K, M).unwrap();
+    /// Perturb `TRIALS` copies of `VALUE` at `eps` through `perturb_batch_into` and tally
+    /// the reports per `(j, l)` cell.
+    fn tally(eps: f64) -> (LdpJoinSketchClient, Cells) {
+        let client = client(eps);
+        let mut batch = batch();
         let mut rng = StdRng::seed_from_u64(eps.to_bits());
         client
             .perturb_batch_into(&vec![VALUE; TRIALS], &mut rng, &mut batch)
             .unwrap();
-        let truth: Vec<i64> = (0..K * M)
-            .map(|cell| {
-                let pair = client.hashes().pair(cell / M);
-                hadamard_entry(M, pair.bucket_of(VALUE), cell % M) * pair.sign_of(VALUE)
-            })
-            .collect();
-        let mut cells = vec![0usize; K * M];
-        let mut agree = 0;
-        for (lane, y) in [(batch.plus_indices(), 1), (batch.minus_indices(), -1)] {
-            for &cell in lane {
-                cells[cell as usize] += 1;
-                agree += usize::from(truth[cell as usize] == y);
-            }
-        }
-        assert_eq!(cells.iter().sum::<usize>(), TRIALS);
-        (agree, cells)
+        (client, Cells::of(&batch))
     }
 
     #[test]
     fn sign_agrees_with_the_true_coefficient_at_rate_e_eps_over_1_plus_e_eps() {
         for eps in EPSILONS {
-            let (agree, _) = tally(eps);
+            let (client, cells) = tally(eps);
+            let (agree, n) = cells.agreeing(&coefficients(&client, true), |_| true);
             let p = eps.exp() / (1.0 + eps.exp());
-            let n = TRIALS as f64;
-            let z = (agree as f64 - n * p) / (n * p * (1.0 - p)).sqrt();
+            let z = z(agree, n, p);
             assert!(
                 z.abs() <= Z_CRITICAL,
                 "ε = {eps}: agreement rate {} vs exact {p}, z = {z:.2}",
-                agree as f64 / n
+                agree as f64 / n as f64
             );
         }
     }
@@ -150,17 +218,99 @@ mod alg1_exact_law {
     #[test]
     fn row_and_column_are_uniform_on_k_by_m() {
         for eps in EPSILONS {
-            let (_, cells) = tally(eps);
-            let expected = TRIALS as f64 / (K * M) as f64;
-            let chi2: f64 = cells
-                .iter()
-                .map(|&c| (c as f64 - expected).powi(2) / expected)
-                .sum();
+            let chi2 = tally(eps).1.chi2_uniform();
             assert!(
                 chi2 <= CHI2_CRITICAL,
                 "ε = {eps}: χ² = {chi2:.1} over {} cells exceeds {CHI2_CRITICAL}",
                 K * M
             );
+        }
+    }
+}
+
+mod fap_exact_law {
+    //! FAP's batch body, `FapClient::perturb_batch_into`, has a closed-form law per branch
+    //! (Algorithm 4). A **target** value is encoded as in Algorithm 1, so Algorithm 1's law
+    //! holds: `(j, l)` is uniform and `y` agrees with `H_m[h_j(d), l]·ξ_j(d)` with
+    //! probability exactly `e^ε/(1+e^ε)`. A **non-target** value sets a uniformly random
+    //! position `r`, so `(j, l)` is uniform and `y = s·H_m[r, l]`, where `s = −1` with
+    //! probability `1/(e^ε+1)` independently of `r`. At `l = 0` every Hadamard row is +1,
+    //! so `y` is negative with probability exactly `1/(e^ε+1)`; at `l ≠ 0` exactly half of
+    //! the rows are +1, so `y` agrees with `H_m[h_j(d), l]` with probability exactly ½.
+    //! Same settings as `alg1_exact_law`: ε ∈ {0.5, 1, 2, 4}, 400k copies of one value.
+    //!
+    //! Each check runs at a false-alarm rate of 1e-6 per ε (so at most 8e-6 for the
+    //! target test's eight checks and 1.2e-5 for the non-target test's twelve). Power:
+    //! * Target agreement: a 5% overspend moves the rate by 7.6σ, 13.9σ, 19.7σ and 15.3σ at
+    //!   the four ε, against 4.89σ, as for Algorithm 1.
+    //! * `(j, l)` uniformity, both branches: a row taken from a hash of the value on 5% of
+    //!   reports gives a noncentrality of ≈3,000 against a critical value of 131.4.
+    //! * Non-target `l ≠ 0` agreement: a non-target that set `r = h_j(d)` on 5% of reports
+    //!   would move the rate by 7.5σ, 14.2σ, 23.3σ and 29.5σ.
+    //! * Non-target `l = 0` sign: only 1/16 of the reports land there, so a 5% overspend
+    //!   moves the rate by just 1.9σ, 3.5σ, 4.9σ and 3.8σ; this check catches gross
+    //!   errors in the non-target flip probability, not a small overspend.
+
+    use super::law::*;
+    use super::*;
+
+    /// Perturb `TRIALS` copies of `VALUE` at `eps` through a FAP client whose frequent-item
+    /// set is `{VALUE}` and tally the reports per `(j, l)` cell. Returns the inner client,
+    /// whose hash family the law refers to.
+    fn tally(mode: FapMode, eps: f64, target: bool) -> (LdpJoinSketchClient, Cells) {
+        let inner = client(eps);
+        let fi: Arc<HashSet<u64>> = Arc::new([VALUE].into_iter().collect());
+        let fap = FapClient::new(inner.clone(), mode, fi);
+        assert_eq!(fap.is_non_target(VALUE), !target, "{mode:?}");
+        let mut batch = batch();
+        let mut rng = StdRng::seed_from_u64(eps.to_bits() ^ 0xFA9);
+        fap.perturb_batch_into(&vec![VALUE; TRIALS], &mut rng, &mut batch)
+            .unwrap();
+        (inner, Cells::of(&batch))
+    }
+
+    fn assert_uniform(cells: &Cells, eps: f64) {
+        let chi2 = cells.chi2_uniform();
+        assert!(
+            chi2 <= CHI2_CRITICAL,
+            "ε = {eps}: χ² = {chi2:.1} over {} cells exceeds {CHI2_CRITICAL}",
+            K * M
+        );
+    }
+
+    fn assert_rate(what: &str, eps: f64, (hits, n): (usize, usize), p: f64) {
+        let z = z(hits, n, p);
+        assert!(
+            z.abs() <= Z_CRITICAL,
+            "ε = {eps}: {what} rate {} vs exact {p}, z = {z:.2}",
+            hits as f64 / n as f64
+        );
+    }
+
+    #[test]
+    fn target_reports_follow_algorithm_1s_law() {
+        // The high-frequency sketch targets the frequent items, so `VALUE ∈ FI` is a target.
+        for eps in EPSILONS {
+            let (inner, cells) = tally(FapMode::HighFrequency, eps, true);
+            let agreeing = cells.agreeing(&coefficients(&inner, true), |_| true);
+            assert_rate("agreement", eps, agreeing, eps.exp() / (1.0 + eps.exp()));
+            assert_uniform(&cells, eps);
+        }
+    }
+
+    #[test]
+    fn non_target_reports_carry_no_trace_of_the_value() {
+        // The low-frequency sketch targets the infrequent items, so `VALUE ∈ FI` is a
+        // non-target.
+        for eps in EPSILONS {
+            let (inner, cells) = tally(FapMode::LowFrequency, eps, false);
+            assert_uniform(&cells, eps);
+            // At `l = 0`, agreeing with a −1 coefficient counts the negative reports.
+            let negative = cells.agreeing(&[-1; K * M], |cell| cell % M == 0);
+            assert_rate("l = 0 negative", eps, negative, 1.0 / (eps.exp() + 1.0));
+            let coefficients = coefficients(&inner, false);
+            let agreeing = cells.agreeing(&coefficients, |cell| cell % M != 0);
+            assert_rate("l ≠ 0 agreement", eps, agreeing, 0.5);
         }
     }
 }
