@@ -1,8 +1,8 @@
 //! Process-wide SIMD kernel dispatch accounting.
 //!
-//! The FWHT restore ([`crate::hadamard`]), histogram drain ([`crate::batch`]) and
-//! frequent-item count screen ([`crate::screen`]) kernels pick the widest vector ISA the
-//! CPU offers at runtime. Which tier actually ran is invisible from the outside — all
+//! The FWHT restore ([`crate::hadamard`]), histogram drain ([`crate::batch`]),
+//! frequent-item count screen ([`crate::screen`]) and lane hash ([`crate::hash`]) kernels
+//! pick the widest vector ISA the CPU offers at runtime. Which tier actually ran is invisible from the outside — all
 //! tiers are bit-identical by contract — yet it is exactly what an operator needs when a
 //! deployment's restore throughput regresses on new hardware. This module keeps one
 //! process-wide relaxed atomic per `(kernel, tier)` pair; the dispatchers bump them and
@@ -25,6 +25,8 @@ pub(crate) static DRAIN_PORTABLE: AtomicU64 = AtomicU64::new(0);
 pub(crate) static SCREEN_AVX512: AtomicU64 = AtomicU64::new(0);
 pub(crate) static SCREEN_AVX2: AtomicU64 = AtomicU64::new(0);
 pub(crate) static SCREEN_PORTABLE: AtomicU64 = AtomicU64::new(0);
+pub(crate) static HASH_AVX512: AtomicU64 = AtomicU64::new(0);
+pub(crate) static HASH_PORTABLE: AtomicU64 = AtomicU64::new(0);
 
 #[inline]
 pub(crate) fn bump(cell: &AtomicU64) {
@@ -52,6 +54,10 @@ pub struct KernelDispatchSnapshot {
     pub screen_avx2: u64,
     /// Count screens executed by the portable scalar loop.
     pub screen_portable: u64,
+    /// Lane hash calls executed by the AVX-512 kernel.
+    pub hash_avx512: u64,
+    /// Lane hash calls executed by the portable scalar loop.
+    pub hash_portable: u64,
 }
 
 impl KernelDispatchSnapshot {
@@ -70,11 +76,13 @@ impl KernelDispatchSnapshot {
             screen_portable: self
                 .screen_portable
                 .saturating_sub(baseline.screen_portable),
+            hash_avx512: self.hash_avx512.saturating_sub(baseline.hash_avx512),
+            hash_portable: self.hash_portable.saturating_sub(baseline.hash_portable),
         }
     }
 
     /// `(series suffix, count)` pairs in a fixed order, for exporters.
-    pub fn series(&self) -> [(&'static str, u64); 9] {
+    pub fn series(&self) -> [(&'static str, u64); 11] {
         [
             ("fwht_avx512", self.fwht_avx512),
             ("fwht_avx2", self.fwht_avx2),
@@ -85,6 +93,8 @@ impl KernelDispatchSnapshot {
             ("screen_avx512", self.screen_avx512),
             ("screen_avx2", self.screen_avx2),
             ("screen_portable", self.screen_portable),
+            ("hash_avx512", self.hash_avx512),
+            ("hash_portable", self.hash_portable),
         ]
     }
 }
@@ -101,6 +111,8 @@ pub fn kernel_dispatch_snapshot() -> KernelDispatchSnapshot {
         screen_avx512: SCREEN_AVX512.load(Ordering::Relaxed),
         screen_avx2: SCREEN_AVX2.load(Ordering::Relaxed),
         screen_portable: SCREEN_PORTABLE.load(Ordering::Relaxed),
+        hash_avx512: HASH_AVX512.load(Ordering::Relaxed),
+        hash_portable: HASH_PORTABLE.load(Ordering::Relaxed),
     }
 }
 
@@ -129,6 +141,22 @@ mod tests {
         // Parallel tests may add more, but at least this call must have landed once.
         let screen_total = delta.screen_avx512 + delta.screen_avx2 + delta.screen_portable;
         assert!(screen_total >= 1, "no screen tier counted: {delta:?}");
+    }
+
+    #[test]
+    fn hash_dispatch_is_counted_on_exactly_one_tier() {
+        let before = kernel_dispatch_snapshot();
+        let hashes = crate::hash::RowHashes::from_seed(1, 2, 64);
+        let (mut buckets, mut neg) = ([0u16; 3], [0u64; 1]);
+        hashes
+            .hash_rows_into(&[0, 1, 1], &[5, 6, 7], &mut buckets, &mut neg)
+            .unwrap();
+        let delta = kernel_dispatch_snapshot().delta_since(&before);
+        // Parallel tests may add more, but at least this call must have landed once.
+        assert!(
+            delta.hash_avx512 + delta.hash_portable >= 1,
+            "no hash tier counted: {delta:?}"
+        );
     }
 
     #[test]

@@ -12,7 +12,24 @@
 //! independence. Coefficients are drawn from a seeded [`rand::rngs::StdRng`] so an entire
 //! family is reproducible from a single `u64` seed — the server and every client must agree
 //! on the family, which in the LDP protocol is public information.
+//!
+//! # Hashing in lanes
+//!
+//! [`RowHashes::hash_row_into`] and [`RowHashes::hash_rows_into`] evaluate
+//! [`HashPair::bucket_and_sign_neg`] over a value slice, into the layout the frequent-item
+//! screen reads: a `u16` bucket per value, and the `ξ = −1` bits packed 64 to a `u64` word.
+//! The first hashes every value through one row (a frequency scan's candidate index); the
+//! second hashes value `i` through row `rows[i]` (a block of client reports), gathering each
+//! lane's coefficients from a structure-of-arrays copy that [`RowHashes`] keeps.
+//!
+//! On x86-64 CPUs with AVX-512F, and for a power-of-two `m`, eight values share each step.
+//! A 61-bit product is four 32-bit partial products (`vpmuludq`), folded modulo `2^61 − 1`
+//! lazily: every intermediate residue stays below `2^61 + 8`, and each output takes one
+//! canonical subtraction, so every bucket and sign bit equals the scalar one. Every other
+//! host runs the scalar body, one value at a time. The dispatcher bumps one `hash_*`
+//! counter of [`crate::dispatch`] per call.
 
+use crate::error::{Error, Result};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -200,7 +217,20 @@ impl HashPair {
         let neg = (self.sign.poly_residue(xr) & 1) ^ 1;
         (bucket, neg)
     }
+
+    /// The six coefficients in plane order: `a`, `b` of the bucket hash, then `c₀..c₃` of
+    /// the sign polynomial.
+    fn coefficients(&self) -> [u64; COEFFICIENTS] {
+        let [c0, c1, c2, c3] = self.sign.coeffs;
+        [self.bucket.a, self.bucket.b, c0, c1, c2, c3]
+    }
 }
+
+/// Coefficients per row: two of the bucket hash, four of the sign polynomial.
+const COEFFICIENTS: usize = 6;
+
+/// The widest family the lane entry points serve: a bucket must fit a `u16`.
+const LANE_COLUMNS: usize = 1 << 16;
 
 /// The full set of `k` hash pairs shared by clients and server for one sketch.
 ///
@@ -209,6 +239,9 @@ impl HashPair {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RowHashes {
     pairs: Vec<HashPair>,
+    /// The coefficients of every row as [`COEFFICIENTS`] planes of `k` words (`a`, `b`,
+    /// `c₀`, `c₁`, `c₂`, `c₃`), the layout [`RowHashes::hash_rows_into`] gathers from.
+    planes: Vec<u64>,
     m: usize,
     seed: u64,
 }
@@ -223,7 +256,24 @@ impl RowHashes {
         assert!(m > 0, "a sketch needs at least one column");
         let mut rng = StdRng::seed_from_u64(seed);
         let pairs = (0..k).map(|_| HashPair::sample(&mut rng, m)).collect();
-        RowHashes { pairs, m, seed }
+        Self::from_pairs(pairs, m, seed)
+    }
+
+    /// A family over the given rows, with the coefficient planes built from them.
+    fn from_pairs(pairs: Vec<HashPair>, m: usize, seed: u64) -> Self {
+        let k = pairs.len();
+        let mut planes = vec![0; COEFFICIENTS * k];
+        for (j, pair) in pairs.iter().enumerate() {
+            for (plane, c) in pair.coefficients().into_iter().enumerate() {
+                planes[plane * k + j] = c;
+            }
+        }
+        RowHashes {
+            pairs,
+            planes,
+            m,
+            seed,
+        }
     }
 
     /// Number of rows `k`.
@@ -256,6 +306,346 @@ impl RowHashes {
     /// Iterate over all `(h_j, ξ_j)` pairs in row order.
     pub fn iter(&self) -> impl Iterator<Item = &HashPair> {
         self.pairs.iter()
+    }
+
+    /// [`HashPair::bucket_and_sign_neg`] of row `row` for every value, in lanes where the
+    /// CPU allows (see the [module docs](self)).
+    ///
+    /// On return `buckets[i] = h_row(values[i])`, and bit `i mod 64` of `neg[i / 64]` is set
+    /// iff `ξ_row(values[i]) = −1`; bits past `values.len()` in the last word are cleared.
+    ///
+    /// # Errors
+    /// Returns [`Error::InvalidSketchParameter`], writing nothing, if `row ≥ k`, if the
+    /// family has more than 65,536 columns (a bucket would not fit a `u16`), or if
+    /// `buckets` does not hold `values.len()` entries or `neg` `⌈values.len()/64⌉` words.
+    pub fn hash_row_into(
+        &self,
+        row: usize,
+        values: &[u64],
+        buckets: &mut [u16],
+        neg: &mut [u64],
+    ) -> Result<()> {
+        self.check_lanes(values.len(), buckets.len(), neg.len())?;
+        self.check_row(row)?;
+        let pair = &self.pairs[row];
+        #[cfg(target_arch = "x86_64")]
+        if self.m.is_power_of_two() && std::arch::is_x86_feature_detected!("avx512f") {
+            #[allow(unsafe_code)]
+            // SAFETY: the runtime guard above proves `avx512f`, the exact feature set
+            // `row_avx512` is compiled with, and `check_lanes` established its shape
+            // contract: `buckets.len() = values.len()` and `neg.len() = ⌈values.len()/64⌉`.
+            unsafe {
+                simd::row_avx512(
+                    &pair.coefficients(),
+                    self.bucket_mask(),
+                    values,
+                    buckets,
+                    neg,
+                )
+            };
+            crate::dispatch::bump(&crate::dispatch::HASH_AVX512);
+            return Ok(());
+        }
+        crate::dispatch::bump(&crate::dispatch::HASH_PORTABLE);
+        fill_portable(std::iter::repeat(pair), values, buckets, neg);
+        Ok(())
+    }
+
+    /// [`HashPair::bucket_and_sign_neg`] of row `rows[i]` for value `values[i]`, in lanes
+    /// where the CPU allows (see the [module docs](self)). The outputs are laid out as in
+    /// [`RowHashes::hash_row_into`].
+    ///
+    /// # Errors
+    /// Returns [`Error::InvalidSketchParameter`], writing nothing, if any row is `≥ k` (every
+    /// row is checked before any lane's coefficients are loaded), if the family has more
+    /// than 65,536 columns, or if `rows` or `buckets` does not hold `values.len()` entries or
+    /// `neg` `⌈values.len()/64⌉` words.
+    pub fn hash_rows_into(
+        &self,
+        rows: &[usize],
+        values: &[u64],
+        buckets: &mut [u16],
+        neg: &mut [u64],
+    ) -> Result<()> {
+        if rows.len() != values.len() {
+            return Err(Error::InvalidSketchParameter(format!(
+                "{} rows for {} values",
+                rows.len(),
+                values.len()
+            )));
+        }
+        self.check_lanes(values.len(), buckets.len(), neg.len())?;
+        self.check_row(rows.iter().copied().fold(0, usize::max))?;
+        #[cfg(target_arch = "x86_64")]
+        if self.m.is_power_of_two() && std::arch::is_x86_feature_detected!("avx512f") {
+            #[allow(unsafe_code)]
+            // SAFETY: the runtime guard above proves `avx512f`, the exact feature set
+            // `rows_avx512` is compiled with; `check_row` proved every row below `k`, and
+            // `planes` holds `COEFFICIENTS·k` words, so every gather stays inside it; and
+            // the checks above established `rows.len() = buckets.len() = values.len()` and
+            // `neg.len() = ⌈values.len()/64⌉`.
+            unsafe {
+                simd::rows_avx512(
+                    &self.planes,
+                    self.rows(),
+                    self.bucket_mask(),
+                    rows,
+                    values,
+                    buckets,
+                    neg,
+                )
+            };
+            crate::dispatch::bump(&crate::dispatch::HASH_AVX512);
+            return Ok(());
+        }
+        crate::dispatch::bump(&crate::dispatch::HASH_PORTABLE);
+        fill_portable(rows.iter().map(|&j| &self.pairs[j]), values, buckets, neg);
+        Ok(())
+    }
+
+    /// `m − 1`, the bucket of a canonical residue `v` being `v & (m − 1)` for a power-of-two
+    /// `m`.
+    #[cfg(target_arch = "x86_64")]
+    fn bucket_mask(&self) -> u64 {
+        self.m as u64 - 1
+    }
+
+    fn check_row(&self, row: usize) -> Result<()> {
+        if row >= self.rows() {
+            return Err(Error::InvalidSketchParameter(format!(
+                "row {row} of a {}-row hash family",
+                self.rows()
+            )));
+        }
+        Ok(())
+    }
+
+    fn check_lanes(&self, n: usize, buckets: usize, words: usize) -> Result<()> {
+        if self.m > LANE_COLUMNS {
+            return Err(Error::InvalidSketchParameter(format!(
+                "{} columns do not fit a u16 bucket",
+                self.m
+            )));
+        }
+        if buckets != n || words != n.div_ceil(64) {
+            return Err(Error::InvalidSketchParameter(format!(
+                "{buckets} buckets and {words} sign words for {n} values"
+            )));
+        }
+        Ok(())
+    }
+}
+
+/// The portable tier of both lane entry points: the scalar body, value `i` under the `i`-th
+/// pair of `pairs`. Random signs would mispredict a branch half the time, so each sign bit is
+/// OR-ed into a register word that is stored once per 64 values.
+fn fill_portable<'a>(
+    mut pairs: impl Iterator<Item = &'a HashPair>,
+    values: &[u64],
+    buckets: &mut [u16],
+    neg: &mut [u64],
+) {
+    for ((chunk, out), word) in values.chunks(64).zip(buckets.chunks_mut(64)).zip(neg) {
+        let mut bits = 0u64;
+        for (i, ((&x, b), pair)) in chunk.iter().zip(out).zip(pairs.by_ref()).enumerate() {
+            let (bucket, n) = pair.bucket_and_sign_neg(x);
+            *b = bucket as u16;
+            bits |= n << i;
+        }
+        *word = bits;
+    }
+}
+
+/// The AVX-512F tier of the lane entry points (x86-64), same dispatch idiom as the FWHT,
+/// drain and screen kernels.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod simd {
+    use super::{COEFFICIENTS, MERSENNE_P};
+    use std::arch::x86_64::*;
+
+    /// One vector per coefficient plane, lane `l` holding the coefficients of value `l`'s
+    /// row.
+    type Coefficients = [__m512i; COEFFICIENTS];
+
+    /// Fold every lane `s` to `(s mod 2^61) + ⌊s/2^61⌋`, which is `≡ s (mod p)` because
+    /// `2^61 ≡ 1`, and below `2^61 + 7` for any 64-bit `s`.
+    ///
+    /// # Safety
+    /// The CPU must support `avx512f` (callers are same-feature kernels).
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn lanes_fold(s: __m512i) -> __m512i {
+        let p = _mm512_set1_epi64(MERSENNE_P as i64);
+        _mm512_add_epi64(_mm512_and_si512(s, p), _mm512_srli_epi64::<61>(s))
+    }
+
+    /// The canonical residue of every lane `r < 2p`: `r − p` when that does not wrap, which
+    /// is exactly when it is the smaller of the two as unsigned words.
+    ///
+    /// # Safety
+    /// The CPU must support `avx512f` (callers are same-feature kernels).
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn lanes_canonical(r: __m512i) -> __m512i {
+        let p = _mm512_set1_epi64(MERSENNE_P as i64);
+        _mm512_min_epu64(r, _mm512_sub_epi64(r, p))
+    }
+
+    /// `a·x + c (mod p)` lane by lane, for `a, x < 2^61 + 8` (`x_hi = x >> 32`) and
+    /// `c < 2^61`, as a lazy residue below `2^61 + 5`.
+    ///
+    /// With `a = a₁·2^32 + a₀` and `x = x₁·2^32 + x₀`, `a·x = a₁x₁·2^64 + t·2^32 + a₀x₀` for
+    /// `t = a₀x₁ + a₁x₀`. Modulo `p`, `2^64 ≡ 8`, and `t = t_h·2^29 + t_l` gives
+    /// `t·2^32 ≡ t_h + t_l·2^32`. Since `a₁, x₁ ≤ 2^29`, the six terms (`8·a₁x₁ ≤ 2^61`,
+    /// `t_h < 2^33`, `t_l·2^32 < 2^61`, the two halves of `a₀x₀` and `c`) add to less than
+    /// `2^63 + 2^34` without wrapping, and one fold brings the sum below `2^61 + 5`.
+    ///
+    /// # Safety
+    /// The CPU must support `avx512f` (callers are same-feature kernels).
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn lanes_mul_add(a: __m512i, x: __m512i, x_hi: __m512i, c: __m512i) -> __m512i {
+        let p = _mm512_set1_epi64(MERSENNE_P as i64);
+        let a_hi = _mm512_srli_epi64::<32>(a);
+        // `vpmuludq` multiplies the low 32 bits of each 64-bit lane.
+        let lo = _mm512_mul_epu32(a, x);
+        let mid = _mm512_add_epi64(_mm512_mul_epu32(a, x_hi), _mm512_mul_epu32(a_hi, x));
+        let hi = _mm512_mul_epu32(a_hi, x_hi);
+        let sum = _mm512_add_epi64(
+            _mm512_add_epi64(
+                _mm512_add_epi64(_mm512_slli_epi64::<3>(hi), _mm512_srli_epi64::<29>(mid)),
+                _mm512_add_epi64(
+                    _mm512_and_si512(_mm512_slli_epi64::<32>(mid), p),
+                    _mm512_and_si512(lo, p),
+                ),
+            ),
+            _mm512_add_epi64(_mm512_srli_epi64::<61>(lo), c),
+        );
+        // SAFETY: same CPU feature as this function.
+        unsafe { lanes_fold(sum) }
+    }
+
+    /// Eight values' buckets (in the low 16 bits of each lane) and `ξ = −1` mask: lane `l`
+    /// is hashed under the coefficients in lane `l` of `c`, in
+    /// [`super::HashPair::coefficients`] order. The coefficients must be canonical
+    /// residues, as a sampled family's are.
+    ///
+    /// # Safety
+    /// The CPU must support `avx512f` (callers are same-feature kernels).
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn lanes_eval(
+        c: &Coefficients,
+        values: __m512i,
+        bucket_mask: __m512i,
+    ) -> (__m512i, __mmask8) {
+        // SAFETY: all five calls need only this function's CPU feature. Their results are
+        // exact because `x` and every accumulator stay lazy residues below `2^61 + 8`.
+        let (v, acc) = unsafe {
+            let x = lanes_fold(values);
+            let x_hi = _mm512_srli_epi64::<32>(x);
+            let v = lanes_mul_add(c[0], x, x_hi, c[1]);
+            let acc = lanes_mul_add(c[5], x, x_hi, c[4]);
+            let acc = lanes_mul_add(acc, x, x_hi, c[3]);
+            (v, lanes_mul_add(acc, x, x_hi, c[2]))
+        };
+        // SAFETY: same CPU feature as this function. Both inputs are below `2p`, as the
+        // canonical subtraction requires for an exact result.
+        let (v, acc) = unsafe { (lanes_canonical(v), lanes_canonical(acc)) };
+        let neg = _mm512_testn_epi64_mask(acc, _mm512_set1_epi64(1));
+        (_mm512_and_si512(v, bucket_mask), neg)
+    }
+
+    /// One row's coefficients (its [`COEFFICIENTS`] canonical residues) broadcast to every
+    /// lane, over all of `values`.
+    ///
+    /// # Safety
+    /// The CPU must support `avx512f` (callers check via `is_x86_feature_detected!`),
+    /// `buckets.len() = values.len()` and `neg.len() = ⌈values.len()/64⌉`.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn row_avx512(
+        coefficients: &[u64],
+        bucket_mask: u64,
+        values: &[u64],
+        buckets: &mut [u16],
+        neg: &mut [u64],
+    ) {
+        let mut c: Coefficients = [_mm512_setzero_si512(); COEFFICIENTS];
+        for (lane, &k) in c.iter_mut().zip(coefficients) {
+            *lane = _mm512_set1_epi64(k as i64);
+        }
+        let mask = _mm512_set1_epi64(bucket_mask as i64);
+        for ((chunk, out), word) in values.chunks(64).zip(buckets.chunks_mut(64)).zip(neg) {
+            let mut bits = 0u64;
+            for (s, (eight, out)) in chunk.chunks(8).zip(out.chunks_mut(8)).enumerate() {
+                let lanes = u8::MAX >> (8 - eight.len());
+                // SAFETY: the masked load reads only the `eight.len()` lanes in `lanes`, all
+                // inside `eight`.
+                let x = unsafe { _mm512_maskz_loadu_epi64(lanes, eight.as_ptr().cast()) };
+                // SAFETY: same CPU feature as this kernel.
+                let (b, n) = unsafe { lanes_eval(&c, x, mask) };
+                // SAFETY: the masked store writes only the `lanes` words, all inside `out`,
+                // which is as long as `eight`.
+                unsafe { _mm512_mask_cvtepi64_storeu_epi16(out.as_mut_ptr().cast(), lanes, b) };
+                bits |= u64::from(n & lanes) << (8 * s);
+            }
+            *word = bits;
+        }
+    }
+
+    /// Row `rows[i]`'s coefficients for value `i`, gathered lane by lane from `planes`, a
+    /// family's canonical residues plane by plane.
+    ///
+    /// # Safety
+    /// The CPU must support `avx512f` (callers check via `is_x86_feature_detected!`);
+    /// `planes` must hold `COEFFICIENTS·k` words with `k ≥ 1`; every row must be below `k`
+    /// (a gather past it reads outside `planes`); and
+    /// `rows.len() = buckets.len() = values.len()`, `neg.len() = ⌈values.len()/64⌉`.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn rows_avx512(
+        planes: &[u64],
+        k: usize,
+        bucket_mask: u64,
+        rows: &[usize],
+        values: &[u64],
+        buckets: &mut [u16],
+        neg: &mut [u64],
+    ) {
+        debug_assert_eq!(planes.len(), COEFFICIENTS * k);
+        let mask = _mm512_set1_epi64(bucket_mask as i64);
+        let blocks = values.chunks(64).zip(rows.chunks(64));
+        for ((chunk, rows), (out, word)) in blocks.zip(buckets.chunks_mut(64).zip(neg)) {
+            let mut bits = 0u64;
+            let lanes8 = chunk.chunks(8).zip(rows.chunks(8)).zip(out.chunks_mut(8));
+            for (s, ((eight, rows), out)) in lanes8.enumerate() {
+                let lanes = u8::MAX >> (8 - eight.len());
+                // SAFETY: the masked loads read only the `eight.len()` lanes in `lanes`, all
+                // inside `eight` and `rows`, which are equally long.
+                let (x, idx) = unsafe {
+                    (
+                        _mm512_maskz_loadu_epi64(lanes, eight.as_ptr().cast()),
+                        _mm512_maskz_loadu_epi64(lanes, rows.as_ptr().cast()),
+                    )
+                };
+                let mut c: Coefficients = [_mm512_setzero_si512(); COEFFICIENTS];
+                for (plane, lane) in c.iter_mut().enumerate() {
+                    // SAFETY: every index is a row below `k` (masked-off lanes read row 0),
+                    // so each 8-byte gather from plane `plane` stays inside
+                    // `planes[plane·k..(plane + 1)·k]`.
+                    *lane = unsafe {
+                        _mm512_i64gather_epi64::<8>(idx, planes.as_ptr().add(plane * k).cast())
+                    };
+                }
+                // SAFETY: same CPU feature as this kernel.
+                let (b, n) = unsafe { lanes_eval(&c, x, mask) };
+                // SAFETY: the masked store writes only the `lanes` words, all inside `out`,
+                // which is as long as `eight`.
+                unsafe { _mm512_mask_cvtepi64_storeu_epi16(out.as_mut_ptr().cast(), lanes, b) };
+                bits |= u64::from(n & lanes) << (8 * s);
+            }
+            *word = bits;
+        }
     }
 }
 
@@ -388,6 +778,225 @@ mod tests {
         ] {
             assert_eq!(mod_mersenne(x) as u128, x % (MERSENNE_P as u128));
         }
+    }
+
+    /// SplitMix64, so the fixtures need no RNG stream of their own.
+    fn next(x: &mut u64) -> u64 {
+        *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *x;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Words at the edges of the field and of `u64`, then random words.
+    fn lane_values(seed: u64) -> Vec<u64> {
+        let p = MERSENNE_P;
+        let mut values = vec![
+            0,
+            1,
+            p - 1,
+            p,
+            p + 1,
+            2 * p,
+            1 << 61,
+            (1 << 62) - 1,
+            u64::MAX,
+        ];
+        let mut x = seed;
+        values.extend((0..40).map(|_| next(&mut x)));
+        values
+    }
+
+    /// A family whose row `j` maps `x` to the residue `j mod 4` in both hashes (its `b` and
+    /// `c₀` solved for it), so the lanes' lazy sums land on `p + (j mod 4)` and only the
+    /// final canonical subtraction brings them back.
+    fn residue_family(seed: u64, k: usize, m: usize, x: u64) -> RowHashes {
+        let xr = mod_mersenne(x as u128);
+        let minus = |t: u64, u: u64| add_mod(t, MERSENNE_P - u);
+        let pairs = RowHashes::from_seed(seed, k, m)
+            .pairs
+            .iter()
+            .enumerate()
+            .map(|(j, &pair)| {
+                let t = (j % 4) as u64;
+                let mut pair = pair;
+                pair.bucket.b = minus(t, mul_mod(pair.bucket.a, xr));
+                pair.sign.coeffs[0] = 0;
+                pair.sign.coeffs[0] = minus(t, pair.sign.poly_residue(xr));
+                pair
+            })
+            .collect();
+        RowHashes::from_pairs(pairs, m, seed)
+    }
+
+    /// The scalar body, value by value: `(buckets, sign words)`.
+    fn scalar(pairs: &[&HashPair], values: &[u64]) -> (Vec<u16>, Vec<u64>) {
+        let mut neg = vec![0u64; values.len().div_ceil(64)];
+        let buckets = values
+            .iter()
+            .zip(pairs)
+            .enumerate()
+            .map(|(i, (&x, pair))| {
+                let (bucket, n) = pair.bucket_and_sign_neg(x);
+                neg[i / 64] |= n << (i % 64);
+                bucket as u16
+            })
+            .collect();
+        (buckets, neg)
+    }
+
+    /// Every tier this host runs of both entry points against the scalar body, for every
+    /// row of `h` and every slice of `values` up to 17 long (each lane tail), and for
+    /// the whole slice.
+    #[allow(unsafe_code)]
+    fn assert_tiers_match_scalar(h: &RowHashes, values: &[u64], case: &str) {
+        let k = h.rows();
+        assert!(values.len() >= 17, "{case}: too few values for every tail");
+        let mut lengths: Vec<usize> = (0..=17).collect();
+        lengths.push(values.len());
+        for n in lengths {
+            for start in [0, values.len() - n] {
+                let values = &values[start..start + n];
+                let words = n.div_ceil(64);
+                let all_rows: Vec<usize> = (0..n).map(|i| (i * 7 + start) % k).collect();
+                let mut cases: Vec<(String, Vec<usize>)> =
+                    (0..k).map(|j| (format!("row {j}"), vec![j; n])).collect();
+                cases.push(("gathered rows".into(), all_rows));
+                for (what, rows) in cases {
+                    let pairs: Vec<&HashPair> = rows.iter().map(|&j| h.pair(j)).collect();
+                    let want = scalar(&pairs, values);
+                    let case = format!("{case}, {what}, n {n}, start {start}");
+                    // The row entry runs where every value shares one row.
+                    let single = rows
+                        .first()
+                        .copied()
+                        .filter(|&j| rows.iter().all(|&r| r == j));
+                    if let Some(j) = single {
+                        let mut got = (vec![7u16; n], vec![u64::MAX; words]);
+                        h.hash_row_into(j, values, &mut got.0, &mut got.1).unwrap();
+                        assert_eq!(got, want, "dispatched row entry, {case}");
+                    }
+                    let mut got = (vec![7u16; n], vec![u64::MAX; words]);
+                    h.hash_rows_into(&rows, values, &mut got.0, &mut got.1)
+                        .unwrap();
+                    assert_eq!(got, want, "dispatched gather entry, {case}");
+                    let mut got = (vec![7u16; n], vec![u64::MAX; words]);
+                    fill_portable(pairs.iter().copied(), values, &mut got.0, &mut got.1);
+                    assert_eq!(got, want, "portable tier, {case}");
+                    #[cfg(target_arch = "x86_64")]
+                    if h.columns().is_power_of_two()
+                        && std::arch::is_x86_feature_detected!("avx512f")
+                    {
+                        let mut got = (vec![7u16; n], vec![u64::MAX; words]);
+                        // SAFETY: guarded by the runtime feature check above; the planes
+                        // are the family's own, every row is below `k`, and the outputs
+                        // have the kernel's shapes.
+                        unsafe {
+                            simd::rows_avx512(
+                                &h.planes,
+                                k,
+                                h.bucket_mask(),
+                                &rows,
+                                values,
+                                &mut got.0,
+                                &mut got.1,
+                            )
+                        };
+                        assert_eq!(got, want, "avx512 gather tier, {case}");
+                        if let Some(j) = single {
+                            let mut got = (vec![7u16; n], vec![u64::MAX; words]);
+                            // SAFETY: as above, with one row's coefficients.
+                            unsafe {
+                                simd::row_avx512(
+                                    &h.pair(j).coefficients(),
+                                    h.bucket_mask(),
+                                    values,
+                                    &mut got.0,
+                                    &mut got.1,
+                                )
+                            };
+                            assert_eq!(got, want, "avx512 row tier, {case}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_lane_tier_matches_the_scalar_hash() {
+        for m in [2usize, 1024, 65_536] {
+            for seed in [3u64, 0xDEAD_BEEF] {
+                let values = lane_values(seed ^ m as u64);
+                let h = RowHashes::from_seed(seed, 5, m);
+                assert_tiers_match_scalar(&h, &values, &format!("m {m}, seed {seed}"));
+                // Residues that only the canonical subtraction maps back into `[0, p)`.
+                for &x in &values[..12] {
+                    let h = residue_family(seed, 4, m, x);
+                    let case = format!("m {m}, seed {seed}, residue family at {x:#x}");
+                    let near: Vec<u64> = (0..20)
+                        .map(|i| if i % 5 == 2 { x ^ 1 } else { x })
+                        .collect();
+                    assert_tiers_match_scalar(&h, &near, &case);
+                }
+            }
+        }
+        // A width that is not a power of two runs the portable tier, through both entries.
+        let h = RowHashes::from_seed(9, 3, 1000);
+        assert_tiers_match_scalar(&h, &lane_values(9), "m 1000");
+    }
+
+    #[test]
+    fn lane_entries_reject_bad_rows_and_shapes_before_writing() {
+        let h = RowHashes::from_seed(1, 3, 64);
+        let values = [1u64, 2, 3];
+        let (mut buckets, mut neg) = ([9u16; 3], [9u64; 1]);
+        let bad = |r: Result<()>| matches!(r, Err(Error::InvalidSketchParameter(_)));
+        assert!(bad(h.hash_row_into(3, &values, &mut buckets, &mut neg)));
+        assert!(bad(h.hash_rows_into(
+            &[0, 3, 1],
+            &values,
+            &mut buckets,
+            &mut neg
+        )));
+        assert!(bad(h.hash_rows_into(
+            &[0, usize::MAX, 1],
+            &values,
+            &mut buckets,
+            &mut neg
+        )));
+        assert!(bad(h.hash_rows_into(
+            &[0, 1],
+            &values,
+            &mut buckets,
+            &mut neg
+        )));
+        assert!(bad(h.hash_row_into(
+            0,
+            &values,
+            &mut buckets[..2],
+            &mut neg
+        )));
+        assert!(bad(h.hash_rows_into(
+            &[0; 3],
+            &values,
+            &mut buckets,
+            &mut []
+        )));
+        assert_eq!((buckets, neg), ([9; 3], [9; 1]), "a rejected call wrote");
+        // A bucket past `u16` cannot be written.
+        let wide = RowHashes::from_seed(1, 2, (1 << 16) + 1);
+        assert!(bad(wide.hash_row_into(0, &values, &mut buckets, &mut neg)));
+        assert!(bad(wide.hash_rows_into(
+            &[0; 3],
+            &values,
+            &mut buckets,
+            &mut neg
+        )));
+        // The empty slice is fine on both entries.
+        h.hash_row_into(2, &[], &mut [], &mut []).unwrap();
+        h.hash_rows_into(&[], &[], &mut [], &mut []).unwrap();
     }
 
     proptest! {

@@ -4,7 +4,8 @@
 //!
 //! * [`hash`] — seeded pairwise / 4-wise independent hash families. The fast-AGMS
 //!   construction (and therefore LDPJoinSketch) needs, for every sketch row `j`, a bucket
-//!   hash `h_j : D -> [m]` and a 4-wise independent sign hash `ξ_j : D -> {-1,+1}`.
+//!   hash `h_j : D -> [m]` and a 4-wise independent sign hash `ξ_j : D -> {-1,+1}`. A
+//!   family also evaluates both over a value slice, eight values per SIMD step.
 //! * [`hadamard`] — Walsh–Hadamard matrix entries and the in-place fast Walsh–Hadamard
 //!   transform used by the Hadamard mechanism on both the client and the server side.
 //! * [`batch`] — sign-split packed report batches ([`batch::ReportBatch`]) and the
@@ -25,8 +26,9 @@
 
 #![warn(missing_docs)]
 // The only crate in the workspace allowed to contain `unsafe` (the SIMD kernels in
-// `hadamard`, `batch` and `screen`); every block is opted in with `#[allow(unsafe_code)]`
-// plus a `// SAFETY:` contract, and `ldpjs-xtask lint` machine-checks both.
+// `hadamard`, `batch`, `screen` and `hash`); every block is opted in with
+// `#[allow(unsafe_code)]` plus a `// SAFETY:` contract, and `ldpjs-xtask lint`
+// machine-checks both.
 #![deny(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 

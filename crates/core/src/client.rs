@@ -37,6 +37,10 @@ use std::sync::Arc;
 /// count — and a run is reproducible on any machine.
 pub const PARALLEL_PERTURB_CHUNK: usize = 8_192;
 
+/// Values per lane-hash call in [`LdpJoinSketchClient::perturb_batch_into`]: a block draws
+/// every value's `(j, l, flip)`, hashes all of them in one call, then pushes its reports.
+const HASH_BLOCK: usize = 256;
+
 /// Derive the RNG seed of one perturbation chunk from the caller's base seed (SplitMix64
 /// finalizer over the chunk index, so neighbouring chunks get well-separated streams).
 /// Shared with the streaming protocol runners, which seed one client-simulation RNG per
@@ -218,10 +222,12 @@ impl LdpJoinSketchClient {
     /// For each value the RNG draws `(j, l, flip)` in exactly the order
     /// [`LdpJoinSketchClient::perturb`] draws them, so the batch carries the same reports —
     /// same `(j, l)` pairs, same signs — and leaves the RNG in the same state as calling
-    /// `perturb` once per value. The hash/sign/Hadamard math is RNG-free: one fused
-    /// bucket/sign hash ([`ldpjs_common::hash::HashPair::bucket_and_sign_neg`]) and the
-    /// Hadamard entry as a popcount parity, combined as XORed sign bits. The returned
-    /// batch's lanes are sized to their reports ([`ReportBatch::shrink_to_fit`]).
+    /// `perturb` once per value. The hash/sign/Hadamard math is RNG-free, so it runs a block
+    /// of values at a time: the block's draws first, then one fused bucket/sign hash of
+    /// every value under its drawn row ([`RowHashes::hash_rows_into`], in lanes where the
+    /// CPU allows), then the reports in value order, each sign the XOR of the flip, the
+    /// hash sign and the Hadamard entry's popcount parity. The returned batch's lanes are
+    /// sized to their reports ([`ReportBatch::shrink_to_fit`]).
     ///
     /// # Errors
     /// Returns [`Error::InvalidSketchParameter`] if the sketch's counter space cannot be
@@ -245,7 +251,9 @@ impl LdpJoinSketchClient {
     ///
     /// # Errors
     /// Returns [`Error::IncompatibleSketches`] if `batch` was built for a different sketch
-    /// shape; the batch is unchanged in that case.
+    /// shape; the batch is unchanged in that case. Returns
+    /// [`Error::InvalidSketchParameter`] if a hash family shared through
+    /// [`LdpJoinSketchClient::with_hashes`] has fewer rows than the sketch.
     pub fn perturb_batch_into<R: RngCore + ?Sized>(
         &self,
         values: &[u64],
@@ -256,14 +264,25 @@ impl LdpJoinSketchClient {
         batch.clear();
         let (k, m) = (self.params.rows(), self.params.columns());
         let flip_p = self.eps.flip_probability();
-        for &v in values {
-            let row = rng.gen_range(0..k);
-            let col = rng.gen_range(0..m);
-            let flip = rng.gen_bool(flip_p);
-            let (bucket, neg_sign) = self.hashes.pair(row).bucket_and_sign_neg(v);
-            let neg_hadamard = u64::from((bucket & col).count_ones()) & 1;
-            let negative = (u64::from(flip) ^ neg_sign ^ neg_hadamard) == 1;
-            batch.push(row, col, negative)?;
+        let (mut rows, mut cols, mut flips) =
+            ([0; HASH_BLOCK], [0; HASH_BLOCK], [false; HASH_BLOCK]);
+        let (mut buckets, mut neg) = ([0u16; HASH_BLOCK], [0u64; HASH_BLOCK / 64]);
+        for block in values.chunks(HASH_BLOCK) {
+            let n = block.len();
+            for ((row, col), flip) in rows.iter_mut().zip(&mut cols).zip(&mut flips).take(n) {
+                *row = rng.gen_range(0..k);
+                *col = rng.gen_range(0..m);
+                *flip = rng.gen_bool(flip_p);
+            }
+            let words = &mut neg[..n.div_ceil(64)];
+            self.hashes
+                .hash_rows_into(&rows[..n], block, &mut buckets[..n], words)?;
+            let drawn = rows.iter().zip(&cols).zip(&flips).zip(&buckets);
+            for (i, (((&row, &col), &flip), &bucket)) in drawn.take(n).enumerate() {
+                let neg_sign = (words[i / 64] >> (i % 64)) & 1;
+                let neg_hadamard = u64::from((usize::from(bucket) & col).count_ones()) & 1;
+                batch.push(row, col, (u64::from(flip) ^ neg_sign ^ neg_hadamard) == 1)?;
+            }
         }
         Ok(())
     }

@@ -11,6 +11,10 @@
 //!
 //! Both branches finish with the same Hadamard sampling and randomized response, so the server
 //! cannot distinguish a target report from a non-target one (Theorem 6: FAP satisfies ε-LDP).
+//!
+//! Every FAP user asks whether its value is in `FI`, so each client builds one flat exact
+//! membership table up front and answers that question with a fixed number of slot
+//! comparisons and no data-dependent branch.
 
 use ldpjs_common::batch::ReportBatch;
 use ldpjs_common::error::Result;
@@ -19,8 +23,6 @@ use ldpjs_common::privacy::Epsilon;
 use ldpjs_common::rr::sample_sign_bit;
 use ldpjs_sketch::SketchParams;
 use rand::{Rng, RngCore};
-use std::collections::HashSet;
-use std::sync::Arc;
 
 use crate::client::{ClientReport, LdpJoinSketchClient};
 
@@ -48,29 +50,96 @@ impl FapMode {
     }
 }
 
+/// Exact membership in the frequent-item set `FI`, answered without a data-dependent branch.
+///
+/// An open-addressing table with multiplicative (Fibonacci) hashing and linear probing over
+/// a power-of-two number of slots, at least `4·|FI|`, built once. A lookup compares the
+/// `probes` slots from the value's home slot, `probes` being the longest run any item needed
+/// while the table was built, and ORs the comparisons, so every lookup runs the same
+/// instructions. Empty slots hold `empty`, the smallest value outside `FI`; a lookup of
+/// `empty` itself is masked out, so it is never reported as a member.
+#[derive(Debug, Clone)]
+struct FrequentItems {
+    /// `FI`, sorted and deduplicated.
+    sorted: Vec<u64>,
+    slots: Vec<u64>,
+    /// `64 − log2(slots.len())`, the home slot's shift.
+    shift: u32,
+    probes: usize,
+    empty: u64,
+}
+
+impl FrequentItems {
+    fn new(items: &[u64]) -> Self {
+        let mut sorted = items.to_vec();
+        sorted.sort_unstable();
+        sorted.dedup();
+        // The first gap of the sorted items (`|FI|` if they are exactly `0..|FI|`).
+        let empty = (0u64..)
+            .zip(&sorted)
+            .find(|&(i, &v)| i != v)
+            .map_or(sorted.len() as u64, |(i, _)| i);
+        let len = (4 * sorted.len()).next_power_of_two().max(2);
+        let shift = 64 - len.trailing_zeros();
+        let (mut slots, mut probes) = (vec![empty; len], 0);
+        // At most a quarter of the slots fill, so every probe sequence meets an empty slot.
+        for &v in &sorted {
+            let (mut at, mut run) = (home(v, shift), 1);
+            while slots[at] != empty {
+                at = (at + 1) & (len - 1);
+                run += 1;
+            }
+            slots[at] = v;
+            probes = probes.max(run);
+        }
+        FrequentItems {
+            sorted,
+            slots,
+            shift,
+            probes,
+            empty,
+        }
+    }
+
+    #[inline]
+    fn contains(&self, value: u64) -> bool {
+        let mask = self.slots.len() - 1;
+        let home = home(value, self.shift);
+        let mut hit = false;
+        for probe in 0..self.probes {
+            hit |= self.slots[(home + probe) & mask] == value;
+        }
+        hit & (value != self.empty)
+    }
+}
+
+/// The home slot of `value` in a table of `2^(64 − shift)` slots: the top bits of its
+/// Fibonacci hash.
+#[inline]
+fn home(value: u64, shift: u32) -> usize {
+    (value.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize
+}
+
 /// The FAP client: wraps an [`LdpJoinSketchClient`] and re-routes non-target values through
 /// the value-independent random encoding.
 #[derive(Debug, Clone)]
 pub struct FapClient {
     inner: LdpJoinSketchClient,
     mode: FapMode,
-    frequent_items: Arc<HashSet<u64>>,
+    frequent_items: FrequentItems,
 }
 
 impl FapClient {
     /// Create a FAP client.
     ///
     /// `inner` carries the sketch parameters, privacy budget and public hash family;
-    /// `frequent_items` is the set `FI` broadcast by the server after phase 1.
-    pub fn new(
-        inner: LdpJoinSketchClient,
-        mode: FapMode,
-        frequent_items: Arc<HashSet<u64>>,
-    ) -> Self {
+    /// `frequent_items` is the set `FI` broadcast by the server after phase 1, in any order
+    /// (the client keeps it sorted and deduplicated, beside its membership table).
+    pub fn new(inner: LdpJoinSketchClient, mode: FapMode, frequent_items: &[u64]) -> Self {
         FapClient {
             inner,
             mode,
-            frequent_items,
+            frequent_items: FrequentItems::new(frequent_items),
         }
     }
 
@@ -80,10 +149,10 @@ impl FapClient {
         self.mode
     }
 
-    /// The frequent item set `FI`.
+    /// The frequent item set `FI`, sorted and deduplicated.
     #[inline]
-    pub fn frequent_items(&self) -> &Arc<HashSet<u64>> {
-        &self.frequent_items
+    pub fn frequent_items(&self) -> &[u64] {
+        &self.frequent_items.sorted
     }
 
     /// Sketch parameters.
@@ -110,8 +179,7 @@ impl FapClient {
     /// Returns `true` if `value` would be encoded with the non-target branch.
     #[inline]
     pub fn is_non_target(&self, value: u64) -> bool {
-        self.mode
-            .is_non_target(self.frequent_items.contains(&value))
+        self.mode.is_non_target(self.frequent_items.contains(value))
     }
 
     /// Algorithm 4: encode and perturb one private value.
@@ -226,7 +294,7 @@ mod tests {
     fn setup(mode: FapMode, fi: &[u64], eps: f64) -> FapClient {
         let params = SketchParams::new(8, 256).unwrap();
         let inner = LdpJoinSketchClient::new(params, Epsilon::new(eps).unwrap(), 17);
-        FapClient::new(inner, mode, Arc::new(fi.iter().copied().collect()))
+        FapClient::new(inner, mode, fi)
     }
 
     #[test]
@@ -242,6 +310,50 @@ mod tests {
         let client = setup(FapMode::LowFrequency, &[1, 2, 3], 4.0);
         assert!(client.is_non_target(1));
         assert!(!client.is_non_target(99));
+    }
+
+    #[test]
+    fn membership_table_matches_a_reference_set() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let mut sets: Vec<Vec<u64>> = vec![
+            vec![],
+            vec![0],
+            vec![u64::MAX],
+            vec![u64::MAX, 0, 0],
+            // Its marker is 4, the first value past a dense run.
+            vec![3, 1, 2, 0],
+            (0..2_000).map(|i| i << 20).collect(),
+            (0..64).map(|i| 1 << i).collect(),
+        ];
+        for size in [1u64, 7, 100, 10_000] {
+            // Dense (with repeats, and likely 0) and sparse random sets.
+            sets.push((0..size).map(|_| rng.gen_range(0..4 * size)).collect());
+            sets.push((0..size).map(|_| rng.gen::<u64>()).collect());
+        }
+        for set in sets {
+            let table = FrequentItems::new(&set);
+            let mut reference = set.clone();
+            reference.sort_unstable();
+            reference.dedup();
+            let case = format!("{} items, marker {}", reference.len(), table.empty);
+            assert_eq!(table.sorted, reference, "{case}");
+            let slots = table.slots.len();
+            assert!(
+                slots.is_power_of_two() && slots >= 4 * reference.len(),
+                "{case}"
+            );
+            assert!(reference.binary_search(&table.empty).is_err(), "{case}");
+            let edges = [0, 1, u64::MAX, table.empty, table.empty.wrapping_add(1)];
+            let queries = reference
+                .iter()
+                .flat_map(|&v| [v, v.wrapping_add(1), v.wrapping_sub(1)])
+                .chain(edges)
+                .chain((0..1_000).map(|_| rng.gen::<u64>()));
+            for q in queries {
+                let want = reference.binary_search(&q).is_ok();
+                assert_eq!(table.contains(q), want, "{case}: query {q}");
+            }
+        }
     }
 
     #[test]
@@ -262,11 +374,7 @@ mod tests {
         let params = SketchParams::new(12, 256).unwrap();
         let eps = Epsilon::new(6.0).unwrap();
         let inner = LdpJoinSketchClient::new(params, eps, 23);
-        let client = FapClient::new(
-            inner,
-            FapMode::HighFrequency,
-            Arc::new([7u64].into_iter().collect()),
-        );
+        let client = FapClient::new(inner, FapMode::HighFrequency, &[7]);
         let n = 50_000usize;
         let mut rng = StdRng::seed_from_u64(5);
         let batch = client.perturb_batch(&vec![7u64; n], &mut rng).unwrap();
@@ -288,7 +396,7 @@ mod tests {
         let params = SketchParams::new(12, 256).unwrap();
         let eps = Epsilon::new(6.0).unwrap();
         let inner = LdpJoinSketchClient::new(params, eps, 31);
-        let client = FapClient::new(inner, FapMode::HighFrequency, Arc::new(HashSet::new()));
+        let client = FapClient::new(inner, FapMode::HighFrequency, &[]);
         let n = 80_000usize;
         let mut rng = StdRng::seed_from_u64(6);
         // Everybody holds value 7, but 7 is not frequent so it is a non-target.
@@ -312,7 +420,7 @@ mod tests {
         let params = SketchParams::new(8, 128).unwrap();
         let eps = Epsilon::new(8.0).unwrap();
         let inner = LdpJoinSketchClient::new(params, eps, 41);
-        let client = FapClient::new(inner, FapMode::HighFrequency, Arc::new(HashSet::new()));
+        let client = FapClient::new(inner, FapMode::HighFrequency, &[]);
         let n = 120_000usize;
         let mut rng = StdRng::seed_from_u64(7);
         let batch = client.perturb_batch(&vec![3u64; n], &mut rng).unwrap();
@@ -368,11 +476,7 @@ mod tests {
         let params = SketchParams::new(2, 4).unwrap();
         let eps_val = 1.0;
         let inner = LdpJoinSketchClient::new(params, Epsilon::new(eps_val).unwrap(), 2);
-        let client = FapClient::new(
-            inner,
-            FapMode::HighFrequency,
-            Arc::new([1u64].into_iter().collect()),
-        );
+        let client = FapClient::new(inner, FapMode::HighFrequency, &[1]);
         let trials = 300_000;
         let mut rng = StdRng::seed_from_u64(8);
         let mut hist_target: HashMap<(i8, usize, usize), u64> = HashMap::new();

@@ -62,8 +62,6 @@ use ldpjs_common::stream::ChunkedValues;
 use ldpjs_sketch::SketchParams;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashSet;
-use std::sync::Arc;
 
 use crate::client::{chunk_stream_seed, try_for_each_chunk, LdpJoinSketchClient};
 use crate::fap::{FapClient, FapMode};
@@ -497,12 +495,11 @@ impl LdpJoinSketchPlus {
     /// The two FAP clients of phase 2, encoding against `frequent_items`.
     fn fap_clients(&self, frequent_items: &[u64]) -> (FapClient, FapClient) {
         let cfg = &self.config;
-        let fi_set: Arc<HashSet<u64>> = Arc::new(frequent_items.iter().copied().collect());
         let (low_seed, high_seed) = lane_seeds(cfg.seed);
         let client_low = LdpJoinSketchClient::new(cfg.params, cfg.eps, low_seed);
         let client_high = LdpJoinSketchClient::new(cfg.params, cfg.eps, high_seed);
-        let fap_low = FapClient::new(client_low, FapMode::LowFrequency, Arc::clone(&fi_set));
-        let fap_high = FapClient::new(client_high, FapMode::HighFrequency, fi_set);
+        let fap_low = FapClient::new(client_low, FapMode::LowFrequency, frequent_items);
+        let fap_high = FapClient::new(client_high, FapMode::HighFrequency, frequent_items);
         (fap_low, fap_high)
     }
 }

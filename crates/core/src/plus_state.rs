@@ -511,7 +511,6 @@ mod tests {
     use crate::server::SCAN_BLOCK;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::collections::HashSet;
     use std::sync::Arc;
 
     fn params() -> SketchParams {
@@ -525,16 +524,16 @@ mod tests {
     fn batch_for(seed: u64, n: usize) -> PlusReportBatch {
         let (low_seed, high_seed) = lane_seeds(9);
         let p1 = LdpJoinSketchClient::new(params(), eps(), 9);
-        let fi: Arc<HashSet<u64>> = Arc::new([1u64, 2].into_iter().collect());
+        let fi = [1u64, 2];
         let low = FapClient::new(
             LdpJoinSketchClient::new(params(), eps(), low_seed),
             FapMode::LowFrequency,
-            Arc::clone(&fi),
+            &fi,
         );
         let high = FapClient::new(
             LdpJoinSketchClient::new(params(), eps(), high_seed),
             FapMode::HighFrequency,
-            fi,
+            &fi,
         );
         let mut rng = StdRng::seed_from_u64(seed);
         let values: Vec<u64> = (0..n as u64).map(|v| v % 50).collect();

@@ -907,7 +907,8 @@ pub struct DomainIndex {
 }
 
 impl DomainIndex {
-    /// Hash every candidate in `domain` through all `k` rows of `hashes` once.
+    /// Hash every candidate in `domain` through all `k` rows of `hashes` once, one
+    /// [`RowHashes::hash_row_into`] call per row.
     ///
     /// # Panics
     /// Panics if the hash family has more than 65,536 columns, so that a bucket does not
@@ -922,21 +923,18 @@ impl DomainIndex {
         let words = n.div_ceil(64);
         let mut buckets = vec![0u16; k * n];
         let mut neg = vec![0u64; k * words];
-        for (j, pair) in hashes.iter().enumerate() {
-            let row = &mut buckets[j * n..(j + 1) * n];
-            let negs = &mut neg[j * words..(j + 1) * words];
-            // One fused bucket/sign hash per candidate. Random signs would mispredict a
-            // branch half the time, so each sign bit is OR-ed into a register word that is
-            // stored once per 64 candidates.
-            for ((cands, row), word) in domain.chunks(64).zip(row.chunks_mut(64)).zip(negs) {
-                let mut bits = 0u64;
-                for (i, (&d, b)) in cands.iter().zip(row).enumerate() {
-                    let (bucket, neg) = pair.bucket_and_sign_neg(d);
-                    *b = bucket as u16;
-                    bits |= neg << i;
-                }
-                *word = bits;
-            }
+        // Each row hashes the whole domain in lanes, straight into its planes.
+        for j in 0..k {
+            hashes
+                .hash_row_into(
+                    j,
+                    &domain,
+                    &mut buckets[j * n..(j + 1) * n],
+                    &mut neg[j * words..(j + 1) * words],
+                )
+                // lint:allow(panic-freedom) — invariant: `j < k`, the planes are cut to `n`
+                // buckets and `⌈n/64⌉` words, and the assert above bounds the width.
+                .expect("every row of the family hashes into its own planes");
         }
         DomainIndex {
             domain,

@@ -456,7 +456,9 @@ fn brace(labels: &str) -> String {
     }
 }
 
-/// JSON-escape a string (quotes and backslashes; metric names contain `"` via labels).
+/// JSON-escape a string: quotes and backslashes (metric names contain `"` via labels), line
+/// feed as `\n`, and every other control character below U+0020 as `\u00XX`, as RFC 8259
+/// requires.
 fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
@@ -465,6 +467,9 @@ fn json_string(s: &str) -> String {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
             '\n' => out.push_str("\\n"),
+            c if c < ' ' => {
+                let _ = write!(out, "\\u{:04x}", u32::from(c));
+            }
             c => out.push(c),
         }
     }
@@ -593,6 +598,19 @@ z_total{attr=\"b\"} 2
             t.snapshot().to_text(),
             expected,
             "a second render is identical"
+        );
+    }
+
+    #[test]
+    fn json_escapes_every_control_character() {
+        let t = Telemetry::new();
+        t.counter("a\tb\u{1}c", Stability::Deterministic).inc();
+        assert_eq!(
+            t.snapshot().to_json(),
+            concat!(
+                r#"{"metrics":[{"name":"a\u0009b\u0001c","stability":"deterministic","#,
+                r#""kind":"counter","value":1}]}"#
+            )
         );
     }
 

@@ -3461,6 +3461,17 @@ mod tests {
     }
 
     #[test]
+    fn control_characters_in_attribute_names_leave_the_json_export_valid() {
+        // The label escaping keeps a tab or a U+0001 as is, so the JSON exporter must
+        // escape them: RFC 8259 admits no raw byte below 0x20 in a document.
+        let mut service = manual_service(6, 64, 4);
+        service.register_attribute("a\tb\u{1}c\nd", 7).unwrap();
+        let json = service.metrics_json();
+        assert!(json.contains("a\\u0009b\\u0001c\\\\nd"), "{json}");
+        assert!(json.bytes().all(|b| b >= 0x20), "{json}");
+    }
+
+    #[test]
     fn kernel_tier_series_are_unmoved_by_other_services() {
         // The SIMD dispatch counters are process-wide, so a service exports only which
         // (kernel, tier) pairs have run: another service's seals cannot move its series.

@@ -22,7 +22,7 @@ use std::path::Path;
 pub enum Rule {
     /// Every `unsafe` site carries an adjacent `// SAFETY:` contract.
     UnsafeContract,
-    /// SIMD intrinsics stay in the three kernel files, kernels are `unsafe fn`, and call
+    /// SIMD intrinsics stay in the four kernel files, kernels are `unsafe fn`, and call
     /// sites are guarded by `is_x86_feature_detected!`.
     SimdDispatch,
     /// No wall clocks, hash-order iteration, or entropy-seeded RNGs in library code.

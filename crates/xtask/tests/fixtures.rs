@@ -56,6 +56,12 @@ fn fixture_simd_outside_kernel_files() {
 }
 
 #[test]
+fn fixture_simd_in_an_unlisted_common_file() {
+    // `ldpjs-common` holds the kernel files, but only the listed ones may use intrinsics.
+    assert_fixture("simd_unlisted_common.rs");
+}
+
+#[test]
 fn fixture_nondeterminism_in_lib_code() {
     assert_fixture("determinism.rs");
 }
