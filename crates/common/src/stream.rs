@@ -137,16 +137,16 @@ impl ChunkedTuples for TupleSliceChunks<'_> {
     }
 }
 
-/// Collect a chunked tuple stream into a `Vec` (test/diagnostic helper).
-pub fn collect_tuple_chunks(source: &dyn ChunkedTuples) -> Vec<(Value, Value)> {
-    let mut out = Vec::with_capacity(source.total_tuples());
-    source.for_each_chunk(&mut |_, chunk| out.extend_from_slice(chunk));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Collect a chunked tuple stream into a `Vec`.
+    fn collect_tuple_chunks(source: &dyn ChunkedTuples) -> Vec<(Value, Value)> {
+        let mut out = Vec::with_capacity(source.total_tuples());
+        source.for_each_chunk(&mut |_, chunk| out.extend_from_slice(chunk));
+        out
+    }
 
     #[test]
     fn slice_chunks_partition_the_slice_in_order() {

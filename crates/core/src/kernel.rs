@@ -4,11 +4,11 @@
 //! finalized views ([`FinalizedSketch`], [`FinalizedPlusState`], [`FinalizedEdgeSketch`]).
 //!
 //! The offline protocol runners (`ldp_join_estimate*`,
-//! [`LdpJoinSketchPlus::estimate_chunked`](crate::plus::LdpJoinSketchPlus::estimate_chunked),
-//! `ldp_chain_join_*`), the experiment harness's method
-//! registry, and the online `SketchService` query layer are all thin drivers over these
-//! kernels, so an estimator fix or optimisation lands everywhere at once and the offline and
-//! online paths provably share one implementation.
+//! [`LdpJoinSketchPlus::estimate_chunked`](crate::plus::LdpJoinSketchPlus::estimate_chunked)),
+//! the experiment harness's method registry, and the online `SketchService` query layer are
+//! all thin drivers over these kernels, and offline chain estimates call [`ChainKernel`]
+//! directly, so an estimator fix or optimisation lands everywhere at once and the offline
+//! and online paths provably share one implementation.
 //!
 //! * [`PlainKernel`] — Eq. 5: `median_j Σ_x M_A[j,x]·M_B[j,x]`, plus the Theorem 7 frequency
 //!   estimator.
@@ -17,10 +17,16 @@
 //!   recombination weights), over two [`FinalizedPlusState`]s. The frequent-item set is the
 //!   union of the two states' sets — for windowed state this is the *cross-window
 //!   reconciled* set discovered on the merged phase-1 sketches.
-//! * [`ChainKernel`] — the Section VI per-replica contraction for 3-way and 4-way chains.
+//! * [`ChainKernel`] — the Section VI chain estimator for 3-way and 4-way chains, the
+//!   privately built sketches' side of the one per-replica contraction
+//!   ([`ldpjs_sketch::compass::contract`]) the non-private COMPASS estimates also run.
+
+use std::sync::Arc;
 
 use ldpjs_common::error::{Error, Result};
+use ldpjs_common::hash::RowHashes;
 use ldpjs_common::stats::median;
+use ldpjs_sketch::compass::{chain_estimate, contract};
 
 use crate::bounds;
 use crate::multiway::FinalizedEdgeSketch;
@@ -246,48 +252,34 @@ impl PlusKernel {
 }
 
 /// The Section VI multi-way chain estimator: per-replica contraction of vertex and edge
-/// sketches along shared attributes, median over replicas (Eq. 27).
+/// sketches along shared attributes, median over replicas (Eq. 27). The contraction is
+/// [`ldpjs_sketch::compass::contract`], the body the non-private COMPASS estimates run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChainKernel;
 
 impl ChainKernel {
     /// Estimate the 3-way chain join `|T1(A) ⋈ T2(A,B) ⋈ T3(B)|`. The vertex sketches must
     /// be built over the edge sketch's attribute hash families.
+    ///
+    /// # Errors
+    /// [`Error::IncompatibleSketches`] if a vertex sketch's family is not its attribute's.
     pub fn chain_3(
         &self,
         t1: &FinalizedSketch,
         t2: &FinalizedEdgeSketch,
         t3: &FinalizedSketch,
     ) -> Result<f64> {
-        let attr_a = t2.attribute_a();
-        let attr_b = t2.attribute_b();
-        if t1.hashes().as_ref() != attr_a.hashes() || t3.hashes().as_ref() != attr_b.hashes() {
-            return Err(Error::IncompatibleSketches(
-                "vertex sketches must be built over the chain's attribute hash families".into(),
-            ));
-        }
-        let k = attr_a.replicas();
-        let (ma, mb) = (attr_a.buckets(), attr_b.buckets());
-        let mut per_replica = Vec::with_capacity(k);
-        for j in 0..k {
-            let v1 = t1.row(j);
-            let v3 = t3.row(j);
-            let e = t2.replica(j);
-            let mut acc = 0.0;
-            for la in 0..ma {
-                if v1[la] == 0.0 {
-                    continue;
-                }
-                let row = &e[la * mb..(la + 1) * mb];
-                let inner: f64 = row.iter().zip(v3.iter()).map(|(x, y)| x * y).sum();
-                acc += v1[la] * inner;
-            }
-            per_replica.push(acc);
-        }
-        median(&per_replica).ok_or_else(|| Error::EmptyInput("no replicas".into()))
+        check_vertices(t1, t2.attribute_a(), t3, t2.attribute_b())?;
+        chain_estimate(t2.attribute_a().rows(), |j| {
+            contract(t1.row(j), &[t2.replica(j)], t3.row(j))
+        })
     }
 
     /// Estimate the 4-way chain join `|T1(A) ⋈ T2(A,B) ⋈ T3(B,C) ⋈ T4(C)|`.
+    ///
+    /// # Errors
+    /// [`Error::IncompatibleSketches`] if the edge sketches do not share attribute B's
+    /// family, or a vertex sketch's family is not its attribute's.
     pub fn chain_4(
         &self,
         t1: &FinalizedSketch,
@@ -295,47 +287,32 @@ impl ChainKernel {
         t3: &FinalizedEdgeSketch,
         t4: &FinalizedSketch,
     ) -> Result<f64> {
-        let attr_a = t2.attribute_a();
-        let attr_b = t2.attribute_b();
-        let attr_c = t3.attribute_b();
-        if attr_b != t3.attribute_a() {
+        if t2.attribute_b() != t3.attribute_a() {
             return Err(Error::IncompatibleSketches(
                 "the two edge sketches of a 4-way chain must share attribute B's hash family"
                     .into(),
             ));
         }
-        if t1.hashes().as_ref() != attr_a.hashes() || t4.hashes().as_ref() != attr_c.hashes() {
-            return Err(Error::IncompatibleSketches(
-                "vertex sketches must be built over the chain's attribute hash families".into(),
-            ));
-        }
-        let k = attr_a.replicas();
-        let (ma, mb, mc) = (attr_a.buckets(), attr_b.buckets(), attr_c.buckets());
-        let mut per_replica = Vec::with_capacity(k);
-        for j in 0..k {
-            let v1 = t1.row(j);
-            let v4 = t4.row(j);
-            let e2 = t2.replica(j);
-            let e3 = t3.replica(j);
-            // w[lb] = Σ_lc e3[lb, lc] · v4[lc]
-            let mut w = vec![0.0; mb];
-            for lb in 0..mb {
-                let row = &e3[lb * mc..(lb + 1) * mc];
-                w[lb] = row.iter().zip(v4.iter()).map(|(x, y)| x * y).sum();
-            }
-            let mut acc = 0.0;
-            for la in 0..ma {
-                if v1[la] == 0.0 {
-                    continue;
-                }
-                let row = &e2[la * mb..(la + 1) * mb];
-                let inner: f64 = row.iter().zip(w.iter()).map(|(x, y)| x * y).sum();
-                acc += v1[la] * inner;
-            }
-            per_replica.push(acc);
-        }
-        median(&per_replica).ok_or_else(|| Error::EmptyInput("no replicas".into()))
+        check_vertices(t1, t2.attribute_a(), t4, t3.attribute_b())?;
+        chain_estimate(t2.attribute_a().rows(), |j| {
+            contract(t1.row(j), &[t2.replica(j), t3.replica(j)], t4.row(j))
+        })
     }
+}
+
+/// The chain's end tables must be sketched over its end attributes' hash families.
+fn check_vertices(
+    first: &FinalizedSketch,
+    attr_first: &Arc<RowHashes>,
+    last: &FinalizedSketch,
+    attr_last: &Arc<RowHashes>,
+) -> Result<()> {
+    if first.hashes() != attr_first || last.hashes() != attr_last {
+        return Err(Error::IncompatibleSketches(
+            "vertex sketches must be built over the chain's attribute hash families".into(),
+        ));
+    }
+    Ok(())
 }
 
 /// The inverse-variance weight of one rescaled partial estimate against the zero prior:

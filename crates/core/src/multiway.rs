@@ -1,27 +1,32 @@
 //! Multi-way chain joins under LDP (Section VI).
 //!
-//! The construction mirrors COMPASS: every join attribute carries a public hash family
-//! ([`JoinAttribute`]); single-attribute tables are summarised with ordinary LDPJoinSketches,
-//! and a two-attribute table `T(A, B)` is summarised with a two-dimensional sketch whose
-//! client encodes each tuple `(a, b)` as
+//! The construction mirrors COMPASS: every join attribute carries a public hash family (a
+//! [`RowHashes`], shared as an `Arc`); single-attribute tables are summarised with ordinary
+//! LDPJoinSketches over that family
+//! ([`build_private_sketch`](crate::protocol::build_private_sketch) with the attribute's
+//! seed), and a two-attribute table `T(A, B)` is summarised with a two-dimensional sketch
+//! whose client encodes each tuple `(a, b)` as
 //!
 //! `y = H_{m_A}[h_A(a), l_1] · ξ_A(a)·ξ_B(b) · H_{m_B}[l_2, h_B(b)]`
 //!
 //! for uniformly sampled coordinates `(l_1, l_2)`, flips the sign with probability
 //! `1/(e^ε+1)`, and reports `(y, j, l_1, l_2)` (with `j` the sampled replica). The server
 //! follows the same two-stage lifecycle as the one-dimensional sketch: an
-//! [`EdgeSketchBuilder`] accumulates raw `±1` report sums, and [`EdgeSketchBuilder::finalize`]
-//! applies the de-bias scale `k·c_ε` plus a two-dimensional Hadamard restore once, yielding a
-//! [`FinalizedEdgeSketch`] whose replicas are borrowed by the estimators. The chain size is
-//! estimated by contracting the sketches along shared attributes and taking the median over
-//! replicas (Eq. 27).
+//! [`EdgeSketchBuilder`] accumulates raw `±1` report sums, its exact unscaled
+//! [`spectrum`](EdgeSketchBuilder::spectrum) transforms the second dimension, and
+//! [`FinalizedEdgeSketch::from_spectrum`] applies the de-bias scale `k·c_ε` and transforms
+//! the first dimension, yielding the view whose replicas the estimators borrow. The chain
+//! size is estimated by [`ChainKernel`](crate::kernel::ChainKernel), which contracts the
+//! sketches along shared attributes and takes the median over replicas (Eq. 27).
+
+use std::sync::Arc;
 
 use ldpjs_common::batch::ReportBatch;
 use ldpjs_common::error::{Error, Result};
-use ldpjs_common::hadamard::{fwht_in_place, fwht_scaled_in_place, hadamard_entry_f64};
+use ldpjs_common::hadamard::{fwht_in_place, hadamard_entry_f64};
+use ldpjs_common::hash::RowHashes;
 use ldpjs_common::privacy::Epsilon;
 use ldpjs_common::rr::sample_sign_bit;
-use ldpjs_sketch::compass::JoinAttribute;
 use rand::{Rng, RngCore};
 
 use crate::server::check_report_sign;
@@ -39,27 +44,34 @@ pub struct EdgeReport {
     pub col_b: usize,
 }
 
+/// The two attributes' hash families, checked to share the replica count.
+fn check_replicas(attr_a: &RowHashes, attr_b: &RowHashes, what: &str) -> Result<()> {
+    if attr_a.rows() != attr_b.rows() {
+        return Err(Error::IncompatibleSketches(format!(
+            "{what} attributes must share the replica count: {} vs {}",
+            attr_a.rows(),
+            attr_b.rows()
+        )));
+    }
+    Ok(())
+}
+
 /// Client-side encoder for a two-attribute table.
 #[derive(Debug, Clone)]
 pub struct LdpEdgeSketchClient {
-    attr_a: JoinAttribute,
-    attr_b: JoinAttribute,
+    attr_a: Arc<RowHashes>,
+    attr_b: Arc<RowHashes>,
     eps: Epsilon,
 }
 
 impl LdpEdgeSketchClient {
-    /// Create an edge client over attributes `(attr_a, attr_b)` with privacy budget `eps`.
+    /// Create an edge client over the hash families of attributes `(attr_a, attr_b)` with
+    /// privacy budget `eps`.
     ///
     /// # Errors
     /// Returns [`Error::IncompatibleSketches`] if the attributes disagree on the replica count.
-    pub fn new(attr_a: JoinAttribute, attr_b: JoinAttribute, eps: Epsilon) -> Result<Self> {
-        if attr_a.replicas() != attr_b.replicas() {
-            return Err(Error::IncompatibleSketches(format!(
-                "edge client attributes must share the replica count: {} vs {}",
-                attr_a.replicas(),
-                attr_b.replicas()
-            )));
-        }
+    pub fn new(attr_a: Arc<RowHashes>, attr_b: Arc<RowHashes>, eps: Epsilon) -> Result<Self> {
+        check_replicas(&attr_a, &attr_b, "edge client")?;
         Ok(LdpEdgeSketchClient {
             attr_a,
             attr_b,
@@ -69,15 +81,16 @@ impl LdpEdgeSketchClient {
 
     /// Encode and perturb one tuple `(a, b)`.
     pub fn perturb(&self, a: u64, b: u64, rng: &mut dyn RngCore) -> EdgeReport {
-        let k = self.attr_a.replicas();
-        let (ma, mb) = (self.attr_a.buckets(), self.attr_b.buckets());
+        let k = self.attr_a.rows();
+        let (ma, mb) = (self.attr_a.columns(), self.attr_b.columns());
         let replica = rng.gen_range(0..k);
         let col_a = rng.gen_range(0..ma);
         let col_b = rng.gen_range(0..mb);
-        let ha = self.attr_a.bucket_of(replica, a);
-        let hb = self.attr_b.bucket_of(replica, b);
-        let sign = self.attr_a.sign_of(replica, a) * self.attr_b.sign_of(replica, b);
-        let encoded = hadamard_entry_f64(ma, ha, col_a) * sign * hadamard_entry_f64(mb, col_b, hb);
+        let (pa, pb) = (self.attr_a.pair(replica), self.attr_b.pair(replica));
+        let sign = pa.sign_of(a) as f64 * pb.sign_of(b) as f64;
+        let encoded = hadamard_entry_f64(ma, pa.bucket_of(a), col_a)
+            * sign
+            * hadamard_entry_f64(mb, col_b, pb.bucket_of(b));
         let y = sample_sign_bit(rng, self.eps) * encoded;
         EdgeReport {
             y,
@@ -92,8 +105,8 @@ impl LdpEdgeSketchClient {
     /// XOR-able bit: two fused bucket/sign hashes and two Hadamard popcount parities.
     #[inline]
     fn encoded_neg(&self, replica: usize, col_a: usize, col_b: usize, a: u64, b: u64) -> u64 {
-        let (ha, neg_a) = self.attr_a.hashes().pair(replica).bucket_and_sign_neg(a);
-        let (hb, neg_b) = self.attr_b.hashes().pair(replica).bucket_and_sign_neg(b);
+        let (ha, neg_a) = self.attr_a.pair(replica).bucket_and_sign_neg(a);
+        let (hb, neg_b) = self.attr_b.pair(replica).bucket_and_sign_neg(b);
         let neg_had_a = u64::from((ha & col_a).count_ones()) & 1;
         let neg_had_b = u64::from((col_b & hb).count_ones()) & 1;
         neg_a ^ neg_b ^ neg_had_a ^ neg_had_b
@@ -115,8 +128,8 @@ impl LdpEdgeSketchClient {
         rng: &mut R,
     ) -> Result<ReportBatch> {
         let mut batch = ReportBatch::with_capacity(
-            self.attr_a.replicas(),
-            self.attr_a.buckets() * self.attr_b.buckets(),
+            self.attr_a.rows(),
+            self.attr_a.columns() * self.attr_b.columns(),
             tuples.len(),
         )?;
         self.perturb_batch_into(tuples, rng, &mut batch)?;
@@ -135,8 +148,8 @@ impl LdpEdgeSketchClient {
         rng: &mut R,
         batch: &mut ReportBatch,
     ) -> Result<()> {
-        let k = self.attr_a.replicas();
-        let (ma, mb) = (self.attr_a.buckets(), self.attr_b.buckets());
+        let k = self.attr_a.rows();
+        let (ma, mb) = (self.attr_a.columns(), self.attr_b.columns());
         if batch.rows() != k || batch.columns() != ma * mb {
             return Err(Error::IncompatibleSketches(format!(
                 "report batch is {}x{} but the edge sketch is {k}x{}",
@@ -161,13 +174,13 @@ impl LdpEdgeSketchClient {
 
 /// The mutable accumulation stage of the server-side two-dimensional LDP sketch for a
 /// two-attribute table. Mirrors [`crate::server::SketchBuilder`]: counters are exact `±1`
-/// report sums in the Hadamard domain, so shard merges are bit-for-bit exact;
+/// report sums in the Hadamard domain, so their spectra add and subtract exactly;
 /// [`EdgeSketchBuilder::finalize`] applies the de-bias scale and the two-dimensional
 /// Hadamard restore once and returns the immutable [`FinalizedEdgeSketch`] view.
 #[derive(Debug, Clone)]
 pub struct EdgeSketchBuilder {
-    attr_a: JoinAttribute,
-    attr_b: JoinAttribute,
+    attr_a: Arc<RowHashes>,
+    attr_b: Arc<RowHashes>,
     eps: Epsilon,
     /// `k × m_A × m_B` accumulated report sums (Hadamard domain).
     raw: Vec<f64>,
@@ -178,17 +191,13 @@ pub struct EdgeSketchBuilder {
 }
 
 impl EdgeSketchBuilder {
-    /// Create an empty edge sketch.
+    /// Create an empty edge sketch over the hash families of attributes `(attr_a, attr_b)`.
     ///
     /// # Errors
     /// Returns [`Error::IncompatibleSketches`] if the attributes disagree on the replica count.
-    pub fn new(attr_a: JoinAttribute, attr_b: JoinAttribute, eps: Epsilon) -> Result<Self> {
-        if attr_a.replicas() != attr_b.replicas() {
-            return Err(Error::IncompatibleSketches(
-                "edge sketch attributes must share the replica count".into(),
-            ));
-        }
-        let len = attr_a.replicas() * attr_a.buckets() * attr_b.buckets();
+    pub fn new(attr_a: Arc<RowHashes>, attr_b: Arc<RowHashes>, eps: Epsilon) -> Result<Self> {
+        check_replicas(&attr_a, &attr_b, "edge sketch")?;
+        let len = attr_a.rows() * attr_a.columns() * attr_b.columns();
         Ok(EdgeSketchBuilder {
             attr_a,
             attr_b,
@@ -199,16 +208,22 @@ impl EdgeSketchBuilder {
         })
     }
 
-    /// The first join attribute.
+    /// The first join attribute's hash family.
     #[inline]
-    pub fn attribute_a(&self) -> &JoinAttribute {
+    pub fn attribute_a(&self) -> &Arc<RowHashes> {
         &self.attr_a
     }
 
-    /// The second join attribute.
+    /// The second join attribute's hash family.
     #[inline]
-    pub fn attribute_b(&self) -> &JoinAttribute {
+    pub fn attribute_b(&self) -> &Arc<RowHashes> {
         &self.attr_b
+    }
+
+    /// Privacy budget the absorbed reports were perturbed with.
+    #[inline]
+    pub fn epsilon(&self) -> Epsilon {
+        self.eps
     }
 
     /// Number of absorbed reports.
@@ -225,8 +240,8 @@ impl EdgeSketchBuilder {
     /// [`Error::InvalidWorkload`] if `y` is not `±1`; the builder is untouched on error.
     pub fn absorb(&mut self, report: EdgeReport) -> Result<()> {
         check_report_sign(report.y)?;
-        let k = self.attr_a.replicas();
-        let (ma, mb) = (self.attr_a.buckets(), self.attr_b.buckets());
+        let k = self.attr_a.rows();
+        let (ma, mb) = (self.attr_a.columns(), self.attr_b.columns());
         if report.replica >= k || report.col_a >= ma || report.col_b >= mb {
             return Err(Error::ReportOutOfRange {
                 row: report.replica,
@@ -251,8 +266,8 @@ impl EdgeSketchBuilder {
     /// Returns [`Error::IncompatibleSketches`] on a shape mismatch; the builder is untouched
     /// in that case.
     pub fn absorb_batch(&mut self, batch: &ReportBatch) -> Result<()> {
-        let k = self.attr_a.replicas();
-        let per = self.attr_a.buckets() * self.attr_b.buckets();
+        let k = self.attr_a.rows();
+        let per = self.attr_a.columns() * self.attr_b.columns();
         if batch.rows() != k || batch.columns() != per {
             return Err(Error::IncompatibleSketches(format!(
                 "report batch is {}x{} but the edge sketch is {k}x{per}",
@@ -265,93 +280,90 @@ impl EdgeSketchBuilder {
         Ok(())
     }
 
-    /// Merge another partial edge builder into this one (sharded aggregation; exact because
-    /// the counters are integer report sums).
-    ///
-    /// # Errors
-    /// Returns [`Error::IncompatibleSketches`] if attributes or ε differ.
-    pub fn merge(&mut self, other: &Self) -> Result<()> {
-        if self.attr_a != other.attr_a
-            || self.attr_b != other.attr_b
-            || (self.eps.value() - other.eps.value()).abs() > f64::EPSILON
-        {
-            return Err(Error::IncompatibleSketches(
-                "edge sketch shards must share attributes and privacy budget".into(),
-            ));
-        }
-        for (a, b) in self.raw.iter_mut().zip(other.raw.iter()) {
-            *a += b;
-        }
-        self.reports += other.reports;
-        Ok(())
+    /// Empty the builder: every counter back to zero, no reports; the attributes, ε and the
+    /// scatter scratch are kept.
+    pub fn clear(&mut self) {
+        self.raw.fill(0.0);
+        self.reports = 0;
     }
 
-    /// Exact counter-wise subtraction: returns a builder holding `self − earlier` (the
-    /// edge-lane primitive of the online service's prefix-sum span ledger). Every counter is
-    /// an exact integer report sum, so subtracting a prefix of this builder's history leaves
-    /// exactly the suffix's counters, bit-identical to merging the suffix windows.
+    /// The **unscaled** second-dimension spectrum of the exact counters: every row of every
+    /// replica's `m_A × m_B` matrix transformed (`M · H_{m_B}ᵀ`), no de-bias scale applied.
     ///
-    /// # Errors
-    /// [`Error::IncompatibleSketches`] if attributes or ε differ, or if `earlier` is not a
-    /// prefix (more reports than `self`).
-    pub fn difference(&self, earlier: &Self) -> Result<EdgeSketchBuilder> {
-        if self.attr_a != earlier.attr_a
-            || self.attr_b != earlier.attr_b
-            || (self.eps.value() - earlier.eps.value()).abs() > f64::EPSILON
-        {
-            return Err(Error::IncompatibleSketches(
-                "edge sketch differences must share attributes and privacy budget".into(),
-            ));
-        }
-        if earlier.reports > self.reports {
-            return Err(Error::IncompatibleSketches(format!(
-                "subtrahend holds {} reports but the minuend only {} — not a prefix",
-                earlier.reports, self.reports
-            )));
-        }
-        Ok(EdgeSketchBuilder {
-            attr_a: self.attr_a.clone(),
-            attr_b: self.attr_b.clone(),
-            eps: self.eps,
-            raw: self
-                .raw
-                .iter()
-                .zip(earlier.raw.iter())
-                .map(|(a, b)| a - b)
-                .collect(),
-            reports: self.reports - earlier.reports,
-            scratch: Vec::new(),
-        })
+    /// Every entry is an exact integer (a signed sum of `±1` report sums), so spectra of
+    /// disjoint report sets add and subtract with zero rounding error: the online service's
+    /// span ledger keeps prefix sums of them, and [`FinalizedEdgeSketch::from_spectrum`] of
+    /// a prefix difference is bit-identical to finalizing the span's merged counters.
+    pub fn spectrum(&self) -> Vec<f64> {
+        row_spectrum(self.raw.clone(), self.attr_b.columns())
     }
 
     /// Apply the de-bias scale `k·c_ε` and restore every replica with the two-dimensional
     /// Hadamard transform (`M̃ = H_{m_A}ᵀ · M · H_{m_B}ᵀ`) once, consuming the builder and
     /// returning the immutable estimation view.
     pub fn finalize(self) -> FinalizedEdgeSketch {
-        let EdgeSketchBuilder {
-            attr_a,
-            attr_b,
-            eps,
-            mut raw,
-            reports,
-            ..
-        } = self;
-        let k = attr_a.replicas();
-        let (ma, mb) = (attr_a.buckets(), attr_b.buckets());
-        // The de-bias scale is folded into the first (second-dimension) transform pass,
-        // which multiplies each element once after that row's last butterfly addition. The
-        // scale therefore lands after the second-dimension transform and before the
-        // first-dimension one.
-        let scale = k as f64 * eps.c_eps();
-        let per = ma * mb;
+        let spectrum = row_spectrum(self.raw, self.attr_b.columns());
+        FinalizedEdgeSketch::from_spectrum(
+            self.attr_a,
+            self.attr_b,
+            self.eps,
+            self.reports,
+            spectrum,
+        )
+    }
+}
+
+/// Transform every `width`-long row of `counters` in place: the second-dimension spectrum.
+fn row_spectrum(mut counters: Vec<f64>, width: usize) -> Vec<f64> {
+    for row in counters.chunks_exact_mut(width) {
+        fwht_in_place(row);
+    }
+    counters
+}
+
+/// The immutable estimation stage of the two-dimensional edge sketch: every replica is
+/// restored exactly once and borrowed as `&[f64]` afterwards.
+#[derive(Debug, Clone)]
+pub struct FinalizedEdgeSketch {
+    attr_a: Arc<RowHashes>,
+    attr_b: Arc<RowHashes>,
+    eps: Epsilon,
+    /// `k × m_A × m_B` restored counters.
+    restored: Vec<f64>,
+    reports: u64,
+}
+
+impl FinalizedEdgeSketch {
+    /// Restore the estimation view from an unscaled second-dimension
+    /// [`spectrum`](EdgeSketchBuilder::spectrum) of `reports` reports: scale every entry by
+    /// `k·c_ε`, then transform the first dimension (the columns of every replica's matrix).
+    ///
+    /// The scale lands after the second-dimension transform and before the first-dimension
+    /// one, exactly where the one-dimensional restore's fused kernel applies it
+    /// (`fwht_scaled_in_place` is bit-identical to a transform followed by the scale), so
+    /// the view has the same bits for any exact spectrum of the same counters.
+    ///
+    /// # Panics
+    /// Panics if `spectrum.len() ≠ k·m_A·m_B` for the attributes' families.
+    pub fn from_spectrum(
+        attr_a: Arc<RowHashes>,
+        attr_b: Arc<RowHashes>,
+        eps: Epsilon,
+        reports: u64,
+        mut spectrum: Vec<f64>,
+    ) -> Self {
+        let (ma, mb) = (attr_a.columns(), attr_b.columns());
+        assert_eq!(
+            spectrum.len(),
+            attr_a.rows() * ma * mb,
+            "spectrum length must be k*m_A*m_B"
+        );
+        let scale = attr_a.rows() as f64 * eps.c_eps();
         let mut column = vec![0.0; ma];
-        for j in 0..k {
-            let replica = &mut raw[j * per..(j + 1) * per];
-            // Transform along the second dimension (rows of the matrix).
-            for row in 0..ma {
-                fwht_scaled_in_place(&mut replica[row * mb..(row + 1) * mb], scale);
+        for replica in spectrum.chunks_exact_mut(ma * mb) {
+            for v in replica.iter_mut() {
+                *v *= scale;
             }
-            // Transform along the first dimension (columns of the matrix).
             for col in 0..mb {
                 for row in 0..ma {
                     column[row] = replica[row * mb + col];
@@ -366,34 +378,20 @@ impl EdgeSketchBuilder {
             attr_a,
             attr_b,
             eps,
-            restored: raw,
+            restored: spectrum,
             reports,
         }
     }
-}
 
-/// The immutable estimation stage of the two-dimensional edge sketch: every replica is
-/// restored exactly once at finalization and borrowed as `&[f64]` afterwards.
-#[derive(Debug, Clone)]
-pub struct FinalizedEdgeSketch {
-    attr_a: JoinAttribute,
-    attr_b: JoinAttribute,
-    eps: Epsilon,
-    /// `k × m_A × m_B` restored counters.
-    restored: Vec<f64>,
-    reports: u64,
-}
-
-impl FinalizedEdgeSketch {
-    /// The first join attribute.
+    /// The first join attribute's hash family.
     #[inline]
-    pub fn attribute_a(&self) -> &JoinAttribute {
+    pub fn attribute_a(&self) -> &Arc<RowHashes> {
         &self.attr_a
     }
 
-    /// The second join attribute.
+    /// The second join attribute's hash family.
     #[inline]
-    pub fn attribute_b(&self) -> &JoinAttribute {
+    pub fn attribute_b(&self) -> &Arc<RowHashes> {
         &self.attr_b
     }
 
@@ -412,91 +410,22 @@ impl FinalizedEdgeSketch {
     /// The restored `m_A × m_B` matrix of replica `j`, borrowed — never cloned.
     #[inline]
     pub fn replica(&self, j: usize) -> &[f64] {
-        let per = self.attr_a.buckets() * self.attr_b.buckets();
+        let per = self.attr_a.columns() * self.attr_b.columns();
         &self.restored[j * per..(j + 1) * per]
     }
-}
-
-fn check_shared(left: &JoinAttribute, right: &JoinAttribute, what: &str) -> Result<()> {
-    if left != right {
-        return Err(Error::IncompatibleSketches(format!(
-            "{what} must use the same public hash family on both sides of the join"
-        )));
-    }
-    Ok(())
-}
-
-/// Estimate the 3-way chain join `|T1(A) ⋈ T2(A,B) ⋈ T3(B)|` from LDP sketches.
-///
-/// `t1` and `t3` are plain [`crate::server::FinalizedSketch`]es built over the hash families
-/// of attributes A and B respectively; `t2` is the finalized two-dimensional edge sketch.
-/// Thin driver over the shared [`ChainKernel`](crate::kernel::ChainKernel) — the same
-/// per-replica contraction the online service's chain queries run — after checking the
-/// caller's attribute handles against the edge sketch's own families.
-pub fn ldp_chain_join_3(
-    t1: &crate::server::FinalizedSketch,
-    attr_a: &JoinAttribute,
-    t2: &FinalizedEdgeSketch,
-    t3: &crate::server::FinalizedSketch,
-    attr_b: &JoinAttribute,
-) -> Result<f64> {
-    check_shared(attr_a, t2.attribute_a(), "attribute A")?;
-    check_shared(attr_b, t2.attribute_b(), "attribute B")?;
-    crate::kernel::ChainKernel.chain_3(t1, t2, t3)
-}
-
-/// Estimate the 4-way chain join `|T1(A) ⋈ T2(A,B) ⋈ T3(B,C) ⋈ T4(C)|` from LDP sketches
-/// (thin driver over [`ChainKernel::chain_4`](crate::kernel::ChainKernel::chain_4)).
-#[allow(clippy::too_many_arguments)]
-pub fn ldp_chain_join_4(
-    t1: &crate::server::FinalizedSketch,
-    attr_a: &JoinAttribute,
-    t2: &FinalizedEdgeSketch,
-    t3: &FinalizedEdgeSketch,
-    t4: &crate::server::FinalizedSketch,
-    attr_b: &JoinAttribute,
-    attr_c: &JoinAttribute,
-) -> Result<f64> {
-    check_shared(attr_a, t2.attribute_a(), "attribute A")?;
-    check_shared(attr_b, t2.attribute_b(), "attribute B")?;
-    check_shared(attr_b, t3.attribute_a(), "attribute B")?;
-    check_shared(attr_c, t3.attribute_b(), "attribute C")?;
-    crate::kernel::ChainKernel.chain_4(t1, t2, t3, t4)
-}
-
-/// Convenience: build a [`crate::server::FinalizedSketch`] for a single-attribute table over a
-/// chain attribute's hash family (the LDP analogue of a COMPASS vertex sketch).
-pub fn build_vertex_sketch(
-    values: &[u64],
-    attr: &JoinAttribute,
-    eps: Epsilon,
-    rng: &mut dyn RngCore,
-) -> Result<crate::server::FinalizedSketch> {
-    use crate::client::LdpJoinSketchClient;
-    use crate::server::SketchBuilder;
-    use ldpjs_sketch::SketchParams;
-    use std::sync::Arc;
-
-    let params = SketchParams::new(attr.replicas(), attr.buckets())?;
-    let hashes = Arc::new(attr.hashes().clone());
-    let client = LdpJoinSketchClient::with_hashes(params, eps, Arc::clone(&hashes));
-    let batch = client.perturb_batch(values, rng)?;
-    let mut builder = SketchBuilder::with_hashes(params, eps, hashes);
-    builder.absorb_batch(&batch)?;
-    Ok(builder.finalize())
 }
 
 /// Convenience: build a [`FinalizedEdgeSketch`] for a two-attribute table.
 pub fn build_edge_sketch(
     tuples: &[(u64, u64)],
-    attr_a: &JoinAttribute,
-    attr_b: &JoinAttribute,
+    attr_a: &Arc<RowHashes>,
+    attr_b: &Arc<RowHashes>,
     eps: Epsilon,
     rng: &mut dyn RngCore,
 ) -> Result<FinalizedEdgeSketch> {
-    let client = LdpEdgeSketchClient::new(attr_a.clone(), attr_b.clone(), eps)?;
+    let client = LdpEdgeSketchClient::new(Arc::clone(attr_a), Arc::clone(attr_b), eps)?;
     let batch = client.perturb_batch(tuples, rng)?;
-    let mut builder = EdgeSketchBuilder::new(attr_a.clone(), attr_b.clone(), eps)?;
+    let mut builder = EdgeSketchBuilder::new(Arc::clone(attr_a), Arc::clone(attr_b), eps)?;
     builder.absorb_batch(&batch)?;
     Ok(builder.finalize())
 }
@@ -512,8 +441,8 @@ pub fn build_edge_sketch(
 /// replaying the build is bit-reproducible.
 pub fn build_edge_sketch_chunked(
     tuples: &dyn ldpjs_common::stream::ChunkedTuples,
-    attr_a: &JoinAttribute,
-    attr_b: &JoinAttribute,
+    attr_a: &Arc<RowHashes>,
+    attr_b: &Arc<RowHashes>,
     eps: Epsilon,
     rng_seed: u64,
 ) -> Result<FinalizedEdgeSketch> {
@@ -521,11 +450,11 @@ pub fn build_edge_sketch_chunked(
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    let client = LdpEdgeSketchClient::new(attr_a.clone(), attr_b.clone(), eps)?;
+    let client = LdpEdgeSketchClient::new(Arc::clone(attr_a), Arc::clone(attr_b), eps)?;
     // One packed batch (and the builder's own scatter scratch), reused across every chunk:
     // steady-state streaming ingestion allocates nothing.
-    let mut batch = ReportBatch::new(attr_a.replicas(), attr_a.buckets() * attr_b.buckets())?;
-    let mut builder = EdgeSketchBuilder::new(attr_a.clone(), attr_b.clone(), eps)?;
+    let mut batch = ReportBatch::new(attr_a.rows(), attr_a.columns() * attr_b.columns())?;
+    let mut builder = EdgeSketchBuilder::new(Arc::clone(attr_a), Arc::clone(attr_b), eps)?;
     try_for_each_chunk(
         |feed| tuples.for_each_chunk(feed),
         |_, chunk, ordinal| {
@@ -540,12 +469,33 @@ pub fn build_edge_sketch_chunked(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::ChainKernel;
+    use crate::protocol::build_private_sketch;
+    use crate::server::FinalizedSketch;
     use ldpjs_common::stats::{exact_chain_join_3, exact_chain_join_4};
+    use ldpjs_sketch::SketchParams;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn eps(v: f64) -> Epsilon {
         Epsilon::new(v).unwrap()
+    }
+
+    /// An attribute's public hash family.
+    fn family(seed: u64, k: usize, m: usize) -> Arc<RowHashes> {
+        Arc::new(RowHashes::from_seed(seed, k, m))
+    }
+
+    /// A vertex table's LDP sketch over `attr`'s family: `build_private_sketch` with the
+    /// attribute's seed.
+    fn vertex(
+        values: &[u64],
+        attr: &RowHashes,
+        e: Epsilon,
+        rng: &mut StdRng,
+    ) -> Result<FinalizedSketch> {
+        let params = SketchParams::new(attr.rows(), attr.columns())?;
+        build_private_sketch(values, params, e, attr.seed(), rng)
     }
 
     fn skewed(n: usize, domain: u64, seed: u64) -> Vec<u64> {
@@ -567,16 +517,16 @@ mod tests {
 
     #[test]
     fn edge_client_rejects_mismatched_replicas() {
-        let a = JoinAttribute::from_seed(1, 5, 64);
-        let b = JoinAttribute::from_seed(2, 6, 64);
+        let a = family(1, 5, 64);
+        let b = family(2, 6, 64);
         assert!(LdpEdgeSketchClient::new(a.clone(), b.clone(), eps(1.0)).is_err());
         assert!(EdgeSketchBuilder::new(a, b, eps(1.0)).is_err());
     }
 
     #[test]
     fn edge_reports_have_valid_shape() {
-        let a = JoinAttribute::from_seed(1, 5, 64);
-        let b = JoinAttribute::from_seed(2, 5, 32);
+        let a = family(1, 5, 64);
+        let b = family(2, 5, 32);
         let client = LdpEdgeSketchClient::new(a, b, eps(2.0)).unwrap();
         let mut rng = StdRng::seed_from_u64(0);
         for i in 0..200u64 {
@@ -590,8 +540,8 @@ mod tests {
 
     #[test]
     fn edge_sketch_rejects_out_of_range_reports() {
-        let a = JoinAttribute::from_seed(1, 4, 16);
-        let b = JoinAttribute::from_seed(2, 4, 16);
+        let a = family(1, 4, 16);
+        let b = family(2, 4, 16);
         let mut sk = EdgeSketchBuilder::new(a, b, eps(1.0)).unwrap();
         assert!(sk
             .absorb(EdgeReport {
@@ -624,8 +574,8 @@ mod tests {
     fn restored_edge_sketch_recovers_single_tuple_mass() {
         // With ε large and a single repeated tuple, the restored replica concentrates the mass
         // (times the tuple's sign product) at [h_A(a), h_B(b)].
-        let a = JoinAttribute::from_seed(7, 4, 32);
-        let b = JoinAttribute::from_seed(8, 4, 32);
+        let a = family(7, 4, 32);
+        let b = family(8, 4, 32);
         let e = eps(12.0);
         let n = 40_000usize;
         let tuples = vec![(3u64, 9u64); n];
@@ -634,8 +584,9 @@ mod tests {
         assert_eq!(sketch.reports(), n as u64);
         for j in 0..4 {
             let restored = sketch.replica(j);
-            let target = a.bucket_of(j, 3) * 32 + b.bucket_of(j, 9);
-            let sign = a.sign_of(j, 3) * b.sign_of(j, 9);
+            let (pa, pb) = (a.pair(j), b.pair(j));
+            let target = pa.bucket_of(3) * 32 + pb.bucket_of(9);
+            let sign = pa.sign_of(3) as f64 * pb.sign_of(9) as f64;
             let got = restored[target] * sign;
             assert!(
                 (got - n as f64).abs() < 0.2 * n as f64,
@@ -650,14 +601,14 @@ mod tests {
         let t2v = skewed_pairs(40_000, 500, 500, 2);
         let t3v = skewed(40_000, 500, 4);
         let truth = exact_chain_join_3(&t1v, &t2v, &t3v) as f64;
-        let attr_a = JoinAttribute::from_seed(100, 9, 256);
-        let attr_b = JoinAttribute::from_seed(101, 9, 256);
+        let attr_a = family(100, 9, 256);
+        let attr_b = family(101, 9, 256);
         let e = eps(4.0);
         let mut rng = StdRng::seed_from_u64(7);
-        let s1 = build_vertex_sketch(&t1v, &attr_a, e, &mut rng).unwrap();
+        let s1 = vertex(&t1v, &attr_a, e, &mut rng).unwrap();
         let s2 = build_edge_sketch(&t2v, &attr_a, &attr_b, e, &mut rng).unwrap();
-        let s3 = build_vertex_sketch(&t3v, &attr_b, e, &mut rng).unwrap();
-        let est = ldp_chain_join_3(&s1, &attr_a, &s2, &s3, &attr_b).unwrap();
+        let s3 = vertex(&t3v, &attr_b, e, &mut rng).unwrap();
+        let est = ChainKernel.chain_3(&s1, &s2, &s3).unwrap();
         let re = (est - truth).abs() / truth;
         assert!(re < 0.5, "relative error {re} (est {est}, truth {truth})");
     }
@@ -669,16 +620,16 @@ mod tests {
         let t3v = skewed_pairs(20_000, 200, 200, 14);
         let t4v = skewed(20_000, 200, 16);
         let truth = exact_chain_join_4(&t1v, &t2v, &t3v, &t4v) as f64;
-        let attr_a = JoinAttribute::from_seed(200, 7, 128);
-        let attr_b = JoinAttribute::from_seed(201, 7, 128);
-        let attr_c = JoinAttribute::from_seed(202, 7, 128);
+        let attr_a = family(200, 7, 128);
+        let attr_b = family(201, 7, 128);
+        let attr_c = family(202, 7, 128);
         let e = eps(4.0);
         let mut rng = StdRng::seed_from_u64(17);
-        let s1 = build_vertex_sketch(&t1v, &attr_a, e, &mut rng).unwrap();
+        let s1 = vertex(&t1v, &attr_a, e, &mut rng).unwrap();
         let s2 = build_edge_sketch(&t2v, &attr_a, &attr_b, e, &mut rng).unwrap();
         let s3 = build_edge_sketch(&t3v, &attr_b, &attr_c, e, &mut rng).unwrap();
-        let s4 = build_vertex_sketch(&t4v, &attr_c, e, &mut rng).unwrap();
-        let est = ldp_chain_join_4(&s1, &attr_a, &s2, &s3, &s4, &attr_b, &attr_c).unwrap();
+        let s4 = vertex(&t4v, &attr_c, e, &mut rng).unwrap();
+        let est = ChainKernel.chain_4(&s1, &s2, &s3, &s4).unwrap();
         assert!(est.is_finite());
         // 4-way estimates are noisier; require the right order of magnitude rather than a
         // tight relative error.
@@ -694,8 +645,8 @@ mod tests {
     fn chunked_edge_build_is_replay_deterministic_and_counts_reports() {
         use crate::client::chunk_stream_seed;
         use ldpjs_common::stream::TupleSliceChunks;
-        let attr_a = JoinAttribute::from_seed(5, 6, 64);
-        let attr_b = JoinAttribute::from_seed(6, 6, 64);
+        let attr_a = family(5, 6, 64);
+        let attr_b = family(6, 6, 64);
         let tuples = skewed_pairs(20_003, 300, 300, 31);
         // The scratch cutoff is 6·64·64/4 = 6,144 reports: 1,024-tuple chunks stay under it,
         // while 8,192-tuple chunks take the builder's scratch twice before a short tail.
@@ -741,29 +692,29 @@ mod tests {
         let t2v = skewed_pairs(40_000, 500, 500, 2);
         let t3v = skewed(40_000, 500, 4);
         let truth = exact_chain_join_3(&t1v, &t2v, &t3v) as f64;
-        let attr_a = JoinAttribute::from_seed(100, 9, 256);
-        let attr_b = JoinAttribute::from_seed(101, 9, 256);
+        let attr_a = family(100, 9, 256);
+        let attr_b = family(101, 9, 256);
         let e = eps(4.0);
         let mut rng = StdRng::seed_from_u64(7);
-        let s1 = build_vertex_sketch(&t1v, &attr_a, e, &mut rng).unwrap();
+        let s1 = vertex(&t1v, &attr_a, e, &mut rng).unwrap();
         let src = TupleSliceChunks::new(&t2v, 4_096);
         let s2 = build_edge_sketch_chunked(&src, &attr_a, &attr_b, e, 55).unwrap();
-        let s3 = build_vertex_sketch(&t3v, &attr_b, e, &mut rng).unwrap();
-        let est = ldp_chain_join_3(&s1, &attr_a, &s2, &s3, &attr_b).unwrap();
+        let s3 = vertex(&t3v, &attr_b, e, &mut rng).unwrap();
+        let est = ChainKernel.chain_3(&s1, &s2, &s3).unwrap();
         let re = (est - truth).abs() / truth;
         assert!(re < 0.5, "relative error {re} (est {est}, truth {truth})");
     }
 
     #[test]
     fn chain_3_rejects_mismatched_attribute_families() {
-        let attr_a = JoinAttribute::from_seed(1, 5, 64);
-        let attr_a2 = JoinAttribute::from_seed(9, 5, 64);
-        let attr_b = JoinAttribute::from_seed(2, 5, 64);
+        let attr_a = family(1, 5, 64);
+        let attr_a2 = family(9, 5, 64);
+        let attr_b = family(2, 5, 64);
         let e = eps(2.0);
         let mut rng = StdRng::seed_from_u64(3);
-        let s1 = build_vertex_sketch(&[1, 2, 3], &attr_a2, e, &mut rng).unwrap();
+        let s1 = vertex(&[1, 2, 3], &attr_a2, e, &mut rng).unwrap();
         let s2 = build_edge_sketch(&[(1, 2)], &attr_a, &attr_b, e, &mut rng).unwrap();
-        let s3 = build_vertex_sketch(&[2, 3], &attr_b, e, &mut rng).unwrap();
-        assert!(ldp_chain_join_3(&s1, &attr_a, &s2, &s3, &attr_b).is_err());
+        let s3 = vertex(&[2, 3], &attr_b, e, &mut rng).unwrap();
+        assert!(ChainKernel.chain_3(&s1, &s2, &s3).is_err());
     }
 }

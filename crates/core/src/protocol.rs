@@ -19,6 +19,11 @@ use std::sync::Arc;
 
 /// Build a [`FinalizedSketch`] summarising `values` under `(params, eps, seed)` by simulating
 /// one client per value sequentially from the caller's RNG.
+///
+/// This is also the vertex-table sketch of a multi-way chain (Section VI): with an
+/// attribute's seed it draws that attribute's public hash family, so the sketch contracts
+/// against edge sketches over the same family through
+/// [`ChainKernel`](crate::kernel::ChainKernel).
 pub fn build_private_sketch(
     values: &[u64],
     params: SketchParams,
@@ -28,7 +33,7 @@ pub fn build_private_sketch(
 ) -> Result<FinalizedSketch> {
     let client = LdpJoinSketchClient::new(params, eps, seed);
     let batch = client.perturb_batch(values, rng)?;
-    let mut builder = SketchBuilder::new(params, eps, seed);
+    let mut builder = SketchBuilder::with_hashes(params, eps, Arc::clone(client.hashes()));
     builder.absorb_batch(&batch)?;
     Ok(builder.finalize())
 }

@@ -1089,7 +1089,6 @@ mod tests {
     #[test]
     fn rejects_report_values_other_than_unit_signs() {
         use crate::multiway::{EdgeReport, EdgeSketchBuilder};
-        use ldpjs_sketch::compass::JoinAttribute;
         let mut builder = SketchBuilder::new(params(4, 64), eps(1.0), 0);
         builder
             .absorb(ClientReport {
@@ -1099,8 +1098,8 @@ mod tests {
             })
             .unwrap();
         let before = builder.spectrum();
-        let attr = JoinAttribute::from_seed(1, 4, 16);
-        let mut edge = EdgeSketchBuilder::new(attr.clone(), attr, eps(1.0)).unwrap();
+        let attr = Arc::new(RowHashes::from_seed(1, 4, 16));
+        let mut edge = EdgeSketchBuilder::new(Arc::clone(&attr), attr, eps(1.0)).unwrap();
         for y in [f64::NAN, 0.0, 2.0, 1e300] {
             let err = builder.absorb(ClientReport { y, row: 1, col: 2 });
             assert!(matches!(err, Err(Error::InvalidWorkload(_))), "y = {y}");

@@ -31,7 +31,7 @@ pub mod workload;
 pub mod zipf;
 
 pub use gaussian::GaussianGenerator;
-pub use streaming::{StreamingJoinWorkload, StreamingTable, StreamingTupleTable};
+pub use streaming::{StreamingJoinWorkload, StreamingTable};
 pub use table::{ChainWorkload, JoinWorkload};
 pub use workload::{DatasetInfo, PaperDataset};
 pub use zipf::ZipfGenerator;

@@ -15,7 +15,7 @@
 
 use crate::ValueGenerator;
 use ldpjs_common::error::{Error, Result};
-use ldpjs_common::stream::{ChunkedTuples, ChunkedValues, TupleChunkSink};
+use ldpjs_common::stream::ChunkedValues;
 use ldpjs_common::Value;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -115,102 +115,6 @@ impl<G: ValueGenerator> ChunkedValues for StreamingTable<G> {
             buf.clear();
             for _ in 0..take {
                 buf.push(self.generator.sample(&mut rng));
-            }
-            sink(start, &buf);
-            start += take as u64;
-            remaining -= take;
-        }
-    }
-}
-
-/// A private two-attribute table `T(A, B)` streamed in bounded chunks of tuples — the
-/// traffic source for the chunked edge-sketch build of the multi-way chain estimator.
-///
-/// Each tuple zips one draw from the `A` generator with one draw from the `B` generator,
-/// both from a single sequential seeded RNG (A first, then B), so every pass replays the
-/// identical tuple sequence and peak resident memory is one chunk of tuples.
-pub struct StreamingTupleTable<G: ValueGenerator> {
-    gen_a: G,
-    gen_b: G,
-    rows: usize,
-    chunk: usize,
-    seed: u64,
-}
-
-impl<G: ValueGenerator> StreamingTupleTable<G> {
-    /// Stream `rows` tuples `(a, b)` drawn from `(gen_a, gen_b)`, replayable from `seed`,
-    /// in `chunk`-sized chunks.
-    ///
-    /// # Errors
-    /// Returns [`Error::InvalidWorkload`] if `rows` or `chunk` is zero.
-    pub fn new(gen_a: G, gen_b: G, rows: usize, chunk: usize, seed: u64) -> Result<Self> {
-        if rows == 0 {
-            return Err(Error::InvalidWorkload(
-                "a streaming tuple table needs at least one row".into(),
-            ));
-        }
-        if chunk == 0 {
-            return Err(Error::InvalidWorkload(
-                "streaming chunk length must be positive".into(),
-            ));
-        }
-        Ok(StreamingTupleTable {
-            gen_a,
-            gen_b,
-            rows,
-            chunk,
-            seed,
-        })
-    }
-
-    /// Size of the first attribute's value domain.
-    #[inline]
-    pub fn domain_a(&self) -> u64 {
-        self.gen_a.domain_size()
-    }
-
-    /// Size of the second attribute's value domain.
-    #[inline]
-    pub fn domain_b(&self) -> u64 {
-        self.gen_b.domain_size()
-    }
-
-    /// Exact per-pair ground truth is rarely needed; what the chain estimators check
-    /// against are the per-attribute histograms, each in `O(|D|)` memory (one pass).
-    pub fn histograms(&self) -> (Vec<u64>, Vec<u64>) {
-        let mut ha = vec![0u64; self.domain_a() as usize];
-        let mut hb = vec![0u64; self.domain_b() as usize];
-        self.for_each_chunk(&mut |_, chunk| {
-            for &(a, b) in chunk {
-                ha[a as usize] += 1;
-                hb[b as usize] += 1;
-            }
-        });
-        (ha, hb)
-    }
-}
-
-impl<G: ValueGenerator> ChunkedTuples for StreamingTupleTable<G> {
-    fn total_tuples(&self) -> usize {
-        self.rows
-    }
-
-    fn chunk_len(&self) -> usize {
-        self.chunk
-    }
-
-    fn for_each_chunk(&self, sink: &mut TupleChunkSink<'_>) {
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut buf = Vec::with_capacity(self.chunk.min(self.rows));
-        let mut start = 0u64;
-        let mut remaining = self.rows;
-        while remaining > 0 {
-            let take = remaining.min(self.chunk);
-            buf.clear();
-            for _ in 0..take {
-                let a = self.gen_a.sample(&mut rng);
-                let b = self.gen_b.sample(&mut rng);
-                buf.push((a, b));
             }
             sink(start, &buf);
             start += take as u64;
@@ -363,37 +267,6 @@ mod tests {
         let g = ZipfGenerator::new(1.0, 10);
         assert!(StreamingTable::new(g.clone(), 0, 16, 1).is_err());
         assert!(StreamingTable::new(g, 16, 0, 1).is_err());
-        let g = ZipfGenerator::new(1.0, 10);
-        assert!(StreamingTupleTable::new(g.clone(), g.clone(), 0, 16, 1).is_err());
-        assert!(StreamingTupleTable::new(g.clone(), g, 16, 0, 1).is_err());
-    }
-
-    #[test]
-    fn tuple_table_replays_bit_identically_and_respects_the_chunk_bound() {
-        use ldpjs_common::stream::collect_tuple_chunks;
-        let ga = ZipfGenerator::new(1.4, 300);
-        let gb = ZipfGenerator::new(1.2, 200);
-        let table = StreamingTupleTable::new(ga.clone(), gb.clone(), 7_013, 512, 23).unwrap();
-        let first = collect_tuple_chunks(&table);
-        assert_eq!(first.len(), 7_013);
-        assert_eq!(first, collect_tuple_chunks(&table));
-        // Interleaved draws from one sequential RNG: A first, then B, per tuple.
-        let mut rng = StdRng::seed_from_u64(23);
-        let expected: Vec<(u64, u64)> = (0..7_013)
-            .map(|_| {
-                let a = ga.sample(&mut rng);
-                let b = gb.sample(&mut rng);
-                (a, b)
-            })
-            .collect();
-        assert_eq!(first, expected);
-        let mut max_len = 0usize;
-        table.for_each_chunk(&mut |_, chunk| max_len = max_len.max(chunk.len()));
-        assert!(max_len <= 512);
-        // Histograms count every tuple once per side.
-        let (ha, hb) = table.histograms();
-        assert_eq!(ha.iter().sum::<u64>(), 7_013);
-        assert_eq!(hb.iter().sum::<u64>(), 7_013);
     }
 
     proptest! {

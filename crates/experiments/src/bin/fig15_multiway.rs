@@ -14,18 +14,19 @@
 //! are m×m per replica, so the paper's m = 1024 is costly at laptop scale; pass `--sweep paper`
 //! to use (18, 1024).
 
+use std::sync::Arc;
+
+use ldpjs_common::hash::RowHashes;
 use ldpjs_common::stats::median;
-use ldpjs_core::multiway::{
-    build_edge_sketch, build_vertex_sketch, ldp_chain_join_3, ldp_chain_join_4,
-};
-use ldpjs_core::Epsilon;
+use ldpjs_core::multiway::build_edge_sketch;
+use ldpjs_core::protocol::build_private_sketch;
+use ldpjs_core::{ChainKernel, Epsilon, SketchParams};
 use ldpjs_data::PaperDataset;
 use ldpjs_experiments::ExpArgs;
 use ldpjs_metrics::error::relative_error;
 use ldpjs_metrics::report::{csv_line, sci, Table};
-use ldpjs_sketch::compass::{
-    estimate_chain_3, estimate_chain_4, CompassEdgeSketch, CompassVertexSketch, JoinAttribute,
-};
+use ldpjs_sketch::compass::{estimate_chain_3, estimate_chain_4, CompassEdgeSketch};
+use ldpjs_sketch::FastAgmsSketch;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -43,24 +44,31 @@ fn main() {
         vec![0.1, 1.0, 2.0, 4.0, 6.0, 8.0, 10.0]
     };
 
-    // Shared public hash families, one per join attribute.
-    let attr_a = JoinAttribute::from_seed(args.seed ^ 0xA, replicas, buckets);
-    let attr_b = JoinAttribute::from_seed(args.seed ^ 0xB, replicas, buckets);
-    let attr_c = JoinAttribute::from_seed(args.seed ^ 0xC, replicas, buckets);
+    // Shared public hash families, one seed per join attribute: edge sketches take the
+    // family, vertex sketches derive it from the seed.
+    let params = SketchParams::new(replicas, buckets).expect("valid sketch shape");
+    let (seed_a, seed_b, seed_c) = (args.seed ^ 0xA, args.seed ^ 0xB, args.seed ^ 0xC);
+    let family = |seed| Arc::new(RowHashes::from_seed(seed, replicas, buckets));
+    let (attr_a, attr_b, attr_c) = (family(seed_a), family(seed_b), family(seed_c));
 
     // --- Non-private COMPASS reference (independent of ε). ---------------------------------
     let t3_b = workload.t3_b_column();
-    let mut c1 = CompassVertexSketch::new(attr_a.clone());
-    c1.update_all(&workload.t1);
-    let mut c2 = CompassEdgeSketch::new(attr_a.clone(), attr_b.clone()).expect("edge sketch");
-    c2.update_all(&workload.t2);
-    let mut c3v = CompassVertexSketch::new(attr_b.clone());
-    c3v.update_all(&t3_b);
-    let compass_3 = estimate_chain_3(&c1, &c2, &c3v).expect("compass 3-way");
-    let mut c3e = CompassEdgeSketch::new(attr_b.clone(), attr_c.clone()).expect("edge sketch");
-    c3e.update_all(&workload.t3);
-    let mut c4 = CompassVertexSketch::new(attr_c.clone());
-    c4.update_all(&workload.t4);
+    let fagms = |seed, values: &[u64]| {
+        let mut sketch = FastAgmsSketch::new(params, seed);
+        sketch.update_all(values);
+        sketch
+    };
+    let compass = |attr_a: &Arc<RowHashes>, attr_b: &Arc<RowHashes>, tuples: &[(u64, u64)]| {
+        let mut sketch =
+            CompassEdgeSketch::new(Arc::clone(attr_a), Arc::clone(attr_b)).expect("edge sketch");
+        sketch.update_all(tuples);
+        sketch
+    };
+    let c1 = fagms(seed_a, &workload.t1);
+    let c2 = compass(&attr_a, &attr_b, &workload.t2);
+    let compass_3 = estimate_chain_3(&c1, &c2, &fagms(seed_b, &t3_b)).expect("compass 3-way");
+    let c3e = compass(&attr_b, &attr_c, &workload.t3);
+    let c4 = fagms(seed_c, &workload.t4);
     let compass_4 = estimate_chain_4(&c1, &c2, &c3e, &c4).expect("compass 4-way");
 
     let truth_3 = workload.true_join_3 as f64;
@@ -86,17 +94,21 @@ fn main() {
         let mut re4 = Vec::with_capacity(trials);
         for t in 0..trials {
             let mut rng = StdRng::seed_from_u64(args.seed.wrapping_add(1 + t as u64));
-            let s1 = build_vertex_sketch(&workload.t1, &attr_a, eps, &mut rng).expect("T1 sketch");
+            let vertex = |values: &[u64], seed, rng: &mut StdRng| {
+                build_private_sketch(values, params, eps, seed, rng).expect("vertex sketch")
+            };
+            let s1 = vertex(&workload.t1, seed_a, &mut rng);
             let s2 = build_edge_sketch(&workload.t2, &attr_a, &attr_b, eps, &mut rng)
                 .expect("T2 sketch");
-            let s3v = build_vertex_sketch(&t3_b, &attr_b, eps, &mut rng).expect("T3 sketch");
-            let est3 = ldp_chain_join_3(&s1, &attr_a, &s2, &s3v, &attr_b).expect("3-way estimate");
+            let s3v = vertex(&t3_b, seed_b, &mut rng);
+            let est3 = ChainKernel.chain_3(&s1, &s2, &s3v).expect("3-way estimate");
             re3.push(relative_error(truth_3, est3));
 
             let s3e = build_edge_sketch(&workload.t3, &attr_b, &attr_c, eps, &mut rng)
                 .expect("T3 sketch");
-            let s4 = build_vertex_sketch(&workload.t4, &attr_c, eps, &mut rng).expect("T4 sketch");
-            let est4 = ldp_chain_join_4(&s1, &attr_a, &s2, &s3e, &s4, &attr_b, &attr_c)
+            let s4 = vertex(&workload.t4, seed_c, &mut rng);
+            let est4 = ChainKernel
+                .chain_4(&s1, &s2, &s3e, &s4)
                 .expect("4-way estimate");
             re4.push(relative_error(truth_4, est4));
         }

@@ -55,8 +55,9 @@ impl ExpArgs {
                 other => return Err(format!("unknown flag `{other}`\n{}", Self::usage())),
             }
         }
-        if out.scale <= 0.0 {
-            return Err("--scale must be positive".into());
+        // `<= 0.0` alone would let NaN through: it compares false.
+        if !(out.scale.is_finite() && out.scale > 0.0) {
+            return Err("--scale must be a positive finite number".into());
         }
         if out.trials == 0 {
             return Err("--trials must be at least 1".into());
@@ -146,6 +147,13 @@ mod tests {
         assert!(parse(&["--scale", "0"]).is_err());
         assert!(parse(&["--trials", "0"]).is_err());
         assert!(parse(&["--help"]).is_err());
+    }
+
+    #[test]
+    fn rejects_non_finite_scales() {
+        for scale in ["NaN", "inf", "-inf", "infinity"] {
+            assert!(parse(&["--scale", scale]).is_err(), "--scale {scale}");
+        }
     }
 
     #[test]

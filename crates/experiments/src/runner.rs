@@ -2,8 +2,10 @@
 //!
 //! The paper averages every reported number over several testing rounds. [`run_trials`] runs a
 //! method over `trials` independent rounds — each round re-perturbs every user with a fresh
-//! seed — and aggregates AE/RE. Rounds are independent, so they are executed in parallel with
-//! `std::thread::scope` when more than one trial is requested.
+//! seed — and aggregates AE/RE. Rounds are independent, so they run in parallel on at most
+//! `available_parallelism()` scoped worker threads, and the summary keeps trial order.
+
+use std::num::NonZeroUsize;
 
 use ldpjs_common::privacy::Epsilon;
 use ldpjs_core::SketchParams;
@@ -47,29 +49,11 @@ pub fn run_trials(
     trials: usize,
 ) -> MethodSummary {
     assert!(trials > 0, "at least one trial is required");
-    let outcomes: Vec<MethodOutcome> = if trials == 1 {
-        vec![
-            estimate_join(method, workload, params, eps, knobs, base_seed)
-                .expect("experiment trial failed"),
-        ]
-    } else {
-        let mut slots: Vec<Option<MethodOutcome>> = vec![None; trials];
-        std::thread::scope(|scope| {
-            for (i, slot) in slots.iter_mut().enumerate() {
-                let seed = base_seed.wrapping_add(i as u64 * 0x9E37_79B9);
-                scope.spawn(move || {
-                    *slot = Some(
-                        estimate_join(method, workload, params, eps, knobs, seed)
-                            .expect("experiment trial failed"),
-                    );
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|s| s.expect("missing trial result"))
-            .collect()
-    };
+    let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    let outcomes: Vec<MethodOutcome> = map_on_workers(trials, workers, |i| {
+        let seed = base_seed.wrapping_add(i as u64 * 0x9E37_79B9);
+        estimate_join(method, workload, params, eps, knobs, seed).expect("experiment trial failed")
+    });
 
     let truth = workload.true_join_size as f64;
     let mut errors = TrialErrors::new();
@@ -95,12 +79,38 @@ pub fn run_trials(
     }
 }
 
+/// `f(0), …, f(n − 1)` in index order, computed on at most `workers` scoped threads (on the
+/// calling thread when one suffices): worker `w` takes indices `w, w + workers, …`.
+fn map_on_workers<T: Send>(n: usize, workers: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let workers = workers.min(n);
+    if workers <= 1 {
+        return (0..n).map(f).collect();
+    }
+    let f = &f;
+    let per_worker: Vec<Vec<T>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| scope.spawn(move || (w..n).step_by(workers).map(f).collect()))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    });
+    let mut lanes: Vec<_> = per_worker.into_iter().map(Vec::into_iter).collect();
+    (0..n).filter_map(|i| lanes[i % workers].next()).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use ldpjs_data::ZipfGenerator;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::HashSet;
+    use std::sync::Mutex;
 
     fn workload() -> JoinWorkload {
         let gen = ZipfGenerator::new(1.5, 1_000);
@@ -136,6 +146,42 @@ mod tests {
         assert_eq!(three.trials, 3);
         assert!(three.mean_relative_error.is_finite());
         assert_eq!(one.communication_bits, three.communication_bits);
+    }
+
+    #[test]
+    fn trials_beyond_the_worker_count_keep_their_seeds_order_and_thread_bound() {
+        // A tiny workload and a handful more trials than workers: the summary must be the
+        // one the per-seed `estimate_join` calls give in trial order.
+        let gen = ZipfGenerator::new(1.5, 50);
+        let w = JoinWorkload::generate("tiny", &gen, 500, &mut StdRng::seed_from_u64(4));
+        let params = SketchParams::new(4, 64).unwrap();
+        let eps = Epsilon::new(2.0).unwrap();
+        let knobs = PlusKnobs::default();
+        let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        let trials = workers + 3;
+        let summary = run_trials(Method::LdpJoinSketch, &w, params, eps, knobs, 11, trials);
+        let mut errors = TrialErrors::new();
+        let mut est_sum = 0.0;
+        for i in 0..trials {
+            let seed = 11u64.wrapping_add(i as u64 * 0x9E37_79B9);
+            let outcome = estimate_join(Method::LdpJoinSketch, &w, params, eps, knobs, seed);
+            let estimate = outcome.unwrap().estimate;
+            errors.record(w.true_join_size as f64, estimate);
+            est_sum += estimate;
+        }
+        assert_eq!(summary.trials, trials);
+        let mean = est_sum / trials as f64;
+        assert_eq!(summary.mean_estimate.to_bits(), mean.to_bits());
+        let re = errors.mean_relative_error().unwrap();
+        assert_eq!(summary.mean_relative_error.to_bits(), re.to_bits());
+        // The fan-out starts at most `workers` threads and returns results in index order.
+        let threads = Mutex::new(HashSet::new());
+        let order = map_on_workers(trials, workers, |i| {
+            threads.lock().unwrap().insert(std::thread::current().id());
+            i
+        });
+        assert_eq!(order, (0..trials).collect::<Vec<_>>());
+        assert!(threads.lock().unwrap().len() <= workers);
     }
 
     #[test]

@@ -16,6 +16,8 @@
 //! collisions; the paper therefore estimates join sizes for HCMS (and the other frequency
 //! oracles) by summing `f̃_A(d)·f̃_B(d)` over the domain — see [`crate::join`].
 
+use std::borrow::Cow;
+
 use ldpjs_common::error::{Error, Result};
 use ldpjs_common::hadamard::{fwht_in_place, hadamard_entry_f64};
 use ldpjs_common::hash::RowHashes;
@@ -106,24 +108,24 @@ impl HcmsOracle {
         Ok(())
     }
 
-    /// The de-transformed sketch (rows restored from the Hadamard domain).
-    fn sketch(&self) -> Vec<f64> {
+    /// The de-transformed sketch (rows restored from the Hadamard domain): the cached
+    /// restore, borrowed, or a restore computed now for an oracle never finalized.
+    fn sketch(&self) -> Cow<'_, [f64]> {
         if let Some(t) = &self.transformed {
-            return t.clone();
+            return Cow::Borrowed(t);
         }
         let m = self.params.columns();
         let mut t = self.raw.clone();
         for j in 0..self.params.rows() {
             fwht_in_place(&mut t[j * m..(j + 1) * m]);
         }
-        t
+        Cow::Owned(t)
     }
 
     /// Force the lazy Hadamard restore and cache it (useful before a batch of estimates).
     pub fn finalize(&mut self) {
         if self.transformed.is_none() {
-            let t = self.sketch();
-            self.transformed = Some(t);
+            self.transformed = Some(self.sketch().into_owned());
         }
     }
 }
@@ -263,6 +265,28 @@ mod tests {
             })
             .unwrap();
         assert_eq!(oracle.total_reports(), 1);
+    }
+
+    #[test]
+    fn estimates_are_bit_identical_before_and_after_finalize() {
+        // An oracle fed through `absorb` alone is never finalized, so every point query
+        // restores on the fly; after `finalize` they borrow the cached restore.
+        let eps = Epsilon::new(2.0).unwrap();
+        let mut oracle = HcmsOracle::new(params(6, 128), eps, 13);
+        let mut rng = StdRng::seed_from_u64(8);
+        for i in 0..5_000u64 {
+            oracle.absorb(oracle.perturb(i % 37, &mut rng)).unwrap();
+        }
+        let domain: Vec<u64> = (0..50).collect();
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        let on_the_fly = bits(domain.iter().map(|&d| oracle.estimate(d)).collect());
+        assert_eq!(bits(oracle.estimate_domain(&domain)), on_the_fly);
+        oracle.finalize();
+        assert_eq!(
+            bits(domain.iter().map(|&d| oracle.estimate(d)).collect()),
+            on_the_fly
+        );
+        assert_eq!(bits(oracle.estimate_domain(&domain)), on_the_fly);
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //!   batches, plus batches). Each attribute holds one per-mode state: its static config,
 //!   its live engine — an exact-counter builder (one
 //!   [`SketchBuilder`](ldpjs_core::SketchBuilder) lane for plain, three for plus, one 2-D
-//!   lane for edge) absorbing on the caller thread — and its span ledger.
+//!   [`EdgeSketchBuilder`](ldpjs_core::multiway::EdgeSketchBuilder) lane for edge)
+//!   absorbing on the caller thread — and its span ledger, the same exact-spectrum ledger
+//!   in every mode.
 //! * An **epoch rotator** seals the live engine every `epoch_reports` reports (or on an
 //!   explicit [`service::SketchService::rotate`]) into the attribute's span ledger, which
 //!   is also its bounded ring of recent windows: each entry pairs a window's metadata (a
@@ -18,8 +20,9 @@
 //!   newest window's finalized estimation view, built by the same transforms (a plus
 //!   attribute also keeps its whole ring's merged state).
 //! * **Window merge** subtracts two ledger prefixes of exact spectra and applies the
-//!   de-bias scale once, so a k-window merged sketch is **bit-identical** to one-shot
-//!   aggregation of the same reports (property-tested across window splits).
+//!   de-bias scale once (an edge span then transforms its first dimension), so a k-window
+//!   merged sketch is **bit-identical** to one-shot aggregation of the same reports
+//!   (property-tested across window splits and random rotate/evict sequences).
 //! * The **query layer** answers join-size and frequency queries over any
 //!   [`window::WindowRange`] (`Latest`, `LastK`, `All`) with a memoized
 //!   per-(attribute-pair, window-range) cache invalidated on rotation, so a repeated

@@ -10,6 +10,7 @@ use crate::observe::{
 use crate::window::{no_windows, WindowRange, WindowSnapshot};
 use ldpjs_common::batch::ReportBatch;
 use ldpjs_common::error::{Error, Result};
+use ldpjs_common::hash::RowHashes;
 use ldpjs_common::kernel_dispatch_snapshot;
 use ldpjs_common::privacy::Epsilon;
 use ldpjs_core::multiway::{EdgeSketchBuilder, FinalizedEdgeSketch, LdpEdgeSketchClient};
@@ -19,7 +20,6 @@ use ldpjs_core::{
     SketchBuilder,
 };
 use ldpjs_metrics::telemetry::{Snapshot, Stability, Telemetry};
-use ldpjs_sketch::compass::JoinAttribute;
 use ldpjs_sketch::SketchParams;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -301,13 +301,15 @@ pub struct Explain {
 }
 
 /// Cumulative per-lane state of the span ledger: the **unscaled Hadamard spectra** of one or
-/// more exact-counter lanes (one for plain, three for plus), plus the lanes' report counts.
+/// more exact-counter lanes (one for plain, three for plus, one 2-D lane for edge, whose
+/// spectrum is transformed along its second dimension), plus the lanes' report counts.
 ///
 /// Counters are exact ±1 integer sums, so each lane's unscaled FWHT is computed exactly in
 /// f64 (every intermediate is an integer far below 2⁵³), and the transform is linear —
 /// adding or subtracting two windows' spectra yields, bit for bit, the spectrum of their
 /// merged or differenced counters. That is what lets the ledger live in the Hadamard domain:
-/// spans assemble by element-wise subtraction with **zero transforms at query time**.
+/// spans assemble by element-wise subtraction, with no transform at query time for plain
+/// and plus lanes and only the first-dimension transforms for an edge lane.
 #[derive(Debug, Clone)]
 struct SpectrumEntry {
     /// Per-lane unscaled spectra (`k·m` elements each).
@@ -354,29 +356,30 @@ impl SpectrumEntry {
 /// `prefix[len−1] − prefix[start−1]` (or `− origin` for the full ring) instead of cloning
 /// and counter-wise merging every covered window.
 ///
-/// Plain and plus ledgers keep their prefixes as unscaled Hadamard spectra (see
-/// [`SpectrumEntry`]): a cold span query is one element-wise subtraction fused with one
-/// de-bias multiply per element ([`FinalizedSketch::from_spectrum_diff`]) — no counter
-/// merge and no FWHT on the query path at all. Because the spectra are exact integers and
-/// the transform is linear, the result is bit-identical to merging every covered window's
-/// builders from scratch and finalizing — property-tested in this module. Edge windows are
-/// 2-D and queried rarely, so their ledger stays in the counter domain.
+/// Every mode keeps its prefixes as unscaled Hadamard spectra (see [`SpectrumEntry`]): a
+/// cold plain or plus span query is one element-wise subtraction fused with one de-bias
+/// multiply per element ([`FinalizedSketch::from_spectrum_diff`]), no counter merge and no
+/// FWHT; an edge span adds the first-dimension transforms
+/// ([`FinalizedEdgeSketch::from_spectrum`]). Because the spectra are exact integers and the
+/// transform is linear, the result is bit-identical to merging every covered window's
+/// builders from scratch and finalizing — property-tested in this module.
 #[derive(Debug)]
-struct Ledger<T> {
-    origin: T,
-    entries: VecDeque<(WindowSnapshot, T)>,
+struct Ledger {
+    origin: SpectrumEntry,
+    entries: VecDeque<(WindowSnapshot, SpectrumEntry)>,
 }
 
-impl<T> Ledger<T> {
-    fn new(origin: T) -> Self {
+impl Ledger {
+    /// An empty ledger of `lanes` lanes, `len` spectrum elements each.
+    fn new(lanes: usize, len: usize) -> Self {
         Ledger {
-            origin,
+            origin: SpectrumEntry::zero(lanes, len),
             entries: VecDeque::new(),
         }
     }
 
     /// The cumulative entry through the newest window (the origin before the first seal).
-    fn last(&self) -> &T {
+    fn last(&self) -> &SpectrumEntry {
         self.entries.back().map_or(&self.origin, |(_, entry)| entry)
     }
 
@@ -390,11 +393,14 @@ impl<T> Ledger<T> {
         &self.entries[i].0
     }
 
-    /// Append a sealed window with its cumulative `entry`, then fold the oldest window into
-    /// the origin if more than `retained` remain: the popped prefix *is* the cumulative sum
-    /// up to and including that window. Returns whether a window was evicted.
-    fn seal(&mut self, window: WindowSnapshot, entry: T, retained: usize) -> bool {
-        self.entries.push_back((window, entry));
+    /// Seal window `epoch` from its lanes' unscaled spectra and report counts: append the
+    /// cumulative entry through it, then fold the oldest window into the origin if more
+    /// than `retained` remain (the popped prefix *is* the cumulative sum up to and
+    /// including that window). Returns whether a window was evicted.
+    fn seal(&mut self, epoch: u64, spectra: &[Vec<f64>], reports: &[u64], retained: usize) -> bool {
+        let next = self.last().plus_window(spectra, reports);
+        let window = WindowSnapshot::new(epoch, reports.iter().sum());
+        self.entries.push_back((window, next));
         if self.entries.len() <= retained {
             return false;
         }
@@ -407,23 +413,21 @@ impl<T> Ledger<T> {
 
     /// The newest entry and the entry just before the suffix span `start..len` (the origin
     /// for the full ring): the span is their difference.
-    fn span_ends(&self, start: usize) -> (&T, &T) {
+    fn span_ends(&self, start: usize) -> (&SpectrumEntry, &SpectrumEntry) {
         let base = match start {
             0 => &self.origin,
             _ => &self.entries[start - 1].1,
         };
         (self.last(), base)
     }
-}
 
-impl Ledger<SpectrumEntry> {
     /// Seal window `epoch` from its exact-counter lanes (the rotation hook), keeping at most
     /// `retained` windows, and return each lane's finalized view and whether a window was
     /// evicted. Each lane is transformed once: its unscaled spectrum is added to the last
     /// prefix, then scaled into the view by [`FinalizedSketch::from_spectrum`] —
     /// bit-identical to restoring the lane, because the restore applies the de-bias scale
-    /// after the last butterfly. These per-lane FWHTs are the only transforms the ledger
-    /// ever runs; queries reuse them for every span that covers this window.
+    /// after the last butterfly. These per-lane FWHTs are the only transforms a plain or
+    /// plus ledger ever runs; queries reuse them for every span that covers this window.
     fn seal_lanes<const N: usize>(
         &mut self,
         epoch: u64,
@@ -432,9 +436,7 @@ impl Ledger<SpectrumEntry> {
     ) -> ([FinalizedSketch; N], bool) {
         let mut spectra = lanes.map(SketchBuilder::spectrum);
         let reports = lanes.map(SketchBuilder::reports);
-        let next = self.last().plus_window(&spectra, &reports);
-        let window = WindowSnapshot::new(epoch, reports.iter().sum());
-        let evicted = self.seal(window, next, retained);
+        let evicted = self.seal(epoch, &spectra, &reports, retained);
         let views = std::array::from_fn(|l| {
             let lane = lanes[l];
             FinalizedSketch::from_spectrum(
@@ -469,7 +471,7 @@ impl Ledger<SpectrumEntry> {
 #[derive(Debug)]
 struct PlainState {
     live: SketchBuilder,
-    ledger: Ledger<SpectrumEntry>,
+    ledger: Ledger,
     /// The newest window's finalized view, the only per-window view kept (`None` before the
     /// first seal). Older windows live on only as ledger prefixes.
     newest: Option<Arc<FinalizedSketch>>,
@@ -505,7 +507,7 @@ struct PlusState {
     /// re-hashing `k · |domain|` candidates per scan (bit-identical results).
     index: Arc<DomainIndex>,
     live: PlusStateBuilder,
-    ledger: Ledger<SpectrumEntry>,
+    ledger: Ledger,
     /// The newest window's finalized state, the only per-window view kept (`None` before
     /// the first seal).
     newest: Option<Arc<FinalizedPlusState>>,
@@ -558,25 +560,35 @@ fn plus_state(
 #[derive(Debug)]
 struct EdgeState {
     live: EdgeSketchBuilder,
-    ledger: Ledger<EdgeSketchBuilder>,
+    ledger: Ledger,
     /// The newest window's finalized view, the only per-window view kept (`None` before the
     /// first seal).
     newest: Option<Arc<FinalizedEdgeSketch>>,
 }
 
 impl EdgeState {
-    /// Seal the live builder into window `epoch`; returns whether a window was evicted.
-    fn seal(&mut self, epoch: u64, eps: Epsilon, retained: usize) -> bool {
-        let fresh = empty_edge_builder(self.live.attribute_a(), self.live.attribute_b(), eps);
-        let sealed = std::mem::replace(&mut self.live, fresh);
-        let mut next = self.ledger.last().clone();
-        next.merge(&sealed)
-            // lint:allow(panic-freedom) — invariant: every window of one attribute
-            // is built from the same registration, so attributes and ε always match.
-            .expect("windows of one attribute share attributes and ε");
-        let window = WindowSnapshot::new(epoch, sealed.reports());
-        let evicted = self.ledger.seal(window, next, retained);
-        self.newest = Some(Arc::new(sealed.finalize()));
+    /// The view of `reports` reports restored from their unscaled spectrum.
+    fn view(&self, reports: u64, spectrum: Vec<f64>) -> FinalizedEdgeSketch {
+        let live = &self.live;
+        let (attr_a, attr_b) = (live.attribute_a(), live.attribute_b());
+        FinalizedEdgeSketch::from_spectrum(
+            Arc::clone(attr_a),
+            Arc::clone(attr_b),
+            live.epsilon(),
+            reports,
+            spectrum,
+        )
+    }
+
+    /// Seal the live builder into window `epoch` (it then continues ingesting from empty);
+    /// returns whether a window was evicted. The second-dimension transforms run once: the
+    /// window's spectrum is added to the ledger and restored into the newest view.
+    fn seal(&mut self, epoch: u64, retained: usize) -> bool {
+        let (spectra, reports) = ([self.live.spectrum()], self.live.reports());
+        let evicted = self.ledger.seal(epoch, &spectra, &[reports], retained);
+        let [spectrum] = spectra;
+        self.newest = Some(Arc::new(self.view(reports, spectrum)));
+        self.live.clear();
         evicted
     }
 }
@@ -591,7 +603,8 @@ impl EdgeState {
 #[derive(Debug)]
 enum ModeState {
     Plain(PlainState),
-    Plus(PlusState),
+    /// Boxed: a plus state holds three live lanes, over twice a plain or edge state.
+    Plus(Box<PlusState>),
     Edge(EdgeState),
 }
 
@@ -745,13 +758,12 @@ impl ModeView for EdgeState {
         &mut cache.edge_views
     }
 
+    /// One exact spectrum subtraction, the de-bias scale and the first-dimension transforms.
     fn assemble(&self, start: usize) -> FinalizedEdgeSketch {
         let (last, base) = self.ledger.span_ends(start);
-        last.difference(base)
-            // lint:allow(panic-freedom) — invariant: each prefix entry is the previous
-            // entry plus one window, so `last` always dominates `base` counter-wise.
-            .expect("every ledger prefix is a superset of its predecessors")
-            .finalize()
+        let spectrum = last.lanes[0].iter().zip(&base.lanes[0]);
+        let spectrum = spectrum.map(|(l, b)| l - b).collect();
+        self.view(last.reports[0] - base.reports[0], spectrum)
     }
 }
 
@@ -889,7 +901,7 @@ impl SketchService {
         let (params, eps) = (self.config.params, self.config.eps);
         let mode = ModeState::Plain(PlainState {
             live: SketchBuilder::new(params, eps, seed),
-            ledger: Ledger::new(SpectrumEntry::zero(1, params.counters())),
+            ledger: Ledger::new(1, params.counters()),
             newest: None,
         });
         self.register(name, mode)
@@ -919,15 +931,15 @@ impl SketchService {
             live.lane_builders().0.hashes(),
             config.domain,
         ));
-        let mode = ModeState::Plus(PlusState {
+        let mode = ModeState::Plus(Box::new(PlusState {
             seed,
             policy,
             index,
             live,
-            ledger: Ledger::new(SpectrumEntry::zero(3, params.counters())),
+            ledger: Ledger::new(3, params.counters()),
             newest: None,
             whole: None,
-        });
+        }));
         self.register(name, mode)
     }
 
@@ -945,13 +957,10 @@ impl SketchService {
         seed_b: u64,
     ) -> Result<AttributeId> {
         let (k, m) = (self.config.params.rows(), self.config.params.columns());
-        let attr_a = JoinAttribute::from_seed(seed_a, k, m);
-        let attr_b = JoinAttribute::from_seed(seed_b, k, m);
-        let live = empty_edge_builder(&attr_a, &attr_b, self.config.eps);
-        let ledger = Ledger::new(live.clone());
+        let family = |seed| Arc::new(RowHashes::from_seed(seed, k, m));
         let mode = ModeState::Edge(EdgeState {
-            live,
-            ledger,
+            live: EdgeSketchBuilder::new(family(seed_a), family(seed_b), self.config.eps)?,
+            ledger: Ledger::new(1, k * m * m),
             newest: None,
         });
         self.register(name, mode)
@@ -1022,12 +1031,7 @@ impl SketchService {
         match &a.mode {
             ModeState::Edge(s) => {
                 let (attr_a, attr_b) = (s.live.attribute_a(), s.live.attribute_b());
-                Ok(
-                    LdpEdgeSketchClient::new(attr_a.clone(), attr_b.clone(), self.config.eps)
-                        // lint:allow(panic-freedom) — invariant: registration derived both
-                        // attributes from the service's single (k, m), so replicas match.
-                        .expect("registered edge attributes share the replica count"),
-                )
+                LdpEdgeSketchClient::new(Arc::clone(attr_a), Arc::clone(attr_b), self.config.eps)
             }
             _ => Err(mode_mismatch(a, "an edge client")),
         }
@@ -1389,7 +1393,7 @@ impl SketchService {
             let a = find(attrs, attr)?;
             let state = match &a.mode {
                 ModeState::Plain(s) => PlainOrPlus::Plain(s),
-                ModeState::Plus(s) => PlainOrPlus::Plus(s),
+                ModeState::Plus(s) => PlainOrPlus::Plus(&**s),
                 ModeState::Edge(_) => return Err(mode_mismatch(a, "a frequency query")),
             };
             let span = resolve_span(a, attr, range)?;
@@ -1733,17 +1737,6 @@ fn pairwise_bound(config: &ServiceConfig, f1a: u64, f1b: u64) -> (f64, f64) {
     )
 }
 
-fn empty_edge_builder(
-    attr_a: &JoinAttribute,
-    attr_b: &JoinAttribute,
-    eps: Epsilon,
-) -> EdgeSketchBuilder {
-    EdgeSketchBuilder::new(attr_a.clone(), attr_b.clone(), eps)
-        // lint:allow(panic-freedom) — invariant: registration derives both attributes from
-        // the service's single (k, m), so the replica counts match.
-        .expect("attributes derived at equal (k, m) always share the replica count")
-}
-
 /// Seal `attr`'s live engine into a window, evict past the retention bound, invalidate the
 /// attribute's cache entries, and re-warm the spans of the ranges queries read on it since
 /// its previous rotation. Returns the new window's epoch id, or `None` if the live engine
@@ -1766,7 +1759,7 @@ fn rotate_attribute(
     let evicted = match &mut attr.mode {
         ModeState::Plain(s) => s.seal(epoch, retained),
         ModeState::Plus(s) => s.seal(epoch, retained),
-        ModeState::Edge(s) => s.seal(epoch, config.eps, retained),
+        ModeState::Edge(s) => s.seal(epoch, retained),
     };
     if evicted {
         attr.instruments.evictions.inc();
@@ -3184,6 +3177,104 @@ mod tests {
                         name
                     );
                 }
+            }
+        }
+
+        /// The edge span ledger guarantee, beside the plus one above: across random batch
+        /// sizes and rotation cadences, every edge span the service serves — the assembled
+        /// view itself, the newest window's sealed view, and `chain_join_3` over `Latest`,
+        /// `LastK` and `All` — is **bit-identical** to one `EdgeSketchBuilder` that absorbed
+        /// the covered windows' batches from scratch and was finalized. The 3-window ring
+        /// forces evictions, so full-span queries exercise the ledger origin.
+        #[test]
+        fn prop_edge_span_ledger_is_bit_identical_to_from_scratch_absorption(
+            case_seed in 0u64..2_000,
+        ) {
+            use rand::Rng;
+            let mut service = manual_service(4, 16, 3);
+            let edge = service.register_edge_attribute("e", 100, 101).unwrap();
+            let v1 = service.register_attribute("v1", 100).unwrap();
+            let v3 = service.register_attribute("v3", 101).unwrap();
+            // One window per vertex attribute, so every range resolves to it.
+            for (v, salt) in [(v1, 1), (v3, 2)] {
+                let batch = reports_for(&service, v, 300, case_seed ^ salt);
+                service.ingest(v, &batch).unwrap();
+                service.rotate(v).unwrap();
+            }
+            let client = service.edge_client(edge).unwrap();
+            let gen = ZipfGenerator::new(1.4, 40);
+            let mut rng = StdRng::seed_from_u64(case_seed);
+            // Random cadence: 1–3 batches of 1–59 tuples per sealed window.
+            let mut windows: Vec<Vec<ReportBatch>> = Vec::new();
+            for _ in 0..rng.gen_range(2usize..8) {
+                let mut window = Vec::new();
+                for _ in 0..rng.gen_range(1usize..4) {
+                    let n = rng.gen_range(1usize..60);
+                    let tuples: Vec<(u64, u64)> =
+                        (0..n).map(|_| (gen.sample(&mut rng), gen.sample(&mut rng))).collect();
+                    let batch = client.perturb_batch(&tuples, &mut rng).unwrap();
+                    service.ingest(edge, &batch).unwrap();
+                    window.push(batch);
+                }
+                service.rotate(edge).unwrap();
+                windows.push(window);
+                // A read every epoch: each rotation re-warms this range.
+                service.chain_join_3(v1, edge, v3, WindowRange::LastK(2)).unwrap();
+            }
+
+            let depth = service.window_count(edge).unwrap();
+            let sealed = &windows[windows.len() - depth..];
+            let eps = service.config().eps;
+            let state = EdgeState::of(&service.attributes[edge.index()].mode).unwrap();
+            let (attr_a, attr_b) = (state.live.attribute_a(), state.live.attribute_b());
+            let references: Vec<FinalizedEdgeSketch> = (0..depth)
+                .map(|start| {
+                    let mut scratch =
+                        EdgeSketchBuilder::new(attr_a.clone(), attr_b.clone(), eps).unwrap();
+                    for batch in sealed[start..].iter().flatten() {
+                        scratch.absorb_batch(batch).unwrap();
+                    }
+                    scratch.finalize()
+                })
+                .collect();
+            let bits = |view: &FinalizedEdgeSketch, j| {
+                view.replica(j).iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            };
+            let newest = state.newest().unwrap();
+            for (start, reference) in references.iter().enumerate() {
+                let assembled = state.assemble(start);
+                prop_assert_eq!(assembled.reports(), reference.reports());
+                for j in 0..4 {
+                    prop_assert!(
+                        bits(&assembled, j) == bits(reference, j),
+                        "start={} evicted={}: assembled edge replica {} diverged",
+                        start,
+                        service.evicted_windows(edge).unwrap(),
+                        j
+                    );
+                }
+            }
+            for j in 0..4 {
+                prop_assert!(bits(newest, j) == bits(&references[depth - 1], j));
+            }
+
+            let w1 = service.merged_view(v1, WindowRange::All).unwrap();
+            let w3 = service.merged_view(v3, WindowRange::All).unwrap();
+            for (start, reference) in references.iter().enumerate() {
+                let range = match depth - start {
+                    1 => WindowRange::Latest,
+                    _ if start == 0 => WindowRange::All,
+                    k => WindowRange::LastK(k),
+                };
+                let served = service.chain_join_3(v1, edge, v3, range).unwrap();
+                let expected = ChainKernel.chain_3(&w1, reference, &w3).unwrap();
+                prop_assert!(
+                    served.value.to_bits() == expected.to_bits(),
+                    "{:?}: served {} vs from-scratch {}",
+                    range,
+                    served.value,
+                    expected
+                );
             }
         }
     }

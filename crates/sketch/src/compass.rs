@@ -1,137 +1,50 @@
 //! COMPASS-style multi-dimensional Fast-AGMS sketches for multi-way chain joins.
 //!
 //! Section VI of the paper: for a chain query such as `T1(A) ⋈ T2(A,B) ⋈ T3(B)` every join
-//! attribute gets its own hash pair `(h, ξ)`. Single-attribute tables are summarised with an
-//! ordinary Fast-AGMS vector; a two-attribute table `T2` is summarised with an `m_A × m_B`
-//! matrix where tuple `(a, b)` adds `ξ_A(a)·ξ_B(b)` to the counter `[h_A(a), h_B(b)]`.
-//! The chain join size is estimated by contracting the sketches along the shared attributes:
+//! attribute gets its own public hash family, a [`RowHashes`] with one `(h, ξ)` pair per
+//! replica. Single-attribute tables are summarised with an ordinary [`FastAgmsSketch`] over
+//! that family; a two-attribute table `T2` is summarised with an `m_A × m_B` matrix where
+//! tuple `(a, b)` adds `ξ_A(a)·ξ_B(b)` to the counter `[h_A(a), h_B(b)]`. The chain join size
+//! is estimated by contracting the sketches along the shared attributes,
 //! `Σ_{l1,l2} M1[l1]·M2[l1,l2]·M3[l2]`, with the usual median over `k` independent replicas.
 //!
-//! This module provides the **non-private** COMPASS baseline used in Fig. 15; the LDP version
-//! lives in `ldpjs-core::multiway` and reuses [`JoinAttribute`] so both see identical hash
-//! families.
+//! [`contract`] and [`chain_estimate`] are that contraction. They serve this module's
+//! **non-private** COMPASS baseline (Fig. 15) and the LDP chain estimator
+//! (`ldpjs-core`'s `ChainKernel`), which contracts privately built sketches over the same
+//! hash families.
+
+use std::sync::Arc;
 
 use ldpjs_common::error::{Error, Result};
 use ldpjs_common::hash::RowHashes;
 use ldpjs_common::stats::median;
 
-/// The public hash family attached to one join attribute (shared by every table that joins on
-/// that attribute and by the private sketches in `ldpjs-core`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JoinAttribute {
-    hashes: RowHashes,
-}
-
-impl JoinAttribute {
-    /// Derive the attribute's `k × m` hash family from a seed.
-    pub fn from_seed(seed: u64, replicas: usize, m: usize) -> Self {
-        JoinAttribute {
-            hashes: RowHashes::from_seed(seed, replicas, m),
-        }
-    }
-
-    /// Number of independent replicas `k`.
-    #[inline]
-    pub fn replicas(&self) -> usize {
-        self.hashes.rows()
-    }
-
-    /// Number of buckets `m` of this attribute's hash.
-    #[inline]
-    pub fn buckets(&self) -> usize {
-        self.hashes.columns()
-    }
-
-    /// The underlying hash family.
-    #[inline]
-    pub fn hashes(&self) -> &RowHashes {
-        &self.hashes
-    }
-
-    /// `h_j(value)` for replica `j`.
-    #[inline]
-    pub fn bucket_of(&self, j: usize, value: u64) -> usize {
-        self.hashes.pair(j).bucket_of(value)
-    }
-
-    /// `ξ_j(value)` for replica `j`.
-    #[inline]
-    pub fn sign_of(&self, j: usize, value: u64) -> f64 {
-        self.hashes.pair(j).sign_of(value) as f64
-    }
-}
-
-/// Fast-AGMS sketch of a single-attribute table, replicated `k` times.
-#[derive(Debug, Clone)]
-pub struct CompassVertexSketch {
-    attr: JoinAttribute,
-    /// `k × m` counters, row-major by replica.
-    counters: Vec<f64>,
-}
-
-impl CompassVertexSketch {
-    /// Create an empty vertex sketch over `attr`.
-    pub fn new(attr: JoinAttribute) -> Self {
-        let len = attr.replicas() * attr.buckets();
-        CompassVertexSketch {
-            attr,
-            counters: vec![0.0; len],
-        }
-    }
-
-    /// The attribute this sketch summarises.
-    #[inline]
-    pub fn attribute(&self) -> &JoinAttribute {
-        &self.attr
-    }
-
-    /// Add one occurrence of `value`.
-    pub fn update(&mut self, value: u64) {
-        let m = self.attr.buckets();
-        for j in 0..self.attr.replicas() {
-            let col = self.attr.bucket_of(j, value);
-            self.counters[j * m + col] += self.attr.sign_of(j, value);
-        }
-    }
-
-    /// Add a whole stream.
-    pub fn update_all(&mut self, values: &[u64]) {
-        for &v in values {
-            self.update(v);
-        }
-    }
-
-    /// Replica `j` as a length-`m` slice.
-    pub fn replica(&self, j: usize) -> &[f64] {
-        let m = self.attr.buckets();
-        &self.counters[j * m..(j + 1) * m]
-    }
-}
+use crate::fast_agms::FastAgmsSketch;
 
 /// Two-dimensional Fast-AGMS sketch of a two-attribute table, replicated `k` times.
 #[derive(Debug, Clone)]
 pub struct CompassEdgeSketch {
-    attr_a: JoinAttribute,
-    attr_b: JoinAttribute,
+    attr_a: Arc<RowHashes>,
+    attr_b: Arc<RowHashes>,
     /// `k × m_A × m_B` counters.
     counters: Vec<f64>,
 }
 
 impl CompassEdgeSketch {
-    /// Create an empty edge sketch over attributes `(attr_a, attr_b)`.
+    /// Create an empty edge sketch over the hash families of attributes `(attr_a, attr_b)`.
     ///
     /// # Errors
     /// Returns [`Error::IncompatibleSketches`] if the two attributes have a different number
     /// of replicas.
-    pub fn new(attr_a: JoinAttribute, attr_b: JoinAttribute) -> Result<Self> {
-        if attr_a.replicas() != attr_b.replicas() {
+    pub fn new(attr_a: Arc<RowHashes>, attr_b: Arc<RowHashes>) -> Result<Self> {
+        if attr_a.rows() != attr_b.rows() {
             return Err(Error::IncompatibleSketches(format!(
                 "edge sketch attributes must share the replica count: {} vs {}",
-                attr_a.replicas(),
-                attr_b.replicas()
+                attr_a.rows(),
+                attr_b.rows()
             )));
         }
-        let len = attr_a.replicas() * attr_a.buckets() * attr_b.buckets();
+        let len = attr_a.rows() * attr_a.columns() * attr_b.columns();
         Ok(CompassEdgeSketch {
             attr_a,
             attr_b,
@@ -139,31 +52,25 @@ impl CompassEdgeSketch {
         })
     }
 
-    /// The first (left) join attribute.
+    /// The first (left) join attribute's hash family.
     #[inline]
-    pub fn attribute_a(&self) -> &JoinAttribute {
+    pub fn attribute_a(&self) -> &Arc<RowHashes> {
         &self.attr_a
     }
 
-    /// The second (right) join attribute.
+    /// The second (right) join attribute's hash family.
     #[inline]
-    pub fn attribute_b(&self) -> &JoinAttribute {
+    pub fn attribute_b(&self) -> &Arc<RowHashes> {
         &self.attr_b
-    }
-
-    #[inline]
-    fn idx(&self, j: usize, la: usize, lb: usize) -> usize {
-        (j * self.attr_a.buckets() + la) * self.attr_b.buckets() + lb
     }
 
     /// Add one tuple `(a, b)`.
     pub fn update(&mut self, a: u64, b: u64) {
-        for j in 0..self.attr_a.replicas() {
-            let la = self.attr_a.bucket_of(j, a);
-            let lb = self.attr_b.bucket_of(j, b);
-            let sign = self.attr_a.sign_of(j, a) * self.attr_b.sign_of(j, b);
-            let idx = self.idx(j, la, lb);
-            self.counters[idx] += sign;
+        let (ma, mb) = (self.attr_a.columns(), self.attr_b.columns());
+        for j in 0..self.attr_a.rows() {
+            let (pa, pb) = (self.attr_a.pair(j), self.attr_b.pair(j));
+            let sign = pa.sign_of(a) as f64 * pb.sign_of(b) as f64;
+            self.counters[(j * ma + pa.bucket_of(a)) * mb + pb.bucket_of(b)] += sign;
         }
     }
 
@@ -176,13 +83,54 @@ impl CompassEdgeSketch {
 
     /// Replica `j` as an `m_A × m_B` row-major slice.
     pub fn replica(&self, j: usize) -> &[f64] {
-        let per = self.attr_a.buckets() * self.attr_b.buckets();
+        let per = self.attr_a.columns() * self.attr_b.columns();
         &self.counters[j * per..(j + 1) * per]
     }
 }
 
-fn check_shared_attr(left: &JoinAttribute, right: &JoinAttribute, what: &str) -> Result<()> {
-    if left != right {
+/// `Σ_i a[i]·b[i]`, summed left to right.
+fn dot(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(x, y)| x * y).sum()
+}
+
+/// One replica of a chain contraction `Σ v[l_1]·E_1[l_1,l_2] ⋯ E_n[l_n,l_{n+1}]·w[l_{n+1}]`.
+///
+/// `first` and `last` are the end tables' vertex rows (`v` and `w`), and `edges` holds the
+/// two-attribute tables' replicas in chain order, each row-major with one row per bucket
+/// of its left attribute. The edges fold into `last` from the right (`w ← E·w`), and the
+/// result contracts against `first`, skipping its zero entries.
+///
+/// # Panics
+/// Panics if an edge folds into an empty row vector (`last`, or an earlier fold).
+pub fn contract(first: &[f64], edges: &[&[f64]], last: &[f64]) -> f64 {
+    let mut folded;
+    let mut w = last;
+    for edge in edges.iter().rev() {
+        let rows = edge.chunks_exact(w.len());
+        folded = rows.map(|row| dot(row, w)).collect::<Vec<_>>();
+        w = &folded;
+    }
+    let mut acc = 0.0;
+    for (&v, &x) in first.iter().zip(w) {
+        if v != 0.0 {
+            acc += v * x;
+        }
+    }
+    acc
+}
+
+/// The chain estimate (Eq. 27): the median over `replicas` of `replica(j)`, replica `j`'s
+/// [`contract`]ion.
+///
+/// # Errors
+/// [`Error::EmptyInput`] if `replicas` is zero.
+pub fn chain_estimate(replicas: usize, replica: impl FnMut(usize) -> f64) -> Result<f64> {
+    let per_replica: Vec<f64> = (0..replicas).map(replica).collect();
+    median(&per_replica).ok_or_else(|| Error::EmptyInput("no replicas".into()))
+}
+
+fn check_shared(vertex: &RowHashes, edge: &RowHashes, what: &str) -> Result<()> {
+    if vertex != edge {
         return Err(Error::IncompatibleSketches(format!(
             "{what} must be sketched with the same attribute hash family on both sides"
         )));
@@ -194,81 +142,49 @@ fn check_shared_attr(left: &JoinAttribute, right: &JoinAttribute, what: &str) ->
 ///
 /// `t1` and `t2` must share attribute `A`'s hash family; `t2` and `t3` must share `B`'s.
 pub fn estimate_chain_3(
-    t1: &CompassVertexSketch,
+    t1: &FastAgmsSketch,
     t2: &CompassEdgeSketch,
-    t3: &CompassVertexSketch,
+    t3: &FastAgmsSketch,
 ) -> Result<f64> {
-    check_shared_attr(t1.attribute(), t2.attribute_a(), "attribute A")?;
-    check_shared_attr(t3.attribute(), t2.attribute_b(), "attribute B")?;
-    let k = t1.attribute().replicas();
-    let ma = t2.attribute_a().buckets();
-    let mb = t2.attribute_b().buckets();
-    let mut per_replica = Vec::with_capacity(k);
-    for j in 0..k {
-        let v1 = t1.replica(j);
-        let v3 = t3.replica(j);
-        let e = t2.replica(j);
-        let mut acc = 0.0;
-        for la in 0..ma {
-            if v1[la] == 0.0 {
-                continue;
-            }
-            let row = &e[la * mb..(la + 1) * mb];
-            let inner: f64 = row.iter().zip(v3.iter()).map(|(x, y)| x * y).sum();
-            acc += v1[la] * inner;
-        }
-        per_replica.push(acc);
-    }
-    median(&per_replica).ok_or_else(|| Error::EmptyInput("no replicas".into()))
+    check_shared(t1.hashes(), t2.attribute_a(), "attribute A")?;
+    check_shared(t3.hashes(), t2.attribute_b(), "attribute B")?;
+    chain_estimate(t2.attribute_a().rows(), |j| {
+        contract(t1.row(j), &[t2.replica(j)], t3.row(j))
+    })
 }
 
 /// Estimate the 4-way chain join `|T1(A) ⋈ T2(A,B) ⋈ T3(B,C) ⋈ T4(C)|` from COMPASS sketches.
 pub fn estimate_chain_4(
-    t1: &CompassVertexSketch,
+    t1: &FastAgmsSketch,
     t2: &CompassEdgeSketch,
     t3: &CompassEdgeSketch,
-    t4: &CompassVertexSketch,
+    t4: &FastAgmsSketch,
 ) -> Result<f64> {
-    check_shared_attr(t1.attribute(), t2.attribute_a(), "attribute A")?;
-    check_shared_attr(t2.attribute_b(), t3.attribute_a(), "attribute B")?;
-    check_shared_attr(t4.attribute(), t3.attribute_b(), "attribute C")?;
-    let k = t1.attribute().replicas();
-    let ma = t2.attribute_a().buckets();
-    let mb = t2.attribute_b().buckets();
-    let mc = t3.attribute_b().buckets();
-    let mut per_replica = Vec::with_capacity(k);
-    for j in 0..k {
-        let v1 = t1.replica(j);
-        let e2 = t2.replica(j);
-        let e3 = t3.replica(j);
-        let v4 = t4.replica(j);
-        // w[lb] = Σ_lc e3[lb, lc] * v4[lc]
-        let mut w = vec![0.0; mb];
-        for lb in 0..mb {
-            let row = &e3[lb * mc..(lb + 1) * mc];
-            w[lb] = row.iter().zip(v4.iter()).map(|(x, y)| x * y).sum();
-        }
-        // acc = Σ_la v1[la] Σ_lb e2[la, lb] * w[lb]
-        let mut acc = 0.0;
-        for la in 0..ma {
-            if v1[la] == 0.0 {
-                continue;
-            }
-            let row = &e2[la * mb..(la + 1) * mb];
-            let inner: f64 = row.iter().zip(w.iter()).map(|(x, y)| x * y).sum();
-            acc += v1[la] * inner;
-        }
-        per_replica.push(acc);
-    }
-    median(&per_replica).ok_or_else(|| Error::EmptyInput("no replicas".into()))
+    check_shared(t1.hashes(), t2.attribute_a(), "attribute A")?;
+    check_shared(t2.attribute_b(), t3.attribute_a(), "attribute B")?;
+    check_shared(t4.hashes(), t3.attribute_b(), "attribute C")?;
+    chain_estimate(t2.attribute_a().rows(), |j| {
+        contract(t1.row(j), &[t2.replica(j), t3.replica(j)], t4.row(j))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::SketchParams;
     use ldpjs_common::stats::{exact_chain_join_3, exact_chain_join_4};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    fn family(seed: u64, k: usize, m: usize) -> Arc<RowHashes> {
+        Arc::new(RowHashes::from_seed(seed, k, m))
+    }
+
+    /// An empty vertex sketch over `attr`'s hash family.
+    fn vertex(attr: &RowHashes) -> FastAgmsSketch {
+        let params = SketchParams::new(attr.rows(), attr.columns()).unwrap();
+        FastAgmsSketch::new(params, attr.seed())
+    }
 
     fn gen_values(n: usize, domain: u64, seed: u64) -> Vec<u64> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -288,30 +204,30 @@ mod tests {
 
     #[test]
     fn edge_sketch_requires_matching_replicas() {
-        let a = JoinAttribute::from_seed(1, 5, 64);
-        let b = JoinAttribute::from_seed(2, 7, 64);
+        let a = family(1, 5, 64);
+        let b = family(2, 7, 64);
         assert!(CompassEdgeSketch::new(a, b).is_err());
     }
 
     #[test]
     fn chain_3_requires_shared_attribute_families() {
-        let a = JoinAttribute::from_seed(1, 5, 64);
-        let a_other = JoinAttribute::from_seed(9, 5, 64);
-        let b = JoinAttribute::from_seed(2, 5, 64);
-        let t1 = CompassVertexSketch::new(a_other);
+        let a = family(1, 5, 64);
+        let a_other = family(9, 5, 64);
+        let b = family(2, 5, 64);
+        let t1 = vertex(&a_other);
         let t2 = CompassEdgeSketch::new(a, b.clone()).unwrap();
-        let t3 = CompassVertexSketch::new(b);
+        let t3 = vertex(&b);
         assert!(estimate_chain_3(&t1, &t2, &t3).is_err());
     }
 
     #[test]
     fn chain_3_exact_on_single_values() {
         // All tables hold copies of a single value pair: no collisions, estimate is exact.
-        let a = JoinAttribute::from_seed(3, 7, 32);
-        let b = JoinAttribute::from_seed(4, 7, 32);
-        let mut t1 = CompassVertexSketch::new(a.clone());
+        let a = family(3, 7, 32);
+        let b = family(4, 7, 32);
+        let mut t1 = vertex(&a);
         let mut t2 = CompassEdgeSketch::new(a, b.clone()).unwrap();
-        let mut t3 = CompassVertexSketch::new(b);
+        let mut t3 = vertex(&b);
         for _ in 0..10 {
             t1.update(5);
         }
@@ -331,11 +247,11 @@ mod tests {
         let t2v = gen_pairs(8_000, 200, 200, 2);
         let t3v = gen_values(8_000, 200, 4);
         let truth = exact_chain_join_3(&t1v, &t2v, &t3v) as f64;
-        let a = JoinAttribute::from_seed(10, 9, 512);
-        let b = JoinAttribute::from_seed(11, 9, 512);
-        let mut t1 = CompassVertexSketch::new(a.clone());
+        let a = family(10, 9, 512);
+        let b = family(11, 9, 512);
+        let mut t1 = vertex(&a);
         let mut t2 = CompassEdgeSketch::new(a, b.clone()).unwrap();
-        let mut t3 = CompassVertexSketch::new(b);
+        let mut t3 = vertex(&b);
         t1.update_all(&t1v);
         t2.update_all(&t2v);
         t3.update_all(&t3v);
@@ -351,13 +267,13 @@ mod tests {
         let t3v = gen_pairs(5_000, 100, 100, 24);
         let t4v = gen_values(5_000, 100, 26);
         let truth = exact_chain_join_4(&t1v, &t2v, &t3v, &t4v) as f64;
-        let a = JoinAttribute::from_seed(30, 9, 256);
-        let b = JoinAttribute::from_seed(31, 9, 256);
-        let c = JoinAttribute::from_seed(32, 9, 256);
-        let mut t1 = CompassVertexSketch::new(a.clone());
+        let a = family(30, 9, 256);
+        let b = family(31, 9, 256);
+        let c = family(32, 9, 256);
+        let mut t1 = vertex(&a);
         let mut t2 = CompassEdgeSketch::new(a, b.clone()).unwrap();
         let mut t3 = CompassEdgeSketch::new(b, c.clone()).unwrap();
-        let mut t4 = CompassVertexSketch::new(c);
+        let mut t4 = vertex(&c);
         t1.update_all(&t1v);
         t2.update_all(&t2v);
         t3.update_all(&t3v);
@@ -369,11 +285,11 @@ mod tests {
 
     #[test]
     fn empty_sketches_estimate_zero() {
-        let a = JoinAttribute::from_seed(3, 5, 32);
-        let b = JoinAttribute::from_seed(4, 5, 32);
-        let t1 = CompassVertexSketch::new(a.clone());
+        let a = family(3, 5, 32);
+        let b = family(4, 5, 32);
+        let t1 = vertex(&a);
         let t2 = CompassEdgeSketch::new(a, b.clone()).unwrap();
-        let t3 = CompassVertexSketch::new(b);
+        let t3 = vertex(&b);
         assert_eq!(estimate_chain_3(&t1, &t2, &t3).unwrap(), 0.0);
     }
 }

@@ -4,8 +4,9 @@
 //!
 //! * [`fast_agms`] — the Fast-AGMS sketch of Cormode and Garofalakis; the non-private
 //!   baseline **FAGMS** in every figure and the structure LDPJoinSketch privatises.
-//! * [`compass`] — COMPASS-style multi-dimensional Fast-AGMS sketches for multi-way chain
-//!   joins (the non-private baseline of Fig. 15).
+//! * [`compass`] — COMPASS-style two-dimensional Fast-AGMS sketches for multi-way chain
+//!   joins (the non-private baseline of Fig. 15), and the per-replica chain contraction
+//!   the private chain estimator shares.
 //!
 //! Both share the seeded hash families from [`ldpjs_common::hash`] so a private and a
 //! non-private sketch built from the same seed are directly comparable.
@@ -17,6 +18,6 @@ pub mod compass;
 pub mod fast_agms;
 pub mod params;
 
-pub use compass::{CompassEdgeSketch, CompassVertexSketch};
+pub use compass::CompassEdgeSketch;
 pub use fast_agms::FastAgmsSketch;
 pub use params::SketchParams;

@@ -290,6 +290,9 @@ pub fn analyze(lines: &[Line]) -> FileModel {
     let mut pending_feature: Option<String> = None;
     // A declared-but-not-yet-opened `fn`: (name, feature, is_unsafe, decl_line).
     let mut pending_fn: Option<(String, Option<String>, bool, usize)> = None;
+    // `(`/`[` nesting opened since the pending `fn` head: a `;` inside it belongs to a
+    // parameter type such as `[T; N]`, not to the end of the item.
+    let mut head_nesting = 0usize;
 
     for (lineno, line) in lines.iter().enumerate() {
         // Attribute lines accumulate pending item markers.
@@ -311,6 +314,7 @@ pub fn analyze(lines: &[Line]) -> FileModel {
                     let is_unsafe = ids[..pos].iter().any(|(_, id)| *id == "unsafe");
                     pending_fn =
                         Some((name.to_string(), pending_feature.take(), is_unsafe, lineno));
+                    head_nesting = 0;
                 }
             }
         }
@@ -354,7 +358,11 @@ pub fn analyze(lines: &[Line]) -> FileModel {
                         regions.pop();
                     }
                 }
-                ';' => {
+                '(' | '[' if pending_fn.is_some() => head_nesting += 1,
+                ')' | ']' if pending_fn.is_some() => {
+                    head_nesting = head_nesting.saturating_sub(1);
+                }
+                ';' if head_nesting == 0 => {
                     // An item ended without a body: drop markers that never attached.
                     pending_fn = None;
                     pending_test = false;
@@ -443,6 +451,25 @@ unsafe fn kernel(data: &mut [f64]) {
         assert_eq!(model.fns[0].feature.as_deref(), Some("avx2"));
         assert!(model.fns[0].is_unsafe);
         assert_eq!(model.fns[0].decl_line, 1);
+    }
+
+    #[test]
+    fn array_parameters_do_not_end_a_signature() {
+        let src = "\
+#[target_feature(enable = \"avx512f\")]
+unsafe fn fold(planes: &[__m512i; 6],
+    tail: [u64; 2]) -> u64 {
+    helper(planes)
+}
+fn declared(x: [u8; 4]);
+fn after() {}
+";
+        let model = analyze(&scan(src));
+        let names: Vec<&str> = model.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["fold", "after"]);
+        assert_eq!(model.fns[0].feature.as_deref(), Some("avx512f"));
+        assert_eq!(model.fns[0].body_start, 2);
+        assert_eq!(model.fn_of_line[3], Some(0), "the body is the kernel's");
     }
 
     #[test]

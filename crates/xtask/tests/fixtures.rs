@@ -62,6 +62,13 @@ fn fixture_simd_in_an_unlisted_common_file() {
 }
 
 #[test]
+fn fixture_kernel_with_an_array_parameter() {
+    // A `;` inside `&[__m512i; 6]` must not end the kernel's signature: the kernel is
+    // registered, its same-feature helper call passes, and its unguarded caller is flagged.
+    assert_fixture("simd_array_param.rs");
+}
+
+#[test]
 fn fixture_nondeterminism_in_lib_code() {
     assert_fixture("determinism.rs");
 }

@@ -6,13 +6,13 @@
 //!
 //! Run with: `cargo run --release --example multiway_join`
 
-use ldp_join_sketch::core::multiway::{build_edge_sketch, build_vertex_sketch, ldp_chain_join_3};
+use ldp_join_sketch::common::hash::RowHashes;
+use ldp_join_sketch::core::multiway::build_edge_sketch;
 use ldp_join_sketch::prelude::*;
-use ldp_join_sketch::sketch::compass::{
-    estimate_chain_3, CompassEdgeSketch, CompassVertexSketch, JoinAttribute,
-};
+use ldp_join_sketch::sketch::compass::{estimate_chain_3, CompassEdgeSketch};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 fn main() {
     // A small star-schema-like scenario: T1 holds one row per user event keyed by user id (A),
@@ -24,28 +24,30 @@ fn main() {
     let t3_b = chain.t3_b_column();
     println!("true 3-way chain join size: {}", chain.true_join_3);
 
-    // Public per-attribute hash families (k replicas, m buckets each).
-    let replicas = 9;
-    let buckets = 256;
-    let attr_a = JoinAttribute::from_seed(1001, replicas, buckets);
-    let attr_b = JoinAttribute::from_seed(1002, replicas, buckets);
+    // Public per-attribute hash families (k replicas, m buckets each), one seed per join
+    // attribute: single-attribute sketches derive the family from the seed, and the
+    // two-attribute sketch takes both families.
+    let params = SketchParams::new(9, 256).expect("valid sketch shape");
+    let (seed_a, seed_b) = (1001, 1002);
+    let family = |seed| Arc::new(RowHashes::from_seed(seed, params.rows(), params.columns()));
+    let (attr_a, attr_b) = (family(seed_a), family(seed_b));
     let eps = Epsilon::new(4.0).expect("valid privacy budget");
 
-    // Non-private COMPASS reference.
-    let mut c1 = CompassVertexSketch::new(attr_a.clone());
+    // Non-private COMPASS reference: Fast-AGMS vertex sketches and a 2-D edge sketch.
+    let mut c1 = FastAgmsSketch::new(params, seed_a);
     c1.update_all(&chain.t1);
-    let mut c2 = CompassEdgeSketch::new(attr_a.clone(), attr_b.clone()).unwrap();
+    let mut c2 = CompassEdgeSketch::new(Arc::clone(&attr_a), Arc::clone(&attr_b)).unwrap();
     c2.update_all(&chain.t2);
-    let mut c3 = CompassVertexSketch::new(attr_b.clone());
+    let mut c3 = FastAgmsSketch::new(params, seed_b);
     c3.update_all(&t3_b);
     let compass = estimate_chain_3(&c1, &c2, &c3).unwrap();
 
     // LDP version: every row of every table is perturbed locally before aggregation.
     let mut proto_rng = StdRng::seed_from_u64(6);
-    let s1 = build_vertex_sketch(&chain.t1, &attr_a, eps, &mut proto_rng).unwrap();
+    let s1 = build_private_sketch(&chain.t1, params, eps, seed_a, &mut proto_rng).unwrap();
     let s2 = build_edge_sketch(&chain.t2, &attr_a, &attr_b, eps, &mut proto_rng).unwrap();
-    let s3 = build_vertex_sketch(&t3_b, &attr_b, eps, &mut proto_rng).unwrap();
-    let ldp = ldp_chain_join_3(&s1, &attr_a, &s2, &s3, &attr_b).unwrap();
+    let s3 = build_private_sketch(&t3_b, params, eps, seed_b, &mut proto_rng).unwrap();
+    let ldp = ChainKernel.chain_3(&s1, &s2, &s3).unwrap();
 
     let truth = chain.true_join_3 as f64;
     println!(

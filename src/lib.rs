@@ -11,7 +11,7 @@
 //! * [`core`] — LDPJoinSketch, FAP, LDPJoinSketch+, multi-way joins (the paper's contribution).
 //! * [`service`] — the online sketch service: epoch-windowed continuous ingestion, mergeable
 //!   window snapshots, and a cached query layer.
-//! * [`sketch`] — non-private substrates: AGMS, Fast-AGMS, Count-Min/Mean, COMPASS.
+//! * [`sketch`] — non-private substrates: Fast-AGMS and COMPASS.
 //! * [`ldp`] — baseline LDP frequency oracles: k-RR, OLH/FLH, Apple-HCMS.
 //! * [`data`] — workload generators matching the paper's datasets.
 //! * [`metrics`] — AE / RE / MSE and experiment reporting.
@@ -66,7 +66,7 @@ pub mod prelude {
     };
     pub use ldpjs_data::{
         ChainWorkload, JoinWorkload, PaperDataset, StreamingJoinWorkload, StreamingTable,
-        StreamingTupleTable, ValueGenerator, ZipfGenerator,
+        ValueGenerator, ZipfGenerator,
     };
     pub use ldpjs_ldp::{
         estimate_join_from_oracles, FlhOracle, FrequencyOracle, HcmsOracle, KrrOracle,

@@ -10,13 +10,12 @@
 //! 20,000-value stream chunks fan out over three 8,192-value client RNG streams each, and
 //! three perturbation threads take unequal shares of every batch's RNG streams.
 
-use ldp_join_sketch::core::multiway::{
-    build_edge_sketch_chunked, build_vertex_sketch, ldp_chain_join_3,
-};
+use ldp_join_sketch::common::hash::RowHashes;
+use ldp_join_sketch::core::multiway::build_edge_sketch_chunked;
 use ldp_join_sketch::prelude::*;
-use ldp_join_sketch::sketch::compass::JoinAttribute;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 fn zipf_table(alpha: f64, domain: u64, n: usize, seed: u64) -> Vec<u64> {
     let generator = ZipfGenerator::new(alpha, domain);
@@ -121,16 +120,18 @@ fn adaptive_chunked_plus_estimate_over_three_scan_blocks_is_pinned() {
 
 #[test]
 fn chain_3_estimate_over_vertex_and_chunked_edge_sketches_is_pinned() {
-    let attr_a = JoinAttribute::from_seed(17, 8, 32);
-    let attr_b = JoinAttribute::from_seed(18, 8, 32);
+    // Attribute A's public hash family is seed 17's, attribute B's seed 18's.
+    let vertex_params = SketchParams::new(8, 32).unwrap();
+    let attr_a = Arc::new(RowHashes::from_seed(17, 8, 32));
+    let attr_b = Arc::new(RowHashes::from_seed(18, 8, 32));
     let t1 = zipf_table(1.4, 200, 20_000, 7);
     let t3 = zipf_table(1.4, 200, 20_000, 8);
     let left = zipf_table(1.4, 200, 20_000, 9);
     let right = zipf_table(1.4, 200, 20_000, 10);
     let t2: Vec<(u64, u64)> = left.into_iter().zip(right).collect();
     let mut rng = StdRng::seed_from_u64(19);
-    let s1 = build_vertex_sketch(&t1, &attr_a, eps(), &mut rng).unwrap();
-    let s3 = build_vertex_sketch(&t3, &attr_b, eps(), &mut rng).unwrap();
+    let s1 = build_private_sketch(&t1, vertex_params, eps(), 17, &mut rng).unwrap();
+    let s3 = build_private_sketch(&t3, vertex_params, eps(), 18, &mut rng).unwrap();
     let s2 = build_edge_sketch_chunked(
         &TupleSliceChunks::new(&t2, 7_000),
         &attr_a,
@@ -139,6 +140,6 @@ fn chain_3_estimate_over_vertex_and_chunked_edge_sketches_is_pinned() {
         20,
     )
     .unwrap();
-    let est = ldp_chain_join_3(&s1, &attr_a, &s2, &s3, &attr_b).unwrap();
-    assert_bits("ldp_chain_join_3", est, 0x4246_aadf_116c_db22);
+    let est = ChainKernel.chain_3(&s1, &s2, &s3).unwrap();
+    assert_bits("ChainKernel::chain_3", est, 0x4246_aadf_116c_db22);
 }

@@ -333,8 +333,9 @@ mod edge_exact_law {
     use super::law::*;
     use super::*;
     use ldp_join_sketch::common::hadamard::hadamard_entry;
+    use ldp_join_sketch::common::hash::RowHashes;
     use ldp_join_sketch::core::multiway::LdpEdgeSketchClient;
-    use ldp_join_sketch::sketch::compass::JoinAttribute;
+    use std::sync::Arc;
 
     const TUPLE: (u64, u64) = (10, 77);
     /// `m_A = m_B = 4`, so the `m_A·m_B` flattened coordinates are the law's `M`.
@@ -342,10 +343,10 @@ mod edge_exact_law {
     const M_B: usize = M / M_A;
 
     /// The two attributes' public hash families (seeds 3 and 5).
-    fn attributes() -> (JoinAttribute, JoinAttribute) {
+    fn attributes() -> (Arc<RowHashes>, Arc<RowHashes>) {
         (
-            JoinAttribute::from_seed(3, K, M_A),
-            JoinAttribute::from_seed(5, K, M_B),
+            Arc::new(RowHashes::from_seed(3, K, M_A)),
+            Arc::new(RowHashes::from_seed(5, K, M_B)),
         )
     }
 
@@ -368,7 +369,7 @@ mod edge_exact_law {
         (0..K * M)
             .map(|cell| {
                 let (j, l_1, l_2) = (cell / M, cell % M / M_B, cell % M_B);
-                let (pa, pb) = (a.hashes().pair(j), b.hashes().pair(j));
+                let (pa, pb) = (a.pair(j), b.pair(j));
                 hadamard_entry(M_A, pa.bucket_of(TUPLE.0), l_1)
                     * pa.sign_of(TUPLE.0)
                     * pb.sign_of(TUPLE.1)
