@@ -164,12 +164,6 @@ impl SignHash {
             -1
         }
     }
-
-    /// Evaluate the sign as an `f64` (convenient for sketch arithmetic).
-    #[inline]
-    pub fn sign_f64(&self, x: u64) -> f64 {
-        self.sign(x) as f64
-    }
 }
 
 /// The `(h_j, ξ_j)` pair attached to one sketch row.
@@ -702,7 +696,6 @@ mod tests {
         for x in 0..1000u64 {
             let v = s.sign(x);
             assert!(v == 1 || v == -1);
-            assert_eq!(v as f64, s.sign_f64(x));
         }
     }
 

@@ -48,7 +48,7 @@ pub use dispatch::{kernel_dispatch_snapshot, KernelDispatchSnapshot};
 pub use error::{Error, Result};
 pub use hash::{BucketHash, HashPair, RowHashes, SignHash};
 pub use privacy::Epsilon;
-pub use stream::{ChunkedTuples, ChunkedValues, SliceChunks, TupleSliceChunks};
+pub use stream::{ChunkedValues, SliceChunks};
 
 /// The type of a private join-attribute value.
 ///

@@ -20,12 +20,6 @@ pub fn sample_sign_bit<R: Rng + ?Sized>(rng: &mut R, eps: Epsilon) -> f64 {
     }
 }
 
-/// Apply binary randomized response to a ±1 coordinate: returns `B · w`.
-#[inline]
-pub fn perturb_sign<R: Rng + ?Sized>(rng: &mut R, eps: Epsilon, w: f64) -> f64 {
-    sample_sign_bit(rng, eps) * w
-}
-
 /// k-ary randomized response over the domain `{0, …, domain-1}`.
 ///
 /// Keeps the true value with probability `e^ε/(e^ε + |D| − 1)` and otherwise reports a value
@@ -112,18 +106,6 @@ mod tests {
             .sum();
         let mean = sum / n as f64;
         assert!((mean - 1.0).abs() < 0.05, "debiased mean {mean}");
-    }
-
-    #[test]
-    fn perturb_sign_preserves_magnitude() {
-        let eps = Epsilon::new(2.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(1);
-        for _ in 0..100 {
-            let y = perturb_sign(&mut rng, eps, 1.0);
-            assert!(y == 1.0 || y == -1.0);
-            let y = perturb_sign(&mut rng, eps, -1.0);
-            assert!(y == 1.0 || y == -1.0);
-        }
     }
 
     #[test]

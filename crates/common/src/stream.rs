@@ -83,70 +83,9 @@ pub fn collect_chunks(source: &dyn ChunkedValues) -> Vec<Value> {
     out
 }
 
-/// The sink fed by [`ChunkedTuples::for_each_chunk`]: receives each chunk of tuples with
-/// the global index of its first tuple.
-pub type TupleChunkSink<'a> = dyn FnMut(u64, &[(Value, Value)]) + 'a;
-
-/// A replayable stream of private two-attribute tuples `(a, b)`, delivered in bounded
-/// chunks — the [`ChunkedValues`] counterpart for the two-dimensional edge sketches of the
-/// multi-way chain estimator. Implementors give the same guarantees: bounded peak memory
-/// (one chunk of tuples at a time) and bit-identical replay on every pass.
-pub trait ChunkedTuples {
-    /// Total number of tuples (users) in the stream.
-    fn total_tuples(&self) -> usize;
-
-    /// Upper bound on the length of any chunk passed to the sink.
-    fn chunk_len(&self) -> usize;
-
-    /// Replay the stream from the start, feeding each chunk to `sink` together with the
-    /// global index of its first tuple. Chunks arrive in order and partition the stream.
-    fn for_each_chunk(&self, sink: &mut TupleChunkSink<'_>);
-}
-
-/// [`ChunkedTuples`] view of an in-memory tuple slice (mirrors [`SliceChunks`]).
-#[derive(Debug, Clone, Copy)]
-pub struct TupleSliceChunks<'a> {
-    tuples: &'a [(Value, Value)],
-    chunk: usize,
-}
-
-impl<'a> TupleSliceChunks<'a> {
-    /// View `tuples` as a stream of `chunk`-sized chunks.
-    ///
-    /// # Panics
-    /// Panics if `chunk` is zero.
-    pub fn new(tuples: &'a [(Value, Value)], chunk: usize) -> Self {
-        assert!(chunk > 0, "chunk length must be positive");
-        TupleSliceChunks { tuples, chunk }
-    }
-}
-
-impl ChunkedTuples for TupleSliceChunks<'_> {
-    fn total_tuples(&self) -> usize {
-        self.tuples.len()
-    }
-
-    fn chunk_len(&self) -> usize {
-        self.chunk
-    }
-
-    fn for_each_chunk(&self, sink: &mut TupleChunkSink<'_>) {
-        for (c, chunk) in self.tuples.chunks(self.chunk).enumerate() {
-            sink((c * self.chunk) as u64, chunk);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Collect a chunked tuple stream into a `Vec`.
-    fn collect_tuple_chunks(source: &dyn ChunkedTuples) -> Vec<(Value, Value)> {
-        let mut out = Vec::with_capacity(source.total_tuples());
-        source.for_each_chunk(&mut |_, chunk| out.extend_from_slice(chunk));
-        out
-    }
 
     #[test]
     fn slice_chunks_partition_the_slice_in_order() {
@@ -172,28 +111,5 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_chunk_is_rejected() {
         let _ = SliceChunks::new(&[1, 2, 3], 0);
-    }
-
-    #[test]
-    fn tuple_chunks_partition_the_slice_in_order() {
-        let tuples: Vec<(u64, u64)> = (0..777).map(|i| (i, i * 3)).collect();
-        let source = TupleSliceChunks::new(&tuples, 100);
-        assert_eq!(source.total_tuples(), 777);
-        assert_eq!(source.chunk_len(), 100);
-        let mut starts = Vec::new();
-        source.for_each_chunk(&mut |start, chunk| {
-            assert!(chunk.len() <= 100);
-            starts.push(start);
-        });
-        assert_eq!(starts, vec![0, 100, 200, 300, 400, 500, 600, 700]);
-        assert_eq!(collect_tuple_chunks(&source), tuples);
-        // Replay yields the identical sequence.
-        assert_eq!(collect_tuple_chunks(&source), tuples);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_tuple_chunk_is_rejected() {
-        let _ = TupleSliceChunks::new(&[(1, 2)], 0);
     }
 }

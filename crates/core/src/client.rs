@@ -53,19 +53,19 @@ pub(crate) fn chunk_stream_seed(base_seed: u64, chunk_index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Drive one pass of a chunked stream: `for_each_chunk` is the source's own
-/// `for_each_chunk` (value and tuple streams alike), and `body` gets each chunk's start
-/// index, its values and its pass-local ordinal, the `chunk_index` of [`chunk_stream_seed`]
-/// for that chunk's RNG streams. The first error `body` returns skips the remaining chunks
-/// and is returned.
+/// Drive one pass of a chunked value stream: `for_each_chunk` is the source's own
+/// [`ChunkedValues::for_each_chunk`](ldpjs_common::stream::ChunkedValues::for_each_chunk),
+/// and `body` gets each chunk's start index, its values and its pass-local ordinal, the
+/// `chunk_index` of [`chunk_stream_seed`] for that chunk's RNG streams. The first error
+/// `body` returns skips the remaining chunks and is returned.
 ///
 /// The ordinal counts this pass's chunks instead of dividing `start` by `chunk_len()`:
 /// `chunk_len()` is only an upper bound, so a stream emitting non-full mid-stream chunks
 /// would otherwise collide ordinals and replay a noise stream. For full-chunk streams the
 /// two agree.
-pub(crate) fn try_for_each_chunk<T>(
-    for_each_chunk: impl FnOnce(&mut dyn FnMut(u64, &[T])),
-    mut body: impl FnMut(u64, &[T], u64) -> Result<()>,
+pub(crate) fn try_for_each_chunk(
+    for_each_chunk: impl FnOnce(&mut dyn FnMut(u64, &[u64])),
+    mut body: impl FnMut(u64, &[u64], u64) -> Result<()>,
 ) -> Result<()> {
     let (mut ordinal, mut result) = (0, Ok(()));
     for_each_chunk(&mut |start, chunk| {

@@ -44,14 +44,22 @@ pub struct EdgeReport {
     pub col_b: usize,
 }
 
-/// The two attributes' hash families, checked to share the replica count.
-fn check_replicas(attr_a: &RowHashes, attr_b: &RowHashes, what: &str) -> Result<()> {
+/// The two attributes' hash families, checked to share the replica count and to have
+/// power-of-two column counts, the lengths the restore's Hadamard transforms take.
+fn check_families(attr_a: &RowHashes, attr_b: &RowHashes, what: &str) -> Result<()> {
     if attr_a.rows() != attr_b.rows() {
         return Err(Error::IncompatibleSketches(format!(
             "{what} attributes must share the replica count: {} vs {}",
             attr_a.rows(),
             attr_b.rows()
         )));
+    }
+    for columns in [attr_a.columns(), attr_b.columns()] {
+        if !columns.is_power_of_two() {
+            return Err(Error::InvalidSketchParameter(format!(
+                "{what} attribute columns must be a power of two, got {columns}"
+            )));
+        }
     }
     Ok(())
 }
@@ -69,9 +77,10 @@ impl LdpEdgeSketchClient {
     /// privacy budget `eps`.
     ///
     /// # Errors
-    /// Returns [`Error::IncompatibleSketches`] if the attributes disagree on the replica count.
+    /// Returns [`Error::IncompatibleSketches`] if the attributes disagree on the replica count,
+    /// and [`Error::InvalidSketchParameter`] if either column count is not a power of two.
     pub fn new(attr_a: Arc<RowHashes>, attr_b: Arc<RowHashes>, eps: Epsilon) -> Result<Self> {
-        check_replicas(&attr_a, &attr_b, "edge client")?;
+        check_families(&attr_a, &attr_b, "edge client")?;
         Ok(LdpEdgeSketchClient {
             attr_a,
             attr_b,
@@ -194,9 +203,10 @@ impl EdgeSketchBuilder {
     /// Create an empty edge sketch over the hash families of attributes `(attr_a, attr_b)`.
     ///
     /// # Errors
-    /// Returns [`Error::IncompatibleSketches`] if the attributes disagree on the replica count.
+    /// Returns [`Error::IncompatibleSketches`] if the attributes disagree on the replica count,
+    /// and [`Error::InvalidSketchParameter`] if either column count is not a power of two.
     pub fn new(attr_a: Arc<RowHashes>, attr_b: Arc<RowHashes>, eps: Epsilon) -> Result<Self> {
-        check_replicas(&attr_a, &attr_b, "edge sketch")?;
+        check_families(&attr_a, &attr_b, "edge sketch")?;
         let len = attr_a.rows() * attr_a.columns() * attr_b.columns();
         Ok(EdgeSketchBuilder {
             attr_a,
@@ -430,39 +440,44 @@ pub fn build_edge_sketch(
     Ok(builder.finalize())
 }
 
-/// Build a [`FinalizedEdgeSketch`] from a replayable bounded-memory tuple stream — the
-/// large-n ingestion path of the multi-way chain estimator, mirroring
-/// [`crate::protocol::build_private_sketch_chunked`].
+/// Build a [`FinalizedEdgeSketch`] from a two-attribute table in `chunk`-tuple chunks, the
+/// multi-way counterpart of [`crate::protocol::build_private_sketch_chunked`].
 ///
-/// One pass over the stream: each chunk of tuples is perturbed with its own deterministic
-/// RNG stream (seeded from `rng_seed` and the chunk ordinal, exactly like the
-/// one-dimensional chunked runners), so peak resident tuple memory is the stream's
-/// `chunk_len()` and the result depends only on `(attributes, eps, rng_seed, stream)` —
-/// replaying the build is bit-reproducible.
+/// Each chunk is perturbed with its own deterministic RNG stream (seeded from `rng_seed` and
+/// the chunk ordinal, exactly like the one-dimensional chunked runners) into one reused
+/// packed batch, so the reports held at once are one chunk's and the result depends only
+/// on `(attributes, eps, rng_seed, tuples, chunk)`: replaying the build is bit-reproducible.
+///
+/// # Errors
+/// [`Error::InvalidWorkload`] if `chunk` is zero; the errors of
+/// [`LdpEdgeSketchClient::new`] for the attributes' families.
 pub fn build_edge_sketch_chunked(
-    tuples: &dyn ldpjs_common::stream::ChunkedTuples,
+    tuples: &[(u64, u64)],
+    chunk: usize,
     attr_a: &Arc<RowHashes>,
     attr_b: &Arc<RowHashes>,
     eps: Epsilon,
     rng_seed: u64,
 ) -> Result<FinalizedEdgeSketch> {
-    use crate::client::{chunk_stream_seed, try_for_each_chunk};
+    use crate::client::chunk_stream_seed;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    if chunk == 0 {
+        return Err(Error::InvalidWorkload(
+            "edge sketch chunk length must be positive".into(),
+        ));
+    }
     let client = LdpEdgeSketchClient::new(Arc::clone(attr_a), Arc::clone(attr_b), eps)?;
     // One packed batch (and the builder's own scatter scratch), reused across every chunk:
-    // steady-state streaming ingestion allocates nothing.
+    // steady-state ingestion allocates nothing.
     let mut batch = ReportBatch::new(attr_a.rows(), attr_a.columns() * attr_b.columns())?;
     let mut builder = EdgeSketchBuilder::new(Arc::clone(attr_a), Arc::clone(attr_b), eps)?;
-    try_for_each_chunk(
-        |feed| tuples.for_each_chunk(feed),
-        |_, chunk, ordinal| {
-            let mut rng = StdRng::seed_from_u64(chunk_stream_seed(rng_seed, ordinal));
-            client.perturb_batch_into(chunk, &mut rng, &mut batch)?;
-            builder.absorb_batch(&batch)
-        },
-    )?;
+    for (ordinal, part) in (0u64..).zip(tuples.chunks(chunk)) {
+        let mut rng = StdRng::seed_from_u64(chunk_stream_seed(rng_seed, ordinal));
+        client.perturb_batch_into(part, &mut rng, &mut batch)?;
+        builder.absorb_batch(&batch)?;
+    }
     Ok(builder.finalize())
 }
 
@@ -521,6 +536,38 @@ mod tests {
         let b = family(2, 6, 64);
         assert!(LdpEdgeSketchClient::new(a.clone(), b.clone(), eps(1.0)).is_err());
         assert!(EdgeSketchBuilder::new(a, b, eps(1.0)).is_err());
+    }
+
+    #[test]
+    fn non_power_of_two_families_are_typed_errors() {
+        // The restore transforms each replica along both attributes, so a family whose
+        // column count is not a power of two is rejected before any report is drawn.
+        let good = family(1, 3, 16);
+        let odd = family(2, 3, 12);
+        let e = eps(1.0);
+        let mut rng = StdRng::seed_from_u64(4);
+        let invalid = |r: Result<()>| matches!(r, Err(Error::InvalidSketchParameter(_)));
+        for (a, b) in [(&odd, &good), (&good, &odd)] {
+            assert!(invalid(
+                LdpEdgeSketchClient::new(a.clone(), b.clone(), e).map(drop)
+            ));
+            assert!(invalid(
+                EdgeSketchBuilder::new(a.clone(), b.clone(), e).map(drop)
+            ));
+            assert!(invalid(
+                build_edge_sketch(&[(1, 2)], a, b, e, &mut rng).map(drop)
+            ));
+            assert!(invalid(
+                build_edge_sketch_chunked(&[(1, 2)], 4, a, b, e, 5).map(drop)
+            ));
+        }
+    }
+
+    #[test]
+    fn zero_tuple_chunk_is_rejected() {
+        let a = family(1, 3, 16);
+        let built = build_edge_sketch_chunked(&[(1, 2)], 0, &a, &a, eps(1.0), 5);
+        assert!(matches!(built, Err(Error::InvalidWorkload(_))));
     }
 
     #[test]
@@ -644,16 +691,16 @@ mod tests {
     #[test]
     fn chunked_edge_build_is_replay_deterministic_and_counts_reports() {
         use crate::client::chunk_stream_seed;
-        use ldpjs_common::stream::TupleSliceChunks;
         let attr_a = family(5, 6, 64);
         let attr_b = family(6, 6, 64);
         let tuples = skewed_pairs(20_003, 300, 300, 31);
         // The scratch cutoff is 6·64·64/4 = 6,144 reports: 1,024-tuple chunks stay under it,
         // while 8,192-tuple chunks take the builder's scratch twice before a short tail.
         for chunk_len in [1_024, 8_192] {
-            let src = TupleSliceChunks::new(&tuples, chunk_len);
-            let first = build_edge_sketch_chunked(&src, &attr_a, &attr_b, eps(4.0), 9).unwrap();
-            let second = build_edge_sketch_chunked(&src, &attr_a, &attr_b, eps(4.0), 9).unwrap();
+            let build = |seed| {
+                build_edge_sketch_chunked(&tuples, chunk_len, &attr_a, &attr_b, eps(4.0), seed)
+            };
+            let (first, second) = (build(9).unwrap(), build(9).unwrap());
             assert_eq!(first.reports(), tuples.len() as u64);
             // Per-report absorption of the same per-chunk RNG streams is the reference.
             let client =
@@ -676,18 +723,16 @@ mod tests {
                 );
             }
             // A different RNG seed must give a different sketch.
-            let other = build_edge_sketch_chunked(&src, &attr_a, &attr_b, eps(4.0), 10).unwrap();
-            assert_ne!(first.replica(0), other.replica(0));
+            assert_ne!(first.replica(0), build(10).unwrap().replica(0));
         }
     }
 
-    /// Pinned-seed regression for the streaming multi-way path: the 3-way chain estimate
-    /// over a chunked edge-sketch build (bounded tuple memory, per-chunk RNG streams) must
+    /// Pinned-seed regression for the chunked multi-way path: the 3-way chain estimate
+    /// over a chunked edge-sketch build (one reused report batch, per-chunk RNG streams) must
     /// keep tracking the exact chain-join size. Margins at these seeds: RE ≈ 0.11 measured,
     /// guarded at 0.5 like the materialized chain test.
     #[test]
     fn ldp_chain_3_tracks_truth_on_chunked_edge_build() {
-        use ldpjs_common::stream::TupleSliceChunks;
         let t1v = skewed(40_000, 500, 1);
         let t2v = skewed_pairs(40_000, 500, 500, 2);
         let t3v = skewed(40_000, 500, 4);
@@ -697,8 +742,7 @@ mod tests {
         let e = eps(4.0);
         let mut rng = StdRng::seed_from_u64(7);
         let s1 = vertex(&t1v, &attr_a, e, &mut rng).unwrap();
-        let src = TupleSliceChunks::new(&t2v, 4_096);
-        let s2 = build_edge_sketch_chunked(&src, &attr_a, &attr_b, e, 55).unwrap();
+        let s2 = build_edge_sketch_chunked(&t2v, 4_096, &attr_a, &attr_b, e, 55).unwrap();
         let s3 = vertex(&t3v, &attr_b, e, &mut rng).unwrap();
         let est = ChainKernel.chain_3(&s1, &s2, &s3).unwrap();
         let re = (est - truth).abs() / truth;

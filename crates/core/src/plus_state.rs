@@ -5,17 +5,18 @@
 //! and the two phase-2 FAP sketches (low- and high-frequency groups) — plus the frequent-item
 //! set that phase 1 derives. [`PlusStateBuilder`] is the **mutable accumulation stage**: it
 //! absorbs [`PlusReportBatch`]es into the three lanes (exact ±1 integer counter sums, so
-//! builders merge across epoch windows at zero rounding error, exactly like the plain
-//! builder). [`PlusStateBuilder::finalize`] restores each lane once and runs frequent-item
-//! discovery on the finalized phase-1 sketch, yielding the immutable [`FinalizedPlusState`]
-//! estimation view that the [`PlusKernel`](crate::kernel::PlusKernel) borrows.
+//! the lanes' spectra add across epoch windows at zero rounding error, exactly like the
+//! plain builder's). [`PlusStateBuilder::finalize`] restores each lane once and runs
+//! frequent-item discovery on the finalized phase-1 sketch, yielding the immutable
+//! [`FinalizedPlusState`] estimation view that the [`PlusKernel`](crate::kernel::PlusKernel)
+//! borrows.
 //!
 //! Because the frequent-item set is **re-derived from the finalized phase-1 sketch** rather
-//! than carried alongside the counters, merging k windows' builders and finalizing once
-//! performs *cross-window FI reconciliation* for free: the merged state's FI is discovered on
-//! the merged phase-1 sketch, and the kernel's high partial re-masks the merged phase-2
-//! sketches via [`FinalizedSketch::row_products_masked`] with that reconciled set. A full-span
-//! merge is therefore bit-identical to the one-shot
+//! than carried alongside the counters, a span assembled from k windows' lanes performs
+//! *cross-window FI reconciliation* for free: the span's FI is discovered on its phase-1
+//! sketch, and the kernel's high partial re-masks its phase-2 sketches via
+//! [`FinalizedSketch::row_products_masked`] with that reconciled set. A full span is
+//! therefore bit-identical to the one-shot
 //! [`ldp_join_plus_estimate_chunked`](crate::protocol::ldp_join_plus_estimate_chunked) run
 //! over the concatenated stream.
 
@@ -44,11 +45,11 @@ pub(crate) fn lane_seeds(protocol_seed: u64) -> (u64, u64) {
 /// single implementation behind the one-shot runners *and* the finalization of windowed plus
 /// state, so offline and online FI sets cannot drift.
 ///
-/// A discovery computes its θ once per sketch, then screens the candidates with the
-/// sketch's scan: [`FinalizedSketch::frequent_items`] in the classic mode,
-/// [`FinalizedSketch::frequent_items_median`] in the adaptive one. The candidates come from
-/// a prebuilt [`DomainIndex`] (the online service) or from a slice indexed block by block
-/// (the runners); see [`Candidates`].
+/// A discovery computes its θ once per sketch, then screens the candidates block by block:
+/// keeping those whose [`FinalizedSketch::frequency`] exceeds `θ·samples` in the classic
+/// mode, or whose [`FinalizedSketch::frequency_median`] does in the adaptive one. The
+/// candidates come from a prebuilt [`DomainIndex`] (the online service) or from a slice
+/// indexed block by block (the runners); see [`Candidates`].
 ///
 /// [`FiPolicy::new`] checks θ; [`FiPolicy::discover`] and [`FinalizedPlusState::new`]
 /// re-check it, because [`FiPolicy::from_config`] copies an unchecked [`PlusConfig`].
@@ -225,10 +226,10 @@ impl PlusReportBatch {
 /// The mutable accumulation stage of one attribute's LDPJoinSketch+ state: three exact
 /// integer-counter report lanes (phase-1 sample, phase-2 low group, phase-2 high group).
 ///
-/// Like the plain [`SketchBuilder`], lane counters are exact ±1 report sums, so
-/// [`PlusStateBuilder::merge`] across epoch windows is bit-for-bit identical to absorbing
-/// every report into a single builder — the property the online service's window-merge
-/// guarantee extends to the plus path.
+/// Like the plain [`SketchBuilder`], lane counters are exact ±1 report sums, so the lanes'
+/// unscaled spectra add across epoch windows bit-for-bit identically to one builder
+/// absorbing every report — the property the online service's span ledger extends to the
+/// plus path.
 #[derive(Debug, Clone)]
 pub struct PlusStateBuilder {
     phase1: SketchBuilder,
@@ -267,16 +268,6 @@ impl PlusStateBuilder {
         self.phase1.reports() + self.low.reports() + self.high.reports()
     }
 
-    /// Per-lane report counts `(phase1, low, high)`.
-    #[inline]
-    pub fn lane_reports(&self) -> (u64, u64, u64) {
-        (
-            self.phase1.reports(),
-            self.low.reports(),
-            self.high.reports(),
-        )
-    }
-
     /// The three exact-counter lanes `(phase1, low, high)`, borrowed — e.g. to take their
     /// [`SketchBuilder::spectrum`]s for the online service's incremental span ledger.
     #[inline]
@@ -301,18 +292,6 @@ impl PlusStateBuilder {
         for (builder, reports) in lanes {
             builder.absorb_batch(reports)?;
         }
-        Ok(())
-    }
-
-    /// Merge another partial plus-state builder lane-wise (exact integer counter addition —
-    /// the window-merge primitive of the online plus path).
-    ///
-    /// # Errors
-    /// [`Error::IncompatibleSketches`] if any lane's parameters, hash seed or ε differ.
-    pub fn merge(&mut self, other: &Self) -> Result<()> {
-        self.phase1.merge(&other.phase1)?;
-        self.low.merge(&other.low)?;
-        self.high.merge(&other.high)?;
         Ok(())
     }
 
@@ -575,15 +554,10 @@ mod tests {
             let incompatible = |r: Result<()>| matches!(r, Err(Error::IncompatibleSketches(_)));
             let source = Candidates::Index(&index);
             assert!(incompatible(phase1.frequencies(source).map(drop)));
-            assert!(incompatible(
-                phase1.frequent_items(source, 0.01, 40.0).map(drop)
-            ));
-            assert!(incompatible(
-                phase1.frequent_items_median(source, 0.01, 40.0).map(drop)
-            ));
-            for samples in [0, 40] {
+            for (adaptive, samples) in [(false, 0), (false, 40), (true, 0), (true, 40)] {
+                let screen = FiPolicy::new(0.01, adaptive).unwrap();
                 assert!(incompatible(
-                    policy.discover(&phase1, samples, source).map(drop)
+                    screen.discover(&phase1, samples, source).map(drop)
                 ));
             }
             assert!(incompatible(assemble(&index).map(drop)));
@@ -700,7 +674,8 @@ mod tests {
         let mut builder = PlusStateBuilder::new(params(), eps(), 9);
         builder.absorb_batch(&batch).unwrap();
         assert_eq!(builder.reports(), 100);
-        assert_eq!(builder.lane_reports(), (20, 40, 40));
+        let (p1, low, high) = builder.lane_builders();
+        assert_eq!((p1.reports(), low.reports(), high.reports()), (20, 40, 40));
     }
 
     #[test]
@@ -728,6 +703,10 @@ mod tests {
 
     #[test]
     fn window_merge_is_bit_identical_to_single_builder_per_lane() {
+        // Windows combine as the service's span ledger combines them: each lane's unscaled
+        // spectra add across windows, and the span assembled from their sums by
+        // `from_spectrum` and `FinalizedPlusState::new` equals one builder that absorbed
+        // every batch, lanes, frequent items and threshold alike.
         let policy = FiPolicy::new(0.02, false).unwrap();
         let domain: Vec<u64> = (0..50).collect();
         let batches: Vec<PlusReportBatch> =
@@ -737,24 +716,41 @@ mod tests {
         for b in &batches {
             single.absorb_batch(b).unwrap();
         }
+        let reference = single.finalize_view(policy, &domain);
+        let (p1, low, high) = single.lane_builders();
+        let shapes = [p1, low, high];
 
         for windows in [1usize, 2, 4, 7] {
             let per = batches.len().div_ceil(windows);
-            let mut sealed: Vec<PlusStateBuilder> = Vec::new();
+            let mut spectra = shapes.map(|_| vec![0.0; params().counters()]);
+            let mut reports = [0u64; 3];
             for part in batches.chunks(per) {
                 let mut w = PlusStateBuilder::new(params(), eps(), 9);
                 for b in part {
                     w.absorb_batch(b).unwrap();
                 }
-                sealed.push(w);
+                let (p1, low, high) = w.lane_builders();
+                for (l, lane) in [p1, low, high].into_iter().enumerate() {
+                    for (sum, v) in spectra[l].iter_mut().zip(lane.spectrum()) {
+                        *sum += v;
+                    }
+                    reports[l] += lane.reports();
+                }
             }
-            let mut merged = sealed[0].clone();
-            for w in &sealed[1..] {
-                merged.merge(w).unwrap();
-            }
-            assert_eq!(merged.lane_reports(), single.lane_reports());
-            let merged = merged.finalize_view(policy, &domain);
-            let reference = single.finalize_view(policy, &domain);
+            let [phase1, low, high] = std::array::from_fn(|l| {
+                let shape = shapes[l];
+                FinalizedSketch::from_spectrum(
+                    shape.params(),
+                    shape.epsilon(),
+                    Arc::clone(shape.hashes()),
+                    reports[l],
+                    std::mem::take(&mut spectra[l]),
+                )
+            });
+            let merged =
+                FinalizedPlusState::new(phase1, low, high, policy, Candidates::Slice(&domain))
+                    .unwrap();
+            assert_eq!(merged.reports(), reference.reports());
             assert_eq!(
                 merged.phase1().restored_counters(),
                 reference.phase1().restored_counters(),
@@ -790,10 +786,7 @@ mod tests {
     }
 
     #[test]
-    fn mismatched_seeds_do_not_merge_or_join() {
-        let mut a = PlusStateBuilder::new(params(), eps(), 9);
-        let b = PlusStateBuilder::new(params(), eps(), 10);
-        assert!(a.merge(&b).is_err());
+    fn mismatched_seeds_do_not_join() {
         let policy = FiPolicy::new(0.01, false).unwrap();
         let domain: Vec<u64> = (0..10).collect();
         let fa = PlusStateBuilder::new(params(), eps(), 9).finalize(policy, &domain);

@@ -6,10 +6,10 @@
 //! * [`SketchBuilder`] is the **mutable accumulation stage** and the one ingest engine of
 //!   every library path. It absorbs client reports (`raw[j, l] += y`) — many at a time as
 //!   a packed [`ReportBatch`], the only multi-report form, or one [`ClientReport`] at a
-//!   time — merges with other builders (windows), and stays in the Hadamard domain.
-//!   Because every report contributes exactly `±1` to one counter, the accumulated
-//!   counters are *exact integers* in `f64` — so builders merged counter-wise are
-//!   bit-for-bit identical to one builder absorbing every report, regardless of how the
+//!   time — and stays in the Hadamard domain. Because every report contributes exactly
+//!   `±1` to one counter, the accumulated counters are *exact integers* in `f64`, and so
+//!   are their unscaled spectra ([`SketchBuilder::spectrum`]): windows combine by adding
+//!   spectra, bit-for-bit identical to one builder absorbing every report, however the
 //!   reports were partitioned (integer addition in `f64` is associative as long as counts
 //!   stay below `2^53`, far beyond any realistic report volume).
 //! * [`FinalizedSketch`] is the **immutable estimation stage**. [`SketchBuilder::finalize`]
@@ -46,7 +46,7 @@ pub struct SketchBuilder {
     eps: Epsilon,
     hashes: Arc<RowHashes>,
     /// Accumulated report sums, still in the Hadamard domain (row-major `k × m`). Each entry
-    /// is an exact integer (a sum of `±1` contributions), which makes merges exact.
+    /// is an exact integer (a sum of `±1` contributions), which keeps its spectrum exact.
     raw: Vec<f64>,
     /// Number of absorbed reports.
     reports: u64,
@@ -160,31 +160,6 @@ impl SketchBuilder {
         Ok(())
     }
 
-    /// Merge another partial builder into this one.
-    ///
-    /// LDPJoinSketch is linear in its reports, so builders that each absorbed a subset of
-    /// the client reports (one window each, say) merge counter-wise before finalization.
-    /// Because the counters are exact integer report sums, the merged result is bit-for-bit
-    /// identical to absorbing every report into a single builder. Both builders must share
-    /// `(k, m)`, the hash seed, and the privacy budget.
-    ///
-    /// # Errors
-    /// Returns [`Error::IncompatibleSketches`] if parameters, hash seed or ε differ.
-    pub fn merge(&mut self, other: &Self) -> Result<()> {
-        check_compatible(self.params, &self.hashes, other.params, &other.hashes)?;
-        if (self.eps.value() - other.eps.value()).abs() > f64::EPSILON {
-            return Err(Error::IncompatibleSketches(format!(
-                "cannot merge sketches built with different privacy budgets: {} vs {}",
-                self.eps, other.eps
-            )));
-        }
-        for (a, b) in self.raw.iter_mut().zip(other.raw.iter()) {
-            *a += b;
-        }
-        self.reports += other.reports;
-        Ok(())
-    }
-
     /// Restore the sketch from the Hadamard domain (Algorithm 2, line 6): apply the de-bias
     /// scale `k·c_ε` and the per-row fast Walsh–Hadamard transform once, consuming the
     /// builder and returning the immutable estimation view.
@@ -204,11 +179,9 @@ impl SketchBuilder {
     /// counters are cloned and pushed through the identical de-bias + Hadamard pipeline as
     /// [`SketchBuilder::finalize`], so the two entry points can never diverge bit-wise.
     ///
-    /// Use it to estimate from a builder that keeps absorbing, or to compare a merged
-    /// builder against a reference: merging exact integer counters and restoring once is
-    /// bit-identical to one-shot aggregation of the same reports. (The online service
-    /// seals windows through [`SketchBuilder::spectrum`] and
-    /// [`FinalizedSketch::from_spectrum`] instead, so each lane is transformed once.)
+    /// Use it to estimate from a builder that keeps absorbing. (The online service seals
+    /// windows through [`SketchBuilder::spectrum`] and [`FinalizedSketch::from_spectrum`]
+    /// instead, so each lane is transformed once.)
     pub fn finalize_view(&self) -> FinalizedSketch {
         restore(
             self.params,
@@ -226,8 +199,8 @@ impl SketchBuilder {
     /// FWHT only ever adds and subtracts those), so spectra of disjoint report sets add and
     /// subtract with **zero rounding error** — the invariant behind the online service's
     /// incremental span ledger: prefix-summed spectra, subtracted and then pushed through
-    /// [`FinalizedSketch::from_spectrum`], are bit-identical to restoring the merged
-    /// counters from scratch.
+    /// [`FinalizedSketch::from_spectrum`], are bit-identical to restoring one builder that
+    /// absorbed every covered report.
     pub fn spectrum(&self) -> Vec<f64> {
         let mut raw = self.raw.clone();
         let m = self.params.columns();
@@ -653,67 +626,6 @@ impl FinalizedSketch {
         Ok(out)
     }
 
-    /// The frequent-item set `FI = {d ∈ candidates : f̃(d) > θ·total}` used by phase 1 of
-    /// LDPJoinSketch+ (`total` is the number of users the sketch claims to summarise, after
-    /// any scaling the caller applies for sampling), in candidate order.
-    ///
-    /// # Errors
-    /// [`Error::IncompatibleSketches`] if a prebuilt [`DomainIndex`] was built for another
-    /// hash family or sketch shape.
-    pub fn frequent_items(
-        &self,
-        candidates: Candidates<'_>,
-        theta: f64,
-        total: f64,
-    ) -> Result<Vec<u64>> {
-        let threshold = theta * total;
-        let mut out = Vec::new();
-        self.scan(candidates, |block| {
-            self.mean_screen(block, threshold, &mut out)
-        })?;
-        Ok(out)
-    }
-
-    /// Frequent-item discovery with the collision-robust median estimator: the candidates
-    /// whose [`FinalizedSketch::frequency_median`] exceeds `θ·total`, in candidate order.
-    /// This is the detector of LDPJoinSketch+'s adaptive mode, where a stable, non-flooded
-    /// `FI` keeps the phase-2 high-frequency sketch sparse.
-    ///
-    /// The scan is an exact order-statistic count screen. For each candidate it counts how
-    /// many of the `k` per-row estimates strictly exceed the threshold `T`
-    /// ([`ldpjs_common::screen::count_above`]). With `c` such rows and the median defined
-    /// on the ascending order statistics `v[·]`:
-    ///
-    /// * odd `k` — `median = v[k/2] > T  ⇔  c ≥ k/2 + 1`: always decisive;
-    /// * even `k`, `c ≥ k/2 + 1` — both middle statistics exceed `T`, and the rounded mean
-    ///   of two values `> T` is `> T`, so the candidate is in;
-    /// * even `k`, `c ≤ k/2 − 1` — both middle statistics are `≤ T`, so it is out;
-    /// * even `k`, `c = k/2` — the middle statistics straddle `T`: `v[k/2]` is the smallest
-    ///   estimate above `T` and `v[k/2 − 1]` the largest one at or below it, and the scan
-    ///   compares their mean `(v[k/2 − 1] + v[k/2]) / 2` with `T`, as
-    ///   [`FinalizedSketch::frequency_median`] computes it.
-    ///
-    /// Every decisive branch agrees with the exact median comparison and the ambiguous
-    /// branch *is* that comparison, so the set equals filtering the candidates by
-    /// `frequency_median(d) > θ·total`.
-    ///
-    /// # Errors
-    /// [`Error::IncompatibleSketches`] if a prebuilt [`DomainIndex`] was built for another
-    /// hash family or sketch shape.
-    pub fn frequent_items_median(
-        &self,
-        candidates: Candidates<'_>,
-        theta: f64,
-        total: f64,
-    ) -> Result<Vec<u64>> {
-        let threshold = theta * total;
-        let mut out = Vec::new();
-        self.scan(candidates, |block| {
-            self.median_screen(block, threshold, &mut out)
-        })?;
-        Ok(out)
-    }
-
     /// Reject a prebuilt index made for another hash family or sketch shape; a slice is
     /// indexed with this sketch's own family, so it always fits.
     ///
@@ -773,8 +685,8 @@ impl FinalizedSketch {
         }
     }
 
-    /// The scan body of [`FinalizedSketch::frequent_items`]: append the block's candidates
-    /// whose mean estimate exceeds `threshold`.
+    /// The mean frequent-item screen of one indexed block: append, in candidate order, the
+    /// candidates whose [`FinalizedSketch::frequency`] exceeds `threshold`.
     pub(crate) fn mean_screen(&self, block: &DomainIndex, threshold: f64, out: &mut Vec<u64>) {
         let mut estimates = Vec::with_capacity(block.domain.len());
         self.frequencies_block(block, &mut estimates);
@@ -788,8 +700,25 @@ impl FinalizedSketch {
         );
     }
 
-    /// The scan body of [`FinalizedSketch::frequent_items_median`]: append the block's
-    /// candidates whose median estimate exceeds `threshold`.
+    /// The median frequent-item screen of one indexed block: append, in candidate order,
+    /// the candidates whose [`FinalizedSketch::frequency_median`] exceeds `threshold` `T`.
+    ///
+    /// The screen is an exact order-statistic count. For each candidate it counts how many
+    /// of the `k` per-row estimates strictly exceed `T` ([`screen::count_above`]). With `c`
+    /// such rows and the median defined on the ascending order statistics `v[·]`:
+    ///
+    /// * odd `k` — `median = v[k/2] > T  ⇔  c ≥ k/2 + 1`: always decisive;
+    /// * even `k`, `c ≥ k/2 + 1` — both middle statistics exceed `T`, and the rounded mean
+    ///   of two values `> T` is `> T`, so the candidate is in;
+    /// * even `k`, `c ≤ k/2 − 1` — both middle statistics are `≤ T`, so it is out;
+    /// * even `k`, `c = k/2` — the middle statistics straddle `T`: `v[k/2]` is the smallest
+    ///   estimate above `T` and `v[k/2 − 1]` the largest one at or below it, and the screen
+    ///   compares their mean `(v[k/2 − 1] + v[k/2]) / 2` with `T`, as
+    ///   [`FinalizedSketch::frequency_median`] computes it.
+    ///
+    /// Every decisive branch agrees with the exact median comparison and the ambiguous
+    /// branch *is* that comparison, so the screen equals filtering the candidates by
+    /// `frequency_median(d) > T`.
     pub(crate) fn median_screen(&self, block: &DomainIndex, threshold: f64, out: &mut Vec<u64>) {
         let (k, m) = (self.params.rows(), self.params.columns());
         // Dense count screen: each restored row is thresholded once into its hot planes,
@@ -1002,6 +931,7 @@ pub(crate) fn check_report_sign(y: f64) -> Result<()> {
 mod tests {
     use super::*;
     use crate::client::LdpJoinSketchClient;
+    use crate::plus_state::FiPolicy;
     use ldpjs_common::stats::{exact_join_size, frequency_table};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -1151,6 +1081,26 @@ mod tests {
         domains
     }
 
+    /// The candidates the median (or mean) frequent-item screen keeps at `threshold`.
+    fn screened(
+        sketch: &FinalizedSketch,
+        candidates: Candidates<'_>,
+        threshold: f64,
+        median: bool,
+    ) -> Vec<u64> {
+        let mut out = Vec::new();
+        sketch
+            .scan(candidates, |block| {
+                if median {
+                    sketch.median_screen(block, threshold, &mut out);
+                } else {
+                    sketch.mean_screen(block, threshold, &mut out);
+                }
+            })
+            .unwrap();
+        out
+    }
+
     /// Check every scan on `sketch`, from both candidate sources, against per-candidate
     /// single-value estimates: bit-identical frequencies, and FI sets equal to filtering
     /// the candidates in order, duplicates included.
@@ -1175,12 +1125,12 @@ mod tests {
                             .collect()
                     };
                     assert_eq!(
-                        sketch.frequent_items(source, theta, total).unwrap(),
+                        screened(sketch, source, threshold, false),
                         filter(&mean),
                         "mean screen, {len} candidates, theta {theta}"
                     );
                     assert_eq!(
-                        sketch.frequent_items_median(source, theta, total).unwrap(),
+                        screened(sketch, source, threshold, true),
                         filter(&med),
                         "median screen, {len} candidates, theta {theta}"
                     );
@@ -1239,12 +1189,7 @@ mod tests {
             .collect();
         assert_eq!(reference.first(), Some(&0));
         for source in [Candidates::Slice(&domain), Candidates::Index(&index)] {
-            assert_eq!(
-                sketch
-                    .frequent_items_median(source, threshold, 1.0)
-                    .unwrap(),
-                reference
-            );
+            assert_eq!(screened(&sketch, source, threshold, true), reference);
         }
     }
 
@@ -1252,8 +1197,8 @@ mod tests {
     fn spectrum_prefix_sums_restore_bit_identically() {
         // The span-ledger law end to end: unscaled spectra are exact integers, so
         // prefix-summed spectra subtract exactly and `from_spectrum` of the difference is
-        // bit-identical to finalizing the merged suffix builder — with no FWHT at
-        // assembly time. The seal law rides along: `from_spectrum` of one window's
+        // bit-identical to finalizing one builder that absorbed the suffix's batches —
+        // with no FWHT at assembly time. The seal law rides along: `from_spectrum` of one window's
         // spectrum equals restoring that window. m = 16 runs the portable FWHT tier,
         // 128 and 1024 the widest one the host dispatches.
         let e = eps(2.0);
@@ -1261,12 +1206,14 @@ mod tests {
             let p = params(8, m);
             let client = LdpJoinSketchClient::new(p, e, 7);
             let mut rng = StdRng::seed_from_u64(77);
+            let mut batches = Vec::new();
             let mut windows = Vec::new();
             for i in 0..4u64 {
                 let mut b = SketchBuilder::new(p, e, 7);
                 let values = skewed_stream(8_000, 500, 50 + i);
-                b.absorb_batch(&client.perturb_batch(&values, &mut rng).unwrap())
-                    .unwrap();
+                let batch = client.perturb_batch(&values, &mut rng).unwrap();
+                b.absorb_batch(&batch).unwrap();
+                batches.push(batch);
                 windows.push(b);
             }
             let bits = |s: &FinalizedSketch| {
@@ -1311,11 +1258,11 @@ mod tests {
                     reports,
                     spec,
                 );
-                let mut merged = windows[start].clone();
-                for w in &windows[start + 1..] {
-                    merged.merge(w).unwrap();
+                let mut scratch = SketchBuilder::new(p, e, 7);
+                for batch in &batches[start..] {
+                    scratch.absorb_batch(batch).unwrap();
                 }
-                let reference = merged.finalize();
+                let reference = scratch.finalize();
                 assert_eq!(assembled.reports(), reference.reports());
                 assert_eq!(bits(&assembled), bits(&reference), "m={m} start={start}");
             }
@@ -1446,8 +1393,9 @@ mod tests {
             .collect();
         let sketch = build_sketch(&values, p, e, 13, 6);
         let domain: Vec<u64> = (0..5010).collect();
-        let fi = sketch
-            .frequent_items(Candidates::Slice(&domain), 0.05, n as f64)
+        let policy = FiPolicy::new(0.05, false).unwrap();
+        let (fi, _) = policy
+            .discover(&sketch, n, Candidates::Slice(&domain))
             .unwrap();
         assert!(
             fi.contains(&1),
@@ -1634,9 +1582,10 @@ mod tests {
     }
 
     #[test]
-    fn merged_shards_equal_single_aggregator() {
-        // Two builders each absorb half the reports; merging them must be bit-for-bit
-        // identical to one builder absorbing everything.
+    fn shard_spectra_add_up_to_single_aggregator() {
+        // Two builders each absorb half the reports; their spectra, added and restored by
+        // `from_spectrum` as the service's span ledger does, must be bit-for-bit identical
+        // to one builder absorbing everything.
         let p = params(8, 128);
         let e = eps(3.0);
         let client = LdpJoinSketchClient::new(p, e, 77);
@@ -1650,17 +1599,21 @@ mod tests {
         shard_a.absorb_batch(&first).unwrap();
         let mut shard_b = SketchBuilder::new(p, e, 77);
         shard_b.absorb_batch(&second).unwrap();
-        shard_a.merge(&shard_b).unwrap();
+        let mut spectrum = shard_a.spectrum();
+        for (a, b) in spectrum.iter_mut().zip(shard_b.spectrum()) {
+            *a += b;
+        }
+        let reports = shard_a.reports() + shard_b.reports();
+        let hashes = Arc::clone(shard_a.hashes());
+        let merged = FinalizedSketch::from_spectrum(p, e, hashes, reports, spectrum);
 
         let mut single = SketchBuilder::new(p, e, 77);
         single.absorb_batch(&first).unwrap();
         single.absorb_batch(&second).unwrap();
+        let single = single.finalize();
 
-        assert_eq!(shard_a.reports(), single.reports());
-        assert_eq!(
-            shard_a.finalize().restored_counters(),
-            single.finalize().restored_counters()
-        );
+        assert_eq!(merged.reports(), single.reports());
+        assert_eq!(merged.restored_counters(), single.restored_counters());
     }
 
     #[test]
@@ -1696,23 +1649,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_rejects_incompatible_shards() {
-        let p = params(4, 64);
-        let mut a = SketchBuilder::new(p, eps(2.0), 1);
-        let b = SketchBuilder::new(p, eps(2.0), 2);
-        assert!(a.merge(&b).is_err(), "different hash seeds must not merge");
-        let c = SketchBuilder::new(params(4, 128), eps(2.0), 1);
-        assert!(a.merge(&c).is_err(), "different shapes must not merge");
-        let d = SketchBuilder::new(p, eps(4.0), 1);
-        assert!(
-            a.merge(&d).is_err(),
-            "different privacy budgets must not merge"
-        );
-        let ok = SketchBuilder::new(p, eps(2.0), 1);
-        assert!(a.merge(&ok).is_ok());
-    }
-
-    #[test]
     fn absorb_batch_equals_incremental_absorption() {
         // 6·64 = 384 counters put the scratch cutoff at 96 reports: the four batches
         // alternate between the direct path and the builder's reused scratch.
@@ -1737,14 +1673,8 @@ mod tests {
         };
         let incremental = incremental.finalize();
         assert_eq!(packed.reports(), 700);
-        // A clone, and a fresh builder merged with the packed one, restore the same bits.
-        let mut merged = SketchBuilder::new(p, e, 3);
-        merged.merge(&packed).unwrap();
-        for (what, builder) in [
-            ("clone", packed.clone()),
-            ("merge", merged),
-            ("packed", packed),
-        ] {
+        // A clone of the packed builder restores the same bits.
+        for (what, builder) in [("clone", packed.clone()), ("packed", packed)] {
             let sketch = builder.finalize();
             assert_eq!(bits(&sketch), bits(&incremental), "{what}");
             assert_eq!(sketch.reports(), incremental.reports(), "{what}");

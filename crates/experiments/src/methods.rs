@@ -77,11 +77,6 @@ impl Method {
             Method::LdpJoinSketchPlus,
         ]
     }
-
-    /// Whether this method satisfies LDP (everything except the non-private FAGMS baseline).
-    pub fn is_private(&self) -> bool {
-        !matches!(self, Method::Fagms)
-    }
 }
 
 /// The outcome of running one method on one workload once.
@@ -118,6 +113,17 @@ impl Default for PlusKnobs {
     }
 }
 
+/// Run `f` once and return its result with its wall-clock duration in seconds: the
+/// offline and online timings of the figure tables.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    // lint:allow(determinism) — figure-table wall-clock timing of the method run itself;
+    // the reported estimates depend only on the seeded RNG.
+    let start = Instant::now();
+    let out = f();
+    // lint:allow(telemetry-clock) — figure timing.
+    (out, start.elapsed().as_secs_f64())
+}
+
 /// Run `method` once on `workload` and return the estimate plus timings.
 pub fn estimate_join(
     method: Method,
@@ -130,23 +136,18 @@ pub fn estimate_join(
     let mut rng = StdRng::seed_from_u64(seed);
     match method {
         Method::Fagms => {
-            // lint:allow(determinism) — figure-table wall-clock timing of the method
-            // run itself; the reported estimates depend only on the seeded RNG.
-            let start = Instant::now();
-            let mut sa = FastAgmsSketch::new(params, seed);
-            let mut sb = FastAgmsSketch::new(params, seed);
-            sa.update_all(&workload.table_a);
-            sb.update_all(&workload.table_b);
-            let offline = start.elapsed().as_secs_f64(); // lint:allow(telemetry-clock) — figure timing.
-                                                         // lint:allow(determinism) — figure-table wall-clock timing of the method
-                                                         // run itself; the reported estimates depend only on the seeded RNG.
-            let start = Instant::now();
-            let estimate = sa.join_size(&sb)?;
-            let online = start.elapsed().as_secs_f64(); // lint:allow(telemetry-clock) — figure timing.
-                                                        // No client→server perturbation protocol: count raw value transmission.
+            let ((sa, sb), offline) = timed(|| {
+                let mut sa = FastAgmsSketch::new(params, seed);
+                let mut sb = FastAgmsSketch::new(params, seed);
+                sa.update_all(&workload.table_a);
+                sb.update_all(&workload.table_b);
+                (sa, sb)
+            });
+            let (estimate, online) = timed(|| sa.join_size(&sb));
+            // No client→server perturbation protocol: count raw value transmission.
             let bits = 64 * (workload.table_a.len() + workload.table_b.len()) as u64;
             Ok(MethodOutcome {
-                estimate,
+                estimate: estimate?,
                 offline_seconds: offline,
                 online_seconds: online,
                 communication_bits: bits,
@@ -159,36 +160,32 @@ pub fn estimate_join(
             // apples-to-apples with the single-threaded competitor implementations across
             // machines.
             let threads = 1;
-            // lint:allow(determinism) — figure-table wall-clock timing of the method
-            // run itself; the reported estimates depend only on the seeded RNG.
-            let start = Instant::now();
-            let sa = build_private_sketch_parallel(
-                &workload.table_a,
-                params,
-                eps,
-                seed,
-                seed ^ 0xA11CE,
-                threads,
-            )?;
-            let sb = build_private_sketch_parallel(
-                &workload.table_b,
-                params,
-                eps,
-                seed,
-                seed ^ 0xB0B,
-                threads,
-            )?;
-            let offline = start.elapsed().as_secs_f64(); // lint:allow(telemetry-clock) — figure timing.
-                                                         // lint:allow(determinism) — figure-table wall-clock timing of the method
-                                                         // run itself; the reported estimates depend only on the seeded RNG.
-            let start = Instant::now();
+            let (sketches, offline) = timed(|| -> Result<_> {
+                let sa = build_private_sketch_parallel(
+                    &workload.table_a,
+                    params,
+                    eps,
+                    seed,
+                    seed ^ 0xA11CE,
+                    threads,
+                )?;
+                let sb = build_private_sketch_parallel(
+                    &workload.table_b,
+                    params,
+                    eps,
+                    seed,
+                    seed ^ 0xB0B,
+                    threads,
+                )?;
+                Ok((sa, sb))
+            });
+            let (sa, sb) = sketches?;
             // The online step is the shared plain kernel the service's join queries run.
-            let estimate = PlainKernel.join_size(&sa, &sb)?;
-            let online = start.elapsed().as_secs_f64(); // lint:allow(telemetry-clock) — figure timing.
+            let (estimate, online) = timed(|| PlainKernel.join_size(&sa, &sb));
             let bits =
                 report_bits(params) * (workload.table_a.len() + workload.table_b.len()) as u64;
             Ok(MethodOutcome {
-                estimate,
+                estimate: estimate?,
                 offline_seconds: offline,
                 online_seconds: online,
                 communication_bits: bits,
@@ -200,16 +197,15 @@ pub fn estimate_join(
             config.threshold = knobs.threshold;
             config.seed = seed;
             let domain = workload.domain();
-            // lint:allow(determinism) — figure-table wall-clock timing of the method
-            // run itself; the reported estimates depend only on the seeded RNG.
-            let start = Instant::now();
-            let result = LdpJoinSketchPlus::new(config)?.estimate_chunked(
-                &SliceChunks::new(&workload.table_a, 8_192),
-                &SliceChunks::new(&workload.table_b, 8_192),
-                &domain,
-                rng.next_u64(),
-            )?;
-            let offline = start.elapsed().as_secs_f64(); // lint:allow(telemetry-clock) — figure timing.
+            let (result, offline) = timed(|| {
+                LdpJoinSketchPlus::new(config)?.estimate_chunked(
+                    &SliceChunks::new(&workload.table_a, 8_192),
+                    &SliceChunks::new(&workload.table_b, 8_192),
+                    &domain,
+                    rng.next_u64(),
+                )
+            });
+            let result = result?;
             Ok(MethodOutcome {
                 estimate: result.join_size,
                 offline_seconds: offline,
@@ -221,10 +217,7 @@ pub fn estimate_join(
         }
         Method::Krr | Method::AppleHcms | Method::Flh => {
             let domain = workload.domain_size;
-            // lint:allow(determinism) — figure-table wall-clock timing of the method
-            // run itself; the reported estimates depend only on the seeded RNG.
-            let start = Instant::now();
-            let (oracle_a, oracle_b): (Box<dyn FrequencyOracle>, Box<dyn FrequencyOracle>) =
+            let oracles = || -> (Box<dyn FrequencyOracle>, Box<dyn FrequencyOracle>) {
                 match method {
                     Method::Krr => {
                         let mut a = KrrOracle::new(eps, domain.max(2));
@@ -248,13 +241,11 @@ pub fn estimate_join(
                         (Box::new(a), Box::new(b))
                     }
                     _ => unreachable!(),
-                };
-            let offline = start.elapsed().as_secs_f64(); // lint:allow(telemetry-clock) — figure timing.
-                                                         // lint:allow(determinism) — figure-table wall-clock timing of the method
-                                                         // run itself; the reported estimates depend only on the seeded RNG.
-            let start = Instant::now();
-            let estimate = estimate_join_from_oracles(oracle_a.as_ref(), oracle_b.as_ref(), domain);
-            let online = start.elapsed().as_secs_f64(); // lint:allow(telemetry-clock) — figure timing.
+                }
+            };
+            let ((oracle_a, oracle_b), offline) = timed(oracles);
+            let (estimate, online) =
+                timed(|| estimate_join_from_oracles(oracle_a.as_ref(), oracle_b.as_ref(), domain));
             let bits = oracle_a.report_bits() * workload.table_a.len() as u64
                 + oracle_b.report_bits() * workload.table_b.len() as u64;
             Ok(MethodOutcome {
@@ -284,8 +275,6 @@ mod tests {
     fn method_registry_is_complete() {
         assert_eq!(Method::all().len(), 6);
         assert_eq!(Method::sketch_methods().len(), 4);
-        assert!(Method::LdpJoinSketch.is_private());
-        assert!(!Method::Fagms.is_private());
         assert_eq!(Method::LdpJoinSketchPlus.name(), "LDPJoinSketch+");
     }
 

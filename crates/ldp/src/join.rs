@@ -25,19 +25,6 @@ where
     est
 }
 
-/// Estimate `|A ⋈ B|` restricted to an explicit candidate set (used when the domain is huge
-/// but the candidates are known, e.g. the values observed in a public dimension table).
-pub fn estimate_join_over_candidates<A, B>(oracle_a: &A, oracle_b: &B, candidates: &[u64]) -> f64
-where
-    A: FrequencyOracle + ?Sized,
-    B: FrequencyOracle + ?Sized,
-{
-    candidates
-        .iter()
-        .map(|&d| oracle_a.estimate(d) * oracle_b.estimate(d))
-        .sum()
-}
-
 /// Total client→server communication, in bits, of running the mechanism over `users_a`
 /// users on attribute A and `users_b` users on attribute B (the quantity plotted in Fig. 7).
 pub fn join_communication_bits<O: FrequencyOracle + ?Sized>(
@@ -72,23 +59,6 @@ mod tests {
         let truth = exact_join_size(&a, &b) as f64;
         let re = (est - truth).abs() / truth;
         assert!(re < 0.1, "relative error {re} (est {est}, truth {truth})");
-    }
-
-    #[test]
-    fn candidate_restricted_estimate_matches_full_domain_when_candidates_cover_it() {
-        let eps = Epsilon::new(3.0).unwrap();
-        let domain = 16u64;
-        let mut rng = StdRng::seed_from_u64(2);
-        let a: Vec<u64> = (0..20_000).map(|i| (i % 4) as u64).collect();
-        let b: Vec<u64> = (0..20_000).map(|i| (i % 8) as u64).collect();
-        let mut oa = KrrOracle::new(eps, domain);
-        let mut ob = KrrOracle::new(eps, domain);
-        oa.collect(&a, &mut rng);
-        ob.collect(&b, &mut rng);
-        let full = estimate_join_from_oracles(&oa, &ob, domain);
-        let candidates: Vec<u64> = (0..domain).collect();
-        let restricted = estimate_join_over_candidates(&oa, &ob, &candidates);
-        assert!((full - restricted).abs() < 1e-9);
     }
 
     #[test]

@@ -24,5 +24,5 @@ pub mod oracle;
 pub use hcms::HcmsOracle;
 pub use join::{estimate_join_from_oracles, join_communication_bits};
 pub use krr::KrrOracle;
-pub use olh::{FlhOracle, FlhReport, OlhVariant};
+pub use olh::{FlhOracle, FlhReport};
 pub use oracle::FrequencyOracle;

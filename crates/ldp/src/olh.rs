@@ -20,15 +20,6 @@ use rand::{Rng, RngCore, SeedableRng};
 
 use crate::oracle::FrequencyOracle;
 
-/// Which flavour of local hashing an [`FlhOracle`] simulates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OlhVariant {
-    /// A large hash pool approximating per-user hashing (accuracy-oriented).
-    OptimalLike,
-    /// The fast heuristic with a small, fixed hash pool (the paper's FLH competitor).
-    Fast,
-}
-
 /// One perturbed FLH client report: the sampled hash function and the (k-RR perturbed)
 /// hashed value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,7 +30,8 @@ pub struct FlhReport {
     pub bucket: u64,
 }
 
-/// The FLH / OLH-like frequency oracle.
+/// The FLH frequency oracle. A large pool ([`FlhOracle::with_pool`]) approximates OLH's
+/// per-user hashing.
 #[derive(Debug, Clone)]
 pub struct FlhOracle {
     eps: Epsilon,
@@ -47,7 +39,6 @@ pub struct FlhOracle {
     /// Cached keep probability of the inner k-RR over `[g]` (ε and g are fixed at
     /// construction, and `perturb` is called once per report).
     keep_p: f64,
-    variant: OlhVariant,
     hashes: Vec<BucketHash>,
     /// `hash_count × g` matrix of report counts, row-major.
     counts: Vec<u64>,
@@ -63,7 +54,7 @@ impl FlhOracle {
     ///
     /// # Panics
     /// Panics if `hash_count == 0`.
-    pub fn with_pool(eps: Epsilon, hash_count: usize, seed: u64, variant: OlhVariant) -> Self {
+    pub fn with_pool(eps: Epsilon, hash_count: usize, seed: u64) -> Self {
         assert!(hash_count > 0, "FLH needs at least one hash function");
         let g = (eps.exp().floor() as u64 + 1).max(2);
         let mut rng = StdRng::seed_from_u64(seed);
@@ -74,7 +65,6 @@ impl FlhOracle {
             eps,
             g,
             keep_p: eps.krr_keep_probability(g as usize),
-            variant,
             hashes,
             counts: vec![0; hash_count * g as usize],
             n: 0,
@@ -83,12 +73,7 @@ impl FlhOracle {
 
     /// Create the paper's FLH competitor with the default pool size.
     pub fn new_fast(eps: Epsilon, seed: u64) -> Self {
-        Self::with_pool(eps, Self::DEFAULT_FAST_POOL, seed, OlhVariant::Fast)
-    }
-
-    /// Create an OLH-like oracle with a large pool (slower, closer to per-user hashing).
-    pub fn new_optimal_like(eps: Epsilon, seed: u64) -> Self {
-        Self::with_pool(eps, 8192, seed, OlhVariant::OptimalLike)
+        Self::with_pool(eps, Self::DEFAULT_FAST_POOL, seed)
     }
 
     /// The privacy budget ε.
@@ -101,12 +86,6 @@ impl FlhOracle {
     #[inline]
     pub fn g(&self) -> u64 {
         self.g
-    }
-
-    /// Number of hash functions in the pool.
-    #[inline]
-    pub fn pool_size(&self) -> usize {
-        self.hashes.len()
     }
 
     /// The keep probability of the inner k-RR over `[g]`.
@@ -127,10 +106,7 @@ impl FlhOracle {
 
 impl FrequencyOracle for FlhOracle {
     fn name(&self) -> &'static str {
-        match self.variant {
-            OlhVariant::OptimalLike => "OLH",
-            OlhVariant::Fast => "FLH",
-        }
+        "FLH"
     }
 
     fn collect(&mut self, values: &[u64], rng: &mut dyn RngCore) {
@@ -219,15 +195,16 @@ mod tests {
     #[test]
     fn optimal_like_is_not_less_accurate_than_tiny_pool() {
         // A pool of a single hash function collapses every value to the same mapping and
-        // cannot distinguish colliding values; a large pool averages collisions away.
+        // cannot distinguish colliding values; an OLH-like pool of 8,192 hashes averages
+        // collisions away.
         let eps = Epsilon::new(2.0).unwrap();
         let mut rng = StdRng::seed_from_u64(9);
         let n = 50_000usize;
         let values: Vec<u64> = (0..n).map(|i| (i % 50) as u64).collect();
 
-        let mut tiny = FlhOracle::with_pool(eps, 1, 11, OlhVariant::Fast);
+        let mut tiny = FlhOracle::with_pool(eps, 1, 11);
         tiny.collect(&values, &mut rng);
-        let mut big = FlhOracle::new_optimal_like(eps, 11);
+        let mut big = FlhOracle::with_pool(eps, 8192, 11);
         big.collect(&values, &mut rng);
 
         let truth = n as f64 / 50.0;
@@ -244,16 +221,13 @@ mod tests {
         let eps = Epsilon::new(4.0).unwrap();
         let fast = FlhOracle::new_fast(eps, 0);
         assert_eq!(fast.name(), "FLH");
-        let opt = FlhOracle::new_optimal_like(eps, 0);
-        assert_eq!(opt.name(), "OLH");
         // g = e^4 + 1 = 55 -> 6 bits; pool 512 -> 9 bits.
         assert_eq!(fast.report_bits(), 6 + 9);
-        assert!(fast.pool_size() < opt.pool_size());
     }
 
     #[test]
     #[should_panic(expected = "at least one hash")]
     fn rejects_empty_pool() {
-        let _ = FlhOracle::with_pool(Epsilon::new(1.0).unwrap(), 0, 0, OlhVariant::Fast);
+        let _ = FlhOracle::with_pool(Epsilon::new(1.0).unwrap(), 0, 0);
     }
 }

@@ -81,14 +81,6 @@ impl TrialErrors {
     pub fn mean_relative_error(&self) -> Option<f64> {
         mean(&self.relative)
     }
-
-    /// Worst absolute error across trials (useful for bound checks).
-    pub fn max_absolute_error(&self) -> Option<f64> {
-        self.absolute
-            .iter()
-            .copied()
-            .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
-    }
 }
 
 fn mean(v: &[f64]) -> Option<f64> {
@@ -141,7 +133,6 @@ mod tests {
         assert_eq!(t.trials(), 2);
         assert_eq!(t.mean_absolute_error(), Some(15.0));
         assert!((t.mean_relative_error().unwrap() - 0.15).abs() < 1e-12);
-        assert_eq!(t.max_absolute_error(), Some(20.0));
     }
 
     proptest! {

@@ -78,17 +78,6 @@ impl Table {
         }
         out
     }
-
-    /// Render the table as CSV (header line plus one line per row), prefixed by the title as a
-    /// comment line.
-    pub fn to_csv(&self) -> String {
-        let mut out = format!("# {}\n{}\n", self.title, self.headers.join(","));
-        for row in &self.rows {
-            out.push_str(&row.join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Format one machine-readable CSV line with a `csv,` prefix (greppable from mixed output).
@@ -139,10 +128,6 @@ mod tests {
 
     #[test]
     fn csv_output_is_parseable() {
-        let mut t = Table::new("Fig. Y", &["eps", "AE"]);
-        t.add_row(vec!["1".into(), "2.5".into()]);
-        let csv = t.to_csv();
-        assert!(csv.starts_with("# Fig. Y\neps,AE\n1,2.5\n"));
         assert_eq!(
             csv_line("fig5", &["Zipf".into(), "0.1".into()]),
             "csv,fig5,Zipf,0.1"

@@ -45,9 +45,9 @@ pub struct ServiceConfig {
     /// Wall-clock epoch trigger: seal the live engine once the epoch has been open for this
     /// long, alongside the report-count trigger (whichever fires first rotates; rotation
     /// resets both). The clock is *injected*: [`SketchService::ingest_at`] stamps the
-    /// epoch's opening and checks the trigger inline, and [`SketchService::rotate_if_elapsed`]
-    /// / [`SketchService::rotate_elapsed`] sweep quiet attributes, so tests and deterministic
-    /// replays control time explicitly. `None` disables the time trigger.
+    /// epoch's opening and checks the trigger inline, and [`SketchService::rotate_elapsed`]
+    /// sweeps every attribute, quiet ones included, so tests and deterministic replays
+    /// control time explicitly. `None` disables the time trigger.
     pub epoch_duration: Option<Duration>,
     /// How many sealed windows the per-attribute ring retains; older windows are evicted.
     pub retained_windows: usize,
@@ -353,16 +353,16 @@ impl SpectrumEntry {
 /// Maintained at rotation only — [`Ledger::seal`] *adds* the new window's lanes to the last
 /// prefix, and evicting the oldest window *moves* its prefix into the origin — so a merged
 /// span over the suffix `start..len` is assembled per query as the single exact subtraction
-/// `prefix[len−1] − prefix[start−1]` (or `− origin` for the full ring) instead of cloning
-/// and counter-wise merging every covered window.
+/// `prefix[len−1] − prefix[start−1]` (or `− origin` for the full ring), whatever the number
+/// of covered windows.
 ///
 /// Every mode keeps its prefixes as unscaled Hadamard spectra (see [`SpectrumEntry`]): a
 /// cold plain or plus span query is one element-wise subtraction fused with one de-bias
-/// multiply per element ([`FinalizedSketch::from_spectrum_diff`]), no counter merge and no
-/// FWHT; an edge span adds the first-dimension transforms
-/// ([`FinalizedEdgeSketch::from_spectrum`]). Because the spectra are exact integers and the
-/// transform is linear, the result is bit-identical to merging every covered window's
-/// builders from scratch and finalizing — property-tested in this module.
+/// multiply per element ([`FinalizedSketch::from_spectrum_diff`]), no FWHT; an edge span
+/// adds the first-dimension transforms ([`FinalizedEdgeSketch::from_spectrum`]). Because
+/// the spectra are exact integers and the transform is linear, the result is bit-identical
+/// to one fresh builder absorbing every covered window's reports and finalizing —
+/// property-tested in this module for plain, plus and edge attributes.
 #[derive(Debug)]
 struct Ledger {
     origin: SpectrumEntry,
@@ -815,8 +815,8 @@ impl std::fmt::Debug for QueryClock {
     }
 }
 
-/// The online sketch service: epoch-windowed continuous ingestion, mergeable snapshots, and
-/// a cached query layer over the shared estimator kernels.
+/// The online sketch service: epoch-windowed continuous ingestion, exact window spans, and a
+/// cached query layer over the shared estimator kernels.
 ///
 /// ```
 /// use ldpjs_core::{Epsilon, SketchParams};
@@ -1144,34 +1144,16 @@ impl SketchService {
         Ok(rotate_attribute(&config, &mut self.cache, idx, a))
     }
 
-    /// The wall-clock sweep of the time-based epoch trigger: seal the attribute's live
-    /// engine if [`ServiceConfig::epoch_duration`] is configured, the engine holds reports,
-    /// and the epoch has been open at least that long as of `now`. Returns the sealed epoch
-    /// id if the trigger fired.
-    ///
-    /// Call this periodically (with the deployment's real clock) so attributes with
-    /// trickling traffic still seal epochs on schedule; batch ingestion checks the same
-    /// trigger inline.
-    pub fn rotate_if_elapsed(&mut self, attr: AttributeId, now: Instant) -> Result<Option<u64>> {
-        let config = self.config;
-        let idx = attr.index();
-        let a = find_mut(&mut self.attributes, attr)?;
-        if !epoch_due(a, &config, now) {
-            return Ok(None);
-        }
-        Ok(rotate_attribute(&config, &mut self.cache, idx, a))
-    }
-
-    /// Sweep **every** registered attribute with the time-based epoch trigger in one call:
-    /// each attribute whose live engine holds reports and whose epoch has been open at
-    /// least [`ServiceConfig::epoch_duration`] as of `now` is sealed, exactly as
-    /// [`Self::rotate_if_elapsed`] would seal it one id at a time. Returns the
+    /// The wall-clock sweep of the time-based epoch trigger over **every** registered
+    /// attribute: each attribute whose live engine holds reports and whose epoch has been
+    /// open at least [`ServiceConfig::epoch_duration`] as of `now` is sealed. Returns the
     /// `(attribute, epoch)` pairs that rotated, oldest registration first.
     ///
-    /// This is the deployment-friendly form of the trigger: one periodic timer covers the
+    /// Call this periodically (with the deployment's real clock): one timer covers the
     /// whole service, so a quiet attribute still seals its epoch on schedule even when no
-    /// ingest for *that attribute* arrives to check the trigger inline. No-op (returns an
-    /// empty vec) when no epoch duration is configured.
+    /// ingest for *that attribute* arrives to check the trigger inline, as
+    /// [`Self::ingest_at`] does. No-op (returns an empty vec) when no epoch duration is
+    /// configured.
     pub fn rotate_elapsed(&mut self, now: Instant) -> Vec<(AttributeId, u64)> {
         let config = self.config;
         let mut rotated = Vec::new();
@@ -2286,17 +2268,13 @@ mod tests {
             .ingest_at(attr, &batches[3], t0 + Duration::from_secs(3))
             .unwrap();
         assert_eq!(
-            service
-                .rotate_if_elapsed(attr, t0 + Duration::from_secs(12))
-                .unwrap(),
-            None,
+            service.rotate_elapsed(t0 + Duration::from_secs(12)),
+            vec![],
             "only 9s since the epoch opened at t+3s"
         );
         assert_eq!(
-            service
-                .rotate_if_elapsed(attr, t0 + Duration::from_secs(14))
-                .unwrap(),
-            Some(1)
+            service.rotate_elapsed(t0 + Duration::from_secs(14)),
+            vec![(attr, 1)]
         );
         let sealed: Vec<u64> = service
             .windows(attr)
@@ -2318,20 +2296,16 @@ mod tests {
 
         // An empty live engine never rotates, whatever the clock says.
         assert_eq!(
-            service
-                .rotate_if_elapsed(attr, t0 + Duration::from_secs(1_000))
-                .unwrap(),
-            None
+            service.rotate_elapsed(t0 + Duration::from_secs(1_000)),
+            vec![]
         );
         // With no epoch_duration configured the sweep is a no-op.
         let mut quiet = manual_service(6, 64, 4);
         let q = quiet.register_attribute("q", 1).unwrap();
         quiet.ingest(q, &batches[4]).unwrap();
         assert_eq!(
-            quiet
-                .rotate_if_elapsed(q, Instant::now() + Duration::from_secs(3_600))
-                .unwrap(),
-            None
+            quiet.rotate_elapsed(Instant::now() + Duration::from_secs(3_600)),
+            vec![]
         );
     }
 
@@ -2965,10 +2939,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
-        /// The window-merge satellite guarantee: splitting any report multiset across
-        /// {1, 2, 4, 7} windows, rotating after each split, and merging the snapshots is
+        /// The window-merge guarantee: splitting any report multiset across {1, 2, 4, 7}
+        /// windows, rotating after each split, and reading the whole ring is
         /// bit-identical to single-pass aggregation of the same reports — the exactness
-        /// of `SketchBuilder::merge`, lifted to the window layer.
+        /// of the ledger's integer spectra, lifted to the window layer.
         #[test]
         fn prop_window_split_is_bit_identical_to_single_pass(
             n in 1usize..800,
@@ -3069,10 +3043,10 @@ mod tests {
         /// The incremental merged-span ledger guarantee: across random rotate/evict
         /// sequences, every span the service assembles by prefix-sum subtraction (what
         /// `merged_plus_state` serves) is **bit-identical** — all three restored lanes,
-        /// the rediscovered frequent-item set, and the screening threshold — to merging
-        /// the retained windows' report batches from scratch. The 3-window ring forces
-        /// evictions, so full-span queries exercise the ledger origin that has absorbed
-        /// evicted history.
+        /// the rediscovered frequent-item set, and the screening threshold — to one fresh
+        /// `PlusStateBuilder` that absorbed the covered windows' report batches. The
+        /// 3-window ring forces evictions, so full-span queries exercise the ledger origin
+        /// that has absorbed evicted history.
         #[test]
         fn prop_plus_span_ledger_is_bit_identical_to_from_scratch_merging(
             case_seed in 0u64..2_000,
@@ -3105,13 +3079,12 @@ mod tests {
                 .register_plus_attribute("a", plus_cfg.seed, attr_cfg)
                 .unwrap();
 
-            // Random rotation cadence: 1–4 ingested batches per sealed window. The
-            // reference absorbs the same batches into one builder per window.
+            // Random rotation cadence: 1–4 ingested batches per sealed window. Each
+            // window's batches are kept for the references.
             let mut cadence = StdRng::seed_from_u64(case_seed ^ 0x5EED);
             let mut left = 0usize;
-            let fresh = || PlusStateBuilder::new(params, eps, plus_cfg.seed);
-            let mut windows = Vec::new();
-            let mut current = fresh();
+            let mut windows: Vec<Vec<PlusReportBatch>> = Vec::new();
+            let mut current = Vec::new();
             est.stream_plus_reports(
                 &w.table_a,
                 PlusTableRole::A,
@@ -3123,11 +3096,11 @@ mod tests {
                         left = cadence.gen_range(1usize..5);
                     }
                     service.ingest_plus(a, batch)?;
-                    current.absorb_batch(batch)?;
+                    current.push(batch.clone());
                     left -= 1;
                     if left == 0 {
                         service.rotate(a)?;
-                        windows.push(std::mem::replace(&mut current, fresh()));
+                        windows.push(std::mem::take(&mut current));
                         // A read every epoch: each rotation re-warms this range, so the
                         // final comparisons below cover a re-warmed state.
                         service.merged_plus_state(a, WindowRange::LastK(2))?;
@@ -3145,7 +3118,10 @@ mod tests {
             let sealed = &windows[windows.len() - service.window_count(a).unwrap()..];
             prop_assert!(!sealed.is_empty());
             let retained: Vec<u64> = service.windows(a).unwrap().map(|s| s.reports()).collect();
-            let expected: Vec<u64> = sealed.iter().map(|b| b.reports()).collect();
+            let expected: Vec<u64> = sealed
+                .iter()
+                .map(|w| w.iter().map(|b| b.len() as u64).sum())
+                .collect();
             prop_assert_eq!(retained, expected);
             let policy = FiPolicy::from_config(&plus_cfg);
             for start in 0..sealed.len() {
@@ -3155,11 +3131,11 @@ mod tests {
                     WindowRange::LastK(sealed.len() - start)
                 };
                 let merged = service.merged_plus_state(a, range).unwrap();
-                let mut from_scratch = sealed[start].clone();
-                for later in &sealed[start + 1..] {
-                    from_scratch.merge(later).unwrap();
+                let mut from_scratch = PlusStateBuilder::new(params, eps, plus_cfg.seed);
+                for batch in sealed[start..].iter().flatten() {
+                    from_scratch.absorb_batch(batch).unwrap();
                 }
-                let reference = from_scratch.finalize_view(policy, &domain);
+                let reference = from_scratch.finalize(policy, &domain);
                 prop_assert_eq!(merged.reports(), reference.reports());
                 prop_assert_eq!(merged.frequent_items(), reference.frequent_items());
                 prop_assert!(merged.threshold().to_bits() == reference.threshold().to_bits());
@@ -3171,10 +3147,75 @@ mod tests {
                     prop_assert!(
                         got.restored_counters() == want.restored_counters(),
                         "start={} evicted={}: ledger-assembled {} lane diverged from \
-                         from-scratch merge",
+                         from-scratch absorption",
                         start,
                         service.evicted_windows(a).unwrap(),
                         name
+                    );
+                }
+            }
+        }
+
+        /// The plain span ledger guarantee, the twin of the plus and edge ones: across
+        /// random batch sizes and rotation cadences, every suffix span the service serves
+        /// (`Latest`, `LastK` and `All`) is **bit-identical** to one fresh `SketchBuilder`
+        /// that absorbed the covered windows' batches and was finalized. Every case seals
+        /// at least four windows into a 3-window ring, so full-span queries exercise the
+        /// ledger origin; a `LastK(2)` read every epoch makes each rotation re-warm that
+        /// range, so the comparisons also cover re-warmed views.
+        #[test]
+        fn prop_plain_span_ledger_is_bit_identical_to_from_scratch_absorption(
+            case_seed in 0u64..2_000,
+        ) {
+            use rand::Rng;
+            let mut service = manual_service(6, 64, 3);
+            let attr = service.register_attribute("a", 77).unwrap();
+            let client = service.client(attr).unwrap();
+            let gen = ZipfGenerator::new(1.3, 200);
+            let mut rng = StdRng::seed_from_u64(case_seed);
+            // Random cadence: 1–3 batches of 1–199 values per sealed window.
+            let mut windows: Vec<Vec<ReportBatch>> = Vec::new();
+            for _ in 0..rng.gen_range(4usize..9) {
+                let mut window = Vec::new();
+                for _ in 0..rng.gen_range(1usize..4) {
+                    let values = gen.sample_many(rng.gen_range(1usize..200), &mut rng);
+                    let batch = client.perturb_batch(&values, &mut rng).unwrap();
+                    service.ingest(attr, &batch).unwrap();
+                    window.push(batch);
+                }
+                service.rotate(attr).unwrap();
+                windows.push(window);
+                service.merged_view(attr, WindowRange::LastK(2)).unwrap();
+            }
+
+            let depth = service.window_count(attr).unwrap();
+            prop_assert_eq!(depth, 3);
+            let sealed = &windows[windows.len() - depth..];
+            let cfg = *service.config();
+            let bits = |view: &FinalizedSketch| {
+                view.restored_counters().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            };
+            for start in 0..depth {
+                let mut scratch = SketchBuilder::new(cfg.params, cfg.eps, 77);
+                for batch in sealed[start..].iter().flatten() {
+                    scratch.absorb_batch(batch).unwrap();
+                }
+                let reference = scratch.finalize();
+                let mut ranges = vec![WindowRange::LastK(depth - start)];
+                if start == 0 {
+                    ranges.push(WindowRange::All);
+                }
+                if start + 1 == depth {
+                    ranges.push(WindowRange::Latest);
+                }
+                for range in ranges {
+                    let served = service.merged_view(attr, range).unwrap();
+                    prop_assert_eq!(served.reports(), reference.reports());
+                    prop_assert!(
+                        bits(&served) == bits(&reference),
+                        "{:?} evicted={}: served span diverged from from-scratch absorption",
+                        range,
+                        service.evicted_windows(attr).unwrap()
                     );
                 }
             }

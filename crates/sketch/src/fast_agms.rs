@@ -97,21 +97,6 @@ impl FastAgmsSketch {
         }
     }
 
-    /// Merge another sketch built with the same parameters and hash seed into this one
-    /// (Fast-AGMS sketches are linear, so distributed/partitioned streams can be sketched
-    /// independently and combined counter-wise).
-    ///
-    /// # Errors
-    /// Returns [`Error::IncompatibleSketches`] if parameters or hash seeds differ.
-    pub fn merge(&mut self, other: &Self) -> Result<()> {
-        self.check_compatible(other)?;
-        for (a, b) in self.counters.iter_mut().zip(other.counters.iter()) {
-            *a += b;
-        }
-        self.total += other.total;
-        Ok(())
-    }
-
     fn check_compatible(&self, other: &Self) -> Result<()> {
         if self.params != other.params || self.hashes.seed() != other.hashes.seed() {
             return Err(Error::IncompatibleSketches(format!(
@@ -166,14 +151,6 @@ impl FastAgmsSketch {
             })
             .collect();
         mean(&estimates).unwrap_or(0.0)
-    }
-
-    /// Estimate of the second frequency moment (self-join size).
-    pub fn second_moment(&self) -> f64 {
-        let estimates: Vec<f64> = (0..self.params.rows())
-            .map(|j| self.row(j).iter().map(|c| c * c).sum())
-            .collect();
-        median(&estimates).unwrap_or(0.0)
     }
 
     /// Raw counters, row-major (used by tests).
@@ -286,11 +263,12 @@ mod tests {
     }
 
     #[test]
-    fn second_moment_close_to_truth() {
+    fn self_join_estimate_tracks_f2() {
         let a = skewed_stream(20_000, 500, 3);
         let mut sa = FastAgmsSketch::new(params(11, 512), 5);
         sa.update_all(&a);
-        let est = sa.second_moment();
+        // The self-join size is the second frequency moment.
+        let est = sa.join_size(&sa).unwrap();
         let truth = f2(&a) as f64;
         let re = (est - truth).abs() / truth;
         assert!(re < 0.15, "relative error {re}");
@@ -337,28 +315,6 @@ mod tests {
         b.update_all(&[2, 3, 4]);
         let products = a.row_products(&b).unwrap();
         assert_eq!(products.len(), 9);
-    }
-
-    #[test]
-    fn merging_partitioned_streams_matches_single_sketch() {
-        let p = params(7, 128);
-        let data = skewed_stream(10_000, 500, 6);
-        let (left, right) = data.split_at(data.len() / 3);
-        let mut merged = FastAgmsSketch::new(p, 4);
-        merged.update_all(left);
-        let mut other = FastAgmsSketch::new(p, 4);
-        other.update_all(right);
-        merged.merge(&other).unwrap();
-
-        let mut single = FastAgmsSketch::new(p, 4);
-        single.update_all(&data);
-        assert_eq!(merged.total(), single.total());
-        for (a, b) in merged.counters().iter().zip(single.counters().iter()) {
-            assert!((a - b).abs() < 1e-9);
-        }
-        // Incompatible sketches must refuse to merge.
-        let mismatched = FastAgmsSketch::new(p, 5);
-        assert!(merged.merge(&mismatched).is_err());
     }
 
     proptest! {

@@ -1,5 +1,6 @@
-//! `ldpjs-xtask` — workspace maintenance tasks, chiefly the repo-specific static-analysis
-//! lint engine behind `cargo run -p ldpjs-xtask -- lint`.
+//! `ldpjs-xtask` — workspace maintenance tasks: the repo-specific static-analysis lint
+//! engine behind `cargo run -p ldpjs-xtask -- lint`, and the source line count behind
+//! `cargo run -p ldpjs-xtask -- loc` ([`loc`]).
 //!
 //! The engine is deliberately dependency-free: a line-level lexer ([`lexer`]) feeds five
 //! rule families ([`rules`]) that encode this repository's contracts — `SAFETY:`-documented
@@ -12,6 +13,7 @@
 #![warn(missing_docs)]
 
 pub mod lexer;
+pub mod loc;
 pub mod rules;
 
 use std::fmt;

@@ -1,4 +1,5 @@
-//! CLI for the workspace maintenance tasks: `cargo run -p ldpjs-xtask -- lint`.
+//! CLI for the workspace maintenance tasks: `cargo run -p ldpjs-xtask -- lint` and
+//! `cargo run -p ldpjs-xtask -- loc`.
 
 #![forbid(unsafe_code)]
 
@@ -7,15 +8,47 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!("usage: cargo run -p ldpjs-xtask -- lint [--root <dir>] [<file.rs>...]");
+    eprintln!("       cargo run -p ldpjs-xtask -- loc");
     eprintln!();
     eprintln!("subcommands:");
     eprintln!("  lint    run the repo-specific static-analysis rules (unsafe-contract,");
-    eprintln!("          simd-dispatch, determinism, panic-freedom); exits non-zero on");
-    eprintln!("          findings. With no file arguments, lints every workspace .rs");
-    eprintln!("          file under the root; with file arguments, lints exactly those");
-    eprintln!("          files (honoring a leading `//@path:` pretend-path directive,");
-    eprintln!("          the fixture convention).");
+    eprintln!("          simd-dispatch, determinism, panic-freedom, telemetry-clock);");
+    eprintln!("          exits non-zero on findings. With no file arguments, lints");
+    eprintln!("          every workspace .rs file under the root; with file arguments,");
+    eprintln!("          lints exactly those files (honoring a leading `//@path:`");
+    eprintln!("          pretend-path directive, the fixture convention).");
+    eprintln!("  loc     print, per crate, the library and binary lines of src/ and");
+    eprintln!("          crates/*/src/ (xtask excepted) outside #[cfg(test)] / #[test]");
+    eprintln!("          code, and how many of them carry code.");
     ExitCode::from(2)
+}
+
+/// The workspace root: two levels above this crate's manifest.
+fn default_root() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("..")
+        .join("..")
+}
+
+/// Print the per-crate line counts and their total.
+fn loc() -> ExitCode {
+    let root = default_root();
+    let crates = match ldpjs_xtask::loc::loc_workspace(&root) {
+        Ok(crates) => crates,
+        Err(e) => {
+            eprintln!("loc: cannot walk workspace at {}: {e}", root.display());
+            return ExitCode::from(2);
+        }
+    };
+    println!("{:<12}{:>8}{:>8}", "crate", "lines", "code");
+    let (mut lines, mut code) = (0, 0);
+    for (name, count) in &crates {
+        println!("{name:<12}{:>8}{:>8}", count.lines, count.code);
+        lines += count.lines;
+        code += count.code;
+    }
+    println!("{:<12}{lines:>8}{code:>8}", "total");
+    ExitCode::SUCCESS
 }
 
 /// Lint explicit files. A leading `//@path: <rel>` line (the fixture convention) overrides
@@ -56,6 +89,7 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     match args.next().as_deref() {
         Some("lint") => {}
+        Some("loc") if args.next().is_none() => return loc(),
         _ => return usage(),
     }
     let mut root: Option<PathBuf> = None;
@@ -73,12 +107,7 @@ fn main() -> ExitCode {
     if !files.is_empty() {
         return lint_files(&files);
     }
-    // Default root: the workspace directory two levels above this crate's manifest.
-    let root = root.unwrap_or_else(|| {
-        PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("..")
-            .join("..")
-    });
+    let root = root.unwrap_or_else(default_root);
 
     match ldpjs_xtask::lint_workspace(&root) {
         Ok((diags, checked)) => {

@@ -7,6 +7,7 @@
 //! more, no fewer. A final test runs the real engine over the real workspace and demands
 //! zero diagnostics, so the tree can never drift out of compliance without CI noticing.
 
+use ldpjs_xtask::loc::LineCount;
 use ldpjs_xtask::{lint_sources, lint_workspace};
 use std::path::{Path, PathBuf};
 
@@ -86,6 +87,14 @@ fn fixture_lint_allow_suppresses_exactly_one() {
 #[test]
 fn fixture_implicit_wall_clock_in_lib_code() {
     assert_fixture("telemetry_clock.rs");
+}
+
+#[test]
+fn loc_counts_every_line_outside_test_regions() {
+    // The fixture's doc mentions `#[cfg(test)]` and a `#[cfg(test)]` helper precedes
+    // library code: lines 1–8 and 13–19 count, and 6 of those 15 carry code.
+    let text = std::fs::read_to_string(fixture_dir().join("loc.rs")).unwrap();
+    assert_eq!(LineCount::of(&text), LineCount { lines: 15, code: 6 });
 }
 
 #[test]

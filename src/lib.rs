@@ -9,8 +9,8 @@
 //! depend on a single crate:
 //!
 //! * [`core`] — LDPJoinSketch, FAP, LDPJoinSketch+, multi-way joins (the paper's contribution).
-//! * [`service`] — the online sketch service: epoch-windowed continuous ingestion, mergeable
-//!   window snapshots, and a cached query layer.
+//! * [`service`] — the online sketch service: epoch-windowed continuous ingestion, window
+//!   spans assembled exactly from a prefix-sum ledger, and a cached query layer.
 //! * [`sketch`] — non-private substrates: Fast-AGMS and COMPASS.
 //! * [`ldp`] — baseline LDP frequency oracles: k-RR, OLH/FLH, Apple-HCMS.
 //! * [`data`] — workload generators matching the paper's datasets.
@@ -51,7 +51,7 @@ pub use ldpjs_sketch as sketch;
 /// The most common imports for applications using the library.
 pub mod prelude {
     pub use ldpjs_common::stats::exact_join_size;
-    pub use ldpjs_common::stream::{ChunkedTuples, ChunkedValues, SliceChunks, TupleSliceChunks};
+    pub use ldpjs_common::stream::{ChunkedValues, SliceChunks};
     pub use ldpjs_common::Epsilon;
     pub use ldpjs_core::protocol::{
         build_private_sketch, build_private_sketch_chunked, build_private_sketch_parallel,

@@ -132,14 +132,7 @@ fn chain_3_estimate_over_vertex_and_chunked_edge_sketches_is_pinned() {
     let mut rng = StdRng::seed_from_u64(19);
     let s1 = build_private_sketch(&t1, vertex_params, eps(), 17, &mut rng).unwrap();
     let s3 = build_private_sketch(&t3, vertex_params, eps(), 18, &mut rng).unwrap();
-    let s2 = build_edge_sketch_chunked(
-        &TupleSliceChunks::new(&t2, 7_000),
-        &attr_a,
-        &attr_b,
-        eps(),
-        20,
-    )
-    .unwrap();
+    let s2 = build_edge_sketch_chunked(&t2, 7_000, &attr_a, &attr_b, eps(), 20).unwrap();
     let est = ChainKernel.chain_3(&s1, &s2, &s3).unwrap();
     assert_bits("ChainKernel::chain_3", est, 0x4246_aadf_116c_db22);
 }

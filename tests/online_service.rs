@@ -8,7 +8,7 @@
 //!    through `SketchService` — sealed into 16 epoch windows along the way — and then
 //!    merging all windows yields a join estimate **bit-identical** to the one-shot
 //!    `ldp_join_estimate_chunked` run over the same streams and seeds. (Sealed windows keep
-//!    exact integer counters; the merge re-aggregates them before a single restore.)
+//!    exact integer spectra; a span sums them before a single de-bias scale.)
 //! 2. **Repeated queries are served from the cache** with identical output (hit counter
 //!    asserted), and the snapshot ring stays within its configured retention bound.
 //! 3. **The same holds for the LDPJoinSketch+ path** (`service_plus_soak_*`): windowed

@@ -440,7 +440,7 @@ mod oracle_ldp_ratio_properties {
     //! k-RR genuinely attains the ratio `e^ε` exactly, so the slack is all noise headroom.
 
     use super::*;
-    use ldp_join_sketch::ldp::{FlhOracle, HcmsOracle, KrrOracle, OlhVariant};
+    use ldp_join_sketch::ldp::{FlhOracle, HcmsOracle, KrrOracle};
     use proptest::prelude::*;
 
     const TRIALS: usize = 100_000;
@@ -480,7 +480,7 @@ mod oracle_ldp_ratio_properties {
             let eps = Epsilon::new(eps_val).unwrap();
             // A small pool keeps the report alphabet (pool × g) estimable; privacy comes
             // from the inner k-RR over [g] alone, so the pool size does not affect the bound.
-            let oracle = FlhOracle::with_pool(eps, 4, pool_seed, OlhVariant::Fast);
+            let oracle = FlhOracle::with_pool(eps, 4, pool_seed);
             let h1 = histogram(TRIALS, seed, |rng| {
                 let r = oracle.perturb(raw_v1, rng);
                 (r.hash_index, r.bucket)
