@@ -1,11 +1,11 @@
-//! Sign-split packed report batches and their scatter-accumulate kernels.
+//! Sign-split packed report batches and their accumulate loop.
 //!
 //! The LDPJoinSketch ingest hot path moves exactly one piece of information per client
 //! report into the server's counters: *which* flat counter `j·m + l` the report targets and
 //! *which way* (`y ∈ {−1, +1}`) it pushes. A [`ReportBatch`] carries exactly that in 4 bytes
 //! per report — two `u32` index arrays, one per sign — where the array-of-structs
 //! `ClientReport` shape takes 24, so a 400k-report batch streams 1.6 MB instead of 9.6 MB
-//! and the scatter kernel has **no sign math left at all**: each lane is a pure
+//! and the accumulate loop has **no sign math left at all**: each lane is a pure
 //! `counters[idx] ± 1` histogram. Clients emit batches directly (`perturb_batch`), and a
 //! batch is the only form in which more than one report reaches a sketch builder.
 //!
@@ -15,25 +15,25 @@
 //! addition is exact (and therefore associative and commutative) while magnitudes stay
 //! below `2^53`, and adding `+1` and `−1` contributions in any interleaving can never
 //! produce `−0.0` (round-to-nearest returns `+0.0` for the sum of opposite equal values).
-//! So accumulating a batch as per-counter *net* deltas (`#plus − #minus`, an `i32`) and
-//! adding each net delta once is **bit-for-bit identical** to replaying the reports one by
-//! one in their original order — the property tests in `ldpjs-core` pin this against the
-//! scalar reference path.
+//! So adding the whole `+1` lane and then the whole `−1` lane is **bit-for-bit identical**
+//! to replaying the reports one by one in their original order — the property tests in
+//! `ldpjs-core` pin this against the scalar reference path.
 //!
-//! # Kernel shape (measured on the bench workload, 400k reports, k = 18, m = 1024)
+//! # Loop shape
 //!
-//! The scatter accumulates into a dense `i32` scratch (k·m entries, 72 KB at the bench
-//! shape — L2-resident, hot counters L1-resident), four interleaved streams per sign lane
-//! to hide store-to-load forwarding latency on repeated hot counters, then drains the
-//! scratch into the `f64` counters in one vectorized sweep. This runs at ~0.7–0.9 ns per
-//! report where the array-of-structs scalar path costs ~3.1–3.6 ns. The drain is an
-//! elementwise `i32 → f64` convert-add behind the same runtime SIMD dispatch pattern as
-//! the FWHT kernels in [`crate::hadamard`]; conversion of an `i32` to `f64` is exact, so
-//! every drain kernel is trivially bit-identical.
+//! [`ReportBatch::accumulate_into`] is one bounds-checked `counters[idx] += 1.0` loop over
+//! the plus lane and one `-= 1.0` loop over the minus lane. Alg. 1 draws every report's
+//! row `j` and Hadamard coordinate `l` uniformly, so a batch's indices are uniform over
+//! the `k·m` counters whatever the value skew: no counter is hot, and consecutive adds
+//! rarely wait on each other's stores. At the bench shape (k = 18, m = 1024, a 144 KB
+//! counter table, 2-vCPU x86-64 host) the loop costs about 1.3 ns per report on an
+//! 8,192-report batch, the size the chunked runners and the pipeline benchmark send. An
+//! `i32` histogram drained into the counters by SIMD costs 1.7–1.8 ns there, and wins
+//! only on whole-table batches (0.94 against 1.3 ns at 400k reports).
 //!
 //! Index validity is a **construction invariant** of [`ReportBatch`] (fields are private;
-//! every constructor and push validates), which is what lets the hot kernels skip
-//! per-report bounds checks without an extra validation sweep.
+//! every constructor and push validates), so a batch whose shape matches the counters never
+//! indexes out of bounds.
 
 use crate::error::{Error, Result};
 
@@ -44,8 +44,8 @@ use crate::error::{Error, Result};
 /// the batch is *not* meaningful — see the module docs for why reordering is exact — and
 /// conversions from report streams are free to interleave the lanes however they arrive.
 ///
-/// All stored indices are `< rows·cols` by construction; the accumulate kernels rely on
-/// that invariant (fields are private and every mutating entry point validates).
+/// All stored indices are `< rows·cols` by construction (fields are private and every
+/// mutating entry point validates).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReportBatch {
     rows: usize,
@@ -55,12 +55,6 @@ pub struct ReportBatch {
     /// index — a data dependency instead of an unpredictable sign branch.
     lanes: [Vec<u32>; 2],
 }
-
-/// Batches with at least this many reports per counter-array quarter take the
-/// scratch-and-drain path; smaller ones scatter `±1.0` directly into the `f64` counters
-/// (zeroing and draining a whole scratch costs more than it saves on tiny batches).
-/// Both paths produce bit-identical counters, so the cutoff is purely a latency knob.
-const SCRATCH_CUTOFF_DIVISOR: usize = 4;
 
 impl ReportBatch {
     /// An empty batch for a `rows × cols` sketch.
@@ -171,6 +165,20 @@ impl ReportBatch {
         Ok(())
     }
 
+    /// Check that the batch is shaped for a `rows × cols` sketch.
+    ///
+    /// # Errors
+    /// Returns [`Error::IncompatibleSketches`] on a shape mismatch.
+    pub fn check_shape(&self, rows: usize, cols: usize) -> Result<()> {
+        if self.rows != rows || self.cols != cols {
+            return Err(Error::IncompatibleSketches(format!(
+                "report batch is {}x{} but the sketch is {rows}x{cols}",
+                self.rows, self.cols
+            )));
+        }
+        Ok(())
+    }
+
     /// Append every report of `other` (which must have the same shape).
     ///
     /// # Errors
@@ -187,182 +195,24 @@ impl ReportBatch {
         Ok(())
     }
 
-    /// Accumulate every report into `counters` (`counters[idx] += ±1.0`, net-delta form)
-    /// through a caller-owned scratch buffer (resized and zeroed as needed, left zeroed
-    /// afterwards so it can be handed straight back in).
+    /// Accumulate every report into `counters`: `counters[idx] += 1.0` for the plus lane,
+    /// then `counters[idx] -= 1.0` for the minus lane (bit-identical to any per-report
+    /// order; see the module docs).
     ///
     /// # Panics
     /// Panics if `counters.len() != rows·cols`.
-    pub fn accumulate_into_with(&self, counters: &mut [f64], scratch: &mut Vec<i32>) {
+    pub fn accumulate_into(&self, counters: &mut [f64]) {
         assert_eq!(
             counters.len(),
             self.rows * self.cols,
             "counter array does not match the batch shape"
         );
-        // Small batches scatter `±1.0` straight into the counters, large ones take the
-        // i32-scratch histogram + vectorized drain. Bit-identical either way (see the
-        // module docs).
         let [plus, minus] = &self.lanes;
-        let n = plus.len() + minus.len();
-        if n == 0 {
-            return;
+        for &idx in plus {
+            counters[idx as usize] += 1.0;
         }
-        if n < counters.len() / SCRATCH_CUTOFF_DIVISOR {
-            for &idx in plus {
-                counters[idx as usize] += 1.0;
-            }
-            for &idx in minus {
-                counters[idx as usize] -= 1.0;
-            }
-            return;
-        }
-        if scratch.len() != counters.len() {
-            scratch.clear();
-            scratch.resize(counters.len(), 0);
-        }
-        debug_assert_eq!(scratch.len(), counters.len());
-        scatter_lane(scratch, plus, 1);
-        scatter_lane(scratch, minus, -1);
-        drain_dispatch(counters, scratch);
-    }
-}
-
-/// Histogram one sign lane into the scratch, four interleaved streams to break
-/// store-to-load forwarding chains on hot (high-frequency) counters.
-fn scatter_lane(scratch: &mut [i32], lane: &[u32], delta: i32) {
-    debug_assert!(lane.iter().all(|&i| (i as usize) < scratch.len()));
-    let q = lane.len() / 4;
-    let (a, rest) = lane.split_at(q);
-    let (b, rest) = rest.split_at(q);
-    let (c, rest) = rest.split_at(q);
-    let (d, tail) = rest.split_at(q);
-    for i in 0..q {
-        #[allow(unsafe_code)]
-        // SAFETY: `i < q` and the four streams each have exactly `q` elements by the
-        // `split_at` arithmetic above, so every `get_unchecked(i)` is in bounds. Every
-        // index stored in a `ReportBatch` lane is `< rows·cols` by construction (all
-        // constructors validate), and `scratch.len() == rows·cols` is asserted by every
-        // accumulate entry point before reaching this kernel, so every
-        // `get_unchecked_mut` is in bounds too.
-        unsafe {
-            *scratch.get_unchecked_mut(*a.get_unchecked(i) as usize) += delta;
-            *scratch.get_unchecked_mut(*b.get_unchecked(i) as usize) += delta;
-            *scratch.get_unchecked_mut(*c.get_unchecked(i) as usize) += delta;
-            *scratch.get_unchecked_mut(*d.get_unchecked(i) as usize) += delta;
-        }
-    }
-    for &idx in tail {
-        #[allow(unsafe_code)]
-        // SAFETY: same invariant as above.
-        unsafe {
-            *scratch.get_unchecked_mut(idx as usize) += delta;
-        }
-    }
-}
-
-/// Drain the net deltas into the counters (`counters[i] += scratch[i] as f64`) and zero the
-/// scratch, routed to the widest available vector ISA. Every kernel performs the identical
-/// elementwise exact `i32 → f64` conversion and one `f64` add per counter, so the results
-/// are bit-identical across targets.
-fn drain_dispatch(counters: &mut [f64], scratch: &mut [i32]) {
-    debug_assert_eq!(counters.len(), scratch.len());
-    #[cfg(target_arch = "x86_64")]
-    {
-        if counters.len() >= 16 && std::arch::is_x86_feature_detected!("avx512f") {
-            #[allow(unsafe_code)]
-            // SAFETY: the runtime guard above proves `avx512f` — the exact feature set
-            // `drain_avx512` is compiled with — is available on this CPU, and the
-            // `counters.len() == scratch.len()` precondition is asserted at fn entry.
-            unsafe {
-                simd::drain_avx512(counters, scratch)
-            };
-            crate::dispatch::bump(&crate::dispatch::DRAIN_AVX512);
-            return;
-        }
-        if counters.len() >= 8 && std::arch::is_x86_feature_detected!("avx2") {
-            #[allow(unsafe_code)]
-            // SAFETY: the runtime guard above proves `avx2` — the exact feature set
-            // `drain_avx2` is compiled with — is available on this CPU, and the
-            // `counters.len() == scratch.len()` precondition is asserted at fn entry.
-            unsafe {
-                simd::drain_avx2(counters, scratch)
-            };
-            crate::dispatch::bump(&crate::dispatch::DRAIN_AVX2);
-            return;
-        }
-    }
-    crate::dispatch::bump(&crate::dispatch::DRAIN_PORTABLE);
-    for (c, s) in counters.iter_mut().zip(scratch.iter_mut()) {
-        *c += *s as f64;
-        *s = 0;
-    }
-}
-
-/// Explicit-SIMD drain kernels (x86-64), same dispatch idiom as the FWHT kernels.
-#[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
-mod simd {
-    use std::arch::x86_64::*;
-
-    /// 8 counters per step: exact `i32 → f64` convert, one add, zero the scratch.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support `avx512f` (callers check via `is_x86_feature_detected!`),
-    /// and `counters` and `scratch` must have equal lengths.
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn drain_avx512(counters: &mut [f64], scratch: &mut [i32]) {
-        debug_assert_eq!(counters.len(), scratch.len());
-        let n = counters.len();
-        let mut i = 0;
-        while i + 8 <= n {
-            // SAFETY: `i + 8 <= n` bounds every access; loads/stores are unaligned.
-            unsafe {
-                let s = _mm256_loadu_si256(scratch.as_ptr().add(i) as *const __m256i);
-                let c = _mm512_loadu_pd(counters.as_ptr().add(i));
-                let sum = _mm512_add_pd(c, _mm512_cvtepi32_pd(s));
-                _mm512_storeu_pd(counters.as_mut_ptr().add(i), sum);
-                _mm256_storeu_si256(
-                    scratch.as_mut_ptr().add(i) as *mut __m256i,
-                    _mm256_setzero_si256(),
-                );
-            }
-            i += 8;
-        }
-        for j in i..n {
-            counters[j] += scratch[j] as f64;
-            scratch[j] = 0;
-        }
-    }
-
-    /// 4 counters per step, AVX2.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support `avx2` (callers check via `is_x86_feature_detected!`),
-    /// and `counters` and `scratch` must have equal lengths.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn drain_avx2(counters: &mut [f64], scratch: &mut [i32]) {
-        debug_assert_eq!(counters.len(), scratch.len());
-        let n = counters.len();
-        let mut i = 0;
-        while i + 4 <= n {
-            // SAFETY: `i + 4 <= n` bounds every access; loads/stores are unaligned.
-            unsafe {
-                let s = _mm_loadu_si128(scratch.as_ptr().add(i) as *const __m128i);
-                let c = _mm256_loadu_pd(counters.as_ptr().add(i));
-                let sum = _mm256_add_pd(c, _mm256_cvtepi32_pd(s));
-                _mm256_storeu_pd(counters.as_mut_ptr().add(i), sum);
-                _mm_storeu_si128(
-                    scratch.as_mut_ptr().add(i) as *mut __m128i,
-                    _mm_setzero_si128(),
-                );
-            }
-            i += 4;
-        }
-        for j in i..n {
-            counters[j] += scratch[j] as f64;
-            scratch[j] = 0;
+        for &idx in minus {
+            counters[idx as usize] -= 1.0;
         }
     }
 }
@@ -422,8 +272,6 @@ mod tests {
 
     #[test]
     fn accumulate_matches_sequential_replay_bitwise() {
-        // Spans the small-batch direct path and the scratch path, with remainders that
-        // exercise the interleave tail.
         for (rows, cols, n) in [
             (3, 8, 2),
             (3, 8, 5),
@@ -438,7 +286,7 @@ mod tests {
             }
             assert_eq!(batch.len(), n);
             let mut counters = vec![0.0; rows * cols];
-            batch.accumulate_into_with(&mut counters, &mut Vec::new());
+            batch.accumulate_into(&mut counters);
             let reference = reference_counters(&reports, rows, cols);
             for (i, (a, b)) in counters.iter().zip(reference.iter()).enumerate() {
                 assert_eq!(
@@ -447,25 +295,6 @@ mod tests {
                     "counter {i} at shape {rows}x{cols}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn scratch_is_left_zeroed_for_reuse() {
-        let mut batch = ReportBatch::new(2, 16).unwrap();
-        for i in 0..320 {
-            batch.push(i % 2, i % 16, i % 3 == 0).unwrap();
-        }
-        let mut counters = vec![0.0; 32];
-        let mut scratch = Vec::new();
-        batch.accumulate_into_with(&mut counters, &mut scratch);
-        assert_eq!(scratch.len(), 32);
-        assert!(scratch.iter().all(|&s| s == 0));
-        // Second use over the reused scratch doubles the counters exactly.
-        let first = counters.clone();
-        batch.accumulate_into_with(&mut counters, &mut scratch);
-        for (a, b) in counters.iter().zip(first.iter()) {
-            assert_eq!(a.to_bits(), (b * 2.0).to_bits());
         }
     }
 

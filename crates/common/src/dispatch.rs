@@ -1,9 +1,9 @@
 //! Process-wide SIMD kernel dispatch accounting.
 //!
-//! The FWHT restore ([`crate::hadamard`]), histogram drain ([`crate::batch`]),
-//! frequent-item count screen ([`crate::screen`]) and lane hash ([`crate::hash`]) kernels
-//! pick the widest vector ISA the CPU offers at runtime. Which tier actually ran is invisible from the outside — all
-//! tiers are bit-identical by contract — yet it is exactly what an operator needs when a
+//! The FWHT restore ([`crate::hadamard`]), frequent-item count screen ([`crate::screen`])
+//! and lane hash ([`crate::hash`]) kernels pick the widest vector ISA the CPU offers at
+//! runtime. Which tier actually ran is invisible from the outside — all tiers are
+//! bit-identical by contract — yet it is exactly what an operator needs when a
 //! deployment's restore throughput regresses on new hardware. This module keeps one
 //! process-wide relaxed atomic per `(kernel, tier)` pair; the dispatchers bump them and
 //! [`kernel_dispatch_snapshot`] reads them.
@@ -19,9 +19,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub(crate) static FWHT_AVX512: AtomicU64 = AtomicU64::new(0);
 pub(crate) static FWHT_AVX2: AtomicU64 = AtomicU64::new(0);
 pub(crate) static FWHT_PORTABLE: AtomicU64 = AtomicU64::new(0);
-pub(crate) static DRAIN_AVX512: AtomicU64 = AtomicU64::new(0);
-pub(crate) static DRAIN_AVX2: AtomicU64 = AtomicU64::new(0);
-pub(crate) static DRAIN_PORTABLE: AtomicU64 = AtomicU64::new(0);
 pub(crate) static SCREEN_AVX512: AtomicU64 = AtomicU64::new(0);
 pub(crate) static SCREEN_AVX2: AtomicU64 = AtomicU64::new(0);
 pub(crate) static SCREEN_PORTABLE: AtomicU64 = AtomicU64::new(0);
@@ -34,6 +31,10 @@ pub(crate) fn bump(cell: &AtomicU64) {
 }
 
 /// Cumulative per-tier dispatch counts since process start.
+///
+/// The three `drain_*` fields are always 0: batch ingest adds `±1` straight into the
+/// counters, so no kernel drains a histogram. They stay only because the pipeline
+/// benchmark's host facts read them, and [`KernelDispatchSnapshot::series`] omits them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelDispatchSnapshot {
     /// FWHT restores executed by the AVX-512 kernel.
@@ -42,11 +43,11 @@ pub struct KernelDispatchSnapshot {
     pub fwht_avx2: u64,
     /// FWHT restores executed by the portable radix-2 kernel.
     pub fwht_portable: u64,
-    /// Histogram drains executed by the AVX-512 kernel.
+    /// Always 0 (no histogram drain exists).
     pub drain_avx512: u64,
-    /// Histogram drains executed by the AVX2 kernel.
+    /// Always 0 (no histogram drain exists).
     pub drain_avx2: u64,
-    /// Histogram drains executed by the portable scalar loop.
+    /// Always 0 (no histogram drain exists).
     pub drain_portable: u64,
     /// Count screens executed by the AVX-512 kernel.
     pub screen_avx512: u64,
@@ -68,9 +69,6 @@ impl KernelDispatchSnapshot {
             fwht_avx512: self.fwht_avx512.saturating_sub(baseline.fwht_avx512),
             fwht_avx2: self.fwht_avx2.saturating_sub(baseline.fwht_avx2),
             fwht_portable: self.fwht_portable.saturating_sub(baseline.fwht_portable),
-            drain_avx512: self.drain_avx512.saturating_sub(baseline.drain_avx512),
-            drain_avx2: self.drain_avx2.saturating_sub(baseline.drain_avx2),
-            drain_portable: self.drain_portable.saturating_sub(baseline.drain_portable),
             screen_avx512: self.screen_avx512.saturating_sub(baseline.screen_avx512),
             screen_avx2: self.screen_avx2.saturating_sub(baseline.screen_avx2),
             screen_portable: self
@@ -78,18 +76,16 @@ impl KernelDispatchSnapshot {
                 .saturating_sub(baseline.screen_portable),
             hash_avx512: self.hash_avx512.saturating_sub(baseline.hash_avx512),
             hash_portable: self.hash_portable.saturating_sub(baseline.hash_portable),
+            ..KernelDispatchSnapshot::default()
         }
     }
 
     /// `(series suffix, count)` pairs in a fixed order, for exporters.
-    pub fn series(&self) -> [(&'static str, u64); 11] {
+    pub fn series(&self) -> [(&'static str, u64); 8] {
         [
             ("fwht_avx512", self.fwht_avx512),
             ("fwht_avx2", self.fwht_avx2),
             ("fwht_portable", self.fwht_portable),
-            ("drain_avx512", self.drain_avx512),
-            ("drain_avx2", self.drain_avx2),
-            ("drain_portable", self.drain_portable),
             ("screen_avx512", self.screen_avx512),
             ("screen_avx2", self.screen_avx2),
             ("screen_portable", self.screen_portable),
@@ -105,14 +101,12 @@ pub fn kernel_dispatch_snapshot() -> KernelDispatchSnapshot {
         fwht_avx512: FWHT_AVX512.load(Ordering::Relaxed),
         fwht_avx2: FWHT_AVX2.load(Ordering::Relaxed),
         fwht_portable: FWHT_PORTABLE.load(Ordering::Relaxed),
-        drain_avx512: DRAIN_AVX512.load(Ordering::Relaxed),
-        drain_avx2: DRAIN_AVX2.load(Ordering::Relaxed),
-        drain_portable: DRAIN_PORTABLE.load(Ordering::Relaxed),
         screen_avx512: SCREEN_AVX512.load(Ordering::Relaxed),
         screen_avx2: SCREEN_AVX2.load(Ordering::Relaxed),
         screen_portable: SCREEN_PORTABLE.load(Ordering::Relaxed),
         hash_avx512: HASH_AVX512.load(Ordering::Relaxed),
         hash_portable: HASH_PORTABLE.load(Ordering::Relaxed),
+        ..KernelDispatchSnapshot::default()
     }
 }
 

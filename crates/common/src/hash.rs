@@ -450,8 +450,8 @@ fn fill_portable<'a>(
     }
 }
 
-/// The AVX-512F tier of the lane entry points (x86-64), same dispatch idiom as the FWHT,
-/// drain and screen kernels.
+/// The AVX-512F tier of the lane entry points (x86-64), same dispatch idiom as the FWHT
+/// and screen kernels.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod simd {

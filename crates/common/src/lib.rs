@@ -9,7 +9,7 @@
 //! * [`hadamard`] — Walsh–Hadamard matrix entries and the in-place fast Walsh–Hadamard
 //!   transform used by the Hadamard mechanism on both the client and the server side.
 //! * [`batch`] — sign-split packed report batches ([`batch::ReportBatch`]) and the
-//!   histogram scatter/drain kernels behind the batched server-side ingest path.
+//!   `±1` accumulate loop behind the batched server-side ingest path.
 //! * [`screen`] — the frequent-item count screen ([`screen::count_above`]), a SIMD
 //!   per-candidate count of the sketch rows that clear a threshold.
 //! * [`rr`] — the binary randomized-response primitive and the de-bias constant
@@ -26,7 +26,7 @@
 
 #![warn(missing_docs)]
 // The only crate in the workspace allowed to contain `unsafe` (the SIMD kernels in
-// `hadamard`, `batch`, `screen` and `hash`); every block is opted in with
+// `hadamard`, `screen` and `hash`); every block is opted in with
 // `#[allow(unsafe_code)]` plus a `// SAFETY:` contract, and `ldpjs-xtask lint`
 // machine-checks both.
 #![deny(unsafe_code)]

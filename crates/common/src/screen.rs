@@ -139,7 +139,7 @@ fn count_above_portable(
     }
 }
 
-/// Explicit-SIMD screen kernels (x86-64), same dispatch idiom as the FWHT and drain kernels.
+/// Explicit-SIMD screen kernels (x86-64), same dispatch idiom as the FWHT kernels.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod simd {

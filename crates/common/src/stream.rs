@@ -75,17 +75,16 @@ impl ChunkedValues for SliceChunks<'_> {
     }
 }
 
-/// Collect a chunked stream into a `Vec` (test/diagnostic helper; defeats the memory bound
-/// on purpose, so production paths should never need it).
-pub fn collect_chunks(source: &dyn ChunkedValues) -> Vec<Value> {
-    let mut out = Vec::with_capacity(source.total_values());
-    source.for_each_chunk(&mut |_, chunk| out.extend_from_slice(chunk));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Collect a chunked stream into a `Vec`.
+    fn collect_chunks(source: &dyn ChunkedValues) -> Vec<Value> {
+        let mut out = Vec::with_capacity(source.total_values());
+        source.for_each_chunk(&mut |_, chunk| out.extend_from_slice(chunk));
+        out
+    }
 
     #[test]
     fn slice_chunks_partition_the_slice_in_order() {

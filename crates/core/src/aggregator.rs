@@ -45,7 +45,9 @@ impl ShardedAggregator {
     /// checked: every batch lands in the one builder.
     ///
     /// # Errors
-    /// Returns [`Error::InvalidWorkload`] if `shards` is zero.
+    /// Returns [`Error::InvalidWorkload`] if `shards` is zero, and
+    /// [`Error::InvalidSketchParameter`] if the family's shape is not `params`
+    /// ([`SketchBuilder::with_hashes`]).
     pub fn with_hashes(
         params: SketchParams,
         eps: Epsilon,
@@ -58,7 +60,7 @@ impl ShardedAggregator {
             ));
         }
         Ok(ShardedAggregator {
-            builder: SketchBuilder::with_hashes(params, eps, hashes),
+            builder: SketchBuilder::with_hashes(params, eps, hashes)?,
             instruments: None,
         })
     }
@@ -125,7 +127,7 @@ mod tests {
         let batches = [batch_for(500, p, e, 21), batch_for(3, p, e, 23)];
         let mut engine = ShardedAggregator::with_hashes(p, e, hashes(), 3).unwrap();
         engine.set_instruments(Some(inst.clone()));
-        let mut single = SketchBuilder::with_hashes(p, e, hashes());
+        let mut single = SketchBuilder::with_hashes(p, e, hashes()).unwrap();
         for (i, batch) in batches.iter().enumerate() {
             engine.ingest(batch).unwrap();
             single.absorb_batch(batch).unwrap();

@@ -30,6 +30,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::sync::Arc;
 
+use crate::server::check_family_shape;
+
 /// Number of values per deterministic RNG stream in the parallel perturbation fan-out.
 ///
 /// The fan-out seeds one independent `StdRng` per fixed-size chunk of the input, so the
@@ -171,14 +173,17 @@ impl LdpJoinSketchClient {
 
     /// Create a client that shares an already-derived hash family (used by the server and by
     /// FAP so that every participant agrees on `(h_j, ξ_j)`).
-    pub fn with_hashes(params: SketchParams, eps: Epsilon, hashes: Arc<RowHashes>) -> Self {
-        debug_assert_eq!(hashes.rows(), params.rows());
-        debug_assert_eq!(hashes.columns(), params.columns());
-        LdpJoinSketchClient {
+    ///
+    /// # Errors
+    /// Returns [`Error::InvalidSketchParameter`] if the family does not have one `(h, ξ)`
+    /// pair per row and `m` buckets.
+    pub fn with_hashes(params: SketchParams, eps: Epsilon, hashes: Arc<RowHashes>) -> Result<Self> {
+        check_family_shape(params, &hashes)?;
+        Ok(LdpJoinSketchClient {
             params,
             eps,
             hashes,
-        }
+        })
     }
 
     /// Sketch parameters `(k, m)`.
@@ -251,9 +256,7 @@ impl LdpJoinSketchClient {
     ///
     /// # Errors
     /// Returns [`Error::IncompatibleSketches`] if `batch` was built for a different sketch
-    /// shape; the batch is unchanged in that case. Returns
-    /// [`Error::InvalidSketchParameter`] if a hash family shared through
-    /// [`LdpJoinSketchClient::with_hashes`] has fewer rows than the sketch.
+    /// shape; the batch is unchanged in that case.
     pub fn perturb_batch_into<R: RngCore + ?Sized>(
         &self,
         values: &[u64],
@@ -355,15 +358,7 @@ impl LdpJoinSketchClient {
 
     /// Reject a caller-supplied batch shaped for another sketch.
     pub(crate) fn check_batch(&self, batch: &ReportBatch) -> Result<()> {
-        let (k, m) = (self.params.rows(), self.params.columns());
-        if batch.rows() != k || batch.columns() != m {
-            return Err(Error::IncompatibleSketches(format!(
-                "report batch is {}x{} but the client's sketch is {k}x{m}",
-                batch.rows(),
-                batch.columns(),
-            )));
-        }
-        Ok(())
+        batch.check_shape(self.params.rows(), self.params.columns())
     }
 
     /// Communication cost of one report in bits: the perturbed bit plus the `(j, l)` indices.
@@ -559,7 +554,8 @@ mod tests {
                     "n={n}: thread count {threads} changed the batch"
                 );
             }
-            let mut reference = SketchBuilder::with_hashes(p, c.epsilon(), Arc::clone(c.hashes()));
+            let mut reference =
+                SketchBuilder::with_hashes(p, c.epsilon(), Arc::clone(c.hashes())).unwrap();
             let mut in_chunk_order = ReportBatch::new(p.rows(), p.columns()).unwrap();
             for (i, vals) in values.chunks(chunk).enumerate() {
                 let seed = chunk_stream_seed(42, i as u64);
@@ -571,7 +567,8 @@ mod tests {
                 in_chunk_order.append(&part).unwrap();
             }
             assert_eq!(one, in_chunk_order, "n={n}: chunk batches out of order");
-            let mut packed = SketchBuilder::with_hashes(p, c.epsilon(), Arc::clone(c.hashes()));
+            let mut packed =
+                SketchBuilder::with_hashes(p, c.epsilon(), Arc::clone(c.hashes())).unwrap();
             packed.absorb_batch(&one).unwrap();
             assert_eq!(packed.reports(), reference.reports());
             assert_eq!(packed.spectrum(), reference.spectrum(), "n={n}");
@@ -674,7 +671,7 @@ mod tests {
         let params = SketchParams::new(8, 256).unwrap();
         let eps = Epsilon::new(20.0).unwrap(); // negligible flip probability
         let c1 = LdpJoinSketchClient::new(params, eps, 42);
-        let c2 = LdpJoinSketchClient::with_hashes(params, eps, Arc::clone(c1.hashes()));
+        let c2 = LdpJoinSketchClient::with_hashes(params, eps, Arc::clone(c1.hashes())).unwrap();
         // Same RNG stream -> identical (j, l) samples and identical unperturbed signal.
         let mut rng1 = StdRng::seed_from_u64(77);
         let mut rng2 = StdRng::seed_from_u64(77);

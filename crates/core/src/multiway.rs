@@ -159,14 +159,7 @@ impl LdpEdgeSketchClient {
     ) -> Result<()> {
         let k = self.attr_a.rows();
         let (ma, mb) = (self.attr_a.columns(), self.attr_b.columns());
-        if batch.rows() != k || batch.columns() != ma * mb {
-            return Err(Error::IncompatibleSketches(format!(
-                "report batch is {}x{} but the edge sketch is {k}x{}",
-                batch.rows(),
-                batch.columns(),
-                ma * mb,
-            )));
-        }
+        batch.check_shape(k, ma * mb)?;
         batch.clear();
         let flip_p = self.eps.flip_probability();
         for &(a, b) in tuples {
@@ -194,9 +187,6 @@ pub struct EdgeSketchBuilder {
     /// `k × m_A × m_B` accumulated report sums (Hadamard domain).
     raw: Vec<f64>,
     reports: u64,
-    /// The reusable `i32` scatter scratch of [`EdgeSketchBuilder::absorb_batch`] (see
-    /// [`SketchBuilder`](crate::server::SketchBuilder)'s).
-    scratch: Vec<i32>,
 }
 
 impl EdgeSketchBuilder {
@@ -214,7 +204,6 @@ impl EdgeSketchBuilder {
             eps,
             raw: vec![0.0; len],
             reports: 0,
-            scratch: Vec::new(),
         })
     }
 
@@ -268,30 +257,21 @@ impl EdgeSketchBuilder {
 
     /// Absorb an already-packed sign-split report batch (rows = replicas, columns =
     /// `m_A·m_B` flattened coordinates) — the zero-copy companion of
-    /// [`LdpEdgeSketchClient::perturb_batch`]. Large batches scatter through the builder's
-    /// own reusable `i32` scratch, so chunked drivers that ingest many batches back to back
-    /// allocate nothing per batch.
+    /// [`LdpEdgeSketchClient::perturb_batch`]; absorbing allocates nothing.
     ///
     /// # Errors
     /// Returns [`Error::IncompatibleSketches`] on a shape mismatch; the builder is untouched
     /// in that case.
     pub fn absorb_batch(&mut self, batch: &ReportBatch) -> Result<()> {
-        let k = self.attr_a.rows();
         let per = self.attr_a.columns() * self.attr_b.columns();
-        if batch.rows() != k || batch.columns() != per {
-            return Err(Error::IncompatibleSketches(format!(
-                "report batch is {}x{} but the edge sketch is {k}x{per}",
-                batch.rows(),
-                batch.columns(),
-            )));
-        }
-        batch.accumulate_into_with(&mut self.raw, &mut self.scratch);
+        batch.check_shape(self.attr_a.rows(), per)?;
+        batch.accumulate_into(&mut self.raw);
         self.reports += batch.len() as u64;
         Ok(())
     }
 
-    /// Empty the builder: every counter back to zero, no reports; the attributes, ε and the
-    /// scatter scratch are kept.
+    /// Empty the builder: every counter back to zero, no reports; the attributes and ε are
+    /// kept.
     pub fn clear(&mut self) {
         self.raw.fill(0.0);
         self.reports = 0;
@@ -469,8 +449,8 @@ pub fn build_edge_sketch_chunked(
         ));
     }
     let client = LdpEdgeSketchClient::new(Arc::clone(attr_a), Arc::clone(attr_b), eps)?;
-    // One packed batch (and the builder's own scatter scratch), reused across every chunk:
-    // steady-state ingestion allocates nothing.
+    // One packed batch, reused across every chunk: steady-state ingestion allocates
+    // nothing.
     let mut batch = ReportBatch::new(attr_a.rows(), attr_a.columns() * attr_b.columns())?;
     let mut builder = EdgeSketchBuilder::new(Arc::clone(attr_a), Arc::clone(attr_b), eps)?;
     for (ordinal, part) in (0u64..).zip(tuples.chunks(chunk)) {
@@ -694,8 +674,6 @@ mod tests {
         let attr_a = family(5, 6, 64);
         let attr_b = family(6, 6, 64);
         let tuples = skewed_pairs(20_003, 300, 300, 31);
-        // The scratch cutoff is 6·64·64/4 = 6,144 reports: 1,024-tuple chunks stay under it,
-        // while 8,192-tuple chunks take the builder's scratch twice before a short tail.
         for chunk_len in [1_024, 8_192] {
             let build = |seed| {
                 build_edge_sketch_chunked(&tuples, chunk_len, &attr_a, &attr_b, eps(4.0), seed)

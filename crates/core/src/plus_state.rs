@@ -275,6 +275,14 @@ impl PlusStateBuilder {
         (&self.phase1, &self.low, &self.high)
     }
 
+    /// Empty the three lanes: every counter back to zero, no reports; the parameters, ε
+    /// and the three hash families are kept.
+    pub fn clear(&mut self) {
+        self.phase1.clear();
+        self.low.clear();
+        self.high.clear();
+    }
+
     /// Absorb one labeled batch atomically: all three lane shapes are checked before any
     /// counter moves, so a rejected batch leaves every lane untouched.
     ///

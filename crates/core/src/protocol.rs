@@ -33,7 +33,7 @@ pub fn build_private_sketch(
 ) -> Result<FinalizedSketch> {
     let client = LdpJoinSketchClient::new(params, eps, seed);
     let batch = client.perturb_batch(values, rng)?;
-    let mut builder = SketchBuilder::with_hashes(params, eps, Arc::clone(client.hashes()));
+    let mut builder = SketchBuilder::with_hashes(params, eps, Arc::clone(client.hashes()))?;
     builder.absorb_batch(&batch)?;
     Ok(builder.finalize())
 }
@@ -60,7 +60,7 @@ pub fn build_private_sketch_parallel(
     let client = LdpJoinSketchClient::new(params, eps, seed);
     let mut batch = ReportBatch::with_capacity(params.rows(), params.columns(), values.len())?;
     client.perturb_batch_parallel_into(values, rng_seed, threads, &mut batch)?;
-    let mut builder = SketchBuilder::with_hashes(params, eps, Arc::clone(client.hashes()));
+    let mut builder = SketchBuilder::with_hashes(params, eps, Arc::clone(client.hashes()))?;
     builder.absorb_batch(&batch)?;
     Ok(builder.finalize())
 }
@@ -174,7 +174,7 @@ pub fn build_private_sketch_chunked(
 ) -> Result<FinalizedSketch> {
     check_threads(threads)?;
     let client = LdpJoinSketchClient::new(params, eps, seed);
-    let mut builder = SketchBuilder::with_hashes(params, eps, Arc::clone(client.hashes()));
+    let mut builder = SketchBuilder::with_hashes(params, eps, Arc::clone(client.hashes()))?;
     stream_reports_chunked(values, &client, rng_seed, threads, &mut |batch| {
         builder.absorb_batch(batch)
     })?;

@@ -50,10 +50,6 @@ pub struct SketchBuilder {
     raw: Vec<f64>,
     /// Number of absorbed reports.
     reports: u64,
-    /// The `i32` scatter scratch of [`SketchBuilder::absorb_batch`], reused across batches
-    /// (empty until the first batch large enough to need it, all zeros between calls), so
-    /// a long-lived builder allocates nothing per batch.
-    scratch: Vec<i32>,
 }
 
 impl SketchBuilder {
@@ -63,20 +59,26 @@ impl SketchBuilder {
     /// [`crate::client::LdpJoinSketchClient`]s.
     pub fn new(params: SketchParams, eps: Epsilon, seed: u64) -> Self {
         let hashes = Arc::new(RowHashes::from_seed(seed, params.rows(), params.columns()));
-        Self::with_hashes(params, eps, hashes)
+        Self::empty(params, eps, hashes)
     }
 
     /// Create an empty builder around an existing shared hash family.
-    pub fn with_hashes(params: SketchParams, eps: Epsilon, hashes: Arc<RowHashes>) -> Self {
-        debug_assert_eq!(hashes.rows(), params.rows());
-        debug_assert_eq!(hashes.columns(), params.columns());
+    ///
+    /// # Errors
+    /// Returns [`Error::InvalidSketchParameter`] if the family does not have one `(h, ξ)`
+    /// pair per row and `m` buckets.
+    pub fn with_hashes(params: SketchParams, eps: Epsilon, hashes: Arc<RowHashes>) -> Result<Self> {
+        check_family_shape(params, &hashes)?;
+        Ok(Self::empty(params, eps, hashes))
+    }
+
+    fn empty(params: SketchParams, eps: Epsilon, hashes: Arc<RowHashes>) -> Self {
         SketchBuilder {
             params,
             eps,
             hashes,
             raw: vec![0.0; params.counters()],
             reports: 0,
-            scratch: Vec::new(),
         }
     }
 
@@ -132,32 +134,28 @@ impl SketchBuilder {
     /// from client to counters. Index validity is a construction invariant of
     /// [`ReportBatch`], so no per-report validation happens here — only a shape check. The
     /// counters are bit-identical to absorbing the same reports one by one with
-    /// [`SketchBuilder::absorb`], in any order. Batches large enough to take the scratch
-    /// path scatter through the builder's own reusable `i32` scratch, so repeated batches
-    /// allocate nothing in steady state.
+    /// [`SketchBuilder::absorb`], in any order, and absorbing allocates nothing.
     ///
     /// # Errors
     /// Returns [`Error::IncompatibleSketches`] if the batch shape does not match this
     /// sketch; the builder is untouched in that case.
     pub fn absorb_batch(&mut self, batch: &ReportBatch) -> Result<()> {
         self.check_batch_shape(batch)?;
-        batch.accumulate_into_with(&mut self.raw, &mut self.scratch);
+        batch.accumulate_into(&mut self.raw);
         self.reports += batch.len() as u64;
         Ok(())
     }
 
+    /// Empty the builder: every counter back to zero, no reports; the parameters, ε and
+    /// the hash family are kept.
+    pub fn clear(&mut self) {
+        self.raw.fill(0.0);
+        self.reports = 0;
+    }
+
     /// Shape compatibility check for packed-batch ingestion.
     pub(crate) fn check_batch_shape(&self, batch: &ReportBatch) -> Result<()> {
-        if batch.rows() != self.params.rows() || batch.columns() != self.params.columns() {
-            return Err(Error::IncompatibleSketches(format!(
-                "report batch is {}x{} but the sketch is {}x{}",
-                batch.rows(),
-                batch.columns(),
-                self.params.rows(),
-                self.params.columns()
-            )));
-        }
-        Ok(())
+        batch.check_shape(self.params.rows(), self.params.columns())
     }
 
     /// Restore the sketch from the Hadamard domain (Algorithm 2, line 6): apply the de-bias
@@ -170,7 +168,6 @@ impl SketchBuilder {
             hashes,
             raw,
             reports,
-            ..
         } = self;
         restore(params, eps, hashes, raw, reports)
     }
@@ -898,6 +895,20 @@ impl DomainIndex {
     }
 }
 
+/// Reject a shared hash family whose shape is not `params`: a family with fewer rows
+/// than `k` leaves a sampled row without a hash pair, and one with another bucket count
+/// hashes values outside (or into a corner of) the `m` columns.
+pub(crate) fn check_family_shape(params: SketchParams, hashes: &RowHashes) -> Result<()> {
+    if hashes.rows() != params.rows() || hashes.columns() != params.columns() {
+        return Err(Error::InvalidSketchParameter(format!(
+            "a hash family of {} rows and {} columns does not fit the sketch {params}",
+            hashes.rows(),
+            hashes.columns()
+        )));
+    }
+    Ok(())
+}
+
 pub(crate) fn check_compatible(
     params: SketchParams,
     hashes: &RowHashes,
@@ -1057,6 +1068,27 @@ mod tests {
         assert!(a.join_size(&b).is_err());
         let c = SketchBuilder::new(params(4, 128), eps(1.0), 0).finalize();
         assert!(a.join_size(&c).is_err());
+    }
+
+    #[test]
+    fn shared_families_must_have_the_sketch_shape() {
+        // Release builds too: a 64-column family under m = 16 would index past a restored
+        // row, and a 2-row family under k = 4 leaves sampled rows without a hash pair.
+        use crate::aggregator::ShardedAggregator;
+        let (p, e) = (params(4, 16), eps(2.0));
+        let shape = |r: Result<()>| matches!(r, Err(Error::InvalidSketchParameter(_)));
+        for (rows, cols) in [(4, 64), (4, 8), (2, 16), (8, 16)] {
+            let family = Arc::new(RowHashes::from_seed(3, rows, cols));
+            let builder = SketchBuilder::with_hashes(p, e, Arc::clone(&family)).map(drop);
+            assert!(shape(builder), "builder over {rows}x{cols}");
+            let client = LdpJoinSketchClient::with_hashes(p, e, Arc::clone(&family)).map(drop);
+            assert!(shape(client), "client over {rows}x{cols}");
+            let engine = ShardedAggregator::with_hashes(p, e, family, 1).map(drop);
+            assert!(shape(engine), "aggregator over {rows}x{cols}");
+        }
+        let family = Arc::new(RowHashes::from_seed(3, 4, 16));
+        assert!(SketchBuilder::with_hashes(p, e, Arc::clone(&family)).is_ok());
+        assert!(LdpJoinSketchClient::with_hashes(p, e, family).is_ok());
     }
 
     #[test]
@@ -1650,8 +1682,6 @@ mod tests {
 
     #[test]
     fn absorb_batch_equals_incremental_absorption() {
-        // 6·64 = 384 counters put the scratch cutoff at 96 reports: the four batches
-        // alternate between the direct path and the builder's reused scratch.
         let p = params(6, 64);
         let e = eps(2.0);
         let client = LdpJoinSketchClient::new(p, e, 3);
@@ -1723,7 +1753,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// Packed ingest (`ReportBatch` scatter and SIMD drain) is bit-identical to absorbing
+        /// Packed ingest ([`ReportBatch::accumulate_into`]) is bit-identical to absorbing
         /// the same reports one `absorb()` call at a time, across batch sizes and report
         /// orders. Order invariance is real, not approximate: counters are exact integer
         /// sums in f64, so ±1 additions commute bitwise.

@@ -211,8 +211,14 @@ mod tests {
     use super::*;
     use crate::zipf::ZipfGenerator;
     use ldpjs_common::stats::exact_join_size;
-    use ldpjs_common::stream::collect_chunks;
     use proptest::prelude::*;
+
+    /// Materialize a chunked stream (defeats the memory bound on purpose).
+    fn collect_chunks(source: &dyn ChunkedValues) -> Vec<u64> {
+        let mut out = Vec::with_capacity(source.total_values());
+        source.for_each_chunk(&mut |_, chunk| out.extend_from_slice(chunk));
+        out
+    }
 
     #[test]
     fn chunked_output_is_bit_identical_to_materialized_table() {

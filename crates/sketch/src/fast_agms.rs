@@ -152,11 +152,6 @@ impl FastAgmsSketch {
             .collect();
         mean(&estimates).unwrap_or(0.0)
     }
-
-    /// Raw counters, row-major (used by tests).
-    pub fn counters(&self) -> &[f64] {
-        &self.counters
-    }
 }
 
 #[cfg(test)]
@@ -303,7 +298,7 @@ mod tests {
         sk.update_weighted(3, 5.0);
         sk.update_weighted(3, -5.0);
         // All counters must return to zero.
-        assert!(sk.counters().iter().all(|&c| c.abs() < 1e-12));
+        assert!(sk.counters.iter().all(|&c| c.abs() < 1e-12));
     }
 
     #[test]
@@ -351,7 +346,7 @@ mod tests {
             let mut sb = FastAgmsSketch::new(p, seed);
             sb.update_all(&b);
             for i in 0..p.counters() {
-                prop_assert!((sab.counters()[i] - sa.counters()[i] - sb.counters()[i]).abs() < 1e-9);
+                prop_assert!((sab.counters[i] - sa.counters[i] - sb.counters[i]).abs() < 1e-9);
             }
         }
 

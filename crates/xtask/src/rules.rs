@@ -14,7 +14,6 @@ use crate::{Diagnostic, FileClass, Rule, TargetKind};
 /// The only files allowed to contain `core::arch` / `std::arch` / `#[target_feature]`.
 pub const SIMD_FILES: &[&str] = &[
     "crates/common/src/hadamard.rs",
-    "crates/common/src/batch.rs",
     "crates/common/src/screen.rs",
     "crates/common/src/hash.rs",
 ];
@@ -133,7 +132,7 @@ fn unsafe_contract(class: &FileClass, model: &FileModel, out: &mut Vec<Diagnosti
     }
 }
 
-/// **simd-dispatch** — SIMD intrinsics stay confined to the four kernel files, every
+/// **simd-dispatch** — SIMD intrinsics stay confined to the three kernel files, every
 /// `#[target_feature]` fn is `unsafe`, and kernels are only called behind a matching
 /// `is_x86_feature_detected!` guard (or from a same-feature fn).
 fn simd_confinement(
@@ -150,7 +149,7 @@ fn simd_confinement(
                     Rule::SimdDispatch,
                     i + 1,
                     "`core::arch`/`std::arch` outside the designated kernel files \
-                     (crates/common/src/{hadamard,batch,screen,hash}.rs)",
+                     (crates/common/src/{hadamard,screen,hash}.rs)",
                 ));
             }
             if line.is_attr() && has_ident(&line.code, "target_feature") {

@@ -58,7 +58,8 @@ fn fixture_simd_outside_kernel_files() {
 
 #[test]
 fn fixture_simd_in_an_unlisted_common_file() {
-    // `ldpjs-common` holds the kernel files, but only the listed ones may use intrinsics.
+    // `ldpjs-common` holds the kernel files, but only the listed ones may use intrinsics:
+    // `batch.rs` has no kernel, so it is not listed.
     assert_fixture("simd_unlisted_common.rs");
 }
 

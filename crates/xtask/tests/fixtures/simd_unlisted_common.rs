@@ -1,4 +1,4 @@
-//@path: crates/common/src/stats.rs
+//@path: crates/common/src/batch.rs
 //@expect: simd-dispatch@5
 //@expect: simd-dispatch@8
 

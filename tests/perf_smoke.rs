@@ -214,7 +214,7 @@ fn batched_ingest_is_at_least_4x_scalar_absorb() {
     assert!(
         speedup >= 4.0,
         "packed ingest regressed to {speedup:.2}x per-report absorb (gate is 4x) — \
-         check the packed ReportBatch scatter and the SIMD drain kernels"
+         check the ReportBatch accumulate loop"
     );
 }
 
