@@ -140,7 +140,7 @@ mod tests {
     #[test]
     fn hash_dispatch_is_counted_on_exactly_one_tier() {
         let before = kernel_dispatch_snapshot();
-        let hashes = crate::hash::RowHashes::from_seed(1, 2, 64);
+        let hashes = crate::hash::RowHashes::from_seed(1, crate::SketchParams::new(2, 64).unwrap());
         let (mut buckets, mut neg) = ([0u16; 3], [0u64; 1]);
         hashes
             .hash_rows_into(&[0, 1, 1], &[5, 6, 7], &mut buckets, &mut neg)

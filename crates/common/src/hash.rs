@@ -11,7 +11,9 @@
 //! a degree-1 polynomial gives pairwise independence, a degree-3 polynomial gives 4-wise
 //! independence. Coefficients are drawn from a seeded [`rand::rngs::StdRng`] so an entire
 //! family is reproducible from a single `u64` seed — the server and every client must agree
-//! on the family, which in the LDP protocol is public information.
+//! on the family, which in the LDP protocol is public information. A sketch's family is
+//! drawn for its shape: [`RowHashes::from_seed`] takes a [`SketchParams`], so a family has
+//! one pair per row and a power-of-two bucket count by construction.
 //!
 //! # Hashing in lanes
 //!
@@ -22,14 +24,16 @@
 //! second hashes value `i` through row `rows[i]` (a block of client reports), gathering each
 //! lane's coefficients from a structure-of-arrays copy that [`RowHashes`] keeps.
 //!
-//! On x86-64 CPUs with AVX-512F, and for a power-of-two `m`, eight values share each step.
-//! A 61-bit product is four 32-bit partial products (`vpmuludq`), folded modulo `2^61 − 1`
-//! lazily: every intermediate residue stays below `2^61 + 8`, and each output takes one
-//! canonical subtraction, so every bucket and sign bit equals the scalar one. Every other
-//! host runs the scalar body, one value at a time. The dispatcher bumps one `hash_*`
+//! On x86-64 CPUs with AVX-512F, eight values share each step, and a bucket is the residue
+//! masked to the family's power-of-two `m`. A 61-bit product is four 32-bit partial
+//! products (`vpmuludq`), folded modulo `2^61 − 1` lazily: every intermediate residue stays
+//! below `2^61 + 8`, and each output takes one canonical subtraction, so every bucket and
+//! sign bit equals the scalar one. Every other host runs the scalar body, one value at a
+//! time. The dispatcher bumps one `hash_*`
 //! counter of [`crate::dispatch`] per call.
 
 use crate::error::{Error, Result};
+use crate::params::SketchParams;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -223,9 +227,6 @@ impl HashPair {
 /// Coefficients per row: two of the bucket hash, four of the sign polynomial.
 const COEFFICIENTS: usize = 6;
 
-/// The widest family the lane entry points serve: a bucket must fit a `u16`.
-const LANE_COLUMNS: usize = 1 << 16;
-
 /// The full set of `k` hash pairs shared by clients and server for one sketch.
 ///
 /// In the LDP protocol the hash family is public: the server publishes a seed, every client
@@ -236,25 +237,23 @@ pub struct RowHashes {
     /// The coefficients of every row as [`COEFFICIENTS`] planes of `k` words (`a`, `b`,
     /// `c₀`, `c₁`, `c₂`, `c₃`), the layout [`RowHashes::hash_rows_into`] gathers from.
     planes: Vec<u64>,
-    m: usize,
+    params: SketchParams,
     seed: u64,
 }
 
 impl RowHashes {
-    /// Derive `k` hash pairs with `m` buckets from `seed`.
-    ///
-    /// # Panics
-    /// Panics if `k == 0` or `m == 0`.
-    pub fn from_seed(seed: u64, k: usize, m: usize) -> Self {
-        assert!(k > 0, "a sketch needs at least one row");
-        assert!(m > 0, "a sketch needs at least one column");
+    /// Derive the `k` hash pairs of a `(k, m)` sketch, `m` buckets each, from `seed`.
+    pub fn from_seed(seed: u64, params: SketchParams) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
-        let pairs = (0..k).map(|_| HashPair::sample(&mut rng, m)).collect();
-        Self::from_pairs(pairs, m, seed)
+        let pairs = (0..params.rows())
+            .map(|_| HashPair::sample(&mut rng, params.columns()))
+            .collect();
+        Self::from_pairs(pairs, params, seed)
     }
 
-    /// A family over the given rows, with the coefficient planes built from them.
-    fn from_pairs(pairs: Vec<HashPair>, m: usize, seed: u64) -> Self {
+    /// A family over the given rows, one per row of `params`, with the coefficient planes
+    /// built from them.
+    fn from_pairs(pairs: Vec<HashPair>, params: SketchParams, seed: u64) -> Self {
         let k = pairs.len();
         let mut planes = vec![0; COEFFICIENTS * k];
         for (j, pair) in pairs.iter().enumerate() {
@@ -265,21 +264,27 @@ impl RowHashes {
         RowHashes {
             pairs,
             planes,
-            m,
+            params,
             seed,
         }
+    }
+
+    /// The sketch shape `(k, m)` the family was drawn for.
+    #[inline]
+    pub fn params(&self) -> SketchParams {
+        self.params
     }
 
     /// Number of rows `k`.
     #[inline]
     pub fn rows(&self) -> usize {
-        self.pairs.len()
+        self.params.rows()
     }
 
     /// Number of columns `m`.
     #[inline]
     pub fn columns(&self) -> usize {
-        self.m
+        self.params.columns()
     }
 
     /// The seed the family was derived from.
@@ -309,8 +314,7 @@ impl RowHashes {
     /// iff `ξ_row(values[i]) = −1`; bits past `values.len()` in the last word are cleared.
     ///
     /// # Errors
-    /// Returns [`Error::InvalidSketchParameter`], writing nothing, if `row ≥ k`, if the
-    /// family has more than 65,536 columns (a bucket would not fit a `u16`), or if
+    /// Returns [`Error::InvalidSketchParameter`], writing nothing, if `row ≥ k`, or if
     /// `buckets` does not hold `values.len()` entries or `neg` `⌈values.len()/64⌉` words.
     pub fn hash_row_into(
         &self,
@@ -319,11 +323,11 @@ impl RowHashes {
         buckets: &mut [u16],
         neg: &mut [u64],
     ) -> Result<()> {
-        self.check_lanes(values.len(), buckets.len(), neg.len())?;
+        check_lanes(values.len(), buckets.len(), neg.len())?;
         self.check_row(row)?;
         let pair = &self.pairs[row];
         #[cfg(target_arch = "x86_64")]
-        if self.m.is_power_of_two() && std::arch::is_x86_feature_detected!("avx512f") {
+        if std::arch::is_x86_feature_detected!("avx512f") {
             #[allow(unsafe_code)]
             // SAFETY: the runtime guard above proves `avx512f`, the exact feature set
             // `row_avx512` is compiled with, and `check_lanes` established its shape
@@ -351,9 +355,8 @@ impl RowHashes {
     ///
     /// # Errors
     /// Returns [`Error::InvalidSketchParameter`], writing nothing, if any row is `≥ k` (every
-    /// row is checked before any lane's coefficients are loaded), if the family has more
-    /// than 65,536 columns, or if `rows` or `buckets` does not hold `values.len()` entries or
-    /// `neg` `⌈values.len()/64⌉` words.
+    /// row is checked before any lane's coefficients are loaded), or if `rows` or `buckets`
+    /// does not hold `values.len()` entries or `neg` `⌈values.len()/64⌉` words.
     pub fn hash_rows_into(
         &self,
         rows: &[usize],
@@ -368,10 +371,10 @@ impl RowHashes {
                 values.len()
             )));
         }
-        self.check_lanes(values.len(), buckets.len(), neg.len())?;
+        check_lanes(values.len(), buckets.len(), neg.len())?;
         self.check_row(rows.iter().copied().fold(0, usize::max))?;
         #[cfg(target_arch = "x86_64")]
-        if self.m.is_power_of_two() && std::arch::is_x86_feature_detected!("avx512f") {
+        if std::arch::is_x86_feature_detected!("avx512f") {
             #[allow(unsafe_code)]
             // SAFETY: the runtime guard above proves `avx512f`, the exact feature set
             // `rows_avx512` is compiled with; `check_row` proved every row below `k`, and
@@ -397,11 +400,11 @@ impl RowHashes {
         Ok(())
     }
 
-    /// `m − 1`, the bucket of a canonical residue `v` being `v & (m − 1)` for a power-of-two
-    /// `m`.
+    /// `m − 1`, the bucket of a canonical residue `v` being `v & (m − 1)` for the family's
+    /// power-of-two `m`.
     #[cfg(target_arch = "x86_64")]
     fn bucket_mask(&self) -> u64 {
-        self.m as u64 - 1
+        self.columns() as u64 - 1
     }
 
     fn check_row(&self, row: usize) -> Result<()> {
@@ -413,21 +416,17 @@ impl RowHashes {
         }
         Ok(())
     }
+}
 
-    fn check_lanes(&self, n: usize, buckets: usize, words: usize) -> Result<()> {
-        if self.m > LANE_COLUMNS {
-            return Err(Error::InvalidSketchParameter(format!(
-                "{} columns do not fit a u16 bucket",
-                self.m
-            )));
-        }
-        if buckets != n || words != n.div_ceil(64) {
-            return Err(Error::InvalidSketchParameter(format!(
-                "{buckets} buckets and {words} sign words for {n} values"
-            )));
-        }
-        Ok(())
+/// The output shapes of the lane entry points: a bucket per value and a sign bit per value,
+/// 64 to a word. A bucket always fits its `u16`, since `m ≤ 65,536`.
+fn check_lanes(n: usize, buckets: usize, words: usize) -> Result<()> {
+    if buckets != n || words != n.div_ceil(64) {
+        return Err(Error::InvalidSketchParameter(format!(
+            "{buckets} buckets and {words} sign words for {n} values"
+        )));
     }
+    Ok(())
 }
 
 /// The portable tier of both lane entry points: the scalar body, value `i` under the `i`-th
@@ -649,6 +648,10 @@ mod tests {
     use proptest::prelude::*;
     use rand::SeedableRng;
 
+    fn shape(k: usize, m: usize) -> SketchParams {
+        SketchParams::new(k, m).unwrap()
+    }
+
     #[test]
     fn bucket_hash_stays_in_range() {
         let mut rng = StdRng::seed_from_u64(7);
@@ -721,19 +724,20 @@ mod tests {
 
     #[test]
     fn row_hashes_shape_and_determinism() {
-        let f1 = RowHashes::from_seed(99, 18, 1024);
-        let f2 = RowHashes::from_seed(99, 18, 1024);
+        let f1 = RowHashes::from_seed(99, shape(18, 1024));
+        let f2 = RowHashes::from_seed(99, shape(18, 1024));
         assert_eq!(f1.rows(), 18);
         assert_eq!(f1.columns(), 1024);
+        assert_eq!(f1.params(), shape(18, 1024));
         assert_eq!(f1.seed(), 99);
         assert_eq!(f1, f2);
-        let f3 = RowHashes::from_seed(100, 18, 1024);
+        let f3 = RowHashes::from_seed(100, shape(18, 1024));
         assert_ne!(f1, f3);
     }
 
     #[test]
     fn row_hashes_rows_are_distinct() {
-        let f = RowHashes::from_seed(4, 8, 256);
+        let f = RowHashes::from_seed(4, shape(8, 256));
         // Different rows should (with overwhelming probability) hash at least one value differently.
         let mut all_same = true;
         for j in 1..f.rows() {
@@ -746,18 +750,6 @@ mod tests {
             }
         }
         assert!(!all_same);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one row")]
-    fn row_hashes_rejects_zero_rows() {
-        let _ = RowHashes::from_seed(0, 0, 16);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one column")]
-    fn row_hashes_rejects_zero_columns() {
-        let _ = RowHashes::from_seed(0, 4, 0);
     }
 
     #[test]
@@ -807,7 +799,7 @@ mod tests {
     fn residue_family(seed: u64, k: usize, m: usize, x: u64) -> RowHashes {
         let xr = mod_mersenne(x as u128);
         let minus = |t: u64, u: u64| add_mod(t, MERSENNE_P - u);
-        let pairs = RowHashes::from_seed(seed, k, m)
+        let pairs = RowHashes::from_seed(seed, shape(k, m))
             .pairs
             .iter()
             .enumerate()
@@ -820,7 +812,7 @@ mod tests {
                 pair
             })
             .collect();
-        RowHashes::from_pairs(pairs, m, seed)
+        RowHashes::from_pairs(pairs, shape(k, m), seed)
     }
 
     /// The scalar body, value by value: `(buckets, sign words)`.
@@ -878,9 +870,7 @@ mod tests {
                     fill_portable(pairs.iter().copied(), values, &mut got.0, &mut got.1);
                     assert_eq!(got, want, "portable tier, {case}");
                     #[cfg(target_arch = "x86_64")]
-                    if h.columns().is_power_of_two()
-                        && std::arch::is_x86_feature_detected!("avx512f")
-                    {
+                    if std::arch::is_x86_feature_detected!("avx512f") {
                         let mut got = (vec![7u16; n], vec![u64::MAX; words]);
                         // SAFETY: guarded by the runtime feature check above; the planes
                         // are the family's own, every row is below `k`, and the outputs
@@ -922,7 +912,7 @@ mod tests {
         for m in [2usize, 1024, 65_536] {
             for seed in [3u64, 0xDEAD_BEEF] {
                 let values = lane_values(seed ^ m as u64);
-                let h = RowHashes::from_seed(seed, 5, m);
+                let h = RowHashes::from_seed(seed, shape(5, m));
                 assert_tiers_match_scalar(&h, &values, &format!("m {m}, seed {seed}"));
                 // Residues that only the canonical subtraction maps back into `[0, p)`.
                 for &x in &values[..12] {
@@ -935,14 +925,11 @@ mod tests {
                 }
             }
         }
-        // A width that is not a power of two runs the portable tier, through both entries.
-        let h = RowHashes::from_seed(9, 3, 1000);
-        assert_tiers_match_scalar(&h, &lane_values(9), "m 1000");
     }
 
     #[test]
     fn lane_entries_reject_bad_rows_and_shapes_before_writing() {
-        let h = RowHashes::from_seed(1, 3, 64);
+        let h = RowHashes::from_seed(1, shape(3, 64));
         let values = [1u64, 2, 3];
         let (mut buckets, mut neg) = ([9u16; 3], [9u64; 1]);
         let bad = |r: Result<()>| matches!(r, Err(Error::InvalidSketchParameter(_)));
@@ -978,15 +965,6 @@ mod tests {
             &mut []
         )));
         assert_eq!((buckets, neg), ([9; 3], [9; 1]), "a rejected call wrote");
-        // A bucket past `u16` cannot be written.
-        let wide = RowHashes::from_seed(1, 2, (1 << 16) + 1);
-        assert!(bad(wide.hash_row_into(0, &values, &mut buckets, &mut neg)));
-        assert!(bad(wide.hash_rows_into(
-            &[0; 3],
-            &values,
-            &mut buckets,
-            &mut neg
-        )));
         // The empty slice is fine on both entries.
         h.hash_row_into(2, &[], &mut [], &mut []).unwrap();
         h.hash_rows_into(&[], &[], &mut [], &mut []).unwrap();
@@ -1033,8 +1011,8 @@ mod tests {
         #[test]
         fn prop_row_hashes_deterministic(seed in any::<u64>(), k in 1usize..8, m_pow in 1u32..8, x in any::<u64>()) {
             let m = 1usize << m_pow;
-            let a = RowHashes::from_seed(seed, k, m);
-            let b = RowHashes::from_seed(seed, k, m);
+            let a = RowHashes::from_seed(seed, shape(k, m));
+            let b = RowHashes::from_seed(seed, shape(k, m));
             for j in 0..k {
                 prop_assert_eq!(a.pair(j).bucket_of(x), b.pair(j).bucket_of(x));
                 prop_assert_eq!(a.pair(j).sign_of(x), b.pair(j).sign_of(x));

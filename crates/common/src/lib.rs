@@ -2,10 +2,13 @@
 //!
 //! Shared substrates used by every other crate in the LDPJoinSketch workspace:
 //!
+//! * [`params`] — the validated sketch shape [`params::SketchParams`] `(k, m)`.
 //! * [`hash`] — seeded pairwise / 4-wise independent hash families. The fast-AGMS
 //!   construction (and therefore LDPJoinSketch) needs, for every sketch row `j`, a bucket
 //!   hash `h_j : D -> [m]` and a 4-wise independent sign hash `ξ_j : D -> {-1,+1}`. A
-//!   family also evaluates both over a value slice, eight values per SIMD step.
+//!   sketch's family is drawn for its [`params::SketchParams`] and carries them, so a
+//!   family and a shape cannot disagree. A family also evaluates both hashes over a value
+//!   slice, eight values per SIMD step.
 //! * [`hadamard`] — Walsh–Hadamard matrix entries and the in-place fast Walsh–Hadamard
 //!   transform used by the Hadamard mechanism on both the client and the server side.
 //! * [`batch`] — sign-split packed report batches ([`batch::ReportBatch`]) and the
@@ -37,6 +40,7 @@ pub mod dispatch;
 pub mod error;
 pub mod hadamard;
 pub mod hash;
+pub mod params;
 pub mod privacy;
 pub mod rr;
 pub mod screen;
@@ -47,6 +51,7 @@ pub use batch::ReportBatch;
 pub use dispatch::{kernel_dispatch_snapshot, KernelDispatchSnapshot};
 pub use error::{Error, Result};
 pub use hash::{BucketHash, HashPair, RowHashes, SignHash};
+pub use params::SketchParams;
 pub use privacy::Epsilon;
 pub use stream::{ChunkedValues, SliceChunks};
 

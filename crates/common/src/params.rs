@@ -1,13 +1,16 @@
 //! Shared sketch dimensioning.
 
-use ldpjs_common::error::{Error, Result};
+use crate::error::{Error, Result};
 
 /// Dimensions of a `(k, m)` sketch: `k` rows (independent estimators) and `m` columns
 /// (hash buckets per row).
 ///
 /// The paper's default configuration is `k = 18`, `m = 1024` (Section VII-A). The Hadamard
 /// mechanism additionally requires `m` to be a power of two; [`SketchParams::new`] enforces
-/// that because every sketch in this workspace may be fed to the Hadamard pipeline.
+/// that because every sketch in this workspace may be fed to the Hadamard pipeline. A
+/// sketch's public hash family is drawn for one shape
+/// ([`RowHashes::from_seed`](crate::hash::RowHashes::from_seed)), so every family has a
+/// valid one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SketchParams {
     k: usize,
@@ -23,7 +26,7 @@ impl SketchParams {
     pub const MAX_ROWS: usize = u16::MAX as usize;
 
     /// Largest column count `m`: a column index fits the `u16` field of the client wire
-    /// format.
+    /// format, and a bucket the `u16` planes of the lane hash.
     pub const MAX_COLUMNS: usize = 1 << 16;
 
     /// Create sketch parameters with `k` rows and `m` columns.
@@ -31,8 +34,8 @@ impl SketchParams {
     /// # Errors
     /// Returns [`Error::InvalidSketchParameter`] when
     /// * `k == 0` or `k > 65,535` ([`SketchParams::MAX_ROWS`]),
-    /// * `m == 0`, `m` is not a power of two, or `m > 65,536`
-    ///   ([`SketchParams::MAX_COLUMNS`]),
+    /// * `m < 2` (the de-bias factors `1/(1 − 1/m)` and `m/(m − 1)` need two columns), `m`
+    ///   is not a power of two, or `m > 65,536` ([`SketchParams::MAX_COLUMNS`]),
     /// * or `k·m` exceeds `u32::MAX`.
     pub fn new(k: usize, m: usize) -> Result<Self> {
         if k == 0 || k > Self::MAX_ROWS {
@@ -41,9 +44,9 @@ impl SketchParams {
                 Self::MAX_ROWS
             )));
         }
-        if m == 0 || !m.is_power_of_two() {
+        if m < 2 || !m.is_power_of_two() {
             return Err(Error::InvalidSketchParameter(format!(
-                "m (columns) must be a positive power of two for the Hadamard mechanism, got {m}"
+                "m (columns) must be a power of two of at least 2 (Hadamard mechanism), got {m}"
             )));
         }
         if m > Self::MAX_COLUMNS {
@@ -141,6 +144,11 @@ mod tests {
         assert!(SketchParams::new(0, 1024).is_err());
         assert!(SketchParams::new(18, 0).is_err());
         assert!(SketchParams::new(18, 1000).is_err());
+        // One column is a power of two, but the centered products divide by 1 − 1/m.
+        assert!(matches!(
+            SketchParams::new(18, 1),
+            Err(Error::InvalidSketchParameter(_))
+        ));
         // Shapes whose k·m overflows usize or the u32 packed index space, and shapes whose
         // k or m is past its 16-bit cap although k·m fits.
         for (k, m) in [

@@ -1,9 +1,9 @@
 //! The privacy-budget type.
 //!
 //! Every LDP mechanism in the workspace takes an [`Epsilon`], the ε of ε-local differential
-//! privacy (Definition 1 of the paper). Centralising the validation (positive, finite) and the
-//! derived quantities (`e^ε`, keep/flip probabilities, the de-bias constant `c_ε`) avoids
-//! re-deriving them slightly differently in every mechanism.
+//! privacy (Definition 1 of the paper). Centralising the validation (positive, with a finite
+//! `e^ε`) and the derived quantities (`e^ε`, keep/flip probabilities, the de-bias constant
+//! `c_ε`) avoids re-deriving them slightly differently in every mechanism.
 
 use crate::error::{Error, Result};
 
@@ -15,9 +15,11 @@ impl Epsilon {
     /// Create a new privacy budget.
     ///
     /// # Errors
-    /// Returns [`Error::InvalidEpsilon`] if `eps` is not strictly positive and finite.
+    /// Returns [`Error::InvalidEpsilon`] if `eps` is not strictly positive, or if `e^ε`
+    /// overflows an `f64` (ε above ≈ 709.78, `ln f64::MAX`), where every derived probability
+    /// and `c_ε` would be NaN.
     pub fn new(eps: f64) -> Result<Self> {
-        if eps.is_finite() && eps > 0.0 {
+        if eps > 0.0 && eps.exp().is_finite() {
             Ok(Epsilon(eps))
         } else {
             Err(Error::InvalidEpsilon(eps))
@@ -107,6 +109,16 @@ mod tests {
         assert_eq!(Epsilon::new(-1.0), Err(Error::InvalidEpsilon(-1.0)));
         assert!(Epsilon::new(f64::NAN).is_err());
         assert!(Epsilon::new(f64::INFINITY).is_err());
+    }
+
+    #[test]
+    fn rejects_an_epsilon_whose_exponential_overflows() {
+        // e^ε overflows from ln(f64::MAX) ≈ 709.78; past it c_ε and the keep probability
+        // are inf/inf = NaN.
+        assert_eq!(Epsilon::new(709.8), Err(Error::InvalidEpsilon(709.8)));
+        let eps = Epsilon::new(709.7).unwrap();
+        assert!(eps.c_eps().is_finite());
+        assert!(eps.keep_probability().is_finite());
     }
 
     #[test]

@@ -41,13 +41,14 @@ pub struct ShardedAggregator {
 }
 
 impl ShardedAggregator {
-    /// Create an empty engine around an existing shared hash family. `shards` is only
-    /// checked: every batch lands in the one builder.
+    /// Create an empty engine around an existing shared hash family. `params` and `shards`
+    /// are only checked: the sketch takes the family's shape, and every batch lands in the
+    /// one builder.
     ///
     /// # Errors
     /// Returns [`Error::InvalidWorkload`] if `shards` is zero, and
-    /// [`Error::InvalidSketchParameter`] if the family's shape is not `params`
-    /// ([`SketchBuilder::with_hashes`]).
+    /// [`Error::InvalidSketchParameter`] if the family was drawn for another shape than
+    /// `params`.
     pub fn with_hashes(
         params: SketchParams,
         eps: Epsilon,
@@ -59,8 +60,14 @@ impl ShardedAggregator {
                 "a sharded aggregator needs at least one shard".into(),
             ));
         }
+        if hashes.params() != params {
+            return Err(Error::InvalidSketchParameter(format!(
+                "a hash family drawn for {} does not fit the sketch {params}",
+                hashes.params()
+            )));
+        }
         Ok(ShardedAggregator {
-            builder: SketchBuilder::with_hashes(params, eps, hashes)?,
+            builder: SketchBuilder::with_hashes(eps, hashes),
             instruments: None,
         })
     }
@@ -112,7 +119,7 @@ mod tests {
         // counters are the builder's bit for bit.
         let p = SketchParams::new(6, 64).unwrap();
         let e = Epsilon::new(2.0).unwrap();
-        let hashes = || Arc::new(RowHashes::from_seed(21, p.rows(), p.columns()));
+        let hashes = || Arc::new(RowHashes::from_seed(21, p));
         assert!(matches!(
             ShardedAggregator::with_hashes(p, e, hashes(), 0),
             Err(Error::InvalidWorkload(_))
@@ -127,7 +134,7 @@ mod tests {
         let batches = [batch_for(500, p, e, 21), batch_for(3, p, e, 23)];
         let mut engine = ShardedAggregator::with_hashes(p, e, hashes(), 3).unwrap();
         engine.set_instruments(Some(inst.clone()));
-        let mut single = SketchBuilder::with_hashes(p, e, hashes()).unwrap();
+        let mut single = SketchBuilder::with_hashes(e, hashes());
         for (i, batch) in batches.iter().enumerate() {
             engine.ingest(batch).unwrap();
             single.absorb_batch(batch).unwrap();

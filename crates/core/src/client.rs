@@ -30,8 +30,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::sync::Arc;
 
-use crate::server::check_family_shape;
-
 /// Number of values per deterministic RNG stream in the parallel perturbation fan-out.
 ///
 /// The fan-out seeds one independent `StdRng` per fixed-size chunk of the input, so the
@@ -151,10 +149,10 @@ impl ClientReport {
 /// The client-side encoder/perturber of LDPJoinSketch.
 ///
 /// The hash family is public protocol state shared with the server, so it is held behind an
-/// [`Arc`] and can be cloned cheaply into many simulated clients.
+/// [`Arc`] and can be cloned cheaply into many simulated clients. The sketch shape `(k, m)`
+/// is the family's.
 #[derive(Debug, Clone)]
 pub struct LdpJoinSketchClient {
-    params: SketchParams,
     eps: Epsilon,
     hashes: Arc<RowHashes>,
 }
@@ -163,33 +161,19 @@ impl LdpJoinSketchClient {
     /// Create a client for the sketch described by `params`, privacy budget `eps`, and the
     /// public hash-family seed `seed`.
     pub fn new(params: SketchParams, eps: Epsilon, seed: u64) -> Self {
-        let hashes = Arc::new(RowHashes::from_seed(seed, params.rows(), params.columns()));
-        LdpJoinSketchClient {
-            params,
-            eps,
-            hashes,
-        }
+        Self::with_hashes(eps, Arc::new(RowHashes::from_seed(seed, params)))
     }
 
     /// Create a client that shares an already-derived hash family (used by the server and by
-    /// FAP so that every participant agrees on `(h_j, ξ_j)`).
-    ///
-    /// # Errors
-    /// Returns [`Error::InvalidSketchParameter`] if the family does not have one `(h, ξ)`
-    /// pair per row and `m` buckets.
-    pub fn with_hashes(params: SketchParams, eps: Epsilon, hashes: Arc<RowHashes>) -> Result<Self> {
-        check_family_shape(params, &hashes)?;
-        Ok(LdpJoinSketchClient {
-            params,
-            eps,
-            hashes,
-        })
+    /// FAP so that every participant agrees on `(h_j, ξ_j)`), of the family's shape.
+    pub fn with_hashes(eps: Epsilon, hashes: Arc<RowHashes>) -> Self {
+        LdpJoinSketchClient { eps, hashes }
     }
 
-    /// Sketch parameters `(k, m)`.
+    /// Sketch parameters `(k, m)`, the hash family's.
     #[inline]
     pub fn params(&self) -> SketchParams {
-        self.params
+        self.hashes.params()
     }
 
     /// The privacy budget ε.
@@ -206,8 +190,8 @@ impl LdpJoinSketchClient {
 
     /// Algorithm 1: encode and perturb one private value.
     pub fn perturb(&self, value: u64, rng: &mut dyn RngCore) -> ClientReport {
-        let k = self.params.rows();
-        let m = self.params.columns();
+        let k = self.hashes.rows();
+        let m = self.hashes.columns();
         // Line 1: sample j ~ U[k], l ~ U[m].
         let row = rng.gen_range(0..k);
         let col = rng.gen_range(0..m);
@@ -243,7 +227,7 @@ impl LdpJoinSketchClient {
         rng: &mut R,
     ) -> Result<ReportBatch> {
         let mut batch =
-            ReportBatch::with_capacity(self.params.rows(), self.params.columns(), values.len())?;
+            ReportBatch::with_capacity(self.hashes.rows(), self.hashes.columns(), values.len())?;
         self.perturb_batch_into(values, rng, &mut batch)?;
         batch.shrink_to_fit();
         Ok(batch)
@@ -265,7 +249,7 @@ impl LdpJoinSketchClient {
     ) -> Result<()> {
         self.check_batch(batch)?;
         batch.clear();
-        let (k, m) = (self.params.rows(), self.params.columns());
+        let (k, m) = (self.hashes.rows(), self.hashes.columns());
         let flip_p = self.eps.flip_probability();
         let (mut rows, mut cols, mut flips) =
             ([0; HASH_BLOCK], [0; HASH_BLOCK], [false; HASH_BLOCK]);
@@ -316,7 +300,7 @@ impl LdpJoinSketchClient {
             return self.perturb_batch_into(values, &mut rng(0), batch);
         }
         self.check_batch(batch)?;
-        let (k, m) = (self.params.rows(), self.params.columns());
+        let (k, m) = (self.hashes.rows(), self.hashes.columns());
         let mut parts = chunks
             .iter()
             .map(|c| ReportBatch::with_capacity(k, m, c.len()))
@@ -358,12 +342,12 @@ impl LdpJoinSketchClient {
 
     /// Reject a caller-supplied batch shaped for another sketch.
     pub(crate) fn check_batch(&self, batch: &ReportBatch) -> Result<()> {
-        batch.check_shape(self.params.rows(), self.params.columns())
+        batch.check_shape(self.hashes.rows(), self.hashes.columns())
     }
 
     /// Communication cost of one report in bits: the perturbed bit plus the `(j, l)` indices.
     pub fn report_bits(&self) -> u64 {
-        crate::protocol::report_bits(self.params)
+        crate::protocol::report_bits(self.params())
     }
 }
 
@@ -554,8 +538,7 @@ mod tests {
                     "n={n}: thread count {threads} changed the batch"
                 );
             }
-            let mut reference =
-                SketchBuilder::with_hashes(p, c.epsilon(), Arc::clone(c.hashes())).unwrap();
+            let mut reference = SketchBuilder::with_hashes(c.epsilon(), Arc::clone(c.hashes()));
             let mut in_chunk_order = ReportBatch::new(p.rows(), p.columns()).unwrap();
             for (i, vals) in values.chunks(chunk).enumerate() {
                 let seed = chunk_stream_seed(42, i as u64);
@@ -567,8 +550,7 @@ mod tests {
                 in_chunk_order.append(&part).unwrap();
             }
             assert_eq!(one, in_chunk_order, "n={n}: chunk batches out of order");
-            let mut packed =
-                SketchBuilder::with_hashes(p, c.epsilon(), Arc::clone(c.hashes())).unwrap();
+            let mut packed = SketchBuilder::with_hashes(c.epsilon(), Arc::clone(c.hashes()));
             packed.absorb_batch(&one).unwrap();
             assert_eq!(packed.reports(), reference.reports());
             assert_eq!(packed.spectrum(), reference.spectrum(), "n={n}");
@@ -671,7 +653,7 @@ mod tests {
         let params = SketchParams::new(8, 256).unwrap();
         let eps = Epsilon::new(20.0).unwrap(); // negligible flip probability
         let c1 = LdpJoinSketchClient::new(params, eps, 42);
-        let c2 = LdpJoinSketchClient::with_hashes(params, eps, Arc::clone(c1.hashes())).unwrap();
+        let c2 = LdpJoinSketchClient::with_hashes(eps, Arc::clone(c1.hashes()));
         // Same RNG stream -> identical (j, l) samples and identical unperturbed signal.
         let mut rng1 = StdRng::seed_from_u64(77);
         let mut rng2 = StdRng::seed_from_u64(77);

@@ -44,8 +44,9 @@ pub struct EdgeReport {
     pub col_b: usize,
 }
 
-/// The two attributes' hash families, checked to share the replica count and to have
-/// power-of-two column counts, the lengths the restore's Hadamard transforms take.
+/// The two attributes' hash families, checked to share the replica count. Each family's
+/// column count is a power of two, the length the restore's Hadamard transforms take, by
+/// construction.
 fn check_families(attr_a: &RowHashes, attr_b: &RowHashes, what: &str) -> Result<()> {
     if attr_a.rows() != attr_b.rows() {
         return Err(Error::IncompatibleSketches(format!(
@@ -53,13 +54,6 @@ fn check_families(attr_a: &RowHashes, attr_b: &RowHashes, what: &str) -> Result<
             attr_a.rows(),
             attr_b.rows()
         )));
-    }
-    for columns in [attr_a.columns(), attr_b.columns()] {
-        if !columns.is_power_of_two() {
-            return Err(Error::InvalidSketchParameter(format!(
-                "{what} attribute columns must be a power of two, got {columns}"
-            )));
-        }
     }
     Ok(())
 }
@@ -77,8 +71,7 @@ impl LdpEdgeSketchClient {
     /// privacy budget `eps`.
     ///
     /// # Errors
-    /// Returns [`Error::IncompatibleSketches`] if the attributes disagree on the replica count,
-    /// and [`Error::InvalidSketchParameter`] if either column count is not a power of two.
+    /// Returns [`Error::IncompatibleSketches`] if the attributes disagree on the replica count.
     pub fn new(attr_a: Arc<RowHashes>, attr_b: Arc<RowHashes>, eps: Epsilon) -> Result<Self> {
         check_families(&attr_a, &attr_b, "edge client")?;
         Ok(LdpEdgeSketchClient {
@@ -193,8 +186,7 @@ impl EdgeSketchBuilder {
     /// Create an empty edge sketch over the hash families of attributes `(attr_a, attr_b)`.
     ///
     /// # Errors
-    /// Returns [`Error::IncompatibleSketches`] if the attributes disagree on the replica count,
-    /// and [`Error::InvalidSketchParameter`] if either column count is not a power of two.
+    /// Returns [`Error::IncompatibleSketches`] if the attributes disagree on the replica count.
     pub fn new(attr_a: Arc<RowHashes>, attr_b: Arc<RowHashes>, eps: Epsilon) -> Result<Self> {
         check_families(&attr_a, &attr_b, "edge sketch")?;
         let len = attr_a.rows() * attr_a.columns() * attr_b.columns();
@@ -478,7 +470,7 @@ mod tests {
 
     /// An attribute's public hash family.
     fn family(seed: u64, k: usize, m: usize) -> Arc<RowHashes> {
-        Arc::new(RowHashes::from_seed(seed, k, m))
+        Arc::new(RowHashes::from_seed(seed, SketchParams::new(k, m).unwrap()))
     }
 
     /// A vertex table's LDP sketch over `attr`'s family: `build_private_sketch` with the
@@ -489,8 +481,7 @@ mod tests {
         e: Epsilon,
         rng: &mut StdRng,
     ) -> Result<FinalizedSketch> {
-        let params = SketchParams::new(attr.rows(), attr.columns())?;
-        build_private_sketch(values, params, e, attr.seed(), rng)
+        build_private_sketch(values, attr.params(), e, attr.seed(), rng)
     }
 
     fn skewed(n: usize, domain: u64, seed: u64) -> Vec<u64> {
@@ -516,31 +507,6 @@ mod tests {
         let b = family(2, 6, 64);
         assert!(LdpEdgeSketchClient::new(a.clone(), b.clone(), eps(1.0)).is_err());
         assert!(EdgeSketchBuilder::new(a, b, eps(1.0)).is_err());
-    }
-
-    #[test]
-    fn non_power_of_two_families_are_typed_errors() {
-        // The restore transforms each replica along both attributes, so a family whose
-        // column count is not a power of two is rejected before any report is drawn.
-        let good = family(1, 3, 16);
-        let odd = family(2, 3, 12);
-        let e = eps(1.0);
-        let mut rng = StdRng::seed_from_u64(4);
-        let invalid = |r: Result<()>| matches!(r, Err(Error::InvalidSketchParameter(_)));
-        for (a, b) in [(&odd, &good), (&good, &odd)] {
-            assert!(invalid(
-                LdpEdgeSketchClient::new(a.clone(), b.clone(), e).map(drop)
-            ));
-            assert!(invalid(
-                EdgeSketchBuilder::new(a.clone(), b.clone(), e).map(drop)
-            ));
-            assert!(invalid(
-                build_edge_sketch(&[(1, 2)], a, b, e, &mut rng).map(drop)
-            ));
-            assert!(invalid(
-                build_edge_sketch_chunked(&[(1, 2)], 4, a, b, e, 5).map(drop)
-            ));
-        }
     }
 
     #[test]

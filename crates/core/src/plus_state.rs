@@ -275,8 +275,8 @@ impl PlusStateBuilder {
         (&self.phase1, &self.low, &self.high)
     }
 
-    /// Empty the three lanes: every counter back to zero, no reports; the parameters, ε
-    /// and the three hash families are kept.
+    /// Empty the three lanes: every counter back to zero, no reports; ε and the three hash
+    /// families are kept.
     pub fn clear(&mut self) {
         self.phase1.clear();
         self.low.clear();
@@ -557,7 +557,8 @@ mod tests {
         let good = DomainIndex::new(phase1.hashes(), Arc::clone(&domain));
         assert!(assemble(&good).is_ok());
         for (seed, columns) in [(10u64, 128usize), (9, 64)] {
-            let hashes = ldpjs_common::hash::RowHashes::from_seed(seed, 8, columns);
+            let shape = SketchParams::new(8, columns).unwrap();
+            let hashes = ldpjs_common::hash::RowHashes::from_seed(seed, shape);
             let index = DomainIndex::new(&hashes, Arc::clone(&domain));
             let incompatible = |r: Result<()>| matches!(r, Err(Error::IncompatibleSketches(_)));
             let source = Candidates::Index(&index);
@@ -748,7 +749,6 @@ mod tests {
             let [phase1, low, high] = std::array::from_fn(|l| {
                 let shape = shapes[l];
                 FinalizedSketch::from_spectrum(
-                    shape.params(),
                     shape.epsilon(),
                     Arc::clone(shape.hashes()),
                     reports[l],

@@ -39,10 +39,10 @@ use crate::client::ClientReport;
 ///
 /// Counters are kept in the Hadamard domain as exact `±1` report sums; the de-bias scale and
 /// the Hadamard restore are applied once by [`SketchBuilder::finalize`], which consumes the
-/// builder and returns the immutable [`FinalizedSketch`] estimation view.
+/// builder and returns the immutable [`FinalizedSketch`] estimation view. The sketch shape
+/// `(k, m)` is its hash family's.
 #[derive(Debug, Clone)]
 pub struct SketchBuilder {
-    params: SketchParams,
     eps: Epsilon,
     hashes: Arc<RowHashes>,
     /// Accumulated report sums, still in the Hadamard domain (row-major `k × m`). Each entry
@@ -58,34 +58,24 @@ impl SketchBuilder {
     /// The same `(params, seed)` pair must be used by the matching
     /// [`crate::client::LdpJoinSketchClient`]s.
     pub fn new(params: SketchParams, eps: Epsilon, seed: u64) -> Self {
-        let hashes = Arc::new(RowHashes::from_seed(seed, params.rows(), params.columns()));
-        Self::empty(params, eps, hashes)
+        Self::with_hashes(eps, Arc::new(RowHashes::from_seed(seed, params)))
     }
 
-    /// Create an empty builder around an existing shared hash family.
-    ///
-    /// # Errors
-    /// Returns [`Error::InvalidSketchParameter`] if the family does not have one `(h, ξ)`
-    /// pair per row and `m` buckets.
-    pub fn with_hashes(params: SketchParams, eps: Epsilon, hashes: Arc<RowHashes>) -> Result<Self> {
-        check_family_shape(params, &hashes)?;
-        Ok(Self::empty(params, eps, hashes))
-    }
-
-    fn empty(params: SketchParams, eps: Epsilon, hashes: Arc<RowHashes>) -> Self {
+    /// Create an empty builder around an existing shared hash family, of the family's
+    /// shape.
+    pub fn with_hashes(eps: Epsilon, hashes: Arc<RowHashes>) -> Self {
         SketchBuilder {
-            params,
             eps,
+            raw: vec![0.0; hashes.params().counters()],
             hashes,
-            raw: vec![0.0; params.counters()],
             reports: 0,
         }
     }
 
-    /// Sketch parameters `(k, m)`.
+    /// Sketch parameters `(k, m)`, the hash family's.
     #[inline]
     pub fn params(&self) -> SketchParams {
-        self.params
+        self.hashes.params()
     }
 
     /// Privacy budget the absorbed reports were perturbed with.
@@ -114,7 +104,7 @@ impl SketchBuilder {
     /// [`Error::InvalidWorkload`] if `y` is not `±1`; the builder is untouched on error.
     pub fn absorb(&mut self, report: ClientReport) -> Result<()> {
         check_report_sign(report.y)?;
-        let (k, m) = (self.params.rows(), self.params.columns());
+        let (k, m) = (self.hashes.rows(), self.hashes.columns());
         if report.row >= k || report.col >= m {
             return Err(Error::ReportOutOfRange {
                 row: report.row,
@@ -146,8 +136,8 @@ impl SketchBuilder {
         Ok(())
     }
 
-    /// Empty the builder: every counter back to zero, no reports; the parameters, ε and
-    /// the hash family are kept.
+    /// Empty the builder: every counter back to zero, no reports; ε and the hash family are
+    /// kept.
     pub fn clear(&mut self) {
         self.raw.fill(0.0);
         self.reports = 0;
@@ -155,7 +145,7 @@ impl SketchBuilder {
 
     /// Shape compatibility check for packed-batch ingestion.
     pub(crate) fn check_batch_shape(&self, batch: &ReportBatch) -> Result<()> {
-        batch.check_shape(self.params.rows(), self.params.columns())
+        batch.check_shape(self.hashes.rows(), self.hashes.columns())
     }
 
     /// Restore the sketch from the Hadamard domain (Algorithm 2, line 6): apply the de-bias
@@ -163,13 +153,12 @@ impl SketchBuilder {
     /// builder and returning the immutable estimation view.
     pub fn finalize(self) -> FinalizedSketch {
         let SketchBuilder {
-            params,
             eps,
             hashes,
             raw,
             reports,
         } = self;
-        restore(params, eps, hashes, raw, reports)
+        restore(eps, hashes, raw, reports)
     }
 
     /// Restore a *snapshot* of the sketch without consuming the builder: the exact raw
@@ -181,7 +170,6 @@ impl SketchBuilder {
     /// instead, so each lane is transformed once.)
     pub fn finalize_view(&self) -> FinalizedSketch {
         restore(
-            self.params,
             self.eps,
             Arc::clone(&self.hashes),
             self.raw.clone(),
@@ -200,9 +188,8 @@ impl SketchBuilder {
     /// absorbed every covered report.
     pub fn spectrum(&self) -> Vec<f64> {
         let mut raw = self.raw.clone();
-        let m = self.params.columns();
-        for j in 0..self.params.rows() {
-            fwht_in_place(&mut raw[j * m..(j + 1) * m]);
+        for row in raw.chunks_exact_mut(self.hashes.columns()) {
+            fwht_in_place(row);
         }
         raw
     }
@@ -211,7 +198,6 @@ impl SketchBuilder {
 /// The single de-bias + Hadamard restore pipeline shared by [`SketchBuilder::finalize`] and
 /// [`SketchBuilder::finalize_view`].
 fn restore(
-    params: SketchParams,
     eps: Epsilon,
     hashes: Arc<RowHashes>,
     mut raw: Vec<f64>,
@@ -223,13 +209,11 @@ fn restore(
     // Scaling after the transform keeps the unscaled spectrum exact on the integer
     // counters, which is what makes [`SketchBuilder::spectrum`] prefix sums restore
     // bit-identically through [`FinalizedSketch::from_spectrum`].
-    let scale = params.rows() as f64 * eps.c_eps();
-    let m = params.columns();
-    for j in 0..params.rows() {
-        fwht_scaled_in_place(&mut raw[j * m..(j + 1) * m], scale);
+    let scale = hashes.rows() as f64 * eps.c_eps();
+    for row in raw.chunks_exact_mut(hashes.columns()) {
+        fwht_scaled_in_place(row, scale);
     }
     FinalizedSketch {
-        params,
         eps,
         hashes,
         restored: raw,
@@ -286,10 +270,10 @@ fn dot_shifted4(a: &[f64], b: &[f64], sa: f64, sb: f64) -> f64 {
 ///
 /// Produced by [`SketchBuilder::finalize`]; the restored `k × m` counter matrix is computed
 /// exactly once and every estimator borrows it as `&[f64]` — no per-call clone, no interior
-/// mutability, trivially shareable across threads.
+/// mutability, trivially shareable across threads. The sketch shape `(k, m)` is its hash
+/// family's.
 #[derive(Debug, Clone)]
 pub struct FinalizedSketch {
-    params: SketchParams,
     eps: Epsilon,
     hashes: Arc<RowHashes>,
     /// Restored counters (`raw·k·c_ε · H_mᵀ` per row), row-major `k × m`.
@@ -306,9 +290,8 @@ impl FinalizedSketch {
     /// running any Hadamard transform.
     ///
     /// # Panics
-    /// Panics if `spectrum.len() != k·m` for the given parameters.
+    /// Panics if `spectrum.len() != k·m` for the family's shape.
     pub fn from_spectrum(
-        params: SketchParams,
         eps: Epsilon,
         hashes: Arc<RowHashes>,
         reports: u64,
@@ -316,15 +299,14 @@ impl FinalizedSketch {
     ) -> Self {
         assert_eq!(
             spectrum.len(),
-            params.rows() * params.columns(),
+            hashes.params().counters(),
             "spectrum length must be k*m"
         );
-        let scale = params.rows() as f64 * eps.c_eps();
+        let scale = hashes.rows() as f64 * eps.c_eps();
         for v in spectrum.iter_mut() {
             *v *= scale;
         }
         FinalizedSketch {
-            params,
             eps,
             hashes,
             restored: spectrum,
@@ -339,28 +321,26 @@ impl FinalizedSketch {
     /// would produce — bit-identical, without allocating the intermediate difference.
     ///
     /// # Panics
-    /// Panics if the spectra lengths differ from `k·m` for the given parameters.
+    /// Panics if the spectra lengths differ from `k·m` for the family's shape.
     pub fn from_spectrum_diff(
-        params: SketchParams,
         eps: Epsilon,
         hashes: Arc<RowHashes>,
         reports: u64,
         last: &[f64],
         base: &[f64],
     ) -> Self {
-        let len = params.rows() * params.columns();
+        let len = hashes.params().counters();
         assert!(
             last.len() == len && base.len() == len,
             "spectra lengths must be k*m"
         );
-        let scale = params.rows() as f64 * eps.c_eps();
+        let scale = hashes.rows() as f64 * eps.c_eps();
         let restored = last
             .iter()
             .zip(base)
             .map(|(&l, &b)| (l - b) * scale)
             .collect();
         FinalizedSketch {
-            params,
             eps,
             hashes,
             restored,
@@ -368,10 +348,10 @@ impl FinalizedSketch {
         }
     }
 
-    /// Sketch parameters `(k, m)`.
+    /// Sketch parameters `(k, m)`, the hash family's.
     #[inline]
     pub fn params(&self) -> SketchParams {
-        self.params
+        self.hashes.params()
     }
 
     /// Privacy budget the absorbed reports were perturbed with.
@@ -401,7 +381,7 @@ impl FinalizedSketch {
     /// One restored sketch row of length `m`, borrowed.
     #[inline]
     pub fn row(&self, j: usize) -> &[f64] {
-        let m = self.params.columns();
+        let m = self.hashes.columns();
         &self.restored[j * m..(j + 1) * m]
     }
 
@@ -414,8 +394,8 @@ impl FinalizedSketch {
         shift_self: f64,
         shift_other: f64,
     ) -> Result<Vec<f64>> {
-        check_compatible(self.params, &self.hashes, other.params, &other.hashes)?;
-        let k = self.params.rows();
+        check_compatible(&self.hashes, &other.hashes)?;
+        let k = self.hashes.rows();
         Ok((0..k)
             .map(|j| {
                 self.row(j)
@@ -449,8 +429,8 @@ impl FinalizedSketch {
     /// at weight `1/m`), which the collision-masked product
     /// ([`FinalizedSketch::row_products_masked`]) avoids for the high-frequency group.
     pub fn row_products_centered(&self, other: &Self) -> Result<Vec<f64>> {
-        check_compatible(self.params, &self.hashes, other.params, &other.hashes)?;
-        let (k, m) = (self.params.rows(), self.params.columns());
+        check_compatible(&self.hashes, &other.hashes)?;
+        let (k, m) = (self.hashes.rows(), self.hashes.columns());
         let mf = m as f64;
         Ok((0..k)
             .map(|j| {
@@ -478,8 +458,8 @@ impl FinalizedSketch {
     /// to drop the (rare, publicly detectable) collision outliers before combining rows.
     /// With an empty target set every product is `0` (there is no target signal to sum).
     pub fn row_products_masked(&self, other: &Self, targets: &[u64]) -> Result<Vec<(f64, bool)>> {
-        check_compatible(self.params, &self.hashes, other.params, &other.hashes)?;
-        let (k, m) = (self.params.rows(), self.params.columns());
+        check_compatible(&self.hashes, &other.hashes)?;
+        let (k, m) = (self.hashes.rows(), self.hashes.columns());
         let mut in_s = vec![false; m];
         let mut s_buckets: Vec<usize> = Vec::with_capacity(targets.len());
         Ok((0..k)
@@ -543,7 +523,7 @@ impl FinalizedSketch {
     /// The single-value reference of the scan [`FinalizedSketch::frequencies`], which adds
     /// the same per-row terms in the same row order and so returns the same bits.
     pub fn frequency(&self, value: u64) -> f64 {
-        let (k, m) = (self.params.rows(), self.params.columns());
+        let (k, m) = (self.hashes.rows(), self.hashes.columns());
         if k == 0 {
             return 0.0;
         }
@@ -563,7 +543,7 @@ impl FinalizedSketch {
     /// the frequent-item set. The median combiner ignores the (rare, large) colliding rows
     /// entirely, which is what the adaptive frequent-item discovery of LDPJoinSketch+ uses.
     pub fn frequency_median(&self, value: u64) -> f64 {
-        let (k, m) = (self.params.rows(), self.params.columns());
+        let (k, m) = (self.hashes.rows(), self.hashes.columns());
         if k == 0 {
             return 0.0;
         }
@@ -586,7 +566,7 @@ impl FinalizedSketch {
     /// empirically in this module's tests), so subtracting the noise term from the mean row
     /// energy leaves `F2`. Clamped below at `0`.
     pub fn f2_estimate(&self) -> f64 {
-        let (k, m) = (self.params.rows(), self.params.columns());
+        let (k, m) = (self.hashes.rows(), self.hashes.columns());
         if k == 0 {
             return 0.0;
         }
@@ -602,7 +582,7 @@ impl FinalizedSketch {
     /// (`k` from the row-sampling de-bias scale, `c_ε` from randomized response).
     pub fn noise_variance_per_counter(&self) -> f64 {
         let c = self.eps.c_eps();
-        self.reports as f64 * self.params.rows() as f64 * c * c
+        self.reports as f64 * self.hashes.rows() as f64 * c * c
     }
 
     /// Frequency estimates ([`FinalizedSketch::frequency`]) of every candidate, in
@@ -632,20 +612,15 @@ impl FinalizedSketch {
         let Candidates::Index(index) = candidates else {
             return Ok(());
         };
-        if index.seed == self.hashes.seed()
-            && index.rows == self.params.rows()
-            && index.columns == self.params.columns()
-        {
+        if index.seed == self.hashes.seed() && index.params == self.hashes.params() {
             return Ok(());
         }
         Err(Error::IncompatibleSketches(format!(
-            "domain index (seed {}, {}x{}) does not match sketch (seed {}, {}x{})",
+            "domain index (seed {}, {}) does not match sketch (seed {}, {})",
             index.seed,
-            index.rows,
-            index.columns,
+            index.params,
             self.hashes.seed(),
-            self.params.rows(),
-            self.params.columns(),
+            self.hashes.params(),
         )))
     }
 
@@ -659,8 +634,8 @@ impl FinalizedSketch {
     /// The scan body of [`FinalizedSketch::frequencies`]: append one block's estimates.
     fn frequencies_block(&self, block: &DomainIndex, out: &mut Vec<f64>) {
         let (k, m, n) = (
-            self.params.rows(),
-            self.params.columns(),
+            self.hashes.rows(),
+            self.hashes.columns(),
             block.domain.len(),
         );
         let words = n.div_ceil(64);
@@ -717,7 +692,7 @@ impl FinalizedSketch {
     /// branch *is* that comparison, so the screen equals filtering the candidates by
     /// `frequency_median(d) > T`.
     pub(crate) fn median_screen(&self, block: &DomainIndex, threshold: f64, out: &mut Vec<u64>) {
-        let (k, m) = (self.params.rows(), self.params.columns());
+        let (k, m) = (self.hashes.rows(), self.hashes.columns());
         // Dense count screen: each restored row is thresholded once into its hot planes,
         // and every candidate adds the bit its (sign, bucket) selects to its row count, an
         // exact per-candidate count of the rows whose signed counter exceeds `T`.
@@ -757,7 +732,7 @@ impl FinalizedSketch {
     /// without a sort. The estimates come from the block's planes, not from re-hashing.
     fn straddle_exceeds(&self, block: &DomainIndex, i: usize, threshold: f64) -> bool {
         let (mut lo, mut hi) = (f64::NEG_INFINITY, f64::INFINITY);
-        for j in 0..self.params.rows() {
+        for j in 0..self.hashes.rows() {
             let v = block.signed_counter(&self.restored, j, i);
             if v > threshold {
                 hi = hi.min(v);
@@ -822,9 +797,9 @@ pub(crate) fn for_each_block(
 #[derive(Debug, Clone)]
 pub struct DomainIndex {
     domain: Arc<Vec<u64>>,
+    /// The seed and shape of the family the index was built from.
     seed: u64,
-    rows: usize,
-    columns: usize,
+    params: SketchParams,
     /// `buckets[j·n + i] = h_j(domain[i])`, row-major.
     buckets: Vec<u16>,
     /// Sign bit planes: bit `i mod 64` of word `j·⌈n/64⌉ + i/64` is set iff
@@ -835,16 +810,8 @@ pub struct DomainIndex {
 impl DomainIndex {
     /// Hash every candidate in `domain` through all `k` rows of `hashes` once, one
     /// [`RowHashes::hash_row_into`] call per row.
-    ///
-    /// # Panics
-    /// Panics if the hash family has more than 65,536 columns, so that a bucket does not
-    /// fit the `u16` plane.
     pub fn new(hashes: &RowHashes, domain: Arc<Vec<u64>>) -> Self {
-        let (k, m) = (hashes.rows(), hashes.columns());
-        assert!(
-            m <= 1 << 16,
-            "sketch too wide for a u16 bucket plane: {m} columns"
-        );
+        let k = hashes.rows();
         let n = domain.len();
         let words = n.div_ceil(64);
         let mut buckets = vec![0u16; k * n];
@@ -858,15 +825,14 @@ impl DomainIndex {
                     &mut buckets[j * n..(j + 1) * n],
                     &mut neg[j * words..(j + 1) * words],
                 )
-                // lint:allow(panic-freedom) — invariant: `j < k`, the planes are cut to `n`
-                // buckets and `⌈n/64⌉` words, and the assert above bounds the width.
+                // lint:allow(panic-freedom) — invariant: `j < k`, and the planes are cut to `n`
+                // buckets and `⌈n/64⌉` words.
                 .expect("every row of the family hashes into its own planes");
         }
         DomainIndex {
             domain,
             seed: hashes.seed(),
-            rows: k,
-            columns: m,
+            params: hashes.params(),
             buckets,
             neg,
         }
@@ -877,7 +843,7 @@ impl DomainIndex {
     #[inline]
     fn signed_counter(&self, table: &[f64], j: usize, i: usize) -> f64 {
         let n = self.domain.len();
-        let v = table[j * self.columns + usize::from(self.buckets[j * n + i])];
+        let v = table[j * self.params.columns() + usize::from(self.buckets[j * n + i])];
         let flip = ((self.neg[j * n.div_ceil(64) + i / 64] >> (i % 64)) & 1) << 63;
         f64::from_bits(v.to_bits() ^ flip)
     }
@@ -895,33 +861,16 @@ impl DomainIndex {
     }
 }
 
-/// Reject a shared hash family whose shape is not `params`: a family with fewer rows
-/// than `k` leaves a sampled row without a hash pair, and one with another bucket count
-/// hashes values outside (or into a corner of) the `m` columns.
-pub(crate) fn check_family_shape(params: SketchParams, hashes: &RowHashes) -> Result<()> {
-    if hashes.rows() != params.rows() || hashes.columns() != params.columns() {
-        return Err(Error::InvalidSketchParameter(format!(
-            "a hash family of {} rows and {} columns does not fit the sketch {params}",
-            hashes.rows(),
-            hashes.columns()
-        )));
-    }
-    Ok(())
-}
-
-pub(crate) fn check_compatible(
-    params: SketchParams,
-    hashes: &RowHashes,
-    other_params: SketchParams,
-    other_hashes: &RowHashes,
-) -> Result<()> {
-    if params != other_params || hashes.seed() != other_hashes.seed() {
+/// Two sketches combine only over one public hash family: the same seed drawn for the same
+/// shape.
+pub(crate) fn check_compatible(hashes: &RowHashes, other: &RowHashes) -> Result<()> {
+    if hashes.params() != other.params() || hashes.seed() != other.seed() {
         return Err(Error::IncompatibleSketches(format!(
             "LDPJoinSketches differ: {} seed {} vs {} seed {}",
-            params,
+            hashes.params(),
             hashes.seed(),
-            other_params,
-            other_hashes.seed()
+            other.params(),
+            other.seed()
         )));
     }
     Ok(())
@@ -1039,7 +988,7 @@ mod tests {
             })
             .unwrap();
         let before = builder.spectrum();
-        let attr = Arc::new(RowHashes::from_seed(1, 4, 16));
+        let attr = Arc::new(RowHashes::from_seed(1, params(4, 16)));
         let mut edge = EdgeSketchBuilder::new(Arc::clone(&attr), attr, eps(1.0)).unwrap();
         for y in [f64::NAN, 0.0, 2.0, 1e300] {
             let err = builder.absorb(ClientReport { y, row: 1, col: 2 });
@@ -1072,23 +1021,27 @@ mod tests {
 
     #[test]
     fn shared_families_must_have_the_sketch_shape() {
-        // Release builds too: a 64-column family under m = 16 would index past a restored
-        // row, and a 2-row family under k = 4 leaves sampled rows without a hash pair.
+        // The builder and the client take their shape from the family. The aggregator shim
+        // keeps a separate shape argument, and a family drawn for another shape is refused
+        // in release builds too: a 64-column family under m = 16 would index past a
+        // restored row, and a 2-row family under k = 4 leaves sampled rows without a pair.
         use crate::aggregator::ShardedAggregator;
         let (p, e) = (params(4, 16), eps(2.0));
-        let shape = |r: Result<()>| matches!(r, Err(Error::InvalidSketchParameter(_)));
         for (rows, cols) in [(4, 64), (4, 8), (2, 16), (8, 16)] {
-            let family = Arc::new(RowHashes::from_seed(3, rows, cols));
-            let builder = SketchBuilder::with_hashes(p, e, Arc::clone(&family)).map(drop);
-            assert!(shape(builder), "builder over {rows}x{cols}");
-            let client = LdpJoinSketchClient::with_hashes(p, e, Arc::clone(&family)).map(drop);
-            assert!(shape(client), "client over {rows}x{cols}");
+            let family = Arc::new(RowHashes::from_seed(3, params(rows, cols)));
             let engine = ShardedAggregator::with_hashes(p, e, family, 1).map(drop);
-            assert!(shape(engine), "aggregator over {rows}x{cols}");
+            assert!(
+                matches!(engine, Err(Error::InvalidSketchParameter(_))),
+                "aggregator over {rows}x{cols}"
+            );
         }
-        let family = Arc::new(RowHashes::from_seed(3, 4, 16));
-        assert!(SketchBuilder::with_hashes(p, e, Arc::clone(&family)).is_ok());
-        assert!(LdpJoinSketchClient::with_hashes(p, e, family).is_ok());
+        let family = Arc::new(RowHashes::from_seed(3, p));
+        assert!(ShardedAggregator::with_hashes(p, e, Arc::clone(&family), 1).is_ok());
+        assert_eq!(
+            SketchBuilder::with_hashes(e, Arc::clone(&family)).params(),
+            p
+        );
+        assert_eq!(LdpJoinSketchClient::with_hashes(e, family).params(), p);
     }
 
     #[test]
@@ -1205,12 +1158,12 @@ mod tests {
         // spectrum puts +ξ_j(0) at bucket h_j(0) of every row, so each row's estimate of
         // value 0 is the de-bias scale k·c_ε.
         let p = params(SketchParams::MAX_ROWS, 2);
-        let hashes = Arc::new(RowHashes::from_seed(5, p.rows(), p.columns()));
+        let hashes = Arc::new(RowHashes::from_seed(5, p));
         let mut spectrum = vec![0.0; p.counters()];
         for (j, pair) in hashes.iter().enumerate() {
             spectrum[j * 2 + pair.bucket_of(0)] = pair.sign_of(0) as f64;
         }
-        let sketch = FinalizedSketch::from_spectrum(p, eps(10.0), hashes, 1, spectrum);
+        let sketch = FinalizedSketch::from_spectrum(eps(10.0), hashes, 1, spectrum);
         let domain: Vec<u64> = (0..6).collect();
         let index = DomainIndex::new(sketch.hashes(), Arc::new(domain.clone()));
         let threshold = 0.5 * sketch.frequency_median(0);
@@ -1259,7 +1212,6 @@ mod tests {
             for w in &windows {
                 let (mut spec, mut reports) = (w.spectrum(), w.reports());
                 let sealed = FinalizedSketch::from_spectrum(
-                    p,
                     e,
                     Arc::clone(w.hashes()),
                     reports,
@@ -1284,7 +1236,6 @@ mod tests {
                 };
                 let reports = last_reports - if start == 0 { 0 } else { prefixes[start - 1].1 };
                 let assembled = FinalizedSketch::from_spectrum(
-                    p,
                     e,
                     Arc::clone(windows[0].hashes()),
                     reports,
@@ -1637,7 +1588,7 @@ mod tests {
         }
         let reports = shard_a.reports() + shard_b.reports();
         let hashes = Arc::clone(shard_a.hashes());
-        let merged = FinalizedSketch::from_spectrum(p, e, hashes, reports, spectrum);
+        let merged = FinalizedSketch::from_spectrum(e, hashes, reports, spectrum);
 
         let mut single = SketchBuilder::new(p, e, 77);
         single.absorb_batch(&first).unwrap();

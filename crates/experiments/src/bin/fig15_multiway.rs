@@ -48,7 +48,7 @@ fn main() {
     // family, vertex sketches derive it from the seed.
     let params = SketchParams::new(replicas, buckets).expect("valid sketch shape");
     let (seed_a, seed_b, seed_c) = (args.seed ^ 0xA, args.seed ^ 0xB, args.seed ^ 0xC);
-    let family = |seed| Arc::new(RowHashes::from_seed(seed, replicas, buckets));
+    let family = |seed| Arc::new(RowHashes::from_seed(seed, params));
     let (attr_a, attr_b, attr_c) = (family(seed_a), family(seed_b), family(seed_c));
 
     // --- Non-private COMPASS reference (independent of ε). ---------------------------------

@@ -23,7 +23,7 @@ use ldpjs_common::hadamard::{fwht_in_place, hadamard_entry_f64};
 use ldpjs_common::hash::RowHashes;
 use ldpjs_common::privacy::Epsilon;
 use ldpjs_common::rr::sample_sign_bit;
-use ldpjs_sketch::SketchParams;
+use ldpjs_common::SketchParams;
 use rand::{Rng, RngCore};
 
 use crate::oracle::FrequencyOracle;
@@ -39,10 +39,10 @@ pub struct HcmsReport {
     pub col: usize,
 }
 
-/// The Apple-HCMS frequency oracle (client simulation + server aggregation).
+/// The Apple-HCMS frequency oracle (client simulation + server aggregation). The sketch
+/// shape `(k, m)` is its hash family's.
 #[derive(Debug, Clone)]
 pub struct HcmsOracle {
-    params: SketchParams,
     eps: Epsilon,
     hashes: RowHashes,
     /// Accumulated (still Hadamard-domain) sketch, row-major `k × m`.
@@ -56,9 +56,8 @@ impl HcmsOracle {
     /// Create an HCMS oracle with sketch parameters `params`, privacy budget `eps`, and a hash
     /// family derived from `seed`.
     pub fn new(params: SketchParams, eps: Epsilon, seed: u64) -> Self {
-        let hashes = RowHashes::from_seed(seed, params.rows(), params.columns());
+        let hashes = RowHashes::from_seed(seed, params);
         HcmsOracle {
-            params,
             eps,
             hashes,
             raw: vec![0.0; params.counters()],
@@ -70,13 +69,13 @@ impl HcmsOracle {
     /// Sketch parameters.
     #[inline]
     pub fn params(&self) -> SketchParams {
-        self.params
+        self.hashes.params()
     }
 
     /// Client-side encoding and perturbation of one value (Apple-HCMS client).
     pub fn perturb(&self, value: u64, rng: &mut dyn RngCore) -> HcmsReport {
-        let k = self.params.rows();
-        let m = self.params.columns();
+        let k = self.hashes.rows();
+        let m = self.hashes.columns();
         let row = rng.gen_range(0..k);
         let col = rng.gen_range(0..m);
         let bucket = self.hashes.pair(row).bucket_of(value);
@@ -92,16 +91,16 @@ impl HcmsOracle {
     /// panic the aggregator or (worse, with a permissive indexing scheme) land in a
     /// neighbouring row.
     pub fn absorb(&mut self, report: HcmsReport) -> Result<()> {
-        if report.row >= self.params.rows() || report.col >= self.params.columns() {
+        if report.row >= self.hashes.rows() || report.col >= self.hashes.columns() {
             return Err(Error::ReportOutOfRange {
                 row: report.row,
                 col: report.col,
-                rows: self.params.rows(),
-                cols: self.params.columns(),
+                rows: self.hashes.rows(),
+                cols: self.hashes.columns(),
             });
         }
-        let k = self.params.rows() as f64;
-        let idx = report.row * self.params.columns() + report.col;
+        let k = self.hashes.rows() as f64;
+        let idx = report.row * self.hashes.columns() + report.col;
         self.raw[idx] += k * self.eps.c_eps() * report.y;
         self.transformed = None;
         self.n += 1;
@@ -114,9 +113,9 @@ impl HcmsOracle {
         if let Some(t) = &self.transformed {
             return Cow::Borrowed(t);
         }
-        let m = self.params.columns();
+        let m = self.hashes.columns();
         let mut t = self.raw.clone();
-        for j in 0..self.params.rows() {
+        for j in 0..self.hashes.rows() {
             fwht_in_place(&mut t[j * m..(j + 1) * m]);
         }
         Cow::Owned(t)
@@ -148,13 +147,13 @@ impl FrequencyOracle for HcmsOracle {
         if self.n == 0 {
             return 0.0;
         }
-        let m = self.params.columns() as f64;
-        let k = self.params.rows();
+        let m = self.hashes.columns() as f64;
+        let k = self.hashes.rows();
         let sketch = self.sketch();
         let sum: f64 = (0..k)
             .map(|j| {
                 let bucket = self.hashes.pair(j).bucket_of(value);
-                sketch[j * self.params.columns() + bucket]
+                sketch[j * self.hashes.columns() + bucket]
             })
             .sum();
         let mean = sum / k as f64;
@@ -167,8 +166,8 @@ impl FrequencyOracle for HcmsOracle {
 
     fn report_bits(&self) -> u64 {
         // One perturbed bit plus the (j, l) indices.
-        let k_bits = (self.params.rows().max(2) as f64).log2().ceil() as u64;
-        let m_bits = (self.params.columns().max(2) as f64).log2().ceil() as u64;
+        let k_bits = (self.hashes.rows().max(2) as f64).log2().ceil() as u64;
+        let m_bits = (self.hashes.columns().max(2) as f64).log2().ceil() as u64;
         1 + k_bits + m_bits
     }
 }

@@ -440,7 +440,6 @@ impl Ledger {
         let views = std::array::from_fn(|l| {
             let lane = lanes[l];
             FinalizedSketch::from_spectrum(
-                lane.params(),
                 lane.epsilon(),
                 Arc::clone(lane.hashes()),
                 lane.reports(),
@@ -452,11 +451,10 @@ impl Ledger {
 
     /// Lane `l` of the suffix span `start..len` as a finalized view: one fused spectrum
     /// subtraction + de-bias multiply per element, no FWHT. `shape` is any builder of that
-    /// lane (the live one), supplying its parameters and hash family.
+    /// lane (the live one), supplying its ε and hash family.
     fn span_lane(&self, start: usize, l: usize, shape: &SketchBuilder) -> FinalizedSketch {
         let (last, base) = self.span_ends(start);
         FinalizedSketch::from_spectrum_diff(
-            shape.params(),
             shape.epsilon(),
             Arc::clone(shape.hashes()),
             last.reports[l] - base.reports[l],
@@ -951,11 +949,11 @@ impl SketchService {
         seed_a: u64,
         seed_b: u64,
     ) -> Result<AttributeId> {
-        let (k, m) = (self.config.params.rows(), self.config.params.columns());
-        let family = |seed| Arc::new(RowHashes::from_seed(seed, k, m));
+        let params = self.config.params;
+        let family = |seed| Arc::new(RowHashes::from_seed(seed, params));
         let mode = ModeState::Edge(EdgeState {
             live: EdgeSketchBuilder::new(family(seed_a), family(seed_b), self.config.eps)?,
-            ledger: Ledger::new(1, k * m * m),
+            ledger: Ledger::new(1, params.counters() * params.columns()),
             newest: None,
         });
         self.register(name, mode)
@@ -1008,11 +1006,10 @@ impl SketchService {
     pub fn client(&self, attr: AttributeId) -> Result<LdpJoinSketchClient> {
         let a = find(&self.attributes, attr)?;
         match &a.mode {
-            ModeState::Plain(s) => LdpJoinSketchClient::with_hashes(
-                self.config.params,
+            ModeState::Plain(s) => Ok(LdpJoinSketchClient::with_hashes(
                 self.config.eps,
                 Arc::clone(s.live.hashes()),
-            ),
+            )),
             _ => Err(mode_mismatch(a, "a plain client")),
         }
     }

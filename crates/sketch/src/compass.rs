@@ -171,19 +171,18 @@ pub fn estimate_chain_4(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::SketchParams;
     use ldpjs_common::stats::{exact_chain_join_3, exact_chain_join_4};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
     fn family(seed: u64, k: usize, m: usize) -> Arc<RowHashes> {
-        Arc::new(RowHashes::from_seed(seed, k, m))
+        let params = ldpjs_common::SketchParams::new(k, m).unwrap();
+        Arc::new(RowHashes::from_seed(seed, params))
     }
 
     /// An empty vertex sketch over `attr`'s hash family.
     fn vertex(attr: &RowHashes) -> FastAgmsSketch {
-        let params = SketchParams::new(attr.rows(), attr.columns()).unwrap();
-        FastAgmsSketch::new(params, attr.seed())
+        FastAgmsSketch::new(attr.params(), attr.seed())
     }
 
     fn gen_values(n: usize, domain: u64, seed: u64) -> Vec<u64> {

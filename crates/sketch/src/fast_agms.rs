@@ -12,13 +12,11 @@
 use ldpjs_common::error::{Error, Result};
 use ldpjs_common::hash::RowHashes;
 use ldpjs_common::stats::{mean, median};
+use ldpjs_common::SketchParams;
 
-use crate::params::SketchParams;
-
-/// A Fast-AGMS sketch of shape `(k, m)`.
+/// A Fast-AGMS sketch of shape `(k, m)`, the shape of its hash family.
 #[derive(Debug, Clone)]
 pub struct FastAgmsSketch {
-    params: SketchParams,
     hashes: RowHashes,
     /// Row-major `k × m` counter matrix.
     counters: Vec<f64>,
@@ -29,9 +27,8 @@ pub struct FastAgmsSketch {
 impl FastAgmsSketch {
     /// Create an empty sketch with the given parameters and hash-family seed.
     pub fn new(params: SketchParams, seed: u64) -> Self {
-        let hashes = RowHashes::from_seed(seed, params.rows(), params.columns());
+        let hashes = RowHashes::from_seed(seed, params);
         FastAgmsSketch {
-            params,
             counters: vec![0.0; params.counters()],
             hashes,
             total: 0,
@@ -41,7 +38,7 @@ impl FastAgmsSketch {
     /// Sketch parameters.
     #[inline]
     pub fn params(&self) -> SketchParams {
-        self.params
+        self.hashes.params()
     }
 
     /// The shared hash family.
@@ -58,7 +55,7 @@ impl FastAgmsSketch {
 
     #[inline]
     fn idx(&self, row: usize, col: usize) -> usize {
-        row * self.params.columns() + col
+        row * self.hashes.columns() + col
     }
 
     /// Counter at `(row, col)`.
@@ -69,7 +66,7 @@ impl FastAgmsSketch {
 
     /// One full row of counters.
     pub fn row(&self, row: usize) -> &[f64] {
-        let m = self.params.columns();
+        let m = self.hashes.columns();
         &self.counters[row * m..(row + 1) * m]
     }
 
@@ -81,7 +78,7 @@ impl FastAgmsSketch {
     /// Add `weight` occurrences of `value` (negative weights model deletions in the turnstile
     /// model; the estimators remain unbiased).
     pub fn update_weighted(&mut self, value: u64, weight: f64) {
-        for j in 0..self.params.rows() {
+        for j in 0..self.hashes.rows() {
             let pair = self.hashes.pair(j);
             let col = pair.bucket_of(value);
             let idx = self.idx(j, col);
@@ -98,12 +95,12 @@ impl FastAgmsSketch {
     }
 
     fn check_compatible(&self, other: &Self) -> Result<()> {
-        if self.params != other.params || self.hashes.seed() != other.hashes.seed() {
+        if self.params() != other.params() || self.hashes.seed() != other.hashes.seed() {
             return Err(Error::IncompatibleSketches(format!(
                 "Fast-AGMS sketches differ: {} seed {} vs {} seed {}",
-                self.params,
+                self.params(),
                 self.hashes.seed(),
-                other.params,
+                other.params(),
                 other.hashes.seed()
             )));
         }
@@ -113,7 +110,7 @@ impl FastAgmsSketch {
     /// The `k` per-row inner products `Σ_x M_A[j,x]·M_B[j,x]`.
     pub fn row_products(&self, other: &Self) -> Result<Vec<f64>> {
         self.check_compatible(other)?;
-        Ok((0..self.params.rows())
+        Ok((0..self.hashes.rows())
             .map(|j| {
                 self.row(j)
                     .iter()
@@ -132,7 +129,7 @@ impl FastAgmsSketch {
 
     /// Frequency estimate of a single value: `median_j M[j, h_j(d)]·ξ_j(d)`.
     pub fn frequency(&self, value: u64) -> f64 {
-        let estimates: Vec<f64> = (0..self.params.rows())
+        let estimates: Vec<f64> = (0..self.hashes.rows())
             .map(|j| {
                 let pair = self.hashes.pair(j);
                 self.counter(j, pair.bucket_of(value)) * pair.sign_of(value) as f64
@@ -144,7 +141,7 @@ impl FastAgmsSketch {
     /// Frequency estimate using the mean combiner (matches Theorem 7's combiner for the LDP
     /// sketch; useful for apples-to-apples comparisons).
     pub fn frequency_mean(&self, value: u64) -> f64 {
-        let estimates: Vec<f64> = (0..self.params.rows())
+        let estimates: Vec<f64> = (0..self.hashes.rows())
             .map(|j| {
                 let pair = self.hashes.pair(j);
                 self.counter(j, pair.bucket_of(value)) * pair.sign_of(value) as f64

@@ -16,8 +16,8 @@
 
 pub mod compass;
 pub mod fast_agms;
-pub mod params;
 
 pub use compass::CompassEdgeSketch;
 pub use fast_agms::FastAgmsSketch;
-pub use params::SketchParams;
+/// Re-export of the shared sketch shape, which lives in [`ldpjs_common::params`].
+pub use ldpjs_common::SketchParams;

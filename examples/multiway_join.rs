@@ -29,7 +29,7 @@ fn main() {
     // two-attribute sketch takes both families.
     let params = SketchParams::new(9, 256).expect("valid sketch shape");
     let (seed_a, seed_b) = (1001, 1002);
-    let family = |seed| Arc::new(RowHashes::from_seed(seed, params.rows(), params.columns()));
+    let family = |seed| Arc::new(RowHashes::from_seed(seed, params));
     let (attr_a, attr_b) = (family(seed_a), family(seed_b));
     let eps = Epsilon::new(4.0).expect("valid privacy budget");
 

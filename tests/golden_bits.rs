@@ -122,8 +122,8 @@ fn adaptive_chunked_plus_estimate_over_three_scan_blocks_is_pinned() {
 fn chain_3_estimate_over_vertex_and_chunked_edge_sketches_is_pinned() {
     // Attribute A's public hash family is seed 17's, attribute B's seed 18's.
     let vertex_params = SketchParams::new(8, 32).unwrap();
-    let attr_a = Arc::new(RowHashes::from_seed(17, 8, 32));
-    let attr_b = Arc::new(RowHashes::from_seed(18, 8, 32));
+    let attr_a = Arc::new(RowHashes::from_seed(17, vertex_params));
+    let attr_b = Arc::new(RowHashes::from_seed(18, vertex_params));
     let t1 = zipf_table(1.4, 200, 20_000, 7);
     let t3 = zipf_table(1.4, 200, 20_000, 8);
     let left = zipf_table(1.4, 200, 20_000, 9);

@@ -1,7 +1,8 @@
 //! Integration-level privacy checks: empirical ε-LDP ratios of the full client pipelines and
 //! indistinguishability of the FAP branches, measured over the public report alphabet, and
 //! exact-law tests of the batch bodies of Algorithm 1 (`alg1_exact_law`), of FAP, both
-//! branches (`fap_exact_law`), and of the edge client (`edge_exact_law`).
+//! branches (`fap_exact_law`), of the edge client (`edge_exact_law`) and of the baseline
+//! oracles' clients (`baseline_exact_law`).
 //!
 //! Every RNG is a seeded `StdRng`, so the suite is fully deterministic. Statistical
 //! tolerances were audited with a 10-seed sweep per assertion; the empirical/theoretical
@@ -75,12 +76,13 @@ fn ldpjoinsketch_client_satisfies_epsilon_ldp_empirically() {
 }
 
 /// Settings and statistics shared by the exact-law tests (`alg1_exact_law`,
-/// `fap_exact_law`, `edge_exact_law`): 400k copies of one value per ε on a `(k, m) = (4, 16)`
-/// sketch (for the edge client, `m = m_A·m_B = 4·4` flattened coordinates), each check at a
-/// false-alarm rate of 1e-6 per ε.
+/// `fap_exact_law`, `edge_exact_law`, `baseline_exact_law`): 400k copies of one value per ε
+/// on a `(k, m) = (4, 16)` sketch (for the edge client, `m = m_A·m_B = 4·4` flattened
+/// coordinates), each check at a false-alarm rate of 1e-6 per ε.
 mod law {
     use super::*;
     use ldp_join_sketch::common::hadamard::hadamard_entry;
+    use ldp_join_sketch::common::hash::RowHashes;
     use ldp_join_sketch::common::ReportBatch;
 
     pub const TRIALS: usize = 400_000;
@@ -153,12 +155,12 @@ mod law {
         }
     }
 
-    /// Per cell `(j, l)`, the Hadamard entry `H_m[h_j(VALUE), l]`, times `ξ_j(VALUE)` when
-    /// `with_sign` is set.
-    pub fn coefficients(client: &LdpJoinSketchClient, with_sign: bool) -> Vec<i64> {
+    /// Per cell `(j, l)`, the Hadamard entry `H_m[h_j(VALUE), l]` of the family `hashes`,
+    /// times `ξ_j(VALUE)` when `with_sign` is set.
+    pub fn coefficients(hashes: &RowHashes, with_sign: bool) -> Vec<i64> {
         (0..K * M)
             .map(|cell| {
-                let pair = client.hashes().pair(cell / M);
+                let pair = hashes.pair(cell / M);
                 let sign = if with_sign { pair.sign_of(VALUE) } else { 1 };
                 hadamard_entry(M, pair.bucket_of(VALUE), cell % M) * sign
             })
@@ -204,7 +206,7 @@ mod alg1_exact_law {
     fn sign_agrees_with_the_true_coefficient_at_rate_e_eps_over_1_plus_e_eps() {
         for eps in EPSILONS {
             let (client, cells) = tally(eps);
-            let (agree, n) = cells.agreeing(&coefficients(&client, true), |_| true);
+            let (agree, n) = cells.agreeing(&coefficients(client.hashes(), true), |_| true);
             let p = eps.exp() / (1.0 + eps.exp());
             let z = z(agree, n, p);
             assert!(
@@ -291,7 +293,7 @@ mod fap_exact_law {
         // The high-frequency sketch targets the frequent items, so `VALUE ∈ FI` is a target.
         for eps in EPSILONS {
             let (inner, cells) = tally(FapMode::HighFrequency, eps, true);
-            let agreeing = cells.agreeing(&coefficients(&inner, true), |_| true);
+            let agreeing = cells.agreeing(&coefficients(inner.hashes(), true), |_| true);
             assert_rate("agreement", eps, agreeing, eps.exp() / (1.0 + eps.exp()));
             assert_uniform(&cells, eps);
         }
@@ -307,7 +309,7 @@ mod fap_exact_law {
             // At `l = 0`, agreeing with a −1 coefficient counts the negative reports.
             let negative = cells.agreeing(&[-1; K * M], |cell| cell % M == 0);
             assert_rate("l = 0 negative", eps, negative, 1.0 / (eps.exp() + 1.0));
-            let coefficients = coefficients(&inner, false);
+            let coefficients = coefficients(inner.hashes(), false);
             let agreeing = cells.agreeing(&coefficients, |cell| cell % M != 0);
             assert_rate("l ≠ 0 agreement", eps, agreeing, 0.5);
         }
@@ -345,8 +347,8 @@ mod edge_exact_law {
     /// The two attributes' public hash families (seeds 3 and 5).
     fn attributes() -> (Arc<RowHashes>, Arc<RowHashes>) {
         (
-            Arc::new(RowHashes::from_seed(3, K, M_A)),
-            Arc::new(RowHashes::from_seed(5, K, M_B)),
+            Arc::new(RowHashes::from_seed(3, SketchParams::new(K, M_A).unwrap())),
+            Arc::new(RowHashes::from_seed(5, SketchParams::new(K, M_B).unwrap())),
         )
     }
 
@@ -401,6 +403,130 @@ mod edge_exact_law {
                 chi2 <= CHI2_CRITICAL,
                 "ε = {eps}: χ² = {chi2:.1} over {} cells exceeds {CHI2_CRITICAL}",
                 K * M
+            );
+        }
+    }
+}
+
+mod baseline_exact_law {
+    //! The baseline oracles' clients have closed-form output laws too, and these tests hold
+    //! each one's `perturb` to its law at ε ∈ {0.5, 1, 2, 4}, over 400k copies of one value
+    //! per ε, every check at a false-alarm rate of 1e-6.
+    //! * **Apple-HCMS** runs Algorithm 1 without the sign hash: `(j, l)` is uniform on
+    //!   `[k]×[m]`, and `y` agrees with `H_m[h_j(d), l]` with probability exactly
+    //!   `e^ε/(1+e^ε)`.
+    //! * **k-RR** over `D` values keeps `d` with probability exactly `e^ε/(e^ε+D−1)`, and
+    //!   otherwise reports one of the other `D − 1` values uniformly.
+    //! * **FLH** draws its hash `H_i` uniformly from the public pool, and reports `H_i(d)`
+    //!   with probability exactly `e^ε/(e^ε+g−1)`, `g = ⌊e^ε⌋ + 1`.
+    //!
+    //! Power, against the 4.89σ threshold: a 5% overspend (the keep or flip probability
+    //! computed at 1.05ε) moves HCMS's agreement rate by 7.6σ, 13.9σ, 19.7σ and 15.3σ at the
+    //! four ε, k-RR's keep rate (`D = 4`) by 7.6σ, 15.8σ, 28.0σ and 25.7σ, and FLH's
+    //! (`g` = 2, 3, 8 and 55) by 7.6σ, 15.6σ, 31.5σ and 63.0σ. An HCMS client that took
+    //! the row from a hash of the value on 5% of reports gives the `(j, l)` χ² test a
+    //! noncentrality of ≈3,000 against a critical value of 131.4.
+
+    use super::law::*;
+    use super::*;
+    use ldp_join_sketch::common::hash::{BucketHash, RowHashes};
+    use ldp_join_sketch::common::ReportBatch;
+    use ldp_join_sketch::ldp::{FlhOracle, HcmsOracle, KrrOracle};
+
+    /// k-RR's domain, and the value perturbed (inside it).
+    const DOMAIN: u64 = 4;
+    const KRR_VALUE: u64 = 2;
+    /// Upper 1e-6 quantile of χ² with `DOMAIN − 2 = 2` degrees of freedom: `2·ln 10⁶`.
+    const CHI2_CRITICAL_2: f64 = 27.63;
+    /// FLH's pool: one hash per `law` cell, so its χ² has the same 63 degrees of freedom.
+    const POOL: usize = K * M;
+    const POOL_SEED: u64 = 11;
+
+    fn assert_rate(what: &str, eps: f64, hits: usize, n: usize, p: f64) {
+        let z = z(hits, n, p);
+        assert!(
+            z.abs() <= Z_CRITICAL,
+            "ε = {eps}: {what} rate {} vs exact {p}, z = {z:.2}",
+            hits as f64 / n as f64
+        );
+    }
+
+    /// Pearson's χ² of `counts` against the uniform law over its cells.
+    fn chi2_uniform(counts: &[usize]) -> f64 {
+        let expected = counts.iter().sum::<usize>() as f64 / counts.len() as f64;
+        counts
+            .iter()
+            .map(|&c| (c as f64 - expected).powi(2) / expected)
+            .sum()
+    }
+
+    #[test]
+    fn hcms_reports_follow_algorithm_1s_law_without_the_sign() {
+        let params = SketchParams::new(K, M).unwrap();
+        // The family HCMS derives from its seed, which the law refers to.
+        let signs = coefficients(&RowHashes::from_seed(3, params), false);
+        for eps in EPSILONS {
+            let oracle = HcmsOracle::new(params, Epsilon::new(eps).unwrap(), 3);
+            let mut rng = StdRng::seed_from_u64(eps.to_bits() ^ 0x4C35);
+            let mut batch = ReportBatch::new(K, M).unwrap();
+            for _ in 0..TRIALS {
+                let r = oracle.perturb(VALUE, &mut rng);
+                batch.push(r.row, r.col, r.y < 0.0).unwrap();
+            }
+            let cells = Cells::of(&batch);
+            let (agree, n) = cells.agreeing(&signs, |_| true);
+            assert_rate("agreement", eps, agree, n, eps.exp() / (1.0 + eps.exp()));
+            let chi2 = cells.chi2_uniform();
+            assert!(chi2 <= CHI2_CRITICAL, "ε = {eps}: (j, l) χ² = {chi2:.1}");
+        }
+    }
+
+    #[test]
+    fn krr_keeps_the_value_at_its_rate_and_spreads_the_rest_uniformly() {
+        for eps in EPSILONS {
+            let oracle = KrrOracle::new(Epsilon::new(eps).unwrap(), DOMAIN);
+            let mut rng = StdRng::seed_from_u64(eps.to_bits() ^ 0x4B22);
+            let mut counts = [0usize; DOMAIN as usize];
+            for _ in 0..TRIALS {
+                counts[oracle.perturb(KRR_VALUE, &mut rng) as usize] += 1;
+            }
+            let keep = eps.exp() / (eps.exp() + DOMAIN as f64 - 1.0);
+            assert_rate("keep", eps, counts[KRR_VALUE as usize], TRIALS, keep);
+            let others: Vec<usize> = (0..DOMAIN)
+                .filter(|&v| v != KRR_VALUE)
+                .map(|v| counts[v as usize])
+                .collect();
+            let chi2 = chi2_uniform(&others);
+            assert!(
+                chi2 <= CHI2_CRITICAL_2,
+                "ε = {eps}: other values χ² = {chi2:.1}"
+            );
+        }
+    }
+
+    #[test]
+    fn flh_draws_a_uniform_hash_and_keeps_its_bucket_at_its_rate() {
+        for eps in EPSILONS {
+            let oracle = FlhOracle::with_pool(Epsilon::new(eps).unwrap(), POOL, POOL_SEED);
+            let g = oracle.g();
+            // The public pool, derived from its seed as the server derives it.
+            let mut pool_rng = StdRng::seed_from_u64(POOL_SEED);
+            let pool: Vec<BucketHash> = (0..POOL)
+                .map(|_| BucketHash::sample(&mut pool_rng, g as usize))
+                .collect();
+            let mut rng = StdRng::seed_from_u64(eps.to_bits() ^ 0xF1A);
+            let (mut drawn, mut kept) = (vec![0usize; POOL], 0);
+            for _ in 0..TRIALS {
+                let r = oracle.perturb(VALUE, &mut rng);
+                drawn[r.hash_index] += 1;
+                kept += usize::from(r.bucket == pool[r.hash_index].hash(VALUE) as u64);
+            }
+            let keep = eps.exp() / (eps.exp() + g as f64 - 1.0);
+            assert_rate("bucket keep", eps, kept, TRIALS, keep);
+            let chi2 = chi2_uniform(&drawn);
+            assert!(
+                chi2 <= CHI2_CRITICAL,
+                "ε = {eps}: pool index χ² = {chi2:.1}"
             );
         }
     }
