@@ -1,6 +1,6 @@
 //! Process-wide SIMD kernel dispatch accounting.
 //!
-//! The FWHT restore ([`crate::hadamard`]), frequent-item count screen ([`crate::screen`])
+//! The FWHT ([`crate::hadamard`]), frequent-item count screen ([`crate::screen`])
 //! and lane hash ([`crate::hash`]) kernels pick the widest vector ISA the CPU offers at
 //! runtime. Which tier actually ran is invisible from the outside — all tiers are
 //! bit-identical by contract — yet it is exactly what an operator needs when a
@@ -37,11 +37,13 @@ pub(crate) fn bump(cell: &AtomicU64) {
 /// benchmark's host facts read them, and [`KernelDispatchSnapshot::series`] omits them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelDispatchSnapshot {
-    /// FWHT restores executed by the AVX-512 kernel.
+    /// FWHTs (one per transformed row, restores and unscaled seal spectra alike) executed
+    /// by the AVX-512 kernel.
     pub fwht_avx512: u64,
-    /// FWHT restores executed by the AVX2 kernel.
+    /// FWHTs executed by the AVX2 kernel.
     pub fwht_avx2: u64,
-    /// FWHT restores executed by the portable radix-2 kernel.
+    /// FWHTs executed by the portable kernel, the fused radix-16/8/4 body (every row
+    /// shorter than 32 takes it).
     pub fwht_portable: u64,
     /// Always 0 (no histogram drain exists).
     pub drain_avx512: u64,

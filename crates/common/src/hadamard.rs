@@ -1012,6 +1012,35 @@ mod tests {
         }
     }
 
+    #[test]
+    fn flattened_fwht_is_the_two_dimensional_transform() {
+        // H_{a·b} = H_a ⊗ H_b for powers of two, so the FWHT of a row-major flattened a × b
+        // integer matrix is its row transforms followed by its column transforms. Integer
+        // inputs keep every intermediate exact, so the two agree bit for bit.
+        for (a, b) in [(1, 8), (8, 1), (2, 2), (4, 16), (16, 4), (32, 64), (128, 2)] {
+            let data: Vec<f64> = seeded_vec(0xF1A7 ^ (a * b) as u64, a * b)
+                .into_iter()
+                .map(|v| (v * 64.0).round())
+                .collect();
+            let mut flat = data.clone();
+            fwht_in_place(&mut flat);
+            let mut two_d = data;
+            for row in two_d.chunks_exact_mut(b) {
+                fwht_in_place(row);
+            }
+            for c in 0..b {
+                let mut column: Vec<f64> = (0..a).map(|r| two_d[r * b + c]).collect();
+                fwht_in_place(&mut column);
+                for (r, v) in column.into_iter().enumerate() {
+                    two_d[r * b + c] = v;
+                }
+            }
+            for (x, y) in flat.iter().zip(&two_d) {
+                assert_eq!(x.to_bits(), y.to_bits(), "{a} x {b}");
+            }
+        }
+    }
+
     proptest! {
         #[test]
         fn prop_fwht_bit_identical_to_radix2(pow in 0u32..11, seed in any::<u64>()) {

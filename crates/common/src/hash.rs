@@ -293,6 +293,21 @@ impl RowHashes {
         self.seed
     }
 
+    /// Check that `other` is this public family: the same seed drawn for the same shape.
+    /// The two fix every coefficient, so the check is O(1) wherever sketches combine.
+    ///
+    /// # Errors
+    /// [`Error::IncompatibleSketches`], led by the caller's `what`, if the families differ.
+    pub fn check_same_family(&self, other: &RowHashes, what: &str) -> Result<()> {
+        if self.seed == other.seed && self.params == other.params {
+            return Ok(());
+        }
+        Err(Error::IncompatibleSketches(format!(
+            "{what}: hash family seed {} {} vs seed {} {}",
+            self.seed, self.params, other.seed, other.params
+        )))
+    }
+
     /// The `(h_j, ξ_j)` pair of row `j`.
     ///
     /// # Panics
@@ -733,6 +748,24 @@ mod tests {
         assert_eq!(f1, f2);
         let f3 = RowHashes::from_seed(100, shape(18, 1024));
         assert_ne!(f1, f3);
+    }
+
+    #[test]
+    fn one_family_is_one_seed_drawn_for_one_shape() {
+        let f = RowHashes::from_seed(99, shape(8, 64));
+        assert!(f
+            .check_same_family(&RowHashes::from_seed(99, shape(8, 64)), "same")
+            .is_ok());
+        for other in [
+            RowHashes::from_seed(100, shape(8, 64)),
+            RowHashes::from_seed(99, shape(8, 128)),
+            RowHashes::from_seed(99, shape(9, 64)),
+        ] {
+            match f.check_same_family(&other, "lane X") {
+                Err(Error::IncompatibleSketches(msg)) => assert!(msg.starts_with("lane X: ")),
+                other => panic!("expected IncompatibleSketches, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -287,12 +287,8 @@ impl ChainKernel {
         t3: &FinalizedEdgeSketch,
         t4: &FinalizedSketch,
     ) -> Result<f64> {
-        if t2.attribute_b() != t3.attribute_a() {
-            return Err(Error::IncompatibleSketches(
-                "the two edge sketches of a 4-way chain must share attribute B's hash family"
-                    .into(),
-            ));
-        }
+        let what = "the two edge sketches of a 4-way chain must share attribute B's hash family";
+        t2.attribute_b().check_same_family(t3.attribute_a(), what)?;
         check_vertices(t1, t2.attribute_a(), t4, t3.attribute_b())?;
         chain_estimate(t2.attribute_a().rows(), |j| {
             contract(t1.row(j), &[t2.replica(j), t3.replica(j)], t4.row(j))
@@ -307,12 +303,9 @@ fn check_vertices(
     last: &FinalizedSketch,
     attr_last: &Arc<RowHashes>,
 ) -> Result<()> {
-    if first.hashes() != attr_first || last.hashes() != attr_last {
-        return Err(Error::IncompatibleSketches(
-            "vertex sketches must be built over the chain's attribute hash families".into(),
-        ));
-    }
-    Ok(())
+    let what = "vertex sketches must be built over the chain's attribute hash families";
+    first.hashes().check_same_family(attr_first, what)?;
+    last.hashes().check_same_family(attr_last, what)
 }
 
 /// The inverse-variance weight of one rescaled partial estimate against the zero prior:

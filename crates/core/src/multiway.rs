@@ -10,26 +10,32 @@
 //! `y = H_{m_A}[h_A(a), l_1] · ξ_A(a)·ξ_B(b) · H_{m_B}[l_2, h_B(b)]`
 //!
 //! for uniformly sampled coordinates `(l_1, l_2)`, flips the sign with probability
-//! `1/(e^ε+1)`, and reports `(y, j, l_1, l_2)` (with `j` the sampled replica). The server
-//! follows the same two-stage lifecycle as the one-dimensional sketch: an
+//! `1/(e^ε+1)`, and reports `(y, j, l_1, l_2)` (with `j` the sampled replica).
+//!
+//! `m_B` is a power of two, so the Sylvester matrix factors as
+//! `H_{m_A·m_B} = H_{m_A} ⊗ H_{m_B}`: its entry `(r_1·m_B + r_2, c_1·m_B + c_2)` is
+//! `H_{m_A}[r_1, c_1]·H_{m_B}[r_2, c_2]`. The restore `H_{m_A}ᵀ·M·H_{m_B}ᵀ` of a replica's
+//! `m_A × m_B` matrix is therefore the one-dimensional FWHT of its row-major flattened
+//! counters, and an edge lane is an LDPJoinSketch lane `m_A·m_B` columns wide: an
 //! [`EdgeSketchBuilder`] accumulates raw `±1` report sums, its exact unscaled
-//! [`spectrum`](EdgeSketchBuilder::spectrum) transforms the second dimension, and
-//! [`FinalizedEdgeSketch::from_spectrum`] applies the de-bias scale `k·c_ε` and transforms
-//! the first dimension, yielding the view whose replicas the estimators borrow. The chain
-//! size is estimated by [`ChainKernel`](crate::kernel::ChainKernel), which contracts the
-//! sketches along shared attributes and takes the median over replicas (Eq. 27).
+//! [`spectrum`](EdgeSketchBuilder::spectrum) and its [`finalize`](EdgeSketchBuilder::finalize)
+//! follow [`SketchBuilder`](crate::server::SketchBuilder)'s rule, and
+//! [`FinalizedEdgeSketch::from_spectrum`] only applies the de-bias scale `k·c_ε`, yielding
+//! the view whose replicas the estimators borrow. The chain size is estimated by
+//! [`ChainKernel`](crate::kernel::ChainKernel), which contracts the sketches along shared
+//! attributes and takes the median over replicas (Eq. 27).
 
 use std::sync::Arc;
 
 use ldpjs_common::batch::ReportBatch;
 use ldpjs_common::error::{Error, Result};
-use ldpjs_common::hadamard::{fwht_in_place, hadamard_entry_f64};
+use ldpjs_common::hadamard::hadamard_entry_f64;
 use ldpjs_common::hash::RowHashes;
 use ldpjs_common::privacy::Epsilon;
 use ldpjs_common::rr::sample_sign_bit;
 use rand::{Rng, RngCore};
 
-use crate::server::check_report_sign;
+use crate::server::{check_report_sign, restored_rows, scaled, scaled_difference, spectrum_rows};
 
 /// One perturbed report for a two-attribute table.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -45,8 +51,8 @@ pub struct EdgeReport {
 }
 
 /// The two attributes' hash families, checked to share the replica count. Each family's
-/// column count is a power of two, the length the restore's Hadamard transforms take, by
-/// construction.
+/// column count is a power of two by construction, so their product, the length of a
+/// replica's Hadamard restore, is one too.
 fn check_families(attr_a: &RowHashes, attr_b: &RowHashes, what: &str) -> Result<()> {
     if attr_a.rows() != attr_b.rows() {
         return Err(Error::IncompatibleSketches(format!(
@@ -168,16 +174,17 @@ impl LdpEdgeSketchClient {
 }
 
 /// The mutable accumulation stage of the server-side two-dimensional LDP sketch for a
-/// two-attribute table. Mirrors [`crate::server::SketchBuilder`]: counters are exact `±1`
-/// report sums in the Hadamard domain, so their spectra add and subtract exactly;
-/// [`EdgeSketchBuilder::finalize`] applies the de-bias scale and the two-dimensional
-/// Hadamard restore once and returns the immutable [`FinalizedEdgeSketch`] view.
+/// two-attribute table: a [`crate::server::SketchBuilder`] lane `m_A·m_B` columns wide.
+/// Counters are exact `±1` report sums in the Hadamard domain, so their spectra add and
+/// subtract exactly; [`EdgeSketchBuilder::finalize`] restores every replica's flattened row
+/// once, by the plain lane's rule, and returns the immutable [`FinalizedEdgeSketch`] view.
 #[derive(Debug, Clone)]
 pub struct EdgeSketchBuilder {
     attr_a: Arc<RowHashes>,
     attr_b: Arc<RowHashes>,
     eps: Epsilon,
-    /// `k × m_A × m_B` accumulated report sums (Hadamard domain).
+    /// `k × m_A × m_B` accumulated report sums (Hadamard domain), one row-major flattened
+    /// `m_A·m_B` row per replica.
     raw: Vec<f64>,
     reports: u64,
 }
@@ -255,8 +262,7 @@ impl EdgeSketchBuilder {
     /// Returns [`Error::IncompatibleSketches`] on a shape mismatch; the builder is untouched
     /// in that case.
     pub fn absorb_batch(&mut self, batch: &ReportBatch) -> Result<()> {
-        let per = self.attr_a.columns() * self.attr_b.columns();
-        batch.check_shape(self.attr_a.rows(), per)?;
+        batch.check_shape(self.attr_a.rows(), self.width())?;
         batch.accumulate_into(&mut self.raw);
         self.reports += batch.len() as u64;
         Ok(())
@@ -269,38 +275,38 @@ impl EdgeSketchBuilder {
         self.reports = 0;
     }
 
-    /// The **unscaled** second-dimension spectrum of the exact counters: every row of every
-    /// replica's `m_A × m_B` matrix transformed (`M · H_{m_B}ᵀ`), no de-bias scale applied.
+    /// The **unscaled** spectrum of the exact counters: the FWHT of every replica's row-major
+    /// flattened `m_A·m_B` row, no de-bias scale applied — `H_{m_A}ᵀ·M·H_{m_B}ᵀ` of every
+    /// replica's matrix `M`, since `H_{m_A·m_B} = H_{m_A} ⊗ H_{m_B}`.
     ///
-    /// Every entry is an exact integer (a signed sum of `±1` report sums), so spectra of
+    /// Every entry is an exact integer, as in
+    /// [`SketchBuilder::spectrum`](crate::server::SketchBuilder::spectrum), so spectra of
     /// disjoint report sets add and subtract with zero rounding error: the online service's
-    /// span ledger keeps prefix sums of them, and [`FinalizedEdgeSketch::from_spectrum`] of
-    /// a prefix difference is bit-identical to finalizing the span's merged counters.
+    /// span ledger keeps prefix sums of them, and [`FinalizedEdgeSketch::from_spectrum_diff`]
+    /// of two prefixes is bit-identical to finalizing the span's merged counters.
     pub fn spectrum(&self) -> Vec<f64> {
-        row_spectrum(self.raw.clone(), self.attr_b.columns())
+        spectrum_rows(self.raw.clone(), self.width())
     }
 
-    /// Apply the de-bias scale `k·c_ε` and restore every replica with the two-dimensional
-    /// Hadamard transform (`M̃ = H_{m_A}ᵀ · M · H_{m_B}ᵀ`) once, consuming the builder and
-    /// returning the immutable estimation view.
+    /// Restore the sketch by the plain lane's rule over the `m_A·m_B` width: every replica's
+    /// flattened row through the FWHT with the de-bias scale `k·c_ε` after the last
+    /// butterfly (`M̃ = k·c_ε·H_{m_A}ᵀ·M·H_{m_B}ᵀ`), consuming the builder and returning the
+    /// immutable estimation view.
     pub fn finalize(self) -> FinalizedEdgeSketch {
-        let spectrum = row_spectrum(self.raw, self.attr_b.columns());
-        FinalizedEdgeSketch::from_spectrum(
-            self.attr_a,
-            self.attr_b,
-            self.eps,
-            self.reports,
-            spectrum,
-        )
+        let (width, scale) = (self.width(), self.attr_a.rows() as f64 * self.eps.c_eps());
+        FinalizedEdgeSketch {
+            restored: restored_rows(self.raw, width, scale),
+            attr_a: self.attr_a,
+            attr_b: self.attr_b,
+            eps: self.eps,
+            reports: self.reports,
+        }
     }
-}
 
-/// Transform every `width`-long row of `counters` in place: the second-dimension spectrum.
-fn row_spectrum(mut counters: Vec<f64>, width: usize) -> Vec<f64> {
-    for row in counters.chunks_exact_mut(width) {
-        fwht_in_place(row);
+    /// Counters per replica, `m_A·m_B`.
+    fn width(&self) -> usize {
+        self.attr_a.columns() * self.attr_b.columns()
     }
-    counters
 }
 
 /// The immutable estimation stage of the two-dimensional edge sketch: every replica is
@@ -316,14 +322,11 @@ pub struct FinalizedEdgeSketch {
 }
 
 impl FinalizedEdgeSketch {
-    /// Restore the estimation view from an unscaled second-dimension
-    /// [`spectrum`](EdgeSketchBuilder::spectrum) of `reports` reports: scale every entry by
-    /// `k·c_ε`, then transform the first dimension (the columns of every replica's matrix).
-    ///
-    /// The scale lands after the second-dimension transform and before the first-dimension
-    /// one, exactly where the one-dimensional restore's fused kernel applies it
-    /// (`fwht_scaled_in_place` is bit-identical to a transform followed by the scale), so
-    /// the view has the same bits for any exact spectrum of the same counters.
+    /// Restore the estimation view from an unscaled
+    /// [`spectrum`](EdgeSketchBuilder::spectrum) of `reports` reports: one de-bias multiply
+    /// per counter, no transform. [`EdgeSketchBuilder::finalize`] scales after the last
+    /// butterfly, so the view is bit-identical to finalizing a builder holding the same
+    /// exact counters.
     ///
     /// # Panics
     /// Panics if `spectrum.len() ≠ k·m_A·m_B` for the attributes' families.
@@ -332,35 +335,49 @@ impl FinalizedEdgeSketch {
         attr_b: Arc<RowHashes>,
         eps: Epsilon,
         reports: u64,
-        mut spectrum: Vec<f64>,
+        spectrum: Vec<f64>,
     ) -> Self {
-        let (ma, mb) = (attr_a.columns(), attr_b.columns());
         assert_eq!(
             spectrum.len(),
-            attr_a.rows() * ma * mb,
+            attr_a.rows() * attr_a.columns() * attr_b.columns(),
             "spectrum length must be k*m_A*m_B"
         );
         let scale = attr_a.rows() as f64 * eps.c_eps();
-        let mut column = vec![0.0; ma];
-        for replica in spectrum.chunks_exact_mut(ma * mb) {
-            for v in replica.iter_mut() {
-                *v *= scale;
-            }
-            for col in 0..mb {
-                for row in 0..ma {
-                    column[row] = replica[row * mb + col];
-                }
-                fwht_in_place(&mut column);
-                for row in 0..ma {
-                    replica[row * mb + col] = column[row];
-                }
-            }
-        }
         FinalizedEdgeSketch {
+            restored: scaled(spectrum, scale),
             attr_a,
             attr_b,
             eps,
-            restored: spectrum,
+            reports,
+        }
+    }
+
+    /// [`FinalizedEdgeSketch::from_spectrum`] of the exact difference `last − base`, fused
+    /// into one pass like
+    /// [`FinalizedSketch::from_spectrum_diff`](crate::server::FinalizedSketch::from_spectrum_diff):
+    /// bit-identical, without allocating the intermediate difference.
+    ///
+    /// # Panics
+    /// Panics if the spectra lengths differ from `k·m_A·m_B` for the attributes' families.
+    pub fn from_spectrum_diff(
+        attr_a: Arc<RowHashes>,
+        attr_b: Arc<RowHashes>,
+        eps: Epsilon,
+        reports: u64,
+        last: &[f64],
+        base: &[f64],
+    ) -> Self {
+        let len = attr_a.rows() * attr_a.columns() * attr_b.columns();
+        assert!(
+            last.len() == len && base.len() == len,
+            "spectra lengths must be k*m_A*m_B"
+        );
+        let scale = attr_a.rows() as f64 * eps.c_eps();
+        FinalizedEdgeSketch {
+            restored: scaled_difference(last, base, scale),
+            attr_a,
+            attr_b,
+            eps,
             reports,
         }
     }
@@ -561,6 +578,117 @@ mod tests {
             })
             .is_ok());
         assert_eq!(sk.reports(), 1);
+    }
+
+    /// An edge builder over attribute families `(a, b)` that absorbed `batch`.
+    fn absorbed(a: &Arc<RowHashes>, b: &Arc<RowHashes>, batch: &ReportBatch) -> EdgeSketchBuilder {
+        let mut builder = EdgeSketchBuilder::new(a.clone(), b.clone(), eps(2.0)).unwrap();
+        builder.absorb_batch(batch).unwrap();
+        builder
+    }
+
+    /// `n` skewed tuples perturbed at ε = 2 into one packed batch over `(a, b)`.
+    fn edge_batch(a: &Arc<RowHashes>, b: &Arc<RowHashes>, n: usize, seed: u64) -> ReportBatch {
+        let client = LdpEdgeSketchClient::new(a.clone(), b.clone(), eps(2.0)).unwrap();
+        let tuples = skewed_pairs(n, 300, 300, seed);
+        client
+            .perturb_batch(&tuples, &mut StdRng::seed_from_u64(seed))
+            .unwrap()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn restored_replica_matches_the_naive_two_sided_product() {
+        // M̃ = k·c_ε·H_{m_A}ᵀ·M·H_{m_B}ᵀ per replica, computed entry by entry from the exact
+        // counters; the restore runs one flattened FWHT instead.
+        for (ma, mb) in [(2, 2), (4, 16), (16, 4), (8, 8), (32, 2)] {
+            let (a, b) = (family(3, 3, ma), family(4, 3, mb));
+            let builder = absorbed(&a, &b, &edge_batch(&a, &b, 2_000, 7));
+            let (raw, scale) = (builder.raw.clone(), 3.0 * eps(2.0).c_eps());
+            let sketch = builder.finalize();
+            for j in 0..3 {
+                let m = &raw[j * ma * mb..(j + 1) * ma * mb];
+                for (idx, &got) in sketch.replica(j).iter().enumerate() {
+                    let (r, c) = (idx / mb, idx % mb);
+                    let mut sum = 0.0;
+                    for i in 0..ma {
+                        for l in 0..mb {
+                            sum += hadamard_entry_f64(ma, i, r)
+                                * m[i * mb + l]
+                                * hadamard_entry_f64(mb, l, c);
+                        }
+                    }
+                    let want = scale * sum;
+                    assert!(
+                        (got - want).abs() <= 1e-12 * want.abs(),
+                        "({ma}, {mb}) replica {j} [{r}, {c}]: {got} vs {want}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn edge_spectrum_prefix_sums_restore_bit_identically() {
+        // The edge counterpart of the plain span-ledger law: `from_spectrum` of summed window
+        // spectra, and the fused `from_spectrum_diff` of two prefixes, equal `finalize` of
+        // one builder that absorbed the covered windows, bit for bit. `finalize` runs the
+        // fused scaled FWHT and the spectrum path scales separately, so this pins their
+        // agreement; the seal law (`from_spectrum` of one window) rides along. Widths 16,
+        // 128 and 1024 run the portable tier and the widest one the host dispatches.
+        for (ma, mb) in [(2, 8), (16, 8), (32, 32)] {
+            let (a, b) = (family(3, 5, ma), family(4, 5, mb));
+            let batches: Vec<ReportBatch> =
+                (0..4).map(|i| edge_batch(&a, &b, 3_000, 40 + i)).collect();
+            let restore = |reports, spectrum| {
+                FinalizedEdgeSketch::from_spectrum(
+                    a.clone(),
+                    b.clone(),
+                    eps(2.0),
+                    reports,
+                    spectrum,
+                )
+            };
+            // Cumulative spectra, exactly as the service ledger maintains them.
+            let mut prefixes = vec![(vec![0.0; 5 * ma * mb], 0u64)];
+            for batch in &batches {
+                let window = absorbed(&a, &b, batch);
+                let (mut spec, reports) = (window.spectrum(), window.reports());
+                let sealed = restore(reports, spec.clone());
+                assert_eq!(bits(&sealed.restored), bits(&window.finalize().restored));
+                let (last, last_reports) = prefixes.last().unwrap();
+                spec.iter_mut().zip(last).for_each(|(s, l)| *s += l);
+                let reports = reports + last_reports;
+                prefixes.push((spec, reports));
+            }
+            let (last, last_reports) = prefixes.last().unwrap();
+            for start in 0..batches.len() {
+                let (base, base_reports) = &prefixes[start];
+                let reports = last_reports - base_reports;
+                let summed = restore(reports, last.iter().zip(base).map(|(l, b)| l - b).collect());
+                let fused = FinalizedEdgeSketch::from_spectrum_diff(
+                    a.clone(),
+                    b.clone(),
+                    eps(2.0),
+                    reports,
+                    last,
+                    base,
+                );
+                let mut merged = EdgeSketchBuilder::new(a.clone(), b.clone(), eps(2.0)).unwrap();
+                for batch in &batches[start..] {
+                    merged.absorb_batch(batch).unwrap();
+                }
+                let reference = merged.finalize();
+                for view in [&summed, &fused] {
+                    assert_eq!(view.reports(), reference.reports());
+                    let at = format!("({ma}, {mb}) start={start}");
+                    assert_eq!(bits(&view.restored), bits(&reference.restored), "{at}");
+                }
+            }
+        }
     }
 
     #[test]

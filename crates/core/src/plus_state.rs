@@ -317,19 +317,6 @@ impl PlusStateBuilder {
             Candidates::Slice(domain),
         )
     }
-
-    /// Restore a *snapshot* of the state without consuming the builder, sharing the exact
-    /// restore pipeline with [`PlusStateBuilder::finalize`] so the two entry points cannot
-    /// diverge bit-wise.
-    pub fn finalize_view(&self, policy: FiPolicy, domain: &[u64]) -> FinalizedPlusState {
-        FinalizedPlusState::discovered(
-            self.phase1.finalize_view(),
-            self.low.finalize_view(),
-            self.high.finalize_view(),
-            policy,
-            Candidates::Slice(domain),
-        )
-    }
 }
 
 /// The immutable estimation stage of one attribute's LDPJoinSketch+ state: the finalized
@@ -471,20 +458,12 @@ impl FinalizedPlusState {
     /// public hash family (the kernel's row products re-check per call; this gives callers
     /// an early, descriptive error).
     pub fn check_joinable(&self, other: &Self) -> Result<()> {
-        for (mine, theirs, lane) in [
-            (&self.phase1, &other.phase1, "phase-1"),
-            (&self.low, &other.low, "phase-2 low"),
-            (&self.high, &other.high, "phase-2 high"),
+        for (mine, theirs, what) in [
+            (&self.phase1, &other.phase1, "plus phase-1 lane"),
+            (&self.low, &other.low, "plus phase-2 low lane"),
+            (&self.high, &other.high, "plus phase-2 high lane"),
         ] {
-            if mine.params() != theirs.params() || mine.hashes().seed() != theirs.hashes().seed() {
-                return Err(Error::IncompatibleSketches(format!(
-                    "plus states differ in the {lane} lane: {} seed {} vs {} seed {}",
-                    mine.params(),
-                    mine.hashes().seed(),
-                    theirs.params(),
-                    theirs.hashes().seed()
-                )));
-            }
+            mine.hashes().check_same_family(theirs.hashes(), what)?;
         }
         Ok(())
     }
@@ -559,7 +538,7 @@ mod tests {
         for (seed, columns) in [(10u64, 128usize), (9, 64)] {
             let shape = SketchParams::new(8, columns).unwrap();
             let hashes = ldpjs_common::hash::RowHashes::from_seed(seed, shape);
-            let index = DomainIndex::new(&hashes, Arc::clone(&domain));
+            let index = DomainIndex::new(&Arc::new(hashes), Arc::clone(&domain));
             let incompatible = |r: Result<()>| matches!(r, Err(Error::IncompatibleSketches(_)));
             let source = Candidates::Index(&index);
             assert!(incompatible(phase1.frequencies(source).map(drop)));
@@ -725,7 +704,7 @@ mod tests {
         for b in &batches {
             single.absorb_batch(b).unwrap();
         }
-        let reference = single.finalize_view(policy, &domain);
+        let reference = single.clone().finalize(policy, &domain);
         let (p1, low, high) = single.lane_builders();
         let shapes = [p1, low, high];
 
@@ -775,22 +754,6 @@ mod tests {
             assert_eq!(merged.frequent_items(), reference.frequent_items());
             assert_eq!(merged.threshold(), reference.threshold());
         }
-    }
-
-    #[test]
-    fn finalize_and_finalize_view_agree_bitwise() {
-        let mut builder = PlusStateBuilder::new(params(), eps(), 9);
-        builder.absorb_batch(&batch_for(3, 120)).unwrap();
-        let policy = FiPolicy::new(0.01, true).unwrap();
-        let domain: Vec<u64> = (0..50).collect();
-        let view = builder.finalize_view(policy, &domain);
-        let consumed = builder.finalize(policy, &domain);
-        assert_eq!(
-            view.phase1().restored_counters(),
-            consumed.phase1().restored_counters()
-        );
-        assert_eq!(view.frequent_items(), consumed.frequent_items());
-        assert_eq!(view.total_users(), consumed.total_users());
     }
 
     #[test]

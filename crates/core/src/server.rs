@@ -187,38 +187,65 @@ impl SketchBuilder {
     /// [`FinalizedSketch::from_spectrum`], are bit-identical to restoring one builder that
     /// absorbed every covered report.
     pub fn spectrum(&self) -> Vec<f64> {
-        let mut raw = self.raw.clone();
-        for row in raw.chunks_exact_mut(self.hashes.columns()) {
-            fwht_in_place(row);
-        }
-        raw
+        spectrum_rows(self.raw.clone(), self.hashes.columns())
     }
 }
 
 /// The single de-bias + Hadamard restore pipeline shared by [`SketchBuilder::finalize`] and
 /// [`SketchBuilder::finalize_view`].
-fn restore(
-    eps: Epsilon,
-    hashes: Arc<RowHashes>,
-    mut raw: Vec<f64>,
-    reports: u64,
-) -> FinalizedSketch {
-    // The de-bias multiply is folded into the FINAL butterfly pass of the fused-radix FWHT
-    // kernel — bit-identical to transforming first and scaling in a separate sweep (each
-    // output is scaled exactly once after its last addition) but one sweep cheaper.
-    // Scaling after the transform keeps the unscaled spectrum exact on the integer
-    // counters, which is what makes [`SketchBuilder::spectrum`] prefix sums restore
-    // bit-identically through [`FinalizedSketch::from_spectrum`].
+fn restore(eps: Epsilon, hashes: Arc<RowHashes>, raw: Vec<f64>, reports: u64) -> FinalizedSketch {
     let scale = hashes.rows() as f64 * eps.c_eps();
-    for row in raw.chunks_exact_mut(hashes.columns()) {
-        fwht_scaled_in_place(row, scale);
-    }
     FinalizedSketch {
+        restored: restored_rows(raw, hashes.columns(), scale),
         eps,
         hashes,
-        restored: raw,
         reports,
     }
+}
+
+/// The unscaled spectrum of exact counters: every `width`-long row through the FWHT, no
+/// de-bias scale. Every entry is an exact integer.
+#[inline]
+pub(crate) fn spectrum_rows(mut raw: Vec<f64>, width: usize) -> Vec<f64> {
+    for row in raw.chunks_exact_mut(width) {
+        fwht_in_place(row);
+    }
+    raw
+}
+
+/// The restore of exact counters: every `width`-long row through the FWHT with the de-bias
+/// `scale` folded into its final butterfly pass — bit-identical to transforming first and
+/// scaling in a separate sweep (each output is scaled exactly once after its last
+/// addition) but one sweep cheaper. Scaling after the transform keeps the unscaled spectrum
+/// exact on the integer counters, which is what makes [`scaled`] and
+/// [`scaled_difference`] of [`spectrum_rows`] prefix sums restore bit-identically.
+#[inline]
+pub(crate) fn restored_rows(mut raw: Vec<f64>, width: usize, scale: f64) -> Vec<f64> {
+    for row in raw.chunks_exact_mut(width) {
+        fwht_scaled_in_place(row, scale);
+    }
+    raw
+}
+
+/// The restored counters of an unscaled spectrum: one de-bias multiply per entry, no
+/// transform.
+#[inline]
+pub(crate) fn scaled(mut spectrum: Vec<f64>, scale: f64) -> Vec<f64> {
+    for v in spectrum.iter_mut() {
+        *v *= scale;
+    }
+    spectrum
+}
+
+/// [`scaled`] of the exact difference `last − base`, fused into one pass: both are
+/// integer-valued spectra, so the subtraction is exact and the single multiply lands on the
+/// value [`scaled`] of the materialized difference gives, without allocating it.
+#[inline]
+pub(crate) fn scaled_difference(last: &[f64], base: &[f64], scale: f64) -> Vec<f64> {
+    last.iter()
+        .zip(base)
+        .map(|(&l, &b)| (l - b) * scale)
+        .collect()
 }
 
 /// Four-accumulator row sum.
@@ -295,7 +322,7 @@ impl FinalizedSketch {
         eps: Epsilon,
         hashes: Arc<RowHashes>,
         reports: u64,
-        mut spectrum: Vec<f64>,
+        spectrum: Vec<f64>,
     ) -> Self {
         assert_eq!(
             spectrum.len(),
@@ -303,13 +330,10 @@ impl FinalizedSketch {
             "spectrum length must be k*m"
         );
         let scale = hashes.rows() as f64 * eps.c_eps();
-        for v in spectrum.iter_mut() {
-            *v *= scale;
-        }
         FinalizedSketch {
+            restored: scaled(spectrum, scale),
             eps,
             hashes,
-            restored: spectrum,
             reports,
         }
     }
@@ -335,15 +359,10 @@ impl FinalizedSketch {
             "spectra lengths must be k*m"
         );
         let scale = hashes.rows() as f64 * eps.c_eps();
-        let restored = last
-            .iter()
-            .zip(base)
-            .map(|(&l, &b)| (l - b) * scale)
-            .collect();
         FinalizedSketch {
+            restored: scaled_difference(last, base, scale),
             eps,
             hashes,
-            restored,
             reports,
         }
     }
@@ -394,7 +413,7 @@ impl FinalizedSketch {
         shift_self: f64,
         shift_other: f64,
     ) -> Result<Vec<f64>> {
-        check_compatible(&self.hashes, &other.hashes)?;
+        self.hashes.check_same_family(&other.hashes, "join")?;
         let k = self.hashes.rows();
         Ok((0..k)
             .map(|j| {
@@ -429,7 +448,7 @@ impl FinalizedSketch {
     /// at weight `1/m`), which the collision-masked product
     /// ([`FinalizedSketch::row_products_masked`]) avoids for the high-frequency group.
     pub fn row_products_centered(&self, other: &Self) -> Result<Vec<f64>> {
-        check_compatible(&self.hashes, &other.hashes)?;
+        self.hashes.check_same_family(&other.hashes, "join")?;
         let (k, m) = (self.hashes.rows(), self.hashes.columns());
         let mf = m as f64;
         Ok((0..k)
@@ -458,7 +477,7 @@ impl FinalizedSketch {
     /// to drop the (rare, publicly detectable) collision outliers before combining rows.
     /// With an empty target set every product is `0` (there is no target signal to sum).
     pub fn row_products_masked(&self, other: &Self, targets: &[u64]) -> Result<Vec<(f64, bool)>> {
-        check_compatible(&self.hashes, &other.hashes)?;
+        self.hashes.check_same_family(&other.hashes, "join")?;
         let (k, m) = (self.hashes.rows(), self.hashes.columns());
         let mut in_s = vec![false; m];
         let mut s_buckets: Vec<usize> = Vec::with_capacity(targets.len());
@@ -612,16 +631,8 @@ impl FinalizedSketch {
         let Candidates::Index(index) = candidates else {
             return Ok(());
         };
-        if index.seed == self.hashes.seed() && index.params == self.hashes.params() {
-            return Ok(());
-        }
-        Err(Error::IncompatibleSketches(format!(
-            "domain index (seed {}, {}) does not match sketch (seed {}, {})",
-            index.seed,
-            index.params,
-            self.hashes.seed(),
-            self.hashes.params(),
-        )))
+        let what = "domain index does not match sketch";
+        index.hashes.check_same_family(&self.hashes, what)
     }
 
     /// Check `candidates` against this sketch, then visit their indexed blocks.
@@ -766,7 +777,7 @@ pub enum Candidates<'a> {
 /// slice as [`SCAN_BLOCK`]-candidate blocks, each indexed once, so every visitor of a block
 /// shares its index. The caller has checked a prebuilt index against `hashes`.
 pub(crate) fn for_each_block(
-    hashes: &RowHashes,
+    hashes: &Arc<RowHashes>,
     candidates: Candidates<'_>,
     mut visit: impl FnMut(&DomainIndex),
 ) {
@@ -797,9 +808,8 @@ pub(crate) fn for_each_block(
 #[derive(Debug, Clone)]
 pub struct DomainIndex {
     domain: Arc<Vec<u64>>,
-    /// The seed and shape of the family the index was built from.
-    seed: u64,
-    params: SketchParams,
+    /// The family the index was built from.
+    hashes: Arc<RowHashes>,
     /// `buckets[j·n + i] = h_j(domain[i])`, row-major.
     buckets: Vec<u16>,
     /// Sign bit planes: bit `i mod 64` of word `j·⌈n/64⌉ + i/64` is set iff
@@ -810,7 +820,7 @@ pub struct DomainIndex {
 impl DomainIndex {
     /// Hash every candidate in `domain` through all `k` rows of `hashes` once, one
     /// [`RowHashes::hash_row_into`] call per row.
-    pub fn new(hashes: &RowHashes, domain: Arc<Vec<u64>>) -> Self {
+    pub fn new(hashes: &Arc<RowHashes>, domain: Arc<Vec<u64>>) -> Self {
         let k = hashes.rows();
         let n = domain.len();
         let words = n.div_ceil(64);
@@ -831,8 +841,7 @@ impl DomainIndex {
         }
         DomainIndex {
             domain,
-            seed: hashes.seed(),
-            params: hashes.params(),
+            hashes: Arc::clone(hashes),
             buckets,
             neg,
         }
@@ -843,7 +852,7 @@ impl DomainIndex {
     #[inline]
     fn signed_counter(&self, table: &[f64], j: usize, i: usize) -> f64 {
         let n = self.domain.len();
-        let v = table[j * self.params.columns() + usize::from(self.buckets[j * n + i])];
+        let v = table[j * self.hashes.columns() + usize::from(self.buckets[j * n + i])];
         let flip = ((self.neg[j * n.div_ceil(64) + i / 64] >> (i % 64)) & 1) << 63;
         f64::from_bits(v.to_bits() ^ flip)
     }
@@ -853,27 +862,6 @@ impl DomainIndex {
     pub fn domain(&self) -> &Arc<Vec<u64>> {
         &self.domain
     }
-
-    /// The hash-family seed the index was built from.
-    #[inline]
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-}
-
-/// Two sketches combine only over one public hash family: the same seed drawn for the same
-/// shape.
-pub(crate) fn check_compatible(hashes: &RowHashes, other: &RowHashes) -> Result<()> {
-    if hashes.params() != other.params() || hashes.seed() != other.seed() {
-        return Err(Error::IncompatibleSketches(format!(
-            "LDPJoinSketches differ: {} seed {} vs {} seed {}",
-            hashes.params(),
-            hashes.seed(),
-            other.params(),
-            other.seed()
-        )));
-    }
-    Ok(())
 }
 
 /// Reject a report value other than `±1`: every counter must stay an exact integer report

@@ -55,7 +55,7 @@ fn main() {
             hcms.collect(values, &mut rng);
             let mse_hcms = mean_squared_error(&truth, &hcms.estimate_domain(&distinct));
 
-            let mut flh = FlhOracle::new_fast(eps, args.seed);
+            let mut flh = FlhOracle::new_fast(eps, args.seed).expect("FLH oracle");
             flh.collect(values, &mut rng);
             let mse_flh = mean_squared_error(&truth, &flh.estimate_domain(&distinct));
 

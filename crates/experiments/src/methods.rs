@@ -217,8 +217,8 @@ pub fn estimate_join(
         }
         Method::Krr | Method::AppleHcms | Method::Flh => {
             let domain = workload.domain_size;
-            let oracles = || -> (Box<dyn FrequencyOracle>, Box<dyn FrequencyOracle>) {
-                match method {
+            let oracles = || -> Result<(Box<dyn FrequencyOracle>, Box<dyn FrequencyOracle>)> {
+                Ok(match method {
                     Method::Krr => {
                         let mut a = KrrOracle::new(eps, domain.max(2));
                         let mut b = KrrOracle::new(eps, domain.max(2));
@@ -234,16 +234,17 @@ pub fn estimate_join(
                         (Box::new(a), Box::new(b))
                     }
                     Method::Flh => {
-                        let mut a = FlhOracle::new_fast(eps, seed);
-                        let mut b = FlhOracle::new_fast(eps, seed.wrapping_add(1));
+                        let mut a = FlhOracle::new_fast(eps, seed)?;
+                        let mut b = FlhOracle::new_fast(eps, seed.wrapping_add(1))?;
                         a.collect(&workload.table_a, &mut rng);
                         b.collect(&workload.table_b, &mut rng);
                         (Box::new(a), Box::new(b))
                     }
                     _ => unreachable!(),
-                }
+                })
             };
-            let ((oracle_a, oracle_b), offline) = timed(oracles);
+            let (oracles, offline) = timed(oracles);
+            let (oracle_a, oracle_b) = oracles?;
             let (estimate, online) =
                 timed(|| estimate_join_from_oracles(oracle_a.as_ref(), oracle_b.as_ref(), domain));
             let bits = oracle_a.report_bits() * workload.table_a.len() as u64

@@ -12,7 +12,9 @@
 //! The hash pool is derived from a seed shared by clients and server (public information in
 //! the LDP protocol, like the sketch hash families).
 
+use ldpjs_common::error::{Error, Result};
 use ldpjs_common::hash::BucketHash;
+use ldpjs_common::params::SketchParams;
 use ldpjs_common::privacy::Epsilon;
 use ldpjs_common::rr::krr_perturb_with_p;
 use rand::rngs::StdRng;
@@ -52,27 +54,41 @@ impl FlhOracle {
 
     /// Create an FLH oracle with an explicit hash-pool size.
     ///
-    /// # Panics
-    /// Panics if `hash_count == 0`.
-    pub fn with_pool(eps: Epsilon, hash_count: usize, seed: u64) -> Self {
-        assert!(hash_count > 0, "FLH needs at least one hash function");
-        let g = (eps.exp().floor() as u64 + 1).max(2);
+    /// # Errors
+    /// [`Error::InvalidSketchParameter`], before anything is allocated, if `hash_count` is
+    /// zero or the `hash_count × g` count matrix would exceed the largest counter space
+    /// [`SketchParams`] admits (`65,535 × 65,536`).
+    pub fn with_pool(eps: Epsilon, hash_count: usize, seed: u64) -> Result<Self> {
+        // ⌊e^ε⌋ ≥ 1 as ε > 0, and it saturates `u64` from ε ≈ 44.4 on: the `+ 1` is checked.
+        let g = (eps.exp().floor() as u64).checked_add(1);
+        let limit = SketchParams::MAX_ROWS * SketchParams::MAX_COLUMNS;
+        let counters = g.and_then(|g| usize::try_from(g).ok()?.checked_mul(hash_count));
+        let (Some(g), Some(counters @ 1..)) = (g, counters.filter(|&c| c <= limit)) else {
+            return Err(Error::InvalidSketchParameter(format!(
+                "FLH's count matrix, {hash_count} hashes × g = ⌊e^ε⌋ + 1 at ε = {}, must hold \
+                 1 to {limit} counters",
+                eps.value()
+            )));
+        };
         let mut rng = StdRng::seed_from_u64(seed);
         let hashes = (0..hash_count)
             .map(|_| BucketHash::sample(&mut rng, g as usize))
             .collect();
-        FlhOracle {
+        Ok(FlhOracle {
             eps,
             g,
             keep_p: eps.krr_keep_probability(g as usize),
             hashes,
-            counts: vec![0; hash_count * g as usize],
+            counts: vec![0; counters],
             n: 0,
-        }
+        })
     }
 
     /// Create the paper's FLH competitor with the default pool size.
-    pub fn new_fast(eps: Epsilon, seed: u64) -> Self {
+    ///
+    /// # Errors
+    /// The errors of [`FlhOracle::with_pool`].
+    pub fn new_fast(eps: Epsilon, seed: u64) -> Result<Self> {
         Self::with_pool(eps, Self::DEFAULT_FAST_POOL, seed)
     }
 
@@ -150,9 +166,9 @@ mod tests {
 
     #[test]
     fn g_matches_definition() {
-        let o = FlhOracle::new_fast(Epsilon::new(1.0).unwrap(), 1);
+        let o = FlhOracle::new_fast(Epsilon::new(1.0).unwrap(), 1).unwrap();
         assert_eq!(o.g(), (1.0f64.exp().floor() as u64) + 1); // e^1 = 2.71 -> g = 3
-        let o = FlhOracle::new_fast(Epsilon::new(3.0).unwrap(), 1);
+        let o = FlhOracle::new_fast(Epsilon::new(3.0).unwrap(), 1).unwrap();
         assert_eq!(o.g(), 20 + 1); // e^3 = 20.08
 
         // The oracle records the budget it was built with, and g is derived from it.
@@ -163,7 +179,7 @@ mod tests {
     #[test]
     fn estimates_track_truth_on_skewed_data() {
         let eps = Epsilon::new(3.0).unwrap();
-        let mut oracle = FlhOracle::new_fast(eps, 7);
+        let mut oracle = FlhOracle::new_fast(eps, 7).unwrap();
         let mut rng = StdRng::seed_from_u64(3);
         // 50% value 1, 30% value 2, 20% spread over 100 other values.
         let n = 200_000usize;
@@ -202,9 +218,9 @@ mod tests {
         let n = 50_000usize;
         let values: Vec<u64> = (0..n).map(|i| (i % 50) as u64).collect();
 
-        let mut tiny = FlhOracle::with_pool(eps, 1, 11);
+        let mut tiny = FlhOracle::with_pool(eps, 1, 11).unwrap();
         tiny.collect(&values, &mut rng);
-        let mut big = FlhOracle::with_pool(eps, 8192, 11);
+        let mut big = FlhOracle::with_pool(eps, 8192, 11).unwrap();
         big.collect(&values, &mut rng);
 
         let truth = n as f64 / 50.0;
@@ -219,15 +235,39 @@ mod tests {
     #[test]
     fn names_and_bits() {
         let eps = Epsilon::new(4.0).unwrap();
-        let fast = FlhOracle::new_fast(eps, 0);
+        let fast = FlhOracle::new_fast(eps, 0).unwrap();
         assert_eq!(fast.name(), "FLH");
         // g = e^4 + 1 = 55 -> 6 bits; pool 512 -> 9 bits.
         assert_eq!(fast.report_bits(), 6 + 9);
     }
 
+    fn rejected(eps: f64, hash_count: usize) -> bool {
+        let oracle = FlhOracle::with_pool(Epsilon::new(eps).unwrap(), hash_count, 0);
+        matches!(oracle, Err(Error::InvalidSketchParameter(_)))
+    }
+
     #[test]
-    #[should_panic(expected = "at least one hash")]
     fn rejects_empty_pool() {
-        let _ = FlhOracle::with_pool(Epsilon::new(1.0).unwrap(), 0, 0);
+        assert!(rejected(1.0, 0));
+    }
+
+    #[test]
+    fn rejects_a_hashed_domain_past_u64() {
+        // ⌊e^45⌋ saturates `u64`; the unchecked `+ 1` overflowed (a debug panic, and g = 2,
+        // k-RR over two buckets, in a release build).
+        assert!(rejected(45.0, 1));
+    }
+
+    #[test]
+    fn rejects_a_count_matrix_past_the_largest_counter_space() {
+        // g = ⌊e^20⌋ + 1 ≈ 4.85e8 buckets × 512 hashes ≈ 2.5e11 counters.
+        assert!(rejected(20.0, FlhOracle::DEFAULT_FAST_POOL));
+    }
+
+    #[test]
+    fn accepts_the_largest_figure_epsilon() {
+        // ε = 10 tops fig8's sweep: g = ⌊e^10⌋ + 1 = 22,027 over the default 512 hashes.
+        let oracle = FlhOracle::new_fast(Epsilon::new(10.0).unwrap(), 0).unwrap();
+        assert_eq!(oracle.g(), 22_027);
     }
 }

@@ -8,8 +8,9 @@
 //!   batches through one ingest entry point taking any [`service::Reports`] form (packed
 //!   batches, plus batches). Each attribute holds one per-mode state: its static config,
 //!   its live engine — an exact-counter builder (one
-//!   [`SketchBuilder`](ldpjs_core::SketchBuilder) lane for plain, three for plus, one 2-D
-//!   [`EdgeSketchBuilder`](ldpjs_core::multiway::EdgeSketchBuilder) lane for edge)
+//!   [`SketchBuilder`](ldpjs_core::SketchBuilder) lane for plain, three for plus, one
+//!   [`EdgeSketchBuilder`](ldpjs_core::multiway::EdgeSketchBuilder) lane, `m_A·m_B`
+//!   counters per replica, for edge)
 //!   absorbing on the caller thread — and its span ledger, the same exact-spectrum ledger
 //!   in every mode.
 //! * An **epoch rotator** seals the live engine every `epoch_reports` reports (or on an
@@ -20,7 +21,7 @@
 //!   newest window's finalized estimation view, built by the same transforms (a plus
 //!   attribute also keeps its whole ring's merged state).
 //! * **Window merge** subtracts two ledger prefixes of exact spectra and applies the
-//!   de-bias scale once (an edge span then transforms its first dimension), so a k-window
+//!   de-bias scale once, in every mode and with no transform, so a k-window
 //!   merged sketch is **bit-identical** to one-shot aggregation of the same reports
 //!   (property-tested across window splits and random rotate/evict sequences).
 //! * The **query layer** answers join-size and frequency queries over any

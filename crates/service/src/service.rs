@@ -301,15 +301,14 @@ pub struct Explain {
 }
 
 /// Cumulative per-lane state of the span ledger: the **unscaled Hadamard spectra** of one or
-/// more exact-counter lanes (one for plain, three for plus, one 2-D lane for edge, whose
-/// spectrum is transformed along its second dimension), plus the lanes' report counts.
+/// more exact-counter lanes (one for plain, three for plus, one for edge, whose replica rows
+/// are `m_A·m_B` wide), plus the lanes' report counts.
 ///
 /// Counters are exact ±1 integer sums, so each lane's unscaled FWHT is computed exactly in
 /// f64 (every intermediate is an integer far below 2⁵³), and the transform is linear —
 /// adding or subtracting two windows' spectra yields, bit for bit, the spectrum of their
 /// merged or differenced counters. That is what lets the ledger live in the Hadamard domain:
-/// spans assemble by element-wise subtraction, with no transform at query time for plain
-/// and plus lanes and only the first-dimension transforms for an edge lane.
+/// spans assemble by element-wise subtraction, with no transform at query time.
 #[derive(Debug, Clone)]
 struct SpectrumEntry {
     /// Per-lane unscaled spectra (`k·m` elements each).
@@ -357,12 +356,12 @@ impl SpectrumEntry {
 /// of covered windows.
 ///
 /// Every mode keeps its prefixes as unscaled Hadamard spectra (see [`SpectrumEntry`]): a
-/// cold plain or plus span query is one element-wise subtraction fused with one de-bias
-/// multiply per element ([`FinalizedSketch::from_spectrum_diff`]), no FWHT; an edge span
-/// adds the first-dimension transforms ([`FinalizedEdgeSketch::from_spectrum`]). Because
-/// the spectra are exact integers and the transform is linear, the result is bit-identical
-/// to one fresh builder absorbing every covered window's reports and finalizing —
-/// property-tested in this module for plain, plus and edge attributes.
+/// cold span query is one element-wise subtraction fused with one de-bias multiply per
+/// element per lane ([`FinalizedSketch::from_spectrum_diff`],
+/// [`FinalizedEdgeSketch::from_spectrum_diff`]), no FWHT. Because the spectra are exact
+/// integers and the transform is linear, the result is bit-identical to one fresh builder
+/// absorbing every covered window's reports and finalizing — property-tested in this module
+/// for plain, plus and edge attributes.
 #[derive(Debug)]
 struct Ledger {
     origin: SpectrumEntry,
@@ -396,7 +395,9 @@ impl Ledger {
     /// Seal window `epoch` from its lanes' unscaled spectra and report counts: append the
     /// cumulative entry through it, then fold the oldest window into the origin if more
     /// than `retained` remain (the popped prefix *is* the cumulative sum up to and
-    /// including that window). Returns whether a window was evicted.
+    /// including that window). Returns whether a window was evicted. A lane's spectrum is
+    /// its window's one FWHT, the only transform a ledger ever runs; queries reuse it for
+    /// every span that covers the window.
     fn seal(&mut self, epoch: u64, spectra: &[Vec<f64>], reports: &[u64], retained: usize) -> bool {
         let next = self.last().plus_window(spectra, reports);
         let window = WindowSnapshot::new(epoch, reports.iter().sum());
@@ -411,14 +412,20 @@ impl Ledger {
         true
     }
 
-    /// The newest entry and the entry just before the suffix span `start..len` (the origin
-    /// for the full ring): the span is their difference.
-    fn span_ends(&self, start: usize) -> (&SpectrumEntry, &SpectrumEntry) {
+    /// Lane `l` of the suffix span `start..len`: its report count, the newest prefix and
+    /// the prefix just before the span (the origin for the full ring), whose difference is
+    /// the span's spectrum.
+    fn span(&self, start: usize, l: usize) -> (u64, &[f64], &[f64]) {
         let base = match start {
             0 => &self.origin,
             _ => &self.entries[start - 1].1,
         };
-        (self.last(), base)
+        let last = self.last();
+        (
+            last.reports[l] - base.reports[l],
+            &last.lanes[l],
+            &base.lanes[l],
+        )
     }
 
     /// Seal window `epoch` from its exact-counter lanes (the rotation hook), keeping at most
@@ -426,8 +433,7 @@ impl Ledger {
     /// evicted. Each lane is transformed once: its unscaled spectrum is added to the last
     /// prefix, then scaled into the view by [`FinalizedSketch::from_spectrum`] —
     /// bit-identical to restoring the lane, because the restore applies the de-bias scale
-    /// after the last butterfly. These per-lane FWHTs are the only transforms a plain or
-    /// plus ledger ever runs; queries reuse them for every span that covers this window.
+    /// after the last butterfly.
     fn seal_lanes<const N: usize>(
         &mut self,
         epoch: u64,
@@ -453,14 +459,9 @@ impl Ledger {
     /// subtraction + de-bias multiply per element, no FWHT. `shape` is any builder of that
     /// lane (the live one), supplying its ε and hash family.
     fn span_lane(&self, start: usize, l: usize, shape: &SketchBuilder) -> FinalizedSketch {
-        let (last, base) = self.span_ends(start);
-        FinalizedSketch::from_spectrum_diff(
-            shape.epsilon(),
-            Arc::clone(shape.hashes()),
-            last.reports[l] - base.reports[l],
-            &last.lanes[l],
-            &base.lanes[l],
-        )
+        let (reports, last, base) = self.span(start, l);
+        let (eps, hashes) = (shape.epsilon(), Arc::clone(shape.hashes()));
+        FinalizedSketch::from_spectrum_diff(eps, hashes, reports, last, base)
     }
 }
 
@@ -549,8 +550,9 @@ fn plus_state(
         .expect("registration checked the policy and indexed the phase-1 hash family")
 }
 
-/// A two-attribute edge attribute's state, for multi-way chain queries. The live builder
-/// carries both join attributes' hash families.
+/// A two-attribute edge attribute's state, for multi-way chain queries: one lane whose
+/// replica rows are `m_A·m_B` wide, sealed and assembled as a plain lane is. The live
+/// builder carries both join attributes' hash families.
 #[derive(Debug)]
 struct EdgeState {
     live: EdgeSketchBuilder,
@@ -561,27 +563,20 @@ struct EdgeState {
 }
 
 impl EdgeState {
-    /// The view of `reports` reports restored from their unscaled spectrum.
-    fn view(&self, reports: u64, spectrum: Vec<f64>) -> FinalizedEdgeSketch {
-        let live = &self.live;
-        let (attr_a, attr_b) = (live.attribute_a(), live.attribute_b());
-        FinalizedEdgeSketch::from_spectrum(
-            Arc::clone(attr_a),
-            Arc::clone(attr_b),
-            live.epsilon(),
-            reports,
-            spectrum,
-        )
-    }
-
     /// Seal the live builder into window `epoch` (it then continues ingesting from empty);
-    /// returns whether a window was evicted. The second-dimension transforms run once: the
-    /// window's spectrum is added to the ledger and restored into the newest view.
+    /// returns whether a window was evicted. The window's spectrum is added to the ledger
+    /// and scaled into the newest view.
     fn seal(&mut self, epoch: u64, retained: usize) -> bool {
-        let (spectra, reports) = ([self.live.spectrum()], self.live.reports());
+        let (live, reports) = (&self.live, self.live.reports());
+        let spectra = [live.spectrum()];
         let evicted = self.ledger.seal(epoch, &spectra, &[reports], retained);
         let [spectrum] = spectra;
-        self.newest = Some(Arc::new(self.view(reports, spectrum)));
+        let (a, b) = (
+            Arc::clone(live.attribute_a()),
+            Arc::clone(live.attribute_b()),
+        );
+        let view = FinalizedEdgeSketch::from_spectrum(a, b, live.epsilon(), reports, spectrum);
+        self.newest = Some(Arc::new(view));
         self.live.clear();
         evicted
     }
@@ -591,9 +586,9 @@ impl EdgeState {
 /// live (unsealed) builder, the span ledger (which is also the ring of retained windows)
 /// and the newest window's finalized view. The live engine of every mode is an
 /// exact-counter builder, because the server side of Alg. 2 is a linear sum of ±1 reports:
-/// one lane for LDPJoinSketch, three for LDPJoinSketch+ (Alg. 3), one 2-D lane for chain
-/// edges (Sec. VI). A mode's state can only be built whole, so a live engine can never meet
-/// another mode's ledger.
+/// one lane for LDPJoinSketch, three for LDPJoinSketch+ (Alg. 3), one `m_A·m_B`-wide lane
+/// for chain edges (Sec. VI). A mode's state can only be built whole, so a live engine can
+/// never meet another mode's ledger.
 #[derive(Debug)]
 enum ModeState {
     Plain(PlainState),
@@ -752,12 +747,14 @@ impl ModeView for EdgeState {
         &mut cache.edge_views
     }
 
-    /// One exact spectrum subtraction, the de-bias scale and the first-dimension transforms.
     fn assemble(&self, start: usize) -> FinalizedEdgeSketch {
-        let (last, base) = self.ledger.span_ends(start);
-        let spectrum = last.lanes[0].iter().zip(&base.lanes[0]);
-        let spectrum = spectrum.map(|(l, b)| l - b).collect();
-        self.view(last.reports[0] - base.reports[0], spectrum)
+        let (reports, last, base) = self.ledger.span(start, 0);
+        let live = &self.live;
+        let (a, b) = (
+            Arc::clone(live.attribute_a()),
+            Arc::clone(live.attribute_b()),
+        );
+        FinalizedEdgeSketch::from_spectrum_diff(a, b, live.epsilon(), reports, last, base)
     }
 }
 

@@ -129,15 +129,6 @@ pub fn chain_estimate(replicas: usize, replica: impl FnMut(usize) -> f64) -> Res
     median(&per_replica).ok_or_else(|| Error::EmptyInput("no replicas".into()))
 }
 
-fn check_shared(vertex: &RowHashes, edge: &RowHashes, what: &str) -> Result<()> {
-    if vertex != edge {
-        return Err(Error::IncompatibleSketches(format!(
-            "{what} must be sketched with the same attribute hash family on both sides"
-        )));
-    }
-    Ok(())
-}
-
 /// Estimate the 3-way chain join `|T1(A) ⋈ T2(A,B) ⋈ T3(B)|` from COMPASS sketches.
 ///
 /// `t1` and `t2` must share attribute `A`'s hash family; `t2` and `t3` must share `B`'s.
@@ -146,8 +137,10 @@ pub fn estimate_chain_3(
     t2: &CompassEdgeSketch,
     t3: &FastAgmsSketch,
 ) -> Result<f64> {
-    check_shared(t1.hashes(), t2.attribute_a(), "attribute A")?;
-    check_shared(t3.hashes(), t2.attribute_b(), "attribute B")?;
+    t1.hashes()
+        .check_same_family(t2.attribute_a(), "chain attribute A")?;
+    t3.hashes()
+        .check_same_family(t2.attribute_b(), "chain attribute B")?;
     chain_estimate(t2.attribute_a().rows(), |j| {
         contract(t1.row(j), &[t2.replica(j)], t3.row(j))
     })
@@ -160,9 +153,12 @@ pub fn estimate_chain_4(
     t3: &CompassEdgeSketch,
     t4: &FastAgmsSketch,
 ) -> Result<f64> {
-    check_shared(t1.hashes(), t2.attribute_a(), "attribute A")?;
-    check_shared(t2.attribute_b(), t3.attribute_a(), "attribute B")?;
-    check_shared(t4.hashes(), t3.attribute_b(), "attribute C")?;
+    t1.hashes()
+        .check_same_family(t2.attribute_a(), "chain attribute A")?;
+    t2.attribute_b()
+        .check_same_family(t3.attribute_a(), "chain attribute B")?;
+    t4.hashes()
+        .check_same_family(t3.attribute_b(), "chain attribute C")?;
     chain_estimate(t2.attribute_a().rows(), |j| {
         contract(t1.row(j), &[t2.replica(j), t3.replica(j)], t4.row(j))
     })

@@ -94,22 +94,9 @@ impl FastAgmsSketch {
         }
     }
 
-    fn check_compatible(&self, other: &Self) -> Result<()> {
-        if self.params() != other.params() || self.hashes.seed() != other.hashes.seed() {
-            return Err(Error::IncompatibleSketches(format!(
-                "Fast-AGMS sketches differ: {} seed {} vs {} seed {}",
-                self.params(),
-                self.hashes.seed(),
-                other.params(),
-                other.hashes.seed()
-            )));
-        }
-        Ok(())
-    }
-
     /// The `k` per-row inner products `Σ_x M_A[j,x]·M_B[j,x]`.
     pub fn row_products(&self, other: &Self) -> Result<Vec<f64>> {
-        self.check_compatible(other)?;
+        self.hashes.check_same_family(&other.hashes, "join")?;
         Ok((0..self.hashes.rows())
             .map(|j| {
                 self.row(j)

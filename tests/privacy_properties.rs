@@ -507,7 +507,7 @@ mod baseline_exact_law {
     #[test]
     fn flh_draws_a_uniform_hash_and_keeps_its_bucket_at_its_rate() {
         for eps in EPSILONS {
-            let oracle = FlhOracle::with_pool(Epsilon::new(eps).unwrap(), POOL, POOL_SEED);
+            let oracle = FlhOracle::with_pool(Epsilon::new(eps).unwrap(), POOL, POOL_SEED).unwrap();
             let g = oracle.g();
             // The public pool, derived from its seed as the server derives it.
             let mut pool_rng = StdRng::seed_from_u64(POOL_SEED);
@@ -606,7 +606,7 @@ mod oracle_ldp_ratio_properties {
             let eps = Epsilon::new(eps_val).unwrap();
             // A small pool keeps the report alphabet (pool × g) estimable; privacy comes
             // from the inner k-RR over [g] alone, so the pool size does not affect the bound.
-            let oracle = FlhOracle::with_pool(eps, 4, pool_seed);
+            let oracle = FlhOracle::with_pool(eps, 4, pool_seed).unwrap();
             let h1 = histogram(TRIALS, seed, |rng| {
                 let r = oracle.perturb(raw_v1, rng);
                 (r.hash_index, r.bucket)
