@@ -35,7 +35,9 @@ use ldpjs_common::privacy::Epsilon;
 use ldpjs_common::rr::sample_sign_bit;
 use rand::{Rng, RngCore};
 
-use crate::server::{check_report_sign, restored_rows, scaled, scaled_difference, spectrum_rows};
+use crate::server::{
+    check_report_sign, check_span_reports, restored_rows, scaled, scaled_difference, spectrum_rows,
+};
 
 /// One perturbed report for a two-attribute table.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -193,10 +195,21 @@ impl EdgeSketchBuilder {
     /// Create an empty edge sketch over the hash families of attributes `(attr_a, attr_b)`.
     ///
     /// # Errors
-    /// Returns [`Error::IncompatibleSketches`] if the attributes disagree on the replica count.
+    /// Returns [`Error::IncompatibleSketches`] if the attributes disagree on the replica count
+    /// and [`Error::InvalidSketchParameter`] if the `k·m_A·m_B` counters do not fit the `u32`
+    /// flat index of the packed batches the edge client emits; nothing is allocated then.
     pub fn new(attr_a: Arc<RowHashes>, attr_b: Arc<RowHashes>, eps: Epsilon) -> Result<Self> {
         check_families(&attr_a, &attr_b, "edge sketch")?;
-        let len = attr_a.rows() * attr_a.columns() * attr_b.columns();
+        let (k, ma, mb) = (attr_a.rows(), attr_a.columns(), attr_b.columns());
+        let len = (ma.checked_mul(mb))
+            .and_then(|width| width.checked_mul(k))
+            .filter(|&len| u32::try_from(len).is_ok())
+            .ok_or_else(|| {
+                Error::InvalidSketchParameter(format!(
+                    "edge sketch shape {k}x{ma}x{mb} exceeds the u32 counter space of packed \
+                     report batches"
+                ))
+            })?;
         Ok(EdgeSketchBuilder {
             attr_a,
             attr_b,
@@ -282,8 +295,9 @@ impl EdgeSketchBuilder {
     /// Every entry is an exact integer, as in
     /// [`SketchBuilder::spectrum`](crate::server::SketchBuilder::spectrum), so spectra of
     /// disjoint report sets add and subtract with zero rounding error: the online service's
-    /// span ledger keeps prefix sums of them, and [`FinalizedEdgeSketch::from_spectrum_diff`]
-    /// of two prefixes is bit-identical to finalizing the span's merged counters.
+    /// span ledger keeps prefix sums of them as wrapping `i32`, and
+    /// [`FinalizedEdgeSketch::from_spectrum_diff`] of two prefixes is bit-identical to
+    /// finalizing the span's merged counters.
     pub fn spectrum(&self) -> Vec<f64> {
         spectrum_rows(self.raw.clone(), self.width())
     }
@@ -352,34 +366,39 @@ impl FinalizedEdgeSketch {
         }
     }
 
-    /// [`FinalizedEdgeSketch::from_spectrum`] of the exact difference `last − base`, fused
-    /// into one pass like
+    /// [`FinalizedEdgeSketch::from_spectrum`] of a span of `reports` reports, given as two
+    /// wrapping `i32` prefix sums of spectra and fused into one pass like
     /// [`FinalizedSketch::from_spectrum_diff`](crate::server::FinalizedSketch::from_spectrum_diff):
-    /// bit-identical, without allocating the intermediate difference.
+    /// bit-identical to restoring the span's exact spectrum, without allocating it.
+    ///
+    /// # Errors
+    /// [`Error::InvalidWorkload`] if `reports` is 2³¹ or more, where the wrapped difference
+    /// could differ from the exact one.
     ///
     /// # Panics
-    /// Panics if the spectra lengths differ from `k·m_A·m_B` for the attributes' families.
+    /// Panics if the prefix lengths differ from `k·m_A·m_B` for the attributes' families.
     pub fn from_spectrum_diff(
         attr_a: Arc<RowHashes>,
         attr_b: Arc<RowHashes>,
         eps: Epsilon,
         reports: u64,
-        last: &[f64],
-        base: &[f64],
-    ) -> Self {
+        last: &[i32],
+        base: &[i32],
+    ) -> Result<Self> {
         let len = attr_a.rows() * attr_a.columns() * attr_b.columns();
         assert!(
             last.len() == len && base.len() == len,
             "spectra lengths must be k*m_A*m_B"
         );
+        check_span_reports(reports)?;
         let scale = attr_a.rows() as f64 * eps.c_eps();
-        FinalizedEdgeSketch {
+        Ok(FinalizedEdgeSketch {
             restored: scaled_difference(last, base, scale),
             attr_a,
             attr_b,
             eps,
             reports,
-        }
+        })
     }
 
     /// The first join attribute's hash family.
@@ -632,13 +651,32 @@ mod tests {
     }
 
     #[test]
+    fn edge_builder_refuses_a_counter_space_past_u32() {
+        // The edge client's packed batches address the k·m_A·m_B counters by `u32` flat
+        // index (`ReportBatch::with_capacity` refuses wider shapes), and so does the builder,
+        // before allocating: at (65,535, 65,536) it would otherwise ask for 2⁴⁸ counters.
+        for k in [1, 2, SketchParams::MAX_ROWS] {
+            let widest = family(1, k, SketchParams::MAX_COLUMNS);
+            let built = EdgeSketchBuilder::new(widest.clone(), widest.clone(), eps(1.0));
+            assert!(
+                matches!(built, Err(Error::InvalidSketchParameter(_))),
+                "k = {k}"
+            );
+            let client = LdpEdgeSketchClient::new(widest.clone(), widest, eps(1.0)).unwrap();
+            let batch = client.perturb_batch(&[(1, 2)], &mut StdRng::seed_from_u64(1));
+            assert!(matches!(batch, Err(Error::InvalidSketchParameter(_))));
+        }
+    }
+
+    #[test]
     fn edge_spectrum_prefix_sums_restore_bit_identically() {
         // The edge counterpart of the plain span-ledger law: `from_spectrum` of summed window
-        // spectra, and the fused `from_spectrum_diff` of two prefixes, equal `finalize` of
-        // one builder that absorbed the covered windows, bit for bit. `finalize` runs the
-        // fused scaled FWHT and the spectrum path scales separately, so this pins their
-        // agreement; the seal law (`from_spectrum` of one window) rides along. Widths 16,
-        // 128 and 1024 run the portable tier and the widest one the host dispatches.
+        // spectra, and the fused `from_spectrum_diff` of two wrapping `i32` prefixes, equal
+        // `finalize` of one builder that absorbed the covered windows, bit for bit.
+        // `finalize` runs the fused scaled FWHT and the spectrum path scales separately, so
+        // this pins their agreement; the seal law (`from_spectrum` of one window) rides
+        // along. Widths 16, 128 and 1024 run the portable tier and the widest one the host
+        // dispatches.
         for (ma, mb) in [(2, 8), (16, 8), (32, 32)] {
             let (a, b) = (family(3, 5, ma), family(4, 5, mb));
             let batches: Vec<ReportBatch> =
@@ -652,21 +690,25 @@ mod tests {
                     spectrum,
                 )
             };
-            // Cumulative spectra, exactly as the service ledger maintains them.
-            let mut prefixes = vec![(vec![0.0; 5 * ma * mb], 0u64)];
+            // Cumulative spectra in `f64`, and as the service ledger keeps them: wrapping `i32`.
+            let len = 5 * ma * mb;
+            let mut prefixes = vec![(vec![0.0; len], vec![0i32; len], 0u64)];
             for batch in &batches {
                 let window = absorbed(&a, &b, batch);
                 let (mut spec, reports) = (window.spectrum(), window.reports());
                 let sealed = restore(reports, spec.clone());
                 assert_eq!(bits(&sealed.restored), bits(&window.finalize().restored));
-                let (last, last_reports) = prefixes.last().unwrap();
+                let (last, last_wrapped, last_reports) = prefixes.last().unwrap();
+                let wrapped = (spec.iter().zip(last_wrapped))
+                    .map(|(&v, &l)| l.wrapping_add((v as i64) as i32))
+                    .collect();
                 spec.iter_mut().zip(last).for_each(|(s, l)| *s += l);
                 let reports = reports + last_reports;
-                prefixes.push((spec, reports));
+                prefixes.push((spec, wrapped, reports));
             }
-            let (last, last_reports) = prefixes.last().unwrap();
+            let (last, last_wrapped, last_reports) = prefixes.last().unwrap();
             for start in 0..batches.len() {
-                let (base, base_reports) = &prefixes[start];
+                let (base, base_wrapped, base_reports) = &prefixes[start];
                 let reports = last_reports - base_reports;
                 let summed = restore(reports, last.iter().zip(base).map(|(l, b)| l - b).collect());
                 let fused = FinalizedEdgeSketch::from_spectrum_diff(
@@ -674,9 +716,10 @@ mod tests {
                     b.clone(),
                     eps(2.0),
                     reports,
-                    last,
-                    base,
-                );
+                    last_wrapped,
+                    base_wrapped,
+                )
+                .unwrap();
                 let mut merged = EdgeSketchBuilder::new(a.clone(), b.clone(), eps(2.0)).unwrap();
                 for batch in &batches[start..] {
                     merged.absorb_batch(batch).unwrap();
@@ -688,6 +731,16 @@ mod tests {
                     assert_eq!(bits(&view.restored), bits(&reference.restored), "{at}");
                 }
             }
+            // A span of 2³¹ reports could have wrapped, so it is refused, not restored.
+            let past = FinalizedEdgeSketch::from_spectrum_diff(
+                a.clone(),
+                b.clone(),
+                eps(2.0),
+                1 << 31,
+                last_wrapped,
+                last_wrapped,
+            );
+            assert!(matches!(past, Err(Error::InvalidWorkload(_))));
         }
     }
 

@@ -11,7 +11,10 @@
 //!   are their unscaled spectra ([`SketchBuilder::spectrum`]): windows combine by adding
 //!   spectra, bit-for-bit identical to one builder absorbing every report, however the
 //!   reports were partitioned (integer addition in `f64` is associative as long as counts
-//!   stay below `2^53`, far beyond any realistic report volume).
+//!   stay below `2^53`, far beyond any realistic report volume). The online service's span
+//!   ledger keeps its prefix sums of spectra as wrapping `i32`, half the bytes, and
+//!   [`FinalizedSketch::from_spectrum_diff`] restores any span of fewer than `2^31` reports
+//!   per lane from two of them exactly.
 //! * [`FinalizedSketch`] is the **immutable estimation stage**. [`SketchBuilder::finalize`]
 //!   applies the de-bias scale `k·c_ε` (the factor `k` undoes the uniform row sampling,
 //!   `c_ε = (e^ε+1)/(e^ε−1)` undoes the randomized response) and pushes each row back
@@ -183,9 +186,9 @@ impl SketchBuilder {
     /// Every entry is an exact integer (a signed sum of `±1` report contributions, and the
     /// FWHT only ever adds and subtracts those), so spectra of disjoint report sets add and
     /// subtract with **zero rounding error** — the invariant behind the online service's
-    /// incremental span ledger: prefix-summed spectra, subtracted and then pushed through
-    /// [`FinalizedSketch::from_spectrum`], are bit-identical to restoring one builder that
-    /// absorbed every covered report.
+    /// incremental span ledger: prefix-summed spectra (kept as wrapping `i32`), subtracted
+    /// and scaled by [`FinalizedSketch::from_spectrum_diff`], are bit-identical to restoring
+    /// one builder that absorbed every covered report.
     pub fn spectrum(&self) -> Vec<f64> {
         spectrum_rows(self.raw.clone(), self.hashes.columns())
     }
@@ -237,60 +240,77 @@ pub(crate) fn scaled(mut spectrum: Vec<f64>, scale: f64) -> Vec<f64> {
     spectrum
 }
 
-/// [`scaled`] of the exact difference `last − base`, fused into one pass: both are
-/// integer-valued spectra, so the subtraction is exact and the single multiply lands on the
-/// value [`scaled`] of the materialized difference gives, without allocating it.
+/// [`scaled`] of the span difference `last − base` of two wrapping `i32` ledger prefixes,
+/// fused into one pass: each entry is `f64::from(last.wrapping_sub(base))·scale`. The
+/// wrapping difference is the exact difference modulo 2³², and the caller has checked the
+/// span's report count ([`check_span_reports`]), so it is the exact integer difference and
+/// the single multiply lands on the value [`scaled`] of the materialized `f64` difference
+/// gives, without allocating it.
 #[inline]
-pub(crate) fn scaled_difference(last: &[f64], base: &[f64], scale: f64) -> Vec<f64> {
+pub(crate) fn scaled_difference(last: &[i32], base: &[i32], scale: f64) -> Vec<f64> {
     last.iter()
         .zip(base)
-        .map(|(&l, &b)| (l - b) * scale)
+        .map(|(&l, &b)| f64::from(l.wrapping_sub(b)) * scale)
         .collect()
 }
 
-/// Four-accumulator row sum.
+/// Reject a span lane of `2³¹` or more reports, whose spectrum a wrapping `i32` ledger
+/// difference could not restore exactly.
 ///
-/// A naive `iter().sum()` is one serial dependency chain of FP adds (~4 cycles each);
-/// four independent accumulators let the adds pipeline, ~4× faster on an `m`-long row.
-/// The association is FIXED (lane `i` takes elements `i, i+4, i+8, …`, lanes combined as
-/// `(l0+l1)+(l2+l3)`, remainder appended last), so the result is deterministic — every
-/// caller, offline or online, sees the same bits for the same row.
-#[inline]
-fn sum4(x: &[f64]) -> f64 {
-    let mut acc = [0.0f64; 4];
-    let mut chunks = x.chunks_exact(4);
-    for c in &mut chunks {
-        acc[0] += c[0];
-        acc[1] += c[1];
-        acc[2] += c[2];
-        acc[3] += c[3];
+/// A report adds `±1` to one counter of its row, and the FWHT adds and subtracts a row's
+/// counters, so every entry of a span's spectrum lies within `±reports`. Below `2³¹` reports
+/// the difference of two `i32` prefixes taken modulo 2³² is therefore the exact one.
+///
+/// # Errors
+/// [`Error::InvalidWorkload`] if `reports` does not fit an `i32`.
+pub(crate) fn check_span_reports(reports: u64) -> Result<()> {
+    if i32::try_from(reports).is_err() {
+        return Err(Error::InvalidWorkload(format!(
+            "a span lane of {reports} reports is past the 2^31 - 1 an i32 span ledger restores \
+             exactly"
+        )));
     }
-    let mut tail = 0.0f64;
-    for &v in chunks.remainder() {
-        tail += v;
-    }
-    (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
+    Ok(())
 }
 
-/// Four-accumulator shifted dot product `Σ_x (a[x]−sa)·(b[x]−sb)`, same fixed association
-/// as [`sum4`].
+/// Lanes of [`lane_sum`].
+const LANES: usize = 16;
+
+/// The one fixed-association reduction behind every estimator sum: `Σ_i term(a[i], b[i])`
+/// over two equal-length slices (a single slice's sum is `lane_sum(x, x, |v, _| v)`).
+///
+/// Element `i` is added into lane `i mod 16`, in index order; the lanes are then folded
+/// pairwise, lane `l` taking lane `l + w` for `w = 8, 4, 2, 1`; and the tail, the last
+/// `len mod 16` terms summed in order, is added last. Sixteen independent add chains keep
+/// the adds pipelined where one serial chain waits an FP-add latency per element. The
+/// association is fixed, so every caller, offline or online, sees the same bits for the
+/// same rows, and a symmetric `term` gives the same bits with its operands swapped.
+///
+/// The lanes are held as eight pairs, lane `l` in slot `l mod 2` of pair `l / 2`, the
+/// layout of a two-wide vector register: each pair loads two adjacent elements, and the
+/// fold steps `w = 8, 4, 2` add whole pairs. Held loose, the lanes were paired by the
+/// compiler as 15 and 0, 1 and 2, …, with loads straddling element pairs, ≈13% slower.
 #[inline]
-fn dot_shifted4(a: &[f64], b: &[f64], sa: f64, sb: f64) -> f64 {
+fn lane_sum(a: &[f64], b: &[f64], term: impl Fn(f64, f64) -> f64) -> f64 {
     debug_assert_eq!(a.len(), b.len());
-    let mut acc = [0.0f64; 4];
-    let mut ca = a.chunks_exact(4);
-    let mut cb = b.chunks_exact(4);
-    for (xa, xb) in (&mut ca).zip(&mut cb) {
-        acc[0] += (xa[0] - sa) * (xb[0] - sb);
-        acc[1] += (xa[1] - sa) * (xb[1] - sb);
-        acc[2] += (xa[2] - sa) * (xb[2] - sb);
-        acc[3] += (xa[3] - sa) * (xb[3] - sb);
+    let ((body_a, tail_a), (body_b, tail_b)) = (a.as_chunks::<LANES>(), b.as_chunks::<LANES>());
+    let mut pairs = [[0.0f64; 2]; LANES / 2];
+    for (xa, xb) in body_a.iter().zip(body_b) {
+        let (pa, pb) = (xa.as_chunks::<2>().0, xb.as_chunks::<2>().0);
+        for (s, (x, y)) in pairs.iter_mut().zip(pa.iter().zip(pb)) {
+            s[0] += term(x[0], y[0]);
+            s[1] += term(x[1], y[1]);
+        }
     }
-    let mut tail = 0.0f64;
-    for (&va, &vb) in ca.remainder().iter().zip(cb.remainder()) {
-        tail += (va - sa) * (vb - sb);
+    // The fold steps `w = 8, 4, 2` are 4, 2 and 1 pairs wide; `w = 1` adds pair 0's slots.
+    for width in [4, 2, 1] {
+        for p in 0..width {
+            pairs[p][0] += pairs[p + width][0];
+            pairs[p][1] += pairs[p + width][1];
+        }
     }
-    (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
+    let tail = (tail_a.iter().zip(tail_b)).fold(0.0, |sum, (&x, &y)| sum + term(x, y));
+    (pairs[0][0] + pairs[0][1]) + tail
 }
 
 /// The immutable estimation stage of the server-side LDPJoinSketch.
@@ -338,33 +358,40 @@ impl FinalizedSketch {
         }
     }
 
-    /// [`FinalizedSketch::from_spectrum`] of the exact difference `last − base`, fused into
-    /// one pass: each restored counter is `(last[i] − base[i])·k·c_ε`. Both inputs are
-    /// integer-valued spectra, so the subtraction is exact and the single multiply lands on
-    /// exactly the value [`FinalizedSketch::from_spectrum`] of the materialized difference
-    /// would produce — bit-identical, without allocating the intermediate difference.
+    /// [`FinalizedSketch::from_spectrum`] of a span of `reports` reports, given as two
+    /// prefix sums of unscaled spectra kept as wrapping `i32` (modulo 2³², as the online
+    /// service's span ledger keeps them), fused into one pass: each restored counter is
+    /// `f64::from(last[i].wrapping_sub(base[i]))·k·c_ε`. Every entry of a span's spectrum
+    /// lies within ±`reports`, so below 2³¹ reports that difference is the span's exact
+    /// spectrum, and the view is bit-identical to [`FinalizedSketch::from_spectrum`] of the
+    /// materialized `f64` difference, without allocating it.
+    ///
+    /// # Errors
+    /// [`Error::InvalidWorkload`] if `reports` is 2³¹ or more: the wrapped difference could
+    /// then differ from the exact one, and no view is built.
     ///
     /// # Panics
-    /// Panics if the spectra lengths differ from `k·m` for the family's shape.
+    /// Panics if the prefix lengths differ from `k·m` for the family's shape.
     pub fn from_spectrum_diff(
         eps: Epsilon,
         hashes: Arc<RowHashes>,
         reports: u64,
-        last: &[f64],
-        base: &[f64],
-    ) -> Self {
+        last: &[i32],
+        base: &[i32],
+    ) -> Result<Self> {
         let len = hashes.params().counters();
         assert!(
             last.len() == len && base.len() == len,
             "spectra lengths must be k*m"
         );
+        check_span_reports(reports)?;
         let scale = hashes.rows() as f64 * eps.c_eps();
-        FinalizedSketch {
+        Ok(FinalizedSketch {
             restored: scaled_difference(last, base, scale),
             eps,
             hashes,
             reports,
-        }
+        })
     }
 
     /// Sketch parameters `(k, m)`, the hash family's.
@@ -406,29 +433,33 @@ impl FinalizedSketch {
 
     /// Per-row inner products with another sketch, optionally shifting every counter of each
     /// sketch by a constant first (used by LDPJoinSketch+'s Algorithm 5 to remove the
-    /// expected non-target mass `|NT|/m`).
+    /// expected non-target mass `|NT|/m`). Every row sum here and in the other estimators
+    /// runs one fixed-association reduction: element `i` in lane `i mod 16`, a pairwise
+    /// 8/4/2/1 fold of the lanes, then the tail added last.
     pub fn row_products_shifted(
         &self,
         other: &Self,
         shift_self: f64,
         shift_other: f64,
     ) -> Result<Vec<f64>> {
+        self.row_sums(other, |a, b| (a - shift_self) * (b - shift_other))
+    }
+
+    /// Per-row inner products `Σ_x M_A[j,x]·M_B[j,x]`, bit-identical with the operands
+    /// swapped. `x − 0.0` is `x` for every `f64`, so these are the bits of
+    /// [`FinalizedSketch::row_products_shifted`] with zero shifts, without the two
+    /// subtractions per counter.
+    pub fn row_products(&self, other: &Self) -> Result<Vec<f64>> {
+        self.row_sums(other, |a, b| a * b)
+    }
+
+    /// One [`lane_sum`] of `term` per row pair, once the families are checked.
+    fn row_sums(&self, other: &Self, term: impl Fn(f64, f64) -> f64) -> Result<Vec<f64>> {
         self.hashes.check_same_family(&other.hashes, "join")?;
         let k = self.hashes.rows();
         Ok((0..k)
-            .map(|j| {
-                self.row(j)
-                    .iter()
-                    .zip(other.row(j))
-                    .map(|(a, b)| (a - shift_self) * (b - shift_other))
-                    .sum()
-            })
+            .map(|j| lane_sum(self.row(j), other.row(j), &term))
             .collect())
-    }
-
-    /// Per-row inner products `Σ_x M_A[j,x]·M_B[j,x]`.
-    pub fn row_products(&self, other: &Self) -> Result<Vec<f64>> {
-        self.row_products_shifted(other, 0.0, 0.0)
     }
 
     /// Per-row *mean-centered* inner products: `Σ_x (M_A[j,x]−Ā_j)(M_B[j,x]−B̄_j)/(1−1/m)`,
@@ -455,9 +486,9 @@ impl FinalizedSketch {
             .map(|j| {
                 let ra = self.row(j);
                 let rb = other.row(j);
-                let mean_a = sum4(ra) / mf;
-                let mean_b = sum4(rb) / mf;
-                let centered = dot_shifted4(ra, rb, mean_a, mean_b);
+                let mean_a = lane_sum(ra, ra, |v, _| v) / mf;
+                let mean_b = lane_sum(rb, rb, |v, _| v) / mf;
+                let centered = lane_sum(ra, rb, |a, b| (a - mean_a) * (b - mean_b));
                 centered / (1.0 - 1.0 / mf)
             })
             .collect())
@@ -512,7 +543,8 @@ impl FinalizedSketch {
                 // With every bucket targeted there is no noise-only bucket left to estimate
                 // the uniform level from; fall back to zero shift (all signal buckets).
                 let (u_a, u_b) = if free > 0.0 {
-                    ((sum4(ra) - s_sum_a) / free, (sum4(rb) - s_sum_b) / free)
+                    let sum = |r| lane_sum(r, r, |v, _| v);
+                    ((sum(ra) - s_sum_a) / free, (sum(rb) - s_sum_b) / free)
                 } else {
                     (0.0, 0.0)
                 };
@@ -589,10 +621,8 @@ impl FinalizedSketch {
         if k == 0 {
             return 0.0;
         }
-        let mean_energy = (0..k)
-            .map(|j| self.row(j).iter().map(|v| v * v).sum::<f64>())
-            .sum::<f64>()
-            / k as f64;
+        let energy = |row| lane_sum(row, row, |v, _| v * v);
+        let mean_energy = (0..k).map(|j| energy(self.row(j))).sum::<f64>() / k as f64;
         let noise = m as f64 * self.noise_variance_per_counter();
         (mean_energy - noise).max(0.0)
     }
@@ -1195,10 +1225,11 @@ mod tests {
                     .map(|v| v.to_bits())
                     .collect::<Vec<_>>()
             };
-            // Cumulative spectra, exactly as the service ledger maintains them.
-            let mut prefixes: Vec<(Vec<f64>, u64)> = Vec::new();
+            // Cumulative spectra in `f64`, and as the service ledger keeps them: wrapping
+            // `i32`, starting from the zero origin.
+            let mut prefixes = vec![(vec![0.0; p.counters()], vec![0i32; p.counters()], 0u64)];
             for w in &windows {
-                let (mut spec, mut reports) = (w.spectrum(), w.reports());
+                let (mut spec, reports) = (w.spectrum(), w.reports());
                 let sealed = FinalizedSketch::from_spectrum(
                     e,
                     Arc::clone(w.hashes()),
@@ -1206,37 +1237,46 @@ mod tests {
                     spec.clone(),
                 );
                 assert_eq!(bits(&sealed), bits(&w.finalize_view()), "m={m}: seal");
-                if let Some((last, r)) = prefixes.last() {
-                    for (s, l) in spec.iter_mut().zip(last) {
-                        *s += l;
-                    }
-                    reports += r;
+                let (last, last_wrapped, last_reports) = prefixes.last().unwrap();
+                let wrapped = (spec.iter().zip(last_wrapped))
+                    .map(|(&v, &l)| l.wrapping_add((v as i64) as i32))
+                    .collect();
+                for (s, l) in spec.iter_mut().zip(last) {
+                    *s += l;
                 }
-                prefixes.push((spec, reports));
+                let reports = reports + last_reports;
+                prefixes.push((spec, wrapped, reports));
             }
+            let (last, last_wrapped, last_reports) = prefixes.last().unwrap();
             for start in 0..windows.len() {
-                let (last, last_reports) = prefixes.last().unwrap();
-                let spec: Vec<f64> = if start == 0 {
-                    last.clone()
-                } else {
-                    let (base, _) = &prefixes[start - 1];
-                    last.iter().zip(base).map(|(a, b)| a - b).collect()
-                };
-                let reports = last_reports - if start == 0 { 0 } else { prefixes[start - 1].1 };
-                let assembled = FinalizedSketch::from_spectrum(
+                let (base, base_wrapped, base_reports) = &prefixes[start];
+                let reports = last_reports - base_reports;
+                let hashes = || Arc::clone(windows[0].hashes());
+                let spec = last.iter().zip(base).map(|(a, b)| a - b).collect();
+                let summed = FinalizedSketch::from_spectrum(e, hashes(), reports, spec);
+                let fused = FinalizedSketch::from_spectrum_diff(
                     e,
-                    Arc::clone(windows[0].hashes()),
+                    hashes(),
                     reports,
-                    spec,
-                );
+                    last_wrapped,
+                    base_wrapped,
+                )
+                .unwrap();
                 let mut scratch = SketchBuilder::new(p, e, 7);
                 for batch in &batches[start..] {
                     scratch.absorb_batch(batch).unwrap();
                 }
                 let reference = scratch.finalize();
-                assert_eq!(assembled.reports(), reference.reports());
-                assert_eq!(bits(&assembled), bits(&reference), "m={m} start={start}");
+                for assembled in [&summed, &fused] {
+                    assert_eq!(assembled.reports(), reference.reports());
+                    assert_eq!(bits(assembled), bits(&reference), "m={m} start={start}");
+                }
             }
+            // A span of 2³¹ reports could have wrapped, so it is refused, not restored.
+            let hashes = Arc::clone(windows[0].hashes());
+            let past =
+                FinalizedSketch::from_spectrum_diff(e, hashes, 1 << 31, last_wrapped, last_wrapped);
+            assert!(matches!(past, Err(Error::InvalidWorkload(_))), "m={m}");
         }
     }
 
@@ -1316,6 +1356,98 @@ mod tests {
         assert!(
             err_high < err_low,
             "ε=8 should estimate better than ε=0.2: {err_high} vs {err_low}"
+        );
+    }
+
+    /// The documented association of [`lane_sum`], spelled out: element `i` into lane
+    /// `i mod 16`, the pairwise 8/4/2/1 fold, then the in-order tail added last.
+    fn documented_lane_sum(x: &[f64]) -> f64 {
+        let body = x.len() - x.len() % LANES;
+        let mut lanes = [0.0f64; LANES];
+        for (i, &v) in x[..body].iter().enumerate() {
+            lanes[i % LANES] += v;
+        }
+        let mut width = LANES;
+        while width > 1 {
+            width /= 2;
+            for l in 0..width {
+                lanes[l] += lanes[l + width];
+            }
+        }
+        let mut tail = 0.0;
+        for &v in &x[body..] {
+            tail += v;
+        }
+        lanes[0] + tail
+    }
+
+    #[test]
+    fn lane_sum_follows_its_documented_association() {
+        // Repeating `[1e16, 1, −1e16, 1]`: the exact sum is 17 over 35 elements, but a 1
+        // added to ±1e16 rounds away (the spacing there is 2), so every association answers
+        // differently. A serial chain loses every 1 but the last, giving 0. The lanes keep
+        // the big values of a lane together, the fold cancels them and keeps the 16 ones of
+        // the two full chunks, and the tail `1e16 + 1 − 1e16` rounds to 0: 16.
+        let x: Vec<f64> = (0..35).map(|i| [1e16, 1.0, -1e16, 1.0][i % 4]).collect();
+        let serial = x.iter().fold(0.0, |s, &v| s + v);
+        assert_eq!(serial, 0.0);
+        assert_eq!(lane_sum(&x, &x, |v, _| v), 16.0);
+        assert_eq!(documented_lane_sum(&x), 16.0);
+        // The reference spells out the same association on other order-sensitive inputs.
+        let mut rng = StdRng::seed_from_u64(3);
+        for len in [16, 17, 31, 32, 48, 63, 100] {
+            let x: Vec<f64> = (0..len)
+                .map(|_| rng.gen::<f64>() * 10f64.powi(rng.gen_range(-8..17)))
+                .collect();
+            let got = lane_sum(&x, &x, |v, _| v);
+            assert_eq!(
+                got.to_bits(),
+                documented_lane_sum(&x).to_bits(),
+                "len {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn lane_sum_agrees_with_a_serial_sum_at_every_tail_length() {
+        // Lengths 1..70 cover bodies of zero to four chunks and every tail length; positive
+        // terms keep the relative error bound meaningful.
+        let mut rng = StdRng::seed_from_u64(9);
+        for len in 1..70 {
+            let a: Vec<f64> = (0..len).map(|_| rng.gen_range(0.5..1.5)).collect();
+            let b: Vec<f64> = (0..len).map(|_| rng.gen_range(0.5..1.5)).collect();
+            for (what, got, serial) in [
+                ("sum", lane_sum(&a, &a, |v, _| v), a.iter().sum::<f64>()),
+                (
+                    "dot",
+                    lane_sum(&a, &b, |x, y| x * y),
+                    a.iter().zip(&b).map(|(x, y)| x * y).sum::<f64>(),
+                ),
+            ] {
+                let rel = (got - serial).abs() / serial;
+                assert!(rel <= 1e-12, "{what}, len {len}: {got} vs {serial}");
+            }
+        }
+    }
+
+    #[test]
+    fn row_products_are_symmetric_bit_for_bit() {
+        let p = params(6, 256);
+        let e = eps(3.0);
+        let sa = build_sketch(&skewed_stream(20_000, 300, 1), p, e, 5, 3);
+        let sb = build_sketch(&skewed_stream(20_000, 300, 2), p, e, 5, 4);
+        let bits = |v: Vec<f64>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(sa.row_products(&sb).unwrap()),
+            bits(sb.row_products(&sa).unwrap())
+        );
+        assert_eq!(
+            bits(sa.row_products_centered(&sb).unwrap()),
+            bits(sb.row_products_centered(&sa).unwrap())
+        );
+        assert_eq!(
+            sa.join_size(&sb).unwrap().to_bits(),
+            sb.join_size(&sa).unwrap().to_bits()
         );
     }
 

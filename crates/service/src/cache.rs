@@ -19,6 +19,7 @@
 //! eviction evicted exactly those hot entries first; the regression is pinned in this
 //! module's tests via [`CacheStats`].)
 
+use ldpjs_common::error::Result;
 use ldpjs_core::multiway::FinalizedEdgeSketch;
 use ldpjs_core::{FinalizedPlusState, FinalizedSketch};
 use ldpjs_metrics::telemetry::Counter;
@@ -252,19 +253,20 @@ pub(crate) struct QueryCache {
 pub(crate) type ViewMemo<V> = BTreeMap<(usize, u64, u64), Arc<V>>;
 
 /// The view `memo` holds under `key` ([`SpanSource::MemoizedView`]), or the one `assemble`
-/// builds, memoized for later queries ([`SpanSource::LedgerAssembled`]).
+/// builds, memoized for later queries ([`SpanSource::LedgerAssembled`]). A failed assembly
+/// memoizes nothing.
 pub(crate) fn memoized<V>(
     memo: &mut ViewMemo<V>,
     key: (usize, u64, u64),
-    assemble: impl FnOnce() -> V,
-) -> (Arc<V>, SpanSource) {
-    match memo.entry(key) {
+    assemble: impl FnOnce() -> Result<V>,
+) -> Result<(Arc<V>, SpanSource)> {
+    Ok(match memo.entry(key) {
         MapEntry::Occupied(entry) => (Arc::clone(entry.get()), SpanSource::MemoizedView),
         MapEntry::Vacant(entry) => (
-            Arc::clone(entry.insert(Arc::new(assemble()))),
+            Arc::clone(entry.insert(Arc::new(assemble()?))),
             SpanSource::LedgerAssembled,
         ),
-    }
+    })
 }
 
 impl QueryCache {

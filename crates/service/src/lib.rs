@@ -23,7 +23,9 @@
 //! * **Window merge** subtracts two ledger prefixes of exact spectra and applies the
 //!   de-bias scale once, in every mode and with no transform, so a k-window
 //!   merged sketch is **bit-identical** to one-shot aggregation of the same reports
-//!   (property-tested across window splits and random rotate/evict sequences).
+//!   (property-tested across window splits and random rotate/evict sequences). The
+//!   prefixes are wrapping `i32` sums, exact for every span of fewer than 2³¹ reports per
+//!   lane; a larger span is refused with a typed error.
 //! * The **query layer** answers join-size and frequency queries over any
 //!   [`window::WindowRange`] (`Latest`, `LastK`, `All`) with a memoized
 //!   per-(attribute-pair, window-range) cache invalidated on rotation, so a repeated

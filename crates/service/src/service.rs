@@ -304,15 +304,17 @@ pub struct Explain {
 /// more exact-counter lanes (one for plain, three for plus, one for edge, whose replica rows
 /// are `m_A·m_B` wide), plus the lanes' report counts.
 ///
-/// Counters are exact ±1 integer sums, so each lane's unscaled FWHT is computed exactly in
-/// f64 (every intermediate is an integer far below 2⁵³), and the transform is linear —
-/// adding or subtracting two windows' spectra yields, bit for bit, the spectrum of their
-/// merged or differenced counters. That is what lets the ledger live in the Hadamard domain:
-/// spans assemble by element-wise subtraction, with no transform at query time.
+/// Counters are exact ±1 integer sums, so each window's unscaled FWHT is an exact integer
+/// spectrum, and the transform is linear: adding or subtracting two windows' spectra yields
+/// the spectrum of their merged or differenced counters. That is what lets the ledger live
+/// in the Hadamard domain: spans assemble by element-wise subtraction, with no transform at
+/// query time. The prefixes are kept as wrapping `i32`, sums modulo 2³², in half the bytes
+/// of `f64`: a span's spectrum lies within ±(its lane's reports), so below 2³¹ reports the
+/// wrapped difference of two prefixes is the exact one, and the restore checks that bound.
 #[derive(Debug, Clone)]
 struct SpectrumEntry {
-    /// Per-lane unscaled spectra (`k·m` elements each).
-    lanes: Vec<Vec<f64>>,
+    /// Per-lane unscaled spectra (`k·m` elements each), summed modulo 2³².
+    lanes: Vec<Vec<i32>>,
     /// Per-lane exact report counts.
     reports: Vec<u64>,
 }
@@ -320,19 +322,25 @@ struct SpectrumEntry {
 impl SpectrumEntry {
     fn zero(lanes: usize, len: usize) -> Self {
         SpectrumEntry {
-            lanes: vec![vec![0.0; len]; lanes],
+            lanes: vec![vec![0; len]; lanes],
             reports: vec![0; lanes],
         }
     }
 
-    /// `self + window` as a new entry (exact integer additions lane- and element-wise).
+    /// `self + window` as a new entry: each window's exact spectrum entry `v` enters its
+    /// prefix as `(v as i64) as i32` with `wrapping_add` (a cast straight to `i32` would
+    /// saturate, not wrap).
     fn plus_window(&self, window_lanes: &[Vec<f64>], window_reports: &[u64]) -> Self {
         debug_assert_eq!(window_lanes.len(), self.lanes.len());
         let lanes = self
             .lanes
             .iter()
             .zip(window_lanes)
-            .map(|(acc, lane)| lane.iter().zip(acc).map(|(&v, &a)| v + a).collect())
+            .map(|(acc, lane)| {
+                (lane.iter().zip(acc))
+                    .map(|(&v, &a)| a.wrapping_add((v as i64) as i32))
+                    .collect()
+            })
             .collect();
         let reports = self
             .reports
@@ -355,13 +363,15 @@ impl SpectrumEntry {
 /// `prefix[len−1] − prefix[start−1]` (or `− origin` for the full ring), whatever the number
 /// of covered windows.
 ///
-/// Every mode keeps its prefixes as unscaled Hadamard spectra (see [`SpectrumEntry`]): a
-/// cold span query is one element-wise subtraction fused with one de-bias multiply per
-/// element per lane ([`FinalizedSketch::from_spectrum_diff`],
+/// Every mode keeps its prefixes as unscaled Hadamard spectra in wrapping `i32` (see
+/// [`SpectrumEntry`]): a cold span query is one element-wise subtraction fused with one
+/// de-bias multiply per element per lane ([`FinalizedSketch::from_spectrum_diff`],
 /// [`FinalizedEdgeSketch::from_spectrum_diff`]), no FWHT. Because the spectra are exact
 /// integers and the transform is linear, the result is bit-identical to one fresh builder
 /// absorbing every covered window's reports and finalizing — property-tested in this module
-/// for plain, plus and edge attributes.
+/// for plain, plus and edge attributes — for every span of fewer than 2³¹ reports per lane.
+/// A span past that bound is refused with a typed error on the query path, never answered
+/// from a wrapped spectrum.
 #[derive(Debug)]
 struct Ledger {
     origin: SpectrumEntry,
@@ -413,9 +423,9 @@ impl Ledger {
     }
 
     /// Lane `l` of the suffix span `start..len`: its report count, the newest prefix and
-    /// the prefix just before the span (the origin for the full ring), whose difference is
-    /// the span's spectrum.
-    fn span(&self, start: usize, l: usize) -> (u64, &[f64], &[f64]) {
+    /// the prefix just before the span (the origin for the full ring), whose wrapping
+    /// difference is the span's spectrum.
+    fn span(&self, start: usize, l: usize) -> (u64, &[i32], &[i32]) {
         let base = match start {
             0 => &self.origin,
             _ => &self.entries[start - 1].1,
@@ -458,7 +468,10 @@ impl Ledger {
     /// Lane `l` of the suffix span `start..len` as a finalized view: one fused spectrum
     /// subtraction + de-bias multiply per element, no FWHT. `shape` is any builder of that
     /// lane (the live one), supplying its ε and hash family.
-    fn span_lane(&self, start: usize, l: usize, shape: &SketchBuilder) -> FinalizedSketch {
+    ///
+    /// # Errors
+    /// [`Error::InvalidWorkload`] if the span's lane holds 2³¹ reports or more.
+    fn span_lane(&self, start: usize, l: usize, shape: &SketchBuilder) -> Result<FinalizedSketch> {
         let (reports, last, base) = self.span(start, l);
         let (eps, hashes) = (shape.epsilon(), Arc::clone(shape.hashes()));
         FinalizedSketch::from_spectrum_diff(eps, hashes, reports, last, base)
@@ -507,8 +520,9 @@ struct PlusState {
     /// the first seal).
     newest: Option<Arc<FinalizedPlusState>>,
     /// The merged state over the whole ring, rebuilt at every seal once the ring holds two
-    /// windows (`None` before), so a cold plus `All` join is an `Arc` clone and never pays
-    /// the domain-wide discovery on the query path.
+    /// windows (`None` before, and while the ring's span is too large to assemble), so a
+    /// cold plus `All` join is an `Arc` clone and never pays the domain-wide discovery on
+    /// the query path.
     whole: Option<Arc<FinalizedPlusState>>,
 }
 
@@ -522,7 +536,8 @@ impl PlusState {
 
     /// Seal the live builder's three lanes into window `epoch` (it then continues
     /// ingesting from empty) and rebuild the whole-ring state; returns whether a window was
-    /// evicted.
+    /// evicted. A ring whose span cannot be assembled keeps no whole-ring state, so its
+    /// queries meet the assembly error.
     fn seal(&mut self, epoch: u64, retained: usize) -> bool {
         let (phase1, low, high) = self.live.lane_builders();
         let ([phase1, low, high], evicted) =
@@ -530,7 +545,10 @@ impl PlusState {
         self.live.clear();
         let newest = plus_state(phase1, low, high, self.policy, &self.index);
         self.newest = Some(Arc::new(newest));
-        self.whole = (self.ledger.depth() > 1).then(|| Arc::new(self.assemble(0)));
+        self.whole = (self.ledger.depth() > 1)
+            .then(|| self.assemble(0))
+            .and_then(Result::ok)
+            .map(Arc::new);
         evicted
     }
 }
@@ -653,11 +671,19 @@ trait ModeView {
 
     /// The merged view of the suffix span `start..len`, assembled from the span ledger:
     /// bit-identical to merging every covered window from scratch.
-    fn assemble(&self, start: usize) -> Self::View;
+    ///
+    /// # Errors
+    /// [`Error::InvalidWorkload`] if a lane of the span holds 2³¹ reports or more.
+    fn assemble(&self, start: usize) -> Result<Self::View>;
 
     /// The merged view of a multi-window suffix `span`, and how it was obtained: from the
-    /// memo, or assembled now and memoized for later queries.
-    fn merged(&self, cache: &mut QueryCache, span: &SpanMeta) -> (Arc<Self::View>, SpanSource) {
+    /// memo, or assembled now and memoized for later queries (a failed assembly memoizes
+    /// nothing).
+    fn merged(
+        &self,
+        cache: &mut QueryCache,
+        span: &SpanMeta,
+    ) -> Result<(Arc<Self::View>, SpanSource)> {
         memoized(Self::memo(cache), span.view_key(), || {
             self.assemble(span.start)
         })
@@ -682,7 +708,7 @@ impl ModeView for PlainState {
         &mut cache.plain_views
     }
 
-    fn assemble(&self, start: usize) -> FinalizedSketch {
+    fn assemble(&self, start: usize) -> Result<FinalizedSketch> {
         self.ledger.span_lane(start, 0, &self.live)
     }
 }
@@ -707,11 +733,12 @@ impl ModeView for PlusState {
 
     /// Three fused subtract+scale passes and one indexed FI re-discovery on the merged
     /// phase-1 lane, a scan of the whole candidate domain.
-    fn assemble(&self, start: usize) -> FinalizedPlusState {
+    fn assemble(&self, start: usize) -> Result<FinalizedPlusState> {
         let (phase1, low, high) = self.live.lane_builders();
         let lane = |l, shape| self.ledger.span_lane(start, l, shape);
         let (policy, index) = (self.policy, &*self.index);
-        plus_state(lane(0, phase1), lane(1, low), lane(2, high), policy, index)
+        let (phase1, low, high) = (lane(0, phase1)?, lane(1, low)?, lane(2, high)?);
+        Ok(plus_state(phase1, low, high, policy, index))
     }
 
     /// The whole ring is the kept state; every other span goes through the memo.
@@ -719,9 +746,9 @@ impl ModeView for PlusState {
         &self,
         cache: &mut QueryCache,
         span: &SpanMeta,
-    ) -> (Arc<FinalizedPlusState>, SpanSource) {
+    ) -> Result<(Arc<FinalizedPlusState>, SpanSource)> {
         match &self.whole {
-            Some(whole) if span.start == 0 => (Arc::clone(whole), SpanSource::MemoizedView),
+            Some(whole) if span.start == 0 => Ok((Arc::clone(whole), SpanSource::MemoizedView)),
             _ => memoized(Self::memo(cache), span.view_key(), || {
                 self.assemble(span.start)
             }),
@@ -747,7 +774,7 @@ impl ModeView for EdgeState {
         &mut cache.edge_views
     }
 
-    fn assemble(&self, start: usize) -> FinalizedEdgeSketch {
+    fn assemble(&self, start: usize) -> Result<FinalizedEdgeSketch> {
         let (reports, last, base) = self.ledger.span(start, 0);
         let live = &self.live;
         let (a, b) = (
@@ -889,13 +916,14 @@ impl SketchService {
     /// # Errors
     /// [`Error::InvalidWorkload`] if `name` is already registered.
     pub fn register_attribute(&mut self, name: &str, seed: u64) -> Result<AttributeId> {
-        let (params, eps) = (self.config.params, self.config.eps);
-        let mode = ModeState::Plain(PlainState {
-            live: SketchBuilder::new(params, eps, seed),
-            ledger: Ledger::new(1, params.counters()),
-            newest: None,
-        });
-        self.register(name, mode)
+        self.register(name, |config| {
+            let (params, eps) = (config.params, config.eps);
+            Ok(ModeState::Plain(PlainState {
+                live: SketchBuilder::new(params, eps, seed),
+                ledger: Ledger::new(1, params.counters()),
+                newest: None,
+            }))
+        })
     }
 
     /// Register an **LDPJoinSketch+** attribute: three-lane ingestion
@@ -913,24 +941,25 @@ impl SketchService {
         seed: u64,
         config: PlusAttributeConfig,
     ) -> Result<AttributeId> {
-        let policy = FiPolicy::new(config.threshold, config.adaptive)?;
-        let (params, eps) = (self.config.params, self.config.eps);
-        let live = PlusStateBuilder::new(params, eps, seed);
-        // Hash the public candidate domain through the phase-1 family once, at
-        // registration; every discovery scan of this attribute reuses the index.
-        let index = Arc::new(DomainIndex::new(
-            live.lane_builders().0.hashes(),
-            config.domain,
-        ));
-        let mode = ModeState::Plus(Box::new(PlusState {
-            policy,
-            index,
-            live,
-            ledger: Ledger::new(3, params.counters()),
-            newest: None,
-            whole: None,
-        }));
-        self.register(name, mode)
+        self.register(name, |service_config| {
+            let policy = FiPolicy::new(config.threshold, config.adaptive)?;
+            let (params, eps) = (service_config.params, service_config.eps);
+            let live = PlusStateBuilder::new(params, eps, seed);
+            // Hash the public candidate domain through the phase-1 family once, at
+            // registration; every discovery scan of this attribute reuses the index.
+            let index = Arc::new(DomainIndex::new(
+                live.lane_builders().0.hashes(),
+                config.domain,
+            ));
+            Ok(ModeState::Plus(Box::new(PlusState {
+                policy,
+                index,
+                live,
+                ledger: Ledger::new(3, params.counters()),
+                newest: None,
+                whole: None,
+            })))
+        })
     }
 
     /// Register an **edge** attribute — a two-attribute table summarised by a 2-D edge
@@ -939,29 +968,40 @@ impl SketchService {
     /// with the same seeds are chain-joinable against it.
     ///
     /// # Errors
-    /// [`Error::InvalidWorkload`] if `name` is already registered.
+    /// [`Error::InvalidWorkload`] if `name` is already registered;
+    /// [`Error::InvalidSketchParameter`] if the service's `k·m²` edge counters do not fit
+    /// the `u32` flat index of packed report batches. A rejected call registers nothing.
     pub fn register_edge_attribute(
         &mut self,
         name: &str,
         seed_a: u64,
         seed_b: u64,
     ) -> Result<AttributeId> {
-        let params = self.config.params;
-        let family = |seed| Arc::new(RowHashes::from_seed(seed, params));
-        let mode = ModeState::Edge(EdgeState {
-            live: EdgeSketchBuilder::new(family(seed_a), family(seed_b), self.config.eps)?,
-            ledger: Ledger::new(1, params.counters() * params.columns()),
-            newest: None,
-        });
-        self.register(name, mode)
+        self.register(name, |config| {
+            let params = config.params;
+            let family = |seed| Arc::new(RowHashes::from_seed(seed, params));
+            Ok(ModeState::Edge(EdgeState {
+                live: EdgeSketchBuilder::new(family(seed_a), family(seed_b), config.eps)?,
+                ledger: Ledger::new(1, params.counters() * params.columns()),
+                newest: None,
+            }))
+        })
     }
 
-    fn register(&mut self, name: &str, mode: ModeState) -> Result<AttributeId> {
+    /// Register `name` with the mode state `build` makes from the service configuration. A
+    /// duplicate name is rejected first, so it never pays for a builder, a ledger origin or
+    /// a domain index.
+    fn register(
+        &mut self,
+        name: &str,
+        build: impl FnOnce(&ServiceConfig) -> Result<ModeState>,
+    ) -> Result<AttributeId> {
         if self.attributes.iter().any(|a| a.name == name) {
             return Err(Error::InvalidWorkload(format!(
                 "attribute '{name}' is already registered"
             )));
         }
+        let mode = build(&self.config)?;
         let instruments = AttributeInstruments::register(&self.telemetry, name, mode.mode().name());
         self.attributes.push(Attribute {
             name: name.to_string(),
@@ -1194,7 +1234,9 @@ impl SketchService {
     /// every report of the covered windows — the window-merge guarantee.
     ///
     /// # Errors
-    /// [`Error::ModeMismatch`] if `attr` is not a plain attribute.
+    /// [`Error::ModeMismatch`] if `attr` is not a plain attribute;
+    /// [`Error::InvalidWorkload`] if a multi-window span holds 2³¹ reports or more in one
+    /// lane, past what the span ledger restores exactly.
     pub fn merged_view(
         &mut self,
         attr: AttributeId,
@@ -1214,7 +1256,9 @@ impl SketchService {
     /// pays the assembly on the query path.
     ///
     /// # Errors
-    /// [`Error::ModeMismatch`] if `attr` is not a plus attribute.
+    /// [`Error::ModeMismatch`] if `attr` is not a plus attribute;
+    /// [`Error::InvalidWorkload`] if a multi-window span holds 2³¹ reports or more in one
+    /// lane, past what the span ledger restores exactly.
     pub fn merged_plus_state(
         &mut self,
         attr: AttributeId,
@@ -1242,8 +1286,9 @@ impl SketchService {
     /// # Errors
     /// [`Error::UnknownAttribute`], [`Error::ModeMismatch`] unless both attributes are
     /// plain, [`Error::WindowUnavailable`] / [`Error::InvalidWorkload`] from range
-    /// resolution, or [`Error::IncompatibleSketches`] if the attributes do not share a hash
-    /// seed.
+    /// resolution or from a span of 2³¹ reports or more (see
+    /// [`SketchService::merged_view`]), or [`Error::IncompatibleSketches`] if the
+    /// attributes do not share a hash seed.
     pub fn join_size(
         &mut self,
         a: AttributeId,
@@ -1292,7 +1337,8 @@ impl SketchService {
     /// # Errors
     /// [`Error::UnknownAttribute`], [`Error::ModeMismatch`] unless both attributes are
     /// plus, [`Error::WindowUnavailable`] / [`Error::InvalidWorkload`] from range
-    /// resolution, [`Error::IncompatibleSketches`] if the attributes do not share seeds.
+    /// resolution or from a span of 2³¹ reports or more in a lane,
+    /// [`Error::IncompatibleSketches`] if the attributes do not share seeds.
     pub fn plus_join_size(
         &mut self,
         a: AttributeId,
@@ -1352,7 +1398,8 @@ impl SketchService {
     ///
     /// # Errors
     /// [`Error::ModeMismatch`] for edge attributes (an edge sketch summarises tuples, not a
-    /// single attribute's values).
+    /// single attribute's values); [`Error::InvalidWorkload`] for a span of 2³¹ reports or
+    /// more in a lane.
     pub fn frequency(
         &mut self,
         attr: AttributeId,
@@ -1428,7 +1475,8 @@ impl SketchService {
     ///
     /// # Errors
     /// [`Error::ModeMismatch`] unless the modes are (plain, edge, plain);
-    /// [`Error::IncompatibleSketches`] if the hash families do not line up.
+    /// [`Error::IncompatibleSketches`] if the hash families do not line up;
+    /// [`Error::InvalidWorkload`] for a span of 2³¹ reports or more in a lane.
     pub fn chain_join_3(
         &mut self,
         v1: AttributeId,
@@ -1742,7 +1790,8 @@ fn rotate_attribute(
     // Every span of the old ring is gone. Re-resolve each range read in the closing epoch
     // against the new ring and memoize its span through the query path itself, so the
     // re-warmed view is exactly what a query would assemble. Re-warming records no read:
-    // a range no query reads during the next epoch drops out at the rotation after it.
+    // a range no query reads during the next epoch drops out at the rotation after it. A
+    // span whose assembly fails is skipped; its next query meets the error.
     for range in cache.invalidate_attribute(idx) {
         let Ok(span) = resolve_span(attr, AttributeId(idx), range) else {
             continue;
@@ -1827,7 +1876,8 @@ impl<'c> Assembly<'c> {
     ///
     /// # Errors
     /// [`Error::WindowUnavailable`] before the first seal (span resolution rejects that
-    /// case first).
+    /// case first); [`Error::InvalidWorkload`] for a multi-window span of 2³¹ reports or
+    /// more in a lane, which is neither assembled nor memoized.
     fn view<S: ModeView>(
         &mut self,
         (attr, state): Operand<'_, S>,
@@ -1839,7 +1889,7 @@ impl<'c> Assembly<'c> {
                 let newest = state.newest().ok_or_else(|| no_windows(&attr.name))?;
                 (Arc::clone(newest), SpanSource::SingleWindow)
             }
-            _ => state.merged(self.cache, span),
+            _ => state.merged(self.cache, span)?,
         };
         self.source = self.source.max(source);
         Ok(view)
@@ -1983,6 +2033,175 @@ mod tests {
         let mut cfg = config(4, 64);
         cfg.epoch_duration = Some(Duration::ZERO);
         assert!(SketchService::new(cfg).is_err());
+    }
+
+    #[test]
+    fn duplicate_names_are_rejected_before_any_mode_state_is_built() {
+        // At (2, 65,536) a plain lane is small, but an edge lane's k·m² counters pass the u32
+        // counter space, so building an edge state fails with `InvalidSketchParameter`. A
+        // duplicate edge name must fail on the name instead, and a duplicate plus name with
+        // an invalid threshold on the name too: neither state is built.
+        let mut service = manual_service(2, 65_536, 2);
+        let x = service.register_attribute("x", 1).unwrap();
+        let duplicate = |r: Result<AttributeId>| matches!(r, Err(Error::InvalidWorkload(msg)) if msg.contains("already registered"));
+        let mut bad_threshold = PlusAttributeConfig::new((0..10).collect());
+        bad_threshold.threshold = 1.5;
+        assert!(duplicate(service.register_attribute("x", 2)));
+        assert!(duplicate(service.register_edge_attribute("x", 1, 2)));
+        assert!(duplicate(service.register_plus_attribute(
+            "x",
+            1,
+            bad_threshold.clone()
+        )));
+        // A fresh name reaches the state's own checks, and a rejected call registers nothing.
+        assert!(matches!(
+            service.register_edge_attribute("e", 1, 2),
+            Err(Error::InvalidSketchParameter(_))
+        ));
+        let plus = service.register_plus_attribute("p", 1, bad_threshold);
+        assert!(matches!(plus, Err(Error::InvalidWorkload(_))) && !duplicate(plus));
+        assert_eq!(service.attribute_id("x"), Some(x));
+        assert_eq!(service.attribute_id("e"), None);
+        assert_eq!(service.attribute_id("p"), None);
+    }
+
+    /// Seal a window of `reports` reports per lane, whose spectra are zero, straight into
+    /// `attr`'s ledger as a rotation's ledger step does, without ingesting anything: a
+    /// test's way to spans of 2³¹ reports. The window keeps no view of its own.
+    fn seal_synthetic(service: &mut SketchService, attr: AttributeId, reports: u64) {
+        let (retained, len) = (
+            service.config.retained_windows,
+            service.config.params.counters(),
+        );
+        let a = &mut service.attributes[attr.index()];
+        let (ledger, lanes) = match &mut a.mode {
+            ModeState::Plain(s) => (&mut s.ledger, 1),
+            ModeState::Plus(s) => (&mut s.ledger, 3),
+            ModeState::Edge(s) => (&mut s.ledger, 1),
+        };
+        ledger.seal(
+            a.next_epoch,
+            &vec![vec![0.0; len]; lanes],
+            &vec![reports; lanes],
+            retained,
+        );
+        a.next_epoch += 1;
+    }
+
+    #[test]
+    fn wrapping_ledger_restores_every_suffix_span_exactly() {
+        // Synthetic windows of 6·10⁸ reports whose exact spectra sit at or just inside
+        // ±reports, positive at even positions and negative at odd ones: the cumulative
+        // prefixes pass +2³¹ and −2³¹ several times over, while every suffix span of the 3
+        // retained windows stays below 2³¹ reports. Each span restores the exact difference,
+        // bit for bit, after every seal.
+        let (params, eps) = (SketchParams::new(2, 8).unwrap(), Epsilon::new(2.0).unwrap());
+        let shape = SketchBuilder::new(params, eps, 5);
+        let reports = 600_000_000u64;
+        let mut ledger = Ledger::new(1, params.counters());
+        let mut retained: VecDeque<Vec<f64>> = VecDeque::new();
+        let mut cumulative = vec![0.0f64; params.counters()];
+        for epoch in 0..10u64 {
+            let spectrum: Vec<f64> = (0..params.counters() as u64)
+                .map(|i| {
+                    let magnitude = (reports - (i * 7_919 + epoch * 104_729) % 1_000) as f64;
+                    if i % 2 == 0 {
+                        magnitude
+                    } else {
+                        -magnitude
+                    }
+                })
+                .collect();
+            cumulative
+                .iter_mut()
+                .zip(&spectrum)
+                .for_each(|(c, v)| *c += v);
+            ledger.seal(epoch, std::slice::from_ref(&spectrum), &[reports], 3);
+            retained.push_back(spectrum);
+            if retained.len() > 3 {
+                retained.pop_front();
+            }
+            for start in 0..ledger.depth() {
+                let windows = ledger.depth() - start;
+                let mut exact = vec![0.0f64; params.counters()];
+                for window in retained.range(start..) {
+                    exact.iter_mut().zip(window).for_each(|(e, v)| *e += v);
+                }
+                let span_reports = reports * windows as u64;
+                let hashes = Arc::clone(shape.hashes());
+                let want = FinalizedSketch::from_spectrum(eps, hashes, span_reports, exact);
+                let got = ledger.span_lane(start, 0, &shape).unwrap();
+                let bits = |s: &FinalizedSketch| {
+                    s.restored_counters()
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(got.reports(), span_reports);
+                assert_eq!(bits(&got), bits(&want), "epoch {epoch} start {start}");
+            }
+        }
+        // Every cumulative entry ended past ±2³² in magnitude, positive and negative: each
+        // prefix wrapped at least once, in both directions.
+        let wrapped = |sign: f64| cumulative.iter().any(|&c| c * sign > 2f64.powi(32));
+        assert!(cumulative.iter().all(|c| c.abs() > 2f64.powi(32)));
+        assert!(wrapped(1.0) && wrapped(-1.0));
+
+        // 2³¹ − 1 reports in a lane still restore; 2³¹ get the typed error.
+        let mut ledger = Ledger::new(1, params.counters());
+        let zero = [vec![0.0; params.counters()]];
+        ledger.seal(0, &zero, &[(1 << 31) - 2], 4);
+        ledger.seal(1, &zero, &[1], 4);
+        let widest = ledger.span_lane(0, 0, &shape).unwrap();
+        assert_eq!(widest.reports(), (1 << 31) - 1);
+        ledger.seal(2, &zero, &[1], 4);
+        assert!(matches!(
+            ledger.span_lane(0, 0, &shape),
+            Err(Error::InvalidWorkload(_))
+        ));
+        assert_eq!(ledger.span_lane(1, 0, &shape).unwrap().reports(), 2);
+    }
+
+    #[test]
+    fn spans_past_the_ledger_bound_fail_typed_on_the_query_path() {
+        // Two synthetic windows of 2³⁰ reports per lane make every attribute's `All` span
+        // hold 2³¹ reports per lane. Queries over it get the typed error, never a wrapped
+        // answer; the rotation that follows skips re-warming it; a plus attribute keeps no
+        // whole-ring state for it; and shorter spans still answer.
+        let mut service = manual_service(4, 64, 4);
+        let a = service.register_attribute("a", 3).unwrap();
+        let b = service.register_attribute("b", 3).unwrap();
+        let domain = PlusAttributeConfig::new((0..64).collect());
+        let p = service.register_plus_attribute("p", 3, domain).unwrap();
+        for attr in [a, b, p] {
+            for _ in 0..2 {
+                seal_synthetic(&mut service, attr, 1 << 30);
+            }
+        }
+        let past = |r: Result<QueryResult>| matches!(r, Err(Error::InvalidWorkload(_)));
+        assert!(past(service.join_size(a, b, WindowRange::All)));
+        assert!(past(service.frequency(a, 3, WindowRange::All)));
+        // The failed `All` read is re-warmed at `a`'s next rotation: skipped, and the query
+        // still fails. A span of fewer reports assembles from the same wrapped prefixes.
+        service
+            .ingest(a, &reports_for(&service, a, 500, 1))
+            .unwrap();
+        service.rotate(a).unwrap();
+        assert!(past(service.frequency(a, 3, WindowRange::All)));
+        let recent = service.frequency(a, 3, WindowRange::LastK(2)).unwrap();
+        assert_eq!(recent.reports, (1 << 30) + 500);
+        assert_eq!(recent.explain.span_source, SpanSource::LedgerAssembled);
+        // A plus seal over such a ring leaves the whole-ring state unbuilt.
+        let retained = service.config.retained_windows;
+        let ModeState::Plus(state) = &mut service.attributes[p.index()].mode else {
+            unreachable!("p is a plus attribute")
+        };
+        state.seal(2, retained);
+        assert!(state.whole.is_none());
+        service.attributes[p.index()].next_epoch = 3;
+        assert!(past(service.plus_join_size(p, p, WindowRange::All)));
+        let recent = service.plus_join_size(p, p, WindowRange::LastK(2)).unwrap();
+        assert_eq!(recent.explain.span_source, SpanSource::LedgerAssembled);
     }
 
     #[test]
@@ -3272,7 +3491,7 @@ mod tests {
             };
             let newest = state.newest().unwrap();
             for (start, reference) in references.iter().enumerate() {
-                let assembled = state.assemble(start);
+                let assembled = state.assemble(start).unwrap();
                 prop_assert_eq!(assembled.reports(), reference.reports());
                 for j in 0..4 {
                     prop_assert!(

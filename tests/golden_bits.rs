@@ -4,7 +4,10 @@
 //! estimate with a constant. The constants pin the exact RNG streams, report routing and
 //! exact-integer counter sums the runners produce, so any change to how reports are drawn,
 //! packed or absorbed that alters a single counter shows up here as a bit difference, not
-//! as a tolerance question.
+//! as a tolerance question. A pin also moves, by a few ulps, when the fixed association of
+//! the estimator's sums changes (the 16-lane reduction in `crates/core/src/server.rs`
+//! behind the row products and the F2 estimate), though no counter did; such a change
+//! re-pins to the new exact bits, never to a tolerance.
 //!
 //! The shapes are chosen to reach paths the 8,192-value chunks of the benchmark never do:
 //! 20,000-value stream chunks fan out over three 8,192-value client RNG streams each, and
@@ -54,7 +57,7 @@ fn chunked_plain_estimate_with_20k_chunks_and_3_threads_is_pinned() {
         3,
     )
     .unwrap();
-    assert_bits("ldp_join_estimate_chunked", est, 0x41ac_6ca8_cf75_a6d9);
+    assert_bits("ldp_join_estimate_chunked", est, 0x41ac_6ca8_cf75_a6de);
 }
 
 #[test]
@@ -62,7 +65,7 @@ fn parallel_plain_estimate_with_3_threads_is_pinned() {
     let a = zipf_table(1.3, 5_000, 50_000, 3);
     let b = zipf_table(1.3, 5_000, 50_000, 4);
     let est = ldp_join_estimate_parallel(&a, &b, params(), eps(), 13, 14, 3).unwrap();
-    assert_bits("ldp_join_estimate_parallel", est, 0x41ac_dd2e_1f0e_10ba);
+    assert_bits("ldp_join_estimate_parallel", est, 0x41ac_dd2e_1f0e_10b6);
 }
 
 #[test]
@@ -84,7 +87,7 @@ fn chunked_plus_estimate_is_pinned() {
     assert_bits(
         "ldp_join_plus_estimate_chunked",
         est.join_size,
-        0x41b2_18e7_e4eb_6cf5,
+        0x41b2_18e7_e4eb_6cf4,
     );
 }
 

@@ -17,12 +17,18 @@
 //! `SketchBuilder::absorb`, and `SketchService::ingest`, where telemetry is always on, may
 //! cost **at most 3%** more than a bare `absorb_batch`.
 //!
+//! The kernel gate times Eq. 5 on two restored sketches of the pinned shape:
+//! `PlainKernel::join_size`, whose row products run the 16-lane fixed-association
+//! reduction, must cost **at most 0.6×** a test-local Eq. 5 whose row sums are one serial
+//! `f64` add chain each, the form `Iterator::sum` compiles to.
+//!
 //! The gates only mean something with optimizations on, so under a debug build each prints
 //! a skip notice and exits. Each times two alternating arms and gates on the median of the
 //! per-round ratios, so CI runs them one at a time,
 //! `cargo test --release --test perf_smoke -- --test-threads=1`, lest one gate's arms time
 //! another gate's load.
 
+use ldp_join_sketch::common::stats::median;
 use ldp_join_sketch::prelude::*;
 use ldp_join_sketch::service::WindowRange;
 use rand::SeedableRng;
@@ -295,5 +301,66 @@ fn cold_plus_join_is_at_most_4x_cold_plain_join() {
         ratio <= 4.0,
         "cold plus query regressed to {ratio:.2}x the plain path (gate is 4x) — \
          check the span ledger and the restore kernels"
+    );
+}
+
+/// Eq. 5 with every row product one serial `f64` add chain, the reference arm of the kernel
+/// gate.
+fn serial_join_size(a: &FinalizedSketch, b: &FinalizedSketch) -> f64 {
+    let products: Vec<f64> = (0..a.params().rows())
+        .map(|j| a.row(j).iter().zip(b.row(j)).map(|(x, y)| x * y).sum())
+        .collect();
+    median(&products).unwrap()
+}
+
+#[test]
+fn plain_join_kernel_is_at_most_0_6x_a_serial_row_sum() {
+    if cfg!(debug_assertions) {
+        eprintln!("perf smoke gate skipped: meaningful only under --release");
+        return;
+    }
+
+    // Two restored sketches of the pinned shape over 32k Zipf(2.0) values each, the size of
+    // the query gate's all-windows span. One sample is 100 estimates, ≈1 ms per arm, so the
+    // timer's own cost is far below the gate's resolution.
+    let (p, e) = (pinned_params(), pinned_eps());
+    let gen = ZipfGenerator::new(2.0, 4_096);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(41);
+    let mut sketch = || {
+        let values = gen.sample_many(WINDOWS * N_WINDOW, &mut rng);
+        build_private_sketch(&values, p, e, 7, &mut rng).unwrap()
+    };
+    let (a, b) = (sketch(), sketch());
+    let (serial, kernel) = (
+        serial_join_size(&a, &b),
+        PlainKernel.join_size(&a, &b).unwrap(),
+    );
+    assert!(
+        (kernel - serial).abs() <= 1e-12 * serial.abs(),
+        "the kernel and the serial reference disagree: {kernel} vs {serial}"
+    );
+    const REPS: usize = 100;
+    // Opaque operands, so no estimate can be hoisted out of a sample's loop.
+    let (a, b) = (&a, &b);
+    let opaque = std::hint::black_box::<&FinalizedSketch>;
+    let ratio = paired_median_ratio(
+        "Eq. 5 on two restored 18x1024 sketches (A = serial row sums, B = PlainKernel)",
+        || {
+            for _ in 0..REPS {
+                std::hint::black_box(serial_join_size(opaque(a), opaque(b)));
+            }
+        },
+        || {
+            for _ in 0..REPS {
+                std::hint::black_box(PlainKernel.join_size(opaque(a), opaque(b)).unwrap());
+            }
+        },
+    );
+
+    eprintln!("Eq. 5 kernel: median per-round kernel/serial ratio {ratio:.3}x (gate: 0.6x)");
+    assert!(
+        ratio <= 0.6,
+        "the plain join kernel regressed to {ratio:.3}x a serial row sum (gate is 0.6x) — \
+         check the fixed-association reduction behind FinalizedSketch::row_products"
     );
 }
