@@ -52,7 +52,7 @@ pub use protocol::{
     ldp_join_estimate, ldp_join_estimate_chunked, ldp_join_estimate_parallel,
     ldp_join_plus_estimate_chunked, stream_reports_chunked,
 };
-pub use server::{Candidates, DomainIndex, FinalizedSketch, SketchBuilder};
+pub use server::{Candidates, DomainIndex, FinalizedSketch, SketchBuilder, SpectrumPrefix};
 
 /// Re-export of the validated privacy budget.
 pub use ldpjs_common::Epsilon;

@@ -36,7 +36,8 @@ use ldpjs_common::rr::sample_sign_bit;
 use rand::{Rng, RngCore};
 
 use crate::server::{
-    check_report_sign, check_span_reports, restored_rows, scaled, scaled_difference, spectrum_rows,
+    check_report_sign, check_spectrum_lengths, coordinate_zero, restored_rows, scaled,
+    span_difference, spectrum_rows, SpectrumPrefix,
 };
 
 /// One perturbed report for a two-attribute table.
@@ -302,6 +303,12 @@ impl EdgeSketchBuilder {
         spectrum_rows(self.raw.clone(), self.width())
     }
 
+    /// Each replica's coordinate-0 count `M[j, 0, 0]`, which the view carries beside its
+    /// [`spectrum`](EdgeSketchBuilder::spectrum), as a plain lane's does: `k` loads.
+    pub fn coordinate_zero_counts(&self) -> Vec<f64> {
+        coordinate_zero(&self.raw, self.width())
+    }
+
     /// Restore the sketch by the plain lane's rule over the `m_A·m_B` width: every replica's
     /// flattened row through the FWHT with the de-bias scale `k·c_ε` after the last
     /// butterfly (`M̃ = k·c_ε·H_{m_A}ᵀ·M·H_{m_B}ᵀ`), consuming the builder and returning the
@@ -309,6 +316,7 @@ impl EdgeSketchBuilder {
     pub fn finalize(self) -> FinalizedEdgeSketch {
         let (width, scale) = (self.width(), self.attr_a.rows() as f64 * self.eps.c_eps());
         FinalizedEdgeSketch {
+            counts: coordinate_zero(&self.raw, width),
             restored: restored_rows(self.raw, width, scale),
             attr_a: self.attr_a,
             attr_b: self.attr_b,
@@ -332,68 +340,66 @@ pub struct FinalizedEdgeSketch {
     eps: Epsilon,
     /// `k × m_A × m_B` restored counters.
     restored: Vec<f64>,
+    /// Each replica's coordinate-0 count `M[j, 0, 0]`, an exact integer.
+    counts: Vec<f64>,
     reports: u64,
 }
 
 impl FinalizedEdgeSketch {
     /// Restore the estimation view from an unscaled
-    /// [`spectrum`](EdgeSketchBuilder::spectrum) of `reports` reports: one de-bias multiply
-    /// per counter, no transform. [`EdgeSketchBuilder::finalize`] scales after the last
-    /// butterfly, so the view is bit-identical to finalizing a builder holding the same
+    /// [`spectrum`](EdgeSketchBuilder::spectrum) of `reports` reports and its replicas'
+    /// [coordinate-0 counts](EdgeSketchBuilder::coordinate_zero_counts): one de-bias
+    /// multiply per counter, no transform. [`EdgeSketchBuilder::finalize`] scales after the
+    /// last butterfly, so the view is bit-identical to finalizing a builder holding the same
     /// exact counters.
     ///
-    /// # Panics
-    /// Panics if `spectrum.len() ≠ k·m_A·m_B` for the attributes' families.
+    /// # Errors
+    /// [`Error::IncompatibleSketches`] if `spectrum` does not hold `k·m_A·m_B` entries or
+    /// `counts` does not hold `k`, for the attributes' families.
     pub fn from_spectrum(
         attr_a: Arc<RowHashes>,
         attr_b: Arc<RowHashes>,
         eps: Epsilon,
         reports: u64,
         spectrum: Vec<f64>,
-    ) -> Self {
-        assert_eq!(
-            spectrum.len(),
-            attr_a.rows() * attr_a.columns() * attr_b.columns(),
-            "spectrum length must be k*m_A*m_B"
-        );
-        let scale = attr_a.rows() as f64 * eps.c_eps();
-        FinalizedEdgeSketch {
+        counts: Vec<f64>,
+    ) -> Result<Self> {
+        let (k, width) = (attr_a.rows(), attr_a.columns() * attr_b.columns());
+        check_spectrum_lengths(k, width, spectrum.len(), counts.len())?;
+        let scale = k as f64 * eps.c_eps();
+        Ok(FinalizedEdgeSketch {
             restored: scaled(spectrum, scale),
+            counts,
             attr_a,
             attr_b,
             eps,
             reports,
-        }
+        })
     }
 
     /// [`FinalizedEdgeSketch::from_spectrum`] of a span of `reports` reports, given as two
-    /// wrapping `i32` prefix sums of spectra and fused into one pass like
+    /// wrapping `i32` ledger prefixes and fused into one pass like
     /// [`FinalizedSketch::from_spectrum_diff`](crate::server::FinalizedSketch::from_spectrum_diff):
     /// bit-identical to restoring the span's exact spectrum, without allocating it.
     ///
     /// # Errors
-    /// [`Error::InvalidWorkload`] if `reports` is 2³¹ or more, where the wrapped difference
-    /// could differ from the exact one.
-    ///
-    /// # Panics
-    /// Panics if the prefix lengths differ from `k·m_A·m_B` for the attributes' families.
+    /// [`Error::IncompatibleSketches`] if a prefix's spectrum does not hold `k·m_A·m_B`
+    /// entries or its counts `k`; [`Error::InvalidWorkload`] if `reports` is 2³¹ or more,
+    /// where the wrapped difference could differ from the exact one.
     pub fn from_spectrum_diff(
         attr_a: Arc<RowHashes>,
         attr_b: Arc<RowHashes>,
         eps: Epsilon,
         reports: u64,
-        last: &[i32],
-        base: &[i32],
+        last: SpectrumPrefix<'_>,
+        base: SpectrumPrefix<'_>,
     ) -> Result<Self> {
-        let len = attr_a.rows() * attr_a.columns() * attr_b.columns();
-        assert!(
-            last.len() == len && base.len() == len,
-            "spectra lengths must be k*m_A*m_B"
-        );
-        check_span_reports(reports)?;
-        let scale = attr_a.rows() as f64 * eps.c_eps();
+        let (k, width) = (attr_a.rows(), attr_a.columns() * attr_b.columns());
+        let scale = k as f64 * eps.c_eps();
+        let (restored, counts) = span_difference(last, base, (k, width), reports, scale)?;
         Ok(FinalizedEdgeSketch {
-            restored: scaled_difference(last, base, scale),
+            restored,
+            counts,
             attr_a,
             attr_b,
             eps,
@@ -430,6 +436,13 @@ impl FinalizedEdgeSketch {
     pub fn replica(&self, j: usize) -> &[f64] {
         let per = self.attr_a.columns() * self.attr_b.columns();
         &self.restored[j * per..(j + 1) * per]
+    }
+
+    /// Each replica's coordinate-0 count `M[j, 0, 0]`, read off the counters before the
+    /// restore (or taken from the span ledger).
+    #[inline]
+    pub fn coordinate_zero_counts(&self) -> &[f64] {
+        &self.counts
     }
 }
 
@@ -671,55 +684,89 @@ mod tests {
     #[test]
     fn edge_spectrum_prefix_sums_restore_bit_identically() {
         // The edge counterpart of the plain span-ledger law: `from_spectrum` of summed window
-        // spectra, and the fused `from_spectrum_diff` of two wrapping `i32` prefixes, equal
-        // `finalize` of one builder that absorbed the covered windows, bit for bit.
-        // `finalize` runs the fused scaled FWHT and the spectrum path scales separately, so
-        // this pins their agreement; the seal law (`from_spectrum` of one window) rides
-        // along. Widths 16, 128 and 1024 run the portable tier and the widest one the host
-        // dispatches.
+        // spectra and counts, and the fused `from_spectrum_diff` of two wrapping `i32`
+        // prefixes, equal `finalize` of one builder that absorbed the covered windows, bit
+        // for bit, restored counters and coordinate-0 counts alike. `finalize` runs the
+        // fused scaled FWHT and the spectrum path scales separately, so this pins their
+        // agreement; the seal law (`from_spectrum` of one window) rides along. Widths 16, 128
+        // and 1024 run the portable tier and the widest one the host dispatches.
+        let view_bits = |view: &FinalizedEdgeSketch| {
+            let mut all = bits(&view.restored);
+            all.extend(bits(view.coordinate_zero_counts()));
+            all
+        };
         for (ma, mb) in [(2, 8), (16, 8), (32, 32)] {
             let (a, b) = (family(3, 5, ma), family(4, 5, mb));
             let batches: Vec<ReportBatch> =
                 (0..4).map(|i| edge_batch(&a, &b, 3_000, 40 + i)).collect();
-            let restore = |reports, spectrum| {
+            let restore = |reports, spectrum, counts| {
                 FinalizedEdgeSketch::from_spectrum(
                     a.clone(),
                     b.clone(),
                     eps(2.0),
                     reports,
                     spectrum,
+                    counts,
                 )
+                .unwrap()
             };
-            // Cumulative spectra in `f64`, and as the service ledger keeps them: wrapping `i32`.
-            let len = 5 * ma * mb;
-            let mut prefixes = vec![(vec![0.0; len], vec![0i32; len], 0u64)];
-            for batch in &batches {
-                let window = absorbed(&a, &b, batch);
-                let (mut spec, reports) = (window.spectrum(), window.reports());
-                let sealed = restore(reports, spec.clone());
-                assert_eq!(bits(&sealed.restored), bits(&window.finalize().restored));
-                let (last, last_wrapped, last_reports) = prefixes.last().unwrap();
-                let wrapped = (spec.iter().zip(last_wrapped))
-                    .map(|(&v, &l)| l.wrapping_add((v as i64) as i32))
-                    .collect();
-                spec.iter_mut().zip(last).for_each(|(s, l)| *s += l);
-                let reports = reports + last_reports;
-                prefixes.push((spec, wrapped, reports));
-            }
-            let (last, last_wrapped, last_reports) = prefixes.last().unwrap();
-            for start in 0..batches.len() {
-                let (base, base_wrapped, base_reports) = &prefixes[start];
-                let reports = last_reports - base_reports;
-                let summed = restore(reports, last.iter().zip(base).map(|(l, b)| l - b).collect());
-                let fused = FinalizedEdgeSketch::from_spectrum_diff(
+            let diff = |reports, last, base| {
+                FinalizedEdgeSketch::from_spectrum_diff(
                     a.clone(),
                     b.clone(),
                     eps(2.0),
                     reports,
-                    last_wrapped,
-                    base_wrapped,
+                    last,
+                    base,
                 )
-                .unwrap();
+            };
+            // Cumulative spectra and counts in `f64`, and as the service ledger keeps them:
+            // wrapping `i32`.
+            let zero = |len| (vec![0.0; len], vec![0i32; len]);
+            let add = |(exact, wrapped): &(Vec<f64>, Vec<i32>), window: &[f64]| {
+                let exact = exact.iter().zip(window).map(|(a, v)| a + v).collect();
+                let wrapped = (wrapped.iter().zip(window))
+                    .map(|(&l, &v)| l.wrapping_add((v as i64) as i32))
+                    .collect();
+                (exact, wrapped)
+            };
+            let mut prefixes = vec![(zero(5 * ma * mb), zero(5), 0u64)];
+            for batch in &batches {
+                let window = absorbed(&a, &b, batch);
+                let (spec, counts) = (window.spectrum(), window.coordinate_zero_counts());
+                let reports = window.reports();
+                let sealed = restore(reports, spec.clone(), counts.clone());
+                assert_eq!(view_bits(&sealed), view_bits(&window.finalize()));
+                let (last_spec, last_counts, last_reports) = prefixes.last().unwrap();
+                let next = (
+                    add(last_spec, &spec),
+                    add(last_counts, &counts),
+                    reports + last_reports,
+                );
+                prefixes.push(next);
+            }
+            let ((last, last_wrapped), (last_counts, last_counts_wrapped), last_reports) =
+                prefixes.last().unwrap();
+            let last_prefix = SpectrumPrefix {
+                spectrum: last_wrapped,
+                counts: last_counts_wrapped,
+            };
+            for start in 0..batches.len() {
+                let ((base, base_wrapped), (base_counts, base_counts_wrapped), base_reports) =
+                    &prefixes[start];
+                let reports = last_reports - base_reports;
+                let difference =
+                    |l: &[f64], b: &[f64]| l.iter().zip(b).map(|(l, b)| l - b).collect();
+                let summed = restore(
+                    reports,
+                    difference(last, base),
+                    difference(last_counts, base_counts),
+                );
+                let base_prefix = SpectrumPrefix {
+                    spectrum: base_wrapped,
+                    counts: base_counts_wrapped,
+                };
+                let fused = diff(reports, last_prefix, base_prefix).unwrap();
                 let mut merged = EdgeSketchBuilder::new(a.clone(), b.clone(), eps(2.0)).unwrap();
                 for batch in &batches[start..] {
                     merged.absorb_batch(batch).unwrap();
@@ -728,20 +775,68 @@ mod tests {
                 for view in [&summed, &fused] {
                     assert_eq!(view.reports(), reference.reports());
                     let at = format!("({ma}, {mb}) start={start}");
-                    assert_eq!(bits(&view.restored), bits(&reference.restored), "{at}");
+                    assert_eq!(view_bits(view), view_bits(&reference), "{at}");
                 }
             }
             // A span of 2³¹ reports could have wrapped, so it is refused, not restored.
-            let past = FinalizedEdgeSketch::from_spectrum_diff(
-                a.clone(),
-                b.clone(),
-                eps(2.0),
-                1 << 31,
-                last_wrapped,
-                last_wrapped,
-            );
+            let past = diff(1 << 31, last_prefix, last_prefix);
             assert!(matches!(past, Err(Error::InvalidWorkload(_))));
         }
+    }
+
+    #[test]
+    fn edge_from_spectrum_rejects_a_mis_sized_spectrum_or_count_slice() {
+        let (a, b) = (family(3, 4, 8), family(4, 4, 4));
+        let view = |spectrum: usize, counts: usize| {
+            let (spectrum, counts) = (vec![0.0; spectrum], vec![0.0; counts]);
+            FinalizedEdgeSketch::from_spectrum(a.clone(), b.clone(), eps(2.0), 0, spectrum, counts)
+        };
+        // 4 replicas of 8·4 counters: 128 entries and 4 counts; 4·8·8 = 256 is the square
+        // shape of the wider family.
+        for (spectrum, counts) in [(127, 4), (129, 4), (256, 4), (128, 3), (128, 5), (128, 0)] {
+            assert!(
+                matches!(view(spectrum, counts), Err(Error::IncompatibleSketches(_))),
+                "{spectrum} entries, {counts} counts"
+            );
+        }
+        assert!(view(128, 4).unwrap().replica(3).iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn edge_from_spectrum_diff_rejects_a_mis_sized_prefix_or_count_slice() {
+        let (a, b) = (family(3, 4, 8), family(4, 4, 4));
+        let (spectrum, counts) = (vec![0i32; 128], vec![0i32; 4]);
+        let good = SpectrumPrefix {
+            spectrum: &spectrum,
+            counts: &counts,
+        };
+        let (short, long) = (vec![0i32; 127], vec![0i32; 5]);
+        let bad = [
+            SpectrumPrefix {
+                spectrum: &short,
+                counts: &counts,
+            },
+            SpectrumPrefix {
+                spectrum: &spectrum,
+                counts: &long,
+            },
+            SpectrumPrefix {
+                spectrum: &spectrum,
+                counts: &short[..3],
+            },
+        ];
+        let view = |last, base| {
+            FinalizedEdgeSketch::from_spectrum_diff(a.clone(), b.clone(), eps(2.0), 0, last, base)
+        };
+        for prefix in bad {
+            for (last, base) in [(prefix, good), (good, prefix)] {
+                assert!(matches!(
+                    view(last, base),
+                    Err(Error::IncompatibleSketches(_))
+                ));
+            }
+        }
+        assert!(view(good, good).is_ok());
     }
 
     #[test]

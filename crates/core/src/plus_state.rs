@@ -711,6 +711,7 @@ mod tests {
         for windows in [1usize, 2, 4, 7] {
             let per = batches.len().div_ceil(windows);
             let mut spectra = shapes.map(|_| vec![0.0; params().counters()]);
+            let mut counts = shapes.map(|_| vec![0.0; params().rows()]);
             let mut reports = [0u64; 3];
             for part in batches.chunks(per) {
                 let mut w = PlusStateBuilder::new(params(), eps(), 9);
@@ -722,6 +723,9 @@ mod tests {
                     for (sum, v) in spectra[l].iter_mut().zip(lane.spectrum()) {
                         *sum += v;
                     }
+                    for (sum, c) in counts[l].iter_mut().zip(lane.coordinate_zero_counts()) {
+                        *sum += c;
+                    }
                     reports[l] += lane.reports();
                 }
             }
@@ -732,7 +736,9 @@ mod tests {
                     Arc::clone(shape.hashes()),
                     reports[l],
                     std::mem::take(&mut spectra[l]),
+                    std::mem::take(&mut counts[l]),
                 )
+                .unwrap()
             });
             let merged =
                 FinalizedPlusState::new(phase1, low, high, policy, Candidates::Slice(&domain))
@@ -751,6 +757,13 @@ mod tests {
                 merged.high().restored_counters(),
                 reference.high().restored_counters()
             );
+            for (got, want) in [
+                (merged.phase1(), reference.phase1()),
+                (merged.low(), reference.low()),
+                (merged.high(), reference.high()),
+            ] {
+                assert_eq!(got.coordinate_zero_counts(), want.coordinate_zero_counts());
+            }
             assert_eq!(merged.frequent_items(), reference.frequent_items());
             assert_eq!(merged.threshold(), reference.threshold());
         }

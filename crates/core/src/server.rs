@@ -20,7 +20,9 @@
 //!   `c_ε = (e^ε+1)/(e^ε−1)` undoes the randomized response) and pushes each row back
 //!   through the fast Walsh–Hadamard transform **once**; every estimator then *borrows* the
 //!   restored counters as `&[f64]` — no estimator call clones or recomputes the `k×m`
-//!   matrix.
+//!   matrix. The view also keeps each row's coordinate-0 count `raw[j,0]`: every Hadamard
+//!   row but the first sums to zero, so a restored row's total is `k·c_ε·m·raw[j,0]`, and
+//!   no estimator sums a row to learn it.
 //!
 //! The restored sketch behaves like a noisy fast-AGMS sketch of the users' values:
 //! * `median_j Σ_x M_A[j,x]·M_B[j,x]` estimates the join size (Theorem 3),
@@ -192,18 +194,32 @@ impl SketchBuilder {
     pub fn spectrum(&self) -> Vec<f64> {
         spectrum_rows(self.raw.clone(), self.hashes.columns())
     }
+
+    /// Each row's coordinate-0 count `raw[j,0]`, the exact report sum a view of these
+    /// counters carries beside its [`spectrum`](SketchBuilder::spectrum) (see
+    /// [`FinalizedSketch::coordinate_zero_counts`]): `k` loads, no pass over the rows.
+    pub fn coordinate_zero_counts(&self) -> Vec<f64> {
+        coordinate_zero(&self.raw, self.hashes.columns())
+    }
 }
 
 /// The single de-bias + Hadamard restore pipeline shared by [`SketchBuilder::finalize`] and
-/// [`SketchBuilder::finalize_view`].
+/// [`SketchBuilder::finalize_view`]. The coordinate-0 counts are read before the transform.
 fn restore(eps: Epsilon, hashes: Arc<RowHashes>, raw: Vec<f64>, reports: u64) -> FinalizedSketch {
-    let scale = hashes.rows() as f64 * eps.c_eps();
+    let (m, scale) = (hashes.columns(), hashes.rows() as f64 * eps.c_eps());
     FinalizedSketch {
-        restored: restored_rows(raw, hashes.columns(), scale),
+        counts: coordinate_zero(&raw, m),
+        restored: restored_rows(raw, m, scale),
         eps,
         hashes,
         reports,
     }
+}
+
+/// Each `width`-long row's coordinate-0 entry `raw[j·width]`: `k` loads, no pass.
+#[inline]
+pub(crate) fn coordinate_zero(raw: &[f64], width: usize) -> Vec<f64> {
+    raw.iter().step_by(width).copied().collect()
 }
 
 /// The unscaled spectrum of exact counters: every `width`-long row through the FWHT, no
@@ -243,34 +259,83 @@ pub(crate) fn scaled(mut spectrum: Vec<f64>, scale: f64) -> Vec<f64> {
 /// [`scaled`] of the span difference `last − base` of two wrapping `i32` ledger prefixes,
 /// fused into one pass: each entry is `f64::from(last.wrapping_sub(base))·scale`. The
 /// wrapping difference is the exact difference modulo 2³², and the caller has checked the
-/// span's report count ([`check_span_reports`]), so it is the exact integer difference and
+/// span's report count ([`span_difference`]), so it is the exact integer difference and
 /// the single multiply lands on the value [`scaled`] of the materialized `f64` difference
 /// gives, without allocating it.
 #[inline]
-pub(crate) fn scaled_difference(last: &[i32], base: &[i32], scale: f64) -> Vec<f64> {
+fn scaled_difference(last: &[i32], base: &[i32], scale: f64) -> Vec<f64> {
     last.iter()
         .zip(base)
         .map(|(&l, &b)| f64::from(l.wrapping_sub(b)) * scale)
         .collect()
 }
 
-/// Reject a span lane of `2³¹` or more reports, whose spectrum a wrapping `i32` ledger
-/// difference could not restore exactly.
-///
-/// A report adds `±1` to one counter of its row, and the FWHT adds and subtracts a row's
-/// counters, so every entry of a span's spectrum lies within `±reports`. Below `2³¹` reports
-/// the difference of two `i32` prefixes taken modulo 2³² is therefore the exact one.
+/// One end of a span in a lane of the online service's span ledger: the prefix sums,
+/// modulo 2³² as wrapping `i32`, of the covered windows' unscaled spectra (`k` rows of the
+/// lane's width) and of their rows' coordinate-0 counts (`k`). A span's view is restored
+/// from two of them, the newest prefix and the one just before the span
+/// ([`FinalizedSketch::from_spectrum_diff`]).
+#[derive(Debug, Clone, Copy)]
+pub struct SpectrumPrefix<'a> {
+    /// The prefix sum of unscaled spectra, row-major.
+    pub spectrum: &'a [i32],
+    /// The prefix sum of coordinate-0 counts, one per row.
+    pub counts: &'a [i32],
+}
+
+/// Reject a spectrum of `spectrum` entries or a count slice of `counts` entries that does
+/// not fit a view of `rows` rows `width` wide.
 ///
 /// # Errors
+/// [`Error::IncompatibleSketches`] on either length mismatch.
+pub(crate) fn check_spectrum_lengths(
+    rows: usize,
+    width: usize,
+    spectrum: usize,
+    counts: usize,
+) -> Result<()> {
+    if spectrum != rows * width || counts != rows {
+        return Err(Error::IncompatibleSketches(format!(
+            "a {rows}x{width} view takes {} spectrum entries and {rows} coordinate-0 counts, \
+             got {spectrum} and {counts}",
+            rows * width
+        )));
+    }
+    Ok(())
+}
+
+/// The restored counters and coordinate-0 counts of the span `last − base` of `reports`
+/// reports, for a view of `rows` rows `width` wide: [`scaled_difference`] of the spectra,
+/// and the counts' wrapped difference (a scale of 1 is exact).
+///
+/// A report adds `±1` to one counter of its row, and the FWHT adds and subtracts a row's
+/// counters, so every entry of a span's spectrum, and every count, lies within `±reports`.
+/// Below `2³¹` reports the difference of two `i32` prefixes taken modulo 2³² is therefore
+/// the exact one.
+///
+/// # Errors
+/// [`Error::IncompatibleSketches`] if a prefix does not fit the view;
 /// [`Error::InvalidWorkload`] if `reports` does not fit an `i32`.
-pub(crate) fn check_span_reports(reports: u64) -> Result<()> {
+pub(crate) fn span_difference(
+    last: SpectrumPrefix<'_>,
+    base: SpectrumPrefix<'_>,
+    (rows, width): (usize, usize),
+    reports: u64,
+    scale: f64,
+) -> Result<(Vec<f64>, Vec<f64>)> {
+    for end in [last, base] {
+        check_spectrum_lengths(rows, width, end.spectrum.len(), end.counts.len())?;
+    }
     if i32::try_from(reports).is_err() {
         return Err(Error::InvalidWorkload(format!(
             "a span lane of {reports} reports is past the 2^31 - 1 an i32 span ledger restores \
              exactly"
         )));
     }
-    Ok(())
+    Ok((
+        scaled_difference(last.spectrum, base.spectrum, scale),
+        scaled_difference(last.counts, base.counts, 1.0),
+    ))
 }
 
 /// Lanes of [`lane_sum`].
@@ -325,69 +390,68 @@ pub struct FinalizedSketch {
     hashes: Arc<RowHashes>,
     /// Restored counters (`raw·k·c_ε · H_mᵀ` per row), row-major `k × m`.
     restored: Vec<f64>,
+    /// Each row's coordinate-0 count `raw[j,0]`, an exact integer.
+    counts: Vec<f64>,
     reports: u64,
 }
 
 impl FinalizedSketch {
-    /// Rebuild the estimation view from a precomputed **unscaled** spectrum (the online
-    /// service seals each window's view this way from the [`SketchBuilder::spectrum`] its
-    /// span ledger keeps): applies the same single de-bias multiply per counter as the
-    /// builder restore, which scales after the last butterfly, so the result is
-    /// **bit-identical** to finalizing a builder holding the same exact counters — without
-    /// running any Hadamard transform.
+    /// Rebuild the estimation view from a precomputed **unscaled** spectrum and its rows'
+    /// coordinate-0 counts (the online service seals each window's view this way from the
+    /// [`SketchBuilder::spectrum`] and [`SketchBuilder::coordinate_zero_counts`] its span
+    /// ledger keeps): applies the same single de-bias multiply per counter as the builder
+    /// restore, which scales after the last butterfly, so the result is **bit-identical**
+    /// to finalizing a builder holding the same exact counters — without running any
+    /// Hadamard transform.
     ///
-    /// # Panics
-    /// Panics if `spectrum.len() != k·m` for the family's shape.
+    /// # Errors
+    /// [`Error::IncompatibleSketches`] if `spectrum` does not hold `k·m` entries or
+    /// `counts` does not hold `k`, for the family's shape.
     pub fn from_spectrum(
         eps: Epsilon,
         hashes: Arc<RowHashes>,
         reports: u64,
         spectrum: Vec<f64>,
-    ) -> Self {
-        assert_eq!(
-            spectrum.len(),
-            hashes.params().counters(),
-            "spectrum length must be k*m"
-        );
-        let scale = hashes.rows() as f64 * eps.c_eps();
-        FinalizedSketch {
+        counts: Vec<f64>,
+    ) -> Result<Self> {
+        let (k, m) = (hashes.rows(), hashes.columns());
+        check_spectrum_lengths(k, m, spectrum.len(), counts.len())?;
+        let scale = k as f64 * eps.c_eps();
+        Ok(FinalizedSketch {
             restored: scaled(spectrum, scale),
+            counts,
             eps,
             hashes,
             reports,
-        }
+        })
     }
 
     /// [`FinalizedSketch::from_spectrum`] of a span of `reports` reports, given as two
-    /// prefix sums of unscaled spectra kept as wrapping `i32` (modulo 2³², as the online
-    /// service's span ledger keeps them), fused into one pass: each restored counter is
-    /// `f64::from(last[i].wrapping_sub(base[i]))·k·c_ε`. Every entry of a span's spectrum
-    /// lies within ±`reports`, so below 2³¹ reports that difference is the span's exact
-    /// spectrum, and the view is bit-identical to [`FinalizedSketch::from_spectrum`] of the
-    /// materialized `f64` difference, without allocating it.
+    /// ledger prefixes kept as wrapping `i32` (modulo 2³², as the online service's span
+    /// ledger keeps them), fused into one pass: each restored counter is
+    /// `f64::from(last[i].wrapping_sub(base[i]))·k·c_ε`, and each count the wrapped
+    /// difference of the prefixes' counts. Every entry of a span's spectrum, and every
+    /// count, lies within ±`reports`, so below 2³¹ reports those differences are the span's
+    /// exact ones, and the view is bit-identical to [`FinalizedSketch::from_spectrum`] of
+    /// the materialized `f64` differences, without allocating them.
     ///
     /// # Errors
-    /// [`Error::InvalidWorkload`] if `reports` is 2³¹ or more: the wrapped difference could
-    /// then differ from the exact one, and no view is built.
-    ///
-    /// # Panics
-    /// Panics if the prefix lengths differ from `k·m` for the family's shape.
+    /// [`Error::IncompatibleSketches`] if a prefix's spectrum does not hold `k·m` entries or
+    /// its counts `k`; [`Error::InvalidWorkload`] if `reports` is 2³¹ or more: the wrapped
+    /// difference could then differ from the exact one, and no view is built.
     pub fn from_spectrum_diff(
         eps: Epsilon,
         hashes: Arc<RowHashes>,
         reports: u64,
-        last: &[i32],
-        base: &[i32],
+        last: SpectrumPrefix<'_>,
+        base: SpectrumPrefix<'_>,
     ) -> Result<Self> {
-        let len = hashes.params().counters();
-        assert!(
-            last.len() == len && base.len() == len,
-            "spectra lengths must be k*m"
-        );
-        check_span_reports(reports)?;
-        let scale = hashes.rows() as f64 * eps.c_eps();
+        let (k, m) = (hashes.rows(), hashes.columns());
+        let scale = k as f64 * eps.c_eps();
+        let (restored, counts) = span_difference(last, base, (k, m), reports, scale)?;
         Ok(FinalizedSketch {
-            restored: scaled_difference(last, base, scale),
+            restored,
+            counts,
             eps,
             hashes,
             reports,
@@ -429,6 +493,25 @@ impl FinalizedSketch {
     pub fn row(&self, j: usize) -> &[f64] {
         let m = self.hashes.columns();
         &self.restored[j * m..(j + 1) * m]
+    }
+
+    /// Each row's coordinate-0 count `raw[j,0]`, the exact report sum at Hadamard
+    /// coordinate 0, read off the counters before the restore (or taken from the span
+    /// ledger).
+    #[inline]
+    pub fn coordinate_zero_counts(&self) -> &[f64] {
+        &self.counts
+    }
+
+    /// Each restored row's total `Σ_x M[j,x] = k·c_ε·m·raw[j,0]`, in row order.
+    ///
+    /// Row `j` restores to `k·c_ε·raw[j,·]·H_m`, and every Hadamard row but the first sums
+    /// to zero, so the total is the coordinate-0 count times `k·c_ε·m`: one rounding, since
+    /// multiplying by the power of two `m` is exact. The rounded counters' own sum differs
+    /// from it only by their roundings.
+    fn row_totals(&self) -> impl Iterator<Item = f64> + '_ {
+        let per_count = self.hashes.rows() as f64 * self.eps.c_eps() * self.hashes.columns() as f64;
+        self.counts.iter().map(move |&c| per_count * c)
     }
 
     /// Per-row inner products with another sketch, optionally shifting every counter of each
@@ -478,17 +561,19 @@ impl FinalizedSketch {
     /// extra variance term from the centered signed target sums (`Σ_v f_v ξ_j(v)`, removed
     /// at weight `1/m`), which the collision-masked product
     /// ([`FinalizedSketch::row_products_masked`]) avoids for the high-frequency group.
+    ///
+    /// The row means come from the rows' coordinate-0 counts, so the one pass per row is
+    /// the centered product itself.
     pub fn row_products_centered(&self, other: &Self) -> Result<Vec<f64>> {
         self.hashes.check_same_family(&other.hashes, "join")?;
-        let (k, m) = (self.hashes.rows(), self.hashes.columns());
-        let mf = m as f64;
-        Ok((0..k)
-            .map(|j| {
-                let ra = self.row(j);
-                let rb = other.row(j);
-                let mean_a = lane_sum(ra, ra, |v, _| v) / mf;
-                let mean_b = lane_sum(rb, rb, |v, _| v) / mf;
-                let centered = lane_sum(ra, rb, |a, b| (a - mean_a) * (b - mean_b));
+        let mf = self.hashes.columns() as f64;
+        Ok((self.row_totals().zip(other.row_totals()))
+            .enumerate()
+            .map(|(j, (total_a, total_b))| {
+                let (mean_a, mean_b) = (total_a / mf, total_b / mf);
+                let centered = lane_sum(self.row(j), other.row(j), |a, b| {
+                    (a - mean_a) * (b - mean_b)
+                });
                 centered / (1.0 - 1.0 / mf)
             })
             .collect())
@@ -507,13 +592,16 @@ impl FinalizedSketch {
     /// when two distinct target values share a bucket in that row, which the caller can use
     /// to drop the (rare, publicly detectable) collision outliers before combining rows.
     /// With an empty target set every product is `0` (there is no target signal to sum).
+    /// A row's non-target total is its total, from its coordinate-0 count, minus its `|S_j|`
+    /// targeted counters, so the work per row is `O(|S_j|)`.
     pub fn row_products_masked(&self, other: &Self, targets: &[u64]) -> Result<Vec<(f64, bool)>> {
         self.hashes.check_same_family(&other.hashes, "join")?;
-        let (k, m) = (self.hashes.rows(), self.hashes.columns());
+        let m = self.hashes.columns();
         let mut in_s = vec![false; m];
         let mut s_buckets: Vec<usize> = Vec::with_capacity(targets.len());
-        Ok((0..k)
-            .map(|j| {
+        Ok((self.row_totals().zip(other.row_totals()))
+            .enumerate()
+            .map(|(j, (total_a, total_b))| {
                 let pair = self.hashes.pair(j);
                 s_buckets.clear();
                 let mut collision_free = true;
@@ -532,8 +620,6 @@ impl FinalizedSketch {
                 s_buckets.sort_unstable();
                 let ra = self.row(j);
                 let rb = other.row(j);
-                // The non-S total is the full-row sum minus the |S| targeted buckets —
-                // O(|S|) corrections instead of an m-long masked scan.
                 let (mut s_sum_a, mut s_sum_b) = (0.0f64, 0.0f64);
                 for &b in s_buckets.iter() {
                     s_sum_a += ra[b];
@@ -543,8 +629,7 @@ impl FinalizedSketch {
                 // With every bucket targeted there is no noise-only bucket left to estimate
                 // the uniform level from; fall back to zero shift (all signal buckets).
                 let (u_a, u_b) = if free > 0.0 {
-                    let sum = |r| lane_sum(r, r, |v, _| v);
-                    ((sum(ra) - s_sum_a) / free, (sum(rb) - s_sum_b) / free)
+                    ((total_a - s_sum_a) / free, (total_b - s_sum_b) / free)
                 } else {
                     (0.0, 0.0)
                 };
@@ -935,6 +1020,19 @@ mod tests {
             .collect()
     }
 
+    /// The bits of a view's restored counters, its coordinate-0 counts, and the centered and
+    /// masked self-products (over the targets `0..8`) its row totals feed.
+    fn view_bits(view: &FinalizedSketch) -> Vec<u64> {
+        let targets: Vec<u64> = (0..8).collect();
+        let masked = view.row_products_masked(view, &targets).unwrap();
+        (view.restored_counters().iter())
+            .chain(view.coordinate_zero_counts())
+            .chain(&view.row_products_centered(view).unwrap())
+            .chain(masked.iter().map(|(product, _)| product))
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
     fn build_sketch(
         values: &[u64],
         p: SketchParams,
@@ -1181,7 +1279,13 @@ mod tests {
         for (j, pair) in hashes.iter().enumerate() {
             spectrum[j * 2 + pair.bucket_of(0)] = pair.sign_of(0) as f64;
         }
-        let sketch = FinalizedSketch::from_spectrum(eps(10.0), hashes, 1, spectrum);
+        // Each row's spectrum sums to ±1, so its coordinate-0 count is ±1/m.
+        let counts = hashes
+            .iter()
+            .map(|pair| pair.sign_of(0) as f64 / 2.0)
+            .collect();
+        let sketch =
+            FinalizedSketch::from_spectrum(eps(10.0), hashes, 1, spectrum, counts).unwrap();
         let domain: Vec<u64> = (0..6).collect();
         let index = DomainIndex::new(sketch.hashes(), Arc::new(domain.clone()));
         let threshold = 0.5 * sketch.frequency_median(0);
@@ -1219,47 +1323,72 @@ mod tests {
                 batches.push(batch);
                 windows.push(b);
             }
-            let bits = |s: &FinalizedSketch| {
-                s.restored_counters()
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>()
+            // Cumulative spectra and coordinate-0 counts in `f64`, and as the service ledger
+            // keeps them: wrapping `i32`, starting from the zero origin.
+            let zero = |len| (vec![0.0; len], vec![0i32; len]);
+            let mut prefixes = vec![(zero(p.counters()), zero(p.rows()), 0u64)];
+            let add = |(exact, wrapped): &(Vec<f64>, Vec<i32>), window: &[f64]| {
+                let exact = exact.iter().zip(window).map(|(a, v)| a + v).collect();
+                let wrapped = (wrapped.iter().zip(window))
+                    .map(|(&l, &v)| l.wrapping_add((v as i64) as i32))
+                    .collect();
+                (exact, wrapped)
             };
-            // Cumulative spectra in `f64`, and as the service ledger keeps them: wrapping
-            // `i32`, starting from the zero origin.
-            let mut prefixes = vec![(vec![0.0; p.counters()], vec![0i32; p.counters()], 0u64)];
             for w in &windows {
-                let (mut spec, reports) = (w.spectrum(), w.reports());
+                let (spec, counts, reports) =
+                    (w.spectrum(), w.coordinate_zero_counts(), w.reports());
                 let sealed = FinalizedSketch::from_spectrum(
                     e,
                     Arc::clone(w.hashes()),
                     reports,
                     spec.clone(),
+                    counts.clone(),
+                )
+                .unwrap();
+                assert_eq!(
+                    view_bits(&sealed),
+                    view_bits(&w.finalize_view()),
+                    "m={m}: seal"
                 );
-                assert_eq!(bits(&sealed), bits(&w.finalize_view()), "m={m}: seal");
-                let (last, last_wrapped, last_reports) = prefixes.last().unwrap();
-                let wrapped = (spec.iter().zip(last_wrapped))
-                    .map(|(&v, &l)| l.wrapping_add((v as i64) as i32))
-                    .collect();
-                for (s, l) in spec.iter_mut().zip(last) {
-                    *s += l;
-                }
-                let reports = reports + last_reports;
-                prefixes.push((spec, wrapped, reports));
+                let (last_spec, last_counts, last_reports) = prefixes.last().unwrap();
+                let next = (
+                    add(last_spec, &spec),
+                    add(last_counts, &counts),
+                    reports + last_reports,
+                );
+                prefixes.push(next);
             }
-            let (last, last_wrapped, last_reports) = prefixes.last().unwrap();
+            let ((last, last_wrapped), (last_counts, last_counts_wrapped), last_reports) =
+                prefixes.last().unwrap();
+            let last_prefix = SpectrumPrefix {
+                spectrum: last_wrapped,
+                counts: last_counts_wrapped,
+            };
             for start in 0..windows.len() {
-                let (base, base_wrapped, base_reports) = &prefixes[start];
+                let ((base, base_wrapped), (base_counts, base_counts_wrapped), base_reports) =
+                    &prefixes[start];
                 let reports = last_reports - base_reports;
                 let hashes = || Arc::clone(windows[0].hashes());
-                let spec = last.iter().zip(base).map(|(a, b)| a - b).collect();
-                let summed = FinalizedSketch::from_spectrum(e, hashes(), reports, spec);
+                let difference =
+                    |l: &[f64], b: &[f64]| l.iter().zip(b).map(|(l, b)| l - b).collect();
+                let summed = FinalizedSketch::from_spectrum(
+                    e,
+                    hashes(),
+                    reports,
+                    difference(last, base),
+                    difference(last_counts, base_counts),
+                )
+                .unwrap();
+                let base_prefix = SpectrumPrefix {
+                    spectrum: base_wrapped,
+                    counts: base_counts_wrapped,
+                };
                 let fused = FinalizedSketch::from_spectrum_diff(
                     e,
                     hashes(),
                     reports,
-                    last_wrapped,
-                    base_wrapped,
+                    last_prefix,
+                    base_prefix,
                 )
                 .unwrap();
                 let mut scratch = SketchBuilder::new(p, e, 7);
@@ -1269,13 +1398,17 @@ mod tests {
                 let reference = scratch.finalize();
                 for assembled in [&summed, &fused] {
                     assert_eq!(assembled.reports(), reference.reports());
-                    assert_eq!(bits(assembled), bits(&reference), "m={m} start={start}");
+                    assert_eq!(
+                        view_bits(assembled),
+                        view_bits(&reference),
+                        "m={m} start={start}"
+                    );
                 }
             }
             // A span of 2³¹ reports could have wrapped, so it is refused, not restored.
             let hashes = Arc::clone(windows[0].hashes());
             let past =
-                FinalizedSketch::from_spectrum_diff(e, hashes, 1 << 31, last_wrapped, last_wrapped);
+                FinalizedSketch::from_spectrum_diff(e, hashes, 1 << 31, last_prefix, last_prefix);
             assert!(matches!(past, Err(Error::InvalidWorkload(_))), "m={m}");
         }
     }
@@ -1542,23 +1675,46 @@ mod tests {
 
     #[test]
     fn centered_products_remove_uniform_mass_without_knowing_it() {
-        // Shift both sketches' counters by arbitrary constants (uniform mass); the centered
+        // Shift both sketches' rows by uniform mass through the public path: a report at
+        // Hadamard coordinate 0 adds its sign to `raw[j,0]`, and the first Hadamard row is all
+        // ones, so it moves every restored counter of row `j` by `±k·c_ε`. The centered
         // product must be unchanged, unlike the raw product. This is the property that makes
         // the plus estimator immune to the phase-1 mass-estimate error.
         let p = params(8, 128);
         let e = eps(6.0);
         let a = skewed_stream(30_000, 400, 1);
         let b = skewed_stream(30_000, 400, 2);
-        let sa = build_sketch(&a, p, e, 5, 3);
-        let sb = build_sketch(&b, p, e, 5, 4);
+        // The sketch of `values` plus `extra(j)` reports of sign `y` at coordinate 0 of row j.
+        let sketch = |values: &[u64], rng_seed, y: f64, extra: &dyn Fn(usize) -> usize| {
+            let client = LdpJoinSketchClient::new(p, e, 5);
+            let batch = client
+                .perturb_batch(values, &mut StdRng::seed_from_u64(rng_seed))
+                .unwrap();
+            let mut builder = SketchBuilder::new(p, e, 5);
+            builder.absorb_batch(&batch).unwrap();
+            for row in 0..p.rows() {
+                for _ in 0..extra(row) {
+                    builder.absorb(ClientReport { y, row, col: 0 }).unwrap();
+                }
+            }
+            builder.finalize()
+        };
+        let (sa, sb) = (sketch(&a, 3, 1.0, &|_| 0), sketch(&b, 4, 1.0, &|_| 0));
         let base = sa.row_products_centered(&sb).unwrap();
-        let mut sa_shifted = sa.clone();
-        let mut sb_shifted = sb.clone();
-        for v in sa_shifted.restored.iter_mut() {
-            *v += 1234.5;
-        }
-        for v in sb_shifted.restored.iter_mut() {
-            *v -= 777.25;
+        // At k·c_ε ≈ 8.04, about +1,200 on every counter of A and −780 on every counter of
+        // B, a little more in each later row.
+        let (extra_a, extra_b) = (|j: usize| 150 + 7 * j, |j: usize| 97 + 3 * j);
+        let sa_shifted = sketch(&a, 3, 1.0, &extra_a);
+        let sb_shifted = sketch(&b, 4, -1.0, &extra_b);
+        let per_report = p.rows() as f64 * e.c_eps();
+        for (j, (before, after)) in (0..p.rows())
+            .map(|j| (sa.row(j), sa_shifted.row(j)))
+            .enumerate()
+        {
+            let shift = extra_a(j) as f64 * per_report;
+            for (x, y) in before.iter().zip(after) {
+                assert!((y - x - shift).abs() < 1e-9 * shift, "row {j}: {x} -> {y}");
+            }
         }
         let shifted = sa_shifted.row_products_centered(&sb_shifted).unwrap();
         for (x, y) in base.iter().zip(&shifted) {
@@ -1574,6 +1730,198 @@ mod tests {
             (est - truth).abs() / truth < 0.3,
             "centered estimate {est} vs truth {truth}"
         );
+    }
+
+    #[test]
+    fn restored_row_totals_are_the_scaled_coordinate_zero_counts() {
+        // Every Hadamard row but the first sums to zero, so a restored row sums to
+        // k·c_ε·m·raw[j,0]. A sum of m rounded counters errs in proportion to the mass it
+        // adds, not to its result, so the tolerance is relative to the row's ℓ1 mass.
+        for (seed, (k, m)) in (1u64..).zip([(1usize, 2usize), (4, 16), (18, 1024)]) {
+            let p = params(k, m);
+            let e = eps(3.0);
+            let client = LdpJoinSketchClient::new(p, e, seed);
+            let values = skewed_stream(50_000, 300, seed);
+            let mut builder = SketchBuilder::new(p, e, seed);
+            let batch = client
+                .perturb_batch(&values, &mut StdRng::seed_from_u64(seed))
+                .unwrap();
+            builder.absorb_batch(&batch).unwrap();
+            let raw: Vec<f64> = (0..k).map(|j| builder.raw[j * m]).collect();
+            assert_eq!(builder.coordinate_zero_counts(), raw);
+            let sketch = builder.finalize_view();
+            assert_eq!(sketch.coordinate_zero_counts(), raw);
+            assert_eq!(builder.finalize().coordinate_zero_counts(), raw);
+            let per_count = k as f64 * e.c_eps() * m as f64;
+            for (j, total) in sketch.row_totals().enumerate() {
+                assert_eq!(total, per_count * raw[j]);
+                let row = sketch.row(j);
+                let sum = lane_sum(row, row, |v, _| v);
+                let mass = lane_sum(row, row, |v, _| v.abs());
+                assert!(
+                    (sum - total).abs() <= 1e-12 * mass,
+                    "({k}, {m}) row {j}: summed {sum}, from the count {total}"
+                );
+            }
+        }
+    }
+
+    /// The centered products as they were computed before the rows' coordinate-0 counts:
+    /// each row mean from a sum over the row.
+    fn summed_centered(a: &FinalizedSketch, b: &FinalizedSketch) -> Vec<f64> {
+        let mf = a.params().columns() as f64;
+        (0..a.params().rows())
+            .map(|j| {
+                let (ra, rb) = (a.row(j), b.row(j));
+                let mean_a = lane_sum(ra, ra, |v, _| v) / mf;
+                let mean_b = lane_sum(rb, rb, |v, _| v) / mf;
+                let centered = lane_sum(ra, rb, |x, y| (x - mean_a) * (y - mean_b));
+                centered / (1.0 - 1.0 / mf)
+            })
+            .collect()
+    }
+
+    /// The masked products as they were computed before the rows' coordinate-0 counts: each
+    /// non-target total from a sum over the row.
+    fn summed_masked(
+        a: &FinalizedSketch,
+        b: &FinalizedSketch,
+        targets: &[u64],
+    ) -> Vec<(f64, bool)> {
+        let m = a.params().columns();
+        (0..a.params().rows())
+            .map(|j| {
+                let pair = a.hashes().pair(j);
+                let mut buckets: Vec<usize> = targets.iter().map(|&d| pair.bucket_of(d)).collect();
+                buckets.sort_unstable();
+                let distinct = buckets.len();
+                buckets.dedup();
+                let collision_free = buckets.len() == distinct;
+                if buckets.is_empty() {
+                    return (0.0, true);
+                }
+                let (ra, rb) = (a.row(j), b.row(j));
+                let free = (m - buckets.len()) as f64;
+                let (u_a, u_b) = if free > 0.0 {
+                    let outside = |r: &[f64]| {
+                        lane_sum(r, r, |v, _| v) - buckets.iter().map(|&x| r[x]).sum::<f64>()
+                    };
+                    (outside(ra) / free, outside(rb) / free)
+                } else {
+                    (0.0, 0.0)
+                };
+                let product = buckets.iter().map(|&x| (ra[x] - u_a) * (rb[x] - u_b)).sum();
+                (product, collision_free)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn centered_and_masked_products_match_row_summing_references() {
+        // The products from coordinate-0 counts against the row-summing bodies they
+        // replaced, within 1e-12 relative: on the benchmark shape and a narrow one, for an
+        // empty target set, a few heavy values, and (at m = 16) a set that covers every
+        // bucket of every row, where no noise-only bucket is left (`free = 0`).
+        let close = |got: f64, want: f64, what: &str| {
+            assert!(
+                (got - want).abs() <= 1e-12 * want.abs(),
+                "{what}: {got} vs {want}"
+            );
+        };
+        for (seed, (k, m)) in (1u64..).zip([(8usize, 128usize), (18, 1024), (6, 16)]) {
+            let p = params(k, m);
+            let e = eps(4.0);
+            let sa = build_sketch(&skewed_stream(60_000, 2_000, seed), p, e, 40 + seed, seed);
+            let sb = build_sketch(
+                &skewed_stream(60_000, 2_000, seed + 9),
+                p,
+                e,
+                40 + seed,
+                seed + 9,
+            );
+            let centered = sa.row_products_centered(&sb).unwrap();
+            for (j, (&got, want)) in centered.iter().zip(summed_centered(&sa, &sb)).enumerate() {
+                close(got, want, &format!("({k}, {m}) centered row {j}"));
+            }
+            let every_bucket: Vec<u64> = (0..2_000).collect();
+            let mut target_sets = vec![Vec::new(), vec![0, 1, 2, 3, 5, 8]];
+            if m == 16 {
+                for j in 0..k {
+                    let pair = sa.hashes().pair(j);
+                    let mut hit = vec![false; m];
+                    every_bucket
+                        .iter()
+                        .for_each(|&d| hit[pair.bucket_of(d)] = true);
+                    assert!(hit.iter().all(|&h| h), "row {j} keeps a free bucket");
+                }
+                target_sets.push(every_bucket);
+            }
+            for targets in &target_sets {
+                let masked = sa.row_products_masked(&sb, targets).unwrap();
+                let want = summed_masked(&sa, &sb, targets);
+                for (j, (&(got, clean), (want, want_clean))) in masked.iter().zip(want).enumerate()
+                {
+                    assert_eq!(clean, want_clean);
+                    let what = format!("({k}, {m}) masked row {j}, {} targets", targets.len());
+                    close(got, want, &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn from_spectrum_rejects_a_mis_sized_spectrum_or_count_slice() {
+        let p = params(4, 16);
+        let hashes = Arc::new(RowHashes::from_seed(3, p));
+        let view = |spectrum: usize, counts: usize| {
+            let (spectrum, counts) = (vec![0.0; spectrum], vec![0.0; counts]);
+            FinalizedSketch::from_spectrum(eps(2.0), Arc::clone(&hashes), 0, spectrum, counts)
+        };
+        for (spectrum, counts) in [(63, 4), (65, 4), (0, 4), (64, 3), (64, 5), (64, 0), (16, 1)] {
+            assert!(
+                matches!(view(spectrum, counts), Err(Error::IncompatibleSketches(_))),
+                "{spectrum} entries, {counts} counts"
+            );
+        }
+        assert_eq!(view(64, 4).unwrap().restored_counters(), &[0.0; 64]);
+    }
+
+    #[test]
+    fn from_spectrum_diff_rejects_a_mis_sized_prefix_or_count_slice() {
+        let p = params(4, 16);
+        let hashes = Arc::new(RowHashes::from_seed(3, p));
+        let (spectrum, counts) = (vec![0i32; 64], vec![0i32; 4]);
+        let good = SpectrumPrefix {
+            spectrum: &spectrum,
+            counts: &counts,
+        };
+        let (short, long) = (vec![0i32; 63], vec![0i32; 5]);
+        let bad = [
+            SpectrumPrefix {
+                spectrum: &short,
+                counts: &counts,
+            },
+            SpectrumPrefix {
+                spectrum: &spectrum,
+                counts: &long,
+            },
+            SpectrumPrefix {
+                spectrum: &spectrum,
+                counts: &short[..3],
+            },
+        ];
+        let view = |last, base| {
+            FinalizedSketch::from_spectrum_diff(eps(2.0), Arc::clone(&hashes), 0, last, base)
+        };
+        for prefix in bad {
+            for (last, base) in [(prefix, good), (good, prefix)] {
+                assert!(matches!(
+                    view(last, base),
+                    Err(Error::IncompatibleSketches(_))
+                ));
+            }
+        }
+        assert!(view(good, good).is_ok());
     }
 
     #[test]
@@ -1702,13 +2050,15 @@ mod tests {
         shard_a.absorb_batch(&first).unwrap();
         let mut shard_b = SketchBuilder::new(p, e, 77);
         shard_b.absorb_batch(&second).unwrap();
-        let mut spectrum = shard_a.spectrum();
-        for (a, b) in spectrum.iter_mut().zip(shard_b.spectrum()) {
-            *a += b;
-        }
+        let add = |a: Vec<f64>, b: Vec<f64>| a.iter().zip(&b).map(|(a, b)| a + b).collect();
+        let spectrum = add(shard_a.spectrum(), shard_b.spectrum());
+        let counts = add(
+            shard_a.coordinate_zero_counts(),
+            shard_b.coordinate_zero_counts(),
+        );
         let reports = shard_a.reports() + shard_b.reports();
         let hashes = Arc::clone(shard_a.hashes());
-        let merged = FinalizedSketch::from_spectrum(e, hashes, reports, spectrum);
+        let merged = FinalizedSketch::from_spectrum(e, hashes, reports, spectrum, counts).unwrap();
 
         let mut single = SketchBuilder::new(p, e, 77);
         single.absorb_batch(&first).unwrap();
@@ -1716,7 +2066,7 @@ mod tests {
         let single = single.finalize();
 
         assert_eq!(merged.reports(), single.reports());
-        assert_eq!(merged.restored_counters(), single.restored_counters());
+        assert_eq!(view_bits(&merged), view_bits(&single));
     }
 
     #[test]

@@ -17,7 +17,7 @@ use ldpjs_core::multiway::{EdgeSketchBuilder, FinalizedEdgeSketch, LdpEdgeSketch
 use ldpjs_core::{
     bounds, Candidates, ChainKernel, DomainIndex, FiPolicy, FinalizedPlusState, FinalizedSketch,
     LdpJoinSketchClient, PlainKernel, PlusConfig, PlusKernel, PlusReportBatch, PlusStateBuilder,
-    SketchBuilder,
+    SketchBuilder, SpectrumPrefix,
 };
 use ldpjs_metrics::telemetry::{Snapshot, Stability, Telemetry};
 use ldpjs_sketch::SketchParams;
@@ -302,53 +302,108 @@ pub struct Explain {
 
 /// Cumulative per-lane state of the span ledger: the **unscaled Hadamard spectra** of one or
 /// more exact-counter lanes (one for plain, three for plus, one for edge, whose replica rows
-/// are `m_A·m_B` wide), plus the lanes' report counts.
+/// are `m_A·m_B` wide), their rows' coordinate-0 counts, and the lanes' report counts.
 ///
 /// Counters are exact ±1 integer sums, so each window's unscaled FWHT is an exact integer
 /// spectrum, and the transform is linear: adding or subtracting two windows' spectra yields
 /// the spectrum of their merged or differenced counters. That is what lets the ledger live
 /// in the Hadamard domain: spans assemble by element-wise subtraction, with no transform at
-/// query time. The prefixes are kept as wrapping `i32`, sums modulo 2³², in half the bytes
-/// of `f64`: a span's spectrum lies within ±(its lane's reports), so below 2³¹ reports the
-/// wrapped difference of two prefixes is the exact one, and the restore checks that bound.
+/// query time. Beside each lane's spectrum the entry keeps one coordinate-0 count `raw[j,0]`
+/// per row, which gives a restored row's total without a pass over the row; a span's counts
+/// are `k` subtractions. The prefixes are kept as wrapping `i32`, sums modulo 2³², in half
+/// the bytes of `f64`: a span's spectrum and counts lie within ±(its lane's reports), so
+/// below 2³¹ reports the wrapped difference of two prefixes is the exact one, and the
+/// restore checks that bound. Spectra and counts both enter a prefix through
+/// [`wrapped_i32`].
 #[derive(Debug, Clone)]
 struct SpectrumEntry {
     /// Per-lane unscaled spectra (`k·m` elements each), summed modulo 2³².
     lanes: Vec<Vec<i32>>,
+    /// Per-lane coordinate-0 counts (`k` elements each), summed modulo 2³².
+    counts: Vec<Vec<i32>>,
     /// Per-lane exact report counts.
     reports: Vec<u64>,
 }
 
 impl SpectrumEntry {
-    fn zero(lanes: usize, len: usize) -> Self {
+    fn zero(lanes: usize, rows: usize, len: usize) -> Self {
         SpectrumEntry {
             lanes: vec![vec![0; len]; lanes],
+            counts: vec![vec![0; rows]; lanes],
             reports: vec![0; lanes],
         }
     }
 
-    /// `self + window` as a new entry: each window's exact spectrum entry `v` enters its
-    /// prefix as `(v as i64) as i32` with `wrapping_add` (a cast straight to `i32` would
-    /// saturate, not wrap).
-    fn plus_window(&self, window_lanes: &[Vec<f64>], window_reports: &[u64]) -> Self {
-        debug_assert_eq!(window_lanes.len(), self.lanes.len());
-        let lanes = self
-            .lanes
-            .iter()
-            .zip(window_lanes)
-            .map(|(acc, lane)| {
-                (lane.iter().zip(acc))
-                    .map(|(&v, &a)| a.wrapping_add((v as i64) as i32))
-                    .collect()
-            })
+    /// Lane `l`'s spectrum and counts.
+    fn prefix(&self, l: usize) -> SpectrumPrefix<'_> {
+        SpectrumPrefix {
+            spectrum: &self.lanes[l],
+            counts: &self.counts[l],
+        }
+    }
+
+    /// `self + window` as a new entry: each lane's exact spectrum and counts add onto its
+    /// prefixes, entry by entry, as [`wrapped_i32`] with `wrapping_add`.
+    fn plus_window(&self, window: &[LaneWindow]) -> Self {
+        debug_assert_eq!(window.len(), self.lanes.len());
+        let add = |acc: &[i32], exact: &[f64]| -> Vec<i32> {
+            (acc.iter().zip(exact))
+                .map(|(&a, &v)| a.wrapping_add(wrapped_i32(v)))
+                .collect()
+        };
+        let lanes = (self.lanes.iter().zip(window))
+            .map(|(acc, w)| add(acc, &w.spectrum))
             .collect();
-        let reports = self
-            .reports
-            .iter()
-            .zip(window_reports)
-            .map(|(&a, &w)| a + w)
+        let counts = (self.counts.iter().zip(window))
+            .map(|(acc, w)| add(acc, &w.counts))
             .collect();
-        SpectrumEntry { lanes, reports }
+        let reports = (self.reports.iter().zip(window))
+            .map(|(&a, w)| a + w.reports)
+            .collect();
+        SpectrumEntry {
+            lanes,
+            counts,
+            reports,
+        }
+    }
+}
+
+/// An integer-valued `f64` modulo 2³², as `i32`: for every integer `|v| < 2⁵¹` this is
+/// `(v as i64) as i32`, the wrap a ledger prefix needs, without its scalar saturating
+/// conversion. Adding `2⁵² + 2⁵¹` moves `v` into `[2⁵², 2⁵³)`, where an `f64`'s unit in the
+/// last place is 1, so the sum is exact and its low 52 bits hold `v + 2⁵¹`; 2⁵¹ is a
+/// multiple of 2³², so their low 32 bits are `v`'s. The add and the truncation vectorize at
+/// the baseline target.
+///
+/// Past that domain the result is garbage, and harmless: every spectrum entry and count of
+/// a window lies within ±(its lane's reports), so an entry of 2⁵¹ or more needs a window of
+/// as many reports. A span that leaves the window out subtracts its garbage from itself,
+/// and a span that contains it holds at least 2³¹ reports and is refused before any view is
+/// built.
+#[inline]
+fn wrapped_i32(v: f64) -> i32 {
+    /// `2⁵² + 2⁵¹`.
+    const SHIFT: f64 = 6_755_399_441_055_744.0;
+    (v + SHIFT).to_bits() as u32 as i32
+}
+
+/// One lane of a window being sealed: its exact unscaled spectrum, its rows' coordinate-0
+/// counts and its report count.
+#[derive(Debug, Default)]
+struct LaneWindow {
+    spectrum: Vec<f64>,
+    counts: Vec<f64>,
+    reports: u64,
+}
+
+impl LaneWindow {
+    /// The window a plain or plus lane builder holds: its one FWHT per row, and `k` loads.
+    fn of(lane: &SketchBuilder) -> Self {
+        LaneWindow {
+            spectrum: lane.spectrum(),
+            counts: lane.coordinate_zero_counts(),
+            reports: lane.reports(),
+        }
     }
 }
 
@@ -363,9 +418,10 @@ impl SpectrumEntry {
 /// `prefix[len−1] − prefix[start−1]` (or `− origin` for the full ring), whatever the number
 /// of covered windows.
 ///
-/// Every mode keeps its prefixes as unscaled Hadamard spectra in wrapping `i32` (see
-/// [`SpectrumEntry`]): a cold span query is one element-wise subtraction fused with one
-/// de-bias multiply per element per lane ([`FinalizedSketch::from_spectrum_diff`],
+/// Every mode keeps its prefixes as unscaled Hadamard spectra and per-row coordinate-0
+/// counts in wrapping `i32` (see [`SpectrumEntry`]): a cold span query is one element-wise
+/// subtraction fused with one de-bias multiply per element per lane, plus `k` count
+/// subtractions ([`FinalizedSketch::from_spectrum_diff`],
 /// [`FinalizedEdgeSketch::from_spectrum_diff`]), no FWHT. Because the spectra are exact
 /// integers and the transform is linear, the result is bit-identical to one fresh builder
 /// absorbing every covered window's reports and finalizing — property-tested in this module
@@ -379,10 +435,10 @@ struct Ledger {
 }
 
 impl Ledger {
-    /// An empty ledger of `lanes` lanes, `len` spectrum elements each.
-    fn new(lanes: usize, len: usize) -> Self {
+    /// An empty ledger of `lanes` lanes, each `rows` rows `width` spectrum entries wide.
+    fn new(lanes: usize, rows: usize, width: usize) -> Self {
         Ledger {
-            origin: SpectrumEntry::zero(lanes, len),
+            origin: SpectrumEntry::zero(lanes, rows, rows * width),
             entries: VecDeque::new(),
         }
     }
@@ -402,15 +458,15 @@ impl Ledger {
         &self.entries[i].0
     }
 
-    /// Seal window `epoch` from its lanes' unscaled spectra and report counts: append the
-    /// cumulative entry through it, then fold the oldest window into the origin if more
-    /// than `retained` remain (the popped prefix *is* the cumulative sum up to and
-    /// including that window). Returns whether a window was evicted. A lane's spectrum is
-    /// its window's one FWHT, the only transform a ledger ever runs; queries reuse it for
-    /// every span that covers the window.
-    fn seal(&mut self, epoch: u64, spectra: &[Vec<f64>], reports: &[u64], retained: usize) -> bool {
-        let next = self.last().plus_window(spectra, reports);
-        let window = WindowSnapshot::new(epoch, reports.iter().sum());
+    /// Seal window `epoch` from its lanes' unscaled spectra, coordinate-0 counts and report
+    /// counts: append the cumulative entry through it, then fold the oldest window into the
+    /// origin if more than `retained` remain (the popped prefix *is* the cumulative sum up
+    /// to and including that window). Returns whether a window was evicted. A lane's
+    /// spectrum is its window's one FWHT, the only transform a ledger ever runs; queries
+    /// reuse it for every span that covers the window.
+    fn seal(&mut self, epoch: u64, lanes: &[LaneWindow], retained: usize) -> bool {
+        let next = self.last().plus_window(lanes);
+        let window = WindowSnapshot::new(epoch, lanes.iter().map(|w| w.reports).sum());
         self.entries.push_back((window, next));
         if self.entries.len() <= retained {
             return false;
@@ -424,43 +480,38 @@ impl Ledger {
 
     /// Lane `l` of the suffix span `start..len`: its report count, the newest prefix and
     /// the prefix just before the span (the origin for the full ring), whose wrapping
-    /// difference is the span's spectrum.
-    fn span(&self, start: usize, l: usize) -> (u64, &[i32], &[i32]) {
+    /// difference is the span's spectrum and counts.
+    fn span(&self, start: usize, l: usize) -> (u64, SpectrumPrefix<'_>, SpectrumPrefix<'_>) {
         let base = match start {
             0 => &self.origin,
             _ => &self.entries[start - 1].1,
         };
         let last = self.last();
-        (
-            last.reports[l] - base.reports[l],
-            &last.lanes[l],
-            &base.lanes[l],
-        )
+        let reports = last.reports[l] - base.reports[l];
+        (reports, last.prefix(l), base.prefix(l))
     }
 
     /// Seal window `epoch` from its exact-counter lanes (the rotation hook), keeping at most
     /// `retained` windows, and return each lane's finalized view and whether a window was
-    /// evicted. Each lane is transformed once: its unscaled spectrum is added to the last
-    /// prefix, then scaled into the view by [`FinalizedSketch::from_spectrum`] —
-    /// bit-identical to restoring the lane, because the restore applies the de-bias scale
-    /// after the last butterfly.
+    /// evicted. Each lane is transformed once: its unscaled spectrum and its counts, read
+    /// off the counters before the transform, are added to the last prefix, then scaled
+    /// into the view by [`FinalizedSketch::from_spectrum`] — bit-identical to restoring the
+    /// lane, because the restore applies the de-bias scale after the last butterfly.
     fn seal_lanes<const N: usize>(
         &mut self,
         epoch: u64,
         lanes: [&SketchBuilder; N],
         retained: usize,
     ) -> ([FinalizedSketch; N], bool) {
-        let mut spectra = lanes.map(SketchBuilder::spectrum);
-        let reports = lanes.map(SketchBuilder::reports);
-        let evicted = self.seal(epoch, &spectra, &reports, retained);
+        let mut windows = lanes.map(LaneWindow::of);
+        let evicted = self.seal(epoch, &windows, retained);
         let views = std::array::from_fn(|l| {
-            let lane = lanes[l];
-            FinalizedSketch::from_spectrum(
-                lane.epsilon(),
-                Arc::clone(lane.hashes()),
-                lane.reports(),
-                std::mem::take(&mut spectra[l]),
-            )
+            let (lane, w) = (lanes[l], std::mem::take(&mut windows[l]));
+            let hashes = Arc::clone(lane.hashes());
+            FinalizedSketch::from_spectrum(lane.epsilon(), hashes, w.reports, w.spectrum, w.counts)
+                // lint:allow(panic-freedom) — invariant: the spectrum and counts are the lane
+                // builder's own, of its family's shape.
+                .expect("a builder's own spectrum and counts fit its shape")
         });
         (views, evicted)
     }
@@ -582,18 +633,32 @@ struct EdgeState {
 
 impl EdgeState {
     /// Seal the live builder into window `epoch` (it then continues ingesting from empty);
-    /// returns whether a window was evicted. The window's spectrum is added to the ledger
-    /// and scaled into the newest view.
+    /// returns whether a window was evicted. The window's spectrum and counts are added to
+    /// the ledger and scaled into the newest view.
     fn seal(&mut self, epoch: u64, retained: usize) -> bool {
-        let (live, reports) = (&self.live, self.live.reports());
-        let spectra = [live.spectrum()];
-        let evicted = self.ledger.seal(epoch, &spectra, &[reports], retained);
-        let [spectrum] = spectra;
+        let live = &self.live;
+        let windows = [LaneWindow {
+            spectrum: live.spectrum(),
+            counts: live.coordinate_zero_counts(),
+            reports: live.reports(),
+        }];
+        let evicted = self.ledger.seal(epoch, &windows, retained);
+        let [w] = windows;
         let (a, b) = (
             Arc::clone(live.attribute_a()),
             Arc::clone(live.attribute_b()),
         );
-        let view = FinalizedEdgeSketch::from_spectrum(a, b, live.epsilon(), reports, spectrum);
+        let view = FinalizedEdgeSketch::from_spectrum(
+            a,
+            b,
+            live.epsilon(),
+            w.reports,
+            w.spectrum,
+            w.counts,
+        )
+        // lint:allow(panic-freedom) — invariant: the spectrum and counts are the live
+        // builder's own, of its families' shape.
+        .expect("a builder's own spectrum and counts fit its shape");
         self.newest = Some(Arc::new(view));
         self.live.clear();
         evicted
@@ -920,7 +985,7 @@ impl SketchService {
             let (params, eps) = (config.params, config.eps);
             Ok(ModeState::Plain(PlainState {
                 live: SketchBuilder::new(params, eps, seed),
-                ledger: Ledger::new(1, params.counters()),
+                ledger: Ledger::new(1, params.rows(), params.columns()),
                 newest: None,
             }))
         })
@@ -955,7 +1020,7 @@ impl SketchService {
                 policy,
                 index,
                 live,
-                ledger: Ledger::new(3, params.counters()),
+                ledger: Ledger::new(3, params.rows(), params.columns()),
                 newest: None,
                 whole: None,
             })))
@@ -982,7 +1047,7 @@ impl SketchService {
             let family = |seed| Arc::new(RowHashes::from_seed(seed, params));
             Ok(ModeState::Edge(EdgeState {
                 live: EdgeSketchBuilder::new(family(seed_a), family(seed_b), config.eps)?,
-                ledger: Ledger::new(1, params.counters() * params.columns()),
+                ledger: Ledger::new(1, params.rows(), params.columns() * params.columns()),
                 newest: None,
             }))
         })
@@ -1974,6 +2039,19 @@ mod tests {
         batches_for(service, attr, seed, &[n]).remove(0)
     }
 
+    /// The bits of a view's restored counters, its coordinate-0 counts, and the centered and
+    /// masked self-products (over the targets `0..8`) its row totals feed.
+    fn view_bits(view: &FinalizedSketch) -> Vec<u64> {
+        let targets: Vec<u64> = (0..8).collect();
+        let masked = view.row_products_masked(view, &targets).unwrap();
+        (view.restored_counters().iter())
+            .chain(view.coordinate_zero_counts())
+            .chain(&view.row_products_centered(view).unwrap())
+            .chain(masked.iter().map(|(product, _)| product))
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
     #[test]
     fn packed_batch_ingestion_matches_report_ingestion_bitwise() {
         // The packed ingest door must land on exactly the sketch per-report absorption of
@@ -2065,75 +2143,122 @@ mod tests {
         assert_eq!(service.attribute_id("p"), None);
     }
 
-    /// Seal a window of `reports` reports per lane, whose spectra are zero, straight into
-    /// `attr`'s ledger as a rotation's ledger step does, without ingesting anything: a
-    /// test's way to spans of 2³¹ reports. The window keeps no view of its own.
+    /// A window lane of `reports` reports whose spectrum and counts are zero.
+    fn zero_window(rows: usize, len: usize, reports: u64) -> LaneWindow {
+        LaneWindow {
+            spectrum: vec![0.0; len],
+            counts: vec![0.0; rows],
+            reports,
+        }
+    }
+
+    /// Seal a window of `reports` reports per lane, whose spectra and counts are zero,
+    /// straight into `attr`'s ledger as a rotation's ledger step does, without ingesting
+    /// anything: a test's way to spans of 2³¹ reports. The window keeps no view of its own.
     fn seal_synthetic(service: &mut SketchService, attr: AttributeId, reports: u64) {
-        let (retained, len) = (
-            service.config.retained_windows,
-            service.config.params.counters(),
-        );
+        let (retained, params) = (service.config.retained_windows, service.config.params);
         let a = &mut service.attributes[attr.index()];
         let (ledger, lanes) = match &mut a.mode {
             ModeState::Plain(s) => (&mut s.ledger, 1),
             ModeState::Plus(s) => (&mut s.ledger, 3),
             ModeState::Edge(s) => (&mut s.ledger, 1),
         };
-        ledger.seal(
-            a.next_epoch,
-            &vec![vec![0.0; len]; lanes],
-            &vec![reports; lanes],
-            retained,
-        );
+        let window: Vec<LaneWindow> = (0..lanes)
+            .map(|_| zero_window(params.rows(), params.counters(), reports))
+            .collect();
+        ledger.seal(a.next_epoch, &window, retained);
         a.next_epoch += 1;
     }
 
     #[test]
+    fn wrapped_i32_is_the_saturating_cast_wrapped_below_2_pow_51() {
+        // The ledger's branch-free conversion against `(v as i64) as i32` on the domain
+        // boundaries and on random integers of every magnitude below 2⁵¹.
+        use rand::Rng;
+        let edge = |p: u32| 2f64.powi(p as i32);
+        let mut values = vec![
+            0.0,
+            1.0,
+            edge(31) - 1.0,
+            edge(31),
+            edge(32) + 1.0,
+            edge(51) - 1.0,
+        ];
+        values.extend(values.clone().iter().map(|v| -v));
+        let mut rng = StdRng::seed_from_u64(51);
+        values.extend((0..100_000).map(|_| {
+            let magnitude = rng.gen_range(0u64..1 << 51) >> rng.gen_range(0u32..51);
+            let v = magnitude as f64;
+            if rng.gen_bool(0.5) {
+                -v
+            } else {
+                v
+            }
+        }));
+        for v in values {
+            assert_eq!(wrapped_i32(v), (v as i64) as i32, "v = {v}");
+        }
+    }
+
+    #[test]
     fn wrapping_ledger_restores_every_suffix_span_exactly() {
-        // Synthetic windows of 6·10⁸ reports whose exact spectra sit at or just inside
-        // ±reports, positive at even positions and negative at odd ones: the cumulative
-        // prefixes pass +2³¹ and −2³¹ several times over, while every suffix span of the 3
-        // retained windows stays below 2³¹ reports. Each span restores the exact difference,
-        // bit for bit, after every seal.
+        // Synthetic windows of 6·10⁸ reports whose exact spectra and coordinate-0 counts sit
+        // at or just inside ±reports, positive at even positions and negative at odd ones:
+        // the cumulative prefixes pass +2³¹ and −2³¹ several times over, while every suffix
+        // span of the 3 retained windows stays below 2³¹ reports. Each span restores the
+        // exact difference, bit for bit, counters and counts alike, after every seal.
         let (params, eps) = (SketchParams::new(2, 8).unwrap(), Epsilon::new(2.0).unwrap());
         let shape = SketchBuilder::new(params, eps, 5);
         let reports = 600_000_000u64;
-        let mut ledger = Ledger::new(1, params.counters());
-        let mut retained: VecDeque<Vec<f64>> = VecDeque::new();
-        let mut cumulative = vec![0.0f64; params.counters()];
-        for epoch in 0..10u64 {
-            let spectrum: Vec<f64> = (0..params.counters() as u64)
+        let mut ledger = Ledger::new(1, params.rows(), params.columns());
+        let mut retained: VecDeque<LaneWindow> = VecDeque::new();
+        let near_reports = |len: usize, salt: u64| -> Vec<f64> {
+            (0..len as u64)
                 .map(|i| {
-                    let magnitude = (reports - (i * 7_919 + epoch * 104_729) % 1_000) as f64;
+                    let magnitude = (reports - (i * 7_919 + salt * 104_729) % 1_000) as f64;
                     if i % 2 == 0 {
                         magnitude
                     } else {
                         -magnitude
                     }
                 })
-                .collect();
-            cumulative
-                .iter_mut()
-                .zip(&spectrum)
-                .for_each(|(c, v)| *c += v);
-            ledger.seal(epoch, std::slice::from_ref(&spectrum), &[reports], 3);
-            retained.push_back(spectrum);
+                .collect()
+        };
+        let add = |acc: &mut Vec<f64>, window: &[f64]| {
+            acc.iter_mut().zip(window).for_each(|(a, v)| *a += v);
+        };
+        let (mut cumulative, mut cumulative_counts) =
+            (vec![0.0f64; params.counters()], vec![0.0f64; params.rows()]);
+        for epoch in 0..10u64 {
+            let window = LaneWindow {
+                spectrum: near_reports(params.counters(), epoch),
+                counts: near_reports(params.rows(), epoch + 31),
+                reports,
+            };
+            add(&mut cumulative, &window.spectrum);
+            add(&mut cumulative_counts, &window.counts);
+            ledger.seal(epoch, std::slice::from_ref(&window), 3);
+            retained.push_back(window);
             if retained.len() > 3 {
                 retained.pop_front();
             }
             for start in 0..ledger.depth() {
                 let windows = ledger.depth() - start;
                 let mut exact = vec![0.0f64; params.counters()];
+                let mut exact_counts = vec![0.0f64; params.rows()];
                 for window in retained.range(start..) {
-                    exact.iter_mut().zip(window).for_each(|(e, v)| *e += v);
+                    add(&mut exact, &window.spectrum);
+                    add(&mut exact_counts, &window.counts);
                 }
                 let span_reports = reports * windows as u64;
                 let hashes = Arc::clone(shape.hashes());
-                let want = FinalizedSketch::from_spectrum(eps, hashes, span_reports, exact);
+                let want =
+                    FinalizedSketch::from_spectrum(eps, hashes, span_reports, exact, exact_counts)
+                        .unwrap();
                 let got = ledger.span_lane(start, 0, &shape).unwrap();
                 let bits = |s: &FinalizedSketch| {
-                    s.restored_counters()
-                        .iter()
+                    (s.restored_counters().iter())
+                        .chain(s.coordinate_zero_counts())
                         .map(|v| v.to_bits())
                         .collect::<Vec<_>>()
                 };
@@ -2141,20 +2266,22 @@ mod tests {
                 assert_eq!(bits(&got), bits(&want), "epoch {epoch} start {start}");
             }
         }
-        // Every cumulative entry ended past ±2³² in magnitude, positive and negative: each
-        // prefix wrapped at least once, in both directions.
-        let wrapped = |sign: f64| cumulative.iter().any(|&c| c * sign > 2f64.powi(32));
-        assert!(cumulative.iter().all(|c| c.abs() > 2f64.powi(32)));
-        assert!(wrapped(1.0) && wrapped(-1.0));
+        // Every cumulative entry and count ended past ±2³² in magnitude, positive and
+        // negative: each prefix wrapped at least once, in both directions.
+        for cumulative in [&cumulative, &cumulative_counts] {
+            let wrapped = |sign: f64| cumulative.iter().any(|&c| c * sign > 2f64.powi(32));
+            assert!(cumulative.iter().all(|c| c.abs() > 2f64.powi(32)));
+            assert!(wrapped(1.0) && wrapped(-1.0));
+        }
 
         // 2³¹ − 1 reports in a lane still restore; 2³¹ get the typed error.
-        let mut ledger = Ledger::new(1, params.counters());
-        let zero = [vec![0.0; params.counters()]];
-        ledger.seal(0, &zero, &[(1 << 31) - 2], 4);
-        ledger.seal(1, &zero, &[1], 4);
+        let mut ledger = Ledger::new(1, params.rows(), params.columns());
+        let zero = |reports| [zero_window(params.rows(), params.counters(), reports)];
+        ledger.seal(0, &zero((1 << 31) - 2), 4);
+        ledger.seal(1, &zero(1), 4);
         let widest = ledger.span_lane(0, 0, &shape).unwrap();
         assert_eq!(widest.reports(), (1 << 31) - 1);
-        ledger.seal(2, &zero, &[1], 4);
+        ledger.seal(2, &zero(1), 4);
         assert!(matches!(
             ledger.span_lane(0, 0, &shape),
             Err(Error::InvalidWorkload(_))
@@ -3353,7 +3480,7 @@ mod tests {
                     ("high", merged.high(), reference.high()),
                 ] {
                     prop_assert!(
-                        got.restored_counters() == want.restored_counters(),
+                        view_bits(got) == view_bits(want),
                         "start={} evicted={}: ledger-assembled {} lane diverged from \
                          from-scratch absorption",
                         start,
@@ -3400,9 +3527,6 @@ mod tests {
             prop_assert_eq!(depth, 3);
             let sealed = &windows[windows.len() - depth..];
             let cfg = *service.config();
-            let bits = |view: &FinalizedSketch| {
-                view.restored_counters().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            };
             for start in 0..depth {
                 let mut scratch = SketchBuilder::new(cfg.params, cfg.eps, 77);
                 for batch in sealed[start..].iter().flatten() {
@@ -3420,7 +3544,7 @@ mod tests {
                     let served = service.merged_view(attr, range).unwrap();
                     prop_assert_eq!(served.reports(), reference.reports());
                     prop_assert!(
-                        bits(&served) == bits(&reference),
+                        view_bits(&served) == view_bits(&reference),
                         "{:?} evicted={}: served span diverged from from-scratch absorption",
                         range,
                         service.evicted_windows(attr).unwrap()
@@ -3490,9 +3614,17 @@ mod tests {
                 view.replica(j).iter().map(|v| v.to_bits()).collect::<Vec<_>>()
             };
             let newest = state.newest().unwrap();
+            prop_assert_eq!(
+                newest.coordinate_zero_counts(),
+                references[depth - 1].coordinate_zero_counts()
+            );
             for (start, reference) in references.iter().enumerate() {
                 let assembled = state.assemble(start).unwrap();
                 prop_assert_eq!(assembled.reports(), reference.reports());
+                prop_assert_eq!(
+                    assembled.coordinate_zero_counts(),
+                    reference.coordinate_zero_counts()
+                );
                 for j in 0..4 {
                     prop_assert!(
                         bits(&assembled, j) == bits(reference, j),

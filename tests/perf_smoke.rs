@@ -22,6 +22,11 @@
 //! reduction, must cost **at most 0.6×** a test-local Eq. 5 whose row sums are one serial
 //! `f64` add chain each, the form `Iterator::sum` compiles to.
 //!
+//! The row-total gate times the adaptive `JoinEst` partials on the same two sketches:
+//! `row_products_centered` plus `row_products_masked`, which take each row's total from its
+//! coordinate-0 count, must cost **at most 0.6×** test-local versions that sum every row
+//! for it with the library's 16-lane reduction, the bodies the counts replaced.
+//!
 //! The gates only mean something with optimizations on, so under a debug build each prints
 //! a skip notice and exits. Each times two alternating arms and gates on the median of the
 //! per-round ratios, so CI runs them one at a time,
@@ -362,5 +367,148 @@ fn plain_join_kernel_is_at_most_0_6x_a_serial_row_sum() {
         ratio <= 0.6,
         "the plain join kernel regressed to {ratio:.3}x a serial row sum (gate is 0.6x) — \
          check the fixed-association reduction behind FinalizedSketch::row_products"
+    );
+}
+
+/// `Σ_i term(a[i], b[i])` by the library's estimator reduction: sixteen lanes held as eight
+/// pairs, the pairwise 8/4/2/1 fold, then the tail. The reference arm of the row-total gate
+/// sums rows with it. (Folded any other way, the compiler pairs the lanes across element
+/// pairs and the sum runs ≈1.7× slower.)
+fn lanes16(a: &[f64], b: &[f64], term: impl Fn(f64, f64) -> f64) -> f64 {
+    let ((body_a, tail_a), (body_b, tail_b)) = (a.as_chunks::<16>(), b.as_chunks::<16>());
+    let mut pairs = [[0.0f64; 2]; 8];
+    for (xa, xb) in body_a.iter().zip(body_b) {
+        let (pa, pb) = (xa.as_chunks::<2>().0, xb.as_chunks::<2>().0);
+        for (s, (x, y)) in pairs.iter_mut().zip(pa.iter().zip(pb)) {
+            s[0] += term(x[0], y[0]);
+            s[1] += term(x[1], y[1]);
+        }
+    }
+    for width in [4, 2, 1] {
+        for p in 0..width {
+            pairs[p][0] += pairs[p + width][0];
+            pairs[p][1] += pairs[p + width][1];
+        }
+    }
+    let tail = (tail_a.iter().zip(tail_b)).fold(0.0, |s, (&x, &y)| s + term(x, y));
+    (pairs[0][0] + pairs[0][1]) + tail
+}
+
+/// The centered and masked row products with every row total summed over the row, as
+/// `FinalizedSketch` computed them before it kept the coordinate-0 counts: the reference
+/// arm of the row-total gate.
+fn row_summed_partials(
+    a: &FinalizedSketch,
+    b: &FinalizedSketch,
+    targets: &[u64],
+) -> (Vec<f64>, Vec<(f64, bool)>) {
+    let (k, m) = (a.params().rows(), a.params().columns());
+    let (mf, sum) = (m as f64, |r: &[f64]| lanes16(r, r, |v, _| v));
+    let centered = (0..k)
+        .map(|j| {
+            let (ra, rb) = (a.row(j), b.row(j));
+            let (mean_a, mean_b) = (sum(ra) / mf, sum(rb) / mf);
+            lanes16(ra, rb, |x, y| (x - mean_a) * (y - mean_b)) / (1.0 - 1.0 / mf)
+        })
+        .collect();
+    let mut in_s = vec![false; m];
+    let mut buckets: Vec<usize> = Vec::with_capacity(targets.len());
+    let masked = (0..k)
+        .map(|j| {
+            let pair = a.hashes().pair(j);
+            buckets.clear();
+            let mut collision_free = true;
+            for &d in targets {
+                let x = pair.bucket_of(d);
+                if in_s[x] {
+                    collision_free = false;
+                } else {
+                    in_s[x] = true;
+                    buckets.push(x);
+                }
+            }
+            if buckets.is_empty() {
+                return (0.0, true);
+            }
+            buckets.sort_unstable();
+            let (ra, rb) = (a.row(j), b.row(j));
+            let (mut s_a, mut s_b) = (0.0f64, 0.0f64);
+            for &x in &buckets {
+                s_a += ra[x];
+                s_b += rb[x];
+            }
+            let free = (m - buckets.len()) as f64;
+            let (u_a, u_b) = ((sum(ra) - s_a) / free, (sum(rb) - s_b) / free);
+            let mut product = 0.0f64;
+            for &x in &buckets {
+                product += (ra[x] - u_a) * (rb[x] - u_b);
+                in_s[x] = false;
+            }
+            (product, collision_free)
+        })
+        .collect();
+    (centered, masked)
+}
+
+#[test]
+fn row_total_partials_are_at_most_0_6x_row_summing_ones() {
+    if cfg!(debug_assertions) {
+        eprintln!("perf smoke gate skipped: meaningful only under --release");
+        return;
+    }
+
+    // The kernel gate's two sketches, and the 16 heaviest Zipf values as the target set of
+    // the masked partial. One sample is 100 pairs of partials, ≈1 ms per arm.
+    let (p, e) = (pinned_params(), pinned_eps());
+    let gen = ZipfGenerator::new(2.0, 4_096);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(41);
+    let mut sketch = || {
+        let values = gen.sample_many(WINDOWS * N_WINDOW, &mut rng);
+        build_private_sketch(&values, p, e, 7, &mut rng).unwrap()
+    };
+    let (a, b) = (sketch(), sketch());
+    let targets: Vec<u64> = (0..16).collect();
+    let partials = |a: &FinalizedSketch, b: &FinalizedSketch| {
+        let centered = a.row_products_centered(b).unwrap();
+        (centered, a.row_products_masked(b, &targets).unwrap())
+    };
+    let ((centered, masked), (want_centered, want_masked)) =
+        (partials(&a, &b), row_summed_partials(&a, &b, &targets));
+    let masked_products = |m: &[(f64, bool)]| m.iter().map(|&(v, _)| v).collect::<Vec<_>>();
+    for (got, want) in [
+        (centered, want_centered),
+        (masked_products(&masked), masked_products(&want_masked)),
+    ] {
+        for (x, y) in got.iter().zip(&want) {
+            assert!(
+                (x - y).abs() <= 1e-12 * y.abs(),
+                "the partials and the row-summing reference disagree: {x} vs {y}"
+            );
+        }
+    }
+    const REPS: usize = 100;
+    let (a, b) = (&a, &b);
+    let opaque = std::hint::black_box::<&FinalizedSketch>;
+    let ratio = paired_median_ratio(
+        "JoinEst partials on two restored 18x1024 sketches (A = row-summing, B = library)",
+        || {
+            for _ in 0..REPS {
+                std::hint::black_box(row_summed_partials(opaque(a), opaque(b), &targets));
+            }
+        },
+        || {
+            for _ in 0..REPS {
+                std::hint::black_box(partials(opaque(a), opaque(b)));
+            }
+        },
+    );
+
+    eprintln!(
+        "JoinEst partials: median per-round library/row-summing ratio {ratio:.3}x (gate: 0.6x)"
+    );
+    assert!(
+        ratio <= 0.6,
+        "the centered and masked partials regressed to {ratio:.3}x row-summing ones (gate is \
+         0.6x) — check that FinalizedSketch takes its row totals from the coordinate-0 counts"
     );
 }
