@@ -13,7 +13,9 @@
 //!
 //! Sketch counters are exact integer `±1` report sums in `f64`. Integer-valued `f64`
 //! addition is exact (and therefore associative and commutative) while magnitudes stay
-//! below `2^53`, and adding `+1` and `−1` contributions in any interleaving can never
+//! within `2^53` — the sketch builders of `ldpjs-core` refuse any report past a lane's
+//! `2^53`-th with a typed error, and a counter never exceeds its lane's report count in
+//! magnitude — and adding `+1` and `−1` contributions in any interleaving can never
 //! produce `−0.0` (round-to-nearest returns `+0.0` for the sum of opposite equal values).
 //! So adding the whole `+1` lane and then the whole `−1` lane is **bit-for-bit identical**
 //! to replaying the reports one by one in their original order — the property tests in

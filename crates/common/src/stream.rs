@@ -22,9 +22,14 @@ use crate::Value;
 
 /// A replayable stream of private join-attribute values, delivered in bounded chunks.
 ///
-/// The chunk is the unit of peak memory: consumers (and implementors) never hold more than
-/// one chunk of values at a time, so a 10M-user table streams through a few tens of
-/// kilobytes of buffer instead of 80 MB of `Vec`.
+/// The chunk is the unit of peak memory: a 10M-user table streams through a few chunks of
+/// buffer instead of 80 MB of `Vec`. Implementors hold one chunk at a time. A consumer that
+/// fans chunks out over `T` workers, as the chunked protocol runners of `ldpjs-core` do,
+/// holds up to `2T` chunk copies and `2T` report batches beside the chunk being delivered,
+/// and recycles them, so its memory stays bounded by `T` and `chunk_len()`, not by `n`.
+/// Such a consumer ends its pass in the callback for the chunk that reaches
+/// `total_values()`, which the partition rule of [`ChunkedValues::for_each_chunk`] makes
+/// the last one.
 pub trait ChunkedValues {
     /// Total number of values (users) in the stream.
     fn total_values(&self) -> usize;

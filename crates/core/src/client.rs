@@ -25,10 +25,13 @@ use ldpjs_common::hadamard::hadamard_entry_f64;
 use ldpjs_common::hash::RowHashes;
 use ldpjs_common::privacy::Epsilon;
 use ldpjs_common::rr::sample_sign_bit;
+use ldpjs_common::stream::{ChunkedValues, SliceChunks};
 use ldpjs_sketch::SketchParams;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
-use std::sync::Arc;
+use std::num::NonZeroUsize;
+use std::sync::{mpsc, Arc};
+use std::thread::{self, Scope, ScopedJoinHandle};
 
 /// Number of values per deterministic RNG stream in the parallel perturbation fan-out.
 ///
@@ -53,28 +56,249 @@ pub(crate) fn chunk_stream_seed(base_seed: u64, chunk_index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Drive one pass of a chunked value stream: `for_each_chunk` is the source's own
-/// [`ChunkedValues::for_each_chunk`](ldpjs_common::stream::ChunkedValues::for_each_chunk),
-/// and `body` gets each chunk's start index, its values and its pass-local ordinal, the
-/// `chunk_index` of [`chunk_stream_seed`] for that chunk's RNG streams. The first error
-/// `body` returns skips the remaining chunks and is returned.
+/// The thread-count check of every runner that takes `threads`.
+///
+/// # Errors
+/// [`Error::InvalidWorkload`] if `threads` is zero.
+pub(crate) fn check_threads(threads: usize) -> Result<()> {
+    if threads == 0 {
+        return Err(Error::InvalidWorkload(
+            "client simulation needs at least one perturbation thread".into(),
+        ));
+    }
+    Ok(())
+}
+
+/// Drive one pass of a chunked value stream: `work` turns each chunk into an output on up to
+/// `threads` scoped workers, and `sink` receives every output on the calling thread, in
+/// chunk order. `work` gets the chunk's start index, its values, its pass-local ordinal (the
+/// `chunk_index` of [`chunk_stream_seed`] for that chunk's RNG streams) and an output that
+/// `new_out` made, to overwrite. The first error in chunk order, from `work` or `sink`,
+/// ends the pass and is returned; no later chunk reaches `sink`.
 ///
 /// The ordinal counts this pass's chunks instead of dividing `start` by `chunk_len()`:
 /// `chunk_len()` is only an upper bound, so a stream emitting non-full mid-stream chunks
 /// would otherwise collide ordinals and replay a noise stream. For full-chunk streams the
 /// two agree.
-pub(crate) fn try_for_each_chunk(
-    for_each_chunk: impl FnOnce(&mut dyn FnMut(u64, &[u64])),
-    mut body: impl FnMut(u64, &[u64], u64) -> Result<()>,
+///
+/// `T = min(threads, available_parallelism(), ⌈total_values()/chunk_len()⌉)` workers run.
+/// At `T = 1` the pass runs inline, in one output, and spawns nothing. Otherwise chunk `i`
+/// is copied into a recycled buffer and perturbed by worker `i mod T`. At most `2T` chunk
+/// copies and `2T` outputs are in flight, two per worker ([`QUEUED_PER_WORKER`]), all
+/// created and recycled by the calling thread; a recycled buffer keeps its capacity, so the
+/// steady state allocates nothing. An
+/// output depends only on its chunk and ordinal, so `sink` sees the same sequence at every
+/// `T`, and absorbing, finalizing and estimating stay on the calling thread. The pass ends
+/// inside the source's callback for its last chunk (the one reaching `total_values()`):
+/// the outputs still in flight are sunk and every worker is joined there, so what the
+/// caller does after the pass starts as soon as the source's last chunk is done. A source
+/// that ends short of `total_values()` finishes after its pass returns. A worker panic
+/// resumes on the caller.
+///
+/// # Errors
+/// [`Error::InvalidWorkload`] if `threads` is zero; otherwise the first error of `work` or
+/// `sink` in chunk order.
+pub(crate) fn drive_chunks<O: Send>(
+    source: &dyn ChunkedValues,
+    threads: usize,
+    mut new_out: impl FnMut() -> Result<O>,
+    work: impl Fn(u64, &[u64], u64, &mut O) -> Result<()> + Sync,
+    mut sink: impl FnMut(&O) -> Result<()>,
 ) -> Result<()> {
-    let (mut ordinal, mut result) = (0, Ok(()));
-    for_each_chunk(&mut |start, chunk| {
-        if result.is_ok() {
-            result = body(start, chunk, ordinal);
-            ordinal += 1;
+    check_threads(threads)?;
+    let available = thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    let (total, chunk_len) = (source.total_values(), source.chunk_len().max(1));
+    let workers = threads.min(available).min(total.div_ceil(chunk_len));
+    thread::scope(|scope| {
+        let mut fan = FanOut::spawn(scope, if workers > 1 { workers } else { 0 }, &work);
+        source.for_each_chunk(&mut |start, chunk| {
+            fan.feed(start, chunk, chunk_len, &mut new_out, &work, &mut sink);
+            if start + chunk.len() as u64 == total as u64 {
+                fan.finish(&mut sink);
+            }
+        });
+        fan.finish(&mut sink);
+        fan.result
+    })
+}
+
+/// Chunks queued per worker in a fanned-out pass. With two, a worker that finishes a chunk
+/// finds its next one already queued instead of idling through a round trip of thread
+/// wake-ups to the calling thread and back: on a 2-vCPU host, one chunk per worker cost 7%
+/// of the offline benchmark's throughput.
+const QUEUED_PER_WORKER: u64 = 2;
+
+/// One chunk's trip to a worker and back: its copied values, the output the worker fills,
+/// and the worker's result.
+struct Job<O> {
+    start: u64,
+    ordinal: u64,
+    values: Vec<u64>,
+    out: O,
+    result: Result<()>,
+}
+
+/// A scoped worker of [`drive_chunks`]: it takes jobs from `jobs` in order and returns each
+/// through `done`.
+struct Worker<'scope, O> {
+    jobs: mpsc::Sender<Job<O>>,
+    done: mpsc::Receiver<Job<O>>,
+    handle: ScopedJoinHandle<'scope, ()>,
+}
+
+/// The calling thread's side of a fanned-out [`drive_chunks`] pass.
+struct FanOut<'scope, O> {
+    workers: Vec<Worker<'scope, O>>,
+    /// Chunks handed out, the next chunk's ordinal.
+    sent: u64,
+    /// Chunks taken back, in order; chunks `sunk..sent` are in flight.
+    sunk: u64,
+    /// The one output of the inline path.
+    inline_out: Option<O>,
+    result: Result<()>,
+}
+
+impl<'scope, O: Send + 'scope> FanOut<'scope, O> {
+    fn spawn<W>(scope: &'scope Scope<'scope, '_>, width: usize, work: &'scope W) -> Self
+    where
+        W: Fn(u64, &[u64], u64, &mut O) -> Result<()> + Sync,
+    {
+        let workers = (0..width)
+            .map(|_| {
+                let (jobs, inbox) = mpsc::channel::<Job<O>>();
+                let (outbox, done) = mpsc::channel();
+                let handle = scope.spawn(move || {
+                    for mut job in inbox {
+                        job.result = work(job.start, &job.values, job.ordinal, &mut job.out);
+                        if outbox.send(job).is_err() {
+                            break;
+                        }
+                    }
+                });
+                Worker { jobs, done, handle }
+            })
+            .collect();
+        FanOut {
+            workers,
+            sent: 0,
+            sunk: 0,
+            inline_out: None,
+            result: Ok(()),
         }
-    });
-    result
+    }
+
+    /// Hand one chunk to its worker. Without workers (one would be all), or after the pass
+    /// finished for a source that keeps going past `total_values()`, it runs inline.
+    fn feed(
+        &mut self,
+        start: u64,
+        chunk: &[u64],
+        chunk_len: usize,
+        new_out: &mut impl FnMut() -> Result<O>,
+        work: &impl Fn(u64, &[u64], u64, &mut O) -> Result<()>,
+        sink: &mut impl FnMut(&O) -> Result<()>,
+    ) {
+        if self.result.is_err() {
+            return;
+        }
+        let ordinal = self.sent;
+        self.sent += 1;
+        let result = if self.workers.is_empty() {
+            self.sunk += 1;
+            let out = self.inline_out.take().map_or_else(&mut *new_out, Ok);
+            out.and_then(|mut out| {
+                let result = work(start, chunk, ordinal, &mut out).and_then(|()| sink(&out));
+                self.inline_out = Some(out);
+                result
+            })
+        } else {
+            self.dispatch(start, chunk, ordinal, chunk_len, new_out, sink)
+        };
+        if let Err(e) = result {
+            self.fail(e);
+        }
+    }
+
+    /// Copy chunk `ordinal` to worker `ordinal mod T`. Once that worker holds
+    /// [`QUEUED_PER_WORKER`] chunks, its oldest comes back first and is sunk, and the new
+    /// chunk reuses its buffers.
+    fn dispatch(
+        &mut self,
+        start: u64,
+        chunk: &[u64],
+        ordinal: u64,
+        chunk_len: usize,
+        new_out: &mut impl FnMut() -> Result<O>,
+        sink: &mut impl FnMut(&O) -> Result<()>,
+    ) -> Result<()> {
+        let width = self.workers.len() as u64;
+        let mut job = if ordinal < QUEUED_PER_WORKER * width {
+            let (values, out, result) = (Vec::with_capacity(chunk_len), new_out()?, Ok(()));
+            Job {
+                start,
+                ordinal,
+                values,
+                out,
+                result,
+            }
+        } else {
+            let job = self.take_back()?;
+            sink(&job.out)?;
+            job
+        };
+        job.values.clear();
+        job.values.extend_from_slice(chunk);
+        (job.start, job.ordinal) = (start, ordinal);
+        let worker = (ordinal % width) as usize;
+        if self.workers[worker].jobs.send(job).is_err() {
+            return Err(self.lost());
+        }
+        Ok(())
+    }
+
+    /// Take back the oldest chunk in flight: its buffers, or the error its work returned.
+    fn take_back(&mut self) -> Result<Job<O>> {
+        let worker = (self.sunk % self.workers.len() as u64) as usize;
+        let Ok(mut job) = self.workers[worker].done.recv() else {
+            return Err(self.lost());
+        };
+        self.sunk += 1;
+        std::mem::replace(&mut job.result, Ok(()))?;
+        Ok(job)
+    }
+
+    /// End the pass: sink every output still in flight, in order, and join the workers.
+    fn finish(&mut self, sink: &mut impl FnMut(&O) -> Result<()>) {
+        while self.result.is_ok() && self.sunk < self.sent {
+            if let Err(e) = self.take_back().and_then(|job| sink(&job.out)) {
+                self.fail(e);
+            }
+        }
+        self.inline_out = None;
+        self.join();
+    }
+
+    fn fail(&mut self, e: Error) {
+        self.result = Err(e);
+        self.join();
+    }
+
+    /// A worker's queue closed while it held a chunk, so it panicked: joining resumes the
+    /// panic here. The error stands in only if no worker panicked.
+    fn lost(&mut self) -> Error {
+        self.join();
+        Error::InvalidWorkload("a perturbation worker stopped mid-pass".into())
+    }
+
+    /// Close every worker's queues and join it, resuming the first worker panic.
+    fn join(&mut self) {
+        for Worker { jobs, done, handle } in self.workers.drain(..) {
+            drop((jobs, done));
+            if let Err(payload) = handle.join() {
+                std::panic::resume_unwind(payload);
+            }
+        }
+    }
 }
 
 /// One perturbed client report `(y, j, l)`.
@@ -249,6 +473,17 @@ impl LdpJoinSketchClient {
     ) -> Result<()> {
         self.check_batch(batch)?;
         batch.clear();
+        self.push_perturbed(values, rng, batch)
+    }
+
+    /// The batch body of [`LdpJoinSketchClient::perturb_batch_into`]: append one report per
+    /// value to `batch`, whose shape the caller checked.
+    fn push_perturbed<R: RngCore + ?Sized>(
+        &self,
+        values: &[u64],
+        rng: &mut R,
+        batch: &mut ReportBatch,
+    ) -> Result<()> {
         let (k, m) = (self.hashes.rows(), self.hashes.columns());
         let flip_p = self.eps.flip_probability();
         let (mut rows, mut cols, mut flips) =
@@ -274,6 +509,24 @@ impl LdpJoinSketchClient {
         Ok(())
     }
 
+    /// Perturb one stream chunk into `batch` in the layout of
+    /// [`LdpJoinSketchClient::perturb_batch_parallel_into`]: [`PARALLEL_PERTURB_CHUNK`]-value
+    /// slices, slice `c` on the RNG stream `chunk_stream_seed(seed, c)`, one after another.
+    pub(crate) fn perturb_chunk_into(
+        &self,
+        values: &[u64],
+        seed: u64,
+        batch: &mut ReportBatch,
+    ) -> Result<()> {
+        self.check_batch(batch)?;
+        batch.clear();
+        let mut slices = values.chunks(PARALLEL_PERTURB_CHUNK).zip(0..);
+        slices.try_for_each(|(slice, c)| {
+            let mut rng = StdRng::seed_from_u64(chunk_stream_seed(seed, c));
+            self.push_perturbed(slice, &mut rng, batch)
+        })
+    }
+
     /// [`LdpJoinSketchClient::perturb_batch_into`] fanned out over `threads` scoped worker
     /// threads.
     ///
@@ -281,11 +534,14 @@ impl LdpJoinSketchClient {
     /// with its own `StdRng` stream derived from `base_seed` and the chunk index, and the
     /// per-chunk batches are appended to `batch` in chunk order. The output therefore
     /// depends only on `(values, base_seed)`: every thread count — including 1 — fills
-    /// `batch` with the identical lanes, so parallel simulation stays reproducible.
+    /// `batch` with the identical lanes, so parallel simulation stays reproducible. The
+    /// chunks run through the chunked runners' fan-out: at most `threads` workers, clamped
+    /// to the machine's parallelism and the chunk count, each perturbing whole chunks.
     ///
     /// # Errors
-    /// Returns [`Error::IncompatibleSketches`] if `batch` was built for a different sketch
-    /// shape; the batch is unchanged in that case.
+    /// Returns [`Error::InvalidWorkload`] if `threads` is zero and
+    /// [`Error::IncompatibleSketches`] if `batch` was built for a different sketch shape;
+    /// the batch is unchanged in both cases.
     pub fn perturb_batch_parallel_into(
         &self,
         values: &[u64],
@@ -293,51 +549,20 @@ impl LdpJoinSketchClient {
         threads: usize,
         batch: &mut ReportBatch,
     ) -> Result<()> {
-        let rng = |c: usize| StdRng::seed_from_u64(chunk_stream_seed(base_seed, c as u64));
-        let chunks: Vec<&[u64]> = values.chunks(PARALLEL_PERTURB_CHUNK).collect();
-        if chunks.len() <= 1 {
-            // One RNG stream: perturb straight into the caller's batch.
-            return self.perturb_batch_into(values, &mut rng(0), batch);
-        }
+        check_threads(threads)?;
         self.check_batch(batch)?;
-        let (k, m) = (self.hashes.rows(), self.hashes.columns());
-        let mut parts = chunks
-            .iter()
-            .map(|c| ReportBatch::with_capacity(k, m, c.len()))
-            .collect::<Result<Vec<_>>>()?;
-        // More workers than cores only adds scheduling overhead (chunk c's stream depends
-        // only on (base_seed, c), so the output is the same either way), so clamp to the
-        // machine's parallelism and to the number of chunks.
-        let available = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let threads = threads.clamp(1, available).min(chunks.len());
-        type ChunkTask<'a> = (usize, &'a [u64], &'a mut ReportBatch);
-        let mut worker_tasks: Vec<Vec<ChunkTask<'_>>> = (0..threads).map(|_| Vec::new()).collect();
-        for (c, (vals, part)) in chunks.iter().zip(parts.iter_mut()).enumerate() {
-            worker_tasks[c % threads].push((c, vals, part));
-        }
-        let run = |tasks: Vec<ChunkTask<'_>>| {
-            tasks
-                .into_iter()
-                .try_for_each(|(c, vals, part)| self.perturb_batch_into(vals, &mut rng(c), part))
-        };
-        if threads == 1 {
-            // A single effective worker runs inline, skipping the thread spawn.
-            worker_tasks.into_iter().try_for_each(run)?;
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = worker_tasks
-                    .into_iter()
-                    .map(|tasks| scope.spawn(|| run(tasks)))
-                    .collect();
-                handles.into_iter().try_for_each(|h| match h.join() {
-                    Ok(result) => result,
-                    // Propagate a worker panic verbatim instead of minting a new one.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-            })?;
-        }
         batch.clear();
-        parts.iter().try_for_each(|part| batch.append(part))
+        let (k, m) = (self.hashes.rows(), self.hashes.columns());
+        drive_chunks(
+            &SliceChunks::new(values, PARALLEL_PERTURB_CHUNK),
+            threads,
+            || ReportBatch::new(k, m),
+            |_, chunk, ordinal, out| {
+                let mut rng = StdRng::seed_from_u64(chunk_stream_seed(base_seed, ordinal));
+                self.perturb_batch_into(chunk, &mut rng, out)
+            },
+            |out| batch.append(out),
+        )
     }
 
     /// Reject a caller-supplied batch shaped for another sketch.
@@ -660,5 +885,140 @@ mod tests {
         for v in 0..50u64 {
             assert_eq!(c1.perturb(v, &mut rng1), c2.perturb(v, &mut rng2));
         }
+    }
+
+    /// The thread counts the fan-out tests run: one, two, three and more than the machine
+    /// has (clamped to `available_parallelism()`).
+    fn thread_counts() -> [usize; 4] {
+        let available = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        [1, 2, 3, available + 2]
+    }
+
+    /// Drive `n` chunks of `len` values through a work body that records each chunk's
+    /// ordinal, start and values, failing with `fail_at`'s error at that ordinal; return
+    /// what reached the sink, in order, and the pass's result.
+    fn drive_recorded(
+        n: usize,
+        len: usize,
+        threads: usize,
+        fail_at: Option<(u64, &str)>,
+        sink_fails_at: Option<u64>,
+    ) -> (Vec<Vec<u64>>, Result<()>) {
+        let values: Vec<u64> = (0..(n * len) as u64).map(|v| v * 7 % 1_000).collect();
+        let mut seen = Vec::new();
+        let result = drive_chunks(
+            &SliceChunks::new(&values, len),
+            threads,
+            || Ok(Vec::new()),
+            |start, chunk, ordinal, out: &mut Vec<u64>| {
+                if let Some((at, why)) = fail_at.filter(|&(at, _)| at == ordinal) {
+                    return Err(Error::InvalidWorkload(format!("{why} at {at}")));
+                }
+                out.clear();
+                out.extend([ordinal, start].iter().chain(chunk));
+                Ok(())
+            },
+            |out| {
+                seen.push(out.clone());
+                match sink_fails_at {
+                    Some(at) if out[0] == at => Err(Error::InvalidWorkload("sink full".into())),
+                    _ => Ok(()),
+                }
+            },
+        );
+        (seen, result)
+    }
+
+    #[test]
+    fn fan_out_sinks_chunks_in_order_and_stops_at_the_first_error() {
+        let (all, result) = drive_recorded(10, 100, 1, None, None);
+        assert!(result.is_ok());
+        assert_eq!(all.len(), 10);
+        for (i, out) in all.iter().enumerate() {
+            assert_eq!((out[0], out[1], out.len()), (i as u64, 100 * i as u64, 102));
+        }
+        for threads in thread_counts() {
+            assert_eq!(
+                drive_recorded(10, 100, threads, None, None),
+                (all.clone(), Ok(()))
+            );
+            // A sink that fails at chunk 5 of 10 receives exactly chunks 0–5, in order.
+            let (seen, result) = drive_recorded(10, 100, threads, None, Some(5));
+            assert_eq!(seen, all[..6], "threads {threads}");
+            assert_eq!(result, Err(Error::InvalidWorkload("sink full".into())));
+            // A work error at chunk 4 ends the pass after chunks 0–3 were sunk.
+            let (seen, result) = drive_recorded(10, 100, threads, Some((4, "bad chunk")), None);
+            assert_eq!(seen, all[..4], "threads {threads}");
+            assert_eq!(result, Err(Error::InvalidWorkload("bad chunk at 4".into())));
+        }
+        // Threads 0 is an error before any chunk is read.
+        let (seen, result) = drive_recorded(10, 100, 0, None, None);
+        assert!(seen.is_empty() && matches!(result, Err(Error::InvalidWorkload(_))));
+    }
+
+    #[test]
+    fn fan_out_resumes_a_worker_panic_on_the_caller() {
+        for threads in thread_counts() {
+            let values: Vec<u64> = (0..8_000).collect();
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                drive_chunks(
+                    &SliceChunks::new(&values, 1_000),
+                    threads,
+                    || Ok(0u64),
+                    |_, chunk, ordinal, out| {
+                        if ordinal == 3 {
+                            std::panic::panic_any(format!("chunk {ordinal} exploded"));
+                        }
+                        *out = chunk.iter().sum();
+                        Ok(())
+                    },
+                    |_| Ok(()),
+                )
+            }));
+            let payload = caught.expect_err("the worker panic must reach the caller");
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some("chunk 3 exploded"),
+                "threads {threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn fan_out_runs_at_most_the_machine_parallelism_in_workers() {
+        use std::collections::HashSet;
+        use std::sync::Mutex;
+        let available = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        let values: Vec<u64> = (0..64_000).collect();
+        let caller = std::thread::current().id();
+        let worker_ids = Mutex::new(HashSet::new());
+        let mut sunk = 0;
+        drive_chunks(
+            &SliceChunks::new(&values, 1_000),
+            available + 2,
+            || Ok(()),
+            |_, _, _, _| {
+                if let Ok(mut ids) = worker_ids.lock() {
+                    ids.insert(std::thread::current().id());
+                }
+                Ok(())
+            },
+            |_| {
+                // Outputs are sunk on the calling thread.
+                assert_eq!(std::thread::current().id(), caller);
+                sunk += 1;
+                Ok(())
+            },
+        )
+        .unwrap();
+        assert_eq!(sunk, 64);
+        let worker_ids = worker_ids.into_inner().unwrap();
+        assert!(
+            worker_ids.len() <= available,
+            "{} workers ran",
+            worker_ids.len()
+        );
+        // Past one worker, the chunks run on spawned threads only.
+        assert_eq!(worker_ids.contains(&caller), available == 1);
     }
 }

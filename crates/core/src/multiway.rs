@@ -36,8 +36,8 @@ use ldpjs_common::rr::sample_sign_bit;
 use rand::{Rng, RngCore};
 
 use crate::server::{
-    check_report_sign, check_spectrum_lengths, coordinate_zero, restored_rows, scaled,
-    span_difference, spectrum_rows, SpectrumPrefix,
+    check_report_sign, check_spectrum_lengths, coordinate_zero, reports_after, restored_rows,
+    scaled, span_difference, spectrum_rows, SpectrumPrefix,
 };
 
 /// One perturbed report for a two-attribute table.
@@ -249,7 +249,8 @@ impl EdgeSketchBuilder {
     ///
     /// # Errors
     /// Returns [`Error::ReportOutOfRange`] if the report indices do not fit the sketch and
-    /// [`Error::InvalidWorkload`] if `y` is not `±1`; the builder is untouched on error.
+    /// [`Error::InvalidWorkload`] if `y` is not `±1` or the builder already holds `2^53`
+    /// reports, the most its counters sum exactly; the builder is untouched on error.
     pub fn absorb(&mut self, report: EdgeReport) -> Result<()> {
         check_report_sign(report.y)?;
         let k = self.attr_a.rows();
@@ -262,9 +263,9 @@ impl EdgeSketchBuilder {
                 cols: ma * mb,
             });
         }
+        self.reports = reports_after(self.reports, 1)?;
         let idx = (report.replica * ma + report.col_a) * mb + report.col_b;
         self.raw[idx] += report.y;
-        self.reports += 1;
         Ok(())
     }
 
@@ -273,12 +274,14 @@ impl EdgeSketchBuilder {
     /// [`LdpEdgeSketchClient::perturb_batch`]; absorbing allocates nothing.
     ///
     /// # Errors
-    /// Returns [`Error::IncompatibleSketches`] on a shape mismatch; the builder is untouched
-    /// in that case.
+    /// Returns [`Error::IncompatibleSketches`] on a shape mismatch and
+    /// [`Error::InvalidWorkload`] if the batch would take the builder past `2^53` reports;
+    /// the builder is untouched in both cases.
     pub fn absorb_batch(&mut self, batch: &ReportBatch) -> Result<()> {
         batch.check_shape(self.attr_a.rows(), self.width())?;
+        let reports = reports_after(self.reports, batch.len())?;
         batch.accumulate_into(&mut self.raw);
-        self.reports += batch.len() as u64;
+        self.reports = reports;
         Ok(())
     }
 
@@ -610,6 +613,46 @@ mod tests {
             })
             .is_ok());
         assert_eq!(sk.reports(), 1);
+    }
+
+    #[test]
+    fn edge_absorb_refuses_reports_past_the_exact_bound() {
+        use crate::server::MAX_EXACT_REPORTS;
+        let (a, b) = (family(1, 2, 4), family(2, 2, 4));
+        let batch = |n: usize| {
+            let mut batch = ReportBatch::new(2, 16).unwrap();
+            for i in 0..n {
+                batch.push(i % 2, i, i % 2 == 1).unwrap();
+            }
+            batch
+        };
+        let mut builder = EdgeSketchBuilder::new(a, b, eps(2.0)).unwrap();
+        builder.reports = MAX_EXACT_REPORTS - 3;
+        let refused = |r: Result<()>| matches!(r, Err(Error::InvalidWorkload(_)));
+        // Four reports would pass 2^53: refused, counters and count untouched.
+        assert!(refused(builder.absorb_batch(&batch(4))));
+        assert_eq!(builder.reports(), MAX_EXACT_REPORTS - 3);
+        assert!(builder.raw.iter().all(|&v| v == 0.0));
+        // Three reach it exactly and absorb; then not one more report fits.
+        builder.absorb_batch(&batch(3)).unwrap();
+        assert_eq!(builder.reports(), MAX_EXACT_REPORTS);
+        let moved = builder.raw.clone();
+        assert_eq!(moved.iter().filter(|&&v| v != 0.0).count(), 3);
+        let one = EdgeReport {
+            y: 1.0,
+            replica: 0,
+            col_a: 0,
+            col_b: 0,
+        };
+        assert!(refused(builder.absorb(one)));
+        assert!(refused(builder.absorb_batch(&batch(1))));
+        assert_eq!(
+            (builder.reports(), &builder.raw),
+            (MAX_EXACT_REPORTS, &moved)
+        );
+        builder.reports = MAX_EXACT_REPORTS - 1;
+        builder.absorb(one).unwrap();
+        assert_eq!(builder.reports(), MAX_EXACT_REPORTS);
     }
 
     /// An edge builder over attribute families `(a, b)` that absorbed `batch`.

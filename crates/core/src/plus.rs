@@ -62,8 +62,9 @@ use ldpjs_common::stream::ChunkedValues;
 use ldpjs_sketch::SketchParams;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::num::NonZeroUsize;
 
-use crate::client::{chunk_stream_seed, try_for_each_chunk, LdpJoinSketchClient};
+use crate::client::{check_threads, chunk_stream_seed, drive_chunks, LdpJoinSketchClient};
 use crate::fap::{FapClient, FapMode};
 use crate::kernel::PlusKernel;
 use crate::plus_state::{lane_seeds, FiPolicy, FinalizedPlusState, PlusReportBatch};
@@ -90,6 +91,13 @@ pub struct PlusConfig {
     /// Enable the confidence-driven large-n mode (adaptive θ, median frequent-item
     /// discovery, shift-free JoinEst, bound-capped recombination). See the module docs.
     pub adaptive: bool,
+    /// Worker threads of the client simulation in both passes: whole stream chunks fan out
+    /// over up to this many scoped workers (clamped to the machine's parallelism and the
+    /// chunk count), while absorbing, discovery and `JoinEst` stay on the calling thread.
+    /// Every chunk keeps its own RNG streams, so the count changes no bit of any result.
+    /// [`PlusConfig::new`] sets `available_parallelism()`; [`LdpJoinSketchPlus::new`]
+    /// rejects 0.
+    pub threads: usize,
 }
 
 impl PlusConfig {
@@ -103,10 +111,12 @@ impl PlusConfig {
             threshold: 0.001,
             seed: 0xC0FFEE,
             adaptive: false,
+            threads: std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
         }
     }
 
     fn validate(&self) -> Result<()> {
+        check_threads(self.threads)?;
         if !(self.sampling_rate > 0.0 && self.sampling_rate < 1.0) {
             return Err(Error::InvalidWorkload(format!(
                 "phase-1 sampling rate must lie in (0, 1), got {}",
@@ -210,7 +220,8 @@ impl LdpJoinSketchPlus {
     /// Create an estimator from a configuration.
     ///
     /// # Errors
-    /// Returns [`Error::InvalidWorkload`] if the sampling rate or threshold is out of range.
+    /// Returns [`Error::InvalidWorkload`] if the sampling rate or threshold is out of range
+    /// or the thread count is zero.
     pub fn new(config: PlusConfig) -> Result<Self> {
         config.validate()?;
         Ok(LdpJoinSketchPlus { config })
@@ -230,9 +241,10 @@ impl LdpJoinSketchPlus {
     /// Each table is consumed in exactly two forward passes (one per phase) of
     /// `chunk_len()`-bounded chunks; nothing of size `n` is ever materialized. Users are
     /// routed to the phase-1 sample or one of the phase-2 groups by a deterministic hash of
-    /// `(config seed, user index)`, so both passes agree on every user's role and the
-    /// result depends only on `(streams, config, rng_seed)` — not on chunk boundaries of
-    /// the report pipeline or thread scheduling.
+    /// `(config seed, user index)`, so both passes agree on every user's role. Each chunk's
+    /// reports come from its own RNG streams, so the result depends only on the streams
+    /// (their values and chunking), the config and `rng_seed` — never on
+    /// [`PlusConfig::threads`] or thread scheduling.
     ///
     /// # Errors
     /// Returns [`Error::InvalidWorkload`] if the routing leaves a phase-2 group with fewer
@@ -331,7 +343,9 @@ impl LdpJoinSketchPlus {
     /// its own pass 1) and the two FAP phase-2 lanes encoded against `frequent_items`. The
     /// per-chunk RNG streams and the deterministic user routing are shared with the one-shot
     /// passes, so a consumer absorbing these batches into exact-counter builders — in any
-    /// epoch windowing — is bit-identical to the one-shot protocol.
+    /// epoch windowing — is bit-identical to the one-shot protocol. Whole chunks are
+    /// perturbed on up to [`PlusConfig::threads`] workers; `sink` runs on the calling
+    /// thread and receives the batches in chunk order.
     ///
     /// # Errors
     /// Stops at and returns the first error `sink` reports.
@@ -350,11 +364,11 @@ impl LdpJoinSketchPlus {
         let (fap_low, fap_high) = self.fap_clients(frequent_items);
         let (p1_tag, p2_tag) = (role.phase1_tag(), role.phase2_tag());
         let flip_p = cfg.eps.flip_probability();
-        let mut batch = PlusReportBatch::new(cfg.params)?;
-        let mut sampled: Vec<u64> = Vec::new();
-        try_for_each_chunk(
-            |feed| table.for_each_chunk(feed),
-            |start, chunk, ordinal| {
+        drive_chunks(
+            table,
+            cfg.threads,
+            || Ok((PlusReportBatch::new(cfg.params)?, Vec::new())),
+            |start, chunk, ordinal, (batch, sampled)| {
                 let rng_for =
                     |tag: u64| StdRng::seed_from_u64(chunk_stream_seed(rng_seed ^ tag, ordinal));
                 if include_phase1 {
@@ -365,7 +379,7 @@ impl LdpJoinSketchPlus {
                         }
                     }
                     client_p1.perturb_batch_into(
-                        &sampled,
+                        sampled,
                         &mut rng_for(p1_tag),
                         &mut batch.phase1,
                     )?;
@@ -385,8 +399,9 @@ impl LdpJoinSketchPlus {
                     let (row, col, negative) = client.perturb_packed(v, &mut rng, flip_p);
                     lane.push(row, col, negative)?;
                 }
-                sink(&batch)
+                Ok(())
             },
+            |(batch, _)| sink(batch),
         )
     }
 
@@ -424,29 +439,36 @@ impl LdpJoinSketchPlus {
         let client_p1 = LdpJoinSketchClient::new(cfg.params, cfg.eps, cfg.seed);
         let route = UserRouter::new(cfg.seed, role.router_tag(), cfg.sampling_rate);
         let tag = role.phase1_tag();
+        let (k, m) = (cfg.params.rows(), cfg.params.columns());
         let mut builder = SketchBuilder::new(cfg.params, cfg.eps, cfg.seed);
-        let mut sampled = Vec::new();
-        let mut batch = ReportBatch::new(cfg.params.rows(), cfg.params.columns())?;
-        let (mut n_sample, mut n_low, mut n_high) = (0usize, 0usize, 0usize);
-        try_for_each_chunk(
-            |feed| stream.for_each_chunk(feed),
-            |start, chunk, ordinal| {
+        // Users per role in (sample, low, high) order, over the pass and per chunk.
+        let mut roles = [0usize; 3];
+        drive_chunks(
+            stream,
+            cfg.threads,
+            || Ok((ReportBatch::new(k, m)?, Vec::new(), [0usize; 3])),
+            |start, chunk, ordinal, (batch, sampled, counts)| {
                 sampled.clear();
+                *counts = [0; 3];
                 for (offset, &v) in chunk.iter().enumerate() {
                     match route.route(start + offset as u64) {
                         UserRole::Sample => {
                             sampled.push(v);
-                            n_sample += 1;
+                            counts[0] += 1;
                         }
-                        UserRole::LowGroup => n_low += 1,
-                        UserRole::HighGroup => n_high += 1,
+                        UserRole::LowGroup => counts[1] += 1,
+                        UserRole::HighGroup => counts[2] += 1,
                     }
                 }
                 let mut rng = StdRng::seed_from_u64(chunk_stream_seed(rng_seed ^ tag, ordinal));
-                client_p1.perturb_batch_into(&sampled, &mut rng, &mut batch)?;
-                builder.absorb_batch(&batch)
+                client_p1.perturb_batch_into(sampled, &mut rng, batch)
+            },
+            |(batch, _, counts)| {
+                roles.iter_mut().zip(counts).for_each(|(n, c)| *n += c);
+                builder.absorb_batch(batch)
             },
         )?;
+        let [n_sample, n_low, n_high] = roles;
         Ok(Phase1Pass {
             sketch: builder.finalize(),
             n_sample,
@@ -956,6 +978,67 @@ mod tests {
                     .any(|&d| d >= crate::server::SCAN_BLOCK as u64),
                 "some frequent item lies past the first block"
             );
+        }
+    }
+
+    #[test]
+    fn every_plus_pass_is_thread_count_invariant() {
+        let a = skewed(30_000, 2_000, 101);
+        let b = skewed(30_000, 2_000, 102);
+        let domain: Vec<u64> = (0..2_000).collect();
+        let (src_a, src_b) = (SliceChunks::new(&a, 4_096), SliceChunks::new(&b, 4_096));
+        let available = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        let lanes = |batch: &PlusReportBatch| {
+            [&batch.phase1, &batch.low, &batch.high].map(|lane| lane.clone())
+        };
+        for adaptive in [false, true] {
+            let mut cfg = config(4.0);
+            cfg.adaptive = adaptive;
+            // Each pass at `threads`: the estimate's bits, the discovery, and every batch
+            // of table A's labeled stream with and without its phase-1 lane.
+            let run = |threads: usize| {
+                let est = LdpJoinSketchPlus::new(PlusConfig { threads, ..cfg }).unwrap();
+                let r = est.estimate_chunked(&src_a, &src_b, &domain, 9).unwrap();
+                let d = est
+                    .discover_frequent_items_chunked(&src_a, &src_b, &domain, 9)
+                    .unwrap();
+                let discovery = (
+                    d.frequent_items,
+                    d.thresholds,
+                    d.phase1_users,
+                    d.group_sizes,
+                );
+                let mut batches = Vec::new();
+                for include_phase1 in [true, false] {
+                    est.stream_plus_reports(
+                        &src_a,
+                        PlusTableRole::A,
+                        &discovery.0,
+                        9,
+                        include_phase1,
+                        &mut |batch| {
+                            batches.push(lanes(batch));
+                            Ok(())
+                        },
+                    )
+                    .unwrap();
+                }
+                let weights = r.recombination_weights;
+                let bits = [
+                    r.join_size,
+                    r.low_estimate,
+                    r.high_estimate,
+                    weights.0,
+                    weights.1,
+                ]
+                .map(f64::to_bits);
+                (bits, discovery, batches)
+            };
+            let one = run(1);
+            assert_eq!(one.2.len(), 2 * a.len().div_ceil(4_096));
+            for threads in [2, 3, available + 2] {
+                assert_eq!(run(threads), one, "adaptive {adaptive}, threads {threads}");
+            }
         }
     }
 

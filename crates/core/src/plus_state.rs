@@ -283,11 +283,13 @@ impl PlusStateBuilder {
         self.high.clear();
     }
 
-    /// Absorb one labeled batch atomically: all three lane shapes are checked before any
-    /// counter moves, so a rejected batch leaves every lane untouched.
+    /// Absorb one labeled batch atomically: all three lanes are checked before any counter
+    /// moves, so a rejected batch leaves every lane untouched.
     ///
     /// # Errors
-    /// [`Error::IncompatibleSketches`] if a lane is shaped for another sketch.
+    /// [`Error::IncompatibleSketches`] if a lane is shaped for another sketch, and
+    /// [`Error::InvalidWorkload`] if a lane would pass the 2^53 reports below which its
+    /// counters stay exact.
     pub fn absorb_batch(&mut self, batch: &PlusReportBatch) -> Result<()> {
         let lanes = [
             (&mut self.phase1, &batch.phase1),
@@ -295,7 +297,7 @@ impl PlusStateBuilder {
             (&mut self.high, &batch.high),
         ];
         for (builder, reports) in &lanes {
-            builder.check_batch_shape(reports)?;
+            builder.check_batch(reports)?;
         }
         for (builder, reports) in lanes {
             builder.absorb_batch(reports)?;
@@ -512,6 +514,35 @@ mod tests {
                 .perturb_batch(&values[n / 5 + 2 * n / 5..], &mut rng)
                 .unwrap(),
         }
+    }
+
+    #[test]
+    fn absorb_checks_every_lane_against_the_exact_bound_first() {
+        use crate::server::MAX_EXACT_REPORTS;
+        let batch = batch_for(3, 200);
+        let (n1, nl, nh) = (batch.phase1.len(), batch.low.len(), batch.high.len());
+        let mut builder = PlusStateBuilder::new(params(), eps(), 9);
+        let before = |b: &PlusStateBuilder| {
+            let (p1, low, high) = b.lane_builders();
+            [p1, low, high].map(|lane| (lane.reports(), lane.spectrum()))
+        };
+        // The high lane has room for all but one of its reports: the batch is refused
+        // before the phase-1 and low lanes, which it fits, absorb anything.
+        builder.high.set_reports(MAX_EXACT_REPORTS - nh as u64 + 1);
+        let untouched = before(&builder);
+        assert!(matches!(
+            builder.absorb_batch(&batch),
+            Err(Error::InvalidWorkload(_))
+        ));
+        assert_eq!(before(&builder), untouched);
+        // With room for exactly its reports, every lane absorbs.
+        builder.high.set_reports(MAX_EXACT_REPORTS - nh as u64);
+        builder.absorb_batch(&batch).unwrap();
+        let (p1, low, high) = builder.lane_builders();
+        assert_eq!(
+            [p1.reports(), low.reports(), high.reports()],
+            [n1 as u64, nl as u64, MAX_EXACT_REPORTS]
+        );
     }
 
     #[test]

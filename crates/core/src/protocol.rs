@@ -6,13 +6,13 @@
 //! available for callers that need finer control (e.g. streaming report ingestion).
 
 use ldpjs_common::batch::ReportBatch;
-use ldpjs_common::error::{Error, Result};
+use ldpjs_common::error::Result;
 use ldpjs_common::privacy::Epsilon;
 use ldpjs_common::stream::ChunkedValues;
 use ldpjs_sketch::SketchParams;
 use rand::RngCore;
 
-use crate::client::{chunk_stream_seed, try_for_each_chunk, LdpJoinSketchClient};
+use crate::client::{chunk_stream_seed, drive_chunks, LdpJoinSketchClient};
 use crate::plus::{LdpJoinSketchPlus, PlusConfig, PlusEstimate};
 use crate::server::{FinalizedSketch, SketchBuilder};
 use std::sync::Arc;
@@ -47,7 +47,8 @@ pub fn build_private_sketch(
 /// or the machine's thread scheduling, because the report stream is chunk-seeded.
 ///
 /// # Errors
-/// Returns [`Error::InvalidWorkload`] if `threads` is zero.
+/// Returns [`InvalidWorkload`](ldpjs_common::error::Error::InvalidWorkload) if `threads` is
+/// zero.
 pub fn build_private_sketch_parallel(
     values: &[u64],
     params: SketchParams,
@@ -56,24 +57,12 @@ pub fn build_private_sketch_parallel(
     rng_seed: u64,
     threads: usize,
 ) -> Result<FinalizedSketch> {
-    check_threads(threads)?;
     let client = LdpJoinSketchClient::new(params, eps, seed);
     let mut batch = ReportBatch::with_capacity(params.rows(), params.columns(), values.len())?;
     client.perturb_batch_parallel_into(values, rng_seed, threads, &mut batch)?;
     let mut builder = SketchBuilder::with_hashes(eps, Arc::clone(client.hashes()));
     builder.absorb_batch(&batch)?;
     Ok(builder.finalize())
-}
-
-/// The runners' thread-count check. [`LdpJoinSketchClient::perturb_batch_parallel_into`]
-/// clamps 0 to 1, but a zero count has always been an error of the runners.
-fn check_threads(threads: usize) -> Result<()> {
-    if threads == 0 {
-        return Err(Error::InvalidWorkload(
-            "the protocol runners need at least one perturbation thread".into(),
-        ));
-    }
-    Ok(())
 }
 
 /// Run the full LDPJoinSketch protocol: perturb both attributes' values (with a shared public
@@ -96,7 +85,8 @@ pub fn ldp_join_estimate(
 /// seeds, independent of `threads`).
 ///
 /// # Errors
-/// Returns [`Error::InvalidWorkload`] if `threads` is zero.
+/// Returns [`InvalidWorkload`](ldpjs_common::error::Error::InvalidWorkload) if `threads` is
+/// zero.
 pub fn ldp_join_estimate_parallel(
     table_a: &[u64],
     table_b: &[u64],
@@ -118,20 +108,23 @@ pub fn ldp_join_estimate_parallel(
 /// This is the canonical client-simulation pass of the chunked pipeline, exposed so that
 /// *any* report consumer — [`build_private_sketch_chunked`], the online `SketchService`'s
 /// continuous ingestion, a soak driver — sees the exact same report stream for the same
-/// `(client, rng_seed)`: each chunk is perturbed with its own deterministic RNG stream
-/// (seeded from `rng_seed` and the chunk ordinal, and fanned out over `threads` by
-/// [`LdpJoinSketchClient::perturb_batch_parallel_into`]), so the stream is
+/// `(client, rng_seed)`: each chunk is perturbed with its own deterministic RNG streams
+/// (seeded from `rng_seed` and the chunk ordinal; a chunk longer than
+/// [`PARALLEL_PERTURB_CHUNK`](crate::client::PARALLEL_PERTURB_CHUNK) (8,192) values is cut
+/// into 8,192-value slices with one stream each, as
+/// [`LdpJoinSketchClient::perturb_batch_parallel_into`] cuts its slice), so the stream is
 /// thread-count-invariant and bit-reproducible. A consumer absorbing these batches into
 /// exact-counter builders is therefore bit-identical to the one-shot runners, no matter how
 /// it windows the batches.
 ///
-/// `threads` takes effect only for chunks longer than
-/// [`PARALLEL_PERTURB_CHUNK`](crate::client::PARALLEL_PERTURB_CHUNK) (8,192) values: the
-/// fan-out splits each chunk into 8,192-value RNG streams, at most one worker per stream,
-/// so a stream of 8,192-value chunks perturbs every chunk on the calling thread.
+/// Whole chunks fan out over up to `threads` worker threads (clamped to the machine's
+/// parallelism and the chunk count), one chunk per worker at a time; `sink` runs on the
+/// calling thread and receives the batches in chunk order. Each worker has up to two chunks
+/// queued, so at most `2·threads` chunk copies and batches are in flight.
 ///
 /// # Errors
-/// Stops at and returns the first error `sink` reports.
+/// Returns [`InvalidWorkload`](ldpjs_common::error::Error::InvalidWorkload) if `threads` is
+/// zero; otherwise stops at and returns the first error `sink` reports.
 pub fn stream_reports_chunked(
     values: &dyn ChunkedValues,
     client: &LdpJoinSketchClient,
@@ -139,31 +132,30 @@ pub fn stream_reports_chunked(
     threads: usize,
     sink: &mut dyn FnMut(&ReportBatch) -> Result<()>,
 ) -> Result<()> {
-    // One packed batch reused across every chunk of the stream.
     let params = client.params();
-    let mut batch = ReportBatch::new(params.rows(), params.columns())?;
-    try_for_each_chunk(
-        |feed| values.for_each_chunk(feed),
-        |_, chunk, ordinal| {
-            let seed = chunk_stream_seed(rng_seed, ordinal);
-            client.perturb_batch_parallel_into(chunk, seed, threads, &mut batch)?;
-            sink(&batch)
+    drive_chunks(
+        values,
+        threads,
+        || ReportBatch::new(params.rows(), params.columns()),
+        |_, chunk, ordinal, batch| {
+            client.perturb_chunk_into(chunk, chunk_stream_seed(rng_seed, ordinal), batch)
         },
+        sink,
     )
 }
 
 /// Build a [`FinalizedSketch`] from a replayable bounded-memory value stream — the large-n
 /// ingestion path.
 ///
-/// One pass over the stream via [`stream_reports_chunked`], each chunk perturbed over
-/// `threads` threads and absorbed into one [`SketchBuilder`], so peak resident value memory
-/// is the stream's `chunk_len()`, not `n`. For a fixed stream (values + chunk length) the
-/// result depends only on `(params, eps, seed, rng_seed)` — never on `threads` or thread
-/// scheduling. As in [`stream_reports_chunked`], `threads` takes effect only for chunks
-/// longer than 8,192 values.
+/// One pass over the stream via [`stream_reports_chunked`], whole chunks perturbed on up to
+/// `threads` threads and absorbed into one [`SketchBuilder`] on the calling thread, so peak
+/// resident value memory is `threads` chunk copies beside the stream's own chunk, not `n`.
+/// For a fixed stream (values + chunk length) the result depends only on
+/// `(params, eps, seed, rng_seed)` — never on `threads` or thread scheduling.
 ///
 /// # Errors
-/// Returns [`Error::InvalidWorkload`] if `threads` is zero.
+/// Returns [`InvalidWorkload`](ldpjs_common::error::Error::InvalidWorkload) if `threads` is
+/// zero.
 pub fn build_private_sketch_chunked(
     values: &dyn ChunkedValues,
     params: SketchParams,
@@ -172,7 +164,6 @@ pub fn build_private_sketch_chunked(
     rng_seed: u64,
     threads: usize,
 ) -> Result<FinalizedSketch> {
-    check_threads(threads)?;
     let client = LdpJoinSketchClient::new(params, eps, seed);
     let mut builder = SketchBuilder::with_hashes(eps, Arc::clone(client.hashes()));
     stream_reports_chunked(values, &client, rng_seed, threads, &mut |batch| {
@@ -183,11 +174,12 @@ pub fn build_private_sketch_chunked(
 
 /// Run the full LDPJoinSketch protocol over two bounded-memory value streams (the plain
 /// baseline of the large-n regime): both sketches are built with
-/// [`build_private_sketch_chunked`] and combined by the Eq. 5 estimator. `threads` takes
-/// effect only for chunks longer than 8,192 values (see [`stream_reports_chunked`]).
+/// [`build_private_sketch_chunked`], whole chunks perturbed on up to `threads` threads, and
+/// combined by the Eq. 5 estimator.
 ///
 /// # Errors
-/// Returns [`Error::InvalidWorkload`] if `threads` is zero.
+/// Returns [`InvalidWorkload`](ldpjs_common::error::Error::InvalidWorkload) if `threads` is
+/// zero.
 pub fn ldp_join_estimate_chunked(
     table_a: &dyn ChunkedValues,
     table_b: &dyn ChunkedValues,
@@ -229,7 +221,9 @@ pub fn report_bits(params: SketchParams) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ldpjs_common::error::Error;
     use ldpjs_common::stats::exact_join_size;
+    use ldpjs_common::stream::SliceChunks;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -276,7 +270,6 @@ mod tests {
 
     #[test]
     fn chunked_pipeline_tracks_truth_and_is_thread_count_invariant() {
-        use ldpjs_common::stream::SliceChunks;
         let a = skewed(80_000, 5_000, 21);
         let b = skewed(80_000, 5_000, 22);
         let truth = exact_join_size(&a, &b) as f64;
@@ -292,15 +285,23 @@ mod tests {
         );
         let re = (est_1 - truth).abs() / truth;
         assert!(re < 0.3, "relative error {re} (est {est_1}, truth {truth})");
-        // The chunked sketch itself counts every streamed report.
-        let sketch = build_private_sketch_chunked(&src_a, params, eps, 9, 33, 2).unwrap();
-        assert_eq!(sketch.reports(), a.len() as u64);
+        // The chunked sketch counts every streamed report, and its counters are the same
+        // bits at every thread count.
+        let bits = |threads: usize| {
+            let sketch = build_private_sketch_chunked(&src_a, params, eps, 9, 33, threads).unwrap();
+            assert_eq!(sketch.reports(), a.len() as u64);
+            let counters = sketch.restored_counters().iter();
+            counters.map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        let one = bits(1);
+        for threads in thread_counts() {
+            assert_eq!(bits(threads), one, "threads {threads}");
+        }
     }
 
     #[test]
     fn streamed_report_batches_reproduce_the_chunked_pipeline_bit_for_bit() {
         use crate::server::SketchBuilder;
-        use ldpjs_common::stream::SliceChunks;
         // An external consumer absorbing the batches of `stream_reports_chunked` — in any
         // windowing — must land on the same sketch as `build_private_sketch_chunked`.
         let values = skewed(30_000, 2_000, 41);
@@ -326,7 +327,6 @@ mod tests {
 
     #[test]
     fn plus_chunked_wrapper_matches_direct_use() {
-        use ldpjs_common::stream::SliceChunks;
         let a = skewed(40_000, 2_000, 25);
         let b = skewed(40_000, 2_000, 26);
         let domain: Vec<u64> = (0..2_000).collect();
@@ -364,14 +364,124 @@ mod tests {
         assert!(re < 0.3, "relative error {re} (est {est_4}, truth {truth})");
     }
 
+    /// One, two, three and more threads than the machine has.
+    fn thread_counts() -> [usize; 4] {
+        let available = std::thread::available_parallelism().map_or(1, |n| n.get());
+        [1, 2, 3, available + 2]
+    }
+
+    /// A slice streamed in chunks whose `total_values()` is wrong: with `over` it claims one
+    /// chunk more than it streams, so the pass never sees the chunk it would finish in;
+    /// without, it leaves out the last chunk, so the pass finishes one chunk early.
+    struct Misreported<'a> {
+        inner: SliceChunks<'a>,
+        over: bool,
+    }
+
+    impl ChunkedValues for Misreported<'_> {
+        fn total_values(&self) -> usize {
+            let (total, len) = (self.inner.total_values(), self.inner.chunk_len());
+            if self.over {
+                total + len
+            } else {
+                total.saturating_sub(1) / len * len
+            }
+        }
+
+        fn chunk_len(&self) -> usize {
+            self.inner.chunk_len()
+        }
+
+        fn for_each_chunk(&self, sink: &mut dyn FnMut(u64, &[u64])) {
+            self.inner.for_each_chunk(sink)
+        }
+    }
+
+    /// Every batch `stream_reports_chunked` hands its sink, in order.
+    fn streamed(
+        source: &dyn ChunkedValues,
+        client: &LdpJoinSketchClient,
+        threads: usize,
+    ) -> Vec<ReportBatch> {
+        let mut batches = Vec::new();
+        stream_reports_chunked(source, client, 61, threads, &mut |batch| {
+            batches.push(batch.clone());
+            Ok(())
+        })
+        .unwrap();
+        batches
+    }
+
+    #[test]
+    fn streamed_batches_are_thread_count_invariant_on_every_stream_shape() {
+        let params = SketchParams::new(6, 128).unwrap();
+        let client = LdpJoinSketchClient::new(params, Epsilon::new(2.0).unwrap(), 5);
+        let values = skewed(20_000, 500, 43);
+        // (values, chunk length): empty; one short chunk; fewer chunks than workers; a short
+        // last chunk; chunks longer than one 8,192-value RNG slice.
+        let shapes: [(&[u64], usize); 5] = [
+            (&[], 1_000),
+            (&values[..300], 1_000),
+            (&values[..1_500], 1_000),
+            (&values[..10_700], 1_000),
+            (&values, 9_000),
+        ];
+        for (table, len) in shapes {
+            let source = SliceChunks::new(table, len);
+            // The reference: chunk `i` perturbed alone on the stream `(61, i)`.
+            let reference: Vec<ReportBatch> = (table.chunks(len).zip(0..))
+                .map(|(chunk, i)| {
+                    let mut batch = ReportBatch::new(params.rows(), params.columns()).unwrap();
+                    client
+                        .perturb_chunk_into(chunk, chunk_stream_seed(61, i), &mut batch)
+                        .unwrap();
+                    batch
+                })
+                .collect();
+            for threads in thread_counts() {
+                let what = format!(
+                    "{} values in {len}-value chunks, threads {threads}",
+                    table.len()
+                );
+                assert_eq!(streamed(&source, &client, threads), reference, "{what}");
+                // A source that misstates its length still streams every chunk once.
+                for over in [true, false] {
+                    let inner = source;
+                    let wrong = Misreported { inner, over };
+                    let got = streamed(&wrong, &client, threads);
+                    assert_eq!(got, reference, "{what}, over-reported: {over}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn runners_reject_zero_threads() {
-        use ldpjs_common::stream::SliceChunks;
         let values = skewed(1_000, 100, 31);
         let src = SliceChunks::new(&values, 256);
         let params = SketchParams::new(4, 64).unwrap();
         let eps = Epsilon::new(2.0).unwrap();
         let invalid = |r: Result<()>| matches!(r, Err(Error::InvalidWorkload(_)));
+        let client = LdpJoinSketchClient::new(params, eps, 1);
+        assert!(invalid(stream_reports_chunked(
+            &src,
+            &client,
+            2,
+            0,
+            &mut |_| Ok(())
+        )));
+        // The parallel perturbation refuses before it clears the caller's batch.
+        let mut batch = client
+            .perturb_batch(&values[..3], &mut StdRng::seed_from_u64(0))
+            .unwrap();
+        let before = batch.clone();
+        assert!(invalid(
+            client.perturb_batch_parallel_into(&values, 2, 0, &mut batch)
+        ));
+        assert_eq!(batch, before);
+        let mut plus = PlusConfig::new(params, eps);
+        plus.threads = 0;
+        assert!(invalid(LdpJoinSketchPlus::new(plus).map(drop)));
         assert!(invalid(
             build_private_sketch_parallel(&values, params, eps, 1, 2, 0).map(drop)
         ));

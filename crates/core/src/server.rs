@@ -11,10 +11,11 @@
 //!   are their unscaled spectra ([`SketchBuilder::spectrum`]): windows combine by adding
 //!   spectra, bit-for-bit identical to one builder absorbing every report, however the
 //!   reports were partitioned (integer addition in `f64` is associative as long as counts
-//!   stay below `2^53`, far beyond any realistic report volume). The online service's span
-//!   ledger keeps its prefix sums of spectra as wrapping `i32`, half the bytes, and
-//!   [`FinalizedSketch::from_spectrum_diff`] restores any span of fewer than `2^31` reports
-//!   per lane from two of them exactly.
+//!   stay within `2^53`; every counter and spectrum entry is bounded by the report count, so
+//!   a builder refuses any report past its `2^53`-th with [`Error::InvalidWorkload`]). The
+//!   online service's span ledger keeps its prefix sums of spectra as wrapping `i32`, half
+//!   the bytes, and [`FinalizedSketch::from_spectrum_diff`] restores any span of fewer than
+//!   `2^31` reports per lane from two of them exactly.
 //! * [`FinalizedSketch`] is the **immutable estimation stage**. [`SketchBuilder::finalize`]
 //!   applies the de-bias scale `k·c_ε` (the factor `k` undoes the uniform row sampling,
 //!   `c_ε = (e^ε+1)/(e^ε−1)` undoes the randomized response) and pushes each row back
@@ -39,6 +40,27 @@ use ldpjs_sketch::SketchParams;
 use std::sync::Arc;
 
 use crate::client::ClientReport;
+
+/// The most reports one builder lane absorbs: `2^53`. Every counter, and every entry of its
+/// spectrum, is a sum of at most that many `±1` contributions, and `f64` holds every
+/// integer up to `2^53` exactly, so absorption in any order stays exact.
+pub(crate) const MAX_EXACT_REPORTS: u64 = 1 << 53;
+
+/// The report count after absorbing `added` more reports into a lane holding `reports`.
+///
+/// # Errors
+/// [`Error::InvalidWorkload`] if it would pass [`MAX_EXACT_REPORTS`].
+pub(crate) fn reports_after(reports: u64, added: usize) -> Result<u64> {
+    (added as u64)
+        .checked_add(reports)
+        .filter(|&total| total <= MAX_EXACT_REPORTS)
+        .ok_or_else(|| {
+            Error::InvalidWorkload(format!(
+                "absorbing {added} more reports into a lane of {reports} passes the 2^53 \
+                 reports below which its counters stay exact"
+            ))
+        })
+}
 
 /// The mutable accumulation stage of the server-side LDPJoinSketch.
 ///
@@ -106,7 +128,8 @@ impl SketchBuilder {
     ///
     /// # Errors
     /// Returns [`Error::ReportOutOfRange`] if the report's indices do not fit this sketch and
-    /// [`Error::InvalidWorkload`] if `y` is not `±1`; the builder is untouched on error.
+    /// [`Error::InvalidWorkload`] if `y` is not `±1` or the builder already holds `2^53`
+    /// reports, the most its counters sum exactly; the builder is untouched on error.
     pub fn absorb(&mut self, report: ClientReport) -> Result<()> {
         check_report_sign(report.y)?;
         let (k, m) = (self.hashes.rows(), self.hashes.columns());
@@ -118,8 +141,8 @@ impl SketchBuilder {
                 cols: m,
             });
         }
+        self.reports = reports_after(self.reports, 1)?;
         self.raw[report.row * m + report.col] += report.y;
-        self.reports += 1;
         Ok(())
     }
 
@@ -133,11 +156,12 @@ impl SketchBuilder {
     ///
     /// # Errors
     /// Returns [`Error::IncompatibleSketches`] if the batch shape does not match this
-    /// sketch; the builder is untouched in that case.
+    /// sketch and [`Error::InvalidWorkload`] if the batch would take the builder past `2^53`
+    /// reports; the builder is untouched in both cases.
     pub fn absorb_batch(&mut self, batch: &ReportBatch) -> Result<()> {
-        self.check_batch_shape(batch)?;
+        let reports = self.check_batch(batch)?;
         batch.accumulate_into(&mut self.raw);
-        self.reports += batch.len() as u64;
+        self.reports = reports;
         Ok(())
     }
 
@@ -148,9 +172,11 @@ impl SketchBuilder {
         self.reports = 0;
     }
 
-    /// Shape compatibility check for packed-batch ingestion.
-    pub(crate) fn check_batch_shape(&self, batch: &ReportBatch) -> Result<()> {
-        batch.check_shape(self.hashes.rows(), self.hashes.columns())
+    /// The checks of packed-batch ingestion, made before any counter moves: the batch's
+    /// shape, and the report count it leaves, which is returned.
+    pub(crate) fn check_batch(&self, batch: &ReportBatch) -> Result<u64> {
+        batch.check_shape(self.hashes.rows(), self.hashes.columns())?;
+        reports_after(self.reports, batch.len())
     }
 
     /// Restore the sketch from the Hadamard domain (Algorithm 2, line 6): apply the de-bias
@@ -200,6 +226,14 @@ impl SketchBuilder {
     /// [`FinalizedSketch::coordinate_zero_counts`]): `k` loads, no pass over the rows.
     pub fn coordinate_zero_counts(&self) -> Vec<f64> {
         coordinate_zero(&self.raw, self.hashes.columns())
+    }
+}
+
+#[cfg(test)]
+impl SketchBuilder {
+    /// Move the report count, so tests reach the `2^53` bound without absorbing that many.
+    pub(crate) fn set_reports(&mut self, reports: u64) {
+        self.reports = reports;
     }
 }
 
@@ -1073,6 +1107,55 @@ mod tests {
         };
         assert!(builder.absorb(good).is_ok());
         assert_eq!(builder.reports(), 1);
+    }
+
+    /// A batch of `n` reports on the counters `(j, j)` of a `4 × 64` sketch, alternating sign.
+    fn diagonal_batch(n: usize) -> ReportBatch {
+        let mut batch = ReportBatch::new(4, 64).unwrap();
+        for j in 0..n {
+            batch.push(j % 4, j % 4, j % 2 == 1).unwrap();
+        }
+        batch
+    }
+
+    #[test]
+    fn absorb_refuses_reports_past_the_exact_bound() {
+        let mut builder = SketchBuilder::new(params(4, 64), eps(1.0), 0);
+        builder.set_reports(MAX_EXACT_REPORTS - 3);
+        let refused = |r: Result<()>| matches!(r, Err(Error::InvalidWorkload(_)));
+        // Four reports would pass 2^53: refused, counters and count untouched.
+        assert!(refused(builder.absorb_batch(&diagonal_batch(4))));
+        assert_eq!(builder.reports(), MAX_EXACT_REPORTS - 3);
+        assert!(builder.raw.iter().all(|&v| v == 0.0));
+        // Three reach it exactly and absorb.
+        builder.absorb_batch(&diagonal_batch(3)).unwrap();
+        assert_eq!(builder.reports(), MAX_EXACT_REPORTS);
+        let expected: Vec<f64> =
+            [(0, 1.0), (65, -1.0), (130, 1.0)]
+                .iter()
+                .fold(vec![0.0; 256], |mut raw, &(i, v)| {
+                    raw[i] = v;
+                    raw
+                });
+        assert_eq!(builder.raw, expected);
+        // Full: one more report, or an empty batch's zero, is all that fits.
+        let one = ClientReport {
+            y: 1.0,
+            row: 0,
+            col: 0,
+        };
+        assert!(refused(builder.absorb(one)));
+        assert!(refused(builder.absorb_batch(&diagonal_batch(1))));
+        builder.absorb_batch(&diagonal_batch(0)).unwrap();
+        assert_eq!(
+            (builder.reports(), &builder.raw),
+            (MAX_EXACT_REPORTS, &expected)
+        );
+        // One short of it, a single report still fits.
+        builder.set_reports(MAX_EXACT_REPORTS - 1);
+        builder.absorb(one).unwrap();
+        assert_eq!(builder.reports(), MAX_EXACT_REPORTS);
+        assert_eq!(builder.raw[0], 2.0);
     }
 
     #[test]

@@ -124,6 +124,13 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, start.elapsed().as_secs_f64())
 }
 
+/// Perturbation threads of the two LDPJoinSketch arms. Their estimates are invariant to the
+/// thread count (chunk-seeded client streams into exact-counter builders), and one worker
+/// keeps their offline timings apples-to-apples with the single-threaded competitor
+/// implementations across machines; the trial runner already spreads trials across the
+/// cores.
+const PERTURB_THREADS: usize = 1;
+
 /// Run `method` once on `workload` and return the estimate plus timings.
 pub fn estimate_join(
     method: Method,
@@ -154,12 +161,6 @@ pub fn estimate_join(
             })
         }
         Method::LdpJoinSketch => {
-            // The harness runs the parallel pipeline with one perturbation thread: the
-            // estimate is invariant to the thread count (chunk-seeded client streams into one
-            // exact-counter builder), and pinning a single worker keeps the offline timings
-            // apples-to-apples with the single-threaded competitor implementations across
-            // machines.
-            let threads = 1;
             let (sketches, offline) = timed(|| -> Result<_> {
                 let sa = build_private_sketch_parallel(
                     &workload.table_a,
@@ -167,7 +168,7 @@ pub fn estimate_join(
                     eps,
                     seed,
                     seed ^ 0xA11CE,
-                    threads,
+                    PERTURB_THREADS,
                 )?;
                 let sb = build_private_sketch_parallel(
                     &workload.table_b,
@@ -175,7 +176,7 @@ pub fn estimate_join(
                     eps,
                     seed,
                     seed ^ 0xB0B,
-                    threads,
+                    PERTURB_THREADS,
                 )?;
                 Ok((sa, sb))
             });
@@ -196,6 +197,7 @@ pub fn estimate_join(
             config.sampling_rate = knobs.sampling_rate;
             config.threshold = knobs.threshold;
             config.seed = seed;
+            config.threads = PERTURB_THREADS;
             let domain = workload.domain();
             let (result, offline) = timed(|| {
                 LdpJoinSketchPlus::new(config)?.estimate_chunked(

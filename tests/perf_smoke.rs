@@ -27,6 +27,12 @@
 //! coordinate-0 count, must cost **at most 0.6×** test-local versions that sum every row
 //! for it with the library's 16-lane reduction, the bodies the counts replaced.
 //!
+//! The fan-out gate times `stream_reports_chunked` of 64 chunks × 8,192 Zipf values into a
+//! `SketchBuilder`: with two perturbation threads it must cost **at most 0.8×** its time
+//! with one, on bit-identical counters. A fan-out that perturbs on one thread whatever
+//! `threads` says reads ≈1.0× and fails it. On a host with one hardware thread the gate
+//! prints a skip notice.
+//!
 //! The gates only mean something with optimizations on, so under a debug build each prints
 //! a skip notice and exits. Each times two alternating arms and gates on the median of the
 //! per-round ratios, so CI runs them one at a time,
@@ -510,5 +516,62 @@ fn row_total_partials_are_at_most_0_6x_row_summing_ones() {
         ratio <= 0.6,
         "the centered and masked partials regressed to {ratio:.3}x row-summing ones (gate is \
          0.6x) — check that FinalizedSketch takes its row totals from the coordinate-0 counts"
+    );
+}
+
+#[test]
+fn chunked_stream_fans_out_over_its_threads() {
+    if cfg!(debug_assertions) {
+        eprintln!("perf smoke gate skipped: meaningful only under --release");
+        return;
+    }
+    let available = std::thread::available_parallelism().map_or(1, |n| n.get());
+    if available < 2 {
+        eprintln!("perf smoke gate skipped: the host runs one thread at a time");
+        return;
+    }
+
+    // 64 chunks of 8,192 Zipf values, the offline benchmark's chunk, streamed into a
+    // `SketchBuilder` with one perturbation thread (A) and with two (B). Both arms must
+    // land on the same counters, since every chunk keeps its own RNG streams.
+    const CHUNKS: usize = 64;
+    const CHUNK_LEN: usize = 8_192;
+    let (p, e) = (pinned_params(), pinned_eps());
+    let client = LdpJoinSketchClient::new(p, e, 51);
+    let gen = ZipfGenerator::new(2.0, 4_096);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(52);
+    let values = gen.sample_many(CHUNKS * CHUNK_LEN, &mut rng);
+    let source = SliceChunks::new(&values, CHUNK_LEN);
+    let stream = |threads: usize| {
+        let mut builder = SketchBuilder::with_hashes(e, std::sync::Arc::clone(client.hashes()));
+        stream_reports_chunked(&source, &client, 53, threads, &mut |batch| {
+            builder.absorb_batch(batch)
+        })
+        .unwrap();
+        builder
+    };
+    let (one, two) = (stream(1), stream(2));
+    assert_eq!(one.reports(), two.reports());
+    let bits = |b: &SketchBuilder| b.spectrum().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(&one),
+        bits(&two),
+        "two perturbation threads changed the counters"
+    );
+
+    let ratio = paired_median_ratio(
+        "stream 64 x 8192 values into a builder (A = 1 thread, B = 2 threads)",
+        || {
+            std::hint::black_box(stream(1).reports());
+        },
+        || {
+            std::hint::black_box(stream(2).reports());
+        },
+    );
+    eprintln!("chunked stream: median per-round 2-thread/1-thread ratio {ratio:.3}x (gate: 0.8x)");
+    assert!(
+        ratio <= 0.8,
+        "two perturbation threads took {ratio:.3}x one thread's time (gate is 0.8x) — check \
+         that the chunked runners fan whole chunks out over their threads"
     );
 }
