@@ -99,24 +99,10 @@ impl PlusKernel {
         let (a1, a2) = (state_a.low_users(), state_a.high_users());
         let (b1, b2) = (state_b.low_users(), state_b.high_users());
         let (n_a, n_b) = (state_a.total_users(), state_b.total_users());
-        // The degenerate-state guard the one-shot runners enforce before perturbation,
-        // re-checked here because windowed spans reach the kernel directly: an empty
-        // sample has no frequent-item basis, and a phase-2 group below two users makes
-        // the `(n/|A_g|)·(n/|B_g|)` rescale explode (a zero group would even turn the
-        // empty lane's 0-product into NaN via 0·∞) — an error, never a poisoned answer.
-        if sample_a == 0 || sample_b == 0 {
-            return Err(Error::InvalidWorkload(
-                "plus state covers no phase-1 sample reports; widen the window span".into(),
-            ));
-        }
-        for (group, name) in [(a1, "A1"), (a2, "A2"), (b1, "B1"), (b2, "B2")] {
-            if group < 2 {
-                return Err(Error::InvalidWorkload(format!(
-                    "phase-2 group {name} holds {group} user(s); the (n/|A_g|)·(n/|B_g|) \
-                     rescale needs at least 2 — widen the window span"
-                )));
-            }
-        }
+        // The one-shot runner checks this before pass 2; windowed spans reach the kernel
+        // directly.
+        let groups = [a1, a2, b1, b2];
+        check_plus_protocol([sample_a, sample_b], groups, "widen the window span")?;
         let thresholds = (state_a.threshold(), state_b.threshold());
         let mut fi: Vec<u64> = state_a
             .frequent_items()
@@ -269,10 +255,9 @@ impl ChainKernel {
         t2: &FinalizedEdgeSketch,
         t3: &FinalizedSketch,
     ) -> Result<f64> {
-        check_vertices(t1, t2.attribute_a(), t3, t2.attribute_b())?;
-        chain_estimate(t2.attribute_a().rows(), |j| {
-            contract(t1.row(j), &[t2.replica(j)], t3.row(j))
-        })
+        let (a, b) = (t2.hashes().a(), t2.hashes().b());
+        check_vertices(t1, a, t3, b)?;
+        chain_estimate(a.rows(), |j| contract(t1.row(j), &[t2.row(j)], t3.row(j)))
     }
 
     /// Estimate the 4-way chain join `|T1(A) ⋈ T2(A,B) ⋈ T3(B,C) ⋈ T4(C)|`.
@@ -288,12 +273,42 @@ impl ChainKernel {
         t4: &FinalizedSketch,
     ) -> Result<f64> {
         let what = "the two edge sketches of a 4-way chain must share attribute B's hash family";
-        t2.attribute_b().check_same_family(t3.attribute_a(), what)?;
-        check_vertices(t1, t2.attribute_a(), t4, t3.attribute_b())?;
-        chain_estimate(t2.attribute_a().rows(), |j| {
-            contract(t1.row(j), &[t2.replica(j), t3.replica(j)], t4.row(j))
+        let (e2, e3) = (t2.hashes(), t3.hashes());
+        e2.b().check_same_family(e3.a(), what)?;
+        check_vertices(t1, e2.a(), t4, e3.b())?;
+        chain_estimate(e2.a().rows(), |j| {
+            contract(t1.row(j), &[t2.row(j), t3.row(j)], t4.row(j))
         })
     }
+}
+
+/// The degenerate-protocol guard of LDPJoinSketch+, from the two tables' phase-1 sample
+/// counts and their phase-2 group sizes `[A1, A2, B1, B2]`: an empty sample has no
+/// frequent-item basis, and a group below two users makes the `(n/|A_g|)·(n/|B_g|)`
+/// rescale explode (a zero group would even turn the empty lane's 0-product into NaN via
+/// 0·∞) — an error, never a poisoned answer. `remedy` ends the message.
+///
+/// # Errors
+/// [`Error::InvalidWorkload`] on either defect.
+pub(crate) fn check_plus_protocol(
+    samples: [usize; 2],
+    groups: [usize; 4],
+    remedy: &str,
+) -> Result<()> {
+    if samples.contains(&0) {
+        return Err(Error::InvalidWorkload(format!(
+            "a phase-1 sample is empty; {remedy}"
+        )));
+    }
+    for (group, name) in groups.into_iter().zip(["A1", "A2", "B1", "B2"]) {
+        if group < 2 {
+            return Err(Error::InvalidWorkload(format!(
+                "phase-2 group {name} holds {group} user(s); the (n/|A_g|)·(n/|B_g|) rescale \
+                 needs at least 2 — {remedy}"
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// The chain's end tables must be sketched over its end attributes' hash families.

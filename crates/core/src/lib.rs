@@ -5,16 +5,19 @@
 //!
 //! * [`client`] — Algorithm 1, the client-side encode-and-perturb pipeline into packed report
 //!   batches, including the deterministic parallel perturbation fan-out.
-//! * [`server`] — Algorithm 2 (`PriSk`): the two-stage sketch lifecycle — a mutable
-//!   [`SketchBuilder`] accumulation stage, the one ingest engine of every library path, and
-//!   an immutable [`FinalizedSketch`] view whose restored counters are computed once and
-//!   borrowed by the Eq. 5 join-size estimator and the Theorem 7 frequency estimator.
+//! * [`server`] — Algorithm 2 (`PriSk`): the two-stage lifecycle of an exact-counter lane,
+//!   generic over the hash families that fix its shape — a mutable [`LaneBuilder`]
+//!   accumulation stage, the one ingest engine of every library path, and an immutable
+//!   [`LaneView`] whose restored counters are computed once. A plain sketch is the lane
+//!   over one family ([`SketchBuilder`], [`FinalizedSketch`], whose restored counters the
+//!   Eq. 5 join-size estimator and the Theorem 7 frequency estimator borrow).
 //! * [`aggregator`] — a one-builder shim the pipeline benchmark harness still calls; no
 //!   library path uses it.
 //! * [`fap`] — Algorithm 4, the Frequency-Aware Perturbation mechanism.
 //! * [`plus`] — Algorithm 3 + 5, the two-phase LDPJoinSketch+ protocol (frequent-item
 //!   discovery, high/low-frequency separation, non-target mass removal).
-//! * [`multiway`] — Section VI, the COMPASS-style extension to multi-way chain joins.
+//! * [`multiway`] — Section VI, the COMPASS-style extension to multi-way chain joins; an
+//!   edge sketch is the lane over a pair of attribute families.
 //! * [`kernel`] — the unified query-engine kernels ([`PlainKernel`], [`PlusKernel`],
 //!   [`ChainKernel`]): the single implementation of every estimator, shared by the offline
 //!   runners, the experiment harness and the online service.
@@ -52,7 +55,10 @@ pub use protocol::{
     ldp_join_estimate, ldp_join_estimate_chunked, ldp_join_estimate_parallel,
     ldp_join_plus_estimate_chunked, stream_reports_chunked,
 };
-pub use server::{Candidates, DomainIndex, FinalizedSketch, SketchBuilder, SpectrumPrefix};
+pub use server::{
+    Candidates, DomainIndex, FinalizedSketch, LaneBuilder, LaneFamilies, LaneView, SketchBuilder,
+    SpectrumPrefix,
+};
 
 /// Re-export of the validated privacy budget.
 pub use ldpjs_common::Epsilon;

@@ -16,14 +16,13 @@
 //! `H_{m_A·m_B} = H_{m_A} ⊗ H_{m_B}`: its entry `(r_1·m_B + r_2, c_1·m_B + c_2)` is
 //! `H_{m_A}[r_1, c_1]·H_{m_B}[r_2, c_2]`. The restore `H_{m_A}ᵀ·M·H_{m_B}ᵀ` of a replica's
 //! `m_A × m_B` matrix is therefore the one-dimensional FWHT of its row-major flattened
-//! counters, and an edge lane is an LDPJoinSketch lane `m_A·m_B` columns wide: an
-//! [`EdgeSketchBuilder`] accumulates raw `±1` report sums, its exact unscaled
-//! [`spectrum`](EdgeSketchBuilder::spectrum) and its [`finalize`](EdgeSketchBuilder::finalize)
-//! follow [`SketchBuilder`](crate::server::SketchBuilder)'s rule, and
-//! [`FinalizedEdgeSketch::from_spectrum`] only applies the de-bias scale `k·c_ε`, yielding
-//! the view whose replicas the estimators borrow. The chain size is estimated by
-//! [`ChainKernel`](crate::kernel::ChainKernel), which contracts the sketches along shared
-//! attributes and takes the median over replicas (Eq. 27).
+//! counters, and an edge sketch *is* the LDPJoinSketch lane over the pair of families
+//! ([`EdgeFamilies`], `m_A·m_B` columns wide): an [`EdgeSketchBuilder`] is a
+//! [`LaneBuilder`] and a [`FinalizedEdgeSketch`] a [`LaneView`], which accumulate, restore
+//! and seal by the plain lane's code. Only construction and the per-report
+//! [`absorb`](EdgeSketchBuilder::absorb) of an [`EdgeReport`] are the edge's own. The chain
+//! size is estimated by [`ChainKernel`](crate::kernel::ChainKernel), which contracts the
+//! sketches along shared attributes and takes the median over replicas (Eq. 27).
 
 use std::sync::Arc;
 
@@ -35,10 +34,7 @@ use ldpjs_common::privacy::Epsilon;
 use ldpjs_common::rr::sample_sign_bit;
 use rand::{Rng, RngCore};
 
-use crate::server::{
-    check_report_sign, check_spectrum_lengths, coordinate_zero, reports_after, restored_rows,
-    scaled, span_difference, spectrum_rows, SpectrumPrefix,
-};
+use crate::server::{LaneBuilder, LaneFamilies, LaneView};
 
 /// One perturbed report for a two-attribute table.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,25 +49,74 @@ pub struct EdgeReport {
     pub col_b: usize,
 }
 
-/// The two attributes' hash families, checked to share the replica count. Each family's
-/// column count is a power of two by construction, so their product, the length of a
-/// replica's Hadamard restore, is one too.
-fn check_families(attr_a: &RowHashes, attr_b: &RowHashes, what: &str) -> Result<()> {
-    if attr_a.rows() != attr_b.rows() {
-        return Err(Error::IncompatibleSketches(format!(
-            "{what} attributes must share the replica count: {} vs {}",
-            attr_a.rows(),
-            attr_b.rows()
-        )));
+/// The hash families of an edge's two join attributes, checked to fit one lane: they share
+/// the replica count `k`, and the `k·m_A·m_B` counters fit the `u32` flat index of the
+/// packed report batches the edge client emits. Each family's column count is a power of
+/// two by construction, so the lane width `m_A·m_B`, the length of a replica's Hadamard
+/// restore, is one too.
+#[derive(Debug, Clone)]
+pub struct EdgeFamilies {
+    a: Arc<RowHashes>,
+    b: Arc<RowHashes>,
+}
+
+impl EdgeFamilies {
+    /// Pair the hash families of attributes `a` and `b`.
+    ///
+    /// # Errors
+    /// [`Error::IncompatibleSketches`] if the attributes disagree on the replica count;
+    /// [`Error::InvalidSketchParameter`] if the `k·m_A·m_B` counters do not fit a `u32`
+    /// flat index.
+    pub fn new(a: Arc<RowHashes>, b: Arc<RowHashes>) -> Result<Self> {
+        let (k, ma, mb) = (a.rows(), a.columns(), b.columns());
+        if k != b.rows() {
+            return Err(Error::IncompatibleSketches(format!(
+                "edge attributes must share the replica count: {k} vs {}",
+                b.rows()
+            )));
+        }
+        let fits = (ma.checked_mul(mb))
+            .and_then(|width| width.checked_mul(k))
+            .is_some_and(|len| u32::try_from(len).is_ok());
+        if !fits {
+            return Err(Error::InvalidSketchParameter(format!(
+                "edge sketch shape {k}x{ma}x{mb} exceeds the u32 counter space of packed \
+                 report batches"
+            )));
+        }
+        Ok(EdgeFamilies { a, b })
     }
-    Ok(())
+
+    /// The first join attribute's hash family.
+    #[inline]
+    pub fn a(&self) -> &Arc<RowHashes> {
+        &self.a
+    }
+
+    /// The second join attribute's hash family.
+    #[inline]
+    pub fn b(&self) -> &Arc<RowHashes> {
+        &self.b
+    }
+}
+
+/// An edge lane: `k` replicas of `m_A·m_B` row-major flattened coordinates.
+impl LaneFamilies for EdgeFamilies {
+    #[inline]
+    fn rows(&self) -> usize {
+        self.a.rows()
+    }
+
+    #[inline]
+    fn width(&self) -> usize {
+        self.a.columns() * self.b.columns()
+    }
 }
 
 /// Client-side encoder for a two-attribute table.
 #[derive(Debug, Clone)]
 pub struct LdpEdgeSketchClient {
-    attr_a: Arc<RowHashes>,
-    attr_b: Arc<RowHashes>,
+    families: EdgeFamilies,
     eps: Epsilon,
 }
 
@@ -80,24 +125,22 @@ impl LdpEdgeSketchClient {
     /// privacy budget `eps`.
     ///
     /// # Errors
-    /// Returns [`Error::IncompatibleSketches`] if the attributes disagree on the replica count.
+    /// The errors of [`EdgeFamilies::new`].
     pub fn new(attr_a: Arc<RowHashes>, attr_b: Arc<RowHashes>, eps: Epsilon) -> Result<Self> {
-        check_families(&attr_a, &attr_b, "edge client")?;
         Ok(LdpEdgeSketchClient {
-            attr_a,
-            attr_b,
+            families: EdgeFamilies::new(attr_a, attr_b)?,
             eps,
         })
     }
 
     /// Encode and perturb one tuple `(a, b)`.
     pub fn perturb(&self, a: u64, b: u64, rng: &mut dyn RngCore) -> EdgeReport {
-        let k = self.attr_a.rows();
-        let (ma, mb) = (self.attr_a.columns(), self.attr_b.columns());
-        let replica = rng.gen_range(0..k);
+        let (fa, fb) = (self.families.a(), self.families.b());
+        let (ma, mb) = (fa.columns(), fb.columns());
+        let replica = rng.gen_range(0..fa.rows());
         let col_a = rng.gen_range(0..ma);
         let col_b = rng.gen_range(0..mb);
-        let (pa, pb) = (self.attr_a.pair(replica), self.attr_b.pair(replica));
+        let (pa, pb) = (fa.pair(replica), fb.pair(replica));
         let sign = pa.sign_of(a) as f64 * pb.sign_of(b) as f64;
         let encoded = hadamard_entry_f64(ma, pa.bucket_of(a), col_a)
             * sign
@@ -116,8 +159,8 @@ impl LdpEdgeSketchClient {
     /// XOR-able bit: two fused bucket/sign hashes and two Hadamard popcount parities.
     #[inline]
     fn encoded_neg(&self, replica: usize, col_a: usize, col_b: usize, a: u64, b: u64) -> u64 {
-        let (ha, neg_a) = self.attr_a.pair(replica).bucket_and_sign_neg(a);
-        let (hb, neg_b) = self.attr_b.pair(replica).bucket_and_sign_neg(b);
+        let (ha, neg_a) = self.families.a().pair(replica).bucket_and_sign_neg(a);
+        let (hb, neg_b) = self.families.b().pair(replica).bucket_and_sign_neg(b);
         let neg_had_a = u64::from((ha & col_a).count_ones()) & 1;
         let neg_had_b = u64::from((col_b & hb).count_ones()) & 1;
         neg_a ^ neg_b ^ neg_had_a ^ neg_had_b
@@ -125,24 +168,23 @@ impl LdpEdgeSketchClient {
 
     /// Perturb a whole table of tuples into a packed sign-split [`ReportBatch`] (rows =
     /// replicas, columns = `m_A·m_B` flattened coordinates), the form
-    /// [`EdgeSketchBuilder::absorb_batch`] consumes. Each tuple draws `(j, l_1, l_2, flip)`
-    /// in the order [`LdpEdgeSketchClient::perturb`] does, so the batch carries exactly the
+    /// [`LaneBuilder::absorb_batch`] consumes. Each tuple draws `(j, l_1, l_2, flip)` in
+    /// the order [`LdpEdgeSketchClient::perturb`] does, so the batch carries exactly the
     /// reports `perturb` would emit per tuple for the same RNG stream. The returned batch's
     /// lanes are sized to their reports.
     ///
     /// # Errors
     /// Returns [`Error::InvalidSketchParameter`] if the sketch's counter space cannot be
-    /// packed into 32-bit flat indices.
+    /// packed into 32-bit flat indices (never for the checked [`EdgeFamilies`] a client
+    /// holds).
     pub fn perturb_batch<R: RngCore + ?Sized>(
         &self,
         tuples: &[(u64, u64)],
         rng: &mut R,
     ) -> Result<ReportBatch> {
-        let mut batch = ReportBatch::with_capacity(
-            self.attr_a.rows(),
-            self.attr_a.columns() * self.attr_b.columns(),
-            tuples.len(),
-        )?;
+        let families = &self.families;
+        let mut batch =
+            ReportBatch::with_capacity(families.rows(), families.width(), tuples.len())?;
         self.perturb_batch_into(tuples, rng, &mut batch)?;
         batch.shrink_to_fit();
         Ok(batch)
@@ -159,8 +201,8 @@ impl LdpEdgeSketchClient {
         rng: &mut R,
         batch: &mut ReportBatch,
     ) -> Result<()> {
-        let k = self.attr_a.rows();
-        let (ma, mb) = (self.attr_a.columns(), self.attr_b.columns());
+        let k = self.families.rows();
+        let (ma, mb) = (self.families.a().columns(), self.families.b().columns());
         batch.check_shape(k, ma * mb)?;
         batch.clear();
         let flip_p = self.eps.flip_probability();
@@ -177,275 +219,45 @@ impl LdpEdgeSketchClient {
 }
 
 /// The mutable accumulation stage of the server-side two-dimensional LDP sketch for a
-/// two-attribute table: a [`crate::server::SketchBuilder`] lane `m_A·m_B` columns wide.
-/// Counters are exact `±1` report sums in the Hadamard domain, so their spectra add and
-/// subtract exactly; [`EdgeSketchBuilder::finalize`] restores every replica's flattened row
-/// once, by the plain lane's rule, and returns the immutable [`FinalizedEdgeSketch`] view.
-#[derive(Debug, Clone)]
-pub struct EdgeSketchBuilder {
-    attr_a: Arc<RowHashes>,
-    attr_b: Arc<RowHashes>,
-    eps: Epsilon,
-    /// `k × m_A × m_B` accumulated report sums (Hadamard domain), one row-major flattened
-    /// `m_A·m_B` row per replica.
-    raw: Vec<f64>,
-    reports: u64,
-}
+/// two-attribute table: the exact-counter lane over an [`EdgeFamilies`] pair, `m_A·m_B`
+/// columns wide. Counters are exact `±1` report sums in the Hadamard domain, so their
+/// spectra add and subtract exactly; [`LaneBuilder::finalize`] restores every replica's
+/// flattened row once, by the plain lane's rule, and returns the immutable
+/// [`FinalizedEdgeSketch`] view.
+pub type EdgeSketchBuilder = LaneBuilder<EdgeFamilies>;
+
+/// The immutable estimation stage of the two-dimensional edge sketch: every replica is
+/// restored exactly once and borrowed as a `&[f64]` [`row`](LaneView::row) afterwards.
+pub type FinalizedEdgeSketch = LaneView<EdgeFamilies>;
 
 impl EdgeSketchBuilder {
     /// Create an empty edge sketch over the hash families of attributes `(attr_a, attr_b)`.
     ///
     /// # Errors
-    /// Returns [`Error::IncompatibleSketches`] if the attributes disagree on the replica count
-    /// and [`Error::InvalidSketchParameter`] if the `k·m_A·m_B` counters do not fit the `u32`
-    /// flat index of the packed batches the edge client emits; nothing is allocated then.
+    /// The errors of [`EdgeFamilies::new`]; nothing is allocated then.
     pub fn new(attr_a: Arc<RowHashes>, attr_b: Arc<RowHashes>, eps: Epsilon) -> Result<Self> {
-        check_families(&attr_a, &attr_b, "edge sketch")?;
-        let (k, ma, mb) = (attr_a.rows(), attr_a.columns(), attr_b.columns());
-        let len = (ma.checked_mul(mb))
-            .and_then(|width| width.checked_mul(k))
-            .filter(|&len| u32::try_from(len).is_ok())
-            .ok_or_else(|| {
-                Error::InvalidSketchParameter(format!(
-                    "edge sketch shape {k}x{ma}x{mb} exceeds the u32 counter space of packed \
-                     report batches"
-                ))
-            })?;
-        Ok(EdgeSketchBuilder {
-            attr_a,
-            attr_b,
-            eps,
-            raw: vec![0.0; len],
-            reports: 0,
-        })
-    }
-
-    /// The first join attribute's hash family.
-    #[inline]
-    pub fn attribute_a(&self) -> &Arc<RowHashes> {
-        &self.attr_a
-    }
-
-    /// The second join attribute's hash family.
-    #[inline]
-    pub fn attribute_b(&self) -> &Arc<RowHashes> {
-        &self.attr_b
-    }
-
-    /// Privacy budget the absorbed reports were perturbed with.
-    #[inline]
-    pub fn epsilon(&self) -> Epsilon {
-        self.eps
-    }
-
-    /// Number of absorbed reports.
-    #[inline]
-    pub fn reports(&self) -> u64 {
-        self.reports
+        Ok(Self::with_hashes(eps, EdgeFamilies::new(attr_a, attr_b)?))
     }
 
     /// Absorb one report: `M[j, l_1, l_2] += y` (the de-bias scale `k·c_ε` is applied once
     /// at finalization).
     ///
     /// # Errors
-    /// Returns [`Error::ReportOutOfRange`] if the report indices do not fit the sketch and
-    /// [`Error::InvalidWorkload`] if `y` is not `±1` or the builder already holds `2^53`
-    /// reports, the most its counters sum exactly; the builder is untouched on error.
+    /// Returns [`Error::ReportOutOfRange`] if the report indices do not fit the sketch (a
+    /// coordinate past its own attribute's range is reported at a flat column at or past
+    /// `m_A·m_B`) and [`Error::InvalidWorkload`] if `y` is not `±1` or the builder already
+    /// holds `2^53` reports, the most its counters sum exactly; the builder is untouched on
+    /// error.
     pub fn absorb(&mut self, report: EdgeReport) -> Result<()> {
-        check_report_sign(report.y)?;
-        let k = self.attr_a.rows();
-        let (ma, mb) = (self.attr_a.columns(), self.attr_b.columns());
-        if report.replica >= k || report.col_a >= ma || report.col_b >= mb {
-            return Err(Error::ReportOutOfRange {
-                row: report.replica,
-                col: report.col_a * mb + report.col_b,
-                rows: k,
-                cols: ma * mb,
-            });
-        }
-        self.reports = reports_after(self.reports, 1)?;
-        let idx = (report.replica * ma + report.col_a) * mb + report.col_b;
-        self.raw[idx] += report.y;
-        Ok(())
-    }
-
-    /// Absorb an already-packed sign-split report batch (rows = replicas, columns =
-    /// `m_A·m_B` flattened coordinates) — the zero-copy companion of
-    /// [`LdpEdgeSketchClient::perturb_batch`]; absorbing allocates nothing.
-    ///
-    /// # Errors
-    /// Returns [`Error::IncompatibleSketches`] on a shape mismatch and
-    /// [`Error::InvalidWorkload`] if the batch would take the builder past `2^53` reports;
-    /// the builder is untouched in both cases.
-    pub fn absorb_batch(&mut self, batch: &ReportBatch) -> Result<()> {
-        batch.check_shape(self.attr_a.rows(), self.width())?;
-        let reports = reports_after(self.reports, batch.len())?;
-        batch.accumulate_into(&mut self.raw);
-        self.reports = reports;
-        Ok(())
-    }
-
-    /// Empty the builder: every counter back to zero, no reports; the attributes and ε are
-    /// kept.
-    pub fn clear(&mut self) {
-        self.raw.fill(0.0);
-        self.reports = 0;
-    }
-
-    /// The **unscaled** spectrum of the exact counters: the FWHT of every replica's row-major
-    /// flattened `m_A·m_B` row, no de-bias scale applied — `H_{m_A}ᵀ·M·H_{m_B}ᵀ` of every
-    /// replica's matrix `M`, since `H_{m_A·m_B} = H_{m_A} ⊗ H_{m_B}`.
-    ///
-    /// Every entry is an exact integer, as in
-    /// [`SketchBuilder::spectrum`](crate::server::SketchBuilder::spectrum), so spectra of
-    /// disjoint report sets add and subtract with zero rounding error: the online service's
-    /// span ledger keeps prefix sums of them as wrapping `i32`, and
-    /// [`FinalizedEdgeSketch::from_spectrum_diff`] of two prefixes is bit-identical to
-    /// finalizing the span's merged counters.
-    pub fn spectrum(&self) -> Vec<f64> {
-        spectrum_rows(self.raw.clone(), self.width())
-    }
-
-    /// Each replica's coordinate-0 count `M[j, 0, 0]`, which the view carries beside its
-    /// [`spectrum`](EdgeSketchBuilder::spectrum), as a plain lane's does: `k` loads.
-    pub fn coordinate_zero_counts(&self) -> Vec<f64> {
-        coordinate_zero(&self.raw, self.width())
-    }
-
-    /// Restore the sketch by the plain lane's rule over the `m_A·m_B` width: every replica's
-    /// flattened row through the FWHT with the de-bias scale `k·c_ε` after the last
-    /// butterfly (`M̃ = k·c_ε·H_{m_A}ᵀ·M·H_{m_B}ᵀ`), consuming the builder and returning the
-    /// immutable estimation view.
-    pub fn finalize(self) -> FinalizedEdgeSketch {
-        let (width, scale) = (self.width(), self.attr_a.rows() as f64 * self.eps.c_eps());
-        FinalizedEdgeSketch {
-            counts: coordinate_zero(&self.raw, width),
-            restored: restored_rows(self.raw, width, scale),
-            attr_a: self.attr_a,
-            attr_b: self.attr_b,
-            eps: self.eps,
-            reports: self.reports,
-        }
-    }
-
-    /// Counters per replica, `m_A·m_B`.
-    fn width(&self) -> usize {
-        self.attr_a.columns() * self.attr_b.columns()
-    }
-}
-
-/// The immutable estimation stage of the two-dimensional edge sketch: every replica is
-/// restored exactly once and borrowed as `&[f64]` afterwards.
-#[derive(Debug, Clone)]
-pub struct FinalizedEdgeSketch {
-    attr_a: Arc<RowHashes>,
-    attr_b: Arc<RowHashes>,
-    eps: Epsilon,
-    /// `k × m_A × m_B` restored counters.
-    restored: Vec<f64>,
-    /// Each replica's coordinate-0 count `M[j, 0, 0]`, an exact integer.
-    counts: Vec<f64>,
-    reports: u64,
-}
-
-impl FinalizedEdgeSketch {
-    /// Restore the estimation view from an unscaled
-    /// [`spectrum`](EdgeSketchBuilder::spectrum) of `reports` reports and its replicas'
-    /// [coordinate-0 counts](EdgeSketchBuilder::coordinate_zero_counts): one de-bias
-    /// multiply per counter, no transform. [`EdgeSketchBuilder::finalize`] scales after the
-    /// last butterfly, so the view is bit-identical to finalizing a builder holding the same
-    /// exact counters.
-    ///
-    /// # Errors
-    /// [`Error::IncompatibleSketches`] if `spectrum` does not hold `k·m_A·m_B` entries or
-    /// `counts` does not hold `k`, for the attributes' families.
-    pub fn from_spectrum(
-        attr_a: Arc<RowHashes>,
-        attr_b: Arc<RowHashes>,
-        eps: Epsilon,
-        reports: u64,
-        spectrum: Vec<f64>,
-        counts: Vec<f64>,
-    ) -> Result<Self> {
-        let (k, width) = (attr_a.rows(), attr_a.columns() * attr_b.columns());
-        check_spectrum_lengths(k, width, spectrum.len(), counts.len())?;
-        let scale = k as f64 * eps.c_eps();
-        Ok(FinalizedEdgeSketch {
-            restored: scaled(spectrum, scale),
-            counts,
-            attr_a,
-            attr_b,
-            eps,
-            reports,
-        })
-    }
-
-    /// [`FinalizedEdgeSketch::from_spectrum`] of a span of `reports` reports, given as two
-    /// wrapping `i32` ledger prefixes and fused into one pass like
-    /// [`FinalizedSketch::from_spectrum_diff`](crate::server::FinalizedSketch::from_spectrum_diff):
-    /// bit-identical to restoring the span's exact spectrum, without allocating it.
-    ///
-    /// # Errors
-    /// [`Error::IncompatibleSketches`] if a prefix's spectrum does not hold `k·m_A·m_B`
-    /// entries or its counts `k`; [`Error::InvalidWorkload`] if `reports` is 2³¹ or more,
-    /// where the wrapped difference could differ from the exact one.
-    pub fn from_spectrum_diff(
-        attr_a: Arc<RowHashes>,
-        attr_b: Arc<RowHashes>,
-        eps: Epsilon,
-        reports: u64,
-        last: SpectrumPrefix<'_>,
-        base: SpectrumPrefix<'_>,
-    ) -> Result<Self> {
-        let (k, width) = (attr_a.rows(), attr_a.columns() * attr_b.columns());
-        let scale = k as f64 * eps.c_eps();
-        let (restored, counts) = span_difference(last, base, (k, width), reports, scale)?;
-        Ok(FinalizedEdgeSketch {
-            restored,
-            counts,
-            attr_a,
-            attr_b,
-            eps,
-            reports,
-        })
-    }
-
-    /// The first join attribute's hash family.
-    #[inline]
-    pub fn attribute_a(&self) -> &Arc<RowHashes> {
-        &self.attr_a
-    }
-
-    /// The second join attribute's hash family.
-    #[inline]
-    pub fn attribute_b(&self) -> &Arc<RowHashes> {
-        &self.attr_b
-    }
-
-    /// Privacy budget of the absorbed reports.
-    #[inline]
-    pub fn epsilon(&self) -> Epsilon {
-        self.eps
-    }
-
-    /// Number of absorbed reports.
-    #[inline]
-    pub fn reports(&self) -> u64 {
-        self.reports
-    }
-
-    /// The restored `m_A × m_B` matrix of replica `j`, borrowed — never cloned.
-    #[inline]
-    pub fn replica(&self, j: usize) -> &[f64] {
-        let per = self.attr_a.columns() * self.attr_b.columns();
-        &self.restored[j * per..(j + 1) * per]
-    }
-
-    /// Each replica's coordinate-0 count `M[j, 0, 0]`, read off the counters before the
-    /// restore (or taken from the span ledger).
-    #[inline]
-    pub fn coordinate_zero_counts(&self) -> &[f64] {
-        &self.counts
+        let (ma, mb) = (self.hashes().a().columns(), self.hashes().b().columns());
+        let col = if report.col_a < ma && report.col_b < mb {
+            report.col_a * mb + report.col_b
+        } else {
+            (report.col_a.saturating_mul(mb))
+                .saturating_add(report.col_b)
+                .max(ma * mb)
+        };
+        self.add(report.replica, col, report.y)
     }
 }
 
@@ -459,7 +271,7 @@ pub fn build_edge_sketch(
 ) -> Result<FinalizedEdgeSketch> {
     let client = LdpEdgeSketchClient::new(Arc::clone(attr_a), Arc::clone(attr_b), eps)?;
     let batch = client.perturb_batch(tuples, rng)?;
-    let mut builder = EdgeSketchBuilder::new(Arc::clone(attr_a), Arc::clone(attr_b), eps)?;
+    let mut builder = EdgeSketchBuilder::with_hashes(eps, client.families.clone());
     builder.absorb_batch(&batch)?;
     Ok(builder.finalize())
 }
@@ -493,10 +305,11 @@ pub fn build_edge_sketch_chunked(
         ));
     }
     let client = LdpEdgeSketchClient::new(Arc::clone(attr_a), Arc::clone(attr_b), eps)?;
+    let families = &client.families;
     // One packed batch, reused across every chunk: steady-state ingestion allocates
     // nothing.
-    let mut batch = ReportBatch::new(attr_a.rows(), attr_a.columns() * attr_b.columns())?;
-    let mut builder = EdgeSketchBuilder::new(Arc::clone(attr_a), Arc::clone(attr_b), eps)?;
+    let mut batch = ReportBatch::new(families.rows(), families.width())?;
+    let mut builder = EdgeSketchBuilder::with_hashes(eps, families.clone());
     for (ordinal, part) in (0u64..).zip(tuples.chunks(chunk)) {
         let mut rng = StdRng::seed_from_u64(chunk_stream_seed(rng_seed, ordinal));
         client.perturb_batch_into(part, &mut rng, &mut batch)?;
@@ -510,7 +323,8 @@ mod tests {
     use super::*;
     use crate::kernel::ChainKernel;
     use crate::protocol::build_private_sketch;
-    use crate::server::FinalizedSketch;
+    use crate::server::tests::assert_spectrum_prefixes_restore_bit_identically;
+    use crate::server::{FinalizedSketch, SpectrumPrefix};
     use ldpjs_common::stats::{exact_chain_join_3, exact_chain_join_4};
     use ldpjs_sketch::SketchParams;
     use rand::rngs::StdRng;
@@ -557,8 +371,14 @@ mod tests {
     fn edge_client_rejects_mismatched_replicas() {
         let a = family(1, 5, 64);
         let b = family(2, 6, 64);
-        assert!(LdpEdgeSketchClient::new(a.clone(), b.clone(), eps(1.0)).is_err());
-        assert!(EdgeSketchBuilder::new(a, b, eps(1.0)).is_err());
+        let mismatched = |r: Result<()>| matches!(r, Err(Error::IncompatibleSketches(_)));
+        assert!(mismatched(
+            EdgeFamilies::new(a.clone(), b.clone()).map(drop)
+        ));
+        assert!(mismatched(
+            LdpEdgeSketchClient::new(a.clone(), b.clone(), eps(1.0)).map(drop)
+        ));
+        assert!(mismatched(EdgeSketchBuilder::new(a, b, eps(1.0)).map(drop)));
     }
 
     #[test]
@@ -613,6 +433,28 @@ mod tests {
             })
             .is_ok());
         assert_eq!(sk.reports(), 1);
+        // A coordinate past its own range is reported at a flat column at or past the
+        // lane's 256, and building that column must not overflow: `col_a·m_B` does at
+        // `col_a = usize::MAX`, and `col_a·m_B + col_b` lies inside the lane at
+        // `(0, 16)`.
+        for (col_a, col_b) in [(usize::MAX, 0), (0, 16), (16, usize::MAX), (3, 16)] {
+            let report = EdgeReport {
+                y: 1.0,
+                replica: 0,
+                col_a,
+                col_b,
+            };
+            match sk.absorb(report) {
+                Err(Error::ReportOutOfRange { col, cols, .. }) => {
+                    assert!(
+                        cols == 256 && col >= cols,
+                        "({col_a}, {col_b}): column {col}"
+                    );
+                }
+                other => panic!("({col_a}, {col_b}): {other:?}"),
+            }
+        }
+        assert_eq!(sk.reports(), 1);
     }
 
     #[test]
@@ -627,16 +469,16 @@ mod tests {
             batch
         };
         let mut builder = EdgeSketchBuilder::new(a, b, eps(2.0)).unwrap();
-        builder.reports = MAX_EXACT_REPORTS - 3;
+        builder.set_reports(MAX_EXACT_REPORTS - 3);
         let refused = |r: Result<()>| matches!(r, Err(Error::InvalidWorkload(_)));
         // Four reports would pass 2^53: refused, counters and count untouched.
         assert!(refused(builder.absorb_batch(&batch(4))));
         assert_eq!(builder.reports(), MAX_EXACT_REPORTS - 3);
-        assert!(builder.raw.iter().all(|&v| v == 0.0));
+        assert!(builder.counters().iter().all(|&v| v == 0.0));
         // Three reach it exactly and absorb; then not one more report fits.
         builder.absorb_batch(&batch(3)).unwrap();
         assert_eq!(builder.reports(), MAX_EXACT_REPORTS);
-        let moved = builder.raw.clone();
+        let moved = builder.counters().to_vec();
         assert_eq!(moved.iter().filter(|&&v| v != 0.0).count(), 3);
         let one = EdgeReport {
             y: 1.0,
@@ -647,10 +489,10 @@ mod tests {
         assert!(refused(builder.absorb(one)));
         assert!(refused(builder.absorb_batch(&batch(1))));
         assert_eq!(
-            (builder.reports(), &builder.raw),
-            (MAX_EXACT_REPORTS, &moved)
+            (builder.reports(), builder.counters()),
+            (MAX_EXACT_REPORTS, &moved[..])
         );
-        builder.reports = MAX_EXACT_REPORTS - 1;
+        builder.set_reports(MAX_EXACT_REPORTS - 1);
         builder.absorb(one).unwrap();
         assert_eq!(builder.reports(), MAX_EXACT_REPORTS);
     }
@@ -682,11 +524,11 @@ mod tests {
         for (ma, mb) in [(2, 2), (4, 16), (16, 4), (8, 8), (32, 2)] {
             let (a, b) = (family(3, 3, ma), family(4, 3, mb));
             let builder = absorbed(&a, &b, &edge_batch(&a, &b, 2_000, 7));
-            let (raw, scale) = (builder.raw.clone(), 3.0 * eps(2.0).c_eps());
+            let (raw, scale) = (builder.counters().to_vec(), 3.0 * eps(2.0).c_eps());
             let sketch = builder.finalize();
             for j in 0..3 {
                 let m = &raw[j * ma * mb..(j + 1) * ma * mb];
-                for (idx, &got) in sketch.replica(j).iter().enumerate() {
+                for (idx, &got) in sketch.row(j).iter().enumerate() {
                     let (r, c) = (idx / mb, idx % mb);
                     let mut sum = 0.0;
                     for i in 0..ma {
@@ -709,32 +551,39 @@ mod tests {
     #[test]
     fn edge_builder_refuses_a_counter_space_past_u32() {
         // The edge client's packed batches address the k·m_A·m_B counters by `u32` flat
-        // index (`ReportBatch::with_capacity` refuses wider shapes), and so does the builder,
-        // before allocating: at (65,535, 65,536) it would otherwise ask for 2⁴⁸ counters.
+        // index (`ReportBatch::with_capacity` refuses wider shapes), so the families pair
+        // refuses such a lane, and with it the client and the builder, before allocating: at
+        // (65,535, 65,536) the builder would otherwise ask for 2⁴⁸ counters.
+        let refused = |r: Result<()>| matches!(r, Err(Error::InvalidSketchParameter(_)));
         for k in [1, 2, SketchParams::MAX_ROWS] {
             let widest = family(1, k, SketchParams::MAX_COLUMNS);
-            let built = EdgeSketchBuilder::new(widest.clone(), widest.clone(), eps(1.0));
+            let (a, b) = (widest.clone(), widest.clone());
             assert!(
-                matches!(built, Err(Error::InvalidSketchParameter(_))),
+                refused(EdgeFamilies::new(a.clone(), b.clone()).map(drop)),
                 "k = {k}"
             );
-            let client = LdpEdgeSketchClient::new(widest.clone(), widest, eps(1.0)).unwrap();
-            let batch = client.perturb_batch(&[(1, 2)], &mut StdRng::seed_from_u64(1));
-            assert!(matches!(batch, Err(Error::InvalidSketchParameter(_))));
+            let client = LdpEdgeSketchClient::new(a.clone(), b.clone(), eps(1.0));
+            assert!(refused(client.map(drop)), "k = {k}");
+            assert!(
+                refused(EdgeSketchBuilder::new(a, b, eps(1.0)).map(drop)),
+                "k = {k}"
+            );
         }
+        // 2³¹ counters, the most a power-of-two shape fits below 2³², pair (nothing is
+        // allocated here); doubling the replicas reaches 2³².
+        let (wide, half) = (SketchParams::MAX_COLUMNS, SketchParams::MAX_COLUMNS / 2);
+        assert!(EdgeFamilies::new(family(1, 1, wide), family(2, 1, half)).is_ok());
+        let doubled = EdgeFamilies::new(family(1, 2, wide), family(2, 2, half));
+        assert!(refused(doubled.map(drop)));
     }
 
     #[test]
     fn edge_spectrum_prefix_sums_restore_bit_identically() {
-        // The edge counterpart of the plain span-ledger law: `from_spectrum` of summed window
-        // spectra and counts, and the fused `from_spectrum_diff` of two wrapping `i32`
-        // prefixes, equal `finalize` of one builder that absorbed the covered windows, bit
-        // for bit, restored counters and coordinate-0 counts alike. `finalize` runs the
-        // fused scaled FWHT and the spectrum path scales separately, so this pins their
-        // agreement; the seal law (`from_spectrum` of one window) rides along. Widths 16, 128
-        // and 1024 run the portable tier and the widest one the host dispatches.
+        // The span-ledger law on edge lanes, restored counters and coordinate-0 counts
+        // alike. Widths 16, 128 and 1024 run the portable tier and the widest one the host
+        // dispatches.
         let view_bits = |view: &FinalizedEdgeSketch| {
-            let mut all = bits(&view.restored);
+            let mut all = bits(view.restored_counters());
             all.extend(bits(view.coordinate_zero_counts()));
             all
         };
@@ -742,97 +591,24 @@ mod tests {
             let (a, b) = (family(3, 5, ma), family(4, 5, mb));
             let batches: Vec<ReportBatch> =
                 (0..4).map(|i| edge_batch(&a, &b, 3_000, 40 + i)).collect();
-            let restore = |reports, spectrum, counts| {
-                FinalizedEdgeSketch::from_spectrum(
-                    a.clone(),
-                    b.clone(),
-                    eps(2.0),
-                    reports,
-                    spectrum,
-                    counts,
-                )
-                .unwrap()
-            };
-            let diff = |reports, last, base| {
-                FinalizedEdgeSketch::from_spectrum_diff(
-                    a.clone(),
-                    b.clone(),
-                    eps(2.0),
-                    reports,
-                    last,
-                    base,
-                )
-            };
-            // Cumulative spectra and counts in `f64`, and as the service ledger keeps them:
-            // wrapping `i32`.
-            let zero = |len| (vec![0.0; len], vec![0i32; len]);
-            let add = |(exact, wrapped): &(Vec<f64>, Vec<i32>), window: &[f64]| {
-                let exact = exact.iter().zip(window).map(|(a, v)| a + v).collect();
-                let wrapped = (wrapped.iter().zip(window))
-                    .map(|(&l, &v)| l.wrapping_add((v as i64) as i32))
-                    .collect();
-                (exact, wrapped)
-            };
-            let mut prefixes = vec![(zero(5 * ma * mb), zero(5), 0u64)];
-            for batch in &batches {
-                let window = absorbed(&a, &b, batch);
-                let (spec, counts) = (window.spectrum(), window.coordinate_zero_counts());
-                let reports = window.reports();
-                let sealed = restore(reports, spec.clone(), counts.clone());
-                assert_eq!(view_bits(&sealed), view_bits(&window.finalize()));
-                let (last_spec, last_counts, last_reports) = prefixes.last().unwrap();
-                let next = (
-                    add(last_spec, &spec),
-                    add(last_counts, &counts),
-                    reports + last_reports,
-                );
-                prefixes.push(next);
-            }
-            let ((last, last_wrapped), (last_counts, last_counts_wrapped), last_reports) =
-                prefixes.last().unwrap();
-            let last_prefix = SpectrumPrefix {
-                spectrum: last_wrapped,
-                counts: last_counts_wrapped,
-            };
-            for start in 0..batches.len() {
-                let ((base, base_wrapped), (base_counts, base_counts_wrapped), base_reports) =
-                    &prefixes[start];
-                let reports = last_reports - base_reports;
-                let difference =
-                    |l: &[f64], b: &[f64]| l.iter().zip(b).map(|(l, b)| l - b).collect();
-                let summed = restore(
-                    reports,
-                    difference(last, base),
-                    difference(last_counts, base_counts),
-                );
-                let base_prefix = SpectrumPrefix {
-                    spectrum: base_wrapped,
-                    counts: base_counts_wrapped,
-                };
-                let fused = diff(reports, last_prefix, base_prefix).unwrap();
-                let mut merged = EdgeSketchBuilder::new(a.clone(), b.clone(), eps(2.0)).unwrap();
-                for batch in &batches[start..] {
-                    merged.absorb_batch(batch).unwrap();
-                }
-                let reference = merged.finalize();
-                for view in [&summed, &fused] {
-                    assert_eq!(view.reports(), reference.reports());
-                    let at = format!("({ma}, {mb}) start={start}");
-                    assert_eq!(view_bits(view), view_bits(&reference), "{at}");
-                }
-            }
-            // A span of 2³¹ reports could have wrapped, so it is refused, not restored.
-            let past = diff(1 << 31, last_prefix, last_prefix);
-            assert!(matches!(past, Err(Error::InvalidWorkload(_))));
+            let families = EdgeFamilies::new(a, b).unwrap();
+            let what = format!("({ma}, {mb})");
+            assert_spectrum_prefixes_restore_bit_identically(
+                eps(2.0),
+                &families,
+                &batches,
+                view_bits,
+                &what,
+            );
         }
     }
 
     #[test]
     fn edge_from_spectrum_rejects_a_mis_sized_spectrum_or_count_slice() {
-        let (a, b) = (family(3, 4, 8), family(4, 4, 4));
+        let families = EdgeFamilies::new(family(3, 4, 8), family(4, 4, 4)).unwrap();
         let view = |spectrum: usize, counts: usize| {
             let (spectrum, counts) = (vec![0.0; spectrum], vec![0.0; counts]);
-            FinalizedEdgeSketch::from_spectrum(a.clone(), b.clone(), eps(2.0), 0, spectrum, counts)
+            FinalizedEdgeSketch::from_spectrum(eps(2.0), families.clone(), 0, spectrum, counts)
         };
         // 4 replicas of 8·4 counters: 128 entries and 4 counts; 4·8·8 = 256 is the square
         // shape of the wider family.
@@ -842,12 +618,12 @@ mod tests {
                 "{spectrum} entries, {counts} counts"
             );
         }
-        assert!(view(128, 4).unwrap().replica(3).iter().all(|&v| v == 0.0));
+        assert!(view(128, 4).unwrap().row(3).iter().all(|&v| v == 0.0));
     }
 
     #[test]
     fn edge_from_spectrum_diff_rejects_a_mis_sized_prefix_or_count_slice() {
-        let (a, b) = (family(3, 4, 8), family(4, 4, 4));
+        let families = EdgeFamilies::new(family(3, 4, 8), family(4, 4, 4)).unwrap();
         let (spectrum, counts) = (vec![0i32; 128], vec![0i32; 4]);
         let good = SpectrumPrefix {
             spectrum: &spectrum,
@@ -869,7 +645,7 @@ mod tests {
             },
         ];
         let view = |last, base| {
-            FinalizedEdgeSketch::from_spectrum_diff(a.clone(), b.clone(), eps(2.0), 0, last, base)
+            FinalizedEdgeSketch::from_spectrum_diff(eps(2.0), families.clone(), 0, last, base)
         };
         for prefix in bad {
             for (last, base) in [(prefix, good), (good, prefix)] {
@@ -895,7 +671,7 @@ mod tests {
         let sketch = build_edge_sketch(&tuples, &a, &b, e, &mut rng).unwrap();
         assert_eq!(sketch.reports(), n as u64);
         for j in 0..4 {
-            let restored = sketch.replica(j);
+            let restored = sketch.row(j);
             let (pa, pb) = (a.pair(j), b.pair(j));
             let target = pa.bucket_of(3) * 32 + pb.bucket_of(9);
             let sign = pa.sign_of(3) as f64 * pb.sign_of(9) as f64;
@@ -978,15 +754,11 @@ mod tests {
             }
             let reference = reference.finalize();
             for j in 0..6 {
-                assert_eq!(first.replica(j), second.replica(j), "replica {j} diverged");
-                assert_eq!(
-                    first.replica(j),
-                    reference.replica(j),
-                    "replica {j} ≠ reference"
-                );
+                assert_eq!(first.row(j), second.row(j), "replica {j} diverged");
+                assert_eq!(first.row(j), reference.row(j), "replica {j} ≠ reference");
             }
             // A different RNG seed must give a different sketch.
-            assert_ne!(first.replica(0), build(10).unwrap().replica(0));
+            assert_ne!(first.row(0), build(10).unwrap().row(0));
         }
     }
 

@@ -66,7 +66,7 @@ use std::num::NonZeroUsize;
 
 use crate::client::{check_threads, chunk_stream_seed, drive_chunks, LdpJoinSketchClient};
 use crate::fap::{FapClient, FapMode};
-use crate::kernel::PlusKernel;
+use crate::kernel::{check_plus_protocol, PlusKernel};
 use crate::plus_state::{lane_seeds, FiPolicy, FinalizedPlusState, PlusReportBatch};
 use crate::server::{for_each_block, Candidates, FinalizedSketch, SketchBuilder};
 
@@ -417,7 +417,11 @@ impl LdpJoinSketchPlus {
     ) -> Result<(Phase1Pass, Phase1Pass, PairDiscovery)> {
         let p1_a = self.phase1_chunked(table_a, PlusTableRole::A, rng_seed)?;
         let p1_b = self.phase1_chunked(table_b, PlusTableRole::B, rng_seed)?;
-        validate_phase1(&p1_a, &p1_b)?;
+        check_plus_protocol(
+            [p1_a.n_sample, p1_b.n_sample],
+            [p1_a.n_low, p1_a.n_high, p1_b.n_low, p1_b.n_high],
+            "stream more users or adjust the sampling rate",
+        )?;
         let discovery = self.discover_pair(
             &p1_a.sketch,
             &p1_b.sketch,
@@ -544,31 +548,6 @@ struct Phase1Pass {
     n_sample: usize,
     n_low: usize,
     n_high: usize,
-}
-
-/// Reject streams whose deterministic routing left a degenerate protocol: an empty phase-1
-/// sample cannot discover frequent items, and a phase-2 group below two users makes the
-/// `(n/|A_g|)·(n/|B_g|)` rescale of its partial estimate explode.
-fn validate_phase1(p1_a: &Phase1Pass, p1_b: &Phase1Pass) -> Result<()> {
-    for (group, name) in [
-        (p1_a.n_low, "A1"),
-        (p1_a.n_high, "A2"),
-        (p1_b.n_low, "B1"),
-        (p1_b.n_high, "B2"),
-    ] {
-        if group < 2 {
-            return Err(Error::InvalidWorkload(format!(
-                "phase-2 group {name} holds {group} user(s); the (n/|A_g|)·(n/|B_g|) rescale \
-                 needs at least 2 — stream more users or lower the sampling rate"
-            )));
-        }
-    }
-    if p1_a.n_sample == 0 || p1_b.n_sample == 0 {
-        return Err(Error::InvalidWorkload(
-            "phase-1 sample is empty; stream more users or raise the sampling rate".into(),
-        ));
-    }
-    Ok(())
 }
 
 /// The role the protocol assigns to one user.

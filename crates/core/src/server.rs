@@ -1,23 +1,29 @@
 //! Server-side of LDPJoinSketch: sketch construction (Algorithm 2, `PriSk`), the join-size
 //! estimator of Eq. 5, and the frequency estimator of Theorem 7.
 //!
-//! The sketch lifecycle is an explicit two-stage, type-level design:
+//! The sketch lifecycle is an explicit two-stage, type-level design, written once for every
+//! exact-counter *lane*: one `k × width` table of `±1` report sums, with its report count
+//! and ε. A lane is generic over the public hash families that fix its shape
+//! ([`LaneFamilies`]): one family of `m` columns for a plain LDPJoinSketch
+//! ([`SketchBuilder`], [`FinalizedSketch`]), or two attributes' families, `m_A·m_B`
+//! columns wide, for a Section VI edge sketch
+//! ([`EdgeFamilies`](crate::multiway::EdgeFamilies)).
 //!
-//! * [`SketchBuilder`] is the **mutable accumulation stage** and the one ingest engine of
+//! * [`LaneBuilder`] is the **mutable accumulation stage** and the one ingest engine of
 //!   every library path. It absorbs client reports (`raw[j, l] += y`) — many at a time as
-//!   a packed [`ReportBatch`], the only multi-report form, or one [`ClientReport`] at a
-//!   time — and stays in the Hadamard domain. Because every report contributes exactly
-//!   `±1` to one counter, the accumulated counters are *exact integers* in `f64`, and so
-//!   are their unscaled spectra ([`SketchBuilder::spectrum`]): windows combine by adding
-//!   spectra, bit-for-bit identical to one builder absorbing every report, however the
-//!   reports were partitioned (integer addition in `f64` is associative as long as counts
-//!   stay within `2^53`; every counter and spectrum entry is bounded by the report count, so
-//!   a builder refuses any report past its `2^53`-th with [`Error::InvalidWorkload`]). The
-//!   online service's span ledger keeps its prefix sums of spectra as wrapping `i32`, half
-//!   the bytes, and [`FinalizedSketch::from_spectrum_diff`] restores any span of fewer than
-//!   `2^31` reports per lane from two of them exactly.
-//! * [`FinalizedSketch`] is the **immutable estimation stage**. [`SketchBuilder::finalize`]
-//!   applies the de-bias scale `k·c_ε` (the factor `k` undoes the uniform row sampling,
+//!   a packed [`ReportBatch`], the only multi-report form, or one report at a time — and
+//!   stays in the Hadamard domain. Because every report contributes exactly `±1` to one
+//!   counter, the accumulated counters are *exact integers* in `f64`, and so are their
+//!   unscaled spectra ([`LaneBuilder::spectrum`]): windows combine by adding spectra,
+//!   bit-for-bit identical to one builder absorbing every report, however the reports were
+//!   partitioned (integer addition in `f64` is associative as long as counts stay within
+//!   `2^53`; every counter and spectrum entry is bounded by the report count, so a builder
+//!   refuses any report past its `2^53`-th with [`Error::InvalidWorkload`]). The online
+//!   service's span ledger keeps its prefix sums of spectra as wrapping `i32`, half the
+//!   bytes, and [`LaneView::from_spectrum_diff`] restores any span of fewer than `2^31`
+//!   reports per lane from two of them exactly.
+//! * [`LaneView`] is the **immutable estimation stage**. [`LaneBuilder::finalize`] applies
+//!   the de-bias scale `k·c_ε` (the factor `k` undoes the uniform row sampling,
 //!   `c_ε = (e^ε+1)/(e^ε−1)` undoes the randomized response) and pushes each row back
 //!   through the fast Walsh–Hadamard transform **once**; every estimator then *borrows* the
 //!   restored counters as `&[f64]` — no estimator call clones or recomputes the `k×m`
@@ -25,7 +31,7 @@
 //!   row but the first sums to zero, so a restored row's total is `k·c_ε·m·raw[j,0]`, and
 //!   no estimator sums a row to learn it.
 //!
-//! The restored sketch behaves like a noisy fast-AGMS sketch of the users' values:
+//! The restored plain sketch behaves like a noisy fast-AGMS sketch of the users' values:
 //! * `median_j Σ_x M_A[j,x]·M_B[j,x]` estimates the join size (Theorem 3),
 //! * `mean_j M[j,h_j(d)]·ξ_j(d)` is an unbiased frequency estimate (Theorem 7).
 
@@ -50,7 +56,7 @@ pub(crate) const MAX_EXACT_REPORTS: u64 = 1 << 53;
 ///
 /// # Errors
 /// [`Error::InvalidWorkload`] if it would pass [`MAX_EXACT_REPORTS`].
-pub(crate) fn reports_after(reports: u64, added: usize) -> Result<u64> {
+fn reports_after(reports: u64, added: usize) -> Result<u64> {
     (added as u64)
         .checked_add(reports)
         .filter(|&total| total <= MAX_EXACT_REPORTS)
@@ -62,22 +68,49 @@ pub(crate) fn reports_after(reports: u64, added: usize) -> Result<u64> {
         })
 }
 
-/// The mutable accumulation stage of the server-side LDPJoinSketch.
+/// The public hash families that fix a lane's shape: [`rows`](LaneFamilies::rows) replicas
+/// of [`width`](LaneFamilies::width) counters each. Every Hadamard restore runs over
+/// `width` counters, so `width` is a power of two.
+pub trait LaneFamilies: Clone {
+    /// Replicas (rows) of the lane, `k`.
+    fn rows(&self) -> usize;
+    /// Counters per replica.
+    fn width(&self) -> usize;
+}
+
+/// A plain lane: one family, `m` columns wide.
+impl LaneFamilies for Arc<RowHashes> {
+    #[inline]
+    fn rows(&self) -> usize {
+        RowHashes::rows(self)
+    }
+
+    #[inline]
+    fn width(&self) -> usize {
+        self.columns()
+    }
+}
+
+/// The mutable accumulation stage of an exact-counter lane over the hash families `F`.
 ///
 /// Counters are kept in the Hadamard domain as exact `±1` report sums; the de-bias scale and
-/// the Hadamard restore are applied once by [`SketchBuilder::finalize`], which consumes the
-/// builder and returns the immutable [`FinalizedSketch`] estimation view. The sketch shape
-/// `(k, m)` is its hash family's.
+/// the Hadamard restore are applied once by [`LaneBuilder::finalize`], which consumes the
+/// builder and returns the immutable [`LaneView`] estimation view. The lane's shape is its
+/// families'.
 #[derive(Debug, Clone)]
-pub struct SketchBuilder {
+pub struct LaneBuilder<F> {
     eps: Epsilon,
-    hashes: Arc<RowHashes>,
-    /// Accumulated report sums, still in the Hadamard domain (row-major `k × m`). Each entry
-    /// is an exact integer (a sum of `±1` contributions), which keeps its spectrum exact.
+    hashes: F,
+    /// Accumulated report sums, still in the Hadamard domain (row-major `rows × width`).
+    /// Each entry is an exact integer (a sum of `±1` contributions), which keeps its
+    /// spectrum exact.
     raw: Vec<f64>,
     /// Number of absorbed reports.
     reports: u64,
 }
+
+/// The server-side LDPJoinSketch builder: a lane over one `k × m` hash family.
+pub type SketchBuilder = LaneBuilder<Arc<RowHashes>>;
 
 impl SketchBuilder {
     /// Create an empty builder with a hash family derived from `seed`.
@@ -88,21 +121,34 @@ impl SketchBuilder {
         Self::with_hashes(eps, Arc::new(RowHashes::from_seed(seed, params)))
     }
 
-    /// Create an empty builder around an existing shared hash family, of the family's
-    /// shape.
-    pub fn with_hashes(eps: Epsilon, hashes: Arc<RowHashes>) -> Self {
-        SketchBuilder {
-            eps,
-            raw: vec![0.0; hashes.params().counters()],
-            hashes,
-            reports: 0,
-        }
-    }
-
     /// Sketch parameters `(k, m)`, the hash family's.
     #[inline]
     pub fn params(&self) -> SketchParams {
         self.hashes.params()
+    }
+
+    /// Absorb one client report (Algorithm 2, line 4) — the per-report reference the
+    /// packed [`LaneBuilder::absorb_batch`] is tested against.
+    ///
+    /// # Errors
+    /// Returns [`Error::ReportOutOfRange`] if the report's indices do not fit this sketch and
+    /// [`Error::InvalidWorkload`] if `y` is not `±1` or the builder already holds `2^53`
+    /// reports, the most its counters sum exactly; the builder is untouched on error.
+    pub fn absorb(&mut self, report: ClientReport) -> Result<()> {
+        self.add(report.row, report.col, report.y)
+    }
+}
+
+impl<F: LaneFamilies> LaneBuilder<F> {
+    /// Create an empty builder around existing shared hash families, of the families'
+    /// shape.
+    pub fn with_hashes(eps: Epsilon, hashes: F) -> Self {
+        LaneBuilder {
+            eps,
+            raw: vec![0.0; hashes.rows() * hashes.width()],
+            hashes,
+            reports: 0,
+        }
     }
 
     /// Privacy budget the absorbed reports were perturbed with.
@@ -111,9 +157,9 @@ impl SketchBuilder {
         self.eps
     }
 
-    /// The shared public hash family.
+    /// The shared public hash families.
     #[inline]
-    pub fn hashes(&self) -> &Arc<RowHashes> {
+    pub fn hashes(&self) -> &F {
         &self.hashes
     }
 
@@ -123,26 +169,30 @@ impl SketchBuilder {
         self.reports
     }
 
-    /// Absorb one client report (Algorithm 2, line 4) — the per-report reference the
-    /// packed [`SketchBuilder::absorb_batch`] is tested against.
+    /// The one checked single-report add behind every `absorb`: `raw[row, col] += y`.
     ///
     /// # Errors
-    /// Returns [`Error::ReportOutOfRange`] if the report's indices do not fit this sketch and
-    /// [`Error::InvalidWorkload`] if `y` is not `±1` or the builder already holds `2^53`
-    /// reports, the most its counters sum exactly; the builder is untouched on error.
-    pub fn absorb(&mut self, report: ClientReport) -> Result<()> {
-        check_report_sign(report.y)?;
-        let (k, m) = (self.hashes.rows(), self.hashes.columns());
-        if report.row >= k || report.col >= m {
+    /// [`Error::InvalidWorkload`] if `y` is not `±1` — every counter must stay an exact
+    /// integer report sum, which a caller-built `NaN`, `0.5` or `1e300` would silently
+    /// break — or if the builder already holds `2^53` reports; [`Error::ReportOutOfRange`]
+    /// if `(row, col)` is not a counter of the lane. The builder is untouched on error.
+    pub(crate) fn add(&mut self, row: usize, col: usize, y: f64) -> Result<()> {
+        if y != 1.0 && y != -1.0 {
+            return Err(Error::InvalidWorkload(format!(
+                "report value y = {y} is not ±1"
+            )));
+        }
+        let (rows, width) = (self.hashes.rows(), self.hashes.width());
+        if row >= rows || col >= width {
             return Err(Error::ReportOutOfRange {
-                row: report.row,
-                col: report.col,
-                rows: k,
-                cols: m,
+                row,
+                col,
+                rows,
+                cols: width,
             });
         }
         self.reports = reports_after(self.reports, 1)?;
-        self.raw[report.row * m + report.col] += report.y;
+        self.raw[row * width + col] += y;
         Ok(())
     }
 
@@ -151,12 +201,12 @@ impl SketchBuilder {
     /// Clients emit [`ReportBatch`]es directly (`perturb_batch`), so reports stay packed
     /// from client to counters. Index validity is a construction invariant of
     /// [`ReportBatch`], so no per-report validation happens here — only a shape check. The
-    /// counters are bit-identical to absorbing the same reports one by one with
-    /// [`SketchBuilder::absorb`], in any order, and absorbing allocates nothing.
+    /// counters are bit-identical to absorbing the same reports one by one, in any order,
+    /// and absorbing allocates nothing.
     ///
     /// # Errors
     /// Returns [`Error::IncompatibleSketches`] if the batch shape does not match this
-    /// sketch and [`Error::InvalidWorkload`] if the batch would take the builder past `2^53`
+    /// lane and [`Error::InvalidWorkload`] if the batch would take the builder past `2^53`
     /// reports; the builder is untouched in both cases.
     pub fn absorb_batch(&mut self, batch: &ReportBatch) -> Result<()> {
         let reports = self.check_batch(batch)?;
@@ -165,8 +215,8 @@ impl SketchBuilder {
         Ok(())
     }
 
-    /// Empty the builder: every counter back to zero, no reports; ε and the hash family are
-    /// kept.
+    /// Empty the builder: every counter back to zero, no reports; ε and the hash families
+    /// are kept.
     pub fn clear(&mut self) {
         self.raw.fill(0.0);
         self.reports = 0;
@@ -175,127 +225,93 @@ impl SketchBuilder {
     /// The checks of packed-batch ingestion, made before any counter moves: the batch's
     /// shape, and the report count it leaves, which is returned.
     pub(crate) fn check_batch(&self, batch: &ReportBatch) -> Result<u64> {
-        batch.check_shape(self.hashes.rows(), self.hashes.columns())?;
+        batch.check_shape(self.hashes.rows(), self.hashes.width())?;
         reports_after(self.reports, batch.len())
     }
 
-    /// Restore the sketch from the Hadamard domain (Algorithm 2, line 6): apply the de-bias
-    /// scale `k·c_ε` and the per-row fast Walsh–Hadamard transform once, consuming the
+    /// Restore the lane from the Hadamard domain (Algorithm 2, line 6): read each row's
+    /// coordinate-0 count, then run every row through the fast Walsh–Hadamard transform
+    /// with the de-bias scale `k·c_ε` folded into its final butterfly pass, consuming the
     /// builder and returning the immutable estimation view.
-    pub fn finalize(self) -> FinalizedSketch {
-        let SketchBuilder {
-            eps,
-            hashes,
-            raw,
-            reports,
-        } = self;
-        restore(eps, hashes, raw, reports)
+    ///
+    /// Scaling after the last addition is bit-identical to transforming first and scaling
+    /// in a separate sweep, and keeps the unscaled [`spectrum`](LaneBuilder::spectrum)
+    /// exact, which is what makes [`LaneView::from_spectrum`] and
+    /// [`LaneView::from_spectrum_diff`] restore bit-identically.
+    pub fn finalize(self) -> LaneView<F> {
+        let (width, scale) = (
+            self.hashes.width(),
+            self.hashes.rows() as f64 * self.eps.c_eps(),
+        );
+        let counts = self.coordinate_zero_counts();
+        let mut restored = self.raw;
+        for row in restored.chunks_exact_mut(width) {
+            fwht_scaled_in_place(row, scale);
+        }
+        LaneView {
+            eps: self.eps,
+            hashes: self.hashes,
+            restored,
+            counts,
+            reports: self.reports,
+        }
     }
 
-    /// Restore a *snapshot* of the sketch without consuming the builder: the exact raw
-    /// counters are cloned and pushed through the identical de-bias + Hadamard pipeline as
-    /// [`SketchBuilder::finalize`], so the two entry points can never diverge bit-wise.
+    /// Restore a *snapshot* of the lane without consuming the builder: [`finalize`] of a
+    /// clone, so the two entry points can never diverge bit-wise.
     ///
     /// Use it to estimate from a builder that keeps absorbing. (The online service seals
-    /// windows through [`SketchBuilder::spectrum`] and [`FinalizedSketch::from_spectrum`]
-    /// instead, so each lane is transformed once.)
-    pub fn finalize_view(&self) -> FinalizedSketch {
-        restore(
-            self.eps,
-            Arc::clone(&self.hashes),
-            self.raw.clone(),
-            self.reports,
-        )
+    /// windows through [`LaneBuilder::spectrum`] and [`LaneView::from_spectrum`] instead,
+    /// so each lane is transformed once.)
+    ///
+    /// [`finalize`]: LaneBuilder::finalize
+    pub fn finalize_view(&self) -> LaneView<F> {
+        self.clone().finalize()
     }
 
-    /// The **unscaled** per-row Hadamard spectrum of the exact counters: `raw · H_mᵀ` row
-    /// by row, with no de-bias scale applied.
+    /// The **unscaled** per-row Hadamard spectrum of the exact counters: `raw · H_widthᵀ`
+    /// row by row, with no de-bias scale applied.
     ///
     /// Every entry is an exact integer (a signed sum of `±1` report contributions, and the
     /// FWHT only ever adds and subtracts those), so spectra of disjoint report sets add and
     /// subtract with **zero rounding error** — the invariant behind the online service's
     /// incremental span ledger: prefix-summed spectra (kept as wrapping `i32`), subtracted
-    /// and scaled by [`FinalizedSketch::from_spectrum_diff`], are bit-identical to restoring
-    /// one builder that absorbed every covered report.
+    /// and scaled by [`LaneView::from_spectrum_diff`], are bit-identical to restoring one
+    /// builder that absorbed every covered report.
     pub fn spectrum(&self) -> Vec<f64> {
-        spectrum_rows(self.raw.clone(), self.hashes.columns())
+        let mut spectrum = self.raw.clone();
+        for row in spectrum.chunks_exact_mut(self.hashes.width()) {
+            fwht_in_place(row);
+        }
+        spectrum
     }
 
     /// Each row's coordinate-0 count `raw[j,0]`, the exact report sum a view of these
-    /// counters carries beside its [`spectrum`](SketchBuilder::spectrum) (see
-    /// [`FinalizedSketch::coordinate_zero_counts`]): `k` loads, no pass over the rows.
+    /// counters carries beside its [`spectrum`](LaneBuilder::spectrum) (see
+    /// [`LaneView::coordinate_zero_counts`]): `k` loads, no pass over the rows.
     pub fn coordinate_zero_counts(&self) -> Vec<f64> {
-        coordinate_zero(&self.raw, self.hashes.columns())
+        let width = self.hashes.width();
+        self.raw.iter().step_by(width).copied().collect()
     }
 }
 
 #[cfg(test)]
-impl SketchBuilder {
+impl<F> LaneBuilder<F> {
     /// Move the report count, so tests reach the `2^53` bound without absorbing that many.
     pub(crate) fn set_reports(&mut self, reports: u64) {
         self.reports = reports;
     }
-}
 
-/// The single de-bias + Hadamard restore pipeline shared by [`SketchBuilder::finalize`] and
-/// [`SketchBuilder::finalize_view`]. The coordinate-0 counts are read before the transform.
-fn restore(eps: Epsilon, hashes: Arc<RowHashes>, raw: Vec<f64>, reports: u64) -> FinalizedSketch {
-    let (m, scale) = (hashes.columns(), hashes.rows() as f64 * eps.c_eps());
-    FinalizedSketch {
-        counts: coordinate_zero(&raw, m),
-        restored: restored_rows(raw, m, scale),
-        eps,
-        hashes,
-        reports,
+    /// The raw Hadamard-domain counters.
+    pub(crate) fn counters(&self) -> &[f64] {
+        &self.raw
     }
 }
 
-/// Each `width`-long row's coordinate-0 entry `raw[j·width]`: `k` loads, no pass.
-#[inline]
-pub(crate) fn coordinate_zero(raw: &[f64], width: usize) -> Vec<f64> {
-    raw.iter().step_by(width).copied().collect()
-}
-
-/// The unscaled spectrum of exact counters: every `width`-long row through the FWHT, no
-/// de-bias scale. Every entry is an exact integer.
-#[inline]
-pub(crate) fn spectrum_rows(mut raw: Vec<f64>, width: usize) -> Vec<f64> {
-    for row in raw.chunks_exact_mut(width) {
-        fwht_in_place(row);
-    }
-    raw
-}
-
-/// The restore of exact counters: every `width`-long row through the FWHT with the de-bias
-/// `scale` folded into its final butterfly pass — bit-identical to transforming first and
-/// scaling in a separate sweep (each output is scaled exactly once after its last
-/// addition) but one sweep cheaper. Scaling after the transform keeps the unscaled spectrum
-/// exact on the integer counters, which is what makes [`scaled`] and
-/// [`scaled_difference`] of [`spectrum_rows`] prefix sums restore bit-identically.
-#[inline]
-pub(crate) fn restored_rows(mut raw: Vec<f64>, width: usize, scale: f64) -> Vec<f64> {
-    for row in raw.chunks_exact_mut(width) {
-        fwht_scaled_in_place(row, scale);
-    }
-    raw
-}
-
-/// The restored counters of an unscaled spectrum: one de-bias multiply per entry, no
-/// transform.
-#[inline]
-pub(crate) fn scaled(mut spectrum: Vec<f64>, scale: f64) -> Vec<f64> {
-    for v in spectrum.iter_mut() {
-        *v *= scale;
-    }
-    spectrum
-}
-
-/// [`scaled`] of the span difference `last − base` of two wrapping `i32` ledger prefixes,
-/// fused into one pass: each entry is `f64::from(last.wrapping_sub(base))·scale`. The
+/// `f64::from(last − base)·scale` of two wrapping `i32` ledger prefixes, entry by entry. The
 /// wrapping difference is the exact difference modulo 2³², and the caller has checked the
-/// span's report count ([`span_difference`]), so it is the exact integer difference and
-/// the single multiply lands on the value [`scaled`] of the materialized `f64` difference
-/// gives, without allocating it.
+/// span's report count, so it is the exact integer difference and the single multiply lands
+/// on the value scaling the materialized `f64` difference gives, without allocating it.
 #[inline]
 fn scaled_difference(last: &[i32], base: &[i32], scale: f64) -> Vec<f64> {
     last.iter()
@@ -308,7 +324,7 @@ fn scaled_difference(last: &[i32], base: &[i32], scale: f64) -> Vec<f64> {
 /// modulo 2³² as wrapping `i32`, of the covered windows' unscaled spectra (`k` rows of the
 /// lane's width) and of their rows' coordinate-0 counts (`k`). A span's view is restored
 /// from two of them, the newest prefix and the one just before the span
-/// ([`FinalizedSketch::from_spectrum_diff`]).
+/// ([`LaneView::from_spectrum_diff`]).
 #[derive(Debug, Clone, Copy)]
 pub struct SpectrumPrefix<'a> {
     /// The prefix sum of unscaled spectra, row-major.
@@ -318,16 +334,12 @@ pub struct SpectrumPrefix<'a> {
 }
 
 /// Reject a spectrum of `spectrum` entries or a count slice of `counts` entries that does
-/// not fit a view of `rows` rows `width` wide.
+/// not fit a view over `hashes`.
 ///
 /// # Errors
 /// [`Error::IncompatibleSketches`] on either length mismatch.
-pub(crate) fn check_spectrum_lengths(
-    rows: usize,
-    width: usize,
-    spectrum: usize,
-    counts: usize,
-) -> Result<()> {
+fn check_lengths(hashes: &impl LaneFamilies, spectrum: usize, counts: usize) -> Result<()> {
+    let (rows, width) = (hashes.rows(), hashes.width());
     if spectrum != rows * width || counts != rows {
         return Err(Error::IncompatibleSketches(format!(
             "a {rows}x{width} view takes {} spectrum entries and {rows} coordinate-0 counts, \
@@ -336,40 +348,6 @@ pub(crate) fn check_spectrum_lengths(
         )));
     }
     Ok(())
-}
-
-/// The restored counters and coordinate-0 counts of the span `last − base` of `reports`
-/// reports, for a view of `rows` rows `width` wide: [`scaled_difference`] of the spectra,
-/// and the counts' wrapped difference (a scale of 1 is exact).
-///
-/// A report adds `±1` to one counter of its row, and the FWHT adds and subtracts a row's
-/// counters, so every entry of a span's spectrum, and every count, lies within `±reports`.
-/// Below `2³¹` reports the difference of two `i32` prefixes taken modulo 2³² is therefore
-/// the exact one.
-///
-/// # Errors
-/// [`Error::IncompatibleSketches`] if a prefix does not fit the view;
-/// [`Error::InvalidWorkload`] if `reports` does not fit an `i32`.
-pub(crate) fn span_difference(
-    last: SpectrumPrefix<'_>,
-    base: SpectrumPrefix<'_>,
-    (rows, width): (usize, usize),
-    reports: u64,
-    scale: f64,
-) -> Result<(Vec<f64>, Vec<f64>)> {
-    for end in [last, base] {
-        check_spectrum_lengths(rows, width, end.spectrum.len(), end.counts.len())?;
-    }
-    if i32::try_from(reports).is_err() {
-        return Err(Error::InvalidWorkload(format!(
-            "a span lane of {reports} reports is past the 2^31 - 1 an i32 span ledger restores \
-             exactly"
-        )));
-    }
-    Ok((
-        scaled_difference(last.spectrum, base.spectrum, scale),
-        scaled_difference(last.counts, base.counts, 1.0),
-    ))
 }
 
 /// Lanes of [`lane_sum`].
@@ -412,47 +390,52 @@ fn lane_sum(a: &[f64], b: &[f64], term: impl Fn(f64, f64) -> f64) -> f64 {
     (pairs[0][0] + pairs[0][1]) + tail
 }
 
-/// The immutable estimation stage of the server-side LDPJoinSketch.
+/// The immutable estimation stage of an exact-counter lane over the hash families `F`.
 ///
-/// Produced by [`SketchBuilder::finalize`]; the restored `k × m` counter matrix is computed
-/// exactly once and every estimator borrows it as `&[f64]` — no per-call clone, no interior
-/// mutability, trivially shareable across threads. The sketch shape `(k, m)` is its hash
-/// family's.
+/// Produced by [`LaneBuilder::finalize`]; the restored counter matrix is computed exactly
+/// once and every estimator borrows it as `&[f64]` — no per-call clone, no interior
+/// mutability, trivially shareable across threads. The lane's shape is its families'.
 #[derive(Debug, Clone)]
-pub struct FinalizedSketch {
+pub struct LaneView<F> {
     eps: Epsilon,
-    hashes: Arc<RowHashes>,
-    /// Restored counters (`raw·k·c_ε · H_mᵀ` per row), row-major `k × m`.
+    hashes: F,
+    /// Restored counters (`raw·k·c_ε · H_widthᵀ` per row), row-major.
     restored: Vec<f64>,
     /// Each row's coordinate-0 count `raw[j,0]`, an exact integer.
     counts: Vec<f64>,
     reports: u64,
 }
 
-impl FinalizedSketch {
+/// The estimation view of the server-side LDPJoinSketch: a lane over one `k × m` hash
+/// family.
+pub type FinalizedSketch = LaneView<Arc<RowHashes>>;
+
+impl<F: LaneFamilies> LaneView<F> {
     /// Rebuild the estimation view from a precomputed **unscaled** spectrum and its rows'
     /// coordinate-0 counts (the online service seals each window's view this way from the
-    /// [`SketchBuilder::spectrum`] and [`SketchBuilder::coordinate_zero_counts`] its span
+    /// [`LaneBuilder::spectrum`] and [`LaneBuilder::coordinate_zero_counts`] its span
     /// ledger keeps): applies the same single de-bias multiply per counter as the builder
     /// restore, which scales after the last butterfly, so the result is **bit-identical**
     /// to finalizing a builder holding the same exact counters — without running any
     /// Hadamard transform.
     ///
     /// # Errors
-    /// [`Error::IncompatibleSketches`] if `spectrum` does not hold `k·m` entries or
-    /// `counts` does not hold `k`, for the family's shape.
+    /// [`Error::IncompatibleSketches`] if `spectrum` does not hold `rows·width` entries or
+    /// `counts` does not hold `rows`, for the families' shape.
     pub fn from_spectrum(
         eps: Epsilon,
-        hashes: Arc<RowHashes>,
+        hashes: F,
         reports: u64,
-        spectrum: Vec<f64>,
+        mut spectrum: Vec<f64>,
         counts: Vec<f64>,
     ) -> Result<Self> {
-        let (k, m) = (hashes.rows(), hashes.columns());
-        check_spectrum_lengths(k, m, spectrum.len(), counts.len())?;
-        let scale = k as f64 * eps.c_eps();
-        Ok(FinalizedSketch {
-            restored: scaled(spectrum, scale),
+        check_lengths(&hashes, spectrum.len(), counts.len())?;
+        let scale = hashes.rows() as f64 * eps.c_eps();
+        for v in spectrum.iter_mut() {
+            *v *= scale;
+        }
+        Ok(LaneView {
+            restored: spectrum,
             counts,
             eps,
             hashes,
@@ -460,42 +443,47 @@ impl FinalizedSketch {
         })
     }
 
-    /// [`FinalizedSketch::from_spectrum`] of a span of `reports` reports, given as two
-    /// ledger prefixes kept as wrapping `i32` (modulo 2³², as the online service's span
-    /// ledger keeps them), fused into one pass: each restored counter is
+    /// [`LaneView::from_spectrum`] of a span of `reports` reports, given as two ledger
+    /// prefixes kept as wrapping `i32` (modulo 2³², as the online service's span ledger
+    /// keeps them), fused into one pass: each restored counter is
     /// `f64::from(last[i].wrapping_sub(base[i]))·k·c_ε`, and each count the wrapped
-    /// difference of the prefixes' counts. Every entry of a span's spectrum, and every
-    /// count, lies within ±`reports`, so below 2³¹ reports those differences are the span's
-    /// exact ones, and the view is bit-identical to [`FinalizedSketch::from_spectrum`] of
-    /// the materialized `f64` differences, without allocating them.
+    /// difference of the prefixes' counts (a scale of 1 is exact).
+    ///
+    /// A report adds `±1` to one counter of its row, and the FWHT adds and subtracts a
+    /// row's counters, so every entry of a span's spectrum, and every count, lies within
+    /// ±`reports`. Below 2³¹ reports those wrapped differences are therefore the span's
+    /// exact ones, and the view is bit-identical to [`LaneView::from_spectrum`] of the
+    /// materialized `f64` differences, without allocating them.
     ///
     /// # Errors
-    /// [`Error::IncompatibleSketches`] if a prefix's spectrum does not hold `k·m` entries or
-    /// its counts `k`; [`Error::InvalidWorkload`] if `reports` is 2³¹ or more: the wrapped
-    /// difference could then differ from the exact one, and no view is built.
+    /// [`Error::IncompatibleSketches`] if a prefix's spectrum does not hold `rows·width`
+    /// entries or its counts `rows`; [`Error::InvalidWorkload`] if `reports` is 2³¹ or
+    /// more: the wrapped difference could then differ from the exact one, and no view is
+    /// built.
     pub fn from_spectrum_diff(
         eps: Epsilon,
-        hashes: Arc<RowHashes>,
+        hashes: F,
         reports: u64,
         last: SpectrumPrefix<'_>,
         base: SpectrumPrefix<'_>,
     ) -> Result<Self> {
-        let (k, m) = (hashes.rows(), hashes.columns());
-        let scale = k as f64 * eps.c_eps();
-        let (restored, counts) = span_difference(last, base, (k, m), reports, scale)?;
-        Ok(FinalizedSketch {
-            restored,
-            counts,
+        for end in [last, base] {
+            check_lengths(&hashes, end.spectrum.len(), end.counts.len())?;
+        }
+        if i32::try_from(reports).is_err() {
+            return Err(Error::InvalidWorkload(format!(
+                "a span lane of {reports} reports is past the 2^31 - 1 an i32 span ledger \
+                 restores exactly"
+            )));
+        }
+        let scale = hashes.rows() as f64 * eps.c_eps();
+        Ok(LaneView {
+            restored: scaled_difference(last.spectrum, base.spectrum, scale),
+            counts: scaled_difference(last.counts, base.counts, 1.0),
             eps,
             hashes,
             reports,
         })
-    }
-
-    /// Sketch parameters `(k, m)`, the hash family's.
-    #[inline]
-    pub fn params(&self) -> SketchParams {
-        self.hashes.params()
     }
 
     /// Privacy budget the absorbed reports were perturbed with.
@@ -504,9 +492,9 @@ impl FinalizedSketch {
         self.eps
     }
 
-    /// The shared public hash family.
+    /// The shared public hash families.
     #[inline]
-    pub fn hashes(&self) -> &Arc<RowHashes> {
+    pub fn hashes(&self) -> &F {
         &self.hashes
     }
 
@@ -516,17 +504,17 @@ impl FinalizedSketch {
         self.reports
     }
 
-    /// The restored `k × m` counter matrix (row-major), borrowed — never cloned.
+    /// The restored counter matrix (row-major), borrowed — never cloned.
     #[inline]
     pub fn restored_counters(&self) -> &[f64] {
         &self.restored
     }
 
-    /// One restored sketch row of length `m`, borrowed.
+    /// One restored row (replica) of the lane's width, borrowed.
     #[inline]
     pub fn row(&self, j: usize) -> &[f64] {
-        let m = self.hashes.columns();
-        &self.restored[j * m..(j + 1) * m]
+        let width = self.hashes.width();
+        &self.restored[j * width..(j + 1) * width]
     }
 
     /// Each row's coordinate-0 count `raw[j,0]`, the exact report sum at Hadamard
@@ -535,6 +523,14 @@ impl FinalizedSketch {
     #[inline]
     pub fn coordinate_zero_counts(&self) -> &[f64] {
         &self.counts
+    }
+}
+
+impl FinalizedSketch {
+    /// Sketch parameters `(k, m)`, the hash family's.
+    #[inline]
+    pub fn params(&self) -> SketchParams {
+        self.hashes.params()
     }
 
     /// Each restored row's total `Σ_x M[j,x] = k·c_ε·m·raw[j,0]`, in row order.
@@ -694,9 +690,6 @@ impl FinalizedSketch {
     /// the same per-row terms in the same row order and so returns the same bits.
     pub fn frequency(&self, value: u64) -> f64 {
         let (k, m) = (self.hashes.rows(), self.hashes.columns());
-        if k == 0 {
-            return 0.0;
-        }
         let mut acc = 0.0;
         for (j, pair) in self.hashes.iter().enumerate() {
             acc += self.restored[j * m + pair.bucket_of(value)] * pair.sign_of(value) as f64;
@@ -713,10 +706,7 @@ impl FinalizedSketch {
     /// the frequent-item set. The median combiner ignores the (rare, large) colliding rows
     /// entirely, which is what the adaptive frequent-item discovery of LDPJoinSketch+ uses.
     pub fn frequency_median(&self, value: u64) -> f64 {
-        let (k, m) = (self.hashes.rows(), self.hashes.columns());
-        if k == 0 {
-            return 0.0;
-        }
+        let m = self.hashes.columns();
         let per_row: Vec<f64> = self
             .hashes
             .iter()
@@ -737,9 +727,6 @@ impl FinalizedSketch {
     /// energy leaves `F2`. Clamped below at `0`.
     pub fn f2_estimate(&self) -> f64 {
         let (k, m) = (self.hashes.rows(), self.hashes.columns());
-        if k == 0 {
-            return 0.0;
-        }
         let energy = |row| lane_sum(row, row, |v, _| v * v);
         let mean_energy = (0..k).map(|j| energy(self.row(j))).sum::<f64>() / k as f64;
         let noise = m as f64 * self.noise_variance_per_counter();
@@ -1013,19 +1000,8 @@ impl DomainIndex {
     }
 }
 
-/// Reject a report value other than `±1`: every counter must stay an exact integer report
-/// sum, which a caller-built `NaN`, `0.5` or `1e300` would silently break.
-pub(crate) fn check_report_sign(y: f64) -> Result<()> {
-    if y != 1.0 && y != -1.0 {
-        return Err(Error::InvalidWorkload(format!(
-            "report value y = {y} is not ±1"
-        )));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::client::LdpJoinSketchClient;
     use crate::plus_state::FiPolicy;
@@ -1206,7 +1182,7 @@ mod tests {
         assert_eq!(builder.reports(), 1);
         assert_eq!(builder.spectrum(), before);
         assert_eq!(edge.reports(), 0);
-        assert!(edge.finalize().replica(1).iter().all(|&v| v == 0.0));
+        assert!(edge.finalize().row(1).iter().all(|&v| v == 0.0));
     }
 
     #[test]
@@ -1383,116 +1359,119 @@ mod tests {
         }
     }
 
+    /// The span-ledger law of one lane shape, end to end: unscaled spectra are exact
+    /// integers, so prefix-summed spectra and coordinate-0 counts subtract exactly, and
+    /// `from_spectrum` of the summed `f64` difference, like the fused `from_spectrum_diff`
+    /// of two wrapping `i32` prefixes (as the service ledger keeps them), is bit-identical
+    /// to finalizing one builder that absorbed the suffix's `batches`, with no FWHT at
+    /// assembly time. `finalize` runs the fused scaled FWHT and the spectrum path scales
+    /// separately, so this pins their agreement. The seal law rides along: `from_spectrum`
+    /// of one window equals restoring it. A span of 2³¹ reports is refused. `bits` picks
+    /// the bits of a view that are compared.
+    pub(crate) fn assert_spectrum_prefixes_restore_bit_identically<F: LaneFamilies>(
+        e: Epsilon,
+        hashes: &F,
+        batches: &[ReportBatch],
+        bits: impl Fn(&LaneView<F>) -> Vec<u64>,
+        what: &str,
+    ) {
+        let absorbed = |batches: &[ReportBatch]| {
+            let mut builder = LaneBuilder::with_hashes(e, hashes.clone());
+            for batch in batches {
+                builder.absorb_batch(batch).unwrap();
+            }
+            builder
+        };
+        // Cumulative spectra and coordinate-0 counts in `f64`, and as the service ledger
+        // keeps them: wrapping `i32`, starting from the zero origin.
+        let zero = |len| (vec![0.0; len], vec![0i32; len]);
+        let rows = hashes.rows();
+        let mut prefixes = vec![(zero(rows * hashes.width()), zero(rows), 0u64)];
+        let add = |(exact, wrapped): &(Vec<f64>, Vec<i32>), window: &[f64]| {
+            let exact = exact.iter().zip(window).map(|(a, v)| a + v).collect();
+            let wrapped = (wrapped.iter().zip(window))
+                .map(|(&l, &v)| l.wrapping_add((v as i64) as i32))
+                .collect();
+            (exact, wrapped)
+        };
+        for batch in batches {
+            let w = absorbed(std::slice::from_ref(batch));
+            let (spec, counts, reports) = (w.spectrum(), w.coordinate_zero_counts(), w.reports());
+            let sealed =
+                LaneView::from_spectrum(e, hashes.clone(), reports, spec.clone(), counts.clone())
+                    .unwrap();
+            assert_eq!(bits(&sealed), bits(&w.finalize_view()), "{what}: seal");
+            let (last_spec, last_counts, last_reports) = prefixes.last().unwrap();
+            let next = (
+                add(last_spec, &spec),
+                add(last_counts, &counts),
+                reports + last_reports,
+            );
+            prefixes.push(next);
+        }
+        let ((last, last_wrapped), (last_counts, last_counts_wrapped), last_reports) =
+            prefixes.last().unwrap();
+        let last_prefix = SpectrumPrefix {
+            spectrum: last_wrapped,
+            counts: last_counts_wrapped,
+        };
+        for start in 0..batches.len() {
+            let ((base, base_wrapped), (base_counts, base_counts_wrapped), base_reports) =
+                &prefixes[start];
+            let reports = last_reports - base_reports;
+            let difference = |l: &[f64], b: &[f64]| l.iter().zip(b).map(|(l, b)| l - b).collect();
+            let summed = LaneView::from_spectrum(
+                e,
+                hashes.clone(),
+                reports,
+                difference(last, base),
+                difference(last_counts, base_counts),
+            )
+            .unwrap();
+            let base_prefix = SpectrumPrefix {
+                spectrum: base_wrapped,
+                counts: base_counts_wrapped,
+            };
+            let fused =
+                LaneView::from_spectrum_diff(e, hashes.clone(), reports, last_prefix, base_prefix)
+                    .unwrap();
+            let reference = absorbed(&batches[start..]).finalize();
+            for assembled in [&summed, &fused] {
+                assert_eq!(assembled.reports(), reference.reports());
+                let bits_at = format!("{what} start={start}");
+                assert_eq!(bits(assembled), bits(&reference), "{bits_at}");
+            }
+        }
+        // A span of 2³¹ reports could have wrapped, so it is refused, not restored.
+        let past =
+            LaneView::from_spectrum_diff(e, hashes.clone(), 1 << 31, last_prefix, last_prefix);
+        assert!(matches!(past, Err(Error::InvalidWorkload(_))), "{what}");
+    }
+
     #[test]
     fn spectrum_prefix_sums_restore_bit_identically() {
-        // The span-ledger law end to end: unscaled spectra are exact integers, so
-        // prefix-summed spectra subtract exactly and `from_spectrum` of the difference is
-        // bit-identical to finalizing one builder that absorbed the suffix's batches —
-        // with no FWHT at assembly time. The seal law rides along: `from_spectrum` of one window's
-        // spectrum equals restoring that window. m = 16 runs the portable FWHT tier,
-        // 128 and 1024 the widest one the host dispatches.
+        // The span-ledger law on plain lanes, its bits taken through the centered and
+        // masked products too. m = 16 runs the portable FWHT tier, 128 and 1024 the widest
+        // one the host dispatches.
         let e = eps(2.0);
         for m in [16usize, 128, 1024] {
             let p = params(8, m);
             let client = LdpJoinSketchClient::new(p, e, 7);
             let mut rng = StdRng::seed_from_u64(77);
-            let mut batches = Vec::new();
-            let mut windows = Vec::new();
-            for i in 0..4u64 {
-                let mut b = SketchBuilder::new(p, e, 7);
-                let values = skewed_stream(8_000, 500, 50 + i);
-                let batch = client.perturb_batch(&values, &mut rng).unwrap();
-                b.absorb_batch(&batch).unwrap();
-                batches.push(batch);
-                windows.push(b);
-            }
-            // Cumulative spectra and coordinate-0 counts in `f64`, and as the service ledger
-            // keeps them: wrapping `i32`, starting from the zero origin.
-            let zero = |len| (vec![0.0; len], vec![0i32; len]);
-            let mut prefixes = vec![(zero(p.counters()), zero(p.rows()), 0u64)];
-            let add = |(exact, wrapped): &(Vec<f64>, Vec<i32>), window: &[f64]| {
-                let exact = exact.iter().zip(window).map(|(a, v)| a + v).collect();
-                let wrapped = (wrapped.iter().zip(window))
-                    .map(|(&l, &v)| l.wrapping_add((v as i64) as i32))
-                    .collect();
-                (exact, wrapped)
-            };
-            for w in &windows {
-                let (spec, counts, reports) =
-                    (w.spectrum(), w.coordinate_zero_counts(), w.reports());
-                let sealed = FinalizedSketch::from_spectrum(
-                    e,
-                    Arc::clone(w.hashes()),
-                    reports,
-                    spec.clone(),
-                    counts.clone(),
-                )
-                .unwrap();
-                assert_eq!(
-                    view_bits(&sealed),
-                    view_bits(&w.finalize_view()),
-                    "m={m}: seal"
-                );
-                let (last_spec, last_counts, last_reports) = prefixes.last().unwrap();
-                let next = (
-                    add(last_spec, &spec),
-                    add(last_counts, &counts),
-                    reports + last_reports,
-                );
-                prefixes.push(next);
-            }
-            let ((last, last_wrapped), (last_counts, last_counts_wrapped), last_reports) =
-                prefixes.last().unwrap();
-            let last_prefix = SpectrumPrefix {
-                spectrum: last_wrapped,
-                counts: last_counts_wrapped,
-            };
-            for start in 0..windows.len() {
-                let ((base, base_wrapped), (base_counts, base_counts_wrapped), base_reports) =
-                    &prefixes[start];
-                let reports = last_reports - base_reports;
-                let hashes = || Arc::clone(windows[0].hashes());
-                let difference =
-                    |l: &[f64], b: &[f64]| l.iter().zip(b).map(|(l, b)| l - b).collect();
-                let summed = FinalizedSketch::from_spectrum(
-                    e,
-                    hashes(),
-                    reports,
-                    difference(last, base),
-                    difference(last_counts, base_counts),
-                )
-                .unwrap();
-                let base_prefix = SpectrumPrefix {
-                    spectrum: base_wrapped,
-                    counts: base_counts_wrapped,
-                };
-                let fused = FinalizedSketch::from_spectrum_diff(
-                    e,
-                    hashes(),
-                    reports,
-                    last_prefix,
-                    base_prefix,
-                )
-                .unwrap();
-                let mut scratch = SketchBuilder::new(p, e, 7);
-                for batch in &batches[start..] {
-                    scratch.absorb_batch(batch).unwrap();
-                }
-                let reference = scratch.finalize();
-                for assembled in [&summed, &fused] {
-                    assert_eq!(assembled.reports(), reference.reports());
-                    assert_eq!(
-                        view_bits(assembled),
-                        view_bits(&reference),
-                        "m={m} start={start}"
-                    );
-                }
-            }
-            // A span of 2³¹ reports could have wrapped, so it is refused, not restored.
-            let hashes = Arc::clone(windows[0].hashes());
-            let past =
-                FinalizedSketch::from_spectrum_diff(e, hashes, 1 << 31, last_prefix, last_prefix);
-            assert!(matches!(past, Err(Error::InvalidWorkload(_))), "m={m}");
+            let batches: Vec<ReportBatch> = (0..4u64)
+                .map(|i| {
+                    let values = skewed_stream(8_000, 500, 50 + i);
+                    client.perturb_batch(&values, &mut rng).unwrap()
+                })
+                .collect();
+            let what = format!("m={m}");
+            assert_spectrum_prefixes_restore_bit_identically(
+                e,
+                client.hashes(),
+                &batches,
+                view_bits,
+                &what,
+            );
         }
     }
 

@@ -7,12 +7,12 @@
 //! * [`service::SketchService`] registers join attributes and accepts continuous report
 //!   batches through one ingest entry point taking any [`service::Reports`] form (packed
 //!   batches, plus batches). Each attribute holds one per-mode state: its static config,
-//!   its live engine — an exact-counter builder (one
+//!   its live engine — an exact-counter [`LaneBuilder`](ldpjs_core::LaneBuilder) (one
 //!   [`SketchBuilder`](ldpjs_core::SketchBuilder) lane for plain, three for plus, one
 //!   [`EdgeSketchBuilder`](ldpjs_core::multiway::EdgeSketchBuilder) lane, `m_A·m_B`
-//!   counters per replica, for edge)
-//!   absorbing on the caller thread — and its span ledger, the same exact-spectrum ledger
-//!   in every mode.
+//!   counters per replica, for edge) absorbing on the caller thread — and its span ledger,
+//!   the same exact-spectrum ledger in every mode, which seals and assembles every lane
+//!   through one generic path.
 //! * An **epoch rotator** seals the live engine every `epoch_reports` reports (or on an
 //!   explicit [`service::SketchService::rotate`]) into the attribute's span ledger, which
 //!   is also its bounded ring of recent windows: each entry pairs a window's metadata (a

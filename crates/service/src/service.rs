@@ -13,11 +13,13 @@ use ldpjs_common::error::{Error, Result};
 use ldpjs_common::hash::RowHashes;
 use ldpjs_common::kernel_dispatch_snapshot;
 use ldpjs_common::privacy::Epsilon;
-use ldpjs_core::multiway::{EdgeSketchBuilder, FinalizedEdgeSketch, LdpEdgeSketchClient};
+use ldpjs_core::multiway::{
+    EdgeFamilies, EdgeSketchBuilder, FinalizedEdgeSketch, LdpEdgeSketchClient,
+};
 use ldpjs_core::{
     bounds, Candidates, ChainKernel, DomainIndex, FiPolicy, FinalizedPlusState, FinalizedSketch,
-    LdpJoinSketchClient, PlainKernel, PlusConfig, PlusKernel, PlusReportBatch, PlusStateBuilder,
-    SketchBuilder, SpectrumPrefix,
+    LaneBuilder, LaneFamilies, LaneView, LdpJoinSketchClient, PlainKernel, PlusConfig, PlusKernel,
+    PlusReportBatch, PlusStateBuilder, SketchBuilder, SpectrumPrefix,
 };
 use ldpjs_metrics::telemetry::{Snapshot, Stability, Telemetry};
 use ldpjs_sketch::SketchParams;
@@ -397,8 +399,9 @@ struct LaneWindow {
 }
 
 impl LaneWindow {
-    /// The window a plain or plus lane builder holds: its one FWHT per row, and `k` loads.
-    fn of(lane: &SketchBuilder) -> Self {
+    /// The window a plain, plus or edge lane builder holds: its one FWHT per row, and `k`
+    /// loads.
+    fn of<F: LaneFamilies>(lane: &LaneBuilder<F>) -> Self {
         LaneWindow {
             spectrum: lane.spectrum(),
             counts: lane.coordinate_zero_counts(),
@@ -421,8 +424,9 @@ impl LaneWindow {
 /// Every mode keeps its prefixes as unscaled Hadamard spectra and per-row coordinate-0
 /// counts in wrapping `i32` (see [`SpectrumEntry`]): a cold span query is one element-wise
 /// subtraction fused with one de-bias multiply per element per lane, plus `k` count
-/// subtractions ([`FinalizedSketch::from_spectrum_diff`],
-/// [`FinalizedEdgeSketch::from_spectrum_diff`]), no FWHT. Because the spectra are exact
+/// subtractions ([`LaneView::from_spectrum_diff`], whatever the lane's families), no FWHT.
+/// Plain, plus and edge lanes seal through [`Ledger::seal_lanes`] and assemble through
+/// [`Ledger::span_lane`], generic over the lane's families. Because the spectra are exact
 /// integers and the transform is linear, the result is bit-identical to one fresh builder
 /// absorbing every covered window's reports and finalizing — property-tested in this module
 /// for plain, plus and edge attributes — for every span of fewer than 2³¹ reports per lane.
@@ -478,69 +482,86 @@ impl Ledger {
         true
     }
 
-    /// Lane `l` of the suffix span `start..len`: its report count, the newest prefix and
-    /// the prefix just before the span (the origin for the full ring), whose wrapping
-    /// difference is the span's spectrum and counts.
-    fn span(&self, start: usize, l: usize) -> (u64, SpectrumPrefix<'_>, SpectrumPrefix<'_>) {
+    /// Seal window `epoch` from its exact-counter lanes (the rotation hook of every mode),
+    /// keeping at most `retained` windows, and return each lane's finalized view and whether
+    /// a window was evicted. Each lane is transformed once: its unscaled spectrum and its
+    /// counts, read off the counters before the transform, are added to the last prefix,
+    /// then scaled into the view by [`LaneView::from_spectrum`] — bit-identical to restoring
+    /// the lane, because the restore applies the de-bias scale after the last butterfly.
+    fn seal_lanes<F: LaneFamilies, const N: usize>(
+        &mut self,
+        epoch: u64,
+        lanes: [&LaneBuilder<F>; N],
+        retained: usize,
+    ) -> ([LaneView<F>; N], bool) {
+        let mut windows = lanes.map(LaneWindow::of);
+        let evicted = self.seal(epoch, &windows, retained);
+        let views = std::array::from_fn(|l| {
+            let (lane, w) = (lanes[l], std::mem::take(&mut windows[l]));
+            let hashes = lane.hashes().clone();
+            LaneView::from_spectrum(lane.epsilon(), hashes, w.reports, w.spectrum, w.counts)
+                // lint:allow(panic-freedom) — invariant: the spectrum and counts are the lane
+                // builder's own, of its families' shape.
+                .expect("a builder's own spectrum and counts fit its shape")
+        });
+        (views, evicted)
+    }
+
+    /// Lane `l` of the suffix span `start..len` as a finalized view, from the newest prefix
+    /// and the prefix just before the span (the origin for the full ring), whose wrapping
+    /// difference is the span's spectrum and counts: one fused spectrum subtraction +
+    /// de-bias multiply per element, no FWHT. `shape` is any builder of that lane (the live
+    /// one), supplying its ε and hash families.
+    ///
+    /// # Errors
+    /// [`Error::InvalidWorkload`] if the span's lane holds 2³¹ reports or more.
+    fn span_lane<F: LaneFamilies>(
+        &self,
+        start: usize,
+        l: usize,
+        shape: &LaneBuilder<F>,
+    ) -> Result<LaneView<F>> {
         let base = match start {
             0 => &self.origin,
             _ => &self.entries[start - 1].1,
         };
         let last = self.last();
         let reports = last.reports[l] - base.reports[l];
-        (reports, last.prefix(l), base.prefix(l))
-    }
-
-    /// Seal window `epoch` from its exact-counter lanes (the rotation hook), keeping at most
-    /// `retained` windows, and return each lane's finalized view and whether a window was
-    /// evicted. Each lane is transformed once: its unscaled spectrum and its counts, read
-    /// off the counters before the transform, are added to the last prefix, then scaled
-    /// into the view by [`FinalizedSketch::from_spectrum`] — bit-identical to restoring the
-    /// lane, because the restore applies the de-bias scale after the last butterfly.
-    fn seal_lanes<const N: usize>(
-        &mut self,
-        epoch: u64,
-        lanes: [&SketchBuilder; N],
-        retained: usize,
-    ) -> ([FinalizedSketch; N], bool) {
-        let mut windows = lanes.map(LaneWindow::of);
-        let evicted = self.seal(epoch, &windows, retained);
-        let views = std::array::from_fn(|l| {
-            let (lane, w) = (lanes[l], std::mem::take(&mut windows[l]));
-            let hashes = Arc::clone(lane.hashes());
-            FinalizedSketch::from_spectrum(lane.epsilon(), hashes, w.reports, w.spectrum, w.counts)
-                // lint:allow(panic-freedom) — invariant: the spectrum and counts are the lane
-                // builder's own, of its family's shape.
-                .expect("a builder's own spectrum and counts fit its shape")
-        });
-        (views, evicted)
-    }
-
-    /// Lane `l` of the suffix span `start..len` as a finalized view: one fused spectrum
-    /// subtraction + de-bias multiply per element, no FWHT. `shape` is any builder of that
-    /// lane (the live one), supplying its ε and hash family.
-    ///
-    /// # Errors
-    /// [`Error::InvalidWorkload`] if the span's lane holds 2³¹ reports or more.
-    fn span_lane(&self, start: usize, l: usize, shape: &SketchBuilder) -> Result<FinalizedSketch> {
-        let (reports, last, base) = self.span(start, l);
-        let (eps, hashes) = (shape.epsilon(), Arc::clone(shape.hashes()));
-        FinalizedSketch::from_spectrum_diff(eps, hashes, reports, last, base)
+        let (eps, hashes) = (shape.epsilon(), shape.hashes().clone());
+        LaneView::from_spectrum_diff(eps, hashes, reports, last.prefix(l), base.prefix(l))
     }
 }
 
-/// A plain LDPJoinSketch attribute's state. The live builder carries the public hash
-/// family.
+/// A one-lane attribute's state, over the lane's hash families `F`: a plain
+/// LDPJoinSketch attribute ([`PlainState`], one `k × m` family) or a two-attribute edge
+/// attribute for multi-way chain queries ([`EdgeState`], whose replica rows are `m_A·m_B`
+/// wide). Both seal and assemble by the same code. The live builder carries the families.
 #[derive(Debug)]
-struct PlainState {
-    live: SketchBuilder,
+struct LaneState<F> {
+    live: LaneBuilder<F>,
     ledger: Ledger,
     /// The newest window's finalized view, the only per-window view kept (`None` before the
     /// first seal). Older windows live on only as ledger prefixes.
-    newest: Option<Arc<FinalizedSketch>>,
+    newest: Option<Arc<LaneView<F>>>,
 }
 
-impl PlainState {
+/// A plain LDPJoinSketch attribute's state.
+type PlainState = LaneState<Arc<RowHashes>>;
+
+/// A two-attribute edge attribute's state.
+type EdgeState = LaneState<EdgeFamilies>;
+
+impl<F: LaneFamilies> LaneState<F> {
+    /// A fresh state around an empty live builder, with a one-lane ledger of its shape.
+    fn new(live: LaneBuilder<F>) -> Self {
+        let (rows, width) = (live.hashes().rows(), live.hashes().width());
+        LaneState {
+            live,
+            ledger: Ledger::new(1, rows, width),
+            newest: None,
+        }
+    }
+
     /// Seal the live builder into window `epoch` (it then continues ingesting from empty);
     /// returns whether a window was evicted.
     fn seal(&mut self, epoch: u64, retained: usize) -> bool {
@@ -619,59 +640,14 @@ fn plus_state(
         .expect("registration checked the policy and indexed the phase-1 hash family")
 }
 
-/// A two-attribute edge attribute's state, for multi-way chain queries: one lane whose
-/// replica rows are `m_A·m_B` wide, sealed and assembled as a plain lane is. The live
-/// builder carries both join attributes' hash families.
-#[derive(Debug)]
-struct EdgeState {
-    live: EdgeSketchBuilder,
-    ledger: Ledger,
-    /// The newest window's finalized view, the only per-window view kept (`None` before the
-    /// first seal).
-    newest: Option<Arc<FinalizedEdgeSketch>>,
-}
-
-impl EdgeState {
-    /// Seal the live builder into window `epoch` (it then continues ingesting from empty);
-    /// returns whether a window was evicted. The window's spectrum and counts are added to
-    /// the ledger and scaled into the newest view.
-    fn seal(&mut self, epoch: u64, retained: usize) -> bool {
-        let live = &self.live;
-        let windows = [LaneWindow {
-            spectrum: live.spectrum(),
-            counts: live.coordinate_zero_counts(),
-            reports: live.reports(),
-        }];
-        let evicted = self.ledger.seal(epoch, &windows, retained);
-        let [w] = windows;
-        let (a, b) = (
-            Arc::clone(live.attribute_a()),
-            Arc::clone(live.attribute_b()),
-        );
-        let view = FinalizedEdgeSketch::from_spectrum(
-            a,
-            b,
-            live.epsilon(),
-            w.reports,
-            w.spectrum,
-            w.counts,
-        )
-        // lint:allow(panic-freedom) — invariant: the spectrum and counts are the live
-        // builder's own, of its families' shape.
-        .expect("a builder's own spectrum and counts fit its shape");
-        self.newest = Some(Arc::new(view));
-        self.live.clear();
-        evicted
-    }
-}
-
 /// One attribute's estimator mode with everything that mode owns: its static config, the
 /// live (unsealed) builder, the span ledger (which is also the ring of retained windows)
 /// and the newest window's finalized view. The live engine of every mode is an
-/// exact-counter builder, because the server side of Alg. 2 is a linear sum of ±1 reports:
-/// one lane for LDPJoinSketch, three for LDPJoinSketch+ (Alg. 3), one `m_A·m_B`-wide lane
-/// for chain edges (Sec. VI). A mode's state can only be built whole, so a live engine can
-/// never meet another mode's ledger.
+/// exact-counter [`LaneBuilder`], because the server side of Alg. 2 is a linear sum of ±1
+/// reports: one lane for LDPJoinSketch, three for LDPJoinSketch+ (Alg. 3), one
+/// `m_A·m_B`-wide lane for chain edges (Sec. VI); plain and edge attributes share one
+/// [`LaneState`]. A mode's state can only be built whole, so a live engine can never meet
+/// another mode's ledger.
 #[derive(Debug)]
 enum ModeState {
     Plain(PlainState),
@@ -840,13 +816,7 @@ impl ModeView for EdgeState {
     }
 
     fn assemble(&self, start: usize) -> Result<FinalizedEdgeSketch> {
-        let (reports, last, base) = self.ledger.span(start, 0);
-        let live = &self.live;
-        let (a, b) = (
-            Arc::clone(live.attribute_a()),
-            Arc::clone(live.attribute_b()),
-        );
-        FinalizedEdgeSketch::from_spectrum_diff(a, b, live.epsilon(), reports, last, base)
+        self.ledger.span_lane(start, 0, &self.live)
     }
 }
 
@@ -982,12 +952,8 @@ impl SketchService {
     /// [`Error::InvalidWorkload`] if `name` is already registered.
     pub fn register_attribute(&mut self, name: &str, seed: u64) -> Result<AttributeId> {
         self.register(name, |config| {
-            let (params, eps) = (config.params, config.eps);
-            Ok(ModeState::Plain(PlainState {
-                live: SketchBuilder::new(params, eps, seed),
-                ledger: Ledger::new(1, params.rows(), params.columns()),
-                newest: None,
-            }))
+            let live = SketchBuilder::new(config.params, config.eps, seed);
+            Ok(ModeState::Plain(PlainState::new(live)))
         })
     }
 
@@ -1043,13 +1009,9 @@ impl SketchService {
         seed_b: u64,
     ) -> Result<AttributeId> {
         self.register(name, |config| {
-            let params = config.params;
-            let family = |seed| Arc::new(RowHashes::from_seed(seed, params));
-            Ok(ModeState::Edge(EdgeState {
-                live: EdgeSketchBuilder::new(family(seed_a), family(seed_b), config.eps)?,
-                ledger: Ledger::new(1, params.rows(), params.columns() * params.columns()),
-                newest: None,
-            }))
+            let family = |seed| Arc::new(RowHashes::from_seed(seed, config.params));
+            let live = EdgeSketchBuilder::new(family(seed_a), family(seed_b), config.eps)?;
+            Ok(ModeState::Edge(EdgeState::new(live)))
         })
     }
 
@@ -1124,7 +1086,7 @@ impl SketchService {
         let a = find(&self.attributes, attr)?;
         match &a.mode {
             ModeState::Edge(s) => {
-                let (attr_a, attr_b) = (s.live.attribute_a(), s.live.attribute_b());
+                let (attr_a, attr_b) = (s.live.hashes().a(), s.live.hashes().b());
                 LdpEdgeSketchClient::new(Arc::clone(attr_a), Arc::clone(attr_b), self.config.eps)
             }
             _ => Err(mode_mismatch(a, "an edge client")),
@@ -3599,11 +3561,10 @@ mod tests {
             let sealed = &windows[windows.len() - depth..];
             let eps = service.config().eps;
             let state = EdgeState::of(&service.attributes[edge.index()].mode).unwrap();
-            let (attr_a, attr_b) = (state.live.attribute_a(), state.live.attribute_b());
+            let families = state.live.hashes();
             let references: Vec<FinalizedEdgeSketch> = (0..depth)
                 .map(|start| {
-                    let mut scratch =
-                        EdgeSketchBuilder::new(attr_a.clone(), attr_b.clone(), eps).unwrap();
+                    let mut scratch = EdgeSketchBuilder::with_hashes(eps, families.clone());
                     for batch in sealed[start..].iter().flatten() {
                         scratch.absorb_batch(batch).unwrap();
                     }
@@ -3611,7 +3572,7 @@ mod tests {
                 })
                 .collect();
             let bits = |view: &FinalizedEdgeSketch, j| {
-                view.replica(j).iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                view.row(j).iter().map(|v| v.to_bits()).collect::<Vec<_>>()
             };
             let newest = state.newest().unwrap();
             prop_assert_eq!(

@@ -23,9 +23,13 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-/// The workspace root: two levels above this crate's manifest.
+/// The workspace root: two levels above this crate's manifest. `cargo run` sets
+/// `CARGO_MANIFEST_DIR` to the manifest of the tree it runs in; the path baked in at
+/// compile time is only the fallback for a binary run directly, since a copied checkout
+/// can reuse a binary built in the original tree.
 fn default_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+    std::env::var_os("CARGO_MANIFEST_DIR")
+        .map_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")), PathBuf::from)
         .join("..")
         .join("..")
 }

@@ -9,10 +9,18 @@
 
 use ldpjs_xtask::loc::LineCount;
 use ldpjs_xtask::{lint_sources, lint_workspace};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
+
+/// This crate's directory in the tree under test: `cargo test` sets `CARGO_MANIFEST_DIR`
+/// at run time, and a test binary reused in a copied checkout would otherwise read the
+/// original tree through the path baked in at compile time.
+fn manifest_dir() -> PathBuf {
+    std::env::var_os("CARGO_MANIFEST_DIR")
+        .map_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")), PathBuf::from)
+}
 
 fn fixture_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
+    manifest_dir().join("tests/fixtures")
 }
 
 /// A diagnostic reduced to its `(rule-id, line)` identity.
@@ -100,7 +108,7 @@ fn loc_counts_every_line_outside_test_regions() {
 
 #[test]
 fn workspace_is_lint_clean() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let root = manifest_dir().join("../..");
     let (diags, checked) = lint_workspace(&root).expect("workspace sources readable");
     assert!(
         diags.is_empty(),
