@@ -476,7 +476,7 @@ mod tests {
     use super::*;
     use crate::client::LdpJoinSketchClient;
     use crate::fap::{FapClient, FapMode};
-    use crate::server::SCAN_BLOCK;
+    use crate::server::{SpectrumPrefix, SCAN_BLOCK};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::sync::Arc;
@@ -723,9 +723,10 @@ mod tests {
     #[test]
     fn window_merge_is_bit_identical_to_single_builder_per_lane() {
         // Windows combine as the service's span ledger combines them: each lane's unscaled
-        // spectra add across windows, and the span assembled from their sums by
-        // `from_spectrum` and `FinalizedPlusState::new` equals one builder that absorbed
-        // every batch, lanes, frequent items and threshold alike.
+        // spectra and counts add across windows into wrapping `i32` prefixes, and the span
+        // assembled from them against the zero origin by `from_spectrum_diff` and
+        // `FinalizedPlusState::new` equals one builder that absorbed every batch, lanes,
+        // frequent items and threshold alike.
         let policy = FiPolicy::new(0.02, false).unwrap();
         let domain: Vec<u64> = (0..50).collect();
         let batches: Vec<PlusReportBatch> =
@@ -741,9 +742,10 @@ mod tests {
 
         for windows in [1usize, 2, 4, 7] {
             let per = batches.len().div_ceil(windows);
-            let mut spectra = shapes.map(|_| vec![0.0; params().counters()]);
-            let mut counts = shapes.map(|_| vec![0.0; params().rows()]);
+            let mut spectra = shapes.map(|_| vec![0i32; params().counters()]);
+            let mut counts = shapes.map(|_| vec![0i32; params().rows()]);
             let mut reports = [0u64; 3];
+            let add = |sum: &mut i32, v: f64| *sum = sum.wrapping_add((v as i64) as i32);
             for part in batches.chunks(per) {
                 let mut w = PlusStateBuilder::new(params(), eps(), 9);
                 for b in part {
@@ -752,22 +754,32 @@ mod tests {
                 let (p1, low, high) = w.lane_builders();
                 for (l, lane) in [p1, low, high].into_iter().enumerate() {
                     for (sum, v) in spectra[l].iter_mut().zip(lane.spectrum()) {
-                        *sum += v;
+                        add(sum, v);
                     }
                     for (sum, c) in counts[l].iter_mut().zip(lane.coordinate_zero_counts()) {
-                        *sum += c;
+                        add(sum, c);
                     }
                     reports[l] += lane.reports();
                 }
             }
+            let (zeros, zero_counts) = (vec![0; params().counters()], vec![0; params().rows()]);
+            let origin = SpectrumPrefix {
+                spectrum: &zeros,
+                counts: &zero_counts,
+            };
             let [phase1, low, high] = std::array::from_fn(|l| {
                 let shape = shapes[l];
-                FinalizedSketch::from_spectrum(
+                let last = SpectrumPrefix {
+                    spectrum: &spectra[l],
+                    counts: &counts[l],
+                };
+                let hashes = Arc::clone(shape.hashes());
+                FinalizedSketch::from_spectrum_diff(
                     shape.epsilon(),
-                    Arc::clone(shape.hashes()),
+                    hashes,
                     reports[l],
-                    std::mem::take(&mut spectra[l]),
-                    std::mem::take(&mut counts[l]),
+                    last,
+                    origin,
                 )
                 .unwrap()
             });

@@ -236,8 +236,8 @@ impl<F: LaneFamilies> LaneBuilder<F> {
     ///
     /// Scaling after the last addition is bit-identical to transforming first and scaling
     /// in a separate sweep, and keeps the unscaled [`spectrum`](LaneBuilder::spectrum)
-    /// exact, which is what makes [`LaneView::from_spectrum`] and
-    /// [`LaneView::from_spectrum_diff`] restore bit-identically.
+    /// exact, which is what makes [`LaneView::from_spectrum_diff`] restore
+    /// bit-identically.
     pub fn finalize(self) -> LaneView<F> {
         let (width, scale) = (
             self.hashes.width(),
@@ -261,8 +261,8 @@ impl<F: LaneFamilies> LaneBuilder<F> {
     /// clone, so the two entry points can never diverge bit-wise.
     ///
     /// Use it to estimate from a builder that keeps absorbing. (The online service seals
-    /// windows through [`LaneBuilder::spectrum`] and [`LaneView::from_spectrum`] instead,
-    /// so each lane is transformed once.)
+    /// windows through [`LaneBuilder::spectrum`] and restores their spans through
+    /// [`LaneView::from_spectrum_diff`] instead, so each lane is transformed once.)
     ///
     /// [`finalize`]: LaneBuilder::finalize
     pub fn finalize_view(&self) -> LaneView<F> {
@@ -411,49 +411,20 @@ pub struct LaneView<F> {
 pub type FinalizedSketch = LaneView<Arc<RowHashes>>;
 
 impl<F: LaneFamilies> LaneView<F> {
-    /// Rebuild the estimation view from a precomputed **unscaled** spectrum and its rows'
-    /// coordinate-0 counts (the online service seals each window's view this way from the
-    /// [`LaneBuilder::spectrum`] and [`LaneBuilder::coordinate_zero_counts`] its span
-    /// ledger keeps): applies the same single de-bias multiply per counter as the builder
-    /// restore, which scales after the last butterfly, so the result is **bit-identical**
-    /// to finalizing a builder holding the same exact counters — without running any
-    /// Hadamard transform.
-    ///
-    /// # Errors
-    /// [`Error::IncompatibleSketches`] if `spectrum` does not hold `rows·width` entries or
-    /// `counts` does not hold `rows`, for the families' shape.
-    pub fn from_spectrum(
-        eps: Epsilon,
-        hashes: F,
-        reports: u64,
-        mut spectrum: Vec<f64>,
-        counts: Vec<f64>,
-    ) -> Result<Self> {
-        check_lengths(&hashes, spectrum.len(), counts.len())?;
-        let scale = hashes.rows() as f64 * eps.c_eps();
-        for v in spectrum.iter_mut() {
-            *v *= scale;
-        }
-        Ok(LaneView {
-            restored: spectrum,
-            counts,
-            eps,
-            hashes,
-            reports,
-        })
-    }
-
-    /// [`LaneView::from_spectrum`] of a span of `reports` reports, given as two ledger
-    /// prefixes kept as wrapping `i32` (modulo 2³², as the online service's span ledger
-    /// keeps them), fused into one pass: each restored counter is
-    /// `f64::from(last[i].wrapping_sub(base[i]))·k·c_ε`, and each count the wrapped
-    /// difference of the prefixes' counts (a scale of 1 is exact).
+    /// Rebuild the estimation view of a span of `reports` reports from two ledger prefixes
+    /// of **unscaled** spectra ([`LaneBuilder::spectrum`]) and their rows' coordinate-0
+    /// counts ([`LaneBuilder::coordinate_zero_counts`]), kept as wrapping `i32` (modulo
+    /// 2³², as the online service's span ledger keeps them), in one pass: each restored
+    /// counter is `f64::from(last[i].wrapping_sub(base[i]))·k·c_ε`, and each count the
+    /// wrapped difference of the prefixes' counts (a scale of 1 is exact). No Hadamard
+    /// transform runs.
     ///
     /// A report adds `±1` to one counter of its row, and the FWHT adds and subtracts a
     /// row's counters, so every entry of a span's spectrum, and every count, lies within
     /// ±`reports`. Below 2³¹ reports those wrapped differences are therefore the span's
-    /// exact ones, and the view is bit-identical to [`LaneView::from_spectrum`] of the
-    /// materialized `f64` differences, without allocating them.
+    /// exact ones, and each counter takes the single de-bias multiply the builder restore
+    /// applies after its last butterfly: the view is **bit-identical** to finalizing one
+    /// builder that absorbed the span's reports.
     ///
     /// # Errors
     /// [`Error::IncompatibleSketches`] if a prefix's spectrum does not hold `rows·width`
@@ -1338,13 +1309,21 @@ pub(crate) mod tests {
         for (j, pair) in hashes.iter().enumerate() {
             spectrum[j * 2 + pair.bucket_of(0)] = pair.sign_of(0) as f64;
         }
-        // Each row's spectrum sums to ±1, so its coordinate-0 count is ±1/m.
+        // Each row's spectrum sums to ±1, so its coordinate-0 count is ±1/m. The view is
+        // built directly: no integer counters transform to this spectrum.
         let counts = hashes
             .iter()
             .map(|pair| pair.sign_of(0) as f64 / 2.0)
             .collect();
-        let sketch =
-            FinalizedSketch::from_spectrum(eps(10.0), hashes, 1, spectrum, counts).unwrap();
+        let e = eps(10.0);
+        let scale = p.rows() as f64 * e.c_eps();
+        let sketch = FinalizedSketch {
+            eps: e,
+            hashes,
+            restored: spectrum.iter().map(|v| v * scale).collect(),
+            counts,
+            reports: 1,
+        };
         let domain: Vec<u64> = (0..6).collect();
         let index = DomainIndex::new(sketch.hashes(), Arc::new(domain.clone()));
         let threshold = 0.5 * sketch.frequency_median(0);
@@ -1360,14 +1339,13 @@ pub(crate) mod tests {
     }
 
     /// The span-ledger law of one lane shape, end to end: unscaled spectra are exact
-    /// integers, so prefix-summed spectra and coordinate-0 counts subtract exactly, and
-    /// `from_spectrum` of the summed `f64` difference, like the fused `from_spectrum_diff`
-    /// of two wrapping `i32` prefixes (as the service ledger keeps them), is bit-identical
-    /// to finalizing one builder that absorbed the suffix's `batches`, with no FWHT at
-    /// assembly time. `finalize` runs the fused scaled FWHT and the spectrum path scales
-    /// separately, so this pins their agreement. The seal law rides along: `from_spectrum`
-    /// of one window equals restoring it. A span of 2³¹ reports is refused. `bits` picks
-    /// the bits of a view that are compared.
+    /// integers, so prefix-summed spectra and coordinate-0 counts, kept as wrapping `i32`
+    /// as the service ledger keeps them, subtract exactly, and `from_spectrum_diff` of two
+    /// prefixes is bit-identical to finalizing one builder that absorbed the span's
+    /// `batches`, with no FWHT at assembly time. `finalize` runs the fused scaled FWHT and
+    /// the prefixes scale separately, so this pins their agreement on every suffix span
+    /// and on every one-window span. A span of 2³¹ reports is refused. `bits` picks the
+    /// bits of a view that are compared.
     pub(crate) fn assert_spectrum_prefixes_restore_bit_identically<F: LaneFamilies>(
         e: Epsilon,
         hashes: &F,
@@ -1382,69 +1360,46 @@ pub(crate) mod tests {
             }
             builder
         };
-        // Cumulative spectra and coordinate-0 counts in `f64`, and as the service ledger
-        // keeps them: wrapping `i32`, starting from the zero origin.
-        let zero = |len| (vec![0.0; len], vec![0i32; len]);
+        // Cumulative spectra and coordinate-0 counts as the service ledger keeps them:
+        // wrapping `i32`, starting from the zero origin.
         let rows = hashes.rows();
-        let mut prefixes = vec![(zero(rows * hashes.width()), zero(rows), 0u64)];
-        let add = |(exact, wrapped): &(Vec<f64>, Vec<i32>), window: &[f64]| {
-            let exact = exact.iter().zip(window).map(|(a, v)| a + v).collect();
-            let wrapped = (wrapped.iter().zip(window))
-                .map(|(&l, &v)| l.wrapping_add((v as i64) as i32))
-                .collect();
-            (exact, wrapped)
+        let mut prefixes = vec![(vec![0i32; rows * hashes.width()], vec![0i32; rows], 0u64)];
+        let add = |wrapped: &[i32], window: Vec<f64>| -> Vec<i32> {
+            (wrapped.iter().zip(window))
+                .map(|(&l, v)| l.wrapping_add((v as i64) as i32))
+                .collect()
         };
         for batch in batches {
             let w = absorbed(std::slice::from_ref(batch));
-            let (spec, counts, reports) = (w.spectrum(), w.coordinate_zero_counts(), w.reports());
-            let sealed =
-                LaneView::from_spectrum(e, hashes.clone(), reports, spec.clone(), counts.clone())
-                    .unwrap();
-            assert_eq!(bits(&sealed), bits(&w.finalize_view()), "{what}: seal");
-            let (last_spec, last_counts, last_reports) = prefixes.last().unwrap();
+            let (spectrum, counts, reports) = prefixes.last().unwrap();
             let next = (
-                add(last_spec, &spec),
-                add(last_counts, &counts),
-                reports + last_reports,
+                add(spectrum, w.spectrum()),
+                add(counts, w.coordinate_zero_counts()),
+                reports + w.reports(),
             );
             prefixes.push(next);
         }
-        let ((last, last_wrapped), (last_counts, last_counts_wrapped), last_reports) =
-            prefixes.last().unwrap();
-        let last_prefix = SpectrumPrefix {
-            spectrum: last_wrapped,
-            counts: last_counts_wrapped,
+        let prefix = |i: usize| {
+            let (spectrum, counts, reports) = &prefixes[i];
+            (SpectrumPrefix { spectrum, counts }, *reports)
         };
-        for start in 0..batches.len() {
-            let ((base, base_wrapped), (base_counts, base_counts_wrapped), base_reports) =
-                &prefixes[start];
-            let reports = last_reports - base_reports;
-            let difference = |l: &[f64], b: &[f64]| l.iter().zip(b).map(|(l, b)| l - b).collect();
-            let summed = LaneView::from_spectrum(
-                e,
-                hashes.clone(),
-                reports,
-                difference(last, base),
-                difference(last_counts, base_counts),
-            )
-            .unwrap();
-            let base_prefix = SpectrumPrefix {
-                spectrum: base_wrapped,
-                counts: base_counts_wrapped,
-            };
-            let fused =
-                LaneView::from_spectrum_diff(e, hashes.clone(), reports, last_prefix, base_prefix)
-                    .unwrap();
-            let reference = absorbed(&batches[start..]).finalize();
-            for assembled in [&summed, &fused] {
+        let n = batches.len();
+        for start in 0..n {
+            // The suffix span from window `start`, and window `start` alone.
+            for (end, covered) in [(n, &batches[start..]), (start + 1, &batches[start..=start])] {
+                let ((last, last_reports), (base, base_reports)) = (prefix(end), prefix(start));
+                let reports = last_reports - base_reports;
+                let assembled =
+                    LaneView::from_spectrum_diff(e, hashes.clone(), reports, last, base).unwrap();
+                let reference = absorbed(covered).finalize();
                 assert_eq!(assembled.reports(), reference.reports());
-                let bits_at = format!("{what} start={start}");
-                assert_eq!(bits(assembled), bits(&reference), "{bits_at}");
+                let bits_at = format!("{what} span {start}..{end}");
+                assert_eq!(bits(&assembled), bits(&reference), "{bits_at}");
             }
         }
         // A span of 2³¹ reports could have wrapped, so it is refused, not restored.
-        let past =
-            LaneView::from_spectrum_diff(e, hashes.clone(), 1 << 31, last_prefix, last_prefix);
+        let (last, _) = prefix(n);
+        let past = LaneView::from_spectrum_diff(e, hashes.clone(), 1 << 31, last, last);
         assert!(matches!(past, Err(Error::InvalidWorkload(_))), "{what}");
     }
 
@@ -1932,23 +1887,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn from_spectrum_rejects_a_mis_sized_spectrum_or_count_slice() {
-        let p = params(4, 16);
-        let hashes = Arc::new(RowHashes::from_seed(3, p));
-        let view = |spectrum: usize, counts: usize| {
-            let (spectrum, counts) = (vec![0.0; spectrum], vec![0.0; counts]);
-            FinalizedSketch::from_spectrum(eps(2.0), Arc::clone(&hashes), 0, spectrum, counts)
-        };
-        for (spectrum, counts) in [(63, 4), (65, 4), (0, 4), (64, 3), (64, 5), (64, 0), (16, 1)] {
-            assert!(
-                matches!(view(spectrum, counts), Err(Error::IncompatibleSketches(_))),
-                "{spectrum} entries, {counts} counts"
-            );
-        }
-        assert_eq!(view(64, 4).unwrap().restored_counters(), &[0.0; 64]);
-    }
-
-    #[test]
     fn from_spectrum_diff_rejects_a_mis_sized_prefix_or_count_slice() {
         let p = params(4, 16);
         let hashes = Arc::new(RowHashes::from_seed(3, p));
@@ -2096,9 +2034,10 @@ pub(crate) mod tests {
 
     #[test]
     fn shard_spectra_add_up_to_single_aggregator() {
-        // Two builders each absorb half the reports; their spectra, added and restored by
-        // `from_spectrum` as the service's span ledger does, must be bit-for-bit identical
-        // to one builder absorbing everything.
+        // Two builders each absorb half the reports; their spectra and counts, added into
+        // a wrapping `i32` prefix and restored against the zero origin by
+        // `from_spectrum_diff` as the service's span ledger does, must be bit-for-bit
+        // identical to one builder absorbing everything.
         let p = params(8, 128);
         let e = eps(3.0);
         let client = LdpJoinSketchClient::new(p, e, 77);
@@ -2112,15 +2051,29 @@ pub(crate) mod tests {
         shard_a.absorb_batch(&first).unwrap();
         let mut shard_b = SketchBuilder::new(p, e, 77);
         shard_b.absorb_batch(&second).unwrap();
-        let add = |a: Vec<f64>, b: Vec<f64>| a.iter().zip(&b).map(|(a, b)| a + b).collect();
+        let add = |a: Vec<f64>, b: Vec<f64>| -> Vec<i32> {
+            let wrapped = |v: f64| (v as i64) as i32;
+            (a.iter().zip(&b))
+                .map(|(&a, &b)| wrapped(a).wrapping_add(wrapped(b)))
+                .collect()
+        };
         let spectrum = add(shard_a.spectrum(), shard_b.spectrum());
         let counts = add(
             shard_a.coordinate_zero_counts(),
             shard_b.coordinate_zero_counts(),
         );
+        let (zeros, zero_counts) = (vec![0; spectrum.len()], vec![0; counts.len()]);
+        let last = SpectrumPrefix {
+            spectrum: &spectrum,
+            counts: &counts,
+        };
+        let origin = SpectrumPrefix {
+            spectrum: &zeros,
+            counts: &zero_counts,
+        };
         let reports = shard_a.reports() + shard_b.reports();
         let hashes = Arc::clone(shard_a.hashes());
-        let merged = FinalizedSketch::from_spectrum(e, hashes, reports, spectrum, counts).unwrap();
+        let merged = FinalizedSketch::from_spectrum_diff(e, hashes, reports, last, origin).unwrap();
 
         let mut single = SketchBuilder::new(p, e, 77);
         single.absorb_batch(&first).unwrap();

@@ -1,5 +1,5 @@
 //! The memoized query cache: answers keyed by **(query kind, attribute set, epoch span)**,
-//! merged estimation views (one typed store per estimator mode) keyed by
+//! span estimation views (one typed store per estimator mode) keyed by
 //! (attribute, epoch-span), all invalidated when a participating attribute rotates, and the
 //! window ranges queries read on each attribute since its last rotation.
 //!
@@ -9,22 +9,23 @@
 //! and (2) keep `Latest`/`LastK` queries, which re-resolve to new spans after every
 //! rotation, from accumulating dead entries. Rotation then **re-warms**: it re-resolves
 //! every range read on the attribute during the epoch that just closed against the new
-//! ring and memoizes the merged views those spans need, so a dashboard's steady ranges find
+//! ring and memoizes the span views those spans need, so a dashboard's steady ranges find
 //! their views assembled before their first query of the new epoch.
 //!
-//! Result entries are bounded by a capacity with **least-recently-used** eviction: a lookup
-//! hit promotes its entry to most-recently-used before the oldest entry is evicted, so a hot
-//! merged-span answer (a dashboard's repeated join query) survives a value-keyed frequency
-//! scan that churns thousands of one-shot entries past it. (The earlier insertion-order
-//! eviction evicted exactly those hot entries first; the regression is pinned in this
-//! module's tests via [`CacheStats`].)
+//! Result entries are bounded by a capacity with **least-recently-used** eviction, kept as
+//! one recency order from stamp to key: a lookup hit re-stamps its entry as
+//! most-recently-used, and eviction pops the oldest stamp, so a hot merged-span answer (a
+//! dashboard's repeated join query) survives a value-keyed frequency scan that churns
+//! thousands of one-shot entries past it. (The earlier insertion-order eviction evicted
+//! exactly those hot entries first; the regression is pinned in this module's tests via
+//! [`CacheStats`], and a property test drives the cache against a naive reference LRU.)
 
 use ldpjs_common::error::Result;
 use ldpjs_core::multiway::FinalizedEdgeSketch;
 use ldpjs_core::{FinalizedPlusState, FinalizedSketch};
 use ldpjs_metrics::telemetry::Counter;
 use std::collections::btree_map::Entry as MapEntry;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use crate::service::{Explain, SpanSource};
@@ -179,10 +180,10 @@ pub struct CacheStats {
     pub misses: u64,
     /// Result entries currently held.
     pub entries: usize,
-    /// Merged multi-window estimation views currently memoized (all estimator modes): the
-    /// spans queries assembled since their attribute's last rotation, and the spans that
-    /// rotation re-warmed for the ranges read in the epoch it closed. A plus attribute's
-    /// whole-ring state is kept by the attribute, not memoized, so it is not counted.
+    /// Span views currently memoized, one window or many (all estimator modes): the spans
+    /// queries assembled since their attribute's last rotation, and the spans that rotation
+    /// re-warmed for the ranges read in the epoch it closed. A plus attribute's whole-ring
+    /// state is kept by the attribute, not memoized, so it is not counted.
     pub views: usize,
     /// Invalidation events (one per rotation of any attribute, plus explicit clears).
     pub invalidations: u64,
@@ -196,23 +197,23 @@ pub struct CacheStats {
     pub edge: ModeCacheStats,
 }
 
-/// One cached result together with its recency stamp (the lazy-LRU bookkeeping).
+/// One cached result together with its recency stamp.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     answer: CachedAnswer,
-    /// The monotonic stamp of this entry's most recent insert-or-hit. Only the order-queue
-    /// pair carrying the same stamp is live; older pairs for the key are stale.
+    /// The monotonic stamp of this entry's most recent insert-or-hit: its key in the
+    /// recency order.
     stamp: u64,
 }
 
-/// The service-wide memoization layer: results, merged views, and the ranges read since
+/// The service-wide memoization layer: results, span views, and the ranges read since
 /// each attribute's last rotation, which [`QueryCache::invalidate_attribute`] hands to the
 /// rotation that re-warms them.
 ///
 /// Result entries are bounded by `capacity` with least-recently-used eviction (hits promote;
 /// see the module docs): frequency queries are keyed by arbitrary caller-supplied values, so
 /// without a bound a domain scan against a quiet attribute (rotation being the only
-/// invalidation trigger) would grow the always-on service's memory without limit. Merged
+/// invalidation trigger) would grow the always-on service's memory without limit. Span
 /// views need no bound of their own — ranges resolve to ring suffixes, so an attribute can
 /// only ever have `retained_windows` distinct spans alive between rotations — and nor do
 /// the recorded ranges, which [`QueryCache::record_read`] folds into at most
@@ -223,22 +224,20 @@ pub(crate) struct QueryCache {
     /// The ring capacity (`retained_windows`): every `LastK(k)` with `k` at least this
     /// resolves like `All` on every ring an attribute can hold.
     ring: usize,
-    /// Ordered maps, not hash maps: `invalidate_attribute` and `prune_order` *iterate*
-    /// these stores, and `BTreeMap` makes the visit order (hence eviction/invalidation
-    /// bookkeeping and any future iteration) deterministic run to run.
+    /// Ordered maps, not hash maps: `invalidate_attribute` *iterates* these stores, and
+    /// `BTreeMap` makes the visit order (hence invalidation bookkeeping and any future
+    /// iteration) deterministic run to run.
     results: BTreeMap<QueryKey, Entry>,
-    /// Recency queue of `(key, stamp)` pairs, oldest first. A pair is live only while the
-    /// entry's stamp matches; promotions and invalidations leave stale pairs that pop (or
-    /// are pruned) for free.
-    order: VecDeque<(QueryKey, u64)>,
+    /// The recency order: every held result's stamp, mapped to its key, oldest first. It
+    /// holds exactly the keys of `results`.
+    order: BTreeMap<u64, QueryKey>,
     /// Monotonic recency clock.
     clock: u64,
-    /// Merged multi-window plain views.
+    /// Plain span views.
     pub(crate) plain_views: ViewMemo<FinalizedSketch>,
-    /// Merged multi-window plus states, except each attribute's whole ring (the attribute
-    /// keeps that one).
+    /// Plus span states, except each attribute's whole ring (the attribute keeps that one).
     pub(crate) plus_views: ViewMemo<FinalizedPlusState>,
-    /// Merged multi-window edge views.
+    /// Edge span views.
     pub(crate) edge_views: ViewMemo<FinalizedEdgeSketch>,
     /// `(attribute, range)` for every range a query read since the attribute's last
     /// rotation, which the next rotation re-warms. Ordered, like the stores above, so the
@@ -247,9 +246,9 @@ pub(crate) struct QueryCache {
     instruments: CacheInstruments,
 }
 
-/// One estimator mode's memoized merged multi-window views by `(attribute, first_epoch,
-/// last_epoch)`: filled by a query's first assembly of a span, or by rotation re-warming the
-/// ranges read in the epoch it closed.
+/// One estimator mode's memoized span views by `(attribute, first_epoch, last_epoch)`:
+/// filled by a query's first assembly of a span, or by rotation re-warming the ranges read
+/// in the epoch it closed.
 pub(crate) type ViewMemo<V> = BTreeMap<(usize, u64, u64), Arc<V>>;
 
 /// The view `memo` holds under `key` ([`SpanSource::MemoizedView`]), or the one `assemble`
@@ -277,7 +276,7 @@ impl QueryCache {
             capacity,
             ring,
             results: BTreeMap::new(),
-            order: VecDeque::new(),
+            order: BTreeMap::new(),
             clock: 0,
             plain_views: BTreeMap::new(),
             plus_views: BTreeMap::new(),
@@ -304,11 +303,10 @@ impl QueryCache {
             Some(entry) => {
                 self.instruments.hits[mode.index()].inc();
                 self.clock += 1;
+                self.order.remove(&entry.stamp);
+                self.order.insert(self.clock, *key);
                 entry.stamp = self.clock;
-                let answer = entry.answer;
-                self.order.push_back((*key, self.clock));
-                self.prune_order();
-                Some(answer)
+                Some(entry.answer)
             }
             None => {
                 self.instruments.misses[mode.index()].inc();
@@ -321,35 +319,20 @@ impl QueryCache {
     /// capacity bound.
     pub(crate) fn insert(&mut self, key: QueryKey, answer: CachedAnswer) {
         self.clock += 1;
-        self.results.insert(
-            key,
-            Entry {
-                answer,
-                stamp: self.clock,
-            },
-        );
-        self.order.push_back((key, self.clock));
+        let entry = Entry {
+            answer,
+            stamp: self.clock,
+        };
+        if let Some(replaced) = self.results.insert(key, entry) {
+            self.order.remove(&replaced.stamp);
+        }
+        self.order.insert(self.clock, key);
         while self.results.len() > self.capacity {
-            let Some((old, stamp)) = self.order.pop_front() else {
+            let Some((_, oldest)) = self.order.pop_first() else {
                 break;
             };
-            // Only the pair carrying the entry's current stamp is live; stale pairs (the
-            // key was promoted, re-inserted, or invalidated since) pop without counting.
-            if self.results.get(&old).is_some_and(|e| e.stamp == stamp) {
-                self.results.remove(&old);
-                self.instruments.evictions.inc();
-            }
-        }
-        self.prune_order();
-    }
-
-    /// Promotions and invalidations leave stale pairs in the recency queue; prune it before
-    /// it outgrows the live map by more than a constant factor.
-    fn prune_order(&mut self) {
-        if self.order.len() > self.capacity.saturating_mul(2).max(16) {
-            let results = &self.results;
-            self.order
-                .retain(|(k, stamp)| results.get(k).is_some_and(|e| e.stamp == *stamp));
+            self.results.remove(&oldest);
+            self.instruments.evictions.inc();
         }
     }
 
@@ -358,6 +341,7 @@ impl QueryCache {
     /// caller to re-warm against the new ring.
     pub(crate) fn invalidate_attribute(&mut self, attr: usize) -> Vec<WindowRange> {
         self.results.retain(|key, _| !key.touches(attr));
+        self.order.retain(|_, key| !key.touches(attr));
         self.plain_views.retain(|&(a, _, _), _| a != attr);
         self.plus_views.retain(|&(a, _, _), _| a != attr);
         self.edge_views.retain(|&(a, _, _), _| a != attr);
@@ -410,6 +394,7 @@ impl QueryCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn ans(value: f64, windows: usize, reports: u64) -> CachedAnswer {
         CachedAnswer {
@@ -464,7 +449,8 @@ mod tests {
         // The newest entries survive, the oldest are gone.
         assert!(cache.lookup(&key(9), QueryMode::Plain).is_some());
         assert!(cache.lookup(&key(0), QueryMode::Plain).is_none());
-        // Stale order entries left by invalidation do not count as evictions.
+        // Invalidated entries leave the recency order with their results, so refilling to
+        // capacity evicts nothing.
         cache.invalidate_attribute(0);
         for v in 0..3 {
             cache.insert(key(v), ans);
@@ -559,6 +545,92 @@ mod tests {
         // `clear` forgets every recorded range.
         cache.clear();
         assert!(cache.invalidate_attribute(2).is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The cache against a naive reference LRU (a `Vec` of results, oldest first) over
+        /// random insert, lookup, `invalidate_attribute` and `clear` sequences at capacities
+        /// 1–8: after every step both hold the same results in the same recency order, and
+        /// agree on every answer, hit, miss, eviction and invalidation count.
+        #[test]
+        fn prop_cache_matches_a_reference_lru(
+            capacity in 1usize..9,
+            ops in proptest::collection::vec(0u64..1_000, 1..200),
+        ) {
+            let mut cache = QueryCache::new(capacity, 16, CacheInstruments::default());
+            let mut model: Vec<(QueryKey, CachedAnswer)> = Vec::new();
+            let (mut hits, mut misses) = ([0u64; 3], [0u64; 3]);
+            let (mut evictions, mut invalidations) = (0, 0);
+            let modes = [QueryMode::Plain, QueryMode::Plus, QueryMode::Edge];
+            for (step, &op) in ops.iter().enumerate() {
+                // Five keys per attribute over three attributes: four frequency keys and a
+                // join with the next attribute, so invalidation drops keys of two.
+                let attr = (op / 10 % 3) as usize;
+                let key = match op / 30 % 5 {
+                    4 => QueryKey::join(attr, (0, 0), (attr + 1) % 3, (0, 0)),
+                    value => QueryKey::Frequency { attr, value, span: (0, 0) },
+                };
+                match op % 10 {
+                    0..=4 => {
+                        let answer = ans(step as f64, 1, op);
+                        cache.insert(key, answer);
+                        model.retain(|(k, _)| *k != key);
+                        model.push((key, answer));
+                        if model.len() > capacity {
+                            model.remove(0);
+                            evictions += 1;
+                        }
+                    }
+                    5..=7 => {
+                        let got = cache.lookup(&key, modes[attr]);
+                        let want = match model.iter().position(|(k, _)| *k == key) {
+                            Some(i) => {
+                                hits[attr] += 1;
+                                let entry = model.remove(i);
+                                model.push(entry);
+                                Some(entry.1)
+                            }
+                            None => {
+                                misses[attr] += 1;
+                                None
+                            }
+                        };
+                        prop_assert_eq!(got, want);
+                    }
+                    8 => {
+                        cache.invalidate_attribute(attr);
+                        model.retain(|(k, _)| !k.touches(attr));
+                        invalidations += 1;
+                    }
+                    _ => {
+                        cache.clear();
+                        model.clear();
+                        invalidations += 1;
+                    }
+                }
+                let held: Vec<(QueryKey, CachedAnswer)> = (cache.order.values())
+                    .map(|k| (*k, cache.results[k].answer))
+                    .collect();
+                prop_assert!(held == model, "step {}: held {:?}, expected {:?}", step, held, model);
+                prop_assert_eq!(cache.results.len(), model.len());
+                let stats = cache.stats();
+                prop_assert_eq!(stats.entries, model.len());
+                let breakdown = [stats.plain, stats.plus, stats.edge];
+                for (i, mode) in breakdown.iter().enumerate() {
+                    let want = ModeCacheStats {
+                        hits: hits[i],
+                        misses: misses[i],
+                    };
+                    prop_assert_eq!(*mode, want);
+                }
+                prop_assert_eq!(stats.hits, hits.iter().sum::<u64>());
+                prop_assert_eq!(stats.misses, misses.iter().sum::<u64>());
+                prop_assert_eq!(stats.evictions, evictions);
+                prop_assert_eq!(stats.invalidations, invalidations);
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::observe::{
     labeled, register_cache_instruments, AttributeInstruments, ServiceInstruments, K_CHAIN3,
     K_FREQUENCY, K_JOIN, K_PLUS_JOIN,
 };
-use crate::window::{no_windows, WindowRange, WindowSnapshot};
+use crate::window::{WindowRange, WindowSnapshot};
 use ldpjs_common::batch::ReportBatch;
 use ldpjs_common::error::{Error, Result};
 use ldpjs_common::hash::RowHashes;
@@ -245,21 +245,18 @@ impl ExplainKernel {
     }
 }
 
-/// How a query's merged span views were assembled. Ordered by cost, so a multi-operand
-/// query reports the most expensive assembly among its operands.
+/// How a query's span views were assembled. Ordered by cost, so a multi-operand query
+/// reports the most expensive assembly among its operands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum SpanSource {
-    /// Every operand resolved to a single sealed window, whose precomputed view was
-    /// borrowed outright.
+    /// Every operand was served from an already-assembled span view: one memoized by an
+    /// earlier query of the span, one re-warmed by the last rotation because a query read
+    /// its range in the epoch before, or a plus attribute's whole-ring state, which every
+    /// rotation rebuilds.
     #[default]
-    SingleWindow,
-    /// At least one multi-window operand was served from an already-assembled merged view:
-    /// one memoized by an earlier query of the span, one re-warmed by the last rotation
-    /// because a query read its range in the epoch before, or a plus attribute's
-    /// whole-ring state, which every rotation rebuilds.
     MemoizedView,
-    /// At least one operand's merged view was assembled cold from the span ledger's
-    /// spectrum prefixes on this query.
+    /// At least one operand's span view was assembled cold from the span ledger's spectrum
+    /// prefixes on this query.
     LedgerAssembled,
 }
 
@@ -267,7 +264,6 @@ impl SpanSource {
     /// The source's exporter-facing name.
     pub fn as_str(self) -> &'static str {
         match self {
-            SpanSource::SingleWindow => "single_window",
             SpanSource::MemoizedView => "memoized_view",
             SpanSource::LedgerAssembled => "ledger_assembled",
         }
@@ -286,7 +282,7 @@ impl SpanSource {
 pub struct Explain {
     /// The kernel that computed the answer.
     pub kernel: ExplainKernel,
-    /// How the merged span views were assembled (most expensive operand).
+    /// How the span views were assembled (most expensive operand).
     pub span_source: SpanSource,
     /// Whether this record was served from the memoization cache.
     pub cached: bool,
@@ -391,7 +387,7 @@ fn wrapped_i32(v: f64) -> i32 {
 
 /// One lane of a window being sealed: its exact unscaled spectrum, its rows' coordinate-0
 /// counts and its report count.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct LaneWindow {
     spectrum: Vec<f64>,
     counts: Vec<f64>,
@@ -425,8 +421,9 @@ impl LaneWindow {
 /// counts in wrapping `i32` (see [`SpectrumEntry`]): a cold span query is one element-wise
 /// subtraction fused with one de-bias multiply per element per lane, plus `k` count
 /// subtractions ([`LaneView::from_spectrum_diff`], whatever the lane's families), no FWHT.
-/// Plain, plus and edge lanes seal through [`Ledger::seal_lanes`] and assemble through
-/// [`Ledger::span_lane`], generic over the lane's families. Because the spectra are exact
+/// Plain, plus and edge lanes seal through [`Ledger::seal`] and assemble through
+/// [`Ledger::span_lane`], generic over the lane's families; a one-window span is the
+/// difference of two adjacent prefixes, like any other. Because the spectra are exact
 /// integers and the transform is linear, the result is bit-identical to one fresh builder
 /// absorbing every covered window's reports and finalizing — property-tested in this module
 /// for plain, plus and edge attributes — for every span of fewer than 2³¹ reports per lane.
@@ -463,11 +460,12 @@ impl Ledger {
     }
 
     /// Seal window `epoch` from its lanes' unscaled spectra, coordinate-0 counts and report
-    /// counts: append the cumulative entry through it, then fold the oldest window into the
-    /// origin if more than `retained` remain (the popped prefix *is* the cumulative sum up
-    /// to and including that window). Returns whether a window was evicted. A lane's
-    /// spectrum is its window's one FWHT, the only transform a ledger ever runs; queries
-    /// reuse it for every span that covers the window.
+    /// counts (the rotation hook of every mode): append the cumulative entry through it,
+    /// then fold the oldest window into the origin if more than `retained` remain (the
+    /// popped prefix *is* the cumulative sum up to and including that window). Returns
+    /// whether a window was evicted. A lane's spectrum is its window's one FWHT, the only
+    /// transform a ledger ever runs; queries reuse it for every span that covers the
+    /// window, the one-window span included.
     fn seal(&mut self, epoch: u64, lanes: &[LaneWindow], retained: usize) -> bool {
         let next = self.last().plus_window(lanes);
         let window = WindowSnapshot::new(epoch, lanes.iter().map(|w| w.reports).sum());
@@ -480,31 +478,6 @@ impl Ledger {
         };
         self.origin = oldest;
         true
-    }
-
-    /// Seal window `epoch` from its exact-counter lanes (the rotation hook of every mode),
-    /// keeping at most `retained` windows, and return each lane's finalized view and whether
-    /// a window was evicted. Each lane is transformed once: its unscaled spectrum and its
-    /// counts, read off the counters before the transform, are added to the last prefix,
-    /// then scaled into the view by [`LaneView::from_spectrum`] — bit-identical to restoring
-    /// the lane, because the restore applies the de-bias scale after the last butterfly.
-    fn seal_lanes<F: LaneFamilies, const N: usize>(
-        &mut self,
-        epoch: u64,
-        lanes: [&LaneBuilder<F>; N],
-        retained: usize,
-    ) -> ([LaneView<F>; N], bool) {
-        let mut windows = lanes.map(LaneWindow::of);
-        let evicted = self.seal(epoch, &windows, retained);
-        let views = std::array::from_fn(|l| {
-            let (lane, w) = (lanes[l], std::mem::take(&mut windows[l]));
-            let hashes = lane.hashes().clone();
-            LaneView::from_spectrum(lane.epsilon(), hashes, w.reports, w.spectrum, w.counts)
-                // lint:allow(panic-freedom) — invariant: the spectrum and counts are the lane
-                // builder's own, of its families' shape.
-                .expect("a builder's own spectrum and counts fit its shape")
-        });
-        (views, evicted)
     }
 
     /// Lane `l` of the suffix span `start..len` as a finalized view, from the newest prefix
@@ -535,14 +508,12 @@ impl Ledger {
 /// A one-lane attribute's state, over the lane's hash families `F`: a plain
 /// LDPJoinSketch attribute ([`PlainState`], one `k × m` family) or a two-attribute edge
 /// attribute for multi-way chain queries ([`EdgeState`], whose replica rows are `m_A·m_B`
-/// wide). Both seal and assemble by the same code. The live builder carries the families.
+/// wide). Both seal and assemble by the same code. The live builder carries the families;
+/// sealed windows live on only as ledger prefixes.
 #[derive(Debug)]
 struct LaneState<F> {
     live: LaneBuilder<F>,
     ledger: Ledger,
-    /// The newest window's finalized view, the only per-window view kept (`None` before the
-    /// first seal). Older windows live on only as ledger prefixes.
-    newest: Option<Arc<LaneView<F>>>,
 }
 
 /// A plain LDPJoinSketch attribute's state.
@@ -558,15 +529,15 @@ impl<F: LaneFamilies> LaneState<F> {
         LaneState {
             live,
             ledger: Ledger::new(1, rows, width),
-            newest: None,
         }
     }
 
     /// Seal the live builder into window `epoch` (it then continues ingesting from empty);
     /// returns whether a window was evicted.
     fn seal(&mut self, epoch: u64, retained: usize) -> bool {
-        let ([view], evicted) = self.ledger.seal_lanes(epoch, [&self.live], retained);
-        self.newest = Some(Arc::new(view));
+        let evicted = self
+            .ledger
+            .seal(epoch, &[LaneWindow::of(&self.live)], retained);
         self.live.clear();
         evicted
     }
@@ -575,9 +546,9 @@ impl<F: LaneFamilies> LaneState<F> {
 /// An LDPJoinSketch+ attribute's state: three-lane ingestion, FI reconciliation and
 /// `JoinEst` queries.
 ///
-/// The attribute keeps two finalized states, the newest window's and the whole ring's
-/// (memory: two states of three `k·m` lanes each). Every other multi-window suffix span is
-/// assembled on first use and memoized in the query cache, like plain and edge spans.
+/// The attribute keeps one finalized state, the whole ring's (memory: one state of three
+/// `k·m` lanes). Every other suffix span, the one-window span included, is assembled on
+/// first use and memoized in the query cache, like plain and edge spans.
 #[derive(Debug)]
 struct PlusState {
     /// The frequent-item policy, checked once at registration.
@@ -588,9 +559,6 @@ struct PlusState {
     index: Arc<DomainIndex>,
     live: PlusStateBuilder,
     ledger: Ledger,
-    /// The newest window's finalized state, the only per-window view kept (`None` before
-    /// the first seal).
-    newest: Option<Arc<FinalizedPlusState>>,
     /// The merged state over the whole ring, rebuilt at every seal once the ring holds two
     /// windows (`None` before, and while the ring's span is too large to assemble), so a
     /// cold plus `All` join is an `Arc` clone and never pays the domain-wide discovery on
@@ -612,11 +580,9 @@ impl PlusState {
     /// queries meet the assembly error.
     fn seal(&mut self, epoch: u64, retained: usize) -> bool {
         let (phase1, low, high) = self.live.lane_builders();
-        let ([phase1, low, high], evicted) =
-            self.ledger.seal_lanes(epoch, [phase1, low, high], retained);
+        let lanes = [phase1, low, high].map(LaneWindow::of);
+        let evicted = self.ledger.seal(epoch, &lanes, retained);
         self.live.clear();
-        let newest = plus_state(phase1, low, high, self.policy, &self.index);
-        self.newest = Some(Arc::new(newest));
         self.whole = (self.ledger.depth() > 1)
             .then(|| self.assemble(0))
             .and_then(Result::ok)
@@ -641,8 +607,8 @@ fn plus_state(
 }
 
 /// One attribute's estimator mode with everything that mode owns: its static config, the
-/// live (unsealed) builder, the span ledger (which is also the ring of retained windows)
-/// and the newest window's finalized view. The live engine of every mode is an
+/// live (unsealed) builder and the span ledger (which is also the ring of retained
+/// windows), from which every span view is assembled. The live engine of every mode is an
 /// exact-counter [`LaneBuilder`], because the server side of Alg. 2 is a linear sum of ±1
 /// reports: one lane for LDPJoinSketch, three for LDPJoinSketch+ (Alg. 3), one
 /// `m_A·m_B`-wide lane for chain edges (Sec. VI); plain and edge attributes share one
@@ -703,22 +669,19 @@ trait ModeView {
     /// This mode's state, if `mode` runs in it.
     fn of(mode: &ModeState) -> Option<&Self>;
 
-    /// The newest window's view, which a single-window span borrows (`None` before the
-    /// first seal).
-    fn newest(&self) -> Option<&Arc<Self::View>>;
-
-    /// This mode's memo of merged multi-window views in the query cache.
+    /// This mode's memo of span views in the query cache.
     fn memo(cache: &mut QueryCache) -> &mut ViewMemo<Self::View>;
 
-    /// The merged view of the suffix span `start..len`, assembled from the span ledger:
-    /// bit-identical to merging every covered window from scratch.
+    /// The view of the suffix span `start..len`, assembled from the span ledger:
+    /// bit-identical to merging every covered window from scratch (for a one-window span,
+    /// to restoring that window).
     ///
     /// # Errors
     /// [`Error::InvalidWorkload`] if a lane of the span holds 2³¹ reports or more.
     fn assemble(&self, start: usize) -> Result<Self::View>;
 
-    /// The merged view of a multi-window suffix `span`, and how it was obtained: from the
-    /// memo, or assembled now and memoized for later queries (a failed assembly memoizes
+    /// The view of a suffix `span` of any length, and how it was obtained: from the memo,
+    /// or assembled now and memoized for later queries (a failed assembly memoizes
     /// nothing).
     fn merged(
         &self,
@@ -741,10 +704,6 @@ impl ModeView for PlainState {
         }
     }
 
-    fn newest(&self) -> Option<&Arc<FinalizedSketch>> {
-        self.newest.as_ref()
-    }
-
     fn memo(cache: &mut QueryCache) -> &mut ViewMemo<FinalizedSketch> {
         &mut cache.plain_views
     }
@@ -762,10 +721,6 @@ impl ModeView for PlusState {
             ModeState::Plus(s) => Some(s),
             _ => None,
         }
-    }
-
-    fn newest(&self) -> Option<&Arc<FinalizedPlusState>> {
-        self.newest.as_ref()
     }
 
     fn memo(cache: &mut QueryCache) -> &mut ViewMemo<FinalizedPlusState> {
@@ -807,10 +762,6 @@ impl ModeView for EdgeState {
         }
     }
 
-    fn newest(&self) -> Option<&Arc<FinalizedEdgeSketch>> {
-        self.newest.as_ref()
-    }
-
     fn memo(cache: &mut QueryCache) -> &mut ViewMemo<FinalizedEdgeSketch> {
         &mut cache.edge_views
     }
@@ -821,7 +772,7 @@ impl ModeView for EdgeState {
 }
 
 /// One registered join attribute: its mode state (config, live builder, span ledger with
-/// the retained windows' metadata, newest view) and its lifetime bookkeeping.
+/// the retained windows' metadata) and its lifetime bookkeeping.
 #[derive(Debug)]
 struct Attribute {
     name: String,
@@ -987,7 +938,6 @@ impl SketchService {
                 index,
                 live,
                 ledger: Ledger::new(3, params.rows(), params.columns()),
-                newest: None,
                 whole: None,
             })))
         })
@@ -1253,17 +1203,17 @@ impl SketchService {
         Ok((0..mode.depth()).map(move |i| mode.window(i)))
     }
 
-    /// The merged plain estimation view covering `range`: a single window's view is
-    /// borrowed, a multi-window range is assembled from the span ledger once (then
-    /// memoized per epoch span, and re-warmed by the attribute's next rotation).
+    /// The merged plain estimation view covering `range`, one window or many: assembled
+    /// from the span ledger once, then memoized per epoch span and re-warmed by the
+    /// attribute's next rotation.
     ///
     /// The returned sketch is **bit-identical** to finalizing one builder that absorbed
     /// every report of the covered windows — the window-merge guarantee.
     ///
     /// # Errors
     /// [`Error::ModeMismatch`] if `attr` is not a plain attribute;
-    /// [`Error::InvalidWorkload`] if a multi-window span holds 2³¹ reports or more in one
-    /// lane, past what the span ledger restores exactly.
+    /// [`Error::InvalidWorkload`] if the span holds 2³¹ reports or more in one lane, past
+    /// what the span ledger restores exactly.
     pub fn merged_view(
         &mut self,
         attr: AttributeId,
@@ -1277,15 +1227,16 @@ impl SketchService {
     /// re-discovered on the *merged* phase-1 sketch under the attribute's policy (and the
     /// kernel's high partial re-masks the merged phase-2 sketches with that set).
     ///
-    /// `Latest` and `All` are states the attribute keeps, rebuilt at every rotation. Any
-    /// other multi-window range is assembled on first use, then memoized per epoch span
+    /// `All` over a ring of two or more windows is a state the attribute keeps, rebuilt at
+    /// every rotation. Any other range, `Latest` included, is assembled on first use (one
+    /// frequent-item discovery over the configured domain), then memoized per epoch span
     /// and re-warmed by the attribute's next rotation, so a range read every epoch never
     /// pays the assembly on the query path.
     ///
     /// # Errors
     /// [`Error::ModeMismatch`] if `attr` is not a plus attribute;
-    /// [`Error::InvalidWorkload`] if a multi-window span holds 2³¹ reports or more in one
-    /// lane, past what the span ledger restores exactly.
+    /// [`Error::InvalidWorkload`] if the span holds 2³¹ reports or more in one lane, past
+    /// what the span ledger restores exactly.
     pub fn merged_plus_state(
         &mut self,
         attr: AttributeId,
@@ -1303,7 +1254,7 @@ impl SketchService {
     ) -> Result<Arc<S::View>> {
         let a = operand::<S>(&self.attributes, attr, what)?;
         let span = resolve_span(a.0, attr, range)?;
-        Assembly::new(&mut self.cache).view(a, &span)
+        Assembly::new(&mut self.cache).view(a.1, &span)
     }
 
     /// Plain join-size estimate between two attributes over `range` (resolved per attribute
@@ -1338,7 +1289,7 @@ impl SketchService {
                 mode: QueryMode::Plain,
                 spans: [sa, sb],
                 assemble: move |asm: &mut Assembly<'_>| {
-                    Ok([asm.view(op_a, &sa)?, asm.view(op_b, &sb)?])
+                    Ok([asm.view(op_a.1, &sa)?, asm.view(op_b.1, &sb)?])
                 },
                 kernel: move |[va, vb]: [Arc<FinalizedSketch>; 2]| {
                     Ok(Estimate {
@@ -1401,7 +1352,7 @@ impl SketchService {
                 mode: QueryMode::Plus,
                 spans: [sa, sb],
                 assemble: move |asm: &mut Assembly<'_>| {
-                    Ok([asm.view(op_a, &sa)?, asm.view(op_b, &sb)?])
+                    Ok([asm.view(op_a.1, &sa)?, asm.view(op_b.1, &sb)?])
                 },
                 kernel: move |[va, vb]: [Arc<FinalizedPlusState>; 2]| {
                     Ok(Estimate {
@@ -1452,9 +1403,9 @@ impl SketchService {
                 spans: [span],
                 assemble: move |asm: &mut Assembly<'_>| {
                     Ok(match state {
-                        PlainOrPlus::Plain(s) => PlainOrPlus::Plain(asm.view((a, s), &span)?),
+                        PlainOrPlus::Plain(s) => PlainOrPlus::Plain(asm.view(s, &span)?),
                         PlainOrPlus::Plus(s) => {
-                            PlainOrPlus::Plus((asm.view((a, s), &span)?, s.kernel()))
+                            PlainOrPlus::Plus((asm.view(s, &span)?, s.kernel()))
                         }
                     })
                 },
@@ -1538,9 +1489,9 @@ impl SketchService {
                 spans: [s1, se, s3],
                 assemble: move |asm: &mut Assembly<'_>| {
                     Ok((
-                        asm.view(op_1, &s1)?,
-                        asm.view(op_e, &se)?,
-                        asm.view(op_3, &s3)?,
+                        asm.view(op_1.1, &s1)?,
+                        asm.view(op_e.1, &se)?,
+                        asm.view(op_3.1, &s3)?,
                     ))
                 },
                 kernel: move |(w1, we, w3): (
@@ -1800,7 +1751,7 @@ fn rotate_attribute(
     attr.next_epoch += 1;
     // Sealing adds the new window's lanes to the ledger's last cumulative entry, and
     // eviction folds the oldest entry into the origin: the ledger is the window ring. Each
-    // lane is transformed once (see [`Ledger::seal_lanes`]).
+    // lane is transformed once (see [`Ledger::seal`]).
     let retained = config.retained_windows;
     let evicted = match &mut attr.mode {
         ModeState::Plain(s) => s.seal(epoch, retained),
@@ -1823,12 +1774,10 @@ fn rotate_attribute(
         let Ok(span) = resolve_span(attr, AttributeId(idx), range) else {
             continue;
         };
-        if span.windows > 1 {
-            match &attr.mode {
-                ModeState::Plain(s) => drop(s.merged(cache, &span)),
-                ModeState::Plus(s) => drop(s.merged(cache, &span)),
-                ModeState::Edge(s) => drop(s.merged(cache, &span)),
-            }
+        match &attr.mode {
+            ModeState::Plain(s) => drop(s.merged(cache, &span)),
+            ModeState::Plus(s) => drop(s.merged(cache, &span)),
+            ModeState::Edge(s) => drop(s.merged(cache, &span)),
         }
     }
     Some(epoch)
@@ -1890,34 +1839,22 @@ impl<'c> Assembly<'c> {
     fn new(cache: &'c mut QueryCache) -> Self {
         Assembly {
             cache,
-            source: SpanSource::SingleWindow,
+            source: SpanSource::default(),
         }
     }
 
-    /// The merged view of `operand` over its resolved `span`, recording the span's range
-    /// as read so the attribute's next rotation re-warms it. Single-window spans are the
-    /// newest window's kept view, and a plus attribute's whole ring is its kept state.
-    /// Every other multi-window span is memoized in the cache after its first assembly
-    /// from the span ledger (bit-identical to merging every covered window from scratch,
-    /// and therefore to one-shot aggregation of the covered reports).
+    /// The view of `operand` over its resolved `span`, recording the span's range as read
+    /// so the attribute's next rotation re-warms it. A plus attribute's whole ring is its
+    /// kept state; every other span, one window or many, is memoized in the cache after
+    /// its first assembly from the span ledger (bit-identical to merging every covered
+    /// window from scratch, and therefore to one-shot aggregation of the covered reports).
     ///
     /// # Errors
-    /// [`Error::WindowUnavailable`] before the first seal (span resolution rejects that
-    /// case first); [`Error::InvalidWorkload`] for a multi-window span of 2³¹ reports or
-    /// more in a lane, which is neither assembled nor memoized.
-    fn view<S: ModeView>(
-        &mut self,
-        (attr, state): Operand<'_, S>,
-        span: &SpanMeta,
-    ) -> Result<Arc<S::View>> {
+    /// [`Error::InvalidWorkload`] for a span of 2³¹ reports or more in a lane, which is
+    /// neither assembled nor memoized.
+    fn view<S: ModeView>(&mut self, state: &S, span: &SpanMeta) -> Result<Arc<S::View>> {
         self.cache.record_read(span.attr, span.range);
-        let (view, source) = match span.windows {
-            1 => {
-                let newest = state.newest().ok_or_else(|| no_windows(&attr.name))?;
-                (Arc::clone(newest), SpanSource::SingleWindow)
-            }
-            _ => state.merged(self.cache, span)?,
-        };
+        let (view, source) = state.merged(self.cache, span)?;
         self.source = self.source.max(source);
         Ok(view)
     }
@@ -2213,19 +2150,19 @@ mod tests {
                     add(&mut exact_counts, &window.counts);
                 }
                 let span_reports = reports * windows as u64;
-                let hashes = Arc::clone(shape.hashes());
-                let want =
-                    FinalizedSketch::from_spectrum(eps, hashes, span_reports, exact, exact_counts)
-                        .unwrap();
+                // The exact span, restored by the one de-bias multiply per counter.
+                let scale = params.rows() as f64 * eps.c_eps();
+                let want: Vec<u64> = (exact.iter().map(|v| v * scale))
+                    .chain(exact_counts)
+                    .map(f64::to_bits)
+                    .collect();
                 let got = ledger.span_lane(start, 0, &shape).unwrap();
-                let bits = |s: &FinalizedSketch| {
-                    (s.restored_counters().iter())
-                        .chain(s.coordinate_zero_counts())
-                        .map(|v| v.to_bits())
-                        .collect::<Vec<_>>()
-                };
+                let bits: Vec<u64> = (got.restored_counters().iter())
+                    .chain(got.coordinate_zero_counts())
+                    .map(|v| v.to_bits())
+                    .collect();
                 assert_eq!(got.reports(), span_reports);
-                assert_eq!(bits(&got), bits(&want), "epoch {epoch} start {start}");
+                assert_eq!(bits, want, "epoch {epoch} start {start}");
             }
         }
         // Every cumulative entry and count ended past ±2³² in magnitude, positive and
@@ -2256,7 +2193,9 @@ mod tests {
         // Two synthetic windows of 2³⁰ reports per lane make every attribute's `All` span
         // hold 2³¹ reports per lane. Queries over it get the typed error, never a wrapped
         // answer; the rotation that follows skips re-warming it; a plus attribute keeps no
-        // whole-ring state for it; and shorter spans still answer.
+        // whole-ring state for it; and shorter spans still answer. A single window of 2³¹
+        // reports per lane is such a span too: its `Latest` fails alike, and the next
+        // window's `Latest` answers.
         let mut service = manual_service(4, 64, 4);
         let a = service.register_attribute("a", 3).unwrap();
         let b = service.register_attribute("b", 3).unwrap();
@@ -2291,6 +2230,25 @@ mod tests {
         assert!(past(service.plus_join_size(p, p, WindowRange::All)));
         let recent = service.plus_join_size(p, p, WindowRange::LastK(2)).unwrap();
         assert_eq!(recent.explain.span_source, SpanSource::LedgerAssembled);
+
+        let c = service.register_attribute("c", 3).unwrap();
+        let domain = PlusAttributeConfig::new((0..64).collect());
+        let q = service.register_plus_attribute("q", 3, domain).unwrap();
+        for attr in [c, q] {
+            seal_synthetic(&mut service, attr, 1 << 31);
+            assert!(past(service.frequency(attr, 3, WindowRange::Latest)));
+        }
+        let reports = reports_for(&service, c, 500, 2);
+        let mut plus_batch = PlusReportBatch::new(service.config.params).unwrap();
+        plus_batch.phase1 = reports.clone();
+        service.ingest(c, &reports).unwrap();
+        service.ingest(q, &plus_batch).unwrap();
+        for attr in [c, q] {
+            service.rotate(attr).unwrap();
+            let latest = service.frequency(attr, 3, WindowRange::Latest).unwrap();
+            assert_eq!(latest.reports, 500);
+            assert!(past(service.frequency(attr, 3, WindowRange::All)));
+        }
     }
 
     #[test]
@@ -2650,8 +2608,9 @@ mod tests {
 
     #[test]
     fn retired_window_views_are_released() {
-        // An attribute keeps one finalized view, the newest window's: once a newer window
-        // seals, a view taken from the older one is held by its caller alone.
+        // A window's span view lives on in the query cache's memo only while its span is
+        // current: once a newer window seals, a view taken from the older one is held by
+        // its caller alone.
         let mut service = manual_service(6, 64, 4);
         let plain = service.register_attribute("plain", 7).unwrap();
         let plus = service
@@ -2679,9 +2638,14 @@ mod tests {
         let plus_view = service
             .merged_plus_state(plus, WindowRange::Latest)
             .unwrap();
-        let edge_state = EdgeState::of(&service.attributes[edge.index()].mode).unwrap();
-        let edge_view = Arc::clone(edge_state.newest().unwrap());
-        assert_eq!(Arc::strong_count(&plain_view), 2, "the newest view is kept");
+        let edge_view = service
+            .merged::<EdgeState>(edge, WindowRange::Latest, "an edge view")
+            .unwrap();
+        assert_eq!(
+            Arc::strong_count(&plain_view),
+            2,
+            "the memo keeps the read view"
+        );
         seal_all(&mut service);
         assert_eq!(Arc::strong_count(&plain_view), 1);
         assert_eq!(Arc::strong_count(&plus_view), 1);
@@ -2697,6 +2661,149 @@ mod tests {
         );
         seal_all(&mut service);
         assert_eq!(Arc::strong_count(&plus_all), 1);
+    }
+
+    /// Ingest one window into a plain, a plus and an edge attribute registered with seed 7
+    /// (the edge's second family with seed 9) and rotate each; returns the three batches.
+    /// The plus batch carries phase-1 reports only, a copy of the plain batch.
+    fn seal_window_in_every_mode(
+        service: &mut SketchService,
+        [plain, plus, edge]: [AttributeId; 3],
+        rng: &mut StdRng,
+    ) -> (ReportBatch, PlusReportBatch, ReportBatch) {
+        let values: Vec<u64> = (0..300).map(|i| i % 13).collect();
+        let packed = (service.client(plain).unwrap())
+            .perturb_batch(&values, rng)
+            .unwrap();
+        let mut plus_batch = PlusReportBatch::new(service.config().params).unwrap();
+        plus_batch.phase1 = packed.clone();
+        let tuples: Vec<(u64, u64)> = (0..300).map(|i| (i % 13, i % 7)).collect();
+        let edge_batch = (service.edge_client(edge).unwrap())
+            .perturb_batch(&tuples, rng)
+            .unwrap();
+        service.ingest(plain, &packed).unwrap();
+        service.ingest(plus, &plus_batch).unwrap();
+        service.ingest(edge, &edge_batch).unwrap();
+        for attr in [plain, plus, edge] {
+            service.rotate(attr).unwrap();
+        }
+        (packed, plus_batch, edge_batch)
+    }
+
+    #[test]
+    fn a_latest_range_read_in_an_epoch_is_rewarmed_by_the_next_rotation() {
+        // A one-window span takes every span's path: its first read assembles it from two
+        // ledger prefixes and memoizes it, and the rotation that closes the epoch re-warms
+        // the range on the new ring, so the next epoch's first read is a memo hit. The view
+        // served is bit-identical to one fresh builder over that window, in every mode.
+        let mut service = manual_service(6, 64, 4);
+        let plain = service.register_attribute("plain", 7).unwrap();
+        let domain: Vec<u64> = (0..64).collect();
+        let config = PlusAttributeConfig::new(domain.clone());
+        let plus = service.register_plus_attribute("plus", 7, config).unwrap();
+        let edge = service.register_edge_attribute("edge", 7, 9).unwrap();
+        // The chain query's vertices seal one window each and never rotate again, so their
+        // `Latest` views stay memoized once read.
+        let (v1, v3) = (
+            service.register_attribute("v1", 7).unwrap(),
+            service.register_attribute("v3", 9).unwrap(),
+        );
+        let mut rng = StdRng::seed_from_u64(17);
+        for v in [v1, v3] {
+            let batch = reports_for(&service, v, 300, 5);
+            service.ingest(v, &batch).unwrap();
+            service.rotate(v).unwrap();
+        }
+        let latest = WindowRange::Latest;
+        type Read = fn(&mut SketchService, [AttributeId; 5]) -> Result<QueryResult>;
+        let reads: [Read; 3] = [
+            |s, [p, ..]| s.frequency(p, 1, WindowRange::Latest),
+            |s, [_, q, ..]| s.frequency(q, 1, WindowRange::Latest),
+            |s, [.., e, v1, v3]| s.chain_join_3(v1, e, v3, WindowRange::Latest),
+        ];
+        let ids = [plain, plus, edge, v1, v3];
+        let cfg = *service.config();
+        for epoch in 0..3 {
+            let (packed, plus_batch, edge_batch) =
+                seal_window_in_every_mode(&mut service, [plain, plus, edge], &mut rng);
+            let want = match epoch {
+                0 => SpanSource::LedgerAssembled,
+                _ => SpanSource::MemoizedView,
+            };
+            for read in reads {
+                let q = read(&mut service, ids).unwrap();
+                assert!(!q.cached, "epoch {epoch}");
+                assert_eq!(q.explain.span_source, want, "epoch {epoch}");
+            }
+
+            let mut fresh = SketchBuilder::new(cfg.params, cfg.eps, 7);
+            fresh.absorb_batch(&packed).unwrap();
+            let served = service.merged_view(plain, latest).unwrap();
+            assert_eq!(view_bits(&served), view_bits(&fresh.finalize()));
+
+            let state = PlusState::of(&service.attributes[plus.index()].mode).unwrap();
+            let mut fresh = PlusStateBuilder::new(cfg.params, cfg.eps, 7);
+            fresh.absorb_batch(&plus_batch).unwrap();
+            let reference = fresh.finalize(state.policy, &domain);
+            let served = service.merged_plus_state(plus, latest).unwrap();
+            assert_eq!(served.frequent_items(), reference.frequent_items());
+            assert_eq!(
+                served.threshold().to_bits(),
+                reference.threshold().to_bits()
+            );
+            for (got, want) in [
+                (served.phase1(), reference.phase1()),
+                (served.low(), reference.low()),
+                (served.high(), reference.high()),
+            ] {
+                assert_eq!(view_bits(got), view_bits(want), "epoch {epoch}");
+            }
+
+            let state = EdgeState::of(&service.attributes[edge.index()].mode).unwrap();
+            let mut fresh = EdgeSketchBuilder::with_hashes(cfg.eps, state.live.hashes().clone());
+            fresh.absorb_batch(&edge_batch).unwrap();
+            let reference = fresh.finalize();
+            let served = service
+                .merged::<EdgeState>(edge, latest, "an edge view")
+                .unwrap();
+            let bits = |view: &FinalizedEdgeSketch| -> Vec<u64> {
+                (view.restored_counters().iter())
+                    .chain(view.coordinate_zero_counts())
+                    .map(|v| v.to_bits())
+                    .collect()
+            };
+            assert_eq!(bits(&served), bits(&reference), "epoch {epoch}");
+        }
+    }
+
+    #[test]
+    fn ranges_no_query_reads_hold_no_views_across_rotations() {
+        // A seal builds no view, so an attribute whose ranges no query reads holds none,
+        // in any mode, across rotations and evictions (a plus attribute's whole-ring state
+        // is the attribute's own and is not counted). A read memoizes its span, the next
+        // rotation re-warms it, and the rotation after an epoch with no read drops it.
+        let mut service = manual_service(6, 64, 3);
+        let plain = service.register_attribute("plain", 7).unwrap();
+        let config = PlusAttributeConfig::new((0..64).collect());
+        let plus = service.register_plus_attribute("plus", 7, config).unwrap();
+        let edge = service.register_edge_attribute("edge", 7, 9).unwrap();
+        let attrs = [plain, plus, edge];
+        let mut rng = StdRng::seed_from_u64(23);
+        for _ in 0..5 {
+            seal_window_in_every_mode(&mut service, attrs, &mut rng);
+            assert_eq!(service.cache_stats().views, 0);
+        }
+        assert_eq!(service.evicted_windows(plus).unwrap(), 2);
+        service.frequency(plain, 1, WindowRange::Latest).unwrap();
+        assert_eq!(service.cache_stats().views, 1);
+        seal_window_in_every_mode(&mut service, attrs, &mut rng);
+        assert_eq!(service.cache_stats().views, 1, "re-warmed");
+        seal_window_in_every_mode(&mut service, attrs, &mut rng);
+        assert_eq!(
+            service.cache_stats().views,
+            0,
+            "unread in the closing epoch"
+        );
     }
 
     #[test]
@@ -3070,10 +3177,10 @@ mod tests {
 
         let windows = service.window_count(a).unwrap();
         assert!(windows >= 3, "expected a multi-window ring, got {windows}");
-        // Join-size over every range resolves and answers sanely. `Latest` and `All` are
-        // states the attributes keep; a first read of any other span assembles it.
+        // Join-size over every range resolves and answers sanely. `All` is a state the
+        // attributes keep; a first read of any other span, `Latest` included, assembles it.
         for (range, source) in [
-            (WindowRange::Latest, SpanSource::SingleWindow),
+            (WindowRange::Latest, SpanSource::LedgerAssembled),
             (WindowRange::LastK(2), SpanSource::LedgerAssembled),
             (WindowRange::All, SpanSource::MemoizedView),
         ] {
@@ -3517,10 +3624,10 @@ mod tests {
 
         /// The edge span ledger guarantee, beside the plus one above: across random batch
         /// sizes and rotation cadences, every edge span the service serves — the assembled
-        /// view itself, the newest window's sealed view, and `chain_join_3` over `Latest`,
-        /// `LastK` and `All` — is **bit-identical** to one `EdgeSketchBuilder` that absorbed
-        /// the covered windows' batches from scratch and was finalized. The 3-window ring
-        /// forces evictions, so full-span queries exercise the ledger origin.
+        /// view itself and `chain_join_3` over `Latest`, `LastK` and `All` — is
+        /// **bit-identical** to one `EdgeSketchBuilder` that absorbed the covered windows'
+        /// batches from scratch and was finalized. The 3-window ring forces evictions, so
+        /// full-span queries exercise the ledger origin.
         #[test]
         fn prop_edge_span_ledger_is_bit_identical_to_from_scratch_absorption(
             case_seed in 0u64..2_000,
@@ -3574,11 +3681,6 @@ mod tests {
             let bits = |view: &FinalizedEdgeSketch, j| {
                 view.row(j).iter().map(|v| v.to_bits()).collect::<Vec<_>>()
             };
-            let newest = state.newest().unwrap();
-            prop_assert_eq!(
-                newest.coordinate_zero_counts(),
-                references[depth - 1].coordinate_zero_counts()
-            );
             for (start, reference) in references.iter().enumerate() {
                 let assembled = state.assemble(start).unwrap();
                 prop_assert_eq!(assembled.reports(), reference.reports());
@@ -3596,10 +3698,6 @@ mod tests {
                     );
                 }
             }
-            for j in 0..4 {
-                prop_assert!(bits(newest, j) == bits(&references[depth - 1], j));
-            }
-
             let w1 = service.merged_view(v1, WindowRange::All).unwrap();
             let w3 = service.merged_view(v3, WindowRange::All).unwrap();
             for (start, reference) in references.iter().enumerate() {
@@ -3725,12 +3823,13 @@ mod tests {
         assert_eq!(hit.explain.predicted_error, cold.explain.predicted_error);
 
         // The join memoized attribute a's merged span view, so a frequency query over the
-        // same span reports the memoized path; a Latest query borrows the single window.
+        // same span reports the memoized path; a first Latest query assembles its one
+        // window like any other span.
         let warm = service.frequency(a, 3, WindowRange::All).unwrap();
         assert_eq!(warm.explain.span_source, SpanSource::MemoizedView);
         assert!(warm.explain.predicted_variance > 0.0);
         let single = service.frequency(a, 3, WindowRange::Latest).unwrap();
-        assert_eq!(single.explain.span_source, SpanSource::SingleWindow);
+        assert_eq!(single.explain.span_source, SpanSource::LedgerAssembled);
 
         // Every query kind follows the same pipeline: a plus pair, an edge attribute and a
         // second plain vertex sharing its hash seeds join the two plain attributes above.

@@ -26,7 +26,9 @@ impl WindowRange {
     /// `LastK(0)`.
     pub fn resolve(self, len: usize, attribute: &str) -> Result<usize> {
         if len == 0 {
-            return Err(no_windows(attribute));
+            return Err(Error::WindowUnavailable(format!(
+                "attribute '{attribute}' has no sealed windows yet (ingest and rotate first)"
+            )));
         }
         match self {
             WindowRange::Latest => Ok(len - 1),
@@ -39,20 +41,12 @@ impl WindowRange {
     }
 }
 
-/// The [`Error::WindowUnavailable`] of an attribute with no sealed window yet.
-pub(crate) fn no_windows(attribute: &str) -> Error {
-    Error::WindowUnavailable(format!(
-        "attribute '{attribute}' has no sealed windows yet (ingest and rotate first)"
-    ))
-}
-
 /// One sealed epoch window's metadata: its epoch id and report count.
 ///
 /// A window keeps no view and no counters of its own. Its exact counters live on in the
 /// attribute's prefix-sum span ledger, whose entries carry this metadata and which
-/// assembles every multi-window span; that is what makes merged-window estimates
-/// bit-identical to one-shot aggregation. The attribute keeps one finalized view, the
-/// newest window's, which single-window queries borrow.
+/// assembles every span, one window or many; that is what makes merged-window estimates
+/// bit-identical to one-shot aggregation.
 #[derive(Debug, Clone)]
 pub struct WindowSnapshot {
     epoch: u64,

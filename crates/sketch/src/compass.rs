@@ -100,15 +100,31 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
 /// of its left attribute. The edges fold into `last` from the right (`w ← E·w`), and the
 /// result contracts against `first`, skipping its zero entries.
 ///
-/// # Panics
-/// Panics if an edge folds into an empty row vector (`last`, or an earlier fold).
-pub fn contract(first: &[f64], edges: &[&[f64]], last: &[f64]) -> f64 {
+/// # Errors
+/// [`Error::IncompatibleSketches`] unless each edge's length is a positive multiple of the
+/// non-empty vector it folds into (`last`, or an earlier fold) and `first` has the final
+/// fold's length: no operand is truncated.
+pub fn contract(first: &[f64], edges: &[&[f64]], last: &[f64]) -> Result<f64> {
     let mut folded;
     let mut w = last;
     for edge in edges.iter().rev() {
+        if w.is_empty() || edge.is_empty() || edge.len() % w.len() != 0 {
+            return Err(Error::IncompatibleSketches(format!(
+                "a chain edge of {} entries does not fold into a vector of {}",
+                edge.len(),
+                w.len()
+            )));
+        }
         let rows = edge.chunks_exact(w.len());
         folded = rows.map(|row| dot(row, w)).collect::<Vec<_>>();
         w = &folded;
+    }
+    if first.len() != w.len() {
+        return Err(Error::IncompatibleSketches(format!(
+            "a chain end of {} entries does not contract with a vector of {}",
+            first.len(),
+            w.len()
+        )));
     }
     let mut acc = 0.0;
     for (&v, &x) in first.iter().zip(w) {
@@ -116,16 +132,16 @@ pub fn contract(first: &[f64], edges: &[&[f64]], last: &[f64]) -> f64 {
             acc += v * x;
         }
     }
-    acc
+    Ok(acc)
 }
 
 /// The chain estimate (Eq. 27): the median over `replicas` of `replica(j)`, replica `j`'s
 /// [`contract`]ion.
 ///
 /// # Errors
-/// [`Error::EmptyInput`] if `replicas` is zero.
-pub fn chain_estimate(replicas: usize, replica: impl FnMut(usize) -> f64) -> Result<f64> {
-    let per_replica: Vec<f64> = (0..replicas).map(replica).collect();
+/// The first error of `replica`; [`Error::EmptyInput`] if `replicas` is zero.
+pub fn chain_estimate(replicas: usize, replica: impl FnMut(usize) -> Result<f64>) -> Result<f64> {
+    let per_replica = (0..replicas).map(replica).collect::<Result<Vec<f64>>>()?;
     median(&per_replica).ok_or_else(|| Error::EmptyInput("no replicas".into()))
 }
 
@@ -276,6 +292,29 @@ mod tests {
         let est = estimate_chain_4(&t1, &t2, &t3, &t4).unwrap();
         let re = (est - truth).abs() / truth;
         assert!(re < 0.3, "relative error {re} (est {est}, truth {truth})");
+    }
+
+    #[test]
+    fn contract_rejects_mis_shaped_operands() {
+        let mis_shaped = [
+            // The third edge entry would be dropped by a fold into two entries.
+            contract(&[1.0, 1.0], &[&[1.0, 2.0, 3.0]], &[1.0, 1.0]),
+            // The fold leaves two entries; `first`'s third would be dropped.
+            contract(&[1.0, 1.0, 5.0], &[&[1.0, 0.0, 0.0, 1.0]], &[1.0, 1.0]),
+            // An edge cannot fold into an empty vector.
+            contract(&[1.0], &[&[1.0]], &[]),
+        ];
+        for result in mis_shaped {
+            assert!(
+                matches!(result, Err(Error::IncompatibleSketches(_))),
+                "{result:?}"
+            );
+        }
+        let identity: &[f64] = &[1.0, 0.0, 0.0, 1.0];
+        assert_eq!(
+            contract(&[1.0, 2.0], &[identity], &[3.0, 4.0]).unwrap(),
+            11.0
+        );
     }
 
     #[test]
