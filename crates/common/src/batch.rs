@@ -204,6 +204,9 @@ impl ReportBatch {
     /// # Panics
     /// Panics if `counters.len() != rows·cols`.
     pub fn accumulate_into(&self, counters: &mut [f64]) {
+        // lint:allow(panic-freedom) — documented precondition: `counters` holds the batch's
+        // `rows·cols` table. Public input reaches it: this is a public method, and a
+        // caller's mis-sized slice trips it (ROADMAP item 8).
         assert_eq!(
             counters.len(),
             self.rows * self.cols,

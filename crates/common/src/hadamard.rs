@@ -87,6 +87,9 @@ pub fn fwht_scaled_in_place(data: &mut [f64], scale: f64) {
 /// Validate the order and route to the best available kernel.
 fn fwht_dispatch(data: &mut [f64], scale: Option<f64>) {
     let n = data.len();
+    // lint:allow(panic-freedom) — documented precondition of the public `fwht_in_place` and
+    // `fwht_scaled_in_place`: a power-of-two length. Public input reaches it (a caller's
+    // slice); every sketch restore passes a power-of-two `m` (ROADMAP item 8).
     assert!(
         is_valid_order(n),
         "FWHT length must be a power of two, got {n}"

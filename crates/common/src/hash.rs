@@ -85,6 +85,9 @@ impl BucketHash {
     /// # Panics
     /// Panics if `m == 0`.
     pub fn sample<R: Rng + ?Sized>(rng: &mut R, m: usize) -> Self {
+        // lint:allow(panic-freedom) — documented precondition: a non-empty range. Public
+        // input reaches it: FLH draws its non-power-of-two `g` through it, and any caller
+        // may pass `m = 0` (ROADMAP item 8).
         assert!(m > 0, "bucket hash range must be non-empty");
         BucketHash {
             a: rng.gen_range(1..MERSENNE_P),

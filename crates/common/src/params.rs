@@ -88,16 +88,6 @@ impl SketchParams {
     pub fn space_bytes(&self) -> usize {
         self.counters() * std::mem::size_of::<f64>()
     }
-
-    /// Number of rows `k = 4·log(1/δ)` needed to push the failure probability of the median
-    /// estimator below `δ` (Theorem 5).
-    pub fn rows_for_failure_probability(delta: f64) -> usize {
-        assert!(
-            delta > 0.0 && delta < 1.0,
-            "failure probability must lie in (0, 1)"
-        );
-        (4.0 * (1.0 / delta).ln()).ceil() as usize
-    }
 }
 
 impl Default for SketchParams {
@@ -162,20 +152,5 @@ mod tests {
                 Err(Error::InvalidSketchParameter(_))
             ));
         }
-    }
-
-    #[test]
-    fn rows_for_failure_probability_matches_theorem5() {
-        // k = 4 ln(1/δ); δ = 0.01 -> 4*4.605 = 18.42 -> 19 (the paper rounds to 18 for its grid).
-        assert_eq!(SketchParams::rows_for_failure_probability(0.1), 10);
-        let k = SketchParams::rows_for_failure_probability(0.01);
-        assert!((18..=19).contains(&k));
-        assert!(SketchParams::rows_for_failure_probability(0.0001) >= 36);
-    }
-
-    #[test]
-    #[should_panic(expected = "failure probability")]
-    fn rows_for_failure_probability_rejects_invalid() {
-        SketchParams::rows_for_failure_probability(1.5);
     }
 }

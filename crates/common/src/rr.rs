@@ -45,7 +45,11 @@ pub fn krr_perturb_with_p<R: Rng + ?Sized>(
     domain: u64,
     value: u64,
 ) -> u64 {
+    // lint:allow(panic-freedom) — documented preconditions: a domain of at least two
+    // values, and a value inside it. Public input reaches both through `krr_perturb` and
+    // this function (ROADMAP item 8).
     assert!(domain >= 2, "k-RR needs a domain of at least two values");
+    // lint:allow(panic-freedom) — the value-inside-domain precondition above.
     assert!(
         value < domain,
         "value {value} outside domain of size {domain}"

@@ -57,6 +57,10 @@ pub fn count_above(
     neg: &[u64],
     counts: &mut [u16],
 ) {
+    // lint:allow(panic-freedom) — these four asserts are the documented shape contract,
+    // and the SIMD tiers' `SAFETY` arguments rest on them, so they hold in release builds
+    // too. Public input reaches them: `count_above` is public, and a caller's mis-shaped
+    // table or planes trip them (ROADMAP item 8).
     assert!(
         (1..=BUCKET_SPACE).contains(&columns) && table.len().is_multiple_of(columns),
         "screen table of {} counters does not split into rows of {columns} columns",
@@ -64,11 +68,14 @@ pub fn count_above(
     );
     let rows = table.len() / columns;
     let n = counts.len();
+    // lint:allow(panic-freedom) — the shape contract above: at most `u16::MAX` rows.
     assert!(
         rows <= usize::from(u16::MAX),
         "{rows} rows overflow a u16 count"
     );
+    // lint:allow(panic-freedom) — the shape contract above: a `rows × n` bucket plane.
     assert_eq!(buckets.len(), rows * n, "bucket plane shape");
+    // lint:allow(panic-freedom) — the shape contract above: `rows × ⌈n/64⌉` sign words.
     assert_eq!(neg.len(), rows * n.div_ceil(64), "sign plane shape");
     #[cfg(target_arch = "x86_64")]
     {

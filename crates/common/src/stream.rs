@@ -59,6 +59,8 @@ impl<'a> SliceChunks<'a> {
     /// # Panics
     /// Panics if `chunk` is zero.
     pub fn new(values: &'a [Value], chunk: usize) -> Self {
+        // lint:allow(panic-freedom) — documented precondition: a positive chunk length.
+        // Public input reaches it: any caller may pass 0 (ROADMAP item 8).
         assert!(chunk > 0, "chunk length must be positive");
         SliceChunks { values, chunk }
     }

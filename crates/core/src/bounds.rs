@@ -101,9 +101,21 @@ pub fn group_error_bound(
 /// empirically in `FinalizedSketch`'s tests). The median over `k` rows contributes the
 /// asymptotic `π/(2k)` factor.
 pub fn frequency_variance(params: SketchParams, eps: Epsilon, reports: f64, f2: f64) -> f64 {
+    median_combiner_factor(params) * frequency_row_variance(params, eps, reports, f2)
+}
+
+/// Variance of Theorem 7's mean-of-rows frequency estimate `f̃(d) = (1/k)·Σ_j
+/// M[j,h_j(d)]·ξ_j(d)`: the per-row term of [`frequency_variance`] over `k` independent
+/// rows, `(1/k) · ( F2/m + reports·k·c_ε² )`.
+pub fn mean_frequency_variance(params: SketchParams, eps: Epsilon, reports: f64, f2: f64) -> f64 {
+    frequency_row_variance(params, eps, reports, f2) / params.rows() as f64
+}
+
+/// The variance of one row's frequency estimate: collisions `F2/m` plus LDP noise
+/// `reports·k·c_ε²`.
+fn frequency_row_variance(params: SketchParams, eps: Epsilon, reports: f64, f2: f64) -> f64 {
     let c = eps.c_eps();
-    let per_row = f2 / params.columns() as f64 + reports * params.rows() as f64 * c * c;
-    median_combiner_factor(params) * per_row
+    f2 / params.columns() as f64 + reports * params.rows() as f64 * c * c
 }
 
 /// The adaptive phase-1 threshold of LDPJoinSketch+'s confidence-driven mode: the smallest
@@ -251,6 +263,9 @@ mod tests {
         assert!(frequency_variance(params, eps, 2.0e5, 1.0e9) > base);
         // Wider sketch → smaller collision term.
         assert!(frequency_variance(p(18, 1024), eps, 1.0e5, 1.0e9) < base);
+        // The mean combiner drops the median's π/2 factor from the same per-row term.
+        let mean = mean_frequency_variance(params, eps, 1.0e5, 1.0e9);
+        assert!((base / mean - std::f64::consts::FRAC_PI_2).abs() < 1e-12);
     }
 
     #[test]

@@ -324,11 +324,15 @@ impl ClientReport {
     /// fit: [`SketchParams`] caps `k` at 65,535 rows and `m` at 65,536 columns, so only a
     /// hand-built report can trip this.
     pub fn to_wire(&self) -> [u8; Self::WIRE_SIZE] {
+        // lint:allow(panic-freedom) — documented precondition: row and column fit 16 bits.
+        // Public input reaches it only through a hand-built report (the fields are
+        // public); every client's report fits, since `SketchParams` caps `k` and `m`.
         assert!(
             self.row <= u16::MAX as usize,
             "row {} does not fit the wire format",
             self.row
         );
+        // lint:allow(panic-freedom) — the column half of the precondition above.
         assert!(
             self.col <= u16::MAX as usize,
             "col {} does not fit the wire format",

@@ -25,9 +25,10 @@
 //!   of the same reports (property-tested across window splits and random rotate/evict
 //!   sequences). The prefixes are wrapping `i32` sums, exact for every span of fewer than
 //!   2³¹ reports per lane; a larger span is refused with a typed error.
-//! * The **query layer** answers join-size and frequency queries over any
-//!   [`window::WindowRange`] (`Latest`, `LastK`, `All`) with a memoized
-//!   per-(attribute-pair, window-range) cache invalidated on rotation, so a repeated
+//! * The **query layer** answers every [`service::Query`] (join size, plus join size,
+//!   frequency, 3-way chain) through one entry point, [`service::SketchService::query`],
+//!   over any [`window::WindowRange`] (`Latest`, `LastK`, `All`) with a memoized
+//!   per-(kind, operands, spans) cache invalidated on rotation, so a repeated
 //!   dashboard-style query costs a hash lookup instead of an `O(k·m)` row product.
 //!   Span views, one window or many, are memoized per attribute span, and rotation
 //!   re-warms the spans of the ranges queries read in the epoch it closed, so a range read
@@ -44,7 +45,7 @@
 //!   estimate is bit-identical to the one-shot
 //!   [`ldp_join_plus_estimate_chunked`](ldpjs_core::ldp_join_plus_estimate_chunked).
 //! * **Edge** — two-attribute 2-D edge sketches serving online multi-way
-//!   [`chain_join_3`](service::SketchService::chain_join_3) queries.
+//!   [`Query::Chain3`] queries.
 //!
 //! Epochs seal on a report-count threshold *or* a wall-clock budget
 //! ([`ServiceConfig::epoch_duration`](service::ServiceConfig) with an injected clock),
@@ -65,7 +66,7 @@ pub mod window;
 
 pub use cache::{CacheStats, ModeCacheStats};
 pub use service::{
-    AttributeId, Explain, ExplainKernel, IngestSummary, PlusAttributeConfig, QueryClock,
+    AttributeId, Explain, ExplainKernel, IngestSummary, PlusAttributeConfig, Query, QueryClock,
     QueryResult, Reports, ServiceConfig, SketchService, SpanSource,
 };
 pub use window::{WindowRange, WindowSnapshot};

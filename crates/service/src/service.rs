@@ -206,6 +206,37 @@ impl<'a> From<&'a PlusReportBatch> for Reports<'a> {
     }
 }
 
+/// One query, as data: the estimator, its operands and the windows it covers, answered by
+/// [`SketchService::query`]. Every variant's range resolves against each operand's own
+/// ring, and its answer is cached per (kind, operands, spans) until a rotation of an
+/// operand invalidates it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Query {
+    /// `Join(a, b, range)`: the Eq. 5 join size of two plain attributes that share a hash
+    /// seed, computed by [`PlainKernel`]. Predicted error: Theorem 5's radius at the
+    /// spans' report counts.
+    Join(AttributeId, AttributeId, WindowRange),
+    /// `PlusJoin(a, b, range)`: the LDPJoinSketch+ `JoinEst` of two plus attributes with
+    /// equal seeds and estimator knobs, computed by [`PlusKernel`] over merged lanes whose
+    /// frequent items are re-discovered on the merged phase-1 sketch. Over the full ring
+    /// it is **bit-identical** to
+    /// [`ldp_join_plus_estimate_chunked`](ldpjs_core::ldp_join_plus_estimate_chunked) of
+    /// the concatenated report stream. Predicted error: the plain Theorem 5 radius, as an
+    /// envelope.
+    PlusJoin(AttributeId, AttributeId, WindowRange),
+    /// `Frequency(attr, value, range)`: the frequency of `value` in a plain attribute
+    /// (Theorem 7's mean over rows, [`PlainKernel`]) or a plus attribute (the sample-scaled
+    /// phase-1 estimator, [`PlusKernel`]). Predicted error: one standard deviation, the mean
+    /// combiner's Theorem 7 variance at the span's noise-debiased F2 on a plain attribute;
+    /// on a plus attribute the median combiner's at F2 = F1, a stand-in.
+    Frequency(AttributeId, u64, WindowRange),
+    /// `Chain3(v1, edge, v3, range)`: the 3-way chain join `|T1(A) ⋈ T2(A,B) ⋈ T3(B)|` of
+    /// two plain vertex attributes and an edge attribute whose hash families they share,
+    /// computed by [`ChainKernel`]. Predicted error: the heavier pairwise Theorem 5 radius,
+    /// as a planner heuristic.
+    Chain3(AttributeId, AttributeId, AttributeId, WindowRange),
+}
+
 /// One answered query.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryResult {
@@ -824,7 +855,7 @@ impl std::fmt::Debug for QueryClock {
 ///
 /// ```
 /// use ldpjs_core::{Epsilon, SketchParams};
-/// use ldpjs_service::{ServiceConfig, SketchService, WindowRange};
+/// use ldpjs_service::{Query, ServiceConfig, SketchService, WindowRange};
 /// use rand::rngs::StdRng;
 /// use rand::SeedableRng;
 ///
@@ -847,8 +878,9 @@ impl std::fmt::Debug for QueryClock {
 /// service.rotate(orders).unwrap();
 /// service.rotate(clicks).unwrap();
 ///
-/// let first = service.join_size(orders, clicks, WindowRange::All).unwrap();
-/// let again = service.join_size(orders, clicks, WindowRange::All).unwrap();
+/// let join = Query::Join(orders, clicks, WindowRange::All);
+/// let first = service.query(join).unwrap();
+/// let again = service.query(join).unwrap();
 /// assert!(!first.cached && again.cached);
 /// assert_eq!(first.value, again.value);
 /// ```
@@ -1196,329 +1228,266 @@ impl SketchService {
     }
 
     /// The retained sealed windows of `attr`, oldest first: each window's epoch id and
-    /// report count. Windows keep no views of their own; query a range through
-    /// [`SketchService::merged_view`] and its siblings.
+    /// report count. Windows keep no views of their own; read a range through
+    /// [`SketchService::query`].
     pub fn windows(&self, attr: AttributeId) -> Result<impl Iterator<Item = &WindowSnapshot>> {
         let mode = &find(&self.attributes, attr)?.mode;
         Ok((0..mode.depth()).map(move |i| mode.window(i)))
     }
 
-    /// The merged plain estimation view covering `range`, one window or many: assembled
-    /// from the span ledger once, then memoized per epoch span and re-warmed by the
-    /// attribute's next rotation.
-    ///
-    /// The returned sketch is **bit-identical** to finalizing one builder that absorbed
-    /// every report of the covered windows — the window-merge guarantee.
-    ///
-    /// # Errors
-    /// [`Error::ModeMismatch`] if `attr` is not a plain attribute;
-    /// [`Error::InvalidWorkload`] if the span holds 2³¹ reports or more in one lane, past
-    /// what the span ledger restores exactly.
-    pub fn merged_view(
-        &mut self,
-        attr: AttributeId,
-        range: WindowRange,
-    ) -> Result<Arc<FinalizedSketch>> {
-        self.merged::<PlainState>(attr, range, "a merged plain view")
-    }
-
-    /// The merged LDPJoinSketch+ estimation state covering `range`, assembled by the span
-    /// ledger with **cross-window FI reconciliation** — the frequent items are
-    /// re-discovered on the *merged* phase-1 sketch under the attribute's policy (and the
-    /// kernel's high partial re-masks the merged phase-2 sketches with that set).
-    ///
-    /// `All` over a ring of two or more windows is a state the attribute keeps, rebuilt at
-    /// every rotation. Any other range, `Latest` included, is assembled on first use (one
-    /// frequent-item discovery over the configured domain), then memoized per epoch span
-    /// and re-warmed by the attribute's next rotation, so a range read every epoch never
-    /// pays the assembly on the query path.
-    ///
-    /// # Errors
-    /// [`Error::ModeMismatch`] if `attr` is not a plus attribute;
-    /// [`Error::InvalidWorkload`] if the span holds 2³¹ reports or more in one lane, past
-    /// what the span ledger restores exactly.
-    pub fn merged_plus_state(
-        &mut self,
-        attr: AttributeId,
-        range: WindowRange,
-    ) -> Result<Arc<FinalizedPlusState>> {
-        self.merged::<PlusState>(attr, range, "a merged plus state")
-    }
-
-    /// The merged view of `attr` over `range`, which must run in mode `S`.
+    /// The merged view of `attr` over `range`, which must run in mode `S`, read as a query
+    /// operand reads it (and recorded as read).
+    #[cfg(test)]
     fn merged<S: ModeView>(
         &mut self,
         attr: AttributeId,
         range: WindowRange,
-        what: &str,
     ) -> Result<Arc<S::View>> {
-        let a = operand::<S>(&self.attributes, attr, what)?;
+        let a = operand::<S>(&self.attributes, attr, "a merged view")?;
         let span = resolve_span(a.0, attr, range)?;
         Assembly::new(&mut self.cache).view(a.1, &span)
     }
 
-    /// Plain join-size estimate between two attributes over `range` (resolved per attribute
-    /// against its own ring), served from the memoization cache when possible and computed
-    /// by the shared [`PlainKernel`].
+    /// The one query entry point: answer `query` from the memoization cache when possible,
+    /// else run its variant's kernel over the operands' span views (see [`Query`]). Each
+    /// operand's range resolves against its own ring, and operand modes are checked before
+    /// any span resolution.
     ///
     /// # Errors
-    /// [`Error::UnknownAttribute`], [`Error::ModeMismatch`] unless both attributes are
-    /// plain, [`Error::WindowUnavailable`] / [`Error::InvalidWorkload`] from range
-    /// resolution or from a span of 2³¹ reports or more (see
-    /// [`SketchService::merged_view`]), or [`Error::IncompatibleSketches`] if the
-    /// attributes do not share a hash seed.
+    /// - [`Error::UnknownAttribute`] for a bad handle.
+    /// - [`Error::ModeMismatch`] if an operand runs in a mode its variant does not take,
+    ///   or if [`Query::PlusJoin`] partners disagree on their estimator knobs.
+    /// - [`Error::WindowUnavailable`] / [`Error::InvalidWorkload`] from range resolution,
+    ///   or for a span of 2³¹ reports or more in a lane, past what the span ledger
+    ///   restores exactly.
+    /// - [`Error::IncompatibleSketches`] if the operands' hash families do not line up.
+    pub fn query(&mut self, query: Query) -> Result<QueryResult> {
+        let config = self.config;
+        match query {
+            Query::Join(a, b, range) => self.serve(K_JOIN, |attrs| {
+                let what = "a plain query operand";
+                let (op_a, op_b) = (
+                    operand::<PlainState>(attrs, a, what)?,
+                    operand::<PlainState>(attrs, b, what)?,
+                );
+                let [sa, sb] = [
+                    resolve_span(op_a.0, a, range)?,
+                    resolve_span(op_b.0, b, range)?,
+                ];
+                Ok(Plan {
+                    key: QueryKey::join(sa.attr, sa.epochs, sb.attr, sb.epochs),
+                    mode: QueryMode::Plain,
+                    spans: [sa, sb],
+                    assemble: move |asm: &mut Assembly<'_>| {
+                        Ok([asm.view(op_a.1, &sa)?, asm.view(op_b.1, &sb)?])
+                    },
+                    kernel: move |[va, vb]: [Arc<FinalizedSketch>; 2]| {
+                        Ok(Estimate {
+                            value: PlainKernel.join_size(&va, &vb)?,
+                            kernel: ExplainKernel::Plain,
+                            frequent_items: 0,
+                            bound: pairwise_bound(&config, sa.reports, sb.reports),
+                        })
+                    },
+                })
+            }),
+            Query::PlusJoin(a, b, range) => self.serve(K_PLUS_JOIN, |attrs| {
+                let what = "a plus join-size query";
+                let (op_a, op_b) = (
+                    operand::<PlusState>(attrs, a, what)?,
+                    operand::<PlusState>(attrs, b, what)?,
+                );
+                // The answer is computed with ONE kernel and cached under an operand-order-
+                // normalized key, so partners must agree on every estimator knob —
+                // otherwise `PlusJoin(a, b, ..)` and `PlusJoin(b, a, ..)` would alias one
+                // cache entry while selecting different kernels. The policy holds every
+                // knob: the kernel's one mode, `adaptive`, is part of it.
+                if op_a.1.policy != op_b.1.policy {
+                    return Err(Error::ModeMismatch(format!(
+                        "plus join partners '{}' and '{}' disagree on estimator knobs \
+                         (threshold/adaptive must match)",
+                        op_a.0.name, op_b.0.name
+                    )));
+                }
+                let plus = op_a.1.kernel();
+                let [sa, sb] = [
+                    resolve_span(op_a.0, a, range)?,
+                    resolve_span(op_b.0, b, range)?,
+                ];
+                Ok(Plan {
+                    key: QueryKey::plus_join(sa.attr, sa.epochs, sb.attr, sb.epochs),
+                    mode: QueryMode::Plus,
+                    spans: [sa, sb],
+                    assemble: move |asm: &mut Assembly<'_>| {
+                        Ok([asm.view(op_a.1, &sa)?, asm.view(op_b.1, &sb)?])
+                    },
+                    kernel: move |[va, vb]: [Arc<FinalizedPlusState>; 2]| {
+                        Ok(Estimate {
+                            value: plus.join_est(&va, &vb)?.join_size,
+                            kernel: ExplainKernel::Plus,
+                            frequent_items: va.frequent_items().len() + vb.frequent_items().len(),
+                            // Theorems 4/5 bound the plain estimator at the spans' F1s; for
+                            // the plus kernel they serve as the conservative envelope (its
+                            // non-target separation only removes error terms), which is
+                            // exactly what a cost-based planner wants to rank spans by.
+                            bound: pairwise_bound(&config, sa.reports, sb.reports),
+                        })
+                    },
+                })
+            }),
+            Query::Frequency(attr, value, range) => self.serve(K_FREQUENCY, |attrs| {
+                let a = find(attrs, attr)?;
+                let state = match &a.mode {
+                    ModeState::Plain(s) => PlainOrPlus::Plain(s),
+                    ModeState::Plus(s) => PlainOrPlus::Plus(&**s),
+                    ModeState::Edge(_) => return Err(mode_mismatch(a, "a frequency query")),
+                };
+                let span = resolve_span(a, attr, range)?;
+                Ok(Plan {
+                    key: QueryKey::Frequency {
+                        attr: span.attr,
+                        value,
+                        span: span.epochs,
+                    },
+                    mode: a.mode.mode(),
+                    spans: [span],
+                    assemble: move |asm: &mut Assembly<'_>| {
+                        Ok(match state {
+                            PlainOrPlus::Plain(s) => PlainOrPlus::Plain(asm.view(s, &span)?),
+                            PlainOrPlus::Plus(s) => {
+                                PlainOrPlus::Plus((asm.view(s, &span)?, s.kernel()))
+                            }
+                        })
+                    },
+                    kernel: move |view: PlainOrPlus<
+                        Arc<FinalizedSketch>,
+                        (Arc<FinalizedPlusState>, PlusKernel),
+                    >| {
+                        let (params, eps, f1) = (config.params, config.eps, span.reports as f64);
+                        let (estimate, kernel, frequent_items, variance) = match view {
+                            // Theorem 7's mean over rows, whose variance is stated in the
+                            // span's F2: its noise-debiased estimate (a raw self-join also
+                            // counts the LDP noise energy, m·reports·k·c_ε²), clamped from
+                            // below by F1 (F2 ≥ F1 always holds for integer counts; the
+                            // noisy estimate can dip under it).
+                            PlainOrPlus::Plain(v) => {
+                                let f2 = v.f2_estimate().max(f1);
+                                (
+                                    PlainKernel.frequency(&v, value),
+                                    ExplainKernel::Plain,
+                                    0,
+                                    bounds::mean_frequency_variance(params, eps, f1, f2),
+                                )
+                            }
+                            // The merged phase-1 lane is not a full-stream sketch, so no
+                            // cheap F2 estimate exists here; F1 is its distinct-values
+                            // floor (a stand-in, ROADMAP item 5).
+                            PlainOrPlus::Plus((s, plus)) => (
+                                plus.frequency(&s, value),
+                                ExplainKernel::Plus,
+                                s.frequent_items().len(),
+                                bounds::frequency_variance(params, eps, f1, f1),
+                            ),
+                        };
+                        Ok(Estimate {
+                            value: estimate,
+                            kernel,
+                            frequent_items,
+                            bound: (variance, variance.max(0.0).sqrt()),
+                        })
+                    },
+                })
+            }),
+            Query::Chain3(v1, edge, v3, range) => self.serve(K_CHAIN3, |attrs| {
+                let vertex = "a plain query operand";
+                let (op_1, op_3) = (
+                    operand::<PlainState>(attrs, v1, vertex)?,
+                    operand::<PlainState>(attrs, v3, vertex)?,
+                );
+                let what = "the edge operand of a chain query";
+                let op_e = operand::<EdgeState>(attrs, edge, what)?;
+                let [s1, se, s3] = [
+                    resolve_span(op_1.0, v1, range)?,
+                    resolve_span(op_e.0, edge, range)?,
+                    resolve_span(op_3.0, v3, range)?,
+                ];
+                Ok(Plan {
+                    key: QueryKey::Chain3 {
+                        v1: s1.attr,
+                        e: se.attr,
+                        v3: s3.attr,
+                        span_v1: s1.epochs,
+                        span_e: se.epochs,
+                        span_v3: s3.epochs,
+                    },
+                    mode: QueryMode::Edge,
+                    spans: [s1, se, s3],
+                    assemble: move |asm: &mut Assembly<'_>| {
+                        Ok((
+                            asm.view(op_1.1, &s1)?,
+                            asm.view(op_e.1, &se)?,
+                            asm.view(op_3.1, &s3)?,
+                        ))
+                    },
+                    kernel: move |(w1, we, w3): (
+                        Arc<FinalizedSketch>,
+                        Arc<FinalizedEdgeSketch>,
+                        Arc<FinalizedSketch>,
+                    )| {
+                        Ok(Estimate {
+                            value: ChainKernel.chain_3(&w1, &we, &w3)?,
+                            kernel: ExplainKernel::Chain,
+                            frequent_items: 0,
+                            // No closed-form 3-way bound exists in the paper; as the
+                            // planner-seeding heuristic, report the Theorem 5 radius of the
+                            // heavier pairwise join (edge vs. the larger vertex span) — a
+                            // true composed chain bound is ROADMAP item 5 territory.
+                            bound: pairwise_bound(&config, se.reports, s1.reports.max(s3.reports)),
+                        })
+                    },
+                })
+            }),
+        }
+    }
+
+    /// [`SketchService::query`] of a [`Query::Join`]. Kept only because the
+    /// `pipeline-bench` harness calls it by name.
     pub fn join_size(
         &mut self,
         a: AttributeId,
         b: AttributeId,
         range: WindowRange,
     ) -> Result<QueryResult> {
-        let config = self.config;
-        self.query(K_JOIN, |attrs| {
-            let what = "a plain query operand";
-            let (op_a, op_b) = (
-                operand::<PlainState>(attrs, a, what)?,
-                operand::<PlainState>(attrs, b, what)?,
-            );
-            let [sa, sb] = [
-                resolve_span(op_a.0, a, range)?,
-                resolve_span(op_b.0, b, range)?,
-            ];
-            Ok(Plan {
-                key: QueryKey::join(sa.attr, sa.epochs, sb.attr, sb.epochs),
-                mode: QueryMode::Plain,
-                spans: [sa, sb],
-                assemble: move |asm: &mut Assembly<'_>| {
-                    Ok([asm.view(op_a.1, &sa)?, asm.view(op_b.1, &sb)?])
-                },
-                kernel: move |[va, vb]: [Arc<FinalizedSketch>; 2]| {
-                    Ok(Estimate {
-                        value: PlainKernel.join_size(&va, &vb)?,
-                        kernel: ExplainKernel::Plain,
-                        frequent_items: 0,
-                        bound: pairwise_bound(&config, sa.reports, sb.reports),
-                    })
-                },
-            })
-        })
+        self.query(Query::Join(a, b, range))
     }
 
-    /// LDPJoinSketch+ join-size estimate between two plus attributes over `range`: merged
-    /// per-lane windows with cross-window FI reconciliation, estimated by the shared
-    /// [`PlusKernel`] `JoinEst`, served from the cache when possible.
-    ///
-    /// For a full-ring span this estimate is **bit-identical** to
-    /// [`ldp_join_plus_estimate_chunked`](ldpjs_core::ldp_join_plus_estimate_chunked) over
-    /// the concatenated report stream (the windowed-plus guarantee, property-tested and
-    /// pinned at 1M reports/table in `tests/online_service.rs`).
-    ///
-    /// # Errors
-    /// [`Error::UnknownAttribute`], [`Error::ModeMismatch`] unless both attributes are
-    /// plus, [`Error::WindowUnavailable`] / [`Error::InvalidWorkload`] from range
-    /// resolution or from a span of 2³¹ reports or more in a lane,
-    /// [`Error::IncompatibleSketches`] if the attributes do not share seeds.
+    /// [`SketchService::query`] of a [`Query::PlusJoin`]. Kept only because the
+    /// `pipeline-bench` harness calls it by name.
     pub fn plus_join_size(
         &mut self,
         a: AttributeId,
         b: AttributeId,
         range: WindowRange,
     ) -> Result<QueryResult> {
-        let config = self.config;
-        self.query(K_PLUS_JOIN, |attrs| {
-            let what = "a plus join-size query";
-            let (op_a, op_b) = (
-                operand::<PlusState>(attrs, a, what)?,
-                operand::<PlusState>(attrs, b, what)?,
-            );
-            // The answer is computed with ONE kernel and cached under an operand-order-
-            // normalized key, so partners must agree on every estimator knob — otherwise
-            // `plus_join_size(a, b)` and `plus_join_size(b, a)` would alias one cache entry
-            // while selecting different kernels. The policy holds every knob: the kernel's
-            // one mode, `adaptive`, is part of it.
-            if op_a.1.policy != op_b.1.policy {
-                return Err(Error::ModeMismatch(format!(
-                    "plus join partners '{}' and '{}' disagree on estimator knobs \
-                     (threshold/adaptive must match)",
-                    op_a.0.name, op_b.0.name
-                )));
-            }
-            let plus = op_a.1.kernel();
-            let [sa, sb] = [
-                resolve_span(op_a.0, a, range)?,
-                resolve_span(op_b.0, b, range)?,
-            ];
-            Ok(Plan {
-                key: QueryKey::plus_join(sa.attr, sa.epochs, sb.attr, sb.epochs),
-                mode: QueryMode::Plus,
-                spans: [sa, sb],
-                assemble: move |asm: &mut Assembly<'_>| {
-                    Ok([asm.view(op_a.1, &sa)?, asm.view(op_b.1, &sb)?])
-                },
-                kernel: move |[va, vb]: [Arc<FinalizedPlusState>; 2]| {
-                    Ok(Estimate {
-                        value: plus.join_est(&va, &vb)?.join_size,
-                        kernel: ExplainKernel::Plus,
-                        frequent_items: va.frequent_items().len() + vb.frequent_items().len(),
-                        // Theorems 4/5 bound the plain estimator at the spans' F1s; for the
-                        // plus kernel they serve as the conservative envelope (its
-                        // non-target separation only removes error terms), which is exactly
-                        // what a cost-based planner wants to rank spans by.
-                        bound: pairwise_bound(&config, sa.reports, sb.reports),
-                    })
-                },
-            })
-        })
+        self.query(Query::PlusJoin(a, b, range))
     }
 
-    /// Frequency estimate of `value` in `attr` over `range`, served from the cache when
-    /// possible. Plain attributes answer with the Theorem 7 estimator ([`PlainKernel`]);
-    /// plus attributes answer with the sample-scaled phase-1 estimator ([`PlusKernel`]).
-    ///
-    /// # Errors
-    /// [`Error::ModeMismatch`] for edge attributes (an edge sketch summarises tuples, not a
-    /// single attribute's values); [`Error::InvalidWorkload`] for a span of 2³¹ reports or
-    /// more in a lane.
+    /// [`SketchService::query`] of a [`Query::Frequency`]. Kept only because the
+    /// `pipeline-bench` harness calls it by name.
     pub fn frequency(
         &mut self,
         attr: AttributeId,
         value: u64,
         range: WindowRange,
     ) -> Result<QueryResult> {
-        let config = self.config;
-        self.query(K_FREQUENCY, |attrs| {
-            let a = find(attrs, attr)?;
-            let state = match &a.mode {
-                ModeState::Plain(s) => PlainOrPlus::Plain(s),
-                ModeState::Plus(s) => PlainOrPlus::Plus(&**s),
-                ModeState::Edge(_) => return Err(mode_mismatch(a, "a frequency query")),
-            };
-            let span = resolve_span(a, attr, range)?;
-            Ok(Plan {
-                key: QueryKey::Frequency {
-                    attr: span.attr,
-                    value,
-                    span: span.epochs,
-                },
-                mode: a.mode.mode(),
-                spans: [span],
-                assemble: move |asm: &mut Assembly<'_>| {
-                    Ok(match state {
-                        PlainOrPlus::Plain(s) => PlainOrPlus::Plain(asm.view(s, &span)?),
-                        PlainOrPlus::Plus(s) => {
-                            PlainOrPlus::Plus((asm.view(s, &span)?, s.kernel()))
-                        }
-                    })
-                },
-                kernel: move |view: PlainOrPlus<
-                    Arc<FinalizedSketch>,
-                    (Arc<FinalizedPlusState>, PlusKernel),
-                >| {
-                    let f1 = span.reports as f64;
-                    let (estimate, kernel, frequent_items, f2) = match view {
-                        // The span's own self-join estimate is its F2 — the quantity Theorem
-                        // 7's variance is stated in — clamped from below by F1 (F2 ≥ F1
-                        // always holds for integer counts; the noisy estimate can dip under
-                        // it).
-                        PlainOrPlus::Plain(v) => (
-                            PlainKernel.frequency(&v, value),
-                            ExplainKernel::Plain,
-                            0,
-                            PlainKernel.join_size(&v, &v).unwrap_or(f1).max(f1),
-                        ),
-                        // The merged phase-1 lane is not a full-stream sketch, so no cheap F2
-                        // estimate exists here; F1 is its distinct-values floor.
-                        PlainOrPlus::Plus((s, plus)) => (
-                            plus.frequency(&s, value),
-                            ExplainKernel::Plus,
-                            s.frequent_items().len(),
-                            f1,
-                        ),
-                    };
-                    let variance = bounds::frequency_variance(config.params, config.eps, f1, f2);
-                    Ok(Estimate {
-                        value: estimate,
-                        kernel,
-                        frequent_items,
-                        bound: (variance, variance.max(0.0).sqrt()),
-                    })
-                },
-            })
-        })
-    }
-
-    /// 3-way chain-join estimate `|T1(A) ⋈ T2(A,B) ⋈ T3(B)|` over `range`: `v1` and `v3`
-    /// are plain vertex attributes, `edge` is an edge attribute whose hash families they
-    /// must share. Each attribute's span resolves against its own ring; merged views feed
-    /// the shared [`ChainKernel`]; answers are cached per (kind, attribute set, spans).
-    ///
-    /// # Errors
-    /// [`Error::ModeMismatch`] unless the modes are (plain, edge, plain);
-    /// [`Error::IncompatibleSketches`] if the hash families do not line up;
-    /// [`Error::InvalidWorkload`] for a span of 2³¹ reports or more in a lane.
-    pub fn chain_join_3(
-        &mut self,
-        v1: AttributeId,
-        edge: AttributeId,
-        v3: AttributeId,
-        range: WindowRange,
-    ) -> Result<QueryResult> {
-        let config = self.config;
-        self.query(K_CHAIN3, |attrs| {
-            let vertex = "a plain query operand";
-            let (op_1, op_3) = (
-                operand::<PlainState>(attrs, v1, vertex)?,
-                operand::<PlainState>(attrs, v3, vertex)?,
-            );
-            let what = "the edge operand of a chain query";
-            let op_e = operand::<EdgeState>(attrs, edge, what)?;
-            let [s1, se, s3] = [
-                resolve_span(op_1.0, v1, range)?,
-                resolve_span(op_e.0, edge, range)?,
-                resolve_span(op_3.0, v3, range)?,
-            ];
-            Ok(Plan {
-                key: QueryKey::Chain3 {
-                    v1: s1.attr,
-                    e: se.attr,
-                    v3: s3.attr,
-                    span_v1: s1.epochs,
-                    span_e: se.epochs,
-                    span_v3: s3.epochs,
-                },
-                mode: QueryMode::Edge,
-                spans: [s1, se, s3],
-                assemble: move |asm: &mut Assembly<'_>| {
-                    Ok((
-                        asm.view(op_1.1, &s1)?,
-                        asm.view(op_e.1, &se)?,
-                        asm.view(op_3.1, &s3)?,
-                    ))
-                },
-                kernel: move |(w1, we, w3): (
-                    Arc<FinalizedSketch>,
-                    Arc<FinalizedEdgeSketch>,
-                    Arc<FinalizedSketch>,
-                )| {
-                    Ok(Estimate {
-                        value: ChainKernel.chain_3(&w1, &we, &w3)?,
-                        kernel: ExplainKernel::Chain,
-                        frequent_items: 0,
-                        // No closed-form 3-way bound exists in the paper; as the planner-
-                        // seeding heuristic, report the Theorem 5 radius of the heavier
-                        // pairwise join (edge vs. the larger vertex span) — a true composed
-                        // chain bound is ROADMAP item 5 territory.
-                        bound: pairwise_bound(&config, se.reports, s1.reports.max(s3.reports)),
-                    })
-                },
-            })
-        })
+        self.query(Query::Frequency(attr, value, range))
     }
 
     /// The query pipeline every kind runs: read the clock, let the kind's operand step
     /// check modes, resolve spans and build the cache key, then either serve the cached
     /// answer or assemble the operands' typed span views, read the clock again, run the
     /// kind's kernel, record the provenance and memoize the answer.
-    fn query<'s, const N: usize, V, A, K>(
+    fn serve<'s, const N: usize, V, A, K>(
         &'s mut self,
         kind: usize,
         operands: impl FnOnce(&'s [Attribute]) -> Result<Plan<N, A, K>>,
@@ -1971,26 +1940,90 @@ mod tests {
             let batch = client
                 .perturb_batch(&values, &mut StdRng::seed_from_u64(round))
                 .unwrap();
-            service_b.ingest_batch(b, &batch).unwrap();
+            service_b.ingest(b, &batch).unwrap();
         }
         service_b.rotate(b).unwrap();
         let via_reports = reference.finalize();
-        let via_batches = service_b.merged_view(b, WindowRange::All).unwrap();
+        let via_batches = service_b.merged::<PlainState>(b, WindowRange::All).unwrap();
         assert_eq!(via_reports.reports(), via_batches.reports());
         assert_eq!(
             via_reports.restored_counters(),
             via_batches.restored_counters()
         );
-        // Mode mismatch is rejected.
-        let mut plus_service = manual_service(6, 64, 4);
-        let p = plus_service
-            .register_plus_attribute("p", 7, PlusAttributeConfig::new((0..10).collect()))
-            .unwrap();
-        let empty = ReportBatch::new(6, 64).unwrap();
+    }
+
+    #[test]
+    fn harness_forwards_answer_as_the_doors_they_forward_to() {
+        // The five forwards the pipeline-bench harness calls by name must absorb, answer
+        // and cache exactly as `ingest` and `query`: one service is driven through the
+        // forwards, a twin through the doors, and every result must match bit for bit.
+        let twin = |forwards: bool| {
+            let mut service = manual_service(6, 64, 4);
+            let ids = ["a", "b"].map(|name| service.register_attribute(name, 7).unwrap());
+            let domain = PlusAttributeConfig::new((0..64).collect());
+            let plus = ["p", "q"].map(|name| {
+                service
+                    .register_plus_attribute(name, 7, domain.clone())
+                    .unwrap()
+            });
+            for (i, attr) in ids.into_iter().enumerate() {
+                for batch in batches_for(&service, attr, 50 + i as u64, &[400, 300]) {
+                    let summary = match forwards {
+                        true => service.ingest_batch(attr, &batch),
+                        false => service.ingest(attr, &batch),
+                    };
+                    assert_eq!(summary.unwrap().reports, batch.len() as u64);
+                    service.rotate(attr).unwrap();
+                }
+            }
+            for (i, attr) in plus.into_iter().enumerate() {
+                let [phase1, low, high] = [0, 1, 2]
+                    .map(|lane| reports_for(&service, ids[0], 300, 60 + 3 * i as u64 + lane));
+                let batch = PlusReportBatch { phase1, low, high };
+                let summary = match forwards {
+                    true => service.ingest_plus(attr, &batch),
+                    false => service.ingest(attr, &batch),
+                };
+                assert_eq!(summary.unwrap().reports, 900);
+                service.rotate(attr).unwrap();
+            }
+            (service, [ids[0], ids[1], plus[0], plus[1]])
+        };
+        let ((mut forwarded, ids), (mut door, door_ids)) = (twin(true), twin(false));
+        assert_eq!(ids, door_ids);
+        let [a, b, p, q] = ids;
+        let forward = |s: &mut SketchService, query| match query {
+            Query::Join(a, b, range) => s.join_size(a, b, range),
+            Query::PlusJoin(a, b, range) => s.plus_join_size(a, b, range),
+            Query::Frequency(attr, value, range) => s.frequency(attr, value, range),
+            Query::Chain3(..) => unreachable!("no forward serves a chain"),
+        };
+        for query in [
+            Query::Join(a, b, WindowRange::All),
+            Query::PlusJoin(p, q, WindowRange::LastK(1)),
+            Query::Frequency(a, 3, WindowRange::Latest),
+            Query::Frequency(p, 3, WindowRange::All),
+        ] {
+            let want = door.query(query).unwrap();
+            let got = forward(&mut forwarded, query).unwrap();
+            assert_eq!(got, want, "{query:?}");
+            assert_eq!(got.value.to_bits(), want.value.to_bits(), "{query:?}");
+            // A forward's repeat is a hit on the entry `query` memoized.
+            let repeat = forward(&mut door, query).unwrap();
+            assert!(repeat.cached, "{query:?}");
+            assert_eq!(repeat.value.to_bits(), want.value.to_bits(), "{query:?}");
+        }
+        // The ingest forwards refuse a batch of the other mode as `ingest` does.
+        let (packed, plus) = (
+            ReportBatch::new(6, 64).unwrap(),
+            PlusReportBatch::new(door.config().params).unwrap(),
+        );
         assert!(matches!(
-            plus_service.ingest_batch(p, &empty),
+            forwarded.ingest_batch(p, &packed),
             Err(Error::ModeMismatch(_))
         ));
+        assert_eq!(forwarded.ingest_batch(p, &packed), door.ingest(p, &packed));
+        assert_eq!(forwarded.ingest_plus(a, &plus), door.ingest(a, &plus));
     }
 
     #[test]
@@ -2207,16 +2240,26 @@ mod tests {
             }
         }
         let past = |r: Result<QueryResult>| matches!(r, Err(Error::InvalidWorkload(_)));
-        assert!(past(service.join_size(a, b, WindowRange::All)));
-        assert!(past(service.frequency(a, 3, WindowRange::All)));
+        assert!(past(service.query(Query::Join(a, b, WindowRange::All))));
+        assert!(past(service.query(Query::Frequency(
+            a,
+            3,
+            WindowRange::All
+        ))));
         // The failed `All` read is re-warmed at `a`'s next rotation: skipped, and the query
         // still fails. A span of fewer reports assembles from the same wrapped prefixes.
         service
             .ingest(a, &reports_for(&service, a, 500, 1))
             .unwrap();
         service.rotate(a).unwrap();
-        assert!(past(service.frequency(a, 3, WindowRange::All)));
-        let recent = service.frequency(a, 3, WindowRange::LastK(2)).unwrap();
+        assert!(past(service.query(Query::Frequency(
+            a,
+            3,
+            WindowRange::All
+        ))));
+        let recent = service
+            .query(Query::Frequency(a, 3, WindowRange::LastK(2)))
+            .unwrap();
         assert_eq!(recent.reports, (1 << 30) + 500);
         assert_eq!(recent.explain.span_source, SpanSource::LedgerAssembled);
         // A plus seal over such a ring leaves the whole-ring state unbuilt.
@@ -2227,8 +2270,10 @@ mod tests {
         state.seal(2, retained);
         assert!(state.whole.is_none());
         service.attributes[p.index()].next_epoch = 3;
-        assert!(past(service.plus_join_size(p, p, WindowRange::All)));
-        let recent = service.plus_join_size(p, p, WindowRange::LastK(2)).unwrap();
+        assert!(past(service.query(Query::PlusJoin(p, p, WindowRange::All))));
+        let recent = service
+            .query(Query::PlusJoin(p, p, WindowRange::LastK(2)))
+            .unwrap();
         assert_eq!(recent.explain.span_source, SpanSource::LedgerAssembled);
 
         let c = service.register_attribute("c", 3).unwrap();
@@ -2236,7 +2281,11 @@ mod tests {
         let q = service.register_plus_attribute("q", 3, domain).unwrap();
         for attr in [c, q] {
             seal_synthetic(&mut service, attr, 1 << 31);
-            assert!(past(service.frequency(attr, 3, WindowRange::Latest)));
+            assert!(past(service.query(Query::Frequency(
+                attr,
+                3,
+                WindowRange::Latest
+            ))));
         }
         let reports = reports_for(&service, c, 500, 2);
         let mut plus_batch = PlusReportBatch::new(service.config.params).unwrap();
@@ -2245,9 +2294,15 @@ mod tests {
         service.ingest(q, &plus_batch).unwrap();
         for attr in [c, q] {
             service.rotate(attr).unwrap();
-            let latest = service.frequency(attr, 3, WindowRange::Latest).unwrap();
+            let latest = service
+                .query(Query::Frequency(attr, 3, WindowRange::Latest))
+                .unwrap();
             assert_eq!(latest.reports, 500);
-            assert!(past(service.frequency(attr, 3, WindowRange::All)));
+            assert!(past(service.query(Query::Frequency(
+                attr,
+                3,
+                WindowRange::All
+            ))));
         }
     }
 
@@ -2265,7 +2320,12 @@ mod tests {
             .unwrap();
         service.rotate(attr).unwrap();
         for v in 0..100u64 {
-            assert!(!service.frequency(attr, v, WindowRange::All).unwrap().cached);
+            assert!(
+                !service
+                    .query(Query::Frequency(attr, v, WindowRange::All))
+                    .unwrap()
+                    .cached
+            );
         }
         let stats = service.cache_stats();
         assert_eq!(stats.entries, 16, "bounded to cache_capacity");
@@ -2273,11 +2333,16 @@ mod tests {
         // The newest answers are still warm, the oldest were evicted.
         assert!(
             service
-                .frequency(attr, 99, WindowRange::All)
+                .query(Query::Frequency(attr, 99, WindowRange::All))
                 .unwrap()
                 .cached
         );
-        assert!(!service.frequency(attr, 0, WindowRange::All).unwrap().cached);
+        assert!(
+            !service
+                .query(Query::Frequency(attr, 0, WindowRange::All))
+                .unwrap()
+                .cached
+        );
     }
 
     #[test]
@@ -2297,16 +2362,18 @@ mod tests {
                 .unwrap();
             service.rotate(attr).unwrap();
         }
-        let cold = service.join_size(a, b, WindowRange::All).unwrap();
+        let cold = service.query(Query::Join(a, b, WindowRange::All)).unwrap();
         assert!(!cold.cached);
         for v in 0..50u64 {
-            let refreshed = service.join_size(a, b, WindowRange::All).unwrap();
+            let refreshed = service.query(Query::Join(a, b, WindowRange::All)).unwrap();
             assert!(
                 refreshed.cached,
                 "hot join entry evicted by the scan at v={v}"
             );
             assert_eq!(refreshed.value, cold.value);
-            service.frequency(a, v, WindowRange::All).unwrap();
+            service
+                .query(Query::Frequency(a, v, WindowRange::All))
+                .unwrap();
         }
         let stats = service.cache_stats();
         assert_eq!(stats.entries, 8);
@@ -2314,7 +2381,12 @@ mod tests {
             stats.evictions >= 40,
             "the scan churned the cache: {stats:?}"
         );
-        assert!(service.join_size(a, b, WindowRange::All).unwrap().cached);
+        assert!(
+            service
+                .query(Query::Join(a, b, WindowRange::All))
+                .unwrap()
+                .cached
+        );
     }
 
     #[test]
@@ -2335,7 +2407,7 @@ mod tests {
             Err(Error::UnknownAttribute(_))
         ));
         assert!(matches!(
-            service.join_size(a, bogus, WindowRange::All),
+            service.query(Query::Join(a, bogus, WindowRange::All)),
             Err(Error::UnknownAttribute(_))
         ));
     }
@@ -2394,7 +2466,7 @@ mod tests {
         ));
         for attr in [plain, edge] {
             assert!(matches!(
-                service.ingest_plus(attr, &plus_batch),
+                service.ingest(attr, &plus_batch),
                 Err(Error::ModeMismatch(_))
             ));
         }
@@ -2419,50 +2491,29 @@ mod tests {
         ));
         assert!(service.edge_client(edge).is_ok());
         // Queries are mode-checked before span resolution (so the errors do not depend on
-        // whether anything was sealed yet).
-        assert!(matches!(
-            service.join_size(plain, plus, WindowRange::All),
-            Err(Error::ModeMismatch(_))
-        ));
-        assert!(matches!(
-            service.plus_join_size(plain, plus, WindowRange::All),
-            Err(Error::ModeMismatch(_))
-        ));
-        assert!(matches!(
-            service.plus_join_size(plus, edge, WindowRange::All),
-            Err(Error::ModeMismatch(_))
-        ));
-        // Plus partners with mismatched estimator knobs are rejected before any span
-        // resolution: one kernel answers a cache entry both operand orders share.
+        // whether anything was sealed yet). Plus partners with mismatched estimator knobs
+        // are rejected the same way: one kernel answers a cache entry both operand orders
+        // share.
         let mut other_cfg = PlusAttributeConfig::new((0..64).collect());
         other_cfg.adaptive = false;
         let plus2 = service
             .register_plus_attribute("plus2", 1, other_cfg)
             .unwrap();
-        assert!(matches!(
-            service.plus_join_size(plus, plus2, WindowRange::All),
-            Err(Error::ModeMismatch(_))
-        ));
-        assert!(matches!(
-            service.frequency(edge, 1, WindowRange::All),
-            Err(Error::ModeMismatch(_))
-        ));
-        assert!(matches!(
-            service.chain_join_3(plain, plain, plain, WindowRange::All),
-            Err(Error::ModeMismatch(_))
-        ));
-        assert!(matches!(
-            service.chain_join_3(plus, edge, plain, WindowRange::All),
-            Err(Error::ModeMismatch(_))
-        ));
-        assert!(matches!(
-            service.merged_view(plus, WindowRange::All),
-            Err(Error::ModeMismatch(_))
-        ));
-        assert!(matches!(
-            service.merged_plus_state(plain, WindowRange::All),
-            Err(Error::ModeMismatch(_))
-        ));
+        let all = WindowRange::All;
+        for query in [
+            Query::Join(plain, plus, all),
+            Query::PlusJoin(plain, plus, all),
+            Query::PlusJoin(plus, edge, all),
+            Query::PlusJoin(plus, plus2, all),
+            Query::Frequency(edge, 1, all),
+            Query::Chain3(plain, plain, plain, all),
+            Query::Chain3(plus, edge, plain, all),
+        ] {
+            assert!(
+                matches!(service.query(query), Err(Error::ModeMismatch(_))),
+                "{query:?}"
+            );
+        }
     }
 
     #[test]
@@ -2634,12 +2685,14 @@ mod tests {
             }
         };
         seal_all(&mut service);
-        let plain_view = service.merged_view(plain, WindowRange::Latest).unwrap();
+        let plain_view = service
+            .merged::<PlainState>(plain, WindowRange::Latest)
+            .unwrap();
         let plus_view = service
-            .merged_plus_state(plus, WindowRange::Latest)
+            .merged::<PlusState>(plus, WindowRange::Latest)
             .unwrap();
         let edge_view = service
-            .merged::<EdgeState>(edge, WindowRange::Latest, "an edge view")
+            .merged::<EdgeState>(edge, WindowRange::Latest)
             .unwrap();
         assert_eq!(
             Arc::strong_count(&plain_view),
@@ -2653,7 +2706,7 @@ mod tests {
         assert_eq!(service.window_count(plus).unwrap(), 2);
         // The whole-ring plus state is rebuilt at every seal, and re-warming `All` (read
         // here) serves the new one: the old one is left to its caller.
-        let plus_all = service.merged_plus_state(plus, WindowRange::All).unwrap();
+        let plus_all = service.merged::<PlusState>(plus, WindowRange::All).unwrap();
         assert_eq!(
             Arc::strong_count(&plus_all),
             2,
@@ -2715,13 +2768,11 @@ mod tests {
             service.rotate(v).unwrap();
         }
         let latest = WindowRange::Latest;
-        type Read = fn(&mut SketchService, [AttributeId; 5]) -> Result<QueryResult>;
-        let reads: [Read; 3] = [
-            |s, [p, ..]| s.frequency(p, 1, WindowRange::Latest),
-            |s, [_, q, ..]| s.frequency(q, 1, WindowRange::Latest),
-            |s, [.., e, v1, v3]| s.chain_join_3(v1, e, v3, WindowRange::Latest),
+        let reads = [
+            Query::Frequency(plain, 1, latest),
+            Query::Frequency(plus, 1, latest),
+            Query::Chain3(v1, edge, v3, latest),
         ];
-        let ids = [plain, plus, edge, v1, v3];
         let cfg = *service.config();
         for epoch in 0..3 {
             let (packed, plus_batch, edge_batch) =
@@ -2731,21 +2782,21 @@ mod tests {
                 _ => SpanSource::MemoizedView,
             };
             for read in reads {
-                let q = read(&mut service, ids).unwrap();
+                let q = service.query(read).unwrap();
                 assert!(!q.cached, "epoch {epoch}");
                 assert_eq!(q.explain.span_source, want, "epoch {epoch}");
             }
 
             let mut fresh = SketchBuilder::new(cfg.params, cfg.eps, 7);
             fresh.absorb_batch(&packed).unwrap();
-            let served = service.merged_view(plain, latest).unwrap();
+            let served = service.merged::<PlainState>(plain, latest).unwrap();
             assert_eq!(view_bits(&served), view_bits(&fresh.finalize()));
 
             let state = PlusState::of(&service.attributes[plus.index()].mode).unwrap();
             let mut fresh = PlusStateBuilder::new(cfg.params, cfg.eps, 7);
             fresh.absorb_batch(&plus_batch).unwrap();
             let reference = fresh.finalize(state.policy, &domain);
-            let served = service.merged_plus_state(plus, latest).unwrap();
+            let served = service.merged::<PlusState>(plus, latest).unwrap();
             assert_eq!(served.frequent_items(), reference.frequent_items());
             assert_eq!(
                 served.threshold().to_bits(),
@@ -2763,9 +2814,7 @@ mod tests {
             let mut fresh = EdgeSketchBuilder::with_hashes(cfg.eps, state.live.hashes().clone());
             fresh.absorb_batch(&edge_batch).unwrap();
             let reference = fresh.finalize();
-            let served = service
-                .merged::<EdgeState>(edge, latest, "an edge view")
-                .unwrap();
+            let served = service.merged::<EdgeState>(edge, latest).unwrap();
             let bits = |view: &FinalizedEdgeSketch| -> Vec<u64> {
                 (view.restored_counters().iter())
                     .chain(view.coordinate_zero_counts())
@@ -2794,7 +2843,9 @@ mod tests {
             assert_eq!(service.cache_stats().views, 0);
         }
         assert_eq!(service.evicted_windows(plus).unwrap(), 2);
-        service.frequency(plain, 1, WindowRange::Latest).unwrap();
+        service
+            .query(Query::Frequency(plain, 1, WindowRange::Latest))
+            .unwrap();
         assert_eq!(service.cache_stats().views, 1);
         seal_window_in_every_mode(&mut service, attrs, &mut rng);
         assert_eq!(service.cache_stats().views, 1, "re-warmed");
@@ -2816,7 +2867,9 @@ mod tests {
             service.rotate(attr).unwrap();
         }
         assert_eq!(service.window_count(attr).unwrap(), 4);
-        let merged = service.merged_view(attr, WindowRange::All).unwrap();
+        let merged = service
+            .merged::<PlainState>(attr, WindowRange::All)
+            .unwrap();
 
         let mut single = SketchBuilder::new(
             SketchParams::new(8, 128).unwrap(),
@@ -2846,23 +2899,29 @@ mod tests {
                 .unwrap();
             service.rotate(b).unwrap();
         }
-        let latest = service.join_size(a, b, WindowRange::Latest).unwrap();
+        let latest = service
+            .query(Query::Join(a, b, WindowRange::Latest))
+            .unwrap();
         assert_eq!((latest.windows, latest.reports), (2, 1_000));
-        let last2 = service.join_size(a, b, WindowRange::LastK(2)).unwrap();
+        let last2 = service
+            .query(Query::Join(a, b, WindowRange::LastK(2)))
+            .unwrap();
         assert_eq!((last2.windows, last2.reports), (4, 1_800));
-        let all = service.join_size(a, b, WindowRange::All).unwrap();
+        let all = service.query(Query::Join(a, b, WindowRange::All)).unwrap();
         assert_eq!((all.windows, all.reports), (6, 2_400));
         // Over-long LastK clamps to the ring.
-        let clamped = service.join_size(a, b, WindowRange::LastK(99)).unwrap();
+        let clamped = service
+            .query(Query::Join(a, b, WindowRange::LastK(99)))
+            .unwrap();
         assert_eq!(clamped.value, all.value);
         assert!(matches!(
-            service.join_size(a, b, WindowRange::LastK(0)),
+            service.query(Query::Join(a, b, WindowRange::LastK(0))),
             Err(Error::InvalidWorkload(_))
         ));
         // An attribute with no sealed windows is unqueryable.
         let c = service.register_attribute("c", 3).unwrap();
         assert!(matches!(
-            service.join_size(a, c, WindowRange::All),
+            service.query(Query::Join(a, c, WindowRange::All)),
             Err(Error::WindowUnavailable(_))
         ));
     }
@@ -2884,17 +2943,26 @@ mod tests {
                 service.rotate(attr).unwrap();
             }
         }
-        let cold = service.join_size(a, b, WindowRange::All).unwrap();
+        let cold = service.query(Query::Join(a, b, WindowRange::All)).unwrap();
         assert!(!cold.cached);
-        let warm = service.join_size(a, b, WindowRange::All).unwrap();
+        let warm = service.query(Query::Join(a, b, WindowRange::All)).unwrap();
         assert!(warm.cached);
         assert_eq!(warm.value, cold.value);
         // Operand order shares the entry (the product is commutative bit-for-bit).
-        assert!(service.join_size(b, a, WindowRange::All).unwrap().cached);
+        assert!(
+            service
+                .query(Query::Join(b, a, WindowRange::All))
+                .unwrap()
+                .cached
+        );
         // A frequency query on the same span is its own entry.
-        let f_cold = service.frequency(a, 0, WindowRange::All).unwrap();
+        let f_cold = service
+            .query(Query::Frequency(a, 0, WindowRange::All))
+            .unwrap();
         assert!(!f_cold.cached);
-        let f_warm = service.frequency(a, 0, WindowRange::All).unwrap();
+        let f_warm = service
+            .query(Query::Frequency(a, 0, WindowRange::All))
+            .unwrap();
         assert!(f_warm.cached);
         assert_eq!(f_warm.value, f_cold.value);
         let stats = service.cache_stats();
@@ -2913,9 +2981,16 @@ mod tests {
             .unwrap();
         service.rotate(c).unwrap();
         assert_eq!(service.cache_stats().views, 2);
-        assert!(service.join_size(a, b, WindowRange::All).unwrap().cached);
+        assert!(
+            service
+                .query(Query::Join(a, b, WindowRange::All))
+                .unwrap()
+                .cached
+        );
         // (On a's 2-window ring `LastK(2)` is the `All` span, so this read is a memo hit.)
-        let f_last2 = service.frequency(a, 1, WindowRange::LastK(2)).unwrap();
+        let f_last2 = service
+            .query(Query::Frequency(a, 1, WindowRange::LastK(2)))
+            .unwrap();
         assert_eq!(f_last2.explain.span_source, SpanSource::MemoizedView);
         // … but rotating a participant invalidates them. The rotation re-warms the ranges
         // read in the closing epoch: a's `All` and `LastK(2)`, distinct spans on its new
@@ -2925,22 +3000,26 @@ mod tests {
             .unwrap();
         service.rotate(a).unwrap();
         assert_eq!(service.cache_stats().views, 3);
-        let recomputed = service.join_size(a, b, WindowRange::All).unwrap();
+        let recomputed = service.query(Query::Join(a, b, WindowRange::All)).unwrap();
         assert!(!recomputed.cached);
         assert_eq!(recomputed.explain.span_source, SpanSource::MemoizedView);
         assert_ne!(recomputed.reports, cold.reports);
-        let last2 = service.frequency(a, 1, WindowRange::LastK(2)).unwrap();
+        let last2 = service
+            .query(Query::Frequency(a, 1, WindowRange::LastK(2)))
+            .unwrap();
         assert!(!last2.cached);
         assert_eq!(last2.explain.span_source, SpanSource::MemoizedView);
         // clear_cache drops everything, and a recomputation assembles the very bits the
         // re-warmed views gave.
         service.clear_cache();
         assert_eq!(service.cache_stats().entries, 0);
-        let fresh = service.join_size(a, b, WindowRange::All).unwrap();
+        let fresh = service.query(Query::Join(a, b, WindowRange::All)).unwrap();
         assert!(!fresh.cached);
         assert_eq!(fresh.explain.span_source, SpanSource::LedgerAssembled);
         assert_eq!(fresh.value.to_bits(), recomputed.value.to_bits());
-        let fresh_last2 = service.frequency(a, 1, WindowRange::LastK(2)).unwrap();
+        let fresh_last2 = service
+            .query(Query::Frequency(a, 1, WindowRange::LastK(2)))
+            .unwrap();
         assert_eq!(fresh_last2.explain.span_source, SpanSource::LedgerAssembled);
         assert_eq!(fresh_last2.value.to_bits(), last2.value.to_bits());
         // clear_cache also forgets the ranges read: a rotation closing an epoch in which no
@@ -2951,9 +3030,11 @@ mod tests {
             .unwrap();
         service.rotate(a).unwrap();
         assert_eq!(service.cache_stats().views, 0);
-        let cold_all = service.join_size(a, b, WindowRange::All).unwrap();
+        let cold_all = service.query(Query::Join(a, b, WindowRange::All)).unwrap();
         assert_eq!(cold_all.explain.span_source, SpanSource::LedgerAssembled);
-        let cold_last2 = service.frequency(a, 1, WindowRange::LastK(2)).unwrap();
+        let cold_last2 = service
+            .query(Query::Frequency(a, 1, WindowRange::LastK(2)))
+            .unwrap();
         assert_eq!(cold_last2.explain.span_source, SpanSource::LedgerAssembled);
     }
 
@@ -2998,11 +3079,11 @@ mod tests {
         drive_plus_pair(&mut service, pa, pb, &est, &w, 13, 4);
 
         for range in [WindowRange::Latest, WindowRange::All] {
-            let ab = service.join_size(a, b, range).unwrap();
-            let pab = service.plus_join_size(pa, pb, range).unwrap();
+            let ab = service.query(Query::Join(a, b, range)).unwrap();
+            let pab = service.query(Query::PlusJoin(pa, pb, range)).unwrap();
             service.clear_cache();
-            let ba = service.join_size(b, a, range).unwrap();
-            let pba = service.plus_join_size(pb, pa, range).unwrap();
+            let ba = service.query(Query::Join(b, a, range)).unwrap();
+            let pba = service.query(Query::PlusJoin(pb, pa, range)).unwrap();
             assert!(!ba.cached && !pba.cached);
             assert_eq!(ba.value.to_bits(), ab.value.to_bits(), "{range:?}");
             assert_eq!(pba.value.to_bits(), pab.value.to_bits(), "{range:?}");
@@ -3024,7 +3105,7 @@ mod tests {
             service.rotate(attr).unwrap();
         }
         assert!(matches!(
-            service.join_size(a, b, WindowRange::All),
+            service.query(Query::Join(a, b, WindowRange::All)),
             Err(Error::IncompatibleSketches(_))
         ));
     }
@@ -3055,12 +3136,49 @@ mod tests {
         }
         assert!(service.window_count(a).unwrap() >= 4);
         let truth = ldpjs_common::stats::exact_join_size(&va, &vb) as f64;
-        let est = service.join_size(a, b, WindowRange::All).unwrap();
+        let est = service.query(Query::Join(a, b, WindowRange::All)).unwrap();
         let re = (est.value - truth).abs() / truth;
         assert!(
             re < 0.3,
             "relative error {re} (est {}, truth {truth})",
             est.value
+        );
+    }
+
+    #[test]
+    fn plain_frequency_error_bars_match_the_mean_combiner() {
+        // A plain frequency is Theorem 7's mean over rows, so its predicted error must be
+        // the mean combiner's standard deviation at the span's F2. At a noise-dominated
+        // shape, over 200 pinned-seed trials (each its own hash family and report stream)
+        // of 10 values, the realized errors standardized by `predicted_error` have an RMS
+        // near 1. The median combiner's π/(2k) reads ≈0.58 here; with the mean combiner
+        // but the raw self-join as F2, which double-counts the LDP noise, ≈0.73.
+        let params = SketchParams::new(18, 64).unwrap();
+        let mut cfg = ServiceConfig::new(params, Epsilon::new(1.0).unwrap());
+        cfg.epoch_reports = u64::MAX;
+        let gen = ZipfGenerator::new(1.1, 10_000);
+        let (mut sum_sq, mut samples) = (0.0, 0usize);
+        for trial in 0..200u64 {
+            let mut service = SketchService::new(cfg).unwrap();
+            let attr = service.register_attribute("a", 1_000 + trial).unwrap();
+            let mut rng = StdRng::seed_from_u64(trial);
+            let values = gen.sample_many(10_000, &mut rng);
+            let client = service.client(attr).unwrap();
+            let batch = client.perturb_batch(&values, &mut rng).unwrap();
+            service.ingest(attr, &batch).unwrap();
+            service.rotate(attr).unwrap();
+            for value in 0..10 {
+                let truth = values.iter().filter(|&&v| v == value).count() as f64;
+                let query = Query::Frequency(attr, value, WindowRange::All);
+                let q = service.query(query).unwrap();
+                sum_sq += ((q.value - truth) / q.explain.predicted_error).powi(2);
+                samples += 1;
+            }
+        }
+        let rms = (sum_sq / samples as f64).sqrt();
+        assert!(
+            (0.9..=1.1).contains(&rms),
+            "realized RMS error / predicted error = {rms:.3}"
         );
     }
 
@@ -3095,7 +3213,7 @@ mod tests {
                 rng_seed,
                 true,
                 &mut |batch| {
-                    service.ingest_plus(attr, batch)?;
+                    service.ingest(attr, batch)?;
                     in_window += 1;
                     if in_window == batches_per_window {
                         service.rotate(attr)?;
@@ -3184,16 +3302,18 @@ mod tests {
             (WindowRange::LastK(2), SpanSource::LedgerAssembled),
             (WindowRange::All, SpanSource::MemoizedView),
         ] {
-            let q = service.plus_join_size(a, b, range).unwrap();
+            let q = service.query(Query::PlusJoin(a, b, range)).unwrap();
             assert!(!q.cached);
             assert_eq!(q.explain.span_source, source, "{range:?}");
             assert!(q.value.is_finite());
-            let again = service.plus_join_size(a, b, range).unwrap();
+            let again = service.query(Query::PlusJoin(a, b, range)).unwrap();
             assert!(again.cached, "repeat of {range:?} must hit the cache");
             assert_eq!(again.value.to_bits(), q.value.to_bits());
         }
         // The all-window estimate tracks the exact join size.
-        let all = service.plus_join_size(a, b, WindowRange::All).unwrap();
+        let all = service
+            .query(Query::PlusJoin(a, b, WindowRange::All))
+            .unwrap();
         let re = (all.value - truth).abs() / truth;
         assert!(
             re < 0.35,
@@ -3212,9 +3332,16 @@ mod tests {
         );
 
         // Plus frequency queries: the heaviest Zipf value tracks its true count.
-        let f = service.frequency(a, 0, WindowRange::All).unwrap();
+        let f = service
+            .query(Query::Frequency(a, 0, WindowRange::All))
+            .unwrap();
         assert!(!f.cached);
-        assert!(service.frequency(a, 0, WindowRange::All).unwrap().cached);
+        assert!(
+            service
+                .query(Query::Frequency(a, 0, WindowRange::All))
+                .unwrap()
+                .cached
+        );
         let truth_f = w.count_a(0) as f64;
         assert!(truth_f > 0.0);
         let fre = (f.value - truth_f).abs() / truth_f;
@@ -3230,15 +3357,21 @@ mod tests {
             .unwrap();
         drive_plus_pair(&mut service, a, b, &est, &more, 56, 4);
         assert_eq!(service.window_count(a).unwrap(), windows + 1);
-        let last2 = service.plus_join_size(a, b, WindowRange::LastK(2)).unwrap();
+        let last2 = service
+            .query(Query::PlusJoin(a, b, WindowRange::LastK(2)))
+            .unwrap();
         assert!(!last2.cached);
         assert_eq!(last2.explain.span_source, SpanSource::MemoizedView);
-        let all = service.plus_join_size(a, b, WindowRange::All).unwrap();
+        let all = service
+            .query(Query::PlusJoin(a, b, WindowRange::All))
+            .unwrap();
         assert!(!all.cached);
         // The whole ring is a kept state, so even a cleared cache serves it without an
         // assembly.
         service.clear_cache();
-        let cleared = service.plus_join_size(a, b, WindowRange::All).unwrap();
+        let cleared = service
+            .query(Query::PlusJoin(a, b, WindowRange::All))
+            .unwrap();
         assert!(!cleared.cached);
         assert_eq!(cleared.explain.span_source, SpanSource::MemoizedView);
         assert_eq!(cleared.value.to_bits(), all.value.to_bits());
@@ -3295,7 +3428,7 @@ mod tests {
         assert_eq!(service.window_count(edge).unwrap(), 3);
 
         let cold = service
-            .chain_join_3(v1, edge, v3, WindowRange::All)
+            .query(Query::Chain3(v1, edge, v3, WindowRange::All))
             .unwrap();
         assert!(!cold.cached);
         assert_eq!(cold.windows, 2 + 3 + 2);
@@ -3307,7 +3440,7 @@ mod tests {
         );
         // Cached on repeat; invalidated when any participant rotates.
         let warm = service
-            .chain_join_3(v1, edge, v3, WindowRange::All)
+            .query(Query::Chain3(v1, edge, v3, WindowRange::All))
             .unwrap();
         assert!(warm.cached);
         assert_eq!(warm.value.to_bits(), cold.value.to_bits());
@@ -3320,7 +3453,7 @@ mod tests {
         service.rotate(edge).unwrap();
         assert!(
             !service
-                .chain_join_3(v1, edge, v3, WindowRange::All)
+                .query(Query::Chain3(v1, edge, v3, WindowRange::All))
                 .unwrap()
                 .cached
         );
@@ -3335,7 +3468,7 @@ mod tests {
             .unwrap();
         service.rotate(stranger).unwrap();
         assert!(matches!(
-            service.chain_join_3(stranger, edge, v3, WindowRange::All),
+            service.query(Query::Chain3(stranger, edge, v3, WindowRange::All)),
             Err(Error::IncompatibleSketches(_))
         ));
     }
@@ -3378,7 +3511,7 @@ mod tests {
                     service.ingest(attr, &part).unwrap();
                     service.rotate(attr).unwrap();
                 }
-                let merged = service.merged_view(attr, WindowRange::All).unwrap();
+                let merged = service.merged::<PlainState>(attr, WindowRange::All).unwrap();
                 prop_assert_eq!(merged.reports(), reference.reports());
                 prop_assert!(
                     merged.restored_counters() == reference.restored_counters(),
@@ -3433,7 +3566,7 @@ mod tests {
                     .unwrap();
                 let batches = n.div_ceil(chunk);
                 drive_plus_pair(&mut service, a, b, &est, &w, rng_seed, batches.div_ceil(windows));
-                let merged = service.plus_join_size(a, b, WindowRange::All).unwrap();
+                let merged = service.query(Query::PlusJoin(a, b, WindowRange::All)).unwrap();
                 prop_assert!(
                     merged.value.to_bits() == one_shot.join_size.to_bits(),
                     "windows={}: windowed plus diverged from one-shot (windowed {}, one-shot {})",
@@ -3446,7 +3579,7 @@ mod tests {
 
         /// The incremental merged-span ledger guarantee: across random rotate/evict
         /// sequences, every span the service assembles by prefix-sum subtraction (what
-        /// `merged_plus_state` serves) is **bit-identical** — all three restored lanes,
+        /// a plus query reads) is **bit-identical** — all three restored lanes,
         /// the rediscovered frequent-item set, and the screening threshold — to one fresh
         /// `PlusStateBuilder` that absorbed the covered windows' report batches. The
         /// 3-window ring forces evictions, so full-span queries exercise the ledger origin
@@ -3499,7 +3632,7 @@ mod tests {
                     if left == 0 {
                         left = cadence.gen_range(1usize..5);
                     }
-                    service.ingest_plus(a, batch)?;
+                    service.ingest(a, batch)?;
                     current.push(batch.clone());
                     left -= 1;
                     if left == 0 {
@@ -3507,7 +3640,7 @@ mod tests {
                         windows.push(std::mem::take(&mut current));
                         // A read every epoch: each rotation re-warms this range, so the
                         // final comparisons below cover a re-warmed state.
-                        service.merged_plus_state(a, WindowRange::LastK(2))?;
+                        service.merged::<PlusState>(a, WindowRange::LastK(2))?;
                     }
                     Ok(())
                 },
@@ -3534,7 +3667,7 @@ mod tests {
                 } else {
                     WindowRange::LastK(sealed.len() - start)
                 };
-                let merged = service.merged_plus_state(a, range).unwrap();
+                let merged = service.merged::<PlusState>(a, range).unwrap();
                 let mut from_scratch = PlusStateBuilder::new(params, eps, plus_cfg.seed);
                 for batch in sealed[start..].iter().flatten() {
                     from_scratch.absorb_batch(batch).unwrap();
@@ -3589,7 +3722,7 @@ mod tests {
                 }
                 service.rotate(attr).unwrap();
                 windows.push(window);
-                service.merged_view(attr, WindowRange::LastK(2)).unwrap();
+                service.merged::<PlainState>(attr, WindowRange::LastK(2)).unwrap();
             }
 
             let depth = service.window_count(attr).unwrap();
@@ -3610,7 +3743,7 @@ mod tests {
                     ranges.push(WindowRange::Latest);
                 }
                 for range in ranges {
-                    let served = service.merged_view(attr, range).unwrap();
+                    let served = service.merged::<PlainState>(attr, range).unwrap();
                     prop_assert_eq!(served.reports(), reference.reports());
                     prop_assert!(
                         view_bits(&served) == view_bits(&reference),
@@ -3624,7 +3757,7 @@ mod tests {
 
         /// The edge span ledger guarantee, beside the plus one above: across random batch
         /// sizes and rotation cadences, every edge span the service serves — the assembled
-        /// view itself and `chain_join_3` over `Latest`, `LastK` and `All` — is
+        /// view itself and `Query::Chain3` over `Latest`, `LastK` and `All` — is
         /// **bit-identical** to one `EdgeSketchBuilder` that absorbed the covered windows'
         /// batches from scratch and was finalized. The 3-window ring forces evictions, so
         /// full-span queries exercise the ledger origin.
@@ -3661,7 +3794,7 @@ mod tests {
                 service.rotate(edge).unwrap();
                 windows.push(window);
                 // A read every epoch: each rotation re-warms this range.
-                service.chain_join_3(v1, edge, v3, WindowRange::LastK(2)).unwrap();
+                service.query(Query::Chain3(v1, edge, v3, WindowRange::LastK(2))).unwrap();
             }
 
             let depth = service.window_count(edge).unwrap();
@@ -3698,15 +3831,15 @@ mod tests {
                     );
                 }
             }
-            let w1 = service.merged_view(v1, WindowRange::All).unwrap();
-            let w3 = service.merged_view(v3, WindowRange::All).unwrap();
+            let w1 = service.merged::<PlainState>(v1, WindowRange::All).unwrap();
+            let w3 = service.merged::<PlainState>(v3, WindowRange::All).unwrap();
             for (start, reference) in references.iter().enumerate() {
                 let range = match depth - start {
                     1 => WindowRange::Latest,
                     _ if start == 0 => WindowRange::All,
                     k => WindowRange::LastK(k),
                 };
-                let served = service.chain_join_3(v1, edge, v3, range).unwrap();
+                let served = service.query(Query::Chain3(v1, edge, v3, range)).unwrap();
                 let expected = ChainKernel.chain_3(&w1, reference, &w3).unwrap();
                 prop_assert!(
                     served.value.to_bits() == expected.to_bits(),
@@ -3800,7 +3933,7 @@ mod tests {
 
         // Cold multi-window join: assembled from the span ledger by the plain kernel, with
         // the Theorem 4/5 predictions evaluated at the spans' exact report counts.
-        let cold = service.join_size(a, b, WindowRange::All).unwrap();
+        let cold = service.query(Query::Join(a, b, WindowRange::All)).unwrap();
         assert_eq!(cold.explain.kernel, ExplainKernel::Plain);
         assert_eq!(cold.explain.span_source, SpanSource::LedgerAssembled);
         assert!(!cold.explain.cached);
@@ -3817,7 +3950,7 @@ mod tests {
         );
 
         // A hit replays the stored record with only the cache outcome rewritten.
-        let hit = service.join_size(a, b, WindowRange::All).unwrap();
+        let hit = service.query(Query::Join(a, b, WindowRange::All)).unwrap();
         assert!(hit.cached && hit.explain.cached);
         assert_eq!(hit.explain.span_source, SpanSource::LedgerAssembled);
         assert_eq!(hit.explain.predicted_error, cold.explain.predicted_error);
@@ -3825,10 +3958,14 @@ mod tests {
         // The join memoized attribute a's merged span view, so a frequency query over the
         // same span reports the memoized path; a first Latest query assembles its one
         // window like any other span.
-        let warm = service.frequency(a, 3, WindowRange::All).unwrap();
+        let warm = service
+            .query(Query::Frequency(a, 3, WindowRange::All))
+            .unwrap();
         assert_eq!(warm.explain.span_source, SpanSource::MemoizedView);
         assert!(warm.explain.predicted_variance > 0.0);
-        let single = service.frequency(a, 3, WindowRange::Latest).unwrap();
+        let single = service
+            .query(Query::Frequency(a, 3, WindowRange::Latest))
+            .unwrap();
         assert_eq!(single.explain.span_source, SpanSource::LedgerAssembled);
 
         // Every query kind follows the same pipeline: a plus pair, an edge attribute and a
@@ -3877,24 +4014,15 @@ mod tests {
         service.set_query_clock(Some(QueryClock::new(move || {
             base + Duration::from_micros(3 * t.fetch_add(1, Ordering::Relaxed))
         })));
-        type Run = fn(&mut SketchService, [AttributeId; 6]) -> Result<QueryResult>;
-        let kinds: [(&str, Run); 5] = [
-            ("join", |s, [a, b, ..]| s.join_size(a, b, WindowRange::All)),
-            ("plus_join", |s, [_, _, pa, pb, ..]| {
-                s.plus_join_size(pa, pb, WindowRange::All)
-            }),
-            ("frequency", |s, [a, ..]| {
-                s.frequency(a, 3, WindowRange::All)
-            }),
-            ("frequency", |s, [_, _, pa, ..]| {
-                s.frequency(pa, 0, WindowRange::All)
-            }),
-            ("chain3", |s, [a, .., e, c]| {
-                s.chain_join_3(a, e, c, WindowRange::All)
-            }),
+        let all = WindowRange::All;
+        let kinds = [
+            ("join", Query::Join(a, b, all)),
+            ("plus_join", Query::PlusJoin(pa, pb, all)),
+            ("frequency", Query::Frequency(a, 3, all)),
+            ("frequency", Query::Frequency(pa, 0, all)),
+            ("chain3", Query::Chain3(a, e, c, all)),
         ];
-        let ids = [a, b, pa, pb, e, c];
-        for (kind, run) in kinds {
+        for (kind, query) in kinds {
             let stage = |service: &SketchService, stage: &str| {
                 service
                     .telemetry()
@@ -3915,10 +4043,10 @@ mod tests {
             };
             service.clear_cache();
             let (q0, t0, a0, k0) = counts(&service);
-            let cold = run(&mut service, ids).unwrap();
+            let cold = service.query(query).unwrap();
             assert!(!cold.cached && !cold.explain.cached, "{kind}");
             assert_eq!(counts(&service), (q0 + 1, t0 + 1, a0 + 1, k0 + 1), "{kind}");
-            let hit = run(&mut service, ids).unwrap();
+            let hit = service.query(query).unwrap();
             let expected = QueryResult {
                 cached: true,
                 explain: Explain {
@@ -3945,8 +4073,8 @@ mod tests {
             service.ingest(id, &reports).unwrap();
             service.rotate(id).unwrap();
         }
-        service.join_size(a, b, WindowRange::All).unwrap();
-        service.join_size(a, b, WindowRange::All).unwrap();
+        service.query(Query::Join(a, b, WindowRange::All)).unwrap();
+        service.query(Query::Join(a, b, WindowRange::All)).unwrap();
         let before = service.cache_stats();
         assert_eq!((before.hits, before.misses), (1, 1));
         assert_eq!(before.plain, ModeCacheStats { hits: 1, misses: 1 });
@@ -4051,7 +4179,7 @@ mod tests {
             service.rotate(id).unwrap();
         }
         // Without a clock, no timing is ever recorded (the query path reads no time).
-        service.join_size(a, b, WindowRange::All).unwrap();
+        service.query(Query::Join(a, b, WindowRange::All)).unwrap();
         fn hist(service: &SketchService, stage: &str) -> ldpjs_metrics::telemetry::Histogram {
             service.telemetry().histogram(
                 &format!("ldpjs_query_ns{{kind=\"join\",stage=\"{stage}\"}}"),
@@ -4069,8 +4197,8 @@ mod tests {
             base + Duration::from_micros(3 * t.fetch_add(1, Ordering::Relaxed))
         })));
         service.clear_cache();
-        service.join_size(a, b, WindowRange::All).unwrap(); // miss: all three stages
-        service.join_size(a, b, WindowRange::All).unwrap(); // hit: total only
+        service.query(Query::Join(a, b, WindowRange::All)).unwrap(); // miss: all three stages
+        service.query(Query::Join(a, b, WindowRange::All)).unwrap(); // hit: total only
         assert_eq!(hist(&service, "total").count(), 2);
         assert_eq!(hist(&service, "assemble").count(), 1);
         assert_eq!(hist(&service, "kernel").count(), 1);
@@ -4107,8 +4235,8 @@ mod tests {
                     }
                 }
                 for _ in 0..3 {
-                    service.join_size(a, b, WindowRange::All).unwrap();
-                    service.frequency(a, 5, WindowRange::LastK(2)).unwrap();
+                    service.query(Query::Join(a, b, WindowRange::All)).unwrap();
+                    service.query(Query::Frequency(a, 5, WindowRange::LastK(2))).unwrap();
                 }
                 let snap = service.deterministic_telemetry_snapshot();
                 (snap.to_text(), snap.to_json())

@@ -21,12 +21,16 @@ pub const SIMD_FILES: &[&str] = &[
 /// Crates whose library code must be panic-free (`unwrap`/`expect`/[`PANIC_MACROS`]).
 const PANIC_CRATES: &[&str] = &["core", "service", "common"];
 
-/// The panicking macros the panic-freedom rule flags, with their diagnostic names.
-const PANIC_MACROS: [(&str, &str); 4] = [
+/// The panicking macros the panic-freedom rule flags, with their diagnostic names. The
+/// `debug_assert*` family compiles out of release builds and stays allowed.
+const PANIC_MACROS: [(&str, &str); 7] = [
     ("panic", "`panic!`"),
     ("unreachable", "`unreachable!`"),
     ("todo", "`todo!`"),
     ("unimplemented", "`unimplemented!`"),
+    ("assert", "`assert!`"),
+    ("assert_eq", "`assert_eq!`"),
+    ("assert_ne", "`assert_ne!`"),
 ];
 
 /// Crates whose library code must not iterate `HashMap`/`HashSet` (keyed lookup is fine).
@@ -407,8 +411,8 @@ fn c_len(s: &str, p: usize) -> usize {
 }
 
 /// **panic-freedom** — no `unwrap()`/`expect()` or `panic!`/`unreachable!`/`todo!`/
-/// `unimplemented!` in non-test library code of the estimator and service crates
-/// (documented `assert!` preconditions stay allowed).
+/// `unimplemented!`/`assert!`/`assert_eq!`/`assert_ne!` in non-test library code of the
+/// estimator and service crates (`debug_assert*` stays allowed).
 fn panic_freedom(class: &FileClass, model: &FileModel, out: &mut Vec<Diagnostic>) {
     if class.kind != TargetKind::Lib || !PANIC_CRATES.contains(&class.crate_name.as_str()) {
         return;

@@ -1,9 +1,11 @@
 //@path: crates/service/src/oops.rs
-//@expect: panic-freedom@9
-//@expect: panic-freedom@13
-//@expect: panic-freedom@18
-//@expect: panic-freedom@24
-//@expect: panic-freedom@28
+//@expect: panic-freedom@11
+//@expect: panic-freedom@15
+//@expect: panic-freedom@20
+//@expect: panic-freedom@26
+//@expect: panic-freedom@30
+//@expect: panic-freedom@34
+//@expect: panic-freedom@35
 
 pub fn head(v: &[u64]) -> u64 {
     *v.first().unwrap()
@@ -26,4 +28,11 @@ pub fn later() {
 
 pub fn never() {
     unimplemented!("not this mode");
+}
+
+pub fn checked(v: &[u64], n: usize) -> u64 {
+    assert!(n > 0, "n must be positive");
+    assert_eq!(v.len(), n, "shape");
+    debug_assert!(v.len() < 1 << 20, "compiled out of release builds");
+    v[0]
 }

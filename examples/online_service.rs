@@ -72,7 +72,7 @@ fn plain_service_demo() {
         ("last 4 windows", WindowRange::LastK(4)),
         ("all 16 windows", WindowRange::All),
     ] {
-        let q = service.join_size(orders, clicks, range).unwrap();
+        let q = service.query(Query::Join(orders, clicks, range)).unwrap();
         println!(
             "  {label}: {:>12.4e}  ({} windows, {} reports, cached: {})",
             q.value, q.windows, q.reports, q.cached
@@ -82,11 +82,13 @@ fn plain_service_demo() {
     // The dashboard refreshes: every repeated query is a hash lookup, not an O(k·m) merge.
     for _ in 0..3 {
         for range in [WindowRange::Latest, WindowRange::LastK(4), WindowRange::All] {
-            let q = service.join_size(orders, clicks, range).unwrap();
+            let q = service.query(Query::Join(orders, clicks, range)).unwrap();
             assert!(q.cached);
         }
     }
-    let all = service.join_size(orders, clicks, WindowRange::All).unwrap();
+    let all = service
+        .query(Query::Join(orders, clicks, WindowRange::All))
+        .unwrap();
     let re = (all.value - truth).abs() / truth;
     println!("\nall-windows relative error vs exact truth: {re:.4}");
 
@@ -130,9 +132,15 @@ fn telemetry_demo() {
             .unwrap();
             service.rotate(attr).unwrap();
         }
-        let cold = service.join_size(orders, clicks, WindowRange::All).unwrap();
-        let warm = service.join_size(orders, clicks, WindowRange::All).unwrap();
-        service.frequency(orders, 1, WindowRange::Latest).unwrap();
+        let cold = service
+            .query(Query::Join(orders, clicks, WindowRange::All))
+            .unwrap();
+        let warm = service
+            .query(Query::Join(orders, clicks, WindowRange::All))
+            .unwrap();
+        service
+            .query(Query::Frequency(orders, 1, WindowRange::Latest))
+            .unwrap();
         (service, cold, warm)
     };
 
@@ -236,7 +244,7 @@ fn plus_service_demo() {
             &discovery.frequent_items,
             rng_seed,
             true,
-            &mut |batch| service.ingest_plus(attr, batch).map(|_| ()),
+            &mut |batch| service.ingest(attr, batch).map(|_| ()),
         )
         .unwrap();
         service.rotate(attr).unwrap();
@@ -254,7 +262,9 @@ fn plus_service_demo() {
         ("last 4 windows", WindowRange::LastK(4)),
         ("all 16 windows", WindowRange::All),
     ] {
-        let q = service.plus_join_size(orders, clicks, range).unwrap();
+        let q = service
+            .query(Query::PlusJoin(orders, clicks, range))
+            .unwrap();
         println!(
             "  {label}: {:>12.4e}  ({} windows, {} reports, cached: {})",
             q.value, q.windows, q.reports, q.cached
@@ -272,7 +282,7 @@ fn plus_service_demo() {
     )
     .unwrap();
     let all = service
-        .plus_join_size(orders, clicks, WindowRange::All)
+        .query(Query::PlusJoin(orders, clicks, WindowRange::All))
         .unwrap();
     assert_eq!(all.value.to_bits(), one_shot.join_size.to_bits());
     println!(

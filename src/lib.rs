@@ -75,8 +75,8 @@ pub mod prelude {
     pub use ldpjs_metrics::{absolute_error, relative_error, TrialErrors};
     pub use ldpjs_service::{
         AttributeId, CacheStats, Explain, ExplainKernel, IngestSummary, ModeCacheStats,
-        PlusAttributeConfig, QueryClock, QueryResult, ServiceConfig, SketchService, SpanSource,
-        WindowRange, WindowSnapshot,
+        PlusAttributeConfig, Query, QueryClock, QueryResult, ServiceConfig, SketchService,
+        SpanSource, WindowRange, WindowSnapshot,
     };
     pub use ldpjs_sketch::FastAgmsSketch;
 }

@@ -82,7 +82,9 @@ fn service_soak_1m_reports_is_bit_identical_to_one_shot_and_caches_queries() {
     .unwrap();
 
     // Guarantee 1: merged-all-windows == one-shot, bit for bit.
-    let cold = service.join_size(orders, clicks, WindowRange::All).unwrap();
+    let cold = service
+        .query(Query::Join(orders, clicks, WindowRange::All))
+        .unwrap();
     assert!(!cold.cached);
     assert_eq!((cold.windows, cold.reports), (32, 2 * n as u64));
     assert_eq!(
@@ -95,7 +97,9 @@ fn service_soak_1m_reports_is_bit_identical_to_one_shot_and_caches_queries() {
     assert!(re < 0.1, "merged estimate lost the truth: RE {re}");
 
     // Guarantee 2: the repeat is a cache hit with identical output.
-    let warm = service.join_size(orders, clicks, WindowRange::All).unwrap();
+    let warm = service
+        .query(Query::Join(orders, clicks, WindowRange::All))
+        .unwrap();
     assert!(warm.cached, "repeated query must be served from the cache");
     assert_eq!(warm.value.to_bits(), cold.value.to_bits());
     let stats = service.cache_stats();
@@ -106,7 +110,7 @@ fn service_soak_1m_reports_is_bit_identical_to_one_shot_and_caches_queries() {
     // estimate of a positive join (a sanity bound, not an accuracy claim — a single small
     // window is legitimately noisy).
     let latest = service
-        .join_size(orders, clicks, WindowRange::Latest)
+        .query(Query::Join(orders, clicks, WindowRange::Latest))
         .unwrap();
     assert_eq!(latest.reports, 2 * 16_960);
     assert!(latest.value.is_finite());
@@ -172,7 +176,7 @@ fn service_plus_soak_1m_reports_is_bit_identical_to_one_shot_chunked_plus() {
             rng_seed,
             true,
             &mut |batch| {
-                let rotated = service.ingest_plus(attr, batch)?.rotations;
+                let rotated = service.ingest(attr, batch)?.rotations;
                 rotations += rotated;
                 if rotated == 0 || rotations < 2 {
                     return Ok(());
@@ -181,10 +185,10 @@ fn service_plus_soak_1m_reports_is_bit_identical_to_one_shot_chunked_plus() {
                 // windows: the whole ring (a kept state) through the fourth, then a suffix
                 // the rotation re-warmed because this read recorded it in the epoch before.
                 // The re-warmed state must give the bits a cold assembly gives.
-                let warm = service.frequency(attr, 0, WindowRange::LastK(4))?;
+                let warm = service.query(Query::Frequency(attr, 0, WindowRange::LastK(4)))?;
                 assert_eq!(warm.explain.span_source, SpanSource::MemoizedView);
                 service.clear_cache();
-                let cold = service.frequency(attr, 0, WindowRange::LastK(4))?;
+                let cold = service.query(Query::Frequency(attr, 0, WindowRange::LastK(4)))?;
                 assert_eq!(cold.value.to_bits(), warm.value.to_bits());
                 Ok(())
             },
@@ -212,7 +216,7 @@ fn service_plus_soak_1m_reports_is_bit_identical_to_one_shot_chunked_plus() {
     // merged per-lane counters are exact, and the frequent items re-discovered on the
     // merged phase-1 sketch (cross-window FI reconciliation) equal the broadcast set.
     let cold = service
-        .plus_join_size(orders, clicks, WindowRange::All)
+        .query(Query::PlusJoin(orders, clicks, WindowRange::All))
         .unwrap();
     assert!(!cold.cached);
     assert_eq!((cold.windows, cold.reports), (32, 2 * n as u64));
@@ -228,7 +232,7 @@ fn service_plus_soak_1m_reports_is_bit_identical_to_one_shot_chunked_plus() {
 
     // Repeats are cache hits with identical output.
     let warm = service
-        .plus_join_size(orders, clicks, WindowRange::All)
+        .query(Query::PlusJoin(orders, clicks, WindowRange::All))
         .unwrap();
     assert!(warm.cached, "repeated plus query must be served from cache");
     assert_eq!(warm.value.to_bits(), cold.value.to_bits());
@@ -236,18 +240,22 @@ fn service_plus_soak_1m_reports_is_bit_identical_to_one_shot_chunked_plus() {
     // Sliding-window plus queries resolve and answer finitely online (single windows are
     // legitimately noisier — sanity bounds, not accuracy claims).
     for range in [WindowRange::Latest, WindowRange::LastK(4)] {
-        let q = service.plus_join_size(orders, clicks, range).unwrap();
+        let q = service
+            .query(Query::PlusJoin(orders, clicks, range))
+            .unwrap();
         assert!(q.value.is_finite(), "{range:?} answer must be finite");
         assert!(
             service
-                .plus_join_size(orders, clicks, range)
+                .query(Query::PlusJoin(orders, clicks, range))
                 .unwrap()
                 .cached
         );
     }
 
     // Plus frequency of the heaviest value over the full span tracks its exact count.
-    let f = service.frequency(orders, 0, WindowRange::All).unwrap();
+    let f = service
+        .query(Query::Frequency(orders, 0, WindowRange::All))
+        .unwrap();
     let truth_f = w.count_a(0) as f64;
     let fre = (f.value - truth_f).abs() / truth_f;
     assert!(

@@ -170,7 +170,7 @@ fn plus_service() -> (SketchService, AttributeId, AttributeId) {
             rng_seed,
             true,
             &mut |batch| {
-                service.ingest_plus(attr, batch)?;
+                service.ingest(attr, batch)?;
                 in_window += 1;
                 if in_window == batches_per_window {
                     service.rotate(attr)?;
@@ -299,11 +299,14 @@ fn cold_plus_join_is_at_most_4x_cold_plain_join() {
         "cold all-windows join (A = plain, B = plus)",
         || {
             plain.clear_cache();
-            std::hint::black_box(plain.join_size(pa, pb, WindowRange::All).unwrap());
+            std::hint::black_box(plain.query(Query::Join(pa, pb, WindowRange::All)).unwrap());
         },
         || {
             plus.clear_cache();
-            std::hint::black_box(plus.plus_join_size(xa, xb, WindowRange::All).unwrap());
+            std::hint::black_box(
+                plus.query(Query::PlusJoin(xa, xb, WindowRange::All))
+                    .unwrap(),
+            );
         },
     );
 
